@@ -55,6 +55,9 @@ fn compiler(threads: usize) -> Compiler {
 /// The undisturbed artifact every recovered run must match.
 fn baseline(threads: usize) -> (Vec<usize>, u64, u64) {
     let g = chaos_net();
+    // The fault registry is process-global: hold its gate with an empty
+    // plan so a concurrently running test's faults can't land here.
+    let _quiet = arm(FaultPlan::new());
     fingerprint(
         &compiler(threads)
             .try_compile(&g)
