@@ -498,14 +498,15 @@ fn main() -> ExitCode {
                 println!("  gemm kernels :");
                 for gk in &report.gemm_kernels {
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
                         gk.n,
                         gk.mb,
                         gk.kb,
-                        if gk.tuned { "tuned" } else { "default" }
+                        if gk.tuned { "tuned" } else { "default" },
+                        gk.isa
                     );
                 }
             }
@@ -513,6 +514,30 @@ fn main() -> ExitCode {
                 "  bit-identical: {}",
                 if out == reference { "true" } else { "FALSE" }
             );
+            // Operator kind = the description up to its parameters
+            // ("DWConv2d(3x3, s1)" → "DWConv2d").
+            let mut kinds: Vec<(&str, usize, std::time::Duration)> = Vec::new();
+            for t in &report.per_op {
+                let kind = t.op.split('(').next().unwrap_or(&t.op);
+                match kinds.iter_mut().find(|(k, ..)| *k == kind) {
+                    Some((_, steps, total)) => {
+                        *steps += 1;
+                        *total += t.duration;
+                    }
+                    None => kinds.push((kind, 1, t.duration)),
+                }
+            }
+            kinds.sort_by_key(|&(_, _, total)| std::cmp::Reverse(total));
+            println!("  time by operator kind:");
+            for (kind, steps, total) in &kinds {
+                println!(
+                    "    {:<16} {:>4} steps {:>10.2?} {:>5.1}%",
+                    kind,
+                    steps,
+                    total,
+                    100.0 * total.as_secs_f64() / report.total.as_secs_f64()
+                );
+            }
             let mut by_time: Vec<_> = report.per_op.iter().collect();
             by_time.sort_by_key(|t| std::cmp::Reverse(t.duration));
             println!("  hottest steps:");

@@ -44,7 +44,7 @@
 use gcd2_cgraph::{Activation, NodeId, OpKind};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, gemm_kernel_summary, hostops, im2col_rm_into,
-    try_matmul_threaded_into, warm_gemm_tiles, ScratchPool, TUNE_MIN_MACS,
+    try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, ScratchPool, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -387,9 +387,11 @@ pub struct InferReport {
     pub total: Duration,
     /// Per-operator wall clock, in schedule order.
     pub per_op: Vec<OpTiming>,
-    /// The instruction set the GEMM micro-kernels dispatched to
+    /// The instruction set that ran the most GEMM MACs of this run
     /// (`"scalar"`, `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or
-    /// `"neon"`; empty when the run had no GEMM step).
+    /// `"neon"`; empty when the run had no GEMM step). Per-GEMM tiers
+    /// are in [`GemmKernelInfo::isa`] — a skinny GEMM handed to the
+    /// scalar tier does not relabel a run whose large GEMMs ran vector.
     pub kernel_isa: &'static str,
     /// Kernel choice and (auto)tuned tile sizes for every matmul-backed
     /// GEMM step, in schedule order. Depthwise steps never reach the
@@ -412,6 +414,9 @@ pub struct GemmKernelInfo {
     pub k: usize,
     /// GEMM columns (output channels).
     pub n: usize,
+    /// The tier this GEMM ran on — the effective one, so a tuned or
+    /// static scalar handoff reads `Scalar` under a vector dispatch.
+    pub isa: KernelIsa,
     /// Row-block tile the kernel ran with.
     pub mb: usize,
     /// Reduction-block tile the kernel ran with.
@@ -420,6 +425,20 @@ pub struct GemmKernelInfo {
     /// the static defaults (shape below the tuning threshold, tuning
     /// disabled, or the probe was skipped).
     pub tuned: bool,
+}
+
+/// The tier that ran the most MACs among `gemms` (`""` for none).
+fn dominant_isa(gemms: &[GemmKernelInfo]) -> &'static str {
+    let mut macs: Vec<(KernelIsa, usize)> = Vec::new();
+    for g in gemms {
+        match macs.iter_mut().find(|(isa, _)| *isa == g.isa) {
+            Some((_, total)) => *total += g.m * g.k * g.n,
+            None => macs.push((g.isa, g.m * g.k * g.n)),
+        }
+    }
+    macs.iter()
+        .max_by_key(|&&(_, total)| total)
+        .map_or("", |(isa, _)| isa.name())
 }
 
 /// One operator's share of a timed execution.
@@ -1537,13 +1556,13 @@ impl InferencePlan {
                     if !matches!(g.prep, GemmPrep::Depthwise { .. }) && !g.runs_direct_conv() {
                         let n = g.weights.cols();
                         let (isa, tiles, tuned) = gemm_kernel_summary(g.m, g.k, n);
-                        r.kernel_isa = isa.name();
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
                             name: step.name.clone(),
                             m: g.m,
                             k: g.k,
                             n,
+                            isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
                             tuned,
@@ -1557,6 +1576,9 @@ impl InferencePlan {
                     duration: d,
                 });
             }
+        }
+        if let Some(r) = report {
+            r.kernel_isa = dominant_isa(&r.gemm_kernels);
         }
         Ok(())
     }
@@ -2316,5 +2338,46 @@ mod tests {
         assert_eq!(report.per_op.len(), plan.steps());
         assert!(report.total >= report.gemm);
         assert!(report.per_op.iter().any(|t| t.op.starts_with("Conv2d")));
+    }
+
+    #[test]
+    fn kernel_isa_is_the_tier_of_most_macs_not_of_the_last_gemm() {
+        // A wide conv, then a 1×k FC: on a pack-paying vector tier the
+        // FC takes the skinny-m scalar handoff, which used to relabel
+        // the whole run `scalar`.
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 4, 12, 12));
+        let conv = g.add(
+            OpKind::Conv2d {
+                out_channels: 32,
+                kernel: (3, 3),
+                stride: (1, 1),
+                padding: (1, 1),
+            },
+            &[x],
+            "conv",
+        );
+        let gap = g.add(OpKind::GlobalAvgPool, &[conv], "gap");
+        let flat = g.add(
+            OpKind::Reshape {
+                shape: TShape::new(vec![1, 32]),
+            },
+            &[gap],
+            "flat",
+        );
+        g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
+        let plan = Compiler::new().compile(&g).inference_plan(9);
+        let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
+        let (_, report) = plan.execute_timed(&input, &mut plan.new_arena());
+        let [conv, fc] = report.gemm_kernels.as_slice() else {
+            panic!("expected two GEMMs, got {:?}", report.gemm_kernels);
+        };
+        assert_eq!((conv.m, fc.m), (144, 1));
+        assert_eq!(conv.isa, gcd2_kernels::active_isa());
+        if conv.isa != KernelIsa::Neon {
+            // NEON reads weights unpacked, so it keeps skinny shapes.
+            assert_eq!(fc.isa, KernelIsa::Scalar);
+        }
+        assert_eq!(report.kernel_isa, conv.isa.name());
     }
 }

@@ -286,6 +286,20 @@ const IM2COL_WINDOW_BYTES: usize = 32 * 1024;
 /// `out_len` (≤ `c·oh·ow`; the runtime truncates to the node's element
 /// count).
 ///
+/// A **row-accumulator** kernel: per (channel, output row) `out_w` i32
+/// accumulators, and each tap `(dy, dx)` adds
+/// `row[ox·sx + dx − px] · w[dy, dx]` over the pre-clipped `ox` range
+/// where that tap is in bounds (`clip_taps`), so the inner loop is a
+/// branch-free contiguous multiply-add and borders need no second code
+/// path; one requantization pass (`>> shift`, clamp, `min(act_max)`)
+/// finishes the row. The form is picked by [`crate::active_isa`] on the
+/// calling thread, like every GEMM dispatch: the AVX-512 tiers (with
+/// VBMI) run `simd::x86::dw_planes_vnni`, everything else —
+/// including `GCD2_FORCE_SCALAR` and [`crate::pin_scalar`] — the
+/// portable loop. Both accumulate exactly (u8·i8 products fit i16, the
+/// i32 sums wrap identically in any order), so bytes never depend on
+/// the form.
+///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or `weights.len() != kh * kw`.
 #[allow(clippy::too_many_arguments)]
@@ -306,37 +320,225 @@ pub fn dwconv_direct_into(
     assert_eq!(input.len(), c * h * w, "input size mismatch");
     let (kh, kw) = kernel;
     assert_eq!(weights.len(), kh * kw, "weight size mismatch");
-    let out_h = (h + 2 * padding.0 - kh) / stride.0 + 1;
-    let out_w = (w + 2 * padding.1 - kw) / stride.1 + 1;
+    let s = DwShape {
+        h,
+        w,
+        kh,
+        kw,
+        sy: stride.0,
+        sx: stride.1,
+        py: padding.0,
+        px: padding.1,
+        out_h: (h + 2 * padding.0 - kh) / stride.0 + 1,
+        out_w: (w + 2 * padding.1 - kw) / stride.1 + 1,
+    };
     out.clear();
     out.resize(out_len, 0);
-    let mut r = 0usize;
-    'rows: for ch in 0..c {
-        let chan = &input[ch * h * w..(ch + 1) * h * w];
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                if r >= out_len {
-                    break 'rows;
+    let plane = s.out_h * s.out_w;
+    // Channels with at least one output byte; an empty map (every tap
+    // is padding) leaves the zeros the requantization would write.
+    let chans = c.min(out_len.div_ceil(plane));
+    if chans == 0 || h * w == 0 {
+        return;
+    }
+    let dst = &mut out[..out_len.min(chans * plane)];
+    #[cfg(target_arch = "x86_64")]
+    if dw_vnni_selected(&s) {
+        // SAFETY: `dw_vnni_selected` verified the AVX-512 F/BW/VBMI/VNNI
+        // features at runtime, `sx <= 4` and the tap-quad bound; `input`
+        // holds a whole `h·w` plane for every channel `dst` has bytes
+        // for.
+        unsafe { crate::simd::x86::dw_planes_vnni(input, &s, weights, shift, act_max, dst) };
+        return;
+    }
+    DW_SCRATCH.with_borrow_mut(|scratch| {
+        dw_planes_portable(input, &s, weights, shift, act_max, scratch, dst);
+    });
+}
+
+/// Geometry of one depthwise call, shared by the portable and vector
+/// forms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DwShape {
+    pub h: usize,
+    pub w: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub sy: usize,
+    pub sx: usize,
+    pub py: usize,
+    pub px: usize,
+    pub out_h: usize,
+    pub out_w: usize,
+}
+
+impl DwShape {
+    /// The kernel rows `dy` whose source row `oy·sy + dy − py` lies in
+    /// `[0, h)` for output row `oy` — a contiguous range, possibly empty.
+    pub(crate) fn dy_range(&self, oy: usize) -> std::ops::Range<usize> {
+        let top = oy * self.sy;
+        let lo = self.py.saturating_sub(top).min(self.kh);
+        let hi = (self.h + self.py).saturating_sub(top).min(self.kh);
+        lo..hi
+    }
+}
+
+/// Most tap quads (`kh · ⌈kw/4⌉`) the AVX-512 VNNI form keeps, in a
+/// stack array — a 7×7 filter has 14.
+#[cfg(target_arch = "x86_64")]
+pub(crate) const DW_VNNI_MAX_QUADS: usize = 64;
+
+/// Whether this call runs the AVX-512 VNNI form: an AVX-512 tier is
+/// active on this thread, the CPU also has VBMI (the window shuffle),
+/// one 64-byte fragment covers a 16-pixel group (`sx <= 4`), and the
+/// filter's tap quads fit the form's stack array.
+#[cfg(target_arch = "x86_64")]
+fn dw_vnni_selected(s: &DwShape) -> bool {
+    use crate::dispatch::KernelIsa;
+    s.sx <= 4
+        && s.kh * s.kw.div_ceil(4) <= DW_VNNI_MAX_QUADS
+        && matches!(
+            crate::dispatch::active_isa(),
+            KernelIsa::Avx512Vnni | KernelIsa::AmxInt8
+        )
+        && quad_conv_available()
+}
+
+/// One horizontal tap `dx` of the row-accumulator kernel with its
+/// clipping resolved: outputs `lo..hi` read the (phase-split) source
+/// row at `src..src + (hi - lo)`.
+#[derive(Debug)]
+struct DwTap {
+    dx: usize,
+    src: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// Resolves each horizontal tap to a contiguous run. A source row is
+/// held phase-split ([`split_phases`]): phase `p` (the pixels `p, p+sx,
+/// …`, `wp(p) = ⌈(w−p)/sx⌉` of them) starts at `off(p) = Σ_{p'<p}
+/// wp(p')`; at `sx == 1` that is the row itself. Tap `dx` reads pixel
+/// `x = ox·sx + t` with `t = dx − px`; writing `t = q·sx + p` (floor
+/// division, `0 <= p < sx`) gives `x = (ox + q)·sx + p`, element
+/// `ox + q` of phase `p`, and `0 <= x < w ⟺ 0 <= ox + q < wp(p)`. So
+/// the in-bounds outputs are `lo = max(0, −q) .. hi = min(out_w,
+/// wp(p) − q)`, reading from `off(p) + lo + q` on. Taps that touch no
+/// output are dropped.
+fn clip_taps(s: &DwShape, taps: &mut Vec<DwTap>) {
+    let sx = s.sx as isize;
+    let phase_len = |p: usize| (s.w.saturating_sub(p)).div_ceil(s.sx);
+    taps.clear();
+    taps.extend((0..s.kw).filter_map(|dx| {
+        let t = dx as isize - s.px as isize;
+        let (q, p) = (t.div_euclid(sx), t.rem_euclid(sx) as usize);
+        let off: usize = (0..p).map(phase_len).sum();
+        let lo = (-q).max(0);
+        let hi = (phase_len(p) as isize - q).min(s.out_w as isize);
+        (lo < hi).then(|| DwTap {
+            dx,
+            src: off + (lo + q) as usize,
+            lo: lo as usize,
+            hi: hi as usize,
+        })
+    }));
+}
+
+/// Rewrites every `w`-byte row of `chan` as its `sx` phases back to
+/// back (`sx == 2`: even pixels, then odd), so a strided tap reads a
+/// contiguous run. Rows keep their length and position.
+fn split_phases(chan: &[u8], w: usize, sx: usize, dst: &mut [u8]) {
+    for (srow, drow) in chan.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+        if sx == 2 {
+            // The hot case, in the shape the autovectoriser unzips.
+            let (even, odd) = drow.split_at_mut(w.div_ceil(2));
+            for ((e, o), pair) in even
+                .iter_mut()
+                .zip(odd.iter_mut())
+                .zip(srow.chunks_exact(2))
+            {
+                *e = pair[0];
+                *o = pair[1];
+            }
+            if w % 2 == 1 {
+                even[w / 2] = srow[w - 1];
+            }
+        } else {
+            let mut filled = 0;
+            for p in 0..sx.min(w) {
+                let phase = srow[p..].iter().step_by(sx);
+                let n = phase.len();
+                for (d, &v) in drow[filled..filled + n].iter_mut().zip(phase) {
+                    *d = v;
                 }
-                let mut acc: i32 = 0;
-                let x0 = (ox * stride.1) as isize - padding.1 as isize;
-                for dy in 0..kh {
-                    let y = (oy * stride.0 + dy) as isize - padding.0 as isize;
-                    if y < 0 || y as usize >= h {
-                        continue;
-                    }
-                    let row = &chan[y as usize * w..(y as usize + 1) * w];
-                    let wrow = &weights[dy * kw..(dy + 1) * kw];
-                    for (dx, &wv) in wrow.iter().enumerate() {
-                        let x = x0 + dx as isize;
-                        if x < 0 || x as usize >= w {
-                            continue;
-                        }
-                        acc += row[x as usize] as i32 * wv as i32;
+                filled += n;
+            }
+        }
+    }
+}
+
+/// Working memory of the portable form: the clipped taps, one output
+/// row of accumulators, and a stride ≥ 2 channel's phase-split plane.
+#[derive(Debug)]
+struct DwScratch {
+    taps: Vec<DwTap>,
+    acc: Vec<i32>,
+    split: Vec<u8>,
+}
+
+thread_local! {
+    /// Per-thread [`DwScratch`], grown to the largest step the thread
+    /// has run and kept, so warm depthwise steps allocate nothing.
+    static DW_SCRATCH: std::cell::RefCell<DwScratch> = const {
+        std::cell::RefCell::new(DwScratch {
+            taps: Vec::new(),
+            acc: Vec::new(),
+            split: Vec::new(),
+        })
+    };
+}
+
+/// Portable row-accumulator form over the channel planes in `planes`,
+/// one per `out_h·out_w` chunk of `dst` (the last chunk may be cut
+/// short — the `out_len` truncation). See [`dwconv_direct_into`].
+fn dw_planes_portable(
+    planes: &[u8],
+    s: &DwShape,
+    weights: &[i8],
+    shift: u8,
+    act_max: u8,
+    scratch: &mut DwScratch,
+    dst: &mut [u8],
+) {
+    let DwScratch { taps, acc, split } = scratch;
+    clip_taps(s, taps);
+    acc.clear();
+    acc.resize(s.out_w, 0);
+    // No clear(): `split_phases` overwrites every byte it is read at.
+    split.resize(if s.sx > 1 { s.h * s.w } else { 0 }, 0);
+    let chans = planes.chunks_exact(s.h * s.w);
+    for (chan, dst_plane) in chans.zip(dst.chunks_mut(s.out_h * s.out_w)) {
+        let rows: &[u8] = if s.sx > 1 {
+            split_phases(chan, s.w, s.sx, split);
+            split
+        } else {
+            chan
+        };
+        for (oy, dst_row) in dst_plane.chunks_mut(s.out_w).enumerate() {
+            acc.fill(0);
+            for dy in s.dy_range(oy) {
+                let y = oy * s.sy + dy - s.py;
+                let row = &rows[y * s.w..(y + 1) * s.w];
+                for t in taps.iter() {
+                    let wv = weights[dy * s.kw + t.dx] as i32;
+                    let src = &row[t.src..t.src + (t.hi - t.lo)];
+                    for (a, &x) in acc[t.lo..t.hi].iter_mut().zip(src) {
+                        *a = a.wrapping_add(x as i32 * wv);
                     }
                 }
-                out[r] = ((acc >> shift).clamp(0, 255) as u8).min(act_max);
-                r += 1;
+            }
+            for (d, &v) in dst_row.iter_mut().zip(acc.iter()) {
+                *d = (v.wrapping_shr(shift as u32).clamp(0, 255) as u8).min(act_max);
             }
         }
     }

@@ -14,38 +14,35 @@
 //! takes the first operand's length, matching the interpreter's
 //! historical behaviour.
 
+/// `out[i] = f(a[i], b[i])` over `a`'s length, with `b` zero-extended:
+/// the common prefix zips two plain slices (a `Chain` adapter in the
+/// zip keeps the loop from vectorising), then the tail pairs with 0.
+fn zip_zero_extended(a: &[u8], b: &[u8], out: &mut Vec<u8>, f: impl Fn(u8, u8) -> u8) {
+    let (head, tail) = a.split_at(a.len().min(b.len()));
+    out.clear();
+    out.extend(head.iter().zip(b).map(|(&x, &y)| f(x, y)));
+    out.extend(tail.iter().map(|&x| f(x, 0)));
+}
+
 /// Elementwise average: `out[i] = (a[i] + b[i]) / 2`, with `b`
 /// zero-extended to `a`'s length.
 pub fn add_avg_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(
-        a.iter()
-            .zip(b.iter().chain(std::iter::repeat(&0)))
-            .map(|(&x, &y)| ((x as u16 + y as u16) / 2) as u8),
-    );
+    zip_zero_extended(a, b, out, |x, y| ((x as u16 + y as u16) / 2) as u8);
 }
 
 /// Elementwise product with a 4-bit requantization shift:
 /// `out[i] = min((a[i] · b[i]) >> 4, act_max)`, `b` zero-extended.
 pub fn mul_shift4_into(a: &[u8], b: &[u8], act_max: u8, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(
-        a.iter()
-            .zip(b.iter().chain(std::iter::repeat(&0)))
-            .map(|(&x, &y)| (((x as u16 * y as u16) >> 4) as u8).min(act_max)),
-    );
+    zip_zero_extended(a, b, out, |x, y| {
+        (((x as u16 * y as u16) >> 4) as u8).min(act_max)
+    });
 }
 
 /// Elementwise division through the reciprocal lookup convention:
 /// `out[i] = a[i] / (b[i] + 1)` (the `+1` keeps the table total and the
 /// result inside the activation range), `b` zero-extended.
 pub fn div_lut_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(
-        a.iter()
-            .zip(b.iter().chain(std::iter::repeat(&0)))
-            .map(|(&x, &y)| x / (y as u16 + 1) as u8),
-    );
+    zip_zero_extended(a, b, out, |x, y| x / (y as u16 + 1) as u8);
 }
 
 /// Elementwise square with a 4-bit requantization shift:

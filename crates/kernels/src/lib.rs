@@ -59,7 +59,7 @@ pub use dispatch::{
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;
 pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_blocks, GemmLoops};
-pub use reference::{add_ref, matmul_ref, mul_ref};
+pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref};
 pub use tiled::{
     matmul_blocked_into, matmul_host, try_matmul_blocked_into, GemmDispatchError, GemmScratch,
 };

@@ -29,6 +29,69 @@ pub fn matmul_ref(a: &MatrixU8, w: &MatrixI8, shift: u8) -> Vec<Vec<u8>> {
     out
 }
 
+/// Reference depthwise convolution over a CHW map with one shared
+/// `kh·kw` filter: one output pixel at a time, a bounds test on every
+/// tap, `min(act_max)` after the requantization. `out` is resized to
+/// `out_len` (≤ `c·oh·ow` outputs are computed, in channel-major
+/// order). This is the oracle [`crate::dwconv_direct_into`] is
+/// validated against; only tests call it.
+///
+/// # Panics
+/// Panics if `input.len() != c * h * w` or `weights.len() != kh * kw`.
+#[allow(clippy::too_many_arguments)]
+pub fn dwconv_ref(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    weights: &[i8],
+    shift: u8,
+    act_max: u8,
+    out_len: usize,
+    out: &mut Vec<u8>,
+) {
+    assert_eq!(input.len(), c * h * w, "input size mismatch");
+    let (kh, kw) = kernel;
+    assert_eq!(weights.len(), kh * kw, "weight size mismatch");
+    let out_h = (h + 2 * padding.0 - kh) / stride.0 + 1;
+    let out_w = (w + 2 * padding.1 - kw) / stride.1 + 1;
+    out.clear();
+    out.resize(out_len, 0);
+    let mut r = 0usize;
+    'rows: for ch in 0..c {
+        let chan = &input[ch * h * w..(ch + 1) * h * w];
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                if r >= out_len {
+                    break 'rows;
+                }
+                let mut acc: i32 = 0;
+                let x0 = (ox * stride.1) as isize - padding.1 as isize;
+                for dy in 0..kh {
+                    let y = (oy * stride.0 + dy) as isize - padding.0 as isize;
+                    if y < 0 || y as usize >= h {
+                        continue;
+                    }
+                    let row = &chan[y as usize * w..(y as usize + 1) * w];
+                    let wrow = &weights[dy * kw..(dy + 1) * kw];
+                    for (dx, &wv) in wrow.iter().enumerate() {
+                        let x = x0 + dx as isize;
+                        if x < 0 || x as usize >= w {
+                            continue;
+                        }
+                        acc += row[x as usize] as i32 * wv as i32;
+                    }
+                }
+                out[r] = ((acc >> shift).clamp(0, 255) as u8).min(act_max);
+                r += 1;
+            }
+        }
+    }
+}
+
 /// Reference elementwise `clamp((a + b) >> shift, 0, 255)`.
 pub fn add_ref(a: &[u8], b: &[u8], shift: u8) -> Vec<u8> {
     a.iter()

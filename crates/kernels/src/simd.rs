@@ -1013,6 +1013,112 @@ pub(crate) mod x86 {
         }
     }
 
+    /// AVX-512 VNNI form of the depthwise row-accumulator kernel
+    /// ([`crate::conv::dwconv_direct_into`]): 16 output pixels
+    /// of one row live in the dword lanes of one zmm, and each run of
+    /// four horizontal taps is one `vpdpbusd` (exact, as in
+    /// [`conv_interior_mc_vnni`]). One byte-masked load fetches the
+    /// group's source fragment — masked-off bytes read as zero, which
+    /// *is* the padding value, and are architecturally never accessed,
+    /// so the same instruction serves interior and border groups — and
+    /// one `vpermb` spreads it into the lanes' 4-byte windows: lane `i`
+    /// takes fragment bytes `i·sx .. i·sx + 4`, so a horizontal stride
+    /// is just a different index vector (no phase split). The last
+    /// group of a row, and a row cut short by the caller's `out_len`,
+    /// finish with a masked down-converting store.
+    ///
+    /// `planes` holds one `h·w` plane per `out_h·out_w` chunk of `dst`
+    /// (the last chunk may be short).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F, BW, VBMI and VNNI are available,
+    /// `1 <= s.sx <= 4` (lane 15's window ends at fragment byte
+    /// `15·sx + 3 <= 63`), `weights.len() == s.kh · s.kw` with
+    /// `s.kh · ⌈s.kw/4⌉ <= DW_VNNI_MAX_QUADS`, and
+    /// `planes.len() >= n · s.h · s.w` for the `n` chunks of `dst`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni")]
+    pub(crate) unsafe fn dw_planes_vnni(
+        planes: &[u8],
+        s: &crate::conv::DwShape,
+        weights: &[i8],
+        shift: u8,
+        act_max: u8,
+        dst: &mut [u8],
+    ) {
+        let nq = s.kw.div_ceil(4);
+        // Tap quads, zero-padded past `kw` (a zero weight byte cancels
+        // whatever pixel it meets).
+        let mut wquads = [0i32; crate::conv::DW_VNNI_MAX_QUADS];
+        for (quads, wrow) in wquads.chunks_exact_mut(nq).zip(weights.chunks_exact(s.kw)) {
+            for (quad, taps) in quads.iter_mut().zip(wrow.chunks(4)) {
+                let mut b = [0u8; 4];
+                for (byte, &t) in b.iter_mut().zip(taps) {
+                    *byte = t as u8;
+                }
+                *quad = i32::from_le_bytes(b);
+            }
+        }
+        // Only the `15·sx + 4` fragment bytes the shuffle reads are ever
+        // loaded.
+        let span = 15 * s.sx as isize + 4;
+        let below = |n: isize| 1u64.checked_shl(n as u32).map_or(u64::MAX, |b| b - 1);
+        let mut idx = [0u8; 64];
+        for (r, b) in idx.iter_mut().enumerate() {
+            *b = (r / 4 * s.sx + r % 4) as u8;
+        }
+        // SAFETY: `idx` is exactly one zmm wide.
+        let idx = unsafe { _mm512_loadu_si512(idx.as_ptr() as *const _) };
+        // `wrapping_shr` semantics of the portable form.
+        let shiftv = _mm512_set1_epi32((shift & 31) as i32);
+        let maxv = _mm512_set1_epi32(act_max as i32);
+        let chans = planes.chunks_exact(s.h * s.w);
+        for (chan, dst_plane) in chans.zip(dst.chunks_mut(s.out_h * s.out_w)) {
+            for (oy, dst_row) in dst_plane.chunks_mut(s.out_w).enumerate() {
+                let dys = s.dy_range(oy);
+                for (g, group) in dst_row.chunks_mut(16).enumerate() {
+                    let mut acc = _mm512_setzero_si512();
+                    for q in 0..nq {
+                        // Where this (group, quad)'s fragment starts
+                        // relative to the source row, and which of its
+                        // bytes are inside the row.
+                        let start = (16 * g * s.sx + 4 * q) as isize - s.px as isize;
+                        let lo = (-start).clamp(0, span);
+                        let hi = (s.w as isize - start).clamp(0, span);
+                        let mask = below(hi) & !below(lo);
+                        for dy in dys.clone() {
+                            let row = &chan[(oy * s.sy + dy - s.py) * s.w..][..s.w];
+                            // SAFETY: every set mask bit `b` has
+                            // `0 <= start + b < w`, a byte of `row`; the
+                            // (possibly out-of-bounds) address itself is
+                            // formed without `offset`'s in-bounds rule.
+                            let frag = unsafe {
+                                _mm512_maskz_loadu_epi8(
+                                    mask,
+                                    row.as_ptr().wrapping_offset(start) as *const i8,
+                                )
+                            };
+                            acc = _mm512_dpbusd_epi32(
+                                acc,
+                                _mm512_permutexvar_epi8(idx, frag),
+                                _mm512_set1_epi32(wquads[dy * nq + q]),
+                            );
+                        }
+                    }
+                    // clamp(0, 255).min(act_max) == clamp(0, act_max).
+                    let v = _mm512_min_epi32(
+                        _mm512_max_epi32(_mm512_srav_epi32(acc, shiftv), _mm512_setzero_si512()),
+                        maxv,
+                    );
+                    let lanes = ((1u32 << group.len()) - 1) as u16;
+                    // SAFETY: the store mask covers exactly `group`.
+                    unsafe {
+                        _mm512_mask_cvtepi32_storeu_epi8(group.as_mut_ptr() as *mut i8, lanes, v)
+                    };
+                }
+            }
+        }
+    }
+
     /// Scalar tail for the trailing columns of an `R`-row group over the
     /// reduction range `[kk0, kk1)` — same element math as the scalar
     /// oracle (safe code, no SIMD). Shared by the AVX2 and VNNI strips.
