@@ -40,28 +40,12 @@ cargo run --release -q -p gcd2 --bin gcd2c -- --analyze \
 diff target/analyze_serial.txt target/analyze_parallel.txt
 grep -q "all 10 catalog models analyze clean" target/analyze_serial.txt
 
-echo "==> chaos suite (fault injection, two fixed fault seeds)"
-GCD2_CHAOS_SEED=2024 cargo test -q --features fault-injection --test chaos
-GCD2_CHAOS_SEED=7 cargo test -q --features fault-injection --test chaos
-
-echo "==> runtime chaos suite (fault injection, two fixed fault seeds)"
-GCD2_RT_CHAOS_SEED=2024 cargo test -q --features fault-injection --test runtime_chaos
-GCD2_RT_CHAOS_SEED=7 cargo test -q --features fault-injection --test runtime_chaos
-
-echo "==> gateway chaos suite (fault injection, two fixed fault seeds)"
-GCD2_GW_CHAOS_SEED=2024 cargo test -q --features fault-injection --test gateway_chaos
-GCD2_GW_CHAOS_SEED=7 cargo test -q --features fault-injection --test gateway_chaos
-
-echo "==> supervisor chaos suite (fault injection, two fixed fault seeds)"
-GCD2_SUP_CHAOS_SEED=2024 cargo test -q --features fault-injection --test supervisor_chaos
-GCD2_SUP_CHAOS_SEED=7 cargo test -q --features fault-injection --test supervisor_chaos
+echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"
+cargo test -q --features fault-injection \
+    --test chaos --test runtime_chaos --test gateway_chaos --test supervisor_chaos --test artifact_chaos
 
 echo "==> circuit-breaker property suite (reference-model equivalence)"
 cargo test -q --test breaker_property
-
-echo "==> artifact chaos suite (fault injection, two fixed fault seeds)"
-GCD2_ART_CHAOS_SEED=2024 cargo test -q --features fault-injection --test artifact_chaos
-GCD2_ART_CHAOS_SEED=7 cargo test -q --features fault-injection --test artifact_chaos
 
 echo "==> artifact round-trip + hostile-corpus suites"
 cargo test -q --test artifact_roundtrip

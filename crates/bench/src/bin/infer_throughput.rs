@@ -3,14 +3,11 @@
 //! For every catalog model, measures host inference wall-clock in four
 //! configurations:
 //!
-//! * `baseline_naive_ms` — the original single-shot runtime: the
-//!   node-by-node interpreter with the naive gold GEMM
-//!   (`gcd2::execute_reference_naive`). This is the pre-plan baseline
-//!   the headline speedup is computed against. Skipped (null) for the
-//!   two super-heavy models, where it would take minutes per inference;
-//! * `interp_ms` — the interpreter with the cache-blocked host GEMM
-//!   (`gcd2::execute_reference`): isolates what the plan's schedule,
-//!   slot arena, and staged weights add beyond the fast GEMM alone;
+//! * `interp_ms` — the node-by-node interpreter with the cache-blocked
+//!   host GEMM (`gcd2::execute_reference`), single-shot. This is the
+//!   baseline the headline speedup is computed against: it isolates
+//!   what the plan's schedule, slot arena, and staged weights add
+//!   beyond the fast GEMM alone;
 //! * `plan_ms` — one inference through the precompiled
 //!   [`gcd2::InferencePlan`] with a reused arena, on the auto-detected
 //!   GEMM kernel tier (the `isa` field records which);
@@ -18,7 +15,7 @@
 //!   the scalar oracle ([`gcd2_kernels::force_isa`]), so the JSON keeps
 //!   a per-ISA scalar-vs-SIMD pair and `simd_speedup` their ratio;
 //! * `batch_ms[n]` — a whole input batch fanned across `n` worker
-//!   threads via `InferencePlan::execute_batch`.
+//!   threads via `InferencePlan::try_execute_batch`.
 //!
 //! `gemm_gflops` is the effective GEMM arithmetic rate of the best
 //! single-shot plan run (2 ops per MAC).
@@ -34,7 +31,7 @@
 //! batch and thread sweep so the full-catalog run stays tractable; the
 //! `batch` field records what was actually run.
 
-use gcd2::{execute_reference, execute_reference_naive, Compiler};
+use gcd2::{execute_reference, Compiler, ExecOptions};
 use gcd2_kernels::{detected_isa, force_isa, KernelIsa};
 use gcd2_models::ModelId;
 use std::time::Instant;
@@ -54,9 +51,6 @@ struct ModelResult {
     batch: usize,
     bit_identical: bool,
     plan_build_ms: f64,
-    /// The pre-plan single-shot runtime (naive gold GEMM); `None` for
-    /// super-heavy models where it is skipped.
-    baseline_naive_ms: Option<f64>,
     interp_ms: f64,
     /// The GEMM kernel tier the auto-detected runs dispatched to.
     isa: &'static str,
@@ -70,11 +64,8 @@ struct ModelResult {
     /// single-shot run, at 2 ops per MAC.
     gemm_gflops: f64,
     batch_ms: Vec<(usize, f64)>,
-    /// Batch throughput at the widest sweep point vs the pre-plan
-    /// single-shot baseline running the same inputs one at a time
-    /// (falls back to `interp_ms` when the naive baseline is skipped).
-    speedup_vs_baseline: f64,
-    /// Same ratio against the blocked-GEMM interpreter.
+    /// Batch throughput at the widest sweep point vs the interpreter
+    /// running the same inputs one at a time.
     speedup_vs_interp: f64,
     infer_per_s: f64,
 }
@@ -115,53 +106,43 @@ fn bench_model(id: ModelId, iters: usize) -> ModelResult {
         interp_ms = interp_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
 
-    // The original runtime (naive gold GEMM): one shot, and it must
-    // also agree bit for bit.
+    // Single-inference plan latency (best of `iters`) with a reused
+    // arena. A failed execution fails the bit-identity gate like a
+    // wrong byte does.
+    let opts = ExecOptions::default();
     let mut bit_identical = true;
-    let baseline_naive_ms = (!heavy).then(|| {
-        let t0 = Instant::now();
-        let out = execute_reference_naive(&compiled, &inputs[0], SEED);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        bit_identical &= out == references[0];
-        ms
-    });
-
-    // Single-inference plan latency with a reused arena, on the
-    // auto-detected kernel tier.
     let mut arena = plan.new_arena();
-    let mut out = Vec::new();
-    let plan_ms = (0..iters)
-        .map(|_| {
+    let mut best_single_shot = || {
+        let mut out = Vec::new();
+        let mut best = f64::INFINITY;
+        for _ in 0..iters {
             let t0 = Instant::now();
-            plan.execute_into(&inputs[0], &mut arena, &mut out);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min);
-    bit_identical &= out == references[0];
-
-    // Same plan with the dispatcher pinned to the scalar oracle: the
-    // per-ISA pair for the JSON, and one more bit-identity check (every
-    // tier must produce the same bytes).
+            let ran = plan.try_execute_into(&inputs[0], &mut arena, &mut out, &opts);
+            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+            bit_identical &= ran.is_ok();
+        }
+        bit_identical &= out == references[0];
+        best
+    };
+    // On the auto-detected kernel tier, then with the dispatcher pinned
+    // to the scalar oracle: the per-ISA pair for the JSON, and one more
+    // bit-identity check (every tier must produce the same bytes).
+    let plan_ms = best_single_shot();
     force_isa(Some(KernelIsa::Scalar));
-    let mut scalar_out = Vec::new();
-    let plan_scalar_ms = (0..iters)
-        .map(|_| {
-            let t0 = Instant::now();
-            plan.execute_into(&inputs[0], &mut arena, &mut scalar_out);
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min);
+    let plan_scalar_ms = best_single_shot();
     force_isa(None);
-    bit_identical &= scalar_out == references[0];
 
     // Batched execution across the thread sweep; every count must match
     // the interpreter references exactly.
     let mut batch_ms = Vec::new();
     for &n in threads {
         let t0 = Instant::now();
-        let outs = plan.execute_batch(&inputs, n);
+        let outs = plan.try_execute_batch(&inputs, n, &opts);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        bit_identical &= outs == references;
+        bit_identical &= outs
+            .iter()
+            .map(|r| r.as_ref().ok())
+            .eq(references.iter().map(Some));
         batch_ms.push((n, ms));
     }
 
@@ -173,7 +154,6 @@ fn bench_model(id: ModelId, iters: usize) -> ModelResult {
         batch,
         bit_identical,
         plan_build_ms,
-        baseline_naive_ms,
         interp_ms,
         isa: detected_isa().name(),
         plan_ms,
@@ -181,7 +161,6 @@ fn bench_model(id: ModelId, iters: usize) -> ModelResult {
         simd_speedup: plan_scalar_ms / plan_ms,
         gemm_gflops: plan.gemm_macs() as f64 * 2.0 / (plan_ms / 1e3) / 1e9,
         batch_ms,
-        speedup_vs_baseline: baseline_naive_ms.unwrap_or(interp_ms) * batch as f64 / widest,
         speedup_vs_interp: interp_ms * batch as f64 / widest,
         infer_per_s: batch as f64 / (widest / 1e3),
     }
@@ -193,17 +172,13 @@ fn model_json(r: &ModelResult) -> String {
         .iter()
         .map(|(n, ms)| format!("\"{n}\": {ms:.3}"))
         .collect();
-    let baseline = r
-        .baseline_naive_ms
-        .map(|ms| format!("{ms:.3}"))
-        .unwrap_or_else(|| "null".to_string());
     format!(
         "    {{\n      \"model\": \"{}\",\n      \"ops\": {},\n      \"gemm_macs\": {},\n      \
          \"batch\": {},\n      \"bit_identical\": {},\n      \"plan_build_ms\": {:.3},\n      \
-         \"baseline_naive_ms\": {},\n      \"interp_ms\": {:.3},\n      \"isa\": \"{}\",\n      \
+         \"interp_ms\": {:.3},\n      \"isa\": \"{}\",\n      \
          \"plan_ms\": {:.3},\n      \"plan_scalar_ms\": {:.3},\n      \
          \"simd_speedup\": {:.3},\n      \"gemm_gflops\": {:.3},\n      \
-         \"batch_ms\": {{{}}},\n      \"speedup_vs_baseline\": {:.3},\n      \
+         \"batch_ms\": {{{}}},\n      \
          \"speedup_vs_interp\": {:.3},\n      \"infer_per_s\": {:.3}\n    }}",
         r.name,
         r.ops,
@@ -211,7 +186,6 @@ fn model_json(r: &ModelResult) -> String {
         r.batch,
         r.bit_identical,
         r.plan_build_ms,
-        baseline,
         r.interp_ms,
         r.isa,
         r.plan_ms,
@@ -219,7 +193,6 @@ fn model_json(r: &ModelResult) -> String {
         r.simd_speedup,
         r.gemm_gflops,
         batches.join(", "),
-        r.speedup_vs_baseline,
         r.speedup_vs_interp,
         r.infer_per_s,
     )
@@ -255,11 +228,10 @@ fn main() {
     println!("# Inference throughput: compiled plan + batched execution vs interpreter\n");
     println!("kernel isa: {}\n", detected_isa().name());
     println!(
-        "{:<18} {:>5} {:>8} {:>11} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8} {:>9} {:>6}",
+        "{:<18} {:>5} {:>8} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8} {:>9} {:>6}",
         "model",
         "ops",
         "GMACs",
-        "baseline ms",
         "interp ms",
         "scalar ms",
         "plan ms",
@@ -274,20 +246,17 @@ fn main() {
     for id in models {
         let r = bench_model(id, iters);
         println!(
-            "{:<18} {:>5} {:>8.2} {:>11} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2} {:>8.1} {:>8.2}x {:>6}",
+            "{:<18} {:>5} {:>8.2} {:>10.2} {:>10.2} {:>10.2} {:>7.2}x {:>10.2} {:>8.1} {:>8.2}x {:>6}",
             r.name,
             r.ops,
             r.gemm_macs as f64 / 1e9,
-            r.baseline_naive_ms
-                .map(|ms| format!("{ms:.2}"))
-                .unwrap_or_else(|| "-".to_string()),
             r.interp_ms,
             r.plan_scalar_ms,
             r.plan_ms,
             r.simd_speedup,
             r.gemm_gflops,
             r.infer_per_s,
-            r.speedup_vs_baseline,
+            r.speedup_vs_interp,
             if r.bit_identical { "yes" } else { "NO" },
         );
         results.push(r);
@@ -296,7 +265,7 @@ fn main() {
     let rows: Vec<String> = results.iter().map(model_json).collect();
     let json = format!(
         "{{\n  \"benchmark\": \"infer_throughput\",\n  \"baseline\": \"node-by-node interpreter \
-         with the naive gold GEMM (execute_reference_naive), single-shot\",\n  \
+         with the blocked host GEMM (execute_reference), single-shot\",\n  \
          \"seed\": {SEED},\n  \"iterations\": {iters},\n  \"models\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

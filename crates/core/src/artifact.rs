@@ -259,7 +259,7 @@ fn encode_tune_section(plan: &InferencePlan) -> Vec<u8> {
     let isa = active_isa();
     for step in &plan.steps {
         if let StepKind::Gemm(g) = &step.kind {
-            if matches!(g.prep, GemmPrep::Depthwise { .. }) || g.runs_direct_conv() {
+            if !g.runs_matmul() {
                 continue;
             }
             if let Some(c) = cached_choice(g.m, g.k, g.n, isa) {

@@ -474,7 +474,15 @@ fn main() -> ExitCode {
             let mut best: Option<gcd2::InferReport> = None;
             let mut out = Vec::new();
             for _ in 0..infer_iters {
-                let (o, report) = plan.execute_timed(&input, &mut arena);
+                let timed =
+                    plan.try_execute_timed(&input, &mut arena, &gcd2::ExecOptions::default());
+                let (o, report) = match timed {
+                    Ok(timed) => timed,
+                    Err(e) => {
+                        eprintln!("inference failed: {e}");
+                        return ExitCode::from(1);
+                    }
+                };
                 out = o;
                 if best.as_ref().is_none_or(|b| report.total < b.total) {
                     best = Some(report);
@@ -563,11 +571,18 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let threads = compiler.threads();
+            let opts = gcd2::ExecOptions::default();
             let t0 = std::time::Instant::now();
-            let outs = plan.execute_batch(&inputs, threads);
+            let outs = plan.try_execute_batch(&inputs, threads, &opts);
             let wall = t0.elapsed();
+            // The control really is one thread: one item at a time and
+            // no intra-op GEMM bands either.
+            let one_thread = gcd2::ExecOptions {
+                intra_op_threads: Some(1),
+                ..opts
+            };
             let t0 = std::time::Instant::now();
-            let serial = plan.execute_batch(&inputs, 1);
+            let serial = plan.try_execute_batch(&inputs, 1, &one_thread);
             let serial_wall = t0.elapsed();
             println!(
                 "  batch {batch} on {threads} thread{}: {:.2?} \
@@ -577,11 +592,22 @@ fn main() -> ExitCode {
                 batch as f64 / wall.as_secs_f64(),
                 serial_wall.as_secs_f64() / wall.as_secs_f64()
             );
+            // Every item of both runs against the interpreter: comparing
+            // the two batches only with each other would pass a batch
+            // path that is wrong the same way twice.
+            for e in outs.iter().chain(&serial).filter_map(|r| r.as_ref().err()) {
+                eprintln!("batch item failed: {e}");
+            }
+            let runs = outs.iter().zip(&serial);
+            let identical = inputs.iter().zip(runs).all(|(input, (out, control))| {
+                let reference = Ok(gcd2::execute_reference(&compiled, input, SEED));
+                *out == reference && *control == reference
+            });
             println!(
                 "  bit-identical: {}",
-                if outs == serial { "true" } else { "FALSE" }
+                if identical { "true" } else { "FALSE" }
             );
-            if outs != serial {
+            if !identical {
                 return ExitCode::from(1);
             }
         }

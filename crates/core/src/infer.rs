@@ -25,21 +25,22 @@
 //! Results are **bit-identical** to [`crate::runtime::execute_reference`]
 //! for the same seed — both paths share one source of operator
 //! semantics — and independent of thread count in
-//! [`InferencePlan::execute_batch`], which fans a batch of inputs across
-//! `gcd2_par` worker isolation with a pool of per-worker arenas.
+//! [`InferencePlan::try_execute_batch`], which fans a batch of inputs
+//! across `gcd2_par` worker isolation with a pool of per-worker arenas.
 //!
 //! # Fault tolerance (DESIGN.md §6d)
 //!
-//! Every execution entry point has a fallible `try_` form returning a
-//! structured [`InferError`] instead of panicking: inputs are
-//! shape-checked, arenas are stamped with the plan's integrity checksum
-//! and rejected across plans, per-step deadlines abandon overlong runs,
-//! and batch items are panic-isolated per item via
+//! Every execution entry point is a fallible `try_` form returning a
+//! structured [`InferError`] instead of panicking (plus
+//! [`InferencePlan::execute`], the one panicking convenience): inputs
+//! are shape-checked, arenas are stamped with the plan's integrity
+//! checksum and rejected across plans, per-step deadlines abandon
+//! overlong runs, and batch items are panic-isolated per item via
 //! [`gcd2_par::par_map_isolated`]. The plan itself carries an FNV-1a
 //! checksum over its materialized weights and step schedule, computed at
 //! build time and re-verifiable via [`InferencePlan::verify_integrity`]
-//! (or per-execution with [`ExecOptions::paranoid`]). The historical
-//! panicking APIs remain as thin wrappers over the `try_` forms.
+//! (or per-execution with [`ExecOptions::paranoid`]). All of them stream
+//! the schedule through one lockstep core, `InferencePlan::run_lockstep`.
 
 use gcd2_cgraph::{Activation, NodeId, OpKind};
 use gcd2_kernels::{
@@ -132,20 +133,23 @@ impl GemmStep {
             && matches!(self.scatter, Scatter::Chw { spatial } if spatial == self.m)
     }
 
-    /// Whether the batched executor may row-stack this step across
-    /// items into one GEMM dispatch. Only steps that actually reach the
-    /// GEMM band kernels qualify (depthwise and narrow-head convs run
-    /// per-item direct kernels with nothing to amortize), and only
-    /// small/medium row counts: the win comes from splitting the
-    /// per-dispatch weight-panel packing (`O(k·n)`) and tile-tail cost
-    /// across the batch, and that cost is already a rounding error once
-    /// one item brings [`STACK_MAX_M`]+ rows of its own. Stacking never
-    /// changes bytes — each output row depends only on its own
-    /// activation row — so this is purely a speed policy.
+    /// Whether this step reaches the GEMM dispatcher: depthwise and
+    /// narrow-head convs run per-item direct kernels instead, so they
+    /// have no tile plan to warm or report and nothing to row-stack.
+    pub(crate) fn runs_matmul(&self) -> bool {
+        !matches!(self.prep, GemmPrep::Depthwise { .. }) && !self.runs_direct_conv()
+    }
+
+    /// Whether a batch row-stacks this matmul-backed step across items
+    /// into one GEMM dispatch. Only small/medium row counts qualify: the
+    /// win comes from splitting the per-dispatch weight-panel packing
+    /// (`O(k·n)`) and tile-tail cost across the batch, and that cost is
+    /// already a rounding error once one item brings [`STACK_MAX_M`]+
+    /// rows of its own. Stacking never changes bytes — each output row
+    /// depends only on its own activation row — so this is purely a
+    /// speed policy.
     fn stackable(&self) -> bool {
         self.m <= STACK_MAX_M
-            && !matches!(self.prep, GemmPrep::Depthwise { .. })
-            && !self.runs_direct_conv()
     }
 }
 
@@ -236,18 +240,26 @@ pub struct InferencePlan {
 #[derive(Debug, Default)]
 pub struct InferArena {
     slots: Vec<Vec<u8>>,
-    stage_a: Vec<u8>,
-    gemm_out: Vec<u8>,
-    scratch: ScratchPool,
+    stage: GemmStage,
     stamp: Option<u64>,
 }
 
-/// A shared, long-lived pool of execution buffers for one plan: the
-/// serving gateway's batch entry ([`InferencePlan::
-/// try_execute_batch_pooled`]) checks per-item arenas and the batch
-/// staging buffers out of it, so a warm server allocates nothing per
-/// batch. Unlike the transient pool inside
-/// [`InferencePlan::try_execute_batch_with`], this one survives across
+/// The buffers one GEMM dispatch streams through: the staged (for a
+/// batch, row-stacked) activation matrix, the GEMM output before its
+/// scatter, and the kernels' accumulator/panel scratch. A lockstep run
+/// borrows them from its first live item's arena.
+#[derive(Debug, Default)]
+struct GemmStage {
+    a: Vec<u8>,
+    out: Vec<u8>,
+    scratch: ScratchPool,
+}
+
+/// A shared, long-lived pool of arenas for one plan: the serving
+/// gateway's batch entry ([`InferencePlan::try_execute_batch_pooled`])
+/// checks per-item arenas out of it, so a warm server allocates nothing
+/// per batch. Unlike the transient pool inside
+/// [`InferencePlan::try_execute_batch`], this one survives across
 /// calls — the whole point for a gateway that executes thousands of
 /// small batches.
 ///
@@ -258,16 +270,6 @@ pub struct InferArena {
 #[derive(Debug, Default)]
 pub struct ArenaPool {
     arenas: Mutex<Vec<InferArena>>,
-    stage: Mutex<Vec<BatchStage>>,
-    scratch: ScratchPool,
-}
-
-/// Reusable staging for one in-flight stacked batch: the row-stacked
-/// activation matrix and the stacked GEMM output.
-#[derive(Debug, Default)]
-struct BatchStage {
-    a: Vec<u8>,
-    out: Vec<u8>,
 }
 
 impl ArenaPool {
@@ -298,21 +300,6 @@ impl ArenaPool {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .extend(arenas);
-    }
-
-    fn take_stage(&self) -> BatchStage {
-        self.stage
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put_stage(&self, stage: BatchStage) {
-        self.stage
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(stage);
     }
 }
 
@@ -916,7 +903,7 @@ impl InferencePlan {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for step in &plan.steps {
                 if let StepKind::Gemm(g) = &step.kind {
-                    if matches!(g.prep, GemmPrep::Depthwise { .. }) || g.runs_direct_conv() {
+                    if !g.runs_matmul() {
                         continue;
                     }
                     let n = g.weights.cols();
@@ -1041,25 +1028,17 @@ impl InferencePlan {
     }
 
     /// Allocates a fresh arena sized to this plan's slot high-water
-    /// marks, stamped with this plan's checksum. Hosts the `infer.arena`
-    /// fault point.
+    /// marks, stamped with this plan's checksum.
     pub fn new_arena(&self) -> InferArena {
-        let _ = gcd2_faults::fire("infer.arena");
-        InferArena {
-            slots: self
-                .slot_sizes
-                .iter()
-                .map(|&s| Vec::with_capacity(s))
-                .collect(),
-            stage_a: Vec::new(),
-            gemm_out: Vec::new(),
-            scratch: ScratchPool::new(),
-            stamp: Some(self.checksum),
-        }
+        let mut arena = InferArena::default();
+        let adopted = self.adopt_arena(&mut arena);
+        debug_assert!(adopted.is_ok(), "an unstamped arena is always adoptable");
+        arena
     }
 
     /// Claims `arena` for this plan: a fresh (unstamped) arena is sized
     /// and stamped; an arena stamped by a *different* plan is rejected.
+    /// Hosts the `infer.arena` fault point.
     fn adopt_arena(&self, arena: &mut InferArena) -> Result<(), InferError> {
         match arena.stamp {
             Some(stamp) if stamp == self.checksum => Ok(()),
@@ -1069,19 +1048,23 @@ impl InferencePlan {
             }),
             None => {
                 let _ = gcd2_faults::fire("infer.arena");
-                arena.slots.clear();
-                arena.slots.resize_with(self.slot_sizes.len(), Vec::new);
+                arena.slots = self
+                    .slot_sizes
+                    .iter()
+                    .map(|&s| Vec::with_capacity(s))
+                    .collect();
                 arena.stamp = Some(self.checksum);
                 Ok(())
             }
         }
     }
 
-    /// One inference with a throwaway arena.
+    /// One inference with a throwaway arena: the one panicking
+    /// convenience, for callers that own a known-good plan and input.
     ///
     /// # Panics
     /// Panics on any [`InferError`] condition (wrong input length,
-    /// failed paranoid check); see [`InferencePlan::try_execute`].
+    /// failed dispatch); see [`InferencePlan::try_execute`].
     pub fn execute(&self, input: &[u8]) -> Vec<u8> {
         match self.try_execute(input) {
             Ok(out) => out,
@@ -1096,43 +1079,11 @@ impl InferencePlan {
     /// refused or abandoned; panics inside the runtime are caught and
     /// surface as [`InferError::Internal`].
     pub fn try_execute(&self, input: &[u8]) -> Result<Vec<u8>, InferError> {
-        self.try_execute_with(input, &ExecOptions::default())
-    }
-
-    /// [`InferencePlan::try_execute`] with caller-chosen [`ExecOptions`]
-    /// (deadline, paranoid integrity checking).
-    ///
-    /// # Errors
-    /// See [`InferencePlan::try_execute`].
-    pub fn try_execute_with(
-        &self,
-        input: &[u8],
-        opts: &ExecOptions,
-    ) -> Result<Vec<u8>, InferError> {
-        catch_unwind(AssertUnwindSafe(|| {
+        guard_panics(|| {
             let mut arena = self.new_arena();
-            self.run_checked(input, &mut arena, None, opts)?;
-            Ok(arena.slots[self.output_slot].clone())
-        }))
-        .unwrap_or_else(|p| {
-            Err(InferError::Internal {
-                message: gcd2_par::panic_message(p.as_ref()),
-            })
+            self.run_one(input, &mut arena, None, &ExecOptions::default())?;
+            Ok(std::mem::take(&mut arena.slots[self.output_slot]))
         })
-    }
-
-    /// One inference reusing `arena`; the output tensor is written into
-    /// `output`.
-    ///
-    /// # Panics
-    /// Panics if `input.len() != self.input_len()` or `arena` was
-    /// stamped by a different plan; see
-    /// [`InferencePlan::try_execute_into`].
-    pub fn execute_into(&self, input: &[u8], arena: &mut InferArena, output: &mut Vec<u8>) {
-        match self.try_execute_into(input, arena, output, &ExecOptions::default()) {
-            Ok(()) => {}
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// One inference reusing `arena` under `opts`; the output tensor is
@@ -1149,32 +1100,16 @@ impl InferencePlan {
         output: &mut Vec<u8>,
         opts: &ExecOptions,
     ) -> Result<(), InferError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            self.run_checked(input, arena, None, opts)?;
+        guard_panics(|| {
+            self.run_one(input, arena, None, opts)?;
             output.clear();
             output.extend_from_slice(&arena.slots[self.output_slot]);
             Ok(())
-        }))
-        .unwrap_or_else(|p| {
-            Err(InferError::Internal {
-                message: gcd2_par::panic_message(p.as_ref()),
-            })
         })
     }
 
-    /// One inference with per-stage and per-operator wall-clock timings.
-    ///
-    /// # Panics
-    /// Panics on any [`InferError`] condition; see
-    /// [`InferencePlan::try_execute_timed`].
-    pub fn execute_timed(&self, input: &[u8], arena: &mut InferArena) -> (Vec<u8>, InferReport) {
-        match self.try_execute_timed(input, arena, &ExecOptions::default()) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// One timed inference under `opts`.
+    /// One inference under `opts` with per-stage and per-operator
+    /// wall-clock timings.
     ///
     /// # Errors
     /// See [`InferencePlan::try_execute_into`].
@@ -1184,62 +1119,31 @@ impl InferencePlan {
         arena: &mut InferArena,
         opts: &ExecOptions,
     ) -> Result<(Vec<u8>, InferReport), InferError> {
-        catch_unwind(AssertUnwindSafe(|| {
+        guard_panics(|| {
             let mut report = InferReport::default();
             let t0 = Instant::now();
-            self.run_checked(input, arena, Some(&mut report), opts)?;
+            self.run_one(input, arena, Some(&mut report), opts)?;
             report.total = t0.elapsed();
             Ok((arena.slots[self.output_slot].clone(), report))
-        }))
-        .unwrap_or_else(|p| {
-            Err(InferError::Internal {
-                message: gcd2_par::panic_message(p.as_ref()),
-            })
         })
     }
 
-    /// Runs a batch of inputs across `threads` workers with pooled
-    /// arenas. Outputs are in input order and bit-identical for every
-    /// thread count (each inference is independent; worker isolation
-    /// preserves order).
-    ///
-    /// # Panics
-    /// Panics if any item fails; see
-    /// [`InferencePlan::try_execute_batch`] for the per-item form.
-    pub fn execute_batch(&self, inputs: &[Vec<u8>], threads: usize) -> Vec<Vec<u8>> {
-        self.try_execute_batch(inputs, threads)
-            .into_iter()
-            .map(|r| match r {
-                Ok(out) => out,
-                Err(e) => panic!("{e}"),
-            })
-            .collect()
-    }
-
-    /// [`InferencePlan::execute_batch`] with **per-item** results and
-    /// panic isolation: a worker panic on one item is retried once
-    /// serially and, if persistent, surfaces as
+    /// Runs a batch of independent inputs across `threads` workers with
+    /// pooled arenas, `opts` applied to every item
+    /// ([`ExecOptions::deadline`] acts as a per-item backstop). Results
+    /// are **per item**, in input order and bit-identical for every
+    /// thread count, with panic isolation: a worker panic on one item
+    /// is retried once serially and, if persistent, surfaces as
     /// [`InferError::Worker`] in that item's slot only — one poisoned
-    /// input cannot sink the batch.
-    pub fn try_execute_batch(
-        &self,
-        inputs: &[Vec<u8>],
-        threads: usize,
-    ) -> Vec<Result<Vec<u8>, InferError>> {
-        self.try_execute_batch_with(inputs, threads, &ExecOptions::default())
-    }
-
-    /// [`InferencePlan::try_execute_batch`] with caller-chosen
-    /// [`ExecOptions`] applied to every item ([`ExecOptions::deadline`]
-    /// acts as a per-item backstop). Hosts the `infer.batch` fault
+    /// input cannot sink the batch. Hosts the `infer.batch` fault
     /// point.
-    pub fn try_execute_batch_with(
+    pub fn try_execute_batch(
         &self,
         inputs: &[Vec<u8>],
         threads: usize,
         opts: &ExecOptions,
     ) -> Vec<Result<Vec<u8>, InferError>> {
-        let arenas: Mutex<Vec<InferArena>> = Mutex::new(Vec::new());
+        let pool = ArenaPool::new();
         // Split the machine between batch workers and each item's
         // intra-op GEMM bands unless the caller already budgeted: with
         // `threads` items in flight, each gets its share of the cores so
@@ -1258,47 +1162,37 @@ impl InferencePlan {
             // below deliberately unwind into `par_map_isolated`'s
             // per-item guard (the arena is simply dropped), so transient
             // faults recover bit-identically via its serial retry.
-            let mut arena = arenas
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop()
-                .unwrap_or_else(|| self.new_arena());
+            let mut one = pool.take_arenas(1);
             let result = self
-                .run_checked(input, &mut arena, None, opts)
-                .map(|()| arena.slots[self.output_slot].clone());
-            arenas
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(arena);
+                .run_one(input, &mut one[0], None, opts)
+                .map(|()| one[0].slots[self.output_slot].clone());
+            pool.put_arenas(one);
             result
         })
         .into_iter()
-        .map(|item| match item {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(e),
-            Err(panic) => Err(InferError::Worker(panic)),
-        })
+        .map(|item| item.unwrap_or_else(|panic| Err(InferError::Worker(panic))))
         .collect()
     }
 
     /// The serving gateway's batch entry: executes `inputs` in lockstep
-    /// over buffers checked out of a long-lived [`ArenaPool`],
+    /// over arenas checked out of a long-lived [`ArenaPool`],
     /// **row-stacking** qualifying GEMM steps across the batch into one
     /// dispatch (see [`GemmStep::stackable`]). Coalescing `B` requests
     /// turns `B` small GEMM calls into one `B·m`-row call, so the
     /// per-dispatch weight-panel packing and tile tails are paid once
     /// per batch instead of once per request — the mechanism behind the
     /// gateway's batch-1 throughput win. Everything that is per-item by
-    /// nature (staging, depthwise/direct kernels, elementwise steps)
-    /// runs per item through the exact single-shot step code.
+    /// nature (depthwise/direct kernels, elementwise steps) runs per
+    /// item.
     ///
     /// Outputs are **bit-identical** to single-shot execution for every
     /// batch size: each GEMM output row depends only on its own
-    /// activation row, and all other steps literally run the single-shot
-    /// code. Failures are per-item where attributable (bad input shape);
-    /// a panic mid-batch resolves *every* item of this batch with
-    /// [`InferError::Worker`] — one batch is the isolation unit, the
-    /// server and other batches are unaffected.
+    /// activation row, and single-shot execution is this same core at
+    /// `B = 1`. Failures are per-item where attributable (bad input
+    /// shape); a panic mid-batch resolves *every* item of this batch
+    /// with [`InferError::Worker`] — one batch is the isolation unit,
+    /// the server and other batches are unaffected. Hosts the
+    /// `infer.batch` fault point once per batch.
     pub fn try_execute_batch_pooled(
         &self,
         inputs: &[Vec<u8>],
@@ -1307,7 +1201,29 @@ impl InferencePlan {
     ) -> Vec<Result<Vec<u8>, InferError>> {
         let b = inputs.len();
         catch_unwind(AssertUnwindSafe(|| {
-            self.run_batch_pooled(inputs, pool, opts)
+            if b == 0 {
+                return Vec::new();
+            }
+            let _ = gcd2_faults::fire("infer.batch");
+            let mut arenas = pool.take_arenas(b);
+            for arena in &mut arenas {
+                if arena.stamp.is_some_and(|stamp| stamp != self.checksum) {
+                    // Stamped by another plan (pool crossed a registry
+                    // swap): the buffers are the wrong shape, start fresh.
+                    *arena = InferArena::default();
+                }
+            }
+            let results = self
+                .run_lockstep(inputs, &mut arenas, None, opts)
+                .into_iter()
+                .zip(&arenas)
+                .map(|(failed, arena)| match failed {
+                    Some(e) => Err(e),
+                    None => Ok(arena.slots[self.output_slot].clone()),
+                })
+                .collect();
+            pool.put_arenas(arenas);
+            results
         }))
         .unwrap_or_else(|p| {
             let message = gcd2_par::panic_message(p.as_ref());
@@ -1322,196 +1238,66 @@ impl InferencePlan {
         })
     }
 
-    /// [`InferencePlan::try_execute_batch_pooled`] body; deliberately
-    /// not panic-guarded (the public wrapper is). Hosts the
-    /// `infer.batch` fault point once per batch.
-    fn run_batch_pooled(
-        &self,
-        inputs: &[Vec<u8>],
-        pool: &ArenaPool,
-        opts: &ExecOptions,
-    ) -> Vec<Result<Vec<u8>, InferError>> {
-        let b = inputs.len();
-        if b == 0 {
-            return Vec::new();
-        }
-        let _ = gcd2_faults::fire("infer.batch");
-        // The pin is thread-local and every GEMM table in this body is
-        // resolved on the calling thread (band fan-out receives the
-        // already-resolved table), so the guard quarantines exactly
-        // this batch.
-        let _scalar_pin = opts.force_scalar.then(gcd2_kernels::pin_scalar);
-        if opts.paranoid {
-            if let Err(e) = self.verify_integrity() {
-                return (0..b).map(|_| Err(e.clone())).collect();
-            }
-        }
-        let mut failed: Vec<Option<InferError>> = (0..b).map(|_| None).collect();
-        for (i, input) in inputs.iter().enumerate() {
-            if input.len() != self.input_len {
-                failed[i] = Some(InferError::InputShape {
-                    expected: self.input_len,
-                    got: input.len(),
-                });
-            }
-        }
-        let intra = opts
-            .intra_op_threads
-            .unwrap_or_else(gcd2_par::default_threads)
-            .max(1);
-        let mut arenas = pool.take_arenas(b);
-        for arena in &mut arenas {
-            if self.adopt_arena(arena).is_err() {
-                // Stamped by another plan (pool crossed a registry
-                // swap): the buffers are the wrong shape, start fresh.
-                *arena = InferArena::default();
-                if let Err(e) = self.adopt_arena(arena) {
-                    pool.put_arenas(arenas);
-                    return (0..b).map(|_| Err(e.clone())).collect();
-                }
-            }
-        }
-        let mut stage = pool.take_stage();
-        let started = Instant::now();
-        'steps: for step in &self.steps {
-            if let Some(deadline) = opts.deadline {
-                let elapsed = started.elapsed();
-                if elapsed > deadline {
-                    for slot in failed.iter_mut().filter(|f| f.is_none()) {
-                        *slot = Some(InferError::DeadlineExceeded { elapsed, deadline });
-                    }
-                    break 'steps;
-                }
-            }
-            let live: Vec<usize> = (0..b).filter(|&i| failed[i].is_none()).collect();
-            if live.is_empty() {
-                break 'steps;
-            }
-            match &step.kind {
-                StepKind::Gemm(g) if live.len() >= 2 && g.stackable() => {
-                    let _ = gcd2_faults::fire("infer.prep");
-                    let (m, k, n) = (g.m, g.k, g.n);
-                    stage.a.resize(live.len() * m * k, 0);
-                    for (seg, &i) in live.iter().enumerate() {
-                        let dst = &mut stage.a[seg * m * k..(seg + 1) * m * k];
-                        let x = arenas[i].slots[step.in_slots[0]].as_slice();
-                        match &g.prep {
-                            GemmPrep::Direct => dst.copy_from_slice(&x[..m * k]),
-                            GemmPrep::Im2col {
-                                c,
-                                h,
-                                w,
-                                kernel,
-                                stride,
-                                padding,
-                            } => im2col_rm_into(x, *c, *h, *w, *kernel, *stride, *padding, dst),
-                            GemmPrep::Transposed { c, m } => {
-                                for cc in 0..*c {
-                                    for (r, &v) in x[cc * m..(cc + 1) * m].iter().enumerate() {
-                                        dst[r * c + cc] = v;
-                                    }
-                                }
-                            }
-                            // Unreachable: stackable() excludes depthwise.
-                            GemmPrep::Depthwise { .. } => {
-                                unreachable!("depthwise is never stacked")
-                            }
-                        }
-                    }
-                    let rows = live.len() * m;
-                    if let Err(e) = try_matmul_threaded_into(
-                        &stage.a[..rows * k],
-                        rows,
-                        k,
-                        &g.weights,
-                        g.shift,
-                        &pool.scratch,
-                        intra,
-                        &mut stage.out,
-                    ) {
-                        // Shape/weight disagreement is item-independent:
-                        // every item of this step fails the same way.
-                        for &i in &live {
-                            failed[i] = Some(InferError::Dispatch {
-                                node: step.node.0,
-                                message: e.to_string(),
-                            });
-                        }
-                        continue 'steps;
-                    }
-                    for (seg, &i) in live.iter().enumerate() {
-                        let src = &stage.out[seg * m * n..(seg + 1) * m * n];
-                        let out = &mut arenas[i].slots[step.out_slot];
-                        out.clear();
-                        out.resize(step.out_len, 0);
-                        match g.scatter {
-                            Scatter::Chw { spatial } => {
-                                for o in 0..m.min(spatial) {
-                                    for ch in 0..n {
-                                        out[ch * spatial + o] = src[o * n + ch].min(ACT_MAX);
-                                    }
-                                }
-                            }
-                            Scatter::DwRows | Scatter::RowMajor => {
-                                for (d, &s) in out.iter_mut().zip(src.iter()) {
-                                    *d = s.min(ACT_MAX);
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    let aliased = matches!(step.kind, StepKind::Passthrough)
-                        && step.in_slots.first() == Some(&step.out_slot);
-                    for &i in &live {
-                        if aliased {
-                            continue;
-                        }
-                        let mut out = std::mem::take(&mut arenas[i].slots[step.out_slot]);
-                        let stepped =
-                            run_step(step, &inputs[i], &mut arenas[i], &mut out, false, intra);
-                        arenas[i].slots[step.out_slot] = out;
-                        if let Err(e) = stepped {
-                            failed[i] = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        let results = (0..b)
-            .map(|i| match failed[i].take() {
-                Some(e) => Err(e),
-                None => Ok(arenas[i].slots[self.output_slot].clone()),
-            })
-            .collect();
-        pool.put_stage(stage);
-        pool.put_arenas(arenas);
-        results
-    }
-
-    /// The shared execution core: validates, then streams the schedule.
-    /// Deliberately **not** panic-guarded — single-shot entry points add
-    /// `catch_unwind`, while batch items let panics reach the per-item
-    /// isolation in `par_map_isolated` so transient faults can retry.
-    fn run_checked(
+    /// [`InferencePlan::run_lockstep`] for one item.
+    fn run_one(
         &self,
         input: &[u8],
         arena: &mut InferArena,
-        mut report: Option<&mut InferReport>,
+        report: Option<&mut InferReport>,
         opts: &ExecOptions,
     ) -> Result<(), InferError> {
-        if input.len() != self.input_len {
-            return Err(InferError::InputShape {
-                expected: self.input_len,
-                got: input.len(),
-            });
-        }
-        self.adopt_arena(arena)?;
-        // Thread-scoped ISA demotion (see `ExecOptions::force_scalar`);
-        // dropped when this execution returns.
+        let failed = self.run_lockstep(&[input], std::slice::from_mut(arena), report, opts);
+        failed.into_iter().flatten().next().map_or(Ok(()), Err)
+    }
+
+    /// The one executor: validates, then streams the schedule for every
+    /// item of `inputs` in lockstep — item `i` over `arenas[i]` — and
+    /// returns what failed, per item. Single-shot execution is the
+    /// `B = 1` case; a batch differs only in that a GEMM step may stage
+    /// all live items into one dispatch. Deliberately **not**
+    /// panic-guarded — the single-shot and pooled entry points add
+    /// `catch_unwind`, while fan-out batch items let panics reach the
+    /// per-item isolation in `par_map_isolated` so transient faults can
+    /// retry. Hosts the `infer.prep` (once per GEMM dispatch or direct
+    /// kernel) and `infer.elementwise` (every other step, per item)
+    /// fault points.
+    fn run_lockstep<I: AsRef<[u8]>>(
+        &self,
+        inputs: &[I],
+        arenas: &mut [InferArena],
+        mut report: Option<&mut InferReport>,
+        opts: &ExecOptions,
+    ) -> Vec<Option<InferError>> {
+        let mut failed: Vec<Option<InferError>> = inputs
+            .iter()
+            .zip(arenas.iter_mut())
+            .map(|(input, arena)| {
+                let got = input.as_ref().len();
+                if got != self.input_len {
+                    return Some(InferError::InputShape {
+                        expected: self.input_len,
+                        got,
+                    });
+                }
+                self.adopt_arena(arena).err()
+            })
+            .collect();
+        // Items still executing; shrinks as items fail, never reallocates.
+        let mut live: Vec<usize> = (0..failed.len()).filter(|&i| failed[i].is_none()).collect();
+        let Some(&lead) = live.first() else {
+            return failed;
+        };
+        // Thread-scoped ISA demotion (see `ExecOptions::force_scalar`),
+        // dropped when this execution returns. Every GEMM table below is
+        // resolved on the calling thread (band fan-out receives the
+        // already-resolved table), so the guard quarantines exactly this
+        // execution.
         let _scalar_pin = opts.force_scalar.then(gcd2_kernels::pin_scalar);
         if opts.paranoid {
-            self.verify_integrity()?;
+            if let Err(e) = self.verify_integrity() {
+                fail_items(&mut failed, &live, &e);
+                return failed;
+            }
         }
         // Intra-op fan-out for each GEMM. `None` means "use the whole
         // machine"; batch/serving callers pass an explicit share so
@@ -1520,54 +1306,72 @@ impl InferencePlan {
             .intra_op_threads
             .unwrap_or_else(gcd2_par::default_threads)
             .max(1);
+        let mut stage = std::mem::take(&mut arenas[lead].stage);
         let started = Instant::now();
         for step in &self.steps {
             if let Some(deadline) = opts.deadline {
                 let elapsed = started.elapsed();
                 if elapsed > deadline {
-                    return Err(InferError::DeadlineExceeded { elapsed, deadline });
+                    let e = InferError::DeadlineExceeded { elapsed, deadline };
+                    fail_items(&mut failed, &live, &e);
+                    break;
                 }
             }
             let t0 = report.is_some().then(Instant::now);
-            let aliased = matches!(step.kind, StepKind::Passthrough)
-                && step.in_slots.first() == Some(&step.out_slot);
             let mut prep = Duration::ZERO;
-            if !aliased {
-                // Detach the output buffer so input slots stay readable;
-                // restore it before propagating a step error so the
-                // arena stays structurally sound.
-                let mut out = std::mem::take(&mut arena.slots[step.out_slot]);
-                let stepped = run_step(step, input, arena, &mut out, report.is_some(), intra);
-                arena.slots[step.out_slot] = out;
-                prep = stepped?;
+            match &step.kind {
+                // Aliased in place: the value already sits in its slot.
+                StepKind::Passthrough if step.in_slots.first() == Some(&step.out_slot) => {}
+                StepKind::Gemm(g) if g.runs_matmul() => {
+                    // A batch row-stacks a qualifying step into one
+                    // dispatch; otherwise every item is its own.
+                    let stacked = live.len() >= 2 && g.stackable();
+                    for group in live.chunks(if stacked { live.len() } else { 1 }) {
+                        match run_gemm(step, g, arenas, group, &mut stage, t0.is_some(), intra) {
+                            Ok(staging) => prep += staging,
+                            // Shape/weight disagreement is
+                            // item-independent: the whole dispatch fails.
+                            Err(e) => fail_items(&mut failed, group, &e),
+                        }
+                    }
+                    live.retain(|&i| failed[i].is_none());
+                    if live.is_empty() {
+                        break;
+                    }
+                }
+                _ => {
+                    for &i in &live {
+                        // Detach the output buffer so input slots stay
+                        // readable.
+                        let mut out = std::mem::take(&mut arenas[i].slots[step.out_slot]);
+                        run_step(step, inputs[i].as_ref(), &arenas[i].slots, &mut out);
+                        arenas[i].slots[step.out_slot] = out;
+                    }
+                }
             }
             if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
                 let d = t0.elapsed();
-                if matches!(step.kind, StepKind::Gemm(_)) {
+                if let StepKind::Gemm(g) = &step.kind {
                     r.prep += prep;
                     r.gemm += d.saturating_sub(prep);
-                } else {
-                    r.elementwise += d;
-                }
-                if let StepKind::Gemm(g) = &step.kind {
-                    // Depthwise and narrow-conv steps run direct
-                    // kernels, never the GEMM dispatcher — no tile
-                    // plan to report.
-                    if !matches!(g.prep, GemmPrep::Depthwise { .. }) && !g.runs_direct_conv() {
-                        let n = g.weights.cols();
-                        let (isa, tiles, tuned) = gemm_kernel_summary(g.m, g.k, n);
+                    // Direct kernels never reach the GEMM dispatcher —
+                    // no tile plan to report.
+                    if g.runs_matmul() {
+                        let (isa, tiles, tuned) = gemm_kernel_summary(g.m, g.k, g.n);
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
                             name: step.name.clone(),
                             m: g.m,
                             k: g.k,
-                            n,
+                            n: g.n,
                             isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
                             tuned,
                         });
                     }
+                } else {
+                    r.elementwise += d;
                 }
                 r.per_op.push(OpTiming {
                     node: step.node,
@@ -1577,10 +1381,11 @@ impl InferencePlan {
                 });
             }
         }
+        arenas[lead].stage = stage;
         if let Some(r) = report {
             r.kernel_isa = dominant_isa(&r.gemm_kernels);
         }
-        Ok(())
+        failed
     }
 
     /// Chaos-suite helper: perturbs one materialized weight so integrity
@@ -1799,29 +1604,123 @@ impl gcd2_verify::InferPlanView for InferencePlan {
     }
 }
 
-/// Executes one step into `out`; returns the operand-staging time of
-/// GEMM steps when `timed`. Hosts the `infer.prep` (GEMM staging) and
-/// `infer.elementwise` (everything else) fault points.
-fn run_step(
+/// Runs `f` with panics caught and surfaced as [`InferError::Internal`].
+fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Result<T, InferError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        Err(InferError::Internal {
+            message: gcd2_par::panic_message(p.as_ref()),
+        })
+    })
+}
+
+/// Marks `items` of a lockstep run failed with `e`.
+fn fail_items(failed: &mut [Option<InferError>], items: &[usize], e: &InferError) {
+    for &i in items {
+        failed[i] = Some(e.clone());
+    }
+}
+
+/// One dispatch of a matmul-backed GEMM step for the items of `group`
+/// (indices into `arenas`): stage every item's rows into one stacked
+/// `a`, run one GEMM over it, scatter each item's segment into its
+/// output slot. Returns the staging time when `timed`. Hosts the
+/// `infer.prep` fault point.
+fn run_gemm(
     step: &Step,
-    input: &[u8],
-    arena: &mut InferArena,
-    out: &mut Vec<u8>,
+    g: &GemmStep,
+    arenas: &mut [InferArena],
+    group: &[usize],
+    stage: &mut GemmStage,
     timed: bool,
     intra: usize,
 ) -> Result<Duration, InferError> {
+    let _ = gcd2_faults::fire("infer.prep");
+    let t0 = timed.then(Instant::now);
+    let (m, k, n) = (g.m, g.k, g.n);
+    let x = |i: usize| arenas[i].slots[step.in_slots[0]].as_slice();
+    let a: &[u8] = match (&g.prep, group) {
+        // A lone MatMul/BatchMatMul input already is the row-major
+        // `m × k` matrix — consumed zero-copy.
+        (GemmPrep::Direct, &[i]) => x(i),
+        _ => {
+            // No clear(): staging fully overwrites the buffer, and
+            // zero-filling a multi-GB staging matrix per call is a
+            // measurable memset tax on the megapixel models.
+            stage.a.resize(group.len() * m * k, 0);
+            for (seg, &i) in group.iter().enumerate() {
+                let dst = &mut stage.a[seg * m * k..(seg + 1) * m * k];
+                match &g.prep {
+                    GemmPrep::Direct => dst.copy_from_slice(&x(i)[..m * k]),
+                    GemmPrep::Im2col {
+                        c,
+                        h,
+                        w,
+                        kernel,
+                        stride,
+                        padding,
+                    } => im2col_rm_into(x(i), *c, *h, *w, *kernel, *stride, *padding, dst),
+                    GemmPrep::Transposed { c, m } => {
+                        for cc in 0..*c {
+                            for (r, &v) in x(i)[cc * m..(cc + 1) * m].iter().enumerate() {
+                                dst[r * c + cc] = v;
+                            }
+                        }
+                    }
+                    GemmPrep::Depthwise { .. } => {
+                        unreachable!("depthwise runs its direct kernel, never a GEMM")
+                    }
+                }
+            }
+            &stage.a
+        }
+    };
+    let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
+    try_matmul_threaded_into(
+        a,
+        group.len() * m,
+        k,
+        &g.weights,
+        g.shift,
+        &stage.scratch,
+        intra,
+        &mut stage.out,
+    )
+    .map_err(|e| InferError::Dispatch {
+        node: step.node.0,
+        message: e.to_string(),
+    })?;
+    for (seg, &i) in group.iter().enumerate() {
+        let src = &stage.out[seg * m * n..(seg + 1) * m * n];
+        let out = &mut arenas[i].slots[step.out_slot];
+        out.clear();
+        out.resize(step.out_len, 0);
+        match g.scatter {
+            Scatter::Chw { spatial } => {
+                for o in 0..m.min(spatial) {
+                    for ch in 0..n {
+                        out[ch * spatial + o] = src[o * n + ch].min(ACT_MAX);
+                    }
+                }
+            }
+            Scatter::DwRows | Scatter::RowMajor => {
+                for (d, &s) in out.iter_mut().zip(src) {
+                    *d = s.min(ACT_MAX);
+                }
+            }
+        }
+    }
+    Ok(prep)
+}
+
+/// Executes one per-item step — everything but a matmul-backed GEMM
+/// (see [`run_gemm`]) — into `out`. Hosts the `infer.prep` (direct conv
+/// kernels) and `infer.elementwise` (everything else) fault points.
+fn run_step(step: &Step, input: &[u8], slots: &[Vec<u8>], out: &mut Vec<u8>) {
     if matches!(step.kind, StepKind::Gemm(_)) {
         let _ = gcd2_faults::fire("infer.prep");
     } else {
         let _ = gcd2_faults::fire("infer.elementwise");
     }
-    let InferArena {
-        slots,
-        stage_a,
-        gemm_out,
-        scratch,
-        ..
-    } = arena;
     let arg = |i: usize| slots[step.in_slots[i]].as_slice();
     match &step.kind {
         StepKind::Input => {
@@ -1832,110 +1731,52 @@ fn run_step(
             out.clear();
             out.resize(step.out_len, 0);
         }
-        StepKind::Gemm(g) => {
-            let t0 = timed.then(Instant::now);
-            let x = arg(0);
-            let a: &[u8] = match &g.prep {
-                GemmPrep::Direct => x,
-                GemmPrep::Im2col {
-                    c,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                } if g.runs_direct_conv() => {
-                    conv2d_direct_chw_into(
-                        x,
-                        *c,
-                        *h,
-                        *w,
-                        *kernel,
-                        *stride,
-                        *padding,
-                        g.weights.as_slice(),
-                        g.n,
-                        g.shift,
-                        ACT_MAX,
-                        step.out_len,
-                        out,
-                    );
-                    return Ok(Duration::ZERO);
-                }
-                GemmPrep::Im2col {
-                    c,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    // No clear(): im2col fully overwrites the buffer, and
-                    // zero-filling a multi-GB staging matrix per call is a
-                    // measurable memset tax on the megapixel models.
-                    stage_a.resize(g.m * g.k, 0);
-                    im2col_rm_into(x, *c, *h, *w, *kernel, *stride, *padding, stage_a);
-                    stage_a
-                }
-                GemmPrep::Depthwise {
-                    c,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    dwconv_direct_into(
-                        x,
-                        *c,
-                        *h,
-                        *w,
-                        *kernel,
-                        *stride,
-                        *padding,
-                        g.weights.as_slice(),
-                        g.shift,
-                        ACT_MAX,
-                        step.out_len,
-                        out,
-                    );
-                    return Ok(Duration::ZERO);
-                }
-                GemmPrep::Transposed { c, m } => {
-                    stage_a.clear();
-                    stage_a.resize(m * c, 0);
-                    for cc in 0..*c {
-                        for (r, &v) in x[cc * m..(cc + 1) * m].iter().enumerate() {
-                            stage_a[r * c + cc] = v;
-                        }
-                    }
-                    stage_a
-                }
-            };
-            let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
-            try_matmul_threaded_into(a, g.m, g.k, &g.weights, g.shift, scratch, intra, gemm_out)
-                .map_err(|e| InferError::Dispatch {
-                    node: step.node.0,
-                    message: e.to_string(),
-                })?;
-            out.clear();
-            out.resize(step.out_len, 0);
-            match g.scatter {
-                Scatter::Chw { spatial } => {
-                    for o in 0..g.m.min(spatial) {
-                        for ch in 0..g.n {
-                            out[ch * spatial + o] = gemm_out[o * g.n + ch].min(ACT_MAX);
-                        }
-                    }
-                }
-                Scatter::DwRows | Scatter::RowMajor => {
-                    for (d, &s) in out.iter_mut().zip(gemm_out.iter()) {
-                        *d = s.min(ACT_MAX);
-                    }
-                }
-            }
-            return Ok(prep);
-        }
+        StepKind::Gemm(g) => match &g.prep {
+            GemmPrep::Im2col {
+                c,
+                h,
+                w,
+                kernel,
+                stride,
+                padding,
+            } if g.runs_direct_conv() => conv2d_direct_chw_into(
+                arg(0),
+                *c,
+                *h,
+                *w,
+                *kernel,
+                *stride,
+                *padding,
+                g.weights.as_slice(),
+                g.n,
+                g.shift,
+                ACT_MAX,
+                step.out_len,
+                out,
+            ),
+            GemmPrep::Depthwise {
+                c,
+                h,
+                w,
+                kernel,
+                stride,
+                padding,
+            } => dwconv_direct_into(
+                arg(0),
+                *c,
+                *h,
+                *w,
+                *kernel,
+                *stride,
+                *padding,
+                g.weights.as_slice(),
+                g.shift,
+                ACT_MAX,
+                step.out_len,
+                out,
+            ),
+            _ => unreachable!("matmul-backed GEMM steps run in run_gemm"),
+        },
         StepKind::Add => hostops::add_avg_into(arg(0), arg(1), out),
         StepKind::Mul => hostops::mul_shift4_into(arg(0), arg(1), ACT_MAX, out),
         StepKind::Div => hostops::div_lut_into(arg(0), arg(1), out),
@@ -1961,7 +1802,6 @@ fn run_step(
         }
         StepKind::Concat => hostops::concat_into(arg(0), arg(1), out),
     }
-    Ok(Duration::ZERO)
 }
 
 #[cfg(test)]
@@ -2022,6 +1862,39 @@ mod tests {
         g
     }
 
+    /// One inference under `opts` through a fresh caller-owned arena.
+    fn run_into(plan: &InferencePlan, x: &[u8], opts: &ExecOptions) -> Result<Vec<u8>, InferError> {
+        let mut out = Vec::new();
+        plan.try_execute_into(x, &mut plan.new_arena(), &mut out, opts)
+            .map(|()| out)
+    }
+
+    /// A graph whose three GEMMs all row-stack in a batch, one per
+    /// staging form: a wide 3×3 conv (im2col), a pointwise conv
+    /// (transpose) and an FC (direct).
+    fn stacking_net() -> Graph {
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 4, 12, 12));
+        let conv = |out_channels, k, p| OpKind::Conv2d {
+            out_channels,
+            kernel: (k, k),
+            stride: (1, 1),
+            padding: (p, p),
+        };
+        let wide = g.add(conv(32, 3, 1), &[x], "wide");
+        let point = g.add(conv(16, 1, 0), &[wide], "point");
+        let gap = g.add(OpKind::GlobalAvgPool, &[point], "gap");
+        let flat = g.add(
+            OpKind::Reshape {
+                shape: TShape::new(vec![1, 16]),
+            },
+            &[gap],
+            "flat",
+        );
+        g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
+        g
+    }
+
     #[test]
     fn plan_matches_interpreter_bit_for_bit() {
         let g = kitchen_sink();
@@ -2049,7 +1922,8 @@ mod tests {
             .collect();
         for input in &inputs {
             let mut reused = Vec::new();
-            plan.execute_into(input, &mut arena, &mut reused);
+            plan.try_execute_into(input, &mut arena, &mut reused, &ExecOptions::default())
+                .expect("reused arena executes");
             assert_eq!(reused, plan.execute(input), "dirty arena changed output");
             assert_eq!(reused, execute_reference(&compiled, input, 7));
         }
@@ -2063,12 +1937,16 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..7)
             .map(|s| (0..4 * 144).map(|i| ((i + s * 13) % 16) as u8).collect())
             .collect();
-        let serial = plan.execute_batch(&inputs, 1);
+        let serial = plan.try_execute_batch(&inputs, 1, &ExecOptions::default());
         for threads in [2, 4, 8] {
-            assert_eq!(serial, plan.execute_batch(&inputs, threads), "{threads}t");
+            assert_eq!(
+                serial,
+                plan.try_execute_batch(&inputs, threads, &ExecOptions::default()),
+                "{threads}t"
+            );
         }
         for (input, out) in inputs.iter().zip(&serial) {
-            assert_eq!(out, &execute_reference(&compiled, input, 42));
+            assert_eq!(out, &Ok(execute_reference(&compiled, input, 42)));
         }
     }
 
@@ -2093,22 +1971,69 @@ mod tests {
             }
         }
         assert!(pool.idle_arenas() >= 5, "arenas must return to the pool");
-        // A bad-shape item fails alone; siblings stay bit-identical.
-        let mut mixed = inputs.clone();
-        mixed[2] = vec![0; 3];
-        let got = plan.try_execute_batch_pooled(&mixed, &pool, &ExecOptions::default());
-        assert!(matches!(got[2], Err(InferError::InputShape { .. })));
-        for (i, r) in got.into_iter().enumerate() {
-            if i != 2 {
-                assert_eq!(r, Ok(plan.execute(&mixed[i])), "item {i}");
-            }
-        }
         // An arena stamped by a different plan that slips into the pool
-        // is replaced, not misexecuted.
+        // is replaced, not misexecuted — the one deliberate difference
+        // from a caller-supplied arena, which is refused (see
+        // `arenas_are_stamped_and_rejected_across_plans`).
         let other = compiled.inference_plan(4);
         pool.put_arenas(vec![other.new_arena()]);
         let got = plan.try_execute_batch_pooled(&inputs[..1], &pool, &ExecOptions::default());
         assert_eq!(got[0], Ok(plan.execute(&inputs[0])));
+
+        // Everything else is one core: at every batch size — with a
+        // wrong-length item (it fails alone, siblings stay
+        // bit-identical), on the scalar tier, past a deadline — each
+        // item gets the same bytes or the same error variant from all
+        // four batch-capable entry points. The second net row-stacks
+        // all three staging forms.
+        for compiled in [compiled, Compiler::new().compile(&stacking_net())] {
+            let plan = compiled.inference_plan(3);
+            let oracle: Vec<Vec<u8>> = inputs
+                .iter()
+                .map(|x| execute_reference(&compiled, x, 3))
+                .collect();
+            let scalar = ExecOptions {
+                force_scalar: true,
+                ..ExecOptions::default()
+            };
+            let expired = ExecOptions {
+                deadline: Some(Duration::ZERO),
+                ..ExecOptions::default()
+            };
+            for b in [1, 2, 5] {
+                let scenarios = [
+                    (ExecOptions::default(), Some(b - 1)),
+                    (scalar, None),
+                    (expired, None),
+                ];
+                for (opts, bad) in scenarios {
+                    let mut batch = inputs[..b].to_vec();
+                    if let Some(i) = bad {
+                        batch[i].truncate(3);
+                    }
+                    let paths = [
+                        batch.iter().map(|x| run_into(&plan, x, &opts)).collect(),
+                        plan.try_execute_batch(&batch, 1, &opts),
+                        plan.try_execute_batch(&batch, 2, &opts),
+                        plan.try_execute_batch_pooled(&batch, &pool, &opts),
+                    ];
+                    assert!(paths.iter().all(|results| results.len() == b));
+                    for (i, want) in oracle[..b].iter().enumerate() {
+                        for r in paths.iter().map(|results| &results[i]) {
+                            match r {
+                                Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
+                                // A zero deadline can tie a coarse clock
+                                // tick; a run that completes is correct.
+                                Err(InferError::DeadlineExceeded { .. }) => {
+                                    assert!(opts.deadline.is_some())
+                                }
+                                _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -2245,7 +2170,7 @@ mod tests {
         // healthy items.
         let good: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
         let batch = vec![good.clone(), vec![1, 2, 3], good.clone()];
-        let results = plan.try_execute_batch(&batch, 2);
+        let results = plan.try_execute_batch(&batch, 2, &ExecOptions::default());
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(InferError::InputShape { .. })));
         assert_eq!(results[0], results[2]);
@@ -2296,8 +2221,7 @@ mod tests {
             ..ExecOptions::default()
         };
         assert_eq!(
-            plan.try_execute_with(&input, &paranoid)
-                .expect("paranoid ok"),
+            run_into(&plan, &input, &paranoid).expect("paranoid ok"),
             plan.execute(&input),
         );
     }
@@ -2314,7 +2238,7 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..ExecOptions::default()
         };
-        match plan.try_execute_with(&input, &opts) {
+        match run_into(&plan, &input, &opts) {
             Err(InferError::DeadlineExceeded { elapsed, deadline }) => {
                 assert_eq!(deadline, Duration::ZERO);
                 assert!(elapsed >= deadline);
@@ -2333,7 +2257,9 @@ mod tests {
         let plan = compiled.inference_plan(3);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
         let mut arena = plan.new_arena();
-        let (out, report) = plan.execute_timed(&input, &mut arena);
+        let (out, report) = plan
+            .try_execute_timed(&input, &mut arena, &ExecOptions::default())
+            .expect("timed run");
         assert_eq!(out, execute_reference(&compiled, &input, 3));
         assert_eq!(report.per_op.len(), plan.steps());
         assert!(report.total >= report.gemm);
@@ -2368,7 +2294,9 @@ mod tests {
         g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
         let plan = Compiler::new().compile(&g).inference_plan(9);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
-        let (_, report) = plan.execute_timed(&input, &mut plan.new_arena());
+        let (_, report) = plan
+            .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+            .expect("timed run");
         let [conv, fc] = report.gemm_kernels.as_slice() else {
             panic!("expected two GEMMs, got {:?}", report.gemm_kernels);
         };

@@ -75,7 +75,7 @@ pub use gcd2_artifact::{ArtifactCache, ArtifactError};
 pub use infer::{
     ArenaPool, ExecOptions, GemmKernelInfo, InferArena, InferReport, InferencePlan, OpTiming,
 };
-pub use runtime::{execute_on_dsp, execute_reference, execute_reference_naive};
+pub use runtime::{execute_on_dsp, execute_reference};
 pub use serve::{
     BreakerHealth, GatewayConfig, GatewayHealth, InferServer, InferTicket, LatencyHistogram,
     LatencySummary, ModelStats, ServerStats, WorkerHealth, DEFAULT_MODEL,

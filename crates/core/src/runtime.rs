@@ -70,15 +70,6 @@ pub(crate) fn gemm_shift(k: usize) -> u8 {
     shift_for((max_acc / 32).max(1))
 }
 
-/// How a GEMM-like node executes.
-enum GemmExec {
-    /// On the simulated DSP with this instruction.
-    Simd(SimdInstr),
-    /// Host-side scalar fallback (the vtmpy depthwise plan — its
-    /// functional kernel is host-verified through `gcd2-hvx` tests).
-    Host,
-}
-
 /// Which execution path [`execute`] runs.
 #[derive(Clone, Copy, PartialEq)]
 enum ExecMode {
@@ -86,10 +77,6 @@ enum ExecMode {
     Dsp,
     /// Everything host-side through the cache-blocked GEMM.
     Reference,
-    /// Everything host-side through the naive gold GEMM
-    /// ([`gcd2_kernels::matmul_ref`]) — the original single-shot
-    /// runtime, kept as the pre-plan measurement baseline.
-    NaiveReference,
 }
 
 /// Executes the compiled model functionally. `input` must hold the
@@ -113,14 +100,6 @@ pub fn execute_reference(compiled: &CompiledModel, input: &[u8], seed: u64) -> V
     execute(compiled, input, seed, ExecMode::Reference).0
 }
 
-/// [`execute_reference`] with the naive gold GEMM instead of the
-/// cache-blocked host kernel: bit-identical outputs, original-runtime
-/// speed. The inference-throughput benchmark measures the compiled plan
-/// against this single-shot baseline.
-pub fn execute_reference_naive(compiled: &CompiledModel, input: &[u8], seed: u64) -> Vec<u8> {
-    execute(compiled, input, seed, ExecMode::NaiveReference).0
-}
-
 fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) -> (Vec<u8>, u64) {
     let on_dsp = mode == ExecMode::Dsp;
     let graph = &compiled.graph;
@@ -135,26 +114,19 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
             }
             OpKind::Constant => vec![0; node.shape.elems()],
             kind if kind.is_gemm_like() => {
-                let exec = match compiled.plan_of(node.id) {
-                    Some(PlanKind::Gemm(instr)) if on_dsp => GemmExec::Simd(instr),
-                    _ => GemmExec::Host,
-                };
                 let (a, wgt) = gemm_operands(graph, node, &values, seed);
                 let shift = gemm_shift(a.cols());
-                let out_mat = match exec {
-                    GemmExec::Simd(instr) => {
+                let out_mat = match compiled.plan_of(node.id) {
+                    // On the simulated DSP with the planned instruction.
+                    Some(PlanKind::Gemm(instr)) if on_dsp => {
                         simd_macs += (a.rows() * a.cols() * wgt.cols()) as u64;
                         run_matmul_on_machine(&a, &wgt, instr, shift)
                     }
-                    // Host fallback: the cache-blocked kernel, itself
+                    // Host side (also the vtmpy depthwise plan, whose
+                    // functional kernel is host-verified through the
+                    // `gcd2-hvx` tests): the cache-blocked kernel, itself
                     // bit-exact against `gcd2_kernels::matmul_ref`.
-                    GemmExec::Host if mode != ExecMode::NaiveReference => {
-                        gcd2_kernels::matmul_host(&a, &wgt, shift)
-                    }
-                    GemmExec::Host => {
-                        let rows = gcd2_kernels::matmul_ref(&a, &wgt, shift);
-                        MatrixU8::from_fn(a.rows(), wgt.cols(), Layout::RowMajor, |r, c| rows[r][c])
-                    }
+                    _ => gcd2_kernels::matmul_host(&a, &wgt, shift),
                 };
                 gemm_output_to_tensor(node, &out_mat)
                     .into_iter()
@@ -514,18 +486,6 @@ mod tests {
         }
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[1], outputs[2]);
-    }
-
-    #[test]
-    fn naive_reference_matches_blocked_reference() {
-        let g = demo_net();
-        let compiled = Compiler::new().compile(&g);
-        let input: Vec<u8> = (0..3 * 12 * 12).map(|i| (i * 3 % 16) as u8).collect();
-        assert_eq!(
-            execute_reference_naive(&compiled, &input, 7),
-            execute_reference(&compiled, &input, 7),
-            "the gold-GEMM baseline must stay bit-identical"
-        );
     }
 
     #[test]

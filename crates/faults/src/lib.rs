@@ -49,7 +49,7 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The compile-pipeline fault points. [`FaultPlan::from_seed`] draws
+/// The compile-pipeline fault points. [`Layer::Compile`] plans draw
 /// from exactly this set, so the compile chaos gate's fixed seeds keep
 /// producing the same plans as new (runtime) points are added.
 pub const COMPILE_POINTS: [&str; 5] = [
@@ -60,7 +60,7 @@ pub const COMPILE_POINTS: [&str; 5] = [
     "parse.line",
 ];
 
-/// The inference-runtime fault points ([`FaultPlan::from_seed_runtime`]).
+/// The inference-runtime fault points ([`Layer::Runtime`]).
 pub const RUNTIME_POINTS: [&str; 6] = [
     "infer.arena",
     "infer.prep",
@@ -70,23 +70,22 @@ pub const RUNTIME_POINTS: [&str; 6] = [
     "autotune.cache",
 ];
 
-/// The serving-gateway fault points ([`FaultPlan::from_seed_gateway`]).
+/// The serving-gateway fault points ([`Layer::Gateway`]).
 /// Kept out of [`RUNTIME_POINTS`] so the runtime chaos gate's fixed
 /// seeds keep producing the same plans they did before the gateway
 /// existed.
 pub const GATEWAY_POINTS: [&str; 2] = ["serve.batch", "serve.registry"];
 
-/// The AOT-artifact fault points ([`FaultPlan::from_seed_artifact`]):
+/// The AOT-artifact fault points ([`Layer::Artifact`]):
 /// container encode, container decode, and cache filesystem traffic.
 /// Kept out of the earlier families so their chaos gates' fixed seeds
 /// keep producing the plans they always did.
 pub const ARTIFACT_POINTS: [&str; 3] = ["artifact.encode", "artifact.decode", "artifact.io"];
 
-/// The supervision-layer fault points
-/// ([`FaultPlan::from_seed_supervisor`]): `serve.hang` fires in the
-/// worker right before batch execution (a `Delay` there is how chaos
-/// tests wedge a worker under the watchdog's nose), `serve.retry`
-/// fires before each retry re-attempt. Kept out of [`GATEWAY_POINTS`]
+/// The supervision-layer fault points ([`Layer::Supervisor`]):
+/// `serve.hang` fires in the worker right before batch execution (a
+/// `Delay` there is how chaos tests wedge a worker under the watchdog's
+/// nose), `serve.retry` fires before each retry re-attempt. Kept out of [`GATEWAY_POINTS`]
 /// so the PR-8 gateway chaos gate's fixed seeds keep producing the
 /// plans they always did.
 pub const SUPERVISOR_POINTS: [&str; 2] = ["serve.hang", "serve.retry"];
@@ -159,23 +158,21 @@ impl FaultPlan {
 
     /// Adds a transient fault: fires exactly once, on the `trigger`-th
     /// hit of `point`.
-    pub fn once(mut self, point: &str, kind: FaultKind, trigger: u64) -> Self {
-        self.faults.push(Fault {
-            point: point.to_string(),
-            kind,
-            trigger: trigger.max(1),
-            sticky: false,
-        });
-        self
+    pub fn once(self, point: &str, kind: FaultKind, trigger: u64) -> Self {
+        self.with(point, kind, trigger, false)
     }
 
     /// Adds a persistent fault: fires on every hit from `trigger` on.
-    pub fn sticky(mut self, point: &str, kind: FaultKind, trigger: u64) -> Self {
+    pub fn sticky(self, point: &str, kind: FaultKind, trigger: u64) -> Self {
+        self.with(point, kind, trigger, true)
+    }
+
+    fn with(mut self, point: &str, kind: FaultKind, trigger: u64, sticky: bool) -> Self {
         self.faults.push(Fault {
             point: point.to_string(),
             kind,
             trigger: trigger.max(1),
-            sticky: true,
+            sticky,
         });
         self
     }
@@ -185,162 +182,112 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Derives a plan deterministically from a seed: 1–3 transient
-    /// faults over the compile-pipeline points, with triggers spread
-    /// over the early hits. The same seed always yields the same plan,
-    /// so chaos runs are reproducible from their seed alone.
-    pub fn from_seed(seed: u64) -> Self {
-        let mut next = splitmix64(seed);
+    /// Derives a plan deterministically from a seed: 1–3 faults over
+    /// the points of `layer` and of every layer beneath it (see
+    /// [`Layer`]), with triggers spread over the early hits. The same
+    /// `(layer, seed)` always yields the same plan, so chaos runs are
+    /// reproducible from their seed alone.
+    pub fn from_seed(layer: Layer, seed: u64) -> Self {
+        let (salt, tables, trigger_span, may_stick) = layer.spec();
+        let points = || {
+            tables
+                .iter()
+                .flat_map(|(points, mix)| points.iter().map(move |&point| (point, mix)))
+        };
+        let mut next = splitmix64(seed ^ salt);
         let mut plan = FaultPlan::new();
         let count = 1 + (next() % 3) as usize;
         for _ in 0..count {
-            let point = COMPILE_POINTS[(next() % COMPILE_POINTS.len() as u64) as usize];
-            let kind = match next() % 3 {
-                0 => FaultKind::Panic,
-                1 => FaultKind::Delay {
+            let pick = (next() % points().count() as u64) as usize;
+            let Some((point, mix)) = points().nth(pick) else {
+                unreachable!("pick < the number of points");
+            };
+            let kind = match mix[(next() % 3) as usize] {
+                FaultKind::Delay { .. } => FaultKind::Delay {
                     millis: 1 + next() % 3,
                 },
-                _ => FaultKind::CorruptCache,
+                kind => kind,
             };
-            plan = plan.once(point, kind, 1 + next() % 64);
+            let trigger = 1 + next() % trigger_span;
+            let sticky = may_stick && next().is_multiple_of(4);
+            plan = plan.with(point, kind, trigger, sticky);
         }
         plan
     }
+}
 
-    /// [`FaultPlan::from_seed`] for the inference runtime: 1–3 faults
-    /// over [`RUNTIME_POINTS`], panics or short delays, occasionally
-    /// sticky to model persistent hardware/memory failures. Cache
-    /// corruption is left to explicit scenarios (the `autotune.cache`
-    /// chaos tests) so seeded sweeps stay focused on crash/latency
-    /// faults.
-    pub fn from_seed_runtime(seed: u64) -> Self {
-        let mut next = splitmix64(seed ^ 0x52_54_43_48_41_4f_53);
-        let mut plan = FaultPlan::new();
-        let count = 1 + (next() % 3) as usize;
-        for _ in 0..count {
-            let point = RUNTIME_POINTS[(next() % RUNTIME_POINTS.len() as u64) as usize];
-            let kind = match next() % 3 {
-                0 | 1 => FaultKind::Panic,
-                _ => FaultKind::Delay {
-                    millis: 1 + next() % 3,
-                },
-            };
-            let trigger = 1 + next() % 64;
-            plan = if next().is_multiple_of(4) {
-                plan.sticky(point, kind, trigger)
-            } else {
-                plan.once(point, kind, trigger)
-            };
-        }
-        plan
-    }
-
-    /// [`FaultPlan::from_seed_runtime`] for the serving gateway: 1–3
-    /// faults over [`GATEWAY_POINTS`] *plus* the runtime points (a
-    /// gateway sits on top of the runtime, so its chaos sweeps should
-    /// cross both layers), panics or short delays, occasionally sticky.
-    pub fn from_seed_gateway(seed: u64) -> Self {
-        let mut next = splitmix64(seed ^ 0x47_41_54_45_57_41_59);
-        let mut plan = FaultPlan::new();
-        let count = 1 + (next() % 3) as usize;
-        for _ in 0..count {
-            let pick = (next() % (GATEWAY_POINTS.len() + RUNTIME_POINTS.len()) as u64) as usize;
-            let point = if pick < GATEWAY_POINTS.len() {
-                GATEWAY_POINTS[pick]
-            } else {
-                RUNTIME_POINTS[pick - GATEWAY_POINTS.len()]
-            };
-            let kind = match next() % 3 {
-                0 | 1 => FaultKind::Panic,
-                _ => FaultKind::Delay {
-                    millis: 1 + next() % 3,
-                },
-            };
-            let trigger = 1 + next() % 16;
-            plan = if next().is_multiple_of(4) {
-                plan.sticky(point, kind, trigger)
-            } else {
-                plan.once(point, kind, trigger)
-            };
-        }
-        plan
-    }
-
-    /// [`FaultPlan::from_seed_gateway`] for the self-healing
-    /// supervision layer: 1–3 faults over [`SUPERVISOR_POINTS`] *plus*
-    /// the gateway and runtime points (the supervisor wraps both, so
-    /// its storms must cross all three layers). Supervisor points lean
-    /// on `Delay` — a delayed `serve.hang` is a wedged worker for the
-    /// watchdog, and hang-heavy storms are the whole reason the layer
-    /// exists — while the lower layers keep the runtime panic/delay
-    /// mix. Early triggers and occasional stickiness, as elsewhere.
-    pub fn from_seed_supervisor(seed: u64) -> Self {
-        let mut next = splitmix64(seed ^ 0x53_55_50_52_56_53_52);
-        let mut plan = FaultPlan::new();
-        let count = 1 + (next() % 3) as usize;
-        for _ in 0..count {
-            let span = SUPERVISOR_POINTS.len() + GATEWAY_POINTS.len() + RUNTIME_POINTS.len();
-            let pick = (next() % span as u64) as usize;
-            let (point, kind) = if pick < SUPERVISOR_POINTS.len() {
-                let point = SUPERVISOR_POINTS[pick];
-                let kind = match next() % 3 {
-                    0 => FaultKind::Panic,
-                    _ => FaultKind::Delay {
-                        millis: 1 + next() % 3,
-                    },
-                };
-                (point, kind)
-            } else {
-                let pick = pick - SUPERVISOR_POINTS.len();
-                let point = if pick < GATEWAY_POINTS.len() {
-                    GATEWAY_POINTS[pick]
-                } else {
-                    RUNTIME_POINTS[pick - GATEWAY_POINTS.len()]
-                };
-                let kind = match next() % 3 {
-                    0 | 1 => FaultKind::Panic,
-                    _ => FaultKind::Delay {
-                        millis: 1 + next() % 3,
-                    },
-                };
-                (point, kind)
-            };
-            let trigger = 1 + next() % 16;
-            plan = if next().is_multiple_of(4) {
-                plan.sticky(point, kind, trigger)
-            } else {
-                plan.once(point, kind, trigger)
-            };
-        }
-        plan
-    }
-
-    /// [`FaultPlan::from_seed`] for the AOT artifact store: 1–3 faults
-    /// over [`ARTIFACT_POINTS`], panics or short delays, occasionally
-    /// sticky to model a persistently failing disk. Triggers stay in
-    /// the early hits — one `load_or_compile` touches each point only a
+/// The layer a seeded plan storms ([`FaultPlan::from_seed`]). Each
+/// layer keeps its own seed salt and point tables, so a layer's fixed
+/// chaos seeds keep producing the plans they always did as new layers
+/// and points are added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// [`COMPILE_POINTS`]: panic, delay or cache corruption, transient.
+    Compile,
+    /// [`RUNTIME_POINTS`]: panics or short delays, occasionally sticky
+    /// to model persistent hardware/memory failures. Cache corruption
+    /// is left to explicit scenarios (the `autotune.cache` chaos tests)
+    /// so seeded sweeps stay focused on crash/latency faults.
+    Runtime,
+    /// [`GATEWAY_POINTS`] plus the runtime points (a gateway sits on
+    /// top of the runtime, so its sweeps cross both layers).
+    Gateway,
+    /// [`SUPERVISOR_POINTS`] plus the gateway and runtime points. The
+    /// supervisor points lean on `Delay` — a delayed `serve.hang` is a
+    /// wedged worker for the watchdog, and hang-heavy storms are the
+    /// whole reason the layer exists.
+    Supervisor,
+    /// [`ARTIFACT_POINTS`]: panics or short delays, occasionally sticky
+    /// to model a persistently failing disk. Triggers stay in the first
+    /// few hits — one `load_or_compile` touches each point only a
     /// handful of times.
-    pub fn from_seed_artifact(seed: u64) -> Self {
-        let mut next = splitmix64(seed ^ 0x41_52_54_49_46_41_43);
-        let mut plan = FaultPlan::new();
-        let count = 1 + (next() % 3) as usize;
-        for _ in 0..count {
-            let point = ARTIFACT_POINTS[(next() % ARTIFACT_POINTS.len() as u64) as usize];
-            let kind = match next() % 3 {
-                0 | 1 => FaultKind::Panic,
-                _ => FaultKind::Delay {
-                    millis: 1 + next() % 3,
-                },
-            };
-            let trigger = 1 + next() % 8;
-            plan = if next().is_multiple_of(4) {
-                plan.sticky(point, kind, trigger)
-            } else {
-                plan.once(point, kind, trigger)
-            };
+    Artifact,
+}
+
+/// A family of fault points with the three equally likely outcomes of
+/// its kind draw; a `Delay` entry then draws its own 1–3 ms duration.
+type PointTable = (&'static [&'static str], [FaultKind; 3]);
+
+const DELAY: FaultKind = FaultKind::Delay { millis: 0 };
+const CRASH_HEAVY: [FaultKind; 3] = [FaultKind::Panic, FaultKind::Panic, DELAY];
+const COMPILE: PointTable = (
+    &COMPILE_POINTS,
+    [FaultKind::Panic, DELAY, FaultKind::CorruptCache],
+);
+const RUNTIME: PointTable = (&RUNTIME_POINTS, CRASH_HEAVY);
+const GATEWAY: PointTable = (&GATEWAY_POINTS, CRASH_HEAVY);
+const SUPERVISOR: PointTable = (&SUPERVISOR_POINTS, [FaultKind::Panic, DELAY, DELAY]);
+const ARTIFACT: PointTable = (&ARTIFACT_POINTS, CRASH_HEAVY);
+
+impl Layer {
+    /// What distinguishes one layer's seeded plans from another's: the
+    /// salt XORed into the seed (so equal seeds differ across layers),
+    /// the point tables in pick order, the range `1..=n` triggers are
+    /// drawn from, and whether one fault in four is sticky.
+    fn spec(self) -> (u64, &'static [PointTable], u64, bool) {
+        match self {
+            Layer::Compile => (0, &[COMPILE], 64, false),
+            Layer::Runtime => (0x52_54_43_48_41_4f_53, &[RUNTIME], 64, true),
+            Layer::Gateway => (0x47_41_54_45_57_41_59, &[GATEWAY, RUNTIME], 16, true),
+            Layer::Supervisor => (
+                0x53_55_50_52_56_53_52,
+                &[SUPERVISOR, GATEWAY, RUNTIME],
+                16,
+                true,
+            ),
+            Layer::Artifact => (0x41_52_54_49_46_41_43, &[ARTIFACT], 8, true),
         }
-        plan
     }
+}
+
+/// The seeds a chaos suite's seeded scenario sweeps: its `fixed` CI
+/// seeds, plus one operator-chosen seed from `GCD2_CHAOS_SEED` for
+/// ad-hoc exploration (the same variable for every layer's suite).
+pub fn chaos_seeds(fixed: &[u64]) -> Vec<u64> {
+    let extra = std::env::var("GCD2_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok());
+    fixed.iter().copied().chain(extra).collect()
 }
 
 /// SplitMix64: tiny, well-distributed, and dependency-free.
@@ -490,36 +437,118 @@ pub fn fire(_point: &str) -> Injection {
 mod tests {
     use super::*;
 
+    const LAYERS: [(Layer, &[&[&str]]); 5] = [
+        (Layer::Compile, &[&COMPILE_POINTS]),
+        (Layer::Runtime, &[&RUNTIME_POINTS]),
+        (Layer::Gateway, &[&GATEWAY_POINTS, &RUNTIME_POINTS]),
+        (
+            Layer::Supervisor,
+            &[&SUPERVISOR_POINTS, &GATEWAY_POINTS, &RUNTIME_POINTS],
+        ),
+        (Layer::Artifact, &[&ARTIFACT_POINTS]),
+    ];
+
     #[test]
-    fn seeded_plans_are_reproducible() {
-        for seed in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(FaultPlan::from_seed(seed), FaultPlan::from_seed(seed));
-            let plan = FaultPlan::from_seed(seed);
-            assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
-            for f in plan.faults() {
-                assert!(POINTS.contains(&f.point.as_str()));
-                assert!(f.trigger >= 1);
+    fn seeded_plans_are_reproducible_and_layer_scoped() {
+        for (layer, tables) in LAYERS {
+            for seed in [0u64, 1, 7, 42, 2024, u64::MAX] {
+                let plan = FaultPlan::from_seed(layer, seed);
+                assert_eq!(plan, FaultPlan::from_seed(layer, seed));
+                assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
+                for f in plan.faults() {
+                    assert!(
+                        tables.iter().any(|t| t.contains(&f.point.as_str())),
+                        "{layer:?} sweeps stay on their own and lower layers: {f:?}"
+                    );
+                    assert!(f.trigger >= 1);
+                    assert!(
+                        layer == Layer::Compile || !matches!(f.kind, FaultKind::CorruptCache),
+                        "seeded {layer:?} sweeps stay on crash/latency faults"
+                    );
+                    assert!(layer != Layer::Compile || !f.sticky);
+                }
             }
         }
     }
 
+    /// A small seed range must reach every point of the layer's own
+    /// table, or the sweep would leave that code unexercised.
     #[test]
-    fn runtime_seeded_plans_are_reproducible_and_runtime_scoped() {
-        for seed in [0u64, 7, 2024, u64::MAX] {
+    fn small_seed_ranges_reach_each_layers_own_points() {
+        let reaches = |layer, seeds: std::ops::Range<u64>, point: &str| {
+            seeds.clone().any(|s| {
+                FaultPlan::from_seed(layer, s)
+                    .faults()
+                    .iter()
+                    .any(|f| f.point == point)
+            })
+        };
+        for point in SUPERVISOR_POINTS {
+            assert!(reaches(Layer::Supervisor, 0..64, point), "{point}");
+        }
+        for point in ARTIFACT_POINTS {
+            assert!(reaches(Layer::Artifact, 0..64, point), "{point}");
+        }
+        assert!(GATEWAY_POINTS
+            .iter()
+            .any(|point| reaches(Layer::Gateway, 0..32, point)));
+    }
+
+    /// The plans the five `from_seed_*` constructors produced for the
+    /// two CI seeds before they became one table-driven function: every
+    /// chaos suite's fixed-seed scenario depends on these exact faults.
+    #[test]
+    fn ci_seed_plans_are_pinned_for_every_layer() {
+        let show = |plan: &FaultPlan| {
+            let faults = plan.faults().iter().map(|f| {
+                let sticky = if f.sticky { " sticky" } else { "" };
+                format!("{} {:?} @{}{sticky}", f.point, f.kind, f.trigger)
+            });
+            faults.collect::<Vec<_>>().join(", ")
+        };
+        let pinned = [
+            (Layer::Compile, 7, "parse.line Panic @12"),
+            (
+                Layer::Runtime,
+                7,
+                "infer.elementwise Delay { millis: 2 } @40",
+            ),
+            (Layer::Gateway, 7, "infer.elementwise Panic @11 sticky"),
+            (
+                Layer::Supervisor,
+                7,
+                "serve.batch Panic @9, serve.hang Panic @11, serve.retry Delay { millis: 1 } @16",
+            ),
+            (Layer::Artifact, 7, "artifact.io Panic @1"),
+            (
+                Layer::Compile,
+                2024,
+                "pack.vliw Panic @26, par.worker Delay { millis: 3 } @19",
+            ),
+            (
+                Layer::Runtime,
+                2024,
+                "infer.prep Panic @4, infer.arena Panic @26, \
+                 autotune.cache Delay { millis: 3 } @47 sticky",
+            ),
+            (Layer::Gateway, 2024, "infer.gemm Panic @9 sticky"),
+            (
+                Layer::Supervisor,
+                2024,
+                "infer.arena Delay { millis: 3 } @4",
+            ),
+            (
+                Layer::Artifact,
+                2024,
+                "artifact.io Panic @5 sticky, artifact.io Panic @4",
+            ),
+        ];
+        for (layer, seed, plan) in pinned {
             assert_eq!(
-                FaultPlan::from_seed_runtime(seed),
-                FaultPlan::from_seed_runtime(seed)
+                show(&FaultPlan::from_seed(layer, seed)),
+                plan,
+                "{layer:?} {seed}"
             );
-            let plan = FaultPlan::from_seed_runtime(seed);
-            assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
-            for f in plan.faults() {
-                assert!(RUNTIME_POINTS.contains(&f.point.as_str()));
-                assert!(f.trigger >= 1);
-                assert!(
-                    !matches!(f.kind, FaultKind::CorruptCache),
-                    "seeded runtime sweeps stay on crash/latency faults"
-                );
-            }
         }
     }
 
@@ -545,109 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_seeded_plans_are_reproducible_and_scoped() {
-        for seed in [0u64, 7, 2024, u64::MAX] {
-            assert_eq!(
-                FaultPlan::from_seed_supervisor(seed),
-                FaultPlan::from_seed_supervisor(seed)
-            );
-            let plan = FaultPlan::from_seed_supervisor(seed);
-            assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
-            for f in plan.faults() {
-                assert!(
-                    SUPERVISOR_POINTS.contains(&f.point.as_str())
-                        || GATEWAY_POINTS.contains(&f.point.as_str())
-                        || RUNTIME_POINTS.contains(&f.point.as_str()),
-                    "supervisor sweeps cross supervisor/gateway/runtime layers only"
-                );
-                assert!(
-                    !matches!(f.kind, FaultKind::CorruptCache),
-                    "seeded supervisor sweeps stay on crash/latency faults"
-                );
-            }
-        }
-        // A small seed range must reach the supervision-layer points,
-        // or the sweep would never exercise the new code.
-        for point in SUPERVISOR_POINTS {
-            assert!(
-                (0..64).any(|s| {
-                    FaultPlan::from_seed_supervisor(s)
-                        .faults()
-                        .iter()
-                        .any(|f| f.point == point)
-                }),
-                "no seed in 0..64 reaches {point}"
-            );
-        }
-    }
-
-    #[test]
-    fn artifact_seeded_plans_are_reproducible_and_scoped() {
-        for seed in [0u64, 7, 2024, u64::MAX] {
-            assert_eq!(
-                FaultPlan::from_seed_artifact(seed),
-                FaultPlan::from_seed_artifact(seed)
-            );
-            let plan = FaultPlan::from_seed_artifact(seed);
-            assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
-            for f in plan.faults() {
-                assert!(ARTIFACT_POINTS.contains(&f.point.as_str()));
-                assert!(f.trigger >= 1);
-                assert!(
-                    !matches!(f.kind, FaultKind::CorruptCache),
-                    "seeded artifact sweeps stay on crash/latency faults"
-                );
-            }
-        }
-        // A small seed range must reach every artifact point, or the
-        // sweep would leave part of the store unexercised.
-        for point in ARTIFACT_POINTS {
-            assert!(
-                (0..64).any(|s| {
-                    FaultPlan::from_seed_artifact(s)
-                        .faults()
-                        .iter()
-                        .any(|f| f.point == point)
-                }),
-                "no seed in 0..64 reaches {point}"
-            );
-        }
-    }
-
-    #[test]
-    fn gateway_seeded_plans_are_reproducible_and_scoped() {
-        for seed in [0u64, 7, 2024, u64::MAX] {
-            assert_eq!(
-                FaultPlan::from_seed_gateway(seed),
-                FaultPlan::from_seed_gateway(seed)
-            );
-            let plan = FaultPlan::from_seed_gateway(seed);
-            assert!(!plan.faults().is_empty() && plan.faults().len() <= 3);
-            for f in plan.faults() {
-                assert!(
-                    GATEWAY_POINTS.contains(&f.point.as_str())
-                        || RUNTIME_POINTS.contains(&f.point.as_str()),
-                    "gateway sweeps cross the gateway and runtime layers only"
-                );
-                assert!(
-                    !matches!(f.kind, FaultKind::CorruptCache),
-                    "seeded gateway sweeps stay on crash/latency faults"
-                );
-            }
-        }
-        // At least one seed in a small range reaches a gateway-layer
-        // point, or the sweep would never exercise the new code.
-        assert!((0..32).any(|s| {
-            FaultPlan::from_seed_gateway(s)
-                .faults()
-                .iter()
-                .any(|f| GATEWAY_POINTS.contains(&f.point.as_str()))
-        }));
-    }
-
-    #[test]
     fn different_seeds_differ_somewhere() {
-        let plans: Vec<FaultPlan> = (0..16).map(FaultPlan::from_seed).collect();
+        let plans: Vec<FaultPlan> = (0..16)
+            .map(|seed| FaultPlan::from_seed(Layer::Compile, seed))
+            .collect();
         assert!(plans.windows(2).any(|w| w[0] != w[1]));
     }
 

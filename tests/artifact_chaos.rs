@@ -16,7 +16,7 @@
 use gcd2_repro::cgraph::{to_text, Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
 use gcd2_repro::compiler::{ArtifactCache, Compiler};
-use gcd2_repro::faults::{arm, FaultPlan};
+use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultPlan, Layer};
 use std::time::Duration;
 
 const SEED: u64 = 0xC0DE;
@@ -65,6 +65,13 @@ fn temp_cache(tag: &str) -> ArtifactCache {
     ArtifactCache::open(dir).expect("temp cache dir")
 }
 
+/// Holds the chaos gate with an **empty** plan, so a scenario that arms
+/// nothing is not hit by the faults a concurrently running seeded
+/// scenario armed (the registry is process-global).
+fn quiet() -> Armed {
+    arm(FaultPlan::new())
+}
+
 fn sample_input(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + 3) % 16) as u8).collect()
 }
@@ -107,6 +114,7 @@ fn assert_sound(b: &Baseline, cold: &gcd2_repro::compiler::ColdStart, ctx: &str)
 /// heals the entry.
 #[test]
 fn torn_writes_at_every_length_degrade_and_heal() {
+    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("torn");
     let compiler = Compiler::new();
@@ -136,6 +144,7 @@ fn torn_writes_at_every_length_degrade_and_heal() {
 /// garbage-collected, and the interrupted key simply misses (compiles).
 #[test]
 fn mid_rename_crash_leaves_only_collectable_garbage() {
+    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("rename");
     let compiler = Compiler::new();
@@ -164,6 +173,7 @@ fn mid_rename_crash_leaves_only_collectable_garbage() {
 /// hostile-corpus suite; this covers the cache round trip.)
 #[test]
 fn bit_flips_over_every_section_degrade_to_fallback() {
+    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("flip");
     let compiler = Compiler::new();
@@ -198,6 +208,7 @@ fn bit_flips_over_every_section_degrade_to_fallback() {
 /// fallback — never misparsed by the current decoder.
 #[test]
 fn version_skew_degrades_with_recorded_fallback() {
+    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("skew");
     let compiler = Compiler::new();
@@ -227,6 +238,7 @@ fn version_skew_degrades_with_recorded_fallback() {
 /// from ever observing a half-written artifact.
 #[test]
 fn concurrent_load_and_evict_stay_sound() {
+    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("race");
     let compiler = Compiler::new();
@@ -260,7 +272,7 @@ fn concurrent_load_and_evict_stay_sound() {
 
 /// Seeded multi-fault plans over the artifact points
 /// (`artifact.encode`, `artifact.decode`, `artifact.io`): the ci.sh
-/// artifact chaos gate runs two fixed seeds; `GCD2_ART_CHAOS_SEED`
+/// artifact chaos gate runs two fixed seeds; `GCD2_CHAOS_SEED`
 /// adds an operator-chosen one. Injected panics and delays anywhere in
 /// the artifact path must degrade to recorded fallbacks on a sound
 /// compile — never escape, never corrupt.
@@ -268,16 +280,10 @@ fn concurrent_load_and_evict_stay_sound() {
 fn seeded_artifact_fault_plans_degrade_never_escape() {
     let b = baseline();
     let compiler = Compiler::new();
-    let mut seeds: Vec<u64> = (0..16).collect();
-    seeds.extend([2024, 7]);
-    if let Ok(s) = std::env::var("GCD2_ART_CHAOS_SEED") {
-        if let Ok(s) = s.parse() {
-            seeds.push(s);
-        }
-    }
-    for seed in seeds {
+    let fixed: Vec<u64> = (0..16).chain([2024, 7]).collect();
+    for seed in chaos_seeds(&fixed) {
         let cache = temp_cache(&format!("seed{seed}"));
-        let fault_plan = FaultPlan::from_seed_artifact(seed);
+        let fault_plan = FaultPlan::from_seed(Layer::Artifact, seed);
         let _armed = arm(fault_plan.clone());
         // Cold, warm, and post-fault runs all stay sound whatever the
         // injection pattern did to the store/load path.
@@ -303,7 +309,7 @@ fn fault_era_artifacts_are_valid_or_absent() {
     for seed in [2024u64, 7, 99] {
         let cache = temp_cache(&format!("era{seed}"));
         let key = {
-            let _armed = arm(FaultPlan::from_seed_artifact(seed));
+            let _armed = arm(FaultPlan::from_seed(Layer::Artifact, seed));
             load_or_compile(&compiler, &b.text, SEED, &cache, "chaos")
                 .expect("cold start under faults")
                 .key
@@ -329,7 +335,7 @@ fn encode_stays_deterministic_after_fault_storms() {
     let plan = compiled.inference_plan(SEED);
     let before = encode(&compiled, &plan, "chaos").expect("encode");
     {
-        let _armed = arm(FaultPlan::from_seed_artifact(13));
+        let _armed = arm(FaultPlan::from_seed(Layer::Artifact, 13));
         let cache = temp_cache("storm");
         for _ in 0..3 {
             let _ = load_or_compile(&Compiler::new(), &to_text(&graph), SEED, &cache, "chaos");
@@ -348,6 +354,7 @@ fn encode_stays_deterministic_after_fault_storms() {
 /// fresh lock.
 #[test]
 fn stale_lock_takeover_elects_exactly_one_winner() {
+    let _quiet = quiet();
     let cache = temp_cache("lock-steal");
     let stale_age = Duration::from_millis(40);
 

@@ -16,7 +16,7 @@
 
 use gcd2_repro::cgraph::{to_text, Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{CompiledModel, Compiler, Gcd2Error};
-use gcd2_repro::faults::{arm, FaultKind, FaultPlan};
+use gcd2_repro::faults::{arm, chaos_seeds, FaultKind, FaultPlan, Layer};
 use gcd2_repro::par::ShardedMap;
 
 /// A small conv net with a residual edge — big enough to exercise
@@ -267,17 +267,11 @@ fn sharded_map_quarantines_poisoned_shards() {
 /// seed for ad-hoc exploration.
 #[test]
 fn seeded_fault_plans_terminate_bit_identical_or_structured() {
-    let mut seeds = vec![2024u64, 7];
-    if let Ok(s) = std::env::var("GCD2_CHAOS_SEED") {
-        if let Ok(s) = s.parse() {
-            seeds.push(s);
-        }
-    }
     let g = chaos_net();
     let text = to_text(&g);
     let expect = baseline(4);
-    for seed in seeds {
-        let plan = FaultPlan::from_seed(seed);
+    for seed in chaos_seeds(&[2024, 7]) {
+        let plan = FaultPlan::from_seed(Layer::Compile, seed);
         let _armed = arm(plan.clone());
         // Drive the text entry point so `parse.line` faults can fire too.
         match compiler(4).try_compile_text(&text) {

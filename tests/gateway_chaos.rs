@@ -17,7 +17,7 @@ use gcd2_repro::cgraph::{Graph, OpKind, TShape};
 use gcd2_repro::compiler::{
     Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferencePlan,
 };
-use gcd2_repro::faults::{arm, Armed, FaultKind, FaultPlan};
+use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultKind, FaultPlan, Layer};
 use std::time::Duration;
 
 const INPUT_LEN: usize = 32;
@@ -360,20 +360,14 @@ fn registry_faults_refuse_admission_structurally() {
 /// the gateway survives to serve a clean request after disarming.
 #[test]
 fn seeded_gateway_fault_plans_terminate_bit_identical_or_structured() {
-    let mut seeds = vec![2024u64, 7, 19];
-    if let Ok(s) = std::env::var("GCD2_GW_CHAOS_SEED") {
-        if let Ok(s) = s.parse() {
-            seeds.push(s);
-        }
-    }
     let plan = gateway_net(8, 47);
     let ins = inputs(6);
     let expect: Vec<Vec<u8>> = {
         let _quiet = quiet();
         ins.iter().map(|i| plan.execute(i)).collect()
     };
-    for seed in seeds {
-        let fault_plan = FaultPlan::from_seed_gateway(seed);
+    for seed in chaos_seeds(&[2024, 7, 19]) {
+        let fault_plan = FaultPlan::from_seed(Layer::Gateway, seed);
         let armed = arm(fault_plan.clone());
         let server = InferServer::gateway(GatewayConfig {
             workers: 2,

@@ -4,9 +4,10 @@
 //! per input, at every thread count (including the `GCD2_THREADS`/
 //! default-parallelism session configuration).
 
-use gcd2_repro::compiler::{execute_reference, Compiler};
+use gcd2_repro::compiler::{execute_reference, ArenaPool, Compiler, ExecOptions, InferError};
 use gcd2_repro::models::ModelId;
 use gcd2_repro::par::default_threads;
+use std::time::Duration;
 
 const SEED: u64 = 0xBA7C4;
 
@@ -42,11 +43,12 @@ fn check_model(id: ModelId, batch: usize, thread_counts: &[usize]) {
         .collect();
 
     for &threads in thread_counts {
-        let outs = plan.execute_batch(&inputs, threads);
+        let outs = plan.try_execute_batch(&inputs, threads, &ExecOptions::default());
         assert_eq!(outs.len(), references.len(), "{id}: output count");
         for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
             assert_eq!(
-                out, reference,
+                out.as_ref(),
+                Ok(reference),
                 "{id}: batch output {i} diverges from the interpreter at {threads} threads"
             );
         }
@@ -78,33 +80,102 @@ fn batch_execution_matches_interpreter_on_every_catalog_model() {
 }
 
 /// Degenerate batch shapes: the empty batch, a batch of one, and more
-/// threads than items all behave like the plain multi-item path.
+/// threads than items all behave like the plain multi-item path — and
+/// every batch-capable entry point is the same lockstep core, so each
+/// item gets the same bytes or the same error variant from all of them.
 #[test]
 fn batch_edge_shapes_execute_cleanly() {
-    let graph = ModelId::MobileNetV3.build();
-    let compiled = Compiler::new().compile(&graph);
+    let compiled = Compiler::new().compile(&ModelId::MobileNetV3.build());
     let plan = compiled.inference_plan(SEED);
+    let defaults = ExecOptions::default();
+    let pool = ArenaPool::new();
 
     // Empty input list: empty output, no worker machinery engaged.
     let empty: Vec<Vec<u8>> = Vec::new();
-    assert!(plan.execute_batch(&empty, 4).is_empty());
-    assert!(plan.try_execute_batch(&empty, 4).is_empty());
+    assert!(plan.try_execute_batch(&empty, 4, &defaults).is_empty());
+    assert!(plan
+        .try_execute_batch_pooled(&empty, &pool, &defaults)
+        .is_empty());
 
-    // Batch of one matches single-shot execution at any thread count.
-    let single = batch_inputs(plan.input_len(), 1);
-    let direct = plan.execute(&single[0]);
-    for threads in [1, 4] {
-        assert_eq!(plan.execute_batch(&single, threads), vec![direct.clone()]);
+    // B ∈ {1, 2, 5} with a wrong-length item, on the scalar tier and
+    // past a deadline, through all four batch-capable entry points: a
+    // batch of one matches single-shot execution at any thread count,
+    // and more threads than items leave extra workers idle, results
+    // unchanged.
+    let inputs = batch_inputs(plan.input_len(), 5);
+    let oracle: Vec<Vec<u8>> = inputs
+        .iter()
+        .map(|x| execute_reference(&compiled, x, SEED))
+        .collect();
+    let scalar = ExecOptions {
+        force_scalar: true,
+        ..defaults
+    };
+    let expired = ExecOptions {
+        deadline: Some(Duration::ZERO),
+        ..defaults
+    };
+    for b in [1, 2, 5] {
+        for (opts, bad) in [(defaults, Some(0)), (scalar, None), (expired, None)] {
+            let mut batch = inputs[..b].to_vec();
+            if let Some(i) = bad {
+                batch[i].pop();
+            }
+            let into = |x: &Vec<u8>| {
+                let mut out = Vec::new();
+                plan.try_execute_into(x, &mut plan.new_arena(), &mut out, &opts)
+                    .map(|()| out)
+            };
+            let paths = [
+                batch.iter().map(into).collect(),
+                plan.try_execute_batch(&batch, 1, &opts),
+                plan.try_execute_batch(&batch, 2, &opts),
+                plan.try_execute_batch(&batch, 8, &opts),
+                plan.try_execute_batch_pooled(&batch, &pool, &opts),
+            ];
+            assert!(paths.iter().all(|results| results.len() == b));
+            for (i, want) in oracle[..b].iter().enumerate() {
+                for r in paths.iter().map(|results| &results[i]) {
+                    match r {
+                        Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
+                        // A zero deadline can tie a coarse clock tick;
+                        // a run that completes is correct.
+                        Err(InferError::DeadlineExceeded { .. }) => {
+                            assert!(opts.deadline.is_some())
+                        }
+                        _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
+                    }
+                }
+            }
+        }
     }
 
-    // More threads than items: extra workers idle, results unchanged.
-    let inputs = batch_inputs(plan.input_len(), 3);
-    let reference = plan.execute_batch(&inputs, 1);
-    assert_eq!(plan.execute_batch(&inputs, 8), reference);
-    // The fallible form agrees per item.
-    for (r, want) in plan.try_execute_batch(&inputs, 8).iter().zip(&reference) {
-        assert_eq!(r.as_ref().expect("healthy batch"), want);
-    }
+    // The timed entry point runs the same core. On resnet-50 every GEMM
+    // reaches the dispatcher, so it lists one kernel per convolution
+    // plus the classifier, in schedule order, covering exactly the
+    // plan's MACs, and its stage times stay inside the total.
+    let plan = Compiler::new()
+        .compile(&ModelId::ResNet50.build())
+        .inference_plan(SEED);
+    let input = batch_inputs(plan.input_len(), 1).remove(0);
+    let (_, report) = plan
+        .try_execute_timed(&input, &mut plan.new_arena(), &defaults)
+        .expect("timed run");
+    let gemms: Vec<_> = report
+        .gemm_kernels
+        .iter()
+        .map(|g| (g.node.0, [g.m, g.k, g.n]))
+        .collect();
+    assert_eq!(gemms.len(), 54);
+    assert_eq!(gemms[0], (1, [12544, 147, 64]), "stem.conv");
+    assert_eq!(gemms[53].1, [1, 2048, 1000], "fc");
+    assert!(gemms.windows(2).all(|w| w[0].0 < w[1].0));
+    let macs = gemms
+        .iter()
+        .map(|(_, mkn)| mkn.iter().product::<usize>() as u64);
+    assert_eq!(macs.sum::<u64>(), plan.gemm_macs());
+    assert_eq!(report.per_op.len(), plan.steps());
+    assert!(report.prep + report.gemm + report.elementwise <= report.total);
 }
 
 /// Reused arenas across different inputs never leak state between
@@ -115,9 +186,9 @@ fn repeated_batches_are_reproducible() {
     let compiled = Compiler::new().compile(&graph);
     let plan = compiled.inference_plan(SEED);
     let inputs = batch_inputs(plan.input_len(), 6);
-    let first = plan.execute_batch(&inputs, 4);
-    let second = plan.execute_batch(&inputs, 2);
+    let first = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
+    let second = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
     assert_eq!(first, second, "batch results must not depend on history");
     // Single-shot execution through a fresh arena agrees with the batch.
-    assert_eq!(first[0], plan.execute(&inputs[0]));
+    assert_eq!(first[0], Ok(plan.execute(&inputs[0])));
 }

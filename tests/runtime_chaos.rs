@@ -18,7 +18,7 @@
 
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{Compiler, ExecOptions, InferError, InferServer, InferencePlan};
-use gcd2_repro::faults::{arm, Armed, FaultKind, FaultPlan};
+use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultKind, FaultPlan, Layer};
 use std::time::Duration;
 
 /// A small net crossing every runtime fault point: two real GEMMs
@@ -123,7 +123,7 @@ fn transient_prep_panic_recovers_bit_identical() {
     let inputs = batch_inputs(6);
     let expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().once("infer.prep", FaultKind::Panic, 3));
-    let results = plan.try_execute_batch(&inputs, 4);
+    let results = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("transient fault must recover"),
@@ -138,7 +138,7 @@ fn sticky_gemm_panic_batch_yields_structured_errors() {
     let inputs = batch_inputs(4);
     let _expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().sticky("infer.gemm", FaultKind::Panic, 1));
-    let results = plan.try_execute_batch(&inputs, 2);
+    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
     for r in &results {
         let e = r.as_ref().expect_err("a persistent fault must error");
         assert!(matches!(e, InferError::Worker(_)), "{e:?}");
@@ -249,7 +249,7 @@ fn elementwise_delay_changes_nothing() {
     let expect = baseline(&plan, &inputs);
     let _armed =
         arm(FaultPlan::new().sticky("infer.elementwise", FaultKind::Delay { millis: 1 }, 1));
-    let results = plan.try_execute_batch(&inputs, 2);
+    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(r.as_ref().expect("delays are benign"), &expect[i]);
     }
@@ -269,7 +269,7 @@ fn deadline_exceeded_is_structured() {
     // The input step alone is delayed past the deadline, so the run is
     // abandoned at the next step boundary.
     let e = plan
-        .try_execute_with(&inputs[0], &opts)
+        .try_execute_into(&inputs[0], &mut plan.new_arena(), &mut Vec::new(), &opts)
         .expect_err("deadline must trip");
     match e {
         InferError::DeadlineExceeded { elapsed, deadline } => {
@@ -291,7 +291,7 @@ fn deadline_is_a_per_item_backstop_in_batches() {
         deadline: Some(Duration::from_millis(1)),
         ..ExecOptions::default()
     };
-    for r in plan.try_execute_batch_with(&inputs, 2, &opts) {
+    for r in plan.try_execute_batch(&inputs, 2, &opts) {
         assert!(
             matches!(r, Err(InferError::DeadlineExceeded { .. })),
             "{r:?}"
@@ -305,7 +305,7 @@ fn batch_worker_transient_panic_recovers_bit_identical() {
     let inputs = batch_inputs(6);
     let expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().once("infer.batch", FaultKind::Panic, 2));
-    let results = plan.try_execute_batch(&inputs, 3);
+    let results = plan.try_execute_batch(&inputs, 3, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("transient worker fault must recover"),
@@ -326,7 +326,7 @@ fn batch_worker_persistent_panic_isolates_one_item() {
     let _armed = arm(FaultPlan::new()
         .once("infer.batch", FaultKind::Panic, 3)
         .once("infer.batch", FaultKind::Panic, 4));
-    let results = plan.try_execute_batch(&inputs, 1);
+    let results = plan.try_execute_batch(&inputs, 1, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         if i == 2 {
             let e = r.as_ref().expect_err("item 2 faults on both attempts");
@@ -350,7 +350,7 @@ fn arena_fault_in_batch_recovers_bit_identical() {
     let inputs = batch_inputs(4);
     let expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().once("infer.arena", FaultKind::Panic, 1));
-    let results = plan.try_execute_batch(&inputs, 2);
+    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("arena allocation fault must recover"),
@@ -373,7 +373,7 @@ fn wrong_input_len_is_structured_and_does_not_contaminate() {
         }
     );
     let mixed = vec![good[0].clone(), vec![9; 3], good[1].clone()];
-    let results = plan.try_execute_batch(&mixed, 2);
+    let results = plan.try_execute_batch(&mixed, 2, &ExecOptions::default());
     assert_eq!(results[0].as_ref().expect("healthy item"), &expect[0]);
     assert!(matches!(
         results[1],
@@ -422,7 +422,7 @@ fn weight_corruption_is_detected_by_integrity_check() {
         ..ExecOptions::default()
     };
     let e = plan
-        .try_execute_with(&input, &paranoid)
+        .try_execute_into(&input, &mut plan.new_arena(), &mut Vec::new(), &paranoid)
         .expect_err("paranoid execution refuses a corrupt plan");
     assert!(matches!(e, InferError::IntegrityViolation { .. }), "{e:?}");
 }
@@ -436,7 +436,7 @@ fn schedule_tampering_fails_every_paranoid_batch_item() {
         paranoid: true,
         ..ExecOptions::default()
     };
-    for r in plan.try_execute_batch_with(&inputs, 2, &paranoid) {
+    for r in plan.try_execute_batch(&inputs, 2, &paranoid) {
         assert!(
             matches!(r, Err(InferError::IntegrityViolation { .. })),
             "{r:?}"
@@ -516,23 +516,21 @@ fn server_survives_persistent_faults_and_recovers_after() {
 }
 
 /// Seed-derived multi-fault plans: the ci.sh runtime chaos gate runs
-/// this with two fixed seeds; `GCD2_RT_CHAOS_SEED` adds an extra
+/// this with two fixed seeds; `GCD2_CHAOS_SEED` adds an extra
 /// operator-chosen seed for ad-hoc exploration.
 #[test]
 fn seeded_runtime_fault_plans_terminate_bit_identical_or_structured() {
-    let mut seeds = vec![2024u64, 7];
-    if let Ok(s) = std::env::var("GCD2_RT_CHAOS_SEED") {
-        if let Ok(s) = s.parse() {
-            seeds.push(s);
-        }
-    }
     let plan = plan();
     let inputs = batch_inputs(5);
     let expect = baseline(&plan, &inputs);
-    for seed in seeds {
-        let fault_plan = FaultPlan::from_seed_runtime(seed);
+    for seed in chaos_seeds(&[2024, 7]) {
+        let fault_plan = FaultPlan::from_seed(Layer::Runtime, seed);
         let _armed = arm(fault_plan.clone());
-        for (i, r) in plan.try_execute_batch(&inputs, 4).iter().enumerate() {
+        for (i, r) in plan
+            .try_execute_batch(&inputs, 4, &ExecOptions::default())
+            .iter()
+            .enumerate()
+        {
             match r {
                 Ok(out) => assert_eq!(
                     out, &expect[i],

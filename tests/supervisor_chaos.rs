@@ -27,7 +27,7 @@
 //!
 //! Run with `cargo test --features fault-injection --test
 //! supervisor_chaos`; the suite is absent from the uninstrumented
-//! build. `GCD2_SUP_CHAOS_SEED` adds a seed to the sweep.
+//! build. `GCD2_CHAOS_SEED` adds a seed to the sweep.
 
 #![cfg(feature = "fault-injection")]
 
@@ -36,7 +36,7 @@ use gcd2_repro::compiler::{
     BreakerState, Compiler, ExecOptions, GatewayConfig, HealthEvent, InferError, InferServer,
     InferencePlan, SupervisorConfig,
 };
-use gcd2_repro::faults::{arm, Armed, FaultKind, FaultPlan};
+use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultKind, FaultPlan, Layer};
 use std::time::Duration;
 
 const INPUT_LEN: usize = 32;
@@ -453,20 +453,14 @@ fn kernel_fault_burst_demotes_to_scalar_and_quarantine_repromotes() {
 /// structured, and the process survives to serve cleanly afterwards.
 #[test]
 fn seeded_supervisor_fault_plans_resolve_structured_or_identical() {
-    let mut seeds = vec![2024u64, 7, 19];
-    if let Ok(s) = std::env::var("GCD2_SUP_CHAOS_SEED") {
-        if let Ok(s) = s.parse() {
-            seeds.push(s);
-        }
-    }
     let plan = supervised_net(8, 78);
     let ins = inputs(6);
     let expect: Vec<Vec<u8>> = {
         let _quiet = quiet();
         ins.iter().map(|i| plan.execute(i)).collect()
     };
-    for seed in seeds {
-        let fault_plan = FaultPlan::from_seed_supervisor(seed);
+    for seed in chaos_seeds(&[2024, 7, 19]) {
+        let fault_plan = FaultPlan::from_seed(Layer::Supervisor, seed);
         let armed = arm(fault_plan.clone());
         let server = InferServer::gateway(GatewayConfig {
             workers: 2,
