@@ -12,10 +12,10 @@ GCD2_THREADS=1 cargo test --workspace -q
 echo "==> cargo test --workspace (default parallelism)"
 cargo test --workspace -q
 
-echo "==> kernel suite (GEMM + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1)"
+echo "==> kernel suite (GEMM + transpose + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 
-echo "==> kernel suite (GEMM + depthwise identity) on the auto-detected SIMD tier"
+echo "==> kernel suite (GEMM + transpose + depthwise identity) on the auto-detected SIMD tier"
 cargo test -q -p gcd2-kernels
 
 echo "==> perfbench's own unit tests"
@@ -24,6 +24,10 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> perfbench correctness smoke (infer_dw: every answer byte-checked against execute_reference)"
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload infer_dw --seed 7 --seconds 2 --trace 0
+
+echo "==> perfbench correctness smoke (infer_gemm: resnet-50 and tinybert, the banded side of the GEMM fan-out rule, byte-checked)"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload infer_gemm --seed 7 --seconds 2 --trace 0
 
 echo "==> compile-time bench smoke (BENCH_compile.json, bit-identical check)"
 cargo run --release -q -p gcd2-bench --bin compile_time -- --smoke

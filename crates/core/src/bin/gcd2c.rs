@@ -506,7 +506,7 @@ fn main() -> ExitCode {
                 println!("  gemm kernels :");
                 for gk in &report.gemm_kernels {
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -514,7 +514,8 @@ fn main() -> ExitCode {
                         gk.mb,
                         gk.kb,
                         if gk.tuned { "tuned" } else { "default" },
-                        gk.isa
+                        gk.isa.name(),
+                        gk.bands
                     );
                 }
             }

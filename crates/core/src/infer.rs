@@ -44,8 +44,9 @@
 
 use gcd2_cgraph::{Activation, NodeId, OpKind};
 use gcd2_kernels::{
-    conv2d_direct_chw_into, dwconv_direct_into, gemm_kernel_summary, hostops, im2col_rm_into,
-    try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, ScratchPool, TUNE_MIN_MACS,
+    conv2d_direct_chw_into, dwconv_direct_into, gemm_bands, gemm_kernel_summary, hostops,
+    im2col_rm_into, transpose_clamp_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa,
+    ScratchPool, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -408,6 +409,10 @@ pub struct GemmKernelInfo {
     pub mb: usize,
     /// Reduction-block tile the kernel ran with.
     pub kb: usize,
+    /// Row bands the dispatcher split this GEMM into at the run's
+    /// intra-op budget ([`gcd2_kernels::gemm_bands`]); 1 means it ran
+    /// on the calling thread with no hand-off.
+    pub bands: usize,
     /// True when the tiles came from the autotuner cache; false means
     /// the static defaults (shape below the tuning threshold, tuning
     /// disabled, or the probe was skipped).
@@ -1367,6 +1372,7 @@ impl InferencePlan {
                             isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
+                            bands: gemm_bands(g.m, g.k, g.n, intra),
                             tuned,
                         });
                     }
@@ -1659,12 +1665,10 @@ fn run_gemm(
                         stride,
                         padding,
                     } => im2col_rm_into(x(i), *c, *h, *w, *kernel, *stride, *padding, dst),
+                    // CHW is the row-major `c × m` matrix; the GEMM
+                    // wants its transpose.
                     GemmPrep::Transposed { c, m } => {
-                        for cc in 0..*c {
-                            for (r, &v) in x(i)[cc * m..(cc + 1) * m].iter().enumerate() {
-                                dst[r * c + cc] = v;
-                            }
-                        }
+                        transpose_clamp_into(x(i), *c, *m, u8::MAX, dst, *c)
                     }
                     GemmPrep::Depthwise { .. } => {
                         unreachable!("depthwise runs its direct kernel, never a GEMM")
@@ -1692,15 +1696,21 @@ fn run_gemm(
     for (seg, &i) in group.iter().enumerate() {
         let src = &stage.out[seg * m * n..(seg + 1) * m * n];
         let out = &mut arenas[i].slots[step.out_slot];
-        out.clear();
+        // Only a scatter that leaves positions unwritten needs them
+        // zeroed first: ConvTranspose upsampling (`m < spatial`), or a
+        // graph whose batch dimension makes the tensor longer than the
+        // one image a GEMM step computes.
+        let covered = match g.scatter {
+            Scatter::Chw { spatial } => m >= spatial && n * spatial >= step.out_len,
+            Scatter::DwRows | Scatter::RowMajor => m * n >= step.out_len,
+        };
+        if !covered {
+            out.clear();
+        }
         out.resize(step.out_len, 0);
         match g.scatter {
             Scatter::Chw { spatial } => {
-                for o in 0..m.min(spatial) {
-                    for ch in 0..n {
-                        out[ch * spatial + o] = src[o * n + ch].min(ACT_MAX);
-                    }
-                }
+                transpose_clamp_into(src, m.min(spatial), n, ACT_MAX, out, spatial)
             }
             Scatter::DwRows | Scatter::RowMajor => {
                 for (d, &s) in out.iter_mut().zip(src) {
@@ -1869,9 +1879,12 @@ mod tests {
             .map(|()| out)
     }
 
-    /// A graph whose three GEMMs all row-stack in a batch, one per
-    /// staging form: a wide 3×3 conv (im2col), a pointwise conv
-    /// (transpose) and an FC (direct).
+    /// A graph whose GEMMs all row-stack in a batch and cover every
+    /// staging form and scatter: a wide 3×3 conv (im2col), a pointwise
+    /// conv (transpose) on whole 16×16 tiles (144 pixels) and one on
+    /// ragged tiles (36 pixels), a transposed conv whose scatter leaves
+    /// three quarters of the output zero (`m` 36 < `spatial` 144), and
+    /// an FC (direct, row-major).
     fn stacking_net() -> Graph {
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
@@ -1883,7 +1896,25 @@ mod tests {
         };
         let wide = g.add(conv(32, 3, 1), &[x], "wide");
         let point = g.add(conv(16, 1, 0), &[wide], "point");
-        let gap = g.add(OpKind::GlobalAvgPool, &[point], "gap");
+        let pool = g.add(
+            OpKind::MaxPool {
+                kernel: (2, 2),
+                stride: (2, 2),
+            },
+            &[point],
+            "pool",
+        );
+        let ragged = g.add(conv(24, 1, 0), &[pool], "ragged");
+        let up = g.add(
+            OpKind::ConvTranspose2d {
+                out_channels: 16,
+                kernel: (2, 2),
+                stride: (2, 2),
+            },
+            &[ragged],
+            "up",
+        );
+        let gap = g.add(OpKind::GlobalAvgPool, &[up], "gap");
         let flat = g.add(
             OpKind::Reshape {
                 shape: TShape::new(vec![1, 16]),

@@ -322,9 +322,9 @@ pub(crate) unsafe fn band_amx(
         a,
         k,
         n,
-        wd,
         shift,
         tiles,
+        ..
     } = *args;
     if n % 16 != 0 || n == 0 || k < 64 {
         // The tile grid can't engage; the VNNI kernel covers every
@@ -439,7 +439,6 @@ pub(crate) unsafe fn band_amx(
                         a,
                         k,
                         n,
-                        wd,
                         quads,
                         acc,
                         r0 + rb + r,
@@ -462,7 +461,6 @@ pub(crate) unsafe fn band_amx(
                     a,
                     k,
                     n,
-                    wd,
                     quads,
                     acc,
                     r0 + rb + r,
@@ -481,7 +479,6 @@ pub(crate) unsafe fn band_amx(
                     a,
                     k,
                     n,
-                    wd,
                     quads,
                     acc,
                     r0 + rb + r,

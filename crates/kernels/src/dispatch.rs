@@ -23,9 +23,32 @@
 //!
 //! Intra-op parallelism: [`try_matmul_threaded_into`] splits the output
 //! rows into contiguous bands and maps them over [`gcd2_par::par_map`]
-//! with per-band scratch from a [`ScratchPool`]. Bands write disjoint
-//! output slices and share the read-only packed weight panel, so the
-//! result is bit-identical for every thread count.
+//! (the caller runs the first band it claims, `bands − 1` scoped
+//! threads the rest) with per-band scratch from a [`ScratchPool`]. Bands
+//! write disjoint output slices and share the read-only packed weight
+//! panel, so the result is bit-identical for every thread count.
+//!
+//! **A GEMM fans out only when the fan-out pays.** The band count is
+//! [`gemm_bands`], a pure function of `(m, k, n, threads)` with two
+//! constants: every band keeps at least 32 MMACs and at least 256 rows.
+//! Below that a GEMM runs on the calling thread and pays no hand-off —
+//! every GEMM of mobilenet-v3 and efficientnet-b0 (largest: 14.8 and
+//! 20.1 MMACs), all of tinybert (128 rows) and resnet-50's 196- and
+//! 49-row stages. resnet-50's stem and its 3136- and 784-row convs of
+//! 100 MMACs and more still split in two on a two-thread host. The
+//! constants come from direct calls of every distinct catalog shape on
+//! one thread and in two bands (DESIGN.md §4d has the table): a hand-off
+//! costs 20–40 µs, which is the whole of a 5–20 MMAC GEMM, and a
+//! few-row GEMM gets slower in two bands whatever its MACs, because
+//! each band still walks the whole weight panel and keeps a ragged tile
+//! remainder.
+//!
+//! The two layout moves that wrap every conv GEMM — CHW → rows before
+//! it, rows → CHW after it — are one kernel,
+//! [`crate::transpose_clamp_into`], which follows the same tier rule
+//! ([`active_isa`] on the calling thread). The VNNI and AMX tiers finish
+//! the `n % 16` trailing columns with one lane-masked zmm strip instead
+//! of a scalar tail (see [`crate::simd`]).
 
 use crate::autotune::{self, TilePlan};
 use crate::simd;
@@ -481,7 +504,7 @@ pub(crate) fn run_single(
     out: &mut Vec<u8>,
 ) {
     let n = w.cols();
-    out.clear();
+    // No clear(): the band kernel writes every byte of its slice.
     out.resize(m * n, 0);
     if m == 0 || n == 0 {
         return;
@@ -504,11 +527,40 @@ pub(crate) fn run_single(
     unsafe { (table.band)(&args, panel, panel8, acc, 0, m, out) };
 }
 
-/// Intra-op parallel blocked GEMM: output rows are split into up to
-/// `threads` contiguous bands mapped over [`gcd2_par::par_map`], each
-/// band running the dispatched kernel with its own pooled scratch over
-/// a disjoint output slice. Bit-identical for every `threads` value
-/// (wrapping i32 accumulation is order-free and bands don't overlap).
+/// MACs one band must bring before a GEMM is split: a band is handed
+/// to a freshly spawned scoped thread (20–40 µs on the recording host),
+/// which a 32-MMAC band (≈ 80–150 µs of AMX work) outweighs and the
+/// largest mobilenet-v3 / efficientnet-b0 GEMM (14.8 / 20.1 MMACs in
+/// all) does not. The measured table is in DESIGN.md §4d.
+const BAND_MIN_MACS: usize = 32_000_000;
+
+/// Rows one band must keep. Few-row GEMMs (resnet-50's 196- and 49-row
+/// stages) are all weight panel: halving their rows halves no panel
+/// traffic and leaves each band a ragged tile remainder, and they
+/// measure 10–30 % slower in two bands however many MACs they bring.
+const BAND_MIN_ROWS: usize = 256;
+
+/// How many row bands [`try_matmul_threaded_into`] splits an
+/// `m × k × n` GEMM into at an intra-op budget of `threads`: as many as
+/// the budget allows while every band keeps [`BAND_MIN_MACS`] of work
+/// and [`BAND_MIN_ROWS`] rows, else one — the GEMM then runs on the
+/// calling thread with no hand-off at all. A pure function of its
+/// arguments (never of the tile plan, the tier or the environment), so
+/// reports can say whether a GEMM fanned out by calling it.
+pub fn gemm_bands(m: usize, k: usize, n: usize, threads: usize) -> usize {
+    let macs = m.saturating_mul(k).saturating_mul(n);
+    threads
+        .min(macs / BAND_MIN_MACS)
+        .min(m / BAND_MIN_ROWS)
+        .max(1)
+}
+
+/// Intra-op parallel blocked GEMM: output rows are split into
+/// [`gemm_bands`] contiguous bands mapped over [`gcd2_par::par_map`],
+/// each band running the dispatched kernel with its own pooled scratch
+/// over a disjoint output slice. Bit-identical for every `threads`
+/// value (wrapping i32 accumulation is order-free and bands don't
+/// overlap).
 ///
 /// `threads` is the intra-op budget — callers that already parallelize
 /// across requests (batching, serving) pass their per-request share so
@@ -532,7 +584,8 @@ pub fn try_matmul_threaded_into(
     let _ = gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, w, shift)?;
     let n = w.cols();
-    out.clear();
+    // No clear(): every band writes the whole of its slice, so zeroing
+    // the previous call's bytes first is a memset nobody reads.
     out.resize(m * n, 0);
     if m == 0 || n == 0 {
         return Ok(());
@@ -551,9 +604,7 @@ pub fn try_matmul_threaded_into(
             shift,
             tiles,
         };
-        // Don't cut bands smaller than a row block: a band per tile row
-        // maximizes parallelism without degenerate slivers.
-        let bands = threads.max(1).min(m.div_ceil(tiles.mb.max(1))).min(m);
+        let bands = gemm_bands(m, k, n, threads);
         if bands <= 1 {
             // SAFETY: same contract as the single-threaded path.
             unsafe { (table.band)(&args, panel, panel8, acc, 0, m, out) };
@@ -680,7 +731,9 @@ mod tests {
 
     #[test]
     fn threaded_is_bit_identical_to_single_for_every_thread_count() {
-        let (m, k, n) = (130, 47, 19);
+        // Large enough to split in two from a budget of 2 up.
+        let (m, k, n) = (601, 1003, 120);
+        assert_eq!(gemm_bands(m, k, n, 7), 2);
         let (a, w) = operands(m, k, n);
         let mut scratch = GemmScratch::default();
         let mut single = Vec::new();
@@ -693,6 +746,48 @@ mod tests {
             assert_eq!(got, single, "threads={threads}");
         }
         assert!(pool.pooled() >= 1, "band scratch returns to the pool");
+    }
+
+    /// The band rule on the catalog's boundary shapes: nothing in
+    /// mobilenet-v3 or efficientnet-b0 is worth a hand-off, resnet-50's
+    /// many-row ≥ 100-MMAC convs are, its few-row ones and every
+    /// tinybert GEMM are not, and a budget of one never bands.
+    #[test]
+    fn band_count_is_pinned_on_the_catalog_shapes() {
+        // The largest GEMMs of mobilenet-v3 and efficientnet-b0, by
+        // MACs and by rows.
+        for (m, k, n) in [
+            (196, 112, 672),
+            (12544, 16, 64),
+            (3136, 24, 72),
+            (49, 160, 960),
+            (12544, 16, 96),
+            (12544, 27, 32),
+            (3136, 24, 144),
+            (49, 320, 1280),
+        ] {
+            assert_eq!(gemm_bands(m, k, n, 2), 1, "{m}x{k}x{n}");
+            assert_eq!(gemm_bands(m, k, n, 64), 1, "{m}x{k}x{n}");
+        }
+        let resnet = [
+            ((12544, 147, 64), 2),
+            ((3136, 576, 64), 2),
+            ((3136, 256, 128), 2),
+            ((784, 1152, 128), 2),
+            ((3136, 64, 256), 1),  // 51 MMACs: one band's worth
+            ((196, 2304, 256), 1), // 116 MMACs over too few rows
+            ((49, 4608, 512), 1),
+            ((128, 1200, 312), 1), // tinybert's largest
+            ((1, 2048, 1000), 1),
+        ];
+        for ((m, k, n), bands) in resnet {
+            assert_eq!(gemm_bands(m, k, n, 2), bands, "{m}x{k}x{n}");
+            assert_eq!(gemm_bands(m, k, n, 1), 1, "{m}x{k}x{n} at one thread");
+            assert_eq!(gemm_bands(m, k, n, 0), 1, "{m}x{k}x{n} at no budget");
+        }
+        // A wider budget is used only as far as every band stays full.
+        assert_eq!(gemm_bands(12544, 147, 64, 8), 3);
+        assert_eq!(gemm_bands(0, 147, 64, 8), 1);
     }
 
     #[test]

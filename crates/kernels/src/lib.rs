@@ -41,6 +41,7 @@ pub mod matmul;
 pub mod reference;
 pub mod simd;
 pub mod tiled;
+pub mod transpose;
 pub mod unroll;
 
 pub use autotune::{
@@ -53,16 +54,17 @@ pub use conv::{
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
-    active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
-    try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, ScalarPin, ScratchPool,
+    active_isa, detected_isa, force_isa, gemm_bands, gemm_kernel_summary, pin_scalar,
+    scalar_pinned, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, ScalarPin, ScratchPool,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;
 pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_blocks, GemmLoops};
-pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref};
+pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref, transpose_clamp_ref};
 pub use tiled::{
     matmul_blocked_into, matmul_host, try_matmul_blocked_into, GemmDispatchError, GemmScratch,
 };
+pub use transpose::transpose_clamp_into;
 pub use unroll::{
     adaptive_unroll, candidates, classify_output, OutputShapeClass, UnrollConfig, UnrollStrategy,
     UNROLL_CANDIDATES,

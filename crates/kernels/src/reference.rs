@@ -92,6 +92,25 @@ pub fn dwconv_ref(
     }
 }
 
+/// Reference transpose with a clamp, one element at a time:
+/// `dst[c·dst_stride + r] = min(src[r·cols + c], clamp)`. This is the
+/// oracle [`crate::transpose_clamp_into`] is validated against; only
+/// tests call it.
+pub fn transpose_clamp_ref(
+    src: &[u8],
+    rows: usize,
+    cols: usize,
+    clamp: u8,
+    dst: &mut [u8],
+    dst_stride: usize,
+) {
+    for r in 0..rows {
+        for c in 0..cols {
+            dst[c * dst_stride + r] = src[r * cols + c].min(clamp);
+        }
+    }
+}
+
 /// Reference elementwise `clamp((a + b) >> shift, 0, 255)`.
 pub fn add_ref(a: &[u8], b: &[u8], shift: u8) -> Vec<u8> {
     a.iter()

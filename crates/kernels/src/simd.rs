@@ -406,38 +406,14 @@ pub(crate) mod x86 {
                     // SAFETY: rows r0+rb+r .. +4 are < r1 <= m and the
                     // acc offset r * n stays inside the mrows*n block.
                     unsafe {
-                        strips512::<4>(
-                            a,
-                            k,
-                            n,
-                            wd,
-                            quads,
-                            acc,
-                            r0 + rb + r,
-                            r * n,
-                            q0,
-                            q1,
-                            full_quads,
-                        );
+                        strips512::<4>(a, k, n, quads, acc, r0 + rb + r, r * n, q0, q1, full_quads);
                     }
                     r += 4;
                 }
                 while r < mrows {
                     // SAFETY: single row r0+rb+r < r1 <= m, acc offset in range.
                     unsafe {
-                        strips512::<1>(
-                            a,
-                            k,
-                            n,
-                            wd,
-                            quads,
-                            acc,
-                            r0 + rb + r,
-                            r * n,
-                            q0,
-                            q1,
-                            full_quads,
-                        );
+                        strips512::<1>(a, k, n, quads, acc, r0 + rb + r, r * n, q0, q1, full_quads);
                     }
                     r += 1;
                 }
@@ -450,9 +426,10 @@ pub(crate) mod x86 {
 
     /// Column-strip driver for an `R`-row group in the VNNI kernel:
     /// 64-wide (4-zmm) register tiles while they fit, then 32- and
-    /// 16-wide tiles, then the shared scalar tail for `n % 16` columns.
-    /// The widest tile is what amortizes the per-quad activation
-    /// broadcast over enough `vpdpbusd`s to approach port throughput.
+    /// 16-wide tiles, then one lane-masked zmm for the `n % 16`
+    /// trailing columns. The widest tile is what amortizes the per-quad
+    /// activation broadcast over enough `vpdpbusd`s to approach port
+    /// throughput.
     ///
     /// # Safety
     /// Same contract as [`strips`], with `quads` covering quad range
@@ -463,7 +440,6 @@ pub(crate) mod x86 {
         a: &[u8],
         k: usize,
         n: usize,
-        wd: &[i8],
         quads: &[i8],
         acc: &mut [i32],
         row_abs: usize,
@@ -495,18 +471,10 @@ pub(crate) mod x86 {
             j += 16;
         }
         if j < n {
-            tail_cols_range::<R>(
-                a,
-                k,
-                n,
-                wd,
-                acc,
-                row_abs,
-                acc_off,
-                j,
-                4 * q0,
-                (4 * q1).min(k),
-            );
+            // SAFETY: 0 < n - j < 16 columns remain in every row.
+            unsafe {
+                micro512_tail::<R>(a, k, n, quads, acc, row_abs, acc_off, j, q0, q1, full_quads);
+            }
         }
     }
 
@@ -670,6 +638,62 @@ pub(crate) mod x86 {
                         *lane,
                     );
                 }
+            }
+        }
+    }
+
+    /// [`micro512`] for the `n - j < 16` trailing columns of an `R`-row
+    /// group: one zmm per row whose lane mask covers exactly those
+    /// columns. Masked-off lanes of the accumulator and panel loads read
+    /// as zero and, like the masked-off lanes of the store, are
+    /// architecturally never accessed, so the strip may start fewer
+    /// than 16 lanes before the end of a row, of `acc` or of `quads`.
+    /// Live lanes compute what [`micro512`] computes (same `vpdpbusd`,
+    /// same zero-padded final quad), so the bytes are the oracle's.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F + VNNI, `(row_abs + R) * k <=
+    /// a.len()`, `0 < n - j < 16`, `acc_off + (R-1)*n + n <= acc.len()`,
+    /// and `q1 * 4n <= quads.len()`.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    #[inline]
+    unsafe fn micro512_tail<const R: usize>(
+        a: &[u8],
+        k: usize,
+        n: usize,
+        quads: &[i8],
+        acc: &mut [i32],
+        row_abs: usize,
+        acc_off: usize,
+        j: usize,
+        q0: usize,
+        q1: usize,
+        full_quads: usize,
+    ) {
+        let lanes: __mmask16 = (1u16 << (n - j)) - 1;
+        let mut cc = [_mm512_setzero_si512(); R];
+        for (r, lane) in cc.iter_mut().enumerate() {
+            // SAFETY: the live lanes are columns j..n of accumulator row
+            // r, inside `acc` per the caller contract.
+            *lane =
+                unsafe { _mm512_maskz_loadu_epi32(lanes, acc.as_ptr().add(acc_off + r * n + j)) };
+        }
+        for q in q0..q1 {
+            // SAFETY: the live lanes are the quads of columns j..n in
+            // panel row q: bytes q·4n + 4j .. (q+1)·4n, inside `quads`.
+            let wv = unsafe {
+                _mm512_maskz_loadu_epi32(lanes, quads.as_ptr().add(q * 4 * n + 4 * j) as *const i32)
+            };
+            for (r, lane) in cc.iter_mut().enumerate() {
+                // SAFETY: row_abs + r < row_abs + R, in range per contract.
+                let bits = unsafe { a_quad(a, row_abs + r, k, q, full_quads) };
+                *lane = _mm512_dpbusd_epi32(*lane, _mm512_set1_epi32(bits as i32), wv);
+            }
+        }
+        for (r, lane) in cc.iter().enumerate() {
+            // SAFETY: same live lanes as the load above.
+            unsafe {
+                _mm512_mask_storeu_epi32(acc.as_mut_ptr().add(acc_off + r * n + j), lanes, *lane);
             }
         }
     }
@@ -1121,7 +1145,7 @@ pub(crate) mod x86 {
 
     /// Scalar tail for the trailing columns of an `R`-row group over the
     /// reduction range `[kk0, kk1)` — same element math as the scalar
-    /// oracle (safe code, no SIMD). Shared by the AVX2 and VNNI strips.
+    /// oracle (safe code, no SIMD). The AVX2 strips' `n % 8` tail.
     fn tail_cols_range<const R: usize>(
         a: &[u8],
         k: usize,

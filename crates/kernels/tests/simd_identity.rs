@@ -15,8 +15,8 @@
 //! gate still has to hold.
 
 use gcd2_kernels::{
-    force_isa, matmul_ref, try_matmul_blocked_into, try_matmul_threaded_into, GemmScratch,
-    KernelIsa, ScratchPool,
+    force_isa, gemm_bands, matmul_ref, pin_scalar, transpose_clamp_into, transpose_clamp_ref,
+    try_matmul_blocked_into, try_matmul_threaded_into, GemmScratch, KernelIsa, ScratchPool,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
@@ -123,6 +123,8 @@ proptest! {
 /// Shapes pinned to the register-tile and block boundaries: K-remainder
 /// (odd k exercises the half-pair path), M-remainder (rows % 4), and
 /// N-remainder (cols % 16 / % 8) edge tiles, plus exact-fit controls.
+/// None is large enough to band; [`threaded_band_split_is_deterministic`]
+/// covers the fan-out.
 #[test]
 fn edge_tiles_are_bit_identical() {
     let cases: &[(usize, usize, usize)] = &[
@@ -137,6 +139,12 @@ fn edge_tiles_are_bit_identical() {
         (33, 64, 15), // m % 32 == 1 block remainder
         (65, 129, 33),
         (130, 1024, 7), // k spans multiple default KB segments
+        // The VNNI strips' lane-masked column tail, after every
+        // full-strip width, over a ragged final quad (k % 4 != 0).
+        (9, 67, 47),   // 32 + 15 columns, k % 4 == 3
+        (6, 130, 120), // 64 + 32 + 16 + 8 columns, k % 4 == 2
+        (37, 70, 65),  // 64 + 1 columns, rows % 4 == 1
+        (21, 201, 79), // 64 + 15 columns, k % 4 == 1
     ];
     for &(m, k, n) in cases {
         for shift in [0u8, 4] {
@@ -157,10 +165,16 @@ fn all_zero_activations_match() {
 }
 
 /// The intra-op threaded driver is deterministic across thread budgets
-/// on a shape large enough to actually split into bands.
+/// on a shape large enough to actually split — into two bands at a
+/// budget of 2 and three from 3 up — with ragged band, tile and column
+/// edges.
 #[test]
 fn threaded_band_split_is_deterministic() {
-    let (m, k, n) = (203, 96, 24);
+    let (m, k, n) = (771, 1027, 136);
+    assert_eq!(
+        [1, 2, 3, 16].map(|threads| gemm_bands(m, k, n, threads)),
+        [1, 2, 3, 3]
+    );
     let a = activations(m, k, 30, 7);
     let w = weights(k, n, 8);
     let pool = ScratchPool::new();
@@ -174,6 +188,50 @@ fn threaded_band_split_is_deterministic() {
         assert_eq!(out, first, "threads={threads}");
     }
     assert_eq!(reference_bytes(&a, &w, 2), first);
+}
+
+/// The tile transpose on both sides of every conv GEMM equals the naive
+/// oracle — in the form the active tier selects and in the portable
+/// form a scalar pin selects — for every small shape (tile edges,
+/// overlap tiles, extents below one tile) and the catalog's scatter
+/// shapes, both clamps, and a destination stride with a gap whose bytes
+/// must survive.
+#[test]
+fn transpose_equals_the_naive_oracle() {
+    let small = (1..=40usize).flat_map(|rows| (1..=40usize).map(move |cols| (rows, cols)));
+    let catalog = [
+        (12544, 16),
+        (3136, 24),
+        (784, 120),
+        (196, 672),
+        (49, 960),
+        (49, 2048),
+    ];
+    for (rows, cols) in small.chain(catalog) {
+        let src: Vec<u8> = (0..rows * cols)
+            .map(|i| (i.wrapping_mul(2654435761) >> 9) as u8)
+            .collect();
+        for clamp in [15u8, 255] {
+            for dst_stride in [rows, rows + 7] {
+                // 0xA5 marks bytes no form may touch.
+                let mut want = vec![0xA5u8; cols * dst_stride];
+                transpose_clamp_ref(&src, rows, cols, clamp, &mut want, dst_stride);
+                let mut got = vec![0xA5u8; want.len()];
+                transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
+                assert_eq!(
+                    got, want,
+                    "active tier, {rows}x{cols} clamp {clamp} stride {dst_stride}"
+                );
+                let _pin = pin_scalar();
+                got.fill(0xA5);
+                transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
+                assert_eq!(
+                    got, want,
+                    "portable, {rows}x{cols} clamp {clamp} stride {dst_stride}"
+                );
+            }
+        }
+    }
 }
 
 /// Throughput probe (run explicitly with `--ignored --release`): prints

@@ -58,8 +58,9 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// returning the results **in item order**.
+/// Maps `f` over `items` on up to `threads` threads — the caller and
+/// `threads - 1` scoped workers — returning the results **in item
+/// order**.
 ///
 /// `f` receives `(index, &item)`. Items are claimed dynamically from a
 /// shared counter, so the schedule (which thread runs which item) is
@@ -68,8 +69,8 @@ pub fn default_threads() -> usize {
 /// `f` must therefore be a pure function of its arguments (interior
 /// caches are fine as long as cached values are deterministic).
 ///
-/// A panic on any worker propagates to the caller once all workers have
-/// finished.
+/// A panic in `f`, on a worker or on the caller's own share, propagates
+/// to the caller once all workers have finished.
 pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -83,18 +84,20 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(i, &items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
-                })
-            })
-            .collect();
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            let r = f(i, &items[i]);
+            *slots[i].lock().expect("result slot poisoned") = Some(r);
+        };
+        // The caller is one of the `threads`: it claims items beside
+        // `threads - 1` spawned workers instead of sleeping through the
+        // map. If its share panics, the scope still joins the workers
+        // before the panic leaves this function.
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        work();
         // Join explicitly so a worker panic re-raises with its original
         // payload (an unconsumed handle would surface only as the
         // scope's generic "a scoped thread panicked").
@@ -464,6 +467,33 @@ mod tests {
             }
             x
         });
+    }
+
+    /// The caller runs a share of the items itself; when that share
+    /// panics, the worker's item still completes before the panic
+    /// leaves `par_map`.
+    #[test]
+    fn par_map_caller_share_panic_propagates_after_the_join() {
+        let caller = std::thread::current().id();
+        // Both threads must be inside `f` at once, so each holds
+        // exactly one of the two items.
+        let both_in = std::sync::Barrier::new(2);
+        let worker_done = std::sync::atomic::AtomicBool::new(false);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_map(2, &[(), ()], |_, _| {
+                both_in.wait();
+                if std::thread::current().id() == caller {
+                    panic!("caller boom");
+                }
+                worker_done.store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the caller's panic must propagate");
+        assert_eq!(panic_message(payload.as_ref()), "caller boom");
+        assert!(
+            worker_done.load(Ordering::SeqCst),
+            "joined before unwinding"
+        );
     }
 
     #[test]

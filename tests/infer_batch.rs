@@ -153,14 +153,31 @@ fn batch_edge_shapes_execute_cleanly() {
     // The timed entry point runs the same core. On resnet-50 every GEMM
     // reaches the dispatcher, so it lists one kernel per convolution
     // plus the classifier, in schedule order, covering exactly the
-    // plan's MACs, and its stage times stay inside the total.
+    // plan's MACs, and its stage times stay inside the total. At an
+    // intra-op budget of two the stem fans out and the classifier does
+    // not; at one nothing does, and the bytes are the same.
     let plan = Compiler::new()
         .compile(&ModelId::ResNet50.build())
         .inference_plan(SEED);
     let input = batch_inputs(plan.input_len(), 1).remove(0);
-    let (_, report) = plan
-        .try_execute_timed(&input, &mut plan.new_arena(), &defaults)
+    let budget = |threads| ExecOptions {
+        intra_op_threads: Some(threads),
+        ..ExecOptions::default()
+    };
+    let (banded, report) = plan
+        .try_execute_timed(&input, &mut plan.new_arena(), &budget(2))
         .expect("timed run");
+    let (unbanded, serial) = plan
+        .try_execute_timed(&input, &mut plan.new_arena(), &budget(1))
+        .expect("timed run on one thread");
+    assert_eq!(banded, unbanded);
+    assert!(serial.gemm_kernels.iter().all(|g| g.bands == 1));
+    let bands = |i: usize| report.gemm_kernels[i].bands;
+    assert_eq!(
+        (bands(0), bands(53)),
+        (2, 1),
+        "stem.conv fans out, fc does not"
+    );
     let gemms: Vec<_> = report
         .gemm_kernels
         .iter()
