@@ -12,10 +12,10 @@ GCD2_THREADS=1 cargo test --workspace -q
 echo "==> cargo test --workspace (default parallelism)"
 cargo test --workspace -q
 
-echo "==> kernel suite (GEMM + transpose + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1)"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1: im2col_identity holds the portable form to the oracle)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 
-echo "==> kernel suite (GEMM + transpose + depthwise identity) on the auto-detected SIMD tier"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (im2col_identity holds the tile form, and every tier the host supports, to the oracle)"
 cargo test -q -p gcd2-kernels
 
 echo "==> perfbench's own unit tests"
@@ -25,7 +25,7 @@ echo "==> perfbench correctness smoke (infer_dw: every answer byte-checked again
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload infer_dw --seed 7 --seconds 2 --trace 0
 
-echo "==> perfbench correctness smoke (infer_gemm: resnet-50 and tinybert, the banded side of the GEMM fan-out rule, byte-checked)"
+echo "==> perfbench correctness smoke (infer_gemm: resnet-50 and tinybert — tile im2col, resident panels and the banded side of the GEMM fan-out rule, byte-checked)"
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload infer_gemm --seed 7 --seconds 2 --trace 0
 

@@ -395,15 +395,13 @@ fn decode_step_kind(r: &mut ByteReader<'_>) -> Result<StepKind, ArtifactError> {
             };
             // Weights are paired in after the PLAN section decodes; the
             // placeholder is replaced before the plan is handed out.
-            StepKind::Gemm(Box::new(GemmStep {
+            StepKind::Gemm(Box::new(GemmStep::new(
                 prep,
-                weights: MatrixI8::zeros(0, 0),
-                m,
-                k,
-                n,
+                (m, k, n),
                 shift,
                 scatter,
-            }))
+                MatrixI8::zeros(0, 0),
+            )))
         }
         3 => StepKind::Add,
         4 => StepKind::Mul,
@@ -579,7 +577,7 @@ fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<(), Artifact
         }
         let raw = r.take(len)?;
         let vals: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-        g.weights = MatrixI8::from_row_major(rows, cols, &vals);
+        g.set_weights(MatrixI8::from_vec(rows, cols, vals));
         weight_bytes += len;
         gemm_macs += g.m as u64 * g.k as u64 * g.n as u64;
     }

@@ -22,9 +22,7 @@ use gcd2::{Compiler, Packing, Selection};
 use gcd2_models::ModelId;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: gcd2c <model> [options]\n\
+const USAGE: &str = "usage: gcd2c <model> [options]\n\
          \n\
          options:\n\
            --selection gcd2|gcd2-17|local|global|pbqp|uniform-vmpy|uniform-vmpa|uniform-vrmpy\n\
@@ -69,8 +67,12 @@ fn usage() -> ExitCode {
                        plan from D when a valid artifact exists, else\n\
                        compile and store it crash-safely\n\
            --compare   compile under every selection strategy\n\
-           --list      list available models"
-    );
+           --list      list available models\n\
+           --help, -h  print this text";
+
+/// A malformed command line: the usage text on stderr, exit code 2.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -83,6 +85,10 @@ fn parse_model(name: &str) -> Option<ModelId> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if args.iter().any(|a| a == "--list") {
         for id in ModelId::ALL {
             let r = id.reference();
@@ -457,11 +463,12 @@ fn main() -> ExitCode {
         let plan = compiled.inference_plan(SEED);
         println!(
             "\ninference plan: {} steps, {} slots, {:.1} KiB activations, \
-             {:.1} KiB weights, {:.3} GMACs (built in {:.2?})",
+             {:.1} KiB weights + {:.1} KiB panels, {:.3} GMACs (built in {:.2?})",
             plan.steps(),
             plan.slot_count(),
             plan.activation_bytes() as f64 / 1024.0,
             plan.weight_bytes() as f64 / 1024.0,
+            plan.panel_bytes() as f64 / 1024.0,
             plan.gemm_macs() as f64 / 1e9,
             t0.elapsed()
         );
@@ -503,10 +510,18 @@ fn main() -> ExitCode {
                 println!("  kernel isa   : {}", report.kernel_isa);
             }
             if !report.gemm_kernels.is_empty() {
-                println!("  gemm kernels :");
+                let scalar = report
+                    .gemm_kernels
+                    .iter()
+                    .filter(|gk| gk.isa == gcd2_kernels::KernelIsa::Scalar);
+                println!(
+                    "  gemm kernels : {} ({} on the scalar tier)",
+                    report.gemm_kernels.len(),
+                    scalar.count()
+                );
                 for gk in &report.gemm_kernels {
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -515,7 +530,12 @@ fn main() -> ExitCode {
                         gk.kb,
                         if gk.tuned { "tuned" } else { "default" },
                         gk.isa.name(),
-                        gk.bands
+                        gk.bands,
+                        if gk.panel_resident {
+                            "resident"
+                        } else {
+                            "per-call"
+                        }
                     );
                 }
             }

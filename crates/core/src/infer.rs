@@ -11,7 +11,9 @@
 //! * every weight matrix is derived and materialized at build time
 //!   (row-major, the layout the host GEMM consumes — so the per-edge
 //!   layout transforms the interpreter performs per call are resolved
-//!   once, here);
+//!   once, here), and every matrix a GEMM will read is packed, once,
+//!   into the panel layout of the kernel tier active on this host
+//!   ([`gcd2_kernels::WeightPanel`]) — a GEMM step only multiplies;
 //! * the requantization shift of each GEMM (a pure function of its
 //!   reduction depth) is folded into the step;
 //! * activations live in a dense arena of reusable **slots** assigned by
@@ -39,14 +41,15 @@
 //! [`gcd2_par::par_map_isolated`]. The plan itself carries an FNV-1a
 //! checksum over its materialized weights and step schedule, computed at
 //! build time and re-verifiable via [`InferencePlan::verify_integrity`]
-//! (or per-execution with [`ExecOptions::paranoid`]). All of them stream
+//! (or per-execution with [`ExecOptions::paranoid`]), which also re-packs
+//! every resident weight panel and compares. All of them stream
 //! the schedule through one lockstep core, `InferencePlan::run_lockstep`.
 
 use gcd2_cgraph::{Activation, NodeId, OpKind};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, gemm_bands, gemm_kernel_summary, hostops,
-    im2col_rm_into, transpose_clamp_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa,
-    ScratchPool, TUNE_MIN_MACS,
+    im2col_rm_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles, Im2colScratch,
+    KernelIsa, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -106,7 +109,15 @@ pub(crate) enum Scatter {
 #[derive(Debug, Clone)]
 pub(crate) struct GemmStep {
     pub(crate) prep: GemmPrep,
+    /// The row-major `k × n` weights: what the plan checksum, the
+    /// artifact, the analyzer and the direct kernels read. Set through
+    /// [`GemmStep::set_weights`], which keeps `panel` their pack image.
     pub(crate) weights: MatrixI8,
+    /// `weights` packed once for the kernel tier active when they were
+    /// materialised — what a matmul-backed step's GEMM reads on every
+    /// dispatch (see [`gcd2_kernels::WeightPanel`]). Empty for steps
+    /// that run a direct kernel and on packless tiers.
+    pub(crate) panel: WeightPanel,
     pub(crate) m: usize,
     pub(crate) k: usize,
     pub(crate) n: usize,
@@ -121,6 +132,41 @@ pub(crate) struct GemmStep {
 const DIRECT_CONV_MAX_N: usize = 16;
 
 impl GemmStep {
+    /// A step over `(m, k, n)` with its weights installed
+    /// ([`GemmStep::set_weights`]).
+    pub(crate) fn new(
+        prep: GemmPrep,
+        (m, k, n): (usize, usize, usize),
+        shift: u8,
+        scatter: Scatter,
+        weights: MatrixI8,
+    ) -> GemmStep {
+        let mut step = GemmStep {
+            prep,
+            weights: MatrixI8::zeros(0, 0),
+            panel: WeightPanel::default(),
+            m,
+            k,
+            n,
+            shift,
+            scatter,
+        };
+        step.set_weights(weights);
+        step
+    }
+
+    /// Installs the step's weights and, for a matmul-backed step, packs
+    /// their resident panel — the one place a plan's weights are packed,
+    /// at build and at artifact load alike.
+    pub(crate) fn set_weights(&mut self, weights: MatrixI8) {
+        self.panel = if self.runs_matmul() {
+            WeightPanel::pack(&weights)
+        } else {
+            WeightPanel::default()
+        };
+        self.weights = weights;
+    }
+
     /// Whether this step takes the direct-conv path
     /// ([`gcd2_kernels::conv2d_direct_chw_into`], bit-identical to the
     /// staged path). Consulted by the executor, the autotune warm pass,
@@ -142,22 +188,25 @@ impl GemmStep {
     }
 
     /// Whether a batch row-stacks this matmul-backed step across items
-    /// into one GEMM dispatch. Only small/medium row counts qualify: the
-    /// win comes from splitting the per-dispatch weight-panel packing
-    /// (`O(k·n)`) and tile-tail cost across the batch, and that cost is
-    /// already a rounding error once one item brings [`STACK_MAX_M`]+
-    /// rows of its own. Stacking never changes bytes — each output row
-    /// depends only on its own activation row — so this is purely a
-    /// speed policy.
+    /// into one GEMM dispatch. Only small row counts qualify. With the
+    /// weight panel resident no dispatch packs anything, so what one
+    /// stacked dispatch still saves is the panel's memory traffic — it
+    /// is streamed once for `B·m` rows instead of `B` times — and the
+    /// ragged last 16-row tile of each item: measured on the AMX tier
+    /// at B = 4, 2.3–2.5× at `m = 1` (an FC is all weight traffic),
+    /// 1.1–1.2× at 49 rows, 1.03–1.08× at 196, nothing at 128 or 512
+    /// rows of whole tiles, and from 784 rows up the stacked form is
+    /// 1–13 % *slower* before its staging copy is counted (DESIGN.md
+    /// §4e). Stacking never changes bytes — each output row depends only
+    /// on its own activation row — so this is purely a speed policy.
     fn stackable(&self) -> bool {
         self.m <= STACK_MAX_M
     }
 }
 
-/// Row-count ceiling for batch stacking (see [`GemmStep::stackable`]).
-/// Measured on the dominant catalog shapes: per-item GEMMs up to a few
-/// hundred rows win 1.3–9× from stacking, while ≥1k-row GEMMs are
-/// compute-bound and stacking only bloats the staging working set.
+/// Row-count ceiling for batch stacking (see [`GemmStep::stackable`]):
+/// above the last shape that measured a gain (196 rows) and below the
+/// first that measured a loss (784).
 const STACK_MAX_M: usize = 512;
 
 /// The computation a step performs (dims resolved at build time).
@@ -246,12 +295,14 @@ pub struct InferArena {
 }
 
 /// The buffers one GEMM dispatch streams through: the staged (for a
-/// batch, row-stacked) activation matrix, the GEMM output before its
-/// scatter, and the kernels' accumulator/panel scratch. A lockstep run
-/// borrows them from its first live item's arena.
+/// batch, row-stacked) activation matrix, im2col's padded copy of the
+/// input, the GEMM output before its scatter, and the kernels'
+/// accumulator scratch. A lockstep run borrows them from its first live
+/// item's arena.
 #[derive(Debug, Default)]
 struct GemmStage {
     a: Vec<u8>,
+    im2col: Im2colScratch,
     out: Vec<u8>,
     scratch: ScratchPool,
 }
@@ -375,11 +426,11 @@ pub struct InferReport {
     pub total: Duration,
     /// Per-operator wall clock, in schedule order.
     pub per_op: Vec<OpTiming>,
-    /// The instruction set that ran the most GEMM MACs of this run
-    /// (`"scalar"`, `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or
-    /// `"neon"`; empty when the run had no GEMM step). Per-GEMM tiers
-    /// are in [`GemmKernelInfo::isa`] — a skinny GEMM handed to the
-    /// scalar tier does not relabel a run whose large GEMMs ran vector.
+    /// The instruction set this run's GEMMs executed on (`"scalar"`,
+    /// `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or `"neon"`; empty when
+    /// the run had no GEMM step). One run resolves one tier — no shape
+    /// is handed to another — and [`GemmKernelInfo::isa`] repeats it per
+    /// GEMM.
     pub kernel_isa: &'static str,
     /// Kernel choice and (auto)tuned tile sizes for every matmul-backed
     /// GEMM step, in schedule order. Depthwise steps never reach the
@@ -402,8 +453,7 @@ pub struct GemmKernelInfo {
     pub k: usize,
     /// GEMM columns (output channels).
     pub n: usize,
-    /// The tier this GEMM ran on — the effective one, so a tuned or
-    /// static scalar handoff reads `Scalar` under a vector dispatch.
+    /// The tier this GEMM ran on.
     pub isa: KernelIsa,
     /// Row-block tile the kernel ran with.
     pub mb: usize,
@@ -417,20 +467,12 @@ pub struct GemmKernelInfo {
     /// the static defaults (shape below the tuning threshold, tuning
     /// disabled, or the probe was skipped).
     pub tuned: bool,
-}
-
-/// The tier that ran the most MACs among `gemms` (`""` for none).
-fn dominant_isa(gemms: &[GemmKernelInfo]) -> &'static str {
-    let mut macs: Vec<(KernelIsa, usize)> = Vec::new();
-    for g in gemms {
-        match macs.iter_mut().find(|(isa, _)| *isa == g.isa) {
-            Some((_, total)) => *total += g.m * g.k * g.n,
-            None => macs.push((g.isa, g.m * g.k * g.n)),
-        }
-    }
-    macs.iter()
-        .max_by_key(|&&(_, total)| total)
-        .map_or("", |(isa, _)| isa.name())
+    /// True when the GEMM read the step's resident weight panel; false
+    /// when the tier it resolved wanted another layout (a scalar pin or
+    /// demotion, an ISA override flipped after the plan was built) and
+    /// it fell back to the raw weights or a per-call pack
+    /// ([`gcd2_kernels::PanelSource`]).
+    pub panel_resident: bool,
 }
 
 /// One operator's share of a timed execution.
@@ -695,17 +737,15 @@ impl InferencePlan {
                             padding: *padding,
                         }
                     };
-                    let g = GemmStep {
+                    let g = GemmStep::new(
                         prep,
-                        weights,
-                        m,
-                        k,
-                        n,
-                        shift: check_quant_range(node.id, k)?,
-                        scatter: Scatter::Chw {
+                        (m, k, n),
+                        check_quant_range(node.id, k)?,
+                        Scatter::Chw {
                             spatial: node.shape.spatial(),
                         },
-                    };
+                        weights,
+                    );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems())
                 }
                 OpKind::DepthwiseConv2d {
@@ -723,8 +763,8 @@ impl InferencePlan {
                     let weights = MatrixI8::from_fn(k, 1, |kk, _| weight(seed, node.id, kk));
                     weight_bytes += k;
                     gemm_macs += (m * k) as u64;
-                    let g = GemmStep {
-                        prep: GemmPrep::Depthwise {
+                    let g = GemmStep::new(
+                        GemmPrep::Depthwise {
                             c,
                             h,
                             w,
@@ -732,13 +772,11 @@ impl InferencePlan {
                             stride: *stride,
                             padding: *padding,
                         },
+                        (m, k, 1),
+                        check_quant_range(node.id, k)?,
+                        Scatter::DwRows,
                         weights,
-                        m,
-                        k,
-                        n: 1,
-                        shift: check_quant_range(node.id, k)?,
-                        scatter: Scatter::DwRows,
-                    };
+                    );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems().min(m))
                 }
                 OpKind::MatMul { n } | OpKind::BatchMatMul { n } => {
@@ -751,15 +789,13 @@ impl InferencePlan {
                         MatrixI8::from_fn(k, *n, |kk, nn| weight(seed, node.id, kk * n + nn));
                     weight_bytes += k * n;
                     gemm_macs += (m * k * n) as u64;
-                    let g = GemmStep {
-                        prep: GemmPrep::Direct,
+                    let g = GemmStep::new(
+                        GemmPrep::Direct,
+                        (m, k, *n),
+                        check_quant_range(node.id, k)?,
+                        Scatter::RowMajor,
                         weights,
-                        m,
-                        k,
-                        n: *n,
-                        shift: check_quant_range(node.id, k)?,
-                        scatter: Scatter::RowMajor,
-                    };
+                    );
                     (StepKind::Gemm(Box::new(g)), m * n)
                 }
                 OpKind::ConvTranspose2d { out_channels, .. } => {
@@ -770,17 +806,15 @@ impl InferencePlan {
                         MatrixI8::from_fn(c, n, |kk, oc| weight(seed, node.id, kk * n + oc));
                     weight_bytes += c * n;
                     gemm_macs += (m * c * n) as u64;
-                    let g = GemmStep {
-                        prep: GemmPrep::Transposed { c, m },
-                        weights,
-                        m,
-                        k: c,
-                        n,
-                        shift: check_quant_range(node.id, c)?,
-                        scatter: Scatter::Chw {
+                    let g = GemmStep::new(
+                        GemmPrep::Transposed { c, m },
+                        (m, c, n),
+                        check_quant_range(node.id, c)?,
+                        Scatter::Chw {
                             spatial: node.shape.spatial(),
                         },
-                    };
+                        weights,
+                    );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems())
                 }
                 OpKind::Add => (StepKind::Add, in_len(0)),
@@ -911,10 +945,9 @@ impl InferencePlan {
                     if !g.runs_matmul() {
                         continue;
                     }
-                    let n = g.weights.cols();
-                    let macs = g.m as u64 * g.k as u64 * n as u64;
+                    let macs = g.m as u64 * g.k as u64 * g.n as u64;
                     if macs >= TUNE_MIN_MACS {
-                        warm_gemm_tiles(g.m, g.k, n, &g.weights, g.shift);
+                        warm_gemm_tiles(g.m, g.k, g.n, &g.weights, &g.panel, g.shift);
                     }
                 }
             }
@@ -973,21 +1006,51 @@ impl InferencePlan {
     }
 
     /// Re-hashes the plan's schedule and weights and compares against
-    /// the build-time checksum.
+    /// the build-time checksum, then re-packs every resident weight
+    /// panel and compares it with the one the GEMMs execute from. The
+    /// checksum itself stays over the raw weights — the artifact stores
+    /// it and a build hashes once — so the panels are covered here, by
+    /// derivation from bytes the checksum already vouches for.
     ///
     /// # Errors
     /// Returns [`InferError::IntegrityViolation`] if the plan no longer
-    /// hashes to its build-time checksum.
+    /// hashes to its build-time checksum, or — with the offending step's
+    /// index folded into `got` — if a panel is no longer the pack image
+    /// of its weights.
     pub fn verify_integrity(&self) -> Result<(), InferError> {
         let got = self.integrity_checksum();
-        if got == self.checksum {
-            Ok(())
-        } else {
-            Err(InferError::IntegrityViolation {
+        if got != self.checksum {
+            return Err(InferError::IntegrityViolation {
                 expected: self.checksum,
                 got,
-            })
+            });
         }
+        for (index, step) in self.steps.iter().enumerate() {
+            if let StepKind::Gemm(g) = &step.kind {
+                if !g.panel.is_pack_of(&g.weights) {
+                    let mut h = Fnv(got);
+                    h.usize(index);
+                    return Err(InferError::IntegrityViolation {
+                        expected: self.checksum,
+                        got: h.0,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes of the resident weight panels, beside [`Self::weight_bytes`]:
+    /// zero on a packless tier, about the weight bytes again on the
+    /// AVX-512 and AMX tiers, twice that on AVX2 (an i16 panel).
+    pub fn panel_bytes(&self) -> usize {
+        self.steps
+            .iter()
+            .map(|step| match &step.kind {
+                StepKind::Gemm(g) => g.panel.bytes(),
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Step count (one per graph node).
@@ -1007,7 +1070,8 @@ impl InferencePlan {
         self.slot_sizes.iter().sum()
     }
 
-    /// Bytes of materialized weight matrices.
+    /// Bytes of materialized weight matrices (raw, row-major; the
+    /// resident panels are [`Self::panel_bytes`]).
     pub fn weight_bytes(&self) -> usize {
         self.weight_bytes
     }
@@ -1183,10 +1247,9 @@ impl InferencePlan {
     /// over arenas checked out of a long-lived [`ArenaPool`],
     /// **row-stacking** qualifying GEMM steps across the batch into one
     /// dispatch (see [`GemmStep::stackable`]). Coalescing `B` requests
-    /// turns `B` small GEMM calls into one `B·m`-row call, so the
-    /// per-dispatch weight-panel packing and tile tails are paid once
-    /// per batch instead of once per request — the mechanism behind the
-    /// gateway's batch-1 throughput win. Everything that is per-item by
+    /// turns `B` small GEMM calls into one `B·m`-row call, so the weight
+    /// panel is streamed and the ragged tile tail paid once per batch
+    /// instead of once per request. Everything that is per-item by
     /// nature (depthwise/direct kernels, elementwise steps) runs per
     /// item.
     ///
@@ -1324,6 +1387,7 @@ impl InferencePlan {
             }
             let t0 = report.is_some().then(Instant::now);
             let mut prep = Duration::ZERO;
+            let mut panel = PanelSource::Resident;
             match &step.kind {
                 // Aliased in place: the value already sits in its slot.
                 StepKind::Passthrough if step.in_slots.first() == Some(&step.out_slot) => {}
@@ -1333,7 +1397,10 @@ impl InferencePlan {
                     let stacked = live.len() >= 2 && g.stackable();
                     for group in live.chunks(if stacked { live.len() } else { 1 }) {
                         match run_gemm(step, g, arenas, group, &mut stage, t0.is_some(), intra) {
-                            Ok(staging) => prep += staging,
+                            Ok((staging, source)) => {
+                                prep += staging;
+                                panel = source;
+                            }
                             // Shape/weight disagreement is
                             // item-independent: the whole dispatch fails.
                             Err(e) => fail_items(&mut failed, group, &e),
@@ -1374,6 +1441,7 @@ impl InferencePlan {
                             kb: tiles.kb,
                             bands: gemm_bands(g.m, g.k, g.n, intra),
                             tuned,
+                            panel_resident: panel == PanelSource::Resident,
                         });
                     }
                 } else {
@@ -1389,7 +1457,7 @@ impl InferencePlan {
         }
         arenas[lead].stage = stage;
         if let Some(r) = report {
-            r.kernel_isa = dominant_isa(&r.gemm_kernels);
+            r.kernel_isa = r.gemm_kernels.first().map_or("", |g| g.isa.name());
         }
         failed
     }
@@ -1426,6 +1494,24 @@ impl InferencePlan {
         if let Some(step) = self.steps.last_mut() {
             step.out_len = step.out_len.wrapping_add(1);
         }
+    }
+
+    /// Integrity-suite helper: flips one byte of the last matmul-backed
+    /// step's resident weight panel and leaves the raw weights — and so
+    /// the checksum — alone. [`InferencePlan::verify_integrity`] must
+    /// refuse the plan, and an unverified run must answer differently,
+    /// which is what shows the panel is what executes. Returns `false`
+    /// when no step holds panel bytes (a packless tier). Test
+    /// instrumentation only.
+    #[doc(hidden)]
+    pub fn corrupt_panel_for_test(&mut self) -> bool {
+        self.steps
+            .iter_mut()
+            .rev()
+            .any(|step| match &mut step.kind {
+                StepKind::Gemm(g) => g.panel.corrupt_for_test(),
+                _ => false,
+            })
     }
 
     /// Mutation-suite helper: applies one seeded corruption from
@@ -1628,9 +1714,10 @@ fn fail_items(failed: &mut [Option<InferError>], items: &[usize], e: &InferError
 
 /// One dispatch of a matmul-backed GEMM step for the items of `group`
 /// (indices into `arenas`): stage every item's rows into one stacked
-/// `a`, run one GEMM over it, scatter each item's segment into its
-/// output slot. Returns the staging time when `timed`. Hosts the
-/// `infer.prep` fault point.
+/// `a`, run one GEMM over it from the step's resident panel, scatter
+/// each item's segment into its output slot. Returns the staging time
+/// (when `timed`) and where the dispatch read its weights from. Hosts
+/// the `infer.prep` fault point.
 fn run_gemm(
     step: &Step,
     g: &GemmStep,
@@ -1639,7 +1726,7 @@ fn run_gemm(
     stage: &mut GemmStage,
     timed: bool,
     intra: usize,
-) -> Result<Duration, InferError> {
+) -> Result<(Duration, PanelSource), InferError> {
     let _ = gcd2_faults::fire("infer.prep");
     let t0 = timed.then(Instant::now);
     let (m, k, n) = (g.m, g.k, g.n);
@@ -1664,7 +1751,17 @@ fn run_gemm(
                         kernel,
                         stride,
                         padding,
-                    } => im2col_rm_into(x(i), *c, *h, *w, *kernel, *stride, *padding, dst),
+                    } => im2col_rm_into(
+                        x(i),
+                        *c,
+                        *h,
+                        *w,
+                        *kernel,
+                        *stride,
+                        *padding,
+                        &mut stage.im2col,
+                        dst,
+                    ),
                     // CHW is the row-major `c × m` matrix; the GEMM
                     // wants its transpose.
                     GemmPrep::Transposed { c, m } => {
@@ -1679,11 +1776,12 @@ fn run_gemm(
         }
     };
     let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
-    try_matmul_threaded_into(
+    let source = try_matmul_panel_into(
         a,
         group.len() * m,
         k,
         &g.weights,
+        &g.panel,
         g.shift,
         &stage.scratch,
         intra,
@@ -1719,7 +1817,7 @@ fn run_gemm(
             }
         }
     }
-    Ok(prep)
+    Ok((prep, source))
 }
 
 /// Executes one per-item step — everything but a matmul-backed GEMM
@@ -1880,22 +1978,24 @@ mod tests {
     }
 
     /// A graph whose GEMMs all row-stack in a batch and cover every
-    /// staging form and scatter: a wide 3×3 conv (im2col), a pointwise
-    /// conv (transpose) on whole 16×16 tiles (144 pixels) and one on
-    /// ragged tiles (36 pixels), a transposed conv whose scatter leaves
-    /// three quarters of the output zero (`m` 36 < `spatial` 144), and
-    /// an FC (direct, row-major).
+    /// staging form and scatter: a wide 3×3 conv (im2col), a 7×7
+    /// stride-2 conv (im2col over both column phases), a pointwise conv
+    /// (transpose) on whole 16×16 tiles (144 pixels) and one on ragged
+    /// tiles (36 pixels), a stride-2 3×3 and a stride-2 1×1 conv (im2col
+    /// with one phase and every other row, three pixels a row), a
+    /// transposed conv whose scatter leaves three quarters of the output
+    /// zero (`m` 9 < `spatial` 36), and an FC (direct, row-major).
     fn stacking_net() -> Graph {
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
-        let conv = |out_channels, k, p| OpKind::Conv2d {
+        let conv = |out_channels, k, s, p| OpKind::Conv2d {
             out_channels,
             kernel: (k, k),
-            stride: (1, 1),
+            stride: (s, s),
             padding: (p, p),
         };
-        let wide = g.add(conv(32, 3, 1), &[x], "wide");
-        let point = g.add(conv(16, 1, 0), &[wide], "point");
+        let wide = g.add(conv(32, 3, 1, 1), &[x], "wide");
+        let point = g.add(conv(16, 1, 1, 0), &[wide], "point");
         let pool = g.add(
             OpKind::MaxPool {
                 kernel: (2, 2),
@@ -1904,14 +2004,19 @@ mod tests {
             &[point],
             "pool",
         );
-        let ragged = g.add(conv(24, 1, 0), &[pool], "ragged");
+        let stem = g.add(conv(16, 7, 2, 3), &[x], "stem");
+        let joined = g.add(OpKind::Add, &[pool, stem], "joined");
+        let ragged = g.add(conv(24, 1, 1, 0), &[joined], "ragged");
+        let down3 = g.add(conv(24, 3, 2, 1), &[ragged], "down3");
+        let down1 = g.add(conv(24, 1, 2, 0), &[ragged], "down1");
+        let merged = g.add(OpKind::Add, &[down3, down1], "merged");
         let up = g.add(
             OpKind::ConvTranspose2d {
                 out_channels: 16,
                 kernel: (2, 2),
                 stride: (2, 2),
             },
-            &[ragged],
+            &[merged],
             "up",
         );
         let gap = g.add(OpKind::GlobalAvgPool, &[up], "gap");
@@ -2258,6 +2363,61 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_panel_byte_changes_the_answer_and_fails_integrity() {
+        // A conv straight to the output, so weight (0, 0) — the byte the
+        // corruption flips — reaches an output byte unfiltered.
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 4, 12, 12));
+        g.add(
+            OpKind::Conv2d {
+                out_channels: 32,
+                kernel: (3, 3),
+                stride: (1, 1),
+                padding: (1, 1),
+            },
+            &[x],
+            "conv",
+        );
+        let mut plan = Compiler::new().compile(&g).inference_plan(11);
+        let input = vec![15u8; 4 * 144];
+        let pristine = plan.execute(&input);
+        if !plan.corrupt_panel_for_test() {
+            // A packless tier (`GCD2_FORCE_SCALAR`, NEON) keeps no panel.
+            assert_eq!(plan.panel_bytes(), 0);
+            return;
+        }
+        assert_eq!(
+            plan.checksum(),
+            plan.integrity_checksum(),
+            "raw weights intact"
+        );
+        assert!(matches!(
+            plan.verify_integrity(),
+            Err(InferError::IntegrityViolation { expected, got })
+                if expected == plan.checksum() && got != expected
+        ));
+        let paranoid = ExecOptions {
+            paranoid: true,
+            ..ExecOptions::default()
+        };
+        assert!(matches!(
+            run_into(&plan, &input, &paranoid),
+            Err(InferError::IntegrityViolation { .. })
+        ));
+        assert_ne!(
+            plan.execute(&input),
+            pristine,
+            "the GEMM must read the resident panel, not the raw weights"
+        );
+        // A demoted run falls back to the raw weights: right answer.
+        let scalar = ExecOptions {
+            force_scalar: true,
+            ..ExecOptions::default()
+        };
+        assert_eq!(run_into(&plan, &input, &scalar), Ok(pristine));
+    }
+
+    #[test]
     fn deadline_zero_is_exceeded_structurally() {
         let g = kitchen_sink();
         let compiled = Compiler::new().compile(&g);
@@ -2298,10 +2458,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_isa_is_the_tier_of_most_macs_not_of_the_last_gemm() {
-        // A wide conv, then a 1×k FC: on a pack-paying vector tier the
-        // FC takes the skinny-m scalar handoff, which used to relabel
-        // the whole run `scalar`.
+    fn skinny_fc_stays_on_the_active_tier_with_its_resident_panel() {
+        // A wide conv, then a 1×k FC: with a resident panel even a
+        // one-row GEMM runs where the conv runs, never on the packless
+        // scalar tier.
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
         let conv = g.add(
@@ -2333,10 +2493,8 @@ mod tests {
         };
         assert_eq!((conv.m, fc.m), (144, 1));
         assert_eq!(conv.isa, gcd2_kernels::active_isa());
-        if conv.isa != KernelIsa::Neon {
-            // NEON reads weights unpacked, so it keeps skinny shapes.
-            assert_eq!(fc.isa, KernelIsa::Scalar);
-        }
+        assert_eq!(fc.isa, conv.isa);
+        assert!(conv.panel_resident && fc.panel_resident);
         assert_eq!(report.kernel_isa, conv.isa.name());
     }
 }

@@ -8,16 +8,15 @@
 //! `MB=32 / KB=256`, the dispatcher asks this module for a
 //! [`TilePlan`] per `(m, k, n, isa)`.
 //!
-//! The tuner also ranks the **kernel tier itself**, not just its tiles:
-//! vector tiers pay an O(k·n) weight-panel pack per dispatch, and for
-//! skinny activations (single-token FC layers, squeeze-excite
-//! bottlenecks — `m` of 1 to a few dozen) that pack costs more than the
-//! whole scalar GEMM. So a [`KernelChoice`] pairs tiles with an ISA,
-//! the candidate sweep on pack-paying tiers includes the scalar oracle
-//! (for `m ≤` [`SCALAR_CANDIDATE_MAX_M`], where it has a chance), and
-//! below-threshold skinny shapes (`m ≤` [`SCALAR_SMALL_M`]) fall back
-//! to scalar statically. All tiers are bit-identical, so the choice
-//! only ever changes speed.
+//! A [`KernelChoice`] pairs the tiles with the tier they were tuned on.
+//! The tuner ranks tiles only: every weight matrix a plan executes is
+//! packed once, when the plan materialises it ([`crate::WeightPanel`]),
+//! so no tier pays a pack per dispatch and there is no shape on which
+//! the packless scalar oracle beats a vector tier — with a resident
+//! panel the AVX-512 and AMX tiers run `1 × 2048 × 1000` in 38 µs
+//! against the oracle's 290, and AVX2 ties or wins from `m = 1` up
+//! (DESIGN.md §4d has the table) — so no shape is handed to scalar,
+//! statically or as a sweep candidate.
 //!
 //! Resolution policy, in order:
 //!
@@ -31,8 +30,7 @@
 //!    scalar choice or the static default — a quarantined dispatch
 //!    never pays a probe sweep;
 //! 3. shapes below [`TUNE_MIN_MACS`] or with `GCD2_AUTOTUNE=0` use the
-//!    defaults (tiny GEMMs finish before a probe would), except that
-//!    pack-paying tiers hand `m ≤` [`SCALAR_SMALL_M`] shapes to scalar;
+//!    defaults (tiny GEMMs finish before a probe would);
 //! 4. a sharded-cache hit returns the memoized choice;
 //! 5. otherwise the dispatcher's probe closure times each candidate on
 //!    a truncated row range ([`probe_rows`]) and the fastest choice is
@@ -74,42 +72,22 @@ impl Default for TilePlan {
     }
 }
 
-/// One resolved dispatch decision: which kernel tier runs the GEMM and
-/// with what blocking. The tiers are bit-identical, so this is purely a
+/// One resolved dispatch decision: the blocking a kernel tier runs a
+/// GEMM shape with. Blockings are bit-identical, so this is purely a
 /// speed choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelChoice {
-    /// The tier that should execute this shape.
+    /// The tier the blocking was tuned on and executes on — always the
+    /// dispatching tier; a plan artifact's TUNE record carries it.
     pub isa: KernelIsa,
     /// Its blocking parameters.
     pub tiles: TilePlan,
-}
-
-impl KernelChoice {
-    fn untuned(isa: KernelIsa) -> KernelChoice {
-        KernelChoice {
-            isa,
-            tiles: TilePlan::DEFAULT,
-        }
-    }
 }
 
 /// Row-block candidates searched per shape.
 const MB_CANDIDATES: [usize; 4] = [16, 32, 64, 128];
 /// Reduction-segment candidates searched per shape.
 const KB_CANDIDATES: [usize; 3] = [128, 256, 1024];
-
-/// Above this many activation rows the per-dispatch weight pack is
-/// amortized enough that scalar can never win; the sweep skips the
-/// scalar probe (which would be slow precisely where it is pointless).
-pub const SCALAR_CANDIDATE_MAX_M: usize = 128;
-
-/// Skinny-shape static fallback: at `m ≤ 2` a pack-paying vector tier
-/// loses to the packless scalar oracle on every shape we measured
-/// (the pack reads `k·n` weights; the whole scalar GEMM reads them
-/// once, without the strided interleave), so below-threshold dispatches
-/// this narrow go straight to scalar without probing.
-pub const SCALAR_SMALL_M: usize = 2;
 
 /// Shapes below this many MACs (`m·k·n`) are not worth probing: the
 /// GEMM completes faster than a candidate sweep.
@@ -150,10 +128,9 @@ pub fn autotune_enabled() -> bool {
     *ENABLED.get_or_init(|| std::env::var("GCD2_AUTOTUNE").map_or(true, |v| v != "0"))
 }
 
-/// The memoized choice for a shape (keyed by the *dispatching* tier,
-/// which may have ceded to scalar), if that shape has been tuned in
-/// this process — a pure lookup (no fault point, no probing) for
-/// reports.
+/// The memoized choice for a shape on the dispatching tier `isa`, if
+/// that shape has been tuned in this process — a pure lookup (no fault
+/// point, no probing) for reports.
 pub fn cached_choice(m: usize, k: usize, n: usize, isa: KernelIsa) -> Option<KernelChoice> {
     cache().get(&(m, k, n, isa as u8))
 }
@@ -167,8 +144,10 @@ const SEED_KB_MAX: usize = 1 << 20;
 /// Installs an externally recorded dispatch decision (e.g. the TUNE
 /// section of a loaded plan artifact) into this process's tuner memo.
 ///
-/// Hints are **advisory and validated**: both tiers must be executable
-/// on this CPU, the blocking must be sane, and a shape that was already
+/// Hints are **advisory and validated**: the tier must be executable on
+/// this CPU and be the one the hint was recorded under (an older build's
+/// scalar hand-off was measured against a per-dispatch pack nobody pays
+/// any more), the blocking must be sane, and a shape that was already
 /// probed locally keeps its measured choice (first writer wins — local
 /// timings beat another machine's). Tile choices never change output
 /// bytes, only speed, so a stale or mis-tuned hint is a performance
@@ -180,7 +159,7 @@ pub fn seed_choice(
     dispatch_isa: KernelIsa,
     choice: KernelChoice,
 ) -> bool {
-    if !autotune_enabled() || !dispatch_isa.supported() || !choice.isa.supported() {
+    if !autotune_enabled() || !dispatch_isa.supported() || choice.isa != dispatch_isa {
         return false;
     }
     let TilePlan { mb, kb } = choice.tiles;
@@ -219,32 +198,25 @@ fn candidates(m: usize, k: usize) -> Vec<TilePlan> {
     out
 }
 
-/// The choice a shape gets when it is not (or cannot be) probed:
-/// the dispatching tier with default tiles — except that pack-paying
-/// tiers hand off skinny activations (`m ≤` [`SCALAR_SMALL_M`]) to the
-/// packless scalar oracle, the statically known winner there.
-pub(crate) fn static_choice(m: usize, isa: KernelIsa, pays_pack: bool) -> KernelChoice {
-    if pays_pack && m <= SCALAR_SMALL_M {
-        KernelChoice::untuned(KernelIsa::Scalar)
-    } else {
-        KernelChoice::untuned(isa)
+/// The choice a shape gets when it is not (or cannot be) probed: the
+/// dispatching tier with default tiles.
+pub(crate) fn static_choice(isa: KernelIsa) -> KernelChoice {
+    KernelChoice {
+        isa,
+        tiles: TilePlan::DEFAULT,
     }
 }
 
-/// Resolves the kernel choice (tier + tiles) for one GEMM dispatch on
-/// the dispatching tier `isa` (`pays_pack`: whether that tier packs a
-/// weight panel per dispatch). `probe` times one candidate over the
-/// truncated probe range and is only invoked on a cache miss above the
-/// tuning threshold; candidates are the tile grid on `isa` plus — for
-/// pack-paying tiers on shapes up to [`SCALAR_CANDIDATE_MAX_M`] rows —
-/// the scalar oracle. Returns the choice plus whether it came from
-/// tuning (cache hit or fresh probe) rather than statics.
+/// Resolves the kernel choice for one GEMM dispatch on the dispatching
+/// tier `isa`. `probe` times one candidate blocking over the truncated
+/// probe range and is only invoked on a cache miss above the tuning
+/// threshold. Returns the choice plus whether it came from tuning
+/// (cache hit or fresh probe) rather than statics.
 pub(crate) fn resolve_kernel(
     m: usize,
     k: usize,
     n: usize,
     isa: KernelIsa,
-    pays_pack: bool,
     probe: &mut dyn FnMut(KernelChoice) -> Duration,
 ) -> (KernelChoice, bool) {
     // Fire first so chaos scenarios targeting the tuner cache always
@@ -255,7 +227,7 @@ pub(crate) fn resolve_kernel(
         gcd2_faults::fire("autotune.cache"),
         gcd2_faults::Injection::CorruptCache
     ) {
-        return (static_choice(m, isa, pays_pack), false);
+        return (static_choice(isa), false);
     }
     // A thread-scoped scalar pin (fault-triggered ISA demotion,
     // [`crate::dispatch::pin_scalar`]) is a quarantine, not a tuning
@@ -267,30 +239,24 @@ pub(crate) fn resolve_kernel(
         if let Some(c) = cache().get(&(m, k, n, KernelIsa::Scalar as u8)) {
             return (c, true);
         }
-        return (static_choice(m, isa, pays_pack), false);
+        return (static_choice(isa), false);
     }
     if !autotune_enabled()
         || (m as u64).saturating_mul(k as u64).saturating_mul(n as u64) < TUNE_MIN_MACS
     {
-        return (static_choice(m, isa, pays_pack), false);
+        return (static_choice(isa), false);
     }
     let key = (m, k, n, isa as u8);
     if let Some(c) = cache().get(&key) {
         return (c, true);
     }
-    let mut best = KernelChoice::untuned(isa);
+    let mut best = static_choice(isa);
     let mut best_t = Duration::MAX;
     for tiles in candidates(m, k) {
         let cand = KernelChoice { isa, tiles };
         let took = probe(cand);
         if took < best_t {
             best_t = took;
-            best = cand;
-        }
-    }
-    if pays_pack && isa != KernelIsa::Scalar && m <= SCALAR_CANDIDATE_MAX_M {
-        let cand = KernelChoice::untuned(KernelIsa::Scalar);
-        if probe(cand) < best_t {
             best = cand;
         }
     }
@@ -331,34 +297,33 @@ mod tests {
     #[test]
     fn small_shapes_resolve_to_default_without_probing() {
         let mut calls = 0;
-        let (c, tuned) = resolve_kernel(4, 4, 4, KernelIsa::Scalar, false, &mut |_| {
+        let (c, tuned) = resolve_kernel(4, 4, 4, KernelIsa::Scalar, &mut |_| {
             calls += 1;
             Duration::ZERO
         });
-        assert_eq!(c, KernelChoice::untuned(KernelIsa::Scalar));
+        assert_eq!(c, static_choice(KernelIsa::Scalar));
         assert!(!tuned);
         assert_eq!(calls, 0, "below-threshold shape must not probe");
     }
 
+    /// A skinny shape keeps the dispatching tier: with resident panels
+    /// no tier hands anything to the scalar oracle.
     #[test]
-    fn skinny_shapes_on_packing_tiers_fall_back_to_scalar_statically() {
+    fn skinny_shapes_stay_on_the_dispatching_tier() {
         let mut calls = 0;
-        let (c, tuned) = resolve_kernel(1, 1280, 1000, KernelIsa::Avx2, true, &mut |_| {
+        let (c, tuned) = resolve_kernel(1, 1280, 1000, KernelIsa::Avx2, &mut |_| {
             calls += 1;
             Duration::ZERO
         });
-        assert_eq!(c.isa, KernelIsa::Scalar, "m=1 must dodge the pack");
+        assert_eq!(c, static_choice(KernelIsa::Avx2));
         assert!(!tuned);
-        assert_eq!(calls, 0);
-        // A packless tier (NEON/scalar) keeps its own kernel.
-        let (c, _) = resolve_kernel(1, 1280, 1000, KernelIsa::Neon, false, &mut |_| {
-            Duration::ZERO
+        assert_eq!(calls, 0, "below-threshold shape must not probe");
+        // Above the threshold every candidate is on the dispatching tier.
+        let (c, tuned) = resolve_kernel(64, 2048, 512, KernelIsa::Avx2, &mut |cand| {
+            assert_eq!(cand.isa, KernelIsa::Avx2);
+            Duration::from_micros(1)
         });
-        assert_eq!(c.isa, KernelIsa::Neon);
-        // Wider-than-skinny shapes stay on the vector tier.
-        let (c, _) = resolve_kernel(16, 1280, 1000, KernelIsa::Avx2, true, &mut |_| {
-            Duration::ZERO
-        });
+        assert!(tuned);
         assert_eq!(c.isa, KernelIsa::Avx2);
     }
 
@@ -367,7 +332,7 @@ mod tests {
         // Unique shape for this test; above threshold.
         let (m, k, n) = (4096, 1024, 64);
         let mut calls = 0;
-        let (c1, tuned1) = resolve_kernel(m, k, n, KernelIsa::Scalar, false, &mut |cand| {
+        let (c1, tuned1) = resolve_kernel(m, k, n, KernelIsa::Scalar, &mut |cand| {
             calls += 1;
             // Deterministic "timing": prefer mb=64/kb=1024.
             Duration::from_micros((200 - cand.tiles.mb.min(64) - cand.tiles.kb / 16) as u64)
@@ -377,7 +342,7 @@ mod tests {
         assert_eq!(c1.isa, KernelIsa::Scalar);
         assert_eq!(c1.tiles, TilePlan { mb: 64, kb: 1024 });
         let before = calls;
-        let (c2, tuned2) = resolve_kernel(m, k, n, KernelIsa::Scalar, false, &mut |_| {
+        let (c2, tuned2) = resolve_kernel(m, k, n, KernelIsa::Scalar, &mut |_| {
             calls += 1;
             Duration::ZERO
         });
@@ -386,42 +351,5 @@ mod tests {
         assert_eq!(calls, before, "warm shape must not probe");
         assert_eq!(cached_choice(m, k, n, KernelIsa::Scalar), Some(c1));
         assert_eq!(cached_choice(m, k, n, KernelIsa::Avx2), None);
-    }
-
-    #[test]
-    fn sweep_probes_scalar_on_packing_tiers_and_picks_it_when_it_wins() {
-        // Above threshold but narrow enough for the scalar candidate.
-        let (m, k, n) = (64, 2048, 512);
-        let mut scalar_probed = false;
-        let (c, tuned) = resolve_kernel(m, k, n, KernelIsa::Avx2, true, &mut |cand| {
-            if cand.isa == KernelIsa::Scalar {
-                scalar_probed = true;
-                Duration::from_micros(1)
-            } else {
-                Duration::from_micros(100)
-            }
-        });
-        assert!(tuned);
-        assert!(scalar_probed, "pack-paying tier must rank scalar");
-        assert_eq!(c.isa, KernelIsa::Scalar, "faster scalar probe must win");
-        assert_eq!(
-            cached_choice(m, k, n, KernelIsa::Avx2).map(|c| c.isa),
-            Some(KernelIsa::Scalar),
-            "handoff is memoized under the dispatching tier's key"
-        );
-        // Wide shapes skip the scalar probe entirely.
-        let (m2, k2, n2) = (4096, 2048, 512);
-        let mut scalar_probed_wide = false;
-        let (c, _) = resolve_kernel(m2, k2, n2, KernelIsa::Avx2, true, &mut |cand| {
-            if cand.isa == KernelIsa::Scalar {
-                scalar_probed_wide = true;
-            }
-            Duration::from_micros(100)
-        });
-        assert!(
-            !scalar_probed_wide,
-            "m > {SCALAR_CANDIDATE_MAX_M} must not probe scalar"
-        );
-        assert_eq!(c.isa, KernelIsa::Avx2);
     }
 }

@@ -126,20 +126,29 @@ pub fn im2col_chw(
 /// [`im2col_chw`] into a caller-provided row-major buffer — the
 /// allocation-free staging path of the inference plan executor. `out`
 /// must hold exactly `out_spatial × c·kh·kw` bytes and is fully
-/// overwritten (padding taps become 0). Contiguous kernel-row spans are
-/// copied as slices, so this is the fast path for repeated execution.
+/// overwritten (padding taps become 0); the bytes are
+/// [`im2col_chw`]`(…, RowMajor)`'s, whichever form runs.
 ///
-/// Output pixels are processed in L1-sized chunks (see
-/// [`IM2COL_WINDOW_BYTES`]) with the `(channel, dy)` sweep *outside*
-/// the per-pixel copy: for each source
-/// row the chunk reads a short contiguous segment that stays in L1 while
-/// the chunk's write window stays in L2, instead of hopping across every
-/// channel plane per output pixel. For megapixel activations with many
-/// channels this turns the staging pass from cache-miss-bound to
-/// copy-bound. The bytes written are identical to the naive nest: a
-/// chunk whose taps are all in range is fully overwritten by the copies;
-/// any chunk touching padding is pre-zeroed and then partially written,
-/// exactly like the old global `fill(0)` + partial-copy scheme.
+/// **im2col is a transpose.** Row `kk = (ch, dy, dx)` of the virtual
+/// `k × out_w` matrix of one output row `oy` is a contiguous run of the
+/// input plane (of one column phase of it, when the conv is strided),
+/// and the staged block for `oy` is that matrix transposed. Two forms,
+/// picked by [`crate::active_isa`] on the calling thread — the rule of
+/// [`crate::transpose_clamp_into`]:
+///
+/// * **tile** (x86-64, a vector tier active, `k >= 16`) — copy the input
+///   rows some tap reads into `scratch`, zero-padded and split by column
+///   phase `dx % sw` so every tap of every stride reads a stride-1 run,
+///   then move 16 `kk` rows × 16 pixels at a time through the
+///   [`crate::transpose`] unpack network: 16 loads and 16 stores of 16
+///   bytes where the portable form issues 256 / `kw` narrow copies.
+///   Ragged `k` and `out_w` take a tile shifted back inside the matrix;
+///   `out_w < 16` stores only the rows that exist.
+/// * **portable** — per `(channel, dy)` pass, copy each pixel's `kw`-byte
+///   span; runs on the scalar tier, off x86-64, and for `k < 16`.
+///
+/// `scratch` is the tile form's working memory: it grows to the largest
+/// padded input seen and is kept, so warm calls allocate nothing.
 ///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or `out` has the wrong length.
@@ -152,6 +161,7 @@ pub fn im2col_rm_into(
     kernel: (usize, usize),
     stride: (usize, usize),
     padding: (usize, usize),
+    scratch: &mut Im2colScratch,
     out: &mut [u8],
 ) {
     assert_eq!(input.len(), c * h * w, "input size mismatch");
@@ -160,6 +170,233 @@ pub fn im2col_rm_into(
     let out_w = (w + 2 * padding.1 - kw) / stride.1 + 1;
     let k = c * kh * kw;
     assert_eq!(out.len(), out_h * out_w * k, "im2col buffer size mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if k >= crate::transpose::x86::TILE
+        && crate::dispatch::active_isa() != crate::dispatch::KernelIsa::Scalar
+    {
+        im2col_tiles(input, c, h, w, kernel, stride, padding, scratch, out);
+        return;
+    }
+    let _ = scratch;
+    im2col_portable(input, c, h, w, kernel, stride, padding, out);
+}
+
+/// Working memory of [`im2col_rm_into`]'s tile form, reused across calls.
+#[derive(Debug, Default)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the tile form is x86-64's
+pub struct Im2colScratch {
+    /// The input rows some tap reads, zero-padded and phase-split, plus
+    /// one tile of slack (see `im2col_tiles`).
+    padded: Vec<u8>,
+    /// Offset in `padded` of virtual-matrix row `kk` for output row 0.
+    offsets: Vec<usize>,
+}
+
+/// Tile form of [`im2col_rm_into`]; requires `c·kh·kw >= 16`.
+///
+/// The padded copy keeps, per channel, `rows = (out_h − 1)·rs + kh`
+/// rows with `rs = min(sh, kh)`: row `oy·rs + dy` is padded input row
+/// `oy·sh + dy` (when `sh > kh` the rows between two output rows' windows
+/// are never read and not stored). Each row is `np = min(sw, kw)` phase
+/// runs of `pl = out_w + (kw − 1)/sw` bytes: element `j` of phase `p` is
+/// padded column `j·sw + p`, so tap `dx` of pixel `ox` — padded column
+/// `ox·sw + dx` — is element `ox + dx/sw` of phase `dx % sw`, and 16
+/// consecutive pixels are 16 consecutive bytes.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn im2col_tiles(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    (kh, kw): (usize, usize),
+    (sh, sw): (usize, usize),
+    (ph, pw): (usize, usize),
+    scratch: &mut Im2colScratch,
+    out: &mut [u8],
+) {
+    use crate::transpose::x86::{transpose16, TILE};
+    use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128};
+
+    let out_h = (h + 2 * ph - kh) / sh + 1;
+    let out_w = (w + 2 * pw - kw) / sw + 1;
+    let k = c * kh * kw;
+    // What the stores below rely on.
+    assert!(k >= TILE, "tile form needs one tile of k");
+    assert_eq!(out.len(), out_h * out_w * k, "im2col buffer size mismatch");
+    let rs = sh.min(kh);
+    let rows = (out_h - 1) * rs + kh;
+    let np = sw.min(kw);
+    let pl = out_w + (kw - 1) / sw;
+    let row_len = np * pl;
+    let plane = rows * row_len;
+
+    // Zero everything once, then copy the in-range runs: borders and
+    // out-of-range rows are whatever one memset left, instead of two
+    // tiny fills per phase run. The slack past `c·plane` is only ever
+    // loaded into lanes that are not stored.
+    let Im2colScratch { padded, offsets } = scratch;
+    padded.clear();
+    padded.resize(c * plane + TILE, 0);
+    for (ch, dst_plane) in padded[..c * plane].chunks_exact_mut(plane).enumerate() {
+        let src_plane = &input[ch * h * w..(ch + 1) * h * w];
+        for (r, dst_row) in dst_plane.chunks_exact_mut(row_len).enumerate() {
+            // Stored row `oy·rs + dy` is padded row `oy·sh + dy`; the two
+            // coincide unless the stride skips rows (`sh > kh`).
+            let yp = if rs == sh { r } else { (r / kh) * sh + r % kh };
+            if yp < ph || yp - ph >= h {
+                continue;
+            }
+            let src_row = &src_plane[(yp - ph) * w..(yp - ph + 1) * w];
+            for (p, run) in dst_row.chunks_exact_mut(pl).enumerate() {
+                // Element j is source column j·sw + p − pw: in range
+                // for j in [lo, hi).
+                let lo = pw.saturating_sub(p).div_ceil(sw).min(pl);
+                let hi = (w + pw).saturating_sub(p).div_ceil(sw).clamp(lo, pl);
+                if hi > lo {
+                    copy_strided(&src_row[lo * sw + p - pw..], sw, &mut run[lo..hi]);
+                }
+            }
+        }
+    }
+
+    offsets.clear();
+    for ch in 0..c {
+        for dy in 0..kh {
+            let row = ch * plane + dy * row_len;
+            offsets.extend((0..kw).map(|dx| row + (dx % sw) * pl + dx / sw));
+        }
+    }
+
+    // Tile origins: the last tile of a ragged extent is shifted back to
+    // end at the edge, rewriting bytes with the values they already hold.
+    let k_tiles = k.div_ceil(TILE);
+    let x_tiles = out_w.div_ceil(TILE);
+    let x_last = out_w.saturating_sub(TILE);
+    let valid = out_w.min(TILE);
+    // The furthest byte any tile loads: the row of the largest offset,
+    // at the last output row and the last tile origin, 16 bytes on.
+    let max_off = offsets.iter().copied().max().unwrap_or(0);
+    assert!(
+        max_off + (out_h - 1) * rs * row_len + x_last + TILE <= padded.len(),
+        "im2col gather leaves the padded copy"
+    );
+    for oy in 0..out_h {
+        let src_base = oy * rs * row_len;
+        let dst_base = oy * out_w * k;
+        for xt in 0..x_tiles {
+            let ox = (xt * TILE).min(x_last);
+            for kt in 0..k_tiles {
+                let kk = (kt * TILE).min(k - TILE);
+                let mut x = [
+                    // SAFETY: SSE2 is part of the x86-64 baseline.
+                    unsafe { _mm_setzero_si128() };
+                    TILE
+                ];
+                for (reg, &off) in x.iter_mut().zip(&offsets[kk..kk + TILE]) {
+                    // SAFETY: `off <= max_off`, `src_base` is at most
+                    // the last output row's and `ox <= x_last`, so the
+                    // 16 bytes read end inside `padded` by the assert
+                    // above. When `out_w < 16` the lanes past `out_w`
+                    // come from the next run or the slack; they are
+                    // initialised bytes and `valid` keeps them unstored.
+                    *reg = unsafe {
+                        _mm_loadu_si128(padded.as_ptr().add(src_base + off + ox) as *const __m128i)
+                    };
+                }
+                let cols = transpose16(x);
+                for (j, &col) in cols[..valid].iter().enumerate() {
+                    // SAFETY: pixel `ox + j < out_w` of output row `oy`
+                    // starts at `dst_base + (ox + j)·k`, and `kk + 16
+                    // <= k`, so the 16 bytes stored lie inside that
+                    // pixel's `k`-byte row of `out` (length `out_h ·
+                    // out_w · k`, asserted above).
+                    unsafe {
+                        _mm_storeu_si128(
+                            out.as_mut_ptr().add(dst_base + (ox + j) * k + kk) as *mut __m128i,
+                            col,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst[j] = src[j · step]` for every `j < dst.len()`; `dst` is not
+/// empty and `src` reaches `(dst.len() − 1) · step`.
+#[cfg(target_arch = "x86_64")]
+fn copy_strided(src: &[u8], step: usize, dst: &mut [u8]) {
+    use core::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_loadu_si128, _mm_packus_epi16, _mm_set1_epi16, _mm_storeu_si128,
+    };
+    match step {
+        1 => dst.copy_from_slice(&src[..dst.len()]),
+        2 => {
+            // The last element's partner byte may lie past `src`; every
+            // other element is the low byte of a whole 16-bit pair.
+            let pairs = dst.len() - 1;
+            assert!(src.len() > 2 * pairs, "strided source too short");
+            if pairs >= 16 {
+                // 16 pairs per step: mask the low bytes, pack 2 × 8
+                // words to 16 bytes. The final step is shifted back to
+                // end at `pairs`, rewriting bytes with the same values.
+                for i in (0..pairs.div_ceil(16)).map(|t| (t * 16).min(pairs - 16)) {
+                    // SAFETY: `i + 16 <= pairs`, so the 32 bytes read at
+                    // `2i` end at most at `2·pairs < src.len()` and the
+                    // 16 bytes stored at `i` end inside `dst`; SSE2 is
+                    // part of the x86-64 baseline.
+                    unsafe {
+                        let low = _mm_set1_epi16(0x00FF);
+                        let at = src.as_ptr().add(2 * i) as *const __m128i;
+                        let a = _mm_and_si128(_mm_loadu_si128(at), low);
+                        let b = _mm_and_si128(_mm_loadu_si128(at.add(1)), low);
+                        _mm_storeu_si128(
+                            dst.as_mut_ptr().add(i) as *mut __m128i,
+                            _mm_packus_epi16(a, b),
+                        );
+                    }
+                }
+            } else {
+                for (d, pair) in dst.iter_mut().zip(src.chunks_exact(2)) {
+                    *d = pair[0];
+                }
+            }
+            dst[pairs] = src[2 * pairs];
+        }
+        _ => {
+            for (d, &v) in dst.iter_mut().zip(src.iter().step_by(step)) {
+                *d = v;
+            }
+        }
+    }
+}
+
+/// Portable form of [`im2col_rm_into`].
+///
+/// Output pixels are processed in L1-sized chunks (see
+/// [`IM2COL_WINDOW_BYTES`]) with the `(channel, dy)` sweep *outside*
+/// the per-pixel copy: for each source
+/// row the chunk reads a short contiguous segment that stays in L1 while
+/// the chunk's write window stays in L2, instead of hopping across every
+/// channel plane per output pixel. A chunk whose taps are all in range
+/// is fully overwritten by the copies; any chunk touching padding is
+/// pre-zeroed and then partially written.
+#[allow(clippy::too_many_arguments)]
+fn im2col_portable(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    out: &mut [u8],
+) {
+    let (kh, kw) = kernel;
+    let out_h = (h + 2 * padding.0 - kh) / stride.0 + 1;
+    let out_w = (w + 2 * padding.1 - kw) / stride.1 + 1;
+    let k = c * kh * kw;
     // Chunk width scales inversely with k so the write window stays
     // cache-resident even for very wide patch rows (e.g. 32·9·9 =
     // 2592). When a whole output row fits in a few windows' worth of
@@ -265,7 +502,7 @@ pub fn im2col_rm_into(
     }
 }
 
-/// Write-window budget for one [`im2col_rm_into`] chunk
+/// Write-window budget for one `im2col_portable` chunk
 /// (`chunk × c·kh·kw` bytes): the `(channel, dy)` sweep revisits the
 /// window `c·kh` times per chunk, so the window must stay cache-
 /// resident; but each pass also touches every source row once, so
@@ -1306,7 +1543,18 @@ mod tests {
                 Layout::RowMajor,
             );
             let mut buf = vec![0xAA; m.rows() * m.cols()];
-            im2col_rm_into(&input, c, h, w_dim, kernel, stride, padding, &mut buf);
+            let mut scratch = Im2colScratch::default();
+            im2col_rm_into(
+                &input,
+                c,
+                h,
+                w_dim,
+                kernel,
+                stride,
+                padding,
+                &mut scratch,
+                &mut buf,
+            );
             assert_eq!(buf, m.as_bytes(), "c={c} h={h} w={w_dim} k={kernel:?}");
         }
     }
@@ -1413,6 +1661,7 @@ mod tests {
                     kernel,
                     stride,
                     padding,
+                    &mut Im2colScratch::default(),
                     &mut a[ch * out_h * out_w * k..(ch + 1) * out_h * out_w * k],
                 );
             }

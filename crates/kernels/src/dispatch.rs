@@ -21,12 +21,27 @@
 //! [`crate::simd`] for the argument), so switching ISAs — or racing a
 //! switch mid-run — can never change results, only speed.
 //!
-//! Intra-op parallelism: [`try_matmul_threaded_into`] splits the output
-//! rows into contiguous bands and maps them over [`gcd2_par::par_map`]
-//! (the caller runs the first band it claims, `bands − 1` scoped
-//! threads the rest) with per-band scratch from a [`ScratchPool`]. Bands
-//! write disjoint output slices and share the read-only packed weight
-//! panel, so the result is bit-identical for every thread count.
+//! **A GEMM step only multiplies.** The vector tiers read their weights
+//! from a packed panel ([`WeightPanel`]: pair-interleaved i16 for AVX2,
+//! quad-interleaved i8 for AVX-512 VNNI and AMX). A caller that runs the
+//! same weights again and again — an inference plan — packs the panel
+//! once, when it materialises the weights, and passes it to
+//! [`try_matmul_panel_into`] on every dispatch; no tier pays an
+//! `O(k·n)` pack per dispatch. The matrix-taking entry points
+//! ([`try_matmul_threaded_into`], [`crate::try_matmul_blocked_into`])
+//! are *pack, then the same core*: one `dispatch` function picks the
+//! panel, resolves the tiles and runs the bands under all of them.
+//! There is one fallback: a dispatch whose tier wants another layout
+//! than the resident panel's (a [`pin_scalar`] demotion, [`force_isa`]
+//! flipped since the pack) reads the raw weights or packs for that one
+//! call ([`PanelSource::PerCall`]) — identical bytes either way.
+//!
+//! Intra-op parallelism: the pooled entry points split the output rows
+//! into contiguous bands and map them over [`gcd2_par::par_map`] (the
+//! caller runs the first band it claims, `bands − 1` scoped threads the
+//! rest) with per-band scratch from a [`ScratchPool`]. Bands write
+//! disjoint output slices and share the read-only weight panel, so the
+//! result is bit-identical for every thread count.
 //!
 //! **A GEMM fans out only when the fan-out pays.** The band count is
 //! [`gemm_bands`], a pure function of `(m, k, n, threads)` with two
@@ -43,10 +58,12 @@
 //! each band still walks the whole weight panel and keeps a ragged tile
 //! remainder.
 //!
-//! The two layout moves that wrap every conv GEMM — CHW → rows before
-//! it, rows → CHW after it — are one kernel,
-//! [`crate::transpose_clamp_into`], which follows the same tier rule
-//! ([`active_isa`] on the calling thread). The VNNI and AMX tiers finish
+//! The layout moves that wrap every conv GEMM — CHW → rows before it
+//! ([`crate::transpose_clamp_into`] for a pointwise conv,
+//! [`crate::im2col_rm_into`] otherwise), rows → CHW after it
+//! (`transpose_clamp_into` again) — run through one 16×16 byte-tile
+//! network and follow the same tier rule ([`active_isa`] on the calling
+//! thread). The VNNI and AMX tiers finish
 //! the `n % 16` trailing columns with one lane-masked zmm strip instead
 //! of a scalar tail (see [`crate::simd`]).
 
@@ -56,7 +73,7 @@ use crate::tiled::{validate_dispatch, GemmDispatchError, GemmScratch};
 use gcd2_tensor::MatrixI8;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Kernel instruction-set tiers, from the always-available oracle up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,6 +93,16 @@ pub enum KernelIsa {
 }
 
 impl KernelIsa {
+    /// Every tier, in tag order; filter by [`KernelIsa::supported`] for
+    /// the ones this host can run.
+    pub const ALL: [KernelIsa; 5] = [
+        KernelIsa::Scalar,
+        KernelIsa::Avx2,
+        KernelIsa::Neon,
+        KernelIsa::Avx512Vnni,
+        KernelIsa::AmxInt8,
+    ];
+
     /// Stable lowercase name, used in reports, benches, and JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -141,14 +168,112 @@ pub(crate) struct BandArgs<'a> {
 }
 
 /// Which packed weight panel a kernel consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum PanelKind {
     /// No packing (scalar, NEON — they read `wd` directly).
+    #[default]
     None,
     /// Pair-interleaved i16 panel ([`simd::pack_pairs_i16`], AVX2).
     Pairs,
-    /// Quad-interleaved i8 panel ([`simd::pack_quads_i8`], VNNI).
+    /// Quad-interleaved i8 panel ([`simd::pack_quads_i8`], VNNI, AMX).
     Quads,
+}
+
+/// A weight matrix in the layout one kernel tier's micro-kernel reads.
+///
+/// A plan packs each GEMM's weights **once**, when the weights are
+/// materialised, and hands the panel to [`try_matmul_panel_into`] on
+/// every dispatch; the matrix-taking entry points pack one per call
+/// into their scratch. On the scalar and NEON tiers, which read the
+/// row-major weights themselves, a panel holds no bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WeightPanel {
+    kind: PanelKind,
+    pairs: Vec<i16>,
+    quads: Vec<i8>,
+}
+
+impl WeightPanel {
+    /// Packs `w` for the tier [`active_isa`] resolves on this thread.
+    pub fn pack(w: &MatrixI8) -> WeightPanel {
+        let mut panel = WeightPanel::default();
+        panel.fill(active_table().panel, w.as_slice(), w.rows(), w.cols());
+        panel
+    }
+
+    /// Repacks in place as the `kind` image of the `k × n` matrix `wd`,
+    /// reusing the buffers; the other layout's buffer is emptied, so a
+    /// stale panel can never be consumed.
+    fn fill(&mut self, kind: PanelKind, wd: &[i8], k: usize, n: usize) {
+        self.kind = kind;
+        self.pairs.clear();
+        self.quads.clear();
+        match kind {
+            PanelKind::None => {}
+            PanelKind::Pairs => simd::pack_pairs_i16(wd, k, n, &mut self.pairs),
+            PanelKind::Quads => simd::pack_quads_i8(wd, k, n, &mut self.quads),
+        }
+    }
+
+    /// Bytes the panel holds beside the raw weights.
+    pub fn bytes(&self) -> usize {
+        self.pairs.len() * std::mem::size_of::<i16>() + self.quads.len()
+    }
+
+    /// Whether the panel still is what packing `w` in its layout yields
+    /// — the integrity check of a resident panel. Re-packs `w` a block
+    /// of rows at a time (a whole number of pairs and quads, so each
+    /// block's image is a slice of the panel's) and compares, so the
+    /// check needs a cache-sized buffer, not a second panel.
+    pub fn is_pack_of(&self, w: &MatrixI8) -> bool {
+        const BLOCK_ROWS: usize = 256;
+        let n = w.cols();
+        let mut block = WeightPanel::default();
+        let (mut pairs, mut quads) = (&self.pairs[..], &self.quads[..]);
+        for rows in w.as_slice().chunks((BLOCK_ROWS * n).max(1)) {
+            block.fill(self.kind, rows, rows.len() / n.max(1), n);
+            let (Some(p), Some(q)) = (
+                pairs.split_at_checked(block.pairs.len()),
+                quads.split_at_checked(block.quads.len()),
+            ) else {
+                return false;
+            };
+            if p.0 != block.pairs || q.0 != block.quads {
+                return false;
+            }
+            (pairs, quads) = (p.1, q.1);
+        }
+        pairs.is_empty() && quads.is_empty()
+    }
+
+    /// Test instrumentation: flips the top bit of the panel's first
+    /// byte — the packed image of weight `(0, 0)` — so a suite can show
+    /// that a resident panel is both what executes and what integrity
+    /// checking covers. Returns `false` for a panel that holds no bytes.
+    #[doc(hidden)]
+    pub fn corrupt_for_test(&mut self) -> bool {
+        if let Some(v) = self.pairs.first_mut() {
+            *v ^= 0x80;
+            true
+        } else if let Some(v) = self.quads.first_mut() {
+            *v ^= i8::MIN;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// Where a dispatch read its weights from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanelSource {
+    /// The caller's resident [`WeightPanel`]: nothing was packed.
+    Resident,
+    /// The resolved tier wants another layout than the resident panel's
+    /// (a scalar pin or demotion, [`force_isa`] flipped since the panel
+    /// was packed) or no panel was given: the dispatch read the raw
+    /// weights (packless tiers) or packed them for this call.
+    PerCall,
 }
 
 /// A band kernel: computes output rows `[r0, r1)` into `out_band`
@@ -168,27 +293,6 @@ pub(crate) struct KernelTable {
     pub isa: KernelIsa,
     pub band: BandFn,
     pub panel: PanelKind,
-}
-
-impl KernelTable {
-    /// Populates the panel this kernel needs (and clears the other, so
-    /// stale panels from a previous dispatch can never be consumed).
-    fn pack(&self, wd: &[i8], k: usize, n: usize, scratch: &mut GemmScratch) {
-        match self.panel {
-            PanelKind::None => {
-                scratch.panel.clear();
-                scratch.panel8.clear();
-            }
-            PanelKind::Pairs => {
-                simd::pack_pairs_i16(wd, k, n, &mut scratch.panel);
-                scratch.panel8.clear();
-            }
-            PanelKind::Quads => {
-                simd::pack_quads_i8(wd, k, n, &mut scratch.panel8);
-                scratch.panel.clear();
-            }
-        }
-    }
 }
 
 /// Adapter giving the scalar oracle the band-kernel ABI.
@@ -337,8 +441,8 @@ impl Drop for ScalarPin {
 /// under a pin so a misbehaving SIMD tier is quarantined without
 /// touching process-global state (other models and other threads keep
 /// their vector tiers). Intra-op band fan-out is covered because
-/// [`try_matmul_threaded_into`] resolves its table on the calling
-/// thread before fanning out. Scalar is the bit-exactness oracle, so a
+/// the GEMM entry points resolve their table on the calling thread
+/// before fanning out. Scalar is the bit-exactness oracle, so a
 /// demoted dispatch can never change output bytes — only speed.
 pub fn pin_scalar() -> ScalarPin {
     SCALAR_PINNED.with(|c| c.set(c.get() + 1));
@@ -409,86 +513,134 @@ impl ScratchPool {
     }
 }
 
-/// Resolves the kernel (tier + tiles) for a dispatch, probing
-/// candidates with the real operands on a cache miss (see
-/// [`crate::autotune`]), and leaves `scratch` holding exactly the
-/// panels the returned table needs. Returns the table to execute with
-/// and its tile plan — possibly the scalar oracle when the active
-/// tier's per-dispatch weight pack costs more than it buys (skinny
-/// activations), in which case no pack is paid at all.
-#[allow(clippy::too_many_arguments)] // full operand set of one dispatch
-fn resolve_and_pack(
-    active: &'static KernelTable,
+/// The panel the `active` tier reads for one dispatch: the caller's
+/// resident one when it was packed in this tier's layout, else `own`
+/// repacked from `wd` — the one fallback, paid per call.
+fn panel_for<'p>(
+    active: &KernelTable,
+    resident: Option<&'p WeightPanel>,
+    own: &'p mut WeightPanel,
+    wd: &[i8],
+    k: usize,
+    n: usize,
+) -> (&'p WeightPanel, PanelSource) {
+    match resident {
+        Some(panel) if panel.kind == active.panel => (panel, PanelSource::Resident),
+        _ => {
+            own.fill(active.panel, wd, k, n);
+            (own, PanelSource::PerCall)
+        }
+    }
+}
+
+/// Resolves the tiles `active` runs an `m`-row dispatch with, probing
+/// candidates on a cache miss (see [`crate::autotune`]) over the leading
+/// [`autotune::probe_rows`] rows of `args.a` with `panel`, the tier's
+/// panel of `args.wd`.
+fn resolve(
+    active: &KernelTable,
+    args: &BandArgs<'_>,
+    m: usize,
+    panel: &WeightPanel,
+    acc: &mut Vec<i32>,
+) -> TilePlan {
+    let (k, n) = (args.k, args.n);
+    let rows = autotune::probe_rows(m, k, n);
+    let (choice, _tuned) = autotune::resolve_kernel(m, k, n, active.isa, &mut |cand| {
+        let args = BandArgs {
+            tiles: cand.tiles,
+            ..*args
+        };
+        let mut tmp = vec![0u8; rows * n];
+        let start = Instant::now();
+        // SAFETY: the tier was runtime-verified at table resolution
+        // (scalar needs no features); probe rows are a prefix of the
+        // real operands, so the operand contract (rows*k activations,
+        // k×n weights, `panel` the tier's pack image of wd) holds.
+        unsafe { (active.band)(&args, &panel.pairs, &panel.quads, acc, 0, rows, &mut tmp) };
+        start.elapsed()
+    });
+    choice.tiles
+}
+
+/// The band-dispatch core under every GEMM entry point: picks the
+/// panel ([`panel_for`]), resolves the tiles ([`resolve`]) and runs
+/// the band kernel — on the calling thread, or over [`gemm_bands`] row
+/// bands when `fan_out` gives a scratch pool and a thread budget that
+/// pay for it. Operands are pre-validated by the caller; `out` is
+/// resized to `m × n`.
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+fn dispatch(
     a: &[u8],
     m: usize,
     k: usize,
-    n: usize,
-    wd: &[i8],
+    w: &MatrixI8,
     shift: u8,
-    scratch: &mut GemmScratch,
-) -> (&'static KernelTable, TilePlan) {
-    let rows = autotune::probe_rows(m, k, n);
-    // Panels are packed lazily, only when a probe (or the final winner)
-    // actually consumes them — the whole point of a scalar handoff is
-    // skipping the O(k·n) pack. The pack IS part of each candidate's
-    // score, though: the thread-local scratch is shared by every GEMM
-    // of a plan, so in steady state a pack-paying tier repacks on every
-    // call. Each tier's measured pack cost, scaled by the `rows / m`
-    // fraction the probe runs over, is charged to its candidates —
-    // otherwise the sweep systematically prefers vector tiers on
-    // exactly the mid-size shapes where the repack decides the race.
-    let mut packed_for: Option<KernelIsa> = None;
-    let mut pack_costs: Vec<(KernelIsa, Duration)> = Vec::new();
-    let (choice, _tuned) = autotune::resolve_kernel(
-        m,
+    resident: Option<&WeightPanel>,
+    lead: &mut GemmScratch,
+    fan_out: Option<(&ScratchPool, usize)>,
+    out: &mut Vec<u8>,
+) -> PanelSource {
+    let n = w.cols();
+    // No clear(): every band writes the whole of its slice, so zeroing
+    // the previous call's bytes first is a memset nobody reads.
+    out.resize(m * n, 0);
+    if m == 0 || n == 0 {
+        // Nothing to multiply, so nothing was packed either.
+        return PanelSource::Resident;
+    }
+    let active = active_table();
+    let wd = w.as_slice();
+    let GemmScratch { acc, panel: own } = lead;
+    let (panel, source) = panel_for(active, resident, own, wd, k, n);
+    let mut args = BandArgs {
+        a,
         k,
         n,
-        active.isa,
-        active.panel != PanelKind::None,
-        &mut |cand| {
-            let table = table_for(cand.isa);
-            let pack_cost = match pack_costs.iter().find(|(isa, _)| *isa == cand.isa) {
-                Some(&(_, d)) => {
-                    if packed_for != Some(cand.isa) {
-                        table.pack(wd, k, n, scratch);
-                        packed_for = Some(cand.isa);
-                    }
-                    d
-                }
-                None => {
-                    let start = Instant::now();
-                    table.pack(wd, k, n, scratch);
-                    let d = start.elapsed();
-                    packed_for = Some(cand.isa);
-                    pack_costs.push((cand.isa, d));
-                    d
-                }
-            };
-            let GemmScratch { acc, panel, panel8 } = &mut *scratch;
-            let args = BandArgs {
-                a,
-                k,
-                n,
-                wd,
-                shift,
-                tiles: cand.tiles,
-            };
-            let mut tmp = vec![0u8; rows * n];
-            let start = Instant::now();
-            // SAFETY: every candidate tier was runtime-verified at table
-            // resolution (scalar needs no features); probe rows are a
-            // prefix of the real operands, so the operand contract
-            // (rows*k activations, k×n weights, panels freshly packed
-            // from wd for this tier) holds.
-            unsafe { (table.band)(&args, panel, panel8, acc, 0, rows, &mut tmp) };
-            start.elapsed() + pack_cost.mul_f64(rows as f64 / m.max(1) as f64)
-        },
-    );
-    let exec = table_for(choice.isa);
-    if packed_for != Some(choice.isa) {
-        exec.pack(wd, k, n, scratch);
+        wd,
+        shift,
+        tiles: TilePlan::DEFAULT,
+    };
+    args.tiles = resolve(active, &args, m, panel, acc);
+    let (pairs, quads): (&[i16], &[i8]) = (&panel.pairs, &panel.quads);
+    let bands = fan_out.map_or(1, |(_, threads)| gemm_bands(m, k, n, threads));
+    match fan_out {
+        Some((pool, _)) if bands > 1 => {
+            let chunk = m.div_ceil(bands);
+            let jobs: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk * n).map(Mutex::new).collect();
+            gcd2_par::par_map(bands, &jobs, |i, slot| {
+                let r0 = i * chunk;
+                let r1 = ((i + 1) * chunk).min(m);
+                let mut band_scratch = pool.checkout();
+                let mut guard = match slot.lock() {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                // SAFETY: band rows [r0, r1) are in range, the chunked
+                // slice is exactly (r1-r0)*n bytes, the shared panel is
+                // read-only and the pack image of wd for the active
+                // tier, and the table's ISA was verified.
+                unsafe {
+                    (active.band)(
+                        &args,
+                        pairs,
+                        quads,
+                        &mut band_scratch.acc,
+                        r0,
+                        r1,
+                        &mut guard,
+                    )
+                };
+                pool.restore(band_scratch);
+            });
+        }
+        // SAFETY: table resolution verified ISA support; the caller's
+        // validate_dispatch established a.len() == m*k and w.rows() ==
+        // k, out was resized to m*n, and `panel` is the pack image of
+        // wd for the active tier.
+        _ => unsafe { (active.band)(&args, pairs, quads, acc, 0, m, out) },
     }
-    (exec, choice.tiles)
+    source
 }
 
 /// Single-threaded blocked GEMM through the dispatch table; backend of
@@ -503,28 +655,7 @@ pub(crate) fn run_single(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) {
-    let n = w.cols();
-    // No clear(): the band kernel writes every byte of its slice.
-    out.resize(m * n, 0);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let wd = w.as_slice();
-    let (table, tiles) = resolve_and_pack(active_table(), a, m, k, n, wd, shift, scratch);
-    let GemmScratch { acc, panel, panel8 } = scratch;
-    let args = BandArgs {
-        a,
-        k,
-        n,
-        wd,
-        shift,
-        tiles,
-    };
-    // SAFETY: table resolution verified ISA support; validate_dispatch
-    // established a.len() == m*k and w.rows() == k, out was resized to
-    // m*n, and resolve_and_pack left the panels as the pack image of wd
-    // for this table row.
-    unsafe { (table.band)(&args, panel, panel8, acc, 0, m, out) };
+    dispatch(a, m, k, w, shift, None, scratch, None, out);
 }
 
 /// MACs one band must bring before a GEMM is split: a band is handed
@@ -540,7 +671,7 @@ const BAND_MIN_MACS: usize = 32_000_000;
 /// measure 10–30 % slower in two bands however many MACs they bring.
 const BAND_MIN_ROWS: usize = 256;
 
-/// How many row bands [`try_matmul_threaded_into`] splits an
+/// How many row bands the pooled GEMM entry points split an
 /// `m × k × n` GEMM into at an intra-op budget of `threads`: as many as
 /// the budget allows while every band keeps [`BAND_MIN_MACS`] of work
 /// and [`BAND_MIN_ROWS`] rows, else one — the GEMM then runs on the
@@ -566,6 +697,10 @@ pub fn gemm_bands(m: usize, k: usize, n: usize, threads: usize) -> usize {
 /// across requests (batching, serving) pass their per-request share so
 /// the machine is not oversubscribed.
 ///
+/// Packs `w` for the active tier on every call; a caller that runs the
+/// same weights again and again keeps a [`WeightPanel`] and calls
+/// [`try_matmul_panel_into`], which is this function minus the pack.
+///
 /// # Errors
 /// Returns [`GemmDispatchError`] (before writing to `out`) if the
 /// operand shapes are mutually inconsistent or the shift is out of
@@ -581,73 +716,71 @@ pub fn try_matmul_threaded_into(
     threads: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
+    matmul_pooled(a, m, k, w, None, shift, pool, threads, out).map(|_| ())
+}
+
+/// [`try_matmul_threaded_into`] with the weights' resident panel: the
+/// dispatch packs nothing when `panel` was packed for the tier it
+/// resolves, and says which it was. `panel` must be
+/// [`WeightPanel::pack`]`(w)` (a plan checks that with
+/// [`WeightPanel::is_pack_of`]); a panel of another tier's layout is
+/// ignored, never misread.
+///
+/// # Errors
+/// See [`try_matmul_threaded_into`].
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+pub fn try_matmul_panel_into(
+    a: &[u8],
+    m: usize,
+    k: usize,
+    w: &MatrixI8,
+    panel: &WeightPanel,
+    shift: u8,
+    pool: &ScratchPool,
+    threads: usize,
+    out: &mut Vec<u8>,
+) -> Result<PanelSource, GemmDispatchError> {
+    matmul_pooled(a, m, k, w, Some(panel), shift, pool, threads, out)
+}
+
+/// Both pooled entry points: the `infer.gemm` fault point, validation,
+/// then [`dispatch`] with the lead scratch checked out of `pool`.
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+fn matmul_pooled(
+    a: &[u8],
+    m: usize,
+    k: usize,
+    w: &MatrixI8,
+    resident: Option<&WeightPanel>,
+    shift: u8,
+    pool: &ScratchPool,
+    threads: usize,
+    out: &mut Vec<u8>,
+) -> Result<PanelSource, GemmDispatchError> {
     let _ = gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, w, shift)?;
-    let n = w.cols();
-    // No clear(): every band writes the whole of its slice, so zeroing
-    // the previous call's bytes first is a memset nobody reads.
-    out.resize(m * n, 0);
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let wd = w.as_slice();
-
     let mut lead = pool.checkout();
-    {
-        let (table, tiles) = resolve_and_pack(active_table(), a, m, k, n, wd, shift, &mut lead);
-        let GemmScratch { acc, panel, panel8 } = &mut lead;
-        let args = BandArgs {
-            a,
-            k,
-            n,
-            wd,
-            shift,
-            tiles,
-        };
-        let bands = gemm_bands(m, k, n, threads);
-        if bands <= 1 {
-            // SAFETY: same contract as the single-threaded path.
-            unsafe { (table.band)(&args, panel, panel8, acc, 0, m, out) };
-        } else {
-            let chunk = m.div_ceil(bands);
-            let panel_ro: &[i16] = panel;
-            let quads_ro: &[i8] = panel8;
-            let jobs: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk * n).map(Mutex::new).collect();
-            gcd2_par::par_map(bands, &jobs, |i, slot| {
-                let r0 = i * chunk;
-                let r1 = ((i + 1) * chunk).min(m);
-                let mut band_scratch = pool.checkout();
-                let mut guard = match slot.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                // SAFETY: band rows [r0, r1) are in range, the chunked
-                // slice is exactly (r1-r0)*n bytes, the shared panels
-                // are read-only, and the table's ISA was verified.
-                unsafe {
-                    (table.band)(
-                        &args,
-                        panel_ro,
-                        quads_ro,
-                        &mut band_scratch.acc,
-                        r0,
-                        r1,
-                        &mut guard,
-                    )
-                };
-                pool.restore(band_scratch);
-            });
-        }
-    }
+    let source = dispatch(
+        a,
+        m,
+        k,
+        w,
+        shift,
+        resident,
+        &mut lead,
+        Some((pool, threads)),
+        out,
+    );
     pool.restore(lead);
-    Ok(())
+    Ok(source)
 }
 
 /// Pre-resolves the tile plan for a GEMM shape using synthetic
-/// activations, so the first real request doesn't pay the probe sweep.
+/// activations and the weights' resident `panel`, so the first real
+/// request doesn't pay the probe sweep and the warm-up packs nothing.
 /// Called at `InferencePlan` build time for every GEMM step above the
 /// tuning threshold; below it (or with tuning disabled) this is a no-op.
-pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, shift: u8) {
+pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, panel: &WeightPanel, shift: u8) {
     if m == 0 || n == 0 || k == 0 || w.rows() != k || w.cols() != n || shift >= 32 {
         return;
     }
@@ -665,24 +798,28 @@ pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, shift: u8) {
             }
         })
         .collect();
-    let wd = w.as_slice();
-    let mut scratch = GemmScratch::default();
+    let args = BandArgs {
+        a: &a,
+        k,
+        n,
+        wd: w.as_slice(),
+        shift,
+        tiles: TilePlan::DEFAULT,
+    };
+    let active = active_table();
+    let GemmScratch { acc, panel: own } = &mut GemmScratch::default();
+    let (panel, _) = panel_for(active, Some(panel), own, args.wd, k, n);
     // Key by the *real* m; the probe itself only ever runs `rows` rows.
-    let _ = resolve_and_pack(active_table(), &a, m, k, n, wd, shift, &mut scratch);
+    let _ = resolve(active, &args, m, panel, acc);
 }
 
 /// What the dispatcher would use for a GEMM shape right now, for
-/// reports: `(isa, tiles, tuned)`. The ISA is the **effective** tier —
-/// a tuned or static scalar handoff reports `scalar` even when a vector
-/// tier is active. Pure lookup — never probes.
+/// reports: `(isa, tiles, tuned)`. Pure lookup — never probes.
 pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan, bool) {
-    let active = active_table();
-    match autotune::cached_choice(m, k, n, active.isa) {
+    let isa = active_isa();
+    match autotune::cached_choice(m, k, n, isa) {
         Some(c) => (c.isa, c.tiles, true),
-        None => {
-            let c = autotune::static_choice(m, active.isa, active.panel != PanelKind::None);
-            (c.isa, c.tiles, false)
-        }
+        None => (isa, TilePlan::DEFAULT, false),
     }
 }
 
@@ -712,12 +849,7 @@ mod tests {
         let mut oracle = Vec::new();
         force_isa(Some(KernelIsa::Scalar));
         run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut oracle);
-        for isa in [
-            KernelIsa::Avx2,
-            KernelIsa::Neon,
-            KernelIsa::Avx512Vnni,
-            KernelIsa::AmxInt8,
-        ] {
+        for isa in KernelIsa::ALL {
             force_isa(Some(isa));
             let mut got = Vec::new();
             run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut got);
@@ -790,6 +922,39 @@ mod tests {
         assert_eq!(gemm_bands(0, 147, 64, 8), 1);
     }
 
+    /// The blocked re-pack of `is_pack_of` agrees with a whole pack for
+    /// every layout, over a ragged last pair, quad and row block, and
+    /// refuses a flipped byte, a truncated panel and other weights.
+    #[test]
+    fn is_pack_of_accepts_the_image_and_nothing_else() {
+        let (k, n) = (2 * 256 + 7, 19);
+        let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 5) % 15) as i8) - 7);
+        let other = MatrixI8::from_fn(k, n, |r, c| {
+            if (r, c) == (k - 1, n - 1) {
+                9
+            } else {
+                w.get(r, c)
+            }
+        });
+        for kind in [PanelKind::None, PanelKind::Pairs, PanelKind::Quads] {
+            let mut panel = WeightPanel::default();
+            panel.fill(kind, w.as_slice(), k, n);
+            assert!(panel.is_pack_of(&w), "{kind:?}");
+            assert_eq!(panel.bytes() == 0, kind == PanelKind::None);
+            if kind == PanelKind::None {
+                continue;
+            }
+            assert!(!panel.is_pack_of(&other), "{kind:?} of other weights");
+            let mut short = panel.clone();
+            short.pairs.pop();
+            short.quads.pop();
+            assert!(!short.is_pack_of(&w), "{kind:?} truncated");
+            assert!(panel.corrupt_for_test());
+            assert!(!panel.is_pack_of(&w), "{kind:?} with a flipped byte");
+        }
+        assert!(WeightPanel::default().is_pack_of(&MatrixI8::zeros(0, 0)));
+    }
+
     #[test]
     fn forcing_unsupported_isa_degrades_to_scalar() {
         force_isa(Some(KernelIsa::Neon));
@@ -812,9 +977,8 @@ mod tests {
         let (a, w) = operands(m, k, n);
         let wd = w.as_slice();
         let table = active_table();
-        let mut scratch = GemmScratch::default();
-        table.pack(wd, k, n, &mut scratch);
-        let GemmScratch { acc, panel, panel8 } = &mut scratch;
+        let panel = WeightPanel::pack(&w);
+        let mut acc = Vec::new();
         let mut out = vec![0u8; m * n];
         for &mb in &[16usize, 32, 64, 128, 256] {
             for &kb in &[128usize, 256, 512, 1024, 2304] {
@@ -829,7 +993,9 @@ mod tests {
                 let t0 = Instant::now();
                 // SAFETY: active table's ISA was runtime-verified and
                 // the operands match the band contract.
-                unsafe { (table.band)(&args, panel, panel8, acc, 0, m, &mut out) };
+                unsafe {
+                    (table.band)(&args, &panel.pairs, &panel.quads, &mut acc, 0, m, &mut out)
+                };
                 let dt = t0.elapsed().as_secs_f64();
                 let gmacs = (m * k * n) as f64 / dt / 1e9;
                 println!(
@@ -845,7 +1011,7 @@ mod tests {
         // Unique above-threshold shape so the warm call really tunes.
         let (m, k, n) = (2048, 640, 48);
         let w = MatrixI8::from_fn(k, n, |r, c| (((r + c) % 5) as i8) - 2);
-        warm_gemm_tiles(m, k, n, &w, 4);
+        warm_gemm_tiles(m, k, n, &w, &WeightPanel::pack(&w), 4);
         if autotune::autotune_enabled() {
             let (isa, _tiles, tuned) = gemm_kernel_summary(m, k, n);
             assert_eq!(isa, active_isa());

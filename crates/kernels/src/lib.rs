@@ -46,16 +46,17 @@ pub mod unroll;
 
 pub use autotune::{
     autotune_enabled, cached_choice, seed_choice, tuner_cache_stats, KernelChoice, TilePlan,
-    SCALAR_CANDIDATE_MAX_M, SCALAR_SMALL_M, TUNE_MIN_MACS,
+    TUNE_MIN_MACS,
 };
 pub use conv::{
     conv2d_direct_chw_into, conv_ref_chw, conv_weights_as_gemm, depthwise_vtmpy_blocks,
-    dwconv_direct_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into,
+    dwconv_direct_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into, Im2colScratch,
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, force_isa, gemm_bands, gemm_kernel_summary, pin_scalar,
-    scalar_pinned, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, ScalarPin, ScratchPool,
+    scalar_pinned, try_matmul_panel_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa,
+    PanelSource, ScalarPin, ScratchPool, WeightPanel,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

@@ -35,8 +35,9 @@ use crate::dispatch::BandArgs;
 /// a broadcast activation pair. An odd trailing row is padded with a
 /// zero partner (zero contributes nothing to the pair-sum).
 ///
-/// Packing happens once per GEMM call (cost `O(k·n)`, amortized over
-/// `m` rows) and the panel is shared read-only by all intra-op bands.
+/// Packing costs `O(k·n)`; a plan pays it once per weight matrix
+/// ([`crate::WeightPanel`]), a matrix-taking GEMM entry point once per
+/// call, and the panel is shared read-only by all intra-op bands.
 pub(crate) fn pack_pairs_i16(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i16>) {
     let pairs = k.div_ceil(2);
     panel.clear();
@@ -69,16 +70,26 @@ pub(crate) fn pack_quads_i8(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i8>) 
     let quads = k.div_ceil(4);
     panel.clear();
     panel.resize(quads * 4 * n, 0);
-    for q in 0..quads {
-        let dst = &mut panel[q * 4 * n..(q + 1) * 4 * n];
-        for t in 0..4 {
-            let kk = 4 * q + t;
-            if kk >= k {
-                break;
+    for (q, dst) in panel.chunks_exact_mut((4 * n).max(1)).enumerate() {
+        let rows = &wd[4 * q * n..(4 * q + 4).min(k) * n];
+        if rows.len() == 4 * n {
+            // A whole quad: zip four rows in one pass, the shape the
+            // autovectoriser turns into byte and word unpacks.
+            let (r0, rest) = rows.split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            for (j, d) in dst.chunks_exact_mut(4).enumerate() {
+                d[0] = r0[j];
+                d[1] = r1[j];
+                d[2] = r2[j];
+                d[3] = r3[j];
             }
-            let row = &wd[kk * n..(kk + 1) * n];
-            for j in 0..n {
-                dst[4 * j + t] = row[j];
+        } else {
+            // The ragged last quad: the missing rows stay zero.
+            for (t, row) in rows.chunks_exact(n.max(1)).enumerate() {
+                for (j, &w) in row.iter().enumerate() {
+                    dst[4 * j + t] = w;
+                }
             }
         }
     }

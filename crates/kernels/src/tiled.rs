@@ -40,15 +40,12 @@ pub const KB: usize = 256;
 
 /// Scratch buffers for the blocked GEMM entry points, reusable across
 /// calls so steady-state GEMMs allocate nothing: the i32 accumulator
-/// tile plus the packed weight panels the SIMD kernels consume (the
-/// pair-interleaved i16 panel for AVX2 `madd`, the quad-interleaved i8
-/// panel for AVX-512 VNNI `dpbusd` — only the active kernel's panel is
-/// ever populated).
+/// tile plus the weight panel a dispatch packs for itself when its
+/// caller keeps no resident one (see [`crate::WeightPanel`]).
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     pub(crate) acc: Vec<i32>,
-    pub(crate) panel: Vec<i16>,
-    pub(crate) panel8: Vec<i8>,
+    pub(crate) panel: crate::dispatch::WeightPanel,
 }
 
 /// A GEMM dispatch rejected before touching any memory: the operands the

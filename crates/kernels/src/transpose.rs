@@ -91,11 +91,11 @@ fn transpose_portable(
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
     /// Edge of the square byte tile one unpack network transposes.
-    pub(super) const TILE: usize = 16;
+    pub(crate) const TILE: usize = 16;
     /// Tiles per side of a block: 4 × 16 bytes is one cache line, so a
     /// block reads 64 whole source lines and writes 64 whole
     /// destination lines before moving on.
@@ -147,9 +147,8 @@ mod x86 {
         }
     }
 
-    /// Transposes one 16×16 byte tile: stage `s` of the network
-    /// interleaves `2^s`-byte groups of rows `2^s` apart, so after four
-    /// stages register `c` holds column `c` of the tile, rows 0..16.
+    /// Transposes one 16×16 byte tile from `src` (row stride
+    /// `src_stride`) to `dst` (row stride `dst_stride`), clamping.
     ///
     /// # Safety
     /// `src + i·src_stride` must be readable and `dst + i·dst_stride`
@@ -167,38 +166,56 @@ mod x86 {
             // SAFETY: row `i` of the source tile, per the contract.
             *row = unsafe { _mm_loadu_si128(src.add(i * src_stride) as *const __m128i) };
         }
-        // Rows (2i, 2i+1) → bytes interleaved; y[2i] columns 0..8,
-        // y[2i+1] columns 8..16.
-        let mut y = x;
-        for i in 0..8 {
-            y[2 * i] = _mm_unpacklo_epi8(x[2 * i], x[2 * i + 1]);
-            y[2 * i + 1] = _mm_unpackhi_epi8(x[2 * i], x[2 * i + 1]);
-        }
-        // Rows 4j..4j+4; z[4j + s] columns 4s..4s+4.
-        let mut z = y;
-        for j in 0..4 {
-            z[4 * j] = _mm_unpacklo_epi16(y[4 * j], y[4 * j + 2]);
-            z[4 * j + 1] = _mm_unpackhi_epi16(y[4 * j], y[4 * j + 2]);
-            z[4 * j + 2] = _mm_unpacklo_epi16(y[4 * j + 1], y[4 * j + 3]);
-            z[4 * j + 3] = _mm_unpackhi_epi16(y[4 * j + 1], y[4 * j + 3]);
-        }
-        // Rows 8h..8h+8; w[8h + t] columns 2t, 2t+1.
-        let mut w = z;
-        for h in 0..2 {
-            for s in 0..4 {
-                w[8 * h + 2 * s] = _mm_unpacklo_epi32(z[8 * h + s], z[8 * h + 4 + s]);
-                w[8 * h + 2 * s + 1] = _mm_unpackhi_epi32(z[8 * h + s], z[8 * h + 4 + s]);
-            }
-        }
-        for t in 0..8 {
-            let even = _mm_min_epu8(_mm_unpacklo_epi64(w[t], w[8 + t]), clamp);
-            let odd = _mm_min_epu8(_mm_unpackhi_epi64(w[t], w[8 + t]), clamp);
-            // SAFETY: rows `2t` and `2t + 1` of the destination tile,
-            // per the contract.
+        for (c, col) in transpose16(x).into_iter().enumerate() {
+            // SAFETY: row `c` of the destination tile, per the contract.
             unsafe {
-                _mm_storeu_si128(dst.add(2 * t * dst_stride) as *mut __m128i, even);
-                _mm_storeu_si128(dst.add((2 * t + 1) * dst_stride) as *mut __m128i, odd);
+                _mm_storeu_si128(
+                    dst.add(c * dst_stride) as *mut __m128i,
+                    _mm_min_epu8(col, clamp),
+                );
             }
+        }
+    }
+
+    /// The 16×16 byte transpose as a register network: `x[r]` holds row
+    /// `r` of the tile, the result's register `c` holds column `c`, rows
+    /// 0..16. Stage `s` interleaves `2^s`-byte groups of rows `2^s`
+    /// apart. [`crate::conv::im2col_rm_into`] feeds it 16 gathered rows
+    /// instead of 16 rows one stride apart.
+    #[inline(always)]
+    pub(crate) fn transpose16(x: [__m128i; TILE]) -> [__m128i; TILE] {
+        // SAFETY: SSE2 register-to-register unpacks — part of the x86-64
+        // baseline, no memory access.
+        unsafe {
+            // Rows (2i, 2i+1) → bytes interleaved; y[2i] columns 0..8,
+            // y[2i+1] columns 8..16.
+            let mut y = x;
+            for i in 0..8 {
+                y[2 * i] = _mm_unpacklo_epi8(x[2 * i], x[2 * i + 1]);
+                y[2 * i + 1] = _mm_unpackhi_epi8(x[2 * i], x[2 * i + 1]);
+            }
+            // Rows 4j..4j+4; z[4j + s] columns 4s..4s+4.
+            let mut z = y;
+            for j in 0..4 {
+                z[4 * j] = _mm_unpacklo_epi16(y[4 * j], y[4 * j + 2]);
+                z[4 * j + 1] = _mm_unpackhi_epi16(y[4 * j], y[4 * j + 2]);
+                z[4 * j + 2] = _mm_unpacklo_epi16(y[4 * j + 1], y[4 * j + 3]);
+                z[4 * j + 3] = _mm_unpackhi_epi16(y[4 * j + 1], y[4 * j + 3]);
+            }
+            // Rows 8h..8h+8; w[8h + t] columns 2t, 2t+1.
+            let mut w = z;
+            for h in 0..2 {
+                for s in 0..4 {
+                    w[8 * h + 2 * s] = _mm_unpacklo_epi32(z[8 * h + s], z[8 * h + 4 + s]);
+                    w[8 * h + 2 * s + 1] = _mm_unpackhi_epi32(z[8 * h + s], z[8 * h + 4 + s]);
+                }
+            }
+            let mut out = w;
+            for t in 0..8 {
+                out[2 * t] = _mm_unpacklo_epi64(w[t], w[8 + t]);
+                out[2 * t + 1] = _mm_unpackhi_epi64(w[t], w[8 + t]);
+            }
+            out
         }
     }
 }

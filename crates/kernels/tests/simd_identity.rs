@@ -1,22 +1,27 @@
 //! Bit-identity gate for the GEMM kernel stack.
 //!
 //! Contract: for every operand shape, every requant shift, and every
-//! activation zero-density, all three of
+//! activation zero-density, all of
 //!
 //! * the naive gold reference (`matmul_ref`),
 //! * the scalar blocked oracle (`force_isa(Scalar)`),
-//! * the auto-detected SIMD kernel (and the intra-op threaded driver at
-//!   every thread count)
+//! * the kernel of **every tier this host supports** and of
+//!   auto-detection, through the single-threaded entry point, the
+//!   intra-op threaded driver at several thread counts, and the
+//!   resident-panel entry point — with the panel packed on the
+//!   dispatching tier and on every other one (the plan-tier ≠
+//!   dispatch-tier fallback)
 //!
 //! produce **identical bytes**. Wrapping i32 accumulation makes this a
 //! theorem about the implementation, and this suite is the check that
 //! keeps it true as kernels evolve. Under `GCD2_FORCE_SCALAR=1` (CI runs
-//! the suite both ways) the "SIMD" side degrades to the oracle and the
+//! the suite both ways) auto-detection degrades to the oracle and the
 //! gate still has to hold.
 
 use gcd2_kernels::{
     force_isa, gemm_bands, matmul_ref, pin_scalar, transpose_clamp_into, transpose_clamp_ref,
-    try_matmul_blocked_into, try_matmul_threaded_into, GemmScratch, KernelIsa, ScratchPool,
+    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, GemmScratch,
+    KernelIsa, PanelSource, ScratchPool, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
@@ -55,23 +60,56 @@ fn run_isa(
     out
 }
 
-/// One full identity check: reference == scalar == auto == threaded(t)
-/// for several thread counts.
+/// Auto-detection, then every tier this host can run.
+fn tiers() -> Vec<Option<KernelIsa>> {
+    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
+    std::iter::once(None).chain(supported.map(Some)).collect()
+}
+
+/// One full identity check: reference == scalar oracle == every
+/// supported tier, single-threaded, threaded at several budgets, and
+/// from a resident panel packed on each tier.
 fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let (m, k) = (a.rows(), a.cols());
     let _guard = force_guard();
     let want = reference_bytes(a, w, shift);
     let scalar = run_isa(Some(KernelIsa::Scalar), a, m, k, w, shift);
     assert_eq!(scalar, want, "scalar oracle vs reference ({m},{k})");
-    let auto = run_isa(None, a, m, k, w, shift);
-    assert_eq!(auto, scalar, "auto ISA vs oracle ({m},{k})");
     let pool = ScratchPool::new();
-    for threads in [1, 2, 5] {
+    // One panel per tier, each packed while that tier was active.
+    let panels: Vec<WeightPanel> = tiers()
+        .into_iter()
+        .map(|tier| {
+            force_isa(tier);
+            WeightPanel::pack(w)
+        })
+        .collect();
+    for (tier, own_panel) in tiers().into_iter().zip(&panels) {
+        let single = run_isa(tier, a, m, k, w, shift);
+        assert_eq!(single, scalar, "{tier:?} vs oracle ({m},{k})");
+        force_isa(tier);
         let mut out = Vec::new();
-        try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, threads, &mut out)
-            .expect("valid operands");
-        assert_eq!(out, scalar, "threaded({threads}) vs oracle ({m},{k})");
+        for threads in [1, 2, 5] {
+            try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, threads, &mut out)
+                .expect("valid operands");
+            assert_eq!(out, scalar, "{tier:?} threaded({threads}) ({m},{k})");
+        }
+        for panel in &panels {
+            let source =
+                try_matmul_panel_into(a.as_bytes(), m, k, w, panel, shift, &pool, 2, &mut out)
+                    .expect("valid operands");
+            assert_eq!(out, scalar, "{tier:?} from a resident panel ({m},{k})");
+            // A panel packed in this tier's layout is read as it is;
+            // any other falls back and must not be misread.
+            let expected = if panel == own_panel {
+                PanelSource::Resident
+            } else {
+                PanelSource::PerCall
+            };
+            assert_eq!(source, expected, "{tier:?} panel source ({m},{k})");
+        }
     }
+    force_isa(None);
 }
 
 fn activations(m: usize, k: usize, zero_pct: u8, seed: u64) -> MatrixU8 {

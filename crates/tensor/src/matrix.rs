@@ -170,12 +170,17 @@ impl MatrixI8 {
     /// # Panics
     /// Panics if `values.len() != rows * cols`.
     pub fn from_row_major(rows: usize, cols: usize, values: &[i8]) -> Self {
-        assert_eq!(values.len(), rows * cols, "value count mismatch");
-        MatrixI8 {
-            rows,
-            cols,
-            data: values.to_vec(),
-        }
+        Self::from_vec(rows, cols, values.to_vec())
+    }
+
+    /// Creates a weight matrix that takes ownership of row-major data —
+    /// no copy, for callers that decoded the values into a `Vec` anyway.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<i8>) -> Self {
+        assert_eq!(data.len(), rows * cols, "value count mismatch");
+        MatrixI8 { rows, cols, data }
     }
 
     /// Builds a weight matrix by evaluating `f(r, c)`.
