@@ -32,8 +32,8 @@ pub enum LowerError {
         /// Entries in the assignment.
         choices: usize,
     },
-    /// A worker thread panicked while lowering and the serial retry
-    /// panicked again (a persistent fault, not a transient one).
+    /// Lowering one operator panicked and its one retry panicked again
+    /// (a persistent fault, not a transient one).
     Worker(gcd2_par::WorkerPanic),
     /// The in-lowering verifier rejected the emitted program.
     Verify {
@@ -54,7 +54,7 @@ impl fmt::Display for LowerError {
                 f,
                 "assignment must cover the graph ({graph_nodes} nodes, {choices} choices)"
             ),
-            LowerError::Worker(p) => write!(f, "lowering worker failed: {p}"),
+            LowerError::Worker(p) => write!(f, "lowering failed: {p}"),
             LowerError::Verify { errors, report } => write!(
                 f,
                 "verifier rejected the lowered program ({errors} errors):\n{report}"
@@ -101,10 +101,6 @@ pub struct LowerOptions {
     /// program, panicking on any error-level diagnostic. Defaults to on
     /// in debug builds (including tests) and off in release builds.
     pub verify: bool,
-    /// Worker threads for per-operator block generation and packing.
-    /// Output is bit-identical for every count; defaults to 1 so direct
-    /// callers opt in explicitly (the [`gcd2`] compiler passes its own).
-    pub threads: usize,
     /// Enable the structural packing memo (identical blocks pack once).
     /// Off reproduces the pre-memo baseline for compile-time benchmarks.
     pub pack_memo: bool,
@@ -117,7 +113,6 @@ impl Default for LowerOptions {
             lut_ops: false,
             resource: gcd2_hvx::ResourceModel::default(),
             verify: cfg!(debug_assertions),
-            threads: 1,
             pack_memo: true,
         }
     }
@@ -157,8 +152,7 @@ pub struct LoweredModel {
     pub program: Program,
     /// Per-operator attribution.
     pub reports: Vec<OpReport>,
-    /// CPU time spent packing blocks, aggregated across worker threads
-    /// (can exceed wall-clock under parallel lowering).
+    /// CPU time spent packing blocks.
     pub pack_cpu: Duration,
     /// Wall-clock time of the in-lowering verification pass (zero when
     /// verification is disabled).
@@ -191,9 +185,9 @@ impl LoweredModel {
     }
 }
 
-/// The shared packing context of one `lower` call: one configured
-/// packer (with its structural memo) serving every worker thread, plus
-/// an aggregate pack-time counter.
+/// The packing context of one `lower` call: one configured packer
+/// (with its structural memo) serving every operator, plus an aggregate
+/// pack-time counter.
 struct PackCtx {
     /// `None` for `PackMode::Sequential` (no scheduling to do).
     packer: Option<Packer>,
@@ -270,9 +264,8 @@ fn im2col_block(cycles: u64) -> Option<Block> {
 
 /// Lowers one operator node: its input-edge layout transforms followed
 /// by its kernel blocks, all packed. Pure function of its arguments, so
-/// nodes lower on worker threads independently; the caller reassembles
-/// the per-node block lists in topological order, which keeps the
-/// program bit-identical to a serial pass.
+/// a node whose lowering panicked can be retried; the caller assembles
+/// the per-node block lists in topological order.
 fn lower_node(
     graph: &Graph,
     plans: &PlanSet,
@@ -385,15 +378,13 @@ fn lower_node(
 
 /// Lowers `graph` under `assignment` into a scheduled [`LoweredModel`].
 ///
-/// Operators are lowered and packed on `options.threads` worker
-/// threads; the assembled program is bit-identical for every thread
-/// count because per-node block lists are gathered in topological
-/// order. The verifier (when enabled) runs once, over the fully
+/// Operators are lowered and packed in topological order on the calling
+/// thread. The verifier (when enabled) runs once, over the fully
 /// assembled program.
 ///
 /// # Panics
-/// Panics if the assignment does not cover the graph, a lowering
-/// worker fails persistently, or the verifier rejects the program.
+/// Panics if the assignment does not cover the graph, lowering an
+/// operator fails persistently, or the verifier rejects the program.
 /// [`try_lower`] is the non-panicking form.
 pub fn lower(
     graph: &Graph,
@@ -408,9 +399,9 @@ pub fn lower(
 }
 
 /// Fallible form of [`lower`]: returns a [`LowerError`] instead of
-/// panicking on bad input, persistent worker faults, or verifier
-/// rejection. Transient worker panics are retried serially and do not
-/// surface as errors.
+/// panicking on bad input, persistent faults, or verifier
+/// rejection. An operator whose lowering panics is retried once, so a
+/// transient panic does not surface as an error.
 pub fn try_lower(
     graph: &Graph,
     plans: &PlanSet,
@@ -429,8 +420,10 @@ pub fn try_lower(
         .iter()
         .filter(|n| !matches!(n.kind, OpKind::Input | OpKind::Constant))
         .collect();
+    // One thread: `gcd2_par`'s catch-unwind-and-retry-once sweep, items
+    // in order on the caller, no worker spawned.
     let lowered: Vec<(Vec<PackedBlock>, OpReport)> =
-        gcd2_par::try_par_map(options.threads, &op_nodes, |_, node| {
+        gcd2_par::try_par_map(1, &op_nodes, |_, node| {
             lower_node(graph, plans, assignment, options, &ctx, node)
         })
         .map_err(LowerError::Worker)?;

@@ -29,14 +29,16 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
            --packing   sda|soft-to-hard|soft-to-none|sequential\n\
            --no-lut    disable the division/nonlinearity lookup replacement\n\
            --fusion    enable the elementwise-fusion extension\n\
-           --threads N compile on N worker threads (default: GCD2_THREADS\n\
-                       or the machine's available parallelism)\n\
+           --threads N run --batch on N threads and --serve on N workers\n\
+                       (default: GCD2_THREADS or the machine's available\n\
+                       parallelism); compilation itself always runs on\n\
+                       the calling thread\n\
            --timing    print per-stage compile wall-clock and cache stats\n\
            --infer N   build the inference plan and run it N times,\n\
                        reporting per-stage/per-op timings and verifying\n\
                        bit-identity against the interpreter\n\
-           --batch B   run a B-input batch through the plan on the\n\
-                       compiler's worker threads and report throughput\n\
+           --batch B   run a B-input batch through the plan on --threads\n\
+                       threads and report throughput\n\
            --serve N   smoke the dynamic-batching serving gateway with\n\
                        N requests, verifying bit-identity and reporting\n\
                        throughput, batching, latency percentiles, and\n\
@@ -135,6 +137,7 @@ fn main() -> ExitCode {
     };
 
     let mut compiler = Compiler::new();
+    let mut threads = gcd2_par::default_threads();
     let mut analyze = false;
     let mut show_ops = false;
     let mut show_profile = false;
@@ -189,7 +192,7 @@ fn main() -> ExitCode {
                 let Ok(n) = v.parse::<usize>() else {
                     return usage();
                 };
-                compiler = compiler.with_threads(n);
+                threads = n.max(1);
             }
             "--timing" => timing = true,
             "--infer" => {
@@ -350,12 +353,7 @@ fn main() -> ExitCode {
 
     let (compiled, report) = compiler.compile_timed(&graph);
     let stats = compiled.stats();
-    println!(
-        "compiled in {:.2?} on {} thread{}",
-        report.total,
-        report.threads,
-        if report.threads == 1 { "" } else { "s" }
-    );
+    println!("compiled in {:.2?}", report.total);
     if timing {
         println!("  stage wall-clock:");
         println!("    rewrite    : {:>10.2?}", report.rewrite);
@@ -591,7 +589,6 @@ fn main() -> ExitCode {
                         .collect()
                 })
                 .collect();
-            let threads = compiler.threads();
             let opts = gcd2::ExecOptions::default();
             let t0 = std::time::Instant::now();
             let outs = plan.try_execute_batch(&inputs, threads, &opts);
@@ -634,7 +631,7 @@ fn main() -> ExitCode {
         }
 
         if serve > 0 {
-            let workers = compiler.threads().max(1);
+            let workers = threads;
             let capacity = (2 * workers * max_batch).max(4);
             let server = gcd2::InferServer::gateway(gcd2::GatewayConfig {
                 workers,
@@ -842,8 +839,7 @@ fn main() -> ExitCode {
 
 /// `gcd2c --analyze`: compile every catalog model, build its inference
 /// plan, and run the static analyzer over each. One row per model; any
-/// diagnostic fails the run. The output is deterministic for a given
-/// catalog regardless of compile thread count, so CI diffs two runs.
+/// diagnostic fails the run.
 fn analyze_catalog() -> ExitCode {
     println!(
         "{:<18} {:>6} {:>6} {:>6} {:>9} {:>6}  verdict",

@@ -3,7 +3,7 @@
 //! [`Gcd2Error`] is the single error type of the fallible compilation
 //! entry points ([`crate::Compiler::try_compile`] and friends). Every
 //! way a compile can fail — malformed serialized text, an inadmissible
-//! graph, a persistently faulting worker, a verifier rejection, or a
+//! graph, an item that panics persistently, a verifier rejection, or a
 //! defect inside the compiler itself — maps to one variant, so callers
 //! embedding the compiler never have to `catch_unwind` around it.
 
@@ -28,11 +28,13 @@ pub enum Gcd2Error {
     /// The graph parsed and built but fails the compiler's admission
     /// checks (size limits, degenerate shapes, dangling edges).
     Admission(AdmissionError),
-    /// A compilation worker thread panicked and the serial retry
-    /// panicked again — a persistent fault, not a transient one.
+    /// One item of a compile stage (a node's plan enumeration, a
+    /// partition's refinement) panicked and its one retry panicked
+    /// again — a persistent fault, not a transient one.
     Worker(WorkerPanic),
-    /// Lowering failed (bad assignment, persistent worker fault, or the
-    /// static verifier rejected the emitted program).
+    /// Lowering failed (bad assignment, an operator that panics
+    /// persistently, or the static verifier rejected the emitted
+    /// program).
     Lower(LowerError),
     /// The compiler itself panicked. The pipeline runs under a panic
     /// guard, so internal defects surface here instead of unwinding
@@ -56,7 +58,7 @@ impl fmt::Display for Gcd2Error {
             Gcd2Error::Parse(e) => write!(f, "graph text rejected: {e}"),
             Gcd2Error::Build(e) => write!(f, "graph construction failed: {e}"),
             Gcd2Error::Admission(e) => write!(f, "graph rejected at admission: {e}"),
-            Gcd2Error::Worker(e) => write!(f, "compilation worker failed: {e}"),
+            Gcd2Error::Worker(e) => write!(f, "compilation failed: {e}"),
             Gcd2Error::Lower(e) => write!(f, "lowering failed: {e}"),
             Gcd2Error::Internal { message } => {
                 write!(f, "internal compiler error (caught panic): {message}")

@@ -366,7 +366,7 @@ pub struct ExecOptions {
     /// instead of silently wrong outputs.
     pub paranoid: bool,
     /// Intra-op thread budget: how many threads one GEMM may fan out
-    /// over ([`gcd2_kernels::try_matmul_threaded_into`]). `None` means
+    /// over ([`gcd2_kernels::try_matmul_panel_into`]). `None` means
     /// "decide for me": single-shot execution uses the machine's
     /// parallelism ([`gcd2_par::default_threads`], i.e. `GCD2_THREADS`
     /// or the core count), while batch execution and [`crate::serve::

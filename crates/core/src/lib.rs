@@ -44,8 +44,8 @@
 use gcd2_cgraph::Graph;
 use gcd2_codegen::{try_lower, LowerOptions, LoweredModel, PackMode};
 use gcd2_globalopt::{
-    exhaustive, gcd2_select_budgeted, local_optimal, pbqp_select, try_enumerate_plans_threaded,
-    Assignment, PlanSet,
+    exhaustive, gcd2_select_budgeted, local_optimal, pbqp_select, try_enumerate_plans, Assignment,
+    PlanSet,
 };
 use gcd2_hvx::{EnergyModel, ExecStats, CLOCK_HZ};
 use gcd2_kernels::{CostCache, CostModel, SimdInstr};
@@ -122,7 +122,6 @@ pub struct Compiler {
     framework_boundaries: bool,
     elementwise_fusion: bool,
     resource: gcd2_hvx::ResourceModel,
-    threads: usize,
     pack_memo: bool,
     budget: CompileBudget,
     /// Kernel-cost cache persisted across compiles of this compiler (and
@@ -143,7 +142,6 @@ impl Compiler {
             framework_boundaries: false,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
-            threads: gcd2_par::default_threads(),
             pack_memo: true,
             budget: CompileBudget::default(),
             cost_cache: CostCache::new(),
@@ -161,34 +159,24 @@ impl Compiler {
             framework_boundaries: true,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
-            threads: gcd2_par::default_threads(),
             pack_memo: true,
             budget: CompileBudget::default(),
             cost_cache: CostCache::new(),
         }
     }
 
-    /// Sets the number of compilation worker threads. Plan enumeration,
-    /// partition refinement, and operator lowering/packing fan out over
-    /// this many threads; the compiled output is bit-identical for every
-    /// value. Defaults to [`gcd2_par::default_threads`] (available
-    /// parallelism, overridable with `GCD2_THREADS`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The number of compilation worker threads this compiler fans out to.
+    /// Always 1: compilation runs on the calling thread (kept because
+    /// `perfbench` reports it as `par.compile_threads`).
     pub fn threads(&self) -> usize {
-        self.threads
+        1
     }
 
     /// A stable fingerprint of every knob that can change compiled
     /// *output* — the artifact cache folds it into its content address
     /// so two differently configured compilers never share an entry.
-    /// Knobs that are bit-transparent by contract (thread count, the
-    /// packing memo, the cost cache) are deliberately excluded: they
-    /// change compile speed, never output bytes.
+    /// Knobs that are bit-transparent by contract (the packing memo,
+    /// the cost cache) are deliberately excluded: they change compile
+    /// speed, never output bytes.
     pub fn options_key(&self) -> String {
         format!(
             "sel={:?};pack={:?};lut={};rw={};fb={};ewf={};res={:?};budget={:?}",
@@ -314,39 +302,20 @@ impl Compiler {
         CostModel::with_packer(base_packer).with_cache(&self.cost_cache)
     }
 
-    /// Runs the configured selection strategy under the compile budget.
-    /// Returns the assignment, the degradation events (empty unless the
-    /// GCD2 ladder had to back off), and the rung that produced the
-    /// result (None for non-GCD2 strategies).
+    /// Runs the configured selection strategy; the compile budget
+    /// applies to the GCD2 ladder only. Returns the assignment, the
+    /// degradation events (empty unless the ladder had to back off), and
+    /// the rung that produced the result (None for non-GCD2 strategies).
     fn try_assign(
         &self,
         graph: &Graph,
         plans: &PlanSet,
     ) -> Result<(Assignment, Vec<DegradeEvent>, Option<Rung>), Gcd2Error> {
-        match self.selection {
+        let assignment = match self.selection {
             Selection::Gcd2 { max_ops } => {
-                let sel = gcd2_select_budgeted(graph, plans, max_ops, self.threads, self.budget)
+                let sel = gcd2_select_budgeted(graph, plans, max_ops, self.budget)
                     .map_err(Gcd2Error::Worker)?;
-                Ok((sel.assignment, sel.degrade, Some(sel.rung)))
-            }
-            other => Ok((
-                self.assign_unbudgeted(graph, plans, other),
-                Vec::new(),
-                None,
-            )),
-        }
-    }
-
-    /// The non-GCD2 selection strategies (no budget ladder applies).
-    fn assign_unbudgeted(
-        &self,
-        graph: &Graph,
-        plans: &PlanSet,
-        selection: Selection,
-    ) -> Assignment {
-        match selection {
-            Selection::Gcd2 { max_ops } => {
-                gcd2_globalopt::gcd2_select_threaded(graph, plans, max_ops, self.threads)
+                return Ok((sel.assignment, sel.degrade, Some(sel.rung)));
             }
             Selection::LocalOptimal => local_optimal(graph, plans),
             Selection::Pbqp => pbqp_select(graph, plans),
@@ -379,7 +348,8 @@ impl Compiler {
                 let cost = gcd2_globalopt::assignment_cost(graph, plans, &choice);
                 Assignment { choice, cost }
             }
-        }
+        };
+        Ok((assignment, Vec::new(), None))
     }
 
     /// Runs plan selection only (no lowering) — used by the Figure 10
@@ -388,7 +358,7 @@ impl Compiler {
     pub fn select<'g>(&self, graph: &'g Graph) -> (Cow<'g, Graph>, PlanSet, Assignment) {
         let graph = self.rewrite(graph);
         let model = self.cost_model();
-        let plans = match try_enumerate_plans_threaded(&graph, &model, self.lut_ops, self.threads) {
+        let plans = match try_enumerate_plans(&graph, &model, self.lut_ops) {
             Ok(plans) => plans,
             Err(e) => panic!("{e}"),
         };
@@ -474,8 +444,7 @@ impl Compiler {
 
         let model = self.cost_model();
         let t0 = Instant::now();
-        let plans = try_enumerate_plans_threaded(&graph, &model, self.lut_ops, self.threads)
-            .map_err(Gcd2Error::Worker)?;
+        let plans = try_enumerate_plans(&graph, &model, self.lut_ops).map_err(Gcd2Error::Worker)?;
         let enumerate = t0.elapsed();
 
         let t0 = Instant::now();
@@ -486,7 +455,6 @@ impl Compiler {
             pack: self.packing.clone(),
             lut_ops: self.lut_ops,
             resource: self.resource.clone(),
-            threads: self.threads,
             pack_memo: self.pack_memo,
             ..LowerOptions::default()
         };
@@ -534,7 +502,6 @@ impl Compiler {
             pack_memo.merge(s);
         }
         let report = CompileReport {
-            threads: self.threads,
             rewrite,
             enumerate,
             select,
@@ -571,15 +538,13 @@ impl Compiler {
 /// [`Compiler::compile_timed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct CompileReport {
-    /// Worker threads the pipeline fanned out to.
-    pub threads: usize,
     /// Graph rewrite time (constant folding, fusion).
     pub rewrite: Duration,
-    /// Plan enumeration time (parallel; includes cost-model kernel
-    /// generation and packing on cache misses).
+    /// Plan enumeration time (includes cost-model kernel generation and
+    /// packing on cache misses).
     pub enumerate: Duration,
-    /// Global layout/instruction selection time (parallel speculative
-    /// refinement + serial stitch).
+    /// Global layout/instruction selection time (per-partition
+    /// refinement + stitch).
     pub select: Duration,
     /// Budget degradation steps taken by the GCD2 selection ladder, in
     /// order (empty when the first rung fit the budget).
@@ -587,13 +552,12 @@ pub struct CompileReport {
     /// The selection rung that produced the assignment (None for
     /// non-GCD2 strategies).
     pub rung: Option<Rung>,
-    /// Lowering wall-clock time (parallel block generation + packing,
-    /// plus the serial verifier when enabled).
+    /// Lowering wall-clock time (block generation + packing, plus the
+    /// verifier when enabled).
     pub lower: Duration,
-    /// CPU time spent inside the SDA packer during lowering, summed
-    /// across worker threads (can exceed `lower` wall clock).
+    /// CPU time spent inside the SDA packer during lowering.
     pub pack_cpu: Duration,
-    /// CPU time in the post-lowering verifier (serial, single pass).
+    /// CPU time in the post-lowering verifier (single pass).
     pub verify_cpu: Duration,
     /// End-to-end compile wall clock.
     pub total: Duration,

@@ -34,7 +34,8 @@
 //! injected or real panic inside the runtime resolves every ticket of
 //! *that batch* with a structured error, and the worker lives on.
 //! `gcd2c --serve` smokes this end to end against the single-shot
-//! path, and the `serve_throughput` bench measures the batching win.
+//! path, and perfbench's `serve_saturated` workload measures the
+//! batching win.
 //!
 //! On top of that sits the **self-healing supervision layer**
 //! (DESIGN.md §6h), four cooperating mechanisms built from the pure

@@ -5,8 +5,8 @@
 //! A [`CompileBudget`] bounds it two ways:
 //!
 //! * **`max_states`** — a deterministic cap on the number of DFS states
-//!   the partition solver may expand, counted identically on every
-//!   thread count. Exceeding it is the *deterministic* degradation
+//!   the partition solver may expand, a count and not a clock.
+//!   Exceeding it is the *deterministic* degradation
 //!   trigger: the same graph and budget always degrade at the same
 //!   point, so budgeted compilation stays bit-reproducible.
 //! * **`deadline`** — a wall-clock backstop checked between ladder rungs

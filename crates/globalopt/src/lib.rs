@@ -47,14 +47,13 @@ pub mod solve;
 
 pub use budget::{BudgetClock, CompileBudget, DegradeEvent, DegradeReason, Rung};
 pub use partition::{
-    gcd2_select, gcd2_select_budgeted, gcd2_select_threaded, is_desirable_edge, partition,
-    BudgetedSelection,
+    gcd2_select, gcd2_select_budgeted, is_desirable_edge, partition, BudgetedSelection,
 };
 pub use pbqp::pbqp_select;
 pub use plan::{
-    assignment_cost, edge_tc, enumerate_plans, enumerate_plans_threaded, enumerate_plans_with,
-    fused_activation_cost, matrix_view, op_ew_kind, op_extra_passes, spatial_layout_factor,
-    try_enumerate_plans_threaded, Assignment, ExecutionPlan, PlanKind, PlanSet,
+    assignment_cost, edge_tc, enumerate_plans, fused_activation_cost, matrix_view, op_ew_kind,
+    op_extra_passes, spatial_layout_factor, try_enumerate_plans, Assignment, ExecutionPlan,
+    PlanKind, PlanSet,
 };
 pub use solve::{
     chain_dp, chain_dp_into, chain_segments, exhaustive, local_optimal, refine_scope,

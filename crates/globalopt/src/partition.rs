@@ -12,9 +12,7 @@
 
 use crate::budget::{BudgetClock, CompileBudget, DegradeEvent, DegradeReason, Rung};
 use crate::plan::{assignment_cost, Assignment, ExecutionPlan, PlanSet};
-use crate::solve::{
-    chain_dp_into, chain_segments, local_optimal, refine_scope, refine_scope_bounded,
-};
+use crate::solve::{chain_dp_into, chain_segments, local_optimal, refine_scope_bounded};
 use gcd2_cgraph::{Graph, NodeId, OpKind};
 use gcd2_tensor::transform_cycles;
 
@@ -94,66 +92,19 @@ pub fn partition(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Vec<Vec<Node
 /// each partition exhaustively (with pruning), stitching the partition
 /// solutions together in topological order.
 ///
-/// Runs on [`gcd2_par::default_threads`] worker threads; see
-/// [`gcd2_select_threaded`] for the parallel scheme and its determinism
-/// guarantee.
+/// This is [`gcd2_select_budgeted`] under an unbounded budget (no
+/// deadline, no state cap): no rung can fall, so the result is the
+/// `GCD2(max_ops)` rung's assignment.
+///
+/// # Panics
+/// Panics if refining a partition panics twice;
+/// [`gcd2_select_budgeted`] returns that as a value.
 pub fn gcd2_select(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Assignment {
-    gcd2_select_threaded(graph, plans, max_ops, gcd2_par::default_threads())
-}
-
-/// [`gcd2_select`] on an explicit number of worker threads.
-///
-/// Partitions are independent sub-problems by construction, so each is
-/// refined **speculatively in parallel** against the same local-optimal
-/// baseline. A serial stitch pass then applies the candidates in
-/// topological order: a candidate is kept when it does not worsen the
-/// running aggregate cost; when cross-partition coupling makes a
-/// speculative solution lose (its boundary assumed local-optimal
-/// neighbours that have since changed), the partition is re-refined
-/// against the propagated state — exactly what a fully serial pass does.
-///
-/// Determinism: phase 1 refines every partition against the *same*
-/// baseline (thread-count independent) and phase 2 is serial, so the
-/// returned assignment is bit-identical for every thread count. The
-/// final cost never exceeds the local-optimal baseline, because each
-/// stitched step either keeps the cost or re-refines (which includes
-/// the incumbent among its candidates).
-pub fn gcd2_select_threaded(
-    graph: &Graph,
-    plans: &PlanSet,
-    max_ops: usize,
-    threads: usize,
-) -> Assignment {
-    let base = local_optimal(graph, plans);
-    let parts = partition(graph, plans, max_ops);
-
-    // Phase 1: speculative, embarrassingly parallel refinement of every
-    // partition against the local-optimal baseline.
-    let candidates: Vec<Vec<usize>> = gcd2_par::par_map(threads, &parts, |_, part| {
-        let mut choice = base.choice.clone();
-        refine_scope(graph, plans, part, &mut choice);
-        part.iter().map(|id| choice[id.0]).collect()
-    });
-
-    // Phase 2: deterministic serial stitch in topological order.
-    let mut choice = base.choice;
-    let mut cost = base.cost;
-    for (part, cand) in parts.iter().zip(&candidates) {
-        let saved: Vec<usize> = part.iter().map(|id| choice[id.0]).collect();
-        for (id, &c) in part.iter().zip(cand) {
-            choice[id.0] = c;
-        }
-        let stitched = assignment_cost(graph, plans, &choice);
-        if stitched <= cost {
-            cost = stitched;
-        } else {
-            for (id, &s) in part.iter().zip(&saved) {
-                choice[id.0] = s;
-            }
-            cost = refine_scope(graph, plans, part, &mut choice);
-        }
+    let unbounded = CompileBudget::with_max_states(u64::MAX);
+    match gcd2_select_budgeted(graph, plans, max_ops, unbounded) {
+        Ok(sel) => sel.assignment,
+        Err(e) => panic!("{e}"),
     }
-    Assignment { choice, cost }
 }
 
 /// The outcome of budgeted selection: the assignment, the ladder rung
@@ -175,7 +126,7 @@ enum RungFailure {
     Deadline,
 }
 
-/// [`gcd2_select_threaded`] under a [`CompileBudget`], degrading through
+/// GCD2 selection under a [`CompileBudget`], degrading through
 /// the ladder `GCD2(max_ops)` → `GCD2(13)` → chain DP → greedy instead
 /// of running without bound.
 ///
@@ -183,19 +134,18 @@ enum RungFailure {
 /// `max_states` is split evenly across the rung's partitions, and if any
 /// partition's DFS exceeds its share the whole rung is abandoned — a
 /// deterministic decision, so the selected plans and the recorded
-/// [`DegradeEvent`]s are bit-identical across thread counts. The
+/// [`DegradeEvent`]s repeat exactly from run to run. The
 /// wall-clock deadline is checked between rungs and between stitch steps
 /// as a coarse nondeterministic backstop. The greedy floor always
 /// succeeds and never costs more than the local-optimal baseline.
 ///
-/// Worker panics during parallel refinement are isolated and retried
-/// serially; a panic that persists on retry surfaces as the returned
+/// A panic while refining one partition is isolated and the partition
+/// retried once; a panic that persists on retry surfaces as the returned
 /// [`gcd2_par::WorkerPanic`].
 pub fn gcd2_select_budgeted(
     graph: &Graph,
     plans: &PlanSet,
     max_ops: usize,
-    threads: usize,
     budget: CompileBudget,
 ) -> Result<BudgetedSelection, gcd2_par::WorkerPanic> {
     let clock = BudgetClock::start(budget);
@@ -232,22 +182,20 @@ pub fn gcd2_select_budgeted(
             continue;
         }
         match rung {
-            Rung::Gcd2 { max_ops } => {
-                match attempt_gcd2(graph, plans, max_ops, threads, &base, &clock)? {
-                    Ok(assignment) => {
-                        return Ok(BudgetedSelection {
-                            assignment,
-                            rung,
-                            degrade,
-                        });
-                    }
-                    Err(failure) => {
-                        if let Some(to) = next {
-                            degrade.push(fall(rung, to, failure, &clock));
-                        }
+            Rung::Gcd2 { max_ops } => match attempt_gcd2(graph, plans, max_ops, &base, &clock)? {
+                Ok(assignment) => {
+                    return Ok(BudgetedSelection {
+                        assignment,
+                        rung,
+                        degrade,
+                    });
+                }
+                Err(failure) => {
+                    if let Some(to) = next {
+                        degrade.push(fall(rung, to, failure, &clock));
                     }
                 }
-            }
+            },
             Rung::ChainDp => {
                 // Exact DP per maximal single-predecessor chain:
                 // O(|V|·k²) total, no cap needed.
@@ -284,11 +232,21 @@ pub fn gcd2_select_budgeted(
 }
 
 /// One all-or-nothing GCD2 rung attempt under the budget.
+///
+/// Every partition is an independent sub-problem by construction, so
+/// each is first refined against the *same* local-optimal baseline. A
+/// stitch pass then applies the candidates in topological order: a
+/// candidate is kept when it does not worsen the running aggregate
+/// cost; when cross-partition coupling makes it lose (its boundary
+/// assumed local-optimal neighbours that have since changed), the
+/// partition is re-refined against the propagated state. The final cost
+/// never exceeds the baseline, because each stitched step either keeps
+/// the cost or re-refines (which includes the incumbent among its
+/// candidates).
 fn attempt_gcd2(
     graph: &Graph,
     plans: &PlanSet,
     max_ops: usize,
-    threads: usize,
     base: &Assignment,
     clock: &BudgetClock,
 ) -> Result<Result<Assignment, RungFailure>, gcd2_par::WorkerPanic> {
@@ -298,15 +256,15 @@ fn attempt_gcd2(
     }
     let per_part = (clock.budget().max_states / parts.len() as u64).max(1);
 
-    // Phase 1: speculative bounded refinement against the shared
-    // baseline (see gcd2_select_threaded for the determinism argument).
-    let refined: Vec<(Option<Vec<usize>>, u64)> =
-        gcd2_par::try_par_map(threads, &parts, |_, part| {
-            let mut choice = base.choice.clone();
-            let (cost, used) = refine_scope_bounded(graph, plans, part, &mut choice, per_part);
-            let cand = cost.map(|_| part.iter().map(|id| choice[id.0]).collect());
-            (cand, used)
-        })?;
+    // Phase 1: bounded refinement of every partition against the shared
+    // baseline, in order on this thread (one thread is `gcd2_par`'s
+    // catch-unwind-and-retry-once sweep with no worker spawned).
+    let refined: Vec<(Option<Vec<usize>>, u64)> = gcd2_par::try_par_map(1, &parts, |_, part| {
+        let mut choice = base.choice.clone();
+        let (cost, used) = refine_scope_bounded(graph, plans, part, &mut choice, per_part);
+        let cand = cost.map(|_| part.iter().map(|id| choice[id.0]).collect());
+        (cand, used)
+    })?;
     let mut used_total = 0u64;
     let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(refined.len());
     let mut capped = false;
@@ -321,7 +279,7 @@ fn attempt_gcd2(
         return Ok(Err(RungFailure::StateCap { used: used_total }));
     }
 
-    // Phase 2: deterministic serial stitch, bounded re-refines.
+    // Phase 2: stitch in topological order, bounded re-refines.
     let mut choice = base.choice.clone();
     let mut cost = base.cost;
     for (part, cand) in parts.iter().zip(&candidates) {
@@ -418,31 +376,23 @@ mod tests {
     }
 
     #[test]
-    fn threaded_selection_is_bit_identical() {
+    fn stitched_selection_is_floored_and_self_consistent() {
         // Long enough that max_ops = 4 produces several partitions.
         let (g, _) = conv_chain(14, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
-        let serial = gcd2_select_threaded(&g, &plans, 4, 1);
-        for threads in [2, 3, 8] {
-            let par = gcd2_select_threaded(&g, &plans, 4, threads);
-            assert_eq!(serial.choice, par.choice, "choices differ at {threads}");
-            assert_eq!(serial.cost, par.cost, "cost differs at {threads}");
-        }
+        let sel = gcd2_select(&g, &plans, 4);
         let local = local_optimal(&g, &plans);
-        assert!(serial.cost <= local.cost);
-        assert_eq!(
-            serial.cost,
-            crate::assignment_cost(&g, &plans, &serial.choice)
-        );
+        assert!(sel.cost <= local.cost);
+        assert_eq!(sel.cost, crate::assignment_cost(&g, &plans, &sel.choice));
     }
 
     #[test]
     fn budgeted_selection_matches_unbudgeted_under_default_budget() {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
-        let plain = gcd2_select_threaded(&g, &plans, 13, 2);
+        let plain = gcd2_select(&g, &plans, 13);
         let budgeted =
-            gcd2_select_budgeted(&g, &plans, 13, 2, CompileBudget::default()).expect("no panics");
+            gcd2_select_budgeted(&g, &plans, 13, CompileBudget::default()).expect("no panics");
         assert_eq!(budgeted.assignment, plain);
         assert_eq!(budgeted.rung, Rung::Gcd2 { max_ops: 13 });
         assert!(budgeted.degrade.is_empty());
@@ -453,7 +403,7 @@ mod tests {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         let local = local_optimal(&g, &plans);
-        let sel = gcd2_select_budgeted(&g, &plans, 17, 2, CompileBudget::with_max_states(2))
+        let sel = gcd2_select_budgeted(&g, &plans, 17, CompileBudget::with_max_states(2))
             .expect("no panics");
         // Both GCD2 rungs must fall to the state cap; the result comes
         // from chain DP (or its greedy floor) and stays within budget.
@@ -470,17 +420,14 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_degradation_is_deterministic_across_threads() {
+    fn budgeted_degradation_is_deterministic() {
         let (g, _) = conv_chain(14, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         for cap in [1, 50, 10_000, u64::MAX] {
             let budget = CompileBudget::with_max_states(cap);
-            let first = gcd2_select_budgeted(&g, &plans, 13, 1, budget).expect("no panics");
-            for threads in [2, 4, 8] {
-                let other =
-                    gcd2_select_budgeted(&g, &plans, 13, threads, budget).expect("no panics");
-                assert_eq!(first, other, "cap {cap} diverges at {threads} threads");
-            }
+            let first = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
+            let again = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
+            assert_eq!(first, again, "cap {cap} does not repeat");
         }
     }
 
@@ -490,7 +437,7 @@ mod tests {
         let plans = enumerate_plans(&g, &CostModel::new());
         let local = local_optimal(&g, &plans);
         let budget = CompileBudget::with_deadline(std::time::Duration::ZERO);
-        let sel = gcd2_select_budgeted(&g, &plans, 13, 2, budget).expect("no panics");
+        let sel = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
         assert_eq!(sel.rung, Rung::Greedy);
         assert_eq!(sel.assignment, local);
         assert!(sel

@@ -108,49 +108,33 @@ const PASS_LAYOUTS: [Layout; 3] = [Layout::Col1, Layout::Col2, Layout::Col4];
 /// analysis of possible implementations and associated layouts",
 /// Section IV-A), with the division/nonlinearity lookup-table
 /// optimization enabled.
+///
+/// # Panics
+/// Panics if costing a node panics twice; [`try_enumerate_plans`] is
+/// the non-panicking form.
 pub fn enumerate_plans(graph: &Graph, model: &CostModel) -> PlanSet {
-    enumerate_plans_with(graph, model, true)
+    match try_enumerate_plans(graph, model, true) {
+        Ok(plans) => plans,
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// Like [`enumerate_plans`], choosing between the lookup-table and the
+/// Fallible plan enumeration, choosing between the lookup-table and the
 /// naïve scalar lowering of divisions and nonlinearities (`lut_ops` is
 /// the "other optimizations" toggle of the Figure 9 ablation).
 ///
-/// Enumeration runs on [`gcd2_par::default_threads`] worker threads;
-/// use [`enumerate_plans_threaded`] for an explicit thread count. The
-/// result is bit-identical for every thread count: nodes are costed
-/// independently and results are gathered in node order.
-pub fn enumerate_plans_with(graph: &Graph, model: &CostModel, lut_ops: bool) -> PlanSet {
-    enumerate_plans_threaded(graph, model, lut_ops, gcd2_par::default_threads())
-}
-
-/// [`enumerate_plans_with`] on an explicit number of worker threads.
-/// Per-node plan enumeration is embarrassingly parallel; the shared
-/// sharded cost cache deduplicates kernel costing across workers.
-pub fn enumerate_plans_threaded(
-    graph: &Graph,
-    model: &CostModel,
-    lut_ops: bool,
-    threads: usize,
-) -> PlanSet {
-    let plans = gcd2_par::par_map(threads, graph.nodes(), |_, node| {
-        plans_of_node(graph, node, model, lut_ops)
-    });
-    PlanSet { plans }
-}
-
-/// [`enumerate_plans_threaded`] with worker-panic isolation: a panic in
-/// one node's costing is caught, the node retried serially, and only a
-/// panic that persists on retry surfaces — as a structured
+/// Nodes are costed in order on the calling thread, each under
+/// `gcd2_par`'s catch-unwind-and-retry-once sweep: a panic in one
+/// node's costing is caught, the node retried once, and only a panic
+/// that persists on retry surfaces — as a structured
 /// [`gcd2_par::WorkerPanic`] instead of unwinding the caller. Costing is
 /// pure, so a recovered run returns bit-identical plans.
-pub fn try_enumerate_plans_threaded(
+pub fn try_enumerate_plans(
     graph: &Graph,
     model: &CostModel,
     lut_ops: bool,
-    threads: usize,
 ) -> Result<PlanSet, gcd2_par::WorkerPanic> {
-    let plans = gcd2_par::try_par_map(threads, graph.nodes(), |_, node| {
+    let plans = gcd2_par::try_par_map(1, graph.nodes(), |_, node| {
         plans_of_node(graph, node, model, lut_ops)
     })?;
     Ok(PlanSet { plans })

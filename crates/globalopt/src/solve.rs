@@ -199,7 +199,7 @@ pub fn refine_scope(
 /// holds the refined assignment and `cost` its aggregate cost. When the
 /// cap is hit the search aborts: `choice` is left **untouched** and
 /// `cost` is `None`. State counting is a pure function of the inputs —
-/// independent of threads, wall clock, or allocator — which makes the
+/// independent of wall clock or allocator — which makes the
 /// cap a deterministic degradation trigger.
 pub fn refine_scope_bounded(
     graph: &Graph,

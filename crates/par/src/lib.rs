@@ -1,18 +1,21 @@
-//! # gcd2-par — scoped parallelism utilities for the compilation pipeline
+//! # gcd2-par — scoped parallelism utilities
 //!
 //! The workspace is offline/vendored, so this crate builds its worker
-//! pool on nothing but [`std::thread::scope`]. It provides the two
-//! primitives the parallel compiler needs:
+//! pool on nothing but [`std::thread::scope`]. The runtime fans out on
+//! it (GEMM bands, batch items); the compilation pipeline uses only its
+//! panic-isolating sweep, at one thread. It provides:
 //!
 //! * [`par_map`] — an order-preserving parallel map over indexed work
 //!   items. Work is claimed from a shared atomic counter, so uneven item
 //!   costs (a 3×3 conv next to a ReLU) balance automatically; the result
-//!   vector is always in item order, which is what makes the parallel
-//!   pipeline *bit-identical* to the serial one.
-//! * [`try_par_map`] — the panic-isolating variant the compilation
-//!   pipeline runs on: worker closures execute under `catch_unwind`, a
-//!   panicked item is retried once serially, and only a *repeated* panic
-//!   surfaces — as a structured [`WorkerPanic`], never a process abort.
+//!   vector is always in item order, which is what makes a fanned-out
+//!   run *bit-identical* to a serial one.
+//! * [`try_par_map`] — the panic-isolating variant: item closures
+//!   execute under `catch_unwind`, a panicked item is retried once
+//!   serially, and only a *repeated* panic surfaces — as a structured
+//!   [`WorkerPanic`], never a process abort. The compilation pipeline
+//!   calls it with `threads = 1`, which spawns nothing and runs every
+//!   item in order on the caller, each with its one retry.
 //! * [`par_map_isolated`] — the same isolation with **per-item**
 //!   results (`Vec<Result<_, WorkerPanic>>`), so one poisoned item
 //!   fails alone instead of sinking the whole map; the batched
@@ -38,7 +41,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The number of worker threads the pipeline uses by default: the
+/// The number of worker threads the runtime uses by default: the
 /// `GCD2_THREADS` environment variable when set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`]. Resolved once per
 /// process.
@@ -117,9 +120,10 @@ where
         .collect()
 }
 
-/// A work item panicked twice — once on a worker thread and again on
-/// the serial retry — so the failure is persistent, not a transient
-/// scheduling artifact. Carries the item index and the panic payload
+/// A work item panicked twice — on its first attempt (on a worker
+/// thread, or in the serial sweep when none was spawned) and again on
+/// the serial retry — so the failure is persistent, not transient.
+/// Carries the item index and the panic payload
 /// rendered as text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
@@ -133,7 +137,7 @@ impl fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "work item {} panicked twice (worker + serial retry): {}",
+            "work item {} panicked twice (first attempt + serial retry): {}",
             self.index, self.message
         )
     }
@@ -154,8 +158,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// [`par_map`] with panic isolation: the map the compilation pipeline
-/// runs on, so one panicking operator degrades one compile instead of
-/// the process.
+/// runs on (at `threads = 1`: in order on the caller), so one panicking
+/// operator degrades one compile instead of the process.
 ///
 /// Every item closure runs under `catch_unwind`. An item whose first
 /// attempt panicked is retried **once, serially**, after the workers

@@ -20,7 +20,7 @@ use gcd2_repro::faults::{arm, chaos_seeds, FaultKind, FaultPlan, Layer};
 use gcd2_repro::par::ShardedMap;
 
 /// A small conv net with a residual edge — big enough to exercise
-/// enumeration, partitioned refinement, and packing on several workers.
+/// enumeration, partitioned refinement, and packing over several items.
 fn chaos_net() -> Graph {
     let mut g = Graph::new();
     let mut prev = g.input("x", TShape::nchw(1, 32, 14, 14));
@@ -48,29 +48,21 @@ fn fingerprint(m: &CompiledModel) -> (Vec<usize>, u64, u64) {
     (m.assignment.choice.clone(), m.cycles(), m.stats().insns)
 }
 
-fn compiler(threads: usize) -> Compiler {
-    Compiler::new().with_threads(threads)
-}
-
 /// The undisturbed artifact every recovered run must match.
-fn baseline(threads: usize) -> (Vec<usize>, u64, u64) {
+fn baseline() -> (Vec<usize>, u64, u64) {
     let g = chaos_net();
     // The fault registry is process-global: hold its gate with an empty
     // plan so a concurrently running test's faults can't land here.
     let _quiet = arm(FaultPlan::new());
-    fingerprint(
-        &compiler(threads)
-            .try_compile(&g)
-            .expect("baseline compiles"),
-    )
+    fingerprint(&Compiler::new().try_compile(&g).expect("baseline compiles"))
 }
 
 /// Runs one faulted compile and asserts the contract, returning whether
 /// it recovered (Ok) or errored.
-fn assert_contract(plan: FaultPlan, threads: usize, expect: &(Vec<usize>, u64, u64)) -> bool {
+fn assert_contract(plan: FaultPlan, expect: &(Vec<usize>, u64, u64)) -> bool {
     let g = chaos_net();
     let _armed = arm(plan);
-    match compiler(threads).try_compile(&g) {
+    match Compiler::new().try_compile(&g) {
         Ok(m) => {
             assert_eq!(
                 fingerprint(&m),
@@ -94,10 +86,9 @@ fn assert_contract(plan: FaultPlan, threads: usize, expect: &(Vec<usize>, u64, u
 
 #[test]
 fn transient_cost_eval_panic_recovers_bit_identical() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().once("cost.eval", FaultKind::Panic, 3),
-        4,
         &expect,
     );
     assert!(recovered, "a transient fault must recover");
@@ -105,10 +96,9 @@ fn transient_cost_eval_panic_recovers_bit_identical() {
 
 #[test]
 fn sticky_cost_eval_panic_yields_structured_error() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().sticky("cost.eval", FaultKind::Panic, 1),
-        4,
         &expect,
     );
     assert!(!recovered, "a persistent fault must surface as an error");
@@ -116,10 +106,9 @@ fn sticky_cost_eval_panic_yields_structured_error() {
 
 #[test]
 fn cost_eval_delay_changes_nothing() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().once("cost.eval", FaultKind::Delay { millis: 2 }, 1),
-        4,
         &expect,
     );
     assert!(recovered, "a delay must not change the artifact");
@@ -127,10 +116,9 @@ fn cost_eval_delay_changes_nothing() {
 
 #[test]
 fn transient_cache_corruption_recovers_bit_identical() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().once("cache.lookup", FaultKind::CorruptCache, 2),
-        4,
         &expect,
     );
     assert!(recovered, "a corrupt entry is discarded and recomputed");
@@ -140,10 +128,9 @@ fn transient_cache_corruption_recovers_bit_identical() {
 fn sticky_cache_corruption_recovers_bit_identical() {
     // A permanently corrupting cache degrades to cache-off compilation:
     // slower, but every value is recomputed from pure inputs.
-    let expect = baseline(2);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().sticky("cache.lookup", FaultKind::CorruptCache, 1),
-        2,
         &expect,
     );
     assert!(recovered);
@@ -151,10 +138,9 @@ fn sticky_cache_corruption_recovers_bit_identical() {
 
 #[test]
 fn cache_lookup_panic_quarantines_and_recovers() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().once("cache.lookup", FaultKind::Panic, 5),
-        4,
         &expect,
     );
     assert!(recovered, "a poisoned shard is quarantined, not fatal");
@@ -162,10 +148,9 @@ fn cache_lookup_panic_quarantines_and_recovers() {
 
 #[test]
 fn transient_pack_panic_recovers_bit_identical() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().once("pack.vliw", FaultKind::Panic, 4),
-        4,
         &expect,
     );
     assert!(recovered);
@@ -173,48 +158,12 @@ fn transient_pack_panic_recovers_bit_identical() {
 
 #[test]
 fn sticky_pack_panic_yields_structured_error() {
-    let expect = baseline(4);
+    let expect = baseline();
     let recovered = assert_contract(
         FaultPlan::new().sticky("pack.vliw", FaultKind::Panic, 1),
-        4,
         &expect,
     );
     assert!(!recovered);
-}
-
-#[test]
-fn transient_worker_startup_panic_recovers_bit_identical() {
-    let expect = baseline(4);
-    let recovered = assert_contract(
-        FaultPlan::new().once("par.worker", FaultKind::Panic, 1),
-        4,
-        &expect,
-    );
-    assert!(recovered, "surviving workers or the serial sweep take over");
-}
-
-#[test]
-fn sticky_worker_startup_panic_recovers_via_serial_sweep() {
-    // Every worker dies at startup, every round; the serial sweep still
-    // completes all items, bit-identically.
-    let expect = baseline(4);
-    let recovered = assert_contract(
-        FaultPlan::new().sticky("par.worker", FaultKind::Panic, 1),
-        4,
-        &expect,
-    );
-    assert!(recovered);
-}
-
-#[test]
-fn single_threaded_compiles_honor_the_same_contract() {
-    let expect = baseline(1);
-    let recovered = assert_contract(
-        FaultPlan::new().once("cost.eval", FaultKind::Panic, 2),
-        1,
-        &expect,
-    );
-    assert!(recovered, "threads=1 retries in the serial sweep");
 }
 
 #[test]
@@ -222,7 +171,7 @@ fn parse_line_panic_is_caught_as_structured_error() {
     let g = chaos_net();
     let text = to_text(&g);
     let _armed = arm(FaultPlan::new().once("parse.line", FaultKind::Panic, 2));
-    match compiler(2).try_compile_text(&text) {
+    match Compiler::new().try_compile_text(&text) {
         Err(Gcd2Error::Internal { message }) => {
             assert!(
                 message.contains("injected fault"),
@@ -238,9 +187,9 @@ fn parse_line_panic_is_caught_as_structured_error() {
 fn parse_line_delay_parses_and_compiles_identically() {
     let g = chaos_net();
     let text = to_text(&g);
-    let expect = baseline(2);
+    let expect = baseline();
     let _armed = arm(FaultPlan::new().once("parse.line", FaultKind::Delay { millis: 1 }, 1));
-    let (m, _) = compiler(2)
+    let (m, _) = Compiler::new()
         .try_compile_text(&text)
         .expect("a delayed parse still compiles");
     assert_eq!(fingerprint(&m), expect);
@@ -269,12 +218,12 @@ fn sharded_map_quarantines_poisoned_shards() {
 fn seeded_fault_plans_terminate_bit_identical_or_structured() {
     let g = chaos_net();
     let text = to_text(&g);
-    let expect = baseline(4);
+    let expect = baseline();
     for seed in chaos_seeds(&[2024, 7]) {
         let plan = FaultPlan::from_seed(Layer::Compile, seed);
         let _armed = arm(plan.clone());
         // Drive the text entry point so `parse.line` faults can fire too.
-        match compiler(4).try_compile_text(&text) {
+        match Compiler::new().try_compile_text(&text) {
             Ok((m, _)) => assert_eq!(
                 fingerprint(&m),
                 expect,

@@ -182,7 +182,7 @@ mod malformed_text {
 
     #[test]
     fn no_malformed_text_panics_the_compiler() {
-        let compiler = Compiler::new().with_threads(1);
+        let compiler = Compiler::new();
         for (what, text) in CORPUS {
             let result = compiler.try_compile_text(text);
             assert!(
@@ -194,7 +194,7 @@ mod malformed_text {
 
     #[test]
     fn parser_failures_surface_as_parse_errors_with_line_numbers() {
-        let compiler = Compiler::new().with_threads(1);
+        let compiler = Compiler::new();
         match compiler.try_compile_text("input x [1x4x4x4]\nop y warp <- x") {
             Err(Gcd2Error::Parse(e)) => assert_eq!(e.line, 2, "wrong line: {e}"),
             other => panic!("expected a parse error, got {other:?}"),
@@ -205,7 +205,7 @@ mod malformed_text {
 
     #[test]
     fn admission_failures_surface_as_admission_errors() {
-        let compiler = Compiler::new().with_threads(1);
+        let compiler = Compiler::new();
         match compiler.try_compile_text("") {
             Err(Gcd2Error::Admission(_)) => {}
             other => panic!("expected an admission error, got {other:?}"),

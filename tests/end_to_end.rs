@@ -166,3 +166,48 @@ fn uniform_selection_never_wins() {
         assert!(gcd2 <= uniform, "{instr}: {uniform} vs {gcd2}");
     }
 }
+
+/// Compilation is a pure function of the graph: for every catalog
+/// model, a second compile on the same compiler (its cost cache now
+/// warm) produces the same plan assignment and the same cycle count,
+/// and the program passes the static verifier.
+#[test]
+fn every_catalog_model_compiles_identically_twice() {
+    for id in ModelId::ALL {
+        let graph = id.build();
+        let compiler = Compiler::new();
+        let cold = compiler.compile(&graph);
+        let warm = compiler.compile(&graph);
+        assert_eq!(cold.cycles(), warm.cycles(), "{id}: cycles diverge");
+        assert_eq!(
+            cold.assignment.choice, warm.assignment.choice,
+            "{id}: plan assignment diverges"
+        );
+        assert_eq!(
+            cold.assignment.cost, warm.assignment.cost,
+            "{id}: assignment cost diverges"
+        );
+        let report = cold.verify();
+        assert_eq!(
+            report.error_count(),
+            0,
+            "{id}: verifier rejected the compiled program:\n{report}"
+        );
+    }
+}
+
+#[test]
+fn pack_memo_does_not_change_output() {
+    // The structural packing memo is a pure cache: disabling it (the
+    // seed-equivalent slow path) must not change the compiled program.
+    for id in [ModelId::WdsrB, ModelId::MobileNetV3] {
+        let graph = id.build();
+        let with_memo = Compiler::new().compile(&graph);
+        let without = Compiler::new().with_pack_memo(false).compile(&graph);
+        assert_eq!(with_memo.cycles(), without.cycles(), "{id}");
+        assert_eq!(
+            with_memo.assignment.choice, without.assignment.choice,
+            "{id}"
+        );
+    }
+}

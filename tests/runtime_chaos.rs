@@ -344,6 +344,37 @@ fn batch_worker_persistent_panic_isolates_one_item() {
     }
 }
 
+/// A batch under an armed `par.worker` (worker-thread startup) fault
+/// must still answer every item bit-identically.
+fn assert_worker_startup_fault_recovers(fault: FaultPlan, why: &str) {
+    let plan = plan();
+    let inputs = batch_inputs(6);
+    let expect = baseline(&plan, &inputs);
+    let _armed = arm(fault);
+    let results = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
+    for (i, r) in results.iter().enumerate() {
+        assert_eq!(r.as_ref().expect(why), &expect[i]);
+    }
+}
+
+#[test]
+fn transient_worker_startup_panic_recovers_bit_identical() {
+    assert_worker_startup_fault_recovers(
+        FaultPlan::new().once("par.worker", FaultKind::Panic, 1),
+        "surviving workers or the serial sweep take over",
+    );
+}
+
+#[test]
+fn sticky_worker_startup_panic_recovers_via_serial_sweep() {
+    // Every worker dies at startup; the serial sweep still completes
+    // all items, bit-identically.
+    assert_worker_startup_fault_recovers(
+        FaultPlan::new().sticky("par.worker", FaultKind::Panic, 1),
+        "the serial sweep completes every item",
+    );
+}
+
 #[test]
 fn arena_fault_in_batch_recovers_bit_identical() {
     let plan = plan();

@@ -103,6 +103,19 @@ fn every_batching_configuration_is_bit_identical_to_single_shot() {
         let stats = server.shutdown();
         assert_eq!(stats.completed, ins.len() as u64);
         assert_eq!(stats.failed, 0);
+        // No fault is armed, so the self-healing layer must have been
+        // invisible.
+        let interventions = [
+            ("hung", stats.hung),
+            ("workers_replaced", stats.workers_replaced),
+            ("retries", stats.retries),
+            ("demotions", stats.demotions),
+            ("breaker_rejected", stats.breaker_rejected),
+            ("abandoned", stats.abandoned),
+        ];
+        for (counter, n) in interventions {
+            assert_eq!(n, 0, "workers={workers} max_batch={max_batch}: {counter}");
+        }
     }
 }
 
