@@ -15,6 +15,10 @@ GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (im2col_identity holds the tile form, and every tier the host supports, to the oracle)"
 cargo test -q -p gcd2-kernels
 
+echo "==> plan execution and end-to-end suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips; perfbench refuses the variable, the test suites do not)"
+GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
+GCD2_AMX=0 cargo test -q --test end_to_end
+
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 

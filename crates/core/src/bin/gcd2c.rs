@@ -517,9 +517,16 @@ fn main() -> ExitCode {
                     report.gemm_kernels.len(),
                     scalar.count()
                 );
+                // Each GEMM's wall clock (staging and scatter included)
+                // is its operator's entry in `per_op`.
                 for gk in &report.gemm_kernels {
+                    let took = report
+                        .per_op
+                        .iter()
+                        .find(|t| t.node == gk.node)
+                        .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {:<8} {:>9.1?} {:>6.0} GMAC/s",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -533,7 +540,9 @@ fn main() -> ExitCode {
                             "resident"
                         } else {
                             "per-call"
-                        }
+                        },
+                        took,
+                        (gk.m * gk.k * gk.n) as f64 / took.as_secs_f64().max(1e-9) / 1e9
                     );
                 }
             }

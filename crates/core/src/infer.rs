@@ -49,7 +49,7 @@ use gcd2_cgraph::{Activation, NodeId, OpKind};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, gemm_bands, gemm_kernel_summary, hostops,
     im2col_rm_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles, Im2colScratch,
-    KernelIsa, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
+    KernelIsa, LineBuf, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -301,7 +301,7 @@ pub struct InferArena {
 /// item's arena.
 #[derive(Debug, Default)]
 struct GemmStage {
-    a: Vec<u8>,
+    a: LineBuf,
     im2col: Im2colScratch,
     out: Vec<u8>,
     scratch: ScratchPool,
@@ -426,11 +426,11 @@ pub struct InferReport {
     pub total: Duration,
     /// Per-operator wall clock, in schedule order.
     pub per_op: Vec<OpTiming>,
-    /// The instruction set this run's GEMMs executed on (`"scalar"`,
+    /// The kernel tier this run's GEMMs were dispatched on (`"scalar"`,
     /// `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or `"neon"`; empty when
-    /// the run had no GEMM step). One run resolves one tier — no shape
-    /// is handed to another — and [`GemmKernelInfo::isa`] repeats it per
-    /// GEMM.
+    /// the run had no GEMM step). One run resolves one tier;
+    /// [`GemmKernelInfo::isa`] says whose multiply instructions ran
+    /// each shape on it.
     pub kernel_isa: &'static str,
     /// Kernel choice and (auto)tuned tile sizes for every matmul-backed
     /// GEMM step, in schedule order. Depthwise steps never reach the
@@ -453,7 +453,12 @@ pub struct GemmKernelInfo {
     pub k: usize,
     /// GEMM columns (output channels).
     pub n: usize,
-    /// The tier this GEMM ran on.
+    /// The tier whose multiply instructions ran this shape — a pure
+    /// function of the dispatching tier and `(m, k, n)`: the run's tier,
+    /// except that fewer than 16 rows run on the VNNI strips of the AMX
+    /// tier and fewer than 8 columns on the oracle of the AVX2 tier.
+    /// A report times one item, so `m` rows is what was dispatched (a
+    /// batch that row-stacks the step dispatches `B·m`).
     pub isa: KernelIsa,
     /// Row-block tile the kernel ran with.
     pub mb: usize,
@@ -1430,6 +1435,7 @@ impl InferencePlan {
                     // no tile plan to report.
                     if g.runs_matmul() {
                         let (isa, tiles, tuned) = gemm_kernel_summary(g.m, g.k, g.n);
+                        r.kernel_isa = gcd2_kernels::active_isa().name();
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
                             name: step.name.clone(),
@@ -1456,9 +1462,6 @@ impl InferencePlan {
             }
         }
         arenas[lead].stage = stage;
-        if let Some(r) = report {
-            r.kernel_isa = r.gemm_kernels.first().map_or("", |g| g.isa.name());
-        }
         failed
     }
 
@@ -1739,9 +1742,8 @@ fn run_gemm(
             // No clear(): staging fully overwrites the buffer, and
             // zero-filling a multi-GB staging matrix per call is a
             // measurable memset tax on the megapixel models.
-            stage.a.resize(group.len() * m * k, 0);
-            for (seg, &i) in group.iter().enumerate() {
-                let dst = &mut stage.a[seg * m * k..(seg + 1) * m * k];
+            let staged = stage.a.bytes_mut(group.len() * m * k);
+            for (dst, &i) in staged.chunks_exact_mut((m * k).max(1)).zip(group) {
                 match &g.prep {
                     GemmPrep::Direct => dst.copy_from_slice(&x(i)[..m * k]),
                     GemmPrep::Im2col {
@@ -1772,7 +1774,7 @@ fn run_gemm(
                     }
                 }
             }
-            &stage.a
+            staged
         }
     };
     let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
@@ -2492,9 +2494,18 @@ mod tests {
             panic!("expected two GEMMs, got {:?}", report.gemm_kernels);
         };
         assert_eq!((conv.m, fc.m), (144, 1));
-        assert_eq!(conv.isa, gcd2_kernels::active_isa());
-        assert_eq!(fc.isa, conv.isa);
+        // Each reports the tier whose multiply instructions ran it: the
+        // run's own, except that the AMX tier runs a one-row GEMM on its
+        // VNNI strips. Neither leaves the vector tiers.
+        let tier = gcd2_kernels::active_isa();
+        assert_eq!(report.kernel_isa, tier.name());
+        assert_eq!(conv.isa, tier);
+        let strips = if tier == KernelIsa::AmxInt8 {
+            KernelIsa::Avx512Vnni
+        } else {
+            tier
+        };
+        assert_eq!(fc.isa, strips);
         assert!(conv.panel_resident && fc.panel_resident);
-        assert_eq!(report.kernel_isa, conv.isa.name());
     }
 }

@@ -9,30 +9,51 @@
 //! contract of [`crate::simd`] unchanged: any cover of the reduction by
 //! tiles produces identical bytes.
 //!
-//! The B operand reuses the VNNI quad panel verbatim: a `tdpbusd` B tile
-//! for columns `j..j+16` and quads `q0..q0+16` is exactly the 16 rows of
-//! 64 contiguous bytes at `quads[q0·4n + 4j]` with stride `4n` — the
-//! layout [`crate::simd::pack_quads_i8`] already emits. No second pack.
+//! The B operand is laid out for the tile unit: the strip-major quad
+//! panel of [`crate::simd::pack_quads_i8`] keeps each `tdpbusd` B tile
+//! — 16 quad rows of one 16-column strip — as 1 KiB of consecutive,
+//! line-aligned bytes, with the strip's next k-tile right behind it, so a strip
+//! streams linearly through the whole reduction (one page per tile
+//! instead of one per quad row). One quad row is still exactly the zmm
+//! `vpdpbusd` reads, so the VNNI tier multiplies from the same panel:
+//! one pack, one panel kind, two instruction sets.
 //!
 //! Rust has no stable AMX intrinsics, so the tile instructions are
 //! inline assembly. That also sidesteps `#[target_feature]`: the CPUID
 //! and kernel-permission gate in [`amx_available`] is the only guard,
 //! checked once at dispatch-table resolution.
 //!
-//! Shape coverage: bands with `n % 16 != 0` or `k < 64` delegate to the
-//! VNNI kernel (which itself delegates narrow bands to its
-//! reduction-major path); within an eligible band, AMX covers the
-//! 16-row × 16-column × 64-deep grid and the VNNI strips finish the
-//! `k % 64` reduction tail and the `rows % 16` row remainder against
-//! the same accumulator. There is no `kb` segmentation here: one pass
-//! over the panel per 16-row group keeps the whole `k × n` panel
-//! L2-resident for every model-zoo shape, and re-segmenting would only
-//! re-stream the accumulator.
+//! Shape coverage ([`tile_grid_engages`]): a band of at least 16 rows
+//! runs on the tile grid **for every `n`** — the panel is zero-padded
+//! to whole strips, so the last strip is computed whole and its dead
+//! columns are masked out of the store when the block is requantised —
+//! **and for every `k`**: the `k % 64` reduction tail (all of a
+//! `k < 64` reduction) is one more tile step against the panel's
+//! zero-padded last k-tile, its activation bytes staged zero-padded in
+//! [`BandScratch::a_tail`](crate::tiled::BandScratch) so no tile load
+//! reads past `a`. What is left to the VNNI strips is the `rows % 16`
+//! row remainder of a band, and whole bands of fewer than 16 rows.
+//!
+//! Loop order: row blocks of `mb` rows outermost, then **column strip
+//! pairs, then 32-row groups** — each 32×32 output block accumulates its
+//! whole reduction in four tile registers, is stored to a 4 KiB stack
+//! block and requantised straight into the output, so there is no band
+//! accumulator to stream. Inside a row block the `mb × k` activation
+//! block is re-read per strip pair (from L2) and the panel is streamed
+//! once; `mb` is the tile plan's, and the autotuner's candidates run
+//! from 32 rows to the whole band (to the rows its probe runs, where
+//! those are fewer) — a few-row GEMM with a deep panel
+//! (`49 × 4608 × 512`) streams its 2.4 MB panel once, a many-row conv
+//! over a small panel (`3136 × 576 × 64`) keeps a small row block. There
+//! is no `kb` segmentation here: the accumulators never leave the tile
+//! registers.
 
 use crate::autotune::TilePlan;
 use crate::dispatch::BandArgs;
-use crate::simd::{self, requantize};
+use crate::simd::{self, Line, QuadRow, TILE_QUADS};
+use crate::tiled::BandScratch;
 use core::arch::asm;
+use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
 /// `arch_prctl` operation requesting permission to use an XSAVE
@@ -51,9 +72,12 @@ pub fn amx_available() -> bool {
         if std::env::var("GCD2_AMX").is_ok_and(|v| v == "0") {
             return false;
         }
-        // The tail/remainder paths run VNNI strips, so AMX is only
-        // offered where the VNNI tier would also have been available.
+        // The row remainder runs VNNI strips and the tail staging
+        // byte-masked loads, so AMX is only offered where the VNNI tier
+        // would also have been available, with AVX-512BW (every AMX
+        // part has both).
         if !std::arch::is_x86_feature_detected!("avx512f")
+            || !std::arch::is_x86_feature_detected!("avx512bw")
             || !std::arch::is_x86_feature_detected!("avx512vnni")
         {
             return false;
@@ -125,184 +149,259 @@ unsafe fn release_tiles() {
     }
 }
 
-/// One 32-row × 32-column output block over all full 64-deep k-tiles:
-/// four accumulator tiles (tmm0–tmm3), two A tiles (tmm4/tmm5) and two
-/// B tiles (tmm6/tmm7) per k-step. The 2×2 shape is the throughput
-/// kernel: four `tdpbusd` per four `tileloadd` (the 1×2 shape pays
-/// three loads for two), which matters because the tile loads, not the
-/// multiplies, bound the smaller shapes. Stores overwrite the i32
-/// accumulator block — callers schedule this before any reduction-tail
-/// accumulation.
+/// Whether the tile grid covers part of a band of `rows` rows: it needs
+/// one 16-row group. Below that the band kernel is the VNNI one.
+pub(crate) fn tile_grid_engages(rows: usize) -> bool {
+    rows >= 16
+}
+
+/// One `RA·16`-row × `CB·16`-column output block (`RA`, `CB` ∈ {1, 2}):
+/// the i32 image of the accumulator tiles, row stride 32.
+#[repr(C, align(64))]
+struct CBlock([i32; 32 * 32]);
+
+/// Zeroes the four accumulator tiles (tmm0–tmm3).
 ///
 /// # Safety
-/// As [`tiles_16x32`] with 32 activation rows and 32 accumulator rows
-/// available.
-#[inline]
-unsafe fn tiles_32x32(
-    a_row: *const u8,
-    k: usize,
-    b: *const i8,
-    bstride: usize,
-    ktiles: usize,
-    c: *mut i32,
-    n: usize,
-) {
-    // SAFETY: per the caller contract every tileloadd/tilestored window
-    // below stays inside its operand; the tile registers are configured
-    // 16×64 and are private to this call (zeroed before use).
+/// Caller must have verified [`amx_available`] and loaded
+/// [`configure_tiles`].
+#[inline(always)]
+unsafe fn zero_accumulators() {
+    // SAFETY: per the caller contract the tile unit is configured; the
+    // instructions touch no memory.
     unsafe {
         asm!(
             "tilezero tmm0",
             "tilezero tmm1",
             "tilezero tmm2",
             "tilezero tmm3",
-            "2:",
-            "tileloadd tmm4, [{a0} + {ka}]",
-            "tileloadd tmm6, [{b0} + {bs}]",
-            "tileloadd tmm7, [{b1} + {bs}]",
-            "tdpbusd tmm0, tmm4, tmm6",
-            "tileloadd tmm5, [{a1} + {ka}]",
-            "tdpbusd tmm1, tmm4, tmm7",
-            "tdpbusd tmm2, tmm5, tmm6",
-            "tdpbusd tmm3, tmm5, tmm7",
-            "add {a0}, 64",
-            "add {a1}, 64",
-            "add {b0}, {bstep}",
-            "add {b1}, {bstep}",
-            "dec {cnt}",
-            "jnz 2b",
-            a0 = inout(reg) a_row => _,
-            a1 = inout(reg) a_row.add(16 * k) => _,
-            b0 = inout(reg) b => _,
-            b1 = inout(reg) b.add(64) => _,
-            cnt = inout(reg) ktiles => _,
-            ka = in(reg) k,
-            bs = in(reg) bstride,
-            bstep = in(reg) bstride * 16,
-            options(nostack),
-        );
-        asm!(
-            "tilestored [{c0} + {cs}], tmm0",
-            "tilestored [{c1} + {cs}], tmm1",
-            "tilestored [{c2} + {cs}], tmm2",
-            "tilestored [{c3} + {cs}], tmm3",
-            c0 = in(reg) c,
-            c1 = in(reg) c.add(16),
-            c2 = in(reg) c.add(16 * n),
-            c3 = in(reg) c.add(16 * n + 16),
-            cs = in(reg) n * 4,
-            options(nostack),
+            options(nostack, nomem),
         );
     }
 }
 
-/// One 16-row × 32-column output block over all full 64-deep k-tiles:
-/// two accumulator tiles (tmm0/tmm1), one shared A tile per k-step
-/// (tmm4) and two B tiles (tmm6/tmm7), stored straight into the i32
-/// accumulator block (overwriting it — callers schedule this before any
-/// reduction-tail accumulation).
+/// Accumulates `steps` 64-deep k-steps into the accumulator tiles of an
+/// `RA·16 × CB·16` block: tmm0/tmm1 the first row group's two column
+/// strips, tmm2/tmm3 the second's. Per step one A tile per row group
+/// (tmm4/tmm5, 16 rows `a_stride` apart, advancing 64 bytes) and one B
+/// tile per strip (tmm6/tmm7, sixteen consecutive quad rows of the
+/// panel, advancing to the strip's next k-tile). The 2×2 shape is the
+/// throughput kernel: four `tdpbusd` per four `tileloadd` (1×2 and 2×1
+/// pay three loads for two), which matters because the tile loads, not
+/// the multiplies, bound the smaller shapes.
 ///
 /// # Safety
 /// Caller must have verified [`amx_available`] and loaded
-/// [`configure_tiles`]; `a_row` must point at ≥ `15·k + 64·ktiles`
-/// readable bytes, `b` at the quad panel position for this column pair
-/// with `ktiles·16` quad rows of stride `bstride` available, and `c` at
-/// an i32 block with row stride `n` holding 16 rows × 32 columns.
-/// `ktiles ≥ 1`.
-#[inline]
-unsafe fn tiles_16x32(
-    a_row: *const u8,
-    k: usize,
-    b: *const i8,
-    bstride: usize,
-    ktiles: usize,
-    c: *mut i32,
-    n: usize,
+/// [`configure_tiles`]. For `g < RA`, `a.add(g · 16 · a_stride)` must
+/// point at 16 rows of `64 · steps` readable bytes, `a_stride` apart;
+/// for `s < CB`, `b.add(s · b_strip)` at `steps` readable B tiles of
+/// [`TILE_QUADS`] quad rows.
+#[inline(always)]
+unsafe fn accumulate<const RA: usize, const CB: usize>(
+    a: *const u8,
+    a_stride: usize,
+    b: *const QuadRow,
+    b_strip: usize,
+    steps: usize,
 ) {
-    // SAFETY: per the caller contract every tileloadd/tilestored window
-    // below stays inside its operand; the tile registers are configured
-    // 16×64 and are private to this block (zeroed before use).
-    unsafe {
-        asm!(
-            "tilezero tmm0",
-            "tilezero tmm1",
-            "2:",
-            "tileloadd tmm4, [{a} + {ka}]",
-            "tileloadd tmm6, [{b0} + {bs}]",
-            "tileloadd tmm7, [{b1} + {bs}]",
-            "tdpbusd tmm0, tmm4, tmm6",
-            "tdpbusd tmm1, tmm4, tmm7",
-            "add {a}, 64",
-            "add {b0}, {bstep}",
-            "add {b1}, {bstep}",
-            "dec {cnt}",
-            "jnz 2b",
-            "tilestored [{c0} + {cs}], tmm0",
-            "tilestored [{c1} + {cs}], tmm1",
-            a = inout(reg) a_row => _,
-            b0 = inout(reg) b => _,
-            b1 = inout(reg) b.add(64) => _,
-            cnt = inout(reg) ktiles => _,
-            ka = in(reg) k,
-            bs = in(reg) bstride,
-            bstep = in(reg) bstride * 16,
-            c0 = in(reg) c,
-            c1 = in(reg) c.add(16),
-            cs = in(reg) n * 4,
-            options(nostack),
-        );
+    // Second row group / strip; never dereferenced when RA / CB is 1.
+    let (mut a0, mut a1) = (a, a.wrapping_add(16 * a_stride));
+    let (mut b0, mut b1) = (b, b.wrapping_add(b_strip));
+    for _ in 0..steps {
+        // SAFETY: per the caller contract every tileloadd window of
+        // this step is readable; the tile registers are configured
+        // 16 × 64 and no compiler-generated code touches them.
+        unsafe {
+            match (RA, CB) {
+                (2, 2) => asm!(
+                    "tileloadd tmm4, [{a0} + {sa}]",
+                    "tileloadd tmm6, [{b0} + {sb}]",
+                    "tileloadd tmm7, [{b1} + {sb}]",
+                    "tdpbusd tmm0, tmm4, tmm6",
+                    "tileloadd tmm5, [{a1} + {sa}]",
+                    "tdpbusd tmm1, tmm4, tmm7",
+                    "tdpbusd tmm2, tmm5, tmm6",
+                    "tdpbusd tmm3, tmm5, tmm7",
+                    a0 = in(reg) a0,
+                    a1 = in(reg) a1,
+                    b0 = in(reg) b0,
+                    b1 = in(reg) b1,
+                    sa = in(reg) a_stride,
+                    sb = in(reg) 64usize,
+                    options(nostack, readonly),
+                ),
+                (1, 2) => asm!(
+                    "tileloadd tmm4, [{a0} + {sa}]",
+                    "tileloadd tmm6, [{b0} + {sb}]",
+                    "tileloadd tmm7, [{b1} + {sb}]",
+                    "tdpbusd tmm0, tmm4, tmm6",
+                    "tdpbusd tmm1, tmm4, tmm7",
+                    a0 = in(reg) a0,
+                    b0 = in(reg) b0,
+                    b1 = in(reg) b1,
+                    sa = in(reg) a_stride,
+                    sb = in(reg) 64usize,
+                    options(nostack, readonly),
+                ),
+                (2, 1) => asm!(
+                    "tileloadd tmm6, [{b0} + {sb}]",
+                    "tileloadd tmm4, [{a0} + {sa}]",
+                    "tileloadd tmm5, [{a1} + {sa}]",
+                    "tdpbusd tmm0, tmm4, tmm6",
+                    "tdpbusd tmm2, tmm5, tmm6",
+                    a0 = in(reg) a0,
+                    a1 = in(reg) a1,
+                    b0 = in(reg) b0,
+                    sa = in(reg) a_stride,
+                    sb = in(reg) 64usize,
+                    options(nostack, readonly),
+                ),
+                _ => asm!(
+                    "tileloadd tmm4, [{a0} + {sa}]",
+                    "tileloadd tmm6, [{b0} + {sb}]",
+                    "tdpbusd tmm0, tmm4, tmm6",
+                    a0 = in(reg) a0,
+                    b0 = in(reg) b0,
+                    sa = in(reg) a_stride,
+                    sb = in(reg) 64usize,
+                    options(nostack, readonly),
+                ),
+            }
+        }
+        a0 = a0.wrapping_add(64);
+        a1 = a1.wrapping_add(64);
+        b0 = b0.wrapping_add(TILE_QUADS);
+        b1 = b1.wrapping_add(TILE_QUADS);
     }
 }
 
-/// One 16-row × 16-column output block over all full 64-deep k-tiles —
-/// the `n % 32 == 16` column tail of [`tiles_16x32`].
+/// Stores the live accumulator tiles of an `RA·16 × CB·16` block into
+/// `c` (tile `(g, s)` at row `16g`, column `16s`).
 ///
 /// # Safety
-/// As [`tiles_16x32`], with a single 16-column B/accumulator window.
-#[inline]
-unsafe fn tiles_16x16(
-    a_row: *const u8,
-    k: usize,
-    b: *const i8,
-    bstride: usize,
-    ktiles: usize,
-    c: *mut i32,
-    n: usize,
-) {
-    // SAFETY: per the caller contract every tileloadd/tilestored window
-    // below stays inside its operand; the tile registers are configured
-    // 16×64 and are private to this block (zeroed before use).
+/// Caller must have verified [`amx_available`] and loaded
+/// [`configure_tiles`].
+#[inline(always)]
+unsafe fn store_accumulators<const RA: usize, const CB: usize>(c: &mut CBlock) {
+    let c = c.0.as_mut_ptr();
+    // SAFETY: each tilestored writes 16 rows of 64 bytes, 128 bytes
+    // apart, from row 16g and column 16s of the 32 × 32 i32 block — all
+    // inside `c`; the tile unit is configured per the caller contract.
     unsafe {
-        asm!(
-            "tilezero tmm0",
-            "2:",
-            "tileloadd tmm4, [{a} + {ka}]",
-            "tileloadd tmm6, [{b0} + {bs}]",
-            "tdpbusd tmm0, tmm4, tmm6",
-            "add {a}, 64",
-            "add {b0}, {bstep}",
-            "dec {cnt}",
-            "jnz 2b",
-            "tilestored [{c0} + {cs}], tmm0",
-            a = inout(reg) a_row => _,
-            b0 = inout(reg) b => _,
-            cnt = inout(reg) ktiles => _,
-            ka = in(reg) k,
-            bs = in(reg) bstride,
-            bstep = in(reg) bstride * 16,
-            c0 = in(reg) c,
-            cs = in(reg) n * 4,
-            options(nostack),
-        );
+        asm!("tilestored [{c} + {cs}], tmm0", c = in(reg) c, cs = in(reg) 128usize, options(nostack));
+        if CB == 2 {
+            asm!("tilestored [{c} + {cs}], tmm1", c = in(reg) c.add(16), cs = in(reg) 128usize, options(nostack));
+        }
+        if RA == 2 {
+            asm!("tilestored [{c} + {cs}], tmm2", c = in(reg) c.add(16 * 32), cs = in(reg) 128usize, options(nostack));
+        }
+        if RA == 2 && CB == 2 {
+            asm!("tilestored [{c} + {cs}], tmm3", c = in(reg) c.add(16 * 32 + 16), cs = in(reg) 128usize, options(nostack));
+        }
     }
 }
 
-/// AMX band kernel: same block structure and accumulator discipline as
-/// [`crate::simd::x86::band_avx512vnni`], with the 16×16×64 tile grid
-/// computed by `tdpbusd` and everything the grid can't cover (reduction
-/// tail, row remainder, narrow or ragged bands) finished by the VNNI
-/// strips against the same wrapping i32 accumulator — bit-identical to
-/// the scalar oracle by the associativity argument in [`crate::simd`].
+/// Requantises the leading `rows × cols` corner of a C block into
+/// `out` (row stride `n`) — [`simd::requantize`]'s
+/// `clamp(v >> shift, 0, 255)`, sixteen columns per instruction: after
+/// the arithmetic shift and the `max(·, 0)`, the unsigned-saturating
+/// down-convert is the clamp to 255. Columns past `cols` (the dead
+/// columns of a padded last strip) are masked out of the store.
+///
+/// # Safety
+/// Caller must ensure AVX-512F is available, `rows <= 32`,
+/// `1 <= cols <= 32` and `out` points at `rows` rows of `cols` writable
+/// bytes, `n` apart.
+#[target_feature(enable = "avx512f")]
+unsafe fn requantize_block(
+    c: &CBlock,
+    rows: usize,
+    cols: usize,
+    shift: u8,
+    out: *mut u8,
+    n: usize,
+) {
+    let count = _mm_cvtsi32_si128(shift as i32);
+    let zero = _mm512_setzero_si512();
+    for r in 0..rows {
+        for (s, c0) in (0..cols).step_by(16).enumerate() {
+            let lanes = ((1u32 << (cols - c0).min(16)) - 1) as __mmask16;
+            // SAFETY: row r < 32 and strip s < 2 of the 32 × 32 block;
+            // the masked store covers columns c0 .. min(c0 + 16, cols)
+            // of output row r, writable per the caller contract.
+            unsafe {
+                let v = _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * s) as *const _);
+                let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
+                _mm512_mask_cvtusepi32_storeu_epi8(out.add(r * n + c0) as *mut i8, lanes, v);
+            }
+        }
+    }
+}
+
+/// Stages the `k % 64` reduction tail of each `k`-byte row of `a_block`
+/// as one zero-padded line of `a_tail`: a byte-masked load, whose
+/// masked-off bytes read as zero and are never accessed (the last row's
+/// tail ends where `a_block` ends), and a whole-line store.
+///
+/// # Safety
+/// Caller must ensure AVX-512F and AVX-512BW are available.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn stage_tail(a_block: &[u8], k: usize, a_tail: &mut [Line<u8>]) {
+    let ktail = k % 64;
+    let mask = (1u64 << ktail) - 1;
+    for (Line(dst), row) in a_tail.iter_mut().zip(a_block.chunks_exact(k)) {
+        // SAFETY: the live bytes are the last `ktail` of `row`; `dst`
+        // is one aligned line.
+        unsafe {
+            let tail = _mm512_maskz_loadu_epi8(mask, row[k - ktail..].as_ptr() as *const i8);
+            _mm512_store_si512(dst.as_mut_ptr() as *mut _, tail);
+        }
+    }
+}
+
+/// One `RA·16`-row × `CB·16`-strip output block, start to finish: the
+/// whole reduction in tile registers — `kfull` k-steps read from `a`
+/// (row stride `k`), then the `k % 64` tail, if any, as one more step
+/// read from the staged `a_tail` rows (stride 64) — stored to the
+/// caller's scratch block `c` and requantised into `out`.
+///
+/// # Safety
+/// [`accumulate`]'s contract for `a` over `k / 64` steps at stride
+/// `k`, for `a_tail` (when there is one) over one step of line rows and
+/// for `b` over `⌈k / 64⌉` tiles; [`requantize_block`]'s for `out`,
+/// with `cols` live columns.
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_block<const RA: usize, const CB: usize>(
+    a: *const u8,
+    k: usize,
+    a_tail: Option<*const Line<u8>>,
+    b: *const QuadRow,
+    b_strip: usize,
+    c: &mut CBlock,
+    cols: usize,
+    shift: u8,
+    out: *mut u8,
+    n: usize,
+) {
+    let kfull = k / 64;
+    // SAFETY: the caller's contract, clause by clause.
+    unsafe {
+        zero_accumulators();
+        accumulate::<RA, CB>(a, k, b, b_strip, kfull);
+        if let Some(a_tail) = a_tail {
+            accumulate::<RA, CB>(a_tail.cast(), 64, b.add(kfull * TILE_QUADS), b_strip, 1);
+        }
+        store_accumulators::<RA, CB>(c);
+        requantize_block(c, 16 * RA, cols, shift, out, n);
+    }
+}
+
+/// AMX band kernel: the 16×16×64 tile grid computed by `tdpbusd` over
+/// the whole of `n` and `k` (see the module docs for the loop order),
+/// the `rows % 16` row remainder — and any band the grid cannot engage
+/// on — by the VNNI strips from the same panel. Both accumulate in
+/// wrapping i32, so the bytes are the scalar oracle's by the
+/// associativity argument in [`crate::simd`].
 ///
 /// # Safety
 /// Caller must ensure [`amx_available`] returned true (the dispatch
@@ -312,8 +411,8 @@ unsafe fn tiles_16x16(
 pub(crate) unsafe fn band_amx(
     args: &BandArgs<'_>,
     panel: &[i16],
-    quads: &[i8],
-    acc_buf: &mut Vec<i32>,
+    quads: &[QuadRow],
+    scratch: &mut BandScratch,
     r0: usize,
     r1: usize,
     out_band: &mut [u8],
@@ -323,178 +422,94 @@ pub(crate) unsafe fn band_amx(
         k,
         n,
         shift,
-        tiles,
+        tiles: TilePlan { mb, .. },
         ..
     } = *args;
-    if n % 16 != 0 || n == 0 || k < 64 {
-        // The tile grid can't engage; the VNNI kernel covers every
-        // remaining shape (including its own narrow-band path).
+    let rows = r1 - r0;
+    if !tile_grid_engages(rows) {
         // SAFETY: amx_available() verified AVX-512F + VNNI; operand
         // contract is the caller's, unchanged.
         return unsafe {
-            simd::x86::band_avx512vnni(args, panel, quads, acc_buf, r0, r1, out_band)
+            simd::x86::band_avx512vnni(args, panel, quads, scratch, r0, r1, out_band)
         };
     }
-    let rows = r1 - r0;
     debug_assert!(r1 * k <= a.len());
-    debug_assert_eq!(quads.len(), k.div_ceil(4) * 4 * n);
+    debug_assert_eq!(quads.len(), simd::quad_panel_rows(k, n));
     debug_assert_eq!(out_band.len(), rows * n);
 
-    let nquads = k.div_ceil(4);
-    let full_quads = k / 4;
-    let ktiles = k / 64;
-    // First quad the tile grid does not cover (k % 64 tail).
-    let qtail = ktiles * 16;
-    let TilePlan { mb, .. } = tiles;
-    let mb = mb.max(16);
-    acc_buf.clear();
-    acc_buf.resize(mb.min(rows) * n, 0);
+    let (kfull, ktail) = (k / 64, k % 64);
+    let strips = n.div_ceil(16);
+    let b_strip = k.div_ceil(64) * TILE_QUADS;
+    let tile_rows = rows & !15;
+    let mb = mb.clamp(16, tile_rows).next_multiple_of(16);
+    let a_tail = &mut scratch.a_tail;
+    if ktail != 0 {
+        a_tail.resize(mb, Line([0; 64]));
+    }
+    let mut c = CBlock([0; 32 * 32]);
 
     // SAFETY: amx_available() held at dispatch resolution.
     unsafe { configure_tiles() };
-    let mut rb = 0usize;
-    while rb < rows {
-        let mrows = mb.min(rows - rb);
-        let acc = &mut acc_buf[..mrows * n];
-        acc.fill(0);
-        let amx_rows = mrows & !15;
-        let mut r = 0usize;
-        while r + 32 <= amx_rows {
-            // SAFETY: rows r0+rb+r .. +32 are < r1 <= m so the strided
-            // A tile loads stay inside `a`; the B windows walk quads
-            // [0, 16·ktiles) at each column pair inside `quads`; the C
-            // stores cover acc rows r..r+32 within the mrows*n block.
-            unsafe {
-                let a_row = a.as_ptr().add((r0 + rb + r) * k);
-                let mut j = 0usize;
-                while j + 32 <= n {
-                    tiles_32x32(
-                        a_row,
-                        k,
-                        quads.as_ptr().add(4 * j),
-                        4 * n,
-                        ktiles,
-                        acc.as_mut_ptr().add(r * n + j),
-                        n,
-                    );
-                    j += 32;
-                }
-                if j < n {
-                    for half in 0..2 {
-                        tiles_16x16(
-                            a_row.add(16 * half * k),
-                            k,
-                            quads.as_ptr().add(4 * j),
-                            4 * n,
-                            ktiles,
-                            acc.as_mut_ptr().add((r + 16 * half) * n + j),
-                            n,
-                        );
-                    }
-                }
-            }
-            r += 32;
+    for rb in (0..tile_rows).step_by(mb) {
+        let mrows = mb.min(tile_rows - rb);
+        let a_block = &a[(r0 + rb) * k..][..mrows * k];
+        if ktail != 0 {
+            // SAFETY: amx_available() verified AVX-512F + BW.
+            unsafe { stage_tail(a_block, k, a_tail) };
         }
-        while r < amx_rows {
-            // SAFETY: rows r0+rb+r .. +16 are < r1 <= m; windows as
-            // above with a single 16-row group.
-            unsafe {
-                let a_row = a.as_ptr().add((r0 + rb + r) * k);
-                let mut j = 0usize;
-                while j + 32 <= n {
-                    tiles_16x32(
-                        a_row,
-                        k,
-                        quads.as_ptr().add(4 * j),
-                        4 * n,
-                        ktiles,
-                        acc.as_mut_ptr().add(r * n + j),
-                        n,
-                    );
-                    j += 32;
-                }
-                if j < n {
-                    tiles_16x16(
-                        a_row,
-                        k,
-                        quads.as_ptr().add(4 * j),
-                        4 * n,
-                        ktiles,
-                        acc.as_mut_ptr().add(r * n + j),
-                        n,
-                    );
-                }
-            }
-            r += 16;
-        }
-        // Reduction tail (k % 64): accumulate the uncovered quads into
-        // the freshly stored tile results with the VNNI strips.
-        if qtail < nquads {
-            let mut r = 0usize;
-            while r + 4 <= amx_rows {
-                // SAFETY: amx_available() verified AVX-512F + VNNI; rows
-                // and acc offsets are in range as above.
-                unsafe {
-                    simd::x86::strips512::<4>(
-                        a,
-                        k,
-                        n,
-                        quads,
-                        acc,
-                        r0 + rb + r,
-                        r * n,
-                        qtail,
-                        nquads,
-                        full_quads,
-                    );
-                }
-                r += 4;
+        for s in (0..strips).step_by(2) {
+            let cols = (n - 16 * s).min(32);
+            let b = quads[s * b_strip..].as_ptr();
+            for r in (0..mrows).step_by(32) {
+                // Every tile load of the block below reads rows
+                // r .. r + 16·RA of `a_block` (64·kfull bytes from the
+                // row start) and of the staged tail, and kt tiles of
+                // strips s .. s + CB of the panel.
+                let ra = if r + 32 <= mrows { 2 } else { 1 };
+                let block = match (ra, cols > 16) {
+                    (2, true) => tile_block::<2, 2>,
+                    (2, false) => tile_block::<2, 1>,
+                    (_, true) => tile_block::<1, 2>,
+                    (_, false) => tile_block::<1, 1>,
+                };
+                debug_assert!((r + 16 * ra - 1) * k + 64 * kfull <= a_block.len());
+                debug_assert!(ktail == 0 || r + 16 * ra <= a_tail.len());
+                debug_assert!((s + cols.div_ceil(16)) * b_strip <= quads.len());
+                let a_rows = a_block[r * k..].as_ptr();
+                let tail = (ktail != 0).then(|| a_tail[r..].as_ptr());
+                let out = out_band[(rb + r) * n + 16 * s..].as_mut_ptr();
+                // SAFETY: the windows asserted above are what the block
+                // reads; it writes `cols` bytes of output rows
+                // rb + r .. + 16·RA from column 16s, inside `out_band`.
+                unsafe { block(a_rows, k, tail, b, b_strip, &mut c, cols, shift, out, n) };
             }
         }
-        // Row remainder (< 16 rows): full reduction via VNNI strips.
-        let mut r = amx_rows;
-        while r + 4 <= mrows {
-            // SAFETY: as above; rows r .. r+4 < mrows keep every window
-            // inside the operands.
-            unsafe {
-                simd::x86::strips512::<4>(
-                    a,
-                    k,
-                    n,
-                    quads,
-                    acc,
-                    r0 + rb + r,
-                    r * n,
-                    0,
-                    nquads,
-                    full_quads,
-                );
-            }
-            r += 4;
-        }
-        while r < mrows {
-            // SAFETY: single row r < mrows, same windows as above.
-            unsafe {
-                simd::x86::strips512::<1>(
-                    a,
-                    k,
-                    n,
-                    quads,
-                    acc,
-                    r0 + rb + r,
-                    r * n,
-                    0,
-                    nquads,
-                    full_quads,
-                );
-            }
-            r += 1;
-        }
-        requantize(acc, shift, &mut out_band[rb * n..(rb + mrows) * n]);
-        rb += mrows;
     }
     // SAFETY: amx_available() held; leaves the tile file in init state.
     unsafe { release_tiles() };
+
+    if tile_rows < rows {
+        // Row remainder (< 16 rows): the VNNI strips, each group of
+        // strips over the whole reduction — the panel's linear order.
+        let acc = &mut scratch.acc;
+        acc.clear();
+        acc.resize((rows - tile_rows) * n, 0);
+        // SAFETY: amx_available() verified AVX-512F + VNNI; rows
+        // r0 + tile_rows .. r1 are inside `a` and `acc` holds them.
+        unsafe {
+            simd::x86::rows512(
+                a,
+                k,
+                n,
+                quads,
+                acc,
+                r0 + tile_rows,
+                rows - tile_rows,
+                k.div_ceil(4).max(1),
+            );
+        }
+        simd::requantize(acc, shift, &mut out_band[tile_rows * n..]);
+    }
 }
 
 #[cfg(test)]
@@ -532,8 +547,10 @@ mod tests {
             (19, 67, 16),
             (33, 64, 80),
             (7, 300, 32),    // all rows in the VNNI remainder
-            (24, 40, 32),    // k < 64: full delegation
-            (21, 128, 24),   // n % 16 != 0: full delegation
+            (24, 40, 32),    // k < 64: the whole reduction is one tail tile
+            (21, 128, 24),   // a half-dead last strip
+            (40, 100, 8),    // one strip, half dead, tail tile
+            (15, 128, 32),   // fewer than 16 rows: full delegation
             (129, 191, 112), // multi-block with every tail at once
         ] {
             let a: Vec<u8> = (0..m * k)
@@ -550,11 +567,11 @@ mod tests {
                 shift: 3,
                 tiles: TilePlan { mb: 48, kb: 128 },
             };
-            let mut acc = Vec::new();
+            let mut scratch = BandScratch::default();
             let mut out = vec![0u8; m * n];
             // SAFETY: AMX support verified above; operands follow the
             // band contract (m rows, packed quads, out sized m*n).
-            unsafe { band_amx(&args, &[], &quads, &mut acc, 0, m, &mut out) };
+            unsafe { band_amx(&args, &[], &quads, &mut scratch, 0, m, &mut out) };
             assert_eq!(
                 out,
                 reference(&a, m, k, &wd, n, 3),

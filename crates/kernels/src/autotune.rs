@@ -6,7 +6,10 @@
 //! kernel ISA — a 4608-deep fully-connected layer wants a deeper `kb`
 //! than a 27-deep first conv — so instead of the historical hardcoded
 //! `MB=32 / KB=256`, the dispatcher asks this module for a
-//! [`TilePlan`] per `(m, k, n, isa)`.
+//! [`TilePlan`] per `(m, k, n, isa)`. The AMX kernel accumulates in
+//! tile registers and reads no `kb`; its sweep is over `mb` alone,
+//! from 16 rows to the whole band — the row block is what decides
+//! whether the weight panel is streamed once or once per block.
 //!
 //! A [`KernelChoice`] pairs the tiles with the tier they were tuned on.
 //! The tuner ranks tiles only: every weight matrix a plan executes is
@@ -88,6 +91,12 @@ pub struct KernelChoice {
 const MB_CANDIDATES: [usize; 4] = [16, 32, 64, 128];
 /// Reduction-segment candidates searched per shape.
 const KB_CANDIDATES: [usize; 3] = [128, 256, 1024];
+/// Most rows for which the AMX sweep also tries one row block over the
+/// whole GEMM (the panel streamed once, the `m × k` activations re-read
+/// per strip pair). The candidate is capped at [`probe_rows`] — a probe
+/// runs no more rows than that, and a block it cannot run whole would
+/// be timed as a smaller block than the one cached and executed.
+const WHOLE_BAND_MAX_ROWS: usize = PROBE_ROWS_CAP;
 
 /// Shapes below this many MACs (`m·k·n`) are not worth probing: the
 /// GEMM completes faster than a candidate sweep.
@@ -179,16 +188,33 @@ pub fn tuner_cache_stats() -> CacheStats {
     cache().stats()
 }
 
-/// Candidate plans for a shape: the cross product of the `mb`/`kb`
-/// tables, clamped to the shape (a `kb` deeper than `k` degenerates to
-/// `k`) and deduplicated, with the default plan always included.
-fn candidates(m: usize, k: usize) -> Vec<TilePlan> {
+/// Candidate plans for a shape on the dispatching tier `isa`: the cross
+/// product of the `mb`/`kb` tables, clamped to the shape (a `kb` deeper
+/// than `k` degenerates to `k`) and deduplicated, with the default plan
+/// always included. Only what the tier's kernel distinguishes varies:
+/// the AMX kernel has no reduction segments, so its candidates differ
+/// in `mb` alone — from 32 rows, the least its 2 × 2-tile block fills,
+/// to one row block over the whole GEMM, or over the rows the probe
+/// runs where those are fewer: every block ranked is the block timed.
+fn candidates(isa: KernelIsa, m: usize, k: usize, n: usize) -> Vec<TilePlan> {
+    let amx = isa == KernelIsa::AmxInt8;
+    let whole_band = (amx && m <= WHOLE_BAND_MAX_ROWS).then(|| probe_rows(m, k, n));
+    let kbs: &[usize] = if amx {
+        &[TilePlan::DEFAULT.kb]
+    } else {
+        &KB_CANDIDATES
+    };
     let mut out = vec![TilePlan::DEFAULT];
-    for &mb in &MB_CANDIDATES {
-        for &kb in &KB_CANDIDATES {
+    let mbs = MB_CANDIDATES.into_iter().filter(|&mb| !amx || mb >= 32);
+    for mb in mbs.chain(whole_band) {
+        for &kb in kbs {
             let t = TilePlan {
                 mb: mb.min(m.max(1)),
-                kb: kb.min(k.next_multiple_of(2).max(2)),
+                kb: if amx {
+                    kb
+                } else {
+                    kb.min(k.next_multiple_of(2).max(2))
+                },
             };
             if !out.contains(&t) {
                 out.push(t);
@@ -252,7 +278,7 @@ pub(crate) fn resolve_kernel(
     }
     let mut best = static_choice(isa);
     let mut best_t = Duration::MAX;
-    for tiles in candidates(m, k) {
+    for tiles in candidates(isa, m, k, n) {
         let cand = KernelChoice { isa, tiles };
         let took = probe(cand);
         if took < best_t {
@@ -270,17 +296,42 @@ mod tests {
 
     #[test]
     fn candidates_include_default_and_dedup() {
-        let c = candidates(1000, 2048);
-        assert!(c.contains(&TilePlan::DEFAULT));
-        let mut seen = std::collections::HashSet::new();
-        for t in &c {
-            assert!(seen.insert(*t), "duplicate candidate {t:?}");
-            assert!(t.mb >= 1 && t.kb >= 2);
+        for isa in KernelIsa::ALL {
+            let c = candidates(isa, 1000, 2048, 64);
+            assert!(c.contains(&TilePlan::DEFAULT));
+            let mut seen = std::collections::HashSet::new();
+            for t in &c {
+                assert!(seen.insert(*t), "duplicate candidate {t:?}");
+                assert!(t.mb >= 1 && t.kb >= 2);
+            }
+            // Small shapes clamp: no candidate exceeds the shape.
+            for t in candidates(isa, 8, 10, 64) {
+                assert!(t.mb <= 32, "mb {} for m=8 (default may exceed m)", t.mb);
+            }
         }
-        // Small shapes clamp: no candidate exceeds the shape.
-        for t in candidates(8, 10) {
-            assert!(t.mb <= 32, "mb {} for m=8 (default may exceed m)", t.mb);
-        }
+    }
+
+    /// The AMX kernel reads `mb` alone: one candidate per row block,
+    /// the whole GEMM among them — capped at the rows the probe runs,
+    /// so no candidate is timed as a smaller block than it names.
+    #[test]
+    fn amx_candidates_vary_mb_only_and_offer_the_whole_band() {
+        let mbs = |m: usize, k: usize, n: usize| -> Vec<usize> {
+            let c = candidates(KernelIsa::AmxInt8, m, k, n);
+            assert!(c.iter().all(|t| t.kb == TilePlan::DEFAULT.kb));
+            assert!(c.iter().all(|t| t.mb <= probe_rows(m, k, n).max(32)));
+            c.iter().map(|t| t.mb).collect()
+        };
+        assert_eq!(mbs(196, 4608, 512), [32, 64, 128, 196]);
+        assert_eq!(mbs(49, 4608, 512), [32, 49]);
+        assert_eq!(mbs(12544, 147, 64), [32, 64, 128]);
+        // The probe runs every row: the whole GEMM is offered.
+        assert_eq!(mbs(784, 128, 64), [32, 64, 128, 784]);
+        // The probe stops at 512 and at 256 rows: so does the block.
+        assert_eq!(mbs(784, 128, 512), [32, 64, 128, 512]);
+        assert_eq!(mbs(784, 1152, 128), [32, 64, 128, 256]);
+        assert_eq!(mbs(1024, 4608, 512), [32, 64, 128, 256]);
+        assert_eq!(candidates(KernelIsa::Avx512Vnni, 196, 4608, 512).len(), 12);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! **A GEMM step only multiplies.** The vector tiers read their weights
 //! from a packed panel ([`WeightPanel`]: pair-interleaved i16 for AVX2,
-//! quad-interleaved i8 for AVX-512 VNNI and AMX). A caller that runs the
+//! one strip-major quad-interleaved i8 panel for AVX-512 VNNI and AMX,
+//! laid out so a `tdpbusd` tile and a `vpdpbusd` operand are both
+//! consecutive, line-aligned bytes). A caller that runs the
 //! same weights again and again — an inference plan — packs the panel
 //! once, when it materialises the weights, and passes it to
 //! [`try_matmul_panel_into`] on every dispatch; no tier pays an
@@ -63,13 +65,14 @@
 //! [`crate::im2col_rm_into`] otherwise), rows → CHW after it
 //! (`transpose_clamp_into` again) — run through one 16×16 byte-tile
 //! network and follow the same tier rule ([`active_isa`] on the calling
-//! thread). The VNNI and AMX tiers finish
-//! the `n % 16` trailing columns with one lane-masked zmm strip instead
-//! of a scalar tail (see [`crate::simd`]).
+//! thread). The VNNI strips finish the `n % 16` trailing columns with
+//! one lane-masked zmm strip instead of a scalar tail (see
+//! [`crate::simd`]); the AMX tile grid computes the panel's zero-padded
+//! last strip whole (see [`crate::amx`]).
 
 use crate::autotune::{self, TilePlan};
-use crate::simd;
-use crate::tiled::{validate_dispatch, GemmDispatchError, GemmScratch};
+use crate::simd::{self, Line, QuadRow, TILE_QUADS};
+use crate::tiled::{validate_dispatch, BandScratch, GemmDispatchError, GemmScratch};
 use gcd2_tensor::MatrixI8;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -88,7 +91,8 @@ pub enum KernelIsa {
     /// AVX-512 VNNI `vpdpbusd` micro-kernel (x86-64, runtime-detected).
     Avx512Vnni = 3,
     /// AMX-INT8 `tdpbusd` tile kernel (x86-64, runtime-detected and
-    /// kernel-permission-gated; VNNI strips finish the tile tails).
+    /// kernel-permission-gated; VNNI strips run the `rows % 16`
+    /// remainder).
     AmxInt8 = 4,
 }
 
@@ -175,7 +179,8 @@ pub(crate) enum PanelKind {
     None,
     /// Pair-interleaved i16 panel ([`simd::pack_pairs_i16`], AVX2).
     Pairs,
-    /// Quad-interleaved i8 panel ([`simd::pack_quads_i8`], VNNI, AMX).
+    /// Strip-major quad-interleaved i8 panel ([`simd::pack_quads_i8`],
+    /// VNNI and AMX: one layout both tiers stream linearly).
     Quads,
 }
 
@@ -190,7 +195,7 @@ pub(crate) enum PanelKind {
 pub struct WeightPanel {
     kind: PanelKind,
     pairs: Vec<i16>,
-    quads: Vec<i8>,
+    quads: Vec<QuadRow>,
 }
 
 impl WeightPanel {
@@ -215,35 +220,55 @@ impl WeightPanel {
         }
     }
 
-    /// Bytes the panel holds beside the raw weights.
+    /// Bytes the panel holds beside the raw weights, padding included
+    /// (the quad panel is padded to whole 16-column strips and 64-deep
+    /// k-tiles).
     pub fn bytes(&self) -> usize {
-        self.pairs.len() * std::mem::size_of::<i16>() + self.quads.len()
+        std::mem::size_of_val(&self.pairs[..]) + std::mem::size_of_val(&self.quads[..])
     }
 
     /// Whether the panel still is what packing `w` in its layout yields
-    /// — the integrity check of a resident panel. Re-packs `w` a block
-    /// of rows at a time (a whole number of pairs and quads, so each
-    /// block's image is a slice of the panel's) and compares, so the
-    /// check needs a cache-sized buffer, not a second panel.
+    /// — the integrity check of a resident panel, padding bytes
+    /// included. Re-packs `w` a block at a time — 256 rows of pairs,
+    /// one 64-row k-tile of quads, each block's image a slice (pairs)
+    /// or one tile per strip (quads) of the panel's — and compares, so
+    /// the check needs a cache-sized buffer, not a second panel.
     pub fn is_pack_of(&self, w: &MatrixI8) -> bool {
-        const BLOCK_ROWS: usize = 256;
-        let n = w.cols();
-        let mut block = WeightPanel::default();
-        let (mut pairs, mut quads) = (&self.pairs[..], &self.quads[..]);
-        for rows in w.as_slice().chunks((BLOCK_ROWS * n).max(1)) {
-            block.fill(self.kind, rows, rows.len() / n.max(1), n);
-            let (Some(p), Some(q)) = (
-                pairs.split_at_checked(block.pairs.len()),
-                quads.split_at_checked(block.quads.len()),
-            ) else {
-                return false;
-            };
-            if p.0 != block.pairs || q.0 != block.quads {
-                return false;
+        const PAIR_BLOCK_ROWS: usize = 256;
+        let (k, n, wd) = (w.rows(), w.cols(), w.as_slice());
+        match self.kind {
+            PanelKind::None => self.bytes() == 0,
+            PanelKind::Pairs => {
+                let mut block = Vec::new();
+                let mut rest = &self.pairs[..];
+                for rows in wd.chunks((PAIR_BLOCK_ROWS * n).max(1)) {
+                    simd::pack_pairs_i16(rows, rows.len() / n.max(1), n, &mut block);
+                    match rest.split_at_checked(block.len()) {
+                        Some((image, tail)) if image == block => rest = tail,
+                        _ => return false,
+                    }
+                }
+                rest.is_empty() && self.quads.is_empty()
             }
-            (pairs, quads) = (p.1, q.1);
+            PanelKind::Quads => {
+                if !self.pairs.is_empty() || self.quads.len() != simd::quad_panel_rows(k, n) {
+                    return false;
+                }
+                let kt = k.div_ceil(64);
+                let mut block = vec![Line([0i8; 64]); n.div_ceil(16) * TILE_QUADS];
+                wd.chunks((64 * n).max(1)).enumerate().all(|(t, rows)| {
+                    if rows.len() < 64 * n {
+                        // The ragged last k-tile: its missing rows are
+                        // zero in the panel, not the previous tile's.
+                        block.fill(Line([0; 64]));
+                    }
+                    simd::pack_quad_ktile(rows, n, &mut block, TILE_QUADS);
+                    block.chunks_exact(TILE_QUADS).enumerate().all(|(s, tile)| {
+                        self.quads[(s * kt + t) * TILE_QUADS..][..TILE_QUADS] == *tile
+                    })
+                })
+            }
         }
-        pairs.is_empty() && quads.is_empty()
     }
 
     /// Test instrumentation: flips the top bit of the panel's first
@@ -255,8 +280,8 @@ impl WeightPanel {
         if let Some(v) = self.pairs.first_mut() {
             *v ^= 0x80;
             true
-        } else if let Some(v) = self.quads.first_mut() {
-            *v ^= i8::MIN;
+        } else if let Some(Line(row)) = self.quads.first_mut() {
+            row[0] ^= i8::MIN;
             true
         } else {
             false
@@ -277,16 +302,16 @@ pub enum PanelSource {
 }
 
 /// A band kernel: computes output rows `[r0, r1)` into `out_band`
-/// (`(r1-r0) × n` bytes), using `acc` as its i32 scratch and whichever
-/// packed panel its table row's [`PanelKind`] selects (the other panel
-/// argument is empty and ignored).
+/// (`(r1-r0) × n` bytes), working in its [`BandScratch`] and reading
+/// whichever packed panel its table row's [`PanelKind`] selects (the
+/// other panel argument is empty and ignored).
 ///
 /// # Safety
 /// The function may use ISA extensions; callers must obtain it from a
 /// [`KernelTable`] whose `isa.supported()` held at resolution time, and
 /// uphold the operand contract documented on each kernel.
 pub(crate) type BandFn =
-    unsafe fn(&BandArgs<'_>, &[i16], &[i8], &mut Vec<i32>, usize, usize, &mut [u8]);
+    unsafe fn(&BandArgs<'_>, &[i16], &[QuadRow], &mut BandScratch, usize, usize, &mut [u8]);
 
 /// One resolved dispatch-table row.
 pub(crate) struct KernelTable {
@@ -302,14 +327,23 @@ pub(crate) struct KernelTable {
 unsafe fn scalar_entry(
     args: &BandArgs<'_>,
     _panel: &[i16],
-    _quads: &[i8],
-    acc: &mut Vec<i32>,
+    _quads: &[QuadRow],
+    scratch: &mut BandScratch,
     r0: usize,
     r1: usize,
     out: &mut [u8],
 ) {
     crate::tiled::scalar_band(
-        args.a, args.k, args.n, args.wd, args.shift, args.tiles, acc, r0, r1, out,
+        args.a,
+        args.k,
+        args.n,
+        args.wd,
+        args.shift,
+        args.tiles,
+        &mut scratch.acc,
+        r0,
+        r1,
+        out,
     );
 }
 
@@ -542,7 +576,7 @@ fn resolve(
     args: &BandArgs<'_>,
     m: usize,
     panel: &WeightPanel,
-    acc: &mut Vec<i32>,
+    scratch: &mut BandScratch,
 ) -> TilePlan {
     let (k, n) = (args.k, args.n);
     let rows = autotune::probe_rows(m, k, n);
@@ -557,7 +591,17 @@ fn resolve(
         // (scalar needs no features); probe rows are a prefix of the
         // real operands, so the operand contract (rows*k activations,
         // k×n weights, `panel` the tier's pack image of wd) holds.
-        unsafe { (active.band)(&args, &panel.pairs, &panel.quads, acc, 0, rows, &mut tmp) };
+        unsafe {
+            (active.band)(
+                &args,
+                &panel.pairs,
+                &panel.quads,
+                scratch,
+                0,
+                rows,
+                &mut tmp,
+            )
+        };
         start.elapsed()
     });
     choice.tiles
@@ -591,7 +635,7 @@ fn dispatch(
     }
     let active = active_table();
     let wd = w.as_slice();
-    let GemmScratch { acc, panel: own } = lead;
+    let GemmScratch { band, panel: own } = lead;
     let (panel, source) = panel_for(active, resident, own, wd, k, n);
     let mut args = BandArgs {
         a,
@@ -601,8 +645,8 @@ fn dispatch(
         shift,
         tiles: TilePlan::DEFAULT,
     };
-    args.tiles = resolve(active, &args, m, panel, acc);
-    let (pairs, quads): (&[i16], &[i8]) = (&panel.pairs, &panel.quads);
+    args.tiles = resolve(active, &args, m, panel, band);
+    let (pairs, quads): (&[i16], &[QuadRow]) = (&panel.pairs, &panel.quads);
     let bands = fan_out.map_or(1, |(_, threads)| gemm_bands(m, k, n, threads));
     match fan_out {
         Some((pool, _)) if bands > 1 => {
@@ -625,7 +669,7 @@ fn dispatch(
                         &args,
                         pairs,
                         quads,
-                        &mut band_scratch.acc,
+                        &mut band_scratch.band,
                         r0,
                         r1,
                         &mut guard,
@@ -638,7 +682,7 @@ fn dispatch(
         // validate_dispatch established a.len() == m*k and w.rows() ==
         // k, out was resized to m*n, and `panel` is the pack image of
         // wd for the active tier.
-        _ => unsafe { (active.band)(&args, pairs, quads, acc, 0, m, out) },
+        _ => unsafe { (active.band)(&args, pairs, quads, band, 0, m, out) },
     }
     source
 }
@@ -807,18 +851,37 @@ pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, panel: &Weigh
         tiles: TilePlan::DEFAULT,
     };
     let active = active_table();
-    let GemmScratch { acc, panel: own } = &mut GemmScratch::default();
+    let GemmScratch { band, panel: own } = &mut GemmScratch::default();
     let (panel, _) = panel_for(active, Some(panel), own, args.wd, k, n);
     // Key by the *real* m; the probe itself only ever runs `rows` rows.
-    let _ = resolve(active, &args, m, panel, acc);
+    let _ = resolve(active, &args, m, panel, band);
+}
+
+/// The tier whose multiply instructions run an `m × k × n` GEMM that is
+/// dispatched on `tier` — a pure function of its arguments, like
+/// [`gemm_bands`]; `m` is the rows of one dispatch (`B·m` for a batch
+/// stacked into one). The AMX tier's tile grid needs 16 rows, below which
+/// its band kernel is the VNNI one; the AVX2 kernel hands bands
+/// narrower than one ymm to the scalar oracle.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] // the tile grid is x86-64's
+fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::AmxInt8 if !crate::amx::tile_grid_engages(m) => KernelIsa::Avx512Vnni,
+        KernelIsa::Avx2 if n < 8 => KernelIsa::Scalar,
+        _ => tier,
+    }
 }
 
 /// What the dispatcher would use for a GEMM shape right now, for
-/// reports: `(isa, tiles, tuned)`. Pure lookup — never probes.
+/// reports: `(isa, tiles, tuned)`, `isa` being the tier whose multiply
+/// instructions run this shape on the active tier ([`multiply_isa`]).
+/// Pure lookup — never probes.
 pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan, bool) {
-    let isa = active_isa();
-    match autotune::cached_choice(m, k, n, isa) {
-        Some(c) => (c.isa, c.tiles, true),
+    let tier = active_isa();
+    let isa = multiply_isa(tier, m, n);
+    match autotune::cached_choice(m, k, n, tier) {
+        Some(c) => (isa, c.tiles, true),
         None => (isa, TilePlan::DEFAULT, false),
     }
 }
@@ -955,6 +1018,33 @@ mod tests {
         assert!(WeightPanel::default().is_pack_of(&MatrixI8::zeros(0, 0)));
     }
 
+    /// A flip of any one panel element fails the check — in the quad
+    /// panel that includes every padding byte of the ragged last strip
+    /// (19 columns) and k-tile (70 rows), which the tile tier multiplies.
+    #[test]
+    fn is_pack_of_refuses_a_flip_of_any_byte_padding_included() {
+        let (k, n) = (70, 19);
+        let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 5) % 15) as i8) - 7);
+        let mut panel = WeightPanel::default();
+        panel.fill(PanelKind::Quads, w.as_slice(), k, n);
+        assert_eq!(panel.bytes(), 2 * 2 * 1024, "two strips of two k-tiles");
+        assert!(panel.bytes() > 2 * k * n, "mostly padding");
+        for row in 0..panel.quads.len() {
+            for byte in 0..64 {
+                panel.quads[row].0[byte] ^= 1;
+                assert!(!panel.is_pack_of(&w), "quad row {row} byte {byte}");
+                panel.quads[row].0[byte] ^= 1;
+            }
+        }
+        panel.fill(PanelKind::Pairs, w.as_slice(), k, n);
+        for i in 0..panel.pairs.len() {
+            panel.pairs[i] ^= 1;
+            assert!(!panel.is_pack_of(&w), "pair element {i}");
+            panel.pairs[i] ^= 1;
+        }
+        assert!(panel.is_pack_of(&w));
+    }
+
     #[test]
     fn forcing_unsupported_isa_degrades_to_scalar() {
         force_isa(Some(KernelIsa::Neon));
@@ -978,7 +1068,7 @@ mod tests {
         let wd = w.as_slice();
         let table = active_table();
         let panel = WeightPanel::pack(&w);
-        let mut acc = Vec::new();
+        let mut scratch = BandScratch::default();
         let mut out = vec![0u8; m * n];
         for &mb in &[16usize, 32, 64, 128, 256] {
             for &kb in &[128usize, 256, 512, 1024, 2304] {
@@ -994,7 +1084,15 @@ mod tests {
                 // SAFETY: active table's ISA was runtime-verified and
                 // the operands match the band contract.
                 unsafe {
-                    (table.band)(&args, &panel.pairs, &panel.quads, &mut acc, 0, m, &mut out)
+                    (table.band)(
+                        &args,
+                        &panel.pairs,
+                        &panel.quads,
+                        &mut scratch,
+                        0,
+                        m,
+                        &mut out,
+                    )
                 };
                 let dt = t0.elapsed().as_secs_f64();
                 let gmacs = (m * k * n) as f64 / dt / 1e9;

@@ -63,21 +63,30 @@ pub fn monotone_lut_into(x: &[u8], out: &mut Vec<u8>) {
     out.extend(x.iter().map(|&v| v / 2 + v / 4));
 }
 
+/// The multiplier that turns softmax's per-element division into one
+/// multiply and shift: `(v · softmax_scale(act_max, sum)) >> 32 ==
+/// v · act_max / sum` for every byte `v`. With `m = ⌊2³²/sum⌋ + 1`,
+/// `x·m / 2³²` overshoots `x/sum` by `x·e / (sum·2³²)` for some
+/// `e ≤ sum`, which stays below the `1/sum` that could carry the floor
+/// while `x·e < 2³²` — true for `x = v·act_max < 2¹⁶` and `sum ≤ 2¹⁶`;
+/// a larger `sum` exceeds every `x`, and then `x·m < 2³²` floors to the
+/// quotient 0 as well.
+fn softmax_scale(act_max: u8, sum: u32) -> u64 {
+    act_max as u64 * ((1u64 << 32) / sum as u64 + 1)
+}
+
 /// Softmax over contiguous groups of `group` elements, renormalized into
 /// the activation range: `out[i] = x[i] · act_max / max(Σ_group x, 1)`.
-/// Monotone within each group and bounded by `act_max`.
+/// Monotone within each group and bounded by `act_max`. One reciprocal
+/// per group ([`softmax_scale`]) keeps the element loop a multiply.
 pub fn softmax_into(x: &[u8], group: usize, act_max: u8, out: &mut Vec<u8>) {
     let group = group.max(1);
     out.clear();
     out.reserve(x.len());
     for chunk in x.chunks(group) {
         let sum: u32 = chunk.iter().map(|&v| v as u32).sum();
-        let sum = sum.max(1);
-        out.extend(
-            chunk
-                .iter()
-                .map(|&v| (v as u32 * act_max as u32 / sum) as u8),
-        );
+        let scale = softmax_scale(act_max, sum.max(1));
+        out.extend(chunk.iter().map(|&v| ((v as u64 * scale) >> 32) as u8));
     }
 }
 
@@ -100,7 +109,10 @@ pub fn layernorm_into(x: &[u8], group: usize, act_max: u8, out: &mut Vec<u8>) {
     }
 }
 
-/// 2-D max/average pooling over a CHW map (no padding).
+/// 2-D max/average pooling over a CHW map (no padding), row-wise: each
+/// output row first folds its `kernel.0` source rows into one row
+/// (a whole-row vector max or sum), then reduces that row's
+/// `kernel.1`-wide windows at `stride.1`.
 #[allow(clippy::too_many_arguments)]
 pub fn pool_into(
     x: &[u8],
@@ -116,23 +128,57 @@ pub fn pool_into(
     let out_w = (w - kernel.1) / stride.1 + 1;
     out.clear();
     out.resize(c * out_h * out_w, 0);
-    for ch in 0..c {
-        for oy in 0..out_h {
-            for ox in 0..out_w {
-                let mut best = 0u32;
-                let mut sum = 0u32;
-                for dy in 0..kernel.0 {
-                    for dx in 0..kernel.1 {
-                        let v = x[ch * h * w + (oy * stride.0 + dy) * w + ox * stride.1 + dx];
-                        best = best.max(v as u32);
-                        sum += v as u32;
-                    }
+    let dims = ((h, w), (out_h, out_w));
+    if is_max {
+        pool_rows(x, dims, kernel, stride, out, u8::max, |best| best);
+    } else {
+        let area = (kernel.0 * kernel.1) as u32;
+        let sum = |a: u32, b: u32| a + b;
+        pool_rows(x, dims, kernel, stride, out, sum, |s| (s / area) as u8);
+    }
+}
+
+/// [`pool_into`] for one reduction over `h × w` planes into
+/// `out_h × out_w` ones: `fold` combines two values (of the accumulator
+/// type `T`, wide enough for a whole window), `finish` maps a window's
+/// fold to its output byte.
+fn pool_rows<T: Copy + From<u8>>(
+    x: &[u8],
+    ((h, w), (out_h, out_w)): ((usize, usize), (usize, usize)),
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    out: &mut [u8],
+    fold: impl Fn(T, T) -> T,
+    finish: impl Fn(T) -> u8,
+) {
+    let (mut folded, mut windows): (Vec<T>, Vec<T>) = (Vec::new(), Vec::new());
+    let planes = x
+        .chunks_exact(h * w)
+        .zip(out.chunks_exact_mut(out_h * out_w));
+    for (plane, out_plane) in planes {
+        for (oy, out_row) in out_plane.chunks_exact_mut(out_w).enumerate() {
+            // Vertical: the kernel's rows folded into one. Every loop
+            // here zips plain slices, so it vectorises.
+            let (first, rest) = plane[oy * stride.0 * w..][..kernel.0 * w].split_at(w);
+            folded.clear();
+            folded.extend(first.iter().map(|&v| T::from(v)));
+            for row in rest.chunks_exact(w) {
+                for (acc, &v) in folded.iter_mut().zip(row) {
+                    *acc = fold(*acc, T::from(v));
                 }
-                out[ch * out_h * out_w + oy * out_w + ox] = if is_max {
-                    best as u8
-                } else {
-                    (sum / (kernel.0 * kernel.1) as u32) as u8
-                };
+            }
+            // Horizontal, at every column: `windows[x]` folds
+            // `folded[x ..][..kernel.1]`, one shifted slice at a time.
+            windows.clear();
+            windows.extend_from_slice(&folded);
+            for dx in 1..kernel.1 {
+                for (acc, &v) in windows.iter_mut().zip(&folded[dx..]) {
+                    *acc = fold(*acc, v);
+                }
+            }
+            // Output `ox` is the window that starts at `ox · stride.1`.
+            for (dst, &v) in out_row.iter_mut().zip(windows.iter().step_by(stride.1)) {
+                *dst = finish(v);
             }
         }
     }
@@ -238,6 +284,102 @@ mod tests {
         let mut avg = Vec::new();
         pool_into(&x, 2, 2, 4, (2, 2), (2, 2), false, &mut avg);
         assert_eq!(avg, vec![4, 5, 2, 2]);
+    }
+
+    /// The per-window loop `pool_into` replaced, kept as its oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn pool_ref(
+        x: &[u8],
+        c: usize,
+        h: usize,
+        w: usize,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        is_max: bool,
+    ) -> Vec<u8> {
+        let out_h = (h - kernel.0) / stride.0 + 1;
+        let out_w = (w - kernel.1) / stride.1 + 1;
+        let mut out = vec![0u8; c * out_h * out_w];
+        for ch in 0..c {
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    let mut best = 0u32;
+                    let mut sum = 0u32;
+                    for dy in 0..kernel.0 {
+                        for dx in 0..kernel.1 {
+                            let v = x[ch * h * w + (oy * stride.0 + dy) * w + ox * stride.1 + dx];
+                            best = best.max(v as u32);
+                            sum += v as u32;
+                        }
+                    }
+                    out[ch * out_h * out_w + oy * out_w + ox] = if is_max {
+                        best as u8
+                    } else {
+                        (sum / (kernel.0 * kernel.1) as u32) as u8
+                    };
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn row_wise_pool_equals_the_window_loop() {
+        // Odd extents, kernel ≠ stride (overlapping and skipping
+        // windows), one-wide kernels, a kernel covering the whole map.
+        let cases = [
+            (3, 7, 9, (2, 2), (2, 2)),
+            (2, 11, 13, (3, 3), (2, 2)),
+            (1, 9, 7, (2, 3), (3, 1)),
+            (2, 8, 8, (1, 1), (1, 1)),
+            (1, 5, 6, (1, 4), (2, 3)),
+            (2, 6, 5, (6, 5), (1, 1)),
+            (1, 113, 115, (3, 2), (2, 2)),
+        ];
+        for (c, h, w, kernel, stride) in cases {
+            let x: Vec<u8> = (0..c * h * w)
+                .map(|i: usize| (i.wrapping_mul(2654435761) >> 7) as u8)
+                .collect();
+            for is_max in [true, false] {
+                let mut got = vec![0xA5; 3];
+                pool_into(&x, c, h, w, kernel, stride, is_max, &mut got);
+                assert_eq!(
+                    got,
+                    pool_ref(&x, c, h, w, kernel, stride, is_max),
+                    "{c}x{h}x{w} kernel {kernel:?} stride {stride:?} max={is_max}"
+                );
+            }
+        }
+    }
+
+    /// The reciprocal form of softmax is the division form, bit for
+    /// bit: every byte, both activation ranges, every sum a group of
+    /// up to 257 bytes can reach, and seeded sums beyond.
+    #[test]
+    fn softmax_reciprocal_equals_the_division() {
+        let check = |act_max: u8, sum: u32| {
+            let scale = softmax_scale(act_max, sum);
+            for v in 0..=255u8 {
+                assert_eq!(
+                    ((v as u64 * scale) >> 32) as u8,
+                    (v as u32 * act_max as u32 / sum) as u8,
+                    "v={v} act_max={act_max} sum={sum}"
+                );
+            }
+        };
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for act_max in [15u8, 255] {
+            for sum in 1..=65_535u32 {
+                check(act_max, sum);
+            }
+            for _ in 0..10_000 {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                check(act_max, (seed >> 32) as u32 | 0x1_0000);
+            }
+            check(act_max, u32::MAX);
+        }
     }
 
     #[test]

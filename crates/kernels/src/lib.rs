@@ -64,6 +64,7 @@ pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_block
 pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref, transpose_clamp_ref};
 pub use tiled::{
     matmul_blocked_into, matmul_host, try_matmul_blocked_into, GemmDispatchError, GemmScratch,
+    LineBuf,
 };
 pub use transpose::transpose_clamp_into;
 pub use unroll::{

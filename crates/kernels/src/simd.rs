@@ -27,6 +27,7 @@
 
 use crate::autotune::TilePlan;
 use crate::dispatch::BandArgs;
+use crate::tiled::BandScratch;
 
 /// Pack a `k × n` row-major i8 weight matrix into the pair-interleaved
 /// i16 panel the AVX2 kernel consumes: consecutive weight rows `2p` and
@@ -59,36 +60,85 @@ pub(crate) fn pack_pairs_i16(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i16>
     }
 }
 
-/// Pack a `k × n` row-major i8 weight matrix into the quad-interleaved
-/// i8 panel the AVX-512 VNNI kernel consumes: four consecutive weight
-/// rows are zipped column-wise so each i32 lane of a 512-bit load holds
-/// the `(w[4q][j] .. w[4q+3][j])` bytes `vpdpbusd` dots against four
-/// broadcast activation bytes. Trailing rows pad with zero (a zero
-/// weight byte contributes nothing whatever activation byte it meets,
-/// so the activation padding bytes never matter).
-pub(crate) fn pack_quads_i8(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i8>) {
-    let quads = k.div_ceil(4);
+/// 64 elements on a 64-byte boundary: one cache line of bytes. The
+/// quad panel is a vector of these, so no `vpdpbusd` operand and no row
+/// of a `tdpbusd` tile straddles two lines — on the recording host a
+/// tile load whose rows do costs about twice one whose rows do not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+pub(crate) struct Line<T>(pub(crate) [T; 64]);
+
+/// One row of the VNNI/AMX weight panel: four weight rows of sixteen
+/// columns, zipped column-wise (byte `4j + i` is `w[4q + i][16s + j]`).
+pub(crate) type QuadRow = Line<i8>;
+
+/// Quad rows of one quad tile of the panel: the 64 reduction rows × 16
+/// columns one `tdpbusd` B tile holds (1 KiB), and sixteen consecutive
+/// `vpdpbusd` weight operands.
+pub(crate) const TILE_QUADS: usize = 16;
+
+/// Quad rows of the quad panel of a `k × n` matrix: whole 16-column
+/// strips of whole 64-deep k-tiles.
+pub(crate) fn quad_panel_rows(k: usize, n: usize) -> usize {
+    n.div_ceil(16) * k.div_ceil(64) * TILE_QUADS
+}
+
+/// Pack a `k × n` row-major i8 weight matrix into the strip-major,
+/// quad-interleaved i8 panel the AVX-512 VNNI and AMX kernels share.
+/// Four consecutive weight rows are zipped column-wise, so each i32
+/// lane of a 64-byte [`QuadRow`] holds the `(w[4q][j] .. w[4q+3][j])`
+/// bytes `vpdpbusd` dots against four broadcast activation bytes; the
+/// quad rows of one 16-column strip lie back to back over all of `k`.
+/// As a byte image:
+///
+/// `panel[((j/16)·kt + q/16)·1024 + (q%16)·64 + 4·(j%16) + i] = w[4q+i][j]`
+///
+/// with `kt = ⌈k/64⌉`. Sixteen consecutive quad rows are one `tdpbusd`
+/// B tile (1 KiB of consecutive, line-aligned bytes) and the next
+/// k-tile of the strip follows it, so both tiers stream a strip
+/// linearly. The panel is zero-padded to whole strips and whole
+/// k-tiles: a zero weight byte contributes nothing whatever activation
+/// byte it meets, so the tile tier computes the padded last strip and
+/// k-tile whole and the activation padding bytes never matter.
+pub(crate) fn pack_quads_i8(wd: &[i8], k: usize, n: usize, panel: &mut Vec<QuadRow>) {
+    let kt = k.div_ceil(64);
     panel.clear();
-    panel.resize(quads * 4 * n, 0);
-    for (q, dst) in panel.chunks_exact_mut((4 * n).max(1)).enumerate() {
-        let rows = &wd[4 * q * n..(4 * q + 4).min(k) * n];
-        if rows.len() == 4 * n {
-            // A whole quad: zip four rows in one pass, the shape the
-            // autovectoriser turns into byte and word unpacks.
-            let (r0, rest) = rows.split_at(n);
-            let (r1, rest) = rest.split_at(n);
-            let (r2, r3) = rest.split_at(n);
-            for (j, d) in dst.chunks_exact_mut(4).enumerate() {
-                d[0] = r0[j];
-                d[1] = r1[j];
-                d[2] = r2[j];
-                d[3] = r3[j];
-            }
-        } else {
-            // The ragged last quad: the missing rows stay zero.
-            for (t, row) in rows.chunks_exact(n.max(1)).enumerate() {
-                for (j, &w) in row.iter().enumerate() {
-                    dst[4 * j + t] = w;
+    panel.resize(quad_panel_rows(k, n), Line([0; 64]));
+    for (t, rows) in wd.chunks((64 * n).max(1)).enumerate() {
+        pack_quad_ktile(rows, n, &mut panel[t * TILE_QUADS..], kt * TILE_QUADS);
+    }
+}
+
+/// Packs one k-tile — `rows`, up to 64 weight rows of `n` columns — as
+/// one quad tile per 16-column strip, strip `s` at `dst[s ·
+/// strip_stride..][..TILE_QUADS]`. `dst` must be zero where the tile
+/// is padding (missing rows, columns past `n`): only weight bytes are
+/// written. Strips are the outer loop so every tile is written front
+/// to back while its 64 × 16 source bytes sit in L1.
+pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_stride: usize) {
+    for s in 0..n.div_ceil(16) {
+        let (j0, cols) = (16 * s, (n - 16 * s).min(16));
+        let tile = &mut dst[s * strip_stride..][..TILE_QUADS];
+        for (quad, Line(d)) in rows.chunks(4 * n).zip(tile) {
+            if quad.len() == 4 * n && cols == 16 {
+                // A whole quad of a whole strip: zip four 16-byte row
+                // pieces, the shape the autovectoriser turns into byte
+                // and word unpacks.
+                let piece = |r: usize| &quad[r * n + j0..][..16];
+                let (r0, r1, r2, r3) = (piece(0), piece(1), piece(2), piece(3));
+                for j in 0..16 {
+                    d[4 * j] = r0[j];
+                    d[4 * j + 1] = r1[j];
+                    d[4 * j + 2] = r2[j];
+                    d[4 * j + 3] = r3[j];
+                }
+            } else {
+                // The ragged last quad or strip: what is missing stays
+                // zero.
+                for (i, row) in quad.chunks_exact(n).enumerate() {
+                    for (j, &w) in row[j0..j0 + cols].iter().enumerate() {
+                        d[4 * j + i] = w;
+                    }
                 }
             }
         }
@@ -107,7 +157,9 @@ pub(crate) fn requantize(acc: &[i32], shift: u8, out: &mut [u8]) {
 pub(crate) mod x86 {
     #![allow(clippy::too_many_arguments)]
 
-    use super::{requantize, BandArgs, TilePlan};
+    use super::{
+        quad_panel_rows, requantize, BandArgs, BandScratch, QuadRow, TilePlan, TILE_QUADS,
+    };
     use core::arch::x86_64::*;
 
     /// AVX2 band kernel over rows `[r0, r1)` of the output.
@@ -130,8 +182,8 @@ pub(crate) mod x86 {
     pub(crate) unsafe fn band_avx2(
         args: &BandArgs<'_>,
         panel: &[i16],
-        _quads: &[i8],
-        acc_buf: &mut Vec<i32>,
+        _quads: &[QuadRow],
+        scratch: &mut BandScratch,
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
@@ -145,6 +197,7 @@ pub(crate) mod x86 {
             tiles,
         } = *args;
         let TilePlan { mb, kb } = tiles;
+        let acc_buf = &mut scratch.acc;
         if n < 8 {
             // No vector strip fits: every column would take the scalar
             // tail. The oracle's plain nest is strictly faster there.
@@ -353,13 +406,15 @@ pub(crate) mod x86 {
     /// AVX-512 VNNI band kernel: same loop nest as [`band_avx2`] —
     /// `mb` row blocks outermost with a cache-hot `mb × n` accumulator,
     /// reduction segments inside — but in the quad (4-row) reduction
-    /// domain over a quad-interleaved i8 panel: one `vpdpbusd` performs
-    /// 64 u8×i8 MACs. Exactness: each lane sums four products of
-    /// magnitude ≤ 255·128 (≤ 130560 total, far inside i32) and plain
-    /// `vpdpbusd` accumulates modularly (the saturating variant is
-    /// `vpdpbusds`, which we do not use), so the bytes match the
-    /// wrapping scalar oracle for any schedule. Bands narrower than one
-    /// zmm of columns delegate to the scalar oracle (bit-identical).
+    /// domain over the strip-major quad panel: one `vpdpbusd` performs
+    /// 64 u8×i8 MACs, and its weight operand is one 64-byte quad row,
+    /// consecutive quads of a strip consecutive in memory. Exactness:
+    /// each lane sums four products of magnitude ≤ 255·128 (≤ 130560
+    /// total, far inside i32) and plain `vpdpbusd` accumulates modularly
+    /// (the saturating variant is `vpdpbusds`, which we do not use), so
+    /// the bytes match the wrapping scalar oracle for any schedule.
+    /// Bands narrower than one zmm of columns take the reduction-major
+    /// [`band_vnni_narrow`] (bit-identical).
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + AVX-512VNNI are available, `quads`
@@ -369,8 +424,8 @@ pub(crate) mod x86 {
     pub(crate) unsafe fn band_avx512vnni(
         args: &BandArgs<'_>,
         _panel: &[i16],
-        quads: &[i8],
-        acc_buf: &mut Vec<i32>,
+        quads: &[QuadRow],
+        scratch: &mut BandScratch,
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
@@ -393,14 +448,10 @@ pub(crate) mod x86 {
             return unsafe { band_vnni_narrow(a, k, n, wd, shift, r0, r1, out_band) };
         }
         let rows = r1 - r0;
-        debug_assert!(r1 * k <= a.len());
-        debug_assert_eq!(quads.len(), k.div_ceil(4) * 4 * n);
         debug_assert_eq!(out_band.len(), rows * n);
-
-        let nquads = k.div_ceil(4);
-        let full_quads = k / 4;
         let kb_quads = (kb / 4).max(1);
         let mb = mb.max(4);
+        let acc_buf = &mut scratch.acc;
         acc_buf.clear();
         acc_buf.resize(mb.min(rows) * n, 0);
 
@@ -409,29 +460,62 @@ pub(crate) mod x86 {
             let mrows = mb.min(rows - rb);
             let acc = &mut acc_buf[..mrows * n];
             acc.fill(0);
-            let mut q0 = 0usize;
-            while q0 < nquads {
-                let q1 = (q0 + kb_quads).min(nquads);
-                let mut r = 0usize;
-                while r + 4 <= mrows {
-                    // SAFETY: rows r0+rb+r .. +4 are < r1 <= m and the
-                    // acc offset r * n stays inside the mrows*n block.
-                    unsafe {
-                        strips512::<4>(a, k, n, quads, acc, r0 + rb + r, r * n, q0, q1, full_quads);
-                    }
-                    r += 4;
-                }
-                while r < mrows {
-                    // SAFETY: single row r0+rb+r < r1 <= m, acc offset in range.
-                    unsafe {
-                        strips512::<1>(a, k, n, quads, acc, r0 + rb + r, r * n, q0, q1, full_quads);
-                    }
-                    r += 1;
-                }
-                q0 = q1;
-            }
+            // SAFETY: the feature and panel contracts are this fn's;
+            // rows r0+rb .. +mrows are < r1 <= m and `acc` holds
+            // mrows rows.
+            unsafe { rows512(a, k, n, quads, acc, r0 + rb, mrows, kb_quads) };
             requantize(acc, shift, &mut out_band[rb * n..(rb + mrows) * n]);
             rb += mrows;
+        }
+    }
+
+    /// Accumulates the whole reduction of activation rows `row0 ..
+    /// row0 + mrows` into `acc` (`mrows × n`, row-major) with the VNNI
+    /// strips, in segments of `kb_quads` quads so a segment of the
+    /// panel is reused by every row group while it is cache-hot. Shared
+    /// by [`band_avx512vnni`] and the AMX kernel's row remainder.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F + AVX-512VNNI are available, `quads`
+    /// is the [`super::pack_quads_i8`] image of a `k × n` matrix,
+    /// `(row0 + mrows) * k <= a.len()`, `acc.len() == mrows * n` and
+    /// `kb_quads >= 1`.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub(crate) unsafe fn rows512(
+        a: &[u8],
+        k: usize,
+        n: usize,
+        quads: &[QuadRow],
+        acc: &mut [i32],
+        row0: usize,
+        mrows: usize,
+        kb_quads: usize,
+    ) {
+        debug_assert!((row0 + mrows) * k <= a.len());
+        debug_assert_eq!(quads.len(), quad_panel_rows(k, n));
+        debug_assert_eq!(acc.len(), mrows * n);
+        let nquads = k.div_ceil(4);
+        let full_quads = k / 4;
+        let mut q0 = 0usize;
+        while q0 < nquads {
+            let q1 = (q0 + kb_quads).min(nquads);
+            let mut r = 0usize;
+            while r + 4 <= mrows {
+                // SAFETY: rows row0+r .. +4 are inside `a` and the acc
+                // offset r * n stays inside the mrows*n block.
+                unsafe {
+                    strips512::<4>(a, k, n, quads, acc, row0 + r, r * n, q0, q1, full_quads);
+                }
+                r += 4;
+            }
+            while r < mrows {
+                // SAFETY: single row row0+r inside `a`, acc offset in range.
+                unsafe {
+                    strips512::<1>(a, k, n, quads, acc, row0 + r, r * n, q0, q1, full_quads);
+                }
+                r += 1;
+            }
+            q0 = q1;
         }
     }
 
@@ -443,15 +527,15 @@ pub(crate) mod x86 {
     /// throughput.
     ///
     /// # Safety
-    /// Same contract as [`strips`], with `quads` covering quad range
-    /// `[q0, q1)` at width `n` and AVX-512F + VNNI available.
+    /// Same contract as [`strips`], with `quads` the quad panel of a
+    /// `k × n` matrix, `q1 <= ⌈k/4⌉` and AVX-512F + VNNI available.
     #[target_feature(enable = "avx512f,avx512vnni")]
     #[inline]
-    pub(crate) unsafe fn strips512<const R: usize>(
+    unsafe fn strips512<const R: usize>(
         a: &[u8],
         k: usize,
         n: usize,
-        quads: &[i8],
+        quads: &[QuadRow],
         acc: &mut [i32],
         row_abs: usize,
         acc_off: usize,
@@ -595,15 +679,16 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + VNNI, `(row_abs + R) * k <=
-    /// a.len()`, `acc_off + (R-1)*n + j + 16*W <= acc.len()`, and
-    /// `(q1-1)*4n + 4j + 64*W <= quads.len()`.
+    /// a.len()`, `acc_off + (R-1)*n + j + 16*W <= acc.len()`, `j` a
+    /// multiple of 16 with `j + 16*W <= n`, `q1 <= ⌈k/4⌉`, and `quads`
+    /// the quad panel of a `k × n` matrix.
     #[target_feature(enable = "avx512f,avx512vnni")]
     #[inline]
     unsafe fn micro512<const R: usize, const W: usize>(
         a: &[u8],
         k: usize,
         n: usize,
-        quads: &[i8],
+        quads: &[QuadRow],
         acc: &mut [i32],
         row_abs: usize,
         acc_off: usize,
@@ -622,14 +707,16 @@ pub(crate) mod x86 {
                 };
             }
         }
+        // Strip j/16 starts `strip` quad rows after its left neighbour.
+        let strip = k.div_ceil(64) * TILE_QUADS;
         for q in q0..q1 {
-            let wbase = q * 4 * n + 4 * j;
+            let wbase = j / 16 * strip + q;
             let mut wv = [_mm512_setzero_si512(); W];
             for (w, lane) in wv.iter_mut().enumerate() {
-                // SAFETY: per caller contract the 64-byte window at
-                // wbase + 64w is inside `quads`.
+                // SAFETY: per caller contract quad row q of strip
+                // j/16 + w is inside `quads`, and line-aligned.
                 *lane =
-                    unsafe { _mm512_loadu_si512(quads.as_ptr().add(wbase + 64 * w) as *const _) };
+                    unsafe { _mm512_load_si512(quads.as_ptr().add(wbase + w * strip) as *const _) };
             }
             for (r, row) in cc.iter_mut().enumerate() {
                 // SAFETY: row_abs + r < row_abs + R, in range per contract.
@@ -655,24 +742,27 @@ pub(crate) mod x86 {
 
     /// [`micro512`] for the `n - j < 16` trailing columns of an `R`-row
     /// group: one zmm per row whose lane mask covers exactly those
-    /// columns. Masked-off lanes of the accumulator and panel loads read
-    /// as zero and, like the masked-off lanes of the store, are
-    /// architecturally never accessed, so the strip may start fewer
-    /// than 16 lanes before the end of a row, of `acc` or of `quads`.
-    /// Live lanes compute what [`micro512`] computes (same `vpdpbusd`,
-    /// same zero-padded final quad), so the bytes are the oracle's.
+    /// columns. Masked-off lanes of the accumulator load read as zero
+    /// and, like the masked-off lanes of the store, are architecturally
+    /// never accessed, so the strip may start fewer than 16 lanes
+    /// before the end of a row or of `acc`. The panel's last strip is
+    /// padded to 16 columns with zero weights, so its quad rows load
+    /// whole. Live lanes compute what [`micro512`] computes (same
+    /// `vpdpbusd`, same zero-padded final quad), so the bytes are the
+    /// oracle's.
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + VNNI, `(row_abs + R) * k <=
-    /// a.len()`, `0 < n - j < 16`, `acc_off + (R-1)*n + n <= acc.len()`,
-    /// and `q1 * 4n <= quads.len()`.
+    /// a.len()`, `j` a multiple of 16 with `0 < n - j < 16`, `acc_off +
+    /// (R-1)*n + n <= acc.len()`, `q1 <= ⌈k/4⌉`, and `quads` the quad
+    /// panel of a `k × n` matrix.
     #[target_feature(enable = "avx512f,avx512vnni")]
     #[inline]
     unsafe fn micro512_tail<const R: usize>(
         a: &[u8],
         k: usize,
         n: usize,
-        quads: &[i8],
+        quads: &[QuadRow],
         acc: &mut [i32],
         row_abs: usize,
         acc_off: usize,
@@ -689,12 +779,11 @@ pub(crate) mod x86 {
             *lane =
                 unsafe { _mm512_maskz_loadu_epi32(lanes, acc.as_ptr().add(acc_off + r * n + j)) };
         }
+        let wbase = j / 16 * k.div_ceil(64) * TILE_QUADS;
         for q in q0..q1 {
-            // SAFETY: the live lanes are the quads of columns j..n in
-            // panel row q: bytes q·4n + 4j .. (q+1)·4n, inside `quads`.
-            let wv = unsafe {
-                _mm512_maskz_loadu_epi32(lanes, quads.as_ptr().add(q * 4 * n + 4 * j) as *const i32)
-            };
+            // SAFETY: quad row q of the (padded) last strip is inside
+            // `quads` per the caller contract, and line-aligned.
+            let wv = unsafe { _mm512_load_si512(quads.as_ptr().add(wbase + q) as *const _) };
             for (r, lane) in cc.iter_mut().enumerate() {
                 // SAFETY: row_abs + r < row_abs + R, in range per contract.
                 let bits = unsafe { a_quad(a, row_abs + r, k, q, full_quads) };
@@ -1189,7 +1278,7 @@ pub(crate) mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod arm {
-    use super::{requantize, BandArgs, TilePlan};
+    use super::{requantize, BandArgs, BandScratch, QuadRow, TilePlan};
     use core::arch::aarch64::*;
 
     /// NEON band kernel over rows `[r0, r1)`: the scalar blocked loop
@@ -1206,8 +1295,8 @@ pub(crate) mod arm {
     pub(crate) unsafe fn band_neon(
         args: &BandArgs<'_>,
         _panel: &[i16],
-        _quads: &[i8],
-        acc_buf: &mut Vec<i32>,
+        _quads: &[QuadRow],
+        scratch: &mut BandScratch,
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
@@ -1220,6 +1309,7 @@ pub(crate) mod arm {
             shift,
             tiles: TilePlan { mb, kb },
         } = *args;
+        let acc_buf = &mut scratch.acc;
         let rows = r1 - r0;
         let (mb, kb_rows) = (mb.max(1), kb.max(1));
         acc_buf.clear();

@@ -28,6 +28,7 @@
 //! semantic definition every SIMD path must match bit for bit.
 
 use crate::autotune::TilePlan;
+use crate::simd::Line;
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use std::cell::RefCell;
 
@@ -39,13 +40,48 @@ pub const MB: usize = 32;
 pub const KB: usize = 256;
 
 /// Scratch buffers for the blocked GEMM entry points, reusable across
-/// calls so steady-state GEMMs allocate nothing: the i32 accumulator
-/// tile plus the weight panel a dispatch packs for itself when its
-/// caller keeps no resident one (see [`crate::WeightPanel`]).
+/// calls so steady-state GEMMs allocate nothing: what one band kernel
+/// call works in, plus the weight panel a dispatch packs for itself
+/// when its caller keeps no resident one (see [`crate::WeightPanel`]).
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
-    pub(crate) acc: Vec<i32>,
+    pub(crate) band: BandScratch,
     pub(crate) panel: crate::dispatch::WeightPanel,
+}
+
+/// The buffers one band kernel call works in.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct BandScratch {
+    /// The i32 accumulator block.
+    pub(crate) acc: Vec<i32>,
+    /// AMX tier: the `k % 64` reduction tail of a row block's
+    /// activation rows, one zero-padded line each, so the tail runs on
+    /// a tile whose loads never leave the buffer.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the AMX tier is x86-64's
+    pub(crate) a_tail: Vec<Line<u8>>,
+}
+
+/// A reusable byte buffer that starts on a cache line — what a caller
+/// stages a GEMM's activation matrix in. When `k` is a multiple of 64
+/// no row of an AMX activation tile then straddles two lines (a tile
+/// load whose rows do costs about twice one whose rows do not); the
+/// other tiers read it like any slice.
+#[derive(Debug, Default, Clone)]
+pub struct LineBuf(Vec<Line<u8>>);
+
+impl LineBuf {
+    /// The first `len` bytes, the buffer grown to hold them. Not
+    /// cleared: bytes of an earlier use are still there.
+    pub fn bytes_mut(&mut self, len: usize) -> &mut [u8] {
+        let lines = len.div_ceil(64);
+        if self.0.len() < lines {
+            self.0.resize(lines, Line([0; 64]));
+        }
+        // SAFETY: `Line<u8>` is `repr(C)` over `[u8; 64]`, so the
+        // vector's first `lines` elements are `64 · lines >= len`
+        // contiguous initialised bytes, borrowed mutably through `self`.
+        unsafe { std::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast::<u8>(), len) }
+    }
 }
 
 /// A GEMM dispatch rejected before touching any memory: the operands the
@@ -245,6 +281,21 @@ mod tests {
         let mut v = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         v ^= v >> 29;
         (v % 16) as u8
+    }
+
+    /// Every length starts on a cache line, and growing keeps the bytes
+    /// already staged.
+    #[test]
+    fn line_buf_is_line_aligned_and_keeps_its_bytes() {
+        let mut buf = LineBuf::default();
+        assert!(buf.bytes_mut(0).is_empty());
+        for len in [1usize, 63, 64, 65, 1000] {
+            let bytes = buf.bytes_mut(len);
+            assert_eq!((bytes.len(), bytes.as_ptr() as usize % 64), (len, 0));
+            bytes[len - 1] = len as u8;
+        }
+        let bytes = buf.bytes_mut(65);
+        assert_eq!((bytes[0], bytes[62], bytes[63], bytes[64]), (1, 63, 64, 65));
     }
 
     /// Bit-exactness against the gold reference across shapes that

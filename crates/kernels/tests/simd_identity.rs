@@ -161,11 +161,19 @@ proptest! {
 /// Shapes pinned to the register-tile and block boundaries: K-remainder
 /// (odd k exercises the half-pair path), M-remainder (rows % 4), and
 /// N-remainder (cols % 16 / % 8) edge tiles, plus exact-fit controls.
-/// None is large enough to band; [`threaded_band_split_is_deterministic`]
-/// covers the fan-out.
+/// Then the AMX tile grid's boundaries, as a cross product: one row
+/// short of, on and past a 16- and a 32-row group; one byte short of,
+/// on and past a 64-deep k-tile, and reduction tails of 19 and 56
+/// bytes; column counts that leave the last 16-column strip 8 or 10
+/// columns live, alone or behind whole strips and strip pairs. `a` is
+/// exactly `m · k` bytes and the suite runs with debug assertions, so a
+/// tail or remainder tile load whose window leaves `a` (or the staged
+/// tail, or the panel) fails the kernel's `debug_assert`s instead of
+/// passing unnoticed. None is large enough to band;
+/// [`threaded_band_split_is_deterministic`] covers the fan-out.
 #[test]
 fn edge_tiles_are_bit_identical() {
-    let cases: &[(usize, usize, usize)] = &[
+    let cases = [
         (1, 1, 1),
         (1, 2, 16),   // single row, exact pair, exact strip
         (2, 3, 8),    // odd k: half-pair tail
@@ -184,7 +192,12 @@ fn edge_tiles_are_bit_identical() {
         (37, 70, 65),  // 64 + 1 columns, rows % 4 == 1
         (21, 201, 79), // 64 + 15 columns, k % 4 == 1
     ];
-    for &(m, k, n) in cases {
+    let tile_grid = [15, 16, 17, 31, 33, 49].into_iter().flat_map(|m| {
+        [63, 64, 65, 127, 147, 312]
+            .into_iter()
+            .flat_map(move |k| [8, 24, 26, 40, 312, 1000].map(|n| (m, k, n)))
+    });
+    for (m, k, n) in cases.into_iter().chain(tile_grid) {
         for shift in [0u8, 4] {
             let a = activations(m, k, 35, (m * 1000 + k) as u64);
             let w = weights(k, n, n as u64);
