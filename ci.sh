@@ -9,15 +9,19 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1: im2col_identity holds the portable form to the oracle)"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1: im2col_identity holds the portable form and the pixel-major form to the oracle)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 
-echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (im2col_identity holds the tile form, and every tier the host supports, to the oracle)"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (the GEMM, its folded clamp, the transpose, im2col and the depthwise kernel are each held to their oracle at every tier the host supports)"
 cargo test -q -p gcd2-kernels
 
-echo "==> plan execution and end-to-end suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips; perfbench refuses the variable, the test suites do not)"
+echo "==> plan execution and end-to-end suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — runs there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
 GCD2_AMX=0 cargo test -q --test end_to_end
+
+echo "==> plan execution and the layout differential on the scalar oracle (GCD2_FORCE_SCALAR=1: packless panels, the portable transposes and im2col, rows-ordered weights read raw)"
+GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2 --lib infer::
+GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_chw_equal_the_interpreter
 
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

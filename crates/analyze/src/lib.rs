@@ -319,6 +319,8 @@ pub(crate) mod testutil {
                 in_slots: in_slots.to_vec(),
                 out_slot,
                 out_len,
+                in_layout: Default::default(),
+                out_layout: Default::default(),
                 role,
             });
         }

@@ -409,7 +409,7 @@ mod tests {
     /// the derived intervals.
     #[test]
     fn binary_transfers_cover_host_kernels() {
-        type BinKernel = fn(&[u8], &[u8], &mut Vec<u8>);
+        type BinKernel = fn(&[u8], &[u8], &mut [u8]);
         let shape = TShape::new(vec![1]);
         let cases: [(OpKind, BinKernel); 3] = [
             (OpKind::Add, |a, b, out| {
@@ -437,7 +437,7 @@ mod tests {
             let report = interpret(&g, &plan, &mut diags);
             assert!(diags.is_empty(), "{kind}: {diags:?}");
             let iv = report.value_of(2).unwrap();
-            let mut out = Vec::new();
+            let mut out = [0u8; 1];
             for a in 0..=AM {
                 for b in 0..=AM {
                     kernel(&[a], &[b], &mut out);
@@ -462,7 +462,7 @@ mod tests {
             [1, 1, 2, 14],
             [9, 0, 0, 4],
         ];
-        type UnaryKernel = fn(&[u8], &mut Vec<u8>);
+        type UnaryKernel = fn(&[u8], &mut [u8]);
         let cases: [(OpKind, UnaryKernel); 4] = [
             (OpKind::Gelu, |x, out| {
                 gcd2_kernels::hostops::monotone_lut_into(x, out)
@@ -490,7 +490,7 @@ mod tests {
             let report = interpret(&g, &plan, &mut diags);
             assert!(diags.is_empty(), "{kind}: {diags:?}");
             let iv = report.value_of(1).unwrap();
-            let mut out = Vec::new();
+            let mut out = [0u8; 4];
             for p in &patterns {
                 kernel(p, &mut out);
                 for &v in out.iter() {

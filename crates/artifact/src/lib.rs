@@ -53,7 +53,7 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// readers refuse other versions with [`ArtifactError::VersionSkew`]
 /// (the cache key includes the version, so skewed files are simply
 /// never hit).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large

@@ -21,7 +21,9 @@
 //! binds the section table to the plan integrity checksum, the decoder
 //! validates every count/offset/length against caps before allocating,
 //! the reconstructed plan must re-hash to its stored PR-5 integrity
-//! checksum, and admission re-checks the embedded graph text. What
+//! checksum, its layout labels must be the ones the decoded schedule
+//! derives (`crate::layout::select` — a stored assignment is compared,
+//! never trusted), and admission re-checks the embedded graph text. What
 //! checksums cannot catch — a *forged* artifact whose checksums are
 //! self-consistent — is caught at the consumers: the gateway's
 //! [`crate::InferServer::register_from_artifact`] re-runs the
@@ -35,6 +37,7 @@ use gcd2_artifact::{
 use gcd2_cgraph::{Graph, NodeId};
 use gcd2_kernels::{active_isa, cached_choice, KernelChoice, KernelIsa, TilePlan};
 use gcd2_tensor::MatrixI8;
+use gcd2_verify::ActLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -227,6 +230,11 @@ fn encode_plan_section(plan: &InferencePlan) -> Vec<u8> {
         }
         w.u64(step.out_slot as u64);
         w.u64(step.out_len as u64);
+        // The layout labels; a `Rows` in-label on an im2col step is also
+        // what says its weight rows are stored `(dy, dx, ch)`. A step's
+        // producers and image are the graph section's to say.
+        w.u8(step.in_layout as u8);
+        w.u8(step.out_layout as u8);
     }
     w.u64(plan.checksum);
     w.finish()
@@ -395,13 +403,7 @@ fn decode_step_kind(r: &mut ByteReader<'_>) -> Result<StepKind, ArtifactError> {
             };
             // Weights are paired in after the PLAN section decodes; the
             // placeholder is replaced before the plan is handed out.
-            StepKind::Gemm(Box::new(GemmStep::new(
-                prep,
-                (m, k, n),
-                shift,
-                scatter,
-                MatrixI8::zeros(0, 0),
-            )))
+            StepKind::Gemm(Box::new(GemmStep::new(prep, (m, k, n), shift, scatter)))
         }
         3 => StepKind::Add,
         4 => StepKind::Mul,
@@ -452,6 +454,14 @@ fn decode_step_kind(r: &mut ByteReader<'_>) -> Result<StepKind, ArtifactError> {
         14 => StepKind::Concat,
         other => return Err(bounds("step kind tag", other as u64, 14)),
     })
+}
+
+fn decode_layout(r: &mut ByteReader<'_>) -> Result<ActLayout, ArtifactError> {
+    match r.u8()? {
+        0 => Ok(ActLayout::Chw),
+        1 => Ok(ActLayout::Rows),
+        other => Err(bounds("layout tag", other as u64, 1)),
+    }
 }
 
 /// Decodes the PLAN section into a plan skeleton (weights still empty)
@@ -508,6 +518,8 @@ fn decode_plan_section(bytes: &[u8]) -> Result<InferencePlan, ArtifactError> {
                 slot_sizes[out_slot] as u64,
             ));
         }
+        let in_layout = decode_layout(&mut r)?;
+        let out_layout = decode_layout(&mut r)?;
         steps.push(Step {
             node: NodeId(node),
             name,
@@ -516,6 +528,11 @@ fn decode_plan_section(bytes: &[u8]) -> Result<InferencePlan, ArtifactError> {
             in_slots,
             out_slot,
             out_len,
+            // Facts of the graph, paired in from its section.
+            inputs: Vec::new(),
+            image: None,
+            in_layout,
+            out_layout,
         });
     }
     let checksum = r.u64()?;
@@ -690,6 +707,24 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             plan.steps.len() as u64,
             graph.nodes().len() as u64,
         )));
+    }
+    // Who produces a step's operands and whether its value is an image
+    // come from the graph, and how each value is laid out from the
+    // schedule: the stored labels have to be the ones the selection
+    // gives it, so a forged artifact cannot put rows where a kernel
+    // reads planes.
+    for (step, node) in plan.steps.iter_mut().zip(graph.nodes()) {
+        (step.inputs, step.image) = Step::graph_facts(node, step.out_len);
+    }
+    let derived = crate::layout::select(&plan.steps);
+    for (step, label) in plan.steps.iter().zip(derived) {
+        if (step.in_layout, step.out_layout) != label {
+            return Err(Gcd2Error::Artifact(bounds(
+                "step layouts vs derived assignment",
+                step.node.0 as u64,
+                plan.steps.len() as u64,
+            )));
+        }
     }
     attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?).map_err(Gcd2Error::Artifact)?;
 

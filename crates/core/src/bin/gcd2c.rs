@@ -526,11 +526,12 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {:<8} {:>9.1?} {:>6.0} GMAC/s",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {:<8} {:>9.1?} {:>6.0} GMAC/s",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
                         gk.n,
+                        format!("{}→{}", gk.layouts.0, gk.layouts.1),
                         gk.mb,
                         gk.kb,
                         if gk.tuned { "tuned" } else { "default" },
@@ -546,6 +547,20 @@ fn main() -> ExitCode {
                     );
                 }
             }
+            // What the layout selection chose, in its own unit, beside
+            // the all-`Chw` labelling it is only kept for beating.
+            let (chosen, all_chw) = plan.layout_cost();
+            println!(
+                "  layouts      : {} of {} values held as rows, {} conversions left ({} under all-chw); \
+                 predicted {:.2} MB moved per inference vs {:.2} MB all-chw ({:.2} MB no longer transposed)",
+                plan.rows_values(),
+                plan.steps(),
+                chosen.conversions,
+                all_chw.conversions,
+                chosen.bytes as f64 / 1e6,
+                all_chw.bytes as f64 / 1e6,
+                all_chw.bytes.saturating_sub(chosen.bytes) as f64 / 1e6
+            );
             println!(
                 "  bit-identical: {}",
                 if out == reference { "true" } else { "FALSE" }

@@ -8,11 +8,18 @@
 //! An [`InferencePlan`] is compiled **once** per [`CompiledModel`]:
 //!
 //! * the topological op schedule is frozen into a flat step list;
+//! * every step's operands and result get an activation layout —
+//!   channel-major planes or the pixel-major rows a conv GEMM reads and
+//!   writes — chosen for the whole schedule at once by the compiler's
+//!   own PBQP solver over a bytes-moved cost (`crate::layout`), so a
+//!   pointwise conv fed by a conv stages nothing and a conv feeding one
+//!   scatters nothing;
 //! * every weight matrix is derived and materialized at build time
-//!   (row-major, the layout the host GEMM consumes — so the per-edge
-//!   layout transforms the interpreter performs per call are resolved
-//!   once, here), and every matrix a GEMM will read is packed, once,
-//!   into the panel layout of the kernel tier active on this host
+//!   (row-major, the layout the host GEMM consumes, its rows in the
+//!   order the step's staging produces — so the per-edge layout
+//!   transforms the interpreter performs per call are resolved once,
+//!   here), and every matrix a GEMM will read is packed, once, into the
+//!   panel layout of the kernel tier active on this host
 //!   ([`gcd2_kernels::WeightPanel`]) — a GEMM step only multiplies;
 //! * the requantization shift of each GEMM (a pure function of its
 //!   reduction depth) is folded into the step;
@@ -42,31 +49,39 @@
 //! checksum over its materialized weights and step schedule, computed at
 //! build time and re-verifiable via [`InferencePlan::verify_integrity`]
 //! (or per-execution with [`ExecOptions::paranoid`]), which also re-packs
-//! every resident weight panel and compares. All of them stream
+//! every resident weight panel and re-derives the layout assignment,
+//! and compares. All of them stream
 //! the schedule through one lockstep core, `InferencePlan::run_lockstep`.
 
-use gcd2_cgraph::{Activation, NodeId, OpKind};
+use gcd2_cgraph::{Activation, Node, NodeId, OpKind};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, gemm_bands, gemm_kernel_summary, hostops,
-    im2col_rm_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles, Im2colScratch,
-    KernelIsa, LineBuf, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
+    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles,
+    Im2colScratch, KernelIsa, LineBuf, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
+use gcd2_verify::ActLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::InferError;
+use crate::layout::{self, LayoutCost};
 use crate::runtime::{gemm_shift, weight, ACT_MAX, WGT_MAX};
 use crate::CompiledModel;
 
-/// How a GEMM step stages its activation matrix from the input slot.
+/// What a GEMM step's activation matrix is of its operand; the layout
+/// the step reads the operand in ([`Step::in_layout`]) picks the form
+/// that stages it.
 #[derive(Debug, Clone)]
 pub(crate) enum GemmPrep {
     /// The input tensor already is the row-major `m × k` matrix
     /// (MatMul/BatchMatMul) — consumed zero-copy.
     Direct,
-    /// Implicit im2col of a CHW feature map.
+    /// Implicit im2col of a feature map: from CHW planes through the
+    /// tile transpose ([`im2col_rm_into`]), from pixel-major rows by
+    /// plain copies ([`im2col_rows_into`], which orders the reduction
+    /// `(dy, dx, ch)` — see [`GemmStep::weights`]).
     Im2col {
         c: usize,
         h: usize,
@@ -86,8 +101,10 @@ pub(crate) enum GemmPrep {
         stride: (usize, usize),
         padding: (usize, usize),
     },
-    /// Transposed convolution modeled as a 1×1 conv at input resolution:
-    /// `a[r][ch] = x[ch·m + r]`.
+    /// A pointwise conv (and a transposed convolution, modeled as a 1×1
+    /// conv at input resolution): `a[r][ch] = x[ch·m + r]` — a transpose
+    /// of CHW planes; pixel-major rows *are* the matrix, consumed
+    /// zero-copy like [`GemmPrep::Direct`].
     Transposed { c: usize, m: usize },
 }
 
@@ -96,7 +113,9 @@ pub(crate) enum GemmPrep {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Scatter {
     /// `out[ch·spatial + o] = result[o][ch]` for `o < min(m, spatial)`;
-    /// untouched positions stay zero (ConvTranspose upsampling).
+    /// untouched positions stay zero (ConvTranspose upsampling). A step
+    /// whose [`Step::out_layout`] is rows keeps the result as it is —
+    /// the multiply writes the slot.
     Chw { spatial: usize },
     /// Rows are already channel-major (depthwise, n = 1).
     DwRows,
@@ -112,6 +131,10 @@ pub(crate) struct GemmStep {
     /// The row-major `k × n` weights: what the plan checksum, the
     /// artifact, the analyzer and the direct kernels read. Set through
     /// [`GemmStep::set_weights`], which keeps `panel` their pack image.
+    /// Row `kr` is the interpreter's row [`GemmStep::interpreter_row`]:
+    /// an im2col that reads rows has its reduction ordered `(dy, dx, ch)`
+    /// and this matrix — stored, hashed, packed and saved in that order —
+    /// is the only one the step has.
     pub(crate) weights: MatrixI8,
     /// `weights` packed once for the kernel tier active when they were
     /// materialised — what a matmul-backed step's GEMM reads on every
@@ -132,16 +155,17 @@ pub(crate) struct GemmStep {
 const DIRECT_CONV_MAX_N: usize = 16;
 
 impl GemmStep {
-    /// A step over `(m, k, n)` with its weights installed
-    /// ([`GemmStep::set_weights`]).
+    /// A step over `(m, k, n)`, its weights still to be installed
+    /// ([`GemmStep::set_weights`]) — a build materialises them once the
+    /// schedule's layouts are chosen, a load reads them from the
+    /// artifact.
     pub(crate) fn new(
         prep: GemmPrep,
         (m, k, n): (usize, usize, usize),
         shift: u8,
         scatter: Scatter,
-        weights: MatrixI8,
     ) -> GemmStep {
-        let mut step = GemmStep {
+        GemmStep {
             prep,
             weights: MatrixI8::zeros(0, 0),
             panel: WeightPanel::default(),
@@ -150,9 +174,20 @@ impl GemmStep {
             n,
             shift,
             scatter,
-        };
-        step.set_weights(weights);
-        step
+        }
+    }
+
+    /// The interpreter's reduction index `(ch, dy, dx)` of row `kr` of
+    /// [`GemmStep::weights`] when the step reads its operand in
+    /// `in_layout`: an im2col from rows orders its columns
+    /// `(dy, dx, ch)`, every other staging keeps the interpreter's order.
+    pub(crate) fn interpreter_row(&self, in_layout: ActLayout, kr: usize) -> usize {
+        match (&self.prep, in_layout) {
+            (GemmPrep::Im2col { c, kernel, .. }, ActLayout::Rows) => {
+                (kr % c) * kernel.0 * kernel.1 + kr / c
+            }
+            _ => kr,
+        }
     }
 
     /// Installs the step's weights and, for a matmul-backed step, packs
@@ -259,6 +294,33 @@ pub(crate) struct Step {
     pub(crate) in_slots: Vec<usize>,
     pub(crate) out_slot: usize,
     pub(crate) out_len: usize,
+    /// The step that produces each operand, in graph-input order: the
+    /// dataflow the layout labels are chosen over, which `in_slots`
+    /// only implies while the slot assignment is sound.
+    pub(crate) inputs: Vec<usize>,
+    /// `(channels, pixels)` when the step's value is one `c × h × w`
+    /// image — the only kind of value that has a pixel-major form.
+    /// Like `inputs` a fact of the graph ([`Step::graph_facts`]).
+    pub(crate) image: Option<(usize, usize)>,
+    /// The layout the step reads its operands in. An operand its
+    /// producer left in the other one is converted on the way in, by
+    /// one transpose into arena scratch (`InferencePlan::run_lockstep`).
+    pub(crate) in_layout: ActLayout,
+    /// The layout the step leaves its value in. Both labels are
+    /// [`layout::select`]'s, a function of the schedule.
+    pub(crate) out_layout: ActLayout,
+}
+
+impl Step {
+    /// [`Step::inputs`] and [`Step::image`] of the step that executes
+    /// `node` into `out_len` bytes — what a build records and what an
+    /// artifact load re-derives from its graph section, never reads.
+    pub(crate) fn graph_facts(node: &Node, out_len: usize) -> (Vec<usize>, Option<(usize, usize)>) {
+        let shape = &node.shape;
+        let image = (shape.rank() == 4 && shape.dim(0) == 1 && shape.elems() == out_len)
+            .then(|| (shape.channels(), shape.spatial()));
+        (node.inputs.iter().map(|i| i.0).collect(), image)
+    }
 }
 
 /// A compiled execution schedule over a dense activation-slot arena.
@@ -289,21 +351,26 @@ pub struct InferencePlan {
 /// wrong-sized slots.
 #[derive(Debug, Default)]
 pub struct InferArena {
-    slots: Vec<Vec<u8>>,
+    /// Line-aligned, because a GEMM reads a slot that holds rows as its
+    /// `a` operand, zero-copy.
+    slots: Vec<LineBuf>,
+    /// The current step's operands that their producers left in another
+    /// layout than the step reads, converted — one buffer per operand.
+    adapted: Vec<LineBuf>,
     stage: GemmStage,
     stamp: Option<u64>,
 }
 
 /// The buffers one GEMM dispatch streams through: the staged (for a
 /// batch, row-stacked) activation matrix, im2col's padded copy of the
-/// input, the GEMM output before its scatter, and the kernels'
-/// accumulator scratch. A lockstep run borrows them from its first live
-/// item's arena.
+/// input, the GEMM output when it still has to be scattered or split
+/// between items, and the kernels' accumulator scratch. A lockstep run
+/// borrows them from its first live item's arena.
 #[derive(Debug, Default)]
 struct GemmStage {
     a: LineBuf,
     im2col: Im2colScratch,
-    out: Vec<u8>,
+    out: LineBuf,
     scratch: ScratchPool,
 }
 
@@ -478,6 +545,10 @@ pub struct GemmKernelInfo {
     /// it fell back to the raw weights or a per-call pack
     /// ([`gcd2_kernels::PanelSource`]).
     pub panel_resident: bool,
+    /// The layouts the plan chose for this step's operand and result:
+    /// `(Rows, Rows)` stages nothing (a pointwise conv) or by plain
+    /// copies, and multiplies straight into the output slot.
+    pub layouts: (ActLayout, ActLayout),
 }
 
 /// One operator's share of a timed execution.
@@ -676,6 +747,37 @@ impl InferencePlan {
     /// accumulator exceeds `i32`, or [`InferError::Internal`] for an
     /// empty graph.
     pub fn try_build(compiled: &CompiledModel, seed: u64) -> Result<InferencePlan, InferError> {
+        InferencePlan::build_labelled(compiled, seed, layout::select)
+    }
+
+    /// [`InferencePlan::try_build`] with every layout label pinned to
+    /// `Chw` — the plan of a runtime that selects nothing, which is also
+    /// what the selection falls back to when it finds nothing to save.
+    /// The differential suites execute it as the reference the selected
+    /// plan must match byte for byte. Its labels are not the
+    /// selection's, so [`InferencePlan::verify_integrity`] refuses it
+    /// wherever the selection would have chosen otherwise.
+    ///
+    /// # Errors
+    /// See [`InferencePlan::try_build`].
+    #[doc(hidden)]
+    pub fn try_build_all_chw(
+        compiled: &CompiledModel,
+        seed: u64,
+    ) -> Result<InferencePlan, InferError> {
+        InferencePlan::build_labelled(compiled, seed, |steps| {
+            vec![(ActLayout::Chw, ActLayout::Chw); steps.len()]
+        })
+    }
+
+    /// The build under both: schedule and slots, then the layout labels
+    /// `select` gives the schedule, then the weights in the order those
+    /// labels imply, packed.
+    fn build_labelled(
+        compiled: &CompiledModel,
+        seed: u64,
+        select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
+    ) -> Result<InferencePlan, InferError> {
         let graph = &compiled.graph;
         let nodes = graph.nodes();
         if nodes.is_empty() {
@@ -724,8 +826,6 @@ impl InferencePlan {
                     let out_h = (h + 2 * padding.0 - kernel.0) / stride.0 + 1;
                     let out_w = (w + 2 * padding.1 - kernel.1) / stride.1 + 1;
                     let (m, k, n) = (out_h * out_w, c * kernel.0 * kernel.1, *out_channels);
-                    let weights =
-                        MatrixI8::from_fn(k, n, |kk, oc| weight(seed, node.id, kk * n + oc));
                     weight_bytes += k * n;
                     gemm_macs += (m * k * n) as u64;
                     // A pointwise convolution's im2col is exactly the
@@ -749,7 +849,6 @@ impl InferencePlan {
                         Scatter::Chw {
                             spatial: node.shape.spatial(),
                         },
-                        weights,
                     );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems())
                 }
@@ -765,7 +864,6 @@ impl InferencePlan {
                     let (m, k) = (c * out_h * out_w, kernel.0 * kernel.1);
                     // One shared filter column per node, as in the
                     // interpreter's lowering.
-                    let weights = MatrixI8::from_fn(k, 1, |kk, _| weight(seed, node.id, kk));
                     weight_bytes += k;
                     gemm_macs += (m * k) as u64;
                     let g = GemmStep::new(
@@ -780,7 +878,6 @@ impl InferencePlan {
                         (m, k, 1),
                         check_quant_range(node.id, k)?,
                         Scatter::DwRows,
-                        weights,
                     );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems().min(m))
                 }
@@ -790,8 +887,6 @@ impl InferencePlan {
                     // only, so a last dim always exists.
                     let k = s.0.last().copied().unwrap_or(1);
                     let m = s.elems() / k;
-                    let weights =
-                        MatrixI8::from_fn(k, *n, |kk, nn| weight(seed, node.id, kk * n + nn));
                     weight_bytes += k * n;
                     gemm_macs += (m * k * n) as u64;
                     let g = GemmStep::new(
@@ -799,7 +894,6 @@ impl InferencePlan {
                         (m, k, *n),
                         check_quant_range(node.id, k)?,
                         Scatter::RowMajor,
-                        weights,
                     );
                     (StepKind::Gemm(Box::new(g)), m * n)
                 }
@@ -807,8 +901,6 @@ impl InferencePlan {
                     let s = in_shape();
                     let (c, m) = (s.channels(), s.spatial());
                     let n = *out_channels;
-                    let weights =
-                        MatrixI8::from_fn(c, n, |kk, oc| weight(seed, node.id, kk * n + oc));
                     weight_bytes += c * n;
                     gemm_macs += (m * c * n) as u64;
                     let g = GemmStep::new(
@@ -818,7 +910,6 @@ impl InferencePlan {
                         Scatter::Chw {
                             spatial: node.shape.spatial(),
                         },
-                        weights,
                     );
                     (StepKind::Gemm(Box::new(g)), node.shape.elems())
                 }
@@ -910,6 +1001,7 @@ impl InferencePlan {
                 }
             }
 
+            let (inputs, image) = Step::graph_facts(node, out_len);
             steps.push(Step {
                 node: node.id,
                 name: node.name.clone(),
@@ -918,7 +1010,28 @@ impl InferencePlan {
                 in_slots,
                 out_slot,
                 out_len,
+                inputs,
+                image,
+                in_layout: ActLayout::Chw,
+                out_layout: ActLayout::Chw,
             });
+        }
+
+        // The layouts, for the whole schedule at once; then each GEMM's
+        // weights — the interpreter's, derived from `seed` as it derives
+        // them, in the row order the step's staging produces — packed.
+        let labels = select(&steps);
+        for (step, (in_layout, out_layout)) in steps.iter_mut().zip(labels) {
+            (step.in_layout, step.out_layout) = (in_layout, out_layout);
+            if let StepKind::Gemm(g) = &mut step.kind {
+                let (node, n) = (step.node, g.n);
+                let rows: Vec<usize> = (0..g.k)
+                    .map(|kr| g.interpreter_row(in_layout, kr) * n)
+                    .collect();
+                g.set_weights(MatrixI8::from_fn(g.k, n, |kr, j| {
+                    weight(seed, node, rows[kr] + j)
+                }));
+            }
         }
 
         // One step per node and the graph is non-empty.
@@ -999,6 +1112,14 @@ impl InferencePlan {
             }
             h.usize(step.out_slot);
             h.usize(step.out_len);
+            for &p in &step.inputs {
+                h.usize(p);
+            }
+            let (c, hw) = step.image.unwrap_or((0, 0));
+            h.usize(c);
+            h.usize(hw);
+            h.u64(step.in_layout as u64);
+            h.u64(step.out_layout as u64);
             hash_step_kind(&mut h, &step.kind);
         }
         h.0
@@ -1011,17 +1132,19 @@ impl InferencePlan {
     }
 
     /// Re-hashes the plan's schedule and weights and compares against
-    /// the build-time checksum, then re-packs every resident weight
-    /// panel and compares it with the one the GEMMs execute from. The
+    /// the build-time checksum, then re-derives what the checksum can
+    /// only vouch for as stored: the layout labels, which must be the
+    /// ones `layout::select` gives this schedule (a re-stamped or
+    /// forged plan cannot choose its own), and every resident weight
+    /// panel, which must be the pack image of its weights. The
     /// checksum itself stays over the raw weights — the artifact stores
-    /// it and a build hashes once — so the panels are covered here, by
-    /// derivation from bytes the checksum already vouches for.
+    /// it and a build hashes once.
     ///
     /// # Errors
     /// Returns [`InferError::IntegrityViolation`] if the plan no longer
     /// hashes to its build-time checksum, or — with the offending step's
-    /// index folded into `got` — if a panel is no longer the pack image
-    /// of its weights.
+    /// index folded into `got` — if a step's labels are not the derived
+    /// ones or its panel is no longer the pack image of its weights.
     pub fn verify_integrity(&self) -> Result<(), InferError> {
         let got = self.integrity_checksum();
         if got != self.checksum {
@@ -1030,19 +1153,48 @@ impl InferencePlan {
                 got,
             });
         }
-        for (index, step) in self.steps.iter().enumerate() {
-            if let StepKind::Gemm(g) = &step.kind {
-                if !g.panel.is_pack_of(&g.weights) {
-                    let mut h = Fnv(got);
-                    h.usize(index);
-                    return Err(InferError::IntegrityViolation {
-                        expected: self.checksum,
-                        got: h.0,
-                    });
-                }
+        let labels = layout::select(&self.steps);
+        for (index, (step, label)) in self.steps.iter().zip(labels).enumerate() {
+            let packed = match &step.kind {
+                StepKind::Gemm(g) => g.panel.is_pack_of(&g.weights),
+                _ => true,
+            };
+            if (step.in_layout, step.out_layout) != label || !packed {
+                let mut h = Fnv(got);
+                h.usize(index);
+                return Err(InferError::IntegrityViolation {
+                    expected: self.checksum,
+                    got: h.0,
+                });
             }
         }
         Ok(())
+    }
+
+    /// What the plan's layout labels cost, in the selection's own unit
+    /// (bytes written by staging, scatters and operand conversions per
+    /// inference, and how many operands are still converted), beside
+    /// what labelling every step `Chw` would: the prediction DESIGN.md
+    /// §4f holds against measured stage times.
+    pub fn layout_cost(&self) -> (LayoutCost, LayoutCost) {
+        let labels: Vec<_> = self
+            .steps
+            .iter()
+            .map(|s| (s.in_layout, s.out_layout))
+            .collect();
+        let all_chw = vec![(ActLayout::Chw, ActLayout::Chw); labels.len()];
+        (
+            layout::cost(&self.steps, &labels),
+            layout::cost(&self.steps, &all_chw),
+        )
+    }
+
+    /// How many of the plan's values are held as pixel-major rows.
+    pub fn rows_values(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| s.out_layout == ActLayout::Rows)
+            .count()
     }
 
     /// Bytes of the resident weight panels, beside [`Self::weight_bytes`]:
@@ -1122,11 +1274,14 @@ impl InferencePlan {
             }),
             None => {
                 let _ = gcd2_faults::fire("infer.arena");
-                arena.slots = self
-                    .slot_sizes
-                    .iter()
-                    .map(|&s| Vec::with_capacity(s))
-                    .collect();
+                let sized = |len: usize| {
+                    let mut buf = LineBuf::default();
+                    buf.bytes_mut(len);
+                    buf
+                };
+                arena.slots = self.slot_sizes.iter().map(|&s| sized(s)).collect();
+                let operands = self.steps.iter().map(|s| s.in_slots.len()).max();
+                arena.adapted = vec![LineBuf::default(); operands.unwrap_or(0)];
                 arena.stamp = Some(self.checksum);
                 Ok(())
             }
@@ -1156,7 +1311,7 @@ impl InferencePlan {
         guard_panics(|| {
             let mut arena = self.new_arena();
             self.run_one(input, &mut arena, None, &ExecOptions::default())?;
-            Ok(std::mem::take(&mut arena.slots[self.output_slot]))
+            Ok(arena.slots[self.output_slot].bytes().to_vec())
         })
     }
 
@@ -1177,7 +1332,7 @@ impl InferencePlan {
         guard_panics(|| {
             self.run_one(input, arena, None, opts)?;
             output.clear();
-            output.extend_from_slice(&arena.slots[self.output_slot]);
+            output.extend_from_slice(arena.slots[self.output_slot].bytes());
             Ok(())
         })
     }
@@ -1198,7 +1353,7 @@ impl InferencePlan {
             let t0 = Instant::now();
             self.run_one(input, arena, Some(&mut report), opts)?;
             report.total = t0.elapsed();
-            Ok((arena.slots[self.output_slot].clone(), report))
+            Ok((arena.slots[self.output_slot].bytes().to_vec(), report))
         })
     }
 
@@ -1239,7 +1394,7 @@ impl InferencePlan {
             let mut one = pool.take_arenas(1);
             let result = self
                 .run_one(input, &mut one[0], None, opts)
-                .map(|()| one[0].slots[self.output_slot].clone());
+                .map(|()| one[0].slots[self.output_slot].bytes().to_vec());
             pool.put_arenas(one);
             result
         })
@@ -1292,7 +1447,7 @@ impl InferencePlan {
                 .zip(&arenas)
                 .map(|(failed, arena)| match failed {
                     Some(e) => Err(e),
-                    None => Ok(arena.slots[self.output_slot].clone()),
+                    None => Ok(arena.slots[self.output_slot].bytes().to_vec()),
                 })
                 .collect();
             pool.put_arenas(arenas);
@@ -1391,17 +1546,45 @@ impl InferencePlan {
                 }
             }
             let t0 = report.is_some().then(Instant::now);
-            let mut prep = Duration::ZERO;
+            // The one layout adapter: an operand its producer left in
+            // another layout than this step reads is transposed into
+            // the item's scratch, whichever the direction. The time is
+            // the step's own — its `prep` when it is a GEMM.
+            let mut converted = false;
+            for (j, &slot) in step.in_slots.iter().enumerate() {
+                let Some((c, hw)) = self.conversion(step, j) else {
+                    continue;
+                };
+                converted = true;
+                let (rows, cols) = match step.in_layout {
+                    ActLayout::Rows => (c, hw),
+                    ActLayout::Chw => (hw, c),
+                };
+                for &i in &live {
+                    let InferArena { slots, adapted, .. } = &mut arenas[i];
+                    let dst = adapted[j].bytes_mut(c * hw);
+                    transpose_clamp_into(slots[slot].bytes(), rows, cols, u8::MAX, dst, rows);
+                }
+            }
+            let mut prep = t0.map(|t| t.elapsed()).unwrap_or_default();
             let mut panel = PanelSource::Resident;
             match &step.kind {
                 // Aliased in place: the value already sits in its slot.
-                StepKind::Passthrough if step.in_slots.first() == Some(&step.out_slot) => {}
+                StepKind::Passthrough
+                    if step.in_slots.first() == Some(&step.out_slot) && !converted => {}
                 StepKind::Gemm(g) if g.runs_matmul() => {
                     // A batch row-stacks a qualifying step into one
                     // dispatch; otherwise every item is its own.
                     let stacked = live.len() >= 2 && g.stackable();
                     for group in live.chunks(if stacked { live.len() } else { 1 }) {
-                        match run_gemm(step, g, arenas, group, &mut stage, t0.is_some(), intra) {
+                        let run = GemmRun {
+                            step,
+                            g,
+                            converted,
+                            timed: t0.is_some(),
+                            intra,
+                        };
+                        match run.dispatch(arenas, group, &mut stage) {
                             Ok((staging, source)) => {
                                 prep += staging;
                                 panel = source;
@@ -1418,11 +1601,16 @@ impl InferencePlan {
                 }
                 _ => {
                     for &i in &live {
+                        let InferArena { slots, adapted, .. } = &mut arenas[i];
                         // Detach the output buffer so input slots stay
                         // readable.
-                        let mut out = std::mem::take(&mut arenas[i].slots[step.out_slot]);
-                        run_step(step, inputs[i].as_ref(), &arenas[i].slots, &mut out);
-                        arenas[i].slots[step.out_slot] = out;
+                        let mut out = std::mem::take(&mut slots[step.out_slot]);
+                        let arg = |j: usize| match self.conversion(step, j) {
+                            Some(_) => adapted[j].bytes(),
+                            None => slots[step.in_slots[j]].bytes(),
+                        };
+                        run_step(step, inputs[i].as_ref(), arg, out.bytes_mut(step.out_len));
+                        slots[step.out_slot] = out;
                     }
                 }
             }
@@ -1448,6 +1636,7 @@ impl InferencePlan {
                             bands: gemm_bands(g.m, g.k, g.n, intra),
                             tuned,
                             panel_resident: panel == PanelSource::Resident,
+                            layouts: (step.in_layout, step.out_layout),
                         });
                     }
                 } else {
@@ -1463,6 +1652,15 @@ impl InferencePlan {
         }
         arenas[lead].stage = stage;
         failed
+    }
+
+    /// Whether operand `j` of `step` has to be converted on the way in,
+    /// and the `(channels, pixels)` of the image if so: its producer
+    /// labelled the value otherwise than `step` reads it, and the two
+    /// layouts are different bytes.
+    fn conversion(&self, step: &Step, j: usize) -> Option<(usize, usize)> {
+        let producer = self.steps.get(*step.inputs.get(j)?)?;
+        layout::two_forms(producer).filter(|_| producer.out_layout != step.in_layout)
     }
 
     /// Chaos-suite helper: perturbs one materialized weight so integrity
@@ -1590,6 +1788,24 @@ impl InferencePlan {
                     })
                     .is_some()
             }
+            PlanMutation::FlipLayout { step, out } => {
+                // Relabel one side of one step: the step (or whoever
+                // reads its value) now runs another form than the
+                // selection chose — over weights still in the chosen
+                // form's order, or after a conversion nobody planned.
+                self.steps.get_mut(step).is_some_and(|s| {
+                    let label = if out {
+                        &mut s.out_layout
+                    } else {
+                        &mut s.in_layout
+                    };
+                    *label = match *label {
+                        ActLayout::Chw => ActLayout::Rows,
+                        ActLayout::Rows => ActLayout::Chw,
+                    };
+                    true
+                })
+            }
         };
         if applied {
             self.checksum = self.integrity_checksum();
@@ -1613,6 +1829,12 @@ pub enum PlanMutation {
     /// Off-by-one the first GEMM's folded requantization shift (range
     /// analysis: folded shifts match the depth-k policy).
     BumpShift,
+    /// Flip the layout label step `step` reads its operands in, or
+    /// (`out`) leaves its value in. Not an analyzer finding — the arena
+    /// is as sound as before — but the labels are no longer the ones
+    /// the schedule derives, which `verify_integrity` and the artifact
+    /// loader check on their own, re-stamped checksum or not.
+    FlipLayout { step: usize, out: bool },
 }
 
 /// Derives the [`gcd2_verify::GemmFacts`] of one staged GEMM. The
@@ -1674,6 +1896,8 @@ impl gcd2_verify::InferPlanView for InferencePlan {
             in_slots: s.in_slots.clone(),
             out_slot: s.out_slot,
             out_len: s.out_len,
+            in_layout: s.in_layout,
+            out_layout: s.out_layout,
             role,
         }
     }
@@ -1715,132 +1939,174 @@ fn fail_items(failed: &mut [Option<InferError>], items: &[usize], e: &InferError
     }
 }
 
-/// One dispatch of a matmul-backed GEMM step for the items of `group`
-/// (indices into `arenas`): stage every item's rows into one stacked
-/// `a`, run one GEMM over it from the step's resident panel, scatter
-/// each item's segment into its output slot. Returns the staging time
-/// (when `timed`) and where the dispatch read its weights from. Hosts
-/// the `infer.prep` fault point.
-fn run_gemm(
-    step: &Step,
-    g: &GemmStep,
-    arenas: &mut [InferArena],
-    group: &[usize],
-    stage: &mut GemmStage,
+/// A matmul-backed GEMM step as one lockstep run executes it.
+struct GemmRun<'p> {
+    step: &'p Step,
+    g: &'p GemmStep,
+    /// The operand sits converted in each item's `adapted[0]`.
+    converted: bool,
     timed: bool,
     intra: usize,
-) -> Result<(Duration, PanelSource), InferError> {
-    let _ = gcd2_faults::fire("infer.prep");
-    let t0 = timed.then(Instant::now);
-    let (m, k, n) = (g.m, g.k, g.n);
-    let x = |i: usize| arenas[i].slots[step.in_slots[0]].as_slice();
-    let a: &[u8] = match (&g.prep, group) {
-        // A lone MatMul/BatchMatMul input already is the row-major
-        // `m × k` matrix — consumed zero-copy.
-        (GemmPrep::Direct, &[i]) => x(i),
-        _ => {
-            // No clear(): staging fully overwrites the buffer, and
-            // zero-filling a multi-GB staging matrix per call is a
-            // measurable memset tax on the megapixel models.
-            let staged = stage.a.bytes_mut(group.len() * m * k);
-            for (dst, &i) in staged.chunks_exact_mut((m * k).max(1)).zip(group) {
-                match &g.prep {
-                    GemmPrep::Direct => dst.copy_from_slice(&x(i)[..m * k]),
-                    GemmPrep::Im2col {
-                        c,
-                        h,
-                        w,
-                        kernel,
-                        stride,
-                        padding,
-                    } => im2col_rm_into(
-                        x(i),
-                        *c,
-                        *h,
-                        *w,
-                        *kernel,
-                        *stride,
-                        *padding,
-                        &mut stage.im2col,
-                        dst,
-                    ),
-                    // CHW is the row-major `c × m` matrix; the GEMM
-                    // wants its transpose.
-                    GemmPrep::Transposed { c, m } => {
-                        transpose_clamp_into(x(i), *c, *m, u8::MAX, dst, *c)
-                    }
-                    GemmPrep::Depthwise { .. } => {
-                        unreachable!("depthwise runs its direct kernel, never a GEMM")
-                    }
-                }
-            }
-            staged
-        }
-    };
-    let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
-    let source = try_matmul_panel_into(
-        a,
-        group.len() * m,
-        k,
-        &g.weights,
-        &g.panel,
-        g.shift,
-        &stage.scratch,
-        intra,
-        &mut stage.out,
-    )
-    .map_err(|e| InferError::Dispatch {
-        node: step.node.0,
-        message: e.to_string(),
-    })?;
-    for (seg, &i) in group.iter().enumerate() {
-        let src = &stage.out[seg * m * n..(seg + 1) * m * n];
-        let out = &mut arenas[i].slots[step.out_slot];
-        // Only a scatter that leaves positions unwritten needs them
-        // zeroed first: ConvTranspose upsampling (`m < spatial`), or a
-        // graph whose batch dimension makes the tensor longer than the
-        // one image a GEMM step computes.
-        let covered = match g.scatter {
-            Scatter::Chw { spatial } => m >= spatial && n * spatial >= step.out_len,
-            Scatter::DwRows | Scatter::RowMajor => m * n >= step.out_len,
+}
+
+impl GemmRun<'_> {
+    /// One dispatch for the items of `group` (indices into `arenas`):
+    /// stage every item's rows into one stacked `a` — or read a lone
+    /// item's operand where it lies, when it already is the matrix —
+    /// run one GEMM over it from the step's resident panel, and leave
+    /// each item's segment in its output slot: written there by the
+    /// multiply itself when the slot holds rows and the item is alone,
+    /// else copied or transposed out of the stage. Returns the staging
+    /// time (when timed) and where the dispatch read its weights from.
+    /// Hosts the `infer.prep` fault point.
+    fn dispatch(
+        &self,
+        arenas: &mut [InferArena],
+        group: &[usize],
+        stage: &mut GemmStage,
+    ) -> Result<(Duration, PanelSource), InferError> {
+        let _ = gcd2_faults::fire("infer.prep");
+        let t0 = self.timed.then(Instant::now);
+        let (step, g) = (self.step, self.g);
+        let (m, k, n) = (g.m, g.k, g.n);
+        // The multiply's rows are the slot's bytes: a MatMul's result,
+        // a conv's when its value is labelled rows.
+        let finished = match g.scatter {
+            Scatter::RowMajor | Scatter::DwRows => true,
+            Scatter::Chw { .. } => step.out_layout == ActLayout::Rows,
         };
-        if !covered {
-            out.clear();
-        }
-        out.resize(step.out_len, 0);
-        match g.scatter {
-            Scatter::Chw { spatial } => {
-                transpose_clamp_into(src, m.min(spatial), n, ACT_MAX, out, spatial)
+        // Detached so the multiply can write a slot while it reads
+        // another of the same arena.
+        let mut lone_out = match group {
+            &[i] if finished => Some(std::mem::take(&mut arenas[i].slots[step.out_slot])),
+            _ => None,
+        };
+        let x = |i: usize| {
+            if self.converted {
+                arenas[i].adapted[0].bytes()
+            } else {
+                arenas[i].slots[step.in_slots[0]].bytes()
             }
-            Scatter::DwRows | Scatter::RowMajor => {
-                for (d, &s) in out.iter_mut().zip(src) {
-                    *d = s.min(ACT_MAX);
+        };
+        let rows_in = step.in_layout == ActLayout::Rows;
+        // The operand already is the row-major `m × k` matrix: a
+        // MatMul's input, a pointwise conv's rows.
+        let is_matrix = match g.prep {
+            GemmPrep::Direct => true,
+            GemmPrep::Transposed { .. } => rows_in,
+            GemmPrep::Im2col { .. } | GemmPrep::Depthwise { .. } => false,
+        };
+        let a: &[u8] = match group {
+            // Alone, it is consumed zero-copy.
+            &[i] if is_matrix => x(i),
+            _ => {
+                // No clear(): staging fully overwrites the buffer, and
+                // zero-filling a multi-GB staging matrix per call is a
+                // measurable memset tax on the megapixel models.
+                let staged = stage.a.bytes_mut(group.len() * m * k);
+                for (dst, &i) in staged.chunks_exact_mut((m * k).max(1)).zip(group) {
+                    match &g.prep {
+                        _ if is_matrix => dst.copy_from_slice(&x(i)[..m * k]),
+                        // CHW is the row-major `c × m` matrix; the GEMM
+                        // wants its transpose.
+                        GemmPrep::Transposed { c, m } => {
+                            transpose_clamp_into(x(i), *c, *m, u8::MAX, dst, *c)
+                        }
+                        GemmPrep::Im2col {
+                            c,
+                            h,
+                            w,
+                            kernel,
+                            stride,
+                            padding,
+                        } => {
+                            let form = if rows_in {
+                                im2col_rows_into
+                            } else {
+                                im2col_rm_into
+                            };
+                            let scratch = &mut stage.im2col;
+                            form(x(i), *c, *h, *w, *kernel, *stride, *padding, scratch, dst)
+                        }
+                        GemmPrep::Direct | GemmPrep::Depthwise { .. } => {
+                            unreachable!("depthwise runs its direct kernel, never a GEMM")
+                        }
+                    }
+                }
+                staged
+            }
+        };
+        let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
+        // Requantisation clamps to the activation ceiling, so what the
+        // multiply writes is finished bytes wherever it writes them.
+        let product = match &mut lone_out {
+            Some(out) => &mut out.bytes_mut(step.out_len.max(m * n))[..m * n],
+            None => stage.out.bytes_mut(group.len() * m * n),
+        };
+        let dispatched = try_matmul_panel_into(
+            a,
+            group.len() * m,
+            k,
+            &g.weights,
+            &g.panel,
+            (g.shift, ACT_MAX),
+            &stage.scratch,
+            self.intra,
+            product,
+        )
+        .map_err(|e| InferError::Dispatch {
+            node: step.node.0,
+            message: e.to_string(),
+        });
+        if let (Some(mut out), &[i]) = (lone_out, group) {
+            // A tensor longer than the one image the GEMM computes (a
+            // graph with a batch dimension) ends in zeros.
+            out.bytes_mut(step.out_len)[(m * n).min(step.out_len)..].fill(0);
+            arenas[i].slots[step.out_slot] = out;
+            return dispatched.map(|source| (prep, source));
+        }
+        let source = dispatched?;
+        for (src, &i) in stage.out.bytes().chunks_exact((m * n).max(1)).zip(group) {
+            let out = arenas[i].slots[step.out_slot].bytes_mut(step.out_len);
+            match g.scatter {
+                Scatter::Chw { spatial } if !finished => {
+                    // Only a scatter that leaves positions unwritten
+                    // needs them zeroed first: ConvTranspose upsampling
+                    // (`m < spatial`), or a graph whose batch dimension
+                    // makes the tensor longer than one image.
+                    if m < spatial || n * spatial < step.out_len {
+                        out.fill(0);
+                    }
+                    transpose_clamp_into(src, m.min(spatial), n, ACT_MAX, out, spatial)
+                }
+                _ => {
+                    let (head, tail) = out.split_at_mut((m * n).min(step.out_len));
+                    head.copy_from_slice(&src[..head.len()]);
+                    tail.fill(0);
                 }
             }
         }
+        Ok((prep, source))
     }
-    Ok((prep, source))
 }
 
 /// Executes one per-item step — everything but a matmul-backed GEMM
-/// (see [`run_gemm`]) — into `out`. Hosts the `infer.prep` (direct conv
-/// kernels) and `infer.elementwise` (everything else) fault points.
-fn run_step(step: &Step, input: &[u8], slots: &[Vec<u8>], out: &mut Vec<u8>) {
+/// (see [`GemmRun`]) — into `out`, the step's `out_len` bytes, reading
+/// operand `j` as `arg(j)`. Hosts the `infer.prep` (direct conv kernels)
+/// and `infer.elementwise` (everything else) fault points.
+fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
     if matches!(step.kind, StepKind::Gemm(_)) {
         let _ = gcd2_faults::fire("infer.prep");
     } else {
         let _ = gcd2_faults::fire("infer.elementwise");
     }
-    let arg = |i: usize| slots[step.in_slots[i]].as_slice();
     match &step.kind {
         StepKind::Input => {
-            out.clear();
-            out.extend(input.iter().map(|&x| x.min(ACT_MAX)));
+            for (d, &x) in out.iter_mut().zip(input) {
+                *d = x.min(ACT_MAX);
+            }
         }
-        StepKind::Constant => {
-            out.clear();
-            out.resize(step.out_len, 0);
-        }
+        StepKind::Constant => out.fill(0),
         StepKind::Gemm(g) => match &g.prep {
             GemmPrep::Im2col {
                 c,
@@ -1861,7 +2127,6 @@ fn run_step(step: &Step, input: &[u8], slots: &[Vec<u8>], out: &mut Vec<u8>) {
                 g.n,
                 g.shift,
                 ACT_MAX,
-                step.out_len,
                 out,
             ),
             GemmPrep::Depthwise {
@@ -1882,19 +2147,15 @@ fn run_step(step: &Step, input: &[u8], slots: &[Vec<u8>], out: &mut Vec<u8>) {
                 g.weights.as_slice(),
                 g.shift,
                 ACT_MAX,
-                step.out_len,
                 out,
             ),
-            _ => unreachable!("matmul-backed GEMM steps run in run_gemm"),
+            _ => unreachable!("matmul-backed GEMM steps run in GemmRun::dispatch"),
         },
         StepKind::Add => hostops::add_avg_into(arg(0), arg(1), out),
         StepKind::Mul => hostops::mul_shift4_into(arg(0), arg(1), ACT_MAX, out),
         StepKind::Div => hostops::div_lut_into(arg(0), arg(1), out),
         StepKind::Pow => hostops::pow_sq_into(arg(0), ACT_MAX, out),
-        StepKind::Passthrough => {
-            out.clear();
-            out.extend_from_slice(arg(0));
-        }
+        StepKind::Passthrough => out.copy_from_slice(arg(0)),
         StepKind::MonotoneLut => hostops::monotone_lut_into(arg(0), out),
         StepKind::Softmax { group } => hostops::softmax_into(arg(0), *group, ACT_MAX, out),
         StepKind::LayerNorm { group } => hostops::layernorm_into(arg(0), *group, ACT_MAX, out),
@@ -1906,7 +2167,10 @@ fn run_step(step: &Step, input: &[u8], slots: &[Vec<u8>], out: &mut Vec<u8>) {
             stride,
             is_max,
         } => hostops::pool_into(arg(0), *c, *h, *w, *kernel, *stride, *is_max, out),
-        StepKind::GlobalAvgPool { c, hw } => hostops::global_avg_pool_into(arg(0), *c, *hw, out),
+        StepKind::GlobalAvgPool { c, hw } => match step.in_layout {
+            ActLayout::Chw => hostops::global_avg_pool_into(arg(0), *c, *hw, out),
+            ActLayout::Rows => hostops::global_avg_pool_rows_into(arg(0), *c, *hw, out),
+        },
         StepKind::Upsample { c, h, w, factor } => {
             hostops::upsample_nn_into(arg(0), *c, *h, *w, *factor, out)
         }
@@ -2031,6 +2295,123 @@ mod tests {
         );
         g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
         g
+    }
+
+    /// Two residual bottlenecks, the second strided, then GAP and an FC:
+    /// every step from the stem's result to the pooling admits rows.
+    fn bottleneck_net() -> Graph {
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 4, 12, 12));
+        let conv = |out_channels, k, s, p| OpKind::Conv2d {
+            out_channels,
+            kernel: (k, k),
+            stride: (s, s),
+            padding: (p, p),
+        };
+        let stem = g.add(conv(32, 3, 1, 1), &[x], "stem");
+        let c1 = g.add(conv(16, 1, 1, 0), &[stem], "b0.conv1");
+        let c2 = g.add(conv(16, 3, 1, 1), &[c1], "b0.conv2");
+        let c3 = g.add(conv(32, 1, 1, 0), &[c2], "b0.conv3");
+        let sum = g.add(OpKind::Add, &[c3, stem], "b0.add");
+        let act = g.add(OpKind::Act(Activation::Relu), &[sum], "b0.relu");
+        let d1 = g.add(conv(16, 1, 1, 0), &[act], "b1.conv1");
+        let d2 = g.add(conv(16, 3, 2, 1), &[d1], "b1.conv2");
+        let d3 = g.add(conv(48, 1, 1, 0), &[d2], "b1.conv3");
+        let short = g.add(conv(48, 1, 2, 0), &[act], "b1.downsample");
+        let sum = g.add(OpKind::Add, &[d3, short], "b1.add");
+        let gap = g.add(OpKind::GlobalAvgPool, &[sum], "gap");
+        let flat = g.add(
+            OpKind::Reshape {
+                shape: TShape::new(vec![1, 48]),
+            },
+            &[gap],
+            "flat",
+        );
+        g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
+        g
+    }
+
+    #[test]
+    fn the_selection_keeps_rows_between_conv_gemms() {
+        use gcd2_verify::InferPlanView;
+        use ActLayout::{Chw, Rows};
+        let compiled = Compiler::new().compile(&bottleneck_net());
+        let plan = compiled.inference_plan(21);
+        let labels: Vec<(String, ActLayout, ActLayout)> = (0..plan.step_count())
+            .map(|i| plan.step(i))
+            .map(|s| (s.name, s.in_layout, s.out_layout))
+            .collect();
+        for (name, i, o) in &labels {
+            let want = match name.as_str() {
+                // The input is planes, so the stem reads planes; the
+                // pooling reads rows and its `c × 1` result is planes.
+                "x" | "flat" | "fc" => (Chw, Chw),
+                "stem" => (Chw, Rows),
+                "gap" => (Rows, Chw),
+                _ => (Rows, Rows),
+            };
+            assert_eq!((*i, *o), want, "{name}");
+        }
+        // Nothing is converted, and what is left to move is the three
+        // im2col matrices: the cost is integers of the dimensions, the
+        // same on every host.
+        let (chosen, all_chw) = plan.layout_cost();
+        assert_eq!((chosen.conversions, all_chw.conversions), (0, 0));
+        assert_eq!((chosen.bytes, all_chw.bytes), (39312, 76176));
+        assert_eq!(plan.rows_values(), 11);
+        plan.verify_integrity().expect("the selection's own labels");
+
+        // Same bytes as the plan that selects nothing and as the
+        // interpreter — single-shot, stacked, on the scalar tier.
+        let reference = InferencePlan::try_build_all_chw(&compiled, 21).expect("all-chw");
+        assert_eq!(reference.rows_values(), 0);
+        assert_eq!(reference.layout_cost().0, all_chw);
+        let pool = ArenaPool::new();
+        let inputs: Vec<Vec<u8>> = (0..4)
+            .map(|s| (0..4 * 144).map(|i| ((i * 7 + s * 5) % 16) as u8).collect())
+            .collect();
+        for force_scalar in [false, true] {
+            let opts = ExecOptions {
+                force_scalar,
+                ..ExecOptions::default()
+            };
+            let stacked = plan.try_execute_batch_pooled(&inputs, &pool, &opts);
+            for (x, stacked) in inputs.iter().zip(stacked) {
+                let want = execute_reference(&compiled, x, 21);
+                assert_eq!(run_into(&plan, x, &opts), Ok(want.clone()));
+                assert_eq!(run_into(&reference, x, &opts), Ok(want.clone()));
+                assert_eq!(stacked, Ok(want), "a batch stacks rows steps too");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipped_layout_label_fails_integrity_even_restamped() {
+        let compiled = Compiler::new().compile(&bottleneck_net());
+        // A value's label (`b0.conv2`'s result, step 3), the label an
+        // im2col reads in — its weights stay `(dy, dx, ch)` — and a rows
+        // label on a step that only has a CHW form (the input).
+        for (step, out) in [(3, true), (3, false), (0, true)] {
+            let mut plan = compiled.inference_plan(21);
+            assert!(plan.mutate_for_test(PlanMutation::FlipLayout { step, out }));
+            assert_eq!(plan.checksum, plan.integrity_checksum(), "re-stamped");
+            assert!(
+                matches!(
+                    plan.verify_integrity(),
+                    Err(InferError::IntegrityViolation { .. })
+                ),
+                "step {step} out={out}"
+            );
+        }
+        let mut plan = compiled.inference_plan(21);
+        assert!(!plan.mutate_for_test(PlanMutation::FlipLayout {
+            step: 99,
+            out: true
+        }));
+        // The reference plan that pins `Chw` is refused for the same
+        // reason: its labels are not the selection's.
+        let pinned = InferencePlan::try_build_all_chw(&compiled, 21).expect("all-chw");
+        assert!(pinned.verify_integrity().is_err());
     }
 
     #[test]
@@ -2257,6 +2638,10 @@ mod tests {
         for i in 0..view.step_count() {
             let s = view.step(i);
             assert_eq!(s.index, i);
+            assert_eq!(
+                (s.in_layout, s.out_layout),
+                (plan.steps[i].in_layout, plan.steps[i].out_layout)
+            );
             if let StepRole::Gemm(f) = s.role {
                 gemms += 1;
                 // The view recomputes the policy shift from k rather
@@ -2280,6 +2665,7 @@ mod tests {
             PlanMutation::SwapSlots,
             PlanMutation::ShrinkSlot,
             PlanMutation::BumpShift,
+            PlanMutation::FlipLayout { step: 1, out: true },
         ] {
             let mut plan = compiled.inference_plan(3);
             let pristine = plan.checksum;

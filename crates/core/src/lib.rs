@@ -62,6 +62,7 @@ pub mod admit;
 pub mod artifact;
 pub mod error;
 pub mod infer;
+mod layout;
 pub mod runtime;
 pub mod serve;
 pub mod supervise;
@@ -72,9 +73,11 @@ pub use artifact::{
 pub use error::{Gcd2Error, InferError};
 pub use gcd2_analyze::{Analysis, Diagnostic, GemmRange, LintCode, RangeReport, Severity, Verdict};
 pub use gcd2_artifact::{ArtifactCache, ArtifactError};
+pub use gcd2_verify::ActLayout;
 pub use infer::{
     ArenaPool, ExecOptions, GemmKernelInfo, InferArena, InferReport, InferencePlan, OpTiming,
 };
+pub use layout::LayoutCost;
 pub use runtime::{execute_on_dsp, execute_reference};
 pub use serve::{
     BreakerHealth, GatewayConfig, GatewayHealth, InferServer, InferTicket, LatencyHistogram,

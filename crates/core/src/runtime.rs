@@ -139,7 +139,7 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
                 if on_dsp {
                     run_elementwise_on_machine(a, b, EwProgram::Add)
                 } else {
-                    let mut v = Vec::new();
+                    let mut v = vec![0; a.len()];
                     hostops::add_avg_into(a, b, &mut v);
                     v
                 }
@@ -153,19 +153,21 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
                         .map(|x| x.min(ACT_MAX))
                         .collect()
                 } else {
-                    let mut v = Vec::new();
+                    let mut v = vec![0; a.len()];
                     hostops::mul_shift4_into(a, b, ACT_MAX, &mut v);
                     v
                 }
             }
             OpKind::Div => {
-                let mut v = Vec::new();
-                hostops::div_lut_into(&values[&node.inputs[0]], &values[&node.inputs[1]], &mut v);
+                let a = &values[&node.inputs[0]];
+                let mut v = vec![0; a.len()];
+                hostops::div_lut_into(a, &values[&node.inputs[1]], &mut v);
                 v
             }
             OpKind::Pow => {
-                let mut v = Vec::new();
-                hostops::pow_sq_into(&values[&node.inputs[0]], ACT_MAX, &mut v);
+                let x = &values[&node.inputs[0]];
+                let mut v = vec![0; x.len()];
+                hostops::pow_sq_into(x, ACT_MAX, &mut v);
                 v
             }
             OpKind::Act(Activation::Relu) | OpKind::Act(Activation::Relu6) => {
@@ -173,20 +175,23 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
             }
             OpKind::Act(Activation::HardSwish) | OpKind::Sigmoid | OpKind::Gelu => {
                 // Monotone byte lookup stand-in.
-                let mut v = Vec::new();
-                hostops::monotone_lut_into(&values[&node.inputs[0]], &mut v);
+                let x = &values[&node.inputs[0]];
+                let mut v = vec![0; x.len()];
+                hostops::monotone_lut_into(x, &mut v);
                 v
             }
             OpKind::Softmax => {
                 let group = node.shape.0.last().copied().unwrap_or(1);
-                let mut v = Vec::new();
-                hostops::softmax_into(&values[&node.inputs[0]], group, ACT_MAX, &mut v);
+                let x = &values[&node.inputs[0]];
+                let mut v = vec![0; x.len()];
+                hostops::softmax_into(x, group, ACT_MAX, &mut v);
                 v
             }
             OpKind::LayerNorm => {
                 let group = node.shape.0.last().copied().unwrap_or(1);
-                let mut v = Vec::new();
-                hostops::layernorm_into(&values[&node.inputs[0]], group, ACT_MAX, &mut v);
+                let x = &values[&node.inputs[0]];
+                let mut v = vec![0; x.len()];
+                hostops::layernorm_into(x, group, ACT_MAX, &mut v);
                 v
             }
             OpKind::MaxPool { kernel, stride } => {
@@ -197,7 +202,7 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
             }
             OpKind::GlobalAvgPool => {
                 let in_shape = &graph.node(node.inputs[0]).shape;
-                let mut v = Vec::new();
+                let mut v = vec![0; in_shape.channels()];
                 hostops::global_avg_pool_into(
                     &values[&node.inputs[0]],
                     in_shape.channels(),
@@ -208,7 +213,7 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
             }
             OpKind::Upsample { factor } => {
                 let in_shape = &graph.node(node.inputs[0]).shape;
-                let mut v = Vec::new();
+                let mut v = vec![0; in_shape.elems() * factor * factor];
                 hostops::upsample_nn_into(
                     &values[&node.inputs[0]],
                     in_shape.channels(),
@@ -221,8 +226,9 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
             }
             OpKind::Reshape { .. } | OpKind::Transpose => values[&node.inputs[0]].clone(),
             OpKind::Concat => {
-                let mut v = Vec::new();
-                hostops::concat_into(&values[&node.inputs[0]], &values[&node.inputs[1]], &mut v);
+                let (a, b) = (&values[&node.inputs[0]], &values[&node.inputs[1]]);
+                let mut v = vec![0; a.len() + b.len()];
+                hostops::concat_into(a, b, &mut v);
                 v
             }
             other => panic!("runtime does not execute {other}"),
@@ -392,7 +398,7 @@ fn pool(
     is_max: bool,
 ) -> Vec<u8> {
     let in_shape = &graph.node(node.inputs[0]).shape;
-    let mut out = Vec::new();
+    let mut out = vec![0; node.shape.elems()];
     hostops::pool_into(
         &values[&node.inputs[0]],
         in_shape.channels(),

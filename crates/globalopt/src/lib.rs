@@ -13,7 +13,11 @@
 //!   chains (Equation 2);
 //! * [`exhaustive`] — the exponential global search baseline;
 //! * [`gcd2_select`] — the partitioning heuristic (`GCD2(13)` /
-//!   `GCD2(17)` of Figure 10).
+//!   `GCD2(17)` of Figure 10);
+//! * [`pbqp_select`] — the PBQP reduction heuristic the paper names as
+//!   the alternative, a builder over [`pbqp::solve`], the reduction solver on
+//!   a bare instance (cost vectors + edge matrices) that the host
+//!   runtime's activation-layout selection (`gcd2::layout`) calls too.
 //!
 //! ```
 //! use gcd2_cgraph::{Graph, OpKind, TShape};

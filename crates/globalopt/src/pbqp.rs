@@ -24,10 +24,11 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::plan::{edge_tc, Assignment, PlanSet};
-use gcd2_cgraph::{Graph, NodeId};
+use gcd2_cgraph::Graph;
 use std::collections::HashMap;
 
-/// An instance of the PBQP problem derived from a graph + plan set.
+/// A PBQP instance: one cost vector per node, one cost matrix per
+/// interacting pair.
 struct Instance {
     /// Cost vector per node.
     costs: Vec<Vec<u64>>,
@@ -40,45 +41,13 @@ struct Instance {
 }
 
 impl Instance {
-    fn build(graph: &Graph, plans: &PlanSet) -> Self {
-        let n = graph.len();
-        let costs: Vec<Vec<u64>> = graph
-            .nodes()
-            .iter()
-            .map(|node| plans.of(node.id).iter().map(|p| p.cost).collect())
-            .collect();
-        let mut edges: HashMap<(usize, usize), Vec<Vec<u64>>> = HashMap::new();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (prod, cons) in graph.edges() {
-            let (u, v) = (prod.0.min(cons.0), prod.0.max(cons.0));
-            if u == v {
-                continue;
-            }
-            let mut m = vec![vec![0u64; costs[v].len()]; costs[u].len()];
-            for (i, pu) in plans.of(NodeId(u)).iter().enumerate() {
-                for (j, pv) in plans.of(NodeId(v)).iter().enumerate() {
-                    // Orient the TC by the actual data-flow direction.
-                    let (from, to) = if prod.0 == u { (pu, pv) } else { (pv, pu) };
-                    m[i][j] += edge_tc(graph, prod, from.layout, to.layout);
-                }
-            }
-            match edges.entry((u, v)) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let acc = e.get_mut();
-                    for (row_acc, row) in acc.iter_mut().zip(&m) {
-                        for (a, b) in row_acc.iter_mut().zip(row) {
-                            *a += *b;
-                        }
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    adj[u].push(v);
-                    adj[v].push(u);
-                    e.insert(m);
-                }
-            }
+    fn new(costs: Vec<Vec<u64>>) -> Self {
+        let adj = vec![Vec::new(); costs.len()];
+        Instance {
+            costs,
+            edges: HashMap::new(),
+            adj,
         }
-        Instance { costs, edges, adj }
     }
 
     fn degree(&self, u: usize) -> usize {
@@ -116,7 +85,7 @@ impl Instance {
                 let acc = e.get_mut();
                 for (row_acc, row) in acc.iter_mut().zip(&oriented) {
                     for (a, b) in row_acc.iter_mut().zip(row) {
-                        *a += *b;
+                        *a = a.saturating_add(*b);
                     }
                 }
             }
@@ -162,10 +131,63 @@ enum Step {
 
 /// Solves the layout/instruction selection problem with the PBQP
 /// reduction heuristic. Exact when the reductions never need the RN
-/// (degree ≥ 3) heuristic — in particular on chains and trees.
+/// (degree ≥ 3) heuristic — in particular on chains and trees. A thin
+/// builder over [`solve`]: plan costs become the cost vectors, each
+/// graph edge's transformation costs an edge matrix.
 pub fn pbqp_select(graph: &Graph, plans: &PlanSet) -> Assignment {
-    let n = graph.len();
-    let mut inst = Instance::build(graph, plans);
+    let costs: Vec<Vec<u64>> = graph
+        .nodes()
+        .iter()
+        .map(|node| plans.of(node.id).iter().map(|p| p.cost).collect())
+        .collect();
+    let edges = graph.edges().into_iter().map(|(prod, cons)| {
+        // Orient the TC by the actual data-flow direction.
+        let m = plans
+            .of(prod)
+            .iter()
+            .map(|from| {
+                let tc =
+                    |to: &crate::plan::ExecutionPlan| edge_tc(graph, prod, from.layout, to.layout);
+                plans.of(cons).iter().map(tc).collect()
+            })
+            .collect();
+        (prod.0, cons.0, m)
+    });
+    let choice = solve(costs, edges).choice;
+    let cost = crate::plan::assignment_cost(graph, plans, &choice);
+    Assignment { choice, cost }
+}
+
+/// What [`solve`] decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Solution {
+    /// The option index chosen for every node.
+    pub choice: Vec<usize>,
+    /// How many RN (heuristic) steps the reduction needed; when zero the
+    /// choice is a global optimum of the instance.
+    pub rn_steps: usize,
+}
+
+/// The PBQP reduction solver itself, over a bare instance: `costs[u][i]`
+/// is what node `u` pays for its option `i`, and each `(u, v, m)` of
+/// `edges` adds `m[i][j]` when `u` takes option `i` while `v` takes `j`
+/// (parallel edges sum; an edge from a node to itself is ignored). Every
+/// node needs at least one option. Both the compiler's instruction/layout
+/// selection ([`pbqp_select`]) and the host runtime's activation-layout
+/// pass build their instance and call this. Ties go to the lower option
+/// index. Deterministic: no reduction order depends on hashing.
+pub fn solve(
+    costs: Vec<Vec<u64>>,
+    edges: impl IntoIterator<Item = (usize, usize, Vec<Vec<u64>>)>,
+) -> Solution {
+    let n = costs.len();
+    let mut inst = Instance::new(costs);
+    for (u, v, m) in edges {
+        if u != v {
+            inst.add_edge_matrix(u, v, m);
+        }
+    }
+    let mut rn_steps = 0usize;
     let mut alive: Vec<bool> = vec![true; n];
     let mut steps: Vec<Step> = Vec::new();
 
@@ -280,6 +302,7 @@ pub fn pbqp_select(graph: &Graph, plans: &PlanSet) -> Assignment {
             });
             alive[u] = false;
             remaining -= 1;
+            rn_steps += 1;
         }
     }
 
@@ -305,8 +328,7 @@ pub fn pbqp_select(graph: &Graph, plans: &PlanSet) -> Assignment {
             }
         }
     }
-    let cost = crate::plan::assignment_cost(graph, plans, &choice);
-    Assignment { choice, cost }
+    Solution { choice, rn_steps }
 }
 
 fn argmin(xs: &[u64]) -> usize {
@@ -322,7 +344,7 @@ mod tests {
     use super::*;
     use crate::plan::enumerate_plans;
     use crate::solve::{chain_dp, exhaustive, local_optimal};
-    use gcd2_cgraph::{OpKind, TShape};
+    use gcd2_cgraph::{NodeId, OpKind, TShape};
     use gcd2_kernels::CostModel;
 
     fn conv_chain(n: usize, channels: usize) -> (Graph, Vec<NodeId>) {
@@ -445,5 +467,75 @@ mod tests {
             pbqp.cost,
             crate::plan::assignment_cost(&g, &plans, &pbqp.choice)
         );
+    }
+    /// `solve` on a bare instance: whenever the reductions needed no RN
+    /// step the choice is a global optimum — its total equals brute
+    /// force over every assignment — and it is never worse than taking
+    /// each node's cheapest option; ties resolve to the lowest index.
+    #[test]
+    fn solve_equals_brute_force_when_no_rn_step_fired() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let total = |costs: &[Vec<u64>], edges: &[(usize, usize, Vec<Vec<u64>>)], c: &[usize]| {
+            let nodes: u64 = costs.iter().zip(c).map(|(v, &i)| v[i]).sum();
+            let pairs: u64 = edges.iter().map(|(u, v, m)| m[c[*u]][c[*v]]).sum();
+            nodes + pairs
+        };
+        let (mut exact, mut heuristic) = (0, 0);
+        for _ in 0..400 {
+            let n = 1 + next(8) as usize;
+            let costs: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..1 + next(4)).map(|_| next(50)).collect())
+                .collect();
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in 0..n {
+                    // Sparse, both orientations, parallel edges included.
+                    if u != v && next(4) == 0 {
+                        let m = (0..costs[u].len())
+                            .map(|_| (0..costs[v].len()).map(|_| next(50)).collect())
+                            .collect();
+                        edges.push((u, v, m));
+                    }
+                }
+            }
+            let got = solve(costs.clone(), edges.clone());
+            let mut best = u64::MAX;
+            let mut c = vec![0usize; n];
+            'all: loop {
+                best = best.min(total(&costs, &edges, &c));
+                for u in 0..n {
+                    c[u] += 1;
+                    if c[u] < costs[u].len() {
+                        continue 'all;
+                    }
+                    c[u] = 0;
+                }
+                break;
+            }
+            let cost = total(&costs, &edges, &got.choice);
+            assert!(cost >= best);
+            if got.rn_steps == 0 {
+                assert_eq!(cost, best, "exact reductions must reach the optimum");
+                exact += 1;
+            } else {
+                heuristic += 1;
+            }
+        }
+        assert!(
+            exact >= 100 && heuristic >= 10,
+            "{exact} exact, {heuristic} RN"
+        );
+        // Ties go to the lowest option index.
+        let tie = solve(
+            vec![vec![3, 3], vec![1, 1, 1]],
+            [(0, 1, vec![vec![0; 3]; 2])],
+        );
+        assert_eq!((tie.choice, tie.rn_steps), (vec![0, 0], 0));
     }
 }

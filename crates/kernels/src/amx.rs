@@ -303,10 +303,10 @@ unsafe fn store_accumulators<const RA: usize, const CB: usize>(c: &mut CBlock) {
 
 /// Requantises the leading `rows × cols` corner of a C block into
 /// `out` (row stride `n`) — [`simd::requantize`]'s
-/// `clamp(v >> shift, 0, 255)`, sixteen columns per instruction: after
-/// the arithmetic shift and the `max(·, 0)`, the unsigned-saturating
-/// down-convert is the clamp to 255. Columns past `cols` (the dead
-/// columns of a padded last strip) are masked out of the store.
+/// `clamp(v >> shift, 0, clamp)`, sixteen columns per instruction: the
+/// arithmetic shift, `max(·, 0)`, `min(·, clamp)`, then a down-convert
+/// that can no longer saturate. Columns past `cols` (the dead columns
+/// of a padded last strip) are masked out of the store.
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available, `rows <= 32`,
@@ -318,11 +318,13 @@ unsafe fn requantize_block(
     rows: usize,
     cols: usize,
     shift: u8,
+    clamp: u8,
     out: *mut u8,
     n: usize,
 ) {
     let count = _mm_cvtsi32_si128(shift as i32);
     let zero = _mm512_setzero_si512();
+    let ceiling = _mm512_set1_epi32(clamp as i32);
     for r in 0..rows {
         for (s, c0) in (0..cols).step_by(16).enumerate() {
             let lanes = ((1u32 << (cols - c0).min(16)) - 1) as __mmask16;
@@ -332,6 +334,7 @@ unsafe fn requantize_block(
             unsafe {
                 let v = _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * s) as *const _);
                 let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
+                let v = _mm512_min_epi32(v, ceiling);
                 _mm512_mask_cvtusepi32_storeu_epi8(out.add(r * n + c0) as *mut i8, lanes, v);
             }
         }
@@ -379,7 +382,7 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
     b_strip: usize,
     c: &mut CBlock,
     cols: usize,
-    shift: u8,
+    (shift, clamp): (u8, u8),
     out: *mut u8,
     n: usize,
 ) {
@@ -392,7 +395,7 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
             accumulate::<RA, CB>(a_tail.cast(), 64, b.add(kfull * TILE_QUADS), b_strip, 1);
         }
         store_accumulators::<RA, CB>(c);
-        requantize_block(c, 16 * RA, cols, shift, out, n);
+        requantize_block(c, 16 * RA, cols, shift, clamp, out, n);
     }
 }
 
@@ -422,6 +425,7 @@ pub(crate) unsafe fn band_amx(
         k,
         n,
         shift,
+        clamp,
         tiles: TilePlan { mb, .. },
         ..
     } = *args;
@@ -481,7 +485,20 @@ pub(crate) unsafe fn band_amx(
                 // SAFETY: the windows asserted above are what the block
                 // reads; it writes `cols` bytes of output rows
                 // rb + r .. + 16·RA from column 16s, inside `out_band`.
-                unsafe { block(a_rows, k, tail, b, b_strip, &mut c, cols, shift, out, n) };
+                unsafe {
+                    block(
+                        a_rows,
+                        k,
+                        tail,
+                        b,
+                        b_strip,
+                        &mut c,
+                        cols,
+                        (shift, clamp),
+                        out,
+                        n,
+                    )
+                };
             }
         }
     }
@@ -508,7 +525,7 @@ pub(crate) unsafe fn band_amx(
                 k.div_ceil(4).max(1),
             );
         }
-        simd::requantize(acc, shift, &mut out_band[tile_rows * n..]);
+        simd::requantize(acc, shift, clamp, &mut out_band[tile_rows * n..]);
     }
 }
 
@@ -518,7 +535,13 @@ mod tests {
     use crate::dispatch::KernelIsa;
     use crate::simd::pack_quads_i8;
 
-    fn reference(a: &[u8], m: usize, k: usize, wd: &[i8], n: usize, shift: u8) -> Vec<u8> {
+    fn reference(
+        a: &[u8],
+        (m, k, n): (usize, usize, usize),
+        wd: &[i8],
+        shift: u8,
+        clamp: u8,
+    ) -> Vec<u8> {
         let mut out = vec![0u8; m * n];
         for r in 0..m {
             for j in 0..n {
@@ -526,7 +549,7 @@ mod tests {
                 for kk in 0..k {
                     sum = sum.wrapping_add(a[r * k + kk] as i32 * wd[kk * n + j] as i32);
                 }
-                out[r * n + j] = (sum >> shift).clamp(0, 255) as u8;
+                out[r * n + j] = (sum >> shift).clamp(0, clamp as i32) as u8;
             }
         }
         out
@@ -559,24 +582,28 @@ mod tests {
             let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
             let mut quads = Vec::new();
             pack_quads_i8(&wd, k, n, &mut quads);
-            let args = BandArgs {
-                a: &a,
-                k,
-                n,
-                wd: &wd,
-                shift: 3,
-                tiles: TilePlan { mb: 48, kb: 128 },
-            };
-            let mut scratch = BandScratch::default();
-            let mut out = vec![0u8; m * n];
-            // SAFETY: AMX support verified above; operands follow the
-            // band contract (m rows, packed quads, out sized m*n).
-            unsafe { band_amx(&args, &[], &quads, &mut scratch, 0, m, &mut out) };
-            assert_eq!(
-                out,
-                reference(&a, m, k, &wd, n, 3),
-                "shape ({m},{k},{n}) diverged from the wrapping oracle"
-            );
+            // The u8 saturation and an activation ceiling below it.
+            for clamp in [255u8, 15] {
+                let args = BandArgs {
+                    a: &a,
+                    k,
+                    n,
+                    wd: &wd,
+                    shift: 3,
+                    clamp,
+                    tiles: TilePlan { mb: 48, kb: 128 },
+                };
+                let mut scratch = BandScratch::default();
+                let mut out = vec![0u8; m * n];
+                // SAFETY: AMX support verified above; operands follow the
+                // band contract (m rows, packed quads, out sized m*n).
+                unsafe { band_amx(&args, &[], &quads, &mut scratch, 0, m, &mut out) };
+                assert_eq!(
+                    out,
+                    reference(&a, (m, k, n), &wd, 3, clamp),
+                    "shape ({m},{k},{n}) clamp {clamp} diverged from the wrapping oracle"
+                );
+            }
         }
     }
 }

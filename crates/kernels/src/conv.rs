@@ -181,14 +181,80 @@ pub fn im2col_rm_into(
     im2col_portable(input, c, h, w, kernel, stride, padding, out);
 }
 
-/// Working memory of [`im2col_rm_into`]'s tile form, reused across calls.
+/// im2col of a **pixel-major** map (`h·w` rows of `c` bytes) into the
+/// row-major `out_spatial × kh·kw·c` GEMM activation matrix, the
+/// reduction ordered `(dy, dx, ch)`:
+/// `out[o][(dy·kw + dx)·c + ch] = x[(y·w + x)·c + ch]` at the tap's
+/// source pixel `(y, x)`, 0 where it is padding — [`im2col_chw`] of the
+/// transposed map with its columns permuted from `(ch, dy, dx)`, so a
+/// GEMM over it wants its weight rows in the same `(dy, dx, ch)` order.
+///
+/// In this layout the `kw` taps of one kernel row are `kw·c`
+/// consecutive source bytes, so staging is plain copies: `kh` runs per
+/// output pixel, read from a zero-padded copy of the map held in
+/// `scratch` (from `input` itself when there is no padding). One form
+/// for every tier; `out` is fully overwritten.
+///
+/// # Panics
+/// Panics if `input.len() != c * h * w` or `out` has the wrong length.
+#[allow(clippy::too_many_arguments)]
+pub fn im2col_rows_into(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    (kh, kw): (usize, usize),
+    (sh, sw): (usize, usize),
+    (ph, pw): (usize, usize),
+    scratch: &mut Im2colScratch,
+    out: &mut [u8],
+) {
+    assert_eq!(input.len(), c * h * w, "input size mismatch");
+    let out_h = (h + 2 * ph - kh) / sh + 1;
+    let out_w = (w + 2 * pw - kw) / sw + 1;
+    assert_eq!(
+        out.len(),
+        out_h * out_w * kh * kw * c,
+        "im2col buffer size mismatch"
+    );
+    // The padded map: `wp` pixels a row, the input's rows at `(ph, pw)`.
+    let wp = w + 2 * pw;
+    let src: &[u8] = if (ph, pw) == (0, 0) {
+        input
+    } else {
+        let padded = &mut scratch.padded;
+        padded.clear();
+        padded.resize((h + 2 * ph) * wp * c, 0);
+        let rows = padded[ph * wp * c..].chunks_exact_mut(wp * c);
+        for (dst, row) in rows.zip(input.chunks_exact((w * c).max(1))) {
+            dst[pw * c..(pw + w) * c].copy_from_slice(row);
+        }
+        padded
+    };
+    let run = kw * c;
+    let mut runs = out.chunks_exact_mut(run.max(1));
+    for oy in 0..out_h {
+        for ox in 0..out_w {
+            for dy in 0..kh {
+                let at = ((oy * sh + dy) * wp + ox * sw) * c;
+                if let Some(dst) = runs.next() {
+                    dst.copy_from_slice(&src[at..at + run]);
+                }
+            }
+        }
+    }
+}
+
+/// Working memory of [`im2col_rm_into`]'s tile form and of
+/// [`im2col_rows_into`], reused across calls.
 #[derive(Debug, Default)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the tile form is x86-64's
 pub struct Im2colScratch {
-    /// The input rows some tap reads, zero-padded and phase-split, plus
-    /// one tile of slack (see `im2col_tiles`).
+    /// The zero-padded copy of the input: for the tile form the rows
+    /// some tap reads, phase-split, plus one tile of slack (see
+    /// `im2col_tiles`); for the pixel-major form the whole padded map.
     padded: Vec<u8>,
     /// Offset in `padded` of virtual-matrix row `kk` for output row 0.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the tile form is x86-64's
     offsets: Vec<usize>,
 }
 
@@ -519,9 +585,9 @@ const IM2COL_WINDOW_BYTES: usize = 32 * 1024;
 /// sliding-window loop. Bit-identical to staging per-channel im2col rows
 /// and multiplying by the `k × 1` weight matrix (`i32` accumulation is
 /// order-independent and padding taps contribute zero), but with no
-/// staging buffer and no per-row GEMM dispatch. `out` is resized to
-/// `out_len` (≤ `c·oh·ow`; the runtime truncates to the node's element
-/// count).
+/// staging buffer and no per-row GEMM dispatch. Every byte of `out` is
+/// written: its length is the node's element count, normally `c·oh·ow`;
+/// a shorter `out` cuts the result off, a longer one ends in zeros.
 ///
 /// A **row-accumulator** kernel: per (channel, output row) `out_w` i32
 /// accumulators, and each tap `(dy, dx)` adds
@@ -551,12 +617,12 @@ pub fn dwconv_direct_into(
     weights: &[i8],
     shift: u8,
     act_max: u8,
-    out_len: usize,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) {
     assert_eq!(input.len(), c * h * w, "input size mismatch");
     let (kh, kw) = kernel;
     assert_eq!(weights.len(), kh * kw, "weight size mismatch");
+    let out_len = out.len();
     let s = DwShape {
         h,
         w,
@@ -569,16 +635,16 @@ pub fn dwconv_direct_into(
         out_h: (h + 2 * padding.0 - kh) / stride.0 + 1,
         out_w: (w + 2 * padding.1 - kw) / stride.1 + 1,
     };
-    out.clear();
-    out.resize(out_len, 0);
     let plane = s.out_h * s.out_w;
     // Channels with at least one output byte; an empty map (every tap
-    // is padding) leaves the zeros the requantization would write.
+    // is padding) gets the zeros the requantization would write.
     let chans = c.min(out_len.div_ceil(plane));
     if chans == 0 || h * w == 0 {
+        out.fill(0);
         return;
     }
-    let dst = &mut out[..out_len.min(chans * plane)];
+    let (dst, past) = out.split_at_mut(out_len.min(chans * plane));
+    past.fill(0);
     #[cfg(target_arch = "x86_64")]
     if dw_vnni_selected(&s) {
         // SAFETY: `dw_vnni_selected` verified the AVX-512 F/BW/VBMI/VNNI
@@ -794,8 +860,9 @@ fn dw_planes_portable(
 /// with wrapping i32 accumulation (order-independent), padding taps
 /// contribute zero exactly like im2col's zero fill, and the CHW write
 /// order matches the executor's scatter. `weights` is the `c·kh·kw × n`
-/// row-major GEMM weight matrix ([`conv_weights_as_gemm`]). `out` is
-/// resized to `out_len` and truncated to it, mirroring the scatter.
+/// row-major GEMM weight matrix ([`conv_weights_as_gemm`]). Every byte
+/// of `out` is written; a length other than `n·oh·ow` cuts the result
+/// off or ends it in zeros, mirroring the scatter.
 ///
 /// Interior pixels of each output row take a vectorized path when the
 /// horizontal stride is 1 (AVX-512: 16 pixels per step, AVX2: 8),
@@ -819,8 +886,7 @@ pub fn conv2d_direct_chw_into(
     n: usize,
     shift: u8,
     act_max: u8,
-    out_len: usize,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) {
     assert_eq!(input.len(), c * h * w, "input size mismatch");
     let (kh, kw) = kernel;
@@ -829,8 +895,10 @@ pub fn conv2d_direct_chw_into(
     let out_h = (h + 2 * padding.0 - kh) / stride.0 + 1;
     let out_w = (w + 2 * padding.1 - kw) / stride.1 + 1;
     let spatial = out_h * out_w;
-    out.clear();
-    out.resize(out_len, 0);
+    let out_len = out.len();
+    // Bytes past the last plane are never computed; the planes
+    // themselves are written whole below.
+    out[out_len.min(n * spatial)..].fill(0);
     let lanes = direct_conv_lanes();
     // Interior ox range where every horizontal tap is in bounds (unit
     // horizontal stride only — the vector path loads contiguous pixels).
@@ -1605,30 +1673,18 @@ mod tests {
                     expect[j * spatial + o] = gemm[o][j].min(act_max);
                 }
             }
-            let mut got = Vec::new();
+            // Stale bytes in the destination must not survive.
+            let mut got = vec![0xAA; n * spatial];
             conv2d_direct_chw_into(
-                &input,
-                c,
-                h,
-                w_dim,
-                kernel,
-                stride,
-                padding,
-                &wd,
-                n,
-                shift,
-                act_max,
-                n * spatial,
-                &mut got,
+                &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, &mut got,
             );
             assert_eq!(got, expect, "c={c} h={h} w={w_dim} n={n}");
 
-            // Truncated out_len mirrors the scatter's resize semantics.
+            // A short destination mirrors the scatter's truncation.
             let cut = n * spatial - spatial / 2 - 1;
-            let mut short = Vec::new();
+            let mut short = vec![0xAA; cut];
             conv2d_direct_chw_into(
-                &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, cut,
-                &mut short,
+                &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, &mut short,
             );
             assert_eq!(short.as_slice(), &expect[..cut], "truncated n={n}");
         }
@@ -1677,26 +1733,15 @@ mod tests {
                 &mut gemm_out,
             );
             let expect: Vec<u8> = gemm_out.iter().map(|&v| v.min(15)).collect();
-            let mut got = Vec::new();
+            let mut got = vec![0xAA; m];
             dwconv_direct_into(
-                &input, c, h, w_dim, kernel, stride, padding, &weights, 3, 15, m, &mut got,
+                &input, c, h, w_dim, kernel, stride, padding, &weights, 3, 15, &mut got,
             );
             assert_eq!(got, expect, "c={c} h={h} w={w_dim} k={kernel:?}");
-            // Truncated output lengths match the runtime's clipping.
-            let mut short = Vec::new();
+            // A short destination matches the runtime's clipping.
+            let mut short = vec![0xAA; m / 2];
             dwconv_direct_into(
-                &input,
-                c,
-                h,
-                w_dim,
-                kernel,
-                stride,
-                padding,
-                &weights,
-                3,
-                15,
-                m / 2,
-                &mut short,
+                &input, c, h, w_dim, kernel, stride, padding, &weights, 3, 15, &mut short,
             );
             assert_eq!(short, expect[..m / 2]);
         }

@@ -168,6 +168,10 @@ pub(crate) struct BandArgs<'a> {
     pub n: usize,
     pub wd: &'a [i8],
     pub shift: u8,
+    /// Upper bound of the requantised bytes: `clamp((acc >> shift), 0,
+    /// clamp)`. 255 is the plain u8 saturation; a plan passes its
+    /// activation ceiling so the bytes a GEMM writes are finished.
+    pub clamp: u8,
     pub tiles: TilePlan,
 }
 
@@ -333,18 +337,7 @@ unsafe fn scalar_entry(
     r1: usize,
     out: &mut [u8],
 ) {
-    crate::tiled::scalar_band(
-        args.a,
-        args.k,
-        args.n,
-        args.wd,
-        args.shift,
-        args.tiles,
-        &mut scratch.acc,
-        r0,
-        r1,
-        out,
-    );
+    crate::tiled::scalar_band(args, &mut scratch.acc, r0, r1, out);
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -611,24 +604,22 @@ fn resolve(
 /// panel ([`panel_for`]), resolves the tiles ([`resolve`]) and runs
 /// the band kernel — on the calling thread, or over [`gemm_bands`] row
 /// bands when `fan_out` gives a scratch pool and a thread budget that
-/// pay for it. Operands are pre-validated by the caller; `out` is
-/// resized to `m × n`.
+/// pay for it. Operands are pre-validated by the caller, `out` included:
+/// exactly `m × n` bytes, every one of which a band overwrites.
 #[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
 fn dispatch(
     a: &[u8],
     m: usize,
     k: usize,
     w: &MatrixI8,
-    shift: u8,
+    (shift, clamp): (u8, u8),
     resident: Option<&WeightPanel>,
     lead: &mut GemmScratch,
     fan_out: Option<(&ScratchPool, usize)>,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) -> PanelSource {
     let n = w.cols();
-    // No clear(): every band writes the whole of its slice, so zeroing
-    // the previous call's bytes first is a memset nobody reads.
-    out.resize(m * n, 0);
+    assert_eq!(out.len(), m * n, "output size mismatch");
     if m == 0 || n == 0 {
         // Nothing to multiply, so nothing was packed either.
         return PanelSource::Resident;
@@ -643,6 +634,7 @@ fn dispatch(
         n,
         wd,
         shift,
+        clamp,
         tiles: TilePlan::DEFAULT,
     };
     args.tiles = resolve(active, &args, m, panel, band);
@@ -699,7 +691,10 @@ pub(crate) fn run_single(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) {
-    dispatch(a, m, k, w, shift, None, scratch, None, out);
+    // No clear(): every band writes the whole of its slice, so zeroing
+    // the previous call's bytes first is a memset nobody reads.
+    out.resize(m * w.cols(), 0);
+    dispatch(a, m, k, w, (shift, u8::MAX), None, scratch, None, out);
 }
 
 /// MACs one band must bring before a GEMM is split: a band is handed
@@ -760,18 +755,26 @@ pub fn try_matmul_threaded_into(
     threads: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    matmul_pooled(a, m, k, w, None, shift, pool, threads, out).map(|_| ())
+    let _ = gcd2_faults::fire("infer.gemm");
+    validate_dispatch(a, m, k, w, shift)?;
+    // No clear(): see `run_single`.
+    out.resize(m * w.cols(), 0);
+    matmul_pooled(a, m, k, w, None, (shift, u8::MAX), pool, threads, out).map(|_| ())
 }
 
-/// [`try_matmul_threaded_into`] with the weights' resident panel: the
-/// dispatch packs nothing when `panel` was packed for the tier it
-/// resolves, and says which it was. `panel` must be
-/// [`WeightPanel::pack`]`(w)` (a plan checks that with
+/// [`try_matmul_threaded_into`] as an inference plan calls it: with the
+/// weights' resident panel, into the caller's `m × n` bytes, clamped to
+/// `clamp` instead of 255. The dispatch packs nothing when `panel` was
+/// packed for the tier it resolves, and says which it was. `panel` must
+/// be [`WeightPanel::pack`]`(w)` (a plan checks that with
 /// [`WeightPanel::is_pack_of`]); a panel of another tier's layout is
-/// ignored, never misread.
+/// ignored, never misread. With the clamp folded into requantisation
+/// the bytes in `out` are finished activations: a plan points `out` at
+/// the output slot itself when the GEMM's rows are the slot's layout.
 ///
 /// # Errors
-/// See [`try_matmul_threaded_into`].
+/// See [`try_matmul_threaded_into`]; also
+/// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes.
 #[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
 pub fn try_matmul_panel_into(
     a: &[u8],
@@ -779,16 +782,25 @@ pub fn try_matmul_panel_into(
     k: usize,
     w: &MatrixI8,
     panel: &WeightPanel,
-    shift: u8,
+    (shift, clamp): (u8, u8),
     pool: &ScratchPool,
     threads: usize,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
-    matmul_pooled(a, m, k, w, Some(panel), shift, pool, threads, out)
+    let _ = gcd2_faults::fire("infer.gemm");
+    validate_dispatch(a, m, k, w, shift)?;
+    if out.len() != m * w.cols() {
+        return Err(GemmDispatchError::OutputSize {
+            expected: m * w.cols(),
+            got: out.len(),
+        });
+    }
+    matmul_pooled(a, m, k, w, Some(panel), (shift, clamp), pool, threads, out)
 }
 
-/// Both pooled entry points: the `infer.gemm` fault point, validation,
-/// then [`dispatch`] with the lead scratch checked out of `pool`.
+/// Both pooled entry points, past their `infer.gemm` fault point and
+/// operand validation: [`dispatch`] with the lead scratch checked out of
+/// `pool`.
 #[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
 fn matmul_pooled(
     a: &[u8],
@@ -796,20 +808,18 @@ fn matmul_pooled(
     k: usize,
     w: &MatrixI8,
     resident: Option<&WeightPanel>,
-    shift: u8,
+    requant: (u8, u8),
     pool: &ScratchPool,
     threads: usize,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
-    let _ = gcd2_faults::fire("infer.gemm");
-    validate_dispatch(a, m, k, w, shift)?;
     let mut lead = pool.checkout();
     let source = dispatch(
         a,
         m,
         k,
         w,
-        shift,
+        requant,
         resident,
         &mut lead,
         Some((pool, threads)),
@@ -848,6 +858,7 @@ pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, panel: &Weigh
         n,
         wd: w.as_slice(),
         shift,
+        clamp: u8::MAX,
         tiles: TilePlan::DEFAULT,
     };
     let active = active_table();
@@ -1078,6 +1089,7 @@ mod tests {
                     n,
                     wd,
                     shift: 6,
+                    clamp: u8::MAX,
                     tiles: TilePlan { mb, kb },
                 };
                 let t0 = Instant::now();

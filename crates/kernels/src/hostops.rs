@@ -4,8 +4,9 @@
 //! interpreter (`gcd2::runtime`) and the precompiled inference plan
 //! (`gcd2::infer`) — that must stay **bit-identical**. Every non-GEMM
 //! operator's arithmetic therefore lives here, once, as `_into` kernels
-//! writing into caller-owned buffers (so the plan executor allocates
-//! nothing in steady state).
+//! writing into caller-owned, **pre-sized** slices (the plan executor
+//! hands them its line-aligned activation slots and allocates nothing
+//! in steady state); every byte of `out` is overwritten.
 //!
 //! The quantization convention is the runtime's: activations live in a
 //! small range `0..=act_max` (4 bits in practice), and each kernel's
@@ -13,26 +14,47 @@
 //! have different lengths, the second is zero-extended and the output
 //! takes the first operand's length, matching the interpreter's
 //! historical behaviour.
+//!
+//! The elementwise kernels are position-blind, so they serve a
+//! pixel-major (`hw × c`) operand pair as they serve a CHW one; the
+//! kernels that are positional in CHW say so, and
+//! [`global_avg_pool_rows_into`] is the one pixel-major form.
 
 /// `out[i] = f(a[i], b[i])` over `a`'s length, with `b` zero-extended:
-/// the common prefix zips two plain slices (a `Chain` adapter in the
-/// zip keeps the loop from vectorising), then the tail pairs with 0.
-fn zip_zero_extended(a: &[u8], b: &[u8], out: &mut Vec<u8>, f: impl Fn(u8, u8) -> u8) {
-    let (head, tail) = a.split_at(a.len().min(b.len()));
-    out.clear();
-    out.extend(head.iter().zip(b).map(|(&x, &y)| f(x, y)));
-    out.extend(tail.iter().map(|&x| f(x, 0)));
+/// the common prefix zips plain slices (a `Chain` adapter in the zip
+/// keeps the loop from vectorising), then the tail pairs with 0.
+///
+/// # Panics
+/// Panics if `out.len() != a.len()` (as does every kernel here whose
+/// `out` is not exactly its result's length).
+fn zip_zero_extended(a: &[u8], b: &[u8], out: &mut [u8], f: impl Fn(u8, u8) -> u8) {
+    assert_eq!(out.len(), a.len(), "output size mismatch");
+    let common = a.len().min(b.len());
+    for ((d, &x), &y) in out[..common].iter_mut().zip(a).zip(b) {
+        *d = f(x, y);
+    }
+    for (d, &x) in out[common..].iter_mut().zip(&a[common..]) {
+        *d = f(x, 0);
+    }
+}
+
+/// `out[i] = f(x[i])`.
+fn map_into(x: &[u8], out: &mut [u8], f: impl Fn(u8) -> u8) {
+    assert_eq!(out.len(), x.len(), "output size mismatch");
+    for (d, &v) in out.iter_mut().zip(x) {
+        *d = f(v);
+    }
 }
 
 /// Elementwise average: `out[i] = (a[i] + b[i]) / 2`, with `b`
 /// zero-extended to `a`'s length.
-pub fn add_avg_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
+pub fn add_avg_into(a: &[u8], b: &[u8], out: &mut [u8]) {
     zip_zero_extended(a, b, out, |x, y| ((x as u16 + y as u16) / 2) as u8);
 }
 
 /// Elementwise product with a 4-bit requantization shift:
 /// `out[i] = min((a[i] · b[i]) >> 4, act_max)`, `b` zero-extended.
-pub fn mul_shift4_into(a: &[u8], b: &[u8], act_max: u8, out: &mut Vec<u8>) {
+pub fn mul_shift4_into(a: &[u8], b: &[u8], act_max: u8, out: &mut [u8]) {
     zip_zero_extended(a, b, out, |x, y| {
         (((x as u16 * y as u16) >> 4) as u8).min(act_max)
     });
@@ -41,26 +63,23 @@ pub fn mul_shift4_into(a: &[u8], b: &[u8], act_max: u8, out: &mut Vec<u8>) {
 /// Elementwise division through the reciprocal lookup convention:
 /// `out[i] = a[i] / (b[i] + 1)` (the `+1` keeps the table total and the
 /// result inside the activation range), `b` zero-extended.
-pub fn div_lut_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
+pub fn div_lut_into(a: &[u8], b: &[u8], out: &mut [u8]) {
     zip_zero_extended(a, b, out, |x, y| x / (y as u16 + 1) as u8);
 }
 
 /// Elementwise square with a 4-bit requantization shift:
 /// `out[i] = min((x · x) >> 4, act_max)` — the `Pow` operator's
 /// fixed-exponent instantiation.
-pub fn pow_sq_into(x: &[u8], act_max: u8, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(
-        x.iter()
-            .map(|&v| (((v as u16 * v as u16) >> 4) as u8).min(act_max)),
-    );
+pub fn pow_sq_into(x: &[u8], act_max: u8, out: &mut [u8]) {
+    map_into(x, out, |v| {
+        (((v as u16 * v as u16) >> 4) as u8).min(act_max)
+    });
 }
 
 /// The monotone byte-lookup stand-in used for HardSwish/Sigmoid/GELU:
 /// `out[i] = x/2 + x/4`.
-pub fn monotone_lut_into(x: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.extend(x.iter().map(|&v| v / 2 + v / 4));
+pub fn monotone_lut_into(x: &[u8], out: &mut [u8]) {
+    map_into(x, out, |v| v / 2 + v / 4);
 }
 
 /// The multiplier that turns softmax's per-element division into one
@@ -79,33 +98,29 @@ fn softmax_scale(act_max: u8, sum: u32) -> u64 {
 /// the activation range: `out[i] = x[i] · act_max / max(Σ_group x, 1)`.
 /// Monotone within each group and bounded by `act_max`. One reciprocal
 /// per group ([`softmax_scale`]) keeps the element loop a multiply.
-pub fn softmax_into(x: &[u8], group: usize, act_max: u8, out: &mut Vec<u8>) {
+pub fn softmax_into(x: &[u8], group: usize, act_max: u8, out: &mut [u8]) {
+    assert_eq!(out.len(), x.len(), "output size mismatch");
     let group = group.max(1);
-    out.clear();
-    out.reserve(x.len());
-    for chunk in x.chunks(group) {
+    for (chunk, dst) in x.chunks(group).zip(out.chunks_mut(group)) {
         let sum: u32 = chunk.iter().map(|&v| v as u32).sum();
         let scale = softmax_scale(act_max, sum.max(1));
-        out.extend(chunk.iter().map(|&v| ((v as u64 * scale) >> 32) as u8));
+        map_into(chunk, dst, |v| ((v as u64 * scale) >> 32) as u8);
     }
 }
 
 /// Layer normalization over contiguous groups of `group` elements:
 /// mean-center and re-bias to the middle of the activation range,
 /// `out[i] = clamp(x[i] - mean + (act_max + 1)/2, 0, act_max)`.
-pub fn layernorm_into(x: &[u8], group: usize, act_max: u8, out: &mut Vec<u8>) {
+pub fn layernorm_into(x: &[u8], group: usize, act_max: u8, out: &mut [u8]) {
+    assert_eq!(out.len(), x.len(), "output size mismatch");
     let group = group.max(1);
     let mid = (act_max as i32 + 1) / 2;
-    out.clear();
-    out.reserve(x.len());
-    for chunk in x.chunks(group) {
+    for (chunk, dst) in x.chunks(group).zip(out.chunks_mut(group)) {
         let sum: u32 = chunk.iter().map(|&v| v as u32).sum();
         let mean = (sum / chunk.len() as u32) as i32;
-        out.extend(
-            chunk
-                .iter()
-                .map(|&v| (v as i32 - mean + mid).clamp(0, act_max as i32) as u8),
-        );
+        map_into(chunk, dst, |v| {
+            (v as i32 - mean + mid).clamp(0, act_max as i32) as u8
+        });
     }
 }
 
@@ -122,12 +137,11 @@ pub fn pool_into(
     kernel: (usize, usize),
     stride: (usize, usize),
     is_max: bool,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) {
     let out_h = (h - kernel.0) / stride.0 + 1;
     let out_w = (w - kernel.1) / stride.1 + 1;
-    out.clear();
-    out.resize(c * out_h * out_w, 0);
+    assert_eq!(out.len(), c * out_h * out_w, "output size mismatch");
     let dims = ((h, w), (out_h, out_w));
     if is_max {
         pool_rows(x, dims, kernel, stride, out, u8::max, |best| best);
@@ -184,23 +198,57 @@ fn pool_rows<T: Copy + From<u8>>(
     }
 }
 
-/// Global average pooling: one mean per channel over `hw` spatial
-/// elements.
-pub fn global_avg_pool_into(x: &[u8], c: usize, hw: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(c);
-    for ch in 0..c {
-        let sum: u32 = x[ch * hw..(ch + 1) * hw].iter().map(|&v| v as u32).sum();
-        out.push((sum / hw as u32) as u8);
+/// `Σ x` as `u32`: 128 bytes at a time in `u16` (128 · 255 < 2¹⁶, so a
+/// chunk cannot wrap), each chunk's sum folded into the `u32` total —
+/// the narrow sum vectorises twice as wide as widening every byte to
+/// `u32` first. Exact, so the total is the byte-at-a-time one.
+fn byte_sum(x: &[u8]) -> u32 {
+    x.chunks(128)
+        .map(|chunk| chunk.iter().map(|&v| v as u16).sum::<u16>() as u32)
+        .sum()
+}
+
+/// Global average pooling of a CHW map: one mean per channel over `hw`
+/// spatial elements, `out[ch] = ⌊Σ x[ch·hw ..][..hw] / hw⌋`.
+pub fn global_avg_pool_into(x: &[u8], c: usize, hw: usize, out: &mut [u8]) {
+    assert_eq!(out.len(), c, "output size mismatch");
+    for (plane, dst) in x[..c * hw].chunks_exact(hw.max(1)).zip(out) {
+        *dst = (byte_sum(plane) / hw as u32) as u8;
+    }
+}
+
+/// [`global_avg_pool_into`] of the same map held pixel-major (`hw` rows
+/// of `c` bytes): column sums, same rounding, same bytes. Columns are
+/// taken 64 at a time — one cache line of every row — in `u16` lanes
+/// folded into `u32` totals every 256 rows (256 · 255 < 2¹⁶).
+pub fn global_avg_pool_rows_into(x: &[u8], c: usize, hw: usize, out: &mut [u8]) {
+    const LANES: usize = 64;
+    const U16_SUM_MAX: usize = 256;
+    assert_eq!(out.len(), c, "output size mismatch");
+    for (j0, dst) in (0..c).step_by(LANES).zip(out.chunks_mut(LANES)) {
+        let mut total = [0u32; LANES];
+        for block in x[..c * hw].chunks(c * U16_SUM_MAX) {
+            let mut lanes = [0u16; LANES];
+            for row in block.chunks_exact(c) {
+                for (lane, &v) in lanes.iter_mut().zip(&row[j0..j0 + dst.len()]) {
+                    *lane += v as u16;
+                }
+            }
+            for (t, &lane) in total.iter_mut().zip(&lanes) {
+                *t += lane as u32;
+            }
+        }
+        for (d, &t) in dst.iter_mut().zip(&total) {
+            *d = (t / hw as u32) as u8;
+        }
     }
 }
 
 /// Nearest-neighbour spatial upsampling of a CHW map by an integer
 /// `factor` in both dimensions.
-pub fn upsample_nn_into(x: &[u8], c: usize, h: usize, w: usize, factor: usize, out: &mut Vec<u8>) {
+pub fn upsample_nn_into(x: &[u8], c: usize, h: usize, w: usize, factor: usize, out: &mut [u8]) {
     let (oh, ow) = (h * factor, w * factor);
-    out.clear();
-    out.resize(c * oh * ow, 0);
+    assert_eq!(out.len(), c * oh * ow, "output size mismatch");
     for ch in 0..c {
         for oy in 0..oh {
             let src_row = &x[ch * h * w + (oy / factor) * w..][..w];
@@ -213,11 +261,11 @@ pub fn upsample_nn_into(x: &[u8], c: usize, h: usize, w: usize, factor: usize, o
 }
 
 /// Concatenation: `a` followed by `b` (channel concat for CHW tensors).
-pub fn concat_into(a: &[u8], b: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    out.extend_from_slice(a);
-    out.extend_from_slice(b);
+pub fn concat_into(a: &[u8], b: &[u8], out: &mut [u8]) {
+    assert_eq!(out.len(), a.len() + b.len(), "output size mismatch");
+    let (head, tail) = out.split_at_mut(a.len());
+    head.copy_from_slice(a);
+    tail.copy_from_slice(b);
 }
 
 #[cfg(test)]
@@ -228,29 +276,29 @@ mod tests {
 
     #[test]
     fn add_zero_extends_and_averages() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 3];
         add_avg_into(&[4, 8, 15], &[4], &mut out);
-        assert_eq!(out, vec![4, 4, 7]);
+        assert_eq!(out, [4, 4, 7]);
     }
 
     #[test]
     fn mul_requantizes_and_clamps() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 3];
         mul_shift4_into(&[15, 15, 2], &[15, 0, 8], ACT_MAX, &mut out);
-        assert_eq!(out, vec![14, 0, 1]);
+        assert_eq!(out, [14, 0, 1]);
     }
 
     #[test]
     fn div_is_bounded_by_numerator() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 3];
         div_lut_into(&[15, 9, 6], &[0, 2, 100], &mut out);
-        assert_eq!(out, vec![15, 3, 0]);
+        assert_eq!(out, [15, 3, 0]);
     }
 
     #[test]
     fn softmax_groups_stay_in_range_and_monotone() {
         let x: Vec<u8> = vec![1, 5, 15, 0, 0, 0, 0, 3];
-        let mut out = Vec::new();
+        let mut out = vec![0xA5; x.len()];
         softmax_into(&x, 4, ACT_MAX, &mut out);
         assert_eq!(out.len(), x.len());
         assert!(out.iter().all(|&v| v <= ACT_MAX));
@@ -261,29 +309,29 @@ mod tests {
 
     #[test]
     fn layernorm_centers_groups() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 4];
         layernorm_into(&[0, 15, 5, 10], 2, ACT_MAX, &mut out);
         assert!(out.iter().all(|&v| v <= ACT_MAX));
         // Mean of each pair maps to the mid-point bias of 8.
-        assert_eq!(out, vec![1, 15, 6, 11]);
+        assert_eq!(out, [1, 15, 6, 11]);
     }
 
     #[test]
     fn upsample_replicates_nearest() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 16];
         upsample_nn_into(&[1, 2, 3, 4], 1, 2, 2, 2, &mut out);
-        assert_eq!(out, vec![1, 1, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3, 3, 4, 4]);
+        assert_eq!(out, [1, 1, 2, 2, 1, 1, 2, 2, 3, 3, 4, 4, 3, 3, 4, 4]);
     }
 
     #[test]
     fn pool_matches_hand_computed() {
         let x = [1u8, 3, 2, 4, 5, 7, 6, 8, 0, 0, 0, 0, 4, 4, 4, 4];
-        let mut max = Vec::new();
+        let mut max = [0xA5; 4];
         pool_into(&x, 2, 2, 4, (2, 2), (2, 2), true, &mut max);
-        assert_eq!(max, vec![7, 8, 4, 4]);
-        let mut avg = Vec::new();
+        assert_eq!(max, [7, 8, 4, 4]);
+        let mut avg = [0xA5; 4];
         pool_into(&x, 2, 2, 4, (2, 2), (2, 2), false, &mut avg);
-        assert_eq!(avg, vec![4, 5, 2, 2]);
+        assert_eq!(avg, [4, 5, 2, 2]);
     }
 
     /// The per-window loop `pool_into` replaced, kept as its oracle.
@@ -341,11 +389,11 @@ mod tests {
                 .map(|i: usize| (i.wrapping_mul(2654435761) >> 7) as u8)
                 .collect();
             for is_max in [true, false] {
-                let mut got = vec![0xA5; 3];
+                let want = pool_ref(&x, c, h, w, kernel, stride, is_max);
+                let mut got = vec![0xA5; want.len()];
                 pool_into(&x, c, h, w, kernel, stride, is_max, &mut got);
                 assert_eq!(
-                    got,
-                    pool_ref(&x, c, h, w, kernel, stride, is_max),
+                    got, want,
                     "{c}x{h}x{w} kernel {kernel:?} stride {stride:?} max={is_max}"
                 );
             }
@@ -384,8 +432,48 @@ mod tests {
 
     #[test]
     fn global_avg_pool_per_channel() {
-        let mut out = Vec::new();
+        let mut out = [0xA5; 2];
         global_avg_pool_into(&[2, 4, 6, 8, 1, 1, 1, 1], 2, 4, &mut out);
-        assert_eq!(out, vec![5, 1]);
+        assert_eq!(out, [5, 1]);
+    }
+
+    /// The byte-at-a-time loop `global_avg_pool_into` replaced, kept as
+    /// the oracle of both forms.
+    fn global_avg_pool_ref(x: &[u8], c: usize, hw: usize) -> Vec<u8> {
+        (0..c)
+            .map(|ch| {
+                let sum: u32 = x[ch * hw..(ch + 1) * hw].iter().map(|&v| v as u32).sum();
+                (sum / hw as u32) as u8
+            })
+            .collect()
+    }
+
+    /// Both forms equal the oracle over channel counts below, at and
+    /// past one 64-column block, plane sizes around the 128-byte chunk
+    /// and past the 256-row `u16` fold, on full-range bytes and on
+    /// all-255 planes (the sums that would wrap a `u16` first).
+    #[test]
+    fn global_avg_pool_forms_equal_the_byte_loop() {
+        for c in [1usize, 3, 16, 17, 960] {
+            for hw in [1usize, 49, 127, 128, 129, 12544] {
+                for saturated in [false, true] {
+                    let chw: Vec<u8> = (0..c * hw)
+                        .map(|i: usize| match saturated {
+                            true => 255,
+                            false => (i.wrapping_mul(2654435761) >> 7) as u8,
+                        })
+                        .collect();
+                    let want = global_avg_pool_ref(&chw, c, hw);
+                    let mut got = vec![0xA5; c];
+                    global_avg_pool_into(&chw, c, hw, &mut got);
+                    assert_eq!(got, want, "chw {c}x{hw} saturated={saturated}");
+                    let mut rows = vec![0u8; c * hw];
+                    crate::reference::transpose_clamp_ref(&chw, c, hw, 255, &mut rows, c);
+                    got.fill(0xA5);
+                    global_avg_pool_rows_into(&rows, c, hw, &mut got);
+                    assert_eq!(got, want, "rows {hw}x{c} saturated={saturated}");
+                }
+            }
+        }
     }
 }

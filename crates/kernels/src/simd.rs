@@ -2,7 +2,7 @@
 //!
 //! Each kernel computes the same function as the scalar oracle
 //! ([`crate::tiled`]): `out[r][j] = clamp((Σ_kk a[r][kk] · w[kk][j]) >>
-//! shift, 0, 255)` with i32 **wrapping** accumulation. Wrapping addition
+//! shift, 0, clamp)` (`clamp` is the dispatch's, at most 255) with i32 **wrapping** accumulation. Wrapping addition
 //! is associative and commutative, so any accumulation order — register
 //! tiles, pair-summed `madd`, widened NEON lanes — produces bytes
 //! identical to the scalar loop. That bit-exactness is the contract: the
@@ -147,9 +147,9 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
 
 /// Requantize an i32 accumulator band to output bytes — shared epilogue
 /// of every band kernel, identical to the scalar oracle's epilogue.
-pub(crate) fn requantize(acc: &[i32], shift: u8, out: &mut [u8]) {
+pub(crate) fn requantize(acc: &[i32], shift: u8, clamp: u8, out: &mut [u8]) {
     for (dst, &v) in out.iter_mut().zip(acc.iter()) {
-        *dst = (v >> shift).clamp(0, 255) as u8;
+        *dst = (v >> shift).clamp(0, clamp as i32) as u8;
     }
 }
 
@@ -194,6 +194,7 @@ pub(crate) mod x86 {
             n,
             wd,
             shift,
+            clamp,
             tiles,
         } = *args;
         let TilePlan { mb, kb } = tiles;
@@ -201,7 +202,7 @@ pub(crate) mod x86 {
         if n < 8 {
             // No vector strip fits: every column would take the scalar
             // tail. The oracle's plain nest is strictly faster there.
-            return crate::tiled::scalar_band(a, k, n, wd, shift, tiles, acc_buf, r0, r1, out_band);
+            return crate::tiled::scalar_band(args, acc_buf, r0, r1, out_band);
         }
         let rows = r1 - r0;
         debug_assert!(r1 * k <= a.len());
@@ -265,7 +266,7 @@ pub(crate) mod x86 {
                 }
                 p0 = p1;
             }
-            requantize(acc, shift, &mut out_band[rb * n..(rb + mrows) * n]);
+            requantize(acc, shift, clamp, &mut out_band[rb * n..(rb + mrows) * n]);
             rb += mrows;
         }
     }
@@ -436,6 +437,7 @@ pub(crate) mod x86 {
             n,
             wd,
             shift,
+            clamp,
             tiles,
         } = *args;
         let TilePlan { mb, kb } = tiles;
@@ -445,7 +447,7 @@ pub(crate) mod x86 {
             // skinny conv outputs (e.g. a 3-channel final layer) this is
             // the difference between scalar and full VNNI throughput.
             // SAFETY: same CPU features and slice contracts as this fn.
-            return unsafe { band_vnni_narrow(a, k, n, wd, shift, r0, r1, out_band) };
+            return unsafe { band_vnni_narrow(a, k, n, wd, shift, clamp, r0, r1, out_band) };
         }
         let rows = r1 - r0;
         debug_assert_eq!(out_band.len(), rows * n);
@@ -464,7 +466,7 @@ pub(crate) mod x86 {
             // rows r0+rb .. +mrows are < r1 <= m and `acc` holds
             // mrows rows.
             unsafe { rows512(a, k, n, quads, acc, r0 + rb, mrows, kb_quads) };
-            requantize(acc, shift, &mut out_band[rb * n..(rb + mrows) * n]);
+            requantize(acc, shift, clamp, &mut out_band[rb * n..(rb + mrows) * n]);
             rb += mrows;
         }
     }
@@ -596,6 +598,7 @@ pub(crate) mod x86 {
         n: usize,
         wd: &[i8],
         shift: u8,
+        clamp: u8,
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
@@ -636,7 +639,7 @@ pub(crate) mod x86 {
                         sum = sum.wrapping_add(av as i32 * wd[kk * n + j] as i32);
                     }
                 }
-                *dst = (sum >> shift).clamp(0, 255) as u8;
+                *dst = (sum >> shift).clamp(0, clamp as i32) as u8;
             }
         }
     }
@@ -1307,6 +1310,7 @@ pub(crate) mod arm {
             n,
             wd,
             shift,
+            clamp,
             tiles: TilePlan { mb, kb },
         } = *args;
         let acc_buf = &mut scratch.acc;
@@ -1358,6 +1362,7 @@ pub(crate) mod arm {
             requantize(
                 &acc_buf[..mrows * n],
                 shift,
+                clamp,
                 &mut out_band[rb * n..(rb + mrows) * n],
             );
             rb += mrows;

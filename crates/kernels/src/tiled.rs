@@ -27,7 +27,6 @@
 //! supports them (see [`crate::dispatch`]); the scalar path here is the
 //! semantic definition every SIMD path must match bit for bit.
 
-use crate::autotune::TilePlan;
 use crate::simd::Line;
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use std::cell::RefCell;
@@ -61,26 +60,40 @@ pub(crate) struct BandScratch {
     pub(crate) a_tail: Vec<Line<u8>>,
 }
 
-/// A reusable byte buffer that starts on a cache line — what a caller
-/// stages a GEMM's activation matrix in. When `k` is a multiple of 64
-/// no row of an AMX activation tile then straddles two lines (a tile
-/// load whose rows do costs about twice one whose rows do not); the
-/// other tiers read it like any slice.
+/// A reusable byte buffer that starts on a cache line — what a plan
+/// keeps every activation slot and the staged GEMM operand in, because
+/// either can be a GEMM's `a`. When `k` is a multiple of 64 no row of
+/// an AMX activation tile then straddles two lines (a tile load whose
+/// rows do costs about twice one whose rows do not; glibc hands out
+/// every large `Vec<u8>` 16 bytes past a line); the other tiers read it
+/// like any slice.
 #[derive(Debug, Default, Clone)]
-pub struct LineBuf(Vec<Line<u8>>);
+pub struct LineBuf {
+    lines: Vec<Line<u8>>,
+    len: usize,
+}
 
 impl LineBuf {
-    /// The first `len` bytes, the buffer grown to hold them. Not
-    /// cleared: bytes of an earlier use are still there.
+    /// Sets the length to `len` and returns those bytes for writing,
+    /// the buffer grown to hold them. Not cleared: bytes of an earlier
+    /// use are still there.
     pub fn bytes_mut(&mut self, len: usize) -> &mut [u8] {
         let lines = len.div_ceil(64);
-        if self.0.len() < lines {
-            self.0.resize(lines, Line([0; 64]));
+        if self.lines.len() < lines {
+            self.lines.resize(lines, Line([0; 64]));
         }
+        self.len = len;
         // SAFETY: `Line<u8>` is `repr(C)` over `[u8; 64]`, so the
         // vector's first `lines` elements are `64 · lines >= len`
         // contiguous initialised bytes, borrowed mutably through `self`.
-        unsafe { std::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast::<u8>(), len) }
+        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast::<u8>(), len) }
+    }
+
+    /// The bytes the last [`LineBuf::bytes_mut`] handed out.
+    pub fn bytes(&self) -> &[u8] {
+        // SAFETY: as in `bytes_mut`; `len` bytes were inside the
+        // vector when it was set and the vector never shrinks.
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<u8>(), self.len) }
     }
 }
 
@@ -96,6 +109,8 @@ pub enum GemmDispatchError {
     WeightRows { expected: usize, got: usize },
     /// `shift >= 32` would shift an i32 accumulator past its width.
     ShiftRange { shift: u8 },
+    /// The caller's output slice is not `m × n` bytes.
+    OutputSize { expected: usize, got: usize },
 }
 
 impl std::fmt::Display for GemmDispatchError {
@@ -114,6 +129,10 @@ impl std::fmt::Display for GemmDispatchError {
             GemmDispatchError::ShiftRange { shift } => {
                 write!(f, "requant shift {shift} exceeds i32 accumulator width")
             }
+            GemmDispatchError::OutputSize { expected, got } => write!(
+                f,
+                "output slice holds {got} bytes, dispatch writes {expected}"
+            ),
         }
     }
 }
@@ -150,19 +169,22 @@ pub(crate) fn validate_dispatch(
 /// i·k·j loop with zero-skip, writing the band's requantized bytes into
 /// `out_band` (`(r1 - r0) × n`, row-major). Every SIMD band kernel is
 /// property-tested bit-identical against this.
-#[allow(clippy::too_many_arguments)] // the band-kernel operand contract
 pub(crate) fn scalar_band(
-    a: &[u8],
-    k: usize,
-    n: usize,
-    wd: &[i8],
-    shift: u8,
-    tiles: TilePlan,
+    args: &crate::dispatch::BandArgs<'_>,
     acc_buf: &mut Vec<i32>,
     r0: usize,
     r1: usize,
     out_band: &mut [u8],
 ) {
+    let crate::dispatch::BandArgs {
+        a,
+        k,
+        n,
+        wd,
+        shift,
+        clamp,
+        tiles,
+    } = *args;
     let (mb_rows, kb_rows) = (tiles.mb.max(1), tiles.kb.max(1));
     acc_buf.clear();
     acc_buf.resize(mb_rows.min(r1 - r0) * n, 0);
@@ -193,7 +215,7 @@ pub(crate) fn scalar_band(
         }
         let orows = &mut out_band[(mb - r0) * n..(mb - r0 + mrows) * n];
         for (dst, &acc) in orows.iter_mut().zip(acc.iter()) {
-            *dst = (acc >> shift).clamp(0, 255) as u8;
+            *dst = (acc >> shift).clamp(0, clamp as i32) as u8;
         }
         mb += mrows;
     }
@@ -296,6 +318,13 @@ mod tests {
         }
         let bytes = buf.bytes_mut(65);
         assert_eq!((bytes[0], bytes[62], bytes[63], bytes[64]), (1, 63, 64, 65));
+        // Reading sees the last length handed out, at the same address.
+        assert_eq!(
+            buf.bytes(),
+            [&[1u8; 1][..], &[0; 61], &[63, 64, 65]].concat()
+        );
+        assert_eq!(buf.bytes_mut(3).len(), buf.bytes().len());
+        assert_eq!(buf.bytes().as_ptr() as usize % 64, 0);
     }
 
     /// Bit-exactness against the gold reference across shapes that

@@ -6,14 +6,32 @@
 //! * the per-pixel oracle (`dwconv_ref`, the loop the kernel replaced),
 //! * the portable row-accumulator form (under a thread-scoped
 //!   `pin_scalar`),
-//! * the form the active ISA selects
+//! * the form each `KernelIsa` the host supports selects (through
+//!   `force_isa`), and the one auto-detection selects
 //!
 //! produce **identical bytes**. Under `GCD2_FORCE_SCALAR=1` (CI runs the
-//! suite both ways) the ISA-selected side is the portable form again and
+//! suite both ways) the auto-detected side is the portable form again and
 //! the gate still has to hold.
 
-use gcd2_kernels::{dwconv_direct_into, dwconv_ref, pin_scalar};
+use gcd2_kernels::{dwconv_direct_into, dwconv_ref, force_isa, pin_scalar, KernelIsa};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// `force_isa` is process-global; tests that flip it serialize here.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+fn force_guard() -> MutexGuard<'static, ()> {
+    match FORCE_LOCK.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Auto-detection, then every tier this host can run.
+fn tiers() -> Vec<Option<KernelIsa>> {
+    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
+    std::iter::once(None).chain(supported.map(Some)).collect()
+}
 
 /// (channels, height, width, kernel, stride, padding).
 type Shape = (
@@ -49,7 +67,7 @@ fn taps(len: usize, seed: u64) -> Vec<i8> {
     w
 }
 
-/// Oracle == portable == ISA-selected, for one call.
+/// Oracle == portable == the form of every tier, for one call.
 fn assert_identity(
     shape: &Shape,
     input: &[u8],
@@ -64,24 +82,26 @@ fn assert_identity(
         input, c, h, w, k, s, p, weights, shift, act_max, out_len, &mut want,
     );
     // Stale bytes in the destination must not survive.
-    let mut got = vec![0xAA; 7];
+    let mut got = vec![0xAA; out_len];
     {
         let _pin = pin_scalar();
-        dwconv_direct_into(
-            input, c, h, w, k, s, p, weights, shift, act_max, out_len, &mut got,
-        );
+        dwconv_direct_into(input, c, h, w, k, s, p, weights, shift, act_max, &mut got);
     }
     assert_eq!(
         got, want,
         "portable vs oracle {shape:?} shift={shift} len={out_len}"
     );
-    dwconv_direct_into(
-        input, c, h, w, k, s, p, weights, shift, act_max, out_len, &mut got,
-    );
-    assert_eq!(
-        got, want,
-        "active ISA vs oracle {shape:?} shift={shift} len={out_len}"
-    );
+    let _guard = force_guard();
+    for tier in tiers() {
+        force_isa(tier);
+        got.fill(0xAA);
+        dwconv_direct_into(input, c, h, w, k, s, p, weights, shift, act_max, &mut got);
+        force_isa(None);
+        assert_eq!(
+            got, want,
+            "{tier:?} vs oracle {shape:?} shift={shift} len={out_len}"
+        );
+    }
 }
 
 /// The `out_len` cuts worth pinning for a shape: everything, nothing,

@@ -1,4 +1,4 @@
-//! Bit-identity gate for the im2col staging kernel.
+//! Bit-identity gate for the im2col staging kernels.
 //!
 //! Contract: for every convolution geometry, `im2col_rm_into` writes
 //! exactly the bytes of the per-element oracle `im2col_chw(…,
@@ -7,10 +7,16 @@
 //! the host supports (through `force_isa`) and on auto-detection, so
 //! the tile form and the portable form are both held to the oracle on
 //! one host; under `GCD2_FORCE_SCALAR=1` (CI runs the suite both ways)
-//! auto-detection is the portable form too.
+//! auto-detection is the portable form too. The same cases hold
+//! `im2col_rows_into` — one form for every tier — to the same oracle:
+//! fed the map transposed to pixel-major, it writes the oracle's matrix
+//! with its columns permuted from `(ch, dy, dx)` to `(dy, dx, ch)`.
 
 use gcd2_cgraph::OpKind;
-use gcd2_kernels::{force_isa, im2col_chw, im2col_rm_into, Im2colScratch, KernelIsa};
+use gcd2_kernels::{
+    force_isa, im2col_chw, im2col_rm_into, im2col_rows_into, transpose_clamp_ref, Im2colScratch,
+    KernelIsa,
+};
 use gcd2_models::ModelId;
 use gcd2_tensor::Layout;
 use proptest::prelude::*;
@@ -64,7 +70,7 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
     let &(c, h, w, kernel, stride, padding) = shape;
     let input = pixels(c * h * w, seed);
     let want = im2col_chw(&input, c, h, w, kernel, stride, padding, Layout::RowMajor);
-    let _guard = force_guard();
+    let guard = force_guard();
     for tier in tiers() {
         force_isa(tier);
         // 0xA5 marks bytes the kernel failed to write; the guard band
@@ -92,6 +98,41 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
             "{shape:?} at {tier:?} wrote past the matrix"
         );
     }
+    drop(guard);
+
+    // The pixel-major form, on the scratch the tile form just used.
+    let (kh, kw) = kernel;
+    let mut rows = vec![0u8; input.len()];
+    transpose_clamp_ref(&input, c, h * w, u8::MAX, &mut rows, c);
+    let (m, k) = (want.rows(), want.cols());
+    let mut permuted = vec![0u8; m * k];
+    for (o, row) in permuted.chunks_exact_mut(k.max(1)).enumerate() {
+        for (tap, run) in row.chunks_exact_mut(c).enumerate() {
+            for (ch, byte) in run.iter_mut().enumerate() {
+                *byte = want.as_bytes()[o * k + ch * kh * kw + tap];
+            }
+        }
+    }
+    let mut got = vec![0xA5u8; m * k + 32];
+    im2col_rows_into(
+        &rows,
+        c,
+        h,
+        w,
+        kernel,
+        stride,
+        padding,
+        scratch,
+        &mut got[..m * k],
+    );
+    assert!(
+        got[..m * k] == permuted,
+        "{shape:?} pixel-major differs from the permuted oracle"
+    );
+    assert!(
+        got[m * k..].iter().all(|&b| b == 0xA5),
+        "{shape:?} pixel-major wrote past the matrix"
+    );
 }
 
 proptest! {
@@ -139,6 +180,11 @@ fn seams_are_bit_identical() {
         (2, 8, 33, (5, 3), (1, 2), (2, 0)), // rectangular kernel, per-axis stride and padding
         (2, 7, 35, (3, 5), (3, 1), (0, 2)),
         (40, 2, 7, (1, 7), (1, 1), (0, 3)),
+        (1, 9, 9, (3, 3), (2, 2), (1, 1)), // one channel: the layouts coincide
+        (64, 6, 7, (3, 3), (1, 1), (1, 1)), // a tap run of three whole lines
+        (65, 6, 7, (3, 3), (2, 2), (1, 1)), // one byte past a line, strided
+        (64, 5, 9, (1, 1), (2, 2), (0, 0)), // strided pointwise: no padded copy
+        (16, 8, 8, (7, 5), (2, 1), (3, 2)), // padding 3 and 2
     ];
     // One scratch across every shape: it grows and is reused shrunk.
     let mut scratch = Im2colScratch::default();
@@ -195,9 +241,9 @@ fn catalog_geometries_are_bit_identical() {
 }
 
 /// Throughput probe (run explicitly with `--ignored --release
-/// --nocapture`): µs per call of both forms on resnet-50's four staging
-/// geometries, best of 30. Not a correctness gate; DESIGN.md §4d quotes
-/// its table.
+/// --nocapture`): µs per call of `im2col_rm_into`'s two forms and of the
+/// pixel-major form on resnet-50's staging geometries, best of 30. Not
+/// a correctness gate; DESIGN.md §4d and §4f quote its table.
 #[test]
 #[ignore]
 fn perf_probe() {
@@ -238,13 +284,33 @@ fn perf_probe() {
             }
             force_isa(None);
         }
+        // The bytes differ (transposed map, permuted columns); the
+        // work — one `m × k` matrix staged — is the same.
+        let mut rows = f64::MAX;
+        for _ in 0..30 {
+            let t0 = std::time::Instant::now();
+            im2col_rows_into(
+                &input,
+                c,
+                h,
+                w,
+                kernel,
+                stride,
+                padding,
+                &mut scratch,
+                &mut out,
+            );
+            rows = rows.min(t0.elapsed().as_secs_f64() * 1e6);
+        }
         println!(
-            "{:>6}x{:<5} {kernel:?} s{stride:?}  portable {:>7.0} µs  active {:>7.0} µs  {:>5.1} GB/s",
+            "{:>6}x{:<5} {kernel:?} s{stride:?}  portable {:>7.0} µs  active {:>7.0} µs  {:>5.1} GB/s  pixel-major {:>7.0} µs  {:>5.1} GB/s",
             out_h * out_w,
             k,
             best[0],
             best[1],
-            out.len() as f64 / best[1] / 1e3
+            out.len() as f64 / best[1] / 1e3,
+            rows,
+            out.len() as f64 / rows / 1e3
         );
     }
 }

@@ -95,9 +95,34 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
             assert_eq!(out, scalar, "{tier:?} threaded({threads}) ({m},{k})");
         }
         for panel in &panels {
-            let source =
-                try_matmul_panel_into(a.as_bytes(), m, k, w, panel, shift, &pool, 2, &mut out)
-                    .expect("valid operands");
+            // The plan's entry point folds its activation ceiling into
+            // requantisation: the bytes are the oracle's, clamped.
+            let clamped: Vec<u8> = scalar.iter().map(|&v| v.min(15)).collect();
+            try_matmul_panel_into(
+                a.as_bytes(),
+                m,
+                k,
+                w,
+                panel,
+                (shift, 15),
+                &pool,
+                2,
+                &mut out,
+            )
+            .expect("valid operands");
+            assert_eq!(out, clamped, "{tier:?} clamped to 15 ({m},{k})");
+            let source = try_matmul_panel_into(
+                a.as_bytes(),
+                m,
+                k,
+                w,
+                panel,
+                (shift, 255),
+                &pool,
+                2,
+                &mut out,
+            )
+            .expect("valid operands");
             assert_eq!(out, scalar, "{tier:?} from a resident panel ({m},{k})");
             // A panel packed in this tier's layout is read as it is;
             // any other falls back and must not be misread.
@@ -241,12 +266,13 @@ fn threaded_band_split_is_deterministic() {
     assert_eq!(reference_bytes(&a, &w, 2), first);
 }
 
-/// The tile transpose on both sides of every conv GEMM equals the naive
-/// oracle — in the form the active tier selects and in the portable
-/// form a scalar pin selects — for every small shape (tile edges,
-/// overlap tiles, extents below one tile) and the catalog's scatter
-/// shapes, both clamps, and a destination stride with a gap whose bytes
-/// must survive.
+/// The tile transpose — both sides of a CHW conv GEMM, and the plan's
+/// layout adapter in both directions — equals the naive oracle at every
+/// tier the host supports, on auto-detection and in the portable form a
+/// scalar pin selects, for every small shape (tile edges, overlap
+/// tiles, extents below one tile) and the catalog's scatter and adapter
+/// shapes both ways round, both clamps, and a destination stride with a
+/// gap whose bytes must survive.
 #[test]
 fn transpose_equals_the_naive_oracle() {
     let small = (1..=40usize).flat_map(|rows| (1..=40usize).map(move |cols| (rows, cols)));
@@ -258,6 +284,8 @@ fn transpose_equals_the_naive_oracle() {
         (49, 960),
         (49, 2048),
     ];
+    let catalog = catalog.into_iter().flat_map(|(r, c)| [(r, c), (c, r)]);
+    let _guard = force_guard();
     for (rows, cols) in small.chain(catalog) {
         let src: Vec<u8> = (0..rows * cols)
             .map(|i| (i.wrapping_mul(2654435761) >> 9) as u8)
@@ -268,11 +296,16 @@ fn transpose_equals_the_naive_oracle() {
                 let mut want = vec![0xA5u8; cols * dst_stride];
                 transpose_clamp_ref(&src, rows, cols, clamp, &mut want, dst_stride);
                 let mut got = vec![0xA5u8; want.len()];
-                transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
-                assert_eq!(
-                    got, want,
-                    "active tier, {rows}x{cols} clamp {clamp} stride {dst_stride}"
-                );
+                for tier in tiers() {
+                    force_isa(tier);
+                    got.fill(0xA5);
+                    transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
+                    force_isa(None);
+                    assert_eq!(
+                        got, want,
+                        "{tier:?}, {rows}x{cols} clamp {clamp} stride {dst_stride}"
+                    );
+                }
                 let _pin = pin_scalar();
                 got.fill(0xA5);
                 transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);

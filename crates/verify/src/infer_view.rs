@@ -65,6 +65,29 @@ pub struct GemmFacts {
     pub col_neg_min: i64,
 }
 
+/// How the host runtime holds one activation value in its slot — the
+/// label the plan's layout selection gives every step's operands and
+/// result (DESIGN.md §4f).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ActLayout {
+    /// The interpreter's flat tensor bytes; for an image, channel-major
+    /// planes (`c × hw`).
+    #[default]
+    Chw,
+    /// Pixel-major rows (`hw × c`): what a conv GEMM reads and writes.
+    /// Only ever the label of a value that is one `c × h × w` image.
+    Rows,
+}
+
+impl fmt::Display for ActLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ActLayout::Chw => "chw",
+            ActLayout::Rows => "rows",
+        })
+    }
+}
+
 /// One step of the schedule, flattened to plain data. The step index
 /// equals the graph node id (plan schedules are one step per node, in
 /// dense id order), so passes can walk the graph and the plan in
@@ -83,6 +106,11 @@ pub struct InferStep {
     pub out_slot: usize,
     /// Result element count.
     pub out_len: usize,
+    /// The layout the step reads its operands in (an operand held in
+    /// the other one is converted on the way in).
+    pub in_layout: ActLayout,
+    /// The layout the step leaves its result in.
+    pub out_layout: ActLayout,
     /// What the step computes.
     pub role: StepRole,
 }

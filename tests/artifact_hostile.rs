@@ -8,7 +8,7 @@
 //! `GCD2_REGEN_HOSTILE=1 cargo test --test artifact_hostile` — the
 //! corpus derives deterministically from `tests/data/golden.gcd2art`.
 
-use gcd2_repro::artifact::{Artifact, ArtifactError};
+use gcd2_repro::artifact::{Artifact, ArtifactError, FORMAT_VERSION};
 use gcd2_repro::compiler::artifact::decode;
 use gcd2_repro::compiler::Gcd2Error;
 
@@ -99,9 +99,9 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
     // decoder must reject it for the missing META section.
     let mut b = Vec::new();
     b.extend_from_slice(&golden[..8]);
-    b.extend_from_slice(&1u32.to_le_bytes()); // FORMAT_VERSION
+    b.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     b.extend_from_slice(&0u32.to_le_bytes()); // count = 0
-                                              // Chain over (version=1, count=0, bind=0) — wrong bind for any
+                                              // Chain over (version, count=0, bind=0) — wrong bind for any
                                               // plan, but rejected earlier at the missing-section check.
     let chain = {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -111,7 +111,7 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
         };
-        eat(&1u32.to_le_bytes());
+        eat(&FORMAT_VERSION.to_le_bytes());
         eat(&0u32.to_le_bytes());
         eat(&0u64.to_le_bytes());
         h
@@ -206,6 +206,70 @@ fn every_byte_flip_of_golden_is_structured() {
                     .verify_integrity()
                     .unwrap_or_else(|e| panic!("flip at byte {i} decoded inconsistently: {e}"));
             }
+        }
+    }
+}
+
+/// Forged layout labels: artifacts whose every checksum is
+/// self-consistent — the plan was relabelled *and re-stamped* before it
+/// was encoded — so nothing but re-deriving the assignment from the
+/// decoded schedule can refuse them. The artifact stays a cache, never
+/// a capability: it cannot make a kernel read rows where it reads
+/// planes, nor run a form the selection did not choose.
+#[test]
+fn forged_layout_labels_are_refused_by_rederivation() {
+    use gcd2_repro::cgraph::{Graph, OpKind, TShape};
+    use gcd2_repro::compiler::artifact::encode;
+    use gcd2_repro::compiler::infer::PlanMutation;
+    use gcd2_repro::compiler::Compiler;
+
+    let mut g = Graph::new();
+    let x = g.input("x", TShape::nchw(1, 8, 10, 10));
+    let conv = |out_channels, k, p| OpKind::Conv2d {
+        out_channels,
+        kernel: (k, k),
+        stride: (1, 1),
+        padding: (p, p),
+    };
+    let c1 = g.add(conv(16, 3, 1), &[x], "c1");
+    let c2 = g.add(conv(16, 1, 0), &[c1], "c2");
+    let c3 = g.add(conv(16, 3, 1), &[c2], "c3");
+    g.add(
+        OpKind::MaxPool {
+            kernel: (2, 2),
+            stride: (2, 2),
+        },
+        &[c3],
+        "pool",
+    );
+    let compiled = Compiler::new().compile(&g);
+    let pristine = compiled.inference_plan(7);
+    let bytes = encode(&compiled, &pristine, "forged").expect("encode");
+    decode(&bytes).expect("the untampered artifact loads");
+
+    let forgeries = [
+        // A flipped tag: `c2` reads planes although `c1` left rows.
+        ("flipped in-label", c2.0, false),
+        // A rows tag on a step that only has a CHW form.
+        ("rows into the pool", 4, false),
+        // A producer/consumer pair that disagrees where the selection
+        // planned no conversion: `c2`'s value relabelled planes while
+        // `c3` still reads rows.
+        ("disagreeing pair", c2.0, true),
+    ];
+    for (what, step, out) in forgeries {
+        let mut plan = compiled.inference_plan(7);
+        assert!(plan.mutate_for_test(PlanMutation::FlipLayout { step, out }));
+        assert_ne!(plan.checksum(), pristine.checksum(), "{what}: re-stamped");
+        let forged = encode(&compiled, &plan, "forged").expect("encode");
+        // The container and the plan checksum vouch for the forgery...
+        Artifact::decode(&forged).expect("container checksums hold");
+        // ...the derived assignment does not.
+        match decode(&forged) {
+            Err(Gcd2Error::Artifact(ArtifactError::Bounds { what: field, .. })) => {
+                assert_eq!(field, "step layouts vs derived assignment", "{what}")
+            }
+            other => panic!("{what}: expected a layout refusal, got {other:?}"),
         }
     }
 }

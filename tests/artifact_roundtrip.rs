@@ -47,6 +47,21 @@ fn catalog_models_round_trip_bit_identically() {
             "{id}: stats drift"
         );
 
+        // The layout labels survive: same values held as rows, same
+        // predicted cost, and the loaded plan's labels are still the
+        // ones its schedule derives.
+        assert_eq!(loaded.plan.rows_values(), plan.rows_values(), "{id}");
+        assert_eq!(loaded.plan.layout_cost(), plan.layout_cost(), "{id}");
+        loaded
+            .plan
+            .verify_integrity()
+            .unwrap_or_else(|e| panic!("{id}: loaded plan fails integrity: {e}"));
+        match id {
+            ModelId::ResNet50 | ModelId::MobileNetV3 => assert!(plan.rows_values() > 0, "{id}"),
+            ModelId::TinyBert => assert_eq!(plan.rows_values(), 0, "{id}"),
+            _ => {}
+        }
+
         let input = sample_input(plan.input_len());
         assert_eq!(
             loaded.plan.execute(&input),
@@ -54,6 +69,42 @@ fn catalog_models_round_trip_bit_identically() {
             "{id}: loaded plan output differs"
         );
     }
+}
+
+/// The artifact this format version replaced — the golden file as it
+/// was checked in before layouts were part of a plan — is refused as a
+/// version skew, and a cache that still holds one degrades to a
+/// recorded fallback compile that heals the entry.
+#[test]
+fn previous_version_artifact_falls_back_cleanly() {
+    use gcd2_repro::artifact::ArtifactError;
+    let old = std::fs::read("tests/data/golden_v1.gcd2art").expect("the version-1 golden");
+    match decode(&old) {
+        Err(Gcd2Error::Artifact(ArtifactError::VersionSkew { found, supported })) => {
+            assert_eq!(
+                (found, supported),
+                (1, gcd2_repro::artifact::FORMAT_VERSION)
+            )
+        }
+        other => panic!("expected a version skew, got {other:?}"),
+    }
+
+    let cache = temp_cache("skew");
+    let text = to_text(&golden_graph());
+    let compiler = Compiler::new();
+    let cold = load_or_compile(&compiler, &text, SEED, &cache, "golden").expect("cold");
+    std::fs::write(cache.path_for(&cold.key), &old).expect("plant the old artifact");
+    let healed = load_or_compile(&compiler, &text, SEED, &cache, "golden").expect("degrade");
+    assert_eq!(healed.source, ColdStartSource::Compiled);
+    assert_eq!(
+        healed.fallbacks.iter().map(|f| f.stage).collect::<Vec<_>>(),
+        vec!["decode"],
+        "{:?}",
+        healed.fallbacks
+    );
+    assert_eq!(healed.plan.checksum(), cold.plan.checksum());
+    let warm = load_or_compile(&compiler, &text, SEED, &cache, "golden").expect("warm");
+    assert_eq!(warm.source, ColdStartSource::ArtifactCache);
 }
 
 /// Re-encoding a decoded artifact reproduces the original bytes

@@ -211,3 +211,128 @@ fn pack_memo_does_not_change_output() {
         );
     }
 }
+
+/// A catalog graph rebuilt over a smaller `h × w` input, every shape
+/// re-inferred. Only for the fully convolutional models whose reference
+/// run stages gigabytes at catalog size; a pixel-shuffle `Reshape` is
+/// re-targeted to its operand's new size.
+fn rescaled(graph: &gcd2_repro::cgraph::Graph, h: usize, w: usize) -> gcd2_repro::cgraph::Graph {
+    use gcd2_repro::cgraph::{Graph, OpKind, TShape};
+    let mut g = Graph::new();
+    for node in graph.nodes() {
+        let kind = match &node.kind {
+            OpKind::Input => {
+                g.input(&node.name, TShape::nchw(1, node.shape.channels(), h, w));
+                continue;
+            }
+            OpKind::Reshape { shape } => {
+                let from = &g.node(node.inputs[0]).shape;
+                let up = shape.dim(2) / graph.node(node.inputs[0]).shape.dim(2);
+                OpKind::Reshape {
+                    shape: TShape::nchw(1, shape.channels(), from.dim(2) * up, from.dim(3) * up),
+                }
+            }
+            kind => kind.clone(),
+        };
+        g.add(kind, &node.inputs, &node.name);
+    }
+    g
+}
+
+/// The layout selection changes where bytes sit, never what they are:
+/// for every catalog model, the plan whose layouts the selector chose,
+/// the plan that pins every label to `Chw`, and the interpreter agree
+/// byte for byte — single-shot and as a pooled batch of four (which
+/// row-stacks the few-row steps, rows-labelled ones included), on the
+/// active tier and pinned to the scalar one. The four models whose
+/// interpreter run stages gigabytes at catalog size run shape-scaled.
+#[test]
+fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
+    use gcd2_repro::compiler::{execute_reference, ArenaPool, ExecOptions, InferencePlan};
+    const SEED: u64 = 0x1A70;
+    for id in ModelId::ALL {
+        let graph = match id {
+            ModelId::Fst | ModelId::CycleGan => rescaled(&id.build(), 64, 64),
+            ModelId::WdsrB => rescaled(&id.build(), 60, 80),
+            ModelId::PixOr => rescaled(&id.build(), 96, 64),
+            _ => id.build(),
+        };
+        let compiled = Compiler::new().compile(&graph);
+        let chosen = compiled.inference_plan(SEED);
+        let all_chw = InferencePlan::try_build_all_chw(&compiled, SEED).expect("all-chw plan");
+        assert_eq!(all_chw.rows_values(), 0, "{id}");
+        let (cost, reference_cost) = chosen.layout_cost();
+        assert_eq!(
+            all_chw.layout_cost(),
+            (reference_cost, reference_cost),
+            "{id}"
+        );
+        assert!(cost.bytes <= reference_cost.bytes, "{id}: planned worse");
+        // Equal labels are equal plans: nothing more to compare.
+        let same_plan = chosen.checksum() == all_chw.checksum();
+        assert_eq!(same_plan, chosen.rows_values() == 0, "{id}");
+
+        let inputs: Vec<Vec<u8>> = (0..4)
+            .map(|b| {
+                (0..chosen.input_len())
+                    .map(|i| ((i * 11 + 5 * (b + 1)) % 16) as u8)
+                    .collect()
+            })
+            .collect();
+        let want: Vec<Vec<u8>> = inputs
+            .iter()
+            .map(|x| execute_reference(&compiled, x, SEED))
+            .collect();
+        let pool = ArenaPool::new();
+        for plan in [&chosen, &all_chw].into_iter().take(2 - same_plan as usize) {
+            for force_scalar in [false, true] {
+                let opts = ExecOptions {
+                    force_scalar,
+                    ..ExecOptions::default()
+                };
+                let mut one = Vec::new();
+                plan.try_execute_into(&inputs[0], &mut plan.new_arena(), &mut one, &opts)
+                    .unwrap_or_else(|e| panic!("{id}: {e}"));
+                assert!(one == want[0], "{id}: single-shot, scalar={force_scalar}");
+                let batch = plan.try_execute_batch_pooled(&inputs, &pool, &opts);
+                for (i, (got, want)) in batch.iter().zip(&want).enumerate() {
+                    assert!(
+                        got.as_ref() == Ok(want),
+                        "{id}: batch item {i}, scalar={force_scalar}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `pbqp_select` is a builder over the lifted `solve` now; its
+/// assignments are the ones it made before the lift — total cost and a
+/// hash of every choice, per catalog model, recorded at the parent
+/// commit.
+#[test]
+fn pbqp_select_assignments_are_unchanged_by_the_lift() {
+    use gcd2_repro::globalopt::{enumerate_plans, pbqp_select};
+    use gcd2_repro::kernels::CostModel;
+    let pinned: [(&str, u64, u64); 10] = [
+        ("MobileNet-V3", 31327205, 0x467402f16807288e),
+        ("EfficientNet-b0", 51318097, 0x9dca7c39380eaca3),
+        ("ResNet-50", 336188287, 0x5ac761a2087e8b21),
+        ("FST", 10862710156, 0x3aefc885e76ecb37),
+        ("CycleGAN", 13072952424, 0xc499fa1f0475271f),
+        ("WDSR-b", 795686913, 0x76a32a165b574577),
+        ("EfficientDet-d0", 239791016, 0xabae092bda6f66b7),
+        ("PixOr", 929715654, 0xd27f3d6deb4a45d7),
+        ("TinyBERT", 83330053, 0x799c9e333365683d),
+        ("Conformer", 483338230, 0x6fcd0dbf8f167297),
+    ];
+    for (id, (name, cost, hash)) in ModelId::ALL.into_iter().zip(pinned) {
+        assert_eq!(id.to_string(), name);
+        let g = id.build();
+        let a = pbqp_select(&g, &enumerate_plans(&g, &CostModel::new()));
+        let choices = a.choice.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &c| {
+            (h ^ c as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!((a.cost, choices), (cost, hash), "{id}");
+    }
+}
