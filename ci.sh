@@ -15,13 +15,14 @@ GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (the GEMM, its folded clamp, the transpose, im2col and the depthwise kernel are each held to their oracle at every tier the host supports)"
 cargo test -q -p gcd2-kernels
 
-echo "==> plan execution and end-to-end suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — runs there too; perfbench refuses the variable, the test suites do not)"
+echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — and the batch == single-shot == interpreter gate run there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
-GCD2_AMX=0 cargo test -q --test end_to_end
+GCD2_AMX=0 cargo test -q --test end_to_end --test infer_batch --test serve_gateway
 
-echo "==> plan execution and the layout differential on the scalar oracle (GCD2_FORCE_SCALAR=1: packless panels, the portable transposes and im2col, rows-ordered weights read raw)"
+echo "==> plan execution, the layout differential and the batch == single-shot gate on the scalar oracle (GCD2_FORCE_SCALAR=1: packless panels, the portable transposes and im2col, rows-ordered weights read raw)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2 --lib infer::
 GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_chw_equal_the_interpreter
+GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
@@ -30,7 +31,7 @@ echo "==> perfbench correctness smoke (infer_dw: every answer byte-checked again
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload infer_dw --seed 7 --seconds 2 --trace 0
 
-echo "==> perfbench correctness smoke (infer_gemm: resnet-50 and tinybert — tile im2col, resident panels and the banded side of the GEMM fan-out rule, byte-checked)"
+echo "==> perfbench correctness smoke (infer_gemm: resnet-50 and tinybert — tile im2col, rows-in staging and resident panels from one row to 12544, byte-checked)"
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
     --workload infer_gemm --seed 7 --seconds 2 --trace 0
 

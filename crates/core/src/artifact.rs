@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::error::Gcd2Error;
-use crate::infer::{GemmPrep, GemmStep, InferencePlan, Scatter, Step, StepKind};
+use crate::infer::{ConvGeom, GemmPrep, GemmStep, InferencePlan, Scatter, Step, StepKind};
 use crate::{CompiledModel, Compiler};
 
 /// Section ids of the plan artifact payload.
@@ -108,8 +108,8 @@ pub struct LoadedArtifact {
 fn prep_tag(prep: &GemmPrep) -> u8 {
     match prep {
         GemmPrep::Direct => 0,
-        GemmPrep::Im2col { .. } => 1,
-        GemmPrep::Depthwise { .. } => 2,
+        GemmPrep::Im2col(_) => 1,
+        GemmPrep::Depthwise(_) => 2,
         GemmPrep::Transposed { .. } => 3,
     }
 }
@@ -141,26 +141,8 @@ fn encode_plan_section(plan: &InferencePlan) -> Vec<u8> {
                 w.u8(prep_tag(&g.prep));
                 match &g.prep {
                     GemmPrep::Direct => {}
-                    GemmPrep::Im2col {
-                        c,
-                        h,
-                        w: fw,
-                        kernel,
-                        stride,
-                        padding,
-                    }
-                    | GemmPrep::Depthwise {
-                        c,
-                        h,
-                        w: fw,
-                        kernel,
-                        stride,
-                        padding,
-                    } => {
-                        for v in [
-                            *c, *h, *fw, kernel.0, kernel.1, stride.0, stride.1, padding.0,
-                            padding.1,
-                        ] {
+                    GemmPrep::Im2col(geom) | GemmPrep::Depthwise(geom) => {
+                        for v in geom.dims() {
                             w.u64(v as u64);
                         }
                     }
@@ -343,31 +325,15 @@ fn decode_prep(r: &mut ByteReader<'_>, tag: u8) -> Result<GemmPrep, ArtifactErro
             for slot in &mut v {
                 *slot = r.u64_capped("prep dim", MAX_GEMM_DIM)? as usize;
             }
-            let (c, h, w) = (v[0], v[1], v[2]);
-            let kernel = (v[3], v[4]);
-            let stride = (v[5], v[6]);
-            let padding = (v[7], v[8]);
+            let geom = ConvGeom::from_dims(v);
+            let (kernel, stride) = (geom.kernel, geom.stride);
             if stride.0 == 0 || stride.1 == 0 || kernel.0 == 0 || kernel.1 == 0 {
                 return Err(bounds("prep kernel/stride", 0, 1));
             }
             if tag == 1 {
-                GemmPrep::Im2col {
-                    c,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                }
+                GemmPrep::Im2col(geom)
             } else {
-                GemmPrep::Depthwise {
-                    c,
-                    h,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                }
+                GemmPrep::Depthwise(geom)
             }
         }
         3 => GemmPrep::Transposed {

@@ -29,10 +29,9 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
            --packing   sda|soft-to-hard|soft-to-none|sequential\n\
            --no-lut    disable the division/nonlinearity lookup replacement\n\
            --fusion    enable the elementwise-fusion extension\n\
-           --threads N run --batch on N threads and --serve on N workers\n\
-                       (default: GCD2_THREADS or the machine's available\n\
-                       parallelism); compilation itself always runs on\n\
-                       the calling thread\n\
+           --threads N batch item threads / serve workers (default: the\n\
+                       machine's available parallelism); one inference\n\
+                       and compilation always run on the calling thread\n\
            --timing    print per-stage compile wall-clock and cache stats\n\
            --infer N   build the inference plan and run it N times,\n\
                        reporting per-stage/per-op timings and verifying\n\
@@ -526,7 +525,7 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<7} {:<10} bands {} {:<8} {:>9.1?} {:>6.0} GMAC/s",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<7} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -536,7 +535,6 @@ fn main() -> ExitCode {
                         gk.kb,
                         if gk.tuned { "tuned" } else { "default" },
                         gk.isa.name(),
-                        gk.bands,
                         if gk.panel_resident {
                             "resident"
                         } else {
@@ -617,14 +615,9 @@ fn main() -> ExitCode {
             let t0 = std::time::Instant::now();
             let outs = plan.try_execute_batch(&inputs, threads, &opts);
             let wall = t0.elapsed();
-            // The control really is one thread: one item at a time and
-            // no intra-op GEMM bands either.
-            let one_thread = gcd2::ExecOptions {
-                intra_op_threads: Some(1),
-                ..opts
-            };
+            // The control: one item at a time on this thread.
             let t0 = std::time::Instant::now();
-            let serial = plan.try_execute_batch(&inputs, 1, &one_thread);
+            let serial = plan.try_execute_batch(&inputs, 1, &opts);
             let serial_wall = t0.elapsed();
             println!(
                 "  batch {batch} on {threads} thread{}: {:.2?} \

@@ -51,13 +51,14 @@
 //! (or per-execution with [`ExecOptions::paranoid`]), which also re-packs
 //! every resident weight panel and re-derives the layout assignment,
 //! and compares. All of them stream
-//! the schedule through one lockstep core, `InferencePlan::run_lockstep`.
+//! the schedule through one executor, `InferencePlan::run_one`: one
+//! item, on the calling thread, a straight loop over the steps.
 
-use gcd2_cgraph::{Activation, Node, NodeId, OpKind};
+use gcd2_cgraph::{Activation, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
-    conv2d_direct_chw_into, dwconv_direct_into, gemm_bands, gemm_kernel_summary, hostops,
-    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles,
-    Im2colScratch, KernelIsa, LineBuf, PanelSource, ScratchPool, WeightPanel, TUNE_MIN_MACS,
+    conv2d_direct_chw_into, dwconv_direct_into, gemm_kernel_summary, hostops, im2col_rm_into,
+    im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles, GemmScratch,
+    Im2colScratch, KernelIsa, LineBuf, PanelSource, WeightPanel, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
@@ -69,6 +70,65 @@ use crate::error::InferError;
 use crate::layout::{self, LayoutCost};
 use crate::runtime::{gemm_shift, weight, ACT_MAX, WGT_MAX};
 use crate::CompiledModel;
+
+/// The geometry of a convolution over one `c × h × w` feature map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvGeom {
+    pub(crate) c: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) kernel: (usize, usize),
+    pub(crate) stride: (usize, usize),
+    pub(crate) padding: (usize, usize),
+}
+
+impl ConvGeom {
+    /// A `kernel` window at `stride` over the NCHW map `shape`, padded
+    /// by `padding` on every side.
+    fn over(
+        shape: &TShape,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> ConvGeom {
+        ConvGeom {
+            c: shape.channels(),
+            h: shape.dim(2),
+            w: shape.dim(3),
+            kernel,
+            stride,
+            padding,
+        }
+    }
+
+    /// The nine dimensions in the order the plan checksum and the
+    /// artifact codec write them.
+    pub(crate) fn dims(&self) -> [usize; 9] {
+        let (kernel, stride, padding) = (self.kernel, self.stride, self.padding);
+        [
+            self.c, self.h, self.w, kernel.0, kernel.1, stride.0, stride.1, padding.0, padding.1,
+        ]
+    }
+
+    /// The inverse of [`ConvGeom::dims`].
+    pub(crate) fn from_dims(v: [usize; 9]) -> ConvGeom {
+        ConvGeom {
+            c: v[0],
+            h: v[1],
+            w: v[2],
+            kernel: (v[3], v[4]),
+            stride: (v[5], v[6]),
+            padding: (v[7], v[8]),
+        }
+    }
+
+    /// Output pixels, `out_h · out_w`.
+    fn out_pixels(&self) -> usize {
+        let out_h = (self.h + 2 * self.padding.0 - self.kernel.0) / self.stride.0 + 1;
+        let out_w = (self.w + 2 * self.padding.1 - self.kernel.1) / self.stride.1 + 1;
+        out_h * out_w
+    }
+}
 
 /// What a GEMM step's activation matrix is of its operand; the layout
 /// the step reads the operand in ([`Step::in_layout`]) picks the form
@@ -82,25 +142,11 @@ pub(crate) enum GemmPrep {
     /// tile transpose ([`im2col_rm_into`]), from pixel-major rows by
     /// plain copies ([`im2col_rows_into`], which orders the reduction
     /// `(dy, dx, ch)` — see [`GemmStep::weights`]).
-    Im2col {
-        c: usize,
-        h: usize,
-        w: usize,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-    },
+    Im2col(ConvGeom),
     /// Depthwise convolution, executed as a direct sliding-window loop —
     /// bit-identical to the block-diagonal per-channel im2col + `k × 1`
     /// GEMM lowering, without the staging traffic.
-    Depthwise {
-        c: usize,
-        h: usize,
-        w: usize,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-    },
+    Depthwise(ConvGeom),
     /// A pointwise conv (and a transposed convolution, modeled as a 1×1
     /// conv at input resolution): `a[r][ch] = x[ch·m + r]` — a transpose
     /// of CHW planes; pixel-major rows *are* the matrix, consumed
@@ -183,8 +229,8 @@ impl GemmStep {
     /// `(dy, dx, ch)`, every other staging keeps the interpreter's order.
     pub(crate) fn interpreter_row(&self, in_layout: ActLayout, kr: usize) -> usize {
         match (&self.prep, in_layout) {
-            (GemmPrep::Im2col { c, kernel, .. }, ActLayout::Rows) => {
-                (kr % c) * kernel.0 * kernel.1 + kr / c
+            (GemmPrep::Im2col(geom), ActLayout::Rows) => {
+                (kr % geom.c) * geom.kernel.0 * geom.kernel.1 + kr / geom.c
             }
             _ => kr,
         }
@@ -210,39 +256,18 @@ impl GemmStep {
     /// GEMM rows (ConvTranspose upsampling scatters have `m < spatial`
     /// and stay on the staged path).
     pub(crate) fn runs_direct_conv(&self) -> bool {
-        matches!(self.prep, GemmPrep::Im2col { .. })
+        matches!(self.prep, GemmPrep::Im2col(_))
             && self.n < DIRECT_CONV_MAX_N
             && matches!(self.scatter, Scatter::Chw { spatial } if spatial == self.m)
     }
 
     /// Whether this step reaches the GEMM dispatcher: depthwise and
-    /// narrow-head convs run per-item direct kernels instead, so they
-    /// have no tile plan to warm or report and nothing to row-stack.
+    /// narrow-head convs run direct kernels instead, so they have no
+    /// tile plan to warm or report.
     pub(crate) fn runs_matmul(&self) -> bool {
-        !matches!(self.prep, GemmPrep::Depthwise { .. }) && !self.runs_direct_conv()
-    }
-
-    /// Whether a batch row-stacks this matmul-backed step across items
-    /// into one GEMM dispatch. Only small row counts qualify. With the
-    /// weight panel resident no dispatch packs anything, so what one
-    /// stacked dispatch still saves is the panel's memory traffic — it
-    /// is streamed once for `B·m` rows instead of `B` times — and the
-    /// ragged last 16-row tile of each item: measured on the AMX tier
-    /// at B = 4, 2.3–2.5× at `m = 1` (an FC is all weight traffic),
-    /// 1.1–1.2× at 49 rows, 1.03–1.08× at 196, nothing at 128 or 512
-    /// rows of whole tiles, and from 784 rows up the stacked form is
-    /// 1–13 % *slower* before its staging copy is counted (DESIGN.md
-    /// §4e). Stacking never changes bytes — each output row depends only
-    /// on its own activation row — so this is purely a speed policy.
-    fn stackable(&self) -> bool {
-        self.m <= STACK_MAX_M
+        !matches!(self.prep, GemmPrep::Depthwise(_)) && !self.runs_direct_conv()
     }
 }
-
-/// Row-count ceiling for batch stacking (see [`GemmStep::stackable`]):
-/// above the last shape that measured a gain (196 rows) and below the
-/// first that measured a loss (784).
-const STACK_MAX_M: usize = 512;
 
 /// The computation a step performs (dims resolved at build time).
 #[derive(Debug, Clone)]
@@ -304,7 +329,7 @@ pub(crate) struct Step {
     pub(crate) image: Option<(usize, usize)>,
     /// The layout the step reads its operands in. An operand its
     /// producer left in the other one is converted on the way in, by
-    /// one transpose into arena scratch (`InferencePlan::run_lockstep`).
+    /// one transpose into arena scratch (`InferencePlan::run_one`).
     pub(crate) in_layout: ActLayout,
     /// The layout the step leaves its value in. Both labels are
     /// [`layout::select`]'s, a function of the schedule.
@@ -361,17 +386,16 @@ pub struct InferArena {
     stamp: Option<u64>,
 }
 
-/// The buffers one GEMM dispatch streams through: the staged (for a
-/// batch, row-stacked) activation matrix, im2col's padded copy of the
-/// input, the GEMM output when it still has to be scattered or split
-/// between items, and the kernels' accumulator scratch. A lockstep run
-/// borrows them from its first live item's arena.
+/// The buffers one GEMM dispatch streams through: the staged
+/// activation matrix, im2col's padded copy of the input, the GEMM
+/// output when it still has to be scattered into CHW planes, and the
+/// kernels' accumulator scratch.
 #[derive(Debug, Default)]
 struct GemmStage {
     a: LineBuf,
     im2col: Im2colScratch,
     out: LineBuf,
-    scratch: ScratchPool,
+    scratch: GemmScratch,
 }
 
 /// A shared, long-lived pool of arenas for one plan: the serving
@@ -426,21 +450,15 @@ impl ArenaPool {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Abandon the run at the next step boundary once this much wall
-    /// clock has elapsed, returning [`InferError::DeadlineExceeded`].
+    /// clock has elapsed since the entry point was called, returning
+    /// [`InferError::DeadlineExceeded`]. A pooled batch
+    /// ([`InferencePlan::try_execute_batch_pooled`]) has one deadline
+    /// for the whole call, not one per item.
     pub deadline: Option<Duration>,
     /// Re-verify the plan's integrity checksum before executing, so a
     /// corrupted plan surfaces as [`InferError::IntegrityViolation`]
     /// instead of silently wrong outputs.
     pub paranoid: bool,
-    /// Intra-op thread budget: how many threads one GEMM may fan out
-    /// over ([`gcd2_kernels::try_matmul_panel_into`]). `None` means
-    /// "decide for me": single-shot execution uses the machine's
-    /// parallelism ([`gcd2_par::default_threads`], i.e. `GCD2_THREADS`
-    /// or the core count), while batch execution and [`crate::serve::
-    /// InferServer`] divide that by their own worker fan-out so the two
-    /// parallelism levels don't oversubscribe the machine. Output bytes
-    /// are identical for every budget.
-    pub intra_op_threads: Option<usize>,
     /// Pin every GEMM dispatch of this execution to the scalar oracle
     /// tier ([`gcd2_kernels::pin_scalar`], a thread-scoped pin — other
     /// executions keep their vector tiers). This is the gateway's
@@ -524,17 +542,11 @@ pub struct GemmKernelInfo {
     /// function of the dispatching tier and `(m, k, n)`: the run's tier,
     /// except that fewer than 16 rows run on the VNNI strips of the AMX
     /// tier and fewer than 8 columns on the oracle of the AVX2 tier.
-    /// A report times one item, so `m` rows is what was dispatched (a
-    /// batch that row-stacks the step dispatches `B·m`).
     pub isa: KernelIsa,
     /// Row-block tile the kernel ran with.
     pub mb: usize,
     /// Reduction-block tile the kernel ran with.
     pub kb: usize,
-    /// Row bands the dispatcher split this GEMM into at the run's
-    /// intra-op budget ([`gcd2_kernels::gemm_bands`]); 1 means it ran
-    /// on the calling thread with no hand-off.
-    pub bands: usize,
     /// True when the tiles came from the autotuner cache; false means
     /// the static defaults (shape below the tuning threshold, tuning
     /// disabled, or the probe was skipped).
@@ -623,36 +635,15 @@ fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
             h.u64(g.shift as u64);
             match &g.prep {
                 GemmPrep::Direct => h.u64(0),
-                GemmPrep::Im2col {
-                    c,
-                    h: fh,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                }
-                | GemmPrep::Depthwise {
-                    c,
-                    h: fh,
-                    w,
-                    kernel,
-                    stride,
-                    padding,
-                } => {
-                    h.u64(if matches!(g.prep, GemmPrep::Im2col { .. }) {
+                GemmPrep::Im2col(geom) | GemmPrep::Depthwise(geom) => {
+                    h.u64(if matches!(g.prep, GemmPrep::Im2col(_)) {
                         1
                     } else {
                         2
                     });
-                    h.usize(*c);
-                    h.usize(*fh);
-                    h.usize(*w);
-                    h.usize(kernel.0);
-                    h.usize(kernel.1);
-                    h.usize(stride.0);
-                    h.usize(stride.1);
-                    h.usize(padding.0);
-                    h.usize(padding.1);
+                    for dim in geom.dims() {
+                        h.usize(dim);
+                    }
                 }
                 GemmPrep::Transposed { c, m } => {
                     h.u64(3);
@@ -821,11 +812,9 @@ impl InferencePlan {
                     stride,
                     padding,
                 } => {
-                    let s = in_shape();
-                    let (c, h, w) = (s.channels(), s.dim(2), s.dim(3));
-                    let out_h = (h + 2 * padding.0 - kernel.0) / stride.0 + 1;
-                    let out_w = (w + 2 * padding.1 - kernel.1) / stride.1 + 1;
-                    let (m, k, n) = (out_h * out_w, c * kernel.0 * kernel.1, *out_channels);
+                    let geom = ConvGeom::over(in_shape(), *kernel, *stride, *padding);
+                    let (m, c) = (geom.out_pixels(), geom.c);
+                    let (k, n) = (c * kernel.0 * kernel.1, *out_channels);
                     weight_bytes += k * n;
                     gemm_macs += (m * k * n) as u64;
                     // A pointwise convolution's im2col is exactly the
@@ -833,14 +822,7 @@ impl InferencePlan {
                     let prep = if *kernel == (1, 1) && *stride == (1, 1) && *padding == (0, 0) {
                         GemmPrep::Transposed { c, m }
                     } else {
-                        GemmPrep::Im2col {
-                            c,
-                            h,
-                            w,
-                            kernel: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        }
+                        GemmPrep::Im2col(geom)
                     };
                     let g = GemmStep::new(
                         prep,
@@ -857,24 +839,14 @@ impl InferencePlan {
                     stride,
                     padding,
                 } => {
-                    let s = in_shape();
-                    let (c, h, w) = (s.channels(), s.dim(2), s.dim(3));
-                    let out_h = (h + 2 * padding.0 - kernel.0) / stride.0 + 1;
-                    let out_w = (w + 2 * padding.1 - kernel.1) / stride.1 + 1;
-                    let (m, k) = (c * out_h * out_w, kernel.0 * kernel.1);
+                    let geom = ConvGeom::over(in_shape(), *kernel, *stride, *padding);
+                    let (m, k) = (geom.c * geom.out_pixels(), kernel.0 * kernel.1);
                     // One shared filter column per node, as in the
                     // interpreter's lowering.
                     weight_bytes += k;
                     gemm_macs += (m * k) as u64;
                     let g = GemmStep::new(
-                        GemmPrep::Depthwise {
-                            c,
-                            h,
-                            w,
-                            kernel: *kernel,
-                            stride: *stride,
-                            padding: *padding,
-                        },
+                        GemmPrep::Depthwise(geom),
                         (m, k, 1),
                         check_quant_range(node.id, k)?,
                         Scatter::DwRows,
@@ -1310,7 +1282,13 @@ impl InferencePlan {
     pub fn try_execute(&self, input: &[u8]) -> Result<Vec<u8>, InferError> {
         guard_panics(|| {
             let mut arena = self.new_arena();
-            self.run_one(input, &mut arena, None, &ExecOptions::default())?;
+            self.run_one(
+                input,
+                &mut arena,
+                None,
+                &ExecOptions::default(),
+                Instant::now(),
+            )?;
             Ok(arena.slots[self.output_slot].bytes().to_vec())
         })
     }
@@ -1330,7 +1308,7 @@ impl InferencePlan {
         opts: &ExecOptions,
     ) -> Result<(), InferError> {
         guard_panics(|| {
-            self.run_one(input, arena, None, opts)?;
+            self.run_one(input, arena, None, opts, Instant::now())?;
             output.clear();
             output.extend_from_slice(arena.slots[self.output_slot].bytes());
             Ok(())
@@ -1351,7 +1329,7 @@ impl InferencePlan {
         guard_panics(|| {
             let mut report = InferReport::default();
             let t0 = Instant::now();
-            self.run_one(input, arena, Some(&mut report), opts)?;
+            self.run_one(input, arena, Some(&mut report), opts, t0)?;
             report.total = t0.elapsed();
             Ok((arena.slots[self.output_slot].bytes().to_vec(), report))
         })
@@ -1373,17 +1351,6 @@ impl InferencePlan {
         opts: &ExecOptions,
     ) -> Vec<Result<Vec<u8>, InferError>> {
         let pool = ArenaPool::new();
-        // Split the machine between batch workers and each item's
-        // intra-op GEMM bands unless the caller already budgeted: with
-        // `threads` items in flight, each gets its share of the cores so
-        // the two parallelism levels don't oversubscribe. Outputs are
-        // bit-identical for any split.
-        let mut opts = *opts;
-        if opts.intra_op_threads.is_none() {
-            let share = gcd2_par::default_threads() / threads.max(1);
-            opts.intra_op_threads = Some(share.max(1));
-        }
-        let opts = &opts;
         gcd2_par::par_map_isolated(threads, inputs, |_, input| {
             let _ = gcd2_faults::fire("infer.batch");
             // Pooled arenas are interchangeable scratch buffers, so a
@@ -1393,7 +1360,7 @@ impl InferencePlan {
             // faults recover bit-identically via its serial retry.
             let mut one = pool.take_arenas(1);
             let result = self
-                .run_one(input, &mut one[0], None, opts)
+                .run_one(input, &mut one[0], None, opts, Instant::now())
                 .map(|()| one[0].slots[self.output_slot].bytes().to_vec());
             pool.put_arenas(one);
             result
@@ -1403,21 +1370,16 @@ impl InferencePlan {
         .collect()
     }
 
-    /// The serving gateway's batch entry: executes `inputs` in lockstep
-    /// over arenas checked out of a long-lived [`ArenaPool`],
-    /// **row-stacking** qualifying GEMM steps across the batch into one
-    /// dispatch (see [`GemmStep::stackable`]). Coalescing `B` requests
-    /// turns `B` small GEMM calls into one `B·m`-row call, so the weight
-    /// panel is streamed and the ragged tile tail paid once per batch
-    /// instead of once per request. Everything that is per-item by
-    /// nature (depthwise/direct kernels, elementwise steps) runs per
-    /// item.
+    /// The serving gateway's batch entry: executes `inputs` one after
+    /// another on the calling thread, each over an arena checked out of
+    /// a long-lived [`ArenaPool`], so a warm server allocates nothing
+    /// per batch. [`ExecOptions::deadline`] runs from the start of the
+    /// call, for the batch as a whole.
     ///
     /// Outputs are **bit-identical** to single-shot execution for every
-    /// batch size: each GEMM output row depends only on its own
-    /// activation row, and single-shot execution is this same core at
-    /// `B = 1`. Failures are per-item where attributable (bad input
-    /// shape); a panic mid-batch resolves *every* item of this batch
+    /// batch size: an item runs exactly as it would alone. Failures are
+    /// per-item where attributable (bad input shape, a dispatch
+    /// refused); a panic mid-batch resolves *every* item of this batch
     /// with [`InferError::Worker`] — one batch is the isolation unit,
     /// the server and other batches are unaffected. Hosts the
     /// `infer.batch` fault point once per batch.
@@ -1433,21 +1395,19 @@ impl InferencePlan {
                 return Vec::new();
             }
             let _ = gcd2_faults::fire("infer.batch");
+            let started = Instant::now();
             let mut arenas = pool.take_arenas(b);
-            for arena in &mut arenas {
-                if arena.stamp.is_some_and(|stamp| stamp != self.checksum) {
-                    // Stamped by another plan (pool crossed a registry
-                    // swap): the buffers are the wrong shape, start fresh.
-                    *arena = InferArena::default();
-                }
-            }
-            let results = self
-                .run_lockstep(inputs, &mut arenas, None, opts)
-                .into_iter()
-                .zip(&arenas)
-                .map(|(failed, arena)| match failed {
-                    Some(e) => Err(e),
-                    None => Ok(arena.slots[self.output_slot].bytes().to_vec()),
+            let results = inputs
+                .iter()
+                .zip(&mut arenas)
+                .map(|(input, arena)| {
+                    if arena.stamp.is_some_and(|stamp| stamp != self.checksum) {
+                        // Stamped by another plan (pool crossed a registry
+                        // swap): the buffers are the wrong shape, start fresh.
+                        *arena = InferArena::default();
+                    }
+                    self.run_one(input, arena, None, opts, started)
+                        .map(|()| arena.slots[self.output_slot].bytes().to_vec())
                 })
                 .collect();
             pool.put_arenas(arenas);
@@ -1466,89 +1426,48 @@ impl InferencePlan {
         })
     }
 
-    /// [`InferencePlan::run_lockstep`] for one item.
+    /// The one executor: validates, then streams the schedule for one
+    /// item over `arena` on the calling thread, abandoning it at the
+    /// first step boundary more than [`ExecOptions::deadline`] past
+    /// `started`. Deliberately **not** panic-guarded — the single-shot
+    /// and pooled entry points add `catch_unwind`, while fan-out batch
+    /// items let panics reach the per-item isolation in
+    /// `par_map_isolated` so transient faults can retry. Hosts the
+    /// `infer.prep` (every GEMM step) and `infer.elementwise` (every
+    /// other step) fault points.
     fn run_one(
         &self,
         input: &[u8],
         arena: &mut InferArena,
-        report: Option<&mut InferReport>,
-        opts: &ExecOptions,
-    ) -> Result<(), InferError> {
-        let failed = self.run_lockstep(&[input], std::slice::from_mut(arena), report, opts);
-        failed.into_iter().flatten().next().map_or(Ok(()), Err)
-    }
-
-    /// The one executor: validates, then streams the schedule for every
-    /// item of `inputs` in lockstep — item `i` over `arenas[i]` — and
-    /// returns what failed, per item. Single-shot execution is the
-    /// `B = 1` case; a batch differs only in that a GEMM step may stage
-    /// all live items into one dispatch. Deliberately **not**
-    /// panic-guarded — the single-shot and pooled entry points add
-    /// `catch_unwind`, while fan-out batch items let panics reach the
-    /// per-item isolation in `par_map_isolated` so transient faults can
-    /// retry. Hosts the `infer.prep` (once per GEMM dispatch or direct
-    /// kernel) and `infer.elementwise` (every other step, per item)
-    /// fault points.
-    fn run_lockstep<I: AsRef<[u8]>>(
-        &self,
-        inputs: &[I],
-        arenas: &mut [InferArena],
         mut report: Option<&mut InferReport>,
         opts: &ExecOptions,
-    ) -> Vec<Option<InferError>> {
-        let mut failed: Vec<Option<InferError>> = inputs
-            .iter()
-            .zip(arenas.iter_mut())
-            .map(|(input, arena)| {
-                let got = input.as_ref().len();
-                if got != self.input_len {
-                    return Some(InferError::InputShape {
-                        expected: self.input_len,
-                        got,
-                    });
-                }
-                self.adopt_arena(arena).err()
-            })
-            .collect();
-        // Items still executing; shrinks as items fail, never reallocates.
-        let mut live: Vec<usize> = (0..failed.len()).filter(|&i| failed[i].is_none()).collect();
-        let Some(&lead) = live.first() else {
-            return failed;
-        };
+        started: Instant,
+    ) -> Result<(), InferError> {
+        if input.len() != self.input_len {
+            return Err(InferError::InputShape {
+                expected: self.input_len,
+                got: input.len(),
+            });
+        }
+        self.adopt_arena(arena)?;
         // Thread-scoped ISA demotion (see `ExecOptions::force_scalar`),
-        // dropped when this execution returns. Every GEMM table below is
-        // resolved on the calling thread (band fan-out receives the
-        // already-resolved table), so the guard quarantines exactly this
-        // execution.
+        // dropped when this execution returns.
         let _scalar_pin = opts.force_scalar.then(gcd2_kernels::pin_scalar);
         if opts.paranoid {
-            if let Err(e) = self.verify_integrity() {
-                fail_items(&mut failed, &live, &e);
-                return failed;
-            }
+            self.verify_integrity()?;
         }
-        // Intra-op fan-out for each GEMM. `None` means "use the whole
-        // machine"; batch/serving callers pass an explicit share so
-        // inter-request workers and band workers don't multiply.
-        let intra = opts
-            .intra_op_threads
-            .unwrap_or_else(gcd2_par::default_threads)
-            .max(1);
-        let mut stage = std::mem::take(&mut arenas[lead].stage);
-        let started = Instant::now();
         for step in &self.steps {
             if let Some(deadline) = opts.deadline {
                 let elapsed = started.elapsed();
                 if elapsed > deadline {
-                    let e = InferError::DeadlineExceeded { elapsed, deadline };
-                    fail_items(&mut failed, &live, &e);
-                    break;
+                    return Err(InferError::DeadlineExceeded { elapsed, deadline });
                 }
             }
             let t0 = report.is_some().then(Instant::now);
+            let InferArena { slots, adapted, .. } = &mut *arena;
             // The one layout adapter: an operand its producer left in
             // another layout than this step reads is transposed into
-            // the item's scratch, whichever the direction. The time is
+            // the arena's scratch, whichever the direction. The time is
             // the step's own — its `prep` when it is a GEMM.
             let mut converted = false;
             for (j, &slot) in step.in_slots.iter().enumerate() {
@@ -1560,11 +1479,8 @@ impl InferencePlan {
                     ActLayout::Rows => (c, hw),
                     ActLayout::Chw => (hw, c),
                 };
-                for &i in &live {
-                    let InferArena { slots, adapted, .. } = &mut arenas[i];
-                    let dst = adapted[j].bytes_mut(c * hw);
-                    transpose_clamp_into(slots[slot].bytes(), rows, cols, u8::MAX, dst, rows);
-                }
+                let dst = adapted[j].bytes_mut(c * hw);
+                transpose_clamp_into(slots[slot].bytes(), rows, cols, u8::MAX, dst, rows);
             }
             let mut prep = t0.map(|t| t.elapsed()).unwrap_or_default();
             let mut panel = PanelSource::Resident;
@@ -1573,45 +1489,26 @@ impl InferencePlan {
                 StepKind::Passthrough
                     if step.in_slots.first() == Some(&step.out_slot) && !converted => {}
                 StepKind::Gemm(g) if g.runs_matmul() => {
-                    // A batch row-stacks a qualifying step into one
-                    // dispatch; otherwise every item is its own.
-                    let stacked = live.len() >= 2 && g.stackable();
-                    for group in live.chunks(if stacked { live.len() } else { 1 }) {
-                        let run = GemmRun {
-                            step,
-                            g,
-                            converted,
-                            timed: t0.is_some(),
-                            intra,
-                        };
-                        match run.dispatch(arenas, group, &mut stage) {
-                            Ok((staging, source)) => {
-                                prep += staging;
-                                panel = source;
-                            }
-                            // Shape/weight disagreement is
-                            // item-independent: the whole dispatch fails.
-                            Err(e) => fail_items(&mut failed, group, &e),
-                        }
-                    }
-                    live.retain(|&i| failed[i].is_none());
-                    if live.is_empty() {
-                        break;
-                    }
+                    let run = GemmRun {
+                        step,
+                        g,
+                        converted,
+                        timed: t0.is_some(),
+                    };
+                    let (staging, source) = run.dispatch(arena)?;
+                    prep += staging;
+                    panel = source;
                 }
                 _ => {
-                    for &i in &live {
-                        let InferArena { slots, adapted, .. } = &mut arenas[i];
-                        // Detach the output buffer so input slots stay
-                        // readable.
-                        let mut out = std::mem::take(&mut slots[step.out_slot]);
-                        let arg = |j: usize| match self.conversion(step, j) {
-                            Some(_) => adapted[j].bytes(),
-                            None => slots[step.in_slots[j]].bytes(),
-                        };
-                        run_step(step, inputs[i].as_ref(), arg, out.bytes_mut(step.out_len));
-                        slots[step.out_slot] = out;
-                    }
+                    // Detach the output buffer so input slots stay
+                    // readable.
+                    let mut out = std::mem::take(&mut slots[step.out_slot]);
+                    let arg = |j: usize| match self.conversion(step, j) {
+                        Some(_) => adapted[j].bytes(),
+                        None => slots[step.in_slots[j]].bytes(),
+                    };
+                    run_step(step, input, arg, out.bytes_mut(step.out_len));
+                    slots[step.out_slot] = out;
                 }
             }
             if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
@@ -1633,7 +1530,6 @@ impl InferencePlan {
                             isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
-                            bands: gemm_bands(g.m, g.k, g.n, intra),
                             tuned,
                             panel_resident: panel == PanelSource::Resident,
                             layouts: (step.in_layout, step.out_layout),
@@ -1650,8 +1546,7 @@ impl InferencePlan {
                 });
             }
         }
-        arenas[lead].stage = stage;
-        failed
+        Ok(())
     }
 
     /// Whether operand `j` of `step` has to be converted on the way in,
@@ -1932,166 +1827,134 @@ fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Result<T, Infer
     })
 }
 
-/// Marks `items` of a lockstep run failed with `e`.
-fn fail_items(failed: &mut [Option<InferError>], items: &[usize], e: &InferError) {
-    for &i in items {
-        failed[i] = Some(e.clone());
-    }
-}
-
-/// A matmul-backed GEMM step as one lockstep run executes it.
+/// A matmul-backed GEMM step as one run executes it.
 struct GemmRun<'p> {
     step: &'p Step,
     g: &'p GemmStep,
-    /// The operand sits converted in each item's `adapted[0]`.
+    /// The operand sits converted in the arena's `adapted[0]`.
     converted: bool,
     timed: bool,
-    intra: usize,
 }
 
 impl GemmRun<'_> {
-    /// One dispatch for the items of `group` (indices into `arenas`):
-    /// stage every item's rows into one stacked `a` — or read a lone
-    /// item's operand where it lies, when it already is the matrix —
-    /// run one GEMM over it from the step's resident panel, and leave
-    /// each item's segment in its output slot: written there by the
-    /// multiply itself when the slot holds rows and the item is alone,
-    /// else copied or transposed out of the stage. Returns the staging
-    /// time (when timed) and where the dispatch read its weights from.
-    /// Hosts the `infer.prep` fault point.
-    fn dispatch(
-        &self,
-        arenas: &mut [InferArena],
-        group: &[usize],
-        stage: &mut GemmStage,
-    ) -> Result<(Duration, PanelSource), InferError> {
+    /// Stages the operand into the `m × k` matrix — or reads it where
+    /// it lies, when it already is one — runs the GEMM over it from the
+    /// step's resident panel, and leaves the result in the output slot:
+    /// written there by the multiply itself when the slot holds rows,
+    /// else transposed out of the stage. Returns the staging time (when
+    /// timed) and where the dispatch read its weights from. Hosts the
+    /// `infer.prep` fault point.
+    fn dispatch(&self, arena: &mut InferArena) -> Result<(Duration, PanelSource), InferError> {
         let _ = gcd2_faults::fire("infer.prep");
         let t0 = self.timed.then(Instant::now);
         let (step, g) = (self.step, self.g);
         let (m, k, n) = (g.m, g.k, g.n);
-        // The multiply's rows are the slot's bytes: a MatMul's result,
-        // a conv's when its value is labelled rows.
-        let finished = match g.scatter {
-            Scatter::RowMajor | Scatter::DwRows => true,
-            Scatter::Chw { .. } => step.out_layout == ActLayout::Rows,
-        };
-        // Detached so the multiply can write a slot while it reads
+        let InferArena {
+            slots,
+            adapted,
+            stage,
+            ..
+        } = arena;
+        // Detached so the multiply can write the slot while it reads
         // another of the same arena.
-        let mut lone_out = match group {
-            &[i] if finished => Some(std::mem::take(&mut arenas[i].slots[step.out_slot])),
-            _ => None,
-        };
-        let x = |i: usize| {
-            if self.converted {
-                arenas[i].adapted[0].bytes()
-            } else {
-                arenas[i].slots[step.in_slots[0]].bytes()
-            }
+        let mut out = std::mem::take(&mut slots[step.out_slot]);
+        let x = if self.converted {
+            adapted[0].bytes()
+        } else {
+            slots[step.in_slots[0]].bytes()
         };
         let rows_in = step.in_layout == ActLayout::Rows;
-        // The operand already is the row-major `m × k` matrix: a
-        // MatMul's input, a pointwise conv's rows.
-        let is_matrix = match g.prep {
-            GemmPrep::Direct => true,
-            GemmPrep::Transposed { .. } => rows_in,
-            GemmPrep::Im2col { .. } | GemmPrep::Depthwise { .. } => false,
-        };
-        let a: &[u8] = match group {
-            // Alone, it is consumed zero-copy.
-            &[i] if is_matrix => x(i),
-            _ => {
+        let a: &[u8] = match &g.prep {
+            // The operand already is the row-major `m × k` matrix — a
+            // MatMul's input, a pointwise conv's rows — consumed
+            // zero-copy.
+            GemmPrep::Direct => x,
+            GemmPrep::Transposed { .. } if rows_in => x,
+            // CHW is the row-major `c × m` matrix; the GEMM wants its
+            // transpose.
+            GemmPrep::Transposed { c, m: pixels } => {
+                let staged = stage.a.bytes_mut(m * k);
+                transpose_clamp_into(x, *c, *pixels, u8::MAX, staged, *c);
+                staged
+            }
+            GemmPrep::Im2col(geom) => {
                 // No clear(): staging fully overwrites the buffer, and
                 // zero-filling a multi-GB staging matrix per call is a
                 // measurable memset tax on the megapixel models.
-                let staged = stage.a.bytes_mut(group.len() * m * k);
-                for (dst, &i) in staged.chunks_exact_mut((m * k).max(1)).zip(group) {
-                    match &g.prep {
-                        _ if is_matrix => dst.copy_from_slice(&x(i)[..m * k]),
-                        // CHW is the row-major `c × m` matrix; the GEMM
-                        // wants its transpose.
-                        GemmPrep::Transposed { c, m } => {
-                            transpose_clamp_into(x(i), *c, *m, u8::MAX, dst, *c)
-                        }
-                        GemmPrep::Im2col {
-                            c,
-                            h,
-                            w,
-                            kernel,
-                            stride,
-                            padding,
-                        } => {
-                            let form = if rows_in {
-                                im2col_rows_into
-                            } else {
-                                im2col_rm_into
-                            };
-                            let scratch = &mut stage.im2col;
-                            form(x(i), *c, *h, *w, *kernel, *stride, *padding, scratch, dst)
-                        }
-                        GemmPrep::Direct | GemmPrep::Depthwise { .. } => {
-                            unreachable!("depthwise runs its direct kernel, never a GEMM")
-                        }
-                    }
-                }
+                let staged = stage.a.bytes_mut(m * k);
+                let form = if rows_in {
+                    im2col_rows_into
+                } else {
+                    im2col_rm_into
+                };
+                form(
+                    x,
+                    geom.c,
+                    geom.h,
+                    geom.w,
+                    geom.kernel,
+                    geom.stride,
+                    geom.padding,
+                    &mut stage.im2col,
+                    staged,
+                );
                 staged
+            }
+            GemmPrep::Depthwise(_) => {
+                unreachable!("depthwise runs its direct kernel, never a GEMM")
             }
         };
         let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
-        // Requantisation clamps to the activation ceiling, so what the
-        // multiply writes is finished bytes wherever it writes them.
-        let product = match &mut lone_out {
-            Some(out) => &mut out.bytes_mut(step.out_len.max(m * n))[..m * n],
-            None => stage.out.bytes_mut(group.len() * m * n),
+        // The multiply's rows are the slot's bytes: a MatMul's result,
+        // a conv's when its value is labelled rows. Requantisation
+        // clamps to the activation ceiling, so they are finished.
+        let scatter = match g.scatter {
+            Scatter::Chw { spatial } if step.out_layout == ActLayout::Chw => Some(spatial),
+            _ => None,
+        };
+        let product = match scatter {
+            Some(_) => stage.out.bytes_mut(m * n),
+            None => &mut out.bytes_mut(step.out_len.max(m * n))[..m * n],
         };
         let dispatched = try_matmul_panel_into(
             a,
-            group.len() * m,
+            m,
             k,
             &g.weights,
             &g.panel,
             (g.shift, ACT_MAX),
-            &stage.scratch,
-            self.intra,
+            &mut stage.scratch,
             product,
         )
         .map_err(|e| InferError::Dispatch {
             node: step.node.0,
             message: e.to_string(),
         });
-        if let (Some(mut out), &[i]) = (lone_out, group) {
+        let dst = out.bytes_mut(step.out_len);
+        match scatter {
+            // A refused dispatch left nothing to scatter.
+            Some(_) if dispatched.is_err() => {}
+            Some(spatial) => {
+                // Only a scatter that leaves positions unwritten needs
+                // them zeroed first: ConvTranspose upsampling
+                // (`m < spatial`), or a graph whose batch dimension
+                // makes the tensor longer than one image.
+                if m < spatial || n * spatial < step.out_len {
+                    dst.fill(0);
+                }
+                transpose_clamp_into(stage.out.bytes(), m.min(spatial), n, ACT_MAX, dst, spatial);
+            }
             // A tensor longer than the one image the GEMM computes (a
             // graph with a batch dimension) ends in zeros.
-            out.bytes_mut(step.out_len)[(m * n).min(step.out_len)..].fill(0);
-            arenas[i].slots[step.out_slot] = out;
-            return dispatched.map(|source| (prep, source));
+            None => dst[(m * n).min(step.out_len)..].fill(0),
         }
-        let source = dispatched?;
-        for (src, &i) in stage.out.bytes().chunks_exact((m * n).max(1)).zip(group) {
-            let out = arenas[i].slots[step.out_slot].bytes_mut(step.out_len);
-            match g.scatter {
-                Scatter::Chw { spatial } if !finished => {
-                    // Only a scatter that leaves positions unwritten
-                    // needs them zeroed first: ConvTranspose upsampling
-                    // (`m < spatial`), or a graph whose batch dimension
-                    // makes the tensor longer than one image.
-                    if m < spatial || n * spatial < step.out_len {
-                        out.fill(0);
-                    }
-                    transpose_clamp_into(src, m.min(spatial), n, ACT_MAX, out, spatial)
-                }
-                _ => {
-                    let (head, tail) = out.split_at_mut((m * n).min(step.out_len));
-                    head.copy_from_slice(&src[..head.len()]);
-                    tail.fill(0);
-                }
-            }
-        }
-        Ok((prep, source))
+        slots[step.out_slot] = out;
+        dispatched.map(|source| (prep, source))
     }
 }
 
-/// Executes one per-item step — everything but a matmul-backed GEMM
-/// (see [`GemmRun`]) — into `out`, the step's `out_len` bytes, reading
+/// Executes one step — anything but a matmul-backed GEMM (see
+/// [`GemmRun`]) — into `out`, the step's `out_len` bytes, reading
 /// operand `j` as `arg(j)`. Hosts the `infer.prep` (direct conv kernels)
 /// and `infer.elementwise` (everything else) fault points.
 fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
@@ -2108,42 +1971,28 @@ fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out:
         }
         StepKind::Constant => out.fill(0),
         StepKind::Gemm(g) => match &g.prep {
-            GemmPrep::Im2col {
-                c,
-                h,
-                w,
-                kernel,
-                stride,
-                padding,
-            } if g.runs_direct_conv() => conv2d_direct_chw_into(
+            GemmPrep::Im2col(geom) if g.runs_direct_conv() => conv2d_direct_chw_into(
                 arg(0),
-                *c,
-                *h,
-                *w,
-                *kernel,
-                *stride,
-                *padding,
+                geom.c,
+                geom.h,
+                geom.w,
+                geom.kernel,
+                geom.stride,
+                geom.padding,
                 g.weights.as_slice(),
                 g.n,
                 g.shift,
                 ACT_MAX,
                 out,
             ),
-            GemmPrep::Depthwise {
-                c,
-                h,
-                w,
-                kernel,
-                stride,
-                padding,
-            } => dwconv_direct_into(
+            GemmPrep::Depthwise(geom) => dwconv_direct_into(
                 arg(0),
-                *c,
-                *h,
-                *w,
-                *kernel,
-                *stride,
-                *padding,
+                geom.c,
+                geom.h,
+                geom.w,
+                geom.kernel,
+                geom.stride,
+                geom.padding,
                 g.weights.as_slice(),
                 g.shift,
                 ACT_MAX,
@@ -2183,7 +2032,7 @@ mod tests {
     use super::*;
     use crate::runtime::execute_reference;
     use crate::Compiler;
-    use gcd2_cgraph::{Graph, TShape};
+    use gcd2_cgraph::Graph;
 
     /// A graph touching every step kind the plan supports.
     fn kitchen_sink() -> Graph {
@@ -2243,15 +2092,15 @@ mod tests {
             .map(|()| out)
     }
 
-    /// A graph whose GEMMs all row-stack in a batch and cover every
-    /// staging form and scatter: a wide 3×3 conv (im2col), a 7×7
+    /// A graph whose GEMMs cover every staging form and scatter: a wide
+    /// 3×3 conv (im2col), a 7×7
     /// stride-2 conv (im2col over both column phases), a pointwise conv
     /// (transpose) on whole 16×16 tiles (144 pixels) and one on ragged
     /// tiles (36 pixels), a stride-2 3×3 and a stride-2 1×1 conv (im2col
     /// with one phase and every other row, three pixels a row), a
     /// transposed conv whose scatter leaves three quarters of the output
     /// zero (`m` 9 < `spatial` 36), and an FC (direct, row-major).
-    fn stacking_net() -> Graph {
+    fn staging_net() -> Graph {
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
         let conv = |out_channels, k, s, p| OpKind::Conv2d {
@@ -2362,7 +2211,8 @@ mod tests {
         plan.verify_integrity().expect("the selection's own labels");
 
         // Same bytes as the plan that selects nothing and as the
-        // interpreter — single-shot, stacked, on the scalar tier.
+        // interpreter — single-shot, as a pooled batch, on the scalar
+        // tier.
         let reference = InferencePlan::try_build_all_chw(&compiled, 21).expect("all-chw");
         assert_eq!(reference.rows_values(), 0);
         assert_eq!(reference.layout_cost().0, all_chw);
@@ -2375,12 +2225,12 @@ mod tests {
                 force_scalar,
                 ..ExecOptions::default()
             };
-            let stacked = plan.try_execute_batch_pooled(&inputs, &pool, &opts);
-            for (x, stacked) in inputs.iter().zip(stacked) {
+            let pooled = plan.try_execute_batch_pooled(&inputs, &pool, &opts);
+            for (x, pooled) in inputs.iter().zip(pooled) {
                 let want = execute_reference(&compiled, x, 21);
                 assert_eq!(run_into(&plan, x, &opts), Ok(want.clone()));
                 assert_eq!(run_into(&reference, x, &opts), Ok(want.clone()));
-                assert_eq!(stacked, Ok(want), "a batch stacks rows steps too");
+                assert_eq!(pooled, Ok(want), "a batch item runs as it would alone");
             }
         }
     }
@@ -2470,7 +2320,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_stacked_batch_is_bit_identical_to_single_shot() {
+    fn pooled_batch_is_bit_identical_to_single_shot() {
         let g = kitchen_sink();
         let compiled = Compiler::new().compile(&g);
         let plan = compiled.inference_plan(3);
@@ -2485,7 +2335,7 @@ mod tests {
                 assert_eq!(
                     r.as_deref().map(<[u8]>::to_vec),
                     Ok(plan.execute(input)),
-                    "stacked round {round} diverged from single-shot"
+                    "pooled round {round} diverged from single-shot"
                 );
             }
         }
@@ -2499,13 +2349,13 @@ mod tests {
         let got = plan.try_execute_batch_pooled(&inputs[..1], &pool, &ExecOptions::default());
         assert_eq!(got[0], Ok(plan.execute(&inputs[0])));
 
-        // Everything else is one core: at every batch size — with a
-        // wrong-length item (it fails alone, siblings stay
+        // Everything else is one executor: at every batch size — with
+        // a wrong-length item (it fails alone, siblings stay
         // bit-identical), on the scalar tier, past a deadline — each
         // item gets the same bytes or the same error variant from all
-        // four batch-capable entry points. The second net row-stacks
-        // all three staging forms.
-        for compiled in [compiled, Compiler::new().compile(&stacking_net())] {
+        // four batch-capable entry points. The second net runs all
+        // three staging forms and both scatters.
+        for compiled in [compiled, Compiler::new().compile(&staging_net())] {
             let plan = compiled.inference_plan(3);
             let oracle: Vec<Vec<u8>> = inputs
                 .iter()
@@ -2826,6 +2676,26 @@ mod tests {
             // clock tick; a completed run must then be correct.
             Ok(out) => assert_eq!(out, plan.execute(&input)),
             Err(e) => panic!("unexpected error: {e}"),
+        }
+        // A pooled batch has one deadline, measured from the call: every
+        // item is past it (the arena checkout alone outlasts a clock
+        // tick), none executes a step — the output slots are as the
+        // arenas were sized, all zero, where a softmax would have left
+        // its shares — and the arenas are back in the pool.
+        let pool = ArenaPool::new();
+        let batch = vec![input; 3];
+        for r in plan.try_execute_batch_pooled(&batch, &pool, &opts) {
+            assert!(
+                matches!(r, Err(InferError::DeadlineExceeded { deadline, .. }) if deadline.is_zero()),
+                "{r:?}"
+            );
+        }
+        assert_eq!(pool.idle_arenas(), 3);
+        assert!(plan.execute(&batch[0]).iter().any(|&v| v != 0));
+        for arena in pool.take_arenas(3) {
+            assert_eq!(arena.stamp, Some(plan.checksum()));
+            let out = arena.slots[plan.output_slot].bytes();
+            assert!(out.iter().all(|&v| v == 0), "an expired item ran");
         }
     }
 

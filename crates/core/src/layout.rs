@@ -17,7 +17,7 @@
 //!   never measured, so one schedule gets one assignment on every host;
 //! * an edge costs the value's bytes when the producer's out-layout is
 //!   not the consumer's in-layout: the consumer converts it on the way
-//!   in (one transpose into arena scratch, `InferencePlan::run_lockstep`).
+//!   in (one transpose into arena scratch, `InferencePlan::run_one`).
 //!
 //! Options are ordered `Chw`-first and the solver breaks ties towards
 //! the lower index, so ties go to `Chw`; and the solver's answer is kept
@@ -67,8 +67,8 @@ fn admits(steps: &[Step], index: usize) -> Vec<(ActLayout, ActLayout)> {
         StepKind::Gemm(g) if g.runs_matmul() && from.len() == 1 => {
             let reads = match g.prep {
                 GemmPrep::Transposed { c, m } => Some((c, m)),
-                GemmPrep::Im2col { c, h, w, .. } => Some((c, h * w)),
-                GemmPrep::Direct | GemmPrep::Depthwise { .. } => None,
+                GemmPrep::Im2col(geom) => Some((geom.c, geom.h * geom.w)),
+                GemmPrep::Direct | GemmPrep::Depthwise(_) => None,
             };
             let whole = matches!(g.scatter, Scatter::Chw { spatial } if spatial == g.m);
             (
@@ -108,18 +108,10 @@ fn staged_bytes(g: &GemmStep, layout: ActLayout) -> u64 {
     }
     match (&g.prep, layout) {
         (GemmPrep::Transposed { .. }, Chw) => product(&[g.m, g.k]),
-        (
-            GemmPrep::Im2col {
-                c,
-                h,
-                w,
-                padding: (ph, pw),
-                ..
-            },
-            _,
-        ) => {
-            let copy = layout == Chw || (*ph, *pw) != (0, 0);
-            let padded = product(&[*c, h + 2 * ph, w + 2 * pw]);
+        (GemmPrep::Im2col(geom), _) => {
+            let (ph, pw) = geom.padding;
+            let copy = layout == Chw || (ph, pw) != (0, 0);
+            let padded = product(&[geom.c, geom.h + 2 * ph, geom.w + 2 * pw]);
             product(&[g.m, g.k]).saturating_add(if copy { padded } else { 0 })
         }
         _ => 0,

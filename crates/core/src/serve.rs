@@ -14,10 +14,12 @@
 //!   same model are coalesced into one
 //!   [`InferencePlan::try_execute_batch_pooled`] call, bounded by
 //!   [`GatewayConfig::max_batch`] and [`GatewayConfig::max_wait`].
-//!   Coalescing pays each GEMM's weight-panel packing once per batch
-//!   instead of once per request, which is where the batch-1 throughput
-//!   win comes from — outputs stay **bit-identical** to single-shot
-//!   execution for every batch/wait/worker configuration;
+//!   The items of a batch run one after another on the worker that
+//!   took it, so coalescing pays the scheduler hand-off — queue lock,
+//!   wake-up, arena checkout, heartbeat — once per batch instead of
+//!   once per request; outputs are **bit-identical**
+//!   to single-shot execution for every batch/wait/worker
+//!   configuration;
 //! * **per-model bounded queues** with load-shedding priorities: when a
 //!   model's queue is full, the lowest-priority queued request is shed
 //!   ([`InferError::Shed`]) to admit a strictly higher-priority one,
@@ -100,9 +102,7 @@ pub struct GatewayConfig {
     /// How long a worker may hold an underfull batch open, measured
     /// from the oldest queued request, before dispatching it anyway.
     pub max_wait: Duration,
-    /// Execution options applied to every batch. With
-    /// [`ExecOptions::intra_op_threads`] unset, each worker gets an
-    /// equal share of the machine.
+    /// Execution options applied to every batch.
     pub opts: ExecOptions,
     /// Self-healing knobs: watchdog, circuit breakers, retries, ISA
     /// demotion. The defaults keep supervision invisible on a healthy
@@ -616,8 +616,8 @@ impl Drop for InferTicket {
 }
 
 /// The dynamic-batching multi-model gateway: `workers` threads
-/// coalescing per-model queues into stacked batch executions, plus a
-/// watchdog thread supervising their heartbeats.
+/// coalescing per-model queues into batch executions, plus a watchdog
+/// thread supervising their heartbeats.
 #[derive(Debug)]
 pub struct InferServer {
     shared: Arc<Shared>,
@@ -627,15 +627,7 @@ pub struct InferServer {
 impl InferServer {
     /// Starts a gateway with an **empty registry**; add models with
     /// [`InferServer::register`].
-    pub fn gateway(mut config: GatewayConfig) -> InferServer {
-        // Unless the caller budgeted intra-op threads explicitly, give
-        // each worker an equal share of the machine so request-level and
-        // GEMM band-level parallelism don't oversubscribe. Outputs are
-        // bit-identical for any budget.
-        if config.opts.intra_op_threads.is_none() {
-            let share = gcd2_par::default_threads() / config.workers.max(1);
-            config.opts.intra_op_threads = Some(share.max(1));
-        }
+    pub fn gateway(config: GatewayConfig) -> InferServer {
         let shared = Arc::new(Shared {
             registry: RwLock::new(HashMap::new()),
             sched: Mutex::new(SchedState::default()),
@@ -1258,7 +1250,7 @@ fn spawn_worker(shared: &Arc<Shared>) -> usize {
 
 /// One scheduler worker: pick the model whose oldest request has waited
 /// longest, hold its batch open until it fills or ages out, execute it
-/// as one stacked batch, scatter results to tickets. Runs until drain
+/// as one batch, scatter results to tickets. Runs until drain
 /// is requested **and** every queue is empty, so accepted work is
 /// always answered — or until the watchdog wedges it.
 fn worker_loop(shared: &Shared, slot: &WorkerSlot) {

@@ -226,7 +226,7 @@ mod tests {
         let shapes: Vec<GemmDims> = (0..6)
             .map(|i| GemmDims::new(32 << (i % 3), 64, 32 + 16 * (i % 4)))
             .collect();
-        let per_worker = gcd2_par::par_map(8, &[(); 8], |_, _| {
+        let hammer = || {
             shapes
                 .iter()
                 .flat_map(|g| {
@@ -235,6 +235,13 @@ mod tests {
                         .map(|i| shared.gemm_cycles(g, i, UnrollConfig::NONE))
                 })
                 .collect::<Vec<u64>>()
+        };
+        let per_worker: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8).map(|_| s.spawn(hammer)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("hammer worker"))
+                .collect()
         });
         // Cached values agree with a fresh, uncontended model.
         let fresh = CostModel::new();

@@ -32,33 +32,15 @@
 //! `O(k·n)` pack per dispatch. The matrix-taking entry points
 //! ([`try_matmul_threaded_into`], [`crate::try_matmul_blocked_into`])
 //! are *pack, then the same core*: one `dispatch` function picks the
-//! panel, resolves the tiles and runs the bands under all of them.
+//! panel, resolves the tiles and runs the band kernel under all of them.
 //! There is one fallback: a dispatch whose tier wants another layout
 //! than the resident panel's (a [`pin_scalar`] demotion, [`force_isa`]
 //! flipped since the pack) reads the raw weights or packs for that one
 //! call ([`PanelSource::PerCall`]) — identical bytes either way.
 //!
-//! Intra-op parallelism: the pooled entry points split the output rows
-//! into contiguous bands and map them over [`gcd2_par::par_map`] (the
-//! caller runs the first band it claims, `bands − 1` scoped threads the
-//! rest) with per-band scratch from a [`ScratchPool`]. Bands write
-//! disjoint output slices and share the read-only weight panel, so the
-//! result is bit-identical for every thread count.
-//!
-//! **A GEMM fans out only when the fan-out pays.** The band count is
-//! [`gemm_bands`], a pure function of `(m, k, n, threads)` with two
-//! constants: every band keeps at least 32 MMACs and at least 256 rows.
-//! Below that a GEMM runs on the calling thread and pays no hand-off —
-//! every GEMM of mobilenet-v3 and efficientnet-b0 (largest: 14.8 and
-//! 20.1 MMACs), all of tinybert (128 rows) and resnet-50's 196- and
-//! 49-row stages. resnet-50's stem and its 3136- and 784-row convs of
-//! 100 MMACs and more still split in two on a two-thread host. The
-//! constants come from direct calls of every distinct catalog shape on
-//! one thread and in two bands (DESIGN.md §4d has the table): a hand-off
-//! costs 20–40 µs, which is the whole of a 5–20 MMAC GEMM, and a
-//! few-row GEMM gets slower in two bands whatever its MACs, because
-//! each band still walks the whole weight panel and keeps a ragged tile
-//! remainder.
+//! **One GEMM, one thread.** Every dispatch runs its band kernel over
+//! all `m` rows on the calling thread; callers parallelise between
+//! requests, never inside one (DESIGN.md §4d has the measurements).
 //!
 //! The layout moves that wrap every conv GEMM — CHW → rows before it
 //! ([`crate::transpose_clamp_into`] for a pointwise conv,
@@ -467,9 +449,7 @@ impl Drop for ScalarPin {
 /// repeated kernel-attributed faults on a model, its batches execute
 /// under a pin so a misbehaving SIMD tier is quarantined without
 /// touching process-global state (other models and other threads keep
-/// their vector tiers). Intra-op band fan-out is covered because
-/// the GEMM entry points resolve their table on the calling thread
-/// before fanning out. Scalar is the bit-exactness oracle, so a
+/// their vector tiers). Scalar is the bit-exactness oracle, so a
 /// demoted dispatch can never change output bytes — only speed.
 pub fn pin_scalar() -> ScalarPin {
     SCALAR_PINNED.with(|c| c.set(c.get() + 1));
@@ -505,10 +485,9 @@ pub(crate) fn active_table() -> &'static KernelTable {
     ACTIVE.get_or_init(|| table_for(detected_isa()))
 }
 
-/// A checkout/restore pool of [`GemmScratch`] buffers shared by intra-op
-/// band workers (and arena owners), so steady-state parallel GEMMs
-/// allocate nothing. A poisoned pool lock degrades to fresh scratch —
-/// never a panic.
+/// A checkout/restore pool of [`GemmScratch`] buffers, so repeated
+/// [`try_matmul_threaded_into`] calls allocate nothing. A poisoned pool
+/// lock degrades to fresh scratch — never a panic.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     inner: Mutex<Vec<GemmScratch>>,
@@ -521,14 +500,14 @@ impl ScratchPool {
         Self::default()
     }
 
-    pub(crate) fn checkout(&self) -> GemmScratch {
+    fn checkout(&self) -> GemmScratch {
         match self.inner.lock() {
             Ok(mut pool) => pool.pop().unwrap_or_default(),
             Err(_) => GemmScratch::default(),
         }
     }
 
-    pub(crate) fn restore(&self, scratch: GemmScratch) {
+    fn restore(&self, scratch: GemmScratch) {
         if let Ok(mut pool) = self.inner.lock() {
             pool.push(scratch);
         }
@@ -600,13 +579,12 @@ fn resolve(
     choice.tiles
 }
 
-/// The band-dispatch core under every GEMM entry point: picks the
-/// panel ([`panel_for`]), resolves the tiles ([`resolve`]) and runs
-/// the band kernel — on the calling thread, or over [`gemm_bands`] row
-/// bands when `fan_out` gives a scratch pool and a thread budget that
-/// pay for it. Operands are pre-validated by the caller, `out` included:
-/// exactly `m × n` bytes, every one of which a band overwrites.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+/// The dispatch core under every GEMM entry point: picks the panel
+/// ([`panel_for`]), resolves the tiles ([`resolve`]) and runs the band
+/// kernel over all `m` rows on the calling thread. Operands are
+/// pre-validated by the caller, `out` included: exactly `m × n` bytes,
+/// every one of which the kernel overwrites.
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract
 fn dispatch(
     a: &[u8],
     m: usize,
@@ -614,8 +592,7 @@ fn dispatch(
     w: &MatrixI8,
     (shift, clamp): (u8, u8),
     resident: Option<&WeightPanel>,
-    lead: &mut GemmScratch,
-    fan_out: Option<(&ScratchPool, usize)>,
+    scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> PanelSource {
     let n = w.cols();
@@ -626,7 +603,7 @@ fn dispatch(
     }
     let active = active_table();
     let wd = w.as_slice();
-    let GemmScratch { band, panel: own } = lead;
+    let GemmScratch { band, panel: own } = scratch;
     let (panel, source) = panel_for(active, resident, own, wd, k, n);
     let mut args = BandArgs {
         a,
@@ -638,48 +615,15 @@ fn dispatch(
         tiles: TilePlan::DEFAULT,
     };
     args.tiles = resolve(active, &args, m, panel, band);
-    let (pairs, quads): (&[i16], &[QuadRow]) = (&panel.pairs, &panel.quads);
-    let bands = fan_out.map_or(1, |(_, threads)| gemm_bands(m, k, n, threads));
-    match fan_out {
-        Some((pool, _)) if bands > 1 => {
-            let chunk = m.div_ceil(bands);
-            let jobs: Vec<Mutex<&mut [u8]>> = out.chunks_mut(chunk * n).map(Mutex::new).collect();
-            gcd2_par::par_map(bands, &jobs, |i, slot| {
-                let r0 = i * chunk;
-                let r1 = ((i + 1) * chunk).min(m);
-                let mut band_scratch = pool.checkout();
-                let mut guard = match slot.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                // SAFETY: band rows [r0, r1) are in range, the chunked
-                // slice is exactly (r1-r0)*n bytes, the shared panel is
-                // read-only and the pack image of wd for the active
-                // tier, and the table's ISA was verified.
-                unsafe {
-                    (active.band)(
-                        &args,
-                        pairs,
-                        quads,
-                        &mut band_scratch.band,
-                        r0,
-                        r1,
-                        &mut guard,
-                    )
-                };
-                pool.restore(band_scratch);
-            });
-        }
-        // SAFETY: table resolution verified ISA support; the caller's
-        // validate_dispatch established a.len() == m*k and w.rows() ==
-        // k, out was resized to m*n, and `panel` is the pack image of
-        // wd for the active tier.
-        _ => unsafe { (active.band)(&args, pairs, quads, band, 0, m, out) },
-    }
+    // SAFETY: table resolution verified ISA support; the caller's
+    // validate_dispatch established a.len() == m*k and w.rows() == k,
+    // out is m*n bytes, and `panel` is the pack image of wd for the
+    // active tier.
+    unsafe { (active.band)(&args, &panel.pairs, &panel.quads, band, 0, m, out) };
     source
 }
 
-/// Single-threaded blocked GEMM through the dispatch table; backend of
+/// Blocked GEMM through the dispatch table; backend of
 /// [`crate::tiled::try_matmul_blocked_into`]. Operands are
 /// pre-validated by the caller.
 pub(crate) fn run_single(
@@ -691,60 +635,25 @@ pub(crate) fn run_single(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) {
-    // No clear(): every band writes the whole of its slice, so zeroing
-    // the previous call's bytes first is a memset nobody reads.
+    // No clear(): the kernel writes the whole of `out`, so zeroing the
+    // previous call's bytes first is a memset nobody reads.
     out.resize(m * w.cols(), 0);
-    dispatch(a, m, k, w, (shift, u8::MAX), None, scratch, None, out);
+    dispatch(a, m, k, w, (shift, u8::MAX), None, scratch, out);
 }
 
-/// MACs one band must bring before a GEMM is split: a band is handed
-/// to a freshly spawned scoped thread (20–40 µs on the recording host),
-/// which a 32-MMAC band (≈ 80–150 µs of AMX work) outweighs and the
-/// largest mobilenet-v3 / efficientnet-b0 GEMM (14.8 / 20.1 MMACs in
-/// all) does not. The measured table is in DESIGN.md §4d.
-const BAND_MIN_MACS: usize = 32_000_000;
-
-/// Rows one band must keep. Few-row GEMMs (resnet-50's 196- and 49-row
-/// stages) are all weight panel: halving their rows halves no panel
-/// traffic and leaves each band a ragged tile remainder, and they
-/// measure 10–30 % slower in two bands however many MACs they bring.
-const BAND_MIN_ROWS: usize = 256;
-
-/// How many row bands the pooled GEMM entry points split an
-/// `m × k × n` GEMM into at an intra-op budget of `threads`: as many as
-/// the budget allows while every band keeps [`BAND_MIN_MACS`] of work
-/// and [`BAND_MIN_ROWS`] rows, else one — the GEMM then runs on the
-/// calling thread with no hand-off at all. A pure function of its
-/// arguments (never of the tile plan, the tier or the environment), so
-/// reports can say whether a GEMM fanned out by calling it.
-pub fn gemm_bands(m: usize, k: usize, n: usize, threads: usize) -> usize {
-    let macs = m.saturating_mul(k).saturating_mul(n);
-    threads
-        .min(macs / BAND_MIN_MACS)
-        .min(m / BAND_MIN_ROWS)
-        .max(1)
-}
-
-/// Intra-op parallel blocked GEMM: output rows are split into
-/// [`gemm_bands`] contiguous bands mapped over [`gcd2_par::par_map`],
-/// each band running the dispatched kernel with its own pooled scratch
-/// over a disjoint output slice. Bit-identical for every `threads`
-/// value (wrapping i32 accumulation is order-free and bands don't
-/// overlap).
-///
-/// `threads` is the intra-op budget — callers that already parallelize
-/// across requests (batching, serving) pass their per-request share so
-/// the machine is not oversubscribed.
-///
-/// Packs `w` for the active tier on every call; a caller that runs the
-/// same weights again and again keeps a [`WeightPanel`] and calls
-/// [`try_matmul_panel_into`], which is this function minus the pack.
+/// [`crate::try_matmul_blocked_into`] with its scratch checked out of
+/// `pool`: packs `w` for the active tier and multiplies on the calling
+/// thread. `threads` is accepted and unused — a GEMM no longer fans
+/// out; the parameter stays until the benchmark that passes it drops
+/// it. A caller that runs the same weights again and again keeps a
+/// [`WeightPanel`] and calls [`try_matmul_panel_into`], which is this
+/// function minus the pack.
 ///
 /// # Errors
 /// Returns [`GemmDispatchError`] (before writing to `out`) if the
 /// operand shapes are mutually inconsistent or the shift is out of
 /// range.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract
 pub fn try_matmul_threaded_into(
     a: &[u8],
     m: usize,
@@ -752,81 +661,50 @@ pub fn try_matmul_threaded_into(
     w: &MatrixI8,
     shift: u8,
     pool: &ScratchPool,
-    threads: usize,
+    _threads: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    let _ = gcd2_faults::fire("infer.gemm");
-    validate_dispatch(a, m, k, w, shift)?;
-    // No clear(): see `run_single`.
-    out.resize(m * w.cols(), 0);
-    matmul_pooled(a, m, k, w, None, (shift, u8::MAX), pool, threads, out).map(|_| ())
+    let mut scratch = pool.checkout();
+    let done = crate::tiled::try_matmul_blocked_into(a, m, k, w, shift, &mut scratch, out);
+    pool.restore(scratch);
+    done
 }
 
-/// [`try_matmul_threaded_into`] as an inference plan calls it: with the
-/// weights' resident panel, into the caller's `m × n` bytes, clamped to
-/// `clamp` instead of 255. The dispatch packs nothing when `panel` was
-/// packed for the tier it resolves, and says which it was. `panel` must
-/// be [`WeightPanel::pack`]`(w)` (a plan checks that with
+/// The GEMM as an inference plan calls it: with the weights' resident
+/// panel, into the caller's `m × n` bytes, clamped to `clamp` instead
+/// of 255, working in the `scratch` the caller's arena owns. The
+/// dispatch packs nothing when `panel` was packed for the tier it
+/// resolves, and says which it was. `panel` must be
+/// [`WeightPanel::pack`]`(w)` (a plan checks that with
 /// [`WeightPanel::is_pack_of`]); a panel of another tier's layout is
 /// ignored, never misread. With the clamp folded into requantisation
 /// the bytes in `out` are finished activations: a plan points `out` at
 /// the output slot itself when the GEMM's rows are the slot's layout.
+/// Hosts the `infer.gemm` fault point.
 ///
 /// # Errors
 /// See [`try_matmul_threaded_into`]; also
 /// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract
 pub fn try_matmul_panel_into(
     a: &[u8],
     m: usize,
     k: usize,
     w: &MatrixI8,
     panel: &WeightPanel,
-    (shift, clamp): (u8, u8),
-    pool: &ScratchPool,
-    threads: usize,
+    requant: (u8, u8),
+    scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
     let _ = gcd2_faults::fire("infer.gemm");
-    validate_dispatch(a, m, k, w, shift)?;
+    validate_dispatch(a, m, k, w, requant.0)?;
     if out.len() != m * w.cols() {
         return Err(GemmDispatchError::OutputSize {
             expected: m * w.cols(),
             got: out.len(),
         });
     }
-    matmul_pooled(a, m, k, w, Some(panel), (shift, clamp), pool, threads, out)
-}
-
-/// Both pooled entry points, past their `infer.gemm` fault point and
-/// operand validation: [`dispatch`] with the lead scratch checked out of
-/// `pool`.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract + budget
-fn matmul_pooled(
-    a: &[u8],
-    m: usize,
-    k: usize,
-    w: &MatrixI8,
-    resident: Option<&WeightPanel>,
-    requant: (u8, u8),
-    pool: &ScratchPool,
-    threads: usize,
-    out: &mut [u8],
-) -> Result<PanelSource, GemmDispatchError> {
-    let mut lead = pool.checkout();
-    let source = dispatch(
-        a,
-        m,
-        k,
-        w,
-        requant,
-        resident,
-        &mut lead,
-        Some((pool, threads)),
-        out,
-    );
-    pool.restore(lead);
-    Ok(source)
+    Ok(dispatch(a, m, k, w, requant, Some(panel), scratch, out))
 }
 
 /// Pre-resolves the tile plan for a GEMM shape using synthetic
@@ -869,11 +747,10 @@ pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, panel: &Weigh
 }
 
 /// The tier whose multiply instructions run an `m × k × n` GEMM that is
-/// dispatched on `tier` — a pure function of its arguments, like
-/// [`gemm_bands`]; `m` is the rows of one dispatch (`B·m` for a batch
-/// stacked into one). The AMX tier's tile grid needs 16 rows, below which
-/// its band kernel is the VNNI one; the AVX2 kernel hands bands
-/// narrower than one ymm to the scalar oracle.
+/// dispatched on `tier` — a pure function of its arguments. The AMX
+/// tier's tile grid needs 16 rows, below which its band kernel is the
+/// VNNI one; the AVX2 kernel hands GEMMs narrower than one ymm to the
+/// scalar oracle.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] // the tile grid is x86-64's
 fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
     match tier {
@@ -933,67 +810,6 @@ mod tests {
         let mut auto = Vec::new();
         run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut auto);
         assert_eq!(auto, oracle, "auto-detected ISA");
-    }
-
-    #[test]
-    fn threaded_is_bit_identical_to_single_for_every_thread_count() {
-        // Large enough to split in two from a budget of 2 up.
-        let (m, k, n) = (601, 1003, 120);
-        assert_eq!(gemm_bands(m, k, n, 7), 2);
-        let (a, w) = operands(m, k, n);
-        let mut scratch = GemmScratch::default();
-        let mut single = Vec::new();
-        run_single(a.as_bytes(), m, k, &w, 2, &mut scratch, &mut single);
-        let pool = ScratchPool::new();
-        for threads in [1, 2, 3, 4, 7] {
-            let mut got = Vec::new();
-            try_matmul_threaded_into(a.as_bytes(), m, k, &w, 2, &pool, threads, &mut got)
-                .expect("valid operands");
-            assert_eq!(got, single, "threads={threads}");
-        }
-        assert!(pool.pooled() >= 1, "band scratch returns to the pool");
-    }
-
-    /// The band rule on the catalog's boundary shapes: nothing in
-    /// mobilenet-v3 or efficientnet-b0 is worth a hand-off, resnet-50's
-    /// many-row ≥ 100-MMAC convs are, its few-row ones and every
-    /// tinybert GEMM are not, and a budget of one never bands.
-    #[test]
-    fn band_count_is_pinned_on_the_catalog_shapes() {
-        // The largest GEMMs of mobilenet-v3 and efficientnet-b0, by
-        // MACs and by rows.
-        for (m, k, n) in [
-            (196, 112, 672),
-            (12544, 16, 64),
-            (3136, 24, 72),
-            (49, 160, 960),
-            (12544, 16, 96),
-            (12544, 27, 32),
-            (3136, 24, 144),
-            (49, 320, 1280),
-        ] {
-            assert_eq!(gemm_bands(m, k, n, 2), 1, "{m}x{k}x{n}");
-            assert_eq!(gemm_bands(m, k, n, 64), 1, "{m}x{k}x{n}");
-        }
-        let resnet = [
-            ((12544, 147, 64), 2),
-            ((3136, 576, 64), 2),
-            ((3136, 256, 128), 2),
-            ((784, 1152, 128), 2),
-            ((3136, 64, 256), 1),  // 51 MMACs: one band's worth
-            ((196, 2304, 256), 1), // 116 MMACs over too few rows
-            ((49, 4608, 512), 1),
-            ((128, 1200, 312), 1), // tinybert's largest
-            ((1, 2048, 1000), 1),
-        ];
-        for ((m, k, n), bands) in resnet {
-            assert_eq!(gemm_bands(m, k, n, 2), bands, "{m}x{k}x{n}");
-            assert_eq!(gemm_bands(m, k, n, 1), 1, "{m}x{k}x{n} at one thread");
-            assert_eq!(gemm_bands(m, k, n, 0), 1, "{m}x{k}x{n} at no budget");
-        }
-        // A wider budget is used only as far as every band stays full.
-        assert_eq!(gemm_bands(12544, 147, 64, 8), 3);
-        assert_eq!(gemm_bands(0, 147, 64, 8), 1);
     }
 
     /// The blocked re-pack of `is_pack_of` agrees with a whole pack for

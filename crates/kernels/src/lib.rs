@@ -55,9 +55,9 @@ pub use conv::{
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
-    active_isa, detected_isa, force_isa, gemm_bands, gemm_kernel_summary, pin_scalar,
-    scalar_pinned, try_matmul_panel_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa,
-    PanelSource, ScalarPin, ScratchPool, WeightPanel,
+    active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
+    try_matmul_panel_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, PanelSource,
+    ScalarPin, ScratchPool, WeightPanel,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

@@ -38,7 +38,7 @@ use crate::tiled::BandScratch;
 ///
 /// Packing costs `O(k·n)`; a plan pays it once per weight matrix
 /// ([`crate::WeightPanel`]), a matrix-taking GEMM entry point once per
-/// call, and the panel is shared read-only by all intra-op bands.
+/// call.
 pub(crate) fn pack_pairs_i16(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i16>) {
     let pairs = k.div_ceil(2);
     panel.clear();

@@ -22,7 +22,7 @@
 //!   layout-offset calls in the hot loop.
 //!
 //! The public entry points ([`matmul_blocked_into`] /
-//! [`try_matmul_blocked_into`] / [`try_matmul_threaded_into`]) dispatch
+//! [`try_matmul_blocked_into`] / [`crate::try_matmul_panel_into`]) dispatch
 //! to the vectorized micro-kernels in [`crate::simd`] when the host CPU
 //! supports them (see [`crate::dispatch`]); the scalar path here is the
 //! semantic definition every SIMD path must match bit for bit.
@@ -249,9 +249,9 @@ pub fn matmul_blocked_into(
 
 /// [`matmul_blocked_into`] with validated dispatch: operand shape
 /// mismatches come back as a [`GemmDispatchError`] instead of a panic.
-/// This is the entry point the fault-tolerant inference runtime uses;
-/// it hosts the `infer.gemm` fault point. Runs single-threaded (see
-/// [`try_matmul_threaded_into`] for the intra-op parallel form).
+/// Packs `w` on every call — the inference runtime keeps a resident
+/// panel and calls [`crate::try_matmul_panel_into`] instead. Hosts the
+/// `infer.gemm` fault point.
 ///
 /// # Errors
 /// Returns an error (before writing to `out`) if the operand shapes are

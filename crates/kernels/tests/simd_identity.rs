@@ -6,9 +6,9 @@
 //! * the naive gold reference (`matmul_ref`),
 //! * the scalar blocked oracle (`force_isa(Scalar)`),
 //! * the kernel of **every tier this host supports** and of
-//!   auto-detection, through the single-threaded entry point, the
-//!   intra-op threaded driver at several thread counts, and the
-//!   resident-panel entry point — with the panel packed on the
+//!   auto-detection, through the matrix-taking entry points (caller's
+//!   scratch, pooled scratch) and the resident-panel entry point —
+//!   with the panel packed on the
 //!   dispatching tier and on every other one (the plan-tier ≠
 //!   dispatch-tier fallback)
 //!
@@ -19,7 +19,7 @@
 //! gate still has to hold.
 
 use gcd2_kernels::{
-    force_isa, gemm_bands, matmul_ref, pin_scalar, transpose_clamp_into, transpose_clamp_ref,
+    force_isa, matmul_ref, pin_scalar, transpose_clamp_into, transpose_clamp_ref,
     try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, GemmScratch,
     KernelIsa, PanelSource, ScratchPool, WeightPanel,
 };
@@ -67,7 +67,7 @@ fn tiers() -> Vec<Option<KernelIsa>> {
 }
 
 /// One full identity check: reference == scalar oracle == every
-/// supported tier, single-threaded, threaded at several budgets, and
+/// supported tier, with the caller's scratch, with pooled scratch, and
 /// from a resident panel packed on each tier.
 fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let (m, k) = (a.rows(), a.cols());
@@ -76,6 +76,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let scalar = run_isa(Some(KernelIsa::Scalar), a, m, k, w, shift);
     assert_eq!(scalar, want, "scalar oracle vs reference ({m},{k})");
     let pool = ScratchPool::new();
+    let mut scratch = GemmScratch::default();
     // One panel per tier, each packed while that tier was active.
     let panels: Vec<WeightPanel> = tiers()
         .into_iter()
@@ -89,11 +90,9 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
         assert_eq!(single, scalar, "{tier:?} vs oracle ({m},{k})");
         force_isa(tier);
         let mut out = Vec::new();
-        for threads in [1, 2, 5] {
-            try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, threads, &mut out)
-                .expect("valid operands");
-            assert_eq!(out, scalar, "{tier:?} threaded({threads}) ({m},{k})");
-        }
+        try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, 2, &mut out)
+            .expect("valid operands");
+        assert_eq!(out, scalar, "{tier:?} pooled ({m},{k})");
         for panel in &panels {
             // The plan's entry point folds its activation ceiling into
             // requantisation: the bytes are the oracle's, clamped.
@@ -105,8 +104,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 w,
                 panel,
                 (shift, 15),
-                &pool,
-                2,
+                &mut scratch,
                 &mut out,
             )
             .expect("valid operands");
@@ -118,8 +116,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 w,
                 panel,
                 (shift, 255),
-                &pool,
-                2,
+                &mut scratch,
                 &mut out,
             )
             .expect("valid operands");
@@ -194,8 +191,8 @@ proptest! {
 /// exactly `m · k` bytes and the suite runs with debug assertions, so a
 /// tail or remainder tile load whose window leaves `a` (or the staged
 /// tail, or the panel) fails the kernel's `debug_assert`s instead of
-/// passing unnoticed. None is large enough to band;
-/// [`threaded_band_split_is_deterministic`] covers the fan-out.
+/// passing unnoticed. None is large enough for the autotuner to probe;
+/// [`a_probed_shape_matches_the_reference`] covers that.
 #[test]
 fn edge_tiles_are_bit_identical() {
     let cases = [
@@ -240,30 +237,23 @@ fn all_zero_activations_match() {
     assert_identity(&a, &w, 3);
 }
 
-/// The intra-op threaded driver is deterministic across thread budgets
-/// on a shape large enough to actually split — into two bands at a
-/// budget of 2 and three from 3 up — with ragged band, tile and column
-/// edges.
+/// A shape heavy enough for the autotuner to probe tile candidates on
+/// first dispatch, with ragged row-block, tile and column edges: the
+/// probed run and the cached one both equal the reference.
 #[test]
-fn threaded_band_split_is_deterministic() {
+fn a_probed_shape_matches_the_reference() {
     let (m, k, n) = (771, 1027, 136);
-    assert_eq!(
-        [1, 2, 3, 16].map(|threads| gemm_bands(m, k, n, threads)),
-        [1, 2, 3, 3]
-    );
     let a = activations(m, k, 30, 7);
     let w = weights(k, n, 8);
+    let want = reference_bytes(&a, &w, 2);
     let pool = ScratchPool::new();
-    let mut first = Vec::new();
-    try_matmul_threaded_into(a.as_bytes(), m, k, &w, 2, &pool, 1, &mut first)
-        .expect("valid operands");
-    for threads in [2, 3, 4, 8, 16] {
+    for run in ["probed", "cached"] {
         let mut out = Vec::new();
-        try_matmul_threaded_into(a.as_bytes(), m, k, &w, 2, &pool, threads, &mut out)
+        try_matmul_threaded_into(a.as_bytes(), m, k, &w, 2, &pool, 2, &mut out)
             .expect("valid operands");
-        assert_eq!(out, first, "threads={threads}");
+        assert_eq!(out, want, "{run}");
     }
-    assert_eq!(reference_bytes(&a, &w, 2), first);
+    assert_eq!(pool.pooled(), 1, "the scratch returns to the pool");
 }
 
 /// The tile transpose — both sides of a CHW conv GEMM, and the plan's

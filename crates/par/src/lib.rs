@@ -1,21 +1,20 @@
 //! # gcd2-par — scoped parallelism utilities
 //!
 //! The workspace is offline/vendored, so this crate builds its worker
-//! pool on nothing but [`std::thread::scope`]. The runtime fans out on
-//! it (GEMM bands, batch items); the compilation pipeline uses only its
+//! pool on nothing but [`std::thread::scope`]. The runtime fans batch
+//! items out on it; the compilation pipeline uses only its
 //! panic-isolating sweep, at one thread. It provides:
 //!
-//! * [`par_map`] — an order-preserving parallel map over indexed work
-//!   items. Work is claimed from a shared atomic counter, so uneven item
-//!   costs (a 3×3 conv next to a ReLU) balance automatically; the result
-//!   vector is always in item order, which is what makes a fanned-out
-//!   run *bit-identical* to a serial one.
-//! * [`try_par_map`] — the panic-isolating variant: item closures
-//!   execute under `catch_unwind`, a panicked item is retried once
-//!   serially, and only a *repeated* panic surfaces — as a structured
-//!   [`WorkerPanic`], never a process abort. The compilation pipeline
-//!   calls it with `threads = 1`, which spawns nothing and runs every
-//!   item in order on the caller, each with its one retry.
+//! * [`try_par_map`] — an order-preserving, panic-isolating map over
+//!   indexed work items. Work is claimed from a shared atomic counter,
+//!   so uneven item costs balance automatically; the result vector is
+//!   always in item order, which is what makes a fanned-out run
+//!   *bit-identical* to a serial one. Item closures execute under
+//!   `catch_unwind`, a panicked item is retried once serially, and only
+//!   a *repeated* panic surfaces — as a structured [`WorkerPanic`],
+//!   never a process abort. The compilation pipeline calls it with
+//!   `threads = 1`, which spawns nothing and runs every item in order
+//!   on the caller, each with its one retry.
 //! * [`par_map_isolated`] — the same isolation with **per-item**
 //!   results (`Vec<Result<_, WorkerPanic>>`), so one poisoned item
 //!   fails alone instead of sinking the whole map; the batched
@@ -28,9 +27,9 @@
 //!   dropped and recomputed rather than trusted.
 //!
 //! ```
-//! use gcd2_par::par_map;
-//! let squares = par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! use gcd2_par::try_par_map;
+//! let squares = try_par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
+//! assert_eq!(squares, Ok(vec![1, 4, 9, 16]));
 //! ```
 
 use std::borrow::Borrow;
@@ -41,83 +40,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The number of worker threads the runtime uses by default: the
-/// `GCD2_THREADS` environment variable when set to a positive integer,
-/// otherwise [`std::thread::available_parallelism`]. Resolved once per
-/// process.
+/// The number of worker threads the runtime uses by default:
+/// [`std::thread::available_parallelism`], resolved once per process.
 pub fn default_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        if let Ok(v) = std::env::var("GCD2_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Maps `f` over `items` on up to `threads` threads — the caller and
-/// `threads - 1` scoped workers — returning the results **in item
-/// order**.
-///
-/// `f` receives `(index, &item)`. Items are claimed dynamically from a
-/// shared counter, so the schedule (which thread runs which item) is
-/// nondeterministic — but because every result lands in its item's slot,
-/// the returned vector is identical for every thread count, including 1.
-/// `f` must therefore be a pure function of its arguments (interior
-/// caches are fine as long as cached values are deterministic).
-///
-/// A panic in `f`, on a worker or on the caller's own share, propagates
-/// to the caller once all workers have finished.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        let work = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            let r = f(i, &items[i]);
-            *slots[i].lock().expect("result slot poisoned") = Some(r);
-        };
-        // The caller is one of the `threads`: it claims items beside
-        // `threads - 1` spawned workers instead of sleeping through the
-        // map. If its share panics, the scope still joins the workers
-        // before the panic leaves this function.
-        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-        work();
-        // Join explicitly so a worker panic re-raises with its original
-        // payload (an unconsumed handle would surface only as the
-        // scope's generic "a scoped thread panicked").
-        for w in workers {
-            if let Err(payload) = w.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot filled by a worker")
-        })
-        .collect()
 }
 
 /// A work item panicked twice — on its first attempt (on a worker
@@ -157,9 +88,18 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// [`par_map`] with panic isolation: the map the compilation pipeline
-/// runs on (at `threads = 1`: in order on the caller), so one panicking
-/// operator degrades one compile instead of the process.
+/// Maps `f` over `items` on up to `threads` scoped workers with panic
+/// isolation, returning the results **in item order**: the map the
+/// compilation pipeline runs on (at `threads = 1`: in order on the
+/// caller), so one panicking operator degrades one compile instead of
+/// the process.
+///
+/// `f` receives `(index, &item)`. Items are claimed dynamically from a
+/// shared counter, so which thread runs which item is nondeterministic
+/// — but every result lands in its item's slot, so the returned vector
+/// is identical for every thread count, including 1. `f` must therefore
+/// be a pure function of its arguments (interior caches are fine as
+/// long as cached values are deterministic).
 ///
 /// Every item closure runs under `catch_unwind`. An item whose first
 /// attempt panicked is retried **once, serially**, after the workers
@@ -444,72 +384,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_map_preserves_order() {
+    fn try_par_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
+        let empty: Vec<usize> = Vec::new();
         for threads in [1, 2, 3, 8] {
-            let out = par_map(threads, &items, |i, &x| {
+            let tried = try_par_map(threads, &items, |i, &x| {
                 assert_eq!(i, x);
                 x * 3 + 1
             });
-            assert_eq!(out, items.iter().map(|x| x * 3 + 1).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_map_empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(par_map(4, &[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn par_map_propagates_panics() {
-        par_map(2, &[0u32, 1, 2, 3], |_, &x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
-    }
-
-    /// The caller runs a share of the items itself; when that share
-    /// panics, the worker's item still completes before the panic
-    /// leaves `par_map`.
-    #[test]
-    fn par_map_caller_share_panic_propagates_after_the_join() {
-        let caller = std::thread::current().id();
-        // Both threads must be inside `f` at once, so each holds
-        // exactly one of the two items.
-        let both_in = std::sync::Barrier::new(2);
-        let worker_done = std::sync::atomic::AtomicBool::new(false);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map(2, &[(), ()], |_, _| {
-                both_in.wait();
-                if std::thread::current().id() == caller {
-                    panic!("caller boom");
-                }
-                worker_done.store(true, Ordering::SeqCst);
-            })
-        }));
-        let payload = caught.expect_err("the caller's panic must propagate");
-        assert_eq!(panic_message(payload.as_ref()), "caller boom");
-        assert!(
-            worker_done.load(Ordering::SeqCst),
-            "joined before unwinding"
-        );
-    }
-
-    #[test]
-    fn try_par_map_matches_par_map() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 2, 4] {
-            let tried = try_par_map(threads, &items, |i, &x| {
-                assert_eq!(i, x);
-                x * 7
-            })
-            .expect("no panics injected");
-            assert_eq!(tried, par_map(threads, &items, |_, &x| x * 7));
+            assert_eq!(tried, Ok(items.iter().map(|x| x * 3 + 1).collect()));
+            assert_eq!(try_par_map(threads, &empty, |_, &x| x), Ok(Vec::new()));
         }
     }
 
@@ -635,10 +519,17 @@ mod tests {
         let keys: Vec<u64> = (0..64).collect();
         // 8 logical workers each touch every key; values are a pure
         // function of the key, so every lookup must agree.
-        let results = par_map(8, &[0usize; 8], |_, _| {
+        let touch_all = || {
             keys.iter()
                 .map(|&k| m.get_or_insert_with(k, || k * 7))
                 .collect::<Vec<u64>>()
+        };
+        let results: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8).map(|_| s.spawn(touch_all)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("hammer worker"))
+                .collect()
         });
         for r in &results {
             assert_eq!(r, &keys.iter().map(|k| k * 7).collect::<Vec<_>>());

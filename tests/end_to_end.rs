@@ -242,9 +242,9 @@ fn rescaled(graph: &gcd2_repro::cgraph::Graph, h: usize, w: usize) -> gcd2_repro
 /// The layout selection changes where bytes sit, never what they are:
 /// for every catalog model, the plan whose layouts the selector chose,
 /// the plan that pins every label to `Chw`, and the interpreter agree
-/// byte for byte — single-shot and as a pooled batch of four (which
-/// row-stacks the few-row steps, rows-labelled ones included), on the
-/// active tier and pinned to the scalar one. The four models whose
+/// byte for byte — single-shot and as a pooled batch of four (single
+/// shot is batch size 1 of the same differential), on the active tier
+/// and pinned to the scalar one. The four models whose
 /// interpreter run stages gigabytes at catalog size run shape-scaled.
 #[test]
 fn chosen_layouts_equal_all_chw_equal_the_interpreter() {

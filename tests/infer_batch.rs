@@ -1,8 +1,8 @@
 //! The inference runtime's hard guarantees, mirrored from the compile
 //! side: for catalog models, the precompiled plan's **batched, parallel**
 //! execution is bit-identical to the node-by-node interpreter reference,
-//! per input, at every thread count (including the `GCD2_THREADS`/
-//! default-parallelism session configuration).
+//! per input, at every thread count (including the machine's available
+//! parallelism) and through the gateway's pooled batch entry.
 
 use gcd2_repro::compiler::{execute_reference, ArenaPool, Compiler, ExecOptions, InferError};
 use gcd2_repro::models::ModelId;
@@ -12,7 +12,7 @@ use std::time::Duration;
 const SEED: u64 = 0xBA7C4;
 
 /// Thread counts under test: serial, small, and the session default
-/// (available parallelism or `GCD2_THREADS`).
+/// (available parallelism).
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, default_threads().max(4)];
     counts.dedup();
@@ -29,8 +29,11 @@ fn batch_inputs(len: usize, batch: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Runs the batch-vs-interpreter check for one model.
-fn check_model(id: ModelId, batch: usize, thread_counts: &[usize]) {
+/// Runs the batch-vs-interpreter check for one model: every prefix of
+/// `batch` inputs whose length is in `sizes`, fanned out over each of
+/// `thread_counts` and through the gateway's pooled entry, equals the
+/// interpreter input by input.
+fn check_model(id: ModelId, batch: usize, sizes: &[usize], thread_counts: &[usize]) {
     let graph = id.build();
     let compiled = Compiler::new().compile(&graph);
     let plan = compiled.inference_plan(SEED);
@@ -42,15 +45,22 @@ fn check_model(id: ModelId, batch: usize, thread_counts: &[usize]) {
         .map(|input| execute_reference(&compiled, input, SEED))
         .collect();
 
-    for &threads in thread_counts {
-        let outs = plan.try_execute_batch(&inputs, threads, &ExecOptions::default());
-        assert_eq!(outs.len(), references.len(), "{id}: output count");
-        for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
-            assert_eq!(
-                out.as_ref(),
-                Ok(reference),
-                "{id}: batch output {i} diverges from the interpreter at {threads} threads"
-            );
+    let (pool, opts) = (ArenaPool::new(), ExecOptions::default());
+    for &b in sizes {
+        let fanned = thread_counts
+            .iter()
+            .map(|&t| (t, plan.try_execute_batch(&inputs[..b], t, &opts)));
+        // 0 threads: the pooled entry, item by item on this thread.
+        let pooled = (0, plan.try_execute_batch_pooled(&inputs[..b], &pool, &opts));
+        for (threads, outs) in fanned.chain([pooled]) {
+            assert_eq!(outs.len(), b, "{id}: output count");
+            for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
+                assert_eq!(
+                    out.as_ref(),
+                    Ok(reference),
+                    "{id}: item {i} of {b} diverges from the interpreter at {threads} threads"
+                );
+            }
         }
     }
 }
@@ -65,24 +75,26 @@ fn batch_execution_matches_interpreter_on_core_models() {
         ModelId::TinyBert,
         ModelId::EfficientDetD0,
     ] {
-        check_model(id, 4, &thread_counts());
+        check_model(id, 4, &[4], &thread_counts());
     }
 }
 
 /// The whole catalog, including the two >100-GMAC models — run with
-/// `cargo test -- --ignored` (minutes of wall clock).
+/// `cargo test -- --ignored` (minutes of wall clock; a megapixel
+/// model's arena is hundreds of MB, hence batches of at most two).
 #[test]
 #[ignore = "full catalog takes minutes; run with --ignored"]
 fn batch_execution_matches_interpreter_on_every_catalog_model() {
     for id in ModelId::ALL {
-        check_model(id, 2, &[1, 4]);
+        check_model(id, 2, &[1, 2], &[1, 4]);
     }
 }
 
 /// Degenerate batch shapes: the empty batch, a batch of one, and more
 /// threads than items all behave like the plain multi-item path — and
-/// every batch-capable entry point is the same lockstep core, so each
-/// item gets the same bytes or the same error variant from all of them.
+/// every batch-capable entry point runs the one executor item by item,
+/// so each item gets the same bytes or the same error variant from all
+/// of them.
 #[test]
 fn batch_edge_shapes_execute_cleanly() {
     let compiled = Compiler::new().compile(&ModelId::MobileNetV3.build());
@@ -153,31 +165,15 @@ fn batch_edge_shapes_execute_cleanly() {
     // The timed entry point runs the same core. On resnet-50 every GEMM
     // reaches the dispatcher, so it lists one kernel per convolution
     // plus the classifier, in schedule order, covering exactly the
-    // plan's MACs, and its stage times stay inside the total. At an
-    // intra-op budget of two the stem fans out and the classifier does
-    // not; at one nothing does, and the bytes are the same.
+    // plan's MACs, and its stage times stay inside the total.
     let plan = Compiler::new()
         .compile(&ModelId::ResNet50.build())
         .inference_plan(SEED);
     let input = batch_inputs(plan.input_len(), 1).remove(0);
-    let budget = |threads| ExecOptions {
-        intra_op_threads: Some(threads),
-        ..ExecOptions::default()
-    };
-    let (banded, report) = plan
-        .try_execute_timed(&input, &mut plan.new_arena(), &budget(2))
+    let (timed, report) = plan
+        .try_execute_timed(&input, &mut plan.new_arena(), &defaults)
         .expect("timed run");
-    let (unbanded, serial) = plan
-        .try_execute_timed(&input, &mut plan.new_arena(), &budget(1))
-        .expect("timed run on one thread");
-    assert_eq!(banded, unbanded);
-    assert!(serial.gemm_kernels.iter().all(|g| g.bands == 1));
-    let bands = |i: usize| report.gemm_kernels[i].bands;
-    assert_eq!(
-        (bands(0), bands(53)),
-        (2, 1),
-        "stem.conv fans out, fc does not"
-    );
+    assert_eq!(timed, plan.execute(&input));
     let gemms: Vec<_> = report
         .gemm_kernels
         .iter()

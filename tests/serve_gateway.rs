@@ -1,12 +1,11 @@
 //! Gateway determinism gate: dynamic batching is a **scheduling**
 //! optimization, never a numerical one.
 //!
-//! The stacked batch executor concatenates same-model activations into
-//! one GEMM whose output rows each depend only on their own input row
-//! (wrapping i32 accumulation over `k` only), and every non-stacked
-//! step runs the single-shot code verbatim — so for *any* combination
-//! of `max_batch`, `max_wait`, and worker count, the gateway must
-//! return bytes identical to `InferencePlan::execute`. This suite is
+//! A batch runs its items one after another through the single-shot
+//! executor, each over its own pooled arena — so for *any* combination
+//! of `max_batch`, `max_wait`, and worker count, whatever arena an item
+//! draws and whatever ran on it before, the gateway must return bytes
+//! identical to `InferencePlan::execute`. This suite is
 //! the gate on that claim, plus the multi-model scatter (interleaved
 //! traffic for different models never cross-contaminates).
 
@@ -16,9 +15,8 @@ use std::time::Duration;
 
 const INPUT_LEN: usize = 4 * 10 * 10;
 
-/// A conv net crossing every stacking regime: an im2col conv GEMM
-/// (stacked), a depthwise kernel (per-item), elementwise/pool steps
-/// (per-item), and a final FC (stacked).
+/// A conv net crossing every kind of step: an im2col conv GEMM, a
+/// depthwise kernel, elementwise and pool steps, and a final FC.
 fn conv_net(seed: u64) -> InferencePlan {
     let mut g = Graph::new();
     let x = g.input("x", TShape::nchw(1, 4, 10, 10));

@@ -451,10 +451,13 @@ fn kernel_fault_burst_demotes_to_scalar_and_quarantine_repromotes() {
 /// and delays across the supervisor, gateway, and runtime layers.
 /// Whatever the plan, every ticket resolves bit-identical or
 /// structured, and the process survives to serve cleanly afterwards.
+/// Eight requests, for the reason the gateway suite's seeded scenario
+/// gives: the per-request GEMM points are then crossed 16 times, the
+/// span a seed draws triggers from.
 #[test]
 fn seeded_supervisor_fault_plans_resolve_structured_or_identical() {
     let plan = supervised_net(8, 78);
-    let ins = inputs(6);
+    let ins = inputs(8);
     let expect: Vec<Vec<u8>> = {
         let _quiet = quiet();
         ins.iter().map(|i| plan.execute(i)).collect()
