@@ -15,13 +15,18 @@ GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (the GEMM, its folded clamp, the transpose, im2col and the depthwise kernel are each held to their oracle at every tier the host supports)"
 cargo test -q -p gcd2-kernels
 
-echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — and the batch == single-shot == interpreter gate run there too; perfbench refuses the variable, the test suites do not)"
+echo "==> depthwise / pool / gate identity suite on the VNNI tier of an AMX host (GCD2_AMX=0; the two runs above cover the AMX tier and the scalar oracle: the pixel-major forms are selected on every host, so they are held to their oracle on every tier)"
+GCD2_AMX=0 cargo test -q -p gcd2-kernels --test dwconv_identity
+
+echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch == single-shot == interpreter gate run there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
 GCD2_AMX=0 cargo test -q --test end_to_end --test infer_batch --test serve_gateway
 
-echo "==> plan execution, the layout differential and the batch == single-shot gate on the scalar oracle (GCD2_FORCE_SCALAR=1: packless panels, the portable transposes and im2col, rows-ordered weights read raw)"
+echo "==> plan execution, the layout differentials and the batch == single-shot gate on the scalar oracle (GCD2_FORCE_SCALAR=1: packless panels, the portable transposes, im2col and pixel-major depthwise, rows-ordered weights read raw)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2 --lib infer::
-GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_chw_equal_the_interpreter
+GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_chw_equal_the_interpreter \
+    mobile_net_depthwise_steps_run_in_rows_with_no_conversion \
+    every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
 echo "==> perfbench's own unit tests"

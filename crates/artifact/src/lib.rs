@@ -49,11 +49,14 @@ use std::time::{Duration, SystemTime};
 /// The artifact file magic, first eight bytes of every artifact.
 pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 
-/// Container format version. Bumped on any incompatible layout change;
-/// readers refuse other versions with [`ArtifactError::VersionSkew`]
-/// (the cache key includes the version, so skewed files are simply
-/// never hit).
-pub const FORMAT_VERSION: u32 = 2;
+/// Container format version. Bumped on any incompatible layout change
+/// — and when the function that derives part of the payload changes
+/// without a field moving (version 3: the host layout selection admits
+/// more, so a version-2 plan's stored labels are no longer the derived
+/// ones). Readers refuse other versions with
+/// [`ArtifactError::VersionSkew`] (the cache key includes the version,
+/// so skewed files are simply never hit).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large

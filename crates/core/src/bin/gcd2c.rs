@@ -545,14 +545,44 @@ fn main() -> ExitCode {
                     );
                 }
             }
+            // The steps whose kernel has a form per layout and no GEMM
+            // behind it: which form ran, and how fast.
+            if !report.direct_kernels.is_empty() {
+                println!("  direct kernels: {}", report.direct_kernels.len());
+                for dk in &report.direct_kernels {
+                    let Some(t) = report.per_op.iter().find(|t| t.node == dk.node) else {
+                        continue;
+                    };
+                    let rate = match dk.macs {
+                        0 => String::new(),
+                        macs => format!(
+                            "{:>6.0} GMAC/s",
+                            macs as f64 / t.duration.as_secs_f64().max(1e-9) / 1e9
+                        ),
+                    };
+                    let line = format!(
+                        "    {:<24} {:<22} {:<9} {:>9.1?} {}",
+                        truncate(&t.name, 24),
+                        truncate(&t.op, 22),
+                        format!("{}→{}", dk.layouts.0, dk.layouts.1),
+                        t.duration,
+                        rate
+                    );
+                    println!("{}", line.trim_end());
+                }
+            }
             // What the layout selection chose, in its own unit, beside
-            // the all-`Chw` labelling it is only kept for beating.
+            // the all-`Chw` labelling it is only kept for beating. A
+            // value with one form (a `c × 1` image, a vector) is the
+            // same bytes under either label and is counted apart.
             let (chosen, all_chw) = plan.layout_cost();
             println!(
-                "  layouts      : {} of {} values held as rows, {} conversions left ({} under all-chw); \
+                "  layouts      : {} of {} two-form values held as rows ({} more have one form), \
+                 {} conversions left ({} under all-chw); \
                  predicted {:.2} MB moved per inference vs {:.2} MB all-chw ({:.2} MB no longer transposed)",
                 plan.rows_values(),
-                plan.steps(),
+                plan.two_form_values(),
+                plan.steps() - plan.two_form_values(),
                 chosen.conversions,
                 all_chw.conversions,
                 chosen.bytes as f64 / 1e6,

@@ -12,8 +12,9 @@
 //!   channel-major planes or the pixel-major rows a conv GEMM reads and
 //!   writes — chosen for the whole schedule at once by the compiler's
 //!   own PBQP solver over a bytes-moved cost (`crate::layout`), so a
-//!   pointwise conv fed by a conv stages nothing and a conv feeding one
-//!   scatters nothing;
+//!   pointwise conv fed by a conv stages nothing, a conv feeding one
+//!   scatters nothing, and a depthwise conv, a pool or a squeeze-excite
+//!   gate between them runs its pixel-major form;
 //! * every weight matrix is derived and materialized at build time
 //!   (row-major, the layout the host GEMM consumes, its rows in the
 //!   order the step's staging produces — so the per-edge layout
@@ -56,9 +57,9 @@
 
 use gcd2_cgraph::{Activation, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
-    conv2d_direct_chw_into, dwconv_direct_into, gemm_kernel_summary, hostops, im2col_rm_into,
-    im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles, GemmScratch,
-    Im2colScratch, KernelIsa, LineBuf, PanelSource, WeightPanel, TUNE_MIN_MACS,
+    conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
+    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles,
+    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, WeightPanel, TUNE_MIN_MACS,
 };
 use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
@@ -145,7 +146,9 @@ pub(crate) enum GemmPrep {
     Im2col(ConvGeom),
     /// Depthwise convolution, executed as a direct sliding-window loop —
     /// bit-identical to the block-diagonal per-channel im2col + `k × 1`
-    /// GEMM lowering, without the staging traffic.
+    /// GEMM lowering, without the staging traffic. One `kh·kw` filter
+    /// serves every channel, so over pixel-major rows it is a 2-D filter
+    /// of an `h × (w·c)` byte image ([`dwconv_rows_into`]).
     Depthwise(ConvGeom),
     /// A pointwise conv (and a transposed convolution, modeled as a 1×1
     /// conv at input resolution): `a[r][ch] = x[ch·m + r]` — a transpose
@@ -521,6 +524,24 @@ pub struct InferReport {
     /// GEMM step, in schedule order. Depthwise steps never reach the
     /// GEMM dispatcher and do not appear.
     pub gemm_kernels: Vec<GemmKernelInfo>,
+    /// The steps that run a direct kernel with a form per layout —
+    /// depthwise convs and pools — in schedule order.
+    pub direct_kernels: Vec<DirectKernelInfo>,
+}
+
+/// How one depthwise or pooling step was executed in a timed run; its
+/// name, operator and wall clock are its entry in
+/// [`InferReport::per_op`].
+#[derive(Debug, Clone)]
+pub struct DirectKernelInfo {
+    /// The graph node this step executes.
+    pub node: NodeId,
+    /// Multiply-accumulates of a depthwise step; 0 for a pool.
+    pub macs: u64,
+    /// The layouts the plan chose for the step's operand and result,
+    /// which pick the kernel's form: `(Rows, Rows)` is the pixel-major
+    /// one.
+    pub layouts: (ActLayout, ActLayout),
 }
 
 /// How one GEMM step was executed in a timed run: its shape, the tile
@@ -738,7 +759,7 @@ impl InferencePlan {
     /// accumulator exceeds `i32`, or [`InferError::Internal`] for an
     /// empty graph.
     pub fn try_build(compiled: &CompiledModel, seed: u64) -> Result<InferencePlan, InferError> {
-        InferencePlan::build_labelled(compiled, seed, layout::select)
+        InferencePlan::build_with(compiled, seed, layout::select)
     }
 
     /// [`InferencePlan::try_build`] with every layout label pinned to
@@ -756,15 +777,50 @@ impl InferencePlan {
         compiled: &CompiledModel,
         seed: u64,
     ) -> Result<InferencePlan, InferError> {
-        InferencePlan::build_labelled(compiled, seed, |steps| {
+        InferencePlan::build_with(compiled, seed, |steps| {
             vec![(ActLayout::Chw, ActLayout::Chw); steps.len()]
         })
     }
 
-    /// The build under both: schedule and slots, then the layout labels
-    /// `select` gives the schedule, then the weights in the order those
-    /// labels imply, packed.
-    fn build_labelled(
+    /// [`InferencePlan::try_build`] with the labels given, one
+    /// `(in, out)` pair per step, each from that step's
+    /// [`InferencePlan::layout_options`]: how the exhaustive suite
+    /// executes every assignment the selection chose among.
+    ///
+    /// # Errors
+    /// See [`InferencePlan::try_build`]; [`InferError::Internal`] when a
+    /// label is not one its step admits.
+    #[doc(hidden)]
+    pub fn try_build_labelled(
+        compiled: &CompiledModel,
+        seed: u64,
+        labels: &[(ActLayout, ActLayout)],
+    ) -> Result<InferencePlan, InferError> {
+        let plan = InferencePlan::build_with(compiled, seed, |_| labels.to_vec())?;
+        let options = plan.layout_options();
+        let admitted = labels.len() == options.len()
+            && labels.iter().zip(&options).all(|(l, o)| o.contains(l));
+        if !admitted {
+            return Err(InferError::Internal {
+                message: "a layout label its step does not admit".to_string(),
+            });
+        }
+        Ok(plan)
+    }
+
+    /// The `(in, out)` layout pairs each step admits — the options the
+    /// selection chose among.
+    #[doc(hidden)]
+    pub fn layout_options(&self) -> Vec<Vec<(ActLayout, ActLayout)>> {
+        (0..self.steps.len())
+            .map(|index| layout::admits(&self.steps, index))
+            .collect()
+    }
+
+    /// The build under all three: schedule and slots, then the layout
+    /// labels `select` gives the schedule, then the weights in the order
+    /// those labels imply, packed.
+    fn build_with(
         compiled: &CompiledModel,
         seed: u64,
         select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
@@ -1161,11 +1217,22 @@ impl InferencePlan {
         )
     }
 
-    /// How many of the plan's values are held as pixel-major rows.
+    /// How many of the plan's values are held as pixel-major rows. A
+    /// value with one form — a `c × 1` image, say — is the same bytes
+    /// under either label and counts under neither.
     pub fn rows_values(&self) -> usize {
         self.steps
             .iter()
-            .filter(|s| s.out_layout == ActLayout::Rows)
+            .filter(|s| s.out_layout == ActLayout::Rows && layout::two_forms(s).is_some())
+            .count()
+    }
+
+    /// How many of the plan's values have two forms at all: images of
+    /// more than one channel and more than one pixel.
+    pub fn two_form_values(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| layout::two_forms(s).is_some())
             .count()
     }
 
@@ -1507,7 +1574,11 @@ impl InferencePlan {
                         Some(_) => adapted[j].bytes(),
                         None => slots[step.in_slots[j]].bytes(),
                     };
-                    run_step(step, input, arg, out.bytes_mut(step.out_len));
+                    // An image held as rows against a flat second
+                    // operand: the zero extension is positional.
+                    let short = step.in_layout == ActLayout::Rows
+                        && layout::short_operand(&self.steps, step, 1);
+                    run_step(step, short, input, arg, out.bytes_mut(step.out_len));
                     slots[step.out_slot] = out;
                 }
             }
@@ -1537,6 +1608,20 @@ impl InferencePlan {
                     }
                 } else {
                     r.elementwise += d;
+                }
+                let direct_macs = match &step.kind {
+                    StepKind::Gemm(g) if matches!(g.prep, GemmPrep::Depthwise(_)) => {
+                        Some(g.m as u64 * g.k as u64)
+                    }
+                    StepKind::Pool { .. } => Some(0),
+                    _ => None,
+                };
+                if let Some(macs) = direct_macs {
+                    r.direct_kernels.push(DirectKernelInfo {
+                        node: step.node,
+                        macs,
+                        layouts: (step.in_layout, step.out_layout),
+                    });
                 }
                 r.per_op.push(OpTiming {
                     node: step.node,
@@ -1955,9 +2040,18 @@ impl GemmRun<'_> {
 
 /// Executes one step — anything but a matmul-backed GEMM (see
 /// [`GemmRun`]) — into `out`, the step's `out_len` bytes, reading
-/// operand `j` as `arg(j)`. Hosts the `infer.prep` (direct conv kernels)
-/// and `infer.elementwise` (everything else) fault points.
-fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out: &mut [u8]) {
+/// operand `j` as `arg(j)`, in the form the step's layout labels name.
+/// `short`: the step is a binary over an image held as rows whose second
+/// operand is flat bytes ([`layout::short_operand`]). Hosts the
+/// `infer.prep` (direct conv kernels) and `infer.elementwise`
+/// (everything else) fault points.
+fn run_step<'a>(
+    step: &Step,
+    short: bool,
+    input: &[u8],
+    arg: impl Fn(usize) -> &'a [u8],
+    out: &mut [u8],
+) {
     if matches!(step.kind, StepKind::Gemm(_)) {
         let _ = gcd2_faults::fire("infer.prep");
     } else {
@@ -1985,21 +2079,32 @@ fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out:
                 ACT_MAX,
                 out,
             ),
-            GemmPrep::Depthwise(geom) => dwconv_direct_into(
-                arg(0),
-                geom.c,
-                geom.h,
-                geom.w,
-                geom.kernel,
-                geom.stride,
-                geom.padding,
-                g.weights.as_slice(),
-                g.shift,
-                ACT_MAX,
-                out,
-            ),
+            GemmPrep::Depthwise(geom) => {
+                let form = match step.in_layout {
+                    ActLayout::Chw => dwconv_direct_into,
+                    ActLayout::Rows => dwconv_rows_into,
+                };
+                form(
+                    arg(0),
+                    geom.c,
+                    geom.h,
+                    geom.w,
+                    geom.kernel,
+                    geom.stride,
+                    geom.padding,
+                    g.weights.as_slice(),
+                    g.shift,
+                    ACT_MAX,
+                    out,
+                )
+            }
             _ => unreachable!("matmul-backed GEMM steps run in GemmRun::dispatch"),
         },
+        StepKind::Add if short => hostops::add_avg_rows_into(arg(0), arg(1), channels(step), out),
+        StepKind::Mul if short => {
+            hostops::mul_shift4_rows_into(arg(0), arg(1), channels(step), ACT_MAX, out)
+        }
+        StepKind::Div if short => hostops::div_lut_rows_into(arg(0), arg(1), channels(step), out),
         StepKind::Add => hostops::add_avg_into(arg(0), arg(1), out),
         StepKind::Mul => hostops::mul_shift4_into(arg(0), arg(1), ACT_MAX, out),
         StepKind::Div => hostops::div_lut_into(arg(0), arg(1), out),
@@ -2015,7 +2120,13 @@ fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out:
             kernel,
             stride,
             is_max,
-        } => hostops::pool_into(arg(0), *c, *h, *w, *kernel, *stride, *is_max, out),
+        } => {
+            let form = match step.in_layout {
+                ActLayout::Chw => hostops::pool_into,
+                ActLayout::Rows => hostops::pool_rows_into,
+            };
+            form(arg(0), *c, *h, *w, *kernel, *stride, *is_max, out)
+        }
         StepKind::GlobalAvgPool { c, hw } => match step.in_layout {
             ActLayout::Chw => hostops::global_avg_pool_into(arg(0), *c, *hw, out),
             ActLayout::Rows => hostops::global_avg_pool_rows_into(arg(0), *c, *hw, out),
@@ -2025,6 +2136,11 @@ fn run_step<'a>(step: &Step, input: &[u8], arg: impl Fn(usize) -> &'a [u8], out:
         }
         StepKind::Concat => hostops::concat_into(arg(0), arg(1), out),
     }
+}
+
+/// Channels of the image `step` computes (1 when it is not one).
+fn channels(step: &Step) -> usize {
+    step.image.map_or(1, |(c, _)| c)
 }
 
 #[cfg(test)]

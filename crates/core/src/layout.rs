@@ -4,9 +4,11 @@
 //! `TC(ep_i, ep_j)` on an edge is of the same rank as the kernel cost
 //! `Cost(ep)` and has to be minimised globally. The host runtime has
 //! the same problem one level up: a conv GEMM reads and writes
-//! pixel-major rows (`hw × c`, [`ActLayout::Rows`]) while the depthwise
-//! kernel, the pools and everything positional want channel-major
-//! planes ([`ActLayout::Chw`]), and every disagreement is a transpose.
+//! pixel-major rows (`hw × c`, [`ActLayout::Rows`]), the interpreter's
+//! tensors are channel-major planes ([`ActLayout::Chw`]), the depthwise
+//! kernel, the pools and the elementwise kernels have a form for
+//! either, a few kernels only the second — and every disagreement is a
+//! transpose.
 //! This module states it as the same PBQP instance the compiler solves
 //! and hands it to the same solver, [`gcd2_globalopt::pbqp::solve`]:
 //!
@@ -28,7 +30,7 @@
 //! whoever holds a plan — `verify_integrity`, the artifact loader — can
 //! derive it again and refuse labels that differ.
 
-use crate::infer::{GemmPrep, GemmStep, Scatter, Step, StepKind};
+use crate::infer::{ConvGeom, GemmPrep, GemmStep, Scatter, Step, StepKind};
 use gcd2_verify::ActLayout::{self, Chw, Rows};
 
 /// What an assignment costs: the unit the selection minimises, and how
@@ -49,20 +51,37 @@ pub struct LayoutCost {
 ///   the image its geometry expects and writes rows when its result is
 ///   one whole image (a ConvTranspose scatter that leaves zeros is
 ///   not) — independently, so all four pairs;
+/// * a depthwise conv and a pool read rows and write rows, together,
+///   when operand and result are the whole images of their geometry: a
+///   depthwise step has one filter shared by all channels, so in rows
+///   it is a 2-D filter over an `h × (w·c)` byte image
+///   (`gcd2_kernels::dwconv_rows_into`), and a pool is the row-wise
+///   kernel at pixel pitch `c`;
 /// * an elementwise step (and a pass-through that keeps the image's
 ///   shape) is position-blind: rows in, rows out, when every operand
-///   and the result are the same image;
+///   and the result are the same image. A binary's second operand may
+///   instead be a value with one form ([`two_forms`] is `None` — a
+///   squeeze-excite gate's `c × 1`): it is zero-extended, flat CHW
+///   element `i` against element `i`, which the rows kernel does as
+///   fix-ups ([`short_operand`]);
 /// * global average pooling has a column-sum form: rows in, and its
 ///   `c × 1` result is the same bytes either way;
-/// * everything positional in CHW — the input, depthwise and direct
-///   convs, pools, upsampling, concat, softmax, layernorm, a MatMul, a
-///   zero-extended binary, any value that is not one image — admits
-///   nothing else, and neither does the plan's output.
-fn admits(steps: &[Step], index: usize) -> Vec<(ActLayout, ActLayout)> {
+/// * everything else that is positional in CHW — the input, direct
+///   convs, upsampling, concat, softmax, layernorm, a MatMul, any value
+///   that is not one image — admits nothing else, and neither does the
+///   plan's output.
+pub(crate) fn admits(steps: &[Step], index: usize) -> Vec<(ActLayout, ActLayout)> {
     let step = &steps[index];
     let from = &step.inputs;
     let operand = |j: usize| from.get(j).and_then(|&p| steps.get(p)?.image);
-    let last = index + 1 == steps.len();
+    // The one operand is the whole `c × h × w` image and the result
+    // the whole image a window over it leaves.
+    let windowed = |c: usize, (h, w): (usize, usize), out_px: Option<usize>| {
+        let leaves = out_px.map(|px| (c, px));
+        from.len() == 1
+            && operand(0) == Some((c, h * w))
+            && leaves.is_some_and(|i| step.image == Some(i))
+    };
     let (rows_in, rows_out, tied) = match &step.kind {
         StepKind::Gemm(g) if g.runs_matmul() && from.len() == 1 => {
             let reads = match g.prep {
@@ -77,24 +96,79 @@ fn admits(steps: &[Step], index: usize) -> Vec<(ActLayout, ActLayout)> {
                 false,
             )
         }
-        StepKind::Add
-        | StepKind::Mul
-        | StepKind::Div
-        | StepKind::Pow
-        | StepKind::MonotoneLut
-        | StepKind::Passthrough => {
-            let same =
-                !last && step.image.is_some() && (0..from.len()).all(|j| operand(j) == step.image);
+        StepKind::Gemm(g) => match g.prep {
+            GemmPrep::Depthwise(geom) => {
+                let out_px = window_pixels(&geom);
+                let both = windowed(geom.c, (geom.h, geom.w), out_px);
+                (both, both, true)
+            }
+            _ => (false, false, false),
+        },
+        &StepKind::Pool {
+            c,
+            h,
+            w,
+            kernel,
+            stride,
+            ..
+        } => {
+            let out_px = window_pixels(&ConvGeom {
+                c,
+                h,
+                w,
+                kernel,
+                stride,
+                padding: (0, 0),
+            });
+            let both = windowed(c, (h, w), out_px);
+            (both, both, true)
+        }
+        StepKind::Add | StepKind::Mul | StepKind::Div => {
+            let same = step.image.is_some()
+                && operand(0) == step.image
+                && (1..from.len())
+                    .all(|j| operand(j) == step.image || short_operand(steps, step, j));
+            (same, same, true)
+        }
+        StepKind::Pow | StepKind::MonotoneLut | StepKind::Passthrough => {
+            let same = step.image.is_some() && (0..from.len()).all(|j| operand(j) == step.image);
             (same, same, true)
         }
         StepKind::GlobalAvgPool { c, hw } => (operand(0) == Some((*c, *hw)), false, false),
         _ => (false, false, false),
     };
-    let rows_out = rows_out && !last;
+    let rows_out = rows_out && index + 1 != steps.len();
     [(Chw, Chw), (Chw, Rows), (Rows, Chw), (Rows, Rows)]
         .into_iter()
         .filter(|&(i, o)| (i == Chw || rows_in) && (o == Chw || rows_out) && (!tied || i == o))
         .collect()
+}
+
+/// Output pixels of `geom`'s window, from dimensions a hostile artifact
+/// may have chosen: `None` when the window does not fit the padded map
+/// or a stride is 0.
+fn window_pixels(geom: &ConvGeom) -> Option<usize> {
+    let along = |extent: usize, pad: usize, kernel: usize, stride: usize| {
+        Some(
+            (extent + 2 * pad)
+                .checked_sub(kernel)?
+                .checked_div(stride)?
+                + 1,
+        )
+    };
+    let out_h = along(geom.h, geom.padding.0, geom.kernel.0, geom.stride.0)?;
+    let out_w = along(geom.w, geom.padding.1, geom.kernel.1, geom.stride.1)?;
+    Some(out_h * out_w)
+}
+
+/// Whether operand `j` of the binary `step` is another value than the
+/// step's image with a single form — flat CHW bytes whatever its label:
+/// the operand an image held as rows is zero-extended against by
+/// fix-ups (`gcd2_kernels::hostops::mul_shift4_rows_into`) instead of
+/// position-blind.
+pub(crate) fn short_operand(steps: &[Step], step: &Step, j: usize) -> bool {
+    let producer = step.inputs.get(j).and_then(|&p| steps.get(p));
+    producer.is_some_and(|p| p.image != step.image && two_forms(p).is_none())
 }
 
 /// Bytes a GEMM step's staging writes when it reads its operand in

@@ -75,7 +75,8 @@ pub use gcd2_analyze::{Analysis, Diagnostic, GemmRange, LintCode, RangeReport, S
 pub use gcd2_artifact::{ArtifactCache, ArtifactError};
 pub use gcd2_verify::ActLayout;
 pub use infer::{
-    ArenaPool, ExecOptions, GemmKernelInfo, InferArena, InferReport, InferencePlan, OpTiming,
+    ArenaPool, DirectKernelInfo, ExecOptions, GemmKernelInfo, InferArena, InferReport,
+    InferencePlan, OpTiming,
 };
 pub use layout::LayoutCost;
 pub use runtime::{execute_on_dsp, execute_reference};

@@ -623,18 +623,7 @@ pub fn dwconv_direct_into(
     let (kh, kw) = kernel;
     assert_eq!(weights.len(), kh * kw, "weight size mismatch");
     let out_len = out.len();
-    let s = DwShape {
-        h,
-        w,
-        kh,
-        kw,
-        sy: stride.0,
-        sx: stride.1,
-        py: padding.0,
-        px: padding.1,
-        out_h: (h + 2 * padding.0 - kh) / stride.0 + 1,
-        out_w: (w + 2 * padding.1 - kw) / stride.1 + 1,
-    };
+    let s = DwShape::over((h, w), kernel, stride, padding);
     let plane = s.out_h * s.out_w;
     // Channels with at least one output byte; an empty map (every tap
     // is padding) gets the zeros the requantization would write.
@@ -676,6 +665,28 @@ pub(crate) struct DwShape {
 }
 
 impl DwShape {
+    /// A `kernel` window at `stride` over an `h × w` map padded by
+    /// `padding` on every side.
+    fn over(
+        (h, w): (usize, usize),
+        (kh, kw): (usize, usize),
+        (sy, sx): (usize, usize),
+        (py, px): (usize, usize),
+    ) -> DwShape {
+        DwShape {
+            h,
+            w,
+            kh,
+            kw,
+            sy,
+            sx,
+            py,
+            px,
+            out_h: (h + 2 * py - kh) / sy + 1,
+            out_w: (w + 2 * px - kw) / sx + 1,
+        }
+    }
+
     /// The kernel rows `dy` whose source row `oy·sy + dy − py` lies in
     /// `[0, h)` for output row `oy` — a contiguous range, possibly empty.
     pub(crate) fn dy_range(&self, oy: usize) -> std::ops::Range<usize> {
@@ -683,6 +694,28 @@ impl DwShape {
         let lo = self.py.saturating_sub(top).min(self.kh);
         let hi = (self.h + self.py).saturating_sub(top).min(self.kh);
         lo..hi
+    }
+
+    /// [`DwShape::dy_range`] of the other axis: the taps `dx` whose
+    /// source pixel `ox·sx + dx − px` lies in `[0, w)`.
+    pub(crate) fn dx_range(&self, ox: usize) -> std::ops::Range<usize> {
+        let left = ox * self.sx;
+        let lo = self.px.saturating_sub(left).min(self.kw);
+        let hi = (self.w + self.px).saturating_sub(left).min(self.kw);
+        lo..hi
+    }
+
+    /// The output pixels `ox` for which every tap of `dxs` is in
+    /// bounds — a contiguous range, possibly empty: the first tap's
+    /// pixel `ox·sx + dxs.start − px` is at least 0 and the last one's,
+    /// `ox·sx + dxs.end − 1 − px`, below `w`.
+    pub(crate) fn ox_range(&self, dxs: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        let lo = self.px.saturating_sub(dxs.start).div_ceil(self.sx);
+        let hi = match (self.w + self.px).checked_sub(dxs.end) {
+            Some(room) => (room / self.sx + 1).min(self.out_w),
+            None => 0,
+        };
+        lo.min(hi)..hi
     }
 }
 
@@ -697,14 +730,21 @@ pub(crate) const DW_VNNI_MAX_QUADS: usize = 64;
 /// filter's tap quads fit the form's stack array.
 #[cfg(target_arch = "x86_64")]
 fn dw_vnni_selected(s: &DwShape) -> bool {
-    use crate::dispatch::KernelIsa;
     s.sx <= 4
         && s.kh * s.kw.div_ceil(4) <= DW_VNNI_MAX_QUADS
-        && matches!(
-            crate::dispatch::active_isa(),
-            KernelIsa::Avx512Vnni | KernelIsa::AmxInt8
-        )
+        && avx512_tier_active()
         && quad_conv_available()
+}
+
+/// Whether an AVX-512 tier is active on this thread — the test both
+/// layouts' vector forms of the depthwise kernel sit behind.
+#[cfg(target_arch = "x86_64")]
+fn avx512_tier_active() -> bool {
+    use crate::dispatch::KernelIsa;
+    matches!(
+        crate::dispatch::active_isa(),
+        KernelIsa::Avx512Vnni | KernelIsa::AmxInt8
+    )
 }
 
 /// One horizontal tap `dx` of the row-accumulator kernel with its
@@ -843,6 +883,122 @@ fn dw_planes_portable(
             for (d, &v) in dst_row.iter_mut().zip(acc.iter()) {
                 *d = (v.wrapping_shr(shift as u32).clamp(0, 255) as u8).min(act_max);
             }
+        }
+    }
+}
+
+/// [`dwconv_direct_into`] of the same map held pixel-major: `input` is
+/// `h·w` pixels of `c` bytes, `out` is `out_h·out_w` pixels of `c`
+/// bytes, and the bytes are the CHW kernel's, transposed. Because the
+/// filter is **one `kh·kw` column shared by every channel**, the
+/// convolution in this order is a plain 2-D filter over an `h × (w·c)`
+/// byte image whose horizontal tap pitch is `c` bytes: a lane is a byte
+/// of the row and never learns which channel it holds. At stride 1 the
+/// outputs of a row that have all their horizontal taps are one
+/// contiguous `(hi − lo)·c`-byte run whatever `c` is (16 channels fill
+/// a vector as well as 960 do); at a larger stride every pixel is its
+/// own `c`-byte run and nothing is phase-split; a border pixel is a run
+/// with a shorter tap list; and no padded copy or scratch plane exists.
+///
+/// The portable form is the row-accumulator loop of the CHW kernel with
+/// pitch `c` (`out_w·c` i32 accumulators per output row, one
+/// contiguous multiply-add per tap and run). The AVX-512 tiers run
+/// `simd::x86::dw_rows_vnni`. Both accumulate exactly, as the CHW forms
+/// do, so bytes never depend on the form.
+///
+/// # Panics
+/// Panics if `input.len() != c * h * w`, `weights.len() != kh * kw` or
+/// `out.len() != c * out_h * out_w` — a value held as rows is always
+/// one whole image.
+#[allow(clippy::too_many_arguments)]
+pub fn dwconv_rows_into(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    padding: (usize, usize),
+    weights: &[i8],
+    shift: u8,
+    act_max: u8,
+    out: &mut [u8],
+) {
+    assert_eq!(input.len(), c * h * w, "input size mismatch");
+    let (kh, kw) = kernel;
+    assert_eq!(weights.len(), kh * kw, "weight size mismatch");
+    let s = DwShape::over((h, w), kernel, stride, padding);
+    assert_eq!(out.len(), c * s.out_h * s.out_w, "output size mismatch");
+    if out.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if dw_rows_vnni_selected(&s) {
+        // SAFETY: `dw_rows_vnni_selected` verified AVX-512 F/BW/VNNI at
+        // runtime and the tap-quad bound; the lengths of `input`,
+        // `weights` and `out` were asserted above against `c` and `s`.
+        unsafe { crate::simd::x86::dw_rows_vnni(input, c, &s, weights, shift, act_max, out) };
+        return;
+    }
+    DW_SCRATCH.with_borrow_mut(|scratch| {
+        dw_rows_portable(input, c, &s, weights, shift, act_max, &mut scratch.acc, out);
+    });
+}
+
+/// Whether this call runs the AVX-512 VNNI pixel-major form: an AVX-512
+/// tier is active on this thread, the CPU also has BW (the byte
+/// interleave and the saturating packs), and the filter's tap quads fit
+/// the form's stack arrays. Any stride: a pixel is a run of its own.
+#[cfg(target_arch = "x86_64")]
+fn dw_rows_vnni_selected(s: &DwShape) -> bool {
+    (s.kh * s.kw).div_ceil(4) <= DW_VNNI_MAX_QUADS
+        && avx512_tier_active()
+        && std::arch::is_x86_feature_detected!("avx512bw")
+}
+
+/// Portable pixel-major row-accumulator form; see [`dwconv_rows_into`].
+/// `acc` is one output row of accumulators, reused across calls.
+#[allow(clippy::too_many_arguments)]
+fn dw_rows_portable(
+    x: &[u8],
+    c: usize,
+    s: &DwShape,
+    weights: &[i8],
+    shift: u8,
+    act_max: u8,
+    acc: &mut Vec<i32>,
+    out: &mut [u8],
+) {
+    let pitch = s.w * c;
+    acc.clear();
+    acc.resize(s.out_w * c, 0);
+    for (oy, dst_row) in out.chunks_exact_mut(s.out_w * c).enumerate() {
+        acc.fill(0);
+        for dy in s.dy_range(oy) {
+            let row = &x[(oy * s.sy + dy - s.py) * pitch..][..pitch];
+            for dx in 0..s.kw {
+                let oxs = s.ox_range(dx..dx + 1);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let wv = weights[dy * s.kw + dx] as i32;
+                // Stride 1: the tap's outputs and sources are each one
+                // run. Otherwise a run per pixel, `sx·c` bytes apart.
+                let (run, step) = match s.sx {
+                    1 => (oxs.len() * c, oxs.len() * c),
+                    sx => (c, sx * c),
+                };
+                let src = &row[(oxs.start * s.sx + dx - s.px) * c..];
+                let sums = &mut acc[oxs.start * c..oxs.end * c];
+                for (a_run, x_run) in sums.chunks_exact_mut(run).zip(src.chunks(step)) {
+                    for (a, &v) in a_run.iter_mut().zip(&x_run[..run]) {
+                        *a = a.wrapping_add(v as i32 * wv);
+                    }
+                }
+            }
+        }
+        for (d, &v) in dst_row.iter_mut().zip(acc.iter()) {
+            *d = (v.wrapping_shr(shift as u32).clamp(0, 255) as u8).min(act_max);
         }
     }
 }

@@ -17,8 +17,12 @@
 //!
 //! The elementwise kernels are position-blind, so they serve a
 //! pixel-major (`hw × c`) operand pair as they serve a CHW one; the
-//! kernels that are positional in CHW say so, and
-//! [`global_avg_pool_rows_into`] is the one pixel-major form.
+//! kernels that are positional in CHW say so. The `_rows_into` forms
+//! take the same map held pixel-major and leave the CHW form's bytes,
+//! transposed: the pools ([`pool_rows_into`],
+//! [`global_avg_pool_rows_into`]) and the binaries whose second operand
+//! is shorter than the image ([`mul_shift4_rows_into`] and its
+//! siblings).
 
 /// `out[i] = f(a[i], b[i])` over `a`'s length, with `b` zero-extended:
 /// the common prefix zips plain slices (a `Chain` adapter in the zip
@@ -38,6 +42,43 @@ fn zip_zero_extended(a: &[u8], b: &[u8], out: &mut [u8], f: impl Fn(u8, u8) -> u
     }
 }
 
+/// [`zip_zero_extended`] when `a` and `out` are one `c`-channel image
+/// held pixel-major and `b` is flat bytes in CHW order — a `c × 1` gate,
+/// say, which is the same bytes in either layout. Zero extension is
+/// **not** a broadcast: element `i` of `b` meets the image's flat CHW
+/// element `i` and every element past `b`'s end meets 0. So the rows
+/// form is `f(x, 0)` over every byte — position-blind — and then one
+/// fix-up per element of `b`: CHW element `ch·hw + px` is pixel-major
+/// byte `px·c + ch`.
+fn zip_zero_extended_rows(a: &[u8], b: &[u8], c: usize, out: &mut [u8], f: impl Fn(u8, u8) -> u8) {
+    assert_eq!(out.len(), a.len(), "output size mismatch");
+    for (d, &x) in out.iter_mut().zip(a) {
+        *d = f(x, 0);
+    }
+    let hw = a.len() / c.max(1);
+    assert_eq!(a.len(), c * hw, "image size mismatch");
+    let common = a.len().min(b.len());
+    // CHW element `ch·hw + px`, plane by plane.
+    for (ch, plane) in b[..common].chunks(hw.max(1)).enumerate() {
+        for (px, &y) in plane.iter().enumerate() {
+            let at = px * c + ch;
+            out[at] = f(a[at], y);
+        }
+    }
+}
+
+fn avg(x: u8, y: u8) -> u8 {
+    ((x as u16 + y as u16) / 2) as u8
+}
+
+fn mul_shift4(act_max: u8) -> impl Fn(u8, u8) -> u8 {
+    move |x, y| (((x as u16 * y as u16) >> 4) as u8).min(act_max)
+}
+
+fn div_lut(x: u8, y: u8) -> u8 {
+    x / (y as u16 + 1) as u8
+}
+
 /// `out[i] = f(x[i])`.
 fn map_into(x: &[u8], out: &mut [u8], f: impl Fn(u8) -> u8) {
     assert_eq!(out.len(), x.len(), "output size mismatch");
@@ -49,22 +90,39 @@ fn map_into(x: &[u8], out: &mut [u8], f: impl Fn(u8) -> u8) {
 /// Elementwise average: `out[i] = (a[i] + b[i]) / 2`, with `b`
 /// zero-extended to `a`'s length.
 pub fn add_avg_into(a: &[u8], b: &[u8], out: &mut [u8]) {
-    zip_zero_extended(a, b, out, |x, y| ((x as u16 + y as u16) / 2) as u8);
+    zip_zero_extended(a, b, out, avg);
+}
+
+/// [`add_avg_into`] of a `c`-channel image `a` held pixel-major, `b`
+/// flat in CHW order (see `zip_zero_extended_rows`).
+pub fn add_avg_rows_into(a: &[u8], b: &[u8], c: usize, out: &mut [u8]) {
+    zip_zero_extended_rows(a, b, c, out, avg);
 }
 
 /// Elementwise product with a 4-bit requantization shift:
 /// `out[i] = min((a[i] · b[i]) >> 4, act_max)`, `b` zero-extended.
 pub fn mul_shift4_into(a: &[u8], b: &[u8], act_max: u8, out: &mut [u8]) {
-    zip_zero_extended(a, b, out, |x, y| {
-        (((x as u16 * y as u16) >> 4) as u8).min(act_max)
-    });
+    zip_zero_extended(a, b, out, mul_shift4(act_max));
+}
+
+/// [`mul_shift4_into`] of a `c`-channel image `a` held pixel-major, `b`
+/// flat in CHW order — the squeeze-excite gate with its operand in
+/// rows (see `zip_zero_extended_rows`).
+pub fn mul_shift4_rows_into(a: &[u8], b: &[u8], c: usize, act_max: u8, out: &mut [u8]) {
+    zip_zero_extended_rows(a, b, c, out, mul_shift4(act_max));
 }
 
 /// Elementwise division through the reciprocal lookup convention:
 /// `out[i] = a[i] / (b[i] + 1)` (the `+1` keeps the table total and the
 /// result inside the activation range), `b` zero-extended.
 pub fn div_lut_into(a: &[u8], b: &[u8], out: &mut [u8]) {
-    zip_zero_extended(a, b, out, |x, y| x / (y as u16 + 1) as u8);
+    zip_zero_extended(a, b, out, div_lut);
+}
+
+/// [`div_lut_into`] of a `c`-channel image `a` held pixel-major, `b`
+/// flat in CHW order (see `zip_zero_extended_rows`).
+pub fn div_lut_rows_into(a: &[u8], b: &[u8], c: usize, out: &mut [u8]) {
+    zip_zero_extended_rows(a, b, c, out, div_lut);
 }
 
 /// Elementwise square with a 4-bit requantization shift:
@@ -139,10 +197,52 @@ pub fn pool_into(
     is_max: bool,
     out: &mut [u8],
 ) {
+    pool_pitched(x, (c, 1), (h, w), kernel, stride, is_max, out);
+}
+
+/// [`pool_into`] of the same map held pixel-major (`h·w` pixels of `c`
+/// bytes) into `out_h·out_w` pixels of `c` bytes: the row-wise kernel
+/// over **one** plane whose pixels are `c` bytes apart — whole rows
+/// fold vertically as they do in CHW, and the horizontal windows are
+/// slices shifted by `c`.
+#[allow(clippy::too_many_arguments)]
+pub fn pool_rows_into(
+    x: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    is_max: bool,
+    out: &mut [u8],
+) {
+    pool_pitched(x, (1, c), (h, w), kernel, stride, is_max, out);
+}
+
+/// Both layouts of the pool: `planes` planes of `h × w` pixels `pitch`
+/// bytes apart — CHW is `c` planes of pitch 1, pixel-major one plane of
+/// pitch `c`.
+fn pool_pitched(
+    x: &[u8],
+    (planes, pitch): (usize, usize),
+    (h, w): (usize, usize),
+    kernel: (usize, usize),
+    stride: (usize, usize),
+    is_max: bool,
+    out: &mut [u8],
+) {
     let out_h = (h - kernel.0) / stride.0 + 1;
     let out_w = (w - kernel.1) / stride.1 + 1;
-    assert_eq!(out.len(), c * out_h * out_w, "output size mismatch");
-    let dims = ((h, w), (out_h, out_w));
+    assert_eq!(x.len(), planes * h * w * pitch, "input size mismatch");
+    assert_eq!(
+        out.len(),
+        planes * out_h * out_w * pitch,
+        "output size mismatch"
+    );
+    if out.is_empty() {
+        return;
+    }
+    let dims = ((h, w), (out_h, out_w), pitch);
     if is_max {
         pool_rows(x, dims, kernel, stride, out, u8::max, |best| best);
     } else {
@@ -152,13 +252,13 @@ pub fn pool_into(
     }
 }
 
-/// [`pool_into`] for one reduction over `h × w` planes into
-/// `out_h × out_w` ones: `fold` combines two values (of the accumulator
-/// type `T`, wide enough for a whole window), `finish` maps a window's
-/// fold to its output byte.
+/// [`pool_pitched`] for one reduction over `h × w` planes into
+/// `out_h × out_w` ones, pixels `pitch` bytes apart: `fold` combines two
+/// values (of the accumulator type `T`, wide enough for a whole
+/// window), `finish` maps a window's fold to its output byte.
 fn pool_rows<T: Copy + From<u8>>(
     x: &[u8],
-    ((h, w), (out_h, out_w)): ((usize, usize), (usize, usize)),
+    ((h, w), (out_h, out_w), pitch): ((usize, usize), (usize, usize), usize),
     kernel: (usize, usize),
     stride: (usize, usize),
     out: &mut [u8],
@@ -166,33 +266,39 @@ fn pool_rows<T: Copy + From<u8>>(
     finish: impl Fn(T) -> u8,
 ) {
     let (mut folded, mut windows): (Vec<T>, Vec<T>) = (Vec::new(), Vec::new());
+    let (row, out_row) = (w * pitch, out_w * pitch);
     let planes = x
-        .chunks_exact(h * w)
-        .zip(out.chunks_exact_mut(out_h * out_w));
+        .chunks_exact(h * row)
+        .zip(out.chunks_exact_mut(out_h * out_row));
     for (plane, out_plane) in planes {
-        for (oy, out_row) in out_plane.chunks_exact_mut(out_w).enumerate() {
+        for (oy, out_row) in out_plane.chunks_exact_mut(out_row).enumerate() {
             // Vertical: the kernel's rows folded into one. Every loop
             // here zips plain slices, so it vectorises.
-            let (first, rest) = plane[oy * stride.0 * w..][..kernel.0 * w].split_at(w);
+            let (first, rest) = plane[oy * stride.0 * row..][..kernel.0 * row].split_at(row);
             folded.clear();
             folded.extend(first.iter().map(|&v| T::from(v)));
-            for row in rest.chunks_exact(w) {
+            for row in rest.chunks_exact(row) {
                 for (acc, &v) in folded.iter_mut().zip(row) {
                     *acc = fold(*acc, T::from(v));
                 }
             }
-            // Horizontal, at every column: `windows[x]` folds
-            // `folded[x ..][..kernel.1]`, one shifted slice at a time.
+            // Horizontal, at every column: `windows[x]` folds the
+            // `kernel.1` pixels from `folded[x]` on, one shifted slice
+            // at a time.
             windows.clear();
             windows.extend_from_slice(&folded);
             for dx in 1..kernel.1 {
-                for (acc, &v) in windows.iter_mut().zip(&folded[dx..]) {
+                for (acc, &v) in windows.iter_mut().zip(&folded[dx * pitch..]) {
                     *acc = fold(*acc, v);
                 }
             }
-            // Output `ox` is the window that starts at `ox · stride.1`.
-            for (dst, &v) in out_row.iter_mut().zip(windows.iter().step_by(stride.1)) {
-                *dst = finish(v);
+            // Output pixel `ox` is the window that starts at pixel
+            // `ox · stride.1`.
+            let starts = windows.chunks(stride.1 * pitch);
+            for (dst, window) in out_row.chunks_exact_mut(pitch).zip(starts) {
+                for (d, &v) in dst.iter_mut().zip(window) {
+                    *d = finish(v);
+                }
             }
         }
     }

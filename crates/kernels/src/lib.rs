@@ -50,8 +50,8 @@ pub use autotune::{
 };
 pub use conv::{
     conv2d_direct_chw_into, conv_ref_chw, conv_weights_as_gemm, depthwise_vtmpy_blocks,
-    dwconv_direct_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into, im2col_rows_into,
-    Im2colScratch,
+    dwconv_direct_into, dwconv_rows_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into,
+    im2col_rows_into, Im2colScratch,
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{

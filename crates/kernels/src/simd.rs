@@ -1246,6 +1246,191 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Most taps one run of the pixel-major depthwise form keeps.
+    const DW_ROWS_MAX_TAPS: usize = 4 * crate::conv::DW_VNNI_MAX_QUADS;
+
+    /// The taps of one run of [`dw_rows_vnni`] — a clipped `dys × dxs`
+    /// window of the filter — as source byte offsets from the run's
+    /// first tap, four to a weight quad.
+    struct DwRowTaps {
+        /// Offset of each tap's source byte from the first tap's,
+        /// padded to a whole quad with offset 0 (an in-bounds source
+        /// whose weight byte is 0).
+        rel: [usize; DW_ROWS_MAX_TAPS],
+        /// The quads' four weight bytes, lowest tap lowest.
+        wq: [i32; crate::conv::DW_VNNI_MAX_QUADS],
+        quads: usize,
+        /// The largest offset in `rel`.
+        reach: usize,
+    }
+
+    impl DwRowTaps {
+        /// The window `dys × dxs` (both non-empty) of `weights` over
+        /// pixel-major rows of `s.w` pixels of `c` bytes.
+        fn window(
+            &mut self,
+            s: &crate::conv::DwShape,
+            c: usize,
+            dys: std::ops::Range<usize>,
+            dxs: std::ops::Range<usize>,
+            weights: &[i8],
+        ) {
+            self.quads = (dys.len() * dxs.len()).div_ceil(4);
+            self.wq[..self.quads].fill(0);
+            self.rel[..4 * self.quads].fill(0);
+            let mut n = 0;
+            for dy in dys.clone() {
+                for dx in dxs.clone() {
+                    self.rel[n] = ((dy - dys.start) * s.w + (dx - dxs.start)) * c;
+                    let byte = weights[dy * s.kw + dx] as u8 as u32;
+                    self.wq[n / 4] |= (byte << (8 * (n % 4))) as i32;
+                    n += 1;
+                }
+            }
+            self.reach = self.rel[n - 1];
+        }
+    }
+
+    /// AVX-512 VNNI form of the pixel-major depthwise kernel
+    /// ([`crate::conv::dwconv_rows_into`]). The lanes are **bytes of
+    /// the output row**: with one filter shared by all channels, output
+    /// byte `j` of a run is `Σ_t w_t · x[base + rel_t + j]` for every
+    /// `j`, whichever channel it is. Per 64 output bytes and tap quad,
+    /// the four taps' source bytes are loaded and byte-interleaved
+    /// (`vpunpck{l,h}bw`, then `vpunpck{l,h}wd`) so each dword holds
+    /// one lane's four taps, and one `vpdpbusd` per accumulator
+    /// multiplies them by the broadcast weight quad (exact: u8 × i8
+    /// products summed in i32 without saturation, as in
+    /// [`conv_interior_mc_vnni`]). The four accumulators hold bytes
+    /// `0–3`, `4–7`, `8–11`, `12–15` of each 128-bit lane;
+    /// `vpackssdw` + `vpackuswb` put them back in order and *are* the
+    /// `clamp(0, 255)`, and `vpminub` applies `act_max`. The last
+    /// chunk of a run is loaded and stored under a byte mask.
+    ///
+    /// A run is a stretch of output bytes with one tap list: at stride
+    /// 1 all pixels of a row whose horizontal taps are in bounds, else
+    /// one pixel. Border pixels are runs with a clipped window.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F, BW and VNNI are available,
+    /// `x.len() == c · s.h · s.w`, `weights.len() == s.kh · s.kw` with
+    /// `⌈s.kh·s.kw / 4⌉ <= DW_VNNI_MAX_QUADS`, `out.len() ==
+    /// c · s.out_h · s.out_w` and `c · s.out_w > 0`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(crate) unsafe fn dw_rows_vnni(
+        x: &[u8],
+        c: usize,
+        s: &crate::conv::DwShape,
+        weights: &[i8],
+        shift: u8,
+        act_max: u8,
+        out: &mut [u8],
+    ) {
+        let pitch = s.w * c;
+        // `wrapping_shr` semantics of the portable form.
+        let shiftv = _mm_cvtsi32_si128((shift & 31) as i32);
+        let maxv = _mm512_set1_epi8(act_max as i8);
+        let mut taps = DwRowTaps {
+            rel: [0; DW_ROWS_MAX_TAPS],
+            wq: [0; crate::conv::DW_VNNI_MAX_QUADS],
+            quads: 0,
+            reach: 0,
+        };
+        let interior = s.ox_range(0..s.kw);
+        for (oy, dst_row) in out.chunks_exact_mut(s.out_w * c).enumerate() {
+            let dys = s.dy_range(oy);
+            if dys.is_empty() {
+                // Every tap is padding: the requantised zero.
+                dst_row.fill(0);
+                continue;
+            }
+            let row0 = (oy * s.sy + dys.start - s.py) * pitch;
+            for ox in (0..interior.start).chain(interior.end..s.out_w) {
+                let dxs = s.dx_range(ox);
+                let dst = &mut dst_row[ox * c..][..c];
+                if dxs.is_empty() {
+                    dst.fill(0);
+                    continue;
+                }
+                let base = row0 + (ox * s.sx + dxs.start - s.px) * c;
+                taps.window(s, c, dys.clone(), dxs, weights);
+                // SAFETY: the features are the caller's contract.
+                unsafe { dw_rows_run(x, base, &taps, shiftv, maxv, dst) };
+            }
+            if interior.is_empty() {
+                continue;
+            }
+            taps.window(s, c, dys, 0..s.kw, weights);
+            let base = row0 + (interior.start * s.sx - s.px) * c;
+            let dst = &mut dst_row[interior.start * c..interior.end * c];
+            // Stride 1: the interior is one run. Otherwise a run per
+            // pixel, its sources `sx·c` bytes further on.
+            let run = if s.sx == 1 { dst.len() } else { c };
+            for (i, dst) in dst.chunks_exact_mut(run).enumerate() {
+                // SAFETY: the features are the caller's contract.
+                unsafe { dw_rows_run(x, base + i * s.sx * c, &taps, shiftv, maxv, dst) };
+            }
+        }
+    }
+
+    /// One run of [`dw_rows_vnni`]: `dst[j] = requant(Σ_t w_t ·
+    /// x[base + rel_t + j])`.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512 F, BW and VNNI are available. The
+    /// source range is checked here.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    unsafe fn dw_rows_run(
+        x: &[u8],
+        base: usize,
+        taps: &DwRowTaps,
+        shiftv: __m128i,
+        maxv: __m512i,
+        dst: &mut [u8],
+    ) {
+        let n = dst.len();
+        // Every tap reads `x[base + rel .. base + rel + n]`.
+        assert!(
+            base + taps.reach + n <= x.len(),
+            "tap window out of the map"
+        );
+        for at in (0..n).step_by(64) {
+            let mask = match n - at {
+                live if live < 64 => (1u64 << live) - 1,
+                _ => u64::MAX,
+            };
+            let mut acc = [_mm512_setzero_si512(); 4];
+            for (rel, &wq) in taps.rel.chunks_exact(4).zip(&taps.wq[..taps.quads]) {
+                // SAFETY: lane `j` of the mask is set only for
+                // `at + j < n`, so every byte read is below
+                // `base + rel + n <= x.len()` (asserted above); masked-off
+                // bytes are not accessed, and the pointer itself,
+                // `base + rel + at < x.len()`, is inside `x`.
+                let load = |r: usize| unsafe {
+                    _mm512_maskz_loadu_epi8(mask, x.as_ptr().add(base + r + at) as *const i8)
+                };
+                let (a, b, c, d) = (load(rel[0]), load(rel[1]), load(rel[2]), load(rel[3]));
+                let (ab_lo, ab_hi) = (_mm512_unpacklo_epi8(a, b), _mm512_unpackhi_epi8(a, b));
+                let (cd_lo, cd_hi) = (_mm512_unpacklo_epi8(c, d), _mm512_unpackhi_epi8(c, d));
+                let w = _mm512_set1_epi32(wq);
+                acc[0] = _mm512_dpbusd_epi32(acc[0], _mm512_unpacklo_epi16(ab_lo, cd_lo), w);
+                acc[1] = _mm512_dpbusd_epi32(acc[1], _mm512_unpackhi_epi16(ab_lo, cd_lo), w);
+                acc[2] = _mm512_dpbusd_epi32(acc[2], _mm512_unpacklo_epi16(ab_hi, cd_hi), w);
+                acc[3] = _mm512_dpbusd_epi32(acc[3], _mm512_unpackhi_epi16(ab_hi, cd_hi), w);
+            }
+            let [s0, s1, s2, s3] = acc.map(|v| _mm512_sra_epi32(v, shiftv));
+            let bytes = _mm512_packus_epi16(_mm512_packs_epi32(s0, s1), _mm512_packs_epi32(s2, s3));
+            // SAFETY: the mask covers exactly `dst[at..]`'s live bytes.
+            unsafe {
+                _mm512_mask_storeu_epi8(
+                    dst.as_mut_ptr().add(at) as *mut i8,
+                    mask,
+                    _mm512_min_epu8(bytes, maxv),
+                )
+            };
+        }
+    }
+
     /// Scalar tail for the trailing columns of an `R`-row group over the
     /// reduction range `[kk0, kk1)` — same element math as the scalar
     /// oracle (safe code, no SIMD). The AVX2 strips' `n % 8` tail.

@@ -234,14 +234,7 @@ fn forged_layout_labels_are_refused_by_rederivation() {
     let c1 = g.add(conv(16, 3, 1), &[x], "c1");
     let c2 = g.add(conv(16, 1, 0), &[c1], "c2");
     let c3 = g.add(conv(16, 3, 1), &[c2], "c3");
-    g.add(
-        OpKind::MaxPool {
-            kernel: (2, 2),
-            stride: (2, 2),
-        },
-        &[c3],
-        "pool",
-    );
+    g.add(OpKind::Upsample { factor: 2 }, &[c3], "up");
     let compiled = Compiler::new().compile(&g);
     let pristine = compiled.inference_plan(7);
     let bytes = encode(&compiled, &pristine, "forged").expect("encode");
@@ -250,8 +243,9 @@ fn forged_layout_labels_are_refused_by_rederivation() {
     let forgeries = [
         // A flipped tag: `c2` reads planes although `c1` left rows.
         ("flipped in-label", c2.0, false),
-        // A rows tag on a step that only has a CHW form.
-        ("rows into the pool", 4, false),
+        // A rows tag on a step that only has a CHW form (a pool has
+        // had a pixel-major one since format version 3).
+        ("rows into the upsample", 4, false),
         // A producer/consumer pair that disagrees where the selection
         // planned no conversion: `c2`'s value relabelled planes while
         // `c3` still reads rows.

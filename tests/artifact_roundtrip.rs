@@ -71,29 +71,38 @@ fn catalog_models_round_trip_bit_identically() {
     }
 }
 
-/// The artifact this format version replaced — the golden file as it
-/// was checked in before layouts were part of a plan — is refused as a
-/// version skew, and a cache that still holds one degrades to a
-/// recorded fallback compile that heals the entry.
+/// The artifacts earlier format versions wrote — the golden file as it
+/// was checked in before layouts were part of a plan (version 1) and
+/// before the selection admitted rows into depthwise convs, pools and
+/// gates (version 2: same fields, labels of the old selector) — are
+/// refused as a version skew, and a cache that still holds one degrades
+/// to a recorded fallback compile that heals the entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    let old = std::fs::read("tests/data/golden_v1.gcd2art").expect("the version-1 golden");
-    match decode(&old) {
-        Err(Gcd2Error::Artifact(ArtifactError::VersionSkew { found, supported })) => {
-            assert_eq!(
-                (found, supported),
-                (1, gcd2_repro::artifact::FORMAT_VERSION)
-            )
+    for version in [1, 2] {
+        let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
+            .expect("an earlier version's golden");
+        match decode(&old) {
+            Err(Gcd2Error::Artifact(ArtifactError::VersionSkew { found, supported })) => {
+                assert_eq!(
+                    (found, supported),
+                    (version, gcd2_repro::artifact::FORMAT_VERSION)
+                )
+            }
+            other => panic!("expected a version skew, got {other:?}"),
         }
-        other => panic!("expected a version skew, got {other:?}"),
+        heals_through_load_or_compile(&old, version);
     }
+}
 
-    let cache = temp_cache("skew");
+/// A cache entry holding `old` is a recorded decode fallback, then warm.
+fn heals_through_load_or_compile(old: &[u8], version: u32) {
+    let cache = temp_cache(&format!("skew{version}"));
     let text = to_text(&golden_graph());
     let compiler = Compiler::new();
     let cold = load_or_compile(&compiler, &text, SEED, &cache, "golden").expect("cold");
-    std::fs::write(cache.path_for(&cold.key), &old).expect("plant the old artifact");
+    std::fs::write(cache.path_for(&cold.key), old).expect("plant the old artifact");
     let healed = load_or_compile(&compiler, &text, SEED, &cache, "golden").expect("degrade");
     assert_eq!(healed.source, ColdStartSource::Compiled);
     assert_eq!(

@@ -306,6 +306,119 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
     }
 }
 
+/// The mobile nets stay channels-last end to end: every depthwise step
+/// of mobilenet-v3 and efficientnet-b0 reads rows and leaves rows, and
+/// no operand of either plan is converted on the way into its step.
+#[test]
+fn mobile_net_depthwise_steps_run_in_rows_with_no_conversion() {
+    use gcd2_repro::compiler::ActLayout::Rows;
+    use gcd2_repro::verify::InferPlanView;
+    for id in [ModelId::MobileNetV3, ModelId::EfficientNetB0] {
+        let plan = Compiler::new().compile(&id.build()).inference_plan(1);
+        let depthwise: Vec<_> = (0..plan.step_count())
+            .map(|i| plan.step(i))
+            .filter(|s| s.op.starts_with("DWConv2d"))
+            .collect();
+        assert!(depthwise.len() >= 15, "{id}: {} steps", depthwise.len());
+        for s in depthwise {
+            assert_eq!(
+                (s.in_layout, s.out_layout),
+                (Rows, Rows),
+                "{id}: {}",
+                s.name
+            );
+        }
+        assert_eq!(plan.layout_cost().0.conversions, 0, "{id}");
+    }
+}
+
+/// Exhaustive, on one graph small enough to enumerate — conv →
+/// depthwise → squeeze-excite (gap, two 1×1, sigmoid, gate) → conv →
+/// residual add → max-pool: over **every** assignment of admissible
+/// `(in, out)` pairs, the selection's is the argmin of its own cost,
+/// and every one of them executes to the interpreter's bytes, on the
+/// active tier and pinned to the scalar one.
+#[test]
+fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest() {
+    use gcd2_repro::cgraph::{Graph, OpKind, TShape};
+    use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
+    const SEED: u64 = 0x5E1EC7;
+    let mut g = Graph::new();
+    let x = g.input("x", TShape::nchw(1, 6, 9, 8));
+    let conv = |out_channels, k, p| OpKind::Conv2d {
+        out_channels,
+        kernel: (k, k),
+        stride: (1, 1),
+        padding: (p, p),
+    };
+    let c1 = g.add(conv(20, 3, 1), &[x], "c1");
+    let dw = g.add(
+        OpKind::DepthwiseConv2d {
+            kernel: (3, 3),
+            stride: (1, 1),
+            padding: (1, 1),
+        },
+        &[c1],
+        "dw",
+    );
+    let gap = g.add(OpKind::GlobalAvgPool, &[dw], "se.gap");
+    let reduce = g.add(conv(8, 1, 0), &[gap], "se.reduce");
+    let expand = g.add(conv(20, 1, 0), &[reduce], "se.expand");
+    let gate = g.add(OpKind::Sigmoid, &[expand], "se.sigmoid");
+    let scaled = g.add(OpKind::Mul, &[dw, gate], "se.scale");
+    let c2 = g.add(conv(20, 1, 0), &[scaled], "c2");
+    let sum = g.add(OpKind::Add, &[c2, c1], "res");
+    g.add(
+        OpKind::MaxPool {
+            kernel: (3, 2),
+            stride: (2, 2),
+        },
+        &[sum],
+        "pool",
+    );
+    let compiled = Compiler::new().compile(&g);
+    let chosen = compiled.inference_plan(SEED);
+    chosen.verify_integrity().expect("the selection's own plan");
+    let input: Vec<u8> = (0..chosen.input_len())
+        .map(|i| ((i * 11 + 5) % 16) as u8)
+        .collect();
+    let want = execute_reference(&compiled, &input, SEED);
+    let options = chosen.layout_options();
+    assert!(
+        options.iter().filter(|o| o.len() > 1).count() >= 9,
+        "the graph lost its choices: {options:?}"
+    );
+
+    let (mut cheapest, mut assignments) = (u64::MAX, 0usize);
+    let mut pick = vec![0usize; options.len()];
+    loop {
+        let labels: Vec<_> = pick.iter().zip(&options).map(|(&p, o)| o[p]).collect();
+        let plan = InferencePlan::try_build_labelled(&compiled, SEED, &labels).expect("admitted");
+        cheapest = cheapest.min(plan.layout_cost().0.bytes);
+        for force_scalar in [false, true] {
+            let opts = ExecOptions {
+                force_scalar,
+                ..ExecOptions::default()
+            };
+            let mut got = Vec::new();
+            plan.try_execute_into(&input, &mut plan.new_arena(), &mut got, &opts)
+                .unwrap_or_else(|e| panic!("{labels:?}: {e}"));
+            assert!(got == want, "{labels:?}, scalar={force_scalar}");
+        }
+        assignments += 1;
+        // The next assignment, odometer-wise; done when it wraps.
+        let Some(digit) = (0..pick.len()).find(|&i| pick[i] + 1 < options[i].len()) else {
+            break;
+        };
+        pick[digit] += 1;
+        pick[..digit].fill(0);
+    }
+    assert_eq!(assignments, options.iter().map(Vec::len).product::<usize>());
+    let (cost, all_chw) = chosen.layout_cost();
+    assert_eq!(cost.bytes, cheapest, "of {assignments} assignments");
+    assert!(cost.bytes < all_chw.bytes, "{cost:?} vs {all_chw:?}");
+}
+
 /// `pbqp_select` is a builder over the lifted `solve` now; its
 /// assignments are the ones it made before the lift — total cost and a
 /// hash of every choice, per catalog model, recorded at the parent
