@@ -45,6 +45,16 @@ mkdir -p target
 cargo run --release -q -p gcd2 --bin gcd2c -- --analyze > target/analyze.txt
 grep -q "all 10 catalog models analyze clean" target/analyze.txt
 
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed and the stages cover the reported wall clock to within 10 %)"
+cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > /dev/null
+cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
+for stage in container "graph+schedule+selection" "weights copy" pack integrity "tune hints" unaccounted; do
+    grep -q "^    $stage *: " target/load.txt
+done
+awk '/load stages, ms of/ { wall = $5 }
+     /^    [^:]+: +[0-9.]+$/ && !/unaccounted/ { sum += $NF }
+     END { exit !(wall > 0 && sum >= 0.9 * wall && sum <= 1.1 * wall) }' target/load.txt
+
 echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"
 cargo test -q --features fault-injection \
     --test chaos --test runtime_chaos --test gateway_chaos --test supervisor_chaos --test artifact_chaos
@@ -55,6 +65,10 @@ cargo test -q --test breaker_property
 echo "==> artifact round-trip + hostile-corpus suites"
 cargo test -q --test artifact_roundtrip
 cargo test -q --test artifact_hostile
+
+echo "==> the checksum, the round-trip and the hostile corpus on the scalar tier (GCD2_FORCE_SCALAR=1: a stored value may not depend on the tier that wrote it — the checked-in golden and corpus were written on a vector tier)"
+GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-artifact
+GCD2_FORCE_SCALAR=1 cargo test -q --test artifact_roundtrip --test artifact_hostile
 
 echo "==> clippy unwrap/expect deny gate (gcd2 + gcd2-globalopt + gcd2-kernels + gcd2-analyze + gcd2-artifact lib paths)"
 cargo clippy -q -p gcd2 -p gcd2-globalopt -p gcd2-kernels -p gcd2-analyze -p gcd2-artifact --lib -- -D warnings

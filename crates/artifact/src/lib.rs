@@ -16,8 +16,8 @@
 //! count    u32 LE          (section count, capped)
 //! table    count × { id u32, offset u64, len u64, checksum u64 }
 //! payloads concatenated, in table order, contiguous
-//! chain    u64 LE          (FNV-1a over the table, bound to the plan
-//!                           integrity checksum — see verify_chain)
+//! chain    u64 LE          (Checksum64 over the table, bound to the
+//!                           plan integrity checksum — see verify_chain)
 //! ```
 //!
 //! Every offset and length in the table is validated against the file
@@ -27,7 +27,7 @@
 //!
 //! ## Integrity model
 //!
-//! * per-section FNV-1a checksums catch bit flips inside a payload;
+//! * per-section [`Checksum64`] values catch bit flips inside a payload;
 //! * the trailing **chain** checksum hashes the whole section table and
 //!   then the plan's own PR-5 integrity checksum (the `bind` value), so
 //!   a valid table spliced onto a different plan, or a reordered table,
@@ -53,10 +53,12 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// — and when the function that derives part of the payload changes
 /// without a field moving (version 3: the host layout selection admits
 /// more, so a version-2 plan's stored labels are no longer the derived
-/// ones). Readers refuse other versions with
+/// ones; version 4: the checksum function is [`Checksum64`] where it was
+/// byte-serial FNV-1a, so every stored value differs and nothing else
+/// does). Readers refuse other versions with
 /// [`ArtifactError::VersionSkew`] (the cache key includes the version,
 /// so skewed files are simply never hit).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large
@@ -165,47 +167,125 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// Incremental FNV-1a (64-bit): the checksum primitive of the artifact
-/// container, matching the plan-integrity hash in `gcd2::infer`. Not
-/// cryptographic — it detects corruption, not adversaries.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
+/// The odd multiplier of every [`Checksum64`] step (2⁶⁴ / φ).
+const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Where a fresh [`Checksum64`] starts.
+const STATE_SEED: u64 = 0x510e_527f_ade6_82d1;
+/// Where the fold of one byte run starts, before its length goes in.
+const FOLD_SEED: u64 = 0x9b05_688c_2b3e_6c1f;
+/// Where the four lanes of one byte run start.
+const LANE_SEEDS: [u64; 4] = [
+    0x6a09_e667_f3bc_c908,
+    0xbb67_ae85_84ca_a73b,
+    0x3c6e_f372_fe94_f82b,
+    0xa54f_f53a_5f1d_36f1,
+];
 
-impl Default for Fnv64 {
+/// One absorption step: for a fixed `w` a bijection of `h`, for a fixed
+/// `h` a bijection of `w` (xor, multiply by an odd constant and
+/// xor-shift-right are each invertible). The shift is what keeps the
+/// same top-bit flip in two different words from cancelling, which a
+/// bare word-wise multiply-xor would let through.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(MIX_MUL);
+    h ^ (h >> 29)
+}
+
+/// The digest of one byte run: 8-byte little-endian words absorbed on
+/// four independent lanes per 32-byte stripe (lane `i` takes word `i` of
+/// every stripe, so four multiplies are in flight at once), a ragged
+/// tail zero-padded to one more stripe, then the byte length and the
+/// four lanes folded through the same step. `byte` maps an element to
+/// its byte, so `&[i8]` weights hash as the bytes they are stored as
+/// without a reinterpreting cast.
+#[inline(always)]
+fn digest<T: Copy>(data: &[T], byte: impl Fn(T) -> u8) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut absorb = |stripe: &[u8; 32]| {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = mix(*lane, u64::from_le_bytes(std::array::from_fn(|i| w[i])));
+        }
+    };
+    let mut stripes = data.chunks_exact(32);
+    for stripe in &mut stripes {
+        absorb(&std::array::from_fn(|i| byte(stripe[i])));
+    }
+    let tail = stripes.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 32];
+        for (p, &t) in padded.iter_mut().zip(tail) {
+            *p = byte(t);
+        }
+        absorb(&padded);
+    }
+    lanes
+        .iter()
+        .fold(mix(FOLD_SEED, data.len() as u64), |d, &lane| mix(d, lane))
+}
+
+/// The one checksum of the workspace: artifact section checksums, the
+/// chain, cache content keys and the plan integrity checksum of
+/// `gcd2::infer`. Not cryptographic — it detects corruption, not
+/// adversaries.
+///
+/// What it promises, by construction rather than by luck:
+///
+/// * **A change confined to one 8-byte word always changes the value.**
+///   Every step is a bijection of the state for a fixed word and of the
+///   word for a fixed state, from the lane that absorbs the word through
+///   the fold to [`Checksum64::finish`] — so a flipped bit, byte or word
+///   cannot go unseen, and neither can zero bytes appended inside a
+///   stripe (the length is folded in).
+/// * **The value depends on the bytes alone**: words are read with
+///   `u64::from_le_bytes`, lengths folded as `u64`, no `usize`-width,
+///   endianness, SIMD-tier or intrinsic enters, so an artifact written
+///   on one host verifies on every other.
+/// * **It is a sequence hash, not a stream hash**: [`Checksum64::bytes`]
+///   folds the digest of the whole run (length included) in as one
+///   step, so `bytes(a); bytes(b)` is not `bytes(a ‖ b)`, and
+///   [`Checksum64::u64`] is one step that need not agree with `bytes` of
+///   the same eight bytes. Nothing in the tree splits a run across
+///   calls.
+#[derive(Debug, Clone)]
+pub struct Checksum64(u64);
+
+impl Default for Checksum64 {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Fnv64 {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
+impl Checksum64 {
+    /// A checksum that has absorbed nothing.
+    pub fn new() -> Checksum64 {
+        Checksum64(STATE_SEED)
     }
 
-    /// Folds raw bytes into the hash.
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        self
+    /// Folds one run of bytes, length-framed, into the checksum.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.0 = mix(self.0, digest(bytes, |b| b));
     }
 
-    /// Folds a little-endian `u64` into the hash.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
+    /// [`Checksum64::bytes`] of the bytes `vals` is stored as.
+    pub fn i8s(&mut self, vals: &[i8]) {
+        self.0 = mix(self.0, digest(vals, |v| v as u8));
     }
 
-    /// The current hash value.
+    /// Folds one `u64` into the checksum, in one step.
+    pub fn u64(&mut self, v: u64) {
+        self.0 = mix(self.0, v);
+    }
+
+    /// The current value.
     pub fn finish(&self) -> u64 {
         self.0
     }
 }
 
-/// One-shot FNV-1a of a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
+/// One-shot [`Checksum64`] of a byte slice.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut h = Checksum64::new();
     h.bytes(bytes);
     h.finish()
 }
@@ -220,6 +300,14 @@ impl ByteWriter {
     /// An empty buffer.
     pub fn new() -> ByteWriter {
         ByteWriter::default()
+    }
+
+    /// An empty buffer with room for `bytes` — for a payload whose size
+    /// is known before it is written.
+    pub fn with_capacity(bytes: usize) -> ByteWriter {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Appends one byte.
@@ -240,6 +328,12 @@ impl ByteWriter {
     /// Appends raw bytes (no length prefix).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends signed bytes as the bytes they are stored as (no length
+    /// prefix).
+    pub fn i8s(&mut self, v: &[i8]) {
+        self.buf.extend(v.iter().map(|&x| x as u8));
     }
 
     /// Appends a `u32` length prefix followed by the bytes.
@@ -383,24 +477,35 @@ impl<'a> ByteReader<'a> {
         self.take(len as usize)
     }
 
-    /// Reads a length-prefixed UTF-8 string (lossy: invalid UTF-8 in a
-    /// checksum-valid artifact is forgery; the string is diagnostic
-    /// only, so it is replaced rather than erroring).
+    /// Reads a length-prefixed UTF-8 string. Invalid UTF-8 inside a
+    /// checksum-valid artifact is forgery, and is refused rather than
+    /// repaired into something a consumer would then accept.
     ///
     /// # Errors
-    /// As [`ByteReader::len_bytes`].
+    /// As [`ByteReader::len_bytes`]; [`ArtifactError::Bounds`] (the
+    /// offset of the first invalid byte against the run's length) for
+    /// bytes that are not UTF-8.
     pub fn str(&mut self, what: &'static str, limit: u64) -> Result<String, ArtifactError> {
-        Ok(String::from_utf8_lossy(self.len_bytes(what, limit)?).into_owned())
+        let bytes = self.len_bytes(what, limit)?;
+        match std::str::from_utf8(bytes) {
+            Ok(s) => Ok(s.to_owned()),
+            Err(e) => Err(ArtifactError::Bounds {
+                what: "string utf-8",
+                value: e.valid_up_to() as u64,
+                limit: bytes.len() as u64,
+            }),
+        }
     }
 }
 
-/// One decoded section: id plus its verified payload.
+/// One decoded section: id plus its verified payload, lent from the
+/// buffer the artifact was decoded from.
 #[derive(Debug, Clone)]
-pub struct Section {
+pub struct Section<'a> {
     /// Section id (the plan codec assigns meanings).
     pub id: u32,
     /// The payload bytes, already checksum-verified.
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
 }
 
 /// Builds an artifact: sections in, a checksummed container out.
@@ -436,12 +541,14 @@ impl ArtifactWriter {
                 limit: MAX_SECTIONS as u64,
             });
         }
-        let mut out = Vec::new();
+        let table_bytes = HEADER_BYTES + TABLE_ENTRY_BYTES * self.sections.len();
+        let payload_bytes: usize = self.sections.iter().map(|(_, b)| b.len()).sum();
+        let mut out = Vec::with_capacity(table_bytes + payload_bytes + 8);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = (HEADER_BYTES + TABLE_ENTRY_BYTES * self.sections.len()) as u64;
-        let mut chain = Fnv64::new();
+        let mut offset = table_bytes as u64;
+        let mut chain = Checksum64::new();
         chain.u64(FORMAT_VERSION as u64);
         chain.u64(self.sections.len() as u64);
         for (id, bytes) in &self.sections {
@@ -452,7 +559,7 @@ impl ArtifactWriter {
                     limit: MAX_SECTION_BYTES,
                 });
             }
-            let checksum = fnv64(bytes);
+            let checksum = checksum64(bytes);
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -472,23 +579,24 @@ impl ArtifactWriter {
     }
 }
 
-/// A decoded artifact container: verified sections plus the stored
-/// chain checksum, still awaiting [`Artifact::verify_chain`] against
-/// the plan integrity checksum the payload declares.
+/// A decoded artifact container: verified sections — views into the
+/// decoded buffer, nothing is copied — plus the stored chain checksum,
+/// still awaiting [`Artifact::verify_chain`] against the plan integrity
+/// checksum the payload declares.
 #[derive(Debug, Clone)]
-pub struct Artifact {
+pub struct Artifact<'a> {
     /// The format version stamped in the header (always
     /// [`FORMAT_VERSION`] after a successful decode).
     pub version: u32,
     /// The sections, in table order, payloads checksum-verified.
-    pub sections: Vec<Section>,
+    pub sections: Vec<Section<'a>>,
     /// The chain checksum stored in the trailer.
     pub stored_chain: u64,
     /// The chain recomputed over the table (before binding).
-    table_chain: Fnv64,
+    table_chain: Checksum64,
 }
 
-impl Artifact {
+impl<'a> Artifact<'a> {
     /// Decodes and verifies the container: magic, version, table
     /// bounds, contiguity, and every per-section checksum. No payload
     /// byte is interpreted beyond hashing. Hosts the `artifact.decode`
@@ -499,7 +607,7 @@ impl Artifact {
     /// wrong magic → `BadMagic`, other version → `VersionSkew`, short
     /// file → `Truncated`, forged counts/offsets/lengths → `Bounds`,
     /// flipped payload or table checksum → `SectionChecksum`.
-    pub fn decode(buf: &[u8]) -> Result<Artifact, ArtifactError> {
+    pub fn decode(buf: &'a [u8]) -> Result<Artifact<'a>, ArtifactError> {
         let _ = gcd2_faults::fire("artifact.decode");
         let mut r = ByteReader::new(buf);
         if r.take(8)? != MAGIC {
@@ -520,7 +628,7 @@ impl Artifact {
                 limit: MAX_SECTIONS as u64,
             });
         }
-        let mut chain = Fnv64::new();
+        let mut chain = Checksum64::new();
         chain.u64(version as u64);
         chain.u64(count as u64);
         let mut table = Vec::with_capacity(count);
@@ -570,7 +678,7 @@ impl Artifact {
         let mut sections = Vec::with_capacity(count);
         for (id, len, checksum) in table {
             let bytes = r.take(len as usize)?;
-            let got = fnv64(bytes);
+            let got = checksum64(bytes);
             if got != checksum {
                 return Err(ArtifactError::SectionChecksum {
                     section: id,
@@ -578,10 +686,7 @@ impl Artifact {
                     got,
                 });
             }
-            sections.push(Section {
-                id,
-                bytes: bytes.to_vec(),
-            });
+            sections.push(Section { id, bytes });
         }
         let stored_chain = r.u64()?;
         Ok(Artifact {
@@ -593,11 +698,8 @@ impl Artifact {
     }
 
     /// The payload of the first section with `id`, if present.
-    pub fn section(&self, id: u32) -> Option<&[u8]> {
-        self.sections
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.bytes.as_slice())
+    pub fn section(&self, id: u32) -> Option<&'a [u8]> {
+        self.sections.iter().find(|s| s.id == id).map(|s| s.bytes)
     }
 
     /// Verifies the chain checksum against `bind` (the plan integrity
@@ -632,7 +734,7 @@ const ARTIFACT_SUFFIX: &str = ".gcd2art";
 
 /// A content-addressed artifact cache directory with crash-safe writes.
 ///
-/// * **Addressing** — keys are hex FNV-1a digests of the inputs that
+/// * **Addressing** — keys are hex [`Checksum64`] values of the inputs that
 ///   determine the artifact bytes (graph text, compiler options,
 ///   format version, seed); see [`ArtifactCache::content_key`].
 /// * **Crash safety** — [`ArtifactCache::store`] writes a temp file in
@@ -689,12 +791,12 @@ impl ArtifactCache {
     }
 
     /// Derives the content-address for an artifact from the byte strings
-    /// that determine it. Each part is length-framed before hashing so
-    /// part boundaries cannot alias (`["ab","c"]` ≠ `["a","bc"]`).
+    /// that determine it. Each part is one length-framed
+    /// [`Checksum64::bytes`] run, so part boundaries cannot alias
+    /// (`["ab","c"]` ≠ `["a","bc"]`).
     pub fn content_key(parts: &[&[u8]]) -> String {
-        let mut h = Fnv64::new();
+        let mut h = Checksum64::new();
         for part in parts {
-            h.u64(part.len() as u64);
             h.bytes(part);
         }
         format!("{:016x}", h.finish())
@@ -879,6 +981,139 @@ mod tests {
         w.finish(0xBEEF).unwrap()
     }
 
+    /// A deterministic, non-repeating test buffer.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_at_every_length_changes_the_value() {
+        for len in 0..=130 {
+            let base = noise(len);
+            let want = checksum64(&base);
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut b = base.clone();
+                    b[i] ^= 1 << bit;
+                    assert_ne!(checksum64(&b), want, "len {len}, byte {i}, bit {bit}");
+                }
+            }
+        }
+    }
+
+    /// The same bit flipped in two different words — the pattern a bare
+    /// word-wise multiply-xor cancels at bit 63 — over every pair of
+    /// words of a 256-byte buffer (eight stripes: pairs on one lane and
+    /// across lanes), on noise and on the all-zero buffer.
+    #[test]
+    fn the_same_bit_flipped_in_two_words_changes_the_value() {
+        for base in [noise(256), vec![0u8; 256]] {
+            let want = checksum64(&base);
+            for (byte, mask) in [(0, 0x01u8), (7, 0x80u8)] {
+                for w1 in 0..32 {
+                    for w2 in w1 + 1..32 {
+                        let mut b = base.clone();
+                        b[w1 * 8 + byte] ^= mask;
+                        b[w2 * 8 + byte] ^= mask;
+                        assert_ne!(checksum64(&b), want, "words {w1}, {w2}, mask {mask:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn appended_zero_bytes_and_run_boundaries_change_the_value() {
+        for len in [0, 1, 7, 8, 31, 32, 33, 64, 100] {
+            let mut b = noise(len);
+            let mut seen = vec![checksum64(&b)];
+            for _ in 0..40 {
+                b.push(0);
+                let v = checksum64(&b);
+                assert!(!seen.contains(&v), "len {len} padded to {}", b.len());
+                seen.push(v);
+            }
+        }
+        // Runs are length-framed: two runs are not their concatenation,
+        // wherever the split falls.
+        let whole = noise(96);
+        for split in 0..=whole.len() {
+            let (a, b) = whole.split_at(split);
+            let mut h = Checksum64::new();
+            h.bytes(a);
+            h.bytes(b);
+            assert_ne!(h.finish(), checksum64(&whole), "split at {split}");
+        }
+    }
+
+    /// Known answers: the value is part of the format (version 4), so it
+    /// may not drift with the host, the build profile or a refactor.
+    #[test]
+    fn known_answers_are_pinned() {
+        let hundred: Vec<u8> = (0..100u8).collect();
+        assert_eq!(checksum64(b""), 0x5e34_b7bf_174d_59c6);
+        assert_eq!(checksum64(b"GCD2ART"), 0x532e_d602_c17b_f7db);
+        assert_eq!(checksum64(&hundred), 0x5080_2a0b_8c85_3b42);
+        // One `u64` step and an 8-byte run are different things; each is
+        // pinned.
+        let v = 0x0123_4567_89ab_cdefu64;
+        let mut h = Checksum64::new();
+        h.u64(v);
+        assert_eq!(h.finish(), 0x2284_0106_0285_802e);
+        assert_eq!(checksum64(&v.to_le_bytes()), 0xbd71_67e4_572a_4b7d);
+        // Signed bytes hash as the bytes they are stored as.
+        let signed: Vec<i8> = hundred.iter().map(|&b| b.wrapping_mul(37) as i8).collect();
+        let stored: Vec<u8> = signed.iter().map(|&v| v as u8).collect();
+        let mut h = Checksum64::new();
+        h.i8s(&signed);
+        assert_eq!(h.finish(), checksum64(&stored));
+    }
+
+    /// The byte-serial FNV-1a this crate used through format version 3,
+    /// kept here only as the baseline of [`perf_probe`].
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// `cargo test --release -p gcd2-artifact perf_probe -- --ignored
+    /// --nocapture`: GB/s of the old byte loop against [`Checksum64`].
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn perf_probe() {
+        for (label, len) in [("1 KiB", 1 << 10), ("1 MiB", 1 << 20), ("25 MiB", 25 << 20)] {
+            let buf = noise(len);
+            let signed: Vec<i8> = buf.iter().map(|&b| b as i8).collect();
+            let reps = ((64usize << 20) / len).clamp(2, 4096);
+            let gbps = |f: &dyn Fn() -> u64| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..reps {
+                    std::hint::black_box(f());
+                }
+                (len * reps) as f64 / t0.elapsed().as_secs_f64() / 1e9
+            };
+            let old = gbps(&|| fnv1a(std::hint::black_box(&buf)));
+            let new = gbps(&|| checksum64(std::hint::black_box(&buf)));
+            let i8s = gbps(&|| {
+                let mut h = Checksum64::new();
+                h.i8s(std::hint::black_box(&signed));
+                h.finish()
+            });
+            println!(
+                "{label:>7}: fnv1a {old:6.2} GB/s   checksum64 {new:6.2} GB/s   i8s {i8s:6.2} GB/s"
+            );
+        }
+    }
+
     #[test]
     fn container_round_trips() {
         let bytes = sample();
@@ -889,6 +1124,13 @@ mod tests {
         assert_eq!(art.section(2).unwrap().len(), 300);
         assert_eq!(art.section(3), Some(&[][..]));
         assert_eq!(art.section(9), None);
+        // Sections are lent, not copied: every payload lies inside the
+        // decoded buffer.
+        let held = bytes.as_ptr_range();
+        for sec in &art.sections {
+            let lent = sec.bytes.as_ptr_range();
+            assert!(held.start <= lent.start && lent.end <= held.end);
+        }
         art.verify_chain(0xBEEF).unwrap();
         assert!(matches!(
             art.verify_chain(0xDEAD),

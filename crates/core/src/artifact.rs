@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::error::Gcd2Error;
-use crate::infer::{ConvGeom, GemmPrep, GemmStep, InferencePlan, Scatter, Step, StepKind};
+use crate::infer::{lap, ConvGeom, GemmPrep, GemmStep, InferencePlan, Scatter, Step, StepKind};
 use crate::{CompiledModel, Compiler};
 
 /// Section ids of the plan artifact payload.
@@ -103,6 +103,14 @@ pub struct LoadedArtifact {
     /// How many autotune hints were installed into this process's
     /// tuner memo (hints are advisory; unsupported ISAs are skipped).
     pub tune_hints_applied: usize,
+    /// Where the load's wall clock went, in the order the stages ran:
+    /// `container` (table bounds and section checksums),
+    /// `graph+schedule+selection` (re-parse, re-admission, the PLAN
+    /// section, the re-derived layout labels), `weights copy`, `pack`
+    /// (the resident panels), `integrity` (chain binding and the plan
+    /// re-hash), `tune hints`. What [`decode`] took beyond their sum is
+    /// the caller's to report as unaccounted.
+    pub stages: Vec<(&'static str, Duration)>,
 }
 
 fn prep_tag(prep: &GemmPrep) -> u8 {
@@ -223,7 +231,6 @@ fn encode_plan_section(plan: &InferencePlan) -> Vec<u8> {
 }
 
 fn encode_weights_section(plan: &InferencePlan) -> Vec<u8> {
-    let mut w = ByteWriter::new();
     let gemms: Vec<&GemmStep> = plan
         .steps
         .iter()
@@ -232,14 +239,14 @@ fn encode_weights_section(plan: &InferencePlan) -> Vec<u8> {
             _ => None,
         })
         .collect();
+    // Sized exactly, each matrix appended as one run: the section is
+    // the weights' size and is written once.
+    let mut w = ByteWriter::with_capacity(8 + 16 * gemms.len() + plan.weight_bytes);
     w.u64(gemms.len() as u64);
     for g in gemms {
         w.u64(g.weights.rows() as u64);
         w.u64(g.weights.cols() as u64);
-        // i8 → u8 reinterpretation byte-for-byte (safe cast, no unsafe).
-        for &v in g.weights.as_slice() {
-            w.u8(v as u8);
-        }
+        w.i8s(g.weights.as_slice());
     }
     w.finish()
 }
@@ -312,7 +319,7 @@ fn bounds(what: &'static str, value: u64, limit: u64) -> ArtifactError {
     ArtifactError::Bounds { what, value, limit }
 }
 
-fn required_section(art: &Artifact, id: u32) -> Result<&[u8], ArtifactError> {
+fn required_section<'a>(art: &Artifact<'a>, id: u32) -> Result<&'a [u8], ArtifactError> {
     art.section(id)
         .ok_or_else(|| bounds("missing section", id as u64, id as u64))
 }
@@ -524,12 +531,15 @@ fn decode_plan_section(bytes: &[u8]) -> Result<InferencePlan, ArtifactError> {
         weight_bytes: 0, // recomputed once weights are paired in
         gemm_macs: 0,
         checksum,
+        build_stages: Vec::new(), // a load's stages are `LoadedArtifact::stages`
     })
 }
 
 /// Pairs the WEIGHTS section into the plan's GEMM steps, in schedule
 /// order, validating each matrix against its step's declared shape.
-fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<(), ArtifactError> {
+/// Returns the part of its time that went into packing panels.
+fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<Duration, ArtifactError> {
+    let mut pack = Duration::ZERO;
     let mut r = ByteReader::new(bytes);
     let declared = r.u64_capped("weight matrix count", MAX_STEPS)? as usize;
     let mut weight_bytes = 0usize;
@@ -559,8 +569,10 @@ fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<(), Artifact
             return Err(bounds("weight elems", len as u64, MAX_SLOT_BYTES));
         }
         let raw = r.take(len)?;
-        let vals: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-        g.set_weights(MatrixI8::from_vec(rows, cols, vals));
+        let weights = MatrixI8::from_vec(rows, cols, raw.iter().map(|&b| b as i8).collect());
+        let t0 = Instant::now();
+        g.set_weights(weights);
+        pack += t0.elapsed();
         weight_bytes += len;
         gemm_macs += g.m as u64 * g.k as u64 * g.n as u64;
     }
@@ -572,7 +584,7 @@ fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<(), Artifact
     }
     plan.weight_bytes = weight_bytes;
     plan.gemm_macs = gemm_macs;
-    Ok(())
+    Ok(pack)
 }
 
 /// Installs the TUNE section's advisory hints into this process's
@@ -637,7 +649,10 @@ fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
 /// re-hash disagrees with its stored checksum as
 /// [`ArtifactError::IntegrityMismatch`]. Never panics on any input.
 pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
+    let mut stages = Vec::with_capacity(6);
+    let mut since = Instant::now();
     let art = Artifact::decode(bytes).map_err(Gcd2Error::Artifact)?;
+    lap(&mut stages, &mut since, "container");
 
     let mut meta = ByteReader::new(required_section(&art, SEC_META)?);
     let label = meta
@@ -654,8 +669,16 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             MAX_GRAPH_TEXT,
         )));
     }
-    let graph_text = String::from_utf8_lossy(graph_bytes);
-    let graph = gcd2_cgraph::from_text(&graph_text).map_err(Gcd2Error::Parse)?;
+    // Bytes that are not UTF-8 are refused, not repaired into text the
+    // parser would then accept.
+    let graph_text = std::str::from_utf8(graph_bytes).map_err(|e| {
+        Gcd2Error::Artifact(bounds(
+            "graph text utf-8",
+            e.valid_up_to() as u64,
+            graph_bytes.len() as u64,
+        ))
+    })?;
+    let graph = gcd2_cgraph::from_text(graph_text).map_err(Gcd2Error::Parse)?;
     crate::admit::admit(&graph).map_err(Gcd2Error::Admission)?;
 
     let mut plan =
@@ -692,7 +715,14 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             )));
         }
     }
-    attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?).map_err(Gcd2Error::Artifact)?;
+    lap(&mut stages, &mut since, "graph+schedule+selection");
+    let pack = attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?)
+        .map_err(Gcd2Error::Artifact)?;
+    // One stage's wall clock, split by what `attach_weights` timed.
+    let copied = Instant::now();
+    stages.push(("weights copy", (copied - since).saturating_sub(pack)));
+    stages.push(("pack", pack));
+    since = copied;
 
     // The chain checksum binds the section table to the plan integrity
     // checksum the PLAN payload declares...
@@ -706,10 +736,12 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             got,
         }));
     }
+    lap(&mut stages, &mut since, "integrity");
 
     let tune_hints_applied =
         apply_tune_hints(required_section(&art, SEC_TUNE)?).map_err(Gcd2Error::Artifact)?;
     let stats = decode_stats(required_section(&art, SEC_STATS)?).map_err(Gcd2Error::Artifact)?;
+    lap(&mut stages, &mut since, "tune hints");
 
     Ok(LoadedArtifact {
         label,
@@ -718,6 +750,7 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
         plan,
         stats,
         tune_hints_applied,
+        stages,
     })
 }
 

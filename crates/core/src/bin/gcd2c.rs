@@ -32,7 +32,9 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
            --threads N batch item threads / serve workers (default: the\n\
                        machine's available parallelism); one inference\n\
                        and compilation always run on the calling thread\n\
-           --timing    print per-stage compile wall-clock and cache stats\n\
+           --timing    print per-stage compile wall-clock and cache stats,\n\
+                       and the plan-build stages of a plan --emit or\n\
+                       --infer builds\n\
            --infer N   build the inference plan and run it N times,\n\
                        reporting per-stage/per-op timings and verifying\n\
                        bit-identity against the interpreter\n\
@@ -62,7 +64,8 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
                        checksummed plan artifact to file F\n\
            --load F    (as the only mode argument) load a plan artifact,\n\
                        re-verify every checksum plus arena soundness,\n\
-                       and smoke-execute it; exit 1 with a structured\n\
+                       print where the load's time went by stage, and\n\
+                       smoke-execute it; exit 1 with a structured\n\
                        error on any corruption, skew, or forgery\n\
            --cache-dir D  content-addressed artifact cache: load the\n\
                        plan from D when a valid artifact exists, else\n\
@@ -389,6 +392,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = emit {
         const SEED: u64 = 0xC0DE;
+        let t0 = std::time::Instant::now();
         let plan = match compiled.try_inference_plan(SEED) {
             Ok(p) => p,
             Err(e) => {
@@ -396,6 +400,9 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
+        if timing {
+            print_stages("plan build", plan.build_stages(), t0.elapsed());
+        }
         let bytes = match gcd2::artifact::encode(&compiled, &plan, model_name) {
             Ok(b) => b,
             Err(e) => {
@@ -458,6 +465,7 @@ fn main() -> ExitCode {
         const SEED: u64 = 0xC0DE;
         let t0 = std::time::Instant::now();
         let plan = compiled.inference_plan(SEED);
+        let build_wall = t0.elapsed();
         println!(
             "\ninference plan: {} steps, {} slots, {:.1} KiB activations, \
              {:.1} KiB weights + {:.1} KiB panels, {:.3} GMACs (built in {:.2?})",
@@ -467,8 +475,11 @@ fn main() -> ExitCode {
             plan.weight_bytes() as f64 / 1024.0,
             plan.panel_bytes() as f64 / 1024.0,
             plan.gemm_macs() as f64 / 1e9,
-            t0.elapsed()
+            build_wall
         );
+        if timing {
+            print_stages("plan build", plan.build_stages(), build_wall);
+        }
         let input: Vec<u8> = (0..plan.input_len())
             .map(|i| (i * 7 + 13) as u8 % 16)
             .collect();
@@ -965,6 +976,7 @@ fn load_artifact(path: &str) -> ExitCode {
         loaded.tune_hints_applied,
         analysis.verdict()
     );
+    print_stages("load", &loaded.stages, decode_wall);
     println!(
         "  integrity   : {:#018x} (verified)",
         loaded.plan.checksum()
@@ -991,6 +1003,27 @@ fn load_artifact(path: &str) -> ExitCode {
         t0.elapsed()
     );
     ExitCode::SUCCESS
+}
+
+/// Prints a stage ledger in milliseconds: the wall clock the stages
+/// were measured inside, each stage, and what they leave of the wall
+/// clock as `unaccounted`.
+fn print_stages(
+    what: &str,
+    stages: &[(&'static str, std::time::Duration)],
+    wall: std::time::Duration,
+) {
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!("  {what} stages, ms of {:.3} wall:", ms(wall));
+    for &(name, d) in stages {
+        println!("    {name:<25}: {:>9.3}", ms(d));
+    }
+    let covered = stages.iter().map(|s| s.1).sum();
+    println!(
+        "    {:<25}: {:>9.3}",
+        "unaccounted",
+        ms(wall.saturating_sub(covered))
+    );
 }
 
 fn truncate(s: &str, n: usize) -> String {

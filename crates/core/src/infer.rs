@@ -46,15 +46,17 @@
 //! are shape-checked, arenas are stamped with the plan's integrity
 //! checksum and rejected across plans, per-step deadlines abandon
 //! overlong runs, and batch items are panic-isolated per item via
-//! [`gcd2_par::par_map_isolated`]. The plan itself carries an FNV-1a
-//! checksum over its materialized weights and step schedule, computed at
-//! build time and re-verifiable via [`InferencePlan::verify_integrity`]
+//! [`gcd2_par::par_map_isolated`]. The plan itself carries a
+//! [`gcd2_artifact::Checksum64`] over its materialized weights and step
+//! schedule, computed at build time and re-verifiable via
+//! [`InferencePlan::verify_integrity`]
 //! (or per-execution with [`ExecOptions::paranoid`]), which also re-packs
 //! every resident weight panel and re-derives the layout assignment,
 //! and compares. All of them stream
 //! the schedule through one executor, `InferencePlan::run_one`: one
 //! item, on the calling thread, a straight loop over the steps.
 
+use gcd2_artifact::Checksum64;
 use gcd2_cgraph::{Activation, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
@@ -363,10 +365,25 @@ pub struct InferencePlan {
     pub(crate) seed: u64,
     pub(crate) weight_bytes: usize,
     pub(crate) gemm_macs: u64,
-    /// FNV-1a over the step schedule and materialized weights, computed
-    /// once at build; [`InferencePlan::verify_integrity`] re-derives and
-    /// compares it.
+    /// [`Checksum64`] over the step schedule and materialized weights,
+    /// computed once at build; [`InferencePlan::verify_integrity`]
+    /// re-derives and compares it.
     pub(crate) checksum: u64,
+    /// Where the build's weight work went: `synthesise`, `pack`, `hash`,
+    /// `tuner warm`. Empty on a plan an artifact load reconstructed.
+    pub(crate) build_stages: Vec<(&'static str, Duration)>,
+}
+
+/// Closes one stage of a `(name, wall clock)` ledger: everything since
+/// `since` is `name`'s, and the next stage starts now.
+pub(crate) fn lap(
+    stages: &mut Vec<(&'static str, Duration)>,
+    since: &mut Instant,
+    name: &'static str,
+) {
+    let now = Instant::now();
+    stages.push((name, now - *since));
+    *since = now;
 }
 
 /// Reusable per-worker execution buffers: the activation slots plus the
@@ -470,34 +487,6 @@ pub struct ExecOptions {
     /// on the always-correct scalar path. All tiers are bit-identical,
     /// so forcing scalar can never change output bytes — only speed.
     pub force_scalar: bool,
-}
-
-/// Incremental FNV-1a (64-bit), the checksum primitive of plan
-/// integrity stamps. Not cryptographic — it detects corruption, not
-/// adversaries.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn i8s(&mut self, vals: &[i8]) {
-        for &v in vals {
-            self.bytes(&[v as u8]);
-        }
-    }
 }
 
 /// Wall-clock timing of one timed plan execution, mirroring
@@ -644,15 +633,15 @@ fn check_quant_range(node: NodeId, k: usize) -> Result<u8, InferError> {
 
 /// Folds one step's computation — variant tag, resolved dimensions, and
 /// for GEMMs the materialized weight bytes — into the plan checksum.
-fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
+fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
     match kind {
         StepKind::Input => h.u64(0),
         StepKind::Constant => h.u64(1),
         StepKind::Gemm(g) => {
             h.u64(2);
-            h.usize(g.m);
-            h.usize(g.k);
-            h.usize(g.n);
+            h.u64(g.m as u64);
+            h.u64(g.k as u64);
+            h.u64(g.n as u64);
             h.u64(g.shift as u64);
             match &g.prep {
                 GemmPrep::Direct => h.u64(0),
@@ -663,19 +652,19 @@ fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
                         2
                     });
                     for dim in geom.dims() {
-                        h.usize(dim);
+                        h.u64(dim as u64);
                     }
                 }
                 GemmPrep::Transposed { c, m } => {
                     h.u64(3);
-                    h.usize(*c);
-                    h.usize(*m);
+                    h.u64(*c as u64);
+                    h.u64(*m as u64);
                 }
             }
             match g.scatter {
                 Scatter::Chw { spatial } => {
                     h.u64(0);
-                    h.usize(spatial);
+                    h.u64(spatial as u64);
                 }
                 Scatter::DwRows => h.u64(1),
                 Scatter::RowMajor => h.u64(2),
@@ -690,11 +679,11 @@ fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
         StepKind::MonotoneLut => h.u64(8),
         StepKind::Softmax { group } => {
             h.u64(9);
-            h.usize(*group);
+            h.u64(*group as u64);
         }
         StepKind::LayerNorm { group } => {
             h.u64(10);
-            h.usize(*group);
+            h.u64(*group as u64);
         }
         StepKind::Pool {
             c,
@@ -705,19 +694,19 @@ fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
             is_max,
         } => {
             h.u64(11);
-            h.usize(*c);
-            h.usize(*ph);
-            h.usize(*w);
-            h.usize(kernel.0);
-            h.usize(kernel.1);
-            h.usize(stride.0);
-            h.usize(stride.1);
+            h.u64(*c as u64);
+            h.u64(*ph as u64);
+            h.u64(*w as u64);
+            h.u64(kernel.0 as u64);
+            h.u64(kernel.1 as u64);
+            h.u64(stride.0 as u64);
+            h.u64(stride.1 as u64);
             h.u64(*is_max as u64);
         }
         StepKind::GlobalAvgPool { c, hw } => {
             h.u64(12);
-            h.usize(*c);
-            h.usize(*hw);
+            h.u64(*c as u64);
+            h.u64(*hw as u64);
         }
         StepKind::Upsample {
             c,
@@ -726,10 +715,10 @@ fn hash_step_kind(h: &mut Fnv, kind: &StepKind) {
             factor,
         } => {
             h.u64(13);
-            h.usize(*c);
-            h.usize(*uh);
-            h.usize(*w);
-            h.usize(*factor);
+            h.u64(*c as u64);
+            h.u64(*uh as u64);
+            h.u64(*w as u64);
+            h.u64(*factor as u64);
         }
         StepKind::Concat => h.u64(14),
     }
@@ -1049,18 +1038,24 @@ impl InferencePlan {
         // weights — the interpreter's, derived from `seed` as it derives
         // them, in the row order the step's staging produces — packed.
         let labels = select(&steps);
+        let (mut synthesise, mut pack) = (Duration::ZERO, Duration::ZERO);
         for (step, (in_layout, out_layout)) in steps.iter_mut().zip(labels) {
             (step.in_layout, step.out_layout) = (in_layout, out_layout);
             if let StepKind::Gemm(g) = &mut step.kind {
                 let (node, n) = (step.node, g.n);
+                let t0 = Instant::now();
                 let rows: Vec<usize> = (0..g.k)
                     .map(|kr| g.interpreter_row(in_layout, kr) * n)
                     .collect();
-                g.set_weights(MatrixI8::from_fn(g.k, n, |kr, j| {
-                    weight(seed, node, rows[kr] + j)
-                }));
+                let weights = MatrixI8::from_fn(g.k, n, |kr, j| weight(seed, node, rows[kr] + j));
+                let t1 = Instant::now();
+                g.set_weights(weights);
+                synthesise += t1 - t0;
+                pack += t1.elapsed();
             }
         }
+        let mut build_stages = vec![("synthesise", synthesise), ("pack", pack)];
+        let mut since = Instant::now();
 
         // One step per node and the graph is non-empty.
         let output_len = steps.last().map(|s| s.out_len).unwrap_or(0);
@@ -1074,8 +1069,10 @@ impl InferencePlan {
             weight_bytes,
             gemm_macs,
             checksum: 0,
+            build_stages: Vec::new(),
         };
         plan.checksum = plan.integrity_checksum();
+        lap(&mut build_stages, &mut since, "hash");
 
         // Warm the per-shape tile autotuner for every matmul-backed GEMM
         // heavy enough to qualify (the same `TUNE_MIN_MACS` threshold the
@@ -1098,6 +1095,8 @@ impl InferencePlan {
                 }
             }
         }));
+        lap(&mut build_stages, &mut since, "tuner warm");
+        plan.build_stages = build_stages;
 
         // Debug builds run the static plan analyzer (gcd2-analyze) over
         // every freshly built plan, so an allocator or shift-folding
@@ -1117,46 +1116,54 @@ impl InferencePlan {
         Ok(plan)
     }
 
-    /// Re-derives the FNV-1a checksum over the step schedule (ids,
+    /// Re-derives the checksum over the step schedule (ids,
     /// slots, op strings, per-kind parameters) and every materialized
     /// weight byte. Equal to [`InferencePlan::checksum`] unless the plan
     /// has been corrupted since build.
     pub(crate) fn integrity_checksum(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Checksum64::new();
         h.u64(self.seed);
-        h.usize(self.input_len);
-        h.usize(self.output_len);
-        h.usize(self.output_slot);
-        h.usize(self.slot_sizes.len());
+        h.u64(self.input_len as u64);
+        h.u64(self.output_len as u64);
+        h.u64(self.output_slot as u64);
+        h.u64(self.slot_sizes.len() as u64);
         for &s in &self.slot_sizes {
-            h.usize(s);
+            h.u64(s as u64);
         }
         for step in &self.steps {
-            h.usize(step.node.0);
+            h.u64(step.node.0 as u64);
             h.bytes(step.op.as_bytes());
-            h.usize(step.in_slots.len());
+            h.u64(step.in_slots.len() as u64);
             for &s in &step.in_slots {
-                h.usize(s);
+                h.u64(s as u64);
             }
-            h.usize(step.out_slot);
-            h.usize(step.out_len);
+            h.u64(step.out_slot as u64);
+            h.u64(step.out_len as u64);
             for &p in &step.inputs {
-                h.usize(p);
+                h.u64(p as u64);
             }
             let (c, hw) = step.image.unwrap_or((0, 0));
-            h.usize(c);
-            h.usize(hw);
+            h.u64(c as u64);
+            h.u64(hw as u64);
             h.u64(step.in_layout as u64);
             h.u64(step.out_layout as u64);
             hash_step_kind(&mut h, &step.kind);
         }
-        h.0
+        h.finish()
     }
 
     /// The integrity checksum computed when the plan was built; arenas
     /// are stamped with it at checkout.
     pub fn checksum(&self) -> u64 {
         self.checksum
+    }
+
+    /// Where the build's weight work went, in order: `synthesise` (the
+    /// seeded weights), `pack` (their resident panels), `hash` (the
+    /// integrity checksum), `tuner warm`. Empty on a plan loaded from an
+    /// artifact, whose ledger is [`crate::LoadedArtifact::stages`].
+    pub fn build_stages(&self) -> &[(&'static str, Duration)] {
+        &self.build_stages
     }
 
     /// Re-hashes the plan's schedule and weights and compares against
@@ -1188,11 +1195,12 @@ impl InferencePlan {
                 _ => true,
             };
             if (step.in_layout, step.out_layout) != label || !packed {
-                let mut h = Fnv(got);
-                h.usize(index);
+                let mut h = Checksum64::new();
+                h.u64(got);
+                h.u64(index as u64);
                 return Err(InferError::IntegrityViolation {
                     expected: self.checksum,
-                    got: h.0,
+                    got: h.finish(),
                 });
             }
         }
@@ -1697,7 +1705,7 @@ impl InferencePlan {
 
     /// Mutation-suite helper: applies one seeded corruption from
     /// [`PlanMutation`] and **re-stamps the integrity checksum**, so the
-    /// FNV stamp cannot vouch for the plan and the static analyzer must
+    /// stamp cannot vouch for the plan and the static analyzer must
     /// catch the defect on its own. Returns whether the mutation found a
     /// site to apply to. Test instrumentation only — unlike the chaos
     /// helpers this is not feature-gated, because the analyzer mutation
@@ -2714,6 +2722,90 @@ mod tests {
             run_into(&plan, &input, &paranoid).expect("paranoid ok"),
             plan.execute(&input),
         );
+    }
+
+    /// One weight byte, wherever it sits — the first, a middle and the
+    /// last GEMM of the plan; the first byte, a 32-byte stripe boundary
+    /// and the last byte of each — fails the plan's own re-hash, the
+    /// re-hash of a load that re-encoded it, and the section checksum of
+    /// an artifact it was flipped in.
+    #[test]
+    fn a_flipped_weight_byte_anywhere_fails_integrity_and_load() {
+        use crate::artifact::{decode, encode, SEC_WEIGHTS};
+        use crate::Gcd2Error;
+        use gcd2_artifact::{Artifact, ArtifactError};
+
+        let compiled = Compiler::new().compile(&kitchen_sink());
+        let pristine = compiled.inference_plan(0xBEEF);
+        let bytes = encode(&compiled, &pristine, "sink").expect("encode");
+        // Where the payloads and the WEIGHTS section start in `bytes`.
+        let (payloads_at, weights_at) = {
+            let art = Artifact::decode(&bytes).expect("container");
+            let at = |section: &[u8]| section.as_ptr() as usize - bytes.as_ptr() as usize;
+            (
+                at(art.sections[0].bytes),
+                at(art.section(SEC_WEIGHTS).expect("weights section")),
+            )
+        };
+        let payloads = payloads_at..bytes.len() - 8;
+        let gemm_steps: Vec<usize> = (0..pristine.steps.len())
+            .filter(|&i| matches!(pristine.steps[i].kind, StepKind::Gemm(_)))
+            .collect();
+        assert_eq!(gemm_steps.len(), 3, "conv, depthwise, fc");
+        // Where each matrix starts in the section: a count, then
+        // (rows, cols, bytes) per GEMM.
+        let mut matrix_at = weights_at + 8;
+        for &index in &gemm_steps {
+            let StepKind::Gemm(g) = &pristine.steps[index].kind else {
+                unreachable!("filtered above");
+            };
+            let (len, n) = (g.weights.as_slice().len(), g.n);
+            matrix_at += 16;
+            for at in [0, 32.min(len - 1), len - 1] {
+                let mut plan = pristine.clone();
+                if let StepKind::Gemm(g) = &mut plan.steps[index].kind {
+                    g.weights
+                        .set(at / n, at % n, g.weights.get(at / n, at % n) ^ 1);
+                }
+                assert!(
+                    matches!(
+                        plan.verify_integrity(),
+                        Err(InferError::IntegrityViolation { expected, got })
+                            if expected == pristine.checksum() && got != expected
+                    ),
+                    "step {index}, byte {at}"
+                );
+                let reencoded = encode(&compiled, &plan, "sink").expect("encode");
+                assert!(
+                    matches!(
+                        decode(&reencoded),
+                        Err(Gcd2Error::Artifact(ArtifactError::IntegrityMismatch { .. }))
+                    ),
+                    "step {index}, byte {at}: re-encoded"
+                );
+                // The same flip made in the pristine artifact's bytes: it
+                // lands on that weight, under a table that still holds
+                // the pristine section checksum.
+                let mut flipped = bytes.clone();
+                flipped[matrix_at + at] ^= 1;
+                assert_eq!(
+                    flipped[payloads.clone()],
+                    reencoded[payloads.clone()],
+                    "step {index}, byte {at}: the flip is that weight"
+                );
+                assert!(
+                    matches!(
+                        decode(&flipped),
+                        Err(Gcd2Error::Artifact(ArtifactError::SectionChecksum {
+                            section: SEC_WEIGHTS,
+                            ..
+                        }))
+                    ),
+                    "step {index}, byte {at}: flipped in place"
+                );
+            }
+            matrix_at += len;
+        }
     }
 
     #[test]

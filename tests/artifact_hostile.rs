@@ -8,8 +8,8 @@
 //! `GCD2_REGEN_HOSTILE=1 cargo test --test artifact_hostile` — the
 //! corpus derives deterministically from `tests/data/golden.gcd2art`.
 
-use gcd2_repro::artifact::{Artifact, ArtifactError, FORMAT_VERSION};
-use gcd2_repro::compiler::artifact::decode;
+use gcd2_repro::artifact::{Artifact, ArtifactError, ArtifactWriter};
+use gcd2_repro::compiler::artifact::{decode, SEC_GRAPH};
 use gcd2_repro::compiler::Gcd2Error;
 
 const GOLDEN_PATH: &str = "tests/data/golden.gcd2art";
@@ -95,29 +95,29 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
     b[len_at..len_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
     push("oversized_len.gcd2art", b);
 
-    // A structurally valid container with zero sections: the plan
+    // A structurally valid container with zero sections (its chain
+    // bound to 0 — wrong for any plan, but never reached): the plan
     // decoder must reject it for the missing META section.
-    let mut b = Vec::new();
-    b.extend_from_slice(&golden[..8]);
-    b.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    b.extend_from_slice(&0u32.to_le_bytes()); // count = 0
-                                              // Chain over (version, count=0, bind=0) — wrong bind for any
-                                              // plan, but rejected earlier at the missing-section check.
-    let chain = {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &x in bytes {
-                h ^= x as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&FORMAT_VERSION.to_le_bytes());
-        eat(&0u32.to_le_bytes());
-        eat(&0u64.to_le_bytes());
-        h
-    };
-    b.extend_from_slice(&chain.to_le_bytes());
+    let b = ArtifactWriter::new().finish(0).expect("an empty container");
     push("zero_sections.gcd2art", b);
+
+    // The golden's sections with one byte of the graph text made
+    // invalid UTF-8, every section checksum and the chain recomputed:
+    // the container vouches for it, and the text must be refused as it
+    // is, not repaired into something the parser accepts.
+    let bind = decode(golden).expect("golden must load").plan.checksum();
+    let mut w = ArtifactWriter::new();
+    for sec in &art.sections {
+        let mut payload = sec.bytes.to_vec();
+        if sec.id == SEC_GRAPH {
+            payload[sec.bytes.len() / 2] = 0xFF;
+        }
+        w.section(sec.id, payload);
+    }
+    push(
+        "graph_invalid_utf8.gcd2art",
+        w.finish(bind).expect("re-encode"),
+    );
 
     // A flipped byte in the chain trailer: every section checksum still
     // passes, so this must be caught by the chain↔plan binding.
@@ -178,6 +178,18 @@ fn hostile_corpus_is_rejected_with_pinned_variants() {
         checked >= 12,
         "hostile corpus suspiciously small: {checked} files"
     );
+
+    // Invalid UTF-8 under valid checksums is refused as what it is —
+    // `Bounds` alone would also fit a parser-side limit tripping over
+    // repaired text.
+    let forged = std::fs::read(format!("{HOSTILE_DIR}/graph_invalid_utf8.gcd2art")).expect("read");
+    Artifact::decode(&forged).expect("container checksums hold");
+    match decode(&forged) {
+        Err(Gcd2Error::Artifact(ArtifactError::Bounds { what, .. })) => {
+            assert_eq!(what, "graph text utf-8")
+        }
+        other => panic!("expected a utf-8 refusal, got {other:?}"),
+    }
 
     // The corpus construction itself must stay in sync with the golden
     // artifact: rebuilding it in memory yields the same rejections.

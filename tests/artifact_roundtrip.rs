@@ -74,13 +74,15 @@ fn catalog_models_round_trip_bit_identically() {
 /// The artifacts earlier format versions wrote — the golden file as it
 /// was checked in before layouts were part of a plan (version 1) and
 /// before the selection admitted rows into depthwise convs, pools and
-/// gates (version 2: same fields, labels of the old selector) — are
-/// refused as a version skew, and a cache that still holds one degrades
-/// to a recorded fallback compile that heals the entry.
+/// gates (version 2: same fields, labels of the old selector), and
+/// while every checksum was byte-serial FNV-1a (version 3: same fields,
+/// other values) — are refused as a version skew, and a cache that
+/// still holds one degrades to a recorded fallback compile that heals
+/// the entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
             .expect("an earlier version's golden");
         match decode(&old) {
