@@ -48,12 +48,20 @@ grep -q "all 10 catalog models analyze clean" target/analyze.txt
 echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed and the stages cover the reported wall clock to within 10 %)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > /dev/null
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
-for stage in container "graph+schedule+selection" "weights copy" pack integrity "tune hints" unaccounted; do
+for stage in container "graph+schedule+selection" "weights copy" pack integrity unaccounted; do
     grep -q "^    $stage *: " target/load.txt
 done
 awk '/load stages, ms of/ { wall = $5 }
      /^    [^:]+: +[0-9.]+$/ && !/unaccounted/ { sum += $NF }
      END { exit !(wall > 0 && sum >= 0.9 * wall && sum <= 1.1 * wall) }' target/load.txt
+
+echo "==> kernel-choice determinism (resnet-50 in two processes: the (step, mb, kb) columns of the gemm kernels table are the same — a blocking is a function of the shape and the tier, never of a clock)"
+for run in a b; do
+    cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --infer 1 \
+        | awk '/gemm kernels/ { on = 1; next } /direct kernels/ { on = 0 } on { print $1, $5, $6 }' > target/blocks-$run.txt
+done
+test -s target/blocks-a.txt
+diff target/blocks-a.txt target/blocks-b.txt
 
 echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"
 cargo test -q --features fault-injection \

@@ -55,10 +55,12 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// more, so a version-2 plan's stored labels are no longer the derived
 /// ones; version 4: the checksum function is [`Checksum64`] where it was
 /// byte-serial FNV-1a, so every stored value differs and nothing else
-/// does). Readers refuse other versions with
+/// does; version 5: the plan payload lost its tile-hint section — a
+/// GEMM's blocking is a function of its shape and nothing about it is
+/// stored). Readers refuse other versions with
 /// [`ArtifactError::VersionSkew`] (the cache key includes the version,
 /// so skewed files are simply never hit).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large
@@ -1054,7 +1056,7 @@ mod tests {
         }
     }
 
-    /// Known answers: the value is part of the format (version 4), so it
+    /// Known answers: the value is part of the format (since version 4), so it
     /// may not drift with the host, the build profile or a refactor.
     #[test]
     fn known_answers_are_pinned() {

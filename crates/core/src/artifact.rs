@@ -1,7 +1,6 @@
 //! AOT plan artifacts: serialize a compiled [`InferencePlan`] (plus the
-//! graph it came from, autotune hints, and compile stats) into the
-//! `gcd2-artifact` container, and load it back with every byte treated
-//! as hostile.
+//! graph it came from and compile stats) into the `gcd2-artifact`
+//! container, and load it back with every byte treated as hostile.
 //!
 //! ## Sections
 //!
@@ -11,8 +10,12 @@
 //! | 2  | GRAPH   | the graph's canonical text (`gcd2_cgraph::to_text`)|
 //! | 3  | PLAN    | schedule, slot arena layout, stored checksum       |
 //! | 4  | WEIGHTS | per-GEMM materialized weight matrices              |
-//! | 5  | TUNE    | per-shape autotune `KernelChoice` hints (advisory) |
 //! | 6  | STATS   | compile-time DSP stats (cycles, packets, ...)      |
+//!
+//! Sections are looked up by id and an id this build does not know is
+//! ignored. Id 5 was the advisory tile-hint section of formats 1–4;
+//! a GEMM's blocking is now re-derived from its shape at every
+//! dispatch and nothing about it is stored.
 //!
 //! ## Trust model
 //!
@@ -35,7 +38,6 @@ use gcd2_artifact::{
     Artifact, ArtifactCache, ArtifactError, ArtifactWriter, ByteReader, ByteWriter, FORMAT_VERSION,
 };
 use gcd2_cgraph::{Graph, NodeId};
-use gcd2_kernels::{active_isa, cached_choice, KernelChoice, KernelIsa, TilePlan};
 use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,8 +56,6 @@ pub const SEC_PLAN: u32 = 3;
 /// See [`SEC_META`].
 pub const SEC_WEIGHTS: u32 = 4;
 /// See [`SEC_META`].
-pub const SEC_TUNE: u32 = 5;
-/// See [`SEC_META`].
 pub const SEC_STATS: u32 = 6;
 
 /// Decoder caps: far above anything the catalog emits, low enough that
@@ -66,7 +66,6 @@ const MAX_SLOT_BYTES: u64 = 1 << 32;
 const MAX_NAME_BYTES: u64 = 4096;
 const MAX_IN_SLOTS: u64 = 1 << 16;
 const MAX_GEMM_DIM: u64 = 1 << 28;
-const MAX_TUNE_HINTS: u64 = 1 << 16;
 const MAX_GRAPH_TEXT: u64 = 1 << 24;
 
 /// Compile-time execution statistics carried in the artifact, so a
@@ -100,16 +99,13 @@ pub struct LoadedArtifact {
     pub plan: InferencePlan,
     /// Compile-time stats from the STATS section.
     pub stats: ArtifactStats,
-    /// How many autotune hints were installed into this process's
-    /// tuner memo (hints are advisory; unsupported ISAs are skipped).
-    pub tune_hints_applied: usize,
     /// Where the load's wall clock went, in the order the stages ran:
     /// `container` (table bounds and section checksums),
     /// `graph+schedule+selection` (re-parse, re-admission, the PLAN
     /// section, the re-derived layout labels), `weights copy`, `pack`
     /// (the resident panels), `integrity` (chain binding and the plan
-    /// re-hash), `tune hints`. What [`decode`] took beyond their sum is
-    /// the caller's to report as unaccounted.
+    /// re-hash). What [`decode`] took beyond their sum is the caller's
+    /// to report as unaccounted.
     pub stages: Vec<(&'static str, Duration)>,
 }
 
@@ -251,36 +247,11 @@ fn encode_weights_section(plan: &InferencePlan) -> Vec<u8> {
     w.finish()
 }
 
-fn encode_tune_section(plan: &InferencePlan) -> Vec<u8> {
-    let mut records = Vec::new();
-    let isa = active_isa();
-    for step in &plan.steps {
-        if let StepKind::Gemm(g) = &step.kind {
-            if !g.runs_matmul() {
-                continue;
-            }
-            if let Some(c) = cached_choice(g.m, g.k, g.n, isa) {
-                records.push((g.m as u64, g.k as u64, g.n as u64, c));
-            }
-        }
-    }
-    let mut w = ByteWriter::new();
-    w.u64(records.len() as u64);
-    for (m, k, n, c) in records {
-        w.u64(m);
-        w.u64(k);
-        w.u64(n);
-        w.u8(isa as u8);
-        w.u8(c.isa as u8);
-        w.u64(c.tiles.mb as u64);
-        w.u64(c.tiles.kb as u64);
-    }
-    w.finish()
-}
-
 /// Serializes `plan` (and the graph/stats of the model it was built
 /// from) into a self-describing artifact. `label` is a free-form tag
-/// (typically the model name) surfaced again on load.
+/// (typically the model name) surfaced again on load. The bytes are a
+/// function of the arguments alone — not of the tier, the process or
+/// anything a clock read.
 ///
 /// # Errors
 /// [`ArtifactError::Bounds`] if a section exceeds the container caps —
@@ -310,7 +281,6 @@ pub fn encode(
     );
     writer.section(SEC_PLAN, encode_plan_section(plan));
     writer.section(SEC_WEIGHTS, encode_weights_section(plan));
-    writer.section(SEC_TUNE, encode_tune_section(plan));
     writer.section(SEC_STATS, stat_w.finish());
     writer.finish(plan.checksum())
 }
@@ -587,42 +557,6 @@ fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<Duration, Ar
     Ok(pack)
 }
 
-/// Installs the TUNE section's advisory hints into this process's
-/// autotuner memo; invalid or unsupported hints are skipped, never an
-/// error (they only ever change speed, not bytes). Returns how many
-/// were applied.
-fn apply_tune_hints(bytes: &[u8]) -> Result<usize, ArtifactError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.u64_capped("tune hint count", MAX_TUNE_HINTS)? as usize;
-    let mut applied = 0;
-    for _ in 0..count {
-        let m = r.u64_capped("tune m", MAX_GEMM_DIM)? as usize;
-        let k = r.u64_capped("tune k", MAX_GEMM_DIM)? as usize;
-        let n = r.u64_capped("tune n", MAX_GEMM_DIM)? as usize;
-        let dispatch_tag = r.u8()?;
-        let chosen_tag = r.u8()?;
-        let mb = r.u64_capped("tune mb", MAX_GEMM_DIM)? as usize;
-        let kb = r.u64_capped("tune kb", MAX_GEMM_DIM)? as usize;
-        let (Some(dispatch_isa), Some(chosen_isa)) = (
-            KernelIsa::from_tag(dispatch_tag),
-            KernelIsa::from_tag(chosen_tag),
-        ) else {
-            continue; // hint from an ISA this build doesn't know: skip
-        };
-        let choice = KernelChoice {
-            isa: chosen_isa,
-            tiles: TilePlan { mb, kb },
-        };
-        if gcd2_kernels::seed_choice(m, k, n, dispatch_isa, choice) {
-            applied += 1;
-        }
-    }
-    if !r.is_empty() {
-        return Err(bounds("tune trailing bytes", r.remaining() as u64, 0));
-    }
-    Ok(applied)
-}
-
 fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
     let mut r = ByteReader::new(bytes);
     let stats = ArtifactStats {
@@ -649,7 +583,7 @@ fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
 /// re-hash disagrees with its stored checksum as
 /// [`ArtifactError::IntegrityMismatch`]. Never panics on any input.
 pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
-    let mut stages = Vec::with_capacity(6);
+    let mut stages = Vec::with_capacity(5);
     let mut since = Instant::now();
     let art = Artifact::decode(bytes).map_err(Gcd2Error::Artifact)?;
     lap(&mut stages, &mut since, "container");
@@ -736,12 +670,8 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             got,
         }));
     }
-    lap(&mut stages, &mut since, "integrity");
-
-    let tune_hints_applied =
-        apply_tune_hints(required_section(&art, SEC_TUNE)?).map_err(Gcd2Error::Artifact)?;
     let stats = decode_stats(required_section(&art, SEC_STATS)?).map_err(Gcd2Error::Artifact)?;
-    lap(&mut stages, &mut since, "tune hints");
+    lap(&mut stages, &mut since, "integrity");
 
     Ok(LoadedArtifact {
         label,
@@ -749,7 +679,6 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
         graph,
         plan,
         stats,
-        tune_hints_applied,
         stages,
     })
 }

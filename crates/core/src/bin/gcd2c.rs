@@ -528,7 +528,9 @@ fn main() -> ExitCode {
                     scalar.count()
                 );
                 // Each GEMM's wall clock (staging and scatter included)
-                // is its operator's entry in `per_op`.
+                // is its operator's entry in `per_op`. `panel` (k·n) and
+                // `block` (mb·k) are the two quantities the blocking
+                // rule weighs to choose `mb`.
                 for gk in &report.gemm_kernels {
                     let took = report
                         .per_op
@@ -536,7 +538,7 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<7} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -544,7 +546,8 @@ fn main() -> ExitCode {
                         format!("{}→{}", gk.layouts.0, gk.layouts.1),
                         gk.mb,
                         gk.kb,
-                        if gk.tuned { "tuned" } else { "default" },
+                        format!("panel={:.1}KiB", (gk.k * gk.n) as f64 / 1024.0),
+                        format!("block={:.1}KiB", (gk.mb * gk.k) as f64 / 1024.0),
                         gk.isa.name(),
                         if gk.panel_resident {
                             "resident"
@@ -966,14 +969,13 @@ fn load_artifact(path: &str) -> ExitCode {
     let analysis = gcd2_analyze::analyze_plan(&loaded.graph, &loaded.plan);
     println!(
         "loaded {:?} from {path} in {:.2?}: {} steps, {} slots, {:.1} KiB weights, \
-         {:.3} GMACs, {} tune hints — analyzer {}",
+         {:.3} GMACs — analyzer {}",
         loaded.label,
         decode_wall,
         loaded.plan.steps(),
         loaded.plan.slot_count(),
         loaded.plan.weight_bytes() as f64 / 1024.0,
         loaded.plan.gemm_macs() as f64 / 1e9,
-        loaded.tune_hints_applied,
         analysis.verdict()
     );
     print_stages("load", &loaded.stages, decode_wall);

@@ -60,8 +60,8 @@ use gcd2_artifact::Checksum64;
 use gcd2_cgraph::{Activation, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
-    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, warm_gemm_tiles,
-    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, WeightPanel, TUNE_MIN_MACS,
+    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, GemmScratch,
+    Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
 };
 use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
@@ -202,7 +202,9 @@ pub(crate) struct GemmStep {
 /// Below this output-channel count an im2col conv runs the direct
 /// sliding-window kernel instead of staging + GEMM + scatter: the
 /// staging matrix is `c·kh·kw / n` times larger than the output, and no
-/// GEMM column strip can engage that narrow anyway.
+/// GEMM column strip can engage that narrow anyway. `gcd2-kernels`'
+/// `tiled::tests::catalog_shapes` restates this rule to pin the
+/// blocking of every catalog GEMM; change the two together.
 const DIRECT_CONV_MAX_N: usize = 16;
 
 impl GemmStep {
@@ -255,11 +257,11 @@ impl GemmStep {
 
     /// Whether this step takes the direct-conv path
     /// ([`gcd2_kernels::conv2d_direct_chw_into`], bit-identical to the
-    /// staged path). Consulted by the executor, the autotune warm pass,
-    /// and the report, which must agree on which steps reach the GEMM
-    /// band kernels. Requires the plain CHW scatter covering exactly the
-    /// GEMM rows (ConvTranspose upsampling scatters have `m < spatial`
-    /// and stay on the staged path).
+    /// staged path). Consulted by the executor and the report, which
+    /// must agree on which steps reach the GEMM band kernels. Requires
+    /// the plain CHW scatter covering exactly the GEMM rows
+    /// (ConvTranspose upsampling scatters have `m < spatial` and stay
+    /// on the staged path).
     pub(crate) fn runs_direct_conv(&self) -> bool {
         matches!(self.prep, GemmPrep::Im2col(_))
             && self.n < DIRECT_CONV_MAX_N
@@ -268,7 +270,7 @@ impl GemmStep {
 
     /// Whether this step reaches the GEMM dispatcher: depthwise and
     /// narrow-head convs run direct kernels instead, so they have no
-    /// tile plan to warm or report.
+    /// tile plan to report.
     pub(crate) fn runs_matmul(&self) -> bool {
         !matches!(self.prep, GemmPrep::Depthwise(_)) && !self.runs_direct_conv()
     }
@@ -369,8 +371,8 @@ pub struct InferencePlan {
     /// computed once at build; [`InferencePlan::verify_integrity`]
     /// re-derives and compares it.
     pub(crate) checksum: u64,
-    /// Where the build's weight work went: `synthesise`, `pack`, `hash`,
-    /// `tuner warm`. Empty on a plan an artifact load reconstructed.
+    /// Where the build's weight work went: `synthesise`, `pack`, `hash`.
+    /// Empty on a plan an artifact load reconstructed.
     pub(crate) build_stages: Vec<(&'static str, Duration)>,
 }
 
@@ -533,9 +535,10 @@ pub struct DirectKernelInfo {
     pub layouts: (ActLayout, ActLayout),
 }
 
-/// How one GEMM step was executed in a timed run: its shape, the tile
-/// sizes the dispatcher resolved, and whether those tiles came from the
-/// per-shape autotuner cache (`tuned`) or are the static defaults.
+/// How one GEMM step was executed in a timed run: its shape and the
+/// blocking the dispatcher derived for it
+/// ([`gcd2_kernels::tile_plan`], a pure function of the shape and the
+/// tier).
 #[derive(Debug, Clone)]
 pub struct GemmKernelInfo {
     /// The graph node this GEMM executes.
@@ -557,9 +560,9 @@ pub struct GemmKernelInfo {
     pub mb: usize,
     /// Reduction-block tile the kernel ran with.
     pub kb: usize,
-    /// True when the tiles came from the autotuner cache; false means
-    /// the static defaults (shape below the tuning threshold, tuning
-    /// disabled, or the probe was skipped).
+    /// True when the rule chose a blocking other than
+    /// [`TilePlan::DEFAULT`] for this shape on this tier (the name is
+    /// the benchmark's `kernels.tuned_gemms`; nothing is timed).
     pub tuned: bool,
     /// True when the GEMM read the step's resident weight panel; false
     /// when the tier it resolved wanted another layout (a scalar pin or
@@ -1073,29 +1076,6 @@ impl InferencePlan {
         };
         plan.checksum = plan.integrity_checksum();
         lap(&mut build_stages, &mut since, "hash");
-
-        // Warm the per-shape tile autotuner for every matmul-backed GEMM
-        // heavy enough to qualify (the same `TUNE_MIN_MACS` threshold the
-        // dispatcher applies), so steady-state execution never pays the
-        // probe sweep. Best-effort by design: the probe only populates a
-        // memo cache, so an injected fault here (the chaos suites panic
-        // inside `cache.lookup`/`autotune.cache`) must not fail the
-        // build — execution falls back to probing lazily or to default
-        // tiles.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for step in &plan.steps {
-                if let StepKind::Gemm(g) = &step.kind {
-                    if !g.runs_matmul() {
-                        continue;
-                    }
-                    let macs = g.m as u64 * g.k as u64 * g.n as u64;
-                    if macs >= TUNE_MIN_MACS {
-                        warm_gemm_tiles(g.m, g.k, g.n, &g.weights, &g.panel, g.shift);
-                    }
-                }
-            }
-        }));
-        lap(&mut build_stages, &mut since, "tuner warm");
         plan.build_stages = build_stages;
 
         // Debug builds run the static plan analyzer (gcd2-analyze) over
@@ -1160,7 +1140,7 @@ impl InferencePlan {
 
     /// Where the build's weight work went, in order: `synthesise` (the
     /// seeded weights), `pack` (their resident panels), `hash` (the
-    /// integrity checksum), `tuner warm`. Empty on a plan loaded from an
+    /// integrity checksum). Empty on a plan loaded from an
     /// artifact, whose ledger is [`crate::LoadedArtifact::stages`].
     pub fn build_stages(&self) -> &[(&'static str, Duration)] {
         &self.build_stages
@@ -1598,7 +1578,7 @@ impl InferencePlan {
                     // Direct kernels never reach the GEMM dispatcher —
                     // no tile plan to report.
                     if g.runs_matmul() {
-                        let (isa, tiles, tuned) = gemm_kernel_summary(g.m, g.k, g.n);
+                        let (isa, tiles) = gemm_kernel_summary(g.m, g.k, g.n);
                         r.kernel_isa = gcd2_kernels::active_isa().name();
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
@@ -1609,7 +1589,7 @@ impl InferencePlan {
                             isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
-                            tuned,
+                            tuned: tiles != TilePlan::DEFAULT,
                             panel_resident: panel == PanelSource::Resident,
                             layouts: (step.in_layout, step.out_layout),
                         });

@@ -37,7 +37,6 @@
 //! | `infer.gemm`       | blocked-GEMM dispatch (`gcd2-kernels::tiled`)    |
 //! | `infer.elementwise`| host elementwise/pool/shape step dispatch        |
 //! | `infer.batch`      | batch-worker item startup (`gcd2::infer`)        |
-//! | `autotune.cache`   | GEMM tile-tuner memo lookup (`gcd2-kernels`)     |
 //! | `serve.batch`      | gateway batch execution (`gcd2::serve`)          |
 //! | `serve.registry`   | gateway model register/swap (`gcd2::serve`)      |
 //! | `serve.hang`       | gateway batch dispatch, pre-execution (a `Delay` models a wedged worker under the watchdog) |
@@ -61,13 +60,12 @@ pub const COMPILE_POINTS: [&str; 5] = [
 ];
 
 /// The inference-runtime fault points ([`Layer::Runtime`]).
-pub const RUNTIME_POINTS: [&str; 6] = [
+pub const RUNTIME_POINTS: [&str; 5] = [
     "infer.arena",
     "infer.prep",
     "infer.gemm",
     "infer.elementwise",
     "infer.batch",
-    "autotune.cache",
 ];
 
 /// The serving-gateway fault points ([`Layer::Gateway`]).
@@ -91,7 +89,7 @@ pub const ARTIFACT_POINTS: [&str; 3] = ["artifact.encode", "artifact.decode", "a
 pub const SUPERVISOR_POINTS: [&str; 2] = ["serve.hang", "serve.retry"];
 
 /// Every canonical fault-point name, for plan builders and tests.
-pub const POINTS: [&str; 18] = [
+pub const POINTS: [&str; 17] = [
     "cost.eval",
     "cache.lookup",
     "pack.vliw",
@@ -102,7 +100,6 @@ pub const POINTS: [&str; 18] = [
     "infer.gemm",
     "infer.elementwise",
     "infer.batch",
-    "autotune.cache",
     "serve.batch",
     "serve.registry",
     "serve.hang",
@@ -225,9 +222,8 @@ pub enum Layer {
     /// [`COMPILE_POINTS`]: panic, delay or cache corruption, transient.
     Compile,
     /// [`RUNTIME_POINTS`]: panics or short delays, occasionally sticky
-    /// to model persistent hardware/memory failures. Cache corruption
-    /// is left to explicit scenarios (the `autotune.cache` chaos tests)
-    /// so seeded sweeps stay focused on crash/latency faults.
+    /// to model persistent hardware/memory failures. No runtime point
+    /// is a cache, so cache corruption stays the compile layer's.
     Runtime,
     /// [`GATEWAY_POINTS`] plus the runtime points (a gateway sits on
     /// top of the runtime, so its sweeps cross both layers).
@@ -508,16 +504,12 @@ mod tests {
         };
         let pinned = [
             (Layer::Compile, 7, "parse.line Panic @12"),
-            (
-                Layer::Runtime,
-                7,
-                "infer.elementwise Delay { millis: 2 } @40",
-            ),
-            (Layer::Gateway, 7, "infer.elementwise Panic @11 sticky"),
+            (Layer::Runtime, 7, "infer.gemm Delay { millis: 2 } @40"),
+            (Layer::Gateway, 7, "infer.prep Panic @11 sticky"),
             (
                 Layer::Supervisor,
                 7,
-                "serve.batch Panic @9, serve.hang Panic @11, serve.retry Delay { millis: 1 } @16",
+                "infer.gemm Panic @9, serve.hang Panic @11, infer.prep Delay { millis: 1 } @16",
             ),
             (Layer::Artifact, 7, "artifact.io Panic @1"),
             (
@@ -528,14 +520,14 @@ mod tests {
             (
                 Layer::Runtime,
                 2024,
-                "infer.prep Panic @4, infer.arena Panic @26, \
-                 autotune.cache Delay { millis: 3 } @47 sticky",
+                "infer.arena Panic @4, infer.gemm Panic @26, \
+                 infer.elementwise Delay { millis: 3 } @47 sticky",
             ),
-            (Layer::Gateway, 2024, "infer.gemm Panic @9 sticky"),
+            (Layer::Gateway, 2024, "infer.batch Panic @9 sticky"),
             (
                 Layer::Supervisor,
                 2024,
-                "infer.arena Delay { millis: 3 } @4",
+                "serve.batch Delay { millis: 3 } @4",
             ),
             (
                 Layer::Artifact,

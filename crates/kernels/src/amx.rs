@@ -40,18 +40,18 @@
 //! block and requantised straight into the output, so there is no band
 //! accumulator to stream. Inside a row block the `mb × k` activation
 //! block is re-read per strip pair (from L2) and the panel is streamed
-//! once; `mb` is the tile plan's, and the autotuner's candidates run
-//! from 32 rows to the whole band (to the rows its probe runs, where
-//! those are fewer) — a few-row GEMM with a deep panel
-//! (`49 × 4608 × 512`) streams its 2.4 MB panel once, a many-row conv
+//! once; `mb` is the tile plan's ([`crate::tiled::tile_plan`]: 32 rows
+//! while the panel is cache-resident, else as many as keep the block in
+//! L2, up to the whole band) — a few-row GEMM with a deep panel
+//! (`49 × 2048 × 512`) streams its 1 MiB panel once, a many-row conv
 //! over a small panel (`3136 × 576 × 64`) keeps a small row block. There
 //! is no `kb` segmentation here: the accumulators never leave the tile
 //! registers.
 
-use crate::autotune::TilePlan;
 use crate::dispatch::BandArgs;
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
 use crate::tiled::BandScratch;
+use crate::tiled::TilePlan;
 use core::arch::asm;
 use core::arch::x86_64::*;
 use std::sync::OnceLock;

@@ -32,7 +32,9 @@
 //! `O(k·n)` pack per dispatch. The matrix-taking entry points
 //! ([`try_matmul_threaded_into`], [`crate::try_matmul_blocked_into`])
 //! are *pack, then the same core*: one `dispatch` function picks the
-//! panel, resolves the tiles and runs the band kernel under all of them.
+//! panel, derives the blocking of the tier it resolved
+//! ([`crate::tiled::tile_plan`]) and runs the band kernel under all of
+//! them.
 //! There is one fallback: a dispatch whose tier wants another layout
 //! than the resident panel's (a [`pin_scalar`] demotion, [`force_isa`]
 //! flipped since the pack) reads the raw weights or packs for that one
@@ -52,13 +54,13 @@
 //! [`crate::simd`]); the AMX tile grid computes the panel's zero-padded
 //! last strip whole (see [`crate::amx`]).
 
-use crate::autotune::{self, TilePlan};
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
-use crate::tiled::{validate_dispatch, BandScratch, GemmDispatchError, GemmScratch};
+use crate::tiled::{
+    tile_plan, validate_dispatch, BandScratch, GemmDispatchError, GemmScratch, TilePlan,
+};
 use gcd2_tensor::MatrixI8;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Kernel instruction-set tiers, from the always-available oracle up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,8 +123,7 @@ impl KernelIsa {
     }
 
     /// The tier for a stable `repr(u8)` tag (the inverse of `self as
-    /// u8`), used when tags cross a serialization boundary — e.g. the
-    /// TUNE section of a plan artifact. Unknown tags return `None`.
+    /// u8`). Unknown tags return `None`.
     pub fn from_tag(v: u8) -> Option<KernelIsa> {
         match v {
             0 => Some(KernelIsa::Scalar),
@@ -539,49 +540,11 @@ fn panel_for<'p>(
     }
 }
 
-/// Resolves the tiles `active` runs an `m`-row dispatch with, probing
-/// candidates on a cache miss (see [`crate::autotune`]) over the leading
-/// [`autotune::probe_rows`] rows of `args.a` with `panel`, the tier's
-/// panel of `args.wd`.
-fn resolve(
-    active: &KernelTable,
-    args: &BandArgs<'_>,
-    m: usize,
-    panel: &WeightPanel,
-    scratch: &mut BandScratch,
-) -> TilePlan {
-    let (k, n) = (args.k, args.n);
-    let rows = autotune::probe_rows(m, k, n);
-    let (choice, _tuned) = autotune::resolve_kernel(m, k, n, active.isa, &mut |cand| {
-        let args = BandArgs {
-            tiles: cand.tiles,
-            ..*args
-        };
-        let mut tmp = vec![0u8; rows * n];
-        let start = Instant::now();
-        // SAFETY: the tier was runtime-verified at table resolution
-        // (scalar needs no features); probe rows are a prefix of the
-        // real operands, so the operand contract (rows*k activations,
-        // k×n weights, `panel` the tier's pack image of wd) holds.
-        unsafe {
-            (active.band)(
-                &args,
-                &panel.pairs,
-                &panel.quads,
-                scratch,
-                0,
-                rows,
-                &mut tmp,
-            )
-        };
-        start.elapsed()
-    });
-    choice.tiles
-}
-
 /// The dispatch core under every GEMM entry point: picks the panel
-/// ([`panel_for`]), resolves the tiles ([`resolve`]) and runs the band
-/// kernel over all `m` rows on the calling thread. Operands are
+/// ([`panel_for`]), derives the blocking of the tier it resolved
+/// ([`tile_plan`] — a scalar pin, a demotion or [`force_isa`] gets the
+/// blocking of the tier it lands on) and runs the band kernel over all
+/// `m` rows on the calling thread. Operands are
 /// pre-validated by the caller, `out` included: exactly `m × n` bytes,
 /// every one of which the kernel overwrites.
 #[allow(clippy::too_many_arguments)] // the GEMM operand contract
@@ -605,16 +568,15 @@ fn dispatch(
     let wd = w.as_slice();
     let GemmScratch { band, panel: own } = scratch;
     let (panel, source) = panel_for(active, resident, own, wd, k, n);
-    let mut args = BandArgs {
+    let args = BandArgs {
         a,
         k,
         n,
         wd,
         shift,
         clamp,
-        tiles: TilePlan::DEFAULT,
+        tiles: tile_plan(m, k, n, active.isa),
     };
-    args.tiles = resolve(active, &args, m, panel, band);
     // SAFETY: table resolution verified ISA support; the caller's
     // validate_dispatch established a.len() == m*k and w.rows() == k,
     // out is m*n bytes, and `panel` is the pack image of wd for the
@@ -707,45 +669,6 @@ pub fn try_matmul_panel_into(
     Ok(dispatch(a, m, k, w, requant, Some(panel), scratch, out))
 }
 
-/// Pre-resolves the tile plan for a GEMM shape using synthetic
-/// activations and the weights' resident `panel`, so the first real
-/// request doesn't pay the probe sweep and the warm-up packs nothing.
-/// Called at `InferencePlan` build time for every GEMM step above the
-/// tuning threshold; below it (or with tuning disabled) this is a no-op.
-pub fn warm_gemm_tiles(m: usize, k: usize, n: usize, w: &MatrixI8, panel: &WeightPanel, shift: u8) {
-    if m == 0 || n == 0 || k == 0 || w.rows() != k || w.cols() != n || shift >= 32 {
-        return;
-    }
-    let rows = autotune::probe_rows(m, k, n);
-    // Synthetic activations in the quantized range with a realistic
-    // sprinkle of zeros (the kernels zero-skip, so an all-dense or
-    // all-zero probe would mis-rank candidates).
-    let a: Vec<u8> = (0..rows * k)
-        .map(|i| {
-            let v = (i.wrapping_mul(2654435761) >> 7) % 19;
-            if v >= 16 {
-                0
-            } else {
-                v as u8
-            }
-        })
-        .collect();
-    let args = BandArgs {
-        a: &a,
-        k,
-        n,
-        wd: w.as_slice(),
-        shift,
-        clamp: u8::MAX,
-        tiles: TilePlan::DEFAULT,
-    };
-    let active = active_table();
-    let GemmScratch { band, panel: own } = &mut GemmScratch::default();
-    let (panel, _) = panel_for(active, Some(panel), own, args.wd, k, n);
-    // Key by the *real* m; the probe itself only ever runs `rows` rows.
-    let _ = resolve(active, &args, m, panel, band);
-}
-
 /// The tier whose multiply instructions run an `m × k × n` GEMM that is
 /// dispatched on `tier` — a pure function of its arguments. The AMX
 /// tier's tile grid needs 16 rows, below which its band kernel is the
@@ -761,17 +684,12 @@ fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
     }
 }
 
-/// What the dispatcher would use for a GEMM shape right now, for
-/// reports: `(isa, tiles, tuned)`, `isa` being the tier whose multiply
-/// instructions run this shape on the active tier ([`multiply_isa`]).
-/// Pure lookup — never probes.
-pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan, bool) {
+/// What the dispatcher uses for a GEMM shape on the active tier, for
+/// reports: the tier whose multiply instructions run this shape
+/// ([`multiply_isa`]) and the blocking [`tile_plan`] gives it.
+pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan) {
     let tier = active_isa();
-    let isa = multiply_isa(tier, m, n);
-    match autotune::cached_choice(m, k, n, tier) {
-        Some(c) => (isa, c.tiles, true),
-        None => (isa, TilePlan::DEFAULT, false),
-    }
+    (multiply_isa(tier, m, n), tile_plan(m, k, n, tier))
 }
 
 #[cfg(test)]
@@ -883,65 +801,132 @@ mod tests {
         assert!(active_isa().supported());
     }
 
-    /// Diagnostic, not a gate: sweeps the candidate tile grid over a
-    /// full-size GEMM on the active ISA and prints GMAC/s per plan.
-    /// Run with `cargo test --release -p gcd2-kernels -- --ignored
-    /// tile_sweep --nocapture` when re-tuning the candidate tables.
-    #[test]
-    #[ignore = "perf diagnostic; run manually in release mode"]
-    fn tile_sweep_diagnostic() {
-        let (m, k, n) = (16384, 2304, 256);
-        let (a, w) = operands(m, k, n);
-        let wd = w.as_slice();
-        let table = active_table();
-        let panel = WeightPanel::pack(&w);
-        let mut scratch = BandScratch::default();
-        let mut out = vec![0u8; m * n];
-        for &mb in &[16usize, 32, 64, 128, 256] {
-            for &kb in &[128usize, 256, 512, 1024, 2304] {
-                let args = BandArgs {
-                    a: a.as_bytes(),
-                    k,
-                    n,
-                    wd,
-                    shift: 6,
-                    clamp: u8::MAX,
-                    tiles: TilePlan { mb, kb },
-                };
-                let t0 = Instant::now();
-                // SAFETY: active table's ISA was runtime-verified and
-                // the operands match the band contract.
-                unsafe {
-                    (table.band)(
-                        &args,
-                        &panel.pairs,
-                        &panel.quads,
-                        &mut scratch,
-                        0,
-                        m,
-                        &mut out,
-                    )
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                let gmacs = (m * k * n) as f64 / dt / 1e9;
-                println!(
-                    "{:>10} mb={mb:<4} kb={kb:<5} {gmacs:8.1} GMAC/s",
-                    table.isa.name()
-                );
-            }
-        }
+    /// The blocks the timing tuner used to rank per shape — the
+    /// only place its candidate tables survive. The tile kernel reads
+    /// `mb` alone: 32 rows to the whole band (offered up to 1024 rows;
+    /// 256 is where the probe capped it on the deep shapes).
+    fn old_candidates(isa: KernelIsa, m: usize, k: usize) -> Vec<TilePlan> {
+        let (mbs, kbs, kb_cap): (&[usize], &[usize], usize) = if isa == KernelIsa::AmxInt8 {
+            (&[32, 64, 128, 256, 1024], &[crate::tiled::KB], usize::MAX)
+        } else {
+            (&[16, 32, 64, 128], &[128, 256, 1024], k.next_multiple_of(2))
+        };
+        let plan = |&mb: &usize, &kb: &usize| TilePlan {
+            mb: mb.min(m),
+            kb: kb.min(kb_cap),
+        };
+        mbs.iter()
+            .flat_map(|mb| kbs.iter().map(move |kb| plan(mb, kb)))
+            .collect()
     }
 
+    /// The per-shape evidence beside [`tile_plan`], not a gate (it
+    /// asserts nothing about time): for each distinct GEMM shape of the
+    /// four models the benchmark runs warm and each tier this host
+    /// supports, times every block of [`old_candidates`] plus the rule's
+    /// (best of 15 rounds over all of them, line-aligned `a`, the
+    /// tier's resident panel pushed out of L2 before each run) and
+    /// prints rule pick / best pick / ratio and the per-model sums, each
+    /// shape weighted by how many steps have it. A shape is timed alone:
+    /// what a blocking does to the steps after it — which is what fixed
+    /// the rule's constants — is not in this table. DESIGN.md §4e holds
+    /// the output for the AMX and VNNI tiers:
+    /// `cargo test -p gcd2-kernels --release -- --ignored tile_rule_vs_sweep --nocapture`
     #[test]
-    fn summary_reports_cached_tiles_after_warm() {
-        // Unique above-threshold shape so the warm call really tunes.
-        let (m, k, n) = (2048, 640, 48);
-        let w = MatrixI8::from_fn(k, n, |r, c| (((r + c) % 5) as i8) - 2);
-        warm_gemm_tiles(m, k, n, &w, &WeightPanel::pack(&w), 4);
-        if autotune::autotune_enabled() {
-            let (isa, _tiles, tuned) = gemm_kernel_summary(m, k, n);
-            assert_eq!(isa, active_isa());
-            assert!(tuned, "warmed shape must report tuned tiles");
+    #[ignore = "perf evidence; run manually in release mode"]
+    fn tile_rule_vs_sweep() {
+        use crate::tiled::{tests::catalog_shapes, LineBuf};
+        use gcd2_models::ModelId;
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+
+        // Twice this host's L2, read a line at a time.
+        let evict = vec![1u8; 8 << 20];
+        let touch = |bytes: &[u8]| bytes.iter().step_by(64).map(|&b| b as u64).sum::<u64>();
+        let models = [
+            ModelId::ResNet50,
+            ModelId::TinyBert,
+            ModelId::MobileNetV3,
+            ModelId::EfficientNetB0,
+        ];
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let table = table_for(isa);
+            for model in models {
+                println!("{isa} {model}");
+                let (mut rule_sum, mut best_sum) = (Duration::ZERO, Duration::ZERO);
+                for ((m, k, n), count) in catalog_shapes(model) {
+                    let (a, w) = operands(m, k, n);
+                    let mut staged = LineBuf::default();
+                    staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
+                    let mut panel = WeightPanel::default();
+                    panel.fill(table.panel, w.as_slice(), k, n);
+                    let rule = tile_plan(m, k, n, isa);
+                    let mut cands = old_candidates(isa, m, k);
+                    cands.push(rule);
+                    cands.sort_by_key(|t| (t.mb, t.kb));
+                    cands.dedup();
+                    let mut best = vec![Duration::MAX; cands.len()];
+                    let mut scratch = BandScratch::default();
+                    let mut out = vec![0u8; m * n];
+                    for _ in 0..15 {
+                        for (tiles, best) in cands.iter().zip(&mut best) {
+                            let args = BandArgs {
+                                a: staged.bytes(),
+                                k,
+                                n,
+                                wd: w.as_slice(),
+                                shift: 6,
+                                clamp: u8::MAX,
+                                tiles: *tiles,
+                            };
+                            // What a plan's GEMM meets: the panel last
+                            // read an inference ago and since pushed
+                            // out of L2 by the other layers' weights,
+                            // the activations just written.
+                            black_box(touch(&evict) + touch(staged.bytes()));
+                            let t0 = Instant::now();
+                            // SAFETY: the tier is supported and the
+                            // operands match the band contract: `a` is
+                            // m × k, `panel` the tier's pack of `w`,
+                            // `out` m × n.
+                            unsafe {
+                                (table.band)(
+                                    &args,
+                                    &panel.pairs,
+                                    &panel.quads,
+                                    &mut scratch,
+                                    0,
+                                    m,
+                                    &mut out,
+                                )
+                            };
+                            *best = (*best).min(t0.elapsed());
+                        }
+                    }
+                    let timed = || cands.iter().copied().zip(best.iter().copied());
+                    let (_, t_rule) = timed().find(|&(c, _)| c == rule).expect("pushed");
+                    let (fastest, t_best) = timed().min_by_key(|&(_, t)| t).expect("pushed");
+                    rule_sum += t_rule * count as u32;
+                    best_sum += t_best * count as u32;
+                    println!(
+                        "  {m:>5}x{k:<4}x{n:<4} ×{count:<2} rule mb={:<4} kb={:<4} {:>8.1?}  \
+                         best mb={:<4} kb={:<4} {:>8.1?}  {:.3}",
+                        rule.mb,
+                        rule.kb,
+                        t_rule,
+                        fastest.mb,
+                        fastest.kb,
+                        t_best,
+                        t_rule.as_secs_f64() / t_best.as_secs_f64(),
+                    );
+                }
+                println!(
+                    "  sum: rule {:.1}µs, best candidate per shape {:.1}µs, ratio {:.3}",
+                    rule_sum.as_secs_f64() * 1e6,
+                    best_sum.as_secs_f64() * 1e6,
+                    rule_sum.as_secs_f64() / best_sum.as_secs_f64()
+                );
+            }
         }
     }
 }

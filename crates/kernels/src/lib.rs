@@ -30,7 +30,6 @@
 
 #[cfg(target_arch = "x86_64")]
 pub mod amx;
-pub mod autotune;
 pub mod conv;
 pub mod cost;
 pub mod dispatch;
@@ -44,10 +43,6 @@ pub mod tiled;
 pub mod transpose;
 pub mod unroll;
 
-pub use autotune::{
-    autotune_enabled, cached_choice, seed_choice, tuner_cache_stats, KernelChoice, TilePlan,
-    TUNE_MIN_MACS,
-};
 pub use conv::{
     conv2d_direct_chw_into, conv_ref_chw, conv_weights_as_gemm, depthwise_vtmpy_blocks,
     dwconv_direct_into, dwconv_rows_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into,
@@ -56,16 +51,16 @@ pub use conv::{
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
-    try_matmul_panel_into, try_matmul_threaded_into, warm_gemm_tiles, KernelIsa, PanelSource,
-    ScalarPin, ScratchPool, WeightPanel,
+    try_matmul_panel_into, try_matmul_threaded_into, KernelIsa, PanelSource, ScalarPin,
+    ScratchPool, WeightPanel,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;
 pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_blocks, GemmLoops};
 pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref, transpose_clamp_ref};
 pub use tiled::{
-    matmul_blocked_into, matmul_host, try_matmul_blocked_into, GemmDispatchError, GemmScratch,
-    LineBuf,
+    matmul_blocked_into, matmul_host, tile_plan, try_matmul_blocked_into, GemmDispatchError,
+    GemmScratch, LineBuf, TilePlan,
 };
 pub use transpose::transpose_clamp_into;
 pub use unroll::{

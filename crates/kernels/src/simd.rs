@@ -25,9 +25,9 @@
 //! loses), and the VNNI narrow kernel skips whole 64-byte blocks.
 //! All choices produce identical bytes.
 
-use crate::autotune::TilePlan;
 use crate::dispatch::BandArgs;
 use crate::tiled::BandScratch;
+use crate::tiled::TilePlan;
 
 /// Pack a `k × n` row-major i8 weight matrix into the pair-interleaved
 /// i16 panel the AVX2 kernel consumes: consecutive weight rows `2p` and

@@ -16,8 +16,8 @@
 //!   rows instead of striding down weight columns, so it autovectorizes;
 //! * **cache blocking** — row blocks of `mb` activations reuse each
 //!   `kb`-row weight tile while it is hot in cache (defaults [`MB`] and
-//!   [`KB`], overridable per shape by the autotuner —
-//!   [`crate::autotune`]);
+//!   [`KB`]; [`tile_plan`] derives the pair from the shape and the
+//!   tier);
 //! * **flat slices** — operands are raw row-major slices; no per-element
 //!   layout-offset calls in the hot loop.
 //!
@@ -27,16 +27,80 @@
 //! supports them (see [`crate::dispatch`]); the scalar path here is the
 //! semantic definition every SIMD path must match bit for bit.
 
+use crate::dispatch::KernelIsa;
 use crate::simd::Line;
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use std::cell::RefCell;
 
 /// Default activation rows processed per block (accumulator tile:
-/// `MB × n` i32) when the autotuner has no better plan for the shape.
+/// `MB × n` i32).
 pub const MB: usize = 32;
 /// Default weight rows (reduction depth) per block; `KB × n` weight
 /// bytes stay cache-resident while a row block streams over them.
 pub const KB: usize = 256;
+
+/// Blocking parameters for one GEMM dispatch: `mb` activation rows per
+/// accumulator block, `kb` reduction rows per weight segment. Every
+/// blocking computes the same bytes (wrapping i32 accumulation is
+/// associative), so this is purely a speed choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TilePlan {
+    /// Activation rows per block (accumulator tile height).
+    pub mb: usize,
+    /// Reduction (weight) rows per cache-resident segment.
+    pub kb: usize,
+}
+
+impl TilePlan {
+    /// The fixed blocking every strip tier runs with, and the AMX tier
+    /// whenever its weight panel is within the panel budget.
+    pub const DEFAULT: TilePlan = TilePlan { mb: MB, kb: KB };
+}
+
+/// AMX tier: the largest strip-major panel (`k·n` bytes) that is
+/// re-streamed once per 32-row block; a larger one gets a taller row
+/// block. It models the share of a core's L2 (2 MiB on the recording
+/// host) a panel can count on keeping from one row block to the next
+/// while activations, output and the other layers' weights pass
+/// through it. Fixed end to end, not by the per-shape sweep
+/// (DESIGN.md §4e): any value from 96 to 127 KiB reads the same on the
+/// four models the benchmark runs warm; at 64 KiB tinybert's 25
+/// `128 × 312 × 312` GEMMs (95 KiB panels) take the whole band and the
+/// model loses 1–2 %, at 128 KiB resnet-50's two 128 KiB panels fall
+/// back to 32 rows and the model loses 3–5 %.
+const AMX_PANEL_BUDGET: u64 = 96 << 10;
+/// AMX tier: the most bytes of an `mb × k` activation block. The block
+/// is re-read once per column strip pair, so it has to stay in L2
+/// beside the panel strips being streamed. 64–256 KiB read the same
+/// end to end on resnet-50 and tinybert (§4e); 128 KiB is the middle.
+const AMX_BLOCK_BUDGET: u64 = 128 << 10;
+
+/// The blocking `isa`'s band kernel runs an `m × k × n` GEMM with — a
+/// pure function of its arguments, re-derived at every dispatch, so
+/// nothing about a blocking is stored, hashed or serialised.
+///
+/// The AMX kernel's loop order is row blocks → strip pairs → 32-row
+/// groups ([`crate::amx`]): the panel is streamed `⌈m/mb⌉` times and
+/// the `mb × k` activation block re-read `⌈n/32⌉` times from L2. A
+/// panel within [`AMX_PANEL_BUDGET`] is cheap to stream again and the
+/// smallest block (32 rows, one 2 × 2 tile group) is right; beyond it
+/// the row block grows to the largest multiple of 32 whose `mb × k`
+/// bytes fit [`AMX_BLOCK_BUDGET`], at most the whole band. The kernel
+/// reads no `kb`. The strip tiers (scalar, AVX2, AVX-512 VNNI, NEON)
+/// run [`TilePlan::DEFAULT`] on every shape: over the old candidate
+/// grid their per-model sums stay within 3 % of the fastest candidate
+/// per shape (VNNI: 2.6 %).
+pub fn tile_plan(m: usize, k: usize, n: usize, isa: KernelIsa) -> TilePlan {
+    let (m, k, n) = (m as u64, k as u64, n as u64);
+    if isa != KernelIsa::AmxInt8 || k.saturating_mul(n) <= AMX_PANEL_BUDGET {
+        return TilePlan::DEFAULT;
+    }
+    let fit = AMX_BLOCK_BUDGET / k.max(1) / MB as u64 * MB as u64;
+    TilePlan {
+        mb: fit.clamp(MB as u64, m.max(MB as u64)) as usize,
+        kb: KB,
+    }
+}
 
 /// Scratch buffers for the blocked GEMM entry points, reusable across
 /// calls so steady-state GEMMs allocate nothing: what one band kernel
@@ -295,9 +359,130 @@ pub fn matmul_host(a: &MatrixU8, w: &MatrixI8, shift: u8) -> MatrixU8 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::reference::matmul_ref;
+    use gcd2_cgraph::OpKind;
+    use gcd2_models::ModelId;
+    use std::collections::BTreeMap;
+
+    /// The distinct `(m, k, n)` of `model`'s GEMMs that reach the
+    /// dispatcher (every GEMM view but the depthwise convs and the
+    /// narrow-head convs the runtime runs as direct kernels), each with
+    /// how many steps have it. This mirrors `gcd2-core`'s
+    /// `GemmStep::runs_matmul` (`infer.rs`, with its
+    /// `DIRECT_CONV_MAX_N = 16`), which this crate cannot call, and must
+    /// change with it: the pinned counts below catch a graph change, not
+    /// a change to the executor's rule.
+    pub(crate) fn catalog_shapes(model: ModelId) -> BTreeMap<(usize, usize, usize), usize> {
+        let graph = model.build();
+        let mut shapes = BTreeMap::new();
+        for node in graph.nodes() {
+            let conv = match node.kind {
+                OpKind::DepthwiseConv2d { .. } => continue,
+                OpKind::Conv2d { .. } => true,
+                _ => false,
+            };
+            match graph.gemm_dims(node.id) {
+                Some(g) if !(conv && g.n < 16) => *shapes.entry((g.m, g.k, g.n)).or_insert(0) += 1,
+                _ => {}
+            }
+        }
+        shapes
+    }
+
+    /// Total, and in range on every tier: `1 ≤ mb ≤ max(m, 32)`, `kb`
+    /// even and at least 2 — what every band kernel accepts — over a
+    /// grid that includes the empty GEMM, the tile edges and the
+    /// largest dimension the artifact decoder admits.
+    #[test]
+    fn tile_plan_is_total_and_in_range() {
+        let dims = [0, 1, 15, 16, 17, 49, 1000, 1 << 28];
+        for isa in KernelIsa::ALL {
+            for m in dims {
+                for k in dims {
+                    for n in dims {
+                        let t = tile_plan(m, k, n, isa);
+                        assert!(t.mb >= 1 && t.mb <= m.max(MB), "{isa} {m}x{k}x{n}: {t:?}");
+                        assert!(
+                            t.kb >= 2 && t.kb.is_multiple_of(2),
+                            "{isa} {m}x{k}x{n}: {t:?}"
+                        );
+                        if isa != KernelIsa::AmxInt8 {
+                            assert_eq!(t, TilePlan::DEFAULT, "{isa} {m}x{k}x{n}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Past the panel budget a deeper reduction never gets a taller row
+    /// block: the block is a byte budget divided by `k`.
+    #[test]
+    fn amx_row_block_does_not_grow_with_k() {
+        for (m, n) in [
+            (49, 512),
+            (196, 256),
+            (784, 128),
+            (12544, 64),
+            (1 << 28, 1 << 28),
+        ] {
+            let mut last = usize::MAX;
+            for k in (2..14).flat_map(|e| [(1 << e) - 1, 1 << e, (1 << e) + 1]) {
+                let TilePlan { mb, .. } = tile_plan(m, k, n, KernelIsa::AmxInt8);
+                if (k * n) as u64 <= AMX_PANEL_BUDGET {
+                    assert_eq!(mb, MB, "{m}x{k}x{n}: a resident panel");
+                } else {
+                    assert!(mb <= last, "{m}x{k}x{n}: mb {mb} after {last}");
+                    last = mb;
+                }
+            }
+        }
+    }
+
+    /// The picks for every distinct GEMM shape of the three benchmark
+    /// models whose GEMMs the dispatcher runs, on the AMX tier: a
+    /// budget change shows up here as a reviewed diff.
+    #[test]
+    fn amx_picks_for_the_catalog_are_pinned() {
+        let picks = |model| -> Vec<(usize, usize, usize, usize)> {
+            catalog_shapes(model)
+                .into_keys()
+                .map(|(m, k, n)| (m, k, n, tile_plan(m, k, n, KernelIsa::AmxInt8).mb))
+                .filter(|&(.., mb)| mb != MB)
+                .collect()
+        };
+        // Every shape not listed runs the default 32 rows.
+        assert_eq!(
+            picks(ModelId::ResNet50),
+            [
+                (49, 512, 2048, 49),
+                (49, 1024, 2048, 49),
+                (49, 2048, 512, 49),
+                (196, 256, 1024, 196),
+                (196, 512, 1024, 196),
+                (196, 1024, 256, 128),
+                (196, 1024, 512, 128),
+                (784, 256, 512, 512),
+                (784, 512, 256, 256),
+                (784, 1152, 128, 96),
+            ]
+        );
+        assert_eq!(
+            picks(ModelId::TinyBert),
+            [(128, 312, 1200, 128), (128, 1200, 312, 96)]
+        );
+        assert_eq!(
+            picks(ModelId::MobileNetV3),
+            [(49, 160, 960, 49), (49, 672, 160, 49), (49, 960, 160, 49)]
+        );
+        let distinct = |model| catalog_shapes(model).len();
+        assert_eq!(
+            [ModelId::ResNet50, ModelId::TinyBert, ModelId::MobileNetV3].map(distinct),
+            [21, 5, 34]
+        );
+    }
 
     fn hash_u8(x: u64) -> u8 {
         let mut v = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -19,9 +19,9 @@
 //! gate still has to hold.
 
 use gcd2_kernels::{
-    force_isa, matmul_ref, pin_scalar, transpose_clamp_into, transpose_clamp_ref,
+    force_isa, matmul_ref, pin_scalar, tile_plan, transpose_clamp_into, transpose_clamp_ref,
     try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, GemmScratch,
-    KernelIsa, PanelSource, ScratchPool, WeightPanel,
+    KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
@@ -132,6 +132,8 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
         }
     }
     force_isa(None);
+    // Every tier's pooled call above took the one buffer and gave it back.
+    assert_eq!(pool.pooled(), 1, "the scratch returns to the pool");
 }
 
 fn activations(m: usize, k: usize, zero_pct: u8, seed: u64) -> MatrixU8 {
@@ -191,8 +193,9 @@ proptest! {
 /// exactly `m · k` bytes and the suite runs with debug assertions, so a
 /// tail or remainder tile load whose window leaves `a` (or the staged
 /// tail, or the panel) fails the kernel's `debug_assert`s instead of
-/// passing unnoticed. None is large enough for the autotuner to probe;
-/// [`a_probed_shape_matches_the_reference`] covers that.
+/// passing unnoticed. With at most 49 rows these run one or two row
+/// blocks; [`the_rules_blocks_match_the_reference`] covers the blocks
+/// the rule picks on larger shapes.
 #[test]
 fn edge_tiles_are_bit_identical() {
     let cases = [
@@ -237,23 +240,24 @@ fn all_zero_activations_match() {
     assert_identity(&a, &w, 3);
 }
 
-/// A shape heavy enough for the autotuner to probe tile candidates on
-/// first dispatch, with ragged row-block, tile and column edges: the
-/// probed run and the cached one both equal the reference.
+/// The blockings [`tile_plan`] derives are what runs: shapes on which
+/// the AMX rule picks one row block over the whole band (with a ragged
+/// `rows % 16` remainder), a block between the default and the band,
+/// and the default beyond the panel budget — each with ragged tile and
+/// column edges, at every tier the host supports (the strip tiers run
+/// them at their own pick), through every entry point and from a
+/// resident panel.
 #[test]
-fn a_probed_shape_matches_the_reference() {
-    let (m, k, n) = (771, 1027, 136);
-    let a = activations(m, k, 30, 7);
-    let w = weights(k, n, 8);
-    let want = reference_bytes(&a, &w, 2);
-    let pool = ScratchPool::new();
-    for run in ["probed", "cached"] {
-        let mut out = Vec::new();
-        try_matmul_threaded_into(a.as_bytes(), m, k, &w, 2, &pool, 2, &mut out)
-            .expect("valid operands");
-        assert_eq!(out, want, "{run}");
+fn the_rules_blocks_match_the_reference() {
+    let mb = |m, k, n| tile_plan(m, k, n, KernelIsa::AmxInt8).mb;
+    assert_eq!(mb(49, 1027, 136), 49, "whole band");
+    assert_eq!(mb(771, 1027, 136), 96, "a mid block");
+    assert_eq!(mb(196, 2307, 264), TilePlan::DEFAULT.mb, "the floor");
+    for (m, k, n) in [(49, 1027, 136), (771, 1027, 136), (196, 2307, 264)] {
+        let a = activations(m, k, 30, 7);
+        let w = weights(k, n, 8);
+        assert_identity(&a, &w, 2);
     }
-    assert_eq!(pool.pooled(), 1, "the scratch returns to the pool");
 }
 
 /// The tile transpose — both sides of a CHW conv GEMM, and the plan's
@@ -323,7 +327,7 @@ fn perf_probe() {
         force_isa(isa);
         let mut scratch = GemmScratch::default();
         let mut out = Vec::new();
-        // warm (includes autotune probe)
+        // warm
         try_matmul_blocked_into(a.as_bytes(), m, k, &w, 5, &mut scratch, &mut out)
             .expect("valid operands");
         let reps = 3;

@@ -76,13 +76,14 @@ fn catalog_models_round_trip_bit_identically() {
 /// before the selection admitted rows into depthwise convs, pools and
 /// gates (version 2: same fields, labels of the old selector), and
 /// while every checksum was byte-serial FNV-1a (version 3: same fields,
-/// other values) — are refused as a version skew, and a cache that
-/// still holds one degrades to a recorded fallback compile that heals
-/// the entry.
+/// other values), and while a section of timed tile hints rode along
+/// (version 4) — are refused as a version skew, and a cache that still
+/// holds one degrades to a recorded fallback compile that heals the
+/// entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
             .expect("an earlier version's golden");
         match decode(&old) {
@@ -118,19 +119,93 @@ fn heals_through_load_or_compile(old: &[u8], version: u32) {
     assert_eq!(warm.source, ColdStartSource::ArtifactCache);
 }
 
-/// Re-encoding a decoded artifact reproduces the original bytes
-/// whenever the tuner memo is unchanged between the two encodes — the
-/// codec adds or loses nothing. (Run on a below-tune-threshold model so
-/// the TUNE section is deterministically empty.)
+/// Re-encoding a decoded artifact reproduces the original bytes — the
+/// codec adds or loses nothing — on the golden and on a net whose GEMM
+/// format 4 recorded a timed hint for.
 #[test]
 fn reencode_of_decoded_artifact_is_byte_identical() {
-    let graph = golden_graph();
-    let compiled = Compiler::new().compile(&graph);
+    for graph in [golden_graph(), heavy_conv_graph()] {
+        let compiled = Compiler::new().compile(&graph);
+        let plan = compiled.inference_plan(SEED);
+        let bytes = encode(&compiled, &plan, "golden").expect("encode");
+        let loaded = decode(&bytes).expect("decode");
+        let again = encode(&compiled, &loaded.plan, "golden").expect("re-encode");
+        assert_eq!(bytes, again);
+    }
+}
+
+/// One `1024 × 576 × 64` conv GEMM (37.7 MMACs): above the threshold at
+/// which format 4 recorded a timed tile hint per tier.
+fn heavy_conv_graph() -> Graph {
+    let mut g = Graph::new();
+    let x = g.input("x", TShape::nchw(1, 64, 32, 32));
+    let conv = g.add(
+        OpKind::Conv2d {
+            out_channels: 64,
+            kernel: (3, 3),
+            stride: (1, 1),
+            padding: (1, 1),
+        },
+        &[x],
+        "conv",
+    );
+    g.add(OpKind::Act(Activation::Relu), &[conv], "relu");
+    g
+}
+
+/// A stored value may not depend on the tier that wrote it, nor on
+/// what a clock read: the artifact of a plan built and encoded on the
+/// scalar oracle is byte for byte the one of the detected tier, twice.
+#[test]
+fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
+    use gcd2_repro::kernels::{force_isa, KernelIsa};
+    let emit = || {
+        let compiled = Compiler::new().compile(&heavy_conv_graph());
+        let plan = compiled.inference_plan(SEED);
+        // The format-4 hint was recorded by the first execution too.
+        plan.execute(&sample_input(plan.input_len()));
+        encode(&compiled, &plan, "heavy").expect("encode")
+    };
+    // The override is process-wide and the binary's other tests run
+    // beside this one (harmless: bytes are the same on every tier and a
+    // panel is read by the kind it was packed as); it is lifted even if
+    // the scalar build panics.
+    struct Unpin;
+    impl Drop for Unpin {
+        fn drop(&mut self) {
+            force_isa(None);
+        }
+    }
+    let detected = emit();
+    let scalar = {
+        let _unpin = Unpin;
+        force_isa(Some(KernelIsa::Scalar));
+        emit()
+    };
+    assert!(detected == scalar, "bytes differ between tiers");
+    assert!(detected == emit(), "bytes differ between builds");
+}
+
+/// Sections are looked up by id: a format-5 artifact that carries a
+/// section this build does not know still loads to the same plan.
+#[test]
+fn an_unknown_extra_section_is_ignored() {
+    use gcd2_repro::artifact::{Artifact, ArtifactWriter};
+    let compiled = Compiler::new().compile(&golden_graph());
     let plan = compiled.inference_plan(SEED);
     let bytes = encode(&compiled, &plan, "golden").expect("encode");
-    let loaded = decode(&bytes).expect("decode");
-    let again = encode(&compiled, &loaded.plan, "golden").expect("re-encode");
-    assert_eq!(bytes, again);
+    let art = Artifact::decode(&bytes).expect("container");
+    let mut w = ArtifactWriter::new();
+    for sec in &art.sections {
+        w.section(sec.id, sec.bytes.to_vec());
+    }
+    // The id format 4 kept its tile hints under.
+    w.section(5, b"nothing this build reads".to_vec());
+    let extended = w.finish(plan.checksum()).expect("re-encode");
+    let loaded = decode(&extended).expect("an unknown section is not an error");
+    assert_eq!(loaded.plan.checksum(), plan.checksum());
+    let input = sample_input(plan.input_len());
+    assert_eq!(loaded.plan.execute(&input), plan.execute(&input));
 }
 
 /// Arbitrary small graphs (same generator family as the compiler fuzz
@@ -207,10 +282,9 @@ proptest! {
     }
 }
 
-/// The pinned golden model: small enough that every GEMM sits far below
-/// the autotune threshold, so the TUNE section is deterministically
-/// empty and the emitted bytes are stable across machines, thread
-/// counts, and process history.
+/// The pinned golden model: the emitted bytes are a function of the
+/// graph and the seed, stable across machines, tiers, thread counts
+/// and process history.
 fn golden_graph() -> Graph {
     let mut g = Graph::new();
     let x = g.input("x", TShape::nchw(1, 5, 6, 6));

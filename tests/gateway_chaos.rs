@@ -361,8 +361,10 @@ fn registry_faults_refuse_admission_structurally() {
 /// `infer.prep` and `infer.gemm` fire once per request per GEMM however
 /// the requests coalesce, so eight requests through the two-GEMM net
 /// cross each 16 times — the whole span a gateway seed draws triggers
-/// from (seed 2024's `infer.gemm @9 sticky` lands in the fifth
-/// request's first GEMM and fails every dispatch after it).
+/// from (seed 7's `infer.prep @11 sticky` lands in the sixth request's
+/// first GEMM and fails every staging after it; seed 2024's
+/// `infer.batch @9` is one more batch than eight requests can make, so
+/// that run is the undisturbed one).
 #[test]
 fn seeded_gateway_fault_plans_terminate_bit_identical_or_structured() {
     let plan = gateway_net(8, 47);

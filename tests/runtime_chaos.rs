@@ -164,85 +164,6 @@ fn single_shot_transient_gemm_panic_is_structured_then_recovers() {
 }
 
 #[test]
-fn poisoned_autotune_cache_falls_back_to_default_tiles_bit_identical() {
-    let plan = plan();
-    let inputs = batch_inputs(3);
-    let expect = baseline(&plan, &inputs);
-    // A corrupted tuner-cache entry must never panic or error: the
-    // dispatcher falls back to the default tile plan, which is bit-exact
-    // (merely untuned). Sticky, so *every* GEMM dispatch in the run sees
-    // the poisoned cache.
-    let _armed = arm(FaultPlan::new().sticky("autotune.cache", FaultKind::CorruptCache, 1));
-    for (input, expect) in inputs.iter().zip(&expect) {
-        assert_eq!(
-            &plan.try_execute(input).expect("fallback, not a failure"),
-            expect
-        );
-    }
-}
-
-#[test]
-fn autotune_cache_panic_is_structured_then_recovers() {
-    let plan = plan();
-    let inputs = batch_inputs(1);
-    let expect = baseline(&plan, &inputs);
-    let _armed = arm(FaultPlan::new().once("autotune.cache", FaultKind::Panic, 1));
-    // The tuner lookup runs inside the GEMM dispatch: a panic there is
-    // caught by the single-shot entry point's unwind guard and surfaces
-    // as a structured Internal, never a process abort. The next call
-    // (fault spent) recovers bit-identically.
-    let e = plan.try_execute(&inputs[0]).expect_err("fault fires");
-    assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
-    assert_injected(&e);
-    assert_eq!(
-        plan.try_execute(&inputs[0]).expect("fault spent"),
-        expect[0]
-    );
-}
-
-#[test]
-fn autotune_fault_during_plan_build_is_contained() {
-    // A net whose conv GEMM is heavy enough (>= TUNE_MIN_MACS) that plan
-    // build warms the tuner cache for it: 1024 x 576 x 64 = 37.7 MMACs.
-    let warm_net = || {
-        let mut g = Graph::new();
-        let x = g.input("x", TShape::nchw(1, 64, 32, 32));
-        let conv = g.add(
-            OpKind::Conv2d {
-                out_channels: 64,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: (1, 1),
-            },
-            &[x],
-            "conv",
-        );
-        g.add(OpKind::Act(Activation::Relu), &[conv], "relu");
-        g
-    };
-    let input: Vec<u8> = (0..64 * 32 * 32).map(|i| (i % 16) as u8).collect();
-    let expect = {
-        let _quiet = quiet();
-        Compiler::new()
-            .compile(&warm_net())
-            .inference_plan(SEED)
-            .execute(&input)
-    };
-    // Panic on the first tuner-cache hit (the build-time warm sweep) and
-    // poison every later one: the warm loop is best-effort, so the build
-    // must still succeed, and execution stays bit-identical on default
-    // tiles.
-    let _armed = arm(FaultPlan::new()
-        .once("autotune.cache", FaultKind::Panic, 1)
-        .sticky("autotune.cache", FaultKind::CorruptCache, 2));
-    let plan = Compiler::new().compile(&warm_net()).inference_plan(SEED);
-    assert_eq!(
-        plan.try_execute(&input).expect("warm faults contained"),
-        expect
-    );
-}
-
-#[test]
 fn elementwise_delay_changes_nothing() {
     let plan = plan();
     let inputs = batch_inputs(3);
