@@ -45,7 +45,7 @@ mkdir -p target
 cargo run --release -q -p gcd2 --bin gcd2c -- --analyze > target/analyze.txt
 grep -q "all 10 catalog models analyze clean" target/analyze.txt
 
-echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed and the stages cover the reported wall clock to within 10 %)"
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes; a format-5 artifact is refused as a version skew)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > /dev/null
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
 for stage in container "graph+schedule+selection" "weights copy" pack integrity unaccounted; do
@@ -54,6 +54,12 @@ done
 awk '/load stages, ms of/ { wall = $5 }
      /^    [^:]+: +[0-9.]+$/ && !/unaccounted/ { sum += $NF }
      END { exit !(wall > 0 && sum >= 0.9 * wall && sum <= 1.1 * wall) }' target/load.txt
+# A second process emits the same bytes, and the artifact an earlier format wrote is a named skew and exit 1, never a panic.
+cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50-again.gcd2art > /dev/null
+cmp target/ci-resnet-50.gcd2art target/ci-resnet-50-again.gcd2art
+if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v5.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
+grep -q "artifact format version 5 (this build reads" target/skew.txt
+if grep -q panicked target/skew.txt; then exit 1; fi
 
 echo "==> kernel-choice determinism (resnet-50 in two processes: the (step, mb, kb) columns of the gemm kernels table are the same — a blocking is a function of the shape and the tier, never of a clock)"
 for run in a b; do

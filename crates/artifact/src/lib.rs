@@ -33,8 +33,10 @@
 //!   a valid table spliced onto a different plan, or a reordered table,
 //!   fails [`Artifact::verify_chain`];
 //! * none of this is cryptographic — it detects corruption, not a
-//!   deliberate forger, which is why loaders re-run plan integrity and
-//!   the arena-soundness analyzer on every decoded plan.
+//!   deliberate forger, which is why the plan loader derives the
+//!   schedule itself instead of reading one, re-hashes what it loaded
+//!   against the bound value, and the gateway re-runs the analyzer on
+//!   every loaded plan.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -57,10 +59,13 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// byte-serial FNV-1a, so every stored value differs and nothing else
 /// does; version 5: the plan payload lost its tile-hint section — a
 /// GEMM's blocking is a function of its shape and nothing about it is
-/// stored). Readers refuse other versions with
+/// stored; version 6: it lost its schedule section — the steps, slots,
+/// shifts and layout labels are a function of the graph, which the
+/// loader derives with the builder's code, and the stored plan checksum
+/// moved into the metadata). Readers refuse other versions with
 /// [`ArtifactError::VersionSkew`] (the cache key includes the version,
 /// so skewed files are simply never hit).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large
@@ -116,13 +121,18 @@ pub enum ArtifactError {
         /// The cap or expected value it violated.
         limit: u64,
     },
-    /// The chain checksum does not match: the section table and the
-    /// plan integrity checksum it binds no longer agree with the
-    /// trailer (tampered table, spliced payload, or a stale trailer).
+    /// A stored integrity value is not the one the loader recomputes.
+    /// Either the chain checksum — the section table and the plan
+    /// integrity checksum it binds no longer agree with the trailer
+    /// (tampered table, spliced payload, stale trailer) — or the plan
+    /// checksum: the plan derived from the stored graph and weights does
+    /// not hash to the value the writer recorded (edited graph or
+    /// weights, a forged checksum, or a writer whose schedule or layout
+    /// selection differed from this build's).
     IntegrityMismatch {
-        /// Chain checksum stored in the trailer.
+        /// The value the artifact stores (chain trailer or plan checksum).
         expected: u64,
-        /// Chain checksum recomputed from the table and bind value.
+        /// The value recomputed from what was loaded.
         got: u64,
     },
     /// A cache filesystem operation failed (never produced by decode).
@@ -158,7 +168,7 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::IntegrityMismatch { expected, got } => write!(
                 f,
-                "artifact chain checksum mismatch: trailer {expected:#018x}, recomputed {got:#018x}"
+                "artifact integrity checksum mismatch: stored {expected:#018x}, recomputed {got:#018x}"
             ),
             ArtifactError::Io { op, message } => {
                 write!(f, "artifact cache {op} failed: {message}")

@@ -945,10 +945,11 @@ fn analyze_catalog() -> ExitCode {
 }
 
 /// `gcd2c --load FILE`: the cold-start consumer side. Re-verifies the
-/// artifact end to end (container checksums, chain binding, plan
-/// integrity re-hash, graph re-admission, arena-soundness analysis) and
-/// smoke-executes the loaded plan. Any corruption, version skew, or
-/// forgery exits 1 with the structured rejection — never a panic.
+/// artifact end to end (container checksums, chain binding, graph
+/// re-admission, the schedule derived from it, plan integrity re-hash,
+/// the analyzer over the loaded weights) and smoke-executes the loaded
+/// plan. Any corruption, version skew, or forgery exits 1 with the
+/// structured rejection — never a panic.
 fn load_artifact(path: &str) -> ExitCode {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,

@@ -57,7 +57,7 @@
 //! item, on the calling thread, a straight loop over the steps.
 
 use gcd2_artifact::Checksum64;
-use gcd2_cgraph::{Activation, Node, NodeId, OpKind, TShape};
+use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
     im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, GemmScratch,
@@ -104,25 +104,12 @@ impl ConvGeom {
         }
     }
 
-    /// The nine dimensions in the order the plan checksum and the
-    /// artifact codec write them.
-    pub(crate) fn dims(&self) -> [usize; 9] {
+    /// The nine dimensions in the order the plan checksum folds them.
+    fn dims(&self) -> [usize; 9] {
         let (kernel, stride, padding) = (self.kernel, self.stride, self.padding);
         [
             self.c, self.h, self.w, kernel.0, kernel.1, stride.0, stride.1, padding.0, padding.1,
         ]
-    }
-
-    /// The inverse of [`ConvGeom::dims`].
-    pub(crate) fn from_dims(v: [usize; 9]) -> ConvGeom {
-        ConvGeom {
-            c: v[0],
-            h: v[1],
-            w: v[2],
-            kernel: (v[3], v[4]),
-            stride: (v[5], v[6]),
-            padding: (v[7], v[8]),
-        }
     }
 
     /// Output pixels, `out_h · out_w`.
@@ -345,9 +332,8 @@ pub(crate) struct Step {
 
 impl Step {
     /// [`Step::inputs`] and [`Step::image`] of the step that executes
-    /// `node` into `out_len` bytes — what a build records and what an
-    /// artifact load re-derives from its graph section, never reads.
-    pub(crate) fn graph_facts(node: &Node, out_len: usize) -> (Vec<usize>, Option<(usize, usize)>) {
+    /// `node` into `out_len` bytes.
+    fn graph_facts(node: &Node, out_len: usize) -> (Vec<usize>, Option<(usize, usize)>) {
         let shape = &node.shape;
         let image = (shape.rank() == 4 && shape.dim(0) == 1 && shape.elems() == out_len)
             .then(|| (shape.channels(), shape.spatial()));
@@ -809,15 +795,62 @@ impl InferencePlan {
             .collect()
     }
 
-    /// The build under all three: schedule and slots, then the layout
-    /// labels `select` gives the schedule, then the weights in the order
-    /// those labels imply, packed.
+    /// The build under all three: the schedule `select` labels, then
+    /// the interpreter's weights — derived from `seed` as it derives
+    /// them, in the row order each step's staging produces — then the
+    /// checksum over both.
     fn build_with(
         compiled: &CompiledModel,
         seed: u64,
         select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
     ) -> Result<InferencePlan, InferError> {
-        let graph = &compiled.graph;
+        let mut plan = InferencePlan::schedule(&compiled.graph, seed, select)?;
+        let (synthesise, pack) = plan.install_weights(|node, in_layout, g| {
+            let rows: Vec<usize> = (0..g.k)
+                .map(|kr| g.interpreter_row(in_layout, kr) * g.n)
+                .collect();
+            let weights = MatrixI8::from_fn(g.k, g.n, |kr, j| weight(seed, node, rows[kr] + j));
+            Ok::<_, InferError>(weights)
+        })?;
+        let mut build_stages = vec![("synthesise", synthesise), ("pack", pack)];
+        let mut since = Instant::now();
+        plan.checksum = plan.integrity_checksum();
+        lap(&mut build_stages, &mut since, "hash");
+        plan.build_stages = build_stages;
+
+        // Debug builds run the static plan analyzer (gcd2-analyze) over
+        // every freshly built plan, so an allocator or shift-folding
+        // defect surfaces here as a structured error instead of as wrong
+        // numerics at execution time. Release builds skip the pass; the
+        // CLI's `--analyze` mode and the test suites cover them.
+        #[cfg(debug_assertions)]
+        {
+            let analysis = gcd2_analyze::analyze_plan(&compiled.graph, &plan);
+            if analysis.verdict() == gcd2_analyze::Verdict::Unsound {
+                return Err(InferError::Unsound {
+                    detail: analysis.to_string(),
+                });
+            }
+        }
+
+        Ok(plan)
+    }
+
+    /// The schedule of `graph`: one step per node, the slot arena, each
+    /// GEMM's folded shift and the layout labels `select` gives the whole
+    /// — everything of a plan but its weights, and a function of the
+    /// arguments alone. A build and an artifact load both start here and
+    /// differ only in where [`InferencePlan::install_weights`] gets the
+    /// bytes, so a file never says what a kernel reads.
+    ///
+    /// # Errors
+    /// [`InferError::QuantOverflow`] if a GEMM's worst-case accumulator
+    /// exceeds `i32`, [`InferError::Internal`] for an empty graph.
+    pub(crate) fn schedule(
+        graph: &Graph,
+        seed: u64,
+        select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
+    ) -> Result<InferencePlan, InferError> {
         let nodes = graph.nodes();
         if nodes.is_empty() {
             return Err(InferError::Internal {
@@ -1037,32 +1070,15 @@ impl InferencePlan {
             });
         }
 
-        // The layouts, for the whole schedule at once; then each GEMM's
-        // weights — the interpreter's, derived from `seed` as it derives
-        // them, in the row order the step's staging produces — packed.
+        // The layouts, for the whole schedule at once.
         let labels = select(&steps);
-        let (mut synthesise, mut pack) = (Duration::ZERO, Duration::ZERO);
         for (step, (in_layout, out_layout)) in steps.iter_mut().zip(labels) {
             (step.in_layout, step.out_layout) = (in_layout, out_layout);
-            if let StepKind::Gemm(g) = &mut step.kind {
-                let (node, n) = (step.node, g.n);
-                let t0 = Instant::now();
-                let rows: Vec<usize> = (0..g.k)
-                    .map(|kr| g.interpreter_row(in_layout, kr) * n)
-                    .collect();
-                let weights = MatrixI8::from_fn(g.k, n, |kr, j| weight(seed, node, rows[kr] + j));
-                let t1 = Instant::now();
-                g.set_weights(weights);
-                synthesise += t1 - t0;
-                pack += t1.elapsed();
-            }
         }
-        let mut build_stages = vec![("synthesise", synthesise), ("pack", pack)];
-        let mut since = Instant::now();
 
         // One step per node and the graph is non-empty.
         let output_len = steps.last().map(|s| s.out_len).unwrap_or(0);
-        let mut plan = InferencePlan {
+        Ok(InferencePlan {
             steps,
             slot_sizes,
             input_len,
@@ -1071,29 +1087,34 @@ impl InferencePlan {
             seed,
             weight_bytes,
             gemm_macs,
-            checksum: 0,
+            checksum: 0, // over the weights too: stamped once they are in
             build_stages: Vec::new(),
-        };
-        plan.checksum = plan.integrity_checksum();
-        lap(&mut build_stages, &mut since, "hash");
-        plan.build_stages = build_stages;
+        })
+    }
 
-        // Debug builds run the static plan analyzer (gcd2-analyze) over
-        // every freshly built plan, so an allocator or shift-folding
-        // defect surfaces here as a structured error instead of as wrong
-        // numerics at execution time. Release builds skip the pass; the
-        // CLI's `--analyze` mode and the test suites cover them.
-        #[cfg(debug_assertions)]
-        {
-            let analysis = gcd2_analyze::analyze_plan(graph, &plan);
-            if analysis.verdict() == gcd2_analyze::Verdict::Unsound {
-                return Err(InferError::Unsound {
-                    detail: analysis.to_string(),
-                });
-            }
+    /// Gives every GEMM step, in schedule order, the `k × n` matrix
+    /// `source` has for it — its rows in the order the step's in-label
+    /// stages them ([`GemmStep::interpreter_row`]) — and packs it: the
+    /// one loop through which a plan gets weights, synthesised by a
+    /// build, read from the file by an artifact load. Returns the time
+    /// spent in `source` and in packing.
+    pub(crate) fn install_weights<E>(
+        &mut self,
+        mut source: impl FnMut(NodeId, ActLayout, &GemmStep) -> Result<MatrixI8, E>,
+    ) -> Result<(Duration, Duration), E> {
+        let (mut sourced, mut pack) = (Duration::ZERO, Duration::ZERO);
+        for step in &mut self.steps {
+            let StepKind::Gemm(g) = &mut step.kind else {
+                continue;
+            };
+            let t0 = Instant::now();
+            let weights = source(step.node, step.in_layout, g)?;
+            let t1 = Instant::now();
+            g.set_weights(weights);
+            sourced += t1 - t0;
+            pack += t1.elapsed();
         }
-
-        Ok(plan)
+        Ok((sourced, pack))
     }
 
     /// Re-derives the checksum over the step schedule (ids,
@@ -1148,12 +1169,14 @@ impl InferencePlan {
 
     /// Re-hashes the plan's schedule and weights and compares against
     /// the build-time checksum, then re-derives what the checksum can
-    /// only vouch for as stored: the layout labels, which must be the
-    /// ones `layout::select` gives this schedule (a re-stamped or
-    /// forged plan cannot choose its own), and every resident weight
-    /// panel, which must be the pack image of its weights. The
-    /// checksum itself stays over the raw weights — the artifact stores
-    /// it and a build hashes once.
+    /// only vouch for as held in memory: the layout labels, which must
+    /// be the ones `layout::select` gives this schedule (a corrupted
+    /// and re-stamped plan cannot choose its own), and every resident
+    /// weight panel, which must be the pack image of its weights. This
+    /// guards a live plan against in-memory corruption; an artifact
+    /// load needs neither check to trust a file — it derives the labels
+    /// and packs the panels itself. The checksum itself stays over the
+    /// raw weights — the artifact stores it and a build hashes once.
     ///
     /// # Errors
     /// Returns [`InferError::IntegrityViolation`] if the plan no longer
@@ -1800,8 +1823,9 @@ pub enum PlanMutation {
     /// Flip the layout label step `step` reads its operands in, or
     /// (`out`) leaves its value in. Not an analyzer finding — the arena
     /// is as sound as before — but the labels are no longer the ones
-    /// the schedule derives, which `verify_integrity` and the artifact
-    /// loader check on their own, re-stamped checksum or not.
+    /// the schedule derives, which `verify_integrity` checks on its own,
+    /// re-stamped checksum or not (an artifact of such a plan does not
+    /// load: the loader derives the labels, and they hash otherwise).
     FlipLayout { step: usize, out: bool },
 }
 
@@ -1892,7 +1916,7 @@ impl gcd2_verify::InferPlanView for InferencePlan {
 }
 
 /// Runs `f` with panics caught and surfaced as [`InferError::Internal`].
-fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Result<T, InferError> {
+pub(crate) fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Result<T, InferError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         Err(InferError::Internal {
             message: gcd2_par::panic_message(p.as_ref()),

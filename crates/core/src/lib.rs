@@ -639,13 +639,7 @@ impl CompiledModel {
     /// runs under a panic guard, so a defective compiled artifact yields
     /// [`Gcd2Error::Internal`] instead of unwinding.
     pub fn try_inference_plan(&self, seed: u64) -> Result<InferencePlan, Gcd2Error> {
-        catch_unwind(AssertUnwindSafe(|| InferencePlan::try_build(self, seed)))
-            .unwrap_or_else(|payload| {
-                Err(InferError::Internal {
-                    message: gcd2_par::panic_message(payload.as_ref()),
-                })
-            })
-            .map_err(Gcd2Error::from)
+        infer::guard_panics(|| InferencePlan::try_build(self, seed)).map_err(Gcd2Error::from)
     }
 
     /// End-to-end cycles on the simulated DSP.

@@ -735,12 +735,14 @@ impl InferServer {
     /// Registers a model from serialized artifact bytes
     /// ([`crate::artifact::encode`]), with the full hostile-input
     /// gauntlet: the bounds-checked artifact decoder (container
-    /// checksums, chain binding, plan integrity re-hash, graph
-    /// re-admission), then the arena-soundness analyzer, then the same
-    /// [`InferServer::register`] admission every plan gets. The
-    /// analyzer pass is what stops a *forged* artifact — internally
-    /// consistent checksums over a malicious schedule — from admitting
-    /// a plan whose slot aliasing would mis-execute.
+    /// checksums, chain binding, graph re-admission, the schedule
+    /// derived from that graph, plan integrity re-hash), then the
+    /// analyzer, then the same [`InferServer::register`] admission
+    /// every plan gets. An artifact cannot carry a schedule, so what the
+    /// analyzer pass guards here is what a *forged* one can still choose
+    /// — internally consistent checksums over malicious weights: it
+    /// proves every GEMM's accumulator range over the bytes that were
+    /// loaded (and re-proves the derived arena, which costs nothing more).
     ///
     /// # Errors
     /// [`InferError::Artifact`] for container/decode rejections,

@@ -9,8 +9,10 @@
 //! corpus derives deterministically from `tests/data/golden.gcd2art`.
 
 use gcd2_repro::artifact::{Artifact, ArtifactError, ArtifactWriter};
-use gcd2_repro::compiler::artifact::{decode, SEC_GRAPH};
-use gcd2_repro::compiler::Gcd2Error;
+use gcd2_repro::cgraph::{to_text, Graph, OpKind, TShape};
+use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource, SEC_GRAPH};
+use gcd2_repro::compiler::infer::PlanMutation;
+use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error};
 
 const GOLDEN_PATH: &str = "tests/data/golden.gcd2art";
 const HOSTILE_DIR: &str = "tests/data/hostile";
@@ -119,6 +121,22 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
         w.finish(bind).expect("re-encode"),
     );
 
+    // The same with one op token of the graph text swapped for another
+    // valid one (`add` → `mul`): the text parses, admits and schedules,
+    // the weights fit it — and the plan it derives is not the one whose
+    // checksum the file carries.
+    let mut w = ArtifactWriter::new();
+    for sec in &art.sections {
+        let mut payload = sec.bytes.to_vec();
+        if sec.id == SEC_GRAPH {
+            let text = std::str::from_utf8(sec.bytes).expect("graph text");
+            assert!(text.contains(" add "), "the golden graph ends in an add");
+            payload = text.replacen(" add ", " mul ", 1).into_bytes();
+        }
+        w.section(sec.id, payload);
+    }
+    push("graph_edited.gcd2art", w.finish(bind).expect("re-encode"));
+
     // A flipped byte in the chain trailer: every section checksum still
     // passes, so this must be caught by the chain↔plan binding.
     let mut b = golden.to_vec();
@@ -191,6 +209,15 @@ fn hostile_corpus_is_rejected_with_pinned_variants() {
         other => panic!("expected a utf-8 refusal, got {other:?}"),
     }
 
+    // An edited graph under valid checksums loads as far as the re-hash,
+    // which is what refuses it.
+    let edited = std::fs::read(format!("{HOSTILE_DIR}/graph_edited.gcd2art")).expect("read");
+    Artifact::decode(&edited).expect("container checksums hold");
+    assert!(matches!(
+        decode(&edited),
+        Err(Gcd2Error::Artifact(ArtifactError::IntegrityMismatch { .. }))
+    ));
+
     // The corpus construction itself must stay in sync with the golden
     // artifact: rebuilding it in memory yields the same rejections.
     for (name, bytes) in build_corpus(&golden) {
@@ -199,42 +226,38 @@ fn hostile_corpus_is_rejected_with_pinned_variants() {
     }
 }
 
-/// Exhaustive single-byte-flip sweep over the full golden artifact at
-/// the *plan* decode level: every flip of every byte is either rejected
-/// with a structured error or (never observed, but permitted by the
-/// checksum design at ~2⁻⁶⁴) decodes to a plan whose integrity checksum
-/// still matches — no panic, no silent wrong answer.
+/// Exhaustive single-byte-flip sweep at the *plan* decode level, over
+/// the full golden artifact and over one of a net whose k×k convs read
+/// pixel-major rows (their stored weight rows are in `(dy, dx, ch)`
+/// order): every flip of every byte is either rejected with a
+/// structured error or (never observed, but permitted by the checksum
+/// design at ~2⁻⁶⁴) decodes to a plan whose integrity checksum still
+/// matches — no panic, no silent wrong answer.
 #[test]
 fn every_byte_flip_of_golden_is_structured() {
     let golden = std::fs::read(GOLDEN_PATH).expect("golden");
-    for i in 0..golden.len() {
-        let mut b = golden.clone();
-        b[i] ^= 0x01;
-        match decode(&b) {
-            Err(_) => {}
-            Ok(loaded) => {
-                loaded
-                    .plan
-                    .verify_integrity()
-                    .unwrap_or_else(|e| panic!("flip at byte {i} decoded inconsistently: {e}"));
+    let compiled = Compiler::new().compile(&rows_conv_graph());
+    let plan = compiled.inference_plan(7);
+    assert!(plan.rows_values() > 0, "the second net holds rows");
+    let rows_conv = encode(&compiled, &plan, "rows-conv").expect("encode");
+    for (name, bytes) in [("golden", golden), ("rows-conv", rows_conv)] {
+        for i in 0..bytes.len() {
+            let mut b = bytes.clone();
+            b[i] ^= 0x01;
+            if let Ok(loaded) = decode(&b) {
+                loaded.plan.verify_integrity().unwrap_or_else(|e| {
+                    panic!("{name}: flip at byte {i} decoded inconsistently: {e}")
+                });
             }
         }
     }
 }
 
-/// Forged layout labels: artifacts whose every checksum is
-/// self-consistent — the plan was relabelled *and re-stamped* before it
-/// was encoded — so nothing but re-deriving the assignment from the
-/// decoded schedule can refuse them. The artifact stays a cache, never
-/// a capability: it cannot make a kernel read rows where it reads
-/// planes, nor run a form the selection did not choose.
-#[test]
-fn forged_layout_labels_are_refused_by_rederivation() {
-    use gcd2_repro::cgraph::{Graph, OpKind, TShape};
-    use gcd2_repro::compiler::artifact::encode;
-    use gcd2_repro::compiler::infer::PlanMutation;
-    use gcd2_repro::compiler::Compiler;
-
+/// Convs that keep their values as rows — `c1` scatters none, the
+/// pointwise `c2` stages nothing, the 3×3 `c3` stages by plain copies
+/// over weights in `(dy, dx, ch)` order — then an upsample, which only
+/// has a CHW form.
+fn rows_conv_graph() -> Graph {
     let mut g = Graph::new();
     let x = g.input("x", TShape::nchw(1, 8, 10, 10));
     let conv = |out_channels, k, p| OpKind::Conv2d {
@@ -247,35 +270,96 @@ fn forged_layout_labels_are_refused_by_rederivation() {
     let c2 = g.add(conv(16, 1, 0), &[c1], "c2");
     let c3 = g.add(conv(16, 3, 1), &[c2], "c3");
     g.add(OpKind::Upsample { factor: 2 }, &[c3], "up");
-    let compiled = Compiler::new().compile(&g);
+    g
+}
+
+fn temp_cache(tag: &str) -> ArtifactCache {
+    let dir = std::env::temp_dir().join(format!("gcd2-hostile-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    ArtifactCache::open(dir).expect("temp cache dir")
+}
+
+/// Forged schedules: artifacts whose every checksum is self-consistent
+/// — the plan was mutated *and re-stamped* before it was encoded, so the
+/// container, the chain and the stored plan checksum all vouch for it.
+/// None survives a load, because the loader never reads a schedule: it
+/// derives the pristine one from the graph, and that does not hash to
+/// the forged checksum. The artifact stays a cache, never a capability —
+/// it cannot say which slot a kernel reads, how long a value is, what a
+/// GEMM shifts by, or whether a step reads rows or planes — and a cache
+/// entry holding a forgery is one recorded fallback that heals.
+#[test]
+fn forged_schedules_are_unrepresentable() {
+    let graph = rows_conv_graph();
+    let text = to_text(&graph);
+    let compiler = Compiler::new();
+    let compiled = compiler.compile(&graph);
     let pristine = compiled.inference_plan(7);
     let bytes = encode(&compiled, &pristine, "forged").expect("encode");
     decode(&bytes).expect("the untampered artifact loads");
 
     let forgeries = [
-        // A flipped tag: `c2` reads planes although `c1` left rows.
-        ("flipped in-label", c2.0, false),
-        // A rows tag on a step that only has a CHW form (a pool has
-        // had a pixel-major one since format version 3).
-        ("rows into the upsample", 4, false),
-        // A producer/consumer pair that disagrees where the selection
-        // planned no conversion: `c2`'s value relabelled planes while
-        // `c3` still reads rows.
-        ("disagreeing pair", c2.0, true),
+        ("swapped slots", PlanMutation::SwapSlots),
+        ("shrunk slot", PlanMutation::ShrinkSlot),
+        ("bumped shift", PlanMutation::BumpShift),
+        // `c2` reads planes although `c1` left rows.
+        (
+            "flipped in-label",
+            PlanMutation::FlipLayout {
+                step: 2,
+                out: false,
+            },
+        ),
+        // A rows tag on a step that only has a CHW form.
+        (
+            "rows into the upsample",
+            PlanMutation::FlipLayout {
+                step: 4,
+                out: false,
+            },
+        ),
+        // `c2`'s value relabelled planes while `c3` still reads rows.
+        (
+            "disagreeing pair",
+            PlanMutation::FlipLayout { step: 2, out: true },
+        ),
     ];
-    for (what, step, out) in forgeries {
+    for (what, mutation) in forgeries {
         let mut plan = compiled.inference_plan(7);
-        assert!(plan.mutate_for_test(PlanMutation::FlipLayout { step, out }));
+        assert!(plan.mutate_for_test(mutation), "{what}: found no site");
         assert_ne!(plan.checksum(), pristine.checksum(), "{what}: re-stamped");
         let forged = encode(&compiled, &plan, "forged").expect("encode");
-        // The container and the plan checksum vouch for the forgery...
-        Artifact::decode(&forged).expect("container checksums hold");
-        // ...the derived assignment does not.
+        // The container and the chain vouch for the forgery...
+        let art = Artifact::decode(&forged).expect("container checksums hold");
+        art.verify_chain(plan.checksum()).expect("chain binds it");
+        // ...the plan the graph derives does not hash to it.
         match decode(&forged) {
-            Err(Gcd2Error::Artifact(ArtifactError::Bounds { what: field, .. })) => {
-                assert_eq!(field, "step layouts vs derived assignment", "{what}")
+            Err(Gcd2Error::Artifact(ArtifactError::IntegrityMismatch { expected, got })) => {
+                assert_eq!(
+                    (expected, got),
+                    (plan.checksum(), pristine.checksum()),
+                    "{what}"
+                )
             }
-            other => panic!("{what}: expected a layout refusal, got {other:?}"),
+            other => panic!("{what}: expected an integrity refusal, got {other:?}"),
         }
+
+        // Planted in a cache, it never reaches a kernel: one recorded
+        // fallback, the pristine plan, and the entry is healed.
+        let cache = temp_cache(&what.replace(' ', "-"));
+        let cold = load_or_compile(&compiler, &text, 7, &cache, "forged").expect("cold");
+        std::fs::write(cache.path_for(&cold.key), &forged).expect("plant the forgery");
+        let healed = load_or_compile(&compiler, &text, 7, &cache, "forged").expect("degrade");
+        assert_eq!(healed.source, ColdStartSource::Compiled, "{what}");
+        assert_eq!(
+            healed.fallbacks.iter().map(|f| f.stage).collect::<Vec<_>>(),
+            vec!["decode"],
+            "{what}: {:?}",
+            healed.fallbacks
+        );
+        assert_eq!(healed.plan.checksum(), pristine.checksum(), "{what}");
+        let warm = load_or_compile(&compiler, &text, 7, &cache, "forged").expect("warm");
+        assert_eq!(warm.source, ColdStartSource::ArtifactCache, "{what}");
+        assert!(warm.fallbacks.is_empty(), "{what}: {:?}", warm.fallbacks);
     }
 }

@@ -6,8 +6,9 @@
 
 use gcd2_repro::cgraph::{to_text, Activation, Graph, NodeId, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
-use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error};
+use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error, InferencePlan, Verdict};
 use gcd2_repro::models::ModelId;
+use gcd2_repro::verify::InferPlanView;
 use proptest::prelude::*;
 
 const SEED: u64 = 0xA07_1FAC;
@@ -22,9 +23,41 @@ fn temp_cache(tag: &str) -> ArtifactCache {
     ArtifactCache::open(dir).expect("temp cache dir")
 }
 
+/// What the loader rests on: the schedule it derives from the stored
+/// graph text — `schedule(from_text(to_text(g)))` — is the one the
+/// builder derived from `g`, step for step (name, operator, slots,
+/// length, layout labels, GEMM shape, shift and weight aggregates) and
+/// slot for slot, read through the analyzer's projection.
+fn same_schedule(built: &InferencePlan, loaded: &InferencePlan) -> Result<(), String> {
+    let (a, b): (&dyn InferPlanView, &dyn InferPlanView) = (built, loaded);
+    let arena = |p: &dyn InferPlanView| {
+        (
+            p.step_count(),
+            p.slot_sizes(),
+            p.input_len(),
+            p.output_len(),
+            p.output_slot(),
+        )
+    };
+    if arena(a) != arena(b) {
+        return Err(format!("arena {:?} != {:?}", arena(a), arena(b)));
+    }
+    for index in 0..a.step_count() {
+        let (x, y) = (
+            format!("{:?}", a.step(index)),
+            format!("{:?}", b.step(index)),
+        );
+        if x != y {
+            return Err(format!("step {index}: {x} != {y}"));
+        }
+    }
+    Ok(())
+}
+
 /// Every catalog model round-trips emit→load bit-identically: the
-/// decoded plan carries the same integrity checksum and produces the
-/// same output bytes as the plan that was serialized.
+/// decoded plan has the built plan's schedule, carries the same
+/// integrity checksum and produces the same output bytes as the plan
+/// that was serialized.
 #[test]
 fn catalog_models_round_trip_bit_identically() {
     for id in ModelId::ALL {
@@ -34,6 +67,7 @@ fn catalog_models_round_trip_bit_identically() {
         let bytes = encode(&compiled, &plan, &id.to_string()).expect("encode");
         let loaded = decode(&bytes).unwrap_or_else(|e| panic!("{id}: decode failed: {e}"));
 
+        same_schedule(&plan, &loaded.plan).unwrap_or_else(|e| panic!("{id}: {e}"));
         assert_eq!(
             loaded.plan.checksum(),
             plan.checksum(),
@@ -56,6 +90,8 @@ fn catalog_models_round_trip_bit_identically() {
             .plan
             .verify_integrity()
             .unwrap_or_else(|e| panic!("{id}: loaded plan fails integrity: {e}"));
+        let analysis = gcd2_repro::analyze::analyze_plan(&loaded.graph, &loaded.plan);
+        assert_eq!(analysis.verdict(), Verdict::Clean, "{id}: {analysis}");
         match id {
             ModelId::ResNet50 | ModelId::MobileNetV3 => assert!(plan.rows_values() > 0, "{id}"),
             ModelId::TinyBert => assert_eq!(plan.rows_values(), 0, "{id}"),
@@ -77,13 +113,14 @@ fn catalog_models_round_trip_bit_identically() {
 /// gates (version 2: same fields, labels of the old selector), and
 /// while every checksum was byte-serial FNV-1a (version 3: same fields,
 /// other values), and while a section of timed tile hints rode along
-/// (version 4) — are refused as a version skew, and a cache that still
-/// holds one degrades to a recorded fallback compile that heals the
-/// entry.
+/// (version 4), and while the step schedule was stored beside the graph
+/// it is a function of (version 5) — are refused as a version skew, and
+/// a cache that still holds one degrades to a recorded fallback compile
+/// that heals the entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    for version in [1, 2, 3, 4] {
+    for version in [1, 2, 3, 4, 5] {
         let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
             .expect("an earlier version's golden");
         match decode(&old) {
@@ -186,8 +223,11 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
     assert!(detected == emit(), "bytes differ between builds");
 }
 
-/// Sections are looked up by id: a format-5 artifact that carries a
-/// section this build does not know still loads to the same plan.
+/// Sections are looked up by id: a format-6 artifact that carries a
+/// section this build does not know still loads to the same plan —
+/// under the id format 5 kept its schedule under (a stray one says
+/// nothing about what a kernel reads) or the one format 4 kept its tile
+/// hints under.
 #[test]
 fn an_unknown_extra_section_is_ignored() {
     use gcd2_repro::artifact::{Artifact, ArtifactWriter};
@@ -195,17 +235,19 @@ fn an_unknown_extra_section_is_ignored() {
     let plan = compiled.inference_plan(SEED);
     let bytes = encode(&compiled, &plan, "golden").expect("encode");
     let art = Artifact::decode(&bytes).expect("container");
-    let mut w = ArtifactWriter::new();
-    for sec in &art.sections {
-        w.section(sec.id, sec.bytes.to_vec());
-    }
-    // The id format 4 kept its tile hints under.
-    w.section(5, b"nothing this build reads".to_vec());
-    let extended = w.finish(plan.checksum()).expect("re-encode");
-    let loaded = decode(&extended).expect("an unknown section is not an error");
-    assert_eq!(loaded.plan.checksum(), plan.checksum());
     let input = sample_input(plan.input_len());
-    assert_eq!(loaded.plan.execute(&input), plan.execute(&input));
+    for stray in [3, 5] {
+        let mut w = ArtifactWriter::new();
+        for sec in &art.sections {
+            assert_ne!(sec.id, stray, "a section this build writes");
+            w.section(sec.id, sec.bytes.to_vec());
+        }
+        w.section(stray, b"nothing this build reads".to_vec());
+        let extended = w.finish(plan.checksum()).expect("re-encode");
+        let loaded = decode(&extended).expect("an unknown section is not an error");
+        assert_eq!(loaded.plan.checksum(), plan.checksum());
+        assert_eq!(loaded.plan.execute(&input), plan.execute(&input));
+    }
 }
 
 /// Arbitrary small graphs (same generator family as the compiler fuzz
@@ -276,6 +318,7 @@ proptest! {
         let plan = compiled.inference_plan(SEED);
         let bytes = encode(&compiled, &plan, "fuzz").expect("encode");
         let loaded = decode(&bytes).expect("decode");
+        prop_assert_eq!(same_schedule(&plan, &loaded.plan), Ok(()));
         prop_assert_eq!(loaded.plan.checksum(), plan.checksum());
         let input = sample_input(plan.input_len());
         prop_assert_eq!(loaded.plan.execute(&input), plan.execute(&input));
