@@ -9,14 +9,14 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the scalar oracle (GCD2_FORCE_SCALAR=1: im2col_identity holds the portable form and the pixel-major form to the oracle)"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise + group-kernel identity) on the scalar oracle (GCD2_FORCE_SCALAR=1: im2col_identity holds the portable form and the pixel-major form to the oracle, hostops_identity the portable softmax and layernorm to the forms they replaced)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2-kernels
 
-echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise identity) on the auto-detected SIMD tier (the GEMM, its folded clamp, the transpose, im2col and the depthwise kernel are each held to their oracle at every tier the host supports)"
+echo "==> kernel suite (GEMM + resident-panel + transpose + im2col + depthwise + group-kernel identity) on the auto-detected SIMD tier (the GEMM, its folded clamp, the transpose, im2col, the depthwise kernel and the softmax / layernorm group kernels are each held to their oracle at every tier the host supports)"
 cargo test -q -p gcd2-kernels
 
-echo "==> depthwise / pool / gate identity suite on the VNNI tier of an AMX host (GCD2_AMX=0; the two runs above cover the AMX tier and the scalar oracle: the pixel-major forms are selected on every host, so they are held to their oracle on every tier)"
-GCD2_AMX=0 cargo test -q -p gcd2-kernels --test dwconv_identity
+echo "==> depthwise / pool / gate and group-kernel identity suites on the VNNI tier of an AMX host (GCD2_AMX=0; the two runs above cover the AMX tier and the scalar oracle: the pixel-major forms are selected on every host, and the group kernels have one form, so they are held to their oracle on every tier)"
+GCD2_AMX=0 cargo test -q -p gcd2-kernels --test dwconv_identity --test hostops_identity
 
 echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch == single-shot == interpreter gate run there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
@@ -68,6 +68,15 @@ for run in a b; do
 done
 test -s target/blocks-a.txt
 diff target/blocks-a.txt target/blocks-b.txt
+
+echo "==> group kernels in a whole plan (tinybert --infer 3, on the auto-detected tier and under GCD2_FORCE_SCALAR=1: the portable forms run every Softmax and LayerNorm step on both, bit-identical to the interpreter, and the time-by-kind table gives both a bytes-per-ns rate)"
+for scalar in 0 1; do
+    GCD2_FORCE_SCALAR=$scalar cargo run --release -q -p gcd2 --bin gcd2c -- tinybert --infer 3 > target/group-kernels-$scalar.txt
+    grep -q "bit-identical: true" target/group-kernels-$scalar.txt
+    for kind in Softmax LayerNorm; do
+        grep -Eq "^    $kind +[0-9]+ steps .* B/ns$" target/group-kernels-$scalar.txt
+    done
+done
 
 echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"
 cargo test -q --features fault-injection \

@@ -608,28 +608,39 @@ fn main() -> ExitCode {
                 if out == reference { "true" } else { "FALSE" }
             );
             // Operator kind = the description up to its parameters
-            // ("DWConv2d(3x3, s1)" → "DWConv2d").
-            let mut kinds: Vec<(&str, usize, std::time::Duration)> = Vec::new();
+            // ("DWConv2d(3x3, s1)" → "DWConv2d"). A non-GEMM kind also
+            // sums its steps' output bytes, for a bytes-per-ns rate.
+            type Kind<'a> = (&'a str, usize, std::time::Duration, Option<usize>);
+            let mut kinds: Vec<Kind> = Vec::new();
             for t in &report.per_op {
                 let kind = t.op.split('(').next().unwrap_or(&t.op);
                 match kinds.iter_mut().find(|(k, ..)| *k == kind) {
-                    Some((_, steps, total)) => {
+                    Some((_, steps, total, bytes)) => {
                         *steps += 1;
                         *total += t.duration;
+                        *bytes = bytes.zip(t.elementwise_bytes).map(|(a, b)| a + b);
                     }
-                    None => kinds.push((kind, 1, t.duration)),
+                    None => kinds.push((kind, 1, t.duration, t.elementwise_bytes)),
                 }
             }
-            kinds.sort_by_key(|&(_, _, total)| std::cmp::Reverse(total));
+            kinds.sort_by_key(|&(_, _, total, _)| std::cmp::Reverse(total));
             println!("  time by operator kind:");
-            for (kind, steps, total) in &kinds {
-                println!(
-                    "    {:<16} {:>4} steps {:>10.2?} {:>5.1}%",
+            for (kind, steps, total, bytes) in &kinds {
+                let rate = bytes.map_or(String::new(), |b| {
+                    format!(
+                        "{:>7.2} B/ns",
+                        b as f64 / (total.as_secs_f64() * 1e9).max(1e-9)
+                    )
+                });
+                let line = format!(
+                    "    {:<16} {:>4} steps {:>10.2?} {:>5.1}% {}",
                     kind,
                     steps,
                     total,
-                    100.0 * total.as_secs_f64() / report.total.as_secs_f64()
+                    100.0 * total.as_secs_f64() / report.total.as_secs_f64(),
+                    rate
                 );
+                println!("{}", line.trim_end());
             }
             let mut by_time: Vec<_> = report.per_op.iter().collect();
             by_time.sort_by_key(|t| std::cmp::Reverse(t.duration));

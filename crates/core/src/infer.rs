@@ -573,6 +573,11 @@ pub struct OpTiming {
     pub op: String,
     /// Wall-clock time of the step.
     pub duration: Duration,
+    /// For a non-GEMM step — one whose time counts toward
+    /// [`InferReport::elementwise`] — the bytes it wrote (its output
+    /// length), so a byte kernel's speed reads as a rate; `None` for a
+    /// GEMM step, whose work is its MACs.
+    pub elementwise_bytes: Option<usize>,
 }
 
 /// Rejects GEMMs whose worst-case accumulator over the quantization
@@ -1639,6 +1644,8 @@ impl InferencePlan {
                     name: step.name.clone(),
                     op: step.op.clone(),
                     duration: d,
+                    elementwise_bytes: (!matches!(step.kind, StepKind::Gemm(_)))
+                        .then_some(step.out_len),
                 });
             }
         }

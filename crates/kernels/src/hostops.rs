@@ -1,4 +1,4 @@
-//! Host-side scalar semantics of the non-GEMM operators.
+//! Host-side semantics and kernels of the non-GEMM operators.
 //!
 //! The functional runtime has two execution paths — the node-by-node
 //! interpreter (`gcd2::runtime`) and the precompiled inference plan
@@ -7,6 +7,15 @@
 //! writing into caller-owned, **pre-sized** slices (the plan executor
 //! hands them its line-aligned activation slots and allocates nothing
 //! in steady state); every byte of `out` is overwritten.
+//!
+//! Forms: every kernel here has one form, portable Rust written so it
+//! autovectorises, and every tier runs it — the scalar tier
+//! (`GCD2_FORCE_SCALAR=1`, [`crate::pin_scalar`]) as well as AVX2,
+//! AVX-512 VNNI, AMX and NEON. The two group kernels, [`softmax_into`]
+//! and [`layernorm_into`], share one group loop: one byte reduction and
+//! one per-group constant per group, then `u8`/`u16` lane operations per
+//! byte. `tests/hostops_identity.rs` holds both, at every tier, to the
+//! per-byte arithmetic they replaced.
 //!
 //! The quantization convention is the runtime's: activations live in a
 //! small range `0..=act_max` (4 bits in practice), and each kernel's
@@ -140,46 +149,132 @@ pub fn monotone_lut_into(x: &[u8], out: &mut [u8]) {
     map_into(x, out, |v| v / 2 + v / 4);
 }
 
-/// The multiplier that turns softmax's per-element division into one
-/// multiply and shift: `(v · softmax_scale(act_max, sum)) >> 32 ==
-/// v · act_max / sum` for every byte `v`. With `m = ⌊2³²/sum⌋ + 1`,
-/// `x·m / 2³²` overshoots `x/sum` by `x·e / (sum·2³²)` for some
-/// `e ≤ sum`, which stays below the `1/sum` that could carry the floor
-/// while `x·e < 2³²` — true for `x = v·act_max < 2¹⁶` and `sum ≤ 2¹⁶`;
-/// a larger `sum` exceeds every `x`, and then `x·m < 2³²` floors to the
-/// quotient 0 as well.
-fn softmax_scale(act_max: u8, sum: u32) -> u64 {
-    act_max as u64 * ((1u64 << 32) / sum as u64 + 1)
+/// The largest `act_max` whose numerators `v · act_max` all have 12 bits
+/// (`16 · 255 < 2¹²`): the domain of [`Recip12`], and so of softmax's
+/// `u16`-lane pass. A wider `act_max` — no caller's — divides per byte.
+const RECIP12_ACT_MAX: u8 = 16;
+
+/// Softmax's per-group constant: `⌊x / d⌋` for every numerator
+/// `x < 2¹²` as two `u16` lane operations, `mulhi(x << 4, m) >> shift`
+/// ([`Recip12::quotient`]). With `ℓ = ⌈log₂ d⌉` the magic is the
+/// round-up `⌈2^(12+ℓ) / d⌉ < 2¹³`, stored as `m = magic << 3` (it
+/// fits `u16`), and `shift = 3 + ℓ`: `mulhi(x·2⁴, magic·2³) =
+/// ⌊x·magic / 2⁹⌋`, so the result is `⌊x·magic / 2^(12+ℓ)⌋`, which is
+/// `⌊x/d⌋` because `magic·d − 2^(12+ℓ) < d ≤ 2^ℓ` keeps the overshoot
+/// below `1/d` while `x < 2¹²`. A `d ≥ 2¹²` exceeds every numerator:
+/// `m = 0` gives the quotient 0. DESIGN.md §4e (*Group kernels*); the
+/// unit test `softmax_quotient_is_the_division` checks every `d < 2¹⁶`
+/// against every `x` whose quotient is a byte.
+#[derive(Debug, Clone, Copy)]
+struct Recip12 {
+    m: u16,
+    shift: u32,
+}
+
+/// `⌈log₂ d⌉` of `d ≥ 1`.
+const fn ceil_log2(d: u32) -> u32 {
+    u32::BITS - (d - 1).leading_zeros()
+}
+
+/// [`Recip12::m`] of every divisor below 2¹² (entry 0 unused): the
+/// paper's division-to-lookup replacement — a softmax group's division
+/// becomes a load from an 8 KiB table the compiler fills.
+static RECIP12_M: [u16; 1 << 12] = {
+    let mut m = [0u16; 1 << 12];
+    let mut d = 1;
+    while d < m.len() as u32 {
+        m[d as usize] = ((1u32 << (12 + ceil_log2(d))).div_ceil(d) << 3) as u16;
+        d += 1;
+    }
+    m
+};
+
+impl Recip12 {
+    /// The constant of the divisor `d ≥ 1`.
+    #[inline]
+    fn of(d: u32) -> Recip12 {
+        match RECIP12_M.get(d as usize) {
+            Some(&m) => Recip12 {
+                m,
+                shift: 3 + ceil_log2(d),
+            },
+            None => Recip12 { m: 0, shift: 0 },
+        }
+    }
+
+    /// `⌊x / d⌋` of the numerator `x < 2¹²` given as `x16 = x << 4`.
+    #[inline]
+    fn quotient(self, x16: u16) -> u8 {
+        ((((x16 as u32 * self.m as u32) >> 16) as u16) >> self.shift) as u8
+    }
 }
 
 /// Softmax over contiguous groups of `group` elements, renormalized into
-/// the activation range: `out[i] = x[i] · act_max / max(Σ_group x, 1)`.
-/// Monotone within each group and bounded by `act_max`. One reciprocal
-/// per group ([`softmax_scale`]) keeps the element loop a multiply.
+/// the activation range: `out[i] = ⌊x[i] · act_max / max(Σ_group x, 1)⌋`.
+/// Monotone within each group and bounded by `act_max`.
+///
+/// Per group, one [`byte_sum`] and one [`Recip12`] (a table load, no
+/// division); per byte, `v · (act_max << 4)` and [`Recip12::quotient`]
+/// in `u16` lanes, which baseline x86-64 vectorises eight lanes wide
+/// (`pmullw`, `pmulhuw`, `psrlw`, `packuswb`). One portable form, run by
+/// every tier (DESIGN.md §4e, *Group kernels*). An `act_max` above 16 —
+/// a shape guard, not an option — divides each byte instead.
 pub fn softmax_into(x: &[u8], group: usize, act_max: u8, out: &mut [u8]) {
     assert_eq!(out.len(), x.len(), "output size mismatch");
+    if act_max > RECIP12_ACT_MAX {
+        return for_each_group(x, group, out, |chunk, sum, dst| {
+            let d = sum.max(1);
+            map_into(chunk, dst, |v| (v as u32 * act_max as u32 / d) as u8);
+        });
+    }
+    // `black_box` hides that `a16` is a zero-extended byte. Seeing that,
+    // LLVM evaluates the numerator in `i32` lanes (`pmaddwd`, then a
+    // repack for `pmulhuw`): 0.31 ns/B instead of 0.18 in `u16` lanes
+    // (`pmullw`). DESIGN.md §4e, *Group kernels*.
+    let a16 = std::hint::black_box((act_max as u16) << 4);
+    for_each_group(x, group, out, |chunk, sum, dst| {
+        let r = Recip12::of(sum.max(1));
+        map_into(chunk, dst, |v| r.quotient(v as u16 * a16));
+    });
+}
+
+/// The group loop of both group kernels: `pass(chunk, Σ chunk, dst)`
+/// over `x` and `out` in groups of `max(group, 1)` bytes, the last one
+/// possibly shorter, the sum [`byte_sum`]'s.
+fn for_each_group(
+    x: &[u8],
+    group: usize,
+    out: &mut [u8],
+    mut pass: impl FnMut(&[u8], u32, &mut [u8]),
+) {
     let group = group.max(1);
     for (chunk, dst) in x.chunks(group).zip(out.chunks_mut(group)) {
-        let sum: u32 = chunk.iter().map(|&v| v as u32).sum();
-        let scale = softmax_scale(act_max, sum.max(1));
-        map_into(chunk, dst, |v| ((v as u64 * scale) >> 32) as u8);
+        pass(chunk, byte_sum(chunk), dst);
     }
 }
 
 /// Layer normalization over contiguous groups of `group` elements:
 /// mean-center and re-bias to the middle of the activation range,
 /// `out[i] = clamp(x[i] - mean + (act_max + 1)/2, 0, act_max)`.
+///
+/// Per group, one [`byte_sum`] and one offset `mid − mean`; per byte,
+/// that offset as a saturating `u8` add (or subtract) — saturation at 0
+/// is the lower clamp, and at 255 lies above every `act_max` — then a
+/// `min`. One portable form: it vectorises on every target.
 pub fn layernorm_into(x: &[u8], group: usize, act_max: u8, out: &mut [u8]) {
     assert_eq!(out.len(), x.len(), "output size mismatch");
-    let group = group.max(1);
-    let mid = (act_max as i32 + 1) / 2;
-    for (chunk, dst) in x.chunks(group).zip(out.chunks_mut(group)) {
-        let sum: u32 = chunk.iter().map(|&v| v as u32).sum();
-        let mean = (sum / chunk.len() as u32) as i32;
+    let mid = (act_max as u32).div_ceil(2);
+    for_each_group(x, group, out, |chunk, sum, dst| {
+        let mean = sum / chunk.len() as u32;
+        // `mid ≤ 128` and `mean ≤ 255`: both fit a byte, one is 0.
+        let (up, down) = (
+            mid.saturating_sub(mean) as u8,
+            mean.saturating_sub(mid) as u8,
+        );
         map_into(chunk, dst, |v| {
-            (v as i32 - mean + mid).clamp(0, act_max as i32) as u8
+            v.saturating_add(up).saturating_sub(down).min(act_max)
         });
-    }
+    });
 }
 
 /// 2-D max/average pooling over a CHW map (no padding), row-wise: each
@@ -506,33 +601,32 @@ mod tests {
         }
     }
 
-    /// The reciprocal form of softmax is the division form, bit for
-    /// bit: every byte, both activation ranges, every sum a group of
-    /// up to 257 bytes can reach, and seeded sums beyond.
+    /// Softmax's per-group quotient is the division, bit for bit — the
+    /// proof of [`Recip12`]: every 12-bit numerator (every byte at every
+    /// `act_max ≤ 16`) over every sum a group of up to 257 bytes can
+    /// reach, seeded sums beyond and `u32::MAX`. Quotients above 255 are
+    /// skipped: no group meets one (its bytes never exceed its sum, so
+    /// its quotients are at most `act_max`).
     #[test]
-    fn softmax_reciprocal_equals_the_division() {
-        let check = |act_max: u8, sum: u32| {
-            let scale = softmax_scale(act_max, sum);
-            for v in 0..=255u8 {
+    fn softmax_quotient_is_the_division() {
+        let mut sums: Vec<u32> = (1..=65_535).collect();
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        sums.extend((0..10_000).map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 32) as u32 | 0x1_0000
+        }));
+        sums.push(u32::MAX);
+        for &sum in &sums {
+            let r = Recip12::of(sum);
+            for x in 0..(1u32 << 12).min(sum.saturating_mul(256)) {
                 assert_eq!(
-                    ((v as u64 * scale) >> 32) as u8,
-                    (v as u32 * act_max as u32 / sum) as u8,
-                    "v={v} act_max={act_max} sum={sum}"
+                    r.quotient((x << 4) as u16),
+                    (x / sum) as u8,
+                    "x={x} sum={sum}"
                 );
             }
-        };
-        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
-        for act_max in [15u8, 255] {
-            for sum in 1..=65_535u32 {
-                check(act_max, sum);
-            }
-            for _ in 0..10_000 {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                check(act_max, (seed >> 32) as u32 | 0x1_0000);
-            }
-            check(act_max, u32::MAX);
         }
     }
 
