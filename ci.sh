@@ -45,18 +45,25 @@ mkdir -p target
 cargo run --release -q -p gcd2 --bin gcd2c -- --analyze > target/analyze.txt
 grep -q "all 10 catalog models analyze clean" target/analyze.txt
 
-echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes; a format-5 artifact is refused as a version skew)"
-cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > /dev/null
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed, the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes, and so does emitting under GCD2_FORCE_SCALAR=1 — 25.5 MB of weights from the row generator's plain form against its AVX-512F form on an AVX-512 host — both with the pinned integrity checksum; a format-5 artifact is refused as a version skew)"
+cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > target/emit.txt
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
 for stage in container "graph+schedule+selection" "weights copy" pack integrity unaccounted; do
     grep -q "^    $stage *: " target/load.txt
 done
+for stage in "weights copy" pack integrity; do
+    grep -Eq "^    $stage *: +[0-9.]+ +[0-9.]+ B/ns$" target/load.txt
+done
 awk '/load stages, ms of/ { wall = $5 }
-     /^    [^:]+: +[0-9.]+$/ && !/unaccounted/ { sum += $NF }
+     /^    [^:]+: +[0-9.]+( +[0-9.]+ B\/ns)?$/ && !/unaccounted/ { sub(/^[^:]*: +/, ""); sum += $1 }
      END { exit !(wall > 0 && sum >= 0.9 * wall && sum <= 1.1 * wall) }' target/load.txt
-# A second process emits the same bytes, and the artifact an earlier format wrote is a named skew and exit 1, never a panic.
+# A second process emits the same bytes, and so does the scalar oracle tier; the artifact an earlier format wrote is a named skew and exit 1, never a panic.
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50-again.gcd2art > /dev/null
 cmp target/ci-resnet-50.gcd2art target/ci-resnet-50-again.gcd2art
+GCD2_FORCE_SCALAR=1 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50-scalar.gcd2art > target/emit-scalar.txt
+cmp target/ci-resnet-50.gcd2art target/ci-resnet-50-scalar.gcd2art
+grep -q "^emitted .*, integrity 0x6241cf526ebe7984$" target/emit.txt
+grep -q "^emitted .*, integrity 0x6241cf526ebe7984$" target/emit-scalar.txt
 if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v5.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
 grep -q "artifact format version 5 (this build reads" target/skew.txt
 if grep -q panicked target/skew.txt; then exit 1; fi

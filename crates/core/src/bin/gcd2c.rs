@@ -401,7 +401,12 @@ fn main() -> ExitCode {
             }
         };
         if timing {
-            print_stages("plan build", plan.build_stages(), t0.elapsed());
+            print_stages(
+                "plan build",
+                plan.build_stages(),
+                t0.elapsed(),
+                plan.weight_bytes(),
+            );
         }
         let bytes = match gcd2::artifact::encode(&compiled, &plan, model_name) {
             Ok(b) => b,
@@ -478,7 +483,12 @@ fn main() -> ExitCode {
             build_wall
         );
         if timing {
-            print_stages("plan build", plan.build_stages(), build_wall);
+            print_stages(
+                "plan build",
+                plan.build_stages(),
+                build_wall,
+                plan.weight_bytes(),
+            );
         }
         let input: Vec<u8> = (0..plan.input_len())
             .map(|i| (i * 7 + 13) as u8 % 16)
@@ -990,7 +1000,12 @@ fn load_artifact(path: &str) -> ExitCode {
         loaded.plan.gemm_macs() as f64 / 1e9,
         analysis.verdict()
     );
-    print_stages("load", &loaded.stages, decode_wall);
+    print_stages(
+        "load",
+        &loaded.stages,
+        decode_wall,
+        loaded.plan.weight_bytes(),
+    );
     println!(
         "  integrity   : {:#018x} (verified)",
         loaded.plan.checksum()
@@ -1021,16 +1036,27 @@ fn load_artifact(path: &str) -> ExitCode {
 
 /// Prints a stage ledger in milliseconds: the wall clock the stages
 /// were measured inside, each stage, and what they leave of the wall
-/// clock as `unaccounted`.
+/// clock as `unaccounted`. A stage that passes over every weight byte
+/// once (the plan build's `synthesise`, `pack`, `hash`; the load's
+/// `weights copy`, `pack`, `integrity`) also gives its rate in weight
+/// bytes per ns, so a slow stage reads as a rate as well as a share.
 fn print_stages(
     what: &str,
     stages: &[(&'static str, std::time::Duration)],
     wall: std::time::Duration,
+    weight_bytes: usize,
 ) {
+    const WEIGHT_STAGES: [&str; 5] = ["synthesise", "pack", "hash", "weights copy", "integrity"];
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!("  {what} stages, ms of {:.3} wall:", ms(wall));
     for &(name, d) in stages {
-        println!("    {name:<25}: {:>9.3}", ms(d));
+        let rate = if WEIGHT_STAGES.contains(&name) {
+            let ns = (d.as_secs_f64() * 1e9).max(1.0);
+            format!(" {:>7.2} B/ns", weight_bytes as f64 / ns)
+        } else {
+            String::new()
+        };
+        println!("    {name:<25}: {:>9.3}{rate}", ms(d));
     }
     let covered = stages.iter().map(|s| s.1).sum();
     println!(

@@ -60,8 +60,8 @@ use gcd2_artifact::Checksum64;
 use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
-    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, GemmScratch,
-    Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
+    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, weight_row_into,
+    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
 };
 use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::InferError;
 use crate::layout::{self, LayoutCost};
-use crate::runtime::{gemm_shift, weight, ACT_MAX, WGT_MAX};
+use crate::runtime::{gemm_shift, ACT_MAX, WGT_MAX};
 use crate::CompiledModel;
 
 /// The geometry of a convolution over one `c × h × w` feature map.
@@ -803,7 +803,10 @@ impl InferencePlan {
     /// The build under all three: the schedule `select` labels, then
     /// the interpreter's weights — derived from `seed` as it derives
     /// them, in the row order each step's staging produces — then the
-    /// checksum over both.
+    /// checksum over both. Row `kr` of a step's `k × n` matrix is the
+    /// run of `n` indices from `interpreter_row(kr) · n`, which
+    /// [`gcd2_kernels::weight_row_into`] writes in place: the bytes
+    /// `runtime::weight` gives, one run at a time.
     fn build_with(
         compiled: &CompiledModel,
         seed: u64,
@@ -811,11 +814,12 @@ impl InferencePlan {
     ) -> Result<InferencePlan, InferError> {
         let mut plan = InferencePlan::schedule(&compiled.graph, seed, select)?;
         let (synthesise, pack) = plan.install_weights(|node, in_layout, g| {
-            let rows: Vec<usize> = (0..g.k)
-                .map(|kr| g.interpreter_row(in_layout, kr) * g.n)
-                .collect();
-            let weights = MatrixI8::from_fn(g.k, g.n, |kr, j| weight(seed, node, rows[kr] + j));
-            Ok::<_, InferError>(weights)
+            let mut data = vec![0i8; g.k * g.n];
+            for (kr, run) in data.chunks_exact_mut(g.n.max(1)).enumerate() {
+                let start = g.interpreter_row(in_layout, kr) * g.n;
+                weight_row_into(seed, node.0 as u64, start as u64, run);
+            }
+            Ok::<_, InferError>(MatrixI8::from_vec(g.k, g.n, data))
         })?;
         let mut build_stages = vec![("synthesise", synthesise), ("pack", pack)];
         let mut since = Instant::now();
@@ -2165,7 +2169,7 @@ fn channels(step: &Step) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::execute_reference;
+    use crate::runtime::{execute_reference, weight};
     use crate::Compiler;
     use gcd2_cgraph::Graph;
 
@@ -2218,6 +2222,65 @@ mod tests {
         let ln = g.add(OpKind::LayerNorm, &[fc], "ln");
         g.add(OpKind::Softmax, &[ln], "softmax");
         g
+    }
+
+    /// Held by the tests that set the process-wide tier
+    /// ([`gcd2_kernels::force_isa`]) and by those that assert which
+    /// tier packed or ran a plan, so neither sees the other's tier.
+    fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
+        static TIER: Mutex<()> = Mutex::new(());
+        TIER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan build's row generator writes `runtime::weight`'s bytes
+    /// on every tier the host supports (`force_isa`), under
+    /// `pin_scalar` over the last of them, and auto-detected. Runs of
+    /// 0..=67 and 4099 weights from each start hit every remainder of
+    /// its four lanes; the starts straddle 2³² and 2⁴⁰, the node ids and
+    /// seeds their extremes. Each run is held to a prefix of the
+    /// oracle's longest. The test bites on the two rewrites the
+    /// generator rests on (mutants of `gcd2_kernels::synth`):
+    /// - the fold without its `>> 16` step (`(y as u32) % 5`) fails on
+    ///   the scalar tier at seed 0, node 0, start 0, length 2, element 1;
+    /// - lanes started at `start + 1` fail on the scalar tier at seed 0,
+    ///   node 0, start 0, length 1, element 0.
+    #[test]
+    fn row_generator_is_the_oracle_at_every_tier() {
+        let _tier = tier_lock();
+        let check = |form: &str| {
+            for seed in [0, 0xC0DE, u64::MAX] {
+                for node in [0, 1, 389, u32::MAX as usize] {
+                    for start in [0, 1, (1 << 32) - 3, (1 << 40) + 7] {
+                        let oracle: Vec<i8> = (0..4099)
+                            .map(|j| weight(seed, NodeId(node), start as usize + j))
+                            .collect();
+                        for len in (0..=67).chain([4099]) {
+                            let mut run = vec![9i8; len];
+                            weight_row_into(seed, node as u64, start, &mut run);
+                            if let Some(j) = (0..len).find(|&j| run[j] != oracle[j]) {
+                                panic!(
+                                    "{form}: seed {seed:#x}, node {node}, start {start:#x}, \
+                                     length {len}, element {j}: {} != {}",
+                                    run[j], oracle[j]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            gcd2_kernels::force_isa(Some(isa));
+            assert_eq!(gcd2_kernels::active_isa(), isa);
+            check(isa.name());
+        }
+        {
+            let _pin = gcd2_kernels::pin_scalar();
+            assert_eq!(gcd2_kernels::active_isa(), KernelIsa::Scalar);
+            check("pin_scalar");
+        }
+        gcd2_kernels::force_isa(None);
+        check("auto");
     }
 
     /// One inference under `opts` through a fresh caller-owned arena.
@@ -2821,6 +2884,7 @@ mod tests {
 
     #[test]
     fn a_flipped_panel_byte_changes_the_answer_and_fails_integrity() {
+        let _tier = tier_lock();
         // A conv straight to the output, so weight (0, 0) — the byte the
         // corruption flips — reaches an output byte unfiltered.
         let mut g = Graph::new();
@@ -2939,6 +3003,7 @@ mod tests {
         // A wide conv, then a 1×k FC: with a resident panel even a
         // one-row GEMM runs where the conv runs, never on the packless
         // scalar tier.
+        let _tier = tier_lock();
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
         let conv = g.add(

@@ -37,6 +37,13 @@ pub const WGT_MAX: i8 = 2;
 
 /// Deterministic weight generator: every call site derives the same
 /// weights from the node id, so the DSP and reference paths agree.
+///
+/// This is the per-element oracle, written the direct way. The
+/// interpreter calls it; a plan build writes the same bytes a row at a
+/// time with [`gcd2_kernels::weight_row_into`], whose strength-reduced,
+/// folded form `infer`'s `row_generator_is_the_oracle_at_every_tier`
+/// holds to this one — so the plan-vs-interpreter differentials keep an
+/// independent side.
 pub(crate) fn weight(seed: u64, node: NodeId, index: usize) -> i8 {
     let mut x = seed
         ^ (node.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -732,19 +732,8 @@ pub(crate) const DW_VNNI_MAX_QUADS: usize = 64;
 fn dw_vnni_selected(s: &DwShape) -> bool {
     s.sx <= 4
         && s.kh * s.kw.div_ceil(4) <= DW_VNNI_MAX_QUADS
-        && avx512_tier_active()
+        && crate::dispatch::avx512_tier_active()
         && quad_conv_available()
-}
-
-/// Whether an AVX-512 tier is active on this thread — the test both
-/// layouts' vector forms of the depthwise kernel sit behind.
-#[cfg(target_arch = "x86_64")]
-fn avx512_tier_active() -> bool {
-    use crate::dispatch::KernelIsa;
-    matches!(
-        crate::dispatch::active_isa(),
-        KernelIsa::Avx512Vnni | KernelIsa::AmxInt8
-    )
 }
 
 /// One horizontal tap `dx` of the row-accumulator kernel with its
@@ -952,7 +941,7 @@ pub fn dwconv_rows_into(
 #[cfg(target_arch = "x86_64")]
 fn dw_rows_vnni_selected(s: &DwShape) -> bool {
     (s.kh * s.kw).div_ceil(4) <= DW_VNNI_MAX_QUADS
-        && avx512_tier_active()
+        && crate::dispatch::avx512_tier_active()
         && std::arch::is_x86_feature_detected!("avx512bw")
 }
 

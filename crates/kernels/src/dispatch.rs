@@ -471,6 +471,15 @@ pub fn active_isa() -> KernelIsa {
     active_table().isa
 }
 
+/// Whether an AVX-512 tier is active on this thread — the test the
+/// AVX-512 forms of the depthwise kernels and of the weight generator
+/// sit behind. Either tier's [`KernelIsa::supported`] requires
+/// AVX-512F, and [`active_isa`] only resolves a supported tier.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx512_tier_active() -> bool {
+    matches!(active_isa(), KernelIsa::Avx512Vnni | KernelIsa::AmxInt8)
+}
+
 pub(crate) fn active_table() -> &'static KernelTable {
     if scalar_pinned() {
         return &SCALAR_TABLE;

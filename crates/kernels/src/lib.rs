@@ -39,6 +39,7 @@ pub mod instr;
 pub mod matmul;
 pub mod reference;
 pub mod simd;
+pub mod synth;
 pub mod tiled;
 pub mod transpose;
 pub mod unroll;
@@ -58,6 +59,7 @@ pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;
 pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_blocks, GemmLoops};
 pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref, transpose_clamp_ref};
+pub use synth::weight_row_into;
 pub use tiled::{
     matmul_blocked_into, matmul_host, tile_plan, try_matmul_blocked_into, GemmDispatchError,
     GemmScratch, LineBuf, TilePlan,
