@@ -204,36 +204,87 @@ fn mix(h: u64, w: u64) -> u64 {
     h ^ (h >> 29)
 }
 
-/// The digest of one byte run: 8-byte little-endian words absorbed on
-/// four independent lanes per 32-byte stripe (lane `i` takes word `i` of
-/// every stripe, so four multiplies are in flight at once), a ragged
-/// tail zero-padded to one more stripe, then the byte length and the
-/// four lanes folded through the same step. `byte` maps an element to
-/// its byte, so `&[i8]` weights hash as the bytes they are stored as
-/// without a reinterpreting cast.
-#[inline(always)]
-fn digest<T: Copy>(data: &[T], byte: impl Fn(T) -> u8) -> u64 {
-    let mut lanes = LANE_SEEDS;
-    let mut absorb = |stripe: &[u8; 32]| {
-        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            *lane = mix(*lane, u64::from_le_bytes(std::array::from_fn(|i| w[i])));
-        }
-    };
-    let mut stripes = data.chunks_exact(32);
-    for stripe in &mut stripes {
-        absorb(&std::array::from_fn(|i| byte(stripe[i])));
+/// The digest of one byte run, absorbed in pieces: 8-byte little-endian
+/// words on four independent lanes per 32-byte stripe (lane `i` takes
+/// word `i` of every stripe, so four multiplies are in flight at once),
+/// a ragged tail zero-padded to one more stripe, then the byte length
+/// and the four lanes folded through the same step by
+/// [`RunDigest::finish`]. The state is the lanes and the length, so a
+/// run may arrive in any number of chunks whose lengths are multiples
+/// of 32 bytes, then one ragged last chunk, and digests to the value of
+/// the whole run in one chunk — [`Checksum64::bytes`] and
+/// [`Checksum64::i8s`] are one chunk of it. A chunk after a ragged one
+/// would be absorbed from a stripe boundary its bytes do not start on:
+/// that is a caller bug (a debug assertion).
+#[derive(Debug, Clone)]
+pub struct RunDigest {
+    lanes: [u64; 4],
+    len: u64,
+}
+
+impl Default for RunDigest {
+    fn default() -> Self {
+        Self::new()
     }
-    let tail = stripes.remainder();
-    if !tail.is_empty() {
-        let mut padded = [0u8; 32];
-        for (p, &t) in padded.iter_mut().zip(tail) {
-            *p = byte(t);
+}
+
+impl RunDigest {
+    /// The digest of an empty run.
+    pub fn new() -> RunDigest {
+        RunDigest {
+            lanes: LANE_SEEDS,
+            len: 0,
         }
-        absorb(&padded);
     }
-    lanes
-        .iter()
-        .fold(mix(FOLD_SEED, data.len() as u64), |d, &lane| mix(d, lane))
+
+    /// Absorbs the next chunk of the run.
+    pub fn bytes(&mut self, chunk: &[u8]) {
+        self.absorb(chunk, |b| b);
+    }
+
+    /// Absorbs the next chunk of the run as the bytes `vals` is stored
+    /// as.
+    pub fn i8s(&mut self, vals: &[i8]) {
+        self.absorb(vals, |v| v as u8);
+    }
+
+    /// The digest of everything absorbed so far, as one run.
+    pub fn finish(&self) -> u64 {
+        self.lanes
+            .iter()
+            .fold(mix(FOLD_SEED, self.len), |d, &lane| mix(d, lane))
+    }
+
+    /// `byte` maps an element to its byte, so `&[i8]` weights hash as
+    /// the bytes they are stored as without a reinterpreting cast.
+    #[inline(always)]
+    fn absorb<T: Copy>(&mut self, data: &[T], byte: impl Fn(T) -> u8) {
+        debug_assert!(
+            self.len.is_multiple_of(32),
+            "a chunk after a ragged one ({} bytes absorbed)",
+            self.len
+        );
+        let mut lanes = self.lanes;
+        let mut stripe_in = |stripe: &[u8; 32]| {
+            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = mix(*lane, u64::from_le_bytes(std::array::from_fn(|i| w[i])));
+            }
+        };
+        let mut stripes = data.chunks_exact(32);
+        for stripe in &mut stripes {
+            stripe_in(&std::array::from_fn(|i| byte(stripe[i])));
+        }
+        let tail = stripes.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 32];
+            for (p, &t) in padded.iter_mut().zip(tail) {
+                *p = byte(t);
+            }
+            stripe_in(&padded);
+        }
+        self.lanes = lanes;
+        self.len += data.len() as u64;
+    }
 }
 
 /// The one checksum of the workspace: artifact section checksums, the
@@ -257,8 +308,9 @@ fn digest<T: Copy>(data: &[T], byte: impl Fn(T) -> u8) -> u64 {
 ///   folds the digest of the whole run (length included) in as one
 ///   step, so `bytes(a); bytes(b)` is not `bytes(a ‖ b)`, and
 ///   [`Checksum64::u64`] is one step that need not agree with `bytes` of
-///   the same eight bytes. Nothing in the tree splits a run across
-///   calls.
+///   the same eight bytes. A run that arrives in pieces is digested with
+///   a [`RunDigest`], and `u64(digest.finish())` is `bytes` of the whole
+///   run.
 #[derive(Debug, Clone)]
 pub struct Checksum64(u64);
 
@@ -276,12 +328,16 @@ impl Checksum64 {
 
     /// Folds one run of bytes, length-framed, into the checksum.
     pub fn bytes(&mut self, bytes: &[u8]) {
-        self.0 = mix(self.0, digest(bytes, |b| b));
+        let mut run = RunDigest::new();
+        run.bytes(bytes);
+        self.u64(run.finish());
     }
 
     /// [`Checksum64::bytes`] of the bytes `vals` is stored as.
     pub fn i8s(&mut self, vals: &[i8]) {
-        self.0 = mix(self.0, digest(vals, |v| v as u8));
+        let mut run = RunDigest::new();
+        run.i8s(vals);
+        self.u64(run.finish());
     }
 
     /// Folds one `u64` into the checksum, in one step.
@@ -1087,6 +1143,42 @@ mod tests {
         let mut h = Checksum64::new();
         h.i8s(&signed);
         assert_eq!(h.finish(), checksum64(&stored));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(200))]
+
+        /// A run absorbed in chunks of whole stripes, then a ragged last
+        /// one, digests to the one-shot value — as bytes and as `i8`s,
+        /// wherever the cuts fall, empty chunks included.
+        #[test]
+        fn every_stripe_chunking_digests_to_the_one_shot_value(
+            len in 0usize..=400,
+            stripes in proptest::collection::vec(0usize..=4, 0..7),
+        ) {
+            let run = noise(len);
+            let signed: Vec<i8> = run.iter().map(|&b| b as i8).collect();
+            let mut whole = Checksum64::new();
+            whole.bytes(&run);
+            let mut cut = Vec::new();
+            let mut at = 0;
+            for s in stripes {
+                let end = (at + 32 * s).min(len / 32 * 32);
+                cut.push(at..end);
+                at = end;
+            }
+            cut.push(at..len);
+            let (mut bytes, mut i8s) = (RunDigest::new(), RunDigest::new());
+            for range in cut {
+                bytes.bytes(&run[range.clone()]);
+                i8s.i8s(&signed[range]);
+            }
+            for digest in [bytes, i8s] {
+                let mut h = Checksum64::new();
+                h.u64(digest.finish());
+                proptest::prop_assert_eq!(h.finish(), whole.finish());
+            }
+        }
     }
 
     /// The byte-serial FNV-1a this crate used through format version 3,

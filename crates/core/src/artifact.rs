@@ -43,12 +43,13 @@ use gcd2_artifact::{
     Artifact, ArtifactCache, ArtifactError, ArtifactWriter, ByteReader, ByteWriter, FORMAT_VERSION,
 };
 use gcd2_cgraph::Graph;
-use gcd2_tensor::MatrixI8;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::error::Gcd2Error;
-use crate::infer::{guard_panics, lap, GemmStep, InferencePlan, StepKind};
+use crate::infer::{
+    guard_panics, lap, GemmStep, InferencePlan, InstallLedger, StepKind, WeightTile,
+};
 use crate::{CompiledModel, Compiler};
 
 /// Section ids of the plan artifact payload.
@@ -102,9 +103,11 @@ pub struct LoadedArtifact {
     /// Where the load's wall clock went, in the order the stages ran:
     /// `container` (table bounds, section checksums, chain binding),
     /// `graph+schedule+selection` (re-parse, re-admission, the derived
-    /// schedule and its layout labels), `weights copy`, `pack` (the
-    /// resident panels), `integrity` (the plan re-hash). What [`decode`]
-    /// took beyond their sum is the caller's to report as unaccounted.
+    /// schedule and its layout labels), `pack` (the resident panels,
+    /// filled from the borrowed section a k-tile at a time),
+    /// `integrity` (each matrix's digest, taken as its tiles were
+    /// packed, and the plan re-hash). What [`decode`] took beyond their
+    /// sum is the caller's to report as unaccounted.
     pub stages: Vec<(&'static str, Duration)>,
 }
 
@@ -117,14 +120,16 @@ fn encode_weights_section(plan: &InferencePlan) -> Vec<u8> {
             _ => None,
         })
         .collect();
-    // Sized exactly, each matrix appended as one run: the section is
-    // the weights' size and is written once.
+    // Sized exactly, each matrix appended as its panel reads it back, a
+    // k-tile at a time: the section is the weights' size and is written
+    // once, and the bytes do not depend on the form a tier packed.
     let mut w = ByteWriter::with_capacity(8 + 16 * gemms.len() + plan.weight_bytes);
     w.u64(gemms.len() as u64);
+    let mut tile = Vec::new();
     for g in gemms {
-        w.u64(g.weights.rows() as u64);
-        w.u64(g.weights.cols() as u64);
-        w.i8s(g.weights.as_slice());
+        w.u64(g.k as u64);
+        w.u64(g.n as u64);
+        g.panel.for_each_ktile(&mut tile, |rows| w.i8s(rows));
     }
     w.finish()
 }
@@ -177,34 +182,40 @@ fn required_section<'a>(art: &Artifact<'a>, id: u32) -> Result<&'a [u8], Artifac
 
 /// Installs the WEIGHTS section into the derived plan's GEMM steps, in
 /// schedule order, each matrix validated against the shape its step
-/// derived. Returns the part of its time that went into packing panels.
-fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<Duration, ArtifactError> {
+/// derived and packed from the borrowed section a k-tile at a time.
+/// Returns where `install_weights` spent its time.
+fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<InstallLedger, ArtifactError> {
     let mut r = ByteReader::new(bytes);
     let declared = r.u64_capped("weight matrix count", MAX_STEPS)? as usize;
     let mut seen = 0usize;
-    let (_, pack) = plan.install_weights(|_, _, g: &GemmStep| {
-        seen += 1;
-        if seen > declared {
-            return Err(bounds("weight matrix count", declared as u64, seen as u64));
+    let ledger = plan.install_weights(|tile: WeightTile<'_>| {
+        let g = tile.gemm;
+        if tile.rows.start == 0 {
+            seen += 1;
+            if seen > declared {
+                return Err(bounds("weight matrix count", declared as u64, seen as u64));
+            }
+            let rows = r.u64_capped("weight rows", MAX_GEMM_DIM)? as usize;
+            let cols = r.u64_capped("weight cols", MAX_GEMM_DIM)? as usize;
+            if rows != g.k || cols != g.n {
+                return Err(bounds(
+                    "weight shape",
+                    (rows as u64) << 32 | cols as u64,
+                    (g.k as u64) << 32 | g.n as u64,
+                ));
+            }
+            let Some(len) = rows.checked_mul(cols) else {
+                return Err(bounds("weight elems", rows as u64, MAX_GEMM_DIM));
+            };
+            if len as u64 > MAX_SLOT_BYTES {
+                return Err(bounds("weight elems", len as u64, MAX_SLOT_BYTES));
+            }
         }
-        let rows = r.u64_capped("weight rows", MAX_GEMM_DIM)? as usize;
-        let cols = r.u64_capped("weight cols", MAX_GEMM_DIM)? as usize;
-        if rows != g.k || cols != g.n {
-            return Err(bounds(
-                "weight shape",
-                (rows as u64) << 32 | cols as u64,
-                (g.k as u64) << 32 | g.n as u64,
-            ));
+        let raw = r.take(tile.bytes.len())?;
+        for (w, &b) in tile.bytes.iter_mut().zip(raw) {
+            *w = b as i8;
         }
-        let Some(len) = rows.checked_mul(cols) else {
-            return Err(bounds("weight elems", rows as u64, MAX_GEMM_DIM));
-        };
-        if len as u64 > MAX_SLOT_BYTES {
-            return Err(bounds("weight elems", len as u64, MAX_SLOT_BYTES));
-        }
-        let raw = r.take(len)?;
-        let values = raw.iter().map(|&b| b as i8).collect();
-        Ok(MatrixI8::from_vec(rows, cols, values))
+        Ok(())
     })?;
     if seen != declared {
         return Err(bounds("weight matrix count", declared as u64, seen as u64));
@@ -212,7 +223,7 @@ fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<Duration, Ar
     if !r.is_empty() {
         return Err(bounds("weight trailing bytes", r.remaining() as u64, 0));
     }
-    Ok(pack)
+    Ok(ledger)
 }
 
 fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
@@ -284,13 +295,14 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
     let mut plan = guard_panics(|| InferencePlan::schedule(&graph, seed, crate::layout::select))?;
     lap(&mut stages, &mut since, "graph+schedule+selection");
 
-    let pack = attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?)
+    let ledger = attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?)
         .map_err(Gcd2Error::Artifact)?;
-    // One stage's wall clock, split by what `install_weights` timed.
-    let copied = Instant::now();
-    stages.push(("weights copy", (copied - since).saturating_sub(pack)));
-    stages.push(("pack", pack));
-    since = copied;
+    // The install's wall clock is the pack's — reading a k-tile out of
+    // the section is its first half — but for the digests it took
+    // while each tile was hot, which are the integrity stage's.
+    let installed = Instant::now();
+    stages.push(("pack", (installed - since).saturating_sub(ledger.digest)));
+    since = installed;
 
     // The derived schedule and the stored weights must be the plan the
     // writer hashed.
@@ -302,7 +314,7 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
         }));
     }
     let stats = decode_stats(required_section(&art, SEC_STATS)?).map_err(Gcd2Error::Artifact)?;
-    lap(&mut stages, &mut since, "integrity");
+    stages.push(("integrity", since.elapsed() + ledger.digest));
 
     Ok(LoadedArtifact {
         label,

@@ -473,14 +473,20 @@ fn main() -> ExitCode {
         let build_wall = t0.elapsed();
         println!(
             "\ninference plan: {} steps, {} slots, {:.1} KiB activations, \
-             {:.1} KiB weights + {:.1} KiB panels, {:.3} GMACs (built in {:.2?})",
+             {:.3} GMACs (built in {:.2?})",
             plan.steps(),
             plan.slot_count(),
             plan.activation_bytes() as f64 / 1024.0,
-            plan.weight_bytes() as f64 / 1024.0,
-            plan.panel_bytes() as f64 / 1024.0,
             plan.gemm_macs() as f64 / 1e9,
             build_wall
+        );
+        let (panels, row_major) = plan.resident_weight_bytes();
+        println!(
+            "  weights      : {} B, resident {} B = {} B panels + {} B row-major",
+            plan.weight_bytes(),
+            panels + row_major,
+            panels,
+            row_major
         );
         if timing {
             print_stages(
@@ -1038,15 +1044,15 @@ fn load_artifact(path: &str) -> ExitCode {
 /// were measured inside, each stage, and what they leave of the wall
 /// clock as `unaccounted`. A stage that passes over every weight byte
 /// once (the plan build's `synthesise`, `pack`, `hash`; the load's
-/// `weights copy`, `pack`, `integrity`) also gives its rate in weight
-/// bytes per ns, so a slow stage reads as a rate as well as a share.
+/// `pack`, `integrity`) also gives its rate in weight bytes per ns, so
+/// a slow stage reads as a rate as well as a share.
 fn print_stages(
     what: &str,
     stages: &[(&'static str, std::time::Duration)],
     wall: std::time::Duration,
     weight_bytes: usize,
 ) {
-    const WEIGHT_STAGES: [&str; 5] = ["synthesise", "pack", "hash", "weights copy", "integrity"];
+    const WEIGHT_STAGES: [&str; 4] = ["synthesise", "pack", "hash", "integrity"];
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!("  {what} stages, ms of {:.3} wall:", ms(wall));
     for &(name, d) in stages {

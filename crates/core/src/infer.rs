@@ -15,13 +15,15 @@
 //!   pointwise conv fed by a conv stages nothing, a conv feeding one
 //!   scatters nothing, and a depthwise conv, a pool or a squeeze-excite
 //!   gate between them runs its pixel-major form;
-//! * every weight matrix is derived and materialized at build time
-//!   (row-major, the layout the host GEMM consumes, its rows in the
-//!   order the step's staging produces — so the per-edge layout
+//! * every weight matrix is derived at build time, its rows in the
+//!   order the step's staging produces (so the per-edge layout
 //!   transforms the interpreter performs per call are resolved once,
-//!   here), and every matrix a GEMM will read is packed, once, into the
-//!   panel layout of the kernel tier active on this host
-//!   ([`gcd2_kernels::WeightPanel`]) — a GEMM step only multiplies;
+//!   here), and installed a 64-row k-tile at a time straight into the
+//!   one form the kernel that reads it wants
+//!   ([`gcd2_kernels::WeightPanel`]: the packed panel of the kernel tier
+//!   active on this host, the row-major bytes for a direct kernel or a
+//!   packless tier) — a step keeps no other copy, and a GEMM step only
+//!   multiplies;
 //! * the requantization shift of each GEMM (a pure function of its
 //!   reduction depth) is folded into the step;
 //! * activations live in a dense arena of reusable **slots** assigned by
@@ -48,23 +50,24 @@
 //! overlong runs, and batch items are panic-isolated per item via
 //! [`gcd2_par::par_map_isolated`]. The plan itself carries a
 //! [`gcd2_artifact::Checksum64`] over its materialized weights and step
-//! schedule, computed at build time and re-verifiable via
-//! [`InferencePlan::verify_integrity`]
-//! (or per-execution with [`ExecOptions::paranoid`]), which also re-packs
-//! every resident weight panel and re-derives the layout assignment,
-//! and compares. All of them stream
+//! schedule, computed at build time — each matrix's bytes folded in as
+//! the run digest taken while they were installed — and re-verifiable
+//! via [`InferencePlan::verify_integrity`] (or per-execution with
+//! [`ExecOptions::paranoid`]), which also reads every panel back,
+//! re-digests it and checks its padding, and re-derives the layout
+//! assignment, and compares. All of them stream
 //! the schedule through one executor, `InferencePlan::run_one`: one
 //! item, on the calling thread, a straight loop over the steps.
 
-use gcd2_artifact::Checksum64;
+use gcd2_artifact::{Checksum64, RunDigest};
 use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
     im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, weight_row_into,
-    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
+    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel, KTILE_ROWS,
 };
-use gcd2_tensor::MatrixI8;
 use gcd2_verify::ActLayout;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -161,24 +164,27 @@ pub(crate) enum Scatter {
     RowMajor,
 }
 
-/// One precompiled GEMM: staged operands, materialized weights, folded
+/// One precompiled GEMM: staged operands, resident weights, folded
 /// requantization shift.
 #[derive(Debug, Clone)]
 pub(crate) struct GemmStep {
     pub(crate) prep: GemmPrep,
-    /// The row-major `k × n` weights: what the plan checksum, the
-    /// artifact, the analyzer and the direct kernels read. Set through
-    /// [`GemmStep::set_weights`], which keeps `panel` their pack image.
-    /// Row `kr` is the interpreter's row [`GemmStep::interpreter_row`]:
-    /// an im2col that reads rows has its reduction ordered `(dy, dx, ch)`
-    /// and this matrix — stored, hashed, packed and saved in that order —
-    /// is the only one the step has.
-    pub(crate) weights: MatrixI8,
-    /// `weights` packed once for the kernel tier active when they were
-    /// materialised — what a matmul-backed step's GEMM reads on every
-    /// dispatch (see [`gcd2_kernels::WeightPanel`]). Empty for steps
-    /// that run a direct kernel and on packless tiers.
+    /// The step's only copy of its `k × n` weights, in the form the
+    /// kernel that reads them wants: for a matmul-backed step the panel
+    /// of the kernel tier active when they were installed (see
+    /// [`gcd2_kernels::WeightPanel`]), what its GEMM reads on every
+    /// dispatch; for a direct kernel the row-major bytes. Everything
+    /// else that reads the weights — the integrity check, the artifact,
+    /// the analyzer — reads them back a k-tile at a time
+    /// ([`WeightPanel::for_each_ktile`]). Row `kr` is the interpreter's row
+    /// [`GemmStep::interpreter_row`]: an im2col that reads rows has its
+    /// reduction ordered `(dy, dx, ch)`, and the weights are installed,
+    /// hashed, packed and saved in that order.
     pub(crate) panel: WeightPanel,
+    /// The [`RunDigest`] of the row-major weight bytes, taken as they
+    /// were installed: what the plan checksum folds in for them, and
+    /// what [`InferencePlan::verify_integrity`] holds the panel to.
+    pub(crate) digest: u64,
     pub(crate) m: usize,
     pub(crate) k: usize,
     pub(crate) n: usize,
@@ -196,9 +202,9 @@ const DIRECT_CONV_MAX_N: usize = 16;
 
 impl GemmStep {
     /// A step over `(m, k, n)`, its weights still to be installed
-    /// ([`GemmStep::set_weights`]) — a build materialises them once the
-    /// schedule's layouts are chosen, a load reads them from the
-    /// artifact.
+    /// ([`InferencePlan::install_weights`]) — a build synthesises them
+    /// once the schedule's layouts are chosen, a load reads them from
+    /// the artifact.
     pub(crate) fn new(
         prep: GemmPrep,
         (m, k, n): (usize, usize, usize),
@@ -207,8 +213,8 @@ impl GemmStep {
     ) -> GemmStep {
         GemmStep {
             prep,
-            weights: MatrixI8::zeros(0, 0),
             panel: WeightPanel::default(),
+            digest: 0,
             m,
             k,
             n,
@@ -217,10 +223,10 @@ impl GemmStep {
         }
     }
 
-    /// The interpreter's reduction index `(ch, dy, dx)` of row `kr` of
-    /// [`GemmStep::weights`] when the step reads its operand in
-    /// `in_layout`: an im2col from rows orders its columns
-    /// `(dy, dx, ch)`, every other staging keeps the interpreter's order.
+    /// The interpreter's reduction index `(ch, dy, dx)` of weight row
+    /// `kr` when the step reads its operand in `in_layout`: an im2col
+    /// from rows orders its columns `(dy, dx, ch)`, every other staging
+    /// keeps the interpreter's order.
     pub(crate) fn interpreter_row(&self, in_layout: ActLayout, kr: usize) -> usize {
         match (&self.prep, in_layout) {
             (GemmPrep::Im2col(geom), ActLayout::Rows) => {
@@ -230,16 +236,28 @@ impl GemmStep {
         }
     }
 
-    /// Installs the step's weights and, for a matmul-backed step, packs
-    /// their resident panel — the one place a plan's weights are packed,
-    /// at build and at artifact load alike.
-    pub(crate) fn set_weights(&mut self, weights: MatrixI8) {
-        self.panel = if self.runs_matmul() {
-            WeightPanel::pack(&weights)
+    /// An empty panel of the step's shape in the form its kernel reads:
+    /// the active tier's GEMM form for a matmul-backed step, row-major
+    /// for a direct kernel.
+    pub(crate) fn empty_panel(&self) -> WeightPanel {
+        if self.runs_matmul() {
+            WeightPanel::for_gemm(self.k, self.n)
         } else {
-            WeightPanel::default()
-        };
-        self.weights = weights;
+            WeightPanel::row_major(self.k, self.n)
+        }
+    }
+
+    /// Whether the panel still holds the weights the step was installed
+    /// with: its padding is what packing leaves, and what it reads back
+    /// digests to [`GemmStep::digest`] — every byte a kernel reads is one
+    /// or the other.
+    fn holds_its_weights(&self, tile: &mut Vec<i8>) -> bool {
+        if !self.panel.padding_is_clean() {
+            return false;
+        }
+        let mut run = RunDigest::new();
+        self.panel.for_each_ktile(tile, |rows| run.i8s(rows));
+        run.finish() == self.digest
     }
 
     /// Whether this step takes the direct-conv path
@@ -626,7 +644,7 @@ fn check_quant_range(node: NodeId, k: usize) -> Result<u8, InferError> {
 }
 
 /// Folds one step's computation — variant tag, resolved dimensions, and
-/// for GEMMs the materialized weight bytes — into the plan checksum.
+/// for GEMMs the weight bytes — into the plan checksum.
 fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
     match kind {
         StepKind::Input => h.u64(0),
@@ -663,7 +681,9 @@ fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
                 Scatter::DwRows => h.u64(1),
                 Scatter::RowMajor => h.u64(2),
             }
-            h.i8s(g.weights.as_slice());
+            // `Checksum64::i8s` of the row-major weights: one `mix` of
+            // their run digest.
+            h.u64(g.digest);
         }
         StepKind::Add => h.u64(3),
         StepKind::Mul => h.u64(4),
@@ -716,6 +736,32 @@ fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
         }
         StepKind::Concat => h.u64(14),
     }
+}
+
+/// One k-tile of a GEMM step's weights for the source of
+/// [`InferencePlan::install_weights`] to fill.
+pub(crate) struct WeightTile<'t> {
+    /// The node the step executes.
+    pub(crate) node: NodeId,
+    /// The layout the step reads its operand in, which orders its rows.
+    pub(crate) in_layout: ActLayout,
+    /// The step whose weights the tile holds.
+    pub(crate) gemm: &'t GemmStep,
+    /// Which rows of the step's `k × n` matrix the tile holds.
+    pub(crate) rows: Range<usize>,
+    /// Those rows, row-major: `rows.len() · n` bytes to overwrite.
+    pub(crate) bytes: &'t mut [i8],
+}
+
+/// Where [`InferencePlan::install_weights`] spent its time.
+#[derive(Debug, Default)]
+pub(crate) struct InstallLedger {
+    /// In the source, filling tiles.
+    pub(crate) source: Duration,
+    /// Folding tiles into the run digests.
+    pub(crate) digest: Duration,
+    /// Packing tiles into the panels, their allocation included.
+    pub(crate) pack: Duration,
 }
 
 impl InferencePlan {
@@ -813,19 +859,21 @@ impl InferencePlan {
         select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
     ) -> Result<InferencePlan, InferError> {
         let mut plan = InferencePlan::schedule(&compiled.graph, seed, select)?;
-        let (synthesise, pack) = plan.install_weights(|node, in_layout, g| {
-            let mut data = vec![0i8; g.k * g.n];
-            for (kr, run) in data.chunks_exact_mut(g.n.max(1)).enumerate() {
-                let start = g.interpreter_row(in_layout, kr) * g.n;
-                weight_row_into(seed, node.0 as u64, start as u64, run);
+        let ledger = plan.install_weights(|tile| {
+            let n = tile.gemm.n;
+            for (kr, run) in tile.rows.clone().zip(tile.bytes.chunks_exact_mut(n.max(1))) {
+                let start = tile.gemm.interpreter_row(tile.in_layout, kr) * n;
+                weight_row_into(seed, tile.node.0 as u64, start as u64, run);
             }
-            Ok::<_, InferError>(MatrixI8::from_vec(g.k, g.n, data))
+            Ok::<_, InferError>(())
         })?;
-        let mut build_stages = vec![("synthesise", synthesise), ("pack", pack)];
-        let mut since = Instant::now();
+        let hashed = Instant::now();
         plan.checksum = plan.integrity_checksum();
-        lap(&mut build_stages, &mut since, "hash");
-        plan.build_stages = build_stages;
+        plan.build_stages = vec![
+            ("synthesise", ledger.source),
+            ("pack", ledger.pack),
+            ("hash", ledger.digest + hashed.elapsed()),
+        ];
 
         // Debug builds run the static plan analyzer (gcd2-analyze) over
         // every freshly built plan, so an allocator or shift-folding
@@ -1103,27 +1151,57 @@ impl InferencePlan {
 
     /// Gives every GEMM step, in schedule order, the `k × n` matrix
     /// `source` has for it — its rows in the order the step's in-label
-    /// stages them ([`GemmStep::interpreter_row`]) — and packs it: the
-    /// one loop through which a plan gets weights, synthesised by a
-    /// build, read from the file by an artifact load. Returns the time
-    /// spent in `source` and in packing.
+    /// stages them ([`GemmStep::interpreter_row`]) — one
+    /// [`KTILE_ROWS`]-row k-tile at a time into one reused buffer, and
+    /// while each tile is hot folds it into the matrix's run digest and
+    /// packs it into the step's panel: the one loop through which a
+    /// plan gets weights, synthesised by a build, read from the file by
+    /// an artifact load, with no full-size intermediate. Every matrix
+    /// gets at least one call, an empty one when `k` is 0.
     pub(crate) fn install_weights<E>(
         &mut self,
-        mut source: impl FnMut(NodeId, ActLayout, &GemmStep) -> Result<MatrixI8, E>,
-    ) -> Result<(Duration, Duration), E> {
-        let (mut sourced, mut pack) = (Duration::ZERO, Duration::ZERO);
+        mut source: impl FnMut(WeightTile<'_>) -> Result<(), E>,
+    ) -> Result<InstallLedger, E> {
+        let mut ledger = InstallLedger::default();
+        let mut buf: Vec<i8> = Vec::new();
         for step in &mut self.steps {
             let StepKind::Gemm(g) = &mut step.kind else {
                 continue;
             };
             let t0 = Instant::now();
-            let weights = source(step.node, step.in_layout, g)?;
-            let t1 = Instant::now();
-            g.set_weights(weights);
-            sourced += t1 - t0;
-            pack += t1.elapsed();
+            let mut panel = g.empty_panel();
+            let mut run = RunDigest::new();
+            ledger.pack += t0.elapsed();
+            let mut kr0 = 0;
+            loop {
+                let rows = kr0..(kr0 + KTILE_ROWS).min(g.k);
+                let len = rows.len() * g.n;
+                if buf.len() < len {
+                    buf.resize(len, 0);
+                }
+                let t0 = Instant::now();
+                source(WeightTile {
+                    node: step.node,
+                    in_layout: step.in_layout,
+                    gemm: g,
+                    rows: rows.clone(),
+                    bytes: &mut buf[..len],
+                })?;
+                let t1 = Instant::now();
+                run.i8s(&buf[..len]);
+                let t2 = Instant::now();
+                panel.push_ktile(&buf[..len]);
+                ledger.source += t1 - t0;
+                ledger.digest += t2 - t1;
+                ledger.pack += t2.elapsed();
+                kr0 = rows.end;
+                if kr0 >= g.k {
+                    break;
+                }
+            }
+            (g.panel, g.digest) = (panel, run.finish());
         }
-        Ok((sourced, pack))
+        Ok(ledger)
     }
 
     /// Re-derives the checksum over the step schedule (ids,
@@ -1176,22 +1254,24 @@ impl InferencePlan {
         &self.build_stages
     }
 
-    /// Re-hashes the plan's schedule and weights and compares against
-    /// the build-time checksum, then re-derives what the checksum can
-    /// only vouch for as held in memory: the layout labels, which must
-    /// be the ones `layout::select` gives this schedule (a corrupted
-    /// and re-stamped plan cannot choose its own), and every resident
-    /// weight panel, which must be the pack image of its weights. This
-    /// guards a live plan against in-memory corruption; an artifact
-    /// load needs neither check to trust a file — it derives the labels
-    /// and packs the panels itself. The checksum itself stays over the
-    /// raw weights — the artifact stores it and a build hashes once.
+    /// Re-hashes the plan's schedule and weight digests and compares
+    /// against the build-time checksum, then re-derives what the
+    /// checksum can only vouch for as held in memory: the layout labels,
+    /// which must be the ones `layout::select` gives this schedule (a
+    /// corrupted and re-stamped plan cannot choose its own), and every
+    /// step's weights, which its panel must still hold — read back a
+    /// k-tile at a time, they digest to the digest the checksum folds
+    /// in, and every padding byte is what packing leaves. This guards a
+    /// live plan against in-memory corruption; an artifact load needs
+    /// neither check to trust a file — it derives the labels and digests
+    /// the weights as it installs them.
     ///
     /// # Errors
     /// Returns [`InferError::IntegrityViolation`] if the plan no longer
     /// hashes to its build-time checksum, or — with the offending step's
     /// index folded into `got` — if a step's labels are not the derived
-    /// ones or its panel is no longer the pack image of its weights.
+    /// ones or its panel no longer holds the weights it was installed
+    /// with.
     pub fn verify_integrity(&self) -> Result<(), InferError> {
         let got = self.integrity_checksum();
         if got != self.checksum {
@@ -1201,12 +1281,13 @@ impl InferencePlan {
             });
         }
         let labels = layout::select(&self.steps);
+        let mut tile = Vec::new();
         for (index, (step, label)) in self.steps.iter().zip(labels).enumerate() {
-            let packed = match &step.kind {
-                StepKind::Gemm(g) => g.panel.is_pack_of(&g.weights),
+            let held = match &step.kind {
+                StepKind::Gemm(g) => g.holds_its_weights(&mut tile),
                 _ => true,
             };
-            if (step.in_layout, step.out_layout) != label || !packed {
+            if (step.in_layout, step.out_layout) != label || !held {
                 let mut h = Checksum64::new();
                 h.u64(got);
                 h.u64(index as u64);
@@ -1256,17 +1337,24 @@ impl InferencePlan {
             .count()
     }
 
-    /// Bytes of the resident weight panels, beside [`Self::weight_bytes`]:
-    /// zero on a packless tier, about the weight bytes again on the
-    /// AVX-512 and AMX tiers, twice that on AVX2 (an i16 panel).
-    pub fn panel_bytes(&self) -> usize {
-        self.steps
-            .iter()
-            .map(|step| match &step.kind {
-                StepKind::Gemm(g) => g.panel.bytes(),
-                _ => 0,
-            })
-            .sum()
+    /// Bytes of weights the plan keeps resident, as `(panels,
+    /// row_major)`: each GEMM step holds one form, the packed panel of a
+    /// matmul-backed step on a vector tier (padded to whole strips and
+    /// k-tiles; i16 on AVX2) or the row-major bytes (direct kernels,
+    /// packless tiers). About [`Self::weight_bytes`] in total on the
+    /// AVX-512 and AMX tiers, exactly it on scalar and NEON, up to twice
+    /// it on AVX2.
+    pub fn resident_weight_bytes(&self) -> (usize, usize) {
+        let mut split = (0, 0);
+        for step in &self.steps {
+            if let StepKind::Gemm(g) = &step.kind {
+                match g.panel.as_rows() {
+                    Some(rows) => split.1 += rows.len(),
+                    None => split.0 += g.panel.bytes(),
+                }
+            }
+        }
+        split
     }
 
     /// Step count (one per graph node).
@@ -1286,8 +1374,9 @@ impl InferencePlan {
         self.slot_sizes.iter().sum()
     }
 
-    /// Bytes of materialized weight matrices (raw, row-major; the
-    /// resident panels are [`Self::panel_bytes`]).
+    /// Bytes of the plan's weight matrices, `Σ k · n` — what the
+    /// artifact stores; what the plan keeps in memory is
+    /// [`Self::resident_weight_bytes`].
     pub fn weight_bytes(&self) -> usize {
         self.weight_bytes
     }
@@ -1665,24 +1754,15 @@ impl InferencePlan {
         layout::two_forms(producer).filter(|_| producer.out_layout != step.in_layout)
     }
 
-    /// Chaos-suite helper: perturbs one materialized weight so integrity
-    /// checking has real corruption to catch. Test instrumentation only.
+    /// Chaos-suite helper: perturbs weight `(0, 0)` of the first GEMM
+    /// step, in whichever form the step holds it, so integrity checking
+    /// has real corruption to catch. Test instrumentation only.
     #[cfg(feature = "fault-injection")]
     #[doc(hidden)]
     pub fn chaos_corrupt_weights(&mut self) {
         for step in &mut self.steps {
             if let StepKind::Gemm(g) = &mut step.kind {
-                let old = g.weights.clone();
-                let flat = old.as_slice();
-                let (n, rows) = (g.n, g.k);
-                g.weights = MatrixI8::from_fn(rows, n, |r, c| {
-                    let v = flat[r * n + c];
-                    if r == 0 && c == 0 {
-                        v.wrapping_add(1)
-                    } else {
-                        v
-                    }
-                });
+                g.panel.corrupt_for_test(0, 1);
                 return;
             }
         }
@@ -1697,24 +1777,6 @@ impl InferencePlan {
         if let Some(step) = self.steps.last_mut() {
             step.out_len = step.out_len.wrapping_add(1);
         }
-    }
-
-    /// Integrity-suite helper: flips one byte of the last matmul-backed
-    /// step's resident weight panel and leaves the raw weights — and so
-    /// the checksum — alone. [`InferencePlan::verify_integrity`] must
-    /// refuse the plan, and an unverified run must answer differently,
-    /// which is what shows the panel is what executes. Returns `false`
-    /// when no step holds panel bytes (a packless tier). Test
-    /// instrumentation only.
-    #[doc(hidden)]
-    pub fn corrupt_panel_for_test(&mut self) -> bool {
-        self.steps
-            .iter_mut()
-            .rev()
-            .any(|step| match &mut step.kind {
-                StepKind::Gemm(g) => g.panel.corrupt_for_test(),
-                _ => false,
-            })
     }
 
     /// Mutation-suite helper: applies one seeded corruption from
@@ -1842,24 +1904,25 @@ pub enum PlanMutation {
 
 /// Derives the [`gcd2_verify::GemmFacts`] of one staged GEMM. The
 /// policy shift and the per-column weight aggregates are recomputed
-/// from the reduction depth and the materialized weight bytes — never
-/// copied from the fields under scrutiny — so a corrupted stored shift
-/// or weight shows up as a disagreement.
+/// from the reduction depth and the weight bytes the panel reads back —
+/// never copied from the fields under scrutiny — so a corrupted stored
+/// shift or weight shows up as a disagreement.
 fn gemm_view_facts(g: &GemmStep) -> gcd2_verify::GemmFacts {
-    let weights = g.weights.as_slice();
     let cols = g.n.max(1);
     let mut pos = vec![0i64; cols];
     let mut neg = vec![0i64; cols];
-    for row in weights.chunks(cols) {
-        for (j, &w) in row.iter().enumerate() {
-            let w = w as i64;
-            if w > 0 {
-                pos[j] += w;
-            } else {
-                neg[j] += w;
+    g.panel.for_each_ktile(&mut Vec::new(), |tile| {
+        for row in tile.chunks(cols) {
+            for (j, &w) in row.iter().enumerate() {
+                let w = w as i64;
+                if w > 0 {
+                    pos[j] += w;
+                } else {
+                    neg[j] += w;
+                }
             }
         }
-    }
+    });
     gcd2_verify::GemmFacts {
         m: g.m,
         k: g.k,
@@ -2028,7 +2091,6 @@ impl GemmRun<'_> {
             a,
             m,
             k,
-            &g.weights,
             &g.panel,
             (g.shift, ACT_MAX),
             &mut stage.scratch,
@@ -2096,7 +2158,8 @@ fn run_step<'a>(
                 geom.kernel,
                 geom.stride,
                 geom.padding,
-                g.weights.as_slice(),
+                // A direct kernel's step holds its weights row-major.
+                g.panel.as_rows().unwrap_or_default(),
                 g.n,
                 g.shift,
                 ACT_MAX,
@@ -2115,7 +2178,7 @@ fn run_step<'a>(
                     geom.kernel,
                     geom.stride,
                     geom.padding,
-                    g.weights.as_slice(),
+                    g.panel.as_rows().unwrap_or_default(),
                     g.shift,
                     ACT_MAX,
                     out,
@@ -2798,9 +2861,24 @@ mod tests {
         );
     }
 
+    /// `g`'s weights with `mask` xored into byte `at` of the row-major
+    /// matrix, installed again in the form `g` holds them — its digest
+    /// left as it was.
+    fn flip_weight(g: &mut GemmStep, at: usize, mask: i8) {
+        let mut rows = Vec::new();
+        g.panel
+            .for_each_ktile(&mut Vec::new(), |tile| rows.extend_from_slice(tile));
+        rows[at] ^= mask;
+        let mut panel = g.empty_panel();
+        for tile in rows.chunks((KTILE_ROWS * g.n).max(1)) {
+            panel.push_ktile(tile);
+        }
+        g.panel = panel;
+    }
+
     /// One weight byte, wherever it sits — the first, a middle and the
     /// last GEMM of the plan; the first byte, a 32-byte stripe boundary
-    /// and the last byte of each — fails the plan's own re-hash, the
+    /// and the last byte of each — fails the plan's own check, the
     /// re-hash of a load that re-encoded it, and the section checksum of
     /// an artifact it was flipped in.
     #[test]
@@ -2833,13 +2911,12 @@ mod tests {
             let StepKind::Gemm(g) = &pristine.steps[index].kind else {
                 unreachable!("filtered above");
             };
-            let (len, n) = (g.weights.as_slice().len(), g.n);
+            let len = g.k * g.n;
             matrix_at += 16;
             for at in [0, 32.min(len - 1), len - 1] {
                 let mut plan = pristine.clone();
                 if let StepKind::Gemm(g) = &mut plan.steps[index].kind {
-                    g.weights
-                        .set(at / n, at % n, g.weights.get(at / n, at % n) ^ 1);
+                    flip_weight(g, at, 1);
                 }
                 assert!(
                     matches!(
@@ -2882,6 +2959,61 @@ mod tests {
         }
     }
 
+    /// Every byte a step holds is covered by `verify_integrity`: on every
+    /// tier the host supports and under a scalar pin, a flip of any one
+    /// byte of any GEMM step's panel — weight or padding, the quads of
+    /// the FC's ragged 12-row k-tile and 8-column strip on a VNNI or AMX
+    /// tier, the high bytes of its pairs on AVX2 — and of the row-major
+    /// bytes of the direct conv and the depthwise step is refused, with
+    /// the checksum, which folds in digests, unmoved.
+    #[test]
+    fn every_flipped_byte_of_every_form_fails_integrity() {
+        let _tier = tier_lock();
+        let compiled = Compiler::new().compile(&kitchen_sink());
+        let check = |tier: &str| {
+            let mut plan = compiled.inference_plan(0xBEEF);
+            plan.verify_integrity().expect("pristine");
+            let gemm_steps: Vec<usize> = (0..plan.steps.len())
+                .filter(|&i| matches!(plan.steps[i].kind, StepKind::Gemm(_)))
+                .collect();
+            for index in gemm_steps {
+                let bytes = match &plan.steps[index].kind {
+                    StepKind::Gemm(g) => g.panel.bytes(),
+                    _ => unreachable!("filtered above"),
+                };
+                for byte in 0..bytes {
+                    for mask in [1u8, 0x80] {
+                        let flip = |plan: &mut InferencePlan| match &mut plan.steps[index].kind {
+                            StepKind::Gemm(g) => g.panel.corrupt_for_test(byte, mask),
+                            _ => false,
+                        };
+                        assert!(flip(&mut plan));
+                        assert_eq!(plan.checksum, plan.integrity_checksum());
+                        assert!(
+                            matches!(
+                                plan.verify_integrity(),
+                                Err(InferError::IntegrityViolation { .. })
+                            ),
+                            "{tier}: step {index}, byte {byte} ^ {mask:#x}"
+                        );
+                        flip(&mut plan);
+                    }
+                }
+            }
+            plan.verify_integrity().expect("restored");
+        };
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            gcd2_kernels::force_isa(Some(isa));
+            check(isa.name());
+        }
+        gcd2_kernels::force_isa(None);
+        let _pin = gcd2_kernels::pin_scalar();
+        check("pin_scalar");
+    }
+
+    /// The panel is what executes and what integrity covers: the top
+    /// bit of weight `(0, 0)` flipped in it changes the answer of an
+    /// unverified run and is refused by a verified one.
     #[test]
     fn a_flipped_panel_byte_changes_the_answer_and_fails_integrity() {
         let _tier = tier_lock();
@@ -2902,16 +3034,11 @@ mod tests {
         let mut plan = Compiler::new().compile(&g).inference_plan(11);
         let input = vec![15u8; 4 * 144];
         let pristine = plan.execute(&input);
-        if !plan.corrupt_panel_for_test() {
-            // A packless tier (`GCD2_FORCE_SCALAR`, NEON) keeps no panel.
-            assert_eq!(plan.panel_bytes(), 0);
-            return;
-        }
-        assert_eq!(
-            plan.checksum(),
-            plan.integrity_checksum(),
-            "raw weights intact"
-        );
+        let Some(StepKind::Gemm(conv)) = plan.steps.last_mut().map(|s| &mut s.kind) else {
+            panic!("the conv is the last step");
+        };
+        flip_weight(conv, 0, i8::MIN);
+        assert_eq!(plan.checksum(), plan.integrity_checksum(), "digest intact");
         assert!(matches!(
             plan.verify_integrity(),
             Err(InferError::IntegrityViolation { expected, got })
@@ -2925,17 +3052,15 @@ mod tests {
             run_into(&plan, &input, &paranoid),
             Err(InferError::IntegrityViolation { .. })
         ));
-        assert_ne!(
-            plan.execute(&input),
-            pristine,
-            "the GEMM must read the resident panel, not the raw weights"
-        );
-        // A demoted run falls back to the raw weights: right answer.
+        let corrupted = plan.execute(&input);
+        assert_ne!(corrupted, pristine, "the GEMM reads the resident panel");
+        // There is no other copy: a demoted run reads the same panel
+        // back, and multiplies the same flipped weight.
         let scalar = ExecOptions {
             force_scalar: true,
             ..ExecOptions::default()
         };
-        assert_eq!(run_into(&plan, &input, &scalar), Ok(pristine));
+        assert_eq!(run_into(&plan, &input, &scalar), Ok(corrupted));
     }
 
     #[test]
@@ -2998,11 +3123,35 @@ mod tests {
         assert!(report.per_op.iter().any(|t| t.op.starts_with("Conv2d")));
     }
 
+    /// The tier whose multiply instructions run an `m`-row, `n`-column
+    /// GEMM dispatched on `tier`, restated from the kernels' rule: the
+    /// AMX tile grid needs 16 rows, the AVX2 strips 8 columns.
+    fn multiplier(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
+        match tier {
+            KernelIsa::AmxInt8 if m < 16 => KernelIsa::Avx512Vnni,
+            KernelIsa::Avx2 if n < 8 => KernelIsa::Scalar,
+            tier => tier,
+        }
+    }
+
+    /// The form of the weights `tier`'s kernel reads for `n` columns,
+    /// restated from the kernels' rule.
+    fn form(tier: KernelIsa, n: usize) -> &'static str {
+        match multiplier(tier, 16, n) {
+            KernelIsa::Avx512Vnni | KernelIsa::AmxInt8 => "quads",
+            KernelIsa::Avx2 => "pairs",
+            _ => "rows",
+        }
+    }
+
     #[test]
     fn skinny_fc_stays_on_the_active_tier_with_its_resident_panel() {
-        // A wide conv, then a 1×k FC: with a resident panel even a
-        // one-row GEMM runs where the conv runs, never on the packless
-        // scalar tier.
+        // A wide conv, then one-row FC heads of 12, 5 and 8 columns: with
+        // a resident panel even a one-row GEMM runs where the conv runs
+        // — 12 and 5 columns on the VNNI strips' narrow kernel on an
+        // AVX-512 tier, 12 on the AVX2 strips and their `n % 8` tail —
+        // except that the AVX2 tier hands 5 columns to the scalar oracle,
+        // which reads the row-major form the plan filled for it.
         let _tier = tier_lock();
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
@@ -3024,28 +3173,110 @@ mod tests {
             &[gap],
             "flat",
         );
-        g.add(OpKind::MatMul { n: 8 }, &[flat], "fc");
-        let plan = Compiler::new().compile(&g).inference_plan(9);
+        let fc12 = g.add(OpKind::MatMul { n: 12 }, &[flat], "fc12");
+        let fc5 = g.add(OpKind::MatMul { n: 5 }, &[fc12], "fc5");
+        g.add(OpKind::MatMul { n: 8 }, &[fc5], "fc");
+        let compiled = Compiler::new().compile(&g);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
-        let (_, report) = plan
-            .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
-            .expect("timed run");
-        let [conv, fc] = report.gemm_kernels.as_slice() else {
-            panic!("expected two GEMMs, got {:?}", report.gemm_kernels);
+        let want = execute_reference(&compiled, &input, 9);
+        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            gcd2_kernels::force_isa(Some(tier));
+            let plan = compiled.inference_plan(9);
+            let (out, report) = plan
+                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+                .expect("timed run");
+            assert_eq!(out, want, "{tier}");
+            assert_eq!(report.kernel_isa, tier.name());
+            let shapes: Vec<_> = report.gemm_kernels.iter().map(|g| (g.m, g.n)).collect();
+            assert_eq!(shapes, [(144, 32), (1, 12), (1, 5), (1, 8)], "{tier}");
+            for g in &report.gemm_kernels {
+                assert_eq!(g.isa, multiplier(tier, g.m, g.n), "{tier} {}", g.name);
+                assert!(g.panel_resident, "{tier} {}", g.name);
+            }
+        }
+        gcd2_kernels::force_isa(None);
+    }
+
+    /// A plan filled on the detected tier and run on every other tier
+    /// the host supports (`force_isa`) and under a scalar pin answers the
+    /// interpreter's bytes; a GEMM reads its resident panel exactly when
+    /// the run's tier reads the form it was filled in, and otherwise
+    /// reads it back and repacks it for the call.
+    #[test]
+    fn a_plan_runs_on_every_tier_from_its_one_copy() {
+        let _tier = tier_lock();
+        gcd2_kernels::force_isa(None);
+        let detected = gcd2_kernels::active_isa();
+        let compiled = Compiler::new().compile(&staging_net());
+        let plan = compiled.inference_plan(5);
+        let input: Vec<u8> = (0..4 * 144).map(|i| (i * 7 % 16) as u8).collect();
+        let want = execute_reference(&compiled, &input, 5);
+        let run = |label: &str, tier: KernelIsa| {
+            let (out, report) = plan
+                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+                .expect("timed run");
+            assert_eq!(out, want, "{label}");
+            assert_eq!(report.gemm_kernels.len(), 8, "{label}");
+            for g in &report.gemm_kernels {
+                let resident = form(tier, g.n) == form(detected, g.n);
+                assert_eq!(g.panel_resident, resident, "{label} {} n={}", g.name, g.n);
+            }
         };
-        assert_eq!((conv.m, fc.m), (144, 1));
-        // Each reports the tier whose multiply instructions ran it: the
-        // run's own, except that the AMX tier runs a one-row GEMM on its
-        // VNNI strips. Neither leaves the vector tiers.
-        let tier = gcd2_kernels::active_isa();
-        assert_eq!(report.kernel_isa, tier.name());
-        assert_eq!(conv.isa, tier);
-        let strips = if tier == KernelIsa::AmxInt8 {
-            KernelIsa::Avx512Vnni
-        } else {
-            tier
-        };
-        assert_eq!(fc.isa, strips);
-        assert!(conv.panel_resident && fc.panel_resident);
+        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            gcd2_kernels::force_isa(Some(tier));
+            run(tier.name(), tier);
+        }
+        gcd2_kernels::force_isa(None);
+        let _pin = gcd2_kernels::pin_scalar();
+        run("pin_scalar", KernelIsa::Scalar);
+    }
+
+    /// The three models the cold start loads keep one copy of their
+    /// weights: every GEMM step holds exactly one form, on the detected
+    /// tier — where every matmul-backed step's form is the one its GEMM
+    /// reads, so a run reads every panel where it lies, and the packed
+    /// panels' padding keeps the total within 10 % of the weights — and
+    /// under a scalar pin, where every form is the row-major bytes.
+    #[test]
+    fn the_cold_start_models_keep_one_copy_of_their_weights() {
+        use gcd2_models::ModelId;
+        let _tier = tier_lock();
+        gcd2_kernels::force_isa(None);
+        for model in [ModelId::MobileNetV3, ModelId::ResNet50, ModelId::TinyBert] {
+            let compiled = Compiler::new().compile(&model.build());
+            let one_form = |plan: &InferencePlan| {
+                plan.steps.iter().all(|step| match &step.kind {
+                    StepKind::Gemm(g) => g.panel.padding_is_clean(),
+                    _ => true,
+                })
+            };
+            let plan = compiled.inference_plan(7);
+            assert!(one_form(&plan), "{model}");
+            let (panels, row_major) = plan.resident_weight_bytes();
+            assert!(panels + row_major >= plan.weight_bytes(), "{model}");
+            assert!(
+                (panels + row_major) as f64 <= 1.1 * plan.weight_bytes() as f64
+                    || form(gcd2_kernels::active_isa(), 16) == "pairs",
+                "{model}: {panels} + {row_major} of {}",
+                plan.weight_bytes()
+            );
+            let input = vec![3u8; plan.input_len()];
+            let (_, report) = plan
+                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+                .expect("timed run");
+            assert!(!report.gemm_kernels.is_empty());
+            assert!(
+                report.gemm_kernels.iter().all(|g| g.panel_resident),
+                "{model}"
+            );
+            let _pin = gcd2_kernels::pin_scalar();
+            let pinned = compiled.inference_plan(7);
+            assert!(one_form(&pinned), "{model} pinned");
+            assert_eq!(
+                pinned.resident_weight_bytes(),
+                (0, pinned.weight_bytes()),
+                "{model} pinned"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! tiles produces identical bytes.
 //!
 //! The B operand is laid out for the tile unit: the strip-major quad
-//! panel of [`crate::simd::pack_quads_i8`] keeps each `tdpbusd` B tile
+//! panel (`simd::quad_panel_rows` has its layout) keeps each `tdpbusd` B tile
 //! — 16 quad rows of one 16-column strip — as 1 KiB of consecutive,
 //! line-aligned bytes, with the strip's next k-tile right behind it, so a strip
 //! streams linearly through the whole reduction (one page per tile
@@ -408,9 +408,9 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
 ///
 /// # Safety
 /// Caller must ensure [`amx_available`] returned true (the dispatch
-/// table only offers this row in that case), `quads` is the
-/// [`crate::simd::pack_quads_i8`] image of `args.wd`, `r1 <= m`, and
-/// `out_band.len() == (r1 - r0) * n`.
+/// table only offers this row in that case), `quads` is the quad panel
+/// ([`crate::simd::quad_panel_rows`]) of the `args.k × args.n` matrix,
+/// `r1 <= m`, and `out_band.len() == (r1 - r0) * n`.
 pub(crate) unsafe fn band_amx(
     args: &BandArgs<'_>,
     panel: &[i16],
@@ -532,8 +532,7 @@ pub(crate) unsafe fn band_amx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::KernelIsa;
-    use crate::simd::pack_quads_i8;
+    use crate::dispatch::{KernelIsa, PanelKind, WeightPanel};
 
     fn reference(
         a: &[u8],
@@ -580,15 +579,15 @@ mod tests {
                 .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
                 .collect();
             let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
-            let mut quads = Vec::new();
-            pack_quads_i8(&wd, k, n, &mut quads);
+            let panel = WeightPanel::of_kind(PanelKind::Quads, &wd, k, n);
+            let (_, _, quads) = panel.operands();
             // The u8 saturation and an activation ceiling below it.
             for clamp in [255u8, 15] {
                 let args = BandArgs {
                     a: &a,
                     k,
                     n,
-                    wd: &wd,
+                    wd: &[],
                     shift: 3,
                     clamp,
                     tiles: TilePlan { mb: 48, kb: 128 },
@@ -597,7 +596,7 @@ mod tests {
                 let mut out = vec![0u8; m * n];
                 // SAFETY: AMX support verified above; operands follow the
                 // band contract (m rows, packed quads, out sized m*n).
-                unsafe { band_amx(&args, &[], &quads, &mut scratch, 0, m, &mut out) };
+                unsafe { band_amx(&args, &[], quads, &mut scratch, 0, m, &mut out) };
                 assert_eq!(
                     out,
                     reference(&a, (m, k, n), &wd, 3, clamp),

@@ -21,24 +21,26 @@
 //! [`crate::simd`] for the argument), so switching ISAs — or racing a
 //! switch mid-run — can never change results, only speed.
 //!
-//! **A GEMM step only multiplies.** The vector tiers read their weights
-//! from a packed panel ([`WeightPanel`]: pair-interleaved i16 for AVX2,
-//! one strip-major quad-interleaved i8 panel for AVX-512 VNNI and AMX,
-//! laid out so a `tdpbusd` tile and a `vpdpbusd` operand are both
-//! consecutive, line-aligned bytes). A caller that runs the
-//! same weights again and again — an inference plan — packs the panel
-//! once, when it materialises the weights, and passes it to
-//! [`try_matmul_panel_into`] on every dispatch; no tier pays an
-//! `O(k·n)` pack per dispatch. The matrix-taking entry points
-//! ([`try_matmul_threaded_into`], [`crate::try_matmul_blocked_into`])
-//! are *pack, then the same core*: one `dispatch` function picks the
-//! panel, derives the blocking of the tier it resolved
-//! ([`crate::tiled::tile_plan`]) and runs the band kernel under all of
-//! them.
-//! There is one fallback: a dispatch whose tier wants another layout
-//! than the resident panel's (a [`pin_scalar`] demotion, [`force_isa`]
-//! flipped since the pack) reads the raw weights or packs for that one
-//! call ([`PanelSource::PerCall`]) — identical bytes either way.
+//! **A GEMM step only multiplies, from the one copy of its weights.**
+//! Each kernel reads its weights in one form ([`WeightPanel`]):
+//! pair-interleaved i16 for AVX2, one strip-major quad-interleaved i8
+//! panel for AVX-512 VNNI and AMX — laid out so a `tdpbusd` tile and a
+//! `vpdpbusd` operand are both consecutive, line-aligned bytes — and
+//! the row-major bytes for the scalar oracle, NEON and AVX2 below 8
+//! columns. A caller that runs the same weights again and again — an
+//! inference plan — fills that form once, a k-tile at a time, keeps no
+//! other, and passes it to [`try_matmul_panel_into`] on every dispatch;
+//! no tier pays an `O(k·n)` pack per dispatch. The matrix-taking entry
+//! points ([`try_matmul_threaded_into`],
+//! [`crate::try_matmul_blocked_into`]) are *pack, then the same core*:
+//! one `dispatch` function picks the form, derives the blocking of the
+//! tier it resolved ([`crate::tiled::tile_plan`]) and runs the band
+//! kernel under all of them.
+//! There is one fallback: a dispatch whose tier reads another form than
+//! the resident panel holds (a [`pin_scalar`] demotion, [`force_isa`]
+//! flipped since the fill) reads the panel back a k-tile at a time and
+//! repacks it for that one call ([`PanelSource::PerCall`]) — identical
+//! bytes either way.
 //!
 //! **One GEMM, one thread.** Every dispatch runs its band kernel over
 //! all `m` rows on the calling thread; callers parallelise between
@@ -149,6 +151,9 @@ pub(crate) struct BandArgs<'a> {
     pub a: &'a [u8],
     pub k: usize,
     pub n: usize,
+    /// The row-major `k × n` weights when they are the form the kernel
+    /// reads ([`panel_kind`]: scalar, NEON, AVX2 below 8 columns);
+    /// empty when it reads a packed panel.
     pub wd: &'a [i8],
     pub shift: u8,
     /// Upper bound of the requantised bytes: `clamp((acc >> shift), 0,
@@ -158,121 +163,262 @@ pub(crate) struct BandArgs<'a> {
     pub tiles: TilePlan,
 }
 
-/// Which packed weight panel a kernel consumes.
+/// Which form of a weight matrix a kernel reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum PanelKind {
-    /// No packing (scalar, NEON — they read `wd` directly).
+    /// The row-major `k × n` bytes: the scalar and NEON tiers, the AVX2
+    /// tier below 8 columns, and every direct (non-GEMM) kernel.
     #[default]
-    None,
-    /// Pair-interleaved i16 panel ([`simd::pack_pairs_i16`], AVX2).
+    Rows,
+    /// Pair-interleaved i16 panel ([`simd::push_pairs_i16`], AVX2).
     Pairs,
-    /// Strip-major quad-interleaved i8 panel ([`simd::pack_quads_i8`],
+    /// Strip-major quad-interleaved i8 panel ([`simd::pack_quad_ktile`],
     /// VNNI and AMX: one layout both tiers stream linearly).
     Quads,
 }
 
-/// A weight matrix in the layout one kernel tier's micro-kernel reads.
+/// Weight rows per k-tile: the unit a [`WeightPanel`] is filled and read
+/// back in — one quad tile deep, 32 row pairs.
+pub const KTILE_ROWS: usize = 64;
+
+/// The one resident copy of a `k × n` weight matrix, in the one form
+/// the kernel that reads it wants: the quad panel on the VNNI and AMX
+/// tiers, the pair panel on AVX2, the row-major bytes on the scalar and
+/// NEON tiers, below 8 columns on AVX2 (`panel_kind`) and for a
+/// direct kernel ([`WeightPanel::row_major`]).
 ///
-/// A plan packs each GEMM's weights **once**, when the weights are
-/// materialised, and hands the panel to [`try_matmul_panel_into`] on
-/// every dispatch; the matrix-taking entry points pack one per call
-/// into their scratch. On the scalar and NEON tiers, which read the
-/// row-major weights themselves, a panel holds no bytes.
+/// A panel is filled a k-tile at a time ([`WeightPanel::push_ktile`])
+/// and read back the same way ([`WeightPanel::for_each_ktile`]): packing
+/// and unpacking are the two directions of one layout map, so the panel
+/// stands in for the row-major matrix everywhere — a plan keeps no
+/// other copy. A plan fills one per GEMM, once, and hands it to
+/// [`try_matmul_panel_into`] on every dispatch; the matrix-taking entry
+/// points fill one per call into their scratch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightPanel {
     kind: PanelKind,
+    k: usize,
+    n: usize,
+    /// Rows installed so far: `k` once the panel is complete.
+    filled: usize,
+    rows: Vec<i8>,
     pairs: Vec<i16>,
     quads: Vec<QuadRow>,
 }
 
 impl WeightPanel {
-    /// Packs `w` for the tier [`active_isa`] resolves on this thread.
+    /// An empty `k × n` panel in the form the GEMM kernel of the tier
+    /// [`active_isa`] resolves on this thread reads (`panel_kind`),
+    /// to be filled by [`WeightPanel::push_ktile`].
+    pub fn for_gemm(k: usize, n: usize) -> WeightPanel {
+        WeightPanel::empty(panel_kind(active_isa(), n), k, n)
+    }
+
+    /// An empty row-major `k × n` panel: the form a direct kernel reads.
+    pub fn row_major(k: usize, n: usize) -> WeightPanel {
+        WeightPanel::empty(PanelKind::Rows, k, n)
+    }
+
+    /// `w` in the form [`WeightPanel::for_gemm`] picks.
     pub fn pack(w: &MatrixI8) -> WeightPanel {
+        WeightPanel::of_kind(
+            panel_kind(active_isa(), w.cols()),
+            w.as_slice(),
+            w.rows(),
+            w.cols(),
+        )
+    }
+
+    /// The `kind` form of the `k × n` matrix `wd`.
+    pub(crate) fn of_kind(kind: PanelKind, wd: &[i8], k: usize, n: usize) -> WeightPanel {
         let mut panel = WeightPanel::default();
-        panel.fill(active_table().panel, w.as_slice(), w.rows(), w.cols());
+        panel.fill(kind, wd, k, n);
         panel
     }
 
-    /// Repacks in place as the `kind` image of the `k × n` matrix `wd`,
-    /// reusing the buffers; the other layout's buffer is emptied, so a
-    /// stale panel can never be consumed.
-    fn fill(&mut self, kind: PanelKind, wd: &[i8], k: usize, n: usize) {
-        self.kind = kind;
+    fn empty(kind: PanelKind, k: usize, n: usize) -> WeightPanel {
+        let mut panel = WeightPanel::default();
+        panel.reset(kind, k, n);
+        panel
+    }
+
+    /// Empties the panel into an unfilled `kind` panel of `k × n`,
+    /// keeping its buffers; the other forms' buffers are emptied, so a
+    /// stale form can never be consumed. Quads are zeroed: a tile
+    /// writes only its weight bytes, the padding stays.
+    fn reset(&mut self, kind: PanelKind, k: usize, n: usize) {
+        (self.kind, self.k, self.n, self.filled) = (kind, k, n, 0);
+        self.rows.clear();
         self.pairs.clear();
         self.quads.clear();
         match kind {
-            PanelKind::None => {}
-            PanelKind::Pairs => simd::pack_pairs_i16(wd, k, n, &mut self.pairs),
-            PanelKind::Quads => simd::pack_quads_i8(wd, k, n, &mut self.quads),
+            PanelKind::Rows => self.rows.reserve_exact(k * n),
+            PanelKind::Pairs => self.pairs.reserve_exact(k.div_ceil(2) * 2 * n),
+            PanelKind::Quads => self
+                .quads
+                .resize(simd::quad_panel_rows(k, n), Line([0; 64])),
         }
     }
 
-    /// Bytes the panel holds beside the raw weights, padding included
-    /// (the quad panel is padded to whole 16-column strips and 64-deep
-    /// k-tiles).
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(&self.pairs[..]) + std::mem::size_of_val(&self.quads[..])
+    /// Refills the panel as the `kind` form of the `k × n` matrix `wd`.
+    fn fill(&mut self, kind: PanelKind, wd: &[i8], k: usize, n: usize) {
+        self.reset(kind, k, n);
+        for r0 in (0..k).step_by(KTILE_ROWS) {
+            self.push_ktile(&wd[r0 * n..][..KTILE_ROWS.min(k - r0) * n]);
+        }
     }
 
-    /// Whether the panel still is what packing `w` in its layout yields
-    /// — the integrity check of a resident panel, padding bytes
-    /// included. Re-packs `w` a block at a time — 256 rows of pairs,
-    /// one 64-row k-tile of quads, each block's image a slice (pairs)
-    /// or one tile per strip (quads) of the panel's — and compares, so
-    /// the check needs a cache-sized buffer, not a second panel.
-    pub fn is_pack_of(&self, w: &MatrixI8) -> bool {
-        const PAIR_BLOCK_ROWS: usize = 256;
-        let (k, n, wd) = (w.rows(), w.cols(), w.as_slice());
-        match self.kind {
-            PanelKind::None => self.bytes() == 0,
-            PanelKind::Pairs => {
-                let mut block = Vec::new();
-                let mut rest = &self.pairs[..];
-                for rows in wd.chunks((PAIR_BLOCK_ROWS * n).max(1)) {
-                    simd::pack_pairs_i16(rows, rows.len() / n.max(1), n, &mut block);
-                    match rest.split_at_checked(block.len()) {
-                        Some((image, tail)) if image == block => rest = tail,
-                        _ => return false,
-                    }
+    /// Refills the panel as the `kind` form of the matrix `src` holds,
+    /// read back a k-tile at a time through `tile`.
+    fn refill(&mut self, kind: PanelKind, src: &WeightPanel, tile: &mut Vec<i8>) {
+        self.reset(kind, src.k, src.n);
+        src.for_each_ktile(tile, |rows| self.push_ktile(rows));
+    }
+
+    /// Installs the next k-tile: the row-major bytes of the next
+    /// [`KTILE_ROWS`] rows of the matrix, fewer in the last tile, packed
+    /// into the panel's form while they are hot. A complete panel takes
+    /// only an empty tile, and ignores it.
+    ///
+    /// # Panics
+    /// If `tile` is not exactly the next tile's rows of `n` weights — a
+    /// caller bug.
+    pub fn push_ktile(&mut self, tile: &[i8]) {
+        let rows = KTILE_ROWS.min(self.k - self.filled);
+        assert_eq!(tile.len(), rows * self.n, "a k-tile of {rows} rows");
+        if !tile.is_empty() {
+            let t = self.filled / KTILE_ROWS;
+            let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
+            match self.kind {
+                PanelKind::Rows => self.rows.extend_from_slice(tile),
+                PanelKind::Pairs => simd::push_pairs_i16(tile, self.n, &mut self.pairs),
+                PanelKind::Quads => {
+                    simd::pack_quad_ktile(tile, self.n, &mut self.quads[t * TILE_QUADS..], strip)
                 }
-                rest.is_empty() && self.quads.is_empty()
+            }
+        }
+        self.filled += rows;
+    }
+
+    /// Calls `f` with each installed k-tile in order — [`KTILE_ROWS`]
+    /// rows of the row-major weights, fewer in the last — unpacked into
+    /// `tile` (a row-major panel lends its own bytes): how the weights
+    /// are read back without a second copy of the matrix.
+    pub fn for_each_ktile(&self, tile: &mut Vec<i8>, mut f: impl FnMut(&[i8])) {
+        let n = self.n;
+        let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
+        for t in 0..self.filled.div_ceil(KTILE_ROWS) {
+            let rows = KTILE_ROWS.min(self.filled - t * KTILE_ROWS);
+            let at = t * KTILE_ROWS * n;
+            if self.kind != PanelKind::Rows {
+                tile.resize(rows * n, 0);
+            }
+            match self.kind {
+                PanelKind::Rows => f(&self.rows[at..][..rows * n]),
+                PanelKind::Pairs => {
+                    simd::unpack_pairs_i16(&self.pairs[at..], n, tile);
+                    f(tile)
+                }
+                PanelKind::Quads => {
+                    simd::unpack_quad_ktile(&self.quads[t * TILE_QUADS..], n, strip, tile);
+                    f(tile)
+                }
+            }
+        }
+    }
+
+    /// Whether the panel is complete and every byte of it that holds no
+    /// weight is what packing leaves there: the rows past `k` of the
+    /// last k-tile and the columns past `n` of the last strip of a quad
+    /// panel zero, the missing partner of an odd last row pair zero, and
+    /// the high byte of every pair element the sign of its low byte.
+    /// With the digest of what [`WeightPanel::for_each_ktile`] reads
+    /// back, this covers every byte a kernel reads.
+    pub fn padding_is_clean(&self) -> bool {
+        let (k, n) = (self.k, self.n);
+        let forms = [
+            (PanelKind::Rows, self.rows.len(), k * n),
+            (PanelKind::Pairs, self.pairs.len(), k.div_ceil(2) * 2 * n),
+            (
+                PanelKind::Quads,
+                self.quads.len(),
+                simd::quad_panel_rows(k, n),
+            ),
+        ];
+        let sized = forms
+            .iter()
+            .all(|&(kind, len, want)| len == if kind == self.kind { want } else { 0 });
+        if !sized || self.filled != k {
+            return false;
+        }
+        match self.kind {
+            PanelKind::Rows => true,
+            PanelKind::Pairs => {
+                let widened = self.pairs.iter().all(|&v| v == v as i8 as i16);
+                let last = &self.pairs[k / 2 * 2 * n..];
+                widened && (k % 2 == 0 || last.iter().skip(1).step_by(2).all(|&v| v == 0))
             }
             PanelKind::Quads => {
-                if !self.pairs.is_empty() || self.quads.len() != simd::quad_panel_rows(k, n) {
-                    return false;
-                }
-                let kt = k.div_ceil(64);
-                let mut block = vec![Line([0i8; 64]); n.div_ceil(16) * TILE_QUADS];
-                wd.chunks((64 * n).max(1)).enumerate().all(|(t, rows)| {
-                    if rows.len() < 64 * n {
-                        // The ragged last k-tile: its missing rows are
-                        // zero in the panel, not the previous tile's.
-                        block.fill(Line([0; 64]));
-                    }
-                    simd::pack_quad_ktile(rows, n, &mut block, TILE_QUADS);
-                    block.chunks_exact(TILE_QUADS).enumerate().all(|(s, tile)| {
-                        self.quads[(s * kt + t) * TILE_QUADS..][..TILE_QUADS] == *tile
+                let (kt, strips) = (k.div_ceil(KTILE_ROWS), n.div_ceil(16));
+                let weight = |t: usize, s: usize, q: usize, b: usize| {
+                    KTILE_ROWS * t + 4 * q + b % 4 < k && 16 * s + b / 4 < n
+                };
+                (0..strips).all(|s| {
+                    (0..kt).all(|t| {
+                        let ragged = (t + 1 == kt && k % KTILE_ROWS != 0)
+                            || (s + 1 == strips && n % 16 != 0);
+                        let quads = &self.quads[(s * kt + t) * TILE_QUADS..][..TILE_QUADS];
+                        !ragged
+                            || quads.iter().enumerate().all(|(q, Line(d))| {
+                                d.iter()
+                                    .enumerate()
+                                    .all(|(b, &v)| v == 0 || weight(t, s, q, b))
+                            })
                     })
                 })
             }
         }
     }
 
-    /// Test instrumentation: flips the top bit of the panel's first
-    /// byte — the packed image of weight `(0, 0)` — so a suite can show
-    /// that a resident panel is both what executes and what integrity
-    /// checking covers. Returns `false` for a panel that holds no bytes.
+    /// Bytes the panel holds, padding included (the quad panel is
+    /// padded to whole 16-column strips and 64-deep k-tiles, the pair
+    /// panel widens each weight to i16).
+    pub fn bytes(&self) -> usize {
+        self.rows.len()
+            + std::mem::size_of_val(&self.pairs[..])
+            + std::mem::size_of_val(&self.quads[..])
+    }
+
+    /// The row-major weights, when they are the form the panel holds.
+    pub fn as_rows(&self) -> Option<&[i8]> {
+        (self.kind == PanelKind::Rows).then_some(&self.rows[..])
+    }
+
+    /// The three operand slices a band kernel takes: the one the
+    /// panel's form fills, the others empty.
+    pub(crate) fn operands(&self) -> (&[i8], &[i16], &[QuadRow]) {
+        (&self.rows, &self.pairs, &self.quads)
+    }
+
+    /// Test instrumentation: xors `mask` into byte `byte` of what the
+    /// panel stores (the bytes of its one form in memory order, padding
+    /// included), so a suite can show that every byte is both what
+    /// executes and what integrity checking covers. Returns `false` past
+    /// the last byte.
     #[doc(hidden)]
-    pub fn corrupt_for_test(&mut self) -> bool {
-        if let Some(v) = self.pairs.first_mut() {
-            *v ^= 0x80;
-            true
-        } else if let Some(Line(row)) = self.quads.first_mut() {
-            row[0] ^= i8::MIN;
-            true
-        } else {
-            false
+    pub fn corrupt_for_test(&mut self, byte: usize, mask: u8) -> bool {
+        let mask = mask as i8;
+        match self.kind {
+            PanelKind::Rows => self.rows.get_mut(byte).map(|v| *v ^= mask),
+            PanelKind::Pairs => self.pairs.get_mut(byte / 2).map(|v| {
+                *v ^= ((mask as u8 as u16) << (8 * (byte % 2))) as i16;
+            }),
+            PanelKind::Quads => self
+                .quads
+                .get_mut(byte / 64)
+                .map(|Line(row)| row[byte % 64] ^= mask),
         }
+        .is_some()
     }
 }
 
@@ -281,10 +427,11 @@ impl WeightPanel {
 pub enum PanelSource {
     /// The caller's resident [`WeightPanel`]: nothing was packed.
     Resident,
-    /// The resolved tier wants another layout than the resident panel's
+    /// The resolved tier wants another form than the resident panel's
     /// (a scalar pin or demotion, [`force_isa`] flipped since the panel
-    /// was packed) or no panel was given: the dispatch read the raw
-    /// weights (packless tiers) or packed them for this call.
+    /// was filled) or no panel was given: the dispatch read the caller's
+    /// row-major matrix, or repacked the weights for this call — from a
+    /// panel, read back a k-tile at a time.
     PerCall,
 }
 
@@ -326,7 +473,7 @@ unsafe fn scalar_entry(
 static SCALAR_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::Scalar,
     band: scalar_entry,
-    panel: PanelKind::None,
+    panel: PanelKind::Rows,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -354,7 +501,7 @@ static AMX_TABLE: KernelTable = KernelTable {
 static NEON_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::Neon,
     band: simd::arm::band_neon,
-    panel: PanelKind::None,
+    panel: PanelKind::Rows,
 };
 
 pub(crate) fn table_for(isa: KernelIsa) -> &'static KernelTable {
@@ -529,54 +676,64 @@ impl ScratchPool {
     }
 }
 
-/// The panel the `active` tier reads for one dispatch: the caller's
-/// resident one when it was packed in this tier's layout, else `own`
-/// repacked from `wd` — the one fallback, paid per call.
-fn panel_for<'p>(
-    active: &KernelTable,
-    resident: Option<&'p WeightPanel>,
-    own: &'p mut WeightPanel,
-    wd: &[i8],
-    k: usize,
-    n: usize,
-) -> (&'p WeightPanel, PanelSource) {
-    match resident {
-        Some(panel) if panel.kind == active.panel => (panel, PanelSource::Resident),
-        _ => {
-            own.fill(active.panel, wd, k, n);
-            (own, PanelSource::PerCall)
-        }
-    }
+/// A GEMM's weights as a dispatch receives them.
+#[derive(Clone, Copy)]
+enum Weights<'w> {
+    /// The row-major `k × n` bytes a matrix-taking entry point was given.
+    Matrix(&'w MatrixI8),
+    /// A plan's resident panel.
+    Panel(&'w WeightPanel),
 }
 
-/// The dispatch core under every GEMM entry point: picks the panel
-/// ([`panel_for`]), derives the blocking of the tier it resolved
-/// ([`tile_plan`] — a scalar pin, a demotion or [`force_isa`] gets the
-/// blocking of the tier it lands on) and runs the band kernel over all
-/// `m` rows on the calling thread. Operands are
-/// pre-validated by the caller, `out` included: exactly `m × n` bytes,
-/// every one of which the kernel overwrites.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract
+/// The dispatch core under every GEMM entry point: picks the form of
+/// the weights the tier it resolved reads for `n` columns
+/// ([`panel_kind`]) — the caller's resident panel when it holds that
+/// form, else the caller's matrix or one repacked into `scratch` for
+/// this call (from a panel, a k-tile at a time: the one fallback) —
+/// derives that tier's blocking ([`tile_plan`] — a scalar pin, a
+/// demotion or [`force_isa`] gets the blocking of the tier it lands on)
+/// and runs the band kernel over all `m` rows on the calling thread.
+/// Operands are pre-validated by the caller, `out` included: exactly
+/// `m × n` bytes, every one of which the kernel overwrites.
 fn dispatch(
     a: &[u8],
     m: usize,
     k: usize,
-    w: &MatrixI8,
+    weights: Weights<'_>,
     (shift, clamp): (u8, u8),
-    resident: Option<&WeightPanel>,
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> PanelSource {
-    let n = w.cols();
+    let n = match weights {
+        Weights::Matrix(w) => w.cols(),
+        Weights::Panel(panel) => panel.n,
+    };
     assert_eq!(out.len(), m * n, "output size mismatch");
     if m == 0 || n == 0 {
         // Nothing to multiply, so nothing was packed either.
         return PanelSource::Resident;
     }
     let active = active_table();
-    let wd = w.as_slice();
-    let GemmScratch { band, panel: own } = scratch;
-    let (panel, source) = panel_for(active, resident, own, wd, k, n);
+    let kind = panel_kind(active.isa, n);
+    let GemmScratch {
+        band,
+        panel: own,
+        tile,
+    } = scratch;
+    let ((wd, pairs, quads), source) = match weights {
+        Weights::Panel(panel) if panel.kind == kind => (panel.operands(), PanelSource::Resident),
+        Weights::Matrix(w) if kind == PanelKind::Rows => {
+            ((w.as_slice(), &[][..], &[][..]), PanelSource::PerCall)
+        }
+        Weights::Matrix(w) => {
+            own.fill(kind, w.as_slice(), k, n);
+            (own.operands(), PanelSource::PerCall)
+        }
+        Weights::Panel(panel) => {
+            own.refill(kind, panel, tile);
+            (own.operands(), PanelSource::PerCall)
+        }
+    };
     let args = BandArgs {
         a,
         k,
@@ -587,10 +744,11 @@ fn dispatch(
         tiles: tile_plan(m, k, n, active.isa),
     };
     // SAFETY: table resolution verified ISA support; the caller's
-    // validate_dispatch established a.len() == m*k and w.rows() == k,
-    // out is m*n bytes, and `panel` is the pack image of wd for the
-    // active tier.
-    unsafe { (active.band)(&args, &panel.pairs, &panel.quads, band, 0, m, out) };
+    // validation established a.len() == m*k and k rows of n weights,
+    // out is m*n bytes, and the operands are the `panel_kind` form of
+    // those weights for the active tier — the form its band kernel
+    // reads.
+    unsafe { (active.band)(&args, pairs, quads, band, 0, m, out) };
     source
 }
 
@@ -609,7 +767,7 @@ pub(crate) fn run_single(
     // No clear(): the kernel writes the whole of `out`, so zeroing the
     // previous call's bytes first is a memset nobody reads.
     out.resize(m * w.cols(), 0);
-    dispatch(a, m, k, w, (shift, u8::MAX), None, scratch, out);
+    dispatch(a, m, k, Weights::Matrix(w), (shift, u8::MAX), scratch, out);
 }
 
 /// [`crate::try_matmul_blocked_into`] with its scratch checked out of
@@ -642,40 +800,52 @@ pub fn try_matmul_threaded_into(
 }
 
 /// The GEMM as an inference plan calls it: with the weights' resident
-/// panel, into the caller's `m × n` bytes, clamped to `clamp` instead
-/// of 255, working in the `scratch` the caller's arena owns. The
-/// dispatch packs nothing when `panel` was packed for the tier it
-/// resolves, and says which it was. `panel` must be
-/// [`WeightPanel::pack`]`(w)` (a plan checks that with
-/// [`WeightPanel::is_pack_of`]); a panel of another tier's layout is
-/// ignored, never misread. With the clamp folded into requantisation
+/// panel, into the caller's `m × n` bytes (`n` is the panel's),
+/// clamped to `clamp` instead of 255, working in the `scratch` the
+/// caller's arena owns. The dispatch packs nothing when `panel` holds
+/// the form the tier it resolves reads, and says which it was; a panel
+/// of another form is read back a k-tile at a time and repacked for
+/// the call, never misread. With the clamp folded into requantisation
 /// the bytes in `out` are finished activations: a plan points `out` at
 /// the output slot itself when the GEMM's rows are the slot's layout.
 /// Hosts the `infer.gemm` fault point.
 ///
 /// # Errors
-/// See [`try_matmul_threaded_into`]; also
+/// See [`try_matmul_threaded_into`] — a panel filled with other than
+/// exactly `k` rows is [`GemmDispatchError::WeightRows`]; also
 /// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes.
-#[allow(clippy::too_many_arguments)] // the GEMM operand contract
 pub fn try_matmul_panel_into(
     a: &[u8],
     m: usize,
     k: usize,
-    w: &MatrixI8,
     panel: &WeightPanel,
     requant: (u8, u8),
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
     let _ = gcd2_faults::fire("infer.gemm");
-    validate_dispatch(a, m, k, w, requant.0)?;
-    if out.len() != m * w.cols() {
+    validate_dispatch(a, m, k, panel.filled, requant.0)?;
+    if panel.filled != panel.k {
+        return Err(GemmDispatchError::WeightRows {
+            expected: panel.k,
+            got: panel.filled,
+        });
+    }
+    if out.len() != m * panel.n {
         return Err(GemmDispatchError::OutputSize {
-            expected: m * w.cols(),
+            expected: m * panel.n,
             got: out.len(),
         });
     }
-    Ok(dispatch(a, m, k, w, requant, Some(panel), scratch, out))
+    Ok(dispatch(
+        a,
+        m,
+        k,
+        Weights::Panel(panel),
+        requant,
+        scratch,
+        out,
+    ))
 }
 
 /// The tier whose multiply instructions run an `m × k × n` GEMM that is
@@ -691,6 +861,15 @@ fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
         KernelIsa::Avx2 if n < 8 => KernelIsa::Scalar,
         _ => tier,
     }
+}
+
+/// The form of a weight matrix of `n` columns that the kernel
+/// multiplying it on `tier` reads — [`multiply_isa`]'s tier's panel.
+/// The row count only moves the AMX tier onto its VNNI strips, which
+/// read the same quads, so the form is one per `(tier, n)` and a plan
+/// fills it before it knows which rows a run will bring.
+fn panel_kind(tier: KernelIsa, n: usize) -> PanelKind {
+    table_for(multiply_isa(tier, 0, n)).panel
 }
 
 /// What the dispatcher uses for a GEMM shape on the active tier, for
@@ -739,9 +918,24 @@ mod tests {
         assert_eq!(auto, oracle, "auto-detected ISA");
     }
 
-    /// The blocked re-pack of `is_pack_of` agrees with a whole pack for
-    /// every layout, over a ragged last pair, quad and row block, and
-    /// refuses a flipped byte, a truncated panel and other weights.
+    /// The panel read back a k-tile at a time, as one matrix.
+    fn unpacked(panel: &WeightPanel) -> Vec<i8> {
+        let mut rows = Vec::new();
+        panel.for_each_ktile(&mut Vec::new(), |tile| rows.extend_from_slice(tile));
+        rows
+    }
+
+    /// The kernel-side half of a plan's integrity check of a resident
+    /// panel (the plan compares a digest of what this reads back): the
+    /// padding is what packing leaves and the read-back rows are `w`.
+    fn holds(panel: &WeightPanel, w: &MatrixI8) -> bool {
+        panel.padding_is_clean() && unpacked(panel) == w.as_slice()
+    }
+
+    /// The integrity check that replaced re-packing (reading back plus
+    /// the padding check) accepts every form of `w`, over a ragged last
+    /// pair, quad and k-tile, and refuses a flipped byte, a truncated
+    /// panel, an incomplete one and other weights.
     #[test]
     fn is_pack_of_accepts_the_image_and_nothing_else() {
         let (k, n) = (2 * 256 + 7, 19);
@@ -753,50 +947,99 @@ mod tests {
                 w.get(r, c)
             }
         });
-        for kind in [PanelKind::None, PanelKind::Pairs, PanelKind::Quads] {
-            let mut panel = WeightPanel::default();
-            panel.fill(kind, w.as_slice(), k, n);
-            assert!(panel.is_pack_of(&w), "{kind:?}");
-            assert_eq!(panel.bytes() == 0, kind == PanelKind::None);
-            if kind == PanelKind::None {
-                continue;
-            }
-            assert!(!panel.is_pack_of(&other), "{kind:?} of other weights");
+        for kind in [PanelKind::Rows, PanelKind::Pairs, PanelKind::Quads] {
+            let mut panel = WeightPanel::of_kind(kind, w.as_slice(), k, n);
+            assert!(holds(&panel, &w), "{kind:?}");
+            assert_eq!(panel.as_rows().is_some(), kind == PanelKind::Rows);
+            assert!(!holds(&panel, &other), "{kind:?} of other weights");
             let mut short = panel.clone();
+            short.rows.pop();
             short.pairs.pop();
             short.quads.pop();
-            assert!(!short.is_pack_of(&w), "{kind:?} truncated");
-            assert!(panel.corrupt_for_test());
-            assert!(!panel.is_pack_of(&w), "{kind:?} with a flipped byte");
+            assert!(!holds(&short, &w), "{kind:?} truncated");
+            let mut partial = WeightPanel::empty(kind, k, n);
+            partial.push_ktile(&w.as_slice()[..KTILE_ROWS * n]);
+            assert!(!partial.padding_is_clean(), "{kind:?} incomplete");
+            assert!(panel.corrupt_for_test(0, 0x80));
+            assert!(!holds(&panel, &w), "{kind:?} with a flipped byte");
         }
-        assert!(WeightPanel::default().is_pack_of(&MatrixI8::zeros(0, 0)));
+        assert!(holds(&WeightPanel::default(), &MatrixI8::zeros(0, 0)));
     }
 
-    /// A flip of any one panel element fails the check — in the quad
-    /// panel that includes every padding byte of the ragged last strip
-    /// (19 columns) and k-tile (70 rows), which the tile tier multiplies.
+    /// A flip of any one byte a panel stores fails the check — in the
+    /// quad panel that includes every padding byte of the ragged last
+    /// strip (19 columns) and k-tile (70 rows), which the tile tier
+    /// multiplies, and in the pair panel the high byte of every element
+    /// and the zero partner of the odd last row.
     #[test]
     fn is_pack_of_refuses_a_flip_of_any_byte_padding_included() {
-        let (k, n) = (70, 19);
+        let (k, n) = (71, 19);
         let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 5) % 15) as i8) - 7);
-        let mut panel = WeightPanel::default();
-        panel.fill(PanelKind::Quads, w.as_slice(), k, n);
-        assert_eq!(panel.bytes(), 2 * 2 * 1024, "two strips of two k-tiles");
-        assert!(panel.bytes() > 2 * k * n, "mostly padding");
-        for row in 0..panel.quads.len() {
-            for byte in 0..64 {
-                panel.quads[row].0[byte] ^= 1;
-                assert!(!panel.is_pack_of(&w), "quad row {row} byte {byte}");
-                panel.quads[row].0[byte] ^= 1;
+        let quads = WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), k, n);
+        assert_eq!(quads.bytes(), 2 * 2 * 1024, "two strips of two k-tiles");
+        assert!(quads.bytes() > 2 * k * n, "mostly padding");
+        assert_eq!(
+            WeightPanel::of_kind(PanelKind::Pairs, w.as_slice(), k, n).bytes(),
+            2 * (k + 1) * n,
+            "i16 pairs, the last with a zero partner"
+        );
+        for kind in [PanelKind::Rows, PanelKind::Pairs, PanelKind::Quads] {
+            let mut panel = WeightPanel::of_kind(kind, w.as_slice(), k, n);
+            for byte in 0..panel.bytes() {
+                for mask in [1, 0x80] {
+                    assert!(panel.corrupt_for_test(byte, mask));
+                    assert!(!holds(&panel, &w), "{kind:?} byte {byte} ^ {mask:#x}");
+                    panel.corrupt_for_test(byte, mask);
+                }
+            }
+            assert!(!panel.corrupt_for_test(panel.bytes(), 1), "past the end");
+            assert!(holds(&panel, &w), "{kind:?} restored");
+        }
+    }
+
+    /// Reading back is the inverse of packing, on every tier this host
+    /// supports and under a scalar pin: whatever form `pack` picks for a
+    /// shape — through every k-tile edge (1–3 rows, one short of, on and
+    /// past 64, and four tiles and a row) and every strip edge (below,
+    /// on and past 8 and 16 columns, two strips and a column, 1000) — it
+    /// reads back the matrix, with clean padding.
+    #[test]
+    fn unpacking_the_pack_is_the_matrix_on_every_tier() {
+        let check = |tier: &str| {
+            for k in [1, 2, 3, 63, 64, 65, 257] {
+                for n in [1, 7, 8, 9, 15, 16, 17, 33, 1000] {
+                    let w = MatrixI8::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 255) as i8);
+                    let panel = WeightPanel::pack(&w);
+                    assert!(panel.padding_is_clean(), "{tier} {k}x{n}");
+                    assert_eq!(unpacked(&panel), w.as_slice(), "{tier} {k}x{n}");
+                }
+            }
+        };
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            force_isa(Some(isa));
+            check(isa.name());
+        }
+        force_isa(None);
+        let _pin = pin_scalar();
+        check("pin_scalar");
+    }
+
+    /// The form a plan fills is the one the kernel multiplying the shape
+    /// reads, and it does not depend on the rows a run brings.
+    #[test]
+    fn the_panel_form_is_the_multiplying_tiers_for_any_rows() {
+        for tier in KernelIsa::ALL {
+            for n in [1, 7, 8, 9, 16, 1000] {
+                for m in [0, 1, 15, 16, 17, 12544] {
+                    let multiplier = multiply_isa(tier, m, n);
+                    assert_eq!(
+                        panel_kind(tier, n),
+                        table_for(multiplier).panel,
+                        "{tier} {m}x{n}"
+                    );
+                }
             }
         }
-        panel.fill(PanelKind::Pairs, w.as_slice(), k, n);
-        for i in 0..panel.pairs.len() {
-            panel.pairs[i] ^= 1;
-            assert!(!panel.is_pack_of(&w), "pair element {i}");
-            panel.pairs[i] ^= 1;
-        }
-        assert!(panel.is_pack_of(&w));
     }
 
     #[test]
@@ -867,8 +1110,8 @@ mod tests {
                     let (a, w) = operands(m, k, n);
                     let mut staged = LineBuf::default();
                     staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
-                    let mut panel = WeightPanel::default();
-                    panel.fill(table.panel, w.as_slice(), k, n);
+                    let panel = WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n);
+                    let (wd, pairs, quads) = panel.operands();
                     let rule = tile_plan(m, k, n, isa);
                     let mut cands = old_candidates(isa, m, k);
                     cands.push(rule);
@@ -883,7 +1126,7 @@ mod tests {
                                 a: staged.bytes(),
                                 k,
                                 n,
-                                wd: w.as_slice(),
+                                wd,
                                 shift: 6,
                                 clamp: u8::MAX,
                                 tiles: *tiles,
@@ -899,15 +1142,7 @@ mod tests {
                             // m × k, `panel` the tier's pack of `w`,
                             // `out` m × n.
                             unsafe {
-                                (table.band)(
-                                    &args,
-                                    &panel.pairs,
-                                    &panel.quads,
-                                    &mut scratch,
-                                    0,
-                                    m,
-                                    &mut out,
-                                )
+                                (table.band)(&args, pairs, quads, &mut scratch, 0, m, &mut out)
                             };
                             *best = (*best).min(t0.elapsed());
                         }

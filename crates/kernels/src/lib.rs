@@ -53,7 +53,7 @@ pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
     try_matmul_panel_into, try_matmul_threaded_into, KernelIsa, PanelSource, ScalarPin,
-    ScratchPool, WeightPanel,
+    ScratchPool, WeightPanel, KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

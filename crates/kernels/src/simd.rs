@@ -29,32 +29,39 @@ use crate::dispatch::BandArgs;
 use crate::tiled::BandScratch;
 use crate::tiled::TilePlan;
 
-/// Pack a `k × n` row-major i8 weight matrix into the pair-interleaved
-/// i16 panel the AVX2 kernel consumes: consecutive weight rows `2p` and
-/// `2p+1` are zipped column-wise, so one 256-bit load yields 8 columns
-/// worth of `(w[2p][j], w[2p+1][j])` i16 pairs ready for `madd` against
-/// a broadcast activation pair. An odd trailing row is padded with a
-/// zero partner (zero contributes nothing to the pair-sum).
-///
-/// Packing costs `O(k·n)`; a plan pays it once per weight matrix
-/// ([`crate::WeightPanel`]), a matrix-taking GEMM entry point once per
-/// call.
-pub(crate) fn pack_pairs_i16(wd: &[i8], k: usize, n: usize, panel: &mut Vec<i16>) {
-    let pairs = k.div_ceil(2);
-    panel.clear();
-    panel.resize(pairs * 2 * n, 0);
-    for p in 0..pairs {
-        let row0 = &wd[2 * p * n..(2 * p + 1) * n];
-        let dst = &mut panel[p * 2 * n..(p + 1) * 2 * n];
-        if 2 * p + 1 < k {
-            let row1 = &wd[(2 * p + 1) * n..(2 * p + 2) * n];
-            for j in 0..n {
-                dst[2 * j] = row0[j] as i16;
-                dst[2 * j + 1] = row1[j] as i16;
-            }
+/// Appends the pair-interleaved i16 image of `rows` (whole rows of `n`
+/// weights) to the panel the AVX2 kernel consumes: consecutive weight
+/// rows `2p` and `2p+1` are zipped column-wise, so one 256-bit load
+/// yields 8 columns worth of `(w[2p][j], w[2p+1][j])` i16 pairs ready
+/// for `madd` against a broadcast activation pair. An odd trailing row
+/// is padded with a zero partner (zero contributes nothing to the
+/// pair-sum). Element `p·2n + 2j + i` is `w[2p + i][j]`, so a matrix
+/// appended a k-tile at a time — every tile but the last an even number
+/// of rows — is the image of the whole.
+pub(crate) fn push_pairs_i16(rows: &[i8], n: usize, panel: &mut Vec<i16>) {
+    for pair in rows.chunks(2 * n) {
+        let (row0, row1) = pair.split_at(n);
+        if row1.is_empty() {
+            panel.extend(row0.iter().flat_map(|&w| [w as i16, 0]));
         } else {
-            for j in 0..n {
-                dst[2 * j] = row0[j] as i16;
+            panel.extend(
+                row0.iter()
+                    .zip(row1)
+                    .flat_map(|(&w0, &w1)| [w0 as i16, w1 as i16]),
+            );
+        }
+    }
+}
+
+/// The row-major weights of the pair panel `pairs` from its first
+/// element on, into `tile` (whole rows of `n`): the inverse of
+/// [`push_pairs_i16`].
+pub(crate) fn unpack_pairs_i16(pairs: &[i16], n: usize, tile: &mut [i8]) {
+    let width = (2 * n).max(1);
+    for (pair, rows) in pairs.chunks_exact(width).zip(tile.chunks_mut(width)) {
+        for (i, row) in rows.chunks_exact_mut(n).enumerate() {
+            for (w, &p) in row.iter_mut().zip(pair[i..].iter().step_by(2)) {
+                *w = p as i8;
             }
         }
     }
@@ -79,14 +86,10 @@ pub(crate) const TILE_QUADS: usize = 16;
 
 /// Quad rows of the quad panel of a `k × n` matrix: whole 16-column
 /// strips of whole 64-deep k-tiles.
-pub(crate) fn quad_panel_rows(k: usize, n: usize) -> usize {
-    n.div_ceil(16) * k.div_ceil(64) * TILE_QUADS
-}
-
-/// Pack a `k × n` row-major i8 weight matrix into the strip-major,
-/// quad-interleaved i8 panel the AVX-512 VNNI and AMX kernels share.
-/// Four consecutive weight rows are zipped column-wise, so each i32
-/// lane of a 64-byte [`QuadRow`] holds the `(w[4q][j] .. w[4q+3][j])`
+///
+/// The strip-major, quad-interleaved i8 panel the AVX-512 VNNI and AMX
+/// kernels share zips four consecutive weight rows column-wise, so each
+/// i32 lane of a 64-byte [`QuadRow`] holds the `(w[4q][j] .. w[4q+3][j])`
 /// bytes `vpdpbusd` dots against four broadcast activation bytes; the
 /// quad rows of one 16-column strip lie back to back over all of `k`.
 /// As a byte image:
@@ -100,21 +103,17 @@ pub(crate) fn quad_panel_rows(k: usize, n: usize) -> usize {
 /// k-tiles: a zero weight byte contributes nothing whatever activation
 /// byte it meets, so the tile tier computes the padded last strip and
 /// k-tile whole and the activation padding bytes never matter.
-pub(crate) fn pack_quads_i8(wd: &[i8], k: usize, n: usize, panel: &mut Vec<QuadRow>) {
-    let kt = k.div_ceil(64);
-    panel.clear();
-    panel.resize(quad_panel_rows(k, n), Line([0; 64]));
-    for (t, rows) in wd.chunks((64 * n).max(1)).enumerate() {
-        pack_quad_ktile(rows, n, &mut panel[t * TILE_QUADS..], kt * TILE_QUADS);
-    }
+pub(crate) fn quad_panel_rows(k: usize, n: usize) -> usize {
+    n.div_ceil(16) * k.div_ceil(64) * TILE_QUADS
 }
 
 /// Packs one k-tile — `rows`, up to 64 weight rows of `n` columns — as
 /// one quad tile per 16-column strip, strip `s` at `dst[s ·
-/// strip_stride..][..TILE_QUADS]`. `dst` must be zero where the tile
-/// is padding (missing rows, columns past `n`): only weight bytes are
-/// written. Strips are the outer loop so every tile is written front
-/// to back while its 64 × 16 source bytes sit in L1.
+/// strip_stride..][..TILE_QUADS]` ([`quad_panel_rows`] has the layout).
+/// `dst` must be zero where the tile is padding (missing rows, columns
+/// past `n`): only weight bytes are written. Strips are the outer loop
+/// so every tile is written front to back while its 64 × 16 source
+/// bytes sit in L1.
 pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_stride: usize) {
     for s in 0..n.div_ceil(16) {
         let (j0, cols) = (16 * s, (n - 16 * s).min(16));
@@ -123,7 +122,8 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
             if quad.len() == 4 * n && cols == 16 {
                 // A whole quad of a whole strip: zip four 16-byte row
                 // pieces, the shape the autovectoriser turns into byte
-                // and word unpacks.
+                // and word unpacks (a `u32`-lane form, as the unpack
+                // has, packs slower: DESIGN.md §6g).
                 let piece = |r: usize| &quad[r * n + j0..][..16];
                 let (r0, r1, r2, r3) = (piece(0), piece(1), piece(2), piece(3));
                 for j in 0..16 {
@@ -138,6 +138,41 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
                 for (i, row) in quad.chunks_exact(n).enumerate() {
                     for (j, &w) in row[j0..j0 + cols].iter().enumerate() {
                         d[4 * j + i] = w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The inverse of [`pack_quad_ktile`]: the k-tile whose quad tiles sit
+/// at `src[s · strip_stride..][..TILE_QUADS]`, into `tile`, its whole
+/// rows of `n` weights. Padding bytes are not read.
+pub(crate) fn unpack_quad_ktile(src: &[QuadRow], n: usize, strip_stride: usize, tile: &mut [i8]) {
+    for s in 0..n.div_ceil(16) {
+        let (j0, cols) = (16 * s, (n - 16 * s).min(16));
+        let quads = &src[s * strip_stride..][..TILE_QUADS];
+        for (quad, Line(d)) in tile.chunks_mut(4 * n).zip(quads) {
+            if quad.len() == 4 * n && cols == 16 {
+                let (r0, rest) = quad.split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                // One u32 lane per column, byte `i` of it row `i`: the
+                // shape the autovectoriser turns into shifts and packs
+                // (the mirror image of the pack's byte zip reads back at
+                // a third of the speed: DESIGN.md §6g).
+                let lanes: [u32; 16] = std::array::from_fn(|j| {
+                    u32::from_le_bytes(std::array::from_fn(|i| d[4 * j + i] as u8))
+                });
+                for (i, row) in [r0, r1, r2, r3].into_iter().enumerate() {
+                    for (w, lane) in row[j0..j0 + 16].iter_mut().zip(lanes) {
+                        *w = (lane >> (8 * i)) as i8;
+                    }
+                }
+            } else {
+                for (i, row) in quad.chunks_exact_mut(n).enumerate() {
+                    for (j, w) in row[j0..j0 + cols].iter_mut().enumerate() {
+                        *w = d[4 * j + i];
                     }
                 }
             }
@@ -172,12 +207,15 @@ pub(crate) mod x86 {
     /// local matters for huge-`m` conv GEMMs: a band-wide accumulator
     /// would be re-streamed from memory once per reduction segment.
     /// Bands narrower than one ymm of columns delegate to the scalar
-    /// oracle (bit-identical; the strips cannot engage).
+    /// oracle (bit-identical; the strips cannot engage), which reads the
+    /// row-major weights instead.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available, `panel` is the
-    /// [`super::pack_pairs_i16`] image of `args.wd` for (`args.k`,
-    /// `args.n`), `r1 <= m`, and `out_band.len() == (r1 - r0) * n`.
+    /// Caller must ensure AVX2 is available, `r1 <= m`,
+    /// `out_band.len() == (r1 - r0) * n`, and that the weights are
+    /// given in the form this kernel reads: for `n >= 8` `panel` is the
+    /// [`super::push_pairs_i16`] image of the `args.k × args.n`
+    /// matrix, below that `args.wd` is the matrix.
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn band_avx2(
         args: &BandArgs<'_>,
@@ -192,10 +230,10 @@ pub(crate) mod x86 {
             a,
             k,
             n,
-            wd,
             shift,
             clamp,
             tiles,
+            ..
         } = *args;
         let TilePlan { mb, kb } = tiles;
         let acc_buf = &mut scratch.acc;
@@ -229,38 +267,14 @@ pub(crate) mod x86 {
                     // SAFETY: rows r0+rb+r .. +4 are < r1 <= m and the
                     // acc offset r * n stays inside the mrows*n block.
                     unsafe {
-                        strips::<4>(
-                            a,
-                            k,
-                            n,
-                            wd,
-                            panel,
-                            acc,
-                            r0 + rb + r,
-                            r * n,
-                            p0,
-                            p1,
-                            full_pairs,
-                        );
+                        strips::<4>(a, k, n, panel, acc, r0 + rb + r, r * n, p0, p1, full_pairs);
                     }
                     r += 4;
                 }
                 while r < mrows {
                     // SAFETY: single row r0+rb+r < r1 <= m, acc offset in range.
                     unsafe {
-                        strips::<1>(
-                            a,
-                            k,
-                            n,
-                            wd,
-                            panel,
-                            acc,
-                            r0 + rb + r,
-                            r * n,
-                            p0,
-                            p1,
-                            full_pairs,
-                        );
+                        strips::<1>(a, k, n, panel, acc, r0 + rb + r, r * n, p0, p1, full_pairs);
                     }
                     r += 1;
                 }
@@ -284,7 +298,6 @@ pub(crate) mod x86 {
         a: &[u8],
         k: usize,
         n: usize,
-        wd: &[i8],
         panel: &[i16],
         acc: &mut [i32],
         row_abs: usize,
@@ -313,7 +326,7 @@ pub(crate) mod x86 {
                 a,
                 k,
                 n,
-                wd,
+                panel,
                 acc,
                 row_abs,
                 acc_off,
@@ -419,8 +432,8 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + AVX-512VNNI are available, `quads`
-    /// is the [`super::pack_quads_i8`] image of `args.wd`, `r1 <= m`,
-    /// and `out_band.len() == (r1 - r0) * n`.
+    /// is the quad panel ([`super::quad_panel_rows`]) of the `args.k ×
+    /// args.n` matrix, `r1 <= m`, and `out_band.len() == (r1 - r0) * n`.
     #[target_feature(enable = "avx512f,avx512vnni")]
     pub(crate) unsafe fn band_avx512vnni(
         args: &BandArgs<'_>,
@@ -435,10 +448,10 @@ pub(crate) mod x86 {
             a,
             k,
             n,
-            wd,
             shift,
             clamp,
             tiles,
+            ..
         } = *args;
         let TilePlan { mb, kb } = tiles;
         if n < 16 {
@@ -447,7 +460,7 @@ pub(crate) mod x86 {
             // skinny conv outputs (e.g. a 3-channel final layer) this is
             // the difference between scalar and full VNNI throughput.
             // SAFETY: same CPU features and slice contracts as this fn.
-            return unsafe { band_vnni_narrow(a, k, n, wd, shift, clamp, r0, r1, out_band) };
+            return unsafe { band_vnni_narrow(a, k, n, quads, shift, clamp, r0, r1, out_band) };
         }
         let rows = r1 - r0;
         debug_assert_eq!(out_band.len(), rows * n);
@@ -479,7 +492,7 @@ pub(crate) mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + AVX-512VNNI are available, `quads`
-    /// is the [`super::pack_quads_i8`] image of a `k × n` matrix,
+    /// is the quad panel of a `k × n` matrix,
     /// `(row0 + mrows) * k <= a.len()`, `acc.len() == mrows * n` and
     /// `kb_quads >= 1`.
     #[target_feature(enable = "avx512f,avx512vnni")]
@@ -577,39 +590,45 @@ pub(crate) mod x86 {
 
     /// Narrow-band VNNI kernel for `n < 16`: no zmm column strip fits,
     /// so vectorize along the *reduction* dimension instead. Weights are
-    /// repacked column-major (one contiguous `k`-long byte column per
-    /// output channel, truncated to whole 64-byte blocks), each output
-    /// is dotted with `vpdpbusd` into 16 i32 lanes, and the lanes are
-    /// horizontally reduced with modular `vpaddd` steps. Wrapping i32
-    /// addition is associative and commutative, so the partitioned
-    /// lane sums reduce to exactly the scalar oracle's single wrapping
-    /// accumulator; the `k % 64` tail runs the oracle's element loop.
-    /// All-zero activation blocks are skipped (im2col padding), which
-    /// only omits adding zero.
+    /// copied column-major out of the quad panel's one strip (one
+    /// contiguous `k`-long byte column per output channel, truncated to
+    /// whole 64-byte blocks), each output is dotted with `vpdpbusd` into
+    /// 16 i32 lanes, and the lanes are horizontally reduced with modular
+    /// `vpaddd` steps. Wrapping i32 addition is associative and
+    /// commutative, so the partitioned lane sums reduce to exactly the
+    /// scalar oracle's single wrapping accumulator; the `k % 64` tail
+    /// runs the oracle's element loop. All-zero activation blocks are
+    /// skipped (im2col padding), which only omits adding zero.
     ///
     /// # Safety
     /// Caller must ensure AVX-512F + AVX-512VNNI are available,
-    /// `r1 * k <= a.len()`, `wd.len() == k * n`, and
-    /// `out_band.len() == (r1 - r0) * n`.
+    /// `r1 * k <= a.len()`, `quads` is the quad panel of the `k × n`
+    /// matrix, and `out_band.len() == (r1 - r0) * n`.
     #[target_feature(enable = "avx512f,avx512vnni")]
     unsafe fn band_vnni_narrow(
         a: &[u8],
         k: usize,
         n: usize,
-        wd: &[i8],
+        quads: &[QuadRow],
         shift: u8,
         clamp: u8,
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
     ) {
+        debug_assert!(n < 16);
+        debug_assert_eq!(quads.len(), quad_panel_rows(k, n));
+        // With one strip, the strip's quad rows are consecutive over all
+        // of `k`: weight `(kk, j)` is byte `4j + kk % 4` of quad row
+        // `kk / 4` (`quad_panel_rows` has the layout).
+        let weight = |kk: usize, j: usize| quads[kk / 4].0[4 * j + kk % 4];
         let klen = (k / 64) * 64;
-        // One small column-major repack per band call (≤ 16·k bytes),
+        // One small column-major copy per band call (≤ 16·k bytes),
         // amortized over every row of the band.
         let mut cols = vec![0i8; n * klen];
         for kk in 0..klen {
             for j in 0..n {
-                cols[j * klen + kk] = wd[kk * n + j];
+                cols[j * klen + kk] = weight(kk, j);
             }
         }
         let zero = _mm512_setzero_si512();
@@ -633,10 +652,9 @@ pub(crate) mod x86 {
                     b += 64;
                 }
                 let mut sum = _mm512_reduce_add_epi32(accv);
-                for kk in klen..k {
-                    let av = arow[kk];
+                for (kk, &av) in arow.iter().enumerate().skip(klen) {
                     if av != 0 {
-                        sum = sum.wrapping_add(av as i32 * wd[kk * n + j] as i32);
+                        sum = sum.wrapping_add(av as i32 * weight(kk, j) as i32);
                     }
                 }
                 *dst = (sum >> shift).clamp(0, clamp as i32) as u8;
@@ -1433,12 +1451,14 @@ pub(crate) mod x86 {
 
     /// Scalar tail for the trailing columns of an `R`-row group over the
     /// reduction range `[kk0, kk1)` — same element math as the scalar
-    /// oracle (safe code, no SIMD). The AVX2 strips' `n % 8` tail.
+    /// oracle (safe code, no SIMD) over the pair panel, where weight
+    /// `(kk, j)` is element `(kk / 2)·2n + 2j + kk % 2`. The AVX2
+    /// strips' `n % 8` tail.
     fn tail_cols_range<const R: usize>(
         a: &[u8],
         k: usize,
         n: usize,
-        wd: &[i8],
+        panel: &[i16],
         acc: &mut [i32],
         row_abs: usize,
         acc_off: usize,
@@ -1455,9 +1475,10 @@ pub(crate) mod x86 {
                     continue;
                 }
                 let av = av as i32;
-                let wrow = &wd[kk * n..(kk + 1) * n];
-                for j in j0..n {
-                    accrow[j] = accrow[j].wrapping_add(av * wrow[j] as i32);
+                let pair = &panel[kk / 2 * 2 * n..][..2 * n];
+                let column = pair[2 * j0 + kk % 2..].iter().step_by(2);
+                for (dst, &w) in accrow[j0..].iter_mut().zip(column) {
+                    *dst = dst.wrapping_add(av * w as i32);
                 }
             }
         }

@@ -169,4 +169,179 @@ mod tests {
             assert_eq!(vector, oracle, "avx512f form");
         }
     }
+
+    /// `len` zero bytes written the way a panel's padding is, not handed
+    /// out by the allocator as fresh zero pages.
+    #[allow(clippy::slow_vector_initialization)]
+    fn written_zeros(len: usize) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(len);
+        bytes.resize(len, 0);
+        bytes
+    }
+
+    /// Nanoseconds per weight of installing resnet-50's GEMM weight
+    /// matrices (one `k × n` matrix per distinct dispatched shape) into
+    /// the panels the active tier's kernels read, the way a plan build
+    /// and an artifact load did before panels were the only copy and the
+    /// way they do now:
+    /// - build: synthesise the whole matrix, then pack it; synthesise a
+    ///   64-row k-tile into one reused buffer and pack it while it is hot;
+    /// - load, from one buffer holding every matrix as the artifact's
+    ///   WEIGHTS section does: copy the matrix out, then pack it; copy a
+    ///   k-tile out and pack it;
+    /// - the floor of a load: a zeroed panel-sized buffer and one
+    ///   `memcpy` of the section into it — the bytes a load must write,
+    ///   with no shuffle.
+    ///
+    /// Best of 5 rounds in one process, so the pages a round frees are
+    /// handed to the next: first touch — which a fresh process pays for
+    /// every byte it writes, the old shapes for two copies — is mostly
+    /// not in these numbers (the cold ledgers of DESIGN.md §6g have it).
+    /// Every form must hold the same panels. DESIGN.md §6g cites the
+    /// output:
+    /// `cargo test -p gcd2-kernels --release --lib -- --ignored weight_install_ns_per_weight --nocapture`
+    #[test]
+    #[ignore = "perf evidence; run manually in release mode"]
+    fn weight_install_ns_per_weight() {
+        use crate::dispatch::{WeightPanel, KTILE_ROWS};
+        use crate::tiled::tests::catalog_shapes;
+        use gcd2_models::ModelId;
+        use gcd2_tensor::MatrixI8;
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+
+        let shapes: Vec<(usize, usize)> = catalog_shapes(ModelId::ResNet50)
+            .into_keys()
+            .map(|(_, k, n)| (k, n))
+            .collect();
+        let total: usize = shapes.iter().map(|(k, n)| k * n).sum();
+        let seed = 0xC0DE;
+        let fill_tile = |node: u64, n: usize, kr0: usize, tile: &mut [i8]| {
+            for (kr, run) in (kr0..).zip(tile.chunks_exact_mut(n)) {
+                weight_row_into(seed, node, (kr * n) as u64, run);
+            }
+        };
+        // Every matrix back to back, as bytes: what a load borrows.
+        let section: Vec<u8> = shapes
+            .iter()
+            .enumerate()
+            .flat_map(|(node, &(k, n))| {
+                let mut w = vec![0i8; k * n];
+                fill_tile(node as u64, n, 0, &mut w);
+                w.into_iter().map(|v| v as u8)
+            })
+            .collect();
+        let best_of = |f: &mut dyn FnMut() -> Vec<WeightPanel>| {
+            let mut best = Duration::MAX;
+            let mut out = Vec::new();
+            for _ in 0..5 {
+                drop(out);
+                let t0 = Instant::now();
+                out = black_box(f());
+                best = best.min(t0.elapsed());
+            }
+            (best.as_secs_f64() * 1e9 / total as f64, out)
+        };
+        // Installs each matrix a k-tile at a time from `source`.
+        // Fills the k-tile from row `kr0` of matrix `node` of `n` columns.
+        type Source<'s> = &'s mut dyn FnMut(usize, usize, usize, &mut [i8]);
+        let tiled = |source: Source<'_>| {
+            let mut tile = Vec::new();
+            shapes
+                .iter()
+                .enumerate()
+                .map(|(node, &(k, n))| {
+                    let mut panel = WeightPanel::for_gemm(k, n);
+                    for kr0 in (0..k).step_by(KTILE_ROWS) {
+                        tile.resize(KTILE_ROWS.min(k - kr0) * n, 0);
+                        source(node, n, kr0, &mut tile);
+                        panel.push_ktile(&tile);
+                    }
+                    panel
+                })
+                .collect::<Vec<_>>()
+        };
+        let starts: Vec<usize> = shapes
+            .iter()
+            .scan(0, |at, &(k, n)| {
+                *at += k * n;
+                Some(*at - k * n)
+            })
+            .collect();
+        println!(
+            "resnet-50: {} shapes, {total} weights, {} tier",
+            shapes.len(),
+            crate::active_isa()
+        );
+        let (ns, oracle) = best_of(&mut || {
+            let mut packed = Vec::new();
+            for (node, &(k, n)) in shapes.iter().enumerate() {
+                let mut w = vec![0i8; k * n];
+                fill_tile(node as u64, n, 0, &mut w);
+                packed.push(WeightPanel::pack(&MatrixI8::from_vec(k, n, w)));
+            }
+            packed
+        });
+        println!("  build: synthesise the matrix, then pack : {ns:.3} ns/weight");
+        let (ns, panels) =
+            best_of(&mut || tiled(&mut |node, n, kr0, tile| fill_tile(node as u64, n, kr0, tile)));
+        println!("  build: synthesise a k-tile, pack it     : {ns:.3} ns/weight");
+        assert!(panels == oracle, "tile-at-a-time build");
+        let (ns, panels) = best_of(&mut || {
+            let mut packed = Vec::new();
+            for (&(k, n), &at) in shapes.iter().zip(&starts) {
+                let w = section[at..][..k * n].iter().map(|&b| b as i8).collect();
+                packed.push(WeightPanel::pack(&MatrixI8::from_vec(k, n, w)));
+            }
+            packed
+        });
+        println!("  load: copy the matrix, then pack        : {ns:.3} ns/weight");
+        assert!(panels == oracle, "copy-then-pack load");
+        let (ns, panels) = best_of(&mut || {
+            tiled(&mut |node, n, kr0, tile| {
+                let raw = &section[starts[node] + kr0 * n..][..tile.len()];
+                for (w, &b) in tile.iter_mut().zip(raw) {
+                    *w = b as i8;
+                }
+            })
+        });
+        println!("  load: copy a k-tile, pack it            : {ns:.3} ns/weight");
+        assert!(panels == oracle, "tile-at-a-time load");
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            let floor: Vec<Vec<u8>> = shapes
+                .iter()
+                .zip(&starts)
+                .zip(&oracle)
+                .map(|((&(k, n), &at), panel)| {
+                    let mut bytes = written_zeros(panel.bytes());
+                    bytes[..k * n].copy_from_slice(&section[at..][..k * n]);
+                    bytes
+                })
+                .collect();
+            best = best.min(t0.elapsed());
+            black_box(floor);
+        }
+        let ns = best.as_secs_f64() * 1e9 / total as f64;
+        println!("  load floor: zeroed panel + memcpy       : {ns:.3} ns/weight");
+        // Reading the weights back, as the integrity check, the artifact
+        // and the analyzer do: every k-tile of every panel, against a
+        // pass over the row-major bytes.
+        let mut best = Duration::MAX;
+        let mut tile = Vec::new();
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            let mut sum = 0u64;
+            for panel in &oracle {
+                panel.for_each_ktile(&mut tile, |rows| {
+                    sum = sum.wrapping_add(black_box(rows).len() as u64);
+                });
+            }
+            black_box(sum);
+            best = best.min(t0.elapsed());
+        }
+        let ns = best.as_secs_f64() * 1e9 / total as f64;
+        println!("  read back a k-tile at a time            : {ns:.3} ns/weight");
+    }
 }

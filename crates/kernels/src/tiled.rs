@@ -105,11 +105,14 @@ pub fn tile_plan(m: usize, k: usize, n: usize, isa: KernelIsa) -> TilePlan {
 /// Scratch buffers for the blocked GEMM entry points, reusable across
 /// calls so steady-state GEMMs allocate nothing: what one band kernel
 /// call works in, plus the weight panel a dispatch packs for itself
-/// when its caller keeps no resident one (see [`crate::WeightPanel`]).
+/// when its caller keeps none in the form the tier reads (see
+/// [`crate::WeightPanel`]) and the k-tile it reads a resident panel
+/// back through to do so.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     pub(crate) band: BandScratch,
     pub(crate) panel: crate::dispatch::WeightPanel,
+    pub(crate) tile: Vec<i8>,
 }
 
 /// The buffers one band kernel call works in.
@@ -203,12 +206,13 @@ impl std::fmt::Display for GemmDispatchError {
 
 impl std::error::Error for GemmDispatchError {}
 
-/// Shared operand validation of every blocked-GEMM entry point.
+/// Shared operand validation of every blocked-GEMM entry point:
+/// `w_rows` is how many weight rows the caller holds.
 pub(crate) fn validate_dispatch(
     a: &[u8],
     m: usize,
     k: usize,
-    w: &MatrixI8,
+    w_rows: usize,
     shift: u8,
 ) -> Result<(), GemmDispatchError> {
     if a.len() != m * k {
@@ -217,10 +221,10 @@ pub(crate) fn validate_dispatch(
             got: a.len(),
         });
     }
-    if w.rows() != k {
+    if w_rows != k {
         return Err(GemmDispatchError::WeightRows {
             expected: k,
-            got: w.rows(),
+            got: w_rows,
         });
     }
     if shift >= 32 {
@@ -330,7 +334,7 @@ pub fn try_matmul_blocked_into(
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
     let _ = gcd2_faults::fire("infer.gemm");
-    validate_dispatch(a, m, k, w, shift)?;
+    validate_dispatch(a, m, k, w.rows(), shift)?;
     crate::dispatch::run_single(a, m, k, w, shift, scratch, out);
     Ok(())
 }

@@ -101,7 +101,6 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 a.as_bytes(),
                 m,
                 k,
-                w,
                 panel,
                 (shift, 15),
                 &mut scratch,
@@ -113,7 +112,6 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 a.as_bytes(),
                 m,
                 k,
-                w,
                 panel,
                 (shift, 255),
                 &mut scratch,
