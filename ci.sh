@@ -18,16 +18,21 @@ cargo test -q -p gcd2-kernels
 echo "==> depthwise / pool / gate and group-kernel identity suites on the VNNI tier of an AMX host (GCD2_AMX=0; the two runs above cover the AMX tier and the scalar oracle: the pixel-major forms are selected on every host, and the group kernels have one form, so they are held to their oracle on every tier)"
 GCD2_AMX=0 cargo test -q -p gcd2-kernels --test dwconv_identity --test hostops_identity
 
-echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch == single-shot == interpreter gate run there too; perfbench refuses the variable, the test suites do not)"
+echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch gate — inputs in turn over one reused arena == through a one-worker gateway at max_batch 1, 2, 5 == a fresh arena == the interpreter — run there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
 GCD2_AMX=0 cargo test -q --test end_to_end --test infer_batch --test serve_gateway
 
-echo "==> plan execution, the layout differentials and the batch == single-shot gate on the scalar oracle (GCD2_FORCE_SCALAR=1: every panel the row-major bytes, the portable transposes, im2col and pixel-major depthwise, rows-ordered weights read as they lie)"
+echo "==> plan execution, the layout differentials and the batch gate (one reused arena and the gateway == a fresh arena == the interpreter) on the scalar oracle (GCD2_FORCE_SCALAR=1: every panel the row-major bytes, the portable transposes, im2col and pixel-major depthwise, rows-ordered weights read as they lie)"
 GCD2_FORCE_SCALAR=1 cargo test -q -p gcd2 --lib infer::
 GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_chw_equal_the_interpreter \
     mobile_net_depthwise_steps_run_in_rows_with_no_conversion \
     every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
+
+echo "==> gcd2-par spawns no thread (no thread::scope / thread::spawn outside #[cfg(test)] in crates/par/src)"
+if awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+        !test && /thread::(scope|spawn)/ { print FILENAME ": " $0; found = 1 }
+        END { exit !found }' crates/par/src/*.rs; then exit 1; fi
 
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

@@ -420,13 +420,12 @@ pub fn try_lower(
         .iter()
         .filter(|n| !matches!(n.kind, OpKind::Input | OpKind::Constant))
         .collect();
-    // One thread: `gcd2_par`'s catch-unwind-and-retry-once sweep, items
-    // in order on the caller, no worker spawned.
-    let lowered: Vec<(Vec<PackedBlock>, OpReport)> =
-        gcd2_par::try_par_map(1, &op_nodes, |_, node| {
-            lower_node(graph, plans, assignment, options, &ctx, node)
-        })
-        .map_err(LowerError::Worker)?;
+    // In order on the caller, each operator under `gcd2_par`'s
+    // catch-unwind-and-retry-once guard.
+    let lowered: Vec<(Vec<PackedBlock>, OpReport)> = gcd2_par::try_map(&op_nodes, |node| {
+        lower_node(graph, plans, assignment, options, &ctx, node)
+    })
+    .map_err(LowerError::Worker)?;
 
     let mut program = Program::new();
     let mut reports = Vec::with_capacity(lowered.len());

@@ -29,17 +29,15 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
            --packing   sda|soft-to-hard|soft-to-none|sequential\n\
            --no-lut    disable the division/nonlinearity lookup replacement\n\
            --fusion    enable the elementwise-fusion extension\n\
-           --threads N batch item threads / serve workers (default: the\n\
-                       machine's available parallelism); one inference\n\
-                       and compilation always run on the calling thread\n\
+           --threads N --serve workers (default: the machine's\n\
+                       available parallelism); one inference and\n\
+                       compilation always run on the calling thread\n\
            --timing    print per-stage compile wall-clock and cache stats,\n\
                        and the plan-build stages of a plan --emit or\n\
                        --infer builds\n\
            --infer N   build the inference plan and run it N times,\n\
                        reporting per-stage/per-op timings and verifying\n\
                        bit-identity against the interpreter\n\
-           --batch B   run a B-input batch through the plan on --threads\n\
-                       threads and report throughput\n\
            --serve N   smoke the dynamic-batching serving gateway with\n\
                        N requests, verifying bit-identity and reporting\n\
                        throughput, batching, latency percentiles, and\n\
@@ -139,14 +137,13 @@ fn main() -> ExitCode {
     };
 
     let mut compiler = Compiler::new();
-    let mut threads = gcd2_par::default_threads();
+    let mut workers = gcd2_par::default_threads();
     let mut analyze = false;
     let mut show_ops = false;
     let mut show_profile = false;
     let mut compare = false;
     let mut timing = false;
     let mut infer_iters = 0usize;
-    let mut batch = 0usize;
     let mut serve = 0usize;
     let mut max_batch = 8usize;
     let mut max_wait_us = 1000u64;
@@ -194,7 +191,7 @@ fn main() -> ExitCode {
                 let Ok(n) = v.parse::<usize>() else {
                     return usage();
                 };
-                threads = n.max(1);
+                workers = n.max(1);
             }
             "--timing" => timing = true,
             "--infer" => {
@@ -204,14 +201,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 infer_iters = n.max(1);
-            }
-            "--batch" => {
-                i += 1;
-                let Some(v) = args.get(i) else { return usage() };
-                let Ok(n) = v.parse::<usize>() else {
-                    return usage();
-                };
-                batch = n.max(1);
             }
             "--serve" => {
                 i += 1;
@@ -466,7 +455,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if infer_iters > 0 || batch > 0 || serve > 0 {
+    if infer_iters > 0 || serve > 0 {
         const SEED: u64 = 0xC0DE;
         let t0 = std::time::Instant::now();
         let plan = compiled.inference_plan(SEED);
@@ -674,52 +663,7 @@ fn main() -> ExitCode {
             }
         }
 
-        if batch > 0 {
-            let inputs: Vec<Vec<u8>> = (0..batch)
-                .map(|b| {
-                    (0..plan.input_len())
-                        .map(|i| ((i * 7 + 13 * (b + 1)) % 16) as u8)
-                        .collect()
-                })
-                .collect();
-            let opts = gcd2::ExecOptions::default();
-            let t0 = std::time::Instant::now();
-            let outs = plan.try_execute_batch(&inputs, threads, &opts);
-            let wall = t0.elapsed();
-            // The control: one item at a time on this thread.
-            let t0 = std::time::Instant::now();
-            let serial = plan.try_execute_batch(&inputs, 1, &opts);
-            let serial_wall = t0.elapsed();
-            println!(
-                "  batch {batch} on {threads} thread{}: {:.2?} \
-                 ({:.1} inf/s, {:.2}x vs 1 thread)",
-                if threads == 1 { "" } else { "s" },
-                wall,
-                batch as f64 / wall.as_secs_f64(),
-                serial_wall.as_secs_f64() / wall.as_secs_f64()
-            );
-            // Every item of both runs against the interpreter: comparing
-            // the two batches only with each other would pass a batch
-            // path that is wrong the same way twice.
-            for e in outs.iter().chain(&serial).filter_map(|r| r.as_ref().err()) {
-                eprintln!("batch item failed: {e}");
-            }
-            let runs = outs.iter().zip(&serial);
-            let identical = inputs.iter().zip(runs).all(|(input, (out, control))| {
-                let reference = Ok(gcd2::execute_reference(&compiled, input, SEED));
-                *out == reference && *control == reference
-            });
-            println!(
-                "  bit-identical: {}",
-                if identical { "true" } else { "FALSE" }
-            );
-            if !identical {
-                return ExitCode::from(1);
-            }
-        }
-
         if serve > 0 {
-            let workers = threads;
             let capacity = (2 * workers * max_batch).max(4);
             let server = gcd2::InferServer::gateway(gcd2::GatewayConfig {
                 workers,

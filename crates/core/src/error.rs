@@ -130,8 +130,8 @@ impl From<LowerError> for Gcd2Error {
 ///
 /// This is the runtime mirror of [`Gcd2Error`]: every way a serving
 /// request can go wrong — a malformed input, a stale arena, a tampered
-/// plan, a blown deadline, a persistently panicking worker, an
-/// overloaded server — maps to one variant, so a serving layer embedding
+/// plan, a blown deadline, a panic inside the runtime, an overloaded
+/// server — maps to one variant, so a serving layer embedding
 /// [`crate::InferencePlan`] never has to `catch_unwind` around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferError {
@@ -184,9 +184,6 @@ pub enum InferError {
         /// The configured deadline.
         deadline: std::time::Duration,
     },
-    /// A batch worker panicked on this item and the serial retry
-    /// panicked again — a persistent per-item fault.
-    Worker(WorkerPanic),
     /// The gateway watchdog declared the worker executing this request
     /// wedged: its batch exceeded the configured hang deadline, so the
     /// ticket was answered with this error and a replacement worker was
@@ -245,7 +242,8 @@ pub enum InferError {
     /// The server has been shut down (or its workers all died); the
     /// request cannot be served.
     ServerStopped,
-    /// The runtime itself panicked under the entry-point panic guard.
+    /// The runtime panicked under the entry-point panic guard (in the
+    /// gateway, also a panic in the batch round around the request).
     Internal {
         /// The captured panic message.
         message: String,
@@ -289,7 +287,6 @@ impl fmt::Display for InferError {
                 f,
                 "execution abandoned after {elapsed:?} (deadline {deadline:?})"
             ),
-            InferError::Worker(e) => write!(f, "batch worker failed: {e}"),
             InferError::Hung {
                 model,
                 elapsed,
@@ -330,7 +327,6 @@ impl fmt::Display for InferError {
 impl std::error::Error for InferError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            InferError::Worker(e) => Some(e),
             InferError::Artifact(e) => Some(e),
             _ => None,
         }
@@ -340,11 +336,5 @@ impl std::error::Error for InferError {
 impl From<ArtifactError> for InferError {
     fn from(e: ArtifactError) -> Self {
         InferError::Artifact(e)
-    }
-}
-
-impl From<WorkerPanic> for InferError {
-    fn from(e: WorkerPanic) -> Self {
-        InferError::Worker(e)
     }
 }

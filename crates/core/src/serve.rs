@@ -11,15 +11,15 @@
 //!   plan's integrity checksum, so two operators cannot silently race
 //!   a replacement;
 //! * a **dynamic-batching scheduler**: queued single requests for the
-//!   same model are coalesced into one
-//!   [`InferencePlan::try_execute_batch_pooled`] call, bounded by
-//!   [`GatewayConfig::max_batch`] and [`GatewayConfig::max_wait`].
-//!   The items of a batch run one after another on the worker that
-//!   took it, so coalescing pays the scheduler hand-off — queue lock,
-//!   wake-up, arena checkout, heartbeat — once per batch instead of
-//!   once per request; outputs are **bit-identical**
-//!   to single-shot execution for every batch/wait/worker
-//!   configuration;
+//!   same model are coalesced into one batch, bounded by
+//!   [`GatewayConfig::max_batch`] and [`GatewayConfig::max_wait`]. The
+//!   worker that takes a batch checks one arena out of the model's pool
+//!   and runs the requests over it in turn, each through
+//!   [`InferencePlan::try_execute_into`], so coalescing pays the
+//!   scheduler hand-off — queue lock, wake-up, arena checkout,
+//!   heartbeat — once per batch instead of once per request; outputs
+//!   are **bit-identical** to single-shot execution for every
+//!   batch/wait/worker configuration;
 //! * **per-model bounded queues** with load-shedding priorities: when a
 //!   model's queue is full, the lowest-priority queued request is shed
 //!   ([`InferError::Shed`]) to admit a strictly higher-priority one,
@@ -32,12 +32,12 @@
 //!   assembly, and execute time per model, surfaced as p50/p99 in
 //!   [`ModelStats`].
 //!
-//! Workers execute through the panic-guarded batch entry point: an
-//! injected or real panic inside the runtime resolves every ticket of
-//! *that batch* with a structured error, and the worker lives on.
-//! `gcd2c --serve` smokes this end to end against the single-shot
-//! path, and perfbench's `serve_saturated` workload measures the
-//! batching win.
+//! Each request runs under the executor's own panic guard: an injected
+//! or real panic inside the runtime resolves *that request's* ticket
+//! with [`InferError::Internal`], the rest of its batch runs on, and the
+//! worker lives on. `gcd2c --serve` smokes this end to end against the
+//! single-shot path, and perfbench's `serve_saturated` workload measures
+//! the batching win.
 //!
 //! On top of that sits the **self-healing supervision layer**
 //! (DESIGN.md §6h), four cooperating mechanisms built from the pure
@@ -54,11 +54,11 @@
 //!   submission with [`InferError::BreakerOpen`] (strictly cheaper than
 //!   queueing), HalfOpen admits a bounded number of probes and closes
 //!   only when they succeed;
-//! * **bounded seeded retries**: transient batch failures (panic-caught
-//!   worker faults, injected `infer.*` hits) re-execute up to
-//!   [`SupervisorConfig::retry_budget`] times with deterministic
-//!   SplitMix64 backoff — a retried request's output is bit-identical
-//!   because the batch entry point is deterministic;
+//! * **bounded seeded retries**: the requests of a batch that failed
+//!   transiently (a caught panic, injected `infer.*` hits included)
+//!   re-run up to [`SupervisorConfig::retry_budget`] more rounds with
+//!   deterministic SplitMix64 backoff — a retried request's output is
+//!   bit-identical because the executor is deterministic;
 //! * **fault-triggered ISA demotion**: after
 //!   [`SupervisorConfig::demote_after`] kernel-attributed faults, the
 //!   model's batches execute with [`ExecOptions::force_scalar`] (the
@@ -79,7 +79,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::InferError;
-use crate::infer::{ArenaPool, ExecOptions, InferencePlan};
+use crate::infer::{guard_panics, ExecOptions, InferArena, InferencePlan};
 use crate::supervise::{
     counts_as_fault, kernel_attributed, retry_backoff, Admission, BreakerState, CircuitBreaker,
     HealthEvent, HealthLog, SupervisorConfig,
@@ -102,7 +102,8 @@ pub struct GatewayConfig {
     /// How long a worker may hold an underfull batch open, measured
     /// from the oldest queued request, before dispatching it anyway.
     pub max_wait: Duration,
-    /// Execution options applied to every batch.
+    /// Execution options applied to every request; a deadline runs from
+    /// the start of each request's run.
     pub opts: ExecOptions,
     /// Self-healing knobs: watchdog, circuit breakers, retries, ISA
     /// demotion. The defaults keep supervision invisible on a healthy
@@ -257,9 +258,35 @@ pub struct LatencySummary {
     pub p99: Duration,
 }
 
-/// Per-model gateway state: the hot-swappable plan, the long-lived
-/// arena pool batches execute from, and this model's counters and
-/// histograms.
+/// One model's free list of arenas. A worker checks one out per batch
+/// and runs the batch's requests over it in turn, so a warm gateway
+/// allocates nothing and the list holds at most one arena per worker.
+#[derive(Debug, Default)]
+struct ArenaPool(Mutex<Vec<InferArena>>);
+
+impl ArenaPool {
+    /// A pooled arena `plan` can run on, or a fresh one when the pool is
+    /// empty or its arena was stamped by a plan a swap has replaced.
+    fn take(&self, plan: &InferencePlan) -> InferArena {
+        let pooled = self.0.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        pooled.filter(|arena| plan.fits(arena)).unwrap_or_default()
+    }
+
+    fn put(&self, arena: InferArena) {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(arena);
+    }
+
+    #[cfg(test)]
+    fn idle_arenas(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// Per-model gateway state: the hot-swappable plan, the arenas its
+/// batches run over, and this model's counters and histograms.
 #[derive(Debug)]
 struct ModelState {
     plan: RwLock<Arc<InferencePlan>>,
@@ -292,7 +319,7 @@ impl ModelState {
     fn new(plan: InferencePlan, sup: &SupervisorConfig) -> ModelState {
         ModelState {
             plan: RwLock::new(Arc::new(plan)),
-            pool: ArenaPool::new(),
+            pool: ArenaPool::default(),
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -363,7 +390,7 @@ pub struct ModelStats {
     /// Time the dispatching worker held the batch open, per batch
     /// (from its oldest request's enqueue to dispatch).
     pub assembly: LatencySummary,
-    /// Wall-clock of the batch execution, recorded per request.
+    /// Time each request spent executing, its retry rounds summed.
     pub execute: LatencySummary,
     /// Retry attempts spent on this model's batches.
     pub retries: u64,
@@ -483,7 +510,8 @@ pub struct ServerStats {
     pub workers_replaced: u64,
     /// Retry attempts spent across all models.
     pub retries: u64,
-    /// Batches that failed every attempt of a non-zero retry budget.
+    /// Batches with a request still failing transiently after every
+    /// round of a non-zero retry budget.
     pub retries_exhausted: u64,
     /// Models demoted to the scalar tier (lifetime count).
     pub demotions: u64,
@@ -1132,7 +1160,7 @@ impl InferServer {
                 if slot.wedged.load(Ordering::Acquire) {
                     drop(handle); // detach: never block shutdown on a hung thread
                 } else if handle.is_finished() {
-                    // Worker bodies are panic-guarded per batch; a join
+                    // Worker bodies are panic-guarded per request; a join
                     // failure would be an unwind-in-unwind. Nothing to
                     // salvage from it.
                     let _ = handle.join();
@@ -1431,7 +1459,7 @@ fn next_batch(shared: &Shared) -> Option<(String, Vec<Job>)> {
 /// requests, applies ISA demotion, stamps the heartbeat and parks the
 /// tickets where the watchdog can reach them, runs the attempt loop
 /// (the `serve.hang`/`serve.batch`/`serve.retry` fault points and the
-/// panic guard live inside it), then — if the watchdog didn't take the
+/// round's panic guard live inside it), then — if the watchdog didn't take the
 /// batch away — records outcomes and answers every ticket.
 fn execute_batch(shared: &Shared, slot: &WorkerSlot, name: &str, jobs: Vec<Job>) {
     let dispatched = Instant::now();
@@ -1516,9 +1544,7 @@ fn execute_batch(shared: &Shared, slot: &WorkerSlot, name: &str, jobs: Vec<Job>)
             tickets,
         });
     }
-    let t0 = Instant::now();
-    let results = run_attempts(shared, &state, name, &plan, &inputs, &opts);
-    let exec = t0.elapsed();
+    let outcomes = run_attempts(shared, &state, name, &plan, &inputs, &opts);
     let taken = slot.take_inflight();
     slot.busy_since_us.store(0, Ordering::Release);
     let Some(inflight) = taken else {
@@ -1527,7 +1553,7 @@ fn execute_batch(shared: &Shared, slot: &WorkerSlot, name: &str, jobs: Vec<Job>)
         // wedged flag ends this worker at the top of its loop.
         return;
     };
-    for ((tx, probe), result) in inflight.tickets.into_iter().zip(results) {
+    for ((tx, probe), (result, exec)) in inflight.tickets.into_iter().zip(outcomes) {
         state.execute.record(exec);
         let fault = result.as_ref().err().is_some_and(counts_as_fault);
         record_outcome(shared, &state, name, fault, probe);
@@ -1565,13 +1591,21 @@ fn execute_batch(shared: &Shared, slot: &WorkerSlot, name: &str, jobs: Vec<Job>)
     }
 }
 
-/// The retry loop of one batch: up to `1 + retry_budget` attempts of
-/// the panic-guarded batch entry point, with deterministic seeded
-/// backoff between attempts. Only transient faults (worker panics,
-/// internal errors) are retried; a clean result — including structured
-/// per-request errors like a bad input shape — ends the loop. Because
-/// the batch entry point is deterministic, a retried success is
-/// bit-identical to an undisturbed first attempt.
+/// A request's result, and the time its executions took (summed over
+/// attempts).
+type Outcome = (Result<Vec<u8>, InferError>, Duration);
+
+/// The attempt rounds of one batch, over one arena checked out of the
+/// model's pool. A round fires `serve.hang` and `serve.batch` once, then
+/// runs each request still pending through
+/// [`InferencePlan::try_execute_into`] in turn. A caught panic is an
+/// [`InferError::Internal`] for what it hit: one request when it came
+/// from inside that request's run, every pending one when it came from
+/// the round around them. Only those transient requests are re-run, up
+/// to `retry_budget` more rounds with deterministic seeded backoff in
+/// between; any other result — an output, or a structured error like a
+/// bad input shape — is final. The executor is deterministic, so a
+/// retried success is bit-identical to an undisturbed first attempt.
 fn run_attempts(
     shared: &Shared,
     state: &ModelState,
@@ -1579,21 +1613,18 @@ fn run_attempts(
     plan: &InferencePlan,
     inputs: &[Vec<u8>],
     opts: &ExecOptions,
-) -> Vec<Result<Vec<u8>, InferError>> {
-    let worker_errors = |message: &str| -> Vec<Result<Vec<u8>, InferError>> {
-        (0..inputs.len())
-            .map(|index| {
-                Err(InferError::Worker(gcd2_par::WorkerPanic {
-                    index,
-                    message: message.to_string(),
-                }))
-            })
-            .collect()
-    };
+) -> Vec<Outcome> {
+    let mut arena = state.pool.take(plan);
+    let mut outcomes: Vec<Outcome> = inputs
+        .iter()
+        .map(|_| (Ok(Vec::new()), Duration::ZERO))
+        .collect();
+    let mut pending: Vec<usize> = (0..inputs.len()).collect();
     let attempts_allowed = 1 + shared.sup.retry_budget;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
+        let mut round = Ok(());
         if attempt > 1 {
             state.retries.fetch_add(1, Ordering::Relaxed);
             shared.retries.fetch_add(1, Ordering::Relaxed);
@@ -1603,54 +1634,44 @@ fn run_attempts(
                 shared.sup.retry_backoff_base,
             ));
             // The retry path has its own fault point; an injected panic
-            // here burns the attempt without reaching the runtime.
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| gcd2_faults::fire("serve.retry"))) {
-                let message = gcd2_par::panic_message(p.as_ref());
-                if attempt >= attempts_allowed {
-                    shared.retries_exhausted.fetch_add(1, Ordering::Relaxed);
-                    shared.health.record(HealthEvent::RetriesExhausted {
-                        model: name.to_string(),
-                        attempts: attempt,
-                    });
-                    return worker_errors(&message);
-                }
-                continue;
-            }
+            // here burns the round without reaching the runtime.
+            round = guard_panics(|| {
+                let _ = gcd2_faults::fire("serve.retry");
+                Ok(())
+            });
         }
-        let results = catch_unwind(AssertUnwindSafe(|| {
-            // `serve.hang` models a wedged worker: a Delay injection
-            // here overruns the hang deadline while the heartbeat is
-            // stamped, which is exactly what the watchdog looks for.
-            let _ = gcd2_faults::fire("serve.hang");
-            let _ = gcd2_faults::fire("serve.batch");
-            plan.try_execute_batch_pooled(inputs, &state.pool, opts)
-        }))
-        .unwrap_or_else(|p| {
-            // A panic mid-batch resolves every ticket of this batch
-            // with a structured error; the worker and every other
-            // batch live on.
-            worker_errors(&gcd2_par::panic_message(p.as_ref()))
+        // `serve.hang` models a wedged worker: a Delay injection here
+        // overruns the hang deadline while the heartbeat is stamped,
+        // which is exactly what the watchdog looks for.
+        let round = round.and_then(|()| {
+            guard_panics(|| {
+                let _ = gcd2_faults::fire("serve.hang");
+                let _ = gcd2_faults::fire("serve.batch");
+                Ok(())
+            })
         });
-        if results
-            .iter()
-            .any(|r| r.as_ref().err().is_some_and(kernel_attributed))
-        {
+        for &i in &pending {
+            let t0 = Instant::now();
+            let result = round.clone().and_then(|()| {
+                let mut out = Vec::new();
+                plan.try_execute_into(&inputs[i], &mut arena, &mut out, opts)
+                    .map(|()| out)
+            });
+            outcomes[i] = (result, outcomes[i].1 + t0.elapsed());
+        }
+        let failed = |i: &usize| outcomes[*i].0.as_ref().err();
+        if pending.iter().filter_map(failed).any(kernel_attributed) {
             state.kernel_faults.fetch_add(1, Ordering::Relaxed);
         }
-        let transient = results.iter().any(|r| {
-            matches!(
-                r,
-                Err(InferError::Worker(_)) | Err(InferError::Internal { .. })
-            )
-        });
-        if !transient {
+        pending.retain(|&i| matches!(outcomes[i].0, Err(InferError::Internal { .. })));
+        if pending.is_empty() {
             if attempt > 1 {
                 shared.health.record(HealthEvent::RetrySucceeded {
                     model: name.to_string(),
                     attempt: attempt - 1,
                 });
             }
-            return results;
+            break;
         }
         if attempt >= attempts_allowed {
             if shared.sup.retry_budget > 0 {
@@ -1660,9 +1681,11 @@ fn run_attempts(
                     attempts: attempt,
                 });
             }
-            return results;
+            break;
         }
     }
+    state.pool.put(arena);
+    outcomes
 }
 
 #[cfg(test)]
@@ -1773,7 +1796,8 @@ mod tests {
             server.swap("m", sum_a ^ 1, b.clone()),
             Err(InferError::IntegrityViolation { .. })
         ));
-        // A keyed swap applies and requests flow to the new plan.
+        // A keyed swap applies and requests flow to the new plan — over
+        // a fresh arena: the pooled one is stamped by the old plan.
         let sum_b = server.swap("m", sum_a, b.clone()).expect("swap");
         assert_eq!(sum_b, b.checksum());
         assert_eq!(
@@ -1829,6 +1853,35 @@ mod tests {
         assert_eq!(stats.execute.count, 24);
         assert!(stats.assembly.count >= 1);
         assert!(stats.execute.p99 >= stats.execute.p50);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_batch_runs_its_requests_over_one_pooled_arena() {
+        let plan = tiny_plan();
+        // One worker and a batch that dispatches on fill: the eight
+        // requests run as one batch.
+        let server = InferServer::gateway(GatewayConfig {
+            workers: 1,
+            max_batch: 8,
+            max_wait: Duration::from_secs(30),
+            ..GatewayConfig::default()
+        });
+        server.register("m", plan.clone()).expect("register");
+        let inputs: Vec<Vec<u8>> = (0..8)
+            .map(|s| (0..16).map(|i| ((i * 5 + s) % 16) as u8).collect())
+            .collect();
+        let tickets: Vec<_> = inputs
+            .iter()
+            .map(|x| server.submit_to("m", x.clone(), 0).expect("admitted"))
+            .collect();
+        for (x, ticket) in inputs.iter().zip(tickets) {
+            assert_eq!(ticket.wait().expect("served"), plan.execute(x));
+        }
+        let stats = server.model_stats("m").expect("registered");
+        assert_eq!((stats.batches, stats.max_batch_observed), (1, 8));
+        let state = server.shared.model("m").expect("registered");
+        assert_eq!(state.pool.idle_arenas(), 1, "one arena per batch");
         server.shutdown();
     }
 

@@ -55,9 +55,9 @@ pub struct SupervisorConfig {
     /// HalfOpen probe budget: at most this many in-flight probes, and
     /// this many consecutive probe successes close the breaker.
     pub breaker_probes: usize,
-    /// Transient batch failures are retried up to this many times
-    /// (0 disables retries — the default, preserving pre-supervision
-    /// fault semantics).
+    /// The transiently failed requests of a batch re-run in up to this
+    /// many more rounds (0 disables retries — the default, preserving
+    /// pre-supervision fault semantics).
     pub retry_budget: u32,
     /// Base of the deterministic retry backoff; attempt `a` sleeps
     /// `base * 2^(a-1)` plus seeded jitter in `[0, base)`.
@@ -331,11 +331,10 @@ impl CircuitBreaker {
 /// Whether an execution outcome counts against the model's breaker and
 /// fault counters: server-attributed failures do, client mistakes and
 /// load management don't. A shed or queue-full request says nothing
-/// about the model's health; a panicking worker does.
+/// about the model's health; a panic inside the runtime does.
 pub fn counts_as_fault(e: &InferError) -> bool {
     match e {
-        InferError::Worker(_)
-        | InferError::Internal { .. }
+        InferError::Internal { .. }
         | InferError::Dispatch { .. }
         | InferError::IntegrityViolation { .. }
         | InferError::ArenaMismatch { .. }
@@ -355,14 +354,13 @@ pub fn counts_as_fault(e: &InferError) -> bool {
 }
 
 /// Whether a fault implicates the kernel/dispatch layer — the trigger
-/// for ISA demotion. A kernel dispatch rejection always does; a worker
-/// panic or internal error does when its message names the GEMM or
-/// kernel path (injected kernel faults read `injected fault at
+/// for ISA demotion. A kernel dispatch rejection always does; a caught
+/// panic ([`InferError::Internal`]) does when its message names the GEMM
+/// or kernel path (injected kernel faults read `injected fault at
 /// infer.gemm`).
 pub fn kernel_attributed(e: &InferError) -> bool {
     match e {
         InferError::Dispatch { .. } => true,
-        InferError::Worker(p) => message_implicates_kernel(&p.message),
         InferError::Internal { message } => message_implicates_kernel(message),
         _ => false,
     }

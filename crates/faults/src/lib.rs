@@ -2,7 +2,8 @@
 //!
 //! A registry of **named fault points** scattered through the
 //! compilation pipeline (cost evaluation, cache lookup, VLIW packing,
-//! worker startup, model-text parsing). A chaos test *arms* a
+//! model-text parsing), the inference runtime, the serving gateway and
+//! the artifact store. A chaos test *arms* a
 //! [`FaultPlan`] — which point fires, what it does, and on which hit —
 //! runs the pipeline, and asserts the robustness contract: every
 //! injected-fault run either produces a bit-identical artifact (after
@@ -16,28 +17,26 @@
 //!
 //! Determinism: a fault is keyed by `(point, trigger hit count)`. Hit
 //! counting is global and atomic under the registry lock, so the fault
-//! fires on exactly the N-th evaluation of its point regardless of how
-//! work is scheduled across threads; retried work re-executes the same
+//! fires on exactly the N-th evaluation of its point regardless of which
+//! thread evaluates it; retried work re-executes the same
 //! pure computation, which is what makes recovered artifacts
 //! bit-identical.
 //!
 //! The well-known point names (one per instrumented subsystem). The
-//! first five cover the compilation pipeline, the rest the inference
-//! runtime:
+//! first four cover the compilation pipeline, the rest the inference
+//! runtime, the gateway and the artifact store:
 //!
 //! | point              | where it fires                                   |
 //! |--------------------|--------------------------------------------------|
 //! | `cost.eval`        | kernel cost evaluation (`gcd2-kernels`)          |
 //! | `cache.lookup`     | sharded memo lookup, lock held (`gcd2-par`)      |
 //! | `pack.vliw`        | SDA block packing (`gcd2-vliw`)                  |
-//! | `par.worker`       | worker-thread startup (`gcd2-par`)               |
 //! | `parse.line`       | model-text line parsing (`gcd2-cgraph`)          |
 //! | `infer.arena`      | activation-arena allocation (`gcd2::infer`)      |
 //! | `infer.prep`       | GEMM operand staging (im2col/transpose)          |
 //! | `infer.gemm`       | blocked-GEMM dispatch (`gcd2-kernels::tiled`)    |
 //! | `infer.elementwise`| host elementwise/pool/shape step dispatch        |
-//! | `infer.batch`      | batch-worker item startup (`gcd2::infer`)        |
-//! | `serve.batch`      | gateway batch execution (`gcd2::serve`)          |
+//! | `serve.batch`      | gateway batch round, before its requests run (`gcd2::serve`) |
 //! | `serve.registry`   | gateway model register/swap (`gcd2::serve`)      |
 //! | `serve.hang`       | gateway batch dispatch, pre-execution (a `Delay` models a wedged worker under the watchdog) |
 //! | `serve.retry`      | gateway retry path, before a re-attempt (`gcd2::serve`) |
@@ -51,21 +50,14 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 /// The compile-pipeline fault points. [`Layer::Compile`] plans draw
 /// from exactly this set, so the compile chaos gate's fixed seeds keep
 /// producing the same plans as new (runtime) points are added.
-pub const COMPILE_POINTS: [&str; 5] = [
-    "cost.eval",
-    "cache.lookup",
-    "pack.vliw",
-    "par.worker",
-    "parse.line",
-];
+pub const COMPILE_POINTS: [&str; 4] = ["cost.eval", "cache.lookup", "pack.vliw", "parse.line"];
 
 /// The inference-runtime fault points ([`Layer::Runtime`]).
-pub const RUNTIME_POINTS: [&str; 5] = [
+pub const RUNTIME_POINTS: [&str; 4] = [
     "infer.arena",
     "infer.prep",
     "infer.gemm",
     "infer.elementwise",
-    "infer.batch",
 ];
 
 /// The serving-gateway fault points ([`Layer::Gateway`]).
@@ -81,7 +73,7 @@ pub const GATEWAY_POINTS: [&str; 2] = ["serve.batch", "serve.registry"];
 pub const ARTIFACT_POINTS: [&str; 3] = ["artifact.encode", "artifact.decode", "artifact.io"];
 
 /// The supervision-layer fault points ([`Layer::Supervisor`]):
-/// `serve.hang` fires in the worker right before batch execution (a
+/// `serve.hang` fires in the worker right before each batch round (a
 /// `Delay` there is how chaos tests wedge a worker under the watchdog's
 /// nose), `serve.retry` fires before each retry re-attempt. Kept out of [`GATEWAY_POINTS`]
 /// so the PR-8 gateway chaos gate's fixed seeds keep producing the
@@ -89,17 +81,15 @@ pub const ARTIFACT_POINTS: [&str; 3] = ["artifact.encode", "artifact.decode", "a
 pub const SUPERVISOR_POINTS: [&str; 2] = ["serve.hang", "serve.retry"];
 
 /// Every canonical fault-point name, for plan builders and tests.
-pub const POINTS: [&str; 17] = [
+pub const POINTS: [&str; 15] = [
     "cost.eval",
     "cache.lookup",
     "pack.vliw",
-    "par.worker",
     "parse.line",
     "infer.arena",
     "infer.prep",
     "infer.gemm",
     "infer.elementwise",
-    "infer.batch",
     "serve.batch",
     "serve.registry",
     "serve.hang",
@@ -490,9 +480,9 @@ mod tests {
             .any(|point| reaches(Layer::Gateway, 0..32, point)));
     }
 
-    /// The plans the five `from_seed_*` constructors produced for the
-    /// two CI seeds before they became one table-driven function: every
-    /// chaos suite's fixed-seed scenario depends on these exact faults.
+    /// The plans the two CI seeds draw for every layer: every chaos
+    /// suite's fixed-seed scenario depends on these exact faults, so a
+    /// change to a point table re-pins them here.
     #[test]
     fn ci_seed_plans_are_pinned_for_every_layer() {
         let show = |plan: &FaultPlan| {
@@ -503,27 +493,27 @@ mod tests {
             faults.collect::<Vec<_>>().join(", ")
         };
         let pinned = [
-            (Layer::Compile, 7, "parse.line Panic @12"),
-            (Layer::Runtime, 7, "infer.gemm Delay { millis: 2 } @40"),
+            (Layer::Compile, 7, "cost.eval Panic @12"),
+            (Layer::Runtime, 7, "infer.prep Delay { millis: 2 } @40"),
             (Layer::Gateway, 7, "infer.prep Panic @11 sticky"),
             (
                 Layer::Supervisor,
                 7,
-                "infer.gemm Panic @9, serve.hang Panic @11, infer.prep Delay { millis: 1 } @16",
+                "serve.batch Panic @9, infer.gemm Panic @11, infer.prep Delay { millis: 1 } @16",
             ),
             (Layer::Artifact, 7, "artifact.io Panic @1"),
             (
                 Layer::Compile,
                 2024,
-                "pack.vliw Panic @26, par.worker Delay { millis: 3 } @19",
+                "pack.vliw Panic @26, pack.vliw Delay { millis: 3 } @19",
             ),
             (
                 Layer::Runtime,
                 2024,
-                "infer.arena Panic @4, infer.gemm Panic @26, \
+                "infer.elementwise Panic @4, infer.arena Panic @26, \
                  infer.elementwise Delay { millis: 3 } @47 sticky",
             ),
-            (Layer::Gateway, 2024, "infer.batch Panic @9 sticky"),
+            (Layer::Gateway, 2024, "infer.gemm Panic @9 sticky"),
             (
                 Layer::Supervisor,
                 2024,

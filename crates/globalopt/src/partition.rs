@@ -257,9 +257,9 @@ fn attempt_gcd2(
     let per_part = (clock.budget().max_states / parts.len() as u64).max(1);
 
     // Phase 1: bounded refinement of every partition against the shared
-    // baseline, in order on this thread (one thread is `gcd2_par`'s
-    // catch-unwind-and-retry-once sweep with no worker spawned).
-    let refined: Vec<(Option<Vec<usize>>, u64)> = gcd2_par::try_par_map(1, &parts, |_, part| {
+    // baseline, in order on this thread, each partition under
+    // `gcd2_par`'s catch-unwind-and-retry-once guard.
+    let refined: Vec<(Option<Vec<usize>>, u64)> = gcd2_par::try_map(&parts, |part| {
         let mut choice = base.choice.clone();
         let (cost, used) = refine_scope_bounded(graph, plans, part, &mut choice, per_part);
         let cand = cost.map(|_| part.iter().map(|id| choice[id.0]).collect());

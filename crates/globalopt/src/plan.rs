@@ -124,7 +124,7 @@ pub fn enumerate_plans(graph: &Graph, model: &CostModel) -> PlanSet {
 /// the "other optimizations" toggle of the Figure 9 ablation).
 ///
 /// Nodes are costed in order on the calling thread, each under
-/// `gcd2_par`'s catch-unwind-and-retry-once sweep: a panic in one
+/// `gcd2_par`'s catch-unwind-and-retry-once guard: a panic in one
 /// node's costing is caught, the node retried once, and only a panic
 /// that persists on retry surfaces — as a structured
 /// [`gcd2_par::WorkerPanic`] instead of unwinding the caller. Costing is
@@ -134,7 +134,7 @@ pub fn try_enumerate_plans(
     model: &CostModel,
     lut_ops: bool,
 ) -> Result<PlanSet, gcd2_par::WorkerPanic> {
-    let plans = gcd2_par::try_par_map(1, graph.nodes(), |_, node| {
+    let plans = gcd2_par::try_map(graph.nodes(), |node| {
         plans_of_node(graph, node, model, lut_ops)
     })?;
     Ok(PlanSet { plans })

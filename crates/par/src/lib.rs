@@ -1,34 +1,25 @@
-//! # gcd2-par — scoped parallelism utilities
+//! # gcd2-par — panic isolation and sharded concurrent caches
 //!
-//! The workspace is offline/vendored, so this crate builds its worker
-//! pool on nothing but [`std::thread::scope`]. The runtime fans batch
-//! items out on it; the compilation pipeline uses only its
-//! panic-isolating sweep, at one thread. It provides:
+//! Std-only building blocks the compiler and runtime share. It spawns
+//! no thread: compilation runs on the calling thread, one inference
+//! runs on the calling thread, and the serving gateway owns its own
+//! workers. It provides:
 //!
-//! * [`try_par_map`] — an order-preserving, panic-isolating map over
-//!   indexed work items. Work is claimed from a shared atomic counter,
-//!   so uneven item costs balance automatically; the result vector is
-//!   always in item order, which is what makes a fanned-out run
-//!   *bit-identical* to a serial one. Item closures execute under
-//!   `catch_unwind`, a panicked item is retried once serially, and only
-//!   a *repeated* panic surfaces — as a structured [`WorkerPanic`],
-//!   never a process abort. The compilation pipeline calls it with
-//!   `threads = 1`, which spawns nothing and runs every item in order
-//!   on the caller, each with its one retry.
-//! * [`par_map_isolated`] — the same isolation with **per-item**
-//!   results (`Vec<Result<_, WorkerPanic>>`), so one poisoned item
-//!   fails alone instead of sinking the whole map; the batched
-//!   inference runtime serves on it.
+//! * [`try_map`] — an in-order, panic-isolating map. Each item runs
+//!   under `catch_unwind`; a panicked item is retried once, and only a
+//!   *repeated* panic surfaces — as a structured [`WorkerPanic`], never
+//!   a process abort. The compile stages map their items through it, so
+//!   one transient fault in one operator recovers bit-identically.
 //! * [`ShardedMap`] — a concurrent memo table sharded by key hash, with
-//!   hit/miss counters. Shared across worker threads via `Arc`, it backs
-//!   the kernel cost cache and the VLIW packing memo. A shard whose lock
-//!   was poisoned by a panicking worker is **quarantined** (cleared and
-//!   un-poisoned) on the next access: possibly half-written entries are
-//!   dropped and recomputed rather than trusted.
+//!   hit/miss counters. Shared via `Arc`, it backs the kernel cost cache
+//!   and the VLIW packing memo. A shard whose lock was poisoned by a
+//!   panicking holder is **quarantined** (cleared and un-poisoned) on
+//!   the next access: possibly half-written entries are dropped and
+//!   recomputed rather than trusted.
 //!
 //! ```
-//! use gcd2_par::try_par_map;
-//! let squares = try_par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
+//! use gcd2_par::try_map;
+//! let squares = try_map(&[1u64, 2, 3, 4], |&x| x * x);
 //! assert_eq!(squares, Ok(vec![1, 4, 9, 16]));
 //! ```
 
@@ -37,11 +28,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// The number of worker threads the runtime uses by default:
-/// [`std::thread::available_parallelism`], resolved once per process.
+/// The machine's available parallelism
+/// ([`std::thread::available_parallelism`]), resolved once per
+/// process: the default worker count of a serving gateway.
 pub fn default_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
@@ -51,11 +43,9 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// A work item panicked twice — on its first attempt (on a worker
-/// thread, or in the serial sweep when none was spawned) and again on
-/// the serial retry — so the failure is persistent, not transient.
-/// Carries the item index and the panic payload
-/// rendered as text.
+/// A work item panicked twice — on its first attempt and again on its
+/// retry — so the failure is persistent, not transient. Carries the
+/// item index and the panic payload rendered as text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Index of the item whose closure panicked.
@@ -68,7 +58,7 @@ impl fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "work item {} panicked twice (first attempt + serial retry): {}",
+            "work item {} panicked twice (first attempt + retry): {}",
             self.index, self.message
         )
     }
@@ -88,122 +78,33 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers with panic
-/// isolation, returning the results **in item order**: the map the
-/// compilation pipeline runs on (at `threads = 1`: in order on the
-/// caller), so one panicking operator degrades one compile instead of
-/// the process.
+/// Maps `f` over `items` in order on the calling thread, with panic
+/// isolation: the map the compilation pipeline runs on, so one
+/// panicking operator degrades one compile instead of the process.
 ///
-/// `f` receives `(index, &item)`. Items are claimed dynamically from a
-/// shared counter, so which thread runs which item is nondeterministic
-/// — but every result lands in its item's slot, so the returned vector
-/// is identical for every thread count, including 1. `f` must therefore
-/// be a pure function of its arguments (interior caches are fine as
-/// long as cached values are deterministic).
-///
-/// Every item closure runs under `catch_unwind`. An item whose first
-/// attempt panicked is retried **once, serially**, after the workers
-/// finish — transient failures (a poisoned cache shard, an injected
-/// fault) recover and, because `f` is pure, the retried result is
-/// bit-identical to an undisturbed run. An item that panics twice
-/// returns a structured [`WorkerPanic`]. A worker thread that dies
-/// before claiming work (e.g. a startup fault) is tolerated: its items
-/// are claimed by surviving workers or swept up serially.
-pub fn try_par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
+/// Every item runs under `catch_unwind`. An item whose first attempt
+/// panicked is retried **once** — transient failures (a poisoned cache
+/// shard, an injected fault) recover and, because `f` must be a pure
+/// function of its item, the retried result is bit-identical to an
+/// undisturbed run. The first item that panics twice stops the map and
+/// returns a structured [`WorkerPanic`].
+pub fn try_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(&T) -> R,
 {
-    par_map_isolated(threads, items, f).into_iter().collect()
-}
-
-/// [`try_par_map`] with **per-item** results: the map the batched
-/// inference runtime serves on, where one poisoned input must not sink
-/// the rest of the batch.
-///
-/// Isolation and retry are identical to [`try_par_map`] — worker
-/// closures run under `catch_unwind`, a first panic is retried once
-/// serially, workers that die at startup are tolerated — but an item
-/// that panics twice yields `Err(WorkerPanic)` **in its own slot** while
-/// every other item still returns its `Ok` value.
-pub fn par_map_isolated<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len());
-    // Slot states: None = unprocessed, Some(Ok) = done, Some(Err) =
-    // first attempt panicked (message kept for diagnostics).
-    let slots: Vec<Mutex<Option<Result<R, String>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    if threads > 1 {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        // A worker-startup fault kills this worker only;
-                        // the others (or the serial sweep) take its share.
-                        if catch_unwind(|| {
-                            let _ = gcd2_faults::fire("par.worker");
-                        })
-                        .is_err()
-                        {
-                            return;
-                        }
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
-                            let r = r.map_err(|p| panic_message(p.as_ref()));
-                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                // Worker bodies catch every panic, so join only fails on
-                // pathological unwind-in-unwind; treat it as a dead worker.
-                let _ = w.join();
-            }
-        });
-    }
-    // Serial sweep: finish unclaimed items and retry panicked ones once.
-    slots
-        .into_iter()
+    let attempt = |item| catch_unwind(AssertUnwindSafe(|| f(item)));
+    items
+        .iter()
         .enumerate()
-        .map(|(i, slot)| {
-            let state = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-            match state {
-                Some(Ok(r)) => Ok(r),
-                Some(Err(_)) => retry_serial(i, &items[i], &f, 1),
-                None => retry_serial(i, &items[i], &f, 2),
-            }
+        .map(|(index, item)| {
+            attempt(item)
+                .or_else(|_| attempt(item))
+                .map_err(|p| WorkerPanic {
+                    index,
+                    message: panic_message(p.as_ref()),
+                })
         })
         .collect()
-}
-
-/// Runs `f(i, item)` under `catch_unwind` up to `attempts` times,
-/// converting a final panic into a [`WorkerPanic`].
-fn retry_serial<T, R, F>(i: usize, item: &T, f: &F, attempts: usize) -> Result<R, WorkerPanic>
-where
-    F: Fn(usize, &T) -> R,
-{
-    let mut last = String::new();
-    for _ in 0..attempts.max(1) {
-        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-            Ok(r) => return Ok(r),
-            Err(p) => last = panic_message(p.as_ref()),
-        }
-    }
-    Err(WorkerPanic {
-        index: i,
-        message: last,
-    })
 }
 
 /// Hit/miss counters of a [`ShardedMap`].
@@ -384,97 +285,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn try_par_map_preserves_order() {
+    fn try_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
+        let tried = try_map(&items, |&x| x * 3 + 1);
+        assert_eq!(tried, Ok(items.iter().map(|x| x * 3 + 1).collect()));
         let empty: Vec<usize> = Vec::new();
-        for threads in [1, 2, 3, 8] {
-            let tried = try_par_map(threads, &items, |i, &x| {
-                assert_eq!(i, x);
-                x * 3 + 1
-            });
-            assert_eq!(tried, Ok(items.iter().map(|x| x * 3 + 1).collect()));
-            assert_eq!(try_par_map(threads, &empty, |_, &x| x), Ok(Vec::new()));
-        }
+        assert_eq!(try_map(&empty, |&x| x), Ok(Vec::new()));
     }
 
     #[test]
-    fn try_par_map_recovers_from_transient_panic() {
-        // Item 5 panics exactly once (on whichever thread first claims
-        // it); the serial retry recomputes it and the result vector is
-        // indistinguishable from an undisturbed run.
-        let fired = AtomicUsize::new(0);
+    fn try_map_recovers_from_transient_panic() {
+        // Item 5 panics exactly once; the retry recomputes it and the
+        // result vector is indistinguishable from an undisturbed run.
+        let fired = AtomicU64::new(0);
         let items: Vec<usize> = (0..32).collect();
-        for threads in [1, 4] {
-            fired.store(0, Ordering::SeqCst);
-            let out = try_par_map(threads, &items, |_, &x| {
-                if x == 5 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                x + 1
-            })
-            .expect("transient panic must be retried away");
-            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn try_par_map_reports_persistent_panic() {
-        let items: Vec<usize> = (0..16).collect();
-        for threads in [1, 3] {
-            let err = try_par_map(threads, &items, |_, &x| {
-                if x == 9 {
-                    panic!("persistent failure on 9");
-                }
-                x
-            })
-            .expect_err("persistent panic must surface");
-            assert_eq!(err.index, 9);
-            assert!(err.message.contains("persistent failure"), "{err}");
-        }
-    }
-
-    #[test]
-    fn par_map_isolated_confines_failure_to_its_slot() {
-        // Item 9 always panics; every sibling still returns Ok — the
-        // per-item contract the batched inference runtime serves on.
-        let items: Vec<usize> = (0..16).collect();
-        for threads in [1, 3] {
-            let out = par_map_isolated(threads, &items, |_, &x| {
-                if x == 9 {
-                    panic!("poisoned item");
-                }
-                x * 2
-            });
-            for (i, r) in out.iter().enumerate() {
-                if i == 9 {
-                    let err = r.as_ref().expect_err("item 9 must fail");
-                    assert_eq!(err.index, 9);
-                    assert!(err.message.contains("poisoned item"), "{err}");
-                } else {
-                    assert_eq!(r.as_ref().copied(), Ok(i * 2));
-                }
+        let out = try_map(&items, |&x| {
+            if x == 5 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("transient");
             }
-        }
+            x + 1
+        })
+        .expect("transient panic must be retried away");
+        assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 
     #[test]
-    fn par_map_isolated_retries_transients_to_all_ok() {
-        let fired = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..24).collect();
-        for threads in [1, 4] {
-            fired.store(0, Ordering::SeqCst);
-            let out = par_map_isolated(threads, &items, |_, &x| {
-                if x == 7 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                x + 1
-            });
-            let values: Result<Vec<usize>, _> = out.into_iter().collect();
-            assert_eq!(
-                values.expect("transient panic must be retried away"),
-                items.iter().map(|x| x + 1).collect::<Vec<_>>()
-            );
-        }
+    fn try_map_reports_persistent_panic() {
+        let items: Vec<usize> = (0..16).collect();
+        let err = try_map(&items, |&x| {
+            if x == 9 {
+                panic!("persistent failure on 9");
+            }
+            x
+        })
+        .expect_err("persistent panic must surface");
+        assert_eq!(err.index, 9);
+        assert!(err.message.contains("persistent failure"), "{err}");
     }
 
     #[test]

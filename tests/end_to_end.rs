@@ -242,13 +242,13 @@ fn rescaled(graph: &gcd2_repro::cgraph::Graph, h: usize, w: usize) -> gcd2_repro
 /// The layout selection changes where bytes sit, never what they are:
 /// for every catalog model, the plan whose layouts the selector chose,
 /// the plan that pins every label to `Chw`, and the interpreter agree
-/// byte for byte — single-shot and as a pooled batch of four (single
-/// shot is batch size 1 of the same differential), on the active tier
-/// and pinned to the scalar one. The four models whose
+/// byte for byte — single-shot and as a batch of four run in turn over
+/// one arena (single shot is batch size 1 of the same differential), on
+/// the active tier and pinned to the scalar one. The four models whose
 /// interpreter run stages gigabytes at catalog size run shape-scaled.
 #[test]
 fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
-    use gcd2_repro::compiler::{execute_reference, ArenaPool, ExecOptions, InferencePlan};
+    use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
     const SEED: u64 = 0x1A70;
     for id in ModelId::ALL {
         let graph = match id {
@@ -283,8 +283,8 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
             .iter()
             .map(|x| execute_reference(&compiled, x, SEED))
             .collect();
-        let pool = ArenaPool::new();
         for plan in [&chosen, &all_chw].into_iter().take(2 - same_plan as usize) {
+            let mut arena = plan.new_arena();
             for force_scalar in [false, true] {
                 let opts = ExecOptions {
                     force_scalar,
@@ -294,12 +294,10 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
                 plan.try_execute_into(&inputs[0], &mut plan.new_arena(), &mut one, &opts)
                     .unwrap_or_else(|e| panic!("{id}: {e}"));
                 assert!(one == want[0], "{id}: single-shot, scalar={force_scalar}");
-                let batch = plan.try_execute_batch_pooled(&inputs, &pool, &opts);
-                for (i, (got, want)) in batch.iter().zip(&want).enumerate() {
-                    assert!(
-                        got.as_ref() == Ok(want),
-                        "{id}: batch item {i}, scalar={force_scalar}"
-                    );
+                for (i, (x, want)) in inputs.iter().zip(&want).enumerate() {
+                    plan.try_execute_into(x, &mut arena, &mut one, &opts)
+                        .unwrap_or_else(|e| panic!("{id}: {e}"));
+                    assert!(one == *want, "{id}: batch input {i}, scalar={force_scalar}");
                 }
             }
         }

@@ -5,9 +5,10 @@
 //! gateway layer: **every** ticket the gateway accepts must resolve —
 //! to output bit-identical to single-shot execution, or to a clean
 //! structured [`InferError`] — under mid-batch panics, registry churn,
-//! shed storms, and drain races. A panic inside a batch must resolve
-//! exactly that batch's tickets (and no others) with structured
-//! errors, and the worker must keep serving. Run with
+//! shed storms, and drain races. A panic inside one request must fail
+//! that request alone, a panic in the batch round around the requests
+//! exactly that batch's tickets (and no others), and the worker must
+//! keep serving. Run with
 //! `cargo test --features fault-injection --test gateway_chaos`; the
 //! suite is absent from the default (uninstrumented) build.
 
@@ -15,9 +16,9 @@
 
 use gcd2_repro::cgraph::{Graph, OpKind, TShape};
 use gcd2_repro::compiler::{
-    Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferencePlan,
+    Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferencePlan, SupervisorConfig,
 };
-use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultKind, FaultPlan, Layer};
+use gcd2_repro::faults::{arm, chaos_seeds, hits, Armed, FaultKind, FaultPlan, Layer};
 use std::time::Duration;
 
 const INPUT_LEN: usize = 32;
@@ -51,21 +52,16 @@ fn quiet() -> Armed {
 }
 
 fn assert_injected(e: &InferError) {
-    match e {
-        InferError::Worker(p) => assert!(
-            p.message.contains("injected fault"),
-            "non-injected worker panic: {}",
-            p.message
-        ),
-        InferError::Internal { message } => assert!(
+    if let InferError::Internal { message } = e {
+        assert!(
             message.contains("injected fault"),
             "non-injected internal error: {message}"
-        ),
-        _ => {}
+        );
     }
 }
 
-/// Scenario 1: a panic mid-batch (`serve.batch`) resolves exactly that
+/// Scenario 1: a panic in a batch round (`serve.batch`, which fires once
+/// per round, outside the per-request guard) resolves exactly that
 /// batch's tickets with structured errors; the next batch — same
 /// worker — serves bit-identically.
 #[test]
@@ -96,7 +92,10 @@ fn mid_batch_panic_isolates_to_that_batchs_tickets() {
         let r = ticket.wait();
         if i < 4 {
             let e = r.expect_err("first batch took the panic");
-            assert!(matches!(e, InferError::Worker(_)), "ticket {i}: {e:?}");
+            assert!(
+                matches!(e, InferError::Internal { .. }),
+                "ticket {i}: {e:?}"
+            );
             assert_injected(&e);
         } else {
             assert_eq!(
@@ -110,6 +109,60 @@ fn mid_batch_panic_isolates_to_that_batchs_tickets() {
     assert_eq!(stats.failed, 4);
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.batches, 2);
+}
+
+/// Scenario 1b: a panic inside one request of a batch fails that ticket
+/// alone; the other three requests of the batch, run over the same arena
+/// after it, answer bit-identically. Retries are off, so nothing re-runs.
+#[test]
+fn a_panic_in_one_request_fails_that_ticket_alone() {
+    let plan = gateway_net(8, 48);
+    let ins = inputs(4);
+    let expect: Vec<Vec<u8>> = {
+        let _quiet = quiet();
+        ins.iter().map(|i| plan.execute(i)).collect()
+    };
+    // Non-GEMM steps of one request, each one `infer.elementwise` hit:
+    // one more is the second request's first.
+    let per_request = {
+        let _quiet = quiet();
+        plan.execute(&ins[0]);
+        hits("infer.elementwise")
+    };
+    let fault = FaultPlan::new().once("infer.elementwise", FaultKind::Panic, per_request + 1);
+    let _armed = arm(fault);
+    let server = InferServer::gateway(GatewayConfig {
+        workers: 1,
+        max_batch: 4,
+        // Dispatch on fill: the four requests are one batch.
+        max_wait: Duration::from_secs(30),
+        supervisor: SupervisorConfig {
+            retry_budget: 0,
+            ..SupervisorConfig::default()
+        },
+        ..GatewayConfig::default()
+    });
+    server.register("m", plan).expect("register");
+    let tickets: Vec<_> = ins
+        .iter()
+        .map(|i| server.submit_to("m", i.clone(), 0).expect("admitted"))
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let r = ticket.wait();
+        if i == 1 {
+            let e = r.expect_err("the second request took the panic");
+            assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
+            assert_injected(&e);
+        } else {
+            assert_eq!(
+                r.expect("its batch siblings survive"),
+                expect[i],
+                "ticket {i}"
+            );
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.batches, stats.completed, stats.failed), (1, 3, 1));
 }
 
 /// Scenario 2: checksum-keyed swaps under concurrent load — every
@@ -363,8 +416,8 @@ fn registry_faults_refuse_admission_structurally() {
 /// cross each 16 times — the whole span a gateway seed draws triggers
 /// from (seed 7's `infer.prep @11 sticky` lands in the sixth request's
 /// first GEMM and fails every staging after it; seed 2024's
-/// `infer.batch @9` is one more batch than eight requests can make, so
-/// that run is the undisturbed one).
+/// `infer.gemm @9 sticky` does the same from the fifth request's first
+/// multiply).
 #[test]
 fn seeded_gateway_fault_plans_terminate_bit_identical_or_structured() {
     let plan = gateway_net(8, 47);

@@ -1,23 +1,23 @@
 //! The inference runtime's hard guarantees, mirrored from the compile
-//! side: for catalog models, the precompiled plan's **batched, parallel**
-//! execution is bit-identical to the node-by-node interpreter reference,
-//! per input, at every thread count (including the machine's available
-//! parallelism) and through the gateway's pooled batch entry.
+//! side: for catalog models, a batch is its inputs run in turn — over
+//! one reused arena, or through a one-worker gateway at every
+//! `max_batch` — and each input comes out bit-identical to a fresh
+//! arena and to the node-by-node interpreter reference.
 
-use gcd2_repro::compiler::{execute_reference, ArenaPool, Compiler, ExecOptions, InferError};
+use gcd2_repro::compiler::{
+    execute_reference, Compiler, ExecOptions, GatewayConfig, InferArena, InferError, InferServer,
+    InferTicket, InferencePlan,
+};
 use gcd2_repro::models::ModelId;
-use gcd2_repro::par::default_threads;
 use std::time::Duration;
 
 const SEED: u64 = 0xBA7C4;
 
-/// Thread counts under test: serial, small, and the session default
-/// (available parallelism).
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, default_threads().max(4)];
-    counts.dedup();
-    counts
-}
+/// The gateway batch bounds under test: batching off, a pair, and more
+/// than some batches hold.
+const MAX_BATCHES: [usize; 3] = [1, 2, 5];
+
+type Results = Vec<Result<Vec<u8>, InferError>>;
 
 fn batch_inputs(len: usize, batch: usize) -> Vec<Vec<u8>> {
     (0..batch)
@@ -29,38 +29,83 @@ fn batch_inputs(len: usize, batch: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Runs the batch-vs-interpreter check for one model: every prefix of
-/// `batch` inputs whose length is in `sizes`, fanned out over each of
-/// `thread_counts` and through the gateway's pooled entry, equals the
-/// interpreter input by input.
-fn check_model(id: ModelId, batch: usize, sizes: &[usize], thread_counts: &[usize]) {
-    let graph = id.build();
-    let compiled = Compiler::new().compile(&graph);
+/// `inputs` run in turn over `arena`.
+fn in_turn(
+    plan: &InferencePlan,
+    arena: &mut InferArena,
+    inputs: &[Vec<u8>],
+    opts: &ExecOptions,
+) -> Results {
+    let mut run = |x: &Vec<u8>| {
+        let mut out = Vec::new();
+        plan.try_execute_into(x, arena, &mut out, opts)
+            .map(|()| out)
+    };
+    inputs.iter().map(&mut run).collect()
+}
+
+/// `inputs` through a one-worker gateway that runs them `max_batch` at
+/// a time: every input is queued before the drain flushes the queue,
+/// so the batches are exactly the `max_batch`-sized chunks.
+fn served(
+    plan: &InferencePlan,
+    inputs: &[Vec<u8>],
+    max_batch: usize,
+    opts: ExecOptions,
+) -> Results {
+    let server = InferServer::gateway(GatewayConfig {
+        workers: 1,
+        max_batch,
+        max_wait: Duration::from_secs(30),
+        opts,
+        ..GatewayConfig::default()
+    });
+    server.register("m", plan.clone()).expect("register");
+    let tickets: Vec<_> = inputs
+        .iter()
+        .map(|x| server.submit_to("m", x.clone(), 0).expect("admitted"))
+        .collect();
+    server.drain();
+    let results = tickets.into_iter().map(InferTicket::wait).collect();
+    let stats = server.model_stats("m").expect("registered");
+    assert_eq!(stats.batches as usize, inputs.len().div_ceil(max_batch));
+    assert_eq!(
+        stats.max_batch_observed as usize,
+        max_batch.min(inputs.len())
+    );
+    server.shutdown();
+    results
+}
+
+/// Runs the batch-vs-interpreter check for one model: `batch` inputs
+/// over a fresh arena each, in turn over one reused arena, and through
+/// the gateway at every [`MAX_BATCHES`] bound equal the interpreter
+/// input by input.
+fn check_model(id: ModelId, batch: usize) {
+    let compiled = Compiler::new().compile(&id.build());
     let plan = compiled.inference_plan(SEED);
     let inputs = batch_inputs(plan.input_len(), batch);
-
-    // Per-input interpreter references.
+    let opts = ExecOptions::default();
     let references: Vec<Vec<u8>> = inputs
         .iter()
         .map(|input| execute_reference(&compiled, input, SEED))
         .collect();
-
-    let (pool, opts) = (ArenaPool::new(), ExecOptions::default());
-    for &b in sizes {
-        let fanned = thread_counts
-            .iter()
-            .map(|&t| (t, plan.try_execute_batch(&inputs[..b], t, &opts)));
-        // 0 threads: the pooled entry, item by item on this thread.
-        let pooled = (0, plan.try_execute_batch_pooled(&inputs[..b], &pool, &opts));
-        for (threads, outs) in fanned.chain([pooled]) {
-            assert_eq!(outs.len(), b, "{id}: output count");
-            for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
-                assert_eq!(
-                    out.as_ref(),
-                    Ok(reference),
-                    "{id}: item {i} of {b} diverges from the interpreter at {threads} threads"
-                );
-            }
+    let fresh: Results = inputs.iter().map(|x| plan.try_execute(x)).collect();
+    let reused = in_turn(&plan, &mut plan.new_arena(), &inputs, &opts);
+    let gateway = MAX_BATCHES.map(|b| (b, served(&plan, &inputs, b, opts)));
+    let paths = [("fresh arenas", 0, fresh), ("one arena", 0, reused)];
+    let paths = paths
+        .into_iter()
+        .chain(gateway.map(|(b, outs)| ("the gateway", b, outs)));
+    for (path, max_batch, outs) in paths {
+        assert_eq!(outs.len(), batch, "{id}: output count");
+        for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
+            assert_eq!(
+                out.as_ref(),
+                Ok(reference),
+                "{id}: input {i} of {batch} diverges from the interpreter \
+                 through {path} (max_batch {max_batch})"
+            );
         }
     }
 }
@@ -75,45 +120,41 @@ fn batch_execution_matches_interpreter_on_core_models() {
         ModelId::TinyBert,
         ModelId::EfficientDetD0,
     ] {
-        check_model(id, 4, &[4], &thread_counts());
+        check_model(id, 4);
     }
 }
 
 /// The whole catalog, including the two >100-GMAC models — run with
 /// `cargo test -- --ignored` (minutes of wall clock; a megapixel
-/// model's arena is hundreds of MB, hence batches of at most two).
+/// model's arena is hundreds of MB, hence batches of two).
 #[test]
 #[ignore = "full catalog takes minutes; run with --ignored"]
 fn batch_execution_matches_interpreter_on_every_catalog_model() {
     for id in ModelId::ALL {
-        check_model(id, 2, &[1, 2], &[1, 4]);
+        check_model(id, 2);
     }
 }
 
-/// Degenerate batch shapes: the empty batch, a batch of one, and more
-/// threads than items all behave like the plain multi-item path — and
-/// every batch-capable entry point runs the one executor item by item,
-/// so each item gets the same bytes or the same error variant from all
+/// Degenerate batch shapes: the empty batch, a batch of one, and a
+/// gateway bound larger than the batch all behave like the plain
+/// multi-input path — every path runs the one executor input by input,
+/// so each input gets the same bytes or the same error variant from all
 /// of them.
 #[test]
 fn batch_edge_shapes_execute_cleanly() {
     let compiled = Compiler::new().compile(&ModelId::MobileNetV3.build());
     let plan = compiled.inference_plan(SEED);
     let defaults = ExecOptions::default();
-    let pool = ArenaPool::new();
 
-    // Empty input list: empty output, no worker machinery engaged.
+    // Empty input list: empty output.
     let empty: Vec<Vec<u8>> = Vec::new();
-    assert!(plan.try_execute_batch(&empty, 4, &defaults).is_empty());
-    assert!(plan
-        .try_execute_batch_pooled(&empty, &pool, &defaults)
-        .is_empty());
+    assert!(in_turn(&plan, &mut plan.new_arena(), &empty, &defaults).is_empty());
 
-    // B ∈ {1, 2, 5} with a wrong-length item, on the scalar tier and
-    // past a deadline, through all four batch-capable entry points: a
-    // batch of one matches single-shot execution at any thread count,
-    // and more threads than items leave extra workers idle, results
-    // unchanged.
+    // B ∈ {1, 2, 5} with a wrong-length input, on the scalar tier and
+    // past a deadline, over fresh arenas, over one reused arena and
+    // through the gateway at every bound: a batch of one matches
+    // single-shot execution, and a bound larger than the batch leaves
+    // the results unchanged.
     let inputs = batch_inputs(plan.input_len(), 5);
     let oracle: Vec<Vec<u8>> = inputs
         .iter()
@@ -133,18 +174,16 @@ fn batch_edge_shapes_execute_cleanly() {
             if let Some(i) = bad {
                 batch[i].pop();
             }
-            let into = |x: &Vec<u8>| {
+            let fresh = |x: &Vec<u8>| {
                 let mut out = Vec::new();
                 plan.try_execute_into(x, &mut plan.new_arena(), &mut out, &opts)
                     .map(|()| out)
             };
-            let paths = [
-                batch.iter().map(into).collect(),
-                plan.try_execute_batch(&batch, 1, &opts),
-                plan.try_execute_batch(&batch, 2, &opts),
-                plan.try_execute_batch(&batch, 8, &opts),
-                plan.try_execute_batch_pooled(&batch, &pool, &opts),
+            let mut paths = vec![
+                batch.iter().map(fresh).collect(),
+                in_turn(&plan, &mut plan.new_arena(), &batch, &opts),
             ];
+            paths.extend(MAX_BATCHES.map(|max| served(&plan, &batch, max, opts)));
             assert!(paths.iter().all(|results| results.len() == b));
             for (i, want) in oracle[..b].iter().enumerate() {
                 for r in paths.iter().map(|results| &results[i]) {
@@ -191,17 +230,26 @@ fn batch_edge_shapes_execute_cleanly() {
     assert!(report.prep + report.gemm + report.elementwise <= report.total);
 }
 
-/// Reused arenas across different inputs never leak state between
-/// inferences, and repeated batches are reproducible.
+/// A reused arena never leaks state between inferences — the same
+/// inputs run forwards and then backwards over it give the same bytes —
+/// and the gateway, whose arenas are reused across batches, gives them
+/// too at every bound.
 #[test]
 fn repeated_batches_are_reproducible() {
-    let graph = ModelId::MobileNetV3.build();
-    let compiled = Compiler::new().compile(&graph);
+    let compiled = Compiler::new().compile(&ModelId::MobileNetV3.build());
     let plan = compiled.inference_plan(SEED);
     let inputs = batch_inputs(plan.input_len(), 6);
-    let first = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
-    let second = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
+    let opts = ExecOptions::default();
+    let mut arena = plan.new_arena();
+    let first = in_turn(&plan, &mut arena, &inputs, &opts);
+    let reversed: Vec<Vec<u8>> = inputs.iter().rev().cloned().collect();
+    let mut second = in_turn(&plan, &mut arena, &reversed, &opts);
+    second.reverse();
     assert_eq!(first, second, "batch results must not depend on history");
+    for max_batch in MAX_BATCHES {
+        let served = served(&plan, &inputs, max_batch, opts);
+        assert_eq!(served, first, "max_batch {max_batch}");
+    }
     // Single-shot execution through a fresh arena agrees with the batch.
     assert_eq!(first[0], Ok(plan.execute(&inputs[0])));
 }

@@ -6,19 +6,22 @@
 //! with either
 //!
 //! 1. output **bit-identical** to the undisturbed baseline (the fault
-//!    was transient and per-item isolation retried it), or
+//!    was transient and a gateway retry round re-ran the request), or
 //! 2. a clean structured [`InferError`] (the fault was persistent),
 //!
 //! and a panic must never escape an execution entry point, nor may one
-//! poisoned batch item contaminate its siblings. Run with
+//! poisoned request contaminate the others in its batch. Run with
 //! `cargo test --features fault-injection --test runtime_chaos`; the
 //! suite is absent from the default (uninstrumented) build.
 
 #![cfg(feature = "fault-injection")]
 
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
-use gcd2_repro::compiler::{Compiler, ExecOptions, InferError, InferServer, InferencePlan};
-use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultKind, FaultPlan, Layer};
+use gcd2_repro::compiler::{
+    Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferTicket, InferencePlan,
+    ServerStats, SupervisorConfig,
+};
+use gcd2_repro::faults::{arm, chaos_seeds, hits, Armed, FaultKind, FaultPlan, Layer};
 use std::time::Duration;
 
 /// A small net crossing every runtime fault point: two real GEMMs
@@ -99,21 +102,58 @@ fn baseline(plan: &InferencePlan, inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
     inputs.iter().map(|i| plan.execute(i)).collect()
 }
 
-/// Asserts a structured injected-fault error: `Worker`/`Internal` must
-/// carry the injection marker (anything else would be a real defect
-/// hiding behind the chaos test).
+type Results = Vec<Result<Vec<u8>, InferError>>;
+
+/// `inputs` run in turn over one reused arena: how a batch runs.
+fn in_turn(plan: &InferencePlan, inputs: &[Vec<u8>], opts: &ExecOptions) -> Results {
+    let mut arena = plan.new_arena();
+    let mut run = |x: &Vec<u8>| {
+        let mut out = Vec::new();
+        plan.try_execute_into(x, &mut arena, &mut out, opts)
+            .map(|()| out)
+    };
+    inputs.iter().map(&mut run).collect()
+}
+
+/// `inputs` as one batch through a one-worker gateway that may spend
+/// `retry_budget` retry rounds; every ticket's result and the final
+/// counters.
+fn served(
+    plan: &InferencePlan,
+    inputs: &[Vec<u8>],
+    opts: ExecOptions,
+    retry_budget: u32,
+) -> (Results, ServerStats) {
+    let server = InferServer::gateway(GatewayConfig {
+        workers: 1,
+        max_batch: inputs.len(),
+        max_wait: Duration::from_secs(30),
+        opts,
+        supervisor: SupervisorConfig {
+            retry_budget,
+            retry_backoff_base: Duration::from_micros(100),
+            ..SupervisorConfig::default()
+        },
+        ..GatewayConfig::default()
+    });
+    server.register("m", plan.clone()).expect("register");
+    let tickets: Vec<_> = inputs
+        .iter()
+        .map(|x| server.submit_to("m", x.clone(), 0).expect("admitted"))
+        .collect();
+    let results = tickets.into_iter().map(InferTicket::wait).collect();
+    (results, server.shutdown())
+}
+
+/// Asserts a structured injected-fault error: `Internal` must carry the
+/// injection marker (anything else would be a real defect hiding behind
+/// the chaos test).
 fn assert_injected(e: &InferError) {
-    match e {
-        InferError::Worker(p) => assert!(
-            p.message.contains("injected fault"),
-            "non-injected worker panic: {}",
-            p.message
-        ),
-        InferError::Internal { message } => assert!(
+    if let InferError::Internal { message } = e {
+        assert!(
             message.contains("injected fault"),
             "non-injected internal error: {message}"
-        ),
-        _ => {}
+        );
     }
 }
 
@@ -123,13 +163,14 @@ fn transient_prep_panic_recovers_bit_identical() {
     let inputs = batch_inputs(6);
     let expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().once("infer.prep", FaultKind::Panic, 3));
-    let results = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
+    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("transient fault must recover"),
             &expect[i]
         );
     }
+    assert_eq!(stats.retries, 1);
 }
 
 #[test]
@@ -138,10 +179,9 @@ fn sticky_gemm_panic_batch_yields_structured_errors() {
     let inputs = batch_inputs(4);
     let _expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().sticky("infer.gemm", FaultKind::Panic, 1));
-    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
-    for r in &results {
+    for r in &in_turn(&plan, &inputs, &ExecOptions::default()) {
         let e = r.as_ref().expect_err("a persistent fault must error");
-        assert!(matches!(e, InferError::Worker(_)), "{e:?}");
+        assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
         assert_injected(e);
     }
 }
@@ -170,7 +210,7 @@ fn elementwise_delay_changes_nothing() {
     let expect = baseline(&plan, &inputs);
     let _armed =
         arm(FaultPlan::new().sticky("infer.elementwise", FaultKind::Delay { millis: 1 }, 1));
-    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
+    let results = in_turn(&plan, &inputs, &ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         assert_eq!(r.as_ref().expect("delays are benign"), &expect[i]);
     }
@@ -202,7 +242,7 @@ fn deadline_exceeded_is_structured() {
 }
 
 #[test]
-fn deadline_is_a_per_item_backstop_in_batches() {
+fn deadline_is_a_per_request_backstop_in_the_gateway() {
     let plan = plan();
     let inputs = batch_inputs(3);
     let _expect = baseline(&plan, &inputs);
@@ -212,7 +252,7 @@ fn deadline_is_a_per_item_backstop_in_batches() {
         deadline: Some(Duration::from_millis(1)),
         ..ExecOptions::default()
     };
-    for r in plan.try_execute_batch(&inputs, 2, &opts) {
+    for r in served(&plan, &inputs, opts, 0).0 {
         assert!(
             matches!(r, Err(InferError::DeadlineExceeded { .. })),
             "{r:?}"
@@ -220,89 +260,53 @@ fn deadline_is_a_per_item_backstop_in_batches() {
     }
 }
 
+/// A request that panics in its first round and again in its retry
+/// round fails alone: the retry round re-runs that request only, and the
+/// others in its batch answer bit-identically.
 #[test]
-fn batch_worker_transient_panic_recovers_bit_identical() {
-    let plan = plan();
-    let inputs = batch_inputs(6);
-    let expect = baseline(&plan, &inputs);
-    let _armed = arm(FaultPlan::new().once("infer.batch", FaultKind::Panic, 2));
-    let results = plan.try_execute_batch(&inputs, 3, &ExecOptions::default());
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(
-            r.as_ref().expect("transient worker fault must recover"),
-            &expect[i]
-        );
-    }
-}
-
-#[test]
-fn batch_worker_persistent_panic_isolates_one_item() {
+fn gateway_persistent_panic_isolates_one_request() {
     let plan = plan();
     let inputs = batch_inputs(5);
     let expect = baseline(&plan, &inputs);
-    // threads=1 processes items in order with two attempts each, so the
-    // `infer.batch` point fires at hits 1,2 (items 0,1), then 3 and 4
-    // are item 2's two attempts: exactly item 2 fails, siblings are
-    // untouched.
+    // Non-GEMM steps of one request, each one `infer.elementwise` hit.
+    let per_request = {
+        let _quiet = quiet();
+        plan.execute(&inputs[0]);
+        hits("infer.elementwise")
+    };
+    // Request 2's first non-GEMM step in round one, and again in the
+    // retry round, which runs after all five requests of round one.
     let _armed = arm(FaultPlan::new()
-        .once("infer.batch", FaultKind::Panic, 3)
-        .once("infer.batch", FaultKind::Panic, 4));
-    let results = plan.try_execute_batch(&inputs, 1, &ExecOptions::default());
+        .once("infer.elementwise", FaultKind::Panic, 2 * per_request + 1)
+        .once("infer.elementwise", FaultKind::Panic, 5 * per_request + 1));
+    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
     for (i, r) in results.iter().enumerate() {
         if i == 2 {
-            let e = r.as_ref().expect_err("item 2 faults on both attempts");
-            match e {
-                InferError::Worker(p) => assert_eq!(p.index, 2),
-                other => panic!("expected Worker, got {other:?}"),
-            }
+            let e = r.as_ref().expect_err("request 2 faults in both rounds");
+            assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
             assert_injected(e);
         } else {
             assert_eq!(
-                r.as_ref().expect("siblings of a poisoned item survive"),
+                r.as_ref().expect("the others in its batch survive"),
                 &expect[i]
             );
         }
     }
+    assert_eq!((stats.retries, stats.retries_exhausted), (1, 1));
+    assert_eq!((stats.completed, stats.failed, stats.batches), (4, 1, 1));
 }
 
-/// A batch under an armed `par.worker` (worker-thread startup) fault
-/// must still answer every item bit-identically.
-fn assert_worker_startup_fault_recovers(fault: FaultPlan, why: &str) {
-    let plan = plan();
-    let inputs = batch_inputs(6);
-    let expect = baseline(&plan, &inputs);
-    let _armed = arm(fault);
-    let results = plan.try_execute_batch(&inputs, 4, &ExecOptions::default());
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r.as_ref().expect(why), &expect[i]);
-    }
-}
-
+/// The gateway checks one arena out per batch; a panic while the first
+/// request sizes it fails that request, the next request sizes it
+/// again, and the retry round recovers the first.
 #[test]
-fn transient_worker_startup_panic_recovers_bit_identical() {
-    assert_worker_startup_fault_recovers(
-        FaultPlan::new().once("par.worker", FaultKind::Panic, 1),
-        "surviving workers or the serial sweep take over",
-    );
-}
-
-#[test]
-fn sticky_worker_startup_panic_recovers_via_serial_sweep() {
-    // Every worker dies at startup; the serial sweep still completes
-    // all items, bit-identically.
-    assert_worker_startup_fault_recovers(
-        FaultPlan::new().sticky("par.worker", FaultKind::Panic, 1),
-        "the serial sweep completes every item",
-    );
-}
-
-#[test]
-fn arena_fault_in_batch_recovers_bit_identical() {
+fn arena_fault_in_the_gateway_recovers_bit_identical() {
     let plan = plan();
     let inputs = batch_inputs(4);
     let expect = baseline(&plan, &inputs);
     let _armed = arm(FaultPlan::new().once("infer.arena", FaultKind::Panic, 1));
-    let results = plan.try_execute_batch(&inputs, 2, &ExecOptions::default());
+    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
+    assert_eq!(stats.retries, 1);
     for (i, r) in results.iter().enumerate() {
         assert_eq!(
             r.as_ref().expect("arena allocation fault must recover"),
@@ -325,7 +329,7 @@ fn wrong_input_len_is_structured_and_does_not_contaminate() {
         }
     );
     let mixed = vec![good[0].clone(), vec![9; 3], good[1].clone()];
-    let results = plan.try_execute_batch(&mixed, 2, &ExecOptions::default());
+    let (results, _) = served(&plan, &mixed, ExecOptions::default(), 0);
     assert_eq!(results[0].as_ref().expect("healthy item"), &expect[0]);
     assert!(matches!(
         results[1],
@@ -380,7 +384,7 @@ fn weight_corruption_is_detected_by_integrity_check() {
 }
 
 #[test]
-fn schedule_tampering_fails_every_paranoid_batch_item() {
+fn schedule_tampering_fails_every_paranoid_run() {
     let mut plan = plan();
     plan.chaos_corrupt_schedule();
     let inputs = batch_inputs(3);
@@ -388,7 +392,7 @@ fn schedule_tampering_fails_every_paranoid_batch_item() {
         paranoid: true,
         ..ExecOptions::default()
     };
-    for r in plan.try_execute_batch(&inputs, 2, &paranoid) {
+    for r in in_turn(&plan, &inputs, &paranoid) {
         assert!(
             matches!(r, Err(InferError::IntegrityViolation { .. })),
             "{r:?}"
@@ -447,12 +451,9 @@ fn server_survives_persistent_faults_and_recovers_after() {
         let e = server
             .infer(inputs[0].clone())
             .expect_err("faulted request errors");
-        // The gateway's batch executor reports the caught panic as a
-        // per-item Worker error (single-shot entry points say Internal).
-        assert!(
-            matches!(e, InferError::Worker(_) | InferError::Internal { .. }),
-            "{e:?}"
-        );
+        // The gateway runs each request through the executor's own
+        // panic guard, so the caught panic is an Internal error.
+        assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
         assert_injected(&e);
     }
     // Disarmed: the same worker (it survived the panic) now serves
@@ -467,9 +468,10 @@ fn server_survives_persistent_faults_and_recovers_after() {
     assert_eq!(stats.completed, 1);
 }
 
-/// Seed-derived multi-fault plans: the ci.sh runtime chaos gate runs
-/// this with two fixed seeds; `GCD2_CHAOS_SEED` adds an extra
-/// operator-chosen seed for ad-hoc exploration.
+/// Seed-derived multi-fault plans, through a gateway with one retry
+/// round and then single-shot: the ci.sh runtime chaos gate runs this
+/// with two fixed seeds; `GCD2_CHAOS_SEED` adds an extra operator-chosen
+/// seed for ad-hoc exploration.
 #[test]
 fn seeded_runtime_fault_plans_terminate_bit_identical_or_structured() {
     let plan = plan();
@@ -478,11 +480,8 @@ fn seeded_runtime_fault_plans_terminate_bit_identical_or_structured() {
     for seed in chaos_seeds(&[2024, 7]) {
         let fault_plan = FaultPlan::from_seed(Layer::Runtime, seed);
         let _armed = arm(fault_plan.clone());
-        for (i, r) in plan
-            .try_execute_batch(&inputs, 4, &ExecOptions::default())
-            .iter()
-            .enumerate()
-        {
+        let (results, _) = served(&plan, &inputs, ExecOptions::default(), 1);
+        for (i, r) in results.iter().enumerate() {
             match r {
                 Ok(out) => assert_eq!(
                     out, &expect[i],

@@ -1,11 +1,11 @@
 //! Gateway determinism gate: dynamic batching is a **scheduling**
 //! optimization, never a numerical one.
 //!
-//! A batch runs its items one after another through the single-shot
-//! executor, each over its own pooled arena — so for *any* combination
-//! of `max_batch`, `max_wait`, and worker count, whatever arena an item
-//! draws and whatever ran on it before, the gateway must return bytes
-//! identical to `InferencePlan::execute`. This suite is
+//! A batch runs its requests one after another through the single-shot
+//! executor, over the one arena its worker checked out — so for *any*
+//! combination of `max_batch`, `max_wait`, and worker count, whatever
+//! arena a request runs on and whatever ran on it before, the gateway
+//! must return bytes identical to `InferencePlan::execute`. This suite is
 //! the gate on that claim, plus the multi-model scatter (interleaved
 //! traffic for different models never cross-contaminates).
 

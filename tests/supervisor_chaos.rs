@@ -73,17 +73,11 @@ fn quiet() -> Armed {
 /// supervisor adds its own structured verdicts (`Hung`, `BreakerOpen`)
 /// on top of the runtime's injected panics.
 fn assert_injected(e: &InferError) {
-    match e {
-        InferError::Worker(p) => assert!(
-            p.message.contains("injected fault"),
-            "non-injected worker panic: {}",
-            p.message
-        ),
-        InferError::Internal { message } => assert!(
+    if let InferError::Internal { message } = e {
+        assert!(
             message.contains("injected fault"),
             "non-injected internal error: {message}"
-        ),
-        _ => {}
+        );
     }
 }
 
@@ -244,7 +238,7 @@ fn breaker_trips_sheds_and_recovers_through_probes() {
             let e = server
                 .infer_on("m", ins[0].clone(), 0)
                 .expect_err("storm batch fails");
-            assert!(matches!(e, InferError::Worker(_)), "{e:?}");
+            assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
             assert_injected(&e);
         }
     }
@@ -353,7 +347,7 @@ fn persistent_fault_exhausts_retry_budget_structurally() {
         let e = server
             .infer_on("m", ins[0].clone(), 0)
             .expect_err("every attempt fails");
-        assert!(matches!(e, InferError::Worker(_)), "{e:?}");
+        assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
         assert_injected(&e);
     }
     let health = server.health();
