@@ -50,7 +50,7 @@ mkdir -p target
 cargo run --release -q -p gcd2 --bin gcd2c -- --analyze > target/analyze.txt
 grep -q "all 10 catalog models analyze clean" target/analyze.txt
 
-echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes, and so does emitting under GCD2_FORCE_SCALAR=1 — 25.5 MB of weights read back from the quad panels against the row-major bytes of the scalar tier, synthesised by the row generator's AVX-512F and plain forms on an AVX-512 host — both with the pinned integrity checksum; a format-5 artifact is refused as a version skew)"
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes, and so does emitting under GCD2_FORCE_SCALAR=1 — 25.5 MB of weights read back from the quad panels against the row-major bytes of the scalar tier, synthesised by the row generator's AVX-512F and plain forms on an AVX-512 host — both with the pinned integrity checksum; a format-6 artifact is refused as a version skew)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > target/emit.txt
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
 for stage in container "graph+schedule+selection" pack integrity unaccounted; do
@@ -70,8 +70,8 @@ GCD2_FORCE_SCALAR=1 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --em
 cmp target/ci-resnet-50.gcd2art target/ci-resnet-50-scalar.gcd2art
 grep -q "^emitted .*, integrity 0x6241cf526ebe7984$" target/emit.txt
 grep -q "^emitted .*, integrity 0x6241cf526ebe7984$" target/emit-scalar.txt
-if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v5.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
-grep -q "artifact format version 5 (this build reads" target/skew.txt
+if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v6.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
+grep -q "artifact format version 6 (this build reads" target/skew.txt
 if grep -q panicked target/skew.txt; then exit 1; fi
 
 echo "==> one resident copy of the weights (resnet-50 on the detected tier: the resident weight bytes are the weight bytes plus the quad panels' padding, at most 1.03 × — the i16 pair panel of an AVX2 host is twice that)"
@@ -95,6 +95,13 @@ for scalar in 0 1; do
     for kind in Softmax LayerNorm; do
         grep -Eq "^    $kind +[0-9]+ steps .* B/ns$" target/group-kernels-$scalar.txt
     done
+done
+
+echo "==> epilogue maps in a whole plan (tinybert --infer 3 on the auto-detected tier, under GCD2_AMX=0 and under GCD2_FORCE_SCALAR=1: the 37 bias Adds, 6 Pows and 7 Gelus run in their GEMM's requantisation as one byte map each, and no step reads the 37 bias constants — bit-identical to the interpreter on every tier)"
+for tier in "" GCD2_AMX=0 GCD2_FORCE_SCALAR=1; do
+    env $tier cargo run --release -q -p gcd2 --bin gcd2c -- tinybert --infer 3 > target/epilogue.txt
+    grep -q "bit-identical: true" target/epilogue.txt
+    grep -q "^  folded       : 50 steps into GEMM requantisation (37 Add, 6 Pow, 7 Gelu), 37 constants unread$" target/epilogue.txt
 done
 
 echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"

@@ -19,7 +19,11 @@
 //! * in-place execution (output slot ∈ input slots) happens only for
 //!   pass-through steps with a single operand whose value dies at this
 //!   step and whose length matches — the only overlap the executor's
-//!   buffer-detaching loop tolerates (`A205`);
+//!   buffer-detaching loop tolerates — and a folded step, which runs
+//!   nothing, holds its value in the slot of the value it maps, which
+//!   dies with it and is as long (`A205`);
+//! * only a constant whose readers are all folded steps goes without a
+//!   slot (`NO_SLOT`), and only they read it there (`A201`);
 //! * `slot_sizes` dominates every write (`A206`);
 //! * the declared model output location/length match the final step
 //!   (`A207`).
@@ -34,7 +38,7 @@
 
 use crate::{Diagnostic, LintCode};
 use gcd2_cgraph::Graph;
-use gcd2_verify::{InferPlanView, InferStep, Severity, StepRole};
+use gcd2_verify::{InferPlanView, InferStep, Severity, StepRole, NO_SLOT};
 
 /// Runs the replay, pushing findings into `diags`.
 pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Diagnostic>) {
@@ -81,6 +85,16 @@ pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Dia
     for i in 0..n {
         steps.push(plan.step(i));
     }
+    let folded = |i: usize| matches!(steps[i].role, StepRole::Folded);
+    // Whether every reader of each value is a folded step (the model
+    // output's reader, the caller, is not).
+    let mut read_folded = vec![true; n];
+    read_folded[n - 1] = false;
+    for node in graph.nodes() {
+        for input in node.inputs.iter().filter(|p| p.0 < n) {
+            read_folded[input.0] &= folded(node.id.0);
+        }
+    }
 
     for node in graph.nodes() {
         let i = node.id.0;
@@ -109,6 +123,10 @@ pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Dia
             let Some(&in_slot) = step.in_slots.get(j) else {
                 continue;
             };
+            if in_slot == NO_SLOT && out_slot_of[p] == NO_SLOT && folded(i) {
+                // A folded step's constant, which has no slot.
+                continue;
+            }
             if in_slot >= slot_count {
                 error(
                     LintCode::SlotOutOfBounds,
@@ -151,7 +169,35 @@ pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Dia
         // outside the aliased-passthrough special case reads an empty
         // buffer.
         let overlaps = step.in_slots.contains(&step.out_slot);
-        if overlaps {
+        if folded(i) {
+            // The one value the step maps (its other operands are
+            // slotless constants) is where its value lives, and it dies
+            // here.
+            let mapped: Vec<usize> = node
+                .inputs
+                .iter()
+                .zip(&step.in_slots)
+                .filter(|&(p, &slot)| p.0 < i && slot != NO_SLOT)
+                .map(|(p, _)| p.0)
+                .collect();
+            let dies = mapped.first().is_some_and(|&p| {
+                mapped.iter().all(|&q| q == p)
+                    && uses[p] == mapped.len()
+                    && steps[p].out_len == step.out_len
+                    && out_slot_of[p] == step.out_slot
+            });
+            if !dies {
+                error(
+                    LintCode::IllegalAlias,
+                    i,
+                    format!(
+                        "folded step holds its value in slot {}, which is not the slot of \
+                         one value that dies with it at its length",
+                        step.out_slot
+                    ),
+                );
+            }
+        } else if overlaps {
             let single = step.in_slots.len() == 1;
             let passthrough = matches!(step.role, StepRole::Passthrough);
             let last_use = node
@@ -184,6 +230,11 @@ pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Dia
             }
         }
 
+        // A constant only folded steps read has no slot and writes none.
+        if step.out_slot == NO_SLOT && matches!(step.role, StepRole::Constant) && read_folded[i] {
+            out_slot_of[i] = NO_SLOT;
+            continue;
+        }
         // Write: the destination must exist, be big enough, and hold no
         // still-live value.
         if step.out_slot >= slot_count {
@@ -268,7 +319,7 @@ mod tests {
     use super::*;
     use crate::testutil::MockPlan;
     use gcd2_cgraph::{Activation, OpKind, TShape};
-    use gcd2_verify::{GemmFacts, StepRole};
+    use gcd2_verify::{GemmFacts, StepRole, NO_SLOT};
 
     fn codes(diags: &[Diagnostic]) -> Vec<LintCode> {
         diags.iter().map(|d| d.code).collect()
@@ -281,6 +332,7 @@ mod tests {
             n: 3,
             shift: 1,
             policy_shift: 1,
+            map: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
             zero_fill: false,
             col_pos_max: 8,
             col_neg_min: -8,
@@ -348,6 +400,66 @@ mod tests {
         let mut diags = Vec::new();
         check(&g, &plan, &mut diags);
         assert!(codes(&diags).contains(&LintCode::IllegalAlias), "{diags:?}");
+    }
+
+    /// fc → bias add (folded, constant unread) → gelu (folded): the
+    /// folded steps hold their value in the GEMM's slot, the constant
+    /// has none.
+    fn folded_chain() -> (Graph, MockPlan) {
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::new(vec![4, 4]));
+        let fc = g.add(OpKind::MatMul { n: 3 }, &[x], "fc");
+        let k = g.constant("k", TShape::new(vec![4, 3]));
+        let add = g.add(OpKind::Add, &[fc, k], "add");
+        g.add(OpKind::Gelu, &[add], "gelu");
+
+        let mut plan = MockPlan::new(15);
+        plan.push("x", &[], 0, 16, StepRole::Input);
+        plan.push("fc", &[0], 1, 12, gemm_role());
+        plan.steps.push(InferStep {
+            index: 2,
+            name: "k".to_string(),
+            op: "Constant".to_string(),
+            in_slots: Vec::new(),
+            out_slot: NO_SLOT,
+            out_len: 12,
+            in_layout: Default::default(),
+            out_layout: Default::default(),
+            role: StepRole::Constant,
+        });
+        plan.push("add", &[1, NO_SLOT], 1, 12, StepRole::Folded);
+        plan.push("gelu", &[1], 1, 12, StepRole::Folded);
+        (g, plan)
+    }
+
+    #[test]
+    fn folded_steps_live_in_their_gemms_slot_and_unread_constants_in_none() {
+        let (g, plan) = folded_chain();
+        let mut diags = Vec::new();
+        check(&g, &plan, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+
+        // A folded step anywhere but in the slot of the value it maps
+        // holds nothing.
+        let (g, mut plan) = folded_chain();
+        plan.slot_sizes.push(12);
+        plan.steps[4].out_slot = 2;
+        plan.output_slot_override = Some(2);
+        let mut diags = Vec::new();
+        check(&g, &plan, &mut diags);
+        assert!(codes(&diags).contains(&LintCode::IllegalAlias), "{diags:?}");
+
+        // A step that runs cannot read a constant that has no slot.
+        let (g, mut plan) = folded_chain();
+        plan.steps[3].role = StepRole::Compute;
+        plan.steps[3].out_slot = 2;
+        plan.slot_sizes.push(12);
+        let mut diags = Vec::new();
+        check(&g, &plan, &mut diags);
+        assert!(
+            codes(&diags).contains(&LintCode::SlotOutOfBounds),
+            "{diags:?}"
+        );
     }
 
     #[test]

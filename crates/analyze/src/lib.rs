@@ -62,6 +62,12 @@ pub enum LintCode {
     /// A derived value interval escapes the activation range (the
     /// transfer functions and the kernels have drifted apart).
     IntervalEscape,
+    /// A GEMM's stored epilogue map is not the composition of the steps
+    /// folded into it.
+    MapPolicy,
+    /// A step is folded into a GEMM's requantisation although it maps
+    /// no GEMM's value alone, or that value has another reader.
+    IllegalFold,
     /// A slot index is outside the arena.
     SlotOutOfBounds,
     /// An operand read finds its value not resident (never defined,
@@ -90,6 +96,8 @@ impl LintCode {
             LintCode::ShiftPolicy => "A103",
             LintCode::RoleMismatch => "A104",
             LintCode::IntervalEscape => "A105",
+            LintCode::MapPolicy => "A106",
+            LintCode::IllegalFold => "A107",
             LintCode::SlotOutOfBounds => "A201",
             LintCode::UseBeforeDef => "A202",
             LintCode::OperandSlotMismatch => "A203",
@@ -366,6 +374,8 @@ mod tests {
             LintCode::ShiftPolicy,
             LintCode::RoleMismatch,
             LintCode::IntervalEscape,
+            LintCode::MapPolicy,
+            LintCode::IllegalFold,
             LintCode::SlotOutOfBounds,
             LintCode::UseBeforeDef,
             LintCode::OperandSlotMismatch,

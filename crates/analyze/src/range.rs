@@ -47,6 +47,13 @@ pub struct GemmRange {
     /// Narrowest signed accumulator width (8/16/32/64 bits) that holds
     /// every partial sum of this GEMM.
     pub safe_acc_bits: u8,
+    /// The epilogue map the step stores ([`GemmFacts::map`]).
+    pub map: [u8; 16],
+    /// The map the analyzer derives for it: each requantised value `v`
+    /// pushed as `Interval::point(v)` through the transfer functions of
+    /// the steps folded into the GEMM, in order — the identity when none
+    /// are. It shares no code with the kernels that built `map`.
+    pub policy_map: [u8; 16],
 }
 
 /// The analyzer's exported range facts: one output-value interval per
@@ -113,6 +120,18 @@ pub(crate) fn interpret(
     let mut values = vec![byte; n];
     let mut out_lens = vec![0usize; n];
     let mut gemms: Vec<GemmRange> = Vec::new();
+    // Reads of each value, the model output's one more; and for each
+    // value that is a GEMM's bytes through its folded steps so far, that
+    // GEMM and what each requantised value `0..=act_max` has become.
+    let mut readers = vec![0usize; n];
+    for node in graph.nodes() {
+        for input in node.inputs.iter().filter(|p| p.0 < n) {
+            readers[input.0] += 1;
+        }
+    }
+    readers[n - 1] += 1;
+    let mut chains: Vec<Option<(usize, Vec<Interval>)>> = vec![None; n];
+    let mut zero_fill = vec![false; n];
 
     for node in graph.nodes() {
         let i = node.id.0;
@@ -153,6 +172,7 @@ pub(crate) fn interpret(
             StepRole::Compute => {
                 !node.kind.is_gemm_like() && !matches!(node.kind, OpKind::Input | OpKind::Constant)
             }
+            StepRole::Folded => foldable(&node.kind),
         };
         if !role_ok {
             diags.push(Diagnostic {
@@ -167,6 +187,24 @@ pub(crate) fn interpret(
             });
         }
 
+        match &step.role {
+            StepRole::Gemm(f) => {
+                let lanes = (0..=am).map(Interval::point).collect();
+                chains[i] = Some((i, lanes));
+                zero_fill[i] = f.zero_fill;
+            }
+            StepRole::Folded if role_ok => match fold_lanes(graph, node, &readers, &chains, am) {
+                Ok(chain) => chains[i] = Some(chain),
+                Err(why) => diags.push(Diagnostic {
+                    severity: Severity::Error,
+                    code: LintCode::IllegalFold,
+                    step: Some(i),
+                    detail: why,
+                }),
+            },
+            _ => {}
+        }
+
         let mut out = match &node.kind {
             OpKind::Input => act,
             OpKind::Constant => Interval::point(0),
@@ -175,22 +213,7 @@ pub(crate) fn interpret(
                 // Role mismatch already reported; ⊤ keeps successors sound.
                 _ => byte,
             },
-            // out = (a + b) / 2, elementwise.
-            OpKind::Add => Interval::new((a.lo + b.lo) / 2, (a.hi + b.hi) / 2),
-            // out = min((a · b) >> 4, act_max); monotone on [0, 255]².
-            OpKind::Mul => {
-                Interval::new(((a.lo * b.lo) >> 4).min(am), ((a.hi * b.hi) >> 4).min(am))
-            }
-            // out = a / (b + 1).
-            OpKind::Div => Interval::new(a.lo / (b.hi + 1), a.hi / (b.lo + 1)),
-            // out = min((a²) >> 4, act_max); the exponent is implicit.
-            OpKind::Pow => {
-                Interval::new(((a.lo * a.lo) >> 4).min(am), ((a.hi * a.hi) >> 4).min(am))
-            }
-            // The monotone byte-LUT stand-in: out = a/2 + a/4.
-            OpKind::Act(Activation::HardSwish) | OpKind::Sigmoid | OpKind::Gelu => {
-                a.map_monotone(|v| v / 2 + v / 4)
-            }
+            kind if foldable(kind) => elementwise(kind, a, b, am),
             // out = a · act_max / max(Σ_group a, 1) ∈ [0, act_max]; an
             // all-zero input renormalizes to all zeros.
             OpKind::Softmax => {
@@ -236,7 +259,140 @@ pub(crate) fn interpret(
         values[i] = out;
     }
 
+    check_maps(&chains, &zero_fill, &mut gemms, diags);
     RangeReport { values, gemms }
+}
+
+/// The operators a plan may fold into a GEMM's requantisation: the
+/// position-blind steps whose other operands can be constants.
+fn foldable(kind: &OpKind) -> bool {
+    matches!(
+        kind,
+        OpKind::Add
+            | OpKind::Mul
+            | OpKind::Div
+            | OpKind::Pow
+            | OpKind::Gelu
+            | OpKind::Sigmoid
+            | OpKind::Act(Activation::HardSwish)
+    )
+}
+
+/// The transfer function of a [`foldable`] operator over operand
+/// intervals `a` and `b` (`b` unused by the unary ones), from each
+/// operator's exact host semantics; ⊤ for any other operator.
+fn elementwise(kind: &OpKind, a: Interval, b: Interval, am: i64) -> Interval {
+    match kind {
+        // out = (a + b) / 2, elementwise.
+        OpKind::Add => Interval::new((a.lo + b.lo) / 2, (a.hi + b.hi) / 2),
+        // out = min((a · b) >> 4, act_max); monotone on [0, 255]².
+        OpKind::Mul => Interval::new(((a.lo * b.lo) >> 4).min(am), ((a.hi * b.hi) >> 4).min(am)),
+        // out = a / (b + 1).
+        OpKind::Div => Interval::new(a.lo / (b.hi + 1), a.hi / (b.lo + 1)),
+        // out = min((a²) >> 4, act_max); the exponent is implicit.
+        OpKind::Pow => Interval::new(((a.lo * a.lo) >> 4).min(am), ((a.hi * a.hi) >> 4).min(am)),
+        // The monotone byte-LUT stand-in: out = a/2 + a/4.
+        OpKind::Act(Activation::HardSwish) | OpKind::Sigmoid | OpKind::Gelu => {
+            a.map_monotone(|v| v / 2 + v / 4)
+        }
+        _ => Interval::new(0, 255),
+    }
+}
+
+/// The chain a folded step extends: its operands must be one value — a
+/// GEMM's, or one folded into a GEMM — which it is the only reader of,
+/// and constants (zeros). Returns the GEMM and each requantised value
+/// pushed through this step's transfer function too, or why the fold
+/// is illegal.
+fn fold_lanes(
+    graph: &Graph,
+    node: &gcd2_cgraph::Node,
+    readers: &[usize],
+    chains: &[Option<(usize, Vec<Interval>)>],
+    am: i64,
+) -> Result<(usize, Vec<Interval>), String> {
+    let i = node.id.0;
+    let constant = |p: usize| matches!(graph.node(gcd2_cgraph::NodeId(p)).kind, OpKind::Constant);
+    let mut mapped = node
+        .inputs
+        .iter()
+        .map(|p| p.0)
+        .filter(|&p| p < i && !constant(p));
+    let from = mapped
+        .next()
+        .ok_or_else(|| "a folded step maps no value".to_string())?;
+    if mapped.any(|p| p != from) || node.inputs.iter().any(|p| p.0 >= i) {
+        return Err("a folded step reads a second value".to_string());
+    }
+    let Some((gemm, lanes)) = &chains[from] else {
+        return Err(format!(
+            "a folded step maps step {from}, which is no GEMM's value"
+        ));
+    };
+    let reads = node.inputs.iter().filter(|p| p.0 == from).count();
+    if readers[from] != reads {
+        return Err(format!(
+            "a folded step maps step {from}, which has another reader"
+        ));
+    }
+    let zero = Interval::point(0);
+    let lane = |j: usize, v: usize| match node.inputs.get(j) {
+        Some(p) if p.0 == from => lanes[v],
+        _ => zero,
+    };
+    let folded = (0..lanes.len())
+        .map(|v| elementwise(&node.kind, lane(0, v), lane(1, v), am))
+        .collect();
+    Ok((*gemm, folded))
+}
+
+/// Holds each GEMM's stored map to the one its chain derives: every lane
+/// of the chain's last step (the GEMM's own lanes, the identity, when
+/// nothing folded) must be one value, and it must be the stored entry. A
+/// GEMM whose scatter leaves zeros (`zero_fill`, by step) the map does
+/// not reach must map 0 to 0. Records `policy_map` on each
+/// [`GemmRange`].
+fn check_maps(
+    chains: &[Option<(usize, Vec<Interval>)>],
+    zero_fill: &[bool],
+    gemms: &mut [GemmRange],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for g in gemms.iter_mut() {
+        let Some((_, lanes)) = chains
+            .iter()
+            .rev()
+            .flatten()
+            .find(|(root, _)| *root == g.step)
+        else {
+            continue;
+        };
+        let mut policy = [0u8; 16];
+        let mut exact = lanes.len() == policy.len();
+        for (entry, lane) in policy.iter_mut().zip(lanes) {
+            exact &= lane.lo == lane.hi && (0..16).contains(&lane.lo);
+            *entry = lane.lo.clamp(0, 15) as u8;
+        }
+        g.policy_map = policy;
+        let zeros_escape = zero_fill[g.step] && policy[0] != 0;
+        if !exact || g.map != policy || zeros_escape {
+            diags.push(Diagnostic {
+                severity: Severity::Error,
+                code: LintCode::MapPolicy,
+                step: Some(g.step),
+                detail: format!(
+                    "epilogue map {:?} disagrees with the map its folded steps compose, {:?}{}",
+                    g.map,
+                    policy,
+                    if zeros_escape {
+                        " (and the scatter leaves zeros it does not map)"
+                    } else {
+                        ""
+                    }
+                ),
+            });
+        }
+    }
 }
 
 fn role_tag(role: &StepRole) -> &'static str {
@@ -246,6 +402,7 @@ fn role_tag(role: &StepRole) -> &'static str {
         StepRole::Gemm(_) => "Gemm",
         StepRole::Passthrough => "Passthrough",
         StepRole::Compute => "Compute",
+        StepRole::Folded => "Folded",
     }
 }
 
@@ -312,6 +469,8 @@ fn gemm_transfer(
         acc,
         out,
         safe_acc_bits,
+        map: f.map,
+        policy_map: f.map,
     });
     out
 }
@@ -324,6 +483,7 @@ mod tests {
     use gcd2_verify::StepRole;
 
     const AM: u8 = 15;
+    const IDENTITY: [u8; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
 
     fn facts(k: usize, shift: u8, pos: i64, neg: i64) -> GemmFacts {
         GemmFacts {
@@ -332,6 +492,7 @@ mod tests {
             n: 3,
             shift,
             policy_shift: shift,
+            map: IDENTITY,
             zero_fill: false,
             col_pos_max: pos,
             col_neg_min: neg,
@@ -383,6 +544,62 @@ mod tests {
         assert!(codes.contains(&LintCode::ShiftPolicy), "{diags:?}");
         assert_eq!(report.gemm_for_step(1).unwrap().safe_acc_bits, 64);
         assert!(!report.all_fit_i32());
+    }
+
+    /// fc → bias add → Gelu, both folded into fc, and the map the GEMM
+    /// stores: the analyzer's own composition must equal it, the fold
+    /// must map a GEMM's value, and that value must have no other
+    /// reader.
+    #[test]
+    fn folded_chains_are_held_to_the_analyzers_map() {
+        let chain = |map: [u8; 16], second_reader: bool| {
+            let mut g = Graph::new();
+            let x = g.input("x", TShape::new(vec![4, 4]));
+            let fc = g.add(OpKind::MatMul { n: 3 }, &[x], "fc");
+            let k = g.constant("k", TShape::new(vec![4, 3]));
+            let add = g.add(OpKind::Add, &[fc, k], "add");
+            let gelu = g.add(OpKind::Gelu, &[add], "gelu");
+            let mut plan = MockPlan::new(AM);
+            plan.push("x", &[], 0, 16, StepRole::Input);
+            let mut f = facts(4, 1, 8, -8);
+            f.map = map;
+            plan.push("fc", &[0], 1, 12, StepRole::Gemm(f));
+            plan.push("k", &[], 2, 12, StepRole::Constant);
+            plan.push("add", &[1, 2], 1, 12, StepRole::Folded);
+            plan.push("gelu", &[1], 1, 12, StepRole::Folded);
+            if second_reader {
+                g.add(OpKind::Add, &[gelu, fc], "late");
+                plan.push("late", &[1, 1], 3, 12, StepRole::Compute);
+            }
+            let mut diags = Vec::new();
+            let report = interpret(&g, &plan, &mut diags);
+            (diags, report)
+        };
+        // avg(v, 0), then u/2 + u/4.
+        let composed: [u8; 16] = std::array::from_fn(|v| {
+            let u = v as u8 / 2;
+            u / 2 + u / 4
+        });
+        let (diags, report) = chain(composed, false);
+        assert!(diags.is_empty(), "{diags:?}");
+        let fc = report.gemm_for_step(1).unwrap();
+        assert_eq!((fc.map, fc.policy_map), (composed, composed));
+
+        let mut forged = composed;
+        forged[15] ^= 1;
+        let (diags, report) = chain(forged, false);
+        let codes: Vec<LintCode> = diags.iter().map(|d| d.code).collect();
+        assert_eq!(codes, [LintCode::MapPolicy], "{diags:?}");
+        assert_eq!(report.gemm_for_step(1).unwrap().policy_map, composed);
+
+        // fc's value read again later: the bias add may not fold.
+        let (diags, _) = chain(composed, true);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == LintCode::IllegalFold && d.step == Some(3)),
+            "{diags:?}"
+        );
     }
 
     #[test]

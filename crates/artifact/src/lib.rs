@@ -62,10 +62,14 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// stored; version 6: it lost its schedule section — the steps, slots,
 /// shifts and layout labels are a function of the graph, which the
 /// loader derives with the builder's code, and the stored plan checksum
-/// moved into the metadata). Readers refuse other versions with
-/// [`ArtifactError::VersionSkew`] (the cache key includes the version,
-/// so skewed files are simply never hit).
-pub const FORMAT_VERSION: u32 = 6;
+/// moved into the metadata; version 7: the schedule derivation folds
+/// unary steps into their GEMM's requantisation, and the plan checksum
+/// folds each GEMM's epilogue map and each folded step, so a version-6
+/// checksum of a plan with such steps is no longer the derived one — the
+/// weights are byte for byte the same). Readers refuse other versions
+/// with [`ArtifactError::VersionSkew`] (the cache key includes the
+/// version, so skewed files are simply never hit).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large

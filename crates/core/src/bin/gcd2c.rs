@@ -535,15 +535,22 @@ fn main() -> ExitCode {
                 // Each GEMM's wall clock (staging and scatter included)
                 // is its operator's entry in `per_op`. `panel` (k·n) and
                 // `block` (mb·k) are the two quantities the blocking
-                // rule weighs to choose `mb`.
+                // rule weighs to choose `mb`; `epilogue` names the steps
+                // folded into its requantisation.
                 for gk in &report.gemm_kernels {
+                    let epilogue = plan.epilogue(gk.node);
+                    let epilogue = if epilogue.is_empty() {
+                        String::new()
+                    } else {
+                        format!(" epilogue {}", epilogue.join("·"))
+                    };
                     let took = report
                         .per_op
                         .iter()
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s{}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -560,7 +567,46 @@ fn main() -> ExitCode {
                             "per-call"
                         },
                         took,
-                        (gk.m * gk.k * gk.n) as f64 / took.as_secs_f64().max(1e-9) / 1e9
+                        (gk.m * gk.k * gk.n) as f64 / took.as_secs_f64().max(1e-9) / 1e9,
+                        epilogue
+                    );
+                }
+            }
+            // The steps that ran as a GEMM's epilogue map: by operator,
+            // then each with the GEMM it ran in.
+            let folded: Vec<_> = report
+                .per_op
+                .iter()
+                .filter_map(|t| Some((t, t.folded_into?)))
+                .collect();
+            if !folded.is_empty() {
+                let (steps, unread) = plan.folded_steps();
+                let mut by_kind: Vec<(&str, usize)> = Vec::new();
+                for (t, _) in &folded {
+                    match by_kind.iter_mut().find(|(k, _)| *k == t.op) {
+                        Some((_, count)) => *count += 1,
+                        None => by_kind.push((&t.op, 1)),
+                    }
+                }
+                let by_kind: Vec<String> = by_kind
+                    .iter()
+                    .map(|(kind, count)| format!("{count} {kind}"))
+                    .collect();
+                println!(
+                    "  folded       : {steps} steps into GEMM requantisation ({}), {unread} constants unread",
+                    by_kind.join(", ")
+                );
+                for (t, gemm) in &folded {
+                    let gemm = report
+                        .per_op
+                        .iter()
+                        .find(|g| g.node == *gemm)
+                        .map_or("?", |g| g.name.as_str());
+                    println!(
+                        "    {:<24} {:<22} folded → {}",
+                        truncate(&t.name, 24),
+                        truncate(&t.op, 22),
+                        gemm
                     );
                 }
             }
@@ -617,7 +663,7 @@ fn main() -> ExitCode {
             // sums its steps' output bytes, for a bytes-per-ns rate.
             type Kind<'a> = (&'a str, usize, std::time::Duration, Option<usize>);
             let mut kinds: Vec<Kind> = Vec::new();
-            for t in &report.per_op {
+            for t in report.per_op.iter().filter(|t| t.folded_into.is_none()) {
                 let kind = t.op.split('(').next().unwrap_or(&t.op);
                 match kinds.iter_mut().find(|(k, ..)| *k == kind) {
                     Some((_, steps, total, bytes)) => {
@@ -647,7 +693,11 @@ fn main() -> ExitCode {
                 );
                 println!("{}", line.trim_end());
             }
-            let mut by_time: Vec<_> = report.per_op.iter().collect();
+            let mut by_time: Vec<_> = report
+                .per_op
+                .iter()
+                .filter(|t| t.folded_into.is_none())
+                .collect();
             by_time.sort_by_key(|t| std::cmp::Reverse(t.duration));
             println!("  hottest steps:");
             for t in by_time.iter().take(8) {

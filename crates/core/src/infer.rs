@@ -66,9 +66,10 @@ use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
     im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, weight_row_into,
-    GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel, KTILE_ROWS,
+    ByteMap, GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
+    KTILE_ROWS,
 };
-use gcd2_verify::ActLayout;
+use gcd2_verify::{ActLayout, NO_SLOT};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -191,6 +192,10 @@ pub(crate) struct GemmStep {
     pub(crate) n: usize,
     pub(crate) shift: u8,
     pub(crate) scatter: Scatter,
+    /// The steps folded into this GEMM, composed: what each requantised
+    /// byte becomes ([`InferencePlan::schedule`] derives it; the
+    /// identity when nothing folded).
+    pub(crate) map: ByteMap,
 }
 
 /// Below this output-channel count an im2col conv runs the direct
@@ -221,6 +226,7 @@ impl GemmStep {
             n,
             shift,
             scatter,
+            map: ByteMap::IDENTITY,
         }
     }
 
@@ -279,6 +285,15 @@ impl GemmStep {
     /// tile plan to report.
     pub(crate) fn runs_matmul(&self) -> bool {
         !matches!(self.prep, GemmPrep::Depthwise(_)) && !self.runs_direct_conv()
+    }
+
+    /// Whether the multiply's `m × n` result is every byte of the step's
+    /// `out_len`-byte value: no position a scatter leaves zero (a
+    /// ConvTranspose's, a batch dimension's tail), which an epilogue map
+    /// would not reach.
+    fn writes_every_byte(&self, out_len: usize) -> bool {
+        self.m * self.n == out_len
+            && !matches!(self.scatter, Scatter::Chw { spatial } if spatial != self.m)
     }
 }
 
@@ -347,6 +362,22 @@ pub(crate) struct Step {
     /// The layout the step leaves its value in. Both labels are
     /// [`layout::select`]'s, a function of the schedule.
     pub(crate) out_layout: ActLayout,
+    /// Set when the step runs nothing of its own ([`Fold`]); derived by
+    /// [`InferencePlan::schedule`] like the labels.
+    pub(crate) fold: Option<Fold>,
+}
+
+/// How a step that runs nothing of its own is held (DESIGN.md §4d,
+/// *Epilogue maps*).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fold {
+    /// A function of GEMM step `gemm`'s value alone, computed by that
+    /// step's [`GemmStep::map`]: its value is the bytes the GEMM wrote,
+    /// in the GEMM's slot.
+    Epilogue { gemm: usize },
+    /// A `Constant` that only folded steps read: it has no slot
+    /// ([`NO_SLOT`]) and nothing fills one.
+    Unread,
 }
 
 impl Step {
@@ -459,7 +490,8 @@ pub struct InferReport {
     pub elementwise: Duration,
     /// End-to-end wall clock.
     pub total: Duration,
-    /// Per-operator wall clock, in schedule order.
+    /// Per-operator wall clock, in schedule order (see
+    /// [`OpTiming::folded_into`] for the steps that run nothing).
     pub per_op: Vec<OpTiming>,
     /// The kernel tier this run's GEMMs were dispatched on (`"scalar"`,
     /// `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or `"neon"`; empty when
@@ -548,6 +580,11 @@ pub struct OpTiming {
     /// length), so a byte kernel's speed reads as a rate; `None` for a
     /// GEMM step, whose work is its MACs.
     pub elementwise_bytes: Option<usize>,
+    /// For a step folded into a GEMM's requantisation, that GEMM's node:
+    /// the step ran as its epilogue map, so it has no time of its own
+    /// (`duration` is zero). A constant only folded steps read runs
+    /// nothing and has no entry.
+    pub folded_into: Option<NodeId>,
 }
 
 /// Rejects GEMMs whose worst-case accumulator over the quantization
@@ -636,6 +673,11 @@ fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
             // `Checksum64::i8s` of the row-major weights: one `mix` of
             // their run digest.
             h.u64(g.digest);
+            // A plan without folds hashes as before epilogue maps were.
+            if !g.map.is_identity() {
+                h.u64(15);
+                h.bytes(&g.map.entries());
+            }
         }
         StepKind::Add => h.u64(3),
         StepKind::Mul => h.u64(4),
@@ -688,6 +730,146 @@ fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
         }
         StepKind::Concat => h.u64(14),
     }
+}
+
+/// Folds into each matmul-backed GEMM every step that is a function of
+/// that GEMM's value alone, composing its [`GemmStep::map`]
+/// ([`epilogue_of`] has the rule), then marks [`Fold::Unread`] each
+/// constant whose readers have all folded. `readers` counts the reads
+/// of each value, the model output's one more. A legality rule, not a
+/// cost decision: whatever folds runs as one table lookup per byte the
+/// GEMM writes anyway (DESIGN.md §4d, *Epilogue maps*).
+fn fold_epilogues(steps: &mut [Step], readers: &[usize]) {
+    for index in 0..steps.len() {
+        let Some((gemm, map)) = epilogue_of(steps, readers, index) else {
+            continue;
+        };
+        steps[index].fold = Some(Fold::Epilogue { gemm });
+        if let StepKind::Gemm(g) = &mut steps[gemm].kind {
+            g.map = map;
+        }
+    }
+    let mut read = vec![false; steps.len()];
+    for step in steps.iter().filter(|s| s.fold.is_none()) {
+        for &p in &step.inputs {
+            read[p] = true;
+        }
+    }
+    for (index, step) in steps.iter_mut().enumerate() {
+        if matches!(step.kind, StepKind::Constant) && readers[index] > 0 && !read[index] {
+            step.fold = Some(Fold::Unread);
+        }
+    }
+}
+
+/// The GEMM step `steps[index]` folds into, and that GEMM's map with the
+/// step composed onto it, when the step is a function of the GEMM's
+/// value alone:
+/// - it is an `Add`, `Mul`, `Div`, `Pow` or `MonotoneLut` (Gelu,
+///   Sigmoid, HardSwish) whose operands are one value — a matmul-backed
+///   GEMM's, or one already folded into such a GEMM — and `Constant`s,
+///   which are zeros, all as long as the step's value;
+/// - that value has no other reader;
+/// - it is not converted on the way in, and keeps its label — a
+///   constant's zeros are zeros in either layout;
+/// - the GEMM writes every byte of its value, so no zero a scatter
+///   leaves escapes the map.
+///
+/// The map is the step's own `hostops` kernel run over the 16 bytes the
+/// GEMM's map gives so far — the arithmetic the step would run, so the
+/// fold is exact by construction.
+fn epilogue_of(steps: &[Step], readers: &[usize], index: usize) -> Option<(usize, ByteMap)> {
+    let step = &steps[index];
+    let constant = |p: usize| matches!(steps[p].kind, StepKind::Constant);
+    let from = *step.inputs.iter().find(|&&p| !constant(p))?;
+    let gemm = match (&steps[from].kind, steps[from].fold) {
+        (StepKind::Gemm(g), None) if g.runs_matmul() => from,
+        (_, Some(Fold::Epilogue { gemm })) => gemm,
+        _ => return None,
+    };
+    let StepKind::Gemm(g) = &steps[gemm].kind else {
+        return None;
+    };
+    let reads = step.inputs.iter().filter(|&&p| p == from).count();
+    let operands = step
+        .inputs
+        .iter()
+        .all(|&p| (p == from || constant(p)) && steps[p].out_len == step.out_len);
+    // Zeros are zeros in either layout; the mapped value is not.
+    let mapped = &steps[from];
+    let unconverted = layout::two_forms(mapped).is_none()
+        || (mapped.out_layout == step.in_layout && mapped.out_layout == step.out_layout);
+    if readers[from] != reads
+        || !operands
+        || !unconverted
+        || !g.writes_every_byte(steps[gemm].out_len)
+    {
+        return None;
+    }
+    let lanes = g.map.entries();
+    let zeros = [0u8; 16];
+    let arg = |p: usize| if p == from { &lanes[..] } else { &zeros[..] };
+    let mut out = [0u8; 16];
+    match (&step.kind, step.inputs.as_slice()) {
+        (StepKind::Add, &[a, b]) => hostops::add_avg_into(arg(a), arg(b), &mut out),
+        (StepKind::Mul, &[a, b]) => hostops::mul_shift4_into(arg(a), arg(b), ACT_MAX, &mut out),
+        (StepKind::Div, &[a, b]) => hostops::div_lut_into(arg(a), arg(b), &mut out),
+        (StepKind::Pow, &[a]) => hostops::pow_sq_into(arg(a), ACT_MAX, &mut out),
+        (StepKind::MonotoneLut, &[a]) => hostops::monotone_lut_into(arg(a), &mut out),
+        _ => return None,
+    }
+    Some((gemm, ByteMap::new(out)?))
+}
+
+/// Gives every step its operand slots and its result slot, its folds
+/// decided: a liveness scan over `uses` (the reads of each value, the
+/// model output's one more) that reuses dead slots and runs a
+/// pass-through step in place when its input dies with it. A folded
+/// step's value is the bytes its GEMM wrote, so it takes the slot of the
+/// value it maps; an unread constant takes none ([`NO_SLOT`]). Returns
+/// the slots' sizes.
+fn assign_slots(steps: &mut [Step], mut uses: Vec<usize>) -> Vec<usize> {
+    let mut slot_sizes: Vec<usize> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    for index in 0..steps.len() {
+        let step = &steps[index];
+        let in_slots: Vec<usize> = step.inputs.iter().map(|&p| steps[p].out_slot).collect();
+        let out_slot = match step.fold {
+            Some(Fold::Unread) => NO_SLOT,
+            Some(Fold::Epilogue { .. }) => in_slots[mapped_operand(steps, step)],
+            None if matches!(step.kind, StepKind::Passthrough)
+                && step.inputs.first().is_some_and(|&p| uses[p] == 1) =>
+            {
+                in_slots[0]
+            }
+            None => free.pop().unwrap_or_else(|| {
+                slot_sizes.push(0);
+                slot_sizes.len() - 1
+            }),
+        };
+        if out_slot != NO_SLOT {
+            slot_sizes[out_slot] = slot_sizes[out_slot].max(step.out_len);
+        }
+        for &p in &step.inputs {
+            uses[p] -= 1;
+            let slot = steps[p].out_slot;
+            if uses[p] == 0 && slot != out_slot && slot != NO_SLOT {
+                free.push(slot);
+            }
+        }
+        steps[index].in_slots = in_slots;
+        steps[index].out_slot = out_slot;
+    }
+    slot_sizes
+}
+
+/// Which operand of the folded `step` is the value it maps: the one that
+/// is not a constant.
+fn mapped_operand(steps: &[Step], step: &Step) -> usize {
+    step.inputs
+        .iter()
+        .position(|&p| !matches!(steps[p].kind, StepKind::Constant))
+        .unwrap_or(0)
 }
 
 /// One k-tile of a GEMM step's weights for the source of
@@ -866,22 +1048,17 @@ impl InferencePlan {
                 message: "cannot plan an empty graph".to_string(),
             });
         }
-        let mut uses = vec![0usize; nodes.len()];
+        // How many reads each value has; the model output one more, so
+        // it is never freed.
+        let mut readers = vec![0usize; nodes.len()];
         for node in nodes {
             for &i in &node.inputs {
-                uses[i.0] += 1;
+                readers[i.0] += 1;
             }
         }
-        let Some(output_node) = nodes.last() else {
-            unreachable!("guarded by the non-empty check above");
-        };
-        let output_id = output_node.id;
-        uses[output_id.0] += 1; // the model output is never freed
+        readers[nodes.len() - 1] += 1;
 
         let mut steps: Vec<Step> = Vec::with_capacity(nodes.len());
-        let mut slot_of = vec![usize::MAX; nodes.len()];
-        let mut slot_sizes: Vec<usize> = Vec::new();
-        let mut free: Vec<usize> = Vec::new();
         let mut input_len = 0usize;
         let mut weight_bytes = 0usize;
         let mut gemm_macs = 0u64;
@@ -1041,58 +1218,41 @@ impl InferencePlan {
                 OpKind::Concat => (StepKind::Concat, in_len(0) + in_len(1)),
             };
 
-            // Slot assignment: reuse dead slots; pass-through steps whose
-            // input dies here run in place.
-            let in_slots: Vec<usize> = node.inputs.iter().map(|&i| slot_of[i.0]).collect();
-            let aliases_input = matches!(kind, StepKind::Passthrough)
-                && node.inputs.first().is_some_and(|&i| uses[i.0] == 1);
-            let out_slot = if aliases_input {
-                in_slots[0]
-            } else {
-                free.pop().unwrap_or_else(|| {
-                    slot_sizes.push(0);
-                    slot_sizes.len() - 1
-                })
-            };
-            slot_sizes[out_slot] = slot_sizes[out_slot].max(out_len);
-            slot_of[node.id.0] = out_slot;
-            for &i in &node.inputs {
-                uses[i.0] -= 1;
-                if uses[i.0] == 0 && slot_of[i.0] != out_slot {
-                    free.push(slot_of[i.0]);
-                }
-            }
-
             let (inputs, image) = Step::graph_facts(node, out_len);
             steps.push(Step {
                 node: node.id,
                 name: node.name.clone(),
                 op: node.kind.to_string(),
                 kind,
-                in_slots,
-                out_slot,
+                in_slots: Vec::new(),
+                out_slot: NO_SLOT,
                 out_len,
                 inputs,
                 image,
                 in_layout: ActLayout::Chw,
                 out_layout: ActLayout::Chw,
+                fold: None,
             });
         }
 
-        // The layouts, for the whole schedule at once.
+        // The layouts, for the whole schedule at once; then what folds
+        // into a GEMM's requantisation, which needs them; then the slots,
+        // which need both.
         let labels = select(&steps);
         for (step, (in_layout, out_layout)) in steps.iter_mut().zip(labels) {
             (step.in_layout, step.out_layout) = (in_layout, out_layout);
         }
+        fold_epilogues(&mut steps, &readers);
+        let slot_sizes = assign_slots(&mut steps, readers);
 
         // One step per node and the graph is non-empty.
-        let output_len = steps.last().map(|s| s.out_len).unwrap_or(0);
+        let (output_len, output_slot) = steps.last().map_or((0, 0), |s| (s.out_len, s.out_slot));
         Ok(InferencePlan {
             steps,
             slot_sizes,
             input_len,
             output_len,
-            output_slot: slot_of[output_id.0],
+            output_slot,
             seed,
             weight_bytes,
             gemm_macs,
@@ -1188,6 +1348,14 @@ impl InferencePlan {
             h.u64(step.in_layout as u64);
             h.u64(step.out_layout as u64);
             hash_step_kind(&mut h, &step.kind);
+            match step.fold {
+                None => {}
+                Some(Fold::Epilogue { gemm }) => {
+                    h.u64(16);
+                    h.u64(gemm as u64);
+                }
+                Some(Fold::Unread) => h.u64(17),
+            }
         }
         h.finish()
     }
@@ -1287,6 +1455,33 @@ impl InferencePlan {
             .iter()
             .filter(|s| layout::two_forms(s).is_some())
             .count()
+    }
+
+    /// The steps folded into GEMM step `gemm`'s requantisation, by
+    /// operator, in schedule order — its epilogue; empty when nothing
+    /// folded into it (DESIGN.md §4d, *Epilogue maps*).
+    pub fn epilogue(&self, gemm: NodeId) -> Vec<&str> {
+        self.steps
+            .iter()
+            .filter(|s| s.fold == Some(Fold::Epilogue { gemm: gemm.0 }))
+            .map(|s| s.op.as_str())
+            .collect()
+    }
+
+    /// How many steps run as part of a GEMM's requantisation, and how
+    /// many constants only they read — which run nothing and hold no
+    /// slot.
+    pub fn folded_steps(&self) -> (usize, usize) {
+        let count = |f: fn(&Fold) -> bool| {
+            self.steps
+                .iter()
+                .filter(|s| s.fold.as_ref().is_some_and(f))
+                .count()
+        };
+        (
+            count(|f| matches!(f, Fold::Epilogue { .. })),
+            count(|f| *f == Fold::Unread),
+        )
     }
 
     /// Bytes of weights the plan keeps resident, as `(panels,
@@ -1504,6 +1699,21 @@ impl InferencePlan {
                     return Err(InferError::DeadlineExceeded { elapsed, deadline });
                 }
             }
+            // A folded step's value is already in its slot, written by
+            // its GEMM's epilogue; an unread constant has no slot.
+            if let Some(fold) = step.fold {
+                if let (Some(r), Fold::Epilogue { gemm }) = (report.as_deref_mut(), fold) {
+                    r.per_op.push(OpTiming {
+                        node: step.node,
+                        name: step.name.clone(),
+                        op: step.op.clone(),
+                        duration: Duration::ZERO,
+                        elementwise_bytes: None,
+                        folded_into: Some(self.steps[gemm].node),
+                    });
+                }
+                continue;
+            }
             let t0 = report.is_some().then(Instant::now);
             let InferArena { slots, adapted, .. } = &mut *arena;
             // The one layout adapter: an operand its producer left in
@@ -1604,6 +1814,7 @@ impl InferencePlan {
                     duration: d,
                     elementwise_bytes: (!matches!(step.kind, StepKind::Gemm(_)))
                         .then_some(step.out_len),
+                    folded_into: None,
                 });
             }
         }
@@ -1661,9 +1872,10 @@ impl InferencePlan {
                 // buffer.
                 let consumed_later = |i: usize| {
                     let slot = self.steps[i].out_slot;
-                    self.steps[i + 1..]
-                        .iter()
-                        .any(|s| s.in_slots.contains(&slot))
+                    slot != NO_SLOT
+                        && self.steps[i + 1..]
+                            .iter()
+                            .any(|s| s.in_slots.contains(&slot))
                 };
                 let candidates: Vec<usize> = (0..self.steps.len())
                     .filter(|&i| consumed_later(i))
@@ -1717,6 +1929,23 @@ impl InferencePlan {
                     })
                     .is_some()
             }
+            PlanMutation::ForgeMap => {
+                // Another value for the top activation byte in the first
+                // matmul GEMM's epilogue map: the GEMM's bytes change, and
+                // the map is no longer its folded steps' composition.
+                self.steps
+                    .iter_mut()
+                    .find_map(|s| match &mut s.kind {
+                        StepKind::Gemm(g) if g.runs_matmul() => {
+                            let mut entries = g.map.entries();
+                            entries[ACT_MAX as usize] ^= 1;
+                            g.map = ByteMap::new(entries)?;
+                            Some(())
+                        }
+                        _ => None,
+                    })
+                    .is_some()
+            }
             PlanMutation::FlipLayout { step, out } => {
                 // Relabel one side of one step: the step (or whoever
                 // reads its value) now runs another form than the
@@ -1758,6 +1987,11 @@ pub enum PlanMutation {
     /// Off-by-one the first GEMM's folded requantization shift (range
     /// analysis: folded shifts match the depth-k policy).
     BumpShift,
+    /// Change one entry of the first matmul GEMM's epilogue map (range
+    /// analysis: a stored map is the composition of the steps folded
+    /// into the GEMM, recomputed from the analyzer's own transfer
+    /// functions).
+    ForgeMap,
     /// Flip the layout label step `step` reads its operands in, or
     /// (`out`) leaves its value in. Not an analyzer finding — the arena
     /// is as sound as before — but the labels are no longer the ones
@@ -1794,6 +2028,7 @@ fn gemm_view_facts(g: &GemmStep) -> gcd2_verify::GemmFacts {
         n: g.n,
         shift: g.shift,
         policy_shift: gemm_shift(g.k),
+        map: g.map.entries(),
         // Only the CHW scatter can leave output positions unwritten
         // (zero), when the GEMM produces fewer rows than the spatial
         // extent (ConvTranspose-style upsampling).
@@ -1814,6 +2049,7 @@ impl gcd2_verify::InferPlanView for InferencePlan {
     fn step(&self, index: usize) -> gcd2_verify::InferStep {
         let s = &self.steps[index];
         let role = match &s.kind {
+            _ if matches!(s.fold, Some(Fold::Epilogue { .. })) => gcd2_verify::StepRole::Folded,
             StepKind::Input => gcd2_verify::StepRole::Input,
             StepKind::Constant => gcd2_verify::StepRole::Constant,
             StepKind::Gemm(g) => gcd2_verify::StepRole::Gemm(gemm_view_facts(g)),
@@ -1943,7 +2179,8 @@ impl GemmRun<'_> {
         let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
         // The multiply's rows are the slot's bytes: a MatMul's result,
         // a conv's when its value is labelled rows. Requantisation
-        // clamps to the activation ceiling, so they are finished.
+        // clamps to the activation ceiling and runs the steps folded into
+        // the GEMM, so they are finished.
         let scatter = match g.scatter {
             Scatter::Chw { spatial } if step.out_layout == ActLayout::Chw => Some(spatial),
             _ => None,
@@ -1957,7 +2194,7 @@ impl GemmRun<'_> {
             m,
             k,
             &g.panel,
-            (g.shift, ACT_MAX),
+            (g.shift, ACT_MAX, g.map),
             &mut stage.scratch,
             product,
         )
@@ -2609,6 +2846,7 @@ mod tests {
             PlanMutation::SwapSlots,
             PlanMutation::ShrinkSlot,
             PlanMutation::BumpShift,
+            PlanMutation::ForgeMap,
             PlanMutation::FlipLayout { step: 1, out: true },
         ] {
             let mut plan = compiled.inference_plan(3);

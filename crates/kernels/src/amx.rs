@@ -303,28 +303,33 @@ unsafe fn store_accumulators<const RA: usize, const CB: usize>(c: &mut CBlock) {
 
 /// Requantises the leading `rows × cols` corner of a C block into
 /// `out` (row stride `n`) — [`simd::requantize`]'s
-/// `clamp(v >> shift, 0, clamp)`, sixteen columns per instruction: the
-/// arithmetic shift, `max(·, 0)`, `min(·, clamp)`, then a down-convert
-/// that can no longer saturate. Columns past `cols` (the dead columns
-/// of a padded last strip) are masked out of the store.
+/// `map[clamp(v >> shift, 0, clamp)]`, sixteen columns per instruction:
+/// the arithmetic shift, `max(·, 0)`, `min(·, clamp)`, then — when the
+/// epilogue has a map (`MAPPED`; `table` holds its sixteen entries as
+/// i32 lanes) — one `vpermd` that indexes the table by each lane, and a
+/// down-convert that can no longer saturate. Columns past `cols` (the
+/// dead columns of a padded last strip) are masked out of the store.
+/// The identity is the other instantiation, so a GEMM with nothing
+/// folded runs the loop it ran before maps existed.
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available, `rows <= 32`,
 /// `1 <= cols <= 32` and `out` points at `rows` rows of `cols` writable
-/// bytes, `n` apart.
+/// bytes, `n` apart; when `MAPPED`, `clamp <= 15`.
 #[target_feature(enable = "avx512f")]
-unsafe fn requantize_block(
+unsafe fn requantize_block<const MAPPED: bool>(
     c: &CBlock,
     rows: usize,
     cols: usize,
-    shift: u8,
-    clamp: u8,
+    (shift, clamp, table): (u8, u8, &[i32; 16]),
     out: *mut u8,
     n: usize,
 ) {
     let count = _mm_cvtsi32_si128(shift as i32);
     let zero = _mm512_setzero_si512();
     let ceiling = _mm512_set1_epi32(clamp as i32);
+    // SAFETY: a 64-byte unaligned load of the sixteen i32 entries.
+    let table = unsafe { _mm512_loadu_si512(table.as_ptr() as *const _) };
     for r in 0..rows {
         for (s, c0) in (0..cols).step_by(16).enumerate() {
             let lanes = ((1u32 << (cols - c0).min(16)) - 1) as __mmask16;
@@ -334,7 +339,11 @@ unsafe fn requantize_block(
             unsafe {
                 let v = _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * s) as *const _);
                 let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
-                let v = _mm512_min_epi32(v, ceiling);
+                let mut v = _mm512_min_epi32(v, ceiling);
+                if MAPPED {
+                    // Every lane is in 0..=15: its own table index.
+                    v = _mm512_permutexvar_epi32(v, table);
+                }
                 _mm512_mask_cvtusepi32_storeu_epi8(out.add(r * n + c0) as *mut i8, lanes, v);
             }
         }
@@ -382,7 +391,7 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
     b_strip: usize,
     c: &mut CBlock,
     cols: usize,
-    (shift, clamp): (u8, u8),
+    requant: (u8, u8, Option<&[i32; 16]>),
     out: *mut u8,
     n: usize,
 ) {
@@ -395,7 +404,14 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
             accumulate::<RA, CB>(a_tail.cast(), 64, b.add(kfull * TILE_QUADS), b_strip, 1);
         }
         store_accumulators::<RA, CB>(c);
-        requantize_block(c, 16 * RA, cols, shift, clamp, out, n);
+        match requant {
+            (shift, clamp, Some(table)) => {
+                requantize_block::<true>(c, 16 * RA, cols, (shift, clamp, table), out, n)
+            }
+            (shift, clamp, None) => {
+                requantize_block::<false>(c, 16 * RA, cols, (shift, clamp, &[0; 16]), out, n)
+            }
+        }
     }
 }
 
@@ -426,6 +442,7 @@ pub(crate) unsafe fn band_amx(
         n,
         shift,
         clamp,
+        map,
         tiles: TilePlan { mb, .. },
         ..
     } = *args;
@@ -451,6 +468,7 @@ pub(crate) unsafe fn band_amx(
         a_tail.resize(mb, Line([0; 64]));
     }
     let mut c = CBlock([0; 32 * 32]);
+    let table = (!map.is_identity()).then(|| map.entries().map(i32::from));
 
     // SAFETY: amx_available() held at dispatch resolution.
     unsafe { configure_tiles() };
@@ -494,7 +512,7 @@ pub(crate) unsafe fn band_amx(
                         b_strip,
                         &mut c,
                         cols,
-                        (shift, clamp),
+                        (shift, clamp, table.as_ref()),
                         out,
                         n,
                     )
@@ -525,14 +543,15 @@ pub(crate) unsafe fn band_amx(
                 k.div_ceil(4).max(1),
             );
         }
-        simd::requantize(acc, shift, clamp, &mut out_band[tile_rows * n..]);
+        // SAFETY: amx_available() verified AVX-512F.
+        unsafe { simd::x86::requantize512(acc, shift, clamp, map, &mut out_band[tile_rows * n..]) };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::{KernelIsa, PanelKind, WeightPanel};
+    use crate::dispatch::{ByteMap, KernelIsa, PanelKind, WeightPanel};
 
     fn reference(
         a: &[u8],
@@ -590,6 +609,7 @@ mod tests {
                     wd: &[],
                     shift: 3,
                     clamp,
+                    map: ByteMap::IDENTITY,
                     tiles: TilePlan { mb: 48, kb: 128 },
                 };
                 let mut scratch = BandScratch::default();

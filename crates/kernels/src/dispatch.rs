@@ -160,7 +160,55 @@ pub(crate) struct BandArgs<'a> {
     /// clamp)`. 255 is the plain u8 saturation; a plan passes its
     /// activation ceiling so the bytes a GEMM writes are finished.
     pub clamp: u8,
+    /// What each clamped byte becomes: the last step of every
+    /// requantisation site. The identity costs nothing — each site tests
+    /// for it once per call — and any other map comes with `clamp ≤ 15`.
+    pub map: ByteMap,
     pub tiles: TilePlan,
+}
+
+/// A GEMM epilogue's byte map: the requantised, clamped value `v`
+/// becomes entry `v`. An activation is one of the 16 values `0..=15`,
+/// so a chain of position-blind unary steps after a GEMM is one such
+/// table — an inference plan folds it into the GEMM's requantisation
+/// (DESIGN.md §4d, *Epilogue maps*) — and every entry is such a value
+/// again. The identity passes any byte through unchanged; any other map
+/// is only defined under a clamp of at most 15
+/// ([`GemmDispatchError::MapClamp`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ByteMap([u8; 16]);
+
+impl ByteMap {
+    /// Every value to itself: what a GEMM without a folded tail runs.
+    pub const IDENTITY: ByteMap = ByteMap([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]);
+
+    /// The map with these entries, when each is at most 15.
+    pub fn new(entries: [u8; 16]) -> Option<ByteMap> {
+        entries.iter().all(|&e| e < 16).then_some(ByteMap(entries))
+    }
+
+    /// Entry `v` is what the value `v` becomes.
+    pub fn entries(self) -> [u8; 16] {
+        self.0
+    }
+
+    /// Whether every value maps to itself.
+    pub fn is_identity(self) -> bool {
+        self == ByteMap::IDENTITY
+    }
+
+    /// Entry `v` of `entries` (`v ≤ 15`) as a select: a compare and a
+    /// mask per entry, byte lanes only, which LLVM vectorises on every
+    /// tier — baseline x86-64 included, where a table read or a per-lane
+    /// variable shift of a nibble-packed `u64` does not (DESIGN.md §4d,
+    /// *Epilogue maps*, has the per-tier costs).
+    #[inline(always)]
+    pub(crate) fn select(entries: &[u8; 16], v: u8) -> u8 {
+        entries
+            .iter()
+            .zip(0u8..)
+            .fold(0, |m, (&e, k)| m | (e & 0u8.wrapping_sub(u8::from(v == k))))
+    }
 }
 
 /// Which form of a weight matrix a kernel reads.
@@ -700,7 +748,7 @@ fn dispatch(
     m: usize,
     k: usize,
     weights: Weights<'_>,
-    (shift, clamp): (u8, u8),
+    (shift, clamp, map): (u8, u8, ByteMap),
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> PanelSource {
@@ -741,6 +789,7 @@ fn dispatch(
         wd,
         shift,
         clamp,
+        map,
         tiles: tile_plan(m, k, n, active.isa),
     };
     // SAFETY: table resolution verified ISA support; the caller's
@@ -767,7 +816,8 @@ pub(crate) fn run_single(
     // No clear(): the kernel writes the whole of `out`, so zeroing the
     // previous call's bytes first is a memset nobody reads.
     out.resize(m * w.cols(), 0);
-    dispatch(a, m, k, Weights::Matrix(w), (shift, u8::MAX), scratch, out);
+    let requant = (shift, u8::MAX, ByteMap::IDENTITY);
+    dispatch(a, m, k, Weights::Matrix(w), requant, scratch, out);
 }
 
 /// [`crate::try_matmul_blocked_into`] with its scratch checked out of
@@ -801,30 +851,37 @@ pub fn try_matmul_threaded_into(
 
 /// The GEMM as an inference plan calls it: with the weights' resident
 /// panel, into the caller's `m × n` bytes (`n` is the panel's),
-/// clamped to `clamp` instead of 255, working in the `scratch` the
+/// requantised as `requant = (shift, clamp, map)` — clamped to `clamp`
+/// instead of 255, then through `map` — working in the `scratch` the
 /// caller's arena owns. The dispatch packs nothing when `panel` holds
 /// the form the tier it resolves reads, and says which it was; a panel
 /// of another form is read back a k-tile at a time and repacked for
-/// the call, never misread. With the clamp folded into requantisation
-/// the bytes in `out` are finished activations: a plan points `out` at
-/// the output slot itself when the GEMM's rows are the slot's layout.
-/// Hosts the `infer.gemm` fault point.
+/// the call, never misread. With the clamp and the map folded into
+/// requantisation the bytes in `out` are finished activations: a plan
+/// points `out` at the output slot itself when the GEMM's rows are the
+/// slot's layout. Hosts the `infer.gemm` fault point.
 ///
 /// # Errors
 /// See [`try_matmul_threaded_into`] — a panel filled with other than
 /// exactly `k` rows is [`GemmDispatchError::WeightRows`]; also
-/// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes.
+/// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes and
+/// [`GemmDispatchError::MapClamp`] for a map other than the identity
+/// under a clamp above 15.
 pub fn try_matmul_panel_into(
     a: &[u8],
     m: usize,
     k: usize,
     panel: &WeightPanel,
-    requant: (u8, u8),
+    requant: (u8, u8, ByteMap),
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
     let _ = gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, panel.filled, requant.0)?;
+    let (_, clamp, map) = requant;
+    if clamp > 15 && !map.is_identity() {
+        return Err(GemmDispatchError::MapClamp { clamp });
+    }
     if panel.filled != panel.k {
         return Err(GemmDispatchError::WeightRows {
             expected: panel.k,
@@ -1129,6 +1186,7 @@ mod tests {
                                 wd,
                                 shift: 6,
                                 clamp: u8::MAX,
+                                map: ByteMap::IDENTITY,
                                 tiles: *tiles,
                             };
                             // What a plan's GEMM meets: the panel last

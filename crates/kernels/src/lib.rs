@@ -52,7 +52,7 @@ pub use conv::{
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
-    try_matmul_panel_into, try_matmul_threaded_into, KernelIsa, PanelSource, ScalarPin,
+    try_matmul_panel_into, try_matmul_threaded_into, ByteMap, KernelIsa, PanelSource, ScalarPin,
     ScratchPool, WeightPanel, KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};

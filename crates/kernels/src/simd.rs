@@ -2,7 +2,9 @@
 //!
 //! Each kernel computes the same function as the scalar oracle
 //! ([`crate::tiled`]): `out[r][j] = clamp((Σ_kk a[r][kk] · w[kk][j]) >>
-//! shift, 0, clamp)` (`clamp` is the dispatch's, at most 255) with i32 **wrapping** accumulation. Wrapping addition
+//! shift, 0, clamp)` (`clamp` is the dispatch's, at most 255), then
+//! through the epilogue's byte map (`BandArgs::map`, the identity unless
+//! a plan folded steps into the GEMM), with i32 **wrapping** accumulation. Wrapping addition
 //! is associative and commutative, so any accumulation order — register
 //! tiles, pair-summed `madd`, widened NEON lanes — produces bytes
 //! identical to the scalar loop. That bit-exactness is the contract: the
@@ -25,7 +27,7 @@
 //! loses), and the VNNI narrow kernel skips whole 64-byte blocks.
 //! All choices produce identical bytes.
 
-use crate::dispatch::BandArgs;
+use crate::dispatch::{BandArgs, ByteMap};
 use crate::tiled::BandScratch;
 use crate::tiled::TilePlan;
 
@@ -180,11 +182,23 @@ pub(crate) fn unpack_quad_ktile(src: &[QuadRow], n: usize, strip_stride: usize, 
     }
 }
 
-/// Requantize an i32 accumulator band to output bytes — shared epilogue
-/// of every band kernel, identical to the scalar oracle's epilogue.
-pub(crate) fn requantize(acc: &[i32], shift: u8, clamp: u8, out: &mut [u8]) {
+/// Requantize an i32 accumulator band to output bytes,
+/// `map[clamp(v >> shift, 0, clamp)]` — the shared epilogue of the
+/// scalar oracle and of the AVX2 and NEON bands (the AVX-512 tiers map
+/// in zmm lanes, `x86::requantize512`). A map other than the identity is
+/// a second pass over the clamped bytes while they are in L1
+/// ([`ByteMap::select`]). Always inlined, so each band kernel's copy is
+/// vectorised for its own `target_feature`s.
+#[inline(always)]
+pub(crate) fn requantize(acc: &[i32], shift: u8, clamp: u8, map: ByteMap, out: &mut [u8]) {
     for (dst, &v) in out.iter_mut().zip(acc.iter()) {
         *dst = (v >> shift).clamp(0, clamp as i32) as u8;
+    }
+    if !map.is_identity() {
+        let entries = map.entries();
+        for b in out.iter_mut() {
+            *b = ByteMap::select(&entries, *b);
+        }
     }
 }
 
@@ -193,7 +207,7 @@ pub(crate) mod x86 {
     #![allow(clippy::too_many_arguments)]
 
     use super::{
-        quad_panel_rows, requantize, BandArgs, BandScratch, QuadRow, TilePlan, TILE_QUADS,
+        quad_panel_rows, requantize, BandArgs, BandScratch, ByteMap, QuadRow, TilePlan, TILE_QUADS,
     };
     use core::arch::x86_64::*;
 
@@ -232,6 +246,7 @@ pub(crate) mod x86 {
             n,
             shift,
             clamp,
+            map,
             tiles,
             ..
         } = *args;
@@ -280,7 +295,13 @@ pub(crate) mod x86 {
                 }
                 p0 = p1;
             }
-            requantize(acc, shift, clamp, &mut out_band[rb * n..(rb + mrows) * n]);
+            requantize(
+                acc,
+                shift,
+                clamp,
+                map,
+                &mut out_band[rb * n..(rb + mrows) * n],
+            );
             rb += mrows;
         }
     }
@@ -450,6 +471,7 @@ pub(crate) mod x86 {
             n,
             shift,
             clamp,
+            map,
             tiles,
             ..
         } = *args;
@@ -460,7 +482,9 @@ pub(crate) mod x86 {
             // skinny conv outputs (e.g. a 3-channel final layer) this is
             // the difference between scalar and full VNNI throughput.
             // SAFETY: same CPU features and slice contracts as this fn.
-            return unsafe { band_vnni_narrow(a, k, n, quads, shift, clamp, r0, r1, out_band) };
+            return unsafe {
+                band_vnni_narrow(a, k, n, quads, (shift, clamp, map), r0, r1, out_band)
+            };
         }
         let rows = r1 - r0;
         debug_assert_eq!(out_band.len(), rows * n);
@@ -479,8 +503,58 @@ pub(crate) mod x86 {
             // rows r0+rb .. +mrows are < r1 <= m and `acc` holds
             // mrows rows.
             unsafe { rows512(a, k, n, quads, acc, r0 + rb, mrows, kb_quads) };
-            requantize(acc, shift, clamp, &mut out_band[rb * n..(rb + mrows) * n]);
+            // SAFETY: AVX-512F is this fn's.
+            unsafe {
+                requantize512(
+                    acc,
+                    shift,
+                    clamp,
+                    map,
+                    &mut out_band[rb * n..(rb + mrows) * n],
+                )
+            };
             rb += mrows;
+        }
+    }
+
+    /// [`super::requantize`] in zmm lanes — the VNNI bands' epilogue and
+    /// the AMX tier's row remainder: sixteen accumulators per step are
+    /// shifted, clamped, looked up in the map with one `vpermd`
+    /// (`_mm512_permutexvar_epi32` indexes the entries, held as i32 lanes,
+    /// by each lane) and down-converted. The identity runs the portable
+    /// loop, vectorised here for AVX-512 as it was before maps existed.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F is available; a map other than the
+    /// identity needs `clamp <= 15`.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn requantize512(
+        acc: &[i32],
+        shift: u8,
+        clamp: u8,
+        map: ByteMap,
+        out: &mut [u8],
+    ) {
+        if map.is_identity() {
+            return requantize(acc, shift, clamp, map, out);
+        }
+        let entries = map.entries().map(i32::from);
+        // SAFETY: a 64-byte unaligned load of the sixteen i32 entries.
+        let table = unsafe { _mm512_loadu_si512(entries.as_ptr() as *const _) };
+        let count = _mm_cvtsi32_si128(shift as i32);
+        let (zero, ceiling) = (_mm512_setzero_si512(), _mm512_set1_epi32(clamp as i32));
+        for (dst, src) in out.chunks_mut(16).zip(acc.chunks(16)) {
+            let len = dst.len().min(src.len());
+            let lanes = ((1u32 << len) - 1) as __mmask16;
+            // SAFETY: the masked load and store touch the first `len`
+            // elements of `src` and `dst`; masked-off lanes are never
+            // accessed.
+            unsafe {
+                let v = _mm512_maskz_loadu_epi32(lanes, src.as_ptr());
+                let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
+                let v = _mm512_permutexvar_epi32(_mm512_min_epi32(v, ceiling), table);
+                _mm512_mask_cvtusepi32_storeu_epi8(dst.as_mut_ptr() as *mut i8, lanes, v);
+            }
         }
     }
 
@@ -610,13 +684,15 @@ pub(crate) mod x86 {
         k: usize,
         n: usize,
         quads: &[QuadRow],
-        shift: u8,
-        clamp: u8,
+        (shift, clamp, map): (u8, u8, ByteMap),
         r0: usize,
         r1: usize,
         out_band: &mut [u8],
     ) {
         debug_assert!(n < 16);
+        // The identity passes every clamped byte through; any other map
+        // comes with a clamp of at most 15 (`ByteMap`).
+        let entries = (!map.is_identity()).then(|| map.entries());
         debug_assert_eq!(quads.len(), quad_panel_rows(k, n));
         // With one strip, the strip's quad rows are consecutive over all
         // of `k`: weight `(kk, j)` is byte `4j + kk % 4` of quad row
@@ -657,7 +733,11 @@ pub(crate) mod x86 {
                         sum = sum.wrapping_add(av as i32 * weight(kk, j) as i32);
                     }
                 }
-                *dst = (sum >> shift).clamp(0, clamp as i32) as u8;
+                let v = (sum >> shift).clamp(0, clamp as i32) as u8;
+                *dst = match &entries {
+                    Some(entries) => ByteMap::select(entries, v),
+                    None => v,
+                };
             }
         }
     }
@@ -1517,6 +1597,7 @@ pub(crate) mod arm {
             wd,
             shift,
             clamp,
+            map,
             tiles: TilePlan { mb, kb },
         } = *args;
         let acc_buf = &mut scratch.acc;
@@ -1569,6 +1650,7 @@ pub(crate) mod arm {
                 &acc_buf[..mrows * n],
                 shift,
                 clamp,
+                map,
                 &mut out_band[rb * n..(rb + mrows) * n],
             );
             rb += mrows;

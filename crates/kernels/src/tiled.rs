@@ -178,6 +178,9 @@ pub enum GemmDispatchError {
     ShiftRange { shift: u8 },
     /// The caller's output slice is not `m × n` bytes.
     OutputSize { expected: usize, got: usize },
+    /// A [`crate::ByteMap`] other than the identity under a clamp above
+    /// 15: the map is defined on `0..=15` only.
+    MapClamp { clamp: u8 },
 }
 
 impl std::fmt::Display for GemmDispatchError {
@@ -200,6 +203,9 @@ impl std::fmt::Display for GemmDispatchError {
                 f,
                 "output slice holds {got} bytes, dispatch writes {expected}"
             ),
+            GemmDispatchError::MapClamp { clamp } => {
+                write!(f, "an epilogue byte map under clamp {clamp} (at most 15)")
+            }
         }
     }
 }
@@ -251,6 +257,7 @@ pub(crate) fn scalar_band(
         wd,
         shift,
         clamp,
+        map,
         tiles,
     } = *args;
     let (mb_rows, kb_rows) = (tiles.mb.max(1), tiles.kb.max(1));
@@ -282,9 +289,7 @@ pub(crate) fn scalar_band(
             kb += krows;
         }
         let orows = &mut out_band[(mb - r0) * n..(mb - r0 + mrows) * n];
-        for (dst, &acc) in orows.iter_mut().zip(acc.iter()) {
-            *dst = (acc >> shift).clamp(0, clamp as i32) as u8;
-        }
+        crate::simd::requantize(acc, shift, clamp, map, orows);
         mb += mrows;
     }
 }

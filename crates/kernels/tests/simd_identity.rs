@@ -20,8 +20,8 @@
 
 use gcd2_kernels::{
     force_isa, matmul_ref, pin_scalar, tile_plan, transpose_clamp_into, transpose_clamp_ref,
-    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, GemmScratch,
-    KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
+    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, ByteMap,
+    GemmDispatchError, GemmScratch, KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
@@ -102,7 +102,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 m,
                 k,
                 panel,
-                (shift, 15),
+                (shift, 15, ByteMap::IDENTITY),
                 &mut scratch,
                 &mut out,
             )
@@ -113,7 +113,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 m,
                 k,
                 panel,
-                (shift, 255),
+                (shift, 255, ByteMap::IDENTITY),
                 &mut scratch,
                 &mut out,
             )
@@ -256,6 +256,139 @@ fn the_rules_blocks_match_the_reference() {
         let w = weights(k, n, 8);
         assert_identity(&a, &w, 2);
     }
+}
+
+/// The maps a plan folds into its GEMMs: the identity, all zeros, a
+/// seeded random table, and tinybert's bias add then Gelu (`avg(v, 0)`,
+/// then `u/2 + u/4`).
+fn epilogue_maps() -> [ByteMap; 4] {
+    let random = std::array::from_fn(|v| {
+        let h = (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h ^ (h >> 29)) % 16) as u8
+    });
+    let halve_gelu = std::array::from_fn(|v| {
+        let half = v as u8 / 2;
+        half / 2 + half / 4
+    });
+    let map = |entries| ByteMap::new(entries).expect("entries ≤ 15");
+    [
+        ByteMap::IDENTITY,
+        map([0; 16]),
+        map(random),
+        map(halve_gelu),
+    ]
+}
+
+/// An epilogue map runs after the clamp at every requantisation site:
+/// the AMX tile grid's block store (16, 17, 33, 49 rows), its `rows %
+/// 16` remainder on the VNNI strips (17, 33, 49), the VNNI bands of
+/// fewer than 16 rows and their narrow kernel below 16 columns (8), the
+/// AVX2 pair kernel and its oracle tail below 8 columns (7), and the
+/// shared portable form on the scalar tier — over ragged last strips
+/// (`n % 16 ≠ 0`) and reduction tails (`k < 64`, `k % 64 ≠ 0`). Each run
+/// is held to the reference requantisation clamped to 15 and then looked
+/// up in the map, at every tier the host supports, under a scalar pin,
+/// and from a panel packed on every other tier; together the shapes put
+/// every one of the 16 clamped values through every map.
+///
+/// Two mutants of the kernels were run against this test; the first
+/// failure of each, on an AMX host:
+/// * the map applied before the clamp (`min(map[max(v, 0)], clamp)` at
+///   every site): the seeded random map of
+///   `m = 1`, `k = 19`, `n = 8` at auto-detection — the narrow VNNI
+///   kernel, where an unclamped value indexes the table;
+/// * the AMX `rows % 16` remainder requantised with the identity: the
+///   all-zero map of `m = 17`, `k = 19`, `n = 7` at auto-detection — the
+///   17th row keeps its clamped bytes.
+#[test]
+fn epilogue_maps_follow_the_clamp_at_every_tier() {
+    let _guard = force_guard();
+    let mut seen = [false; 16];
+    let mut scratch = GemmScratch::default();
+    let mut out = Vec::new();
+    for m in [1, 15, 16, 17, 33, 49] {
+        for (k, shift) in [(19, 7u8), (147, 9)] {
+            for n in [7, 8, 26, 40, 312] {
+                let a = activations(m, k, 20, (m * 131 + k * 7 + n) as u64);
+                let w = weights(k, n, (k * n) as u64);
+                let clamped: Vec<u8> = reference_bytes(&a, &w, shift)
+                    .into_iter()
+                    .map(|v| v.min(15))
+                    .collect();
+                for &v in &clamped {
+                    seen[v as usize] = true;
+                }
+                let panels: Vec<WeightPanel> = tiers()
+                    .into_iter()
+                    .map(|tier| {
+                        force_isa(tier);
+                        WeightPanel::pack(&w)
+                    })
+                    .collect();
+                force_isa(None);
+                for map in epilogue_maps() {
+                    let table = map.entries();
+                    let want: Vec<u8> = clamped.iter().map(|&v| table[v as usize]).collect();
+                    let mut check = |tier: &str| {
+                        for (p, panel) in panels.iter().enumerate() {
+                            out.clear();
+                            out.resize(m * n, 0xA5);
+                            try_matmul_panel_into(
+                                a.as_bytes(),
+                                m,
+                                k,
+                                panel,
+                                (shift, 15, map),
+                                &mut scratch,
+                                &mut out,
+                            )
+                            .expect("valid operands");
+                            assert_eq!(out, want, "{tier}, panel {p}, {map:?}, ({m},{k},{n})");
+                        }
+                    };
+                    for tier in tiers() {
+                        force_isa(tier);
+                        check(&format!("{tier:?}"));
+                    }
+                    force_isa(None);
+                    let _pin = pin_scalar();
+                    check("pin_scalar");
+                }
+            }
+        }
+    }
+    assert_eq!(
+        seen, [true; 16],
+        "every clamped value went through the maps"
+    );
+    // A map is defined on the activation range only.
+    let (a, w) = (activations(2, 3, 0, 1), weights(3, 2, 2));
+    let panel = WeightPanel::pack(&w);
+    let mut out = vec![0; 4];
+    let requant = |clamp, map| (0, clamp, map);
+    assert_eq!(
+        try_matmul_panel_into(
+            a.as_bytes(),
+            2,
+            3,
+            &panel,
+            requant(16, epilogue_maps()[2]),
+            &mut scratch,
+            &mut out
+        ),
+        Err(GemmDispatchError::MapClamp { clamp: 16 })
+    );
+    try_matmul_panel_into(
+        a.as_bytes(),
+        2,
+        3,
+        &panel,
+        requant(255, ByteMap::IDENTITY),
+        &mut scratch,
+        &mut out,
+    )
+    .expect("the identity under any clamp");
+    assert_eq!(ByteMap::new([16; 16]), None, "an entry past 15");
 }
 
 /// The tile transpose — both sides of a CHW conv GEMM, and the plan's

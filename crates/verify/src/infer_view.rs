@@ -16,6 +16,9 @@
 
 use std::fmt;
 
+/// The slot of a value no running step writes or reads.
+pub const NO_SLOT: usize = usize::MAX;
+
 /// Role of one step in the schedule, as far as plan-level static
 /// analysis is concerned.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +33,12 @@ pub enum StepRole {
     /// Value-preserving step (ReLU/Reshape/Transpose) that may alias its
     /// input slot in place when the input dies with it.
     Passthrough,
+    /// A unary step folded into a GEMM's requantisation: it runs
+    /// nothing, its value is the bytes the GEMM's epilogue map wrote,
+    /// and it holds them in the slot of the value it maps. Its operands
+    /// are that value and constants; a constant only folded steps read
+    /// has no slot ([`NO_SLOT`]).
+    Folded,
     /// Any other compute step (elementwise, pooling, normalization…).
     Compute,
 }
@@ -51,6 +60,10 @@ pub struct GemmFacts {
     /// step): a corrupted stored shift shows up as
     /// `shift != policy_shift`.
     pub policy_shift: u8,
+    /// The epilogue map folded into the step at build time: requantised
+    /// value `v` becomes `map[v]` (the identity when nothing folded).
+    /// The analyzer recomputes it from the folded steps' operators.
+    pub map: [u8; 16],
     /// Whether the output scatter leaves positions unwritten, i.e. the
     /// output tensor contains zeros beyond the GEMM result
     /// (ConvTranspose-style upsampling scatter).
@@ -102,7 +115,9 @@ pub struct InferStep {
     pub op: String,
     /// Arena slot of each operand, in graph-input order.
     pub in_slots: Vec<usize>,
-    /// Arena slot the result is written to.
+    /// Arena slot the result is written to; [`NO_SLOT`] for a constant
+    /// that only folded steps read, and for those steps' operand slot
+    /// of it.
     pub out_slot: usize,
     /// Result element count.
     pub out_len: usize,

@@ -48,7 +48,7 @@ pub mod plan;
 pub use dataflow::RegisterDataflow;
 pub use diag::{Diagnostic, Report, Severity};
 pub use graph::{infer_shape_checked, GraphInvariants};
-pub use infer_view::{ActLayout, GemmFacts, InferPlanView, InferStep, StepRole};
+pub use infer_view::{ActLayout, GemmFacts, InferPlanView, InferStep, StepRole, NO_SLOT};
 pub use packet::PacketLegality;
 pub use plan::PlanLegality;
 

@@ -85,12 +85,25 @@ fn bumped_requant_shift_is_flagged() {
 }
 
 #[test]
+fn forged_epilogue_map_is_flagged() {
+    let compiled = compiled_model();
+    let analysis = analyze_mutated(&compiled, PlanMutation::ForgeMap);
+    assert_eq!(analysis.verdict(), Verdict::Unsound);
+    assert!(
+        !analysis.of_code(LintCode::MapPolicy).is_empty(),
+        "a GEMM's epilogue map must be the composition of the steps \
+         folded into it, recomputed by the analyzer:\n{analysis}"
+    );
+}
+
+#[test]
 fn every_mutation_is_caught_with_zero_false_negatives() {
     let compiled = compiled_model();
     for mutation in [
         PlanMutation::SwapSlots,
         PlanMutation::ShrinkSlot,
         PlanMutation::BumpShift,
+        PlanMutation::ForgeMap,
     ] {
         let analysis = analyze_mutated(&compiled, mutation);
         assert_eq!(

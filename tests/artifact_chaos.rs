@@ -215,7 +215,8 @@ fn version_skew_degrades_with_recorded_fallback() {
     let cold = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("seed");
     let path = cache.path_for(&cold.key);
     let mut bytes = std::fs::read(&path).expect("stored");
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+    let future = gcd2_repro::artifact::FORMAT_VERSION + 1;
+    bytes[8..12].copy_from_slice(&future.to_le_bytes());
     std::fs::write(&path, &bytes).expect("skew");
 
     let healed = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("degrade");

@@ -8,6 +8,7 @@
 //! `GCD2_REGEN_HOSTILE=1 cargo test --test artifact_hostile` — the
 //! corpus derives deterministically from `tests/data/golden.gcd2art`.
 
+use gcd2_repro::analyze::{LintCode, Verdict};
 use gcd2_repro::artifact::{Artifact, ArtifactError, ArtifactWriter};
 use gcd2_repro::cgraph::{to_text, Graph, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource, SEC_GRAPH};
@@ -286,8 +287,10 @@ fn temp_cache(tag: &str) -> ArtifactCache {
 /// derives the pristine one from the graph, and that does not hash to
 /// the forged checksum. The artifact stays a cache, never a capability —
 /// it cannot say which slot a kernel reads, how long a value is, what a
-/// GEMM shifts by, or whether a step reads rows or planes — and a cache
-/// entry holding a forgery is one recorded fallback that heals.
+/// GEMM shifts by or maps its bytes through, or whether a step reads
+/// rows or planes — and a cache entry holding a forgery is one recorded
+/// fallback that heals. A forged epilogue map is also an analyzer
+/// finding on the re-stamped plan itself.
 #[test]
 fn forged_schedules_are_unrepresentable() {
     let graph = rows_conv_graph();
@@ -302,6 +305,8 @@ fn forged_schedules_are_unrepresentable() {
         ("swapped slots", PlanMutation::SwapSlots),
         ("shrunk slot", PlanMutation::ShrinkSlot),
         ("bumped shift", PlanMutation::BumpShift),
+        // `c1`'s requantised 15 becomes 14.
+        ("forged map", PlanMutation::ForgeMap),
         // `c2` reads planes although `c1` left rows.
         (
             "flipped in-label",
@@ -328,6 +333,11 @@ fn forged_schedules_are_unrepresentable() {
         let mut plan = compiled.inference_plan(7);
         assert!(plan.mutate_for_test(mutation), "{what}: found no site");
         assert_ne!(plan.checksum(), pristine.checksum(), "{what}: re-stamped");
+        if mutation == PlanMutation::ForgeMap {
+            let analysis = compiled.analyze_plan(&plan);
+            assert_eq!(analysis.verdict(), Verdict::Unsound, "{what}");
+            assert!(!analysis.of_code(LintCode::MapPolicy).is_empty(), "{what}");
+        }
         let forged = encode(&compiled, &plan, "forged").expect("encode");
         // The container and the chain vouch for the forgery...
         let art = Artifact::decode(&forged).expect("container checksums hold");

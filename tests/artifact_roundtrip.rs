@@ -114,13 +114,15 @@ fn catalog_models_round_trip_bit_identically() {
 /// while every checksum was byte-serial FNV-1a (version 3: same fields,
 /// other values), and while a section of timed tile hints rode along
 /// (version 4), and while the step schedule was stored beside the graph
-/// it is a function of (version 5) — are refused as a version skew, and
+/// it is a function of (version 5), and before unary steps folded into
+/// their GEMM's requantisation (version 6: same sections, other
+/// derivation) — are refused as a version skew, and
 /// a cache that still holds one degrades to a recorded fallback compile
 /// that heals the entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    for version in [1, 2, 3, 4, 5] {
+    for version in 1..=6 {
         let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
             .expect("an earlier version's golden");
         match decode(&old) {
@@ -223,7 +225,7 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
     assert!(detected == emit(), "bytes differ between builds");
 }
 
-/// Sections are looked up by id: a format-6 artifact that carries a
+/// Sections are looked up by id: a format-7 artifact that carries a
 /// section this build does not know still loads to the same plan —
 /// under the id format 5 kept its schedule under (a stray one says
 /// nothing about what a kernel reads) or the one format 4 kept its tile
