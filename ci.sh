@@ -104,9 +104,16 @@ for tier in "" GCD2_AMX=0 GCD2_FORCE_SCALAR=1; do
     grep -q "^  folded       : 50 steps into GEMM requantisation (37 Add, 6 Pow, 7 Gelu), 37 constants unread$" target/epilogue.txt
 done
 
-echo "==> chaos suites: compile, runtime, gateway, supervisor, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7)"
+echo "==> chaos suites: compile, runtime, artifact (fault injection; each seeded scenario sweeps fault seeds 2024 and 7), and the gateway scenarios with their real-thread smoke"
 cargo test -q --features fault-injection \
-    --test chaos --test runtime_chaos --test gateway_chaos --test supervisor_chaos --test artifact_chaos
+    --test chaos --test runtime_chaos --test gateway_scenarios --test artifact_chaos
+
+echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault at every position; release)"
+cargo test --release -q --test gateway_scenarios -- --ignored --nocapture \
+    every_interleaving_of_three_workers_and_four_tickets | grep "^explored"
+
+echo "==> the gateway core is sans-I/O (no std::thread, std::sync, Instant, Condvar or gcd2_faults in crates/core/src/serve/)"
+if grep -En "std::thread|std::sync|Instant|Condvar|gcd2_faults" crates/core/src/serve/*.rs; then exit 1; fi
 
 echo "==> circuit-breaker property suite (reference-model equivalence)"
 cargo test -q --test breaker_property

@@ -184,7 +184,7 @@ pub enum InferError {
         /// The configured deadline.
         deadline: std::time::Duration,
     },
-    /// The gateway watchdog declared the worker executing this request
+    /// The gateway declared the worker executing this request
     /// wedged: its batch exceeded the configured hang deadline, so the
     /// ticket was answered with this error and a replacement worker was
     /// spawned. The request may still be computing on the wedged thread,
@@ -192,7 +192,7 @@ pub enum InferError {
     Hung {
         /// The model whose batch hung.
         model: String,
-        /// How long the batch had been executing when the watchdog
+        /// How long the batch had been executing when the gateway
         /// declared it wedged.
         elapsed: std::time::Duration,
         /// The configured hang deadline it exceeded.

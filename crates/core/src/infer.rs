@@ -1557,12 +1557,6 @@ impl InferencePlan {
         arena
     }
 
-    /// Whether this plan can run over `arena`: it is fresh, or this plan
-    /// stamped it.
-    pub(crate) fn fits(&self, arena: &InferArena) -> bool {
-        arena.stamp.is_none_or(|stamp| stamp == self.checksum)
-    }
-
     /// Claims `arena` for this plan: a fresh (unstamped) arena is sized
     /// and stamped; an arena stamped by a *different* plan is rejected.
     /// Hosts the `infer.arena` fault point.

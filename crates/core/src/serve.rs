@@ -1,89 +1,55 @@
 //! A dynamic-batching, multi-model serving gateway over
 //! [`InferencePlan`].
 //!
-//! [`InferServer`] is the deployment-shaped entry point the ROADMAP's
-//! "heavy traffic" north star asks for, grown from the PR-5
-//! bounded-queue server into a real gateway:
+//! [`InferServer`] serves many plans under caller-chosen names, with
+//! hot [`InferServer::register`] / [`InferServer::unregister`] /
+//! [`InferServer::swap`] (a swap is keyed on the plan's integrity
+//! checksum, so two operators cannot silently race a replacement). It
+//! coalesces queued requests for one model into batches bounded by
+//! [`GatewayConfig::max_batch`] and [`GatewayConfig::max_wait`], sheds
+//! the lowest-priority queued request to admit a strictly
+//! higher-priority one ([`InferError::Shed`], else
+//! [`InferError::QueueFull`]), drains gracefully, and supervises itself
+//! (DESIGN.md §6h): a hang deadline with worker replacement, a per-model
+//! circuit breaker, bounded seeded retries and ISA demotion. Outputs are
+//! **bit-identical** to single-shot execution for every batch, wait,
+//! worker and retry configuration.
 //!
-//! * a **model registry** holding many plans under caller-chosen names,
-//!   with hot [`InferServer::register`] / [`InferServer::unregister`] /
-//!   [`InferServer::swap`] — swaps are compare-and-swapped on the
-//!   plan's integrity checksum, so two operators cannot silently race
-//!   a replacement;
-//! * a **dynamic-batching scheduler**: queued single requests for the
-//!   same model are coalesced into one batch, bounded by
-//!   [`GatewayConfig::max_batch`] and [`GatewayConfig::max_wait`]. The
-//!   worker that takes a batch checks one arena out of the model's pool
-//!   and runs the requests over it in turn, each through
-//!   [`InferencePlan::try_execute_into`], so coalescing pays the
-//!   scheduler hand-off — queue lock, wake-up, arena checkout,
-//!   heartbeat — once per batch instead of once per request; outputs
-//!   are **bit-identical** to single-shot execution for every
-//!   batch/wait/worker configuration;
-//! * **per-model bounded queues** with load-shedding priorities: when a
-//!   model's queue is full, the lowest-priority queued request is shed
-//!   ([`InferError::Shed`]) to admit a strictly higher-priority one,
-//!   and equal-priority overflow is rejected with backpressure
-//!   ([`InferError::QueueFull`]) exactly as before;
-//! * **graceful drain**: shutdown refuses new work
-//!   ([`InferError::Draining`]) but answers every accepted ticket
-//!   before the workers exit;
-//! * **latency histograms** (log₂ buckets): queue wait, batch
-//!   assembly, and execute time per model, surfaced as p50/p99 in
-//!   [`ModelStats`].
+//! The gateway is a **sans-I/O core** inside a thin shell (DESIGN.md
+//! §6f). Every decision — admission, queueing, batch readiness,
+//! dispatch, ticket ownership, hang takeover, retries, demotion, drain,
+//! every counter and [`HealthEvent`] — is one
+//! [`core::Core::step`]`(now_us, event)` over a logical clock. The shell
+//! here holds that core under one mutex with one condvar, and owns only
+//! what needs I/O:
 //!
-//! Each request runs under the executor's own panic guard: an injected
-//! or real panic inside the runtime resolves *that request's* ticket
-//! with [`InferError::Internal`], the rest of its batch runs on, and the
-//! worker lives on. `gcd2c --serve` smokes this end to end against the
-//! single-shot path, and perfbench's `serve_saturated` workload measures
-//! the batching win.
+//! * worker threads that run each request of the batch they are handed
+//!   through [`InferencePlan::try_execute_into`] over an arena they keep
+//!   per model, then post the results as a `Done` event;
+//! * one timer thread that sleeps until the core's next deadline (a hang
+//!   deadline, a batch's `max_wait`, a retry round, a quarantine end)
+//!   and posts a `Tick`;
+//! * the channels that deliver each answer to its [`InferTicket`].
 //!
-//! On top of that sits the **self-healing supervision layer**
-//! (DESIGN.md §6h), four cooperating mechanisms built from the pure
-//! state machines in [`crate::supervise`]:
-//!
-//! * a **watchdog thread**: workers stamp a heartbeat before every
-//!   batch dispatch; a batch that overruns
-//!   [`SupervisorConfig::hang_deadline`] gets its worker marked wedged,
-//!   its tickets answered with [`InferError::Hung`], and a replacement
-//!   worker spawned — capacity never shrinks, and a wedged thread is
-//!   *detached*, never joined, so shutdown cannot block on it;
-//! * a **per-model circuit breaker** ([`CircuitBreaker`]): a sliding
-//!   error-rate window drives Closed→Open→HalfOpen; Open sheds at
-//!   submission with [`InferError::BreakerOpen`] (strictly cheaper than
-//!   queueing), HalfOpen admits a bounded number of probes and closes
-//!   only when they succeed;
-//! * **bounded seeded retries**: the requests of a batch that failed
-//!   transiently (a caught panic, injected `infer.*` hits included)
-//!   re-run up to [`SupervisorConfig::retry_budget`] more rounds with
-//!   deterministic SplitMix64 backoff — a retried request's output is
-//!   bit-identical because the executor is deterministic;
-//! * **fault-triggered ISA demotion**: after
-//!   [`SupervisorConfig::demote_after`] kernel-attributed faults, the
-//!   model's batches execute with [`ExecOptions::force_scalar`] (the
-//!   bit-exact scalar oracle tier) until a quarantine elapses, then
-//!   vector tiers are restored.
-//!
-//! Every decision lands in a bounded [`HealthLog`] and the counters of
-//! [`ServerStats`]; [`InferServer::health`] snapshots the whole picture
-//! as a [`GatewayHealth`].
+//! A request is the panic-isolation unit: the executor's own guard turns
+//! a panic into that request's [`InferError::Internal`], and the rest of
+//! its batch runs on.
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::InferError;
-use crate::infer::{guard_panics, ExecOptions, InferArena, InferencePlan};
-use crate::supervise::{
-    counts_as_fault, kernel_attributed, retry_backoff, Admission, BreakerState, CircuitBreaker,
-    HealthEvent, HealthLog, SupervisorConfig,
-};
+use crate::infer::{ExecOptions, InferArena, InferencePlan};
+use crate::supervise::{BreakerState, HealthEvent, SupervisorConfig};
+
+#[doc(hidden)]
+pub mod core;
+
+use self::core::{micros, Action, Core, Event, Ran, Work};
 
 /// The model name single-model conveniences ([`InferServer::start`],
 /// [`InferServer::submit`]) use.
@@ -105,7 +71,7 @@ pub struct GatewayConfig {
     /// Execution options applied to every request; a deadline runs from
     /// the start of each request's run.
     pub opts: ExecOptions,
-    /// Self-healing knobs: watchdog, circuit breakers, retries, ISA
+    /// Self-healing knobs: hang deadline, circuit breakers, retries, ISA
     /// demotion. The defaults keep supervision invisible on a healthy
     /// gateway (see [`SupervisorConfig`]).
     pub supervisor: SupervisorConfig,
@@ -124,112 +90,44 @@ impl Default for GatewayConfig {
     }
 }
 
-/// The channel a request's result goes back on.
-type ResultSender = Sender<Result<Vec<u8>, InferError>>;
-
-/// One queued request: the input, its shed priority, its enqueue time
-/// (for the queue-wait histogram and batch aging), the channel its
-/// result goes back on, plus its supervision tags — whether the
-/// breaker admitted it as a HalfOpen probe, and the abandonment flag
-/// shared with its [`InferTicket`].
-#[derive(Debug)]
-struct Job {
-    input: Vec<u8>,
-    priority: u8,
-    enqueued: Instant,
-    tx: ResultSender,
-    probe: bool,
-    abandoned: Arc<AtomicBool>,
-}
-
-/// The tickets of one dispatched batch, parked where the watchdog can
-/// reach them. Whoever `take()`s the slot's `Option<InFlight>` owns
-/// answering these tickets and recording their outcomes — the worker on
-/// completion, the watchdog on a hang — so a request is never answered
-/// or counted twice.
-#[derive(Debug)]
-struct InFlight {
-    model: String,
-    dispatched_us: u64,
-    tickets: Vec<(ResultSender, bool)>,
-}
-
-/// One worker thread's supervision state. The heartbeat protocol:
-/// `busy_since_us` is 0 while idle and the dispatch timestamp (clamped
-/// to ≥ 1) while a batch executes; the watchdog wedges a worker whose
-/// stamp has aged past the hang deadline.
-#[derive(Debug)]
-struct WorkerSlot {
-    id: usize,
-    wedged: AtomicBool,
-    busy_since_us: AtomicU64,
-    batches: AtomicU64,
-    inflight: Mutex<Option<InFlight>>,
-}
-
-impl WorkerSlot {
-    fn new(id: usize) -> WorkerSlot {
-        WorkerSlot {
-            id,
-            wedged: AtomicBool::new(false),
-            busy_since_us: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            inflight: Mutex::new(None),
-        }
-    }
-
-    fn take_inflight(&self) -> Option<InFlight> {
-        self.inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    }
-}
-
 /// Number of log₂ latency buckets: bucket `i` counts durations in
 /// `[2^(i-1), 2^i)` microseconds (bucket 0 is `< 1µs`), so bucket 39
 /// tops out above 150 hours — nothing a serving gateway sees saturates.
 const HIST_BUCKETS: usize = 40;
 
-/// A lock-free log₂ histogram of durations in microseconds. Recording
-/// is one relaxed atomic increment; percentiles are resolved to the
-/// **upper bound** of their bucket (conservative: never under-reports).
-#[derive(Debug)]
+/// A log₂ histogram of durations in microseconds. Percentiles are
+/// resolved to the **upper bound** of their bucket (conservative: never
+/// under-reports).
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
+    buckets: [u64; HIST_BUCKETS],
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [0; HIST_BUCKETS],
         }
     }
 }
 
 impl LatencyHistogram {
-    fn record(&self, d: Duration) {
-        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+    pub(crate) fn record(&mut self, us: u64) {
         let idx = ((u64::BITS - us.leading_zeros()) as usize).min(HIST_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx] += 1;
     }
 
     /// The histogram reduced to sample count plus p50/p99, for
     /// [`ModelStats`] snapshots.
     pub fn summary(&self) -> LatencySummary {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
+        let total: u64 = self.buckets.iter().sum();
         let percentile = |q: f64| -> Duration {
             if total == 0 {
                 return Duration::ZERO;
             }
             let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
             let mut cum = 0;
-            for (idx, &c) in counts.iter().enumerate() {
+            for (idx, &c) in self.buckets.iter().enumerate() {
                 cum += c;
                 if cum >= rank {
                     // Bucket upper bound: 2^idx µs (idx 0 → 1µs).
@@ -258,111 +156,9 @@ pub struct LatencySummary {
     pub p99: Duration,
 }
 
-/// One model's free list of arenas. A worker checks one out per batch
-/// and runs the batch's requests over it in turn, so a warm gateway
-/// allocates nothing and the list holds at most one arena per worker.
-#[derive(Debug, Default)]
-struct ArenaPool(Mutex<Vec<InferArena>>);
-
-impl ArenaPool {
-    /// A pooled arena `plan` can run on, or a fresh one when the pool is
-    /// empty or its arena was stamped by a plan a swap has replaced.
-    fn take(&self, plan: &InferencePlan) -> InferArena {
-        let pooled = self.0.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        pooled.filter(|arena| plan.fits(arena)).unwrap_or_default()
-    }
-
-    fn put(&self, arena: InferArena) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(arena);
-    }
-
-    #[cfg(test)]
-    fn idle_arenas(&self) -> usize {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
-    }
-}
-
-/// Per-model gateway state: the hot-swappable plan, the arenas its
-/// batches run over, and this model's counters and histograms.
-#[derive(Debug)]
-struct ModelState {
-    plan: RwLock<Arc<InferencePlan>>,
-    pool: ArenaPool,
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    max_batch_observed: AtomicU64,
-    queue_wait: LatencyHistogram,
-    assembly: LatencyHistogram,
-    execute: LatencyHistogram,
-    breaker: Mutex<CircuitBreaker>,
-    /// Kernel-attributed faults since the last (re-)promotion; trips
-    /// demotion at [`SupervisorConfig::demote_after`].
-    kernel_faults: AtomicU64,
-    retries: AtomicU64,
-    demotions: AtomicU64,
-    breaker_rejected: AtomicU64,
-    abandoned: AtomicU64,
-    /// 0 = not demoted; otherwise the logical-µs timestamp at which
-    /// quarantine ends and vector tiers are restored.
-    demoted_until_us: AtomicU64,
-}
-
-impl ModelState {
-    fn new(plan: InferencePlan, sup: &SupervisorConfig) -> ModelState {
-        ModelState {
-            plan: RwLock::new(Arc::new(plan)),
-            pool: ArenaPool::default(),
-            accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            max_batch_observed: AtomicU64::new(0),
-            queue_wait: LatencyHistogram::default(),
-            assembly: LatencyHistogram::default(),
-            execute: LatencyHistogram::default(),
-            breaker: Mutex::new(CircuitBreaker::new(sup.breaker_config())),
-            kernel_faults: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            breaker_rejected: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
-            demoted_until_us: AtomicU64::new(0),
-        }
-    }
-
-    fn current_plan(&self) -> Arc<InferencePlan> {
-        Arc::clone(&self.plan.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    fn breaker_state(&self) -> BreakerState {
-        self.breaker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .state()
-    }
-
-    fn cancel_admission(&self, probe: bool) {
-        self.breaker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .cancel(probe);
-    }
-}
-
 /// One model's lifetime counters and latency percentiles, snapshot by
 /// [`InferServer::model_stats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModelStats {
     /// Registry name.
     pub model: String,
@@ -409,80 +205,6 @@ pub struct ModelStats {
     pub breaker: BreakerState,
 }
 
-/// Scheduler state: every model's pending queue, under one lock with
-/// one condvar (workers re-scan on wake, so a single notify-all per
-/// event is enough for correctness).
-#[derive(Debug, Default)]
-struct SchedState {
-    queues: HashMap<String, VecDeque<Job>>,
-}
-
-/// State shared between submitters, workers, and the watchdog.
-#[derive(Debug)]
-struct Shared {
-    registry: RwLock<HashMap<String, Arc<ModelState>>>,
-    sched: Mutex<SchedState>,
-    available: Condvar,
-    /// Shutdown has begun: refuse new work, finish accepted work.
-    draining: AtomicBool,
-    /// Workers have exited; the server is fully stopped.
-    stopped: AtomicBool,
-    capacity: usize,
-    max_batch: usize,
-    max_wait: Duration,
-    opts: ExecOptions,
-    sup: SupervisorConfig,
-    /// Origin of the gateway's logical-µs clock (breaker timestamps,
-    /// heartbeats, quarantine deadlines).
-    epoch: Instant,
-    /// Every worker ever spawned (wedged slots stay, flagged).
-    slots: Mutex<Vec<Arc<WorkerSlot>>>,
-    /// Joinable worker handles; replacements spawned by the watchdog
-    /// are appended here so `stop_and_join` sweeps them too.
-    handles: Mutex<Vec<(Arc<WorkerSlot>, JoinHandle<()>)>>,
-    next_worker: AtomicUsize,
-    /// Set under its mutex to park the watchdog; the condvar makes the
-    /// stop prompt instead of waiting out a scan interval.
-    watchdog_park: Mutex<bool>,
-    watchdog_cv: Condvar,
-    health: HealthLog,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    hung: AtomicU64,
-    workers_replaced: AtomicU64,
-    retries: AtomicU64,
-    retries_exhausted: AtomicU64,
-    demotions: AtomicU64,
-    repromotions: AtomicU64,
-    breaker_rejected: AtomicU64,
-    abandoned: AtomicU64,
-}
-
-impl Shared {
-    fn lock_sched(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.sched.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn model(&self, name: &str) -> Option<Arc<ModelState>> {
-        self.registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned()
-    }
-
-    /// Microseconds since the gateway started — the logical clock every
-    /// supervision timestamp uses.
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-}
-
 /// Counters of a gateway's lifetime, summed over every model, returned
 /// by [`InferServer::shutdown`] and [`InferServer::stats`]. Per-model
 /// breakdowns with latency percentiles live in [`ModelStats`].
@@ -503,7 +225,7 @@ pub struct ServerStats {
     pub batches: u64,
     /// Requests that executed in a batch of two or more.
     pub batched_requests: u64,
-    /// Batches the watchdog declared hung (tickets answered with
+    /// Batches declared hung (tickets answered with
     /// [`InferError::Hung`]).
     pub hung: u64,
     /// Replacement workers spawned for wedged ones.
@@ -531,7 +253,7 @@ pub struct ServerStats {
 pub struct WorkerHealth {
     /// Worker id (monotone; replacements get fresh ids).
     pub id: usize,
-    /// Declared hung by the watchdog; its thread is detached.
+    /// Declared hung; its thread is detached.
     pub wedged: bool,
     /// How long the current batch has been executing, if any.
     pub busy_for: Option<Duration>,
@@ -580,17 +302,120 @@ pub struct GatewayHealth {
     pub events: Vec<(u64, HealthEvent)>,
 }
 
+/// What a ticket is answered with.
+type Reply = Result<Vec<u8>, InferError>;
+type Plan = Arc<InferencePlan>;
+
+/// Everything behind the gateway's one lock: the core, and the I/O
+/// state its actions drive.
+#[derive(Debug)]
+struct Shell {
+    core: Core<Plan, Sender<Reply>>,
+    /// Each worker's next work, until its thread takes it.
+    mail: HashMap<usize, Work<Plan>>,
+    /// Every worker thread started, by worker id.
+    threads: Vec<(usize, JoinHandle<()>)>,
+    /// Tells the timer thread to leave.
+    stopping: bool,
+}
+
+/// State shared between callers, workers and the timer thread.
+#[derive(Debug)]
+struct Shared {
+    shell: Mutex<Shell>,
+    /// Notified whenever a step hands out work, may move the next
+    /// deadline, or may finish the drain.
+    wake: Condvar,
+    /// Origin of the core's logical-µs clock.
+    epoch: Instant,
+    opts: ExecOptions,
+}
+
+impl Shared {
+    /// The shell's lock. Nothing panics while holding it except a bug in
+    /// the core, and a step leaves the core whole before it returns, so
+    /// a poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Shell> {
+        self.shell.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, shell: MutexGuard<'a, Shell>) -> MutexGuard<'a, Shell> {
+        self.wake
+            .wait(shell)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn now_us(&self) -> u64 {
+        micros(self.epoch.elapsed())
+    }
+
+    /// Steps the core and carries out its actions. Returns the step's
+    /// [`Action::Return`] value, if any.
+    fn step(
+        self: &Arc<Self>,
+        shell: &mut Shell,
+        event: Event<Plan, Sender<Reply>>,
+    ) -> Option<Result<u64, InferError>> {
+        // A tick that hands out nothing changed nothing anyone waits on.
+        let wake = !matches!(event, Event::Tick);
+        let actions = shell.core.step(self.now_us(), event);
+        self.act(shell, actions, wake)
+    }
+
+    /// Carries out the core's actions: answers go down their channels,
+    /// work into the worker's mailbox, a spawn starts a thread. Notifies
+    /// the condvar if `wake` or if any worker got work.
+    fn act(
+        self: &Arc<Self>,
+        shell: &mut Shell,
+        actions: Vec<Action<Plan, Sender<Reply>>>,
+        mut wake: bool,
+    ) -> Option<Result<u64, InferError>> {
+        let mut ret = None;
+        for action in actions {
+            match action {
+                Action::Return(r) => ret = Some(r),
+                Action::Answer { to, result } => {
+                    // A caller that dropped its ticket is not an error.
+                    let _ = to.send(result);
+                }
+                Action::Work { worker, work } => {
+                    shell.mail.insert(worker, work);
+                    wake = true;
+                }
+                Action::Spawn { worker } => {
+                    shell.threads.push((worker, spawn_worker(self, worker)));
+                    wake = true;
+                }
+            }
+        }
+        if wake {
+            self.wake.notify_all();
+        }
+        ret
+    }
+
+    /// Steps a registry or submit event under the lock and returns its
+    /// value.
+    fn call(self: &Arc<Self>, event: Event<Plan, Sender<Reply>>) -> Result<u64, InferError> {
+        let mut shell = self.lock();
+        self.step(&mut shell, event)
+            .unwrap_or_else(|| unreachable!("registry and submit events always return"))
+    }
+}
+
 /// A pending request's receipt: wait on it for the result.
 ///
 /// Dropping a ticket **without settling it** (no [`InferTicket::wait`],
 /// no conclusive [`InferTicket::wait_timeout`]) abandons the request:
-/// if it is still queued at dispatch time the gateway skips executing
-/// it and counts it under [`ServerStats::abandoned`], so a later
-/// [`InferServer::drain`] never over-waits for a caller that gave up.
+/// if it is still queued the gateway drops it unexecuted and counts it
+/// under [`ServerStats::abandoned`], so a later [`InferServer::drain`]
+/// never over-waits for a caller that gave up.
 #[derive(Debug)]
 pub struct InferTicket {
-    rx: Receiver<Result<Vec<u8>, InferError>>,
-    abandoned: Arc<AtomicBool>,
+    rx: Receiver<Reply>,
+    ticket: u64,
+    server: Weak<Shared>,
     settled: Cell<bool>,
 }
 
@@ -637,69 +462,53 @@ impl InferTicket {
 
 impl Drop for InferTicket {
     fn drop(&mut self) {
-        if !self.settled.get() {
-            self.abandoned.store(true, Ordering::Release);
+        if self.settled.get() {
+            return;
+        }
+        if let Some(shared) = self.server.upgrade() {
+            let mut shell = shared.lock();
+            shared.step(
+                &mut shell,
+                Event::Abandon {
+                    ticket: self.ticket,
+                },
+            );
         }
     }
 }
 
-/// The dynamic-batching multi-model gateway: `workers` threads
-/// coalescing per-model queues into batch executions, plus a watchdog
-/// thread supervising their heartbeats.
+/// The dynamic-batching multi-model gateway: worker threads and a timer
+/// thread around the gateway's [`core::Core`].
 #[derive(Debug)]
 pub struct InferServer {
     shared: Arc<Shared>,
-    watchdog: Option<JoinHandle<()>>,
+    timer: Option<JoinHandle<()>>,
 }
 
 impl InferServer {
     /// Starts a gateway with an **empty registry**; add models with
     /// [`InferServer::register`].
     pub fn gateway(config: GatewayConfig) -> InferServer {
+        let (core, spawns) = Core::new(&config);
         let shared = Arc::new(Shared {
-            registry: RwLock::new(HashMap::new()),
-            sched: Mutex::new(SchedState::default()),
-            available: Condvar::new(),
-            draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            capacity: config.capacity.max(1),
-            max_batch: config.max_batch.max(1),
-            max_wait: config.max_wait,
-            opts: config.opts,
-            sup: config.supervisor,
+            shell: Mutex::new(Shell {
+                core,
+                mail: HashMap::new(),
+                threads: Vec::new(),
+                stopping: false,
+            }),
+            wake: Condvar::new(),
             epoch: Instant::now(),
-            slots: Mutex::new(Vec::new()),
-            handles: Mutex::new(Vec::new()),
-            next_worker: AtomicUsize::new(0),
-            watchdog_park: Mutex::new(false),
-            watchdog_cv: Condvar::new(),
-            health: HealthLog::new(config.supervisor.health_events),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            hung: AtomicU64::new(0),
-            workers_replaced: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            retries_exhausted: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            repromotions: AtomicU64::new(0),
-            breaker_rejected: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
+            opts: config.opts,
         });
-        for _ in 0..config.workers.max(1) {
-            spawn_worker(&shared);
-        }
-        let watchdog = {
+        shared.act(&mut shared.lock(), spawns, false);
+        let timer = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || watchdog_loop(&shared))
+            std::thread::spawn(move || timer_loop(&shared))
         };
         InferServer {
             shared,
-            watchdog: Some(watchdog),
+            timer: Some(timer),
         }
     }
 
@@ -719,45 +528,33 @@ impl InferServer {
             opts,
             ..GatewayConfig::default()
         });
-        let state = ModelState::new(plan, &server.shared.sup);
-        server
-            .shared
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(DEFAULT_MODEL.to_string(), Arc::new(state));
+        let checksum = plan.checksum();
+        // A fresh gateway has no name to collide with.
+        let _ = server.shared.call(Event::Register {
+            name: DEFAULT_MODEL.to_string(),
+            plan: Arc::new(plan),
+            checksum,
+        });
         server
     }
 
     /// Registers `plan` under `name` after re-verifying its integrity
     /// checksum; returns that checksum (the key for a later
-    /// [`InferServer::swap`]). Hosts the `serve.registry` fault point.
+    /// [`InferServer::swap`]).
     ///
     /// # Errors
     /// [`InferError::IntegrityViolation`] if the plan no longer hashes
     /// to its build-time checksum, [`InferError::Internal`] if `name`
-    /// is already registered (swap or unregister it instead) or the
-    /// registry fault point injects a panic, and
+    /// is already registered (swap or unregister it instead), and
     /// [`InferError::Draining`] / [`InferError::ServerStopped`] during
     /// and after shutdown.
     pub fn register(&self, name: &str, plan: InferencePlan) -> Result<u64, InferError> {
-        self.check_accepting()?;
-        let checksum = registry_admission(&plan)?;
-        let mut registry = self
-            .shared
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if registry.contains_key(name) {
-            return Err(InferError::Internal {
-                message: format!("model {name:?} is already registered; use swap"),
-            });
-        }
-        registry.insert(
-            name.to_string(),
-            Arc::new(ModelState::new(plan, &self.shared.sup)),
-        );
-        Ok(checksum)
+        plan.verify_integrity()?;
+        self.shared.call(Event::Register {
+            name: name.to_string(),
+            checksum: plan.checksum(),
+            plan: Arc::new(plan),
+        })
     }
 
     /// Registers a model from serialized artifact bytes
@@ -779,7 +576,6 @@ impl InferServer {
     /// [`InferError::Unsound`] if the analyzer rejects the decoded
     /// plan, plus every [`InferServer::register`] error.
     pub fn register_from_artifact(&self, name: &str, bytes: &[u8]) -> Result<u64, InferError> {
-        self.check_accepting()?;
         let loaded = crate::artifact::decode(bytes).map_err(|e| match e {
             crate::Gcd2Error::Artifact(a) => InferError::Artifact(a),
             other => InferError::Internal {
@@ -799,8 +595,8 @@ impl InferServer {
     /// checksum**: the swap only applies if the currently registered
     /// plan still hashes to `expected`, so concurrent operators cannot
     /// silently overwrite each other. Queued requests execute on the
-    /// new plan; batches already dispatched finish on the old one
-    /// (their workers hold its `Arc`). Returns the new checksum.
+    /// new plan; batches already dispatched finish on the old one.
+    /// Returns the new checksum.
     ///
     /// # Errors
     /// [`InferError::UnknownModel`] if `name` is not registered,
@@ -808,24 +604,13 @@ impl InferServer {
     /// the current plan (stale key) or the new plan fails verification,
     /// plus the [`InferServer::register`] shutdown errors.
     pub fn swap(&self, name: &str, expected: u64, plan: InferencePlan) -> Result<u64, InferError> {
-        self.check_accepting()?;
-        let checksum = registry_admission(&plan)?;
-        let state = self
-            .shared
-            .model(name)
-            .ok_or_else(|| InferError::UnknownModel {
-                model: name.to_string(),
-            })?;
-        let mut slot = state.plan.write().unwrap_or_else(PoisonError::into_inner);
-        let current = slot.checksum();
-        if current != expected {
-            return Err(InferError::IntegrityViolation {
-                expected,
-                got: current,
-            });
-        }
-        *slot = Arc::new(plan);
-        Ok(checksum)
+        plan.verify_integrity()?;
+        self.shared.call(Event::Swap {
+            name: name.to_string(),
+            expected,
+            checksum: plan.checksum(),
+            plan: Arc::new(plan),
+        })
     }
 
     /// Removes `name` from the registry. Requests still queued for it
@@ -836,47 +621,14 @@ impl InferServer {
     /// # Errors
     /// [`InferError::UnknownModel`] if `name` is not registered.
     pub fn unregister(&self, name: &str) -> Result<u64, InferError> {
-        let state = {
-            let mut registry = self
-                .shared
-                .registry
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            registry
-                .remove(name)
-                .ok_or_else(|| InferError::UnknownModel {
-                    model: name.to_string(),
-                })?
-        };
-        let orphans = {
-            let mut sched = self.shared.lock_sched();
-            sched.queues.remove(name).unwrap_or_default()
-        };
-        for job in orphans {
-            // An orphan never executed: free its breaker admission so a
-            // probe slot cannot leak.
-            state.cancel_admission(job.probe);
-            state.failed.fetch_add(1, Ordering::Relaxed);
-            self.shared.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = job.tx.send(Err(InferError::UnknownModel {
-                model: name.to_string(),
-            }));
-        }
-        Ok(state.current_plan().checksum())
+        self.shared.call(Event::Unregister {
+            name: name.to_string(),
+        })
     }
 
     /// The registered model names, sorted.
     pub fn models(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .shared
-            .registry
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect();
-        names.sort();
-        names
+        self.shared.lock().core.models()
     }
 
     /// Submits a request for [`DEFAULT_MODEL`] at priority 0.
@@ -907,92 +659,17 @@ impl InferServer {
         input: Vec<u8>,
         priority: u8,
     ) -> Result<InferTicket, InferError> {
-        self.check_accepting()?;
-        let state = self
-            .shared
-            .model(model)
-            .ok_or_else(|| InferError::UnknownModel {
-                model: model.to_string(),
-            })?;
-        // Breaker admission happens before the request touches a queue:
-        // shedding at the front door is the whole point of Open.
-        let probe = {
-            let mut breaker = state.breaker.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = breaker.state();
-            let admission = breaker.admit(self.shared.now_us());
-            let after = breaker.state();
-            drop(breaker);
-            if before == BreakerState::Open && after == BreakerState::HalfOpen {
-                self.shared.health.record(HealthEvent::BreakerHalfOpen {
-                    model: model.to_string(),
-                });
-            }
-            match admission {
-                Admission::Admit => false,
-                Admission::Probe => true,
-                Admission::Reject { retry_after_us } => {
-                    state.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-                    self.shared.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(InferError::BreakerOpen {
-                        model: model.to_string(),
-                        retry_after: Duration::from_micros(retry_after_us),
-                    });
-                }
-            }
-        };
         let (tx, rx) = channel();
-        let abandoned = Arc::new(AtomicBool::new(false));
-        let job = Job {
+        let ticket = self.shared.call(Event::Submit {
+            model: model.to_string(),
             input,
             priority,
-            enqueued: Instant::now(),
-            tx,
-            probe,
-            abandoned: Arc::clone(&abandoned),
-        };
-        {
-            let mut sched = self.shared.lock_sched();
-            let queue = sched.queues.entry(model.to_string()).or_default();
-            if queue.len() >= self.shared.capacity {
-                // Shed the lowest-priority queued request — the most
-                // recent one on ties, so older equal-priority work keeps
-                // its place — but only for a strictly higher-priority
-                // arrival; otherwise the arrival itself is backpressured.
-                let victim = queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(idx, j)| (j.priority, usize::MAX - idx))
-                    .map(|(idx, j)| (idx, j.priority));
-                match victim {
-                    Some((idx, lowest)) if lowest < priority => {
-                        if let Some(evicted) = queue.remove(idx) {
-                            state.cancel_admission(evicted.probe);
-                            state.shed.fetch_add(1, Ordering::Relaxed);
-                            self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                            let _ = evicted.tx.send(Err(InferError::Shed {
-                                priority: evicted.priority,
-                                capacity: self.shared.capacity,
-                            }));
-                        }
-                    }
-                    _ => {
-                        state.cancel_admission(probe);
-                        state.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        return Err(InferError::QueueFull {
-                            capacity: self.shared.capacity,
-                        });
-                    }
-                }
-            }
-            queue.push_back(job);
-        }
-        state.accepted.fetch_add(1, Ordering::Relaxed);
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        self.shared.available.notify_all();
+            reply: tx,
+        })?;
         Ok(InferTicket {
             rx,
-            abandoned,
+            ticket,
+            server: Arc::downgrade(&self.shared),
             settled: Cell::new(false),
         })
     }
@@ -1020,88 +697,30 @@ impl InferServer {
 
     /// A snapshot of the gateway-wide lifetime counters.
     pub fn stats(&self) -> ServerStats {
-        let s = &self.shared;
-        ServerStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            batched_requests: s.batched_requests.load(Ordering::Relaxed),
-            hung: s.hung.load(Ordering::Relaxed),
-            workers_replaced: s.workers_replaced.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            retries_exhausted: s.retries_exhausted.load(Ordering::Relaxed),
-            demotions: s.demotions.load(Ordering::Relaxed),
-            repromotions: s.repromotions.load(Ordering::Relaxed),
-            breaker_rejected: s.breaker_rejected.load(Ordering::Relaxed),
-            abandoned: s.abandoned.load(Ordering::Relaxed),
-        }
+        self.shared.lock().core.stats()
     }
 
     /// A point-in-time [`GatewayHealth`] snapshot: worker liveness,
     /// breaker states, supervision counters, and the retained
     /// [`HealthEvent`] tail.
     pub fn health(&self) -> GatewayHealth {
-        let s = &self.shared;
-        let now = s.now_us();
-        let mut workers: Vec<WorkerHealth> = s
-            .slots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|slot| {
-                let busy = slot.busy_since_us.load(Ordering::Acquire);
-                WorkerHealth {
-                    id: slot.id,
-                    wedged: slot.wedged.load(Ordering::Acquire),
-                    busy_for: (busy != 0).then(|| Duration::from_micros(now.saturating_sub(busy))),
-                    batches: slot.batches.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
-        workers.sort_by_key(|w| w.id);
-        let breakers = self
-            .models()
-            .into_iter()
-            .filter_map(|name| {
-                let state = s.model(&name)?;
-                let until = state.demoted_until_us.load(Ordering::Acquire);
-                Some(BreakerHealth {
-                    model: name,
-                    state: state.breaker_state(),
-                    demoted: until != 0 && now < until,
-                })
-            })
-            .collect();
-        GatewayHealth {
-            workers,
-            breakers,
-            hung: s.hung.load(Ordering::Relaxed),
-            workers_replaced: s.workers_replaced.load(Ordering::Relaxed),
-            retries: s.retries.load(Ordering::Relaxed),
-            retries_exhausted: s.retries_exhausted.load(Ordering::Relaxed),
-            demotions: s.demotions.load(Ordering::Relaxed),
-            repromotions: s.repromotions.load(Ordering::Relaxed),
-            breaker_rejected: s.breaker_rejected.load(Ordering::Relaxed),
-            abandoned: s.abandoned.load(Ordering::Relaxed),
-            events: s.health.snapshot(),
-        }
+        let now = self.shared.now_us();
+        self.shared.lock().core.health(now)
     }
 
     /// One model's counters and latency percentiles, or `None` if it is
     /// not registered.
     pub fn model_stats(&self, name: &str) -> Option<ModelStats> {
-        let state = self.shared.model(name)?;
-        Some(snapshot_model(&self.shared, name, &state))
+        self.shared.lock().core.model_stats(name)
     }
 
     /// Every registered model's stats, sorted by name.
     pub fn all_model_stats(&self) -> Vec<ModelStats> {
-        self.models()
-            .into_iter()
-            .filter_map(|name| self.model_stats(&name))
+        let shell = self.shared.lock();
+        let names = shell.core.models();
+        names
+            .iter()
+            .filter_map(|name| shell.core.model_stats(name))
             .collect()
     }
 
@@ -1111,8 +730,8 @@ impl InferServer {
     /// still be answered. Call [`InferServer::shutdown`] (or drop the
     /// server) to wait for the drain to finish.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.available.notify_all();
+        let mut shell = self.shared.lock();
+        self.shared.step(&mut shell, Event::Drain);
     }
 
     /// Stops accepting work, drains every queue (answering all accepted
@@ -1122,79 +741,38 @@ impl InferServer {
         self.stats()
     }
 
-    fn check_accepting(&self) -> Result<(), InferError> {
-        if self.shared.stopped.load(Ordering::Acquire) {
-            return Err(InferError::ServerStopped);
-        }
-        if self.shared.draining.load(Ordering::Acquire) {
-            return Err(InferError::Draining);
-        }
-        Ok(())
-    }
-
+    /// Drains, waits until the core reports the drain finished, stops
+    /// the core, then joins the timer and every worker that exited. A
+    /// worker the core declared hung is detached, never joined: its
+    /// tickets were answered at the hang, and its thread leaves when its
+    /// batch returns.
     fn stop_and_join(&mut self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        // Poll-join: a wedged worker may be blocked arbitrarily long
-        // inside a hung batch, and the watchdog may spawn replacements
-        // mid-drain. Each pass joins finished workers, *detaches*
-        // wedged ones (their tickets were already answered by the
-        // watchdog; the thread exits on its own when the batch
-        // returns), and keeps waiting on live ones. The watchdog stays
-        // running until every handle is swept so a batch that hangs
-        // during the drain still gets answered and replaced.
-        loop {
-            let pending: Vec<(Arc<WorkerSlot>, JoinHandle<()>)> = {
-                let mut handles = self
-                    .shared
-                    .handles
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                std::mem::take(&mut *handles)
-            };
-            if pending.is_empty() {
-                break;
+        let Some(timer) = self.timer.take() else {
+            return;
+        };
+        let threads: Vec<(bool, JoinHandle<()>)> = {
+            let mut shell = self.shared.lock();
+            self.shared.step(&mut shell, Event::Drain);
+            while !shell.core.drained() {
+                shell = self.shared.wait(shell);
             }
-            let mut keep = Vec::new();
-            for (slot, handle) in pending {
-                if slot.wedged.load(Ordering::Acquire) {
-                    drop(handle); // detach: never block shutdown on a hung thread
-                } else if handle.is_finished() {
-                    // Worker bodies are panic-guarded per request; a join
-                    // failure would be an unwind-in-unwind. Nothing to
-                    // salvage from it.
-                    let _ = handle.join();
-                } else {
-                    keep.push((slot, handle));
-                }
-            }
-            let waiting = !keep.is_empty();
-            self.shared
-                .handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(keep);
-            if waiting {
-                // Re-notify each pass: closes the (pre-existing) missed
-                // wakeup window between a worker's drain check and its
-                // condvar wait.
-                self.shared.available.notify_all();
-                std::thread::sleep(Duration::from_micros(200));
+            self.shared.step(&mut shell, Event::Stop);
+            shell.stopping = true;
+            self.shared.wake.notify_all();
+            let threads = std::mem::take(&mut shell.threads);
+            threads
+                .into_iter()
+                .map(|(id, handle)| (shell.core.wedged(id), handle))
+                .collect()
+        };
+        // The timer and the workers catch their own panics' effects: a
+        // join error carries nothing to salvage.
+        let _ = timer.join();
+        for (wedged, handle) in threads {
+            if !wedged {
+                let _ = handle.join();
             }
         }
-        {
-            let mut park = self
-                .shared
-                .watchdog_park
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *park = true;
-            self.shared.watchdog_cv.notify_all();
-        }
-        if let Some(handle) = self.watchdog.take() {
-            let _ = handle.join();
-        }
-        self.shared.stopped.store(true, Ordering::Release);
     }
 }
 
@@ -1204,488 +782,109 @@ impl Drop for InferServer {
     }
 }
 
-/// Admission control for registry mutations: hosts the `serve.registry`
-/// fault point (a corrupt-cache injection reads as a checksum the
-/// registry cannot trust; a panic is caught into
-/// [`InferError::Internal`]), then re-verifies the plan end to end.
-fn registry_admission(plan: &InferencePlan) -> Result<u64, InferError> {
-    let fired = catch_unwind(AssertUnwindSafe(|| gcd2_faults::fire("serve.registry")));
-    match fired {
-        Ok(gcd2_faults::Injection::CorruptCache) => {
-            return Err(InferError::IntegrityViolation {
-                expected: plan.checksum(),
-                got: plan.checksum() ^ 0xBAD_CAFE,
-            })
-        }
-        Ok(_) => {}
-        Err(p) => {
-            return Err(InferError::Internal {
-                message: gcd2_par::panic_message(p.as_ref()),
-            })
-        }
-    }
-    plan.verify_integrity()?;
-    Ok(plan.checksum())
+fn spawn_worker(shared: &Arc<Shared>, id: usize) -> JoinHandle<()> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || worker_loop(&shared, id))
 }
 
-fn snapshot_model(shared: &Shared, name: &str, state: &ModelState) -> ModelStats {
-    let until = state.demoted_until_us.load(Ordering::Acquire);
-    ModelStats {
-        model: name.to_string(),
-        checksum: state.current_plan().checksum(),
-        accepted: state.accepted.load(Ordering::Relaxed),
-        completed: state.completed.load(Ordering::Relaxed),
-        failed: state.failed.load(Ordering::Relaxed),
-        shed: state.shed.load(Ordering::Relaxed),
-        rejected: state.rejected.load(Ordering::Relaxed),
-        batches: state.batches.load(Ordering::Relaxed),
-        batched_requests: state.batched_requests.load(Ordering::Relaxed),
-        max_batch_observed: state.max_batch_observed.load(Ordering::Relaxed),
-        queue_wait: state.queue_wait.summary(),
-        assembly: state.assembly.summary(),
-        execute: state.execute.summary(),
-        retries: state.retries.load(Ordering::Relaxed),
-        breaker_rejected: state.breaker_rejected.load(Ordering::Relaxed),
-        abandoned: state.abandoned.load(Ordering::Relaxed),
-        kernel_faults: state.kernel_faults.load(Ordering::Relaxed),
-        demotions: state.demotions.load(Ordering::Relaxed),
-        demoted: until != 0 && shared.now_us() < until,
-        breaker: state.breaker_state(),
-    }
-}
+/// A worker's arenas, one per plan it has run. An entry lives while its
+/// plan does: once a swap or an unregister drops the last reference to
+/// the plan, the worker drops the arena at its next batch.
+type Arenas = Vec<(Weak<InferencePlan>, InferArena)>;
 
-/// Spawns one worker thread, registering its slot and handle with the
-/// shared state; returns the new worker's id. Used both at startup and
-/// by the watchdog to replace a wedged worker.
-fn spawn_worker(shared: &Arc<Shared>) -> usize {
-    let id = shared.next_worker.fetch_add(1, Ordering::Relaxed);
-    let slot = Arc::new(WorkerSlot::new(id));
-    shared
-        .slots
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(Arc::clone(&slot));
-    let handle = {
-        let shared = Arc::clone(shared);
-        let slot = Arc::clone(&slot);
-        std::thread::spawn(move || worker_loop(&shared, &slot))
-    };
-    shared
-        .handles
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push((slot, handle));
-    id
-}
-
-/// One scheduler worker: pick the model whose oldest request has waited
-/// longest, hold its batch open until it fills or ages out, execute it
-/// as one batch, scatter results to tickets. Runs until drain
-/// is requested **and** every queue is empty, so accepted work is
-/// always answered — or until the watchdog wedges it.
-fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
+/// One worker: take the work the core put in this worker's mailbox, run
+/// it outside the lock, post the results as a `Done` event, until the
+/// core hands it [`Work::Exit`]. It keeps one arena per plan, so a warm
+/// gateway allocates nothing.
+fn worker_loop(shared: &Arc<Shared>, id: usize) {
+    let mut arenas = Arenas::new();
+    // The batch's inputs and options stay for its retry rounds; its plan
+    // comes with each round, so the worker holds it only while it runs.
+    let (mut inputs, mut opts) = (Vec::new(), shared.opts);
+    let mut shell = shared.lock();
     loop {
-        if slot.wedged.load(Ordering::Acquire) {
-            // The watchdog declared this worker hung, answered its
-            // tickets, and spawned a replacement; exit quietly.
-            return;
-        }
-        let Some((name, jobs)) = next_batch(shared) else {
-            return;
-        };
-        execute_batch(shared, slot, &name, jobs);
-    }
-}
-
-/// The watchdog thread: scan worker heartbeats every
-/// [`SupervisorConfig::effective_watchdog_interval`], parked promptly
-/// through its condvar at shutdown.
-fn watchdog_loop(shared: &Arc<Shared>) {
-    let interval = shared.sup.effective_watchdog_interval();
-    let mut park = shared
-        .watchdog_park
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    loop {
-        if *park {
-            return;
-        }
-        let (guard, _) = shared
-            .watchdog_cv
-            .wait_timeout(park, interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        park = guard;
-        if *park {
-            return;
-        }
-        drop(park);
-        watchdog_scan(shared);
-        park = shared
-            .watchdog_park
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-}
-
-/// One watchdog pass: wedge every worker whose heartbeat has aged past
-/// the hang deadline, answer its in-flight tickets with
-/// [`InferError::Hung`], and spawn a replacement so capacity never
-/// shrinks. Taking the slot's `InFlight` is the ownership handoff: a
-/// worker that finishes its batch after losing the race finds `None`
-/// and discards its results.
-fn watchdog_scan(shared: &Arc<Shared>) {
-    let deadline_us = u64::try_from(shared.sup.hang_deadline.as_micros()).unwrap_or(u64::MAX);
-    let now = shared.now_us();
-    let slots: Vec<Arc<WorkerSlot>> = shared
-        .slots
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    for slot in slots {
-        if slot.wedged.load(Ordering::Acquire) {
-            continue;
-        }
-        let busy = slot.busy_since_us.load(Ordering::Acquire);
-        if busy == 0 || now.saturating_sub(busy) < deadline_us {
-            continue;
-        }
-        let Some(inflight) = slot.take_inflight() else {
-            // The batch finished between the heartbeat read and here.
+        let Some(work) = shell.mail.remove(&id) else {
+            shell = shared.wait(shell);
             continue;
         };
-        slot.wedged.store(true, Ordering::Release);
-        shared.hung.fetch_add(1, Ordering::Relaxed);
-        shared.health.record(HealthEvent::WorkerHung {
-            worker: slot.id,
-            model: inflight.model.clone(),
-            in_flight: inflight.tickets.len(),
-        });
-        let elapsed = Duration::from_micros(now.saturating_sub(inflight.dispatched_us));
-        let state = shared.model(&inflight.model);
-        for (tx, probe) in inflight.tickets {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            if let Some(state) = &state {
-                state.failed.fetch_add(1, Ordering::Relaxed);
-                record_outcome(shared, state, &inflight.model, true, probe);
+        drop(shell);
+        let (plan, requests) = match work {
+            Work::Exit => return,
+            Work::Run {
+                plan,
+                inputs: next,
+                force_scalar,
+            } => {
+                opts.force_scalar = shared.opts.force_scalar || force_scalar;
+                inputs = next;
+                (plan, (0..inputs.len()).collect())
             }
-            let _ = tx.send(Err(InferError::Hung {
-                model: inflight.model.clone(),
-                elapsed,
-                deadline: shared.sup.hang_deadline,
-            }));
-        }
-        let replacement = spawn_worker(shared);
-        shared.workers_replaced.fetch_add(1, Ordering::Relaxed);
-        shared.health.record(HealthEvent::WorkerReplaced {
-            wedged: slot.id,
-            replacement,
-        });
-    }
-}
-
-/// Feeds one admitted request's outcome to its model's breaker,
-/// logging the Open/Closed transitions the record provokes.
-fn record_outcome(shared: &Shared, state: &ModelState, model: &str, error: bool, probe: bool) {
-    let mut breaker = state.breaker.lock().unwrap_or_else(PoisonError::into_inner);
-    let before = breaker.state();
-    breaker.record(error, probe, shared.now_us());
-    let after = breaker.state();
-    drop(breaker);
-    if before != after {
-        match after {
-            BreakerState::Open => {
-                shared.health.record(HealthEvent::BreakerOpened {
-                    model: model.to_string(),
-                });
-            }
-            BreakerState::Closed => {
-                shared.health.record(HealthEvent::BreakerClosed {
-                    model: model.to_string(),
-                });
-            }
-            // record() never transitions *into* HalfOpen (admit does).
-            BreakerState::HalfOpen => {}
-        }
-    }
-}
-
-/// Blocks until a batch is ready (returning it) or the gateway has
-/// drained (returning `None`). A batch is ready when its model's queue
-/// reaches `max_batch`, its oldest request has waited `max_wait`, or
-/// the gateway is draining (flush immediately).
-fn next_batch(shared: &Shared) -> Option<(String, Vec<Job>)> {
-    let mut sched = shared.lock_sched();
-    loop {
-        let oldest_model = sched
-            .queues
-            .iter()
-            .filter_map(|(name, q)| q.front().map(|job| (job.enqueued, name)))
-            .min_by_key(|&(enqueued, _)| enqueued)
-            .map(|(enqueued, name)| (enqueued, name.clone()));
-        let Some((oldest, name)) = oldest_model else {
-            if shared.draining.load(Ordering::Acquire) {
-                return None;
-            }
-            sched = shared
-                .available
-                .wait(sched)
-                .unwrap_or_else(PoisonError::into_inner);
-            continue;
+            Work::Rerun { plan, requests } => (plan, requests),
         };
-        let len = sched.queues.get(&name).map_or(0, VecDeque::len);
-        let age = oldest.elapsed();
-        let ready = len >= shared.max_batch
-            || age >= shared.max_wait
-            || shared.draining.load(Ordering::Acquire);
-        if !ready {
-            let (guard, _) = shared
-                .available
-                .wait_timeout(sched, shared.max_wait.saturating_sub(age))
-                .unwrap_or_else(PoisonError::into_inner);
-            sched = guard;
-            continue;
-        }
-        if let Some(queue) = sched.queues.get_mut(&name) {
-            let take = queue.len().min(shared.max_batch);
-            let jobs: Vec<Job> = queue.drain(..take).collect();
-            if !jobs.is_empty() {
-                return Some((name, jobs));
-            }
-        }
+        let ran = run(&plan, &inputs, &requests, &opts, &mut arenas);
+        // Outside the lock: an unregister or a swap may have left this
+        // the plan's last reference.
+        drop(plan);
+        shell = shared.lock();
+        shared.step(&mut shell, Event::Done { worker: id, ran });
     }
 }
 
-/// Executes one popped batch under supervision: skips abandoned
-/// requests, applies ISA demotion, stamps the heartbeat and parks the
-/// tickets where the watchdog can reach them, runs the attempt loop
-/// (the `serve.hang`/`serve.batch`/`serve.retry` fault points and the
-/// round's panic guard live inside it), then — if the watchdog didn't take the
-/// batch away — records outcomes and answers every ticket.
-fn execute_batch(shared: &Shared, slot: &WorkerSlot, name: &str, jobs: Vec<Job>) {
-    let dispatched = Instant::now();
-    let Some(state) = shared.model(name) else {
-        // Unregistered between enqueue and dispatch (unregister races a
-        // worker that had already popped): answer, don't execute.
-        for job in jobs {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = job.tx.send(Err(InferError::UnknownModel {
-                model: name.to_string(),
-            }));
-        }
-        return;
-    };
-    // A ticket dropped unsettled abandoned its request: skip it (its
-    // breaker admission is cancelled, never recorded) so a drain can't
-    // over-wait executing work nobody will read.
-    let mut live = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        if job.abandoned.load(Ordering::Acquire) {
-            state.cancel_admission(job.probe);
-            state.abandoned.fetch_add(1, Ordering::Relaxed);
-            shared.abandoned.fetch_add(1, Ordering::Relaxed);
-        } else {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    if let Some(first) = live.iter().map(|j| j.enqueued).min() {
-        state.assembly.record(dispatched.duration_since(first));
-    }
-    let mut inputs = Vec::with_capacity(live.len());
-    let mut tickets = Vec::with_capacity(live.len());
-    for job in live {
-        state
-            .queue_wait
-            .record(dispatched.duration_since(job.enqueued));
-        inputs.push(job.input);
-        tickets.push((job.tx, job.probe));
-    }
-    let size = tickets.len() as u64;
-    state.batches.fetch_add(1, Ordering::Relaxed);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    slot.batches.fetch_add(1, Ordering::Relaxed);
-    state.max_batch_observed.fetch_max(size, Ordering::Relaxed);
-    if size >= 2 {
-        state.batched_requests.fetch_add(size, Ordering::Relaxed);
-        shared.batched_requests.fetch_add(size, Ordering::Relaxed);
-    }
-    let plan = state.current_plan();
-    // ISA demotion: a quarantined model executes on the bit-exact
-    // scalar oracle tier; an elapsed quarantine re-promotes (one worker
-    // wins the CAS and resets the fault count).
-    let mut opts = shared.opts;
-    let until = state.demoted_until_us.load(Ordering::Acquire);
-    if until != 0 {
-        if shared.now_us() < until {
-            opts.force_scalar = true;
-        } else if state
-            .demoted_until_us
-            .compare_exchange(until, 0, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            state.kernel_faults.store(0, Ordering::Relaxed);
-            shared.repromotions.fetch_add(1, Ordering::Relaxed);
-            shared.health.record(HealthEvent::Repromoted {
-                model: name.to_string(),
-            });
-        }
-    }
-    // Heartbeat + ownership handoff point: from here until the worker
-    // takes the InFlight back, the watchdog may claim this batch.
-    let dispatched_us = shared.now_us().max(1);
-    slot.busy_since_us.store(dispatched_us, Ordering::Release);
-    {
-        let mut inflight = slot.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-        *inflight = Some(InFlight {
-            model: name.to_string(),
-            dispatched_us,
-            tickets,
-        });
-    }
-    let outcomes = run_attempts(shared, &state, name, &plan, &inputs, &opts);
-    let taken = slot.take_inflight();
-    slot.busy_since_us.store(0, Ordering::Release);
-    let Some(inflight) = taken else {
-        // The watchdog declared this batch hung and already answered
-        // (and counted) every ticket; discard the late results. The
-        // wedged flag ends this worker at the top of its loop.
-        return;
-    };
-    for ((tx, probe), (result, exec)) in inflight.tickets.into_iter().zip(outcomes) {
-        state.execute.record(exec);
-        let fault = result.as_ref().err().is_some_and(counts_as_fault);
-        record_outcome(shared, &state, name, fault, probe);
-        if result.is_ok() {
-            state.completed.fetch_add(1, Ordering::Relaxed);
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            state.failed.fetch_add(1, Ordering::Relaxed);
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        // A caller that dropped its ticket is not an error.
-        let _ = tx.send(result);
-    }
-    // Demotion trigger: enough kernel-attributed faults pin the model
-    // to scalar for a quarantine (one worker wins the CAS).
-    let demote_after = shared.sup.demote_after;
-    if demote_after > 0
-        && state.kernel_faults.load(Ordering::Relaxed) >= demote_after
-        && state.demoted_until_us.load(Ordering::Acquire) == 0
-    {
-        let quarantine_us = u64::try_from(shared.sup.quarantine.as_micros()).unwrap_or(u64::MAX);
-        let until = shared.now_us().saturating_add(quarantine_us).max(1);
-        if state
-            .demoted_until_us
-            .compare_exchange(0, until, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            state.demotions.fetch_add(1, Ordering::Relaxed);
-            shared.demotions.fetch_add(1, Ordering::Relaxed);
-            shared.health.record(HealthEvent::Demoted {
-                model: name.to_string(),
-                kernel_faults: state.kernel_faults.load(Ordering::Relaxed),
-            });
-        }
-    }
-}
-
-/// A request's result, and the time its executions took (summed over
-/// attempts).
-type Outcome = (Result<Vec<u8>, InferError>, Duration);
-
-/// The attempt rounds of one batch, over one arena checked out of the
-/// model's pool. A round fires `serve.hang` and `serve.batch` once, then
-/// runs each request still pending through
-/// [`InferencePlan::try_execute_into`] in turn. A caught panic is an
-/// [`InferError::Internal`] for what it hit: one request when it came
-/// from inside that request's run, every pending one when it came from
-/// the round around them. Only those transient requests are re-run, up
-/// to `retry_budget` more rounds with deterministic seeded backoff in
-/// between; any other result — an output, or a structured error like a
-/// bad input shape — is final. The executor is deterministic, so a
-/// retried success is bit-identical to an undisturbed first attempt.
-fn run_attempts(
-    shared: &Shared,
-    state: &ModelState,
-    name: &str,
-    plan: &InferencePlan,
+/// Runs the `requests` of `inputs` in turn on `plan` over the worker's
+/// arena for it, after dropping the arenas of plans that are gone.
+fn run(
+    plan: &Plan,
     inputs: &[Vec<u8>],
+    requests: &[usize],
     opts: &ExecOptions,
-) -> Vec<Outcome> {
-    let mut arena = state.pool.take(plan);
-    let mut outcomes: Vec<Outcome> = inputs
+    arenas: &mut Arenas,
+) -> Vec<Ran> {
+    arenas.retain(|(plan, _)| plan.strong_count() > 0);
+    // A live `Weak` keeps its plan's allocation, so no other plan can
+    // share its address.
+    let held = arenas
         .iter()
-        .map(|_| (Ok(Vec::new()), Duration::ZERO))
-        .collect();
-    let mut pending: Vec<usize> = (0..inputs.len()).collect();
-    let attempts_allowed = 1 + shared.sup.retry_budget;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let mut round = Ok(());
-        if attempt > 1 {
-            state.retries.fetch_add(1, Ordering::Relaxed);
-            shared.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(retry_backoff(
-                shared.sup.retry_seed,
-                attempt - 1,
-                shared.sup.retry_backoff_base,
-            ));
-            // The retry path has its own fault point; an injected panic
-            // here burns the round without reaching the runtime.
-            round = guard_panics(|| {
-                let _ = gcd2_faults::fire("serve.retry");
-                Ok(())
-            });
-        }
-        // `serve.hang` models a wedged worker: a Delay injection here
-        // overruns the hang deadline while the heartbeat is stamped,
-        // which is exactly what the watchdog looks for.
-        let round = round.and_then(|()| {
-            guard_panics(|| {
-                let _ = gcd2_faults::fire("serve.hang");
-                let _ = gcd2_faults::fire("serve.batch");
-                Ok(())
-            })
-        });
-        for &i in &pending {
+        .position(|(held, _)| std::ptr::eq(held.as_ptr(), Arc::as_ptr(plan)));
+    let idx = held.unwrap_or_else(|| {
+        arenas.push((Arc::downgrade(plan), InferArena::default()));
+        arenas.len() - 1
+    });
+    let arena = &mut arenas[idx].1;
+    requests
+        .iter()
+        .map(|&request| {
             let t0 = Instant::now();
-            let result = round.clone().and_then(|()| {
-                let mut out = Vec::new();
-                plan.try_execute_into(&inputs[i], &mut arena, &mut out, opts)
-                    .map(|()| out)
-            });
-            outcomes[i] = (result, outcomes[i].1 + t0.elapsed());
-        }
-        let failed = |i: &usize| outcomes[*i].0.as_ref().err();
-        if pending.iter().filter_map(failed).any(kernel_attributed) {
-            state.kernel_faults.fetch_add(1, Ordering::Relaxed);
-        }
-        pending.retain(|&i| matches!(outcomes[i].0, Err(InferError::Internal { .. })));
-        if pending.is_empty() {
-            if attempt > 1 {
-                shared.health.record(HealthEvent::RetrySucceeded {
-                    model: name.to_string(),
-                    attempt: attempt - 1,
-                });
+            let mut out = Vec::new();
+            let result = plan
+                .try_execute_into(&inputs[request], arena, &mut out, opts)
+                .map(|()| out);
+            Ran {
+                request,
+                result,
+                exec_us: micros(t0.elapsed()),
             }
-            break;
-        }
-        if attempt >= attempts_allowed {
-            if shared.sup.retry_budget > 0 {
-                shared.retries_exhausted.fetch_add(1, Ordering::Relaxed);
-                shared.health.record(HealthEvent::RetriesExhausted {
-                    model: name.to_string(),
-                    attempts: attempt,
-                });
+        })
+        .collect()
+}
+
+/// The timer thread: step a `Tick`, then sleep until the core's next
+/// deadline or until another step notifies, until the server stops.
+fn timer_loop(shared: &Arc<Shared>) {
+    let mut shell = shared.lock();
+    while !shell.stopping {
+        shared.step(&mut shell, Event::Tick);
+        shell = match shell.core.next_deadline() {
+            Some(at) => {
+                let sleep = Duration::from_micros(at.saturating_sub(shared.now_us()));
+                let (guard, _) = shared
+                    .wake
+                    .wait_timeout(shell, sleep)
+                    .unwrap_or_else(PoisonError::into_inner);
+                guard
             }
-            break;
-        }
+            None => shared.wait(shell),
+        };
     }
-    state.pool.put(arena);
-    outcomes
 }
 
 #[cfg(test)]
@@ -1857,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_runs_its_requests_over_one_pooled_arena() {
+    fn a_full_queue_dispatches_as_one_batch() {
         let plan = tiny_plan();
         // One worker and a batch that dispatches on fill: the eight
         // requests run as one batch.
@@ -1880,39 +1079,30 @@ mod tests {
         }
         let stats = server.model_stats("m").expect("registered");
         assert_eq!((stats.batches, stats.max_batch_observed), (1, 8));
-        let state = server.shared.model("m").expect("registered");
-        assert_eq!(state.pool.idle_arenas(), 1, "one arena per batch");
         server.shutdown();
     }
 
     #[test]
     fn full_queue_sheds_lowest_priority_first() {
-        // No workers draining: gateway with zero registered... workers
-        // must idle, so park them on an empty registry while we fill a
-        // queue directly through a registered model with a stopped...
-        // Simplest: capacity 2, and submissions faster than the single
-        // worker can drain are not deterministic — instead use a
-        // draining-free window by submitting while workers wait on
-        // max_wait. A generous max_wait keeps the batch open long
-        // enough to observe shedding deterministically.
         let plan = tiny_plan();
+        // One worker parked on a long max_wait: the queue fills, and the
+        // shutdown's drain flushes what survived.
         let server = InferServer::gateway(GatewayConfig {
             workers: 1,
             capacity: 2,
             max_batch: 64,
             max_wait: Duration::from_secs(5),
-            opts: ExecOptions::default(),
-            supervisor: SupervisorConfig::default(),
+            ..GatewayConfig::default()
         });
         server.register("m", plan.clone()).expect("register");
         let input: Vec<u8> = (0..16).map(|i| (i % 16) as u8).collect();
         let t_low = server.submit_to("m", input.clone(), 1).expect("admitted");
         let _t_mid = server.submit_to("m", input.clone(), 5).expect("admitted");
         // Queue is full. An equal-priority arrival is backpressured…
-        assert!(matches!(
+        assert_eq!(
             server.submit_to("m", input.clone(), 1).map(|_| ()),
-            Err(InferError::QueueFull { .. })
-        ));
+            Err(InferError::QueueFull { capacity: 2 })
+        );
         // …a higher-priority arrival evicts the lowest-priority one.
         let t_high = server.submit_to("m", input.clone(), 9).expect("admitted");
         assert_eq!(
@@ -1922,11 +1112,25 @@ mod tests {
                 capacity: 2
             })
         );
-        assert_eq!(t_high.wait().expect("served"), plan.execute(&input));
         let stats = server.shutdown();
-        assert_eq!(stats.shed, 1);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.completed, 2);
+        assert_eq!(t_high.wait().expect("served"), plan.execute(&input));
+        assert_eq!((stats.shed, stats.rejected, stats.completed), (1, 1, 2));
+    }
+
+    #[test]
+    fn a_worker_drops_the_arena_of_a_plan_that_is_gone() {
+        let input: Vec<u8> = (0..16).map(|i| (i % 16) as u8).collect();
+        let (inputs, opts) = ([input.clone()], ExecOptions::default());
+        let (a, b) = (Arc::new(tiny_plan()), Arc::new(other_plan()));
+        let mut arenas = Arenas::new();
+        for plan in [&a, &b, &a] {
+            run(plan, &inputs, &[0], &opts, &mut arenas);
+        }
+        assert_eq!(arenas.len(), 2, "one arena per live plan");
+        drop(a);
+        let ran = run(&b, &inputs, &[0], &opts, &mut arenas);
+        assert_eq!(arenas.len(), 1, "the unregistered plan's arena is gone");
+        assert_eq!(ran[0].result, Ok(b.execute(&input)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Self-healing supervision primitives for the serving gateway.
 //!
-//! [`crate::InferServer`] composes four recovery mechanisms (watchdog,
-//! circuit breaker, seeded retries, ISA demotion); this module holds
+//! [`crate::InferServer`] composes four recovery mechanisms (hang
+//! takeover, circuit breaker, seeded retries, ISA demotion); this module holds
 //! the pieces that are **pure state machines or plain data** so they
 //! can be tested in isolation — most importantly the
 //! [`CircuitBreaker`], which is deterministic given its call sequence
@@ -19,15 +19,13 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::error::InferError;
 
 /// Supervision knobs of one gateway ([`crate::GatewayConfig::supervisor`]).
 ///
-/// The defaults are deliberately conservative: the watchdog only wedges
+/// The defaults are deliberately conservative: the gateway only wedges
 /// a worker stuck for 30 s, the breaker needs a sustained error rate
 /// over a real sample count, retries are **off** (`retry_budget == 0`)
 /// so fault semantics match the pre-supervision gateway unless a
@@ -35,14 +33,10 @@ use crate::error::InferError;
 /// faults.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// A batch executing longer than this is declared hung: the
-    /// watchdog answers its tickets with [`InferError::Hung`], marks
-    /// the worker wedged, and spawns a replacement.
+    /// A batch executing longer than this is declared hung: its
+    /// tickets are answered with [`InferError::Hung`], the worker is
+    /// marked wedged, and a replacement is spawned.
     pub hang_deadline: Duration,
-    /// How often the watchdog scans worker heartbeats. `None` derives
-    /// a quarter of [`SupervisorConfig::hang_deadline`], clamped to
-    /// `[1ms, 250ms]`.
-    pub watchdog_interval: Option<Duration>,
     /// Sliding outcome-window size of each model's circuit breaker.
     pub breaker_window: usize,
     /// Minimum outcomes in the window before the breaker may trip.
@@ -79,7 +73,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             hang_deadline: Duration::from_secs(30),
-            watchdog_interval: None,
             breaker_window: 64,
             breaker_min_samples: 16,
             breaker_threshold_pct: 60,
@@ -96,14 +89,6 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// The effective watchdog scan interval (see
-    /// [`SupervisorConfig::watchdog_interval`]).
-    pub fn effective_watchdog_interval(&self) -> Duration {
-        self.watchdog_interval.unwrap_or_else(|| {
-            (self.hang_deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(250))
-        })
-    }
-
     /// The breaker configuration this supervisor hands each model.
     pub fn breaker_config(&self) -> BreakerConfig {
         BreakerConfig {
@@ -139,9 +124,10 @@ impl Default for BreakerConfig {
 }
 
 /// The breaker's three states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: every request is admitted, outcomes feed the window.
+    #[default]
     Closed,
     /// Tripped: requests are shed with [`InferError::BreakerOpen`]
     /// until the cooldown elapses.
@@ -396,7 +382,8 @@ fn mix64(seed: u64) -> u64 {
 /// *why* the gateway healed itself, not just that counters moved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealthEvent {
-    /// The watchdog declared a worker wedged and answered its tickets.
+    /// A worker's batch overran the hang deadline: the worker is wedged
+    /// and its tickets answered.
     WorkerHung {
         /// The wedged worker's id.
         worker: usize,
@@ -499,11 +486,11 @@ impl fmt::Display for HealthEvent {
 /// A bounded, sequence-numbered ring of [`HealthEvent`]s. Sequence
 /// numbers are global and monotone, so an operator polling snapshots
 /// can detect events that scrolled out of the ring between polls.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HealthLog {
     cap: usize,
-    seq: AtomicU64,
-    events: Mutex<VecDeque<(u64, HealthEvent)>>,
+    seq: u64,
+    events: VecDeque<(u64, HealthEvent)>,
 }
 
 impl HealthLog {
@@ -511,36 +498,31 @@ impl HealthLog {
     pub fn new(cap: usize) -> HealthLog {
         HealthLog {
             cap: cap.max(1),
-            seq: AtomicU64::new(0),
-            events: Mutex::new(VecDeque::new()),
+            seq: 0,
+            events: VecDeque::new(),
         }
     }
 
     /// Appends `event`, evicting the oldest beyond capacity; returns
     /// its sequence number.
-    pub fn record(&self, event: HealthEvent) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        events.push_back((seq, event));
-        while events.len() > self.cap {
-            events.pop_front();
+    pub fn record(&mut self, event: HealthEvent) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        self.events.push_back((seq, event));
+        while self.events.len() > self.cap {
+            self.events.pop_front();
         }
         seq
     }
 
     /// Total events ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.seq
     }
 
     /// The retained `(seq, event)` pairs, oldest first.
     pub fn snapshot(&self) -> Vec<(u64, HealthEvent)> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
+        self.events.iter().cloned().collect()
     }
 }
 
@@ -671,7 +653,7 @@ mod tests {
 
     #[test]
     fn health_log_is_bounded_with_monotone_seqs() {
-        let log = HealthLog::new(3);
+        let mut log = HealthLog::new(3);
         for i in 0..5usize {
             log.record(HealthEvent::BreakerOpened {
                 model: format!("m{i}"),
@@ -707,7 +689,7 @@ mod tests {
             message: "shape".into()
         }));
         assert!(!kernel_attributed(&InferError::Internal {
-            message: "injected fault at serve.batch".into()
+            message: "injected fault at infer.prep".into()
         }));
     }
 }

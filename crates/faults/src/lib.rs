@@ -2,8 +2,8 @@
 //!
 //! A registry of **named fault points** scattered through the
 //! compilation pipeline (cost evaluation, cache lookup, VLIW packing,
-//! model-text parsing), the inference runtime, the serving gateway and
-//! the artifact store. A chaos test *arms* a
+//! model-text parsing), the inference runtime and the artifact store.
+//! A chaos test *arms* a
 //! [`FaultPlan`] — which point fires, what it does, and on which hit —
 //! runs the pipeline, and asserts the robustness contract: every
 //! injected-fault run either produces a bit-identical artifact (after
@@ -24,7 +24,10 @@
 //!
 //! The well-known point names (one per instrumented subsystem). The
 //! first four cover the compilation pipeline, the rest the inference
-//! runtime, the gateway and the artifact store:
+//! runtime and the artifact store. The serving gateway has no fault
+//! points: its decisions are a pure state machine, and a hang, a failed
+//! request or a late answer is an event its scenario tests feed it
+//! (`tests/gateway_scenarios.rs`):
 //!
 //! | point              | where it fires                                   |
 //! |--------------------|--------------------------------------------------|
@@ -36,10 +39,6 @@
 //! | `infer.prep`       | GEMM operand staging (im2col/transpose)          |
 //! | `infer.gemm`       | blocked-GEMM dispatch (`gcd2-kernels::tiled`)    |
 //! | `infer.elementwise`| host elementwise/pool/shape step dispatch        |
-//! | `serve.batch`      | gateway batch round, before its requests run (`gcd2::serve`) |
-//! | `serve.registry`   | gateway model register/swap (`gcd2::serve`)      |
-//! | `serve.hang`       | gateway batch dispatch, pre-execution (a `Delay` models a wedged worker under the watchdog) |
-//! | `serve.retry`      | gateway retry path, before a re-attempt (`gcd2::serve`) |
 //! | `artifact.encode`  | artifact container serialization (`gcd2-artifact`)|
 //! | `artifact.decode`  | artifact container decode (`gcd2-artifact`)      |
 //! | `artifact.io`      | artifact cache load/store (`gcd2-artifact`)      |
@@ -60,28 +59,14 @@ pub const RUNTIME_POINTS: [&str; 4] = [
     "infer.elementwise",
 ];
 
-/// The serving-gateway fault points ([`Layer::Gateway`]).
-/// Kept out of [`RUNTIME_POINTS`] so the runtime chaos gate's fixed
-/// seeds keep producing the same plans they did before the gateway
-/// existed.
-pub const GATEWAY_POINTS: [&str; 2] = ["serve.batch", "serve.registry"];
-
 /// The AOT-artifact fault points ([`Layer::Artifact`]):
 /// container encode, container decode, and cache filesystem traffic.
 /// Kept out of the earlier families so their chaos gates' fixed seeds
 /// keep producing the plans they always did.
 pub const ARTIFACT_POINTS: [&str; 3] = ["artifact.encode", "artifact.decode", "artifact.io"];
 
-/// The supervision-layer fault points ([`Layer::Supervisor`]):
-/// `serve.hang` fires in the worker right before each batch round (a
-/// `Delay` there is how chaos tests wedge a worker under the watchdog's
-/// nose), `serve.retry` fires before each retry re-attempt. Kept out of [`GATEWAY_POINTS`]
-/// so the PR-8 gateway chaos gate's fixed seeds keep producing the
-/// plans they always did.
-pub const SUPERVISOR_POINTS: [&str; 2] = ["serve.hang", "serve.retry"];
-
 /// Every canonical fault-point name, for plan builders and tests.
-pub const POINTS: [&str; 15] = [
+pub const POINTS: [&str; 11] = [
     "cost.eval",
     "cache.lookup",
     "pack.vliw",
@@ -90,10 +75,6 @@ pub const POINTS: [&str; 15] = [
     "infer.prep",
     "infer.gemm",
     "infer.elementwise",
-    "serve.batch",
-    "serve.registry",
-    "serve.hang",
-    "serve.retry",
     "artifact.encode",
     "artifact.decode",
     "artifact.io",
@@ -215,14 +196,6 @@ pub enum Layer {
     /// to model persistent hardware/memory failures. No runtime point
     /// is a cache, so cache corruption stays the compile layer's.
     Runtime,
-    /// [`GATEWAY_POINTS`] plus the runtime points (a gateway sits on
-    /// top of the runtime, so its sweeps cross both layers).
-    Gateway,
-    /// [`SUPERVISOR_POINTS`] plus the gateway and runtime points. The
-    /// supervisor points lean on `Delay` — a delayed `serve.hang` is a
-    /// wedged worker for the watchdog, and hang-heavy storms are the
-    /// whole reason the layer exists.
-    Supervisor,
     /// [`ARTIFACT_POINTS`]: panics or short delays, occasionally sticky
     /// to model a persistently failing disk. Triggers stay in the first
     /// few hits — one `load_or_compile` touches each point only a
@@ -241,8 +214,6 @@ const COMPILE: PointTable = (
     [FaultKind::Panic, DELAY, FaultKind::CorruptCache],
 );
 const RUNTIME: PointTable = (&RUNTIME_POINTS, CRASH_HEAVY);
-const GATEWAY: PointTable = (&GATEWAY_POINTS, CRASH_HEAVY);
-const SUPERVISOR: PointTable = (&SUPERVISOR_POINTS, [FaultKind::Panic, DELAY, DELAY]);
 const ARTIFACT: PointTable = (&ARTIFACT_POINTS, CRASH_HEAVY);
 
 impl Layer {
@@ -254,13 +225,6 @@ impl Layer {
         match self {
             Layer::Compile => (0, &[COMPILE], 64, false),
             Layer::Runtime => (0x52_54_43_48_41_4f_53, &[RUNTIME], 64, true),
-            Layer::Gateway => (0x47_41_54_45_57_41_59, &[GATEWAY, RUNTIME], 16, true),
-            Layer::Supervisor => (
-                0x53_55_50_52_56_53_52,
-                &[SUPERVISOR, GATEWAY, RUNTIME],
-                16,
-                true,
-            ),
             Layer::Artifact => (0x41_52_54_49_46_41_43, &[ARTIFACT], 8, true),
         }
     }
@@ -423,14 +387,9 @@ pub fn fire(_point: &str) -> Injection {
 mod tests {
     use super::*;
 
-    const LAYERS: [(Layer, &[&[&str]]); 5] = [
+    const LAYERS: [(Layer, &[&[&str]]); 3] = [
         (Layer::Compile, &[&COMPILE_POINTS]),
         (Layer::Runtime, &[&RUNTIME_POINTS]),
-        (Layer::Gateway, &[&GATEWAY_POINTS, &RUNTIME_POINTS]),
-        (
-            Layer::Supervisor,
-            &[&SUPERVISOR_POINTS, &GATEWAY_POINTS, &RUNTIME_POINTS],
-        ),
         (Layer::Artifact, &[&ARTIFACT_POINTS]),
     ];
 
@@ -469,15 +428,9 @@ mod tests {
                     .any(|f| f.point == point)
             })
         };
-        for point in SUPERVISOR_POINTS {
-            assert!(reaches(Layer::Supervisor, 0..64, point), "{point}");
-        }
         for point in ARTIFACT_POINTS {
             assert!(reaches(Layer::Artifact, 0..64, point), "{point}");
         }
-        assert!(GATEWAY_POINTS
-            .iter()
-            .any(|point| reaches(Layer::Gateway, 0..32, point)));
     }
 
     /// The plans the two CI seeds draw for every layer: every chaos
@@ -495,12 +448,6 @@ mod tests {
         let pinned = [
             (Layer::Compile, 7, "cost.eval Panic @12"),
             (Layer::Runtime, 7, "infer.prep Delay { millis: 2 } @40"),
-            (Layer::Gateway, 7, "infer.prep Panic @11 sticky"),
-            (
-                Layer::Supervisor,
-                7,
-                "serve.batch Panic @9, infer.gemm Panic @11, infer.prep Delay { millis: 1 } @16",
-            ),
             (Layer::Artifact, 7, "artifact.io Panic @1"),
             (
                 Layer::Compile,
@@ -512,12 +459,6 @@ mod tests {
                 2024,
                 "infer.elementwise Panic @4, infer.arena Panic @26, \
                  infer.elementwise Delay { millis: 3 } @47 sticky",
-            ),
-            (Layer::Gateway, 2024, "infer.gemm Panic @9 sticky"),
-            (
-                Layer::Supervisor,
-                2024,
-                "serve.batch Delay { millis: 3 } @4",
             ),
             (
                 Layer::Artifact,
@@ -537,18 +478,12 @@ mod tests {
     #[test]
     fn point_sets_partition_cleanly() {
         assert_eq!(
-            COMPILE_POINTS.len()
-                + RUNTIME_POINTS.len()
-                + GATEWAY_POINTS.len()
-                + SUPERVISOR_POINTS.len()
-                + ARTIFACT_POINTS.len(),
+            COMPILE_POINTS.len() + RUNTIME_POINTS.len() + ARTIFACT_POINTS.len(),
             POINTS.len()
         );
         for p in COMPILE_POINTS
             .iter()
             .chain(RUNTIME_POINTS.iter())
-            .chain(GATEWAY_POINTS.iter())
-            .chain(SUPERVISOR_POINTS.iter())
             .chain(ARTIFACT_POINTS.iter())
         {
             assert!(POINTS.contains(p));

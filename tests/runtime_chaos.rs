@@ -320,6 +320,7 @@ fn wrong_input_len_is_structured_and_does_not_contaminate() {
     let plan = plan();
     let good = batch_inputs(2);
     let expect = baseline(&plan, &good);
+    let _quiet = quiet();
     let e = plan.try_execute(&good[0][..7]).expect_err("shape mismatch");
     assert_eq!(
         e,
@@ -343,6 +344,7 @@ fn wrong_input_len_is_structured_and_does_not_contaminate() {
 
 #[test]
 fn cross_plan_arena_is_rejected() {
+    let _quiet = quiet();
     let compiled = Compiler::new().compile(&chaos_net());
     let plan_a = compiled.inference_plan(1);
     let plan_b = compiled.inference_plan(2);
@@ -366,6 +368,7 @@ fn cross_plan_arena_is_rejected() {
 
 #[test]
 fn weight_corruption_is_detected_by_integrity_check() {
+    let _quiet = quiet();
     let mut plan = plan();
     plan.verify_integrity().expect("pristine plan verifies");
     plan.chaos_corrupt_weights();
@@ -385,6 +388,7 @@ fn weight_corruption_is_detected_by_integrity_check() {
 
 #[test]
 fn schedule_tampering_fails_every_paranoid_run() {
+    let _quiet = quiet();
     let mut plan = plan();
     plan.chaos_corrupt_schedule();
     let inputs = batch_inputs(3);
