@@ -598,14 +598,12 @@ impl ArtifactWriter {
     }
 
     /// Serializes the container, binding the chain checksum to `bind`
-    /// (the plan's integrity checksum). Hosts the `artifact.encode`
-    /// fault point.
+    /// (the plan's integrity checksum).
     ///
     /// # Errors
     /// [`ArtifactError::Bounds`] if a section exceeds
     /// [`MAX_SECTION_BYTES`] or there are more than [`MAX_SECTIONS`].
     pub fn finish(self, bind: u64) -> Result<Vec<u8>, ArtifactError> {
-        let _ = gcd2_faults::fire("artifact.encode");
         if self.sections.len() > MAX_SECTIONS {
             return Err(ArtifactError::Bounds {
                 what: "section count",
@@ -671,8 +669,7 @@ pub struct Artifact<'a> {
 impl<'a> Artifact<'a> {
     /// Decodes and verifies the container: magic, version, table
     /// bounds, contiguity, and every per-section checksum. No payload
-    /// byte is interpreted beyond hashing. Hosts the `artifact.decode`
-    /// fault point.
+    /// byte is interpreted beyond hashing.
     ///
     /// # Errors
     /// Every container defect maps to one [`ArtifactError`] variant:
@@ -680,7 +677,6 @@ impl<'a> Artifact<'a> {
     /// file → `Truncated`, forged counts/offsets/lengths → `Bounds`,
     /// flipped payload or table checksum → `SectionChecksum`.
     pub fn decode(buf: &'a [u8]) -> Result<Artifact<'a>, ArtifactError> {
-        let _ = gcd2_faults::fire("artifact.decode");
         let mut r = ByteReader::new(buf);
         if r.take(8)? != MAGIC {
             return Err(ArtifactError::BadMagic);
@@ -880,14 +876,12 @@ impl ArtifactCache {
     }
 
     /// Reads the artifact stored under `key`. A missing file is
-    /// `Ok(None)` (a cache miss, not an error). Hosts the `artifact.io`
-    /// fault point.
+    /// `Ok(None)` (a cache miss, not an error).
     ///
     /// # Errors
     /// [`ArtifactError::Io`] for any filesystem failure other than
     /// not-found.
     pub fn load(&self, key: &str) -> Result<Option<Vec<u8>>, ArtifactError> {
-        let _ = gcd2_faults::fire("artifact.io");
         match fs::read(self.path_for(key)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -896,14 +890,12 @@ impl ArtifactCache {
     }
 
     /// Stores `bytes` under `key` crash-safely: temp file + fsync +
-    /// atomic rename + directory fsync. Returns the final path. Hosts
-    /// the `artifact.io` fault point.
+    /// atomic rename + directory fsync. Returns the final path.
     ///
     /// # Errors
     /// [`ArtifactError::Io`] on any filesystem failure; the final path
     /// is never left torn.
     pub fn store(&self, key: &str, bytes: &[u8]) -> Result<PathBuf, ArtifactError> {
-        let _ = gcd2_faults::fire("artifact.io");
         let final_path = self.path_for(key);
         let tmp_path = self
             .dir

@@ -246,7 +246,6 @@ pub fn from_text(text: &str) -> Result<Graph, ParseGraphError> {
     let mut graph = Graph::new();
     let mut by_name: HashMap<String, NodeId> = HashMap::new();
     for (idx, raw) in text.lines().enumerate() {
-        let _ = gcd2_faults::fire("parse.line");
         let line = raw.trim();
         let lineno = idx + 1;
         // Errors with no more precise culprit point at the start of the

@@ -15,11 +15,10 @@ use gcd2_kernels::{
     adaptive_unroll, depthwise_vtmpy_blocks, elementwise_blocks, im2col_overhead_cycles,
     timing_blocks, EwKind,
 };
-use gcd2_par::CacheStats;
 use gcd2_tensor::transform_block;
-use gcd2_vliw::Packer;
+use gcd2_vliw::{CacheStats, Packer};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Why [`try_lower`] failed.
@@ -32,9 +31,6 @@ pub enum LowerError {
         /// Entries in the assignment.
         choices: usize,
     },
-    /// Lowering one operator panicked and its one retry panicked again
-    /// (a persistent fault, not a transient one).
-    Worker(gcd2_par::WorkerPanic),
     /// The in-lowering verifier rejected the emitted program.
     Verify {
         /// Error-level diagnostics found.
@@ -54,7 +50,6 @@ impl fmt::Display for LowerError {
                 f,
                 "assignment must cover the graph ({graph_nodes} nodes, {choices} choices)"
             ),
-            LowerError::Worker(p) => write!(f, "lowering failed: {p}"),
             LowerError::Verify { errors, report } => write!(
                 f,
                 "verifier rejected the lowered program ({errors} errors):\n{report}"
@@ -63,14 +58,7 @@ impl fmt::Display for LowerError {
     }
 }
 
-impl std::error::Error for LowerError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LowerError::Worker(p) => Some(p),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for LowerError {}
 
 /// How blocks are scheduled into packets.
 #[derive(Debug, Clone, Default)]
@@ -191,7 +179,7 @@ impl LoweredModel {
 struct PackCtx {
     /// `None` for `PackMode::Sequential` (no scheduling to do).
     packer: Option<Packer>,
-    pack_nanos: AtomicU64,
+    pack_cpu: Cell<Duration>,
 }
 
 impl PackCtx {
@@ -217,7 +205,7 @@ impl PackCtx {
         };
         PackCtx {
             packer,
-            pack_nanos: AtomicU64::new(0),
+            pack_cpu: Cell::default(),
         }
     }
 
@@ -227,8 +215,7 @@ impl PackCtx {
             Some(p) => p.pack_block(block),
             None => PackedBlock::sequential(block),
         };
-        self.pack_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.pack_cpu.set(self.pack_cpu.get() + t0.elapsed());
         packed
     }
 
@@ -263,9 +250,8 @@ fn im2col_block(cycles: u64) -> Option<Block> {
 }
 
 /// Lowers one operator node: its input-edge layout transforms followed
-/// by its kernel blocks, all packed. Pure function of its arguments, so
-/// a node whose lowering panicked can be retried; the caller assembles
-/// the per-node block lists in topological order.
+/// by its kernel blocks, all packed. The caller assembles the per-node
+/// block lists in topological order.
 fn lower_node(
     graph: &Graph,
     plans: &PlanSet,
@@ -399,9 +385,7 @@ pub fn lower(
 }
 
 /// Fallible form of [`lower`]: returns a [`LowerError`] instead of
-/// panicking on bad input, persistent faults, or verifier
-/// rejection. An operator whose lowering panics is retried once, so a
-/// transient panic does not surface as an error.
+/// panicking on bad input or verifier rejection.
 pub fn try_lower(
     graph: &Graph,
     plans: &PlanSet,
@@ -415,21 +399,14 @@ pub fn try_lower(
         });
     }
     let ctx = PackCtx::new(options);
-    let op_nodes: Vec<&Node> = graph
+    let op_nodes = graph
         .nodes()
         .iter()
-        .filter(|n| !matches!(n.kind, OpKind::Input | OpKind::Constant))
-        .collect();
-    // In order on the caller, each operator under `gcd2_par`'s
-    // catch-unwind-and-retry-once guard.
-    let lowered: Vec<(Vec<PackedBlock>, OpReport)> = gcd2_par::try_map(&op_nodes, |node| {
-        lower_node(graph, plans, assignment, options, &ctx, node)
-    })
-    .map_err(LowerError::Worker)?;
-
+        .filter(|n| !matches!(n.kind, OpKind::Input | OpKind::Constant));
     let mut program = Program::new();
-    let mut reports = Vec::with_capacity(lowered.len());
-    for (blocks, report) in lowered {
+    let mut reports = Vec::new();
+    for node in op_nodes {
+        let (blocks, report) = lower_node(graph, plans, assignment, options, &ctx, node);
         for b in blocks {
             program.push(b);
         }
@@ -459,7 +436,7 @@ pub fn try_lower(
     Ok(LoweredModel {
         program,
         reports,
-        pack_cpu: Duration::from_nanos(ctx.pack_nanos.load(Ordering::Relaxed)),
+        pack_cpu: ctx.pack_cpu.get(),
         verify_cpu,
         pack_memo: ctx.memo_stats(),
     })

@@ -46,7 +46,7 @@ use gcd2_cgraph::Graph;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::error::Gcd2Error;
+use crate::error::{panic_message, Gcd2Error};
 use crate::infer::{
     guard_panics, lap, GemmStep, InferencePlan, InstallLedger, StepKind, WeightTile,
 };
@@ -386,8 +386,8 @@ pub fn cache_key(compiler: &Compiler, text: &str, seed: u64) -> String {
 }
 
 fn try_load(cache: &ArtifactCache, key: &str) -> Result<Option<LoadedArtifact>, ColdStartFallback> {
-    // Fault points (and any latent defect) may panic inside the load
-    // path; a cold start must degrade to compiling, not abort.
+    // A latent defect may panic inside the load path; a cold start must
+    // degrade to compiling, not abort.
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<_, ColdStartFallback> {
         let bytes = cache.load(key).map_err(|e| ColdStartFallback {
             stage: "load",
@@ -405,7 +405,7 @@ fn try_load(cache: &ArtifactCache, key: &str) -> Result<Option<LoadedArtifact>, 
             stage: "load",
             detail: format!(
                 "panic during artifact load: {}",
-                gcd2_par::panic_message(payload.as_ref())
+                panic_message(payload.as_ref())
             ),
         }),
     }
@@ -415,7 +415,7 @@ fn try_load(cache: &ArtifactCache, key: &str) -> Result<Option<LoadedArtifact>, 
 /// if a valid artifact exists, otherwise compile from `text` and write
 /// the artifact back. The contract is **never abort on a bad
 /// artifact**: any load failure (I/O error, corruption, version skew,
-/// integrity mismatch, even an injected panic) is recorded as a
+/// integrity mismatch, even a panic) is recorded as a
 /// [`ColdStartFallback`] and degrades to a fresh compile. An advisory
 /// per-key lock elects one builder among concurrent processes; losers
 /// briefly poll for the winner's artifact before compiling anyway.
@@ -477,7 +477,7 @@ pub fn load_or_compile(
     let (compiled, _report) = compiler.try_compile_text(text)?;
     let plan = compiled.try_inference_plan(seed)?;
 
-    // Write-back is best-effort: a failed store (or injected fault) is
+    // Write-back is best-effort: a failed store (or a panic) is
     // recorded, never fatal — the plan in hand is already good.
     let store_outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), ArtifactError> {
         let bytes = encode(&compiled, &plan, label)?;
@@ -494,7 +494,7 @@ pub fn load_or_compile(
             stage: "store",
             detail: format!(
                 "panic during artifact store: {}",
-                gcd2_par::panic_message(payload.as_ref())
+                panic_message(payload.as_ref())
             ),
         }),
     }

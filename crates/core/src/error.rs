@@ -3,16 +3,15 @@
 //! [`Gcd2Error`] is the single error type of the fallible compilation
 //! entry points ([`crate::Compiler::try_compile`] and friends). Every
 //! way a compile can fail — malformed serialized text, an inadmissible
-//! graph, an item that panics persistently, a verifier rejection, or a
-//! defect inside the compiler itself — maps to one variant, so callers
-//! embedding the compiler never have to `catch_unwind` around it.
+//! graph, a verifier rejection, or a defect inside the compiler itself —
+//! maps to one variant, so callers embedding the compiler never have to
+//! `catch_unwind` around it.
 
 use std::fmt;
 
 use gcd2_artifact::ArtifactError;
 use gcd2_cgraph::{GraphBuildError, ParseGraphError};
 use gcd2_codegen::LowerError;
-use gcd2_par::WorkerPanic;
 
 pub use crate::admit::AdmissionError;
 
@@ -28,17 +27,12 @@ pub enum Gcd2Error {
     /// The graph parsed and built but fails the compiler's admission
     /// checks (size limits, degenerate shapes, dangling edges).
     Admission(AdmissionError),
-    /// One item of a compile stage (a node's plan enumeration, a
-    /// partition's refinement) panicked and its one retry panicked
-    /// again — a persistent fault, not a transient one.
-    Worker(WorkerPanic),
-    /// Lowering failed (bad assignment, an operator that panics
-    /// persistently, or the static verifier rejected the emitted
-    /// program).
+    /// Lowering failed (bad assignment, or the static verifier
+    /// rejected the emitted program).
     Lower(LowerError),
-    /// The compiler itself panicked. The pipeline runs under a panic
-    /// guard, so internal defects surface here instead of unwinding
-    /// through the caller.
+    /// The compiler itself panicked. Parsing, admission and the pipeline
+    /// run under one panic guard, so internal defects surface here
+    /// instead of unwinding through the caller.
     Internal {
         /// The captured panic message.
         message: String,
@@ -58,7 +52,6 @@ impl fmt::Display for Gcd2Error {
             Gcd2Error::Parse(e) => write!(f, "graph text rejected: {e}"),
             Gcd2Error::Build(e) => write!(f, "graph construction failed: {e}"),
             Gcd2Error::Admission(e) => write!(f, "graph rejected at admission: {e}"),
-            Gcd2Error::Worker(e) => write!(f, "compilation failed: {e}"),
             Gcd2Error::Lower(e) => write!(f, "lowering failed: {e}"),
             Gcd2Error::Internal { message } => {
                 write!(f, "internal compiler error (caught panic): {message}")
@@ -75,7 +68,6 @@ impl std::error::Error for Gcd2Error {
             Gcd2Error::Parse(e) => Some(e),
             Gcd2Error::Build(e) => Some(e),
             Gcd2Error::Admission(e) => Some(e),
-            Gcd2Error::Worker(e) => Some(e),
             Gcd2Error::Lower(e) => Some(e),
             Gcd2Error::Internal { .. } => None,
             Gcd2Error::Infer(e) => Some(e),
@@ -114,15 +106,21 @@ impl From<AdmissionError> for Gcd2Error {
     }
 }
 
-impl From<WorkerPanic> for Gcd2Error {
-    fn from(e: WorkerPanic) -> Self {
-        Gcd2Error::Worker(e)
-    }
-}
-
 impl From<LowerError> for Gcd2Error {
     fn from(e: LowerError) -> Self {
         Gcd2Error::Lower(e)
+    }
+}
+
+/// Renders a `catch_unwind` payload as text (`&str` and `String`
+/// payloads verbatim, anything else a placeholder).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -336,5 +334,20 @@ impl std::error::Error for InferError {
 impl From<ArtifactError> for InferError {
     fn from(e: ArtifactError) -> Self {
         InferError::Artifact(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panic_message_renders_common_payloads() {
+        let p = std::panic::catch_unwind(|| panic!("plain str")).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "plain str");
+        let p = std::panic::catch_unwind(|| panic!("formatted {}", 7)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "formatted 7");
+        let p = std::panic::catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
     }
 }

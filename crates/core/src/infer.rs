@@ -74,7 +74,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::error::InferError;
+use crate::error::{panic_message, InferError};
 use crate::layout::{self, LayoutCost};
 use crate::runtime::{gemm_shift, ACT_MAX, WGT_MAX};
 use crate::CompiledModel;
@@ -472,7 +472,7 @@ pub struct ExecOptions {
     /// tier ([`gcd2_kernels::pin_scalar`], a thread-scoped pin — other
     /// executions keep their vector tiers). This is the gateway's
     /// fault-triggered ISA demotion lever: after repeated
-    /// kernel-attributed faults on a model, its batches run quarantined
+    /// kernel-attributed faults on a model, its batches run demoted
     /// on the always-correct scalar path. All tiers are bit-identical,
     /// so forcing scalar can never change output bytes — only speed.
     pub force_scalar: bool,
@@ -1568,7 +1568,7 @@ impl InferencePlan {
                 arena: stamp,
             }),
             None => {
-                let _ = gcd2_faults::fire("infer.arena");
+                gcd2_faults::fire("infer.arena");
                 let sized = |len: usize| {
                     let mut buf = LineBuf::default();
                     buf.bytes_mut(len);
@@ -2088,7 +2088,7 @@ impl gcd2_verify::InferPlanView for InferencePlan {
 pub(crate) fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Result<T, InferError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         Err(InferError::Internal {
-            message: gcd2_par::panic_message(p.as_ref()),
+            message: panic_message(p.as_ref()),
         })
     })
 }
@@ -2111,7 +2111,7 @@ impl GemmRun<'_> {
     /// timed) and where the dispatch read its weights from. Hosts the
     /// `infer.prep` fault point.
     fn dispatch(&self, arena: &mut InferArena) -> Result<(Duration, PanelSource), InferError> {
-        let _ = gcd2_faults::fire("infer.prep");
+        gcd2_faults::fire("infer.prep");
         let t0 = self.timed.then(Instant::now);
         let (step, g) = (self.step, self.g);
         let (m, k, n) = (g.m, g.k, g.n);
@@ -2234,9 +2234,9 @@ fn run_step<'a>(
     out: &mut [u8],
 ) {
     if matches!(step.kind, StepKind::Gemm(_)) {
-        let _ = gcd2_faults::fire("infer.prep");
+        gcd2_faults::fire("infer.prep");
     } else {
-        let _ = gcd2_faults::fire("infer.elementwise");
+        gcd2_faults::fire("infer.elementwise");
     }
     match &step.kind {
         StepKind::Input => {

@@ -49,8 +49,7 @@ use gcd2_globalopt::{
 };
 use gcd2_hvx::{EnergyModel, ExecStats, CLOCK_HZ};
 use gcd2_kernels::{CostCache, CostModel, SimdInstr};
-use gcd2_par::CacheStats;
-use gcd2_vliw::Packer;
+use gcd2_vliw::{CacheStats, Packer};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -70,6 +69,7 @@ pub use admit::{admit, admit_with, AdmissionError, AdmissionLimits};
 pub use artifact::{
     load_or_compile, ArtifactStats, ColdStart, ColdStartFallback, ColdStartSource, LoadedArtifact,
 };
+use error::panic_message;
 pub use error::{Gcd2Error, InferError};
 pub use gcd2_analyze::{Analysis, Diagnostic, GemmRange, LintCode, RangeReport, Severity, Verdict};
 pub use gcd2_artifact::{ArtifactCache, ArtifactError};
@@ -309,16 +309,15 @@ impl Compiler {
     /// applies to the GCD2 ladder only. Returns the assignment, the
     /// degradation events (empty unless the ladder had to back off), and
     /// the rung that produced the result (None for non-GCD2 strategies).
-    fn try_assign(
+    fn assign(
         &self,
         graph: &Graph,
         plans: &PlanSet,
-    ) -> Result<(Assignment, Vec<DegradeEvent>, Option<Rung>), Gcd2Error> {
+    ) -> (Assignment, Vec<DegradeEvent>, Option<Rung>) {
         let assignment = match self.selection {
             Selection::Gcd2 { max_ops } => {
-                let sel = gcd2_select_budgeted(graph, plans, max_ops, self.budget)
-                    .map_err(Gcd2Error::Worker)?;
-                return Ok((sel.assignment, sel.degrade, Some(sel.rung)));
+                let sel = gcd2_select_budgeted(graph, plans, max_ops, self.budget);
+                return (sel.assignment, sel.degrade, Some(sel.rung));
             }
             Selection::LocalOptimal => local_optimal(graph, plans),
             Selection::Pbqp => pbqp_select(graph, plans),
@@ -352,7 +351,7 @@ impl Compiler {
                 Assignment { choice, cost }
             }
         };
-        Ok((assignment, Vec::new(), None))
+        (assignment, Vec::new(), None)
     }
 
     /// Runs plan selection only (no lowering) — used by the Figure 10
@@ -360,15 +359,8 @@ impl Compiler {
     /// is enabled.
     pub fn select<'g>(&self, graph: &'g Graph) -> (Cow<'g, Graph>, PlanSet, Assignment) {
         let graph = self.rewrite(graph);
-        let model = self.cost_model();
-        let plans = match try_enumerate_plans(&graph, &model, self.lut_ops) {
-            Ok(plans) => plans,
-            Err(e) => panic!("{e}"),
-        };
-        let assignment = match self.try_assign(&graph, &plans) {
-            Ok((assignment, _, _)) => assignment,
-            Err(e) => panic!("{e}"),
-        };
+        let plans = try_enumerate_plans(&graph, &self.cost_model(), self.lut_ops);
+        let (assignment, _, _) = self.assign(&graph, &plans);
         (graph, plans, assignment)
     }
 
@@ -406,15 +398,7 @@ impl Compiler {
         &self,
         text: &str,
     ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
-        // The parser is panic-free on malformed input by construction,
-        // but it runs under the same guard as the pipeline so a parser
-        // defect still surfaces as a structured error.
-        let graph = catch_unwind(AssertUnwindSafe(|| gcd2_cgraph::from_text(text))).map_err(
-            |payload| Gcd2Error::Internal {
-                message: gcd2_par::panic_message(payload.as_ref()),
-            },
-        )??;
-        self.try_compile_timed(&graph)
+        guarded(|| self.admit_and_compile(&gcd2_cgraph::from_text(text)?))
     }
 
     /// Fallible end-to-end compilation.
@@ -427,13 +411,15 @@ impl Compiler {
         &self,
         graph: &Graph,
     ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
+        guarded(|| self.admit_and_compile(graph))
+    }
+
+    fn admit_and_compile(
+        &self,
+        graph: &Graph,
+    ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
         admit::admit(graph)?;
-        match catch_unwind(AssertUnwindSafe(|| self.compile_pipeline(graph))) {
-            Ok(result) => result,
-            Err(payload) => Err(Gcd2Error::Internal {
-                message: gcd2_par::panic_message(payload.as_ref()),
-            }),
-        }
+        self.compile_pipeline(graph)
     }
 
     /// The compilation pipeline body shared by the fallible and
@@ -447,11 +433,11 @@ impl Compiler {
 
         let model = self.cost_model();
         let t0 = Instant::now();
-        let plans = try_enumerate_plans(&graph, &model, self.lut_ops).map_err(Gcd2Error::Worker)?;
+        let plans = try_enumerate_plans(&graph, &model, self.lut_ops);
         let enumerate = t0.elapsed();
 
         let t0 = Instant::now();
-        let (assignment, degrade, rung) = self.try_assign(&graph, &plans)?;
+        let (assignment, degrade, rung) = self.assign(&graph, &plans);
         let select = t0.elapsed();
 
         let options = LowerOptions {
@@ -535,6 +521,18 @@ impl Compiler {
         };
         Ok((compiled, report))
     }
+}
+
+/// The compiler's one panic guard: parsing, admission and the whole
+/// pipeline run inside it, so a defect anywhere in them (or a fault
+/// injected deep in the pipeline) is a [`Gcd2Error::Internal`], never
+/// an unwind into the caller.
+fn guarded<T>(compile: impl FnOnce() -> Result<T, Gcd2Error>) -> Result<T, Gcd2Error> {
+    catch_unwind(AssertUnwindSafe(compile)).unwrap_or_else(|payload| {
+        Err(Gcd2Error::Internal {
+            message: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 /// Per-stage wall-clock timings and cache statistics of one

@@ -95,16 +95,9 @@ pub fn partition(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Vec<Vec<Node
 /// This is [`gcd2_select_budgeted`] under an unbounded budget (no
 /// deadline, no state cap): no rung can fall, so the result is the
 /// `GCD2(max_ops)` rung's assignment.
-///
-/// # Panics
-/// Panics if refining a partition panics twice;
-/// [`gcd2_select_budgeted`] returns that as a value.
 pub fn gcd2_select(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Assignment {
     let unbounded = CompileBudget::with_max_states(u64::MAX);
-    match gcd2_select_budgeted(graph, plans, max_ops, unbounded) {
-        Ok(sel) => sel.assignment,
-        Err(e) => panic!("{e}"),
-    }
+    gcd2_select_budgeted(graph, plans, max_ops, unbounded).assignment
 }
 
 /// The outcome of budgeted selection: the assignment, the ladder rung
@@ -138,16 +131,12 @@ enum RungFailure {
 /// wall-clock deadline is checked between rungs and between stitch steps
 /// as a coarse nondeterministic backstop. The greedy floor always
 /// succeeds and never costs more than the local-optimal baseline.
-///
-/// A panic while refining one partition is isolated and the partition
-/// retried once; a panic that persists on retry surfaces as the returned
-/// [`gcd2_par::WorkerPanic`].
 pub fn gcd2_select_budgeted(
     graph: &Graph,
     plans: &PlanSet,
     max_ops: usize,
     budget: CompileBudget,
-) -> Result<BudgetedSelection, gcd2_par::WorkerPanic> {
+) -> BudgetedSelection {
     let clock = BudgetClock::start(budget);
     let base = local_optimal(graph, plans);
 
@@ -182,13 +171,13 @@ pub fn gcd2_select_budgeted(
             continue;
         }
         match rung {
-            Rung::Gcd2 { max_ops } => match attempt_gcd2(graph, plans, max_ops, &base, &clock)? {
+            Rung::Gcd2 { max_ops } => match attempt_gcd2(graph, plans, max_ops, &base, &clock) {
                 Ok(assignment) => {
-                    return Ok(BudgetedSelection {
+                    return BudgetedSelection {
                         assignment,
                         rung,
                         degrade,
-                    });
+                    };
                 }
                 Err(failure) => {
                     if let Some(to) = next {
@@ -212,18 +201,18 @@ pub fn gcd2_select_budgeted(
                 } else {
                     base.clone()
                 };
-                return Ok(BudgetedSelection {
+                return BudgetedSelection {
                     assignment,
                     rung,
                     degrade,
-                });
+                };
             }
             Rung::Greedy => {
-                return Ok(BudgetedSelection {
+                return BudgetedSelection {
                     assignment: base.clone(),
                     rung,
                     degrade,
-                });
+                };
             }
         }
     }
@@ -249,34 +238,29 @@ fn attempt_gcd2(
     max_ops: usize,
     base: &Assignment,
     clock: &BudgetClock,
-) -> Result<Result<Assignment, RungFailure>, gcd2_par::WorkerPanic> {
+) -> Result<Assignment, RungFailure> {
     let parts = partition(graph, plans, max_ops);
     if parts.is_empty() {
-        return Ok(Ok(base.clone()));
+        return Ok(base.clone());
     }
     let per_part = (clock.budget().max_states / parts.len() as u64).max(1);
 
     // Phase 1: bounded refinement of every partition against the shared
-    // baseline, in order on this thread, each partition under
-    // `gcd2_par`'s catch-unwind-and-retry-once guard.
-    let refined: Vec<(Option<Vec<usize>>, u64)> = gcd2_par::try_map(&parts, |part| {
+    // baseline, in order on this thread.
+    let mut used_total = 0u64;
+    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(parts.len());
+    let mut capped = false;
+    for part in &parts {
         let mut choice = base.choice.clone();
         let (cost, used) = refine_scope_bounded(graph, plans, part, &mut choice, per_part);
-        let cand = cost.map(|_| part.iter().map(|id| choice[id.0]).collect());
-        (cand, used)
-    })?;
-    let mut used_total = 0u64;
-    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(refined.len());
-    let mut capped = false;
-    for (cand, used) in refined {
         used_total += used;
-        match cand {
-            Some(c) => candidates.push(c),
+        match cost {
+            Some(_) => candidates.push(part.iter().map(|id| choice[id.0]).collect()),
             None => capped = true,
         }
     }
     if capped {
-        return Ok(Err(RungFailure::StateCap { used: used_total }));
+        return Err(RungFailure::StateCap { used: used_total });
     }
 
     // Phase 2: stitch in topological order, bounded re-refines.
@@ -284,7 +268,7 @@ fn attempt_gcd2(
     let mut cost = base.cost;
     for (part, cand) in parts.iter().zip(&candidates) {
         if clock.expired() {
-            return Ok(Err(RungFailure::Deadline));
+            return Err(RungFailure::Deadline);
         }
         let saved: Vec<usize> = part.iter().map(|id| choice[id.0]).collect();
         for (id, &c) in part.iter().zip(cand) {
@@ -302,11 +286,11 @@ fn attempt_gcd2(
             used_total += used;
             match refined_cost {
                 Some(c) => cost = c,
-                None => return Ok(Err(RungFailure::StateCap { used: used_total })),
+                None => return Err(RungFailure::StateCap { used: used_total }),
             }
         }
     }
-    Ok(Ok(Assignment { choice, cost }))
+    Ok(Assignment { choice, cost })
 }
 
 #[cfg(test)]
@@ -391,8 +375,7 @@ mod tests {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         let plain = gcd2_select(&g, &plans, 13);
-        let budgeted =
-            gcd2_select_budgeted(&g, &plans, 13, CompileBudget::default()).expect("no panics");
+        let budgeted = gcd2_select_budgeted(&g, &plans, 13, CompileBudget::default());
         assert_eq!(budgeted.assignment, plain);
         assert_eq!(budgeted.rung, Rung::Gcd2 { max_ops: 13 });
         assert!(budgeted.degrade.is_empty());
@@ -403,8 +386,7 @@ mod tests {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         let local = local_optimal(&g, &plans);
-        let sel = gcd2_select_budgeted(&g, &plans, 17, CompileBudget::with_max_states(2))
-            .expect("no panics");
+        let sel = gcd2_select_budgeted(&g, &plans, 17, CompileBudget::with_max_states(2));
         // Both GCD2 rungs must fall to the state cap; the result comes
         // from chain DP (or its greedy floor) and stays within budget.
         assert!(sel.degrade.len() >= 2, "events: {:?}", sel.degrade);
@@ -425,8 +407,8 @@ mod tests {
         let plans = enumerate_plans(&g, &CostModel::new());
         for cap in [1, 50, 10_000, u64::MAX] {
             let budget = CompileBudget::with_max_states(cap);
-            let first = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
-            let again = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
+            let first = gcd2_select_budgeted(&g, &plans, 13, budget);
+            let again = gcd2_select_budgeted(&g, &plans, 13, budget);
             assert_eq!(first, again, "cap {cap} does not repeat");
         }
     }
@@ -437,7 +419,7 @@ mod tests {
         let plans = enumerate_plans(&g, &CostModel::new());
         let local = local_optimal(&g, &plans);
         let budget = CompileBudget::with_deadline(std::time::Duration::ZERO);
-        let sel = gcd2_select_budgeted(&g, &plans, 13, budget).expect("no panics");
+        let sel = gcd2_select_budgeted(&g, &plans, 13, budget);
         assert_eq!(sel.rung, Rung::Greedy);
         assert_eq!(sel.assignment, local);
         assert!(sel

@@ -108,36 +108,21 @@ const PASS_LAYOUTS: [Layout; 3] = [Layout::Col1, Layout::Col2, Layout::Col4];
 /// analysis of possible implementations and associated layouts",
 /// Section IV-A), with the division/nonlinearity lookup-table
 /// optimization enabled.
-///
-/// # Panics
-/// Panics if costing a node panics twice; [`try_enumerate_plans`] is
-/// the non-panicking form.
 pub fn enumerate_plans(graph: &Graph, model: &CostModel) -> PlanSet {
-    match try_enumerate_plans(graph, model, true) {
-        Ok(plans) => plans,
-        Err(e) => panic!("{e}"),
-    }
+    try_enumerate_plans(graph, model, true)
 }
 
-/// Fallible plan enumeration, choosing between the lookup-table and the
-/// naïve scalar lowering of divisions and nonlinearities (`lut_ops` is
-/// the "other optimizations" toggle of the Figure 9 ablation).
-///
-/// Nodes are costed in order on the calling thread, each under
-/// `gcd2_par`'s catch-unwind-and-retry-once guard: a panic in one
-/// node's costing is caught, the node retried once, and only a panic
-/// that persists on retry surfaces — as a structured
-/// [`gcd2_par::WorkerPanic`] instead of unwinding the caller. Costing is
-/// pure, so a recovered run returns bit-identical plans.
-pub fn try_enumerate_plans(
-    graph: &Graph,
-    model: &CostModel,
-    lut_ops: bool,
-) -> Result<PlanSet, gcd2_par::WorkerPanic> {
-    let plans = gcd2_par::try_map(graph.nodes(), |node| {
-        plans_of_node(graph, node, model, lut_ops)
-    })?;
-    Ok(PlanSet { plans })
+/// Plan enumeration, choosing between the lookup-table and the naïve
+/// scalar lowering of divisions and nonlinearities (`lut_ops` is the
+/// "other optimizations" toggle of the Figure 9 ablation). Nodes are
+/// costed in order on the calling thread.
+pub fn try_enumerate_plans(graph: &Graph, model: &CostModel, lut_ops: bool) -> PlanSet {
+    let plans = graph
+        .nodes()
+        .iter()
+        .map(|node| plans_of_node(graph, node, model, lut_ops))
+        .collect();
+    PlanSet { plans }
 }
 
 /// The candidate execution plans of one node.

@@ -14,8 +14,7 @@ use crate::matmul::timing_blocks;
 use crate::unroll::{adaptive_unroll, candidates, UnrollConfig, UnrollStrategy};
 use gcd2_cgraph::GemmDims;
 use gcd2_hvx::{Block, ExecStats, Program};
-use gcd2_par::{CacheStats, ShardedMap};
-use gcd2_vliw::Packer;
+use gcd2_vliw::{CacheStats, Memo, Packer};
 use std::sync::Arc;
 
 /// Fixed per-kernel invocation overhead in cycles: runtime dispatch, DMA
@@ -42,7 +41,7 @@ enum CostKey {
 /// cache whenever the packer configuration (resource model, scheduling
 /// policy) changes, since that changes the cycle values.
 #[derive(Debug, Default, Clone)]
-pub struct CostCache(Arc<ShardedMap<CostKey, u64>>);
+pub struct CostCache(Arc<Memo<CostKey, u64>>);
 
 impl CostCache {
     /// Creates an empty cache.
@@ -59,14 +58,13 @@ impl CostCache {
 /// Cycle cost model backed by kernel generation + SDA packing, with
 /// memoization.
 ///
-/// The memo is a hash-sharded concurrent map shared via `Arc`, so one
-/// model can serve many worker threads (`&CostModel` is `Sync`) and
-/// clones share the same warm cache. Cached cycle counts are pure
-/// functions of their keys, so concurrent use is deterministic.
+/// The memo is shared via `Arc`, so clones share the same warm cache,
+/// and `&CostModel` is `Sync`. Cached cycle counts are pure functions
+/// of their keys, so concurrent use is deterministic.
 #[derive(Debug, Default, Clone)]
 pub struct CostModel {
     packer: Packer,
-    cache: Arc<ShardedMap<CostKey, u64>>,
+    cache: Arc<Memo<CostKey, u64>>,
 }
 
 impl CostModel {
@@ -80,7 +78,7 @@ impl CostModel {
     pub fn with_packer(packer: Packer) -> Self {
         CostModel {
             packer,
-            cache: Arc::new(ShardedMap::new()),
+            cache: Arc::default(),
         }
     }
 
@@ -116,8 +114,8 @@ impl CostModel {
     /// including the kernel dispatch overhead.
     pub fn gemm_cycles(&self, gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) -> u64 {
         self.cache
-            .get_or_insert_with(CostKey::Gemm(*gemm, instr, unroll), || {
-                let _ = gcd2_faults::fire("cost.eval");
+            .get_or_insert_with(&CostKey::Gemm(*gemm, instr, unroll), || {
+                gcd2_faults::fire("cost.eval");
                 self.blocks_cycles(&timing_blocks(gemm, instr, unroll)) + KERNEL_DISPATCH_CYCLES
             })
     }
@@ -149,10 +147,11 @@ impl CostModel {
 
     /// Cycles of a non-GEMM kernel over `elems` elements.
     pub fn ew_cycles(&self, kind: EwKind, elems: usize) -> u64 {
-        self.cache.get_or_insert_with(CostKey::Ew(kind, elems), || {
-            let _ = gcd2_faults::fire("cost.eval");
-            self.blocks_cycles(&elementwise_blocks(kind, elems)) + KERNEL_DISPATCH_CYCLES / 4
-        })
+        self.cache
+            .get_or_insert_with(&CostKey::Ew(kind, elems), || {
+                gcd2_faults::fire("cost.eval");
+                self.blocks_cycles(&elementwise_blocks(kind, elems)) + KERNEL_DISPATCH_CYCLES / 4
+            })
     }
 
     /// Cycles of the dedicated depthwise `vtmpy` kernel (3-tap sliding
@@ -160,8 +159,8 @@ impl CostModel {
     /// the alternative instruction choice for depthwise convolutions.
     pub fn dw_vtmpy_cycles(&self, out_elems: usize, kh: usize) -> u64 {
         self.cache
-            .get_or_insert_with(CostKey::DwVtmpy(out_elems, kh), || {
-                let _ = gcd2_faults::fire("cost.eval");
+            .get_or_insert_with(&CostKey::DwVtmpy(out_elems, kh), || {
+                gcd2_faults::fire("cost.eval");
                 self.blocks_cycles(&depthwise_vtmpy_blocks(out_elems, kh)) + KERNEL_DISPATCH_CYCLES
             })
     }
@@ -217,7 +216,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
-    /// The sharded cache under concurrent hammering: many workers cost
+    /// The cache under concurrent hammering: many workers cost
     /// the same key space; no insert may be lost, and every cached value
     /// must agree with an uncached (fresh-model) computation.
     #[test]

@@ -643,7 +643,7 @@ impl Drop for ScalarPin {
 ///
 /// This is the gateway's fault-triggered ISA demotion hook: after
 /// repeated kernel-attributed faults on a model, its batches execute
-/// under a pin so a misbehaving SIMD tier is quarantined without
+/// under a pin so a misbehaving SIMD tier is set aside without
 /// touching process-global state (other models and other threads keep
 /// their vector tiers). Scalar is the bit-exactness oracle, so a
 /// demoted dispatch can never change output bytes — only speed.
@@ -876,7 +876,7 @@ pub fn try_matmul_panel_into(
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
-    let _ = gcd2_faults::fire("infer.gemm");
+    gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, panel.filled, requant.0)?;
     let (_, clamp, map) = requant;
     if clamp > 15 && !map.is_identity() {

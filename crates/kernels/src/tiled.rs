@@ -338,7 +338,7 @@ pub fn try_matmul_blocked_into(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    let _ = gcd2_faults::fire("infer.gemm");
+    gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, w.rows(), shift)?;
     crate::dispatch::run_single(a, m, k, w, shift, scratch, out);
     Ok(())

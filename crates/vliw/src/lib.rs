@@ -25,10 +25,12 @@
 //! ```
 
 pub mod idg;
+pub mod memo;
 pub mod sda;
 pub mod topdown;
 
 pub use idg::{DepEdge, Idg};
+pub use memo::{CacheStats, Memo};
 pub use sda::{
     no_intra_packet_deps, pack_with_policy, PackMemo, Packer, ScoreParams, SoftDepPolicy,
 };

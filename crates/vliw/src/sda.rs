@@ -18,8 +18,8 @@
 //! instructions together at all.
 
 use crate::idg::Idg;
+use crate::memo::{CacheStats, Memo};
 use gcd2_hvx::{Block, DepKind, Insn, PackedBlock, Packet, ResourceModel};
-use gcd2_par::{CacheStats, ShardedMap};
 use std::sync::Arc;
 
 /// How the packer treats soft dependencies (the Figure 11 ablation).
@@ -66,7 +66,7 @@ pub const LATENCY_MISMATCH_CAP: u32 = 64;
 /// Packing is a pure function of the instruction sequence and the
 /// packer's configuration, so a memo keyed by the full `Vec<Insn>` is
 /// exact (no hash-collision risk) and identical CNN layers pack once.
-pub type PackMemo = ShardedMap<Vec<Insn>, Arc<[Packet]>>;
+pub type PackMemo = Memo<Vec<Insn>, Arc<[Packet]>>;
 
 /// The VLIW instruction packer.
 #[derive(Debug, Clone)]
@@ -74,10 +74,9 @@ pub struct Packer {
     model: ResourceModel,
     policy: SoftDepPolicy,
     params: ScoreParams,
-    /// Structural memo shared by clones of this packer (and across
-    /// worker threads). Reconfiguring the packer (policy, model,
-    /// params) swaps in a fresh memo, since packed results depend on
-    /// the configuration.
+    /// Structural memo shared by clones of this packer. Reconfiguring
+    /// the packer (policy, model, params) swaps in a fresh memo, since
+    /// packed results depend on the configuration.
     memo: Option<Arc<PackMemo>>,
 }
 
@@ -145,7 +144,6 @@ impl Packer {
 
     /// Packs a whole block, preserving its trip count and label.
     pub fn pack_block(&self, block: &Block) -> PackedBlock {
-        let _ = gcd2_faults::fire("pack.vliw");
         PackedBlock {
             packets: self.pack_insns(&block.insns),
             trip_count: block.trip_count,
@@ -171,15 +169,12 @@ impl Packer {
     /// assert_eq!(packets[0].cycles(), 4); // the paper's Figure 4 cost
     /// ```
     pub fn pack_insns(&self, insns: &[Insn]) -> Vec<Packet> {
-        if let Some(memo) = &self.memo {
-            if let Some(packets) = memo.get(insns) {
-                return packets.to_vec();
-            }
-            let packets = self.pack_insns_uncached(insns);
-            memo.insert(insns.to_vec(), Arc::from(packets.as_slice()));
-            return packets;
+        match &self.memo {
+            Some(memo) => memo
+                .get_or_insert_with(insns, || self.pack_insns_uncached(insns).into())
+                .to_vec(),
+            None => self.pack_insns_uncached(insns),
         }
-        self.pack_insns_uncached(insns)
     }
 
     fn pack_insns_uncached(&self, insns: &[Insn]) -> Vec<Packet> {

@@ -1,22 +1,20 @@
-//! Artifact chaos suite: seeded fault injection plus direct on-disk
-//! sabotage against the AOT artifact store.
+//! Artifact chaos suite: direct on-disk sabotage against the AOT
+//! artifact store.
 //!
-//! The robustness contract: **no** artifact-path disturbance — an
-//! injected panic at `artifact.encode`/`artifact.decode`/`artifact.io`,
-//! a torn write, a crash between temp-write and rename, a bit-flipped
-//! cache entry, a version-skewed file, or a concurrent evict — may ever
-//! escape [`load_or_compile`] as a panic or produce a plan whose output
+//! The robustness contract: **no** artifact-path disturbance — a torn
+//! write, a crash between temp-write and rename, a bit-flipped cache
+//! entry, a version-skewed file, a concurrent evict, or a path the
+//! filesystem refuses to read or write — may ever escape
+//! [`load_or_compile`] as a panic or produce a plan whose output
 //! differs from the undisturbed baseline. Load failures must surface as
 //! recorded [`ColdStartFallback`] events on a successfully compiled
-//! result. Run with
-//! `cargo test --features fault-injection --test artifact_chaos`.
+//! result. Every scenario uses real files, so the suite runs in the
+//! default build.
 
-#![cfg(feature = "fault-injection")]
-
+use gcd2_repro::artifact::ArtifactError;
 use gcd2_repro::cgraph::{to_text, Activation, Graph, OpKind, TShape};
-use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
+use gcd2_repro::compiler::artifact::{cache_key, load_or_compile, ColdStartSource};
 use gcd2_repro::compiler::{ArtifactCache, Compiler};
-use gcd2_repro::faults::{arm, chaos_seeds, Armed, FaultPlan, Layer};
 use std::time::Duration;
 
 const SEED: u64 = 0xC0DE;
@@ -65,13 +63,6 @@ fn temp_cache(tag: &str) -> ArtifactCache {
     ArtifactCache::open(dir).expect("temp cache dir")
 }
 
-/// Holds the chaos gate with an **empty** plan, so a scenario that arms
-/// nothing is not hit by the faults a concurrently running seeded
-/// scenario armed (the registry is process-global).
-fn quiet() -> Armed {
-    arm(FaultPlan::new())
-}
-
 fn sample_input(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + 3) % 16) as u8).collect()
 }
@@ -114,7 +105,6 @@ fn assert_sound(b: &Baseline, cold: &gcd2_repro::compiler::ColdStart, ctx: &str)
 /// heals the entry.
 #[test]
 fn torn_writes_at_every_length_degrade_and_heal() {
-    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("torn");
     let compiler = Compiler::new();
@@ -144,7 +134,6 @@ fn torn_writes_at_every_length_degrade_and_heal() {
 /// garbage-collected, and the interrupted key simply misses (compiles).
 #[test]
 fn mid_rename_crash_leaves_only_collectable_garbage() {
-    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("rename");
     let compiler = Compiler::new();
@@ -169,11 +158,10 @@ fn mid_rename_crash_leaves_only_collectable_garbage() {
 
 /// Seeded single-bit flips across the whole stored artifact: every
 /// corruption degrades to a structured fallback and a bit-identical
-/// recompile. (The exhaustive every-byte sweep runs unfaulted in the
+/// recompile. (The exhaustive every-byte sweep runs in the
 /// hostile-corpus suite; this covers the cache round trip.)
 #[test]
 fn bit_flips_over_every_section_degrade_to_fallback() {
-    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("flip");
     let compiler = Compiler::new();
@@ -208,7 +196,6 @@ fn bit_flips_over_every_section_degrade_to_fallback() {
 /// fallback — never misparsed by the current decoder.
 #[test]
 fn version_skew_degrades_with_recorded_fallback() {
-    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("skew");
     let compiler = Compiler::new();
@@ -234,12 +221,43 @@ fn version_skew_degrades_with_recorded_fallback() {
     assert_sound(&b, &healed, "version skew");
 }
 
+/// A real I/O failure: a directory sits where the key's artifact
+/// belongs, so reading it fails, and so does renaming the rebuilt
+/// artifact over it — as root too, unlike a `chmod`. The load is a
+/// structured `Io` error, and the cold start records a `load` and a
+/// `store` fallback and still answers with the baseline plan.
+#[test]
+fn a_directory_at_the_cache_path_fails_load_and_store_and_still_answers() {
+    let b = baseline();
+    let cache = temp_cache("io");
+    let compiler = Compiler::new();
+    let key = cache_key(&compiler, &b.text, SEED);
+    let path = cache.path_for(&key);
+    std::fs::create_dir(&path).expect("a directory at the artifact path");
+
+    let load = cache.load(&key);
+    assert!(
+        matches!(load, Err(ArtifactError::Io { .. })),
+        "not an Io error: {load:?}"
+    );
+    let cold = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("degrade");
+    assert_eq!(cold.source, ColdStartSource::Compiled);
+    for stage in ["load", "store"] {
+        assert!(
+            cold.fallbacks.iter().any(|f| f.stage == stage),
+            "no {stage} fallback recorded: {:?}",
+            cold.fallbacks
+        );
+    }
+    assert_sound(&b, &cold, "directory at the cache path");
+    assert!(path.is_dir(), "the directory is left as it was");
+}
+
 /// Concurrent cold starts racing a hostile evictor: every call returns
 /// a sound plan; the advisory lock and the atomic rename keep readers
 /// from ever observing a half-written artifact.
 #[test]
 fn concurrent_load_and_evict_stay_sound() {
-    let _quiet = quiet();
     let b = baseline();
     let cache = temp_cache("race");
     let compiler = Compiler::new();
@@ -271,81 +289,6 @@ fn concurrent_load_and_evict_stay_sound() {
     });
 }
 
-/// Seeded multi-fault plans over the artifact points
-/// (`artifact.encode`, `artifact.decode`, `artifact.io`): the ci.sh
-/// artifact chaos gate runs two fixed seeds; `GCD2_CHAOS_SEED`
-/// adds an operator-chosen one. Injected panics and delays anywhere in
-/// the artifact path must degrade to recorded fallbacks on a sound
-/// compile — never escape, never corrupt.
-#[test]
-fn seeded_artifact_fault_plans_degrade_never_escape() {
-    let b = baseline();
-    let compiler = Compiler::new();
-    let fixed: Vec<u64> = (0..16).chain([2024, 7]).collect();
-    for seed in chaos_seeds(&fixed) {
-        let cache = temp_cache(&format!("seed{seed}"));
-        let fault_plan = FaultPlan::from_seed(Layer::Artifact, seed);
-        let _armed = arm(fault_plan.clone());
-        // Cold, warm, and post-fault runs all stay sound whatever the
-        // injection pattern did to the store/load path.
-        for round in 0..3 {
-            let cold =
-                load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").unwrap_or_else(|e| {
-                    panic!("seed {seed} round {round}: cold start failed: {e} ({fault_plan:?})")
-                });
-            assert_sound(&b, &cold, &format!("seed {seed} round {round}"));
-        }
-    }
-}
-
-/// Direct decode of fault-era bytes: artifacts *encoded while faults
-/// were armed* must either have been refused at store time or be
-/// perfectly valid — a fault can suppress an artifact, never mangle
-/// one (the temp-file + checksum protocol has no partial-success
-/// state).
-#[test]
-fn fault_era_artifacts_are_valid_or_absent() {
-    let b = baseline();
-    let compiler = Compiler::new();
-    for seed in [2024u64, 7, 99] {
-        let cache = temp_cache(&format!("era{seed}"));
-        let key = {
-            let _armed = arm(FaultPlan::from_seed(Layer::Artifact, seed));
-            load_or_compile(&compiler, &b.text, SEED, &cache, "chaos")
-                .expect("cold start under faults")
-                .key
-        };
-        // Faults disarmed: whatever the cache now holds must be clean.
-        match cache.load(&key).expect("load") {
-            None => {} // store was suppressed by the fault — fine
-            Some(bytes) => {
-                let loaded = decode(&bytes).expect("fault-era artifact must decode cleanly");
-                assert_eq!(loaded.plan.checksum(), b.checksum);
-            }
-        }
-    }
-}
-
-/// Encode is deterministic under chaos: two encodes of the same plan
-/// with faults disarmed produce identical bytes even after a fault
-/// storm interleaved arbitrary artifact traffic.
-#[test]
-fn encode_stays_deterministic_after_fault_storms() {
-    let graph = chaos_net();
-    let compiled = Compiler::new().compile(&graph);
-    let plan = compiled.inference_plan(SEED);
-    let before = encode(&compiled, &plan, "chaos").expect("encode");
-    {
-        let _armed = arm(FaultPlan::from_seed(Layer::Artifact, 13));
-        let cache = temp_cache("storm");
-        for _ in 0..3 {
-            let _ = load_or_compile(&Compiler::new(), &to_text(&graph), SEED, &cache, "chaos");
-        }
-    }
-    let after = encode(&compiled, &plan, "chaos").expect("encode");
-    assert_eq!(before, after);
-}
-
 /// Regression: reclaiming a crashed holder's stale build lock must be
 /// atomic. The old protocol was check-then-delete — two waiters could
 /// both observe the stale file, the first reclaim and re-acquire, and
@@ -355,7 +298,6 @@ fn encode_stays_deterministic_after_fault_storms() {
 /// fresh lock.
 #[test]
 fn stale_lock_takeover_elects_exactly_one_winner() {
-    let _quiet = quiet();
     let cache = temp_cache("lock-steal");
     let stale_age = Duration::from_millis(40);
 

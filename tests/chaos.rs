@@ -1,26 +1,28 @@
-//! Chaos suite: seeded fault injection against the full compilation
-//! pipeline.
+//! Chaos suite: the compiler's one panic guard under an injected fault.
 //!
-//! The robustness contract under test: **every** injected-fault run
-//! must terminate with either
+//! Compilation is a pure function of its graph and runs on the calling
+//! thread, with one `catch_unwind` around parsing, admission and the
+//! pipeline. The `cost.eval` fault point fires deep in the pipeline,
+//! inside the cost memo's compute closure and outside its lock, so it
+//! tests that guard:
 //!
-//! 1. a `CompiledModel` bit-identical to the undisturbed baseline (the
-//!    fault was transient and internal retry recovered it), or
-//! 2. a clean structured [`Gcd2Error`] (the fault was persistent),
+//! 1. a panic there, once or sticky, through either entry point, is a
+//!    [`Gcd2Error::Internal`] and never an escaped panic;
+//! 2. the same `Compiler` then recompiles to exactly what a fresh one
+//!    does, so the memo kept no half-written entry;
+//! 3. a delay changes nothing.
 //!
-//! and a panic must never escape a compiler entry point. Run with
-//! `cargo test --features fault-injection --test chaos`; the suite is
-//! absent from the default (uninstrumented) build.
+//! Run with `cargo test --features fault-injection --test chaos`; the
+//! suite is absent from the default (uninstrumented) build.
 
 #![cfg(feature = "fault-injection")]
 
 use gcd2_repro::cgraph::{to_text, Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{CompiledModel, Compiler, Gcd2Error};
-use gcd2_repro::faults::{arm, chaos_seeds, FaultKind, FaultPlan, Layer};
-use gcd2_repro::par::ShardedMap;
+use gcd2_repro::faults::{arm, FaultKind, FaultPlan};
 
-/// A small conv net with a residual edge — big enough to exercise
-/// enumeration, partitioned refinement, and packing over several items.
+/// A small conv net with a residual edge: enough distinct kernels that
+/// `cost.eval` fires many times in one compile.
 fn chaos_net() -> Graph {
     let mut g = Graph::new();
     let mut prev = g.input("x", TShape::nchw(1, 32, 14, 14));
@@ -43,203 +45,81 @@ fn chaos_net() -> Graph {
     g
 }
 
-/// Bit-identity fingerprint of a compiled artifact.
-fn fingerprint(m: &CompiledModel) -> (Vec<usize>, u64, u64) {
+type Fingerprint = (Vec<usize>, u64, u64);
+
+fn fingerprint(m: &CompiledModel) -> Fingerprint {
     (m.assignment.choice.clone(), m.cycles(), m.stats().insns)
 }
 
-/// The undisturbed artifact every recovered run must match.
-fn baseline() -> (Vec<usize>, u64, u64) {
-    let g = chaos_net();
-    // The fault registry is process-global: hold its gate with an empty
-    // plan so a concurrently running test's faults can't land here.
-    let _quiet = arm(FaultPlan::new());
-    fingerprint(&Compiler::new().try_compile(&g).expect("baseline compiles"))
-}
-
-/// Runs one faulted compile and asserts the contract, returning whether
-/// it recovered (Ok) or errored.
-fn assert_contract(plan: FaultPlan, expect: &(Vec<usize>, u64, u64)) -> bool {
+/// Compiles `chaos_net` with `plan` armed, through `try_compile_text`
+/// when `text` is set and `try_compile` otherwise. Every compile here
+/// arms a plan, empty or not: the registry is process-global, and
+/// holding its gate keeps another test's faults out.
+fn compile_under(
+    plan: FaultPlan,
+    compiler: &Compiler,
+    text: bool,
+) -> Result<Fingerprint, Gcd2Error> {
     let g = chaos_net();
     let _armed = arm(plan);
-    match Compiler::new().try_compile(&g) {
-        Ok(m) => {
-            assert_eq!(
-                fingerprint(&m),
-                *expect,
-                "recovered artifact is not bit-identical"
-            );
-            true
-        }
-        Err(e) => {
-            // A structured error is an acceptable outcome; an escaped
-            // panic would have failed the test harness already. Internal
-            // is reserved for the catch_unwind backstop.
-            assert!(
-                !matches!(e, Gcd2Error::Internal { .. }),
-                "fault surfaced as Internal instead of a typed error: {e}"
-            );
-            false
-        }
+    if text {
+        compiler
+            .try_compile_text(&to_text(&g))
+            .map(|(m, _)| fingerprint(&m))
+    } else {
+        compiler.try_compile(&g).map(|m| fingerprint(&m))
     }
 }
 
-#[test]
-fn transient_cost_eval_panic_recovers_bit_identical() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().once("cost.eval", FaultKind::Panic, 3),
-        &expect,
-    );
-    assert!(recovered, "a transient fault must recover");
+fn panics() -> [(&'static str, FaultPlan); 2] {
+    [
+        (
+            "once",
+            FaultPlan::new().once("cost.eval", FaultKind::Panic, 3),
+        ),
+        (
+            "sticky",
+            FaultPlan::new().sticky("cost.eval", FaultKind::Panic, 1),
+        ),
+    ]
 }
 
 #[test]
-fn sticky_cost_eval_panic_yields_structured_error() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().sticky("cost.eval", FaultKind::Panic, 1),
-        &expect,
-    );
-    assert!(!recovered, "a persistent fault must surface as an error");
-}
-
-#[test]
-fn cost_eval_delay_changes_nothing() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().once("cost.eval", FaultKind::Delay { millis: 2 }, 1),
-        &expect,
-    );
-    assert!(recovered, "a delay must not change the artifact");
-}
-
-#[test]
-fn transient_cache_corruption_recovers_bit_identical() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().once("cache.lookup", FaultKind::CorruptCache, 2),
-        &expect,
-    );
-    assert!(recovered, "a corrupt entry is discarded and recomputed");
-}
-
-#[test]
-fn sticky_cache_corruption_recovers_bit_identical() {
-    // A permanently corrupting cache degrades to cache-off compilation:
-    // slower, but every value is recomputed from pure inputs.
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().sticky("cache.lookup", FaultKind::CorruptCache, 1),
-        &expect,
-    );
-    assert!(recovered);
-}
-
-#[test]
-fn cache_lookup_panic_quarantines_and_recovers() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().once("cache.lookup", FaultKind::Panic, 5),
-        &expect,
-    );
-    assert!(recovered, "a poisoned shard is quarantined, not fatal");
-}
-
-#[test]
-fn transient_pack_panic_recovers_bit_identical() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().once("pack.vliw", FaultKind::Panic, 4),
-        &expect,
-    );
-    assert!(recovered);
-}
-
-#[test]
-fn sticky_pack_panic_yields_structured_error() {
-    let expect = baseline();
-    let recovered = assert_contract(
-        FaultPlan::new().sticky("pack.vliw", FaultKind::Panic, 1),
-        &expect,
-    );
-    assert!(!recovered);
-}
-
-#[test]
-fn parse_line_panic_is_caught_as_structured_error() {
-    let g = chaos_net();
-    let text = to_text(&g);
-    let _armed = arm(FaultPlan::new().once("parse.line", FaultKind::Panic, 2));
-    match Compiler::new().try_compile_text(&text) {
-        Err(Gcd2Error::Internal { message }) => {
-            assert!(
-                message.contains("injected fault"),
-                "unexpected message: {message}"
-            );
-        }
-        Ok(_) => panic!("parse.line panic was swallowed"),
-        Err(e) => panic!("unexpected error kind: {e}"),
-    }
-}
-
-#[test]
-fn parse_line_delay_parses_and_compiles_identically() {
-    let g = chaos_net();
-    let text = to_text(&g);
-    let expect = baseline();
-    let _armed = arm(FaultPlan::new().once("parse.line", FaultKind::Delay { millis: 1 }, 1));
-    let (m, _) = Compiler::new()
-        .try_compile_text(&text)
-        .expect("a delayed parse still compiles");
-    assert_eq!(fingerprint(&m), expect);
-}
-
-#[test]
-fn sharded_map_quarantines_poisoned_shards() {
-    let map: ShardedMap<u64, u64> = ShardedMap::with_shards(1);
-    for k in 0..8u64 {
-        map.insert(k, k * 10);
-    }
-    let _armed = arm(FaultPlan::new().once("cache.lookup", FaultKind::Panic, 1));
-    assert!(std::panic::catch_unwind(|| map.get(&3)).is_err());
-    // The next access recovers the shard: entries are dropped
-    // (quarantined) and the map keeps working.
-    assert_eq!(map.get(&3), None);
-    assert!(map.quarantined() >= 1, "quarantine counter must record it");
-    map.insert(3, 30);
-    assert_eq!(map.get(&3), Some(30));
-}
-
-/// Seed-derived multi-fault plans: the ci.sh chaos gate runs this with
-/// two fixed seeds; `GCD2_CHAOS_SEED` adds an extra operator-chosen
-/// seed for ad-hoc exploration.
-#[test]
-fn seeded_fault_plans_terminate_bit_identical_or_structured() {
-    let g = chaos_net();
-    let text = to_text(&g);
-    let expect = baseline();
-    for seed in chaos_seeds(&[2024, 7]) {
-        let plan = FaultPlan::from_seed(Layer::Compile, seed);
-        let _armed = arm(plan.clone());
-        // Drive the text entry point so `parse.line` faults can fire too.
-        match Compiler::new().try_compile_text(&text) {
-            Ok((m, _)) => assert_eq!(
-                fingerprint(&m),
-                expect,
-                "seed {seed} recovered to a different artifact ({plan:?})"
-            ),
-            Err(e) => {
-                // Structured is fine; only parse-stage injected panics
-                // may surface as Internal (the parser has no worker
-                // isolation layer, just the catch_unwind backstop).
-                if let Gcd2Error::Internal { message } = &e {
-                    assert!(
-                        message.contains("injected fault"),
-                        "seed {seed}: non-injected internal error: {message}"
-                    );
-                }
+fn a_cost_eval_panic_is_an_internal_error_through_both_entry_points() {
+    for text in [false, true] {
+        for (name, plan) in panics() {
+            match compile_under(plan, &Compiler::new(), text) {
+                Err(Gcd2Error::Internal { message }) => assert!(
+                    message.contains("injected fault at cost.eval"),
+                    "{name}, text {text}: {message}"
+                ),
+                Err(e) => panic!("{name}, text {text}: not an Internal error: {e}"),
+                Ok(_) => panic!("{name}, text {text}: the injected panic was swallowed"),
             }
         }
+    }
+}
+
+#[test]
+fn the_compiler_that_caught_a_panic_recompiles_like_a_fresh_one() {
+    let fresh = compile_under(FaultPlan::new(), &Compiler::new(), false).expect("compiles");
+    for text in [false, true] {
+        for (name, plan) in panics() {
+            let compiler = Compiler::new();
+            assert!(compile_under(plan, &compiler, text).is_err(), "{name}");
+            let again = compile_under(FaultPlan::new(), &compiler, text)
+                .unwrap_or_else(|e| panic!("{name}, text {text}: recompile failed: {e}"));
+            assert_eq!(again, fresh, "{name}, text {text}");
+        }
+    }
+}
+
+#[test]
+fn a_cost_eval_delay_changes_nothing() {
+    let fresh = compile_under(FaultPlan::new(), &Compiler::new(), false).expect("compiles");
+    for text in [false, true] {
+        let delay = FaultPlan::new().sticky("cost.eval", FaultKind::Delay { millis: 1 }, 1);
+        let delayed = compile_under(delay, &Compiler::new(), text).expect("a delay still compiles");
+        assert_eq!(delayed, fresh, "text {text}");
     }
 }

@@ -1,9 +1,8 @@
 //! Runtime chaos suite: seeded fault injection against the inference
 //! runtime and serving layer.
 //!
-//! The robustness contract mirrors `tests/chaos.rs`, but for execution
-//! instead of compilation: **every** injected-fault run must terminate
-//! with either
+//! The robustness contract of execution: **every** injected-fault run
+//! must terminate with either
 //!
 //! 1. output **bit-identical** to the undisturbed baseline (the fault
 //!    was transient and a gateway retry round re-ran the request), or
@@ -21,7 +20,7 @@ use gcd2_repro::compiler::{
     Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferTicket, InferencePlan,
     ServerStats, SupervisorConfig,
 };
-use gcd2_repro::faults::{arm, chaos_seeds, hits, Armed, FaultKind, FaultPlan, Layer};
+use gcd2_repro::faults::{arm, chaos_seeds, hits, Armed, FaultKind, FaultPlan};
 use std::time::Duration;
 
 /// A small net crossing every runtime fault point: two real GEMMs
@@ -482,7 +481,7 @@ fn seeded_runtime_fault_plans_terminate_bit_identical_or_structured() {
     let inputs = batch_inputs(5);
     let expect = baseline(&plan, &inputs);
     for seed in chaos_seeds(&[2024, 7]) {
-        let fault_plan = FaultPlan::from_seed(Layer::Runtime, seed);
+        let fault_plan = FaultPlan::from_seed(seed);
         let _armed = arm(fault_plan.clone());
         let (results, _) = served(&plan, &inputs, ExecOptions::default(), 1);
         for (i, r) in results.iter().enumerate() {
