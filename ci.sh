@@ -29,13 +29,16 @@ GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_
     every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
-echo "==> the compiler is plain code with one panic guard (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points)"
+echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion or second tier override anywhere in crates/, src/, tests/ or examples/, and the kernels keep no process-wide tier)"
 test "$(grep -c 'pub fn' crates/par/src/lib.rs)" -eq 1
 if find crates -path crates/core/src -prune -o -path '*/src/*.rs' -print \
     | xargs awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
                  !test && !/^ *\/\// && /catch_unwind/ { print FILENAME ": " $0; found = 1 }
                  END { exit !found }'; then exit 1; fi
 grep -q 'pub const POINTS: \[&str; 5\]' crates/faults/src/lib.rs
+if grep -rEn 'retry_budget|demote_after|force_scalar|pin_scalar|force_isa|kernel_attributed|Work::Rerun' \
+    crates src tests examples; then exit 1; fi
+if grep -n 'static FORCED' crates/kernels/src/dispatch.rs; then exit 1; fi
 
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
@@ -111,7 +114,7 @@ echo "==> chaos suites (fault injection): the compiler's one panic guard under a
 cargo test -q --features fault-injection \
     --test chaos --test runtime_chaos --test gateway_scenarios --test artifact_chaos
 
-echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault at every position; release)"
+echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault — a panic in every request of a batch or in its first alone — at every position, no retry round or demotion to walk; ≈ 27 k states; release)"
 cargo test --release -q --test gateway_scenarios -- --ignored --nocapture \
     every_interleaving_of_three_workers_and_four_tickets | grep "^explored"
 

@@ -835,7 +835,7 @@ fn main() -> ExitCode {
             let wedged = health.workers.iter().filter(|w| w.wedged).count();
             println!(
                 "  health: {} worker{} ({wedged} wedged, {} replaced) | breakers {} \
-                 | {} hung / {} retries / {} demotions / {} breaker-shed / {} abandoned",
+                 | {} hung / {} breaker-shed / {} abandoned",
                 health.workers.len(),
                 if health.workers.len() == 1 { "" } else { "s" },
                 health.workers_replaced,
@@ -846,8 +846,6 @@ fn main() -> ExitCode {
                     .collect::<Vec<_>>()
                     .join(" "),
                 health.hung,
-                health.retries,
-                health.demotions,
                 health.breaker_rejected,
                 health.abandoned
             );

@@ -468,14 +468,6 @@ pub struct ExecOptions {
     /// corrupted plan surfaces as [`InferError::IntegrityViolation`]
     /// instead of silently wrong outputs.
     pub paranoid: bool,
-    /// Pin every GEMM dispatch of this execution to the scalar oracle
-    /// tier ([`gcd2_kernels::pin_scalar`], a thread-scoped pin — other
-    /// executions keep their vector tiers). This is the gateway's
-    /// fault-triggered ISA demotion lever: after repeated
-    /// kernel-attributed faults on a model, its batches run demoted
-    /// on the always-correct scalar path. All tiers are bit-identical,
-    /// so forcing scalar can never change output bytes — only speed.
-    pub force_scalar: bool,
 }
 
 /// Wall-clock timing of one timed plan execution, mirroring
@@ -553,9 +545,9 @@ pub struct GemmKernelInfo {
     /// the benchmark's `kernels.tuned_gemms`; nothing is timed).
     pub tuned: bool,
     /// True when the GEMM read the step's resident weight panel; false
-    /// when the tier it resolved wanted another layout (a scalar pin or
-    /// demotion, an ISA override flipped after the plan was built) and
-    /// it fell back to the raw weights or a per-call pack
+    /// when the tier it resolved wanted another layout (a
+    /// [`gcd2_kernels::pin_isa`] taken after the plan was built) and it
+    /// fell back to the raw weights or a per-call pack
     /// ([`gcd2_kernels::PanelSource`]).
     pub panel_resident: bool,
     /// The layouts the plan chose for this step's operand and result:
@@ -1680,9 +1672,6 @@ impl InferencePlan {
             });
         }
         self.adopt_arena(arena)?;
-        // Thread-scoped ISA demotion (see `ExecOptions::force_scalar`),
-        // dropped when this execution returns.
-        let _scalar_pin = opts.force_scalar.then(gcd2_kernels::pin_scalar);
         if opts.paranoid {
             self.verify_integrity()?;
         }
@@ -2331,7 +2320,6 @@ mod tests {
     use crate::runtime::{execute_reference, weight};
     use crate::Compiler;
     use gcd2_cgraph::Graph;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     /// A graph touching every step kind the plan supports.
     fn kitchen_sink() -> Graph {
@@ -2384,17 +2372,9 @@ mod tests {
         g
     }
 
-    /// Held by the tests that set the process-wide tier
-    /// ([`gcd2_kernels::force_isa`]) and by those that assert which
-    /// tier packed or ran a plan, so neither sees the other's tier.
-    fn tier_lock() -> MutexGuard<'static, ()> {
-        static TIER: Mutex<()> = Mutex::new(());
-        TIER.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The plan build's row generator writes `runtime::weight`'s bytes
-    /// on every tier the host supports (`force_isa`), under
-    /// `pin_scalar` over the last of them, and auto-detected. Runs of
+    /// on every tier the host supports (`pin_isa`, the scalar pin
+    /// included) and auto-detected. Runs of
     /// 0..=67 and 4099 weights from each start hit every remainder of
     /// its four lanes; the starts straddle 2³² and 2⁴⁰, the node ids and
     /// seeds their extremes. Each run is held to a prefix of the
@@ -2406,7 +2386,6 @@ mod tests {
     ///   node 0, start 0, length 1, element 0.
     #[test]
     fn row_generator_is_the_oracle_at_every_tier() {
-        let _tier = tier_lock();
         let check = |form: &str| {
             for seed in [0, 0xC0DE, u64::MAX] {
                 for node in [0, 1, 389, u32::MAX as usize] {
@@ -2430,16 +2409,10 @@ mod tests {
             }
         };
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            gcd2_kernels::force_isa(Some(isa));
+            let _pin = gcd2_kernels::pin_isa(isa);
             assert_eq!(gcd2_kernels::active_isa(), isa);
             check(isa.name());
         }
-        {
-            let _pin = gcd2_kernels::pin_scalar();
-            assert_eq!(gcd2_kernels::active_isa(), KernelIsa::Scalar);
-            check("pin_scalar");
-        }
-        gcd2_kernels::force_isa(None);
         check("auto");
     }
 
@@ -2588,11 +2561,9 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..4)
             .map(|s| (0..4 * 144).map(|i| ((i * 7 + s * 5) % 16) as u8).collect())
             .collect();
-        for force_scalar in [false, true] {
-            let opts = ExecOptions {
-                force_scalar,
-                ..ExecOptions::default()
-            };
+        let opts = ExecOptions::default();
+        for pin in [None, Some(KernelIsa::Scalar)] {
+            let _pin = pin.map(gcd2_kernels::pin_isa);
             for x in &inputs {
                 let want = execute_reference(&compiled, x, 21);
                 assert_eq!(run_into(&plan, x, &opts), Ok(want.clone()));
@@ -2684,21 +2655,19 @@ mod tests {
                 .iter()
                 .map(|x| execute_reference(&compiled, x, 3))
                 .collect();
-            let scalar = ExecOptions {
-                force_scalar: true,
-                ..ExecOptions::default()
-            };
+            let defaults = ExecOptions::default();
             let expired = ExecOptions {
                 deadline: Some(Duration::ZERO),
-                ..ExecOptions::default()
+                ..defaults
             };
             for b in [1, 2, 5] {
                 let scenarios = [
-                    (ExecOptions::default(), Some(b - 1)),
-                    (scalar, None),
-                    (expired, None),
+                    (defaults, Some(b - 1), None),
+                    (defaults, None, Some(KernelIsa::Scalar)),
+                    (expired, None, None),
                 ];
-                for (opts, bad) in scenarios {
+                for (opts, bad, pin) in scenarios {
+                    let _pin = pin.map(gcd2_kernels::pin_isa);
                     let mut batch = inputs[..b].to_vec();
                     if let Some(i) = bad {
                         batch[i].truncate(3);
@@ -3030,7 +2999,7 @@ mod tests {
     }
 
     /// Every byte a step holds is covered by `verify_integrity`: on every
-    /// tier the host supports and under a scalar pin, a flip of any one
+    /// tier the host supports (the scalar pin included), a flip of any one
     /// byte of any GEMM step's panel — weight or padding, the quads of
     /// the FC's ragged 12-row k-tile and 8-column strip on a VNNI or AMX
     /// tier, the high bytes of its pairs on AVX2 — and of the row-major
@@ -3038,7 +3007,6 @@ mod tests {
     /// the checksum, which folds in digests, unmoved.
     #[test]
     fn every_flipped_byte_of_every_form_fails_integrity() {
-        let _tier = tier_lock();
         let compiled = Compiler::new().compile(&kitchen_sink());
         let check = |tier: &str| {
             let mut plan = compiled.inference_plan(0xBEEF);
@@ -3073,12 +3041,9 @@ mod tests {
             plan.verify_integrity().expect("restored");
         };
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            gcd2_kernels::force_isa(Some(isa));
+            let _pin = gcd2_kernels::pin_isa(isa);
             check(isa.name());
         }
-        gcd2_kernels::force_isa(None);
-        let _pin = gcd2_kernels::pin_scalar();
-        check("pin_scalar");
     }
 
     /// The panel is what executes and what integrity covers: the top
@@ -3086,7 +3051,6 @@ mod tests {
     /// unverified run and is refused by a verified one.
     #[test]
     fn a_flipped_panel_byte_changes_the_answer_and_fails_integrity() {
-        let _tier = tier_lock();
         // A conv straight to the output, so weight (0, 0) — the byte the
         // corruption flips — reaches an output byte unfiltered.
         let mut g = Graph::new();
@@ -3124,13 +3088,10 @@ mod tests {
         ));
         let corrupted = plan.execute(&input);
         assert_ne!(corrupted, pristine, "the GEMM reads the resident panel");
-        // There is no other copy: a demoted run reads the same panel
-        // back, and multiplies the same flipped weight.
-        let scalar = ExecOptions {
-            force_scalar: true,
-            ..ExecOptions::default()
-        };
-        assert_eq!(run_into(&plan, &input, &scalar), Ok(corrupted));
+        // There is no other copy: a run pinned to the scalar tier reads
+        // the same panel back, and multiplies the same flipped weight.
+        let _pin = gcd2_kernels::pin_isa(KernelIsa::Scalar);
+        assert_eq!(plan.execute(&input), corrupted);
     }
 
     #[test]
@@ -3217,7 +3178,6 @@ mod tests {
         // AVX-512 tier, 12 on the AVX2 strips and their `n % 8` tail —
         // except that the AVX2 tier hands 5 columns to the scalar oracle,
         // which reads the row-major form the plan filled for it.
-        let _tier = tier_lock();
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
         let conv = g.add(
@@ -3245,7 +3205,7 @@ mod tests {
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
         let want = execute_reference(&compiled, &input, 9);
         for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            gcd2_kernels::force_isa(Some(tier));
+            let _pin = gcd2_kernels::pin_isa(tier);
             let plan = compiled.inference_plan(9);
             let (out, report) = plan
                 .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
@@ -3259,18 +3219,15 @@ mod tests {
                 assert!(g.panel_resident, "{tier} {}", g.name);
             }
         }
-        gcd2_kernels::force_isa(None);
     }
 
     /// A plan filled on the detected tier and run on every other tier
-    /// the host supports (`force_isa`) and under a scalar pin answers the
+    /// the host supports (`pin_isa`, the scalar pin included) answers the
     /// interpreter's bytes; a GEMM reads its resident panel exactly when
     /// the run's tier reads the form it was filled in, and otherwise
     /// reads it back and repacks it for the call.
     #[test]
     fn a_plan_runs_on_every_tier_from_its_one_copy() {
-        let _tier = tier_lock();
-        gcd2_kernels::force_isa(None);
         let detected = gcd2_kernels::active_isa();
         let compiled = Compiler::new().compile(&staging_net());
         let plan = compiled.inference_plan(5);
@@ -3288,12 +3245,9 @@ mod tests {
             }
         };
         for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            gcd2_kernels::force_isa(Some(tier));
+            let _pin = gcd2_kernels::pin_isa(tier);
             run(tier.name(), tier);
         }
-        gcd2_kernels::force_isa(None);
-        let _pin = gcd2_kernels::pin_scalar();
-        run("pin_scalar", KernelIsa::Scalar);
     }
 
     /// The three models the cold start loads keep one copy of their
@@ -3305,8 +3259,6 @@ mod tests {
     #[test]
     fn the_cold_start_models_keep_one_copy_of_their_weights() {
         use gcd2_models::ModelId;
-        let _tier = tier_lock();
-        gcd2_kernels::force_isa(None);
         for model in [ModelId::MobileNetV3, ModelId::ResNet50, ModelId::TinyBert] {
             let compiled = Compiler::new().compile(&model.build());
             let one_form = |plan: &InferencePlan| {
@@ -3334,7 +3286,7 @@ mod tests {
                 report.gemm_kernels.iter().all(|g| g.panel_resident),
                 "{model}"
             );
-            let _pin = gcd2_kernels::pin_scalar();
+            let _pin = gcd2_kernels::pin_isa(KernelIsa::Scalar);
             let pinned = compiled.inference_plan(7);
             assert!(one_form(&pinned), "{model} pinned");
             assert_eq!(

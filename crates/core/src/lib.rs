@@ -84,8 +84,8 @@ pub use serve::{
     LatencySummary, ModelStats, ServerStats, WorkerHealth, DEFAULT_MODEL,
 };
 pub use supervise::{
-    counts_as_fault, kernel_attributed, retry_backoff, Admission, BreakerConfig, BreakerState,
-    CircuitBreaker, HealthEvent, HealthLog, SupervisorConfig,
+    counts_as_fault, Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthEvent,
+    HealthLog, SupervisorConfig,
 };
 
 /// Layout/instruction selection strategies (Figure 10's competitors).

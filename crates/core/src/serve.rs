@@ -10,30 +10,29 @@
 //! the lowest-priority queued request to admit a strictly
 //! higher-priority one ([`InferError::Shed`], else
 //! [`InferError::QueueFull`]), drains gracefully, and supervises itself
-//! (DESIGN.md §6h): a hang deadline with worker replacement, a per-model
-//! circuit breaker, bounded seeded retries and ISA demotion. Outputs are
-//! **bit-identical** to single-shot execution for every batch, wait,
-//! worker and retry configuration.
+//! (DESIGN.md §6h): a hang deadline with worker replacement and a
+//! per-model circuit breaker. Outputs are **bit-identical** to
+//! single-shot execution for every batch, wait and worker configuration.
 //!
 //! The gateway is a **sans-I/O core** inside a thin shell (DESIGN.md
 //! §6f). Every decision — admission, queueing, batch readiness,
-//! dispatch, ticket ownership, hang takeover, retries, demotion, drain,
-//! every counter and [`HealthEvent`] — is one
-//! [`core::Core::step`]`(now_us, event)` over a logical clock. The shell
-//! here holds that core under one mutex with one condvar, and owns only
-//! what needs I/O:
+//! dispatch, ticket ownership, hang takeover, drain, every counter and
+//! [`HealthEvent`] — is one [`core::Core::step`]`(now_us, event)` over a
+//! logical clock. The shell here holds that core under one mutex with one
+//! condvar, and owns only what needs I/O:
 //!
 //! * worker threads that run each request of the batch they are handed
 //!   through [`InferencePlan::try_execute_into`] over an arena they keep
 //!   per model, then post the results as a `Done` event;
 //! * one timer thread that sleeps until the core's next deadline (a hang
-//!   deadline, a batch's `max_wait`, a retry round, a quarantine end)
-//!   and posts a `Tick`;
+//!   deadline or a batch's `max_wait`) and posts a `Tick`;
 //! * the channels that deliver each answer to its [`InferTicket`].
 //!
 //! A request is the panic-isolation unit: the executor's own guard turns
 //! a panic into that request's [`InferError::Internal`], and the rest of
-//! its batch runs on.
+//! its batch runs on. Every result is final: running a plan is a
+//! deterministic function of the plan, the input and the kernel tier, so
+//! the gateway has nothing to retry.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -71,9 +70,9 @@ pub struct GatewayConfig {
     /// Execution options applied to every request; a deadline runs from
     /// the start of each request's run.
     pub opts: ExecOptions,
-    /// Self-healing knobs: hang deadline, circuit breakers, retries, ISA
-    /// demotion. The defaults keep supervision invisible on a healthy
-    /// gateway (see [`SupervisorConfig`]).
+    /// Self-healing knobs: hang deadline and circuit breakers. The
+    /// defaults keep supervision invisible on a healthy gateway (see
+    /// [`SupervisorConfig`]).
     pub supervisor: SupervisorConfig,
 }
 
@@ -186,21 +185,13 @@ pub struct ModelStats {
     /// Time the dispatching worker held the batch open, per batch
     /// (from its oldest request's enqueue to dispatch).
     pub assembly: LatencySummary,
-    /// Time each request spent executing, its retry rounds summed.
+    /// Time each request spent executing.
     pub execute: LatencySummary,
-    /// Retry attempts spent on this model's batches.
-    pub retries: u64,
     /// Submissions shed by this model's circuit breaker.
     pub breaker_rejected: u64,
     /// Accepted requests whose tickets were dropped unsettled before
     /// dispatch (skipped, not executed).
     pub abandoned: u64,
-    /// Kernel-attributed faults since the last (re-)promotion.
-    pub kernel_faults: u64,
-    /// Times this model was demoted to the scalar tier.
-    pub demotions: u64,
-    /// Whether the model is currently demoted (scalar-pinned).
-    pub demoted: bool,
     /// The circuit breaker's current state.
     pub breaker: BreakerState,
 }
@@ -230,15 +221,10 @@ pub struct ServerStats {
     pub hung: u64,
     /// Replacement workers spawned for wedged ones.
     pub workers_replaced: u64,
-    /// Retry attempts spent across all models.
+    /// Always 0: the gateway does not retry (every result is final). The
+    /// field stays because the frozen benchmark's supervisor-idle check
+    /// reads it.
     pub retries: u64,
-    /// Batches with a request still failing transiently after every
-    /// round of a non-zero retry budget.
-    pub retries_exhausted: u64,
-    /// Models demoted to the scalar tier (lifetime count).
-    pub demotions: u64,
-    /// Demoted models whose quarantine elapsed (vector tiers restored).
-    pub repromotions: u64,
     /// Submissions shed by a circuit breaker
     /// ([`InferError::BreakerOpen`]).
     pub breaker_rejected: u64,
@@ -268,8 +254,6 @@ pub struct BreakerHealth {
     pub model: String,
     /// Circuit-breaker state.
     pub state: BreakerState,
-    /// Whether the model is currently demoted to the scalar tier.
-    pub demoted: bool,
 }
 
 /// A point-in-time picture of the gateway's self-healing machinery:
@@ -279,20 +263,12 @@ pub struct BreakerHealth {
 pub struct GatewayHealth {
     /// Every worker ever spawned, wedged ones included, sorted by id.
     pub workers: Vec<WorkerHealth>,
-    /// Per-model breaker/demotion posture, sorted by model name.
+    /// Per-model breaker posture, sorted by model name.
     pub breakers: Vec<BreakerHealth>,
     /// Batches declared hung.
     pub hung: u64,
     /// Replacement workers spawned.
     pub workers_replaced: u64,
-    /// Retry attempts spent.
-    pub retries: u64,
-    /// Batches that exhausted a non-zero retry budget.
-    pub retries_exhausted: u64,
-    /// Demotions to the scalar tier.
-    pub demotions: u64,
-    /// Quarantines elapsed.
-    pub repromotions: u64,
     /// Submissions shed by a breaker.
     pub breaker_rejected: u64,
     /// Accepted requests abandoned before dispatch.
@@ -798,9 +774,6 @@ type Arenas = Vec<(Weak<InferencePlan>, InferArena)>;
 /// gateway allocates nothing.
 fn worker_loop(shared: &Arc<Shared>, id: usize) {
     let mut arenas = Arenas::new();
-    // The batch's inputs and options stay for its retry rounds; its plan
-    // comes with each round, so the worker holds it only while it runs.
-    let (mut inputs, mut opts) = (Vec::new(), shared.opts);
     let mut shell = shared.lock();
     loop {
         let Some(work) = shell.mail.remove(&id) else {
@@ -808,20 +781,10 @@ fn worker_loop(shared: &Arc<Shared>, id: usize) {
             continue;
         };
         drop(shell);
-        let (plan, requests) = match work {
-            Work::Exit => return,
-            Work::Run {
-                plan,
-                inputs: next,
-                force_scalar,
-            } => {
-                opts.force_scalar = shared.opts.force_scalar || force_scalar;
-                inputs = next;
-                (plan, (0..inputs.len()).collect())
-            }
-            Work::Rerun { plan, requests } => (plan, requests),
+        let Work::Run { plan, inputs } = work else {
+            return;
         };
-        let ran = run(&plan, &inputs, &requests, &opts, &mut arenas);
+        let ran = run(&plan, &inputs, &shared.opts, &mut arenas);
         // Outside the lock: an unregister or a swap may have left this
         // the plan's last reference.
         drop(plan);
@@ -830,15 +793,9 @@ fn worker_loop(shared: &Arc<Shared>, id: usize) {
     }
 }
 
-/// Runs the `requests` of `inputs` in turn on `plan` over the worker's
-/// arena for it, after dropping the arenas of plans that are gone.
-fn run(
-    plan: &Plan,
-    inputs: &[Vec<u8>],
-    requests: &[usize],
-    opts: &ExecOptions,
-    arenas: &mut Arenas,
-) -> Vec<Ran> {
+/// Runs `inputs` in turn on `plan` over the worker's arena for it, after
+/// dropping the arenas of plans that are gone.
+fn run(plan: &Plan, inputs: &[Vec<u8>], opts: &ExecOptions, arenas: &mut Arenas) -> Vec<Ran> {
     arenas.retain(|(plan, _)| plan.strong_count() > 0);
     // A live `Weak` keeps its plan's allocation, so no other plan can
     // share its address.
@@ -850,16 +807,15 @@ fn run(
         arenas.len() - 1
     });
     let arena = &mut arenas[idx].1;
-    requests
+    inputs
         .iter()
-        .map(|&request| {
+        .map(|input| {
             let t0 = Instant::now();
             let mut out = Vec::new();
             let result = plan
-                .try_execute_into(&inputs[request], arena, &mut out, opts)
+                .try_execute_into(input, arena, &mut out, opts)
                 .map(|()| out);
             Ran {
-                request,
                 result,
                 exec_us: micros(t0.elapsed()),
             }
@@ -1124,11 +1080,11 @@ mod tests {
         let (a, b) = (Arc::new(tiny_plan()), Arc::new(other_plan()));
         let mut arenas = Arenas::new();
         for plan in [&a, &b, &a] {
-            run(plan, &inputs, &[0], &opts, &mut arenas);
+            run(plan, &inputs, &opts, &mut arenas);
         }
         assert_eq!(arenas.len(), 2, "one arena per live plan");
         drop(a);
-        let ran = run(&b, &inputs, &[0], &opts, &mut arenas);
+        let ran = run(&b, &inputs, &opts, &mut arenas);
         assert_eq!(arenas.len(), 1, "the unregistered plan's arena is gone");
         assert_eq!(ran[0].result, Ok(b.execute(&input)));
     }
@@ -1211,27 +1167,20 @@ mod tests {
         assert!(health.workers.iter().all(|w| !w.wedged));
         assert_eq!(health.breakers.len(), 1);
         assert_eq!(health.breakers[0].state, BreakerState::Closed);
-        assert!(!health.breakers[0].demoted);
         assert_eq!(
             (
                 health.hung,
                 health.workers_replaced,
-                health.retries,
-                health.retries_exhausted,
-                health.demotions,
-                health.repromotions,
                 health.breaker_rejected,
                 health.abandoned,
             ),
-            (0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0),
             "a healthy gateway records no supervision activity"
         );
         assert!(health.events.is_empty(), "{:?}", health.events);
         let ms = server.model_stats(DEFAULT_MODEL).expect("registered");
         assert_eq!(ms.breaker, BreakerState::Closed);
-        assert!(!ms.demoted);
-        assert_eq!(ms.kernel_faults, 0);
-        server.shutdown();
+        assert_eq!(server.shutdown().retries, 0);
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! [`Core`] is everything [`super::InferServer`] decides: the model
 //! registry, breaker admission, capacity and priority shedding, the
 //! per-model queues and batch readiness (`max_batch` / `max_wait`),
-//! dispatch, ticket ownership, hang takeover, the retry decision, ISA
-//! demotion and re-promotion, drain, and every counter, histogram and
-//! [`HealthEvent`]. It holds no thread, lock or clock. Each call is
-//! [`Core::step`]`(now_us, event)` on a logical microsecond clock the
-//! caller supplies, and what must happen outside — answer a ticket, hand
-//! a worker its work, start a worker's thread — comes back as
-//! [`Action`]s; the core owns the worker roster. The core reports its earliest deadline
-//! ([`Core::next_deadline`]), so timers are data: the shell sleeps until
-//! then and steps an [`Event::Tick`].
+//! dispatch, ticket ownership, hang takeover, drain, and every counter,
+//! histogram and [`HealthEvent`]. It holds no thread, lock or clock.
+//! Each call is [`Core::step`]`(now_us, event)` on a logical microsecond
+//! clock the caller supplies, and what must happen outside — answer a
+//! ticket, hand a worker its work, start a worker's thread — comes back
+//! as [`Action`]s; the core owns the worker roster. The core reports its
+//! earliest deadline ([`Core::next_deadline`]), so timers are data: the
+//! shell sleeps until then and steps an [`Event::Tick`].
 //!
 //! **Ownership rule.** A ticket's reply handle `T` lives in exactly one
 //! place: its model's queue, the in-flight batch of the worker that runs
@@ -35,8 +34,8 @@ use super::{
 };
 use crate::error::InferError;
 use crate::supervise::{
-    counts_as_fault, kernel_attributed, retry_backoff, Admission, BreakerState, CircuitBreaker,
-    HealthEvent, HealthLog, SupervisorConfig,
+    counts_as_fault, Admission, BreakerState, CircuitBreaker, HealthEvent, HealthLog,
+    SupervisorConfig,
 };
 
 /// One input to [`Core::step`].
@@ -87,11 +86,12 @@ pub enum Event<P, T> {
         /// The ticket number [`Event::Submit`] returned.
         ticket: u64,
     },
-    /// A worker finished running the requests its last [`Work`] named.
+    /// A worker finished running the batch its last [`Work::Run`]
+    /// carried.
     Done {
         /// The worker.
         worker: usize,
-        /// One entry per request it ran.
+        /// One entry per request of the batch, in request order.
         ran: Vec<Ran>,
     },
     /// Time passed: act on every deadline at or before `now_us`.
@@ -106,8 +106,6 @@ pub enum Event<P, T> {
 /// One request's run, reported in [`Event::Done`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ran {
-    /// The request's index in the batch its [`Work::Run`] carried.
-    pub request: usize,
     /// Its output, or the structured error it ended in.
     pub result: Result<Vec<u8>, InferError>,
     /// Microseconds the run took.
@@ -117,21 +115,12 @@ pub struct Ran {
 /// What a worker thread does next.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Work<P> {
-    /// Run a new batch: each input in turn over one arena.
+    /// Run a batch: each input in turn over one arena.
     Run {
         /// The plan to run.
         plan: P,
         /// The batch's inputs, in request order.
         inputs: Vec<Vec<u8>>,
-        /// Run on the scalar oracle tier (the model is demoted).
-        force_scalar: bool,
-    },
-    /// Run these requests of the current batch again (a retry round).
-    Rerun {
-        /// The plan the batch's [`Work::Run`] carried.
-        plan: P,
-        /// Indices into the last [`Work::Run`]'s inputs.
-        requests: Vec<usize>,
     },
     /// Leave the thread.
     Exit,
@@ -181,43 +170,36 @@ struct Job<T> {
 struct Request<T> {
     reply: T,
     probe: bool,
-    result: Result<Vec<u8>, InferError>,
-    exec_us: u64,
 }
 
-/// A worker's dispatched batch. `rerun_at` is set while the batch waits
-/// out a retry backoff (the worker is then not running).
+/// A worker's dispatched batch.
 #[derive(Debug, Clone)]
-struct InFlight<P, T> {
+struct InFlight<T> {
     model: String,
     serial: u64,
-    plan: P,
     dispatched_us: u64,
-    attempt: u32,
-    rerun_at: Option<u64>,
-    pending: Vec<usize>,
     requests: Vec<Request<T>>,
 }
 
 #[derive(Debug, Clone)]
-enum Slot<P, T> {
+enum Slot<T> {
     Idle,
-    Busy(InFlight<P, T>),
+    Busy(InFlight<T>),
     /// Declared hung while running: its thread still owes a late `Done`.
     Wedged,
     Exited,
 }
 
 #[derive(Debug, Clone)]
-struct Worker<P, T> {
-    slot: Slot<P, T>,
+struct Worker<T> {
+    slot: Slot<T>,
     wedged: bool,
     batches: u64,
 }
 
 /// A registered model. `counts` holds its lifetime counters; the
-/// fields a snapshot derives (checksum, summaries, breaker, demotion)
-/// are filled in by [`Core::model_stats`].
+/// fields a snapshot derives (checksum, summaries, breaker) are filled
+/// in by [`Core::model_stats`].
 #[derive(Debug, Clone)]
 struct Model<P, T> {
     serial: u64,
@@ -229,7 +211,6 @@ struct Model<P, T> {
     queue_wait: LatencyHistogram,
     assembly: LatencyHistogram,
     execute: LatencyHistogram,
-    demoted_until: Option<u64>,
 }
 
 /// The gateway's state machine; see the module docs.
@@ -240,7 +221,7 @@ pub struct Core<P, T> {
     max_wait_us: u64,
     sup: SupervisorConfig,
     models: BTreeMap<String, Model<P, T>>,
-    workers: Vec<Worker<P, T>>,
+    workers: Vec<Worker<T>>,
     next_ticket: u64,
     next_serial: u64,
     draining: bool,
@@ -333,20 +314,15 @@ impl<P: Clone, T> Core<P, T> {
     }
 
     /// The earliest logical time at which a [`Event::Tick`] would act:
-    /// a busy worker's hang deadline or retry round, a demoted model's
-    /// quarantine end, or the `max_wait` of the oldest queued request
-    /// when an idle worker could take it. `None` when nothing is timed.
-    /// Always later than the `now_us` of the last step.
+    /// a busy worker's hang deadline, or the `max_wait` of the oldest
+    /// queued request when an idle worker could take it. `None` when
+    /// nothing is timed. Always later than the `now_us` of the last step.
     pub fn next_deadline(&self) -> Option<u64> {
         let hang_us = micros(self.sup.hang_deadline);
         let busy = self.workers.iter().filter_map(|w| match &w.slot {
-            Slot::Busy(f) => {
-                let hang = f.dispatched_us.saturating_add(hang_us);
-                Some(f.rerun_at.map_or(hang, |at| at.min(hang)))
-            }
+            Slot::Busy(f) => Some(f.dispatched_us.saturating_add(hang_us)),
             _ => None,
         });
-        let quarantines = self.models.values().filter_map(|m| m.demoted_until);
         let batch = self
             .workers
             .iter()
@@ -354,7 +330,7 @@ impl<P: Clone, T> Core<P, T> {
             .then(|| self.oldest())
             .flatten()
             .map(|(_, enqueued)| enqueued.saturating_add(self.max_wait_us));
-        busy.chain(quarantines).chain(batch).min()
+        busy.chain(batch).min()
     }
 
     /// Whether the drain has finished: nothing queued, and no worker
@@ -391,7 +367,6 @@ impl<P: Clone, T> Core<P, T> {
             queue_wait: m.queue_wait.summary(),
             assembly: m.assembly.summary(),
             execute: m.execute.summary(),
-            demoted: m.demoted_until.is_some(),
             breaker: m.breaker.state(),
             ..m.counts.clone()
         })
@@ -417,7 +392,6 @@ impl<P: Clone, T> Core<P, T> {
         let breakers = self.models.iter().map(|(name, m)| BreakerHealth {
             model: name.clone(),
             state: m.breaker.state(),
-            demoted: m.demoted_until.is_some(),
         });
         let t = &self.totals;
         GatewayHealth {
@@ -425,10 +399,6 @@ impl<P: Clone, T> Core<P, T> {
             breakers: breakers.collect(),
             hung: t.hung,
             workers_replaced: t.workers_replaced,
-            retries: t.retries,
-            retries_exhausted: t.retries_exhausted,
-            demotions: t.demotions,
-            repromotions: t.repromotions,
             breaker_rejected: t.breaker_rejected,
             abandoned: t.abandoned,
             events: self.health.snapshot(),
@@ -467,7 +437,6 @@ impl<P: Clone, T> Core<P, T> {
             queue_wait: LatencyHistogram::default(),
             assembly: LatencyHistogram::default(),
             execute: LatencyHistogram::default(),
-            demoted_until: None,
         };
         self.models.insert(name, model);
         Ok(checksum)
@@ -619,8 +588,8 @@ impl<P: Clone, T> Core<P, T> {
         let Some(w) = self.workers.get_mut(worker) else {
             return;
         };
-        match &mut w.slot {
-            Slot::Busy(f) if f.rerun_at.is_none() => {}
+        let f = match std::mem::replace(&mut w.slot, Slot::Idle) {
+            Slot::Busy(f) => f,
             Slot::Wedged => {
                 // The late results of a batch already answered as hung.
                 w.slot = Slot::Exited;
@@ -630,64 +599,20 @@ impl<P: Clone, T> Core<P, T> {
                 });
                 return;
             }
-            _ => return,
-        }
-        let Slot::Busy(mut f) = std::mem::replace(&mut w.slot, Slot::Idle) else {
-            unreachable!("matched Busy above");
-        };
-        let kernel_fault = ran
-            .iter()
-            .any(|r| r.result.as_ref().err().is_some_and(kernel_attributed));
-        f.pending.clear();
-        for r in ran {
-            if let Some(req) = f.requests.get_mut(r.request) {
-                if matches!(r.result, Err(InferError::Internal { .. })) {
-                    f.pending.push(r.request);
-                }
-                req.exec_us += r.exec_us;
-                req.result = r.result;
+            slot => {
+                w.slot = slot;
+                return;
             }
-        }
+        };
         let mut model = self
             .models
             .get_mut(&f.model)
             .filter(|m| m.serial == f.serial);
-        if kernel_fault {
+        for (req, r) in f.requests.into_iter().zip(ran) {
+            let ok = r.result.is_ok();
             if let Some(m) = model.as_deref_mut() {
-                m.counts.kernel_faults += 1;
-            }
-        }
-        // Only transient failures (caught panics) re-run, and only within
-        // the budget; any other result is final.
-        if !f.pending.is_empty() && f.attempt <= self.sup.retry_budget {
-            let backoff =
-                retry_backoff(self.sup.retry_seed, f.attempt, self.sup.retry_backoff_base);
-            f.attempt += 1;
-            f.rerun_at = Some(now_us.saturating_add(micros(backoff)));
-            if let Some(m) = model.as_deref_mut() {
-                m.counts.retries += 1;
-            }
-            self.totals.retries += 1;
-            self.workers[worker].slot = Slot::Busy(f);
-            return;
-        }
-        if f.pending.is_empty() && f.attempt > 1 {
-            self.health.record(HealthEvent::RetrySucceeded {
-                model: f.model.clone(),
-                attempt: f.attempt - 1,
-            });
-        } else if !f.pending.is_empty() && self.sup.retry_budget > 0 {
-            self.totals.retries_exhausted += 1;
-            self.health.record(HealthEvent::RetriesExhausted {
-                model: f.model.clone(),
-                attempts: f.attempt,
-            });
-        }
-        for req in f.requests {
-            let ok = req.result.is_ok();
-            if let Some(m) = model.as_deref_mut() {
-                m.execute.record(req.exec_us);
-                let fault = req.result.as_ref().err().is_some_and(counts_as_fault);
+                m.execute.record(r.exec_us);
+                let fault = r.result.as_ref().err().is_some_and(counts_as_fault);
                 record_outcome(&mut self.health, m, &f.model, fault, req.probe, now_us);
                 if ok {
                     m.counts.completed += 1;
@@ -702,58 +627,21 @@ impl<P: Clone, T> Core<P, T> {
             }
             out.push(Action::Answer {
                 to: req.reply,
-                result: req.result,
+                result: r.result,
             });
-        }
-        // Enough kernel-attributed faults pin the model to the scalar
-        // oracle tier for a quarantine.
-        let demote_after = self.sup.demote_after;
-        if let Some(m) = model {
-            if demote_after > 0
-                && m.counts.kernel_faults >= demote_after
-                && m.demoted_until.is_none()
-            {
-                m.demoted_until = Some(now_us.saturating_add(micros(self.sup.quarantine)));
-                m.counts.demotions += 1;
-                self.totals.demotions += 1;
-                self.health.record(HealthEvent::Demoted {
-                    model: f.model.clone(),
-                    kernel_faults: m.counts.kernel_faults,
-                });
-            }
         }
     }
 
-    /// Acts on every deadline due by `now_us` — quarantine ends, hang
-    /// deadlines, retry rounds — then dispatches ready batches and, when
-    /// draining with nothing queued, retires the idle workers.
+    /// Acts on every deadline due by `now_us` — hang deadlines — then
+    /// dispatches ready batches and, when draining with nothing queued,
+    /// retires the idle workers.
     fn settle(&mut self, now_us: u64, out: &mut Vec<Action<P, T>>) {
-        for (name, m) in &mut self.models {
-            if m.demoted_until.is_some_and(|until| until <= now_us) {
-                m.demoted_until = None;
-                m.counts.kernel_faults = 0;
-                self.totals.repromotions += 1;
-                self.health.record(HealthEvent::Repromoted {
-                    model: name.clone(),
-                });
-            }
-        }
         let hang_us = micros(self.sup.hang_deadline);
         for id in 0..self.workers.len() {
-            let Slot::Busy(f) = &mut self.workers[id].slot else {
-                continue;
-            };
-            if now_us.saturating_sub(f.dispatched_us) >= hang_us {
-                self.hang(now_us, id, out);
-            } else if f.rerun_at.is_some_and(|at| at <= now_us) {
-                f.rerun_at = None;
-                out.push(Action::Work {
-                    worker: id,
-                    work: Work::Rerun {
-                        plan: f.plan.clone(),
-                        requests: f.pending.clone(),
-                    },
-                });
+            if let Slot::Busy(f) = &self.workers[id].slot {
+                if now_us.saturating_sub(f.dispatched_us) >= hang_us {
+                    self.hang(now_us, id, out);
+                }
             }
         }
         while let Some(worker) = self
@@ -814,8 +702,6 @@ impl<P: Clone, T> Core<P, T> {
             requests.push(Request {
                 reply: job.reply,
                 probe: job.probe,
-                result: Ok(Vec::new()),
-                exec_us: 0,
             });
         }
         let size = requests.len() as u64;
@@ -831,11 +717,7 @@ impl<P: Clone, T> Core<P, T> {
         w.slot = Slot::Busy(InFlight {
             model: name,
             serial: m.serial,
-            plan: m.plan.clone(),
             dispatched_us: now_us,
-            attempt: 1,
-            rerun_at: None,
-            pending: Vec::new(),
             requests,
         });
         out.push(Action::Work {
@@ -843,7 +725,6 @@ impl<P: Clone, T> Core<P, T> {
             work: Work::Run {
                 plan: m.plan.clone(),
                 inputs,
-                force_scalar: m.demoted_until.is_some(),
             },
         });
         true
@@ -858,15 +739,6 @@ impl<P: Clone, T> Core<P, T> {
             return;
         };
         w.wedged = true;
-        if f.rerun_at.is_some() {
-            // Waiting out a retry backoff, not running: nothing will
-            // come back from it, so it leaves now.
-            w.slot = Slot::Exited;
-            out.push(Action::Work {
-                worker,
-                work: Work::Exit,
-            });
-        }
         self.totals.hung += 1;
         self.health.record(HealthEvent::WorkerHung {
             worker,

@@ -1,21 +1,18 @@
 //! Self-healing supervision primitives for the serving gateway.
 //!
-//! [`crate::InferServer`] composes four recovery mechanisms (hang
-//! takeover, circuit breaker, seeded retries, ISA demotion); this module holds
-//! the pieces that are **pure state machines or plain data** so they
-//! can be tested in isolation — most importantly the
+//! [`crate::InferServer`] composes two recovery mechanisms (hang
+//! takeover and a circuit breaker); this module holds the pieces that
+//! are **pure state machines or plain data** so they can be tested in
+//! isolation — most importantly the
 //! [`CircuitBreaker`], which is deterministic given its call sequence
 //! (it never reads a clock; callers pass logical microsecond
 //! timestamps), and the [`HealthEvent`] record the gateway's
 //! [`crate::serve::GatewayHealth`] snapshot surfaces to operators.
 //!
 //! Determinism matters here for the same reason it does everywhere else
-//! in this repo: a chaos run is reproducible from its seed alone. The
-//! breaker's transitions are a pure function of the admit/record
-//! sequence, the retry backoff is a pure function of `(seed, attempt)`
-//! via the same SplitMix64 scheme `gcd2-faults` draws its plans from,
-//! and demotion changes *which tier* executes but never *what bytes*
-//! come out (the scalar oracle is bit-exact).
+//! in this repo: a chaos run is reproducible from its seed alone, and
+//! the breaker's transitions are a pure function of the admit/record
+//! sequence.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -26,11 +23,8 @@ use crate::error::InferError;
 /// Supervision knobs of one gateway ([`crate::GatewayConfig::supervisor`]).
 ///
 /// The defaults are deliberately conservative: the gateway only wedges
-/// a worker stuck for 30 s, the breaker needs a sustained error rate
-/// over a real sample count, retries are **off** (`retry_budget == 0`)
-/// so fault semantics match the pre-supervision gateway unless a
-/// deployment opts in, and demotion needs eight kernel-attributed
-/// faults.
+/// a worker stuck for 30 s, and the breaker needs a sustained error rate
+/// over a real sample count.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// A batch executing longer than this is declared hung: its
@@ -49,22 +43,6 @@ pub struct SupervisorConfig {
     /// HalfOpen probe budget: at most this many in-flight probes, and
     /// this many consecutive probe successes close the breaker.
     pub breaker_probes: usize,
-    /// The transiently failed requests of a batch re-run in up to this
-    /// many more rounds (0 disables retries — the default, preserving
-    /// pre-supervision fault semantics).
-    pub retry_budget: u32,
-    /// Base of the deterministic retry backoff; attempt `a` sleeps
-    /// `base * 2^(a-1)` plus seeded jitter in `[0, base)`.
-    pub retry_backoff_base: Duration,
-    /// Seed of the retry-backoff jitter stream (SplitMix64, the same
-    /// scheme `gcd2-faults` derives its plans from).
-    pub retry_seed: u64,
-    /// Kernel-attributed faults on a model before its dispatch is
-    /// pinned to the scalar oracle tier. 0 disables demotion.
-    pub demote_after: u64,
-    /// How long a demoted model stays pinned to scalar before being
-    /// re-promoted (its fault count restarts from zero).
-    pub quarantine: Duration,
     /// How many [`HealthEvent`]s the gateway's ring buffer retains.
     pub health_events: usize,
 }
@@ -78,11 +56,6 @@ impl Default for SupervisorConfig {
             breaker_threshold_pct: 60,
             breaker_cooldown: Duration::from_millis(250),
             breaker_probes: 2,
-            retry_budget: 0,
-            retry_backoff_base: Duration::from_micros(500),
-            retry_seed: 0x5EED,
-            demote_after: 8,
-            quarantine: Duration::from_millis(500),
             health_events: 64,
         }
     }
@@ -314,8 +287,8 @@ impl CircuitBreaker {
     }
 }
 
-/// Whether an execution outcome counts against the model's breaker and
-/// fault counters: server-attributed failures do, client mistakes and
+/// Whether an execution outcome counts against the model's breaker:
+/// server-attributed failures do, client mistakes and
 /// load management don't. A shed or queue-full request says nothing
 /// about the model's health; a panic inside the runtime does.
 pub fn counts_as_fault(e: &InferError) -> bool {
@@ -337,44 +310,6 @@ pub fn counts_as_fault(e: &InferError) -> bool {
         | InferError::BreakerOpen { .. }
         | InferError::Artifact(_) => false,
     }
-}
-
-/// Whether a fault implicates the kernel/dispatch layer — the trigger
-/// for ISA demotion. A kernel dispatch rejection always does; a caught
-/// panic ([`InferError::Internal`]) does when its message names the GEMM
-/// or kernel path (injected kernel faults read `injected fault at
-/// infer.gemm`).
-pub fn kernel_attributed(e: &InferError) -> bool {
-    match e {
-        InferError::Dispatch { .. } => true,
-        InferError::Internal { message } => message_implicates_kernel(message),
-        _ => false,
-    }
-}
-
-fn message_implicates_kernel(message: &str) -> bool {
-    message.contains("gemm") || message.contains("kernel") || message.contains("dispatch")
-}
-
-/// Deterministic retry backoff: attempt `a` (1-based) sleeps
-/// `base * 2^(a-1)` plus SplitMix64 jitter in `[0, base)` derived from
-/// `(seed, attempt)` — the same RNG scheme the seeded fault plans use,
-/// so a chaos run's full retry timeline reproduces from its seed. The
-/// exponential factor is capped at `2^6` so a misconfigured budget
-/// cannot sleep a worker for minutes.
-pub fn retry_backoff(seed: u64, attempt: u32, base: Duration) -> Duration {
-    let jitter_us = mix64(seed ^ u64::from(attempt)) % base.as_micros().max(1) as u64;
-    let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(6));
-    exp + Duration::from_micros(jitter_us)
-}
-
-/// SplitMix64 finalizer (one draw), matching the `gcd2-faults` stream
-/// constants.
-fn mix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// One supervision decision, retained in the gateway's bounded event
@@ -414,32 +349,6 @@ pub enum HealthEvent {
         /// The model.
         model: String,
     },
-    /// A retried batch succeeded.
-    RetrySucceeded {
-        /// The model.
-        model: String,
-        /// The attempt (1-based retry count) that succeeded.
-        attempt: u32,
-    },
-    /// A batch failed every attempt of its retry budget.
-    RetriesExhausted {
-        /// The model.
-        model: String,
-        /// Total attempts made (first try + retries).
-        attempts: u32,
-    },
-    /// A model's dispatch was pinned to the scalar oracle tier.
-    Demoted {
-        /// The model.
-        model: String,
-        /// Kernel-attributed faults that triggered the demotion.
-        kernel_faults: u64,
-    },
-    /// A demoted model's quarantine elapsed; vector tiers restored.
-    Repromoted {
-        /// The model.
-        model: String,
-    },
 }
 
 impl fmt::Display for HealthEvent {
@@ -462,23 +371,6 @@ impl fmt::Display for HealthEvent {
                 write!(f, "breaker half-open for {model:?}")
             }
             HealthEvent::BreakerClosed { model } => write!(f, "breaker closed for {model:?}"),
-            HealthEvent::RetrySucceeded { model, attempt } => {
-                write!(f, "retry {attempt} succeeded for {model:?}")
-            }
-            HealthEvent::RetriesExhausted { model, attempts } => {
-                write!(
-                    f,
-                    "retries exhausted for {model:?} after {attempts} attempts"
-                )
-            }
-            HealthEvent::Demoted {
-                model,
-                kernel_faults,
-            } => write!(
-                f,
-                "{model:?} demoted to scalar after {kernel_faults} kernel faults"
-            ),
-            HealthEvent::Repromoted { model } => write!(f, "{model:?} re-promoted"),
         }
     }
 }
@@ -635,23 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_is_deterministic_and_bounded() {
-        let base = Duration::from_micros(500);
-        for attempt in 1..=10u32 {
-            let a = retry_backoff(42, attempt, base);
-            let b = retry_backoff(42, attempt, base);
-            assert_eq!(a, b, "attempt {attempt}");
-            assert!(a >= base.saturating_mul(1 << attempt.saturating_sub(1).min(6)));
-            assert!(a < base.saturating_mul(1 << attempt.saturating_sub(1).min(6)) + base);
-        }
-        assert_ne!(
-            retry_backoff(1, 1, base),
-            retry_backoff(2, 1, base),
-            "different seeds jitter differently (overwhelmingly likely)"
-        );
-    }
-
-    #[test]
     fn health_log_is_bounded_with_monotone_seqs() {
         let mut log = HealthLog::new(3);
         for i in 0..5usize {
@@ -681,15 +556,5 @@ mod tests {
             got: 3
         }));
         assert!(!counts_as_fault(&InferError::QueueFull { capacity: 4 }));
-        assert!(kernel_attributed(&InferError::Internal {
-            message: "injected fault at infer.gemm".into()
-        }));
-        assert!(kernel_attributed(&InferError::Dispatch {
-            node: 3,
-            message: "shape".into()
-        }));
-        assert!(!kernel_attributed(&InferError::Internal {
-            message: "injected fault at infer.prep".into()
-        }));
     }
 }

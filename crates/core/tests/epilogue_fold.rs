@@ -7,15 +7,8 @@
 
 use gcd2::{execute_reference, ActLayout, Compiler, InferencePlan, Verdict};
 use gcd2_cgraph::{Graph, NodeId, OpKind, TShape};
-use gcd2_kernels::{force_isa, pin_scalar, KernelIsa};
+use gcd2_kernels::{pin_isa, KernelIsa};
 use gcd2_models::ModelId;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// `force_isa` is process-wide: the tests that set it take turns.
-fn tier_lock() -> MutexGuard<'static, ()> {
-    static TIER: Mutex<()> = Mutex::new(());
-    TIER.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn conv(out_channels: usize, k: usize) -> OpKind {
     OpKind::Conv2d {
@@ -119,12 +112,11 @@ fn inputs(len: usize) -> Vec<Vec<u8>> {
 }
 
 /// Nine steps fold and four constants go unread, on every tier the host
-/// supports (each building its own plan, whose panels are that tier's
-/// form) and under a scalar pin; every plan analyzes clean and answers
+/// supports, the scalar oracle included (each building its own plan,
+/// whose panels are that tier's form); every plan analyzes clean and answers
 /// the interpreter's bytes.
 #[test]
 fn the_synthetic_net_folds_what_is_legal_bit_identically_on_every_tier() {
-    let _tier = tier_lock();
     let compiled = Compiler::new().compile(&fold_net());
     let graph = &compiled.graph;
     let gemms = ["c1", "c2", "c3", "c4", "c5", "c6", "d7", "up", "fc"];
@@ -154,12 +146,9 @@ fn the_synthetic_net_folds_what_is_legal_bit_identically_on_every_tier() {
         }
     };
     for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-        force_isa(Some(isa));
+        let _pin = pin_isa(isa);
         check(isa.name());
     }
-    force_isa(None);
-    let _pin = pin_scalar();
-    check("pin_scalar");
 }
 
 /// A conv whose value is held as rows and a `Sigmoid` that reads planes
@@ -201,8 +190,6 @@ fn a_layout_conversion_between_the_steps_refuses_the_fold() {
 /// into the gate's expand conv.
 #[test]
 fn the_catalog_folds_are_pinned() {
-    let _tier = tier_lock();
-    force_isa(None);
     let cases = [
         (ModelId::TinyBert, (50, 37), 0xd9d5_5223_f2a2_9d24_u64),
         (ModelId::ResNet50, (0, 0), 0x6241_cf52_6ebe_7984),

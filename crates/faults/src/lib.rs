@@ -79,7 +79,7 @@ pub struct Fault {
     /// 1-based hit index at which the fault first fires.
     pub trigger: u64,
     /// When `true`, the fault fires on *every* hit from `trigger` on —
-    /// modelling a persistent failure that retries cannot clear. When
+    /// modelling a persistent failure that resubmitting cannot clear. When
     /// `false` it fires exactly once, modelling a transient failure.
     pub sticky: bool,
 }

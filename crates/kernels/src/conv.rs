@@ -598,7 +598,7 @@ const IM2COL_WINDOW_BYTES: usize = 32 * 1024;
 /// finishes the row. The form is picked by [`crate::active_isa`] on the
 /// calling thread, like every GEMM dispatch: the AVX-512 tiers (with
 /// VBMI) run `simd::x86::dw_planes_vnni`, everything else —
-/// including `GCD2_FORCE_SCALAR` and [`crate::pin_scalar`] — the
+/// including `GCD2_FORCE_SCALAR` and a scalar [`crate::pin_isa`] — the
 /// portable loop. Both accumulate exactly (u8·i8 products fit i16, the
 /// i32 sums wrap identically in any order), so bytes never depend on
 /// the form.

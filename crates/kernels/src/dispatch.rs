@@ -10,16 +10,17 @@
 //!
 //! Overrides, in precedence order:
 //!
-//! * [`force_isa`] — a process-wide runtime override used by benches and
-//!   tests to compare tiers within one process. Forcing an ISA the CPU
-//!   does not support degrades to scalar (never UB).
+//! * [`pin_isa`] — a thread-scoped pin, nestable and restored when its
+//!   guard drops, used by benches and tests to compare tiers within one
+//!   process. Pinning an ISA the CPU does not support degrades to scalar
+//!   (never UB).
 //! * `GCD2_FORCE_SCALAR=1` — environment pin consulted during the
 //!   one-time detection; CI uses it to run the whole suite against the
-//!   scalar oracle.
+//!   scalar oracle (`GCD2_AMX=0` likewise sets the AMX tier aside).
 //!
 //! Every kernel in the table computes bit-identical bytes (see
-//! [`crate::simd`] for the argument), so switching ISAs — or racing a
-//! switch mid-run — can never change results, only speed.
+//! [`crate::simd`] for the argument), so the tier a thread runs on can
+//! never change results, only speed.
 //!
 //! **A GEMM step only multiplies, from the one copy of its weights.**
 //! Each kernel reads its weights in one form ([`WeightPanel`]):
@@ -37,10 +38,9 @@
 //! tier it resolved ([`crate::tiled::tile_plan`]) and runs the band
 //! kernel under all of them.
 //! There is one fallback: a dispatch whose tier reads another form than
-//! the resident panel holds (a [`pin_scalar`] demotion, [`force_isa`]
-//! flipped since the fill) reads the panel back a k-tile at a time and
-//! repacks it for that one call ([`PanelSource::PerCall`]) — identical
-//! bytes either way.
+//! the resident panel holds (a [`pin_isa`] taken after the fill) reads
+//! the panel back a k-tile at a time and repacks it for that one call
+//! ([`PanelSource::PerCall`]) — identical bytes either way.
 //!
 //! **One GEMM, one thread.** Every dispatch runs its band kernel over
 //! all `m` rows on the calling thread; callers parallelise between
@@ -61,7 +61,8 @@ use crate::tiled::{
     tile_plan, validate_dispatch, BandScratch, GemmDispatchError, GemmScratch, TilePlan,
 };
 use gcd2_tensor::MatrixI8;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::{Mutex, OnceLock};
 
 /// Kernel instruction-set tiers, from the always-available oracle up.
@@ -476,10 +477,10 @@ pub enum PanelSource {
     /// The caller's resident [`WeightPanel`]: nothing was packed.
     Resident,
     /// The resolved tier wants another form than the resident panel's
-    /// (a scalar pin or demotion, [`force_isa`] flipped since the panel
-    /// was filled) or no panel was given: the dispatch read the caller's
-    /// row-major matrix, or repacked the weights for this call — from a
-    /// panel, read back a k-tile at a time.
+    /// (a [`pin_isa`] taken after the panel was filled) or no panel was
+    /// given: the dispatch read the caller's row-major matrix, or
+    /// repacked the weights for this call — from a panel, read back a
+    /// k-tile at a time.
     PerCall,
 }
 
@@ -606,62 +607,49 @@ pub fn detected_isa() -> KernelIsa {
     })
 }
 
-/// `u8::MAX` = no override; otherwise a `KernelIsa` discriminant.
-static FORCED: AtomicU8 = AtomicU8::new(u8::MAX);
-
-/// Process-wide runtime ISA override for benches and tests (pass `None`
-/// to return to auto-detection). Forcing a tier the CPU cannot run
-/// degrades to scalar. Safe to flip at any time: all tiers produce
-/// bit-identical output, so in-flight GEMMs are unaffected semantically.
-pub fn force_isa(isa: Option<KernelIsa>) {
-    FORCED.store(isa.map_or(u8::MAX, |i| i as u8), Ordering::SeqCst);
-}
-
 thread_local! {
-    /// Depth of live [`ScalarPin`] guards on this thread. Non-zero pins
-    /// every dispatch resolved *on this thread* to the scalar oracle.
-    static SCALAR_PINNED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    /// This thread's innermost live [`IsaPin`]'s tier, if any.
+    static PINNED: Cell<Option<KernelIsa>> = const { Cell::new(None) };
 }
 
-/// RAII guard of a thread-scoped scalar pin (see [`pin_scalar`]).
-/// Deliberately `!Send`: the pin is thread-local, so moving the guard
-/// to another thread would unpin the wrong one.
+/// RAII guard of a thread-scoped tier pin (see [`pin_isa`]). Dropping it
+/// restores the pin it replaced. Deliberately `!Send`: the pin is
+/// thread-local, so moving the guard to another thread would unpin the
+/// wrong one.
 #[derive(Debug)]
-pub struct ScalarPin {
-    _not_send: std::marker::PhantomData<*const ()>,
+#[must_use = "the pin lasts until the guard drops"]
+pub struct IsaPin {
+    outer: Option<KernelIsa>,
+    _not_send: PhantomData<*const ()>,
 }
 
-impl Drop for ScalarPin {
+impl Drop for IsaPin {
     fn drop(&mut self) {
-        SCALAR_PINNED.with(|c| c.set(c.get().saturating_sub(1)));
+        PINNED.with(|p| p.set(self.outer));
     }
 }
 
-/// Pins every GEMM dispatch resolved on the **current thread** to the
-/// scalar oracle tier until the returned guard drops. Nestable, and
-/// composes with (overriding) both [`force_isa`] and autodetection.
-///
-/// This is the gateway's fault-triggered ISA demotion hook: after
-/// repeated kernel-attributed faults on a model, its batches execute
-/// under a pin so a misbehaving SIMD tier is set aside without
-/// touching process-global state (other models and other threads keep
-/// their vector tiers). Scalar is the bit-exactness oracle, so a
-/// demoted dispatch can never change output bytes — only speed.
-pub fn pin_scalar() -> ScalarPin {
-    SCALAR_PINNED.with(|c| c.set(c.get() + 1));
-    ScalarPin {
-        _not_send: std::marker::PhantomData,
+/// Pins every kernel dispatch resolved on the **calling thread** to
+/// `isa` until the returned guard drops; other threads keep theirs.
+/// Pins nest: the innermost live one wins, and dropping it restores the
+/// one it replaced — during unwinding too. A tier the CPU cannot run
+/// resolves to scalar (never UB). A pin overrides `GCD2_FORCE_SCALAR`,
+/// so one process can sweep every tier. Every tier computes the same
+/// bytes, so a pin changes speed, never output.
+pub fn pin_isa(isa: KernelIsa) -> IsaPin {
+    let isa = if isa.supported() {
+        isa
+    } else {
+        KernelIsa::Scalar
+    };
+    IsaPin {
+        outer: PINNED.with(|p| p.replace(Some(isa))),
+        _not_send: PhantomData,
     }
 }
 
-/// Whether a [`pin_scalar`] guard is live on this thread.
-pub fn scalar_pinned() -> bool {
-    SCALAR_PINNED.with(|c| c.get() != 0)
-}
-
-/// The ISA the next GEMM dispatch will use ([`pin_scalar`] on this
-/// thread, else the [`force_isa`] override, else the one-time
-/// detection).
+/// The ISA the next kernel dispatch on this thread will use: its
+/// innermost [`pin_isa`], else the one-time detection.
 pub fn active_isa() -> KernelIsa {
     active_table().isa
 }
@@ -676,18 +664,7 @@ pub(crate) fn avx512_tier_active() -> bool {
 }
 
 pub(crate) fn active_table() -> &'static KernelTable {
-    if scalar_pinned() {
-        return &SCALAR_TABLE;
-    }
-    let forced = FORCED.load(Ordering::Relaxed);
-    if forced != u8::MAX {
-        let isa = KernelIsa::from_tag(forced)
-            .filter(|i| i.supported())
-            .unwrap_or(KernelIsa::Scalar);
-        return table_for(isa);
-    }
-    static ACTIVE: OnceLock<&'static KernelTable> = OnceLock::new();
-    ACTIVE.get_or_init(|| table_for(detected_isa()))
+    table_for(PINNED.with(Cell::get).unwrap_or_else(detected_isa))
 }
 
 /// A checkout/restore pool of [`GemmScratch`] buffers, so repeated
@@ -738,8 +715,8 @@ enum Weights<'w> {
 /// ([`panel_kind`]) — the caller's resident panel when it holds that
 /// form, else the caller's matrix or one repacked into `scratch` for
 /// this call (from a panel, a k-tile at a time: the one fallback) —
-/// derives that tier's blocking ([`tile_plan`] — a scalar pin, a
-/// demotion or [`force_isa`] gets the blocking of the tier it lands on)
+/// derives that tier's blocking ([`tile_plan`] — a [`pin_isa`] gets the
+/// blocking of the tier it lands on)
 /// and runs the band kernel over all `m` rows on the calling thread.
 /// Operands are pre-validated by the caller, `out` included: exactly
 /// `m × n` bytes, every one of which the kernel overwrites.
@@ -961,15 +938,16 @@ mod tests {
         let (a, w) = operands(m, k, n);
         let mut scratch = GemmScratch::default();
         let mut oracle = Vec::new();
-        force_isa(Some(KernelIsa::Scalar));
-        run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut oracle);
+        {
+            let _pin = pin_isa(KernelIsa::Scalar);
+            run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut oracle);
+        }
         for isa in KernelIsa::ALL {
-            force_isa(Some(isa));
+            let _pin = pin_isa(isa);
             let mut got = Vec::new();
             run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut got);
-            assert_eq!(got, oracle, "forced {isa} (may degrade to scalar)");
+            assert_eq!(got, oracle, "pinned {isa} (may degrade to scalar)");
         }
-        force_isa(None);
         let mut auto = Vec::new();
         run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut auto);
         assert_eq!(auto, oracle, "auto-detected ISA");
@@ -1055,7 +1033,7 @@ mod tests {
     }
 
     /// Reading back is the inverse of packing, on every tier this host
-    /// supports and under a scalar pin: whatever form `pack` picks for a
+    /// supports (the scalar pin included): whatever form `pack` picks for a
     /// shape — through every k-tile edge (1–3 rows, one short of, on and
     /// past 64, and four tiles and a row) and every strip edge (below,
     /// on and past 8 and 16 columns, two strips and a column, 1000) — it
@@ -1073,12 +1051,9 @@ mod tests {
             }
         };
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            force_isa(Some(isa));
+            let _pin = pin_isa(isa);
             check(isa.name());
         }
-        force_isa(None);
-        let _pin = pin_scalar();
-        check("pin_scalar");
     }
 
     /// The form a plan fills is the one the kernel multiplying the shape
@@ -1100,14 +1075,42 @@ mod tests {
     }
 
     #[test]
-    fn forcing_unsupported_isa_degrades_to_scalar() {
-        force_isa(Some(KernelIsa::Neon));
+    fn pinning_unsupported_isa_degrades_to_scalar() {
+        let pin = pin_isa(KernelIsa::Neon);
         #[cfg(not(target_arch = "aarch64"))]
         assert_eq!(active_isa(), KernelIsa::Scalar);
         #[cfg(target_arch = "aarch64")]
         assert_eq!(active_isa(), KernelIsa::Neon);
-        force_isa(None);
+        drop(pin);
         assert!(active_isa().supported());
+    }
+
+    /// A pin is the calling thread's alone, nests, is restored to the
+    /// outer pin when the inner guard drops, and is lifted by unwinding
+    /// out of the pinned scope.
+    #[test]
+    fn a_pin_is_thread_scoped_nests_and_unwinds() {
+        let other = KernelIsa::ALL
+            .into_iter()
+            .find(|&isa| isa != KernelIsa::Scalar && isa.supported())
+            .unwrap_or(KernelIsa::Scalar);
+        let outer = pin_isa(other);
+        assert_eq!(active_isa(), other);
+        let spawned = std::thread::spawn(active_isa).join().expect("no panic");
+        assert_eq!(spawned, detected_isa(), "another thread is unpinned");
+        {
+            let _inner = pin_isa(KernelIsa::Scalar);
+            assert_eq!(active_isa(), KernelIsa::Scalar, "the innermost pin wins");
+        }
+        assert_eq!(active_isa(), other, "drop restores the outer pin");
+        drop(outer);
+        assert_eq!(active_isa(), detected_isa());
+        let unwound = std::panic::catch_unwind(|| {
+            let _pin = pin_isa(other);
+            panic!("inside a pinned scope");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(active_isa(), detected_isa(), "unwinding lifts the pin");
     }
 
     /// The blocks the timing tuner used to rank per shape — the

@@ -51,9 +51,9 @@ pub use conv::{
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
-    active_isa, detected_isa, force_isa, gemm_kernel_summary, pin_scalar, scalar_pinned,
-    try_matmul_panel_into, try_matmul_threaded_into, ByteMap, KernelIsa, PanelSource, ScalarPin,
-    ScratchPool, WeightPanel, KTILE_ROWS,
+    active_isa, detected_isa, gemm_kernel_summary, pin_isa, try_matmul_panel_into,
+    try_matmul_threaded_into, ByteMap, IsaPin, KernelIsa, PanelSource, ScratchPool, WeightPanel,
+    KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

@@ -11,8 +11,8 @@
 //!
 //! Two forms, picked by [`crate::active_isa`] on the calling thread —
 //! the rule [`crate::dwconv_direct_into`] follows, so
-//! `GCD2_FORCE_SCALAR`, [`crate::pin_scalar`] and [`crate::force_isa`]
-//! demote this kernel with every other one:
+//! `GCD2_FORCE_SCALAR` and [`crate::pin_isa`] move this kernel with
+//! every other one:
 //!
 //! * **portable** — 32-row blocks, so the 32 source lines a block reads
 //!   stay in L1 while each destination row is written as one contiguous

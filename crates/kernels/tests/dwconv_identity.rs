@@ -5,10 +5,9 @@
 //! `out_len` cut, all of
 //!
 //! * the per-pixel oracle (`dwconv_ref`, the loop the kernel replaced),
-//! * the portable row-accumulator form (under a thread-scoped
-//!   `pin_scalar`),
 //! * the form each `KernelIsa` the host supports selects (through
-//!   `force_isa`), and the one auto-detection selects
+//!   `pin_isa`; the scalar pin selects the portable row-accumulator
+//!   form), and the one auto-detection selects
 //!
 //! produce **identical bytes** — and, when the result is one whole
 //! image, so does `dwconv_rows_into` over the transposed map, through a
@@ -20,21 +19,10 @@
 //! form again and the gate still has to hold.
 
 use gcd2_kernels::{
-    dwconv_direct_into, dwconv_ref, dwconv_rows_into, force_isa, hostops, pin_scalar,
-    transpose_clamp_into, KernelIsa,
+    dwconv_direct_into, dwconv_ref, dwconv_rows_into, hostops, pin_isa, transpose_clamp_into,
+    KernelIsa,
 };
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-/// `force_isa` is process-global; tests that flip it serialize here.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_guard() -> MutexGuard<'static, ()> {
-    match FORCE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Auto-detection, then every tier this host can run.
 fn tiers() -> Vec<Option<KernelIsa>> {
@@ -85,8 +73,8 @@ fn to_rows(chw: &[u8], c: usize) -> Vec<u8> {
     rows
 }
 
-/// Oracle == portable == the form of every tier, for one call — in CHW,
-/// and in rows when the call computes one whole image.
+/// Oracle == the form of every tier, for one call — in CHW, and in rows
+/// when the call computes one whole image.
 fn assert_identity(
     shape: &Shape,
     input: &[u8],
@@ -100,43 +88,14 @@ fn assert_identity(
     dwconv_ref(
         input, c, h, w, k, s, p, weights, shift, act_max, out_len, &mut want,
     );
-    // Stale bytes in the destination must not survive.
-    let mut got = vec![0xAA; out_len];
-    {
-        let _pin = pin_scalar();
-        dwconv_direct_into(input, c, h, w, k, s, p, weights, shift, act_max, &mut got);
-    }
-    assert_eq!(
-        got, want,
-        "portable vs oracle {shape:?} shift={shift} len={out_len}"
-    );
     let (oh, ow) = out_dims(shape);
     let whole = out_len == c * oh * ow;
     let (rows_in, rows_want) = (to_rows(input, c), to_rows(&want, c));
+    // Stale bytes in the destination must not survive.
+    let mut got = vec![0xAA; out_len];
     let mut rows_got = vec![0xAA; out_len];
-    if whole {
-        let _pin = pin_scalar();
-        dwconv_rows_into(
-            &rows_in,
-            c,
-            h,
-            w,
-            k,
-            s,
-            p,
-            weights,
-            shift,
-            act_max,
-            &mut rows_got,
-        );
-        assert_eq!(
-            rows_got, rows_want,
-            "portable rows vs oracle {shape:?} shift={shift}"
-        );
-    }
-    let _guard = force_guard();
     for tier in tiers() {
-        force_isa(tier);
+        let _pin = tier.map(pin_isa);
         got.fill(0xAA);
         dwconv_direct_into(input, c, h, w, k, s, p, weights, shift, act_max, &mut got);
         if whole {
@@ -155,7 +114,6 @@ fn assert_identity(
                 &mut rows_got,
             );
         }
-        force_isa(None);
         assert_eq!(
             got, want,
             "{tier:?} vs oracle {shape:?} shift={shift} len={out_len}"
@@ -338,7 +296,7 @@ fn pool_forms_are_bit_identical() {
         for is_max in [true, false] {
             let want = pool_ref(&chw, (c, h, w), kernel, stride, is_max);
             for scalar in [true, false] {
-                let _pin = scalar.then(pin_scalar);
+                let _pin = scalar.then(|| pin_isa(KernelIsa::Scalar));
                 let mut got = vec![0xAA; want.len()];
                 hostops::pool_into(&chw, c, h, w, kernel, stride, is_max, &mut got);
                 assert_eq!(got, want, "chw {c}x{h}x{w} {kernel:?} max={is_max}");

@@ -5,8 +5,8 @@
 //! these kernels: both executors call `hostops`. So this suite keeps the
 //! forms they replaced as oracles — softmax's `u64` reciprocal per byte,
 //! layernorm's `i32` clamp — and holds to them the kernels under a
-//! thread-scoped `pin_scalar`, under `force_isa` at every tier the host
-//! supports, and under auto-detection. Each kernel has one portable form
+//! thread-scoped `pin_isa` at every tier the host supports (scalar
+//! included), and under auto-detection. Each kernel has one portable form
 //! that every tier runs; the tiers are here so a tier-selected form
 //! added later is held to the oracle from its first build.
 //!
@@ -22,18 +22,7 @@
 //! the ragged last group dropped (`chunks_exact` in the group loop),
 //! group length 2 over 5 bytes (the stale `0xAA`s survive).
 
-use gcd2_kernels::{force_isa, hostops, pin_scalar, KernelIsa};
-use std::sync::{Mutex, MutexGuard};
-
-/// `force_isa` is process-global; tests that flip it serialize here.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_guard() -> MutexGuard<'static, ()> {
-    match FORCE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use gcd2_kernels::{hostops, pin_isa, KernelIsa};
 
 /// The pre-PR softmax: one `u64` reciprocal per group, a `u64` multiply
 /// per byte — `(v · act_max · (⌊2³²/sum⌋ + 1)) >> 32`, which equals
@@ -101,10 +90,9 @@ fn patterns(len: usize, seed: u64) -> [(&'static str, Vec<u8>); 4] {
     ]
 }
 
-/// Portable form == every tier's form == the oracle, for every kernel,
-/// pattern and `act_max`, over `x` cut into groups of `group`.
+/// Every tier's form == the oracle, for every kernel, pattern and
+/// `act_max`, over `x` cut into groups of `group`.
 fn assert_identity(group: usize, len: usize) {
-    let _guard = force_guard();
     for (pattern, x) in patterns(len, group as u64) {
         for act_max in [0u8, 1, 15, 16, 255] {
             for (name, kernel, oracle) in KERNELS {
@@ -112,16 +100,10 @@ fn assert_identity(group: usize, len: usize) {
                 let case = format!("{name} group={group} len={len} {pattern} act_max={act_max}");
                 // Stale bytes in the destination must not survive.
                 let mut got = vec![0xAA; len];
-                {
-                    let _pin = pin_scalar();
-                    kernel(&x, group, act_max, &mut got);
-                }
-                assert_eq!(got, want, "portable: {case}");
                 for tier in tiers() {
-                    force_isa(tier);
+                    let _pin = tier.map(pin_isa);
                     got.fill(0xAA);
                     kernel(&x, group, act_max, &mut got);
-                    force_isa(None);
                     assert_eq!(got, want, "{tier:?}: {case}");
                 }
             }
@@ -151,7 +133,7 @@ fn long_groups_are_bit_identical() {
 /// Throughput probe, not a gate (run explicitly):
 /// `cargo test -p gcd2-kernels --release --test hostops_identity --
 /// --ignored group_kernels_ns_per_byte --nocapture`. ns per byte of the
-/// portable form (under `pin_scalar`) and of the form each tier this
+/// portable form (under a scalar `pin_isa`) and of the form each tier this
 /// host supports selects, at tinybert's two shapes — softmax over 1536
 /// groups of 128, layernorm over 128 groups of 312 — on activation-range
 /// bytes at the runtime's `act_max` 15, best of 200 calls. DESIGN.md
@@ -173,21 +155,19 @@ fn group_kernels_ns_per_byte() {
         ("softmax", hostops::softmax_into as Kernel, 1536, 128),
         ("layernorm", hostops::layernorm_into as Kernel, 128, 312),
     ];
-    let _guard = force_guard();
     for (name, kernel, groups, group) in shapes {
         let x: Vec<u8> = (0..groups * group)
             .map(|i| (mix(i, 7) % 16) as u8)
             .collect();
         let portable = {
-            let _pin = pin_scalar();
+            let _pin = pin_isa(KernelIsa::Scalar);
             best_ns_per_byte(kernel, &x, group)
         };
         println!("{name} {groups}x{group}: portable {portable:.3} ns/B");
         let vector = |isa: &KernelIsa| isa.supported() && *isa != KernelIsa::Scalar;
         for isa in KernelIsa::ALL.into_iter().filter(vector) {
-            force_isa(Some(isa));
+            let _pin = pin_isa(isa);
             let t = best_ns_per_byte(kernel, &x, group);
-            force_isa(None);
             println!("{name} {groups}x{group}: {isa} {t:.3} ns/B");
         }
     }

@@ -4,7 +4,7 @@
 //! exactly the bytes of the per-element oracle `im2col_chw(…,
 //! RowMajor)` — every byte of the destination, none beyond it — in the
 //! form each kernel tier selects. Every case runs at every `KernelIsa`
-//! the host supports (through `force_isa`) and on auto-detection, so
+//! the host supports (through `pin_isa`) and on auto-detection, so
 //! the tile form and the portable form are both held to the oracle on
 //! one host; under `GCD2_FORCE_SCALAR=1` (CI runs the suite both ways)
 //! auto-detection is the portable form too. The same cases hold
@@ -14,14 +14,13 @@
 
 use gcd2_cgraph::OpKind;
 use gcd2_kernels::{
-    force_isa, im2col_chw, im2col_rm_into, im2col_rows_into, transpose_clamp_ref, Im2colScratch,
+    im2col_chw, im2col_rm_into, im2col_rows_into, pin_isa, transpose_clamp_ref, Im2colScratch,
     KernelIsa,
 };
 use gcd2_models::ModelId;
 use gcd2_tensor::Layout;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard};
 
 /// (channels, height, width, kernel, stride, padding).
 type Shape = (
@@ -32,16 +31,6 @@ type Shape = (
     (usize, usize),
     (usize, usize),
 );
-
-/// `force_isa` is process-global; tests that flip it serialize here.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_guard() -> MutexGuard<'static, ()> {
-    match FORCE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Auto-detection, then every tier this host can run.
 fn tiers() -> Vec<Option<KernelIsa>> {
@@ -70,9 +59,8 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
     let &(c, h, w, kernel, stride, padding) = shape;
     let input = pixels(c * h * w, seed);
     let want = im2col_chw(&input, c, h, w, kernel, stride, padding, Layout::RowMajor);
-    let guard = force_guard();
     for tier in tiers() {
-        force_isa(tier);
+        let _pin = tier.map(pin_isa);
         // 0xA5 marks bytes the kernel failed to write; the guard band
         // after the matrix must survive.
         let len = want.rows() * want.cols();
@@ -88,7 +76,6 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
             scratch,
             &mut got[..len],
         );
-        force_isa(None);
         assert!(
             got[..len] == *want.as_bytes(),
             "{shape:?} at {tier:?} differs from the oracle"
@@ -98,7 +85,6 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
             "{shape:?} at {tier:?} wrote past the matrix"
         );
     }
-    drop(guard);
 
     // The pixel-major form, on the scratch the tile form just used.
     let (kh, kw) = kernel;
@@ -256,7 +242,6 @@ fn perf_probe() {
         (256, 14, 14, (3, 3), (1, 1), (1, 1)),
         (512, 7, 7, (3, 3), (1, 1), (1, 1)),
     ];
-    let _guard = force_guard();
     let mut scratch = Im2colScratch::default();
     for &(c, h, w, kernel, stride, padding) in shapes {
         let input = pixels(c * h * w, 1);
@@ -266,7 +251,7 @@ fn perf_probe() {
         let mut out = vec![0u8; out_h * out_w * k];
         let mut best = [f64::MAX; 2];
         for (slot, tier) in [Some(KernelIsa::Scalar), None].into_iter().enumerate() {
-            force_isa(tier);
+            let _pin = tier.map(pin_isa);
             for _ in 0..30 {
                 let t0 = std::time::Instant::now();
                 im2col_rm_into(
@@ -282,7 +267,6 @@ fn perf_probe() {
                 );
                 best[slot] = best[slot].min(t0.elapsed().as_secs_f64() * 1e6);
             }
-            force_isa(None);
         }
         // The bytes differ (transposed map, permuted columns); the
         // work — one `m × k` matrix staged — is the same.

@@ -4,7 +4,7 @@
 //! activation zero-density, all of
 //!
 //! * the naive gold reference (`matmul_ref`),
-//! * the scalar blocked oracle (`force_isa(Scalar)`),
+//! * the scalar blocked oracle (`pin_isa(Scalar)`),
 //! * the kernel of **every tier this host supports** and of
 //!   auto-detection, through the matrix-taking entry points (caller's
 //!   scratch, pooled scratch) and the resident-panel entry point —
@@ -19,25 +19,12 @@
 //! gate still has to hold.
 
 use gcd2_kernels::{
-    force_isa, matmul_ref, pin_scalar, tile_plan, transpose_clamp_into, transpose_clamp_ref,
+    matmul_ref, pin_isa, tile_plan, transpose_clamp_into, transpose_clamp_ref,
     try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, ByteMap,
     GemmDispatchError, GemmScratch, KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
-
-/// `force_isa` is process-global; tests that flip it serialize here so
-/// the harness's parallel test threads can't observe each other's
-/// overrides mid-case.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-fn force_guard() -> MutexGuard<'static, ()> {
-    match FORCE_LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 fn reference_bytes(a: &MatrixU8, w: &MatrixI8, shift: u8) -> Vec<u8> {
     matmul_ref(a, w, shift).into_iter().flatten().collect()
@@ -51,12 +38,11 @@ fn run_isa(
     w: &MatrixI8,
     shift: u8,
 ) -> Vec<u8> {
-    force_isa(isa);
+    let _pin = isa.map(pin_isa);
     let mut scratch = GemmScratch::default();
     let mut out = Vec::new();
     try_matmul_blocked_into(a.as_bytes(), m, k, w, shift, &mut scratch, &mut out)
         .expect("valid operands");
-    force_isa(None);
     out
 }
 
@@ -71,7 +57,6 @@ fn tiers() -> Vec<Option<KernelIsa>> {
 /// from a resident panel packed on each tier.
 fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let (m, k) = (a.rows(), a.cols());
-    let _guard = force_guard();
     let want = reference_bytes(a, w, shift);
     let scalar = run_isa(Some(KernelIsa::Scalar), a, m, k, w, shift);
     assert_eq!(scalar, want, "scalar oracle vs reference ({m},{k})");
@@ -81,14 +66,14 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let panels: Vec<WeightPanel> = tiers()
         .into_iter()
         .map(|tier| {
-            force_isa(tier);
+            let _pin = tier.map(pin_isa);
             WeightPanel::pack(w)
         })
         .collect();
     for (tier, own_panel) in tiers().into_iter().zip(&panels) {
         let single = run_isa(tier, a, m, k, w, shift);
         assert_eq!(single, scalar, "{tier:?} vs oracle ({m},{k})");
-        force_isa(tier);
+        let _pin = tier.map(pin_isa);
         let mut out = Vec::new();
         try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, 2, &mut out)
             .expect("valid operands");
@@ -129,7 +114,6 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
             assert_eq!(source, expected, "{tier:?} panel source ({m},{k})");
         }
     }
-    force_isa(None);
     // Every tier's pooled call above took the one buffer and gave it back.
     assert_eq!(pool.pooled(), 1, "the scratch returns to the pool");
 }
@@ -287,8 +271,8 @@ fn epilogue_maps() -> [ByteMap; 4] {
 /// shared portable form on the scalar tier — over ragged last strips
 /// (`n % 16 ≠ 0`) and reduction tails (`k < 64`, `k % 64 ≠ 0`). Each run
 /// is held to the reference requantisation clamped to 15 and then looked
-/// up in the map, at every tier the host supports, under a scalar pin,
-/// and from a panel packed on every other tier; together the shapes put
+/// up in the map, at every tier the host supports (the scalar pin
+/// included), and from a panel packed on every other tier; together the shapes put
 /// every one of the 16 clamped values through every map.
 ///
 /// Two mutants of the kernels were run against this test; the first
@@ -302,7 +286,6 @@ fn epilogue_maps() -> [ByteMap; 4] {
 ///   17th row keeps its clamped bytes.
 #[test]
 fn epilogue_maps_follow_the_clamp_at_every_tier() {
-    let _guard = force_guard();
     let mut seen = [false; 16];
     let mut scratch = GemmScratch::default();
     let mut out = Vec::new();
@@ -321,11 +304,10 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                 let panels: Vec<WeightPanel> = tiers()
                     .into_iter()
                     .map(|tier| {
-                        force_isa(tier);
+                        let _pin = tier.map(pin_isa);
                         WeightPanel::pack(&w)
                     })
                     .collect();
-                force_isa(None);
                 for map in epilogue_maps() {
                     let table = map.entries();
                     let want: Vec<u8> = clamped.iter().map(|&v| table[v as usize]).collect();
@@ -347,12 +329,9 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                         }
                     };
                     for tier in tiers() {
-                        force_isa(tier);
+                        let _pin = tier.map(pin_isa);
                         check(&format!("{tier:?}"));
                     }
-                    force_isa(None);
-                    let _pin = pin_scalar();
-                    check("pin_scalar");
                 }
             }
         }
@@ -393,8 +372,8 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
 
 /// The tile transpose — both sides of a CHW conv GEMM, and the plan's
 /// layout adapter in both directions — equals the naive oracle at every
-/// tier the host supports, on auto-detection and in the portable form a
-/// scalar pin selects, for every small shape (tile edges, overlap
+/// tier the host supports and on auto-detection — the scalar pin selects
+/// the portable form — for every small shape (tile edges, overlap
 /// tiles, extents below one tile) and the catalog's scatter and adapter
 /// shapes both ways round, both clamps, and a destination stride with a
 /// gap whose bytes must survive.
@@ -410,7 +389,6 @@ fn transpose_equals_the_naive_oracle() {
         (49, 2048),
     ];
     let catalog = catalog.into_iter().flat_map(|(r, c)| [(r, c), (c, r)]);
-    let _guard = force_guard();
     for (rows, cols) in small.chain(catalog) {
         let src: Vec<u8> = (0..rows * cols)
             .map(|i| (i.wrapping_mul(2654435761) >> 9) as u8)
@@ -422,22 +400,14 @@ fn transpose_equals_the_naive_oracle() {
                 transpose_clamp_ref(&src, rows, cols, clamp, &mut want, dst_stride);
                 let mut got = vec![0xA5u8; want.len()];
                 for tier in tiers() {
-                    force_isa(tier);
+                    let _pin = tier.map(pin_isa);
                     got.fill(0xA5);
                     transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
-                    force_isa(None);
                     assert_eq!(
                         got, want,
                         "{tier:?}, {rows}x{cols} clamp {clamp} stride {dst_stride}"
                     );
                 }
-                let _pin = pin_scalar();
-                got.fill(0xA5);
-                transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
-                assert_eq!(
-                    got, want,
-                    "portable, {rows}x{cols} clamp {clamp} stride {dst_stride}"
-                );
             }
         }
     }
@@ -453,9 +423,8 @@ fn perf_probe() {
     let a = activations(m, k, 40, 42);
     let w = weights(k, n, 43);
     let macs = (m * k * n) as f64;
-    let _guard = force_guard();
     for isa in [Some(KernelIsa::Scalar), None] {
-        force_isa(isa);
+        let _pin = isa.map(pin_isa);
         let mut scratch = GemmScratch::default();
         let mut out = Vec::new();
         // warm
@@ -475,5 +444,4 @@ fn perf_probe() {
             macs / secs / 1e9
         );
     }
-    force_isa(None);
 }

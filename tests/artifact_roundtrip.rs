@@ -197,7 +197,7 @@ fn heavy_conv_graph() -> Graph {
 /// scalar oracle is byte for byte the one of the detected tier, twice.
 #[test]
 fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
-    use gcd2_repro::kernels::{force_isa, KernelIsa};
+    use gcd2_repro::kernels::{pin_isa, KernelIsa};
     let emit = || {
         let compiled = Compiler::new().compile(&heavy_conv_graph());
         let plan = compiled.inference_plan(SEED);
@@ -205,20 +205,9 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
         plan.execute(&sample_input(plan.input_len()));
         encode(&compiled, &plan, "heavy").expect("encode")
     };
-    // The override is process-wide and the binary's other tests run
-    // beside this one (harmless: bytes are the same on every tier and a
-    // panel is read by the kind it was packed as); it is lifted even if
-    // the scalar build panics.
-    struct Unpin;
-    impl Drop for Unpin {
-        fn drop(&mut self) {
-            force_isa(None);
-        }
-    }
     let detected = emit();
     let scalar = {
-        let _unpin = Unpin;
-        force_isa(Some(KernelIsa::Scalar));
+        let _pin = pin_isa(KernelIsa::Scalar);
         emit()
     };
     assert!(detected == scalar, "bytes differ between tiers");

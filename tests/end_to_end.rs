@@ -249,6 +249,7 @@ fn rescaled(graph: &gcd2_repro::cgraph::Graph, h: usize, w: usize) -> gcd2_repro
 #[test]
 fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
     use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
+    use gcd2_repro::kernels::{pin_isa, KernelIsa};
     const SEED: u64 = 0x1A70;
     for id in ModelId::ALL {
         let graph = match id {
@@ -285,19 +286,17 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
             .collect();
         for plan in [&chosen, &all_chw].into_iter().take(2 - same_plan as usize) {
             let mut arena = plan.new_arena();
-            for force_scalar in [false, true] {
-                let opts = ExecOptions {
-                    force_scalar,
-                    ..ExecOptions::default()
-                };
+            let opts = ExecOptions::default();
+            for pin in [None, Some(KernelIsa::Scalar)] {
+                let _pin = pin.map(pin_isa);
                 let mut one = Vec::new();
                 plan.try_execute_into(&inputs[0], &mut plan.new_arena(), &mut one, &opts)
                     .unwrap_or_else(|e| panic!("{id}: {e}"));
-                assert!(one == want[0], "{id}: single-shot, scalar={force_scalar}");
+                assert!(one == want[0], "{id}: single-shot, pin={pin:?}");
                 for (i, (x, want)) in inputs.iter().zip(&want).enumerate() {
                     plan.try_execute_into(x, &mut arena, &mut one, &opts)
                         .unwrap_or_else(|e| panic!("{id}: {e}"));
-                    assert!(one == *want, "{id}: batch input {i}, scalar={force_scalar}");
+                    assert!(one == *want, "{id}: batch input {i}, pin={pin:?}");
                 }
             }
         }
@@ -340,6 +339,7 @@ fn mobile_net_depthwise_steps_run_in_rows_with_no_conversion() {
 fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest() {
     use gcd2_repro::cgraph::{Graph, OpKind, TShape};
     use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
+    use gcd2_repro::kernels::{pin_isa, KernelIsa};
     const SEED: u64 = 0x5E1EC7;
     let mut g = Graph::new();
     let x = g.input("x", TShape::nchw(1, 6, 9, 8));
@@ -393,15 +393,17 @@ fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_
         let labels: Vec<_> = pick.iter().zip(&options).map(|(&p, o)| o[p]).collect();
         let plan = InferencePlan::try_build_labelled(&compiled, SEED, &labels).expect("admitted");
         cheapest = cheapest.min(plan.layout_cost().0.bytes);
-        for force_scalar in [false, true] {
-            let opts = ExecOptions {
-                force_scalar,
-                ..ExecOptions::default()
-            };
+        for pin in [None, Some(KernelIsa::Scalar)] {
+            let _pin = pin.map(pin_isa);
             let mut got = Vec::new();
-            plan.try_execute_into(&input, &mut plan.new_arena(), &mut got, &opts)
-                .unwrap_or_else(|e| panic!("{labels:?}: {e}"));
-            assert!(got == want, "{labels:?}, scalar={force_scalar}");
+            plan.try_execute_into(
+                &input,
+                &mut plan.new_arena(),
+                &mut got,
+                &ExecOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{labels:?}: {e}"));
+            assert!(got == want, "{labels:?}, pin={pin:?}");
         }
         assignments += 1;
         // The next assignment, odometer-wise; done when it wraps.

@@ -8,8 +8,8 @@
 //! events on a logical clock, and the answers, counters, model stats and
 //! health events it must produce, payloads included — with no thread, no
 //! sleep and no armed fault. A hang is a tick past the hang deadline
-//! with no `done`; a failed or transient request is a `done` that
-//! carries the error; a late answer is a `done` from a worker the core
+//! with no `done`; a failed request is a `done` that carries the error,
+//! answered once and never run again; a late answer is a `done` from a worker the core
 //! already replaced. Every step also checks the invariants against what
 //! the harness itself saw: no ticket answered twice, the counters match
 //! the answers, deadlines lie ahead, and queued work is never stranded.
@@ -31,20 +31,16 @@ use gcd2_repro::compiler::serve::core::{Action, Core, Event, Ran, Work};
 use gcd2_repro::compiler::{GatewayConfig, InferError, SupervisorConfig};
 
 /// How a ticket ends, written `=P` (the output of plan `P`: the bytes
-/// `[P, label, 0]`; `=P scalar` when it ran pinned to the scalar tier),
-/// `!Error` (its submission refused with that error, in full `Debug`) or
-/// `Error` (answered with that error).
+/// `[P, label]`), `!Error` (its submission refused with that error, in
+/// full `Debug`) or `Error` (answered with that error).
 type Got = String;
 
-/// What a worker thread holds: the batch its last `Run` carried, the
-/// requests its last `Run` or `Rerun` named, and whether it is running
-/// them (handed work, no `done` posted since).
+/// What a worker thread holds: the batch its last `Run` carried, and
+/// whether it is running it (handed work, no `done` posted since).
 #[derive(Clone, Debug)]
 struct Held {
     plan: u8,
-    scalar: bool,
     labels: Vec<u32>,
-    requests: Vec<usize>,
     running: bool,
 }
 
@@ -91,32 +87,23 @@ impl Harness {
         h
     }
 
-    /// What `worker` reports for the requests it holds: `ok`, every one
-    /// `transient` (a caught panic), a `kernel` panic in the first, or a
-    /// malformed input (`shape`) in every one.
+    /// What `worker` reports for the batch it holds: `ok`, a caught
+    /// `panic` in every request, or a panic in the `first` request only.
     fn ran(&self, worker: usize, outcome: &str) -> Vec<Ran> {
         let Some(held) = self.work.get(&worker) else {
             return Vec::new();
         };
         let result = |n: usize, label: u32| match (outcome, n) {
-            ("transient", _) => Err(InferError::Internal {
+            ("panic", _) | ("first", 0) => Err(InferError::Internal {
                 message: "panic".into(),
             }),
-            ("kernel", 0) => Err(InferError::Internal {
-                message: "gemm panic".into(),
-            }),
-            ("shape", _) => Err(InferError::InputShape {
-                expected: 2,
-                got: 1,
-            }),
-            _ => Ok(vec![held.plan, label as u8, u8::from(held.scalar)]),
+            _ => Ok(vec![held.plan, label as u8]),
         };
-        let ran = |(n, &request): (usize, &usize)| Ran {
-            request,
-            result: result(n, held.labels[request]),
+        let ran = |(n, &label): (usize, &u32)| Ran {
+            result: result(n, label),
             exec_us: 10,
         };
-        held.requests.iter().enumerate().map(ran).collect()
+        held.labels.iter().enumerate().map(ran).collect()
     }
 
     /// The workers whose thread is running work and owes a `done`.
@@ -215,8 +202,7 @@ impl Harness {
                 let got = match result {
                     Ok(out) => {
                         assert_eq!(out[1], to as u8, "ticket {to} got another's bytes");
-                        let pin = if out[2] == 1 { " scalar" } else { "" };
-                        format!("={}{pin}", out[0])
+                        format!("={}", out[0])
                     }
                     Err(e) => format!("{e:?}"),
                 };
@@ -226,25 +212,13 @@ impl Harness {
                 panic!("work for worker {worker}, never spawned")
             }
             Action::Work { worker, work } => match work {
-                Work::Run {
-                    plan,
-                    inputs,
-                    force_scalar,
-                } => {
+                Work::Run { plan, inputs } => {
                     let held = Held {
                         plan,
-                        scalar: force_scalar,
                         labels: inputs.iter().map(|i| u32::from(i[0])).collect(),
-                        requests: (0..inputs.len()).collect(),
                         running: true,
                     };
                     self.work.insert(worker, held);
-                }
-                Work::Rerun { plan, requests } => {
-                    let held = self.work.get_mut(&worker).expect("a rerun of a held batch");
-                    assert_eq!(plan, held.plan, "a rerun runs on its batch's plan");
-                    held.requests = requests;
-                    held.running = true;
                 }
                 Work::Exit => {
                     self.work.remove(&worker);
@@ -294,11 +268,10 @@ impl Harness {
         );
     }
 
-    /// `model`'s breaker, demotion and kernel-fault count.
+    /// `model`'s breaker state.
     fn snapshot(&self, model: &str) -> String {
         let m = self.core.model_stats(model).expect("registered");
-        let (b, d, k) = (m.breaker, m.demoted, m.kernel_faults);
-        format!("{b:?} demoted={d} kernel_faults={k}")
+        format!("{:?}", m.breaker)
     }
 }
 
@@ -345,15 +318,7 @@ fn hang_25ms() -> GatewayConfig {
     })
 }
 
-fn retry_twice() -> GatewayConfig {
-    supervised(SupervisorConfig {
-        retry_budget: 2,
-        retry_backoff_base: Duration::from_micros(100),
-        ..SupervisorConfig::default()
-    })
-}
-
-const HEALTHY: &str = "Closed demoted=false kernel_faults=0";
+const HEALTHY: &str = "Closed";
 
 fn scenarios() -> Vec<Scenario> {
     vec![
@@ -428,65 +393,16 @@ fn scenarios() -> Vec<Scenario> {
                 breaker_probes: 2,
                 ..SupervisorConfig::default()
             }),
-            script: "0 register m 1 | 1 submit m 0 | 1 done 0 transient | 2 submit m 0 \
-                     | 2 done 0 transient | 3 submit m 0 | 3 done 0 transient | 4 submit m 0 \
-                     | 4 done 0 transient | 10 submit m 0 | 10 stats m | 50ms submit m 0 \
+            script: "0 register m 1 | 1 submit m 0 | 1 done 0 panic | 2 submit m 0 \
+                     | 2 done 0 panic | 3 submit m 0 | 3 done 0 panic | 4 submit m 0 \
+                     | 4 done 0 panic | 10 submit m 0 | 10 stats m | 50ms submit m 0 \
                      | 50ms done 0 ok | 51ms submit m 0 | 51ms done 0 ok | 52ms submit m 0 \
                      | 52ms done 0 ok | 52ms stats m",
             tickets: r#"1-4: Internal { message: "panic" }; 5: !BreakerOpen { model: "m", retry_after: 39.994ms }; 6-8: =1"#,
             counters: "accepted: 7, completed: 3, failed: 4, batches: 7, breaker_rejected: 1",
             health: r#"BreakerOpened { model: "m" }; BreakerHalfOpen { model: "m" }; BreakerClosed { model: "m" }"#,
             registry: "Ok(1)",
-            models: "Open demoted=false kernel_faults=0; Closed demoted=false kernel_faults=0",
-        },
-        Scenario {
-            // A transient failure inside the budget re-runs after its
-            // seeded backoff — a deadline — with the undisturbed output.
-            name: "retry to success",
-            config: retry_twice(),
-            script: "0 register m 1 | 0 submit m 0 | 1 done 0 transient | 1ms tick \
-                     | 1ms done 0 ok | 1ms stats m",
-            tickets: "1: =1",
-            counters: "accepted: 1, completed: 1, batches: 1, retries: 1",
-            health: r#"RetrySucceeded { model: "m", attempt: 1 }"#,
-            registry: "Ok(1)",
-            models: HEALTHY,
-        },
-        Scenario {
-            // A persistent failure burns all `1 + retry_budget` rounds
-            // into the structured error; a malformed input is final on
-            // its first round.
-            name: "retries exhausted",
-            config: retry_twice(),
-            script: "0 register m 1 | 0 submit m 0 | 1 done 0 transient | 1ms tick \
-                     | 1ms done 0 transient | 2ms tick | 2ms done 0 transient | 3ms submit m 0 \
-                     | 3ms done 0 shape",
-            tickets: r#"1: Internal { message: "panic" }; 2: InputShape { expected: 2, got: 1 }"#,
-            counters: "accepted: 2, failed: 2, batches: 2, retries: 2, retries_exhausted: 1",
-            health: r#"RetriesExhausted { model: "m", attempts: 3 }"#,
-            registry: "Ok(1)",
-            models: "",
-        },
-        Scenario {
-            // Two kernel-attributed faults pin the model to the scalar
-            // tier (the third run); the quarantine's end is a deadline,
-            // and the tick at it restores the vector tiers and clears
-            // the fault count.
-            name: "demote, re-promote",
-            config: supervised(SupervisorConfig {
-                demote_after: 2,
-                quarantine: Duration::from_millis(300),
-                ..SupervisorConfig::default()
-            }),
-            script: "0 register m 1 | 0 submit m 0 | 1 done 0 kernel | 2 submit m 0 \
-                     | 3 done 0 kernel | 3 stats m | 4 submit m 0 | 5 done 0 ok | 300003 tick \
-                     | 301ms submit m 0 | 301ms done 0 ok | 301ms stats m",
-            tickets: r#"1-2: Internal { message: "gemm panic" }; 3: =1 scalar; 4: =1"#,
-            counters:
-                "accepted: 4, completed: 2, failed: 2, batches: 4, demotions: 1, repromotions: 1",
-            health: r#"Demoted { model: "m", kernel_faults: 2 }; Repromoted { model: "m" }"#,
-            registry: "Ok(1)",
-            models: "Closed demoted=true kernel_faults=2; Closed demoted=false kernel_faults=0",
+            models: "Open; Closed",
         },
         Scenario {
             // A keyed swap while a batch runs: the running batch answers
@@ -510,11 +426,9 @@ fn scenarios() -> Vec<Scenario> {
             config: GatewayConfig {
                 supervisor: SupervisorConfig {
                     hang_deadline: Duration::from_millis(250),
-                    retry_budget: 2,
                     breaker_window: 4,
                     breaker_min_samples: 2,
                     breaker_threshold_pct: 25,
-                    demote_after: 1,
                     ..SupervisorConfig::default()
                 },
                 ..gateway(2, 64, 4, 200)
@@ -592,8 +506,6 @@ fn every_scenario_produces_its_answers_counters_and_health_events() {
                     m.shed,
                     m.batches,
                     m.batched_requests,
-                    m.retries,
-                    m.demotions,
                     m.breaker_rejected,
                     m.abandoned,
                 ],
@@ -605,8 +517,6 @@ fn every_scenario_produces_its_answers_counters_and_health_events() {
                     st.shed,
                     st.batches,
                     st.batched_requests,
-                    st.retries,
-                    st.demotions,
                     st.breaker_rejected,
                     st.abandoned,
                 ],
@@ -622,8 +532,8 @@ fn every_scenario_produces_its_answers_counters_and_health_events() {
     }
 }
 
-/// The hang deadline, `max_wait` and retry rounds are the core's
-/// deadlines; it reports the earliest, and `max_wait` only while an idle
+/// The hang deadline and `max_wait` are the core's deadlines; it reports
+/// the earliest, and `max_wait` only while an idle
 /// worker could take the batch.
 #[test]
 fn timers_are_the_cores_deadlines() {
@@ -704,8 +614,8 @@ fn the_drain_step_hands_every_idle_worker_its_exit() {
 
 /// The explorer's gateway: small enough that every interleaving is
 /// walked, with every mechanism reachable — shedding at capacity 2,
-/// batches of 2, one retry round, a breaker that trips and a demotion
-/// that pins on faults, and hang deadlines shorter than a quarantine.
+/// batches of 2, a breaker that trips on one fault, and hang deadlines
+/// longer than its cooldown.
 fn explorer_config(workers: usize) -> GatewayConfig {
     GatewayConfig {
         supervisor: SupervisorConfig {
@@ -715,10 +625,6 @@ fn explorer_config(workers: usize) -> GatewayConfig {
             breaker_threshold_pct: 50,
             breaker_cooldown: Duration::from_micros(3_000),
             breaker_probes: 1,
-            retry_budget: 1,
-            retry_backoff_base: Duration::from_micros(100),
-            demote_after: 1,
-            quarantine: Duration::from_micros(4_000),
             ..SupervisorConfig::default()
         },
         ..gateway(workers, 2, 2, 1_000)
@@ -758,9 +664,9 @@ impl Node {
 
     /// Every node one event away: the next submission (priorities
     /// alternate 1 / 0, so shedding happens), the drain, abandoning an
-    /// open ticket, each running worker's result (ok, or a transient or
-    /// kernel fault while the budget lasts), and a tick to the next
-    /// deadline.
+    /// open ticket, each running worker's result (ok, or a panic in every
+    /// request or in the first alone while the budget lasts), and a tick
+    /// to the next deadline.
     fn successors(&self, tickets: u32) -> Vec<Node> {
         let mut lines = Vec::new();
         let now = self.h.now;
@@ -781,8 +687,8 @@ impl Node {
         for worker in self.h.running() {
             lines.push(format!("{now} done {worker} ok"));
             if self.faults_left > 0 {
-                lines.push(format!("{now} done {worker} transient"));
-                lines.push(format!("{now} done {worker} kernel"));
+                lines.push(format!("{now} done {worker} panic"));
+                lines.push(format!("{now} done {worker} first"));
             }
         }
         if let Some(at) = self.h.core.next_deadline() {
@@ -792,7 +698,7 @@ impl Node {
             let mut n = self.clone();
             n.drained |= line.ends_with("drain");
             n.abandoned |= line.contains("abandon");
-            if line.ends_with("transient") || line.ends_with("kernel") {
+            if line.ends_with("panic") || line.ends_with("first") {
                 n.faults_left -= 1;
             }
             n.h.exec(&line);

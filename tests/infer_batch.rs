@@ -8,6 +8,7 @@ use gcd2_repro::compiler::{
     execute_reference, Compiler, ExecOptions, GatewayConfig, InferArena, InferError, InferServer,
     InferTicket, InferencePlan,
 };
+use gcd2_repro::kernels::{pin_isa, KernelIsa};
 use gcd2_repro::models::ModelId;
 use std::time::Duration;
 
@@ -154,22 +155,25 @@ fn batch_edge_shapes_execute_cleanly() {
     // past a deadline, over fresh arenas, over one reused arena and
     // through the gateway at every bound: a batch of one matches
     // single-shot execution, and a bound larger than the batch leaves
-    // the results unchanged.
+    // the results unchanged. The scalar pin holds the calling thread's
+    // paths; the gateway's workers run on the detected tier.
     let inputs = batch_inputs(plan.input_len(), 5);
     let oracle: Vec<Vec<u8>> = inputs
         .iter()
         .map(|x| execute_reference(&compiled, x, SEED))
         .collect();
-    let scalar = ExecOptions {
-        force_scalar: true,
-        ..defaults
-    };
     let expired = ExecOptions {
         deadline: Some(Duration::ZERO),
         ..defaults
     };
+    let scalar = Some(KernelIsa::Scalar);
     for b in [1, 2, 5] {
-        for (opts, bad) in [(defaults, Some(0)), (scalar, None), (expired, None)] {
+        for (opts, bad, pin) in [
+            (defaults, Some(0), None),
+            (defaults, None, scalar),
+            (expired, None, None),
+        ] {
+            let _pin = pin.map(pin_isa);
             let mut batch = inputs[..b].to_vec();
             if let Some(i) = bad {
                 batch[i].pop();

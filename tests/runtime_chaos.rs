@@ -4,9 +4,12 @@
 //! The robustness contract of execution: **every** injected-fault run
 //! must terminate with either
 //!
-//! 1. output **bit-identical** to the undisturbed baseline (the fault
-//!    was transient and a gateway retry round re-ran the request), or
-//! 2. a clean structured [`InferError`] (the fault was persistent),
+//! 1. output **bit-identical** to the undisturbed baseline — every
+//!    request the fault did not hit, and the hit request's input when it
+//!    is submitted again once a transient fault is spent (execution is a
+//!    deterministic function of plan, input and kernel tier, so the
+//!    gateway never re-runs a request itself), or
+//! 2. a clean structured [`InferError`] for the request the fault hit,
 //!
 //! and a panic must never escape an execution entry point, nor may one
 //! poisoned request contaminate the others in its batch. Run with
@@ -18,7 +21,7 @@
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{
     Compiler, ExecOptions, GatewayConfig, InferError, InferServer, InferTicket, InferencePlan,
-    ServerStats, SupervisorConfig,
+    ServerStats,
 };
 use gcd2_repro::faults::{arm, chaos_seeds, hits, Armed, FaultKind, FaultPlan};
 use std::time::Duration;
@@ -114,34 +117,66 @@ fn in_turn(plan: &InferencePlan, inputs: &[Vec<u8>], opts: &ExecOptions) -> Resu
     inputs.iter().map(&mut run).collect()
 }
 
-/// `inputs` as one batch through a one-worker gateway that may spend
-/// `retry_budget` retry rounds; every ticket's result and the final
-/// counters.
-fn served(
-    plan: &InferencePlan,
-    inputs: &[Vec<u8>],
-    opts: ExecOptions,
-    retry_budget: u32,
-) -> (Results, ServerStats) {
+/// A one-worker gateway serving `plan` as `m` that dispatches a batch
+/// once `max_batch` requests are queued. Its one worker keeps one arena
+/// for the plan.
+fn gateway(plan: &InferencePlan, max_batch: usize, opts: ExecOptions) -> InferServer {
     let server = InferServer::gateway(GatewayConfig {
         workers: 1,
-        max_batch: inputs.len(),
+        max_batch,
         max_wait: Duration::from_secs(30),
         opts,
-        supervisor: SupervisorConfig {
-            retry_budget,
-            retry_backoff_base: Duration::from_micros(100),
-            ..SupervisorConfig::default()
-        },
         ..GatewayConfig::default()
     });
     server.register("m", plan.clone()).expect("register");
+    server
+}
+
+/// `inputs` as one batch through `server`; every ticket's result.
+fn batch(server: &InferServer, inputs: &[Vec<u8>]) -> Results {
     let tickets: Vec<_> = inputs
         .iter()
         .map(|x| server.submit_to("m", x.clone(), 0).expect("admitted"))
         .collect();
-    let results = tickets.into_iter().map(InferTicket::wait).collect();
+    tickets.into_iter().map(InferTicket::wait).collect()
+}
+
+/// `inputs` as one batch through a fresh one-worker gateway; every
+/// ticket's result and the final counters.
+fn served(plan: &InferencePlan, inputs: &[Vec<u8>], opts: ExecOptions) -> (Results, ServerStats) {
+    let server = gateway(plan, inputs.len(), opts);
+    let results = batch(&server, inputs);
     (results, server.shutdown())
+}
+
+/// The contract for a transient fault in the gateway: it fails exactly
+/// the request it hit, with an injected `Internal`, every other request
+/// of the batch is bit-identical, and that input submitted again to the
+/// same gateway — the same worker, over the same arena — gives the
+/// baseline bytes.
+fn assert_fails_one_then_recovers(plan: &InferencePlan, inputs: &[Vec<u8>], fault: FaultPlan) {
+    let expect = baseline(plan, inputs);
+    let _armed = arm(fault);
+    let server = gateway(plan, inputs.len(), ExecOptions::default());
+    let results = batch(&server, inputs);
+    let failed: Vec<usize> = (0..inputs.len()).filter(|&i| results[i].is_err()).collect();
+    let [hit] = failed[..] else {
+        panic!("a transient fault fails exactly one request: {results:?}");
+    };
+    let e = results[hit].as_ref().expect_err("the hit request");
+    assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
+    assert_injected(e);
+    for (i, r) in results.iter().enumerate().filter(|&(i, _)| i != hit) {
+        assert_eq!(r.as_ref().expect("not hit"), &expect[i], "request {i}");
+    }
+    let again = server
+        .submit_to("m", inputs[hit].clone(), 0)
+        .expect("admitted");
+    // The drain flushes the one-request batch.
+    let stats = server.shutdown();
+    assert_eq!(again.wait(), Ok(expect[hit].clone()), "request {hit} again");
+    let answered = (stats.completed, stats.failed, stats.retries);
+    assert_eq!(answered, (inputs.len() as u64, 1, 0));
 }
 
 /// Asserts a structured injected-fault error: `Internal` must carry the
@@ -158,18 +193,8 @@ fn assert_injected(e: &InferError) {
 
 #[test]
 fn transient_prep_panic_recovers_bit_identical() {
-    let plan = plan();
-    let inputs = batch_inputs(6);
-    let expect = baseline(&plan, &inputs);
-    let _armed = arm(FaultPlan::new().once("infer.prep", FaultKind::Panic, 3));
-    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(
-            r.as_ref().expect("transient fault must recover"),
-            &expect[i]
-        );
-    }
-    assert_eq!(stats.retries, 1);
+    let fault = FaultPlan::new().once("infer.prep", FaultKind::Panic, 3);
+    assert_fails_one_then_recovers(&plan(), &batch_inputs(6), fault);
 }
 
 #[test]
@@ -251,7 +276,7 @@ fn deadline_is_a_per_request_backstop_in_the_gateway() {
         deadline: Some(Duration::from_millis(1)),
         ..ExecOptions::default()
     };
-    for r in served(&plan, &inputs, opts, 0).0 {
+    for r in served(&plan, &inputs, opts).0 {
         assert!(
             matches!(r, Err(InferError::DeadlineExceeded { .. })),
             "{r:?}"
@@ -259,11 +284,10 @@ fn deadline_is_a_per_request_backstop_in_the_gateway() {
     }
 }
 
-/// A request that panics in its first round and again in its retry
-/// round fails alone: the retry round re-runs that request only, and the
-/// others in its batch answer bit-identically.
+/// A request that panics fails alone, answered once, and the others in
+/// its batch answer bit-identically.
 #[test]
-fn gateway_persistent_panic_isolates_one_request() {
+fn gateway_panic_isolates_one_request() {
     let plan = plan();
     let inputs = batch_inputs(5);
     let expect = baseline(&plan, &inputs);
@@ -273,15 +297,13 @@ fn gateway_persistent_panic_isolates_one_request() {
         plan.execute(&inputs[0]);
         hits("infer.elementwise")
     };
-    // Request 2's first non-GEMM step in round one, and again in the
-    // retry round, which runs after all five requests of round one.
-    let _armed = arm(FaultPlan::new()
-        .once("infer.elementwise", FaultKind::Panic, 2 * per_request + 1)
-        .once("infer.elementwise", FaultKind::Panic, 5 * per_request + 1));
-    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
+    // Request 2's first non-GEMM step.
+    let _armed =
+        arm(FaultPlan::new().once("infer.elementwise", FaultKind::Panic, 2 * per_request + 1));
+    let (results, stats) = served(&plan, &inputs, ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         if i == 2 {
-            let e = r.as_ref().expect_err("request 2 faults in both rounds");
+            let e = r.as_ref().expect_err("request 2 faults");
             assert!(matches!(e, InferError::Internal { .. }), "{e:?}");
             assert_injected(e);
         } else {
@@ -291,27 +313,17 @@ fn gateway_persistent_panic_isolates_one_request() {
             );
         }
     }
-    assert_eq!((stats.retries, stats.retries_exhausted), (1, 1));
-    assert_eq!((stats.completed, stats.failed, stats.batches), (4, 1, 1));
+    let answered = (stats.completed, stats.failed, stats.batches, stats.retries);
+    assert_eq!(answered, (4, 1, 1, 0));
 }
 
-/// The gateway checks one arena out per batch; a panic while the first
-/// request sizes it fails that request, the next request sizes it
-/// again, and the retry round recovers the first.
+/// A worker keeps one arena per plan; a panic while the first request
+/// sizes it fails that request, the next request sizes it again, and
+/// the first input submitted again runs over that same arena.
 #[test]
 fn arena_fault_in_the_gateway_recovers_bit_identical() {
-    let plan = plan();
-    let inputs = batch_inputs(4);
-    let expect = baseline(&plan, &inputs);
-    let _armed = arm(FaultPlan::new().once("infer.arena", FaultKind::Panic, 1));
-    let (results, stats) = served(&plan, &inputs, ExecOptions::default(), 1);
-    assert_eq!(stats.retries, 1);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(
-            r.as_ref().expect("arena allocation fault must recover"),
-            &expect[i]
-        );
-    }
+    let fault = FaultPlan::new().once("infer.arena", FaultKind::Panic, 1);
+    assert_fails_one_then_recovers(&plan(), &batch_inputs(4), fault);
 }
 
 #[test]
@@ -329,7 +341,7 @@ fn wrong_input_len_is_structured_and_does_not_contaminate() {
         }
     );
     let mixed = vec![good[0].clone(), vec![9; 3], good[1].clone()];
-    let (results, _) = served(&plan, &mixed, ExecOptions::default(), 0);
+    let (results, _) = served(&plan, &mixed, ExecOptions::default());
     assert_eq!(results[0].as_ref().expect("healthy item"), &expect[0]);
     assert!(matches!(
         results[1],
@@ -471,8 +483,8 @@ fn server_survives_persistent_faults_and_recovers_after() {
     assert_eq!(stats.completed, 1);
 }
 
-/// Seed-derived multi-fault plans, through a gateway with one retry
-/// round and then single-shot: the ci.sh runtime chaos gate runs this
+/// Seed-derived multi-fault plans, through the gateway and then
+/// single-shot: the ci.sh runtime chaos gate runs this
 /// with two fixed seeds; `GCD2_CHAOS_SEED` adds an extra operator-chosen
 /// seed for ad-hoc exploration.
 #[test]
@@ -483,7 +495,7 @@ fn seeded_runtime_fault_plans_terminate_bit_identical_or_structured() {
     for seed in chaos_seeds(&[2024, 7]) {
         let fault_plan = FaultPlan::from_seed(seed);
         let _armed = arm(fault_plan.clone());
-        let (results, _) = served(&plan, &inputs, ExecOptions::default(), 1);
+        let (results, _) = served(&plan, &inputs, ExecOptions::default());
         for (i, r) in results.iter().enumerate() {
             match r {
                 Ok(out) => assert_eq!(

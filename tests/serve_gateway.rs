@@ -106,8 +106,6 @@ fn every_batching_configuration_is_bit_identical_to_single_shot() {
         let interventions = [
             ("hung", stats.hung),
             ("workers_replaced", stats.workers_replaced),
-            ("retries", stats.retries),
-            ("demotions", stats.demotions),
             ("breaker_rejected", stats.breaker_rejected),
             ("abandoned", stats.abandoned),
         ];
