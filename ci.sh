@@ -56,6 +56,12 @@ mkdir -p target
 cargo run --release -q -p gcd2 --bin gcd2c -- --analyze > target/analyze.txt
 grep -q "all 10 catalog models analyze clean" target/analyze.txt
 
+echo "==> the default selector is certified (ext_selection: all ten catalog models come back complete with gap 0 — the PBQP answer is the optimum of Equation 1, by its reductions alone on nine models and by pbqp::certify's branch-and-bound on efficientdet-d0 — and the four models whose DSP assignment moved off GCD2(13)'s run on the simulated DSP byte for byte equal to the interpreter; release)"
+cargo run --release -q -p gcd2-bench --bin ext_selection > target/ext-selection.txt
+awk -F'|' '$3 ~ /^ *[0-9]+ *$/ { rows++; if ($12 ~ /^ *0 *$/ && $13 ~ /^ *yes *$/) ok++ }
+           END { exit !(rows == 10 && ok == 10) }' target/ext-selection.txt
+cargo test --release -q --test end_to_end -- --ignored moved_assignments_execute_on_dsp_bit_identically
+
 echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes, and so does emitting under GCD2_FORCE_SCALAR=1 — 25.5 MB of weights read back from the quad panels against the row-major bytes of the scalar tier, synthesised by the row generator's AVX-512F and plain forms on an AVX-512 host — both with the pinned integrity checksum; a format-6 artifact is refused as a version skew)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > target/emit.txt
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt

@@ -21,6 +21,7 @@ fn main() {
         "ext_fusion",
         "ext_scaling",
         "ext_legacy",
+        "ext_selection",
     ];
     let results_dir = std::path::Path::new("results");
     std::fs::create_dir_all(results_dir).expect("create results/");

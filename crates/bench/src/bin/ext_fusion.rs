@@ -2,8 +2,7 @@
 //! operator fusion — speedup of folding standalone activations into
 //! their elementwise producers, across the model suite.
 
-use gcd2::Compiler;
-use gcd2_bench::row;
+use gcd2_bench::{paper_compiler, row};
 use gcd2_models::ModelId;
 
 fn main() {
@@ -17,8 +16,8 @@ fn main() {
     ]);
     for id in ModelId::ALL {
         let g = id.build();
-        let base = Compiler::new().compile(&g);
-        let fused = Compiler::new().with_elementwise_fusion(true).compile(&g);
+        let base = paper_compiler().compile(&g);
+        let fused = paper_compiler().with_elementwise_fusion(true).compile(&g);
         row(&[
             id.to_string(),
             format!("{:.2}", base.latency_ms()),

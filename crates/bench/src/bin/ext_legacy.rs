@@ -5,8 +5,8 @@
 //! frameworks. We omit the results due to the space constraints."
 //! This harness regenerates that omitted result.
 
-use gcd2::{Compiler, Packing};
-use gcd2_bench::row;
+use gcd2::Packing;
+use gcd2_bench::{paper_compiler, row};
 use gcd2_hvx::ResourceModel;
 use gcd2_models::ModelId;
 
@@ -26,11 +26,11 @@ fn main() {
         ModelId::PixOr,
     ] {
         let g = id.build();
-        let new_gen = Compiler::new().compile(&g);
-        let old_gen = Compiler::new()
+        let new_gen = paper_compiler().compile(&g);
+        let old_gen = paper_compiler()
             .with_resource_model(ResourceModel::hexagon680())
             .compile(&g);
-        let old_s2h = Compiler::new()
+        let old_s2h = paper_compiler()
             .with_resource_model(ResourceModel::hexagon680())
             .with_packing(Packing::SoftToHard)
             .compile(&g);

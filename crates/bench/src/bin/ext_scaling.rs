@@ -7,9 +7,8 @@
 //! amortize away and where GCD2's per-shape kernel selection keeps
 //! paying.
 
-use gcd2::Compiler;
 use gcd2_baselines::Framework;
-use gcd2_bench::row;
+use gcd2_bench::{paper_compiler, row};
 use gcd2_models::cnn::efficientnet_b0_backbone;
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
     ]);
     for size in [128usize, 224, 320, 512] {
         let g = efficientnet_b0_backbone(size);
-        let compiled = Compiler::new().compile(&g);
+        let compiled = paper_compiler().compile(&g);
         let tflite = Framework::Tflite.run(&g).expect("CNN supported");
         row(&[
             format!("{size}x{size}"),

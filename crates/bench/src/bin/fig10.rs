@@ -53,7 +53,7 @@ fn main() {
             ("(skipped)".into(), ">hours".into())
         };
 
-        let pbqp = pbqp_select(&g, &plans);
+        let (pbqp, _) = pbqp_select(&g, &plans);
         let t0 = Instant::now();
         let g13 = gcd2_select(&g, &plans, 13);
         let t13 = t0.elapsed().as_secs_f64();

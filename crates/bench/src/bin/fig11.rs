@@ -2,8 +2,8 @@
 //! and soft_to_none ablations on five representative models (baseline:
 //! soft_to_hard).
 
-use gcd2::{Compiler, Packing};
-use gcd2_bench::{representative_models, row};
+use gcd2::Packing;
+use gcd2_bench::{paper_compiler, representative_models, row};
 use gcd2_cgraph::GemmDims;
 use gcd2_kernels::{timing_blocks, SimdInstr, UnrollConfig};
 use gcd2_vliw::{pack_topdown, Packer};
@@ -19,13 +19,13 @@ fn main() {
     ]);
     for id in representative_models() {
         let g = id.build();
-        let s2h = Compiler::new()
+        let s2h = paper_compiler()
             .with_packing(Packing::SoftToHard)
             .compile(&g);
-        let s2n = Compiler::new()
+        let s2n = paper_compiler()
             .with_packing(Packing::SoftToNone)
             .compile(&g);
-        let sda = Compiler::new().compile(&g);
+        let sda = paper_compiler().compile(&g);
         let base = s2h.cycles() as f64;
         row(&[
             id.to_string(),

@@ -2,9 +2,8 @@
 //! (inference frames per Watt) of TFLite-GPU, TFLite-DSP, SNPE-DSP, and
 //! GCD2-DSP on four representative models.
 
-use gcd2::Compiler;
 use gcd2_baselines::{DeviceModel, Framework};
-use gcd2_bench::row;
+use gcd2_bench::{paper_compiler, row};
 use gcd2_hvx::EnergyModel;
 use gcd2_models::ModelId;
 
@@ -30,7 +29,7 @@ fn main() {
         ModelId::CycleGan,
     ] {
         let g = id.build();
-        let gcd2 = Compiler::new().compile(&g);
+        let gcd2 = paper_compiler().compile(&g);
         let t = Framework::Tflite.run(&g).expect("supported");
         let s = Framework::Snpe.run(&g).expect("supported");
         let fpw = |stats: &gcd2_hvx::ExecStats| 1.0 / (em.energy_pj(stats) * 1e-12);

@@ -1,9 +1,8 @@
 //! Figure 8: DSP utilization and memory bandwidth of TFLite and SNPE
 //! relative to GCD2 on five representative models.
 
-use gcd2::Compiler;
 use gcd2_baselines::Framework;
-use gcd2_bench::{representative_models, row};
+use gcd2_bench::{paper_compiler, representative_models, row};
 use gcd2_hvx::ExecStats;
 
 /// Issue-slot throughput: instructions issued per cycle (busy-ness, the
@@ -34,7 +33,7 @@ fn main() {
     ]);
     for id in representative_models() {
         let g = id.build();
-        let gcd2 = Compiler::new().compile(&g);
+        let gcd2 = paper_compiler().compile(&g);
         let stats = gcd2.stats();
         let g_util = util(&stats);
         let g_bw = effective_bw(&g, stats.cycles);
@@ -52,7 +51,7 @@ fn main() {
     }
     println!("\nPaper: TFLite reaches 88-93% and SNPE 89-95% of GCD2's utilization; bandwidth 86-93% / 90-94%.");
     println!("Absolute GCD2 effective throughput on ResNet-50 (Section V-B peak discussion):");
-    let m = Compiler::new().compile(&gcd2_models::ModelId::ResNet50.build());
+    let m = paper_compiler().compile(&gcd2_models::ModelId::ResNet50.build());
     println!(
         "  {:.2} TOPS achieved (paper: up to 1.51 TOPS of the 3.7 TOPS practical peak).",
         m.tops()

@@ -4,7 +4,7 @@
 //! utilization and bandwidth per rung.
 
 use gcd2::{Compiler, Packing};
-use gcd2_bench::{representative_models, row};
+use gcd2_bench::{paper_compiler, representative_models, row};
 
 fn main() {
     println!("# Figure 9: optimization breakdown (speedup over no-opt)\n");
@@ -23,14 +23,14 @@ fn main() {
         let none = Compiler::no_opt().compile(&g);
         // Rung 1: + global instruction/layout selection (formats planned
         // end-to-end, no per-op interchange conversions).
-        let layout = Compiler::new()
+        let layout = paper_compiler()
             .with_packing(Packing::Sequential)
             .with_lut_ops(false)
             .compile(&g);
         // Rung 2: + SDA VLIW packing.
-        let vliw = Compiler::new().with_lut_ops(false).compile(&g);
+        let vliw = paper_compiler().with_lut_ops(false).compile(&g);
         // Rung 3: + other optimizations (division -> lookup) = full GCD2.
-        let full = Compiler::new().compile(&g);
+        let full = paper_compiler().compile(&g);
         let base = none.cycles() as f64;
         row(&[
             id.to_string(),

@@ -1,9 +1,8 @@
 //! Table IV: overall latency comparison — TFLite vs SNPE vs GCD2 on all
 //! ten models, with speedups and the geometric mean.
 
-use gcd2::Compiler;
 use gcd2_baselines::Framework;
-use gcd2_bench::{geomean, ms_cell, row};
+use gcd2_bench::{geomean, ms_cell, paper_compiler, row};
 use gcd2_models::ModelId;
 use std::time::Instant;
 
@@ -26,7 +25,7 @@ fn main() {
     for id in ModelId::ALL {
         let g = id.build();
         let t0 = Instant::now();
-        let compiled = Compiler::new().compile(&g);
+        let compiled = paper_compiler().compile(&g);
         let compile_s = t0.elapsed().as_secs_f64();
         let gcd2_ms = compiled.latency_ms();
         let tflite = Framework::Tflite.run(&g).map(|r| r.latency_ms());

@@ -1,9 +1,8 @@
 //! Table V: inference speed and energy efficiency of the GCD2 mobile-DSP
 //! solution vs EdgeTPU and Jetson Xavier on ResNet-50.
 
-use gcd2::Compiler;
 use gcd2_baselines::table5_accelerators;
-use gcd2_bench::row;
+use gcd2_bench::{paper_compiler, row};
 use gcd2_models::ModelId;
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
             format!("{:.1}", acc.fpw()),
         ]);
     }
-    let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
+    let compiled = paper_compiler().compile(&ModelId::ResNet50.build());
     row(&[
         "GCD2 (this work)".into(),
         "DSP (int8)".into(),

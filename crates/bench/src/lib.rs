@@ -6,8 +6,17 @@
 //! rows/series the paper reports; EXPERIMENTS.md records paper-reported
 //! vs. measured values.
 
+use gcd2::{Compiler, Selection};
 use gcd2_cgraph::{Graph, OpKind};
 use gcd2_models::ModelId;
+
+/// The compiler every reproduction of a paper number uses: the full
+/// configuration with the paper's own selector, GCD2(13), named
+/// explicitly so the numbers do not move with the compiler's default
+/// (PBQP, which `ext_selection` compares against it).
+pub fn paper_compiler() -> Compiler {
+    Compiler::new().with_selection(Selection::Gcd2 { max_ops: 13 })
+}
 
 /// The five representative models used by Figures 8, 9, and 11.
 pub fn representative_models() -> Vec<ModelId> {

@@ -25,7 +25,8 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: gcd2c <model> [options]\n\
          \n\
          options:\n\
-           --selection gcd2|gcd2-17|local|global|pbqp|uniform-vmpy|uniform-vmpa|uniform-vrmpy\n\
+           --selection pbqp|gcd2|gcd2-17|local|global|uniform-vmpy|uniform-vmpa|uniform-vrmpy\n\
+                       (default pbqp; gcd2 is the paper's GCD2(13))\n\
            --packing   sda|soft-to-hard|soft-to-none|sequential\n\
            --no-lut    disable the division/nonlinearity lookup replacement\n\
            --fusion    enable the elementwise-fusion extension\n\
@@ -68,7 +69,8 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
            --cache-dir D  content-addressed artifact cache: load the\n\
                        plan from D when a valid artifact exists, else\n\
                        compile and store it crash-safely\n\
-           --compare   compile under every selection strategy\n\
+           --compare   compile under every selection strategy, cycles\n\
+                       against gcd2(13), rn_steps on the pbqp row\n\
            --list      list available models\n\
            --help, -h  print this text";
 
@@ -142,6 +144,7 @@ fn main() -> ExitCode {
     let mut show_ops = false;
     let mut show_profile = false;
     let mut compare = false;
+    let mut selection = "pbqp".to_string();
     let mut timing = false;
     let mut infer_iters = 0usize;
     let mut serve = 0usize;
@@ -170,6 +173,7 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 };
                 compiler = compiler.with_selection(sel);
+                selection = v.clone();
             }
             "--packing" => {
                 i += 1;
@@ -316,10 +320,11 @@ fn main() -> ExitCode {
 
     if compare {
         println!(
-            "\n{:<14} {:>12} {:>10} {:>8}",
-            "selection", "cycles", "ms", "vs gcd2"
+            "\n{:<14} {:>12} {:>10} {:>12}",
+            "selection", "cycles", "ms", "vs gcd2(13)"
         );
-        let base = Compiler::new().compile(&graph).cycles();
+        // The first row, gcd2(13), is the base of the ratio column.
+        let mut base = None;
         for (name, sel) in [
             ("gcd2(13)", Selection::Gcd2 { max_ops: 13 }),
             ("gcd2(17)", Selection::Gcd2 { max_ops: 17 }),
@@ -330,13 +335,16 @@ fn main() -> ExitCode {
                 Selection::Uniform(gcd2_kernels::SimdInstr::Vrmpy),
             ),
         ] {
-            let m = Compiler::new().with_selection(sel).compile(&graph);
+            let (m, report) = Compiler::new().with_selection(sel).compile_timed(&graph);
+            let rn_steps = report
+                .rn_steps
+                .map_or(String::new(), |n| format!("  rn_steps {n}"));
             println!(
-                "{:<14} {:>12} {:>10.3} {:>7.3}x",
+                "{:<14} {:>12} {:>10.3} {:>11.3}x{rn_steps}",
                 name,
                 m.cycles(),
                 m.latency_ms(),
-                m.cycles() as f64 / base as f64
+                m.cycles() as f64 / *base.get_or_insert(m.cycles()) as f64
             );
         }
         return ExitCode::SUCCESS;
@@ -345,6 +353,14 @@ fn main() -> ExitCode {
     let (compiled, report) = compiler.compile_timed(&graph);
     let stats = compiled.stats();
     println!("compiled in {:.2?}", report.total);
+    // rn_steps 0: the PBQP reductions took no heuristic step, so the
+    // assignment is optimal for Equation 1's objective.
+    match (report.rn_steps, report.rung) {
+        (Some(0), _) => println!("  selection    : {selection}, rn_steps 0 (certified optimal)"),
+        (Some(n), _) => println!("  selection    : {selection}, rn_steps {n}"),
+        (None, Some(rung)) => println!("  selection    : {selection}, rung {rung}"),
+        (None, None) => println!("  selection    : {selection}"),
+    }
     if timing {
         println!("  stage wall-clock:");
         println!("    rewrite    : {:>10.2?}", report.rewrite);

@@ -1412,6 +1412,13 @@ impl InferencePlan {
         Ok(())
     }
 
+    /// How many RN (heuristic) steps the PBQP reductions take on this
+    /// plan's layout-selection instance; 0 means its labels are optimal
+    /// in bytes moved.
+    pub fn layout_rn_steps(&self) -> usize {
+        layout::rn_steps(&self.steps)
+    }
+
     /// What the plan's layout labels cost, in the selection's own unit
     /// (bytes written by staging, scatters and operand conversions per
     /// inference, and how many operands are still converted), beside

@@ -251,12 +251,16 @@ pub(crate) fn cost(steps: &[Step], labels: &[(ActLayout, ActLayout)]) -> LayoutC
     total
 }
 
-/// The layout assignment of a schedule: one `(in, out)` pair per step,
-/// chosen by the PBQP reductions over the instance the module docs
-/// describe, or `Chw` throughout when that moves no more bytes.
-/// Depends on the steps' kinds, dimensions, images and producers — never
-/// on the labels they carry, nor on the slot assignment.
-pub(crate) fn select(steps: &[Step]) -> Vec<(ActLayout, ActLayout)> {
+/// The PBQP instance the module docs describe: each step's admissible
+/// `(in, out)` pairs, their costs, and the edge matrices between steps
+/// that both have a choice.
+type LayoutInstance = (
+    Vec<Vec<(ActLayout, ActLayout)>>,
+    Vec<Vec<u64>>,
+    Vec<gcd2_globalopt::pbqp::EdgeMatrix>,
+);
+
+fn instance(steps: &[Step]) -> LayoutInstance {
     let options: Vec<Vec<(ActLayout, ActLayout)>> =
         (0..steps.len()).map(|index| admits(steps, index)).collect();
     let mut costs: Vec<Vec<u64>> = steps
@@ -292,6 +296,16 @@ pub(crate) fn select(steps: &[Step]) -> Vec<(ActLayout, ActLayout)> {
             }
         }
     }
+    (options, costs, edges)
+}
+
+/// The layout assignment of a schedule: one `(in, out)` pair per step,
+/// chosen by the PBQP reductions over [`instance`], or `Chw` throughout
+/// when that moves no more bytes. Depends on the steps' kinds,
+/// dimensions, images and producers — never on the labels they carry,
+/// nor on the slot assignment.
+pub(crate) fn select(steps: &[Step]) -> Vec<(ActLayout, ActLayout)> {
+    let (options, costs, edges) = instance(steps);
     let chosen: Vec<(ActLayout, ActLayout)> = gcd2_globalopt::pbqp::solve(costs, edges)
         .choice
         .iter()
@@ -304,4 +318,11 @@ pub(crate) fn select(steps: &[Step]) -> Vec<(ActLayout, ActLayout)> {
     } else {
         all_chw
     }
+}
+
+/// How many RN (heuristic) steps the reductions take on a schedule's
+/// layout instance; 0 certifies [`select`]'s answer optimal in bytes.
+pub(crate) fn rn_steps(steps: &[Step]) -> usize {
+    let (_, costs, edges) = instance(steps);
+    gcd2_globalopt::pbqp::solve(costs, edges).rn_steps
 }

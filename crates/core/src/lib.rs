@@ -5,8 +5,9 @@
 //! 1. computational-graph optimization (constant folding, reshape
 //!    elimination, activation fusion — `gcd2-cgraph`);
 //! 2. **SIMD global optimization** — per-operator plan enumeration and
-//!    global layout/instruction selection via the partitioning heuristic
-//!    (`gcd2-globalopt`);
+//!    global layout/instruction selection (`gcd2-globalopt`): the PBQP
+//!    reductions by default, the paper's partitioning heuristic as
+//!    [`Selection::Gcd2`];
 //! 3. other optimizations (division → lookup table);
 //! 4. code generation to DSP instruction streams (`gcd2-codegen`);
 //! 5. **SDA VLIW packing** (`gcd2-vliw`) and static timing/energy
@@ -109,9 +110,15 @@ pub enum Selection {
     Uniform(SimdInstr),
 }
 
+/// The default is [`Selection::Pbqp`]: on every catalog model its
+/// assignment is a certified optimum of Equation 1 (`rn_steps == 0` on
+/// nine models; `gcd2_globalopt::pbqp::certify` proves the tenth), and it
+/// is never above GCD2(13) there. [`CompileBudget`] and its degradation
+/// ladder govern [`Selection::Gcd2`] only, which the paper reproductions
+/// name explicitly.
 impl Default for Selection {
     fn default() -> Self {
-        Selection::Gcd2 { max_ops: 13 }
+        Selection::Pbqp
     }
 }
 
@@ -209,12 +216,13 @@ impl Compiler {
         self
     }
 
-    /// Sets the compile budget. When the GCD2 selection strategy blows
-    /// the budget it degrades along a deterministic ladder —
-    /// GCD2(17) → GCD2(13) → chain DP → greedy — and records each step
-    /// as a [`DegradeEvent`] in the [`CompileReport`]. The default
-    /// budget has no deadline and a state cap high enough that catalog
-    /// models never degrade.
+    /// Sets the compile budget. It governs [`Selection::Gcd2`] only —
+    /// the default [`Selection::Pbqp`] is polynomial and ignores it. When
+    /// the GCD2 selection strategy blows the budget it degrades along a
+    /// deterministic ladder — GCD2(17) → GCD2(13) → chain DP → greedy —
+    /// and records each step as a [`DegradeEvent`] in the
+    /// [`CompileReport`]. The default budget has no deadline and a state
+    /// cap high enough that catalog models never degrade.
     pub fn with_budget(mut self, budget: CompileBudget) -> Self {
         self.budget = budget;
         self
@@ -306,21 +314,29 @@ impl Compiler {
     }
 
     /// Runs the configured selection strategy; the compile budget
-    /// applies to the GCD2 ladder only. Returns the assignment, the
-    /// degradation events (empty unless the ladder had to back off), and
-    /// the rung that produced the result (None for non-GCD2 strategies).
-    fn assign(
-        &self,
-        graph: &Graph,
-        plans: &PlanSet,
-    ) -> (Assignment, Vec<DegradeEvent>, Option<Rung>) {
+    /// applies to the GCD2 ladder only. Returns the assignment and what
+    /// the strategy reports about it: the degradation events and rung of
+    /// the GCD2 ladder, or PBQP's RN step count.
+    fn assign(&self, graph: &Graph, plans: &PlanSet) -> (Assignment, SelectionReport) {
         let assignment = match self.selection {
             Selection::Gcd2 { max_ops } => {
                 let sel = gcd2_select_budgeted(graph, plans, max_ops, self.budget);
-                return (sel.assignment, sel.degrade, Some(sel.rung));
+                let report = SelectionReport {
+                    degrade: sel.degrade,
+                    rung: Some(sel.rung),
+                    rn_steps: None,
+                };
+                return (sel.assignment, report);
             }
             Selection::LocalOptimal => local_optimal(graph, plans),
-            Selection::Pbqp => pbqp_select(graph, plans),
+            Selection::Pbqp => {
+                let (assignment, rn_steps) = pbqp_select(graph, plans);
+                let report = SelectionReport {
+                    rn_steps: Some(rn_steps),
+                    ..SelectionReport::default()
+                };
+                return (assignment, report);
+            }
             Selection::GlobalExhaustive => {
                 let scope: Vec<_> = graph
                     .nodes()
@@ -351,7 +367,7 @@ impl Compiler {
                 Assignment { choice, cost }
             }
         };
-        (assignment, Vec::new(), None)
+        (assignment, SelectionReport::default())
     }
 
     /// Runs plan selection only (no lowering) — used by the Figure 10
@@ -360,7 +376,7 @@ impl Compiler {
     pub fn select<'g>(&self, graph: &'g Graph) -> (Cow<'g, Graph>, PlanSet, Assignment) {
         let graph = self.rewrite(graph);
         let plans = try_enumerate_plans(&graph, &self.cost_model(), self.lut_ops);
-        let (assignment, _, _) = self.assign(&graph, &plans);
+        let (assignment, _) = self.assign(&graph, &plans);
         (graph, plans, assignment)
     }
 
@@ -437,7 +453,7 @@ impl Compiler {
         let enumerate = t0.elapsed();
 
         let t0 = Instant::now();
-        let (assignment, degrade, rung) = self.assign(&graph, &plans);
+        let (assignment, selection) = self.assign(&graph, &plans);
         let select = t0.elapsed();
 
         let options = LowerOptions {
@@ -494,8 +510,9 @@ impl Compiler {
             rewrite,
             enumerate,
             select,
-            degrade,
-            rung,
+            degrade: selection.degrade,
+            rung: selection.rung,
+            rn_steps: selection.rn_steps,
             lower: lower_wall,
             pack_cpu: lowered.pack_cpu,
             verify_cpu: lowered.verify_cpu,
@@ -535,6 +552,14 @@ fn guarded<T>(compile: impl FnOnce() -> Result<T, Gcd2Error>) -> Result<T, Gcd2E
     })
 }
 
+/// What a selection strategy reports beside its assignment.
+#[derive(Debug, Default)]
+struct SelectionReport {
+    degrade: Vec<DegradeEvent>,
+    rung: Option<Rung>,
+    rn_steps: Option<usize>,
+}
+
 /// Per-stage wall-clock timings and cache statistics of one
 /// [`Compiler::compile_timed`] run.
 #[derive(Debug, Clone, Default)]
@@ -553,6 +578,10 @@ pub struct CompileReport {
     /// The selection rung that produced the assignment (None for
     /// non-GCD2 strategies).
     pub rung: Option<Rung>,
+    /// How many RN (heuristic) steps the PBQP reductions took (None for
+    /// non-PBQP strategies). `Some(0)` certifies the assignment optimal
+    /// for Equation 1's objective.
+    pub rn_steps: Option<usize>,
     /// Lowering wall-clock time (block generation + packing, plus the
     /// verifier when enabled).
     pub lower: Duration,
@@ -790,7 +819,9 @@ mod tests {
     #[test]
     fn exhaustive_matches_gcd2_on_small_graphs() {
         let g = conv_net(4);
-        let gcd2 = Compiler::new().compile(&g);
+        let gcd2 = Compiler::new()
+            .with_selection(Selection::Gcd2 { max_ops: 13 })
+            .compile(&g);
         let global = Compiler::new()
             .with_selection(Selection::GlobalExhaustive)
             .compile(&g);

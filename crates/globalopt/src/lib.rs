@@ -15,9 +15,12 @@
 //! * [`gcd2_select`] — the partitioning heuristic (`GCD2(13)` /
 //!   `GCD2(17)` of Figure 10);
 //! * [`pbqp_select`] — the PBQP reduction heuristic the paper names as
-//!   the alternative, a builder over [`pbqp::solve`], the reduction solver on
-//!   a bare instance (cost vectors + edge matrices) that the host
-//!   runtime's activation-layout selection (`gcd2::layout`) calls too.
+//!   the alternative (the compiler's default selector), a builder over
+//!   [`pbqp::solve`], the reduction solver on a bare instance (cost
+//!   vectors + edge matrices) that the host runtime's activation-layout
+//!   selection (`gcd2::layout`) calls too; [`pbqp::certify`] proves its
+//!   answer optimal, or finds the optimum, by branch-and-bound over the
+//!   reductions' heuristic steps.
 //!
 //! ```
 //! use gcd2_cgraph::{Graph, OpKind, TShape};

@@ -110,7 +110,7 @@ proptest! {
         let model = CostModel::new();
         let plans = enumerate_plans(&g, &model);
         let local = local_optimal(&g, &plans);
-        for a in [gcd2_select(&g, &plans, 13), pbqp_select(&g, &plans)] {
+        for a in [gcd2_select(&g, &plans, 13), pbqp_select(&g, &plans).0] {
             prop_assert!(a.cost <= local.cost);
             prop_assert_eq!(a.cost, assignment_cost(&g, &plans, &a.choice));
         }

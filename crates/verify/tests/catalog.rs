@@ -43,7 +43,7 @@ fn ablated_pipelines_verify_clean() {
     let graph = ModelId::MobileNetV3.build();
     let configs: Vec<Compiler> = vec![
         Compiler::new().with_selection(Selection::LocalOptimal),
-        Compiler::new().with_selection(Selection::Pbqp),
+        Compiler::new().with_selection(Selection::Gcd2 { max_ops: 13 }),
         Compiler::new().with_packing(Packing::SoftToHard),
         Compiler::new().with_packing(Packing::Sequential),
         Compiler::new().with_lut_ops(false),

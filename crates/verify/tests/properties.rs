@@ -225,7 +225,7 @@ proptest! {
             let assignments = [
                 gcd2_select(&g, &plans, 13),
                 local_optimal(&g, &plans),
-                pbqp_select(&g, &plans),
+                pbqp_select(&g, &plans).0,
             ];
             for assignment in &assignments {
                 let cx = Context::new()

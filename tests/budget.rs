@@ -1,8 +1,8 @@
 //! Compile-budget acceptance tests: the degradation ladder is
 //! deterministic, an intentionally tiny budget
 //! still yields a verifier-clean plan through the greedy floor, and
-//! every catalog model compiles under the default budget without
-//! degrading.
+//! every catalog model compiles with GCD2(13) under the default budget
+//! without degrading.
 
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{CompileBudget, Compiler, Selection};
@@ -115,7 +115,10 @@ fn zero_deadline_falls_to_greedy_and_still_compiles() {
 fn every_catalog_model_compiles_under_the_default_budget() {
     for id in ModelId::ALL {
         let g = id.build();
+        // Pinned to the paper's selector: the budget governs the GCD2
+        // ladder only, and the default (PBQP) never degrades.
         let (compiled, report) = Compiler::new()
+            .with_selection(Selection::Gcd2 { max_ops: 13 })
             .try_compile_timed(&g)
             .unwrap_or_else(|e| panic!("{id} failed to compile: {e}"));
         assert!(compiled.cycles() > 0, "{id} produced an empty program");

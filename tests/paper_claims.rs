@@ -3,9 +3,8 @@
 //! (fast models only; the full sweep lives in `gcd2-bench`).
 
 use gcd2_repro::baselines::{compile_kernel, table5_accelerators, Framework, KernelCompiler};
-use gcd2_repro::bench::geomean;
+use gcd2_repro::bench::{geomean, paper_compiler};
 use gcd2_repro::cgraph::GemmDims;
-use gcd2_repro::compiler::Compiler;
 use gcd2_repro::kernels::{CostModel, SimdInstr, UnrollConfig};
 use gcd2_repro::models::ModelId;
 
@@ -24,7 +23,7 @@ fn headline_geomean_speedups() {
     let mut over_s = Vec::new();
     for id in subset {
         let g = id.build();
-        let gcd2 = Compiler::new().compile(&g).cycles() as f64;
+        let gcd2 = paper_compiler().compile(&g).cycles() as f64;
         over_t.push(Framework::Tflite.run(&g).unwrap().stats.cycles as f64 / gcd2);
         over_s.push(Framework::Snpe.run(&g).unwrap().stats.cycles as f64 / gcd2);
     }
@@ -81,7 +80,7 @@ fn kernel_compilers_lose_to_gcd2() {
 #[test]
 fn efficientdet_is_real_time() {
     let g = ModelId::EfficientDetD0.build();
-    let compiled = Compiler::new().compile(&g);
+    let compiled = paper_compiler().compile(&g);
     assert!(
         compiled.latency_ms() < 33.0,
         "EfficientDet-d0 at {:.1} ms is not real-time",
@@ -97,7 +96,7 @@ fn first_time_models_compile_only_under_gcd2() {
         let g = id.build();
         assert!(Framework::Tflite.run(&g).is_none());
         assert!(Framework::Snpe.run(&g).is_none());
-        assert!(Compiler::new().compile(&g).cycles() > 0);
+        assert!(paper_compiler().compile(&g).cycles() > 0);
     }
 }
 
@@ -106,7 +105,7 @@ fn first_time_models_compile_only_under_gcd2() {
 /// beat both on frames per Watt.
 #[test]
 fn best_energy_efficiency_among_accelerators() {
-    let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
+    let compiled = paper_compiler().compile(&ModelId::ResNet50.build());
     let ours = compiled.frames_per_watt();
     for acc in table5_accelerators() {
         assert!(
@@ -134,7 +133,7 @@ fn best_energy_efficiency_among_accelerators() {
 /// must land in the same order of magnitude, below peak.
 #[test]
 fn achieved_tops_in_band() {
-    let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
+    let compiled = paper_compiler().compile(&ModelId::ResNet50.build());
     let tops = compiled.tops();
     assert!((0.5..3.7).contains(&tops), "achieved {tops:.2} TOPS");
 }
