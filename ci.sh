@@ -18,7 +18,7 @@ cargo test -q -p gcd2-kernels
 echo "==> depthwise / pool / gate and group-kernel identity suites on the VNNI tier of an AMX host (GCD2_AMX=0; the two runs above cover the AMX tier and the scalar oracle: the pixel-major forms are selected on every host, and the group kernels have one form, so they are held to their oracle on every tier)"
 GCD2_AMX=0 cargo test -q -p gcd2-kernels --test dwconv_identity --test hostops_identity
 
-echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch gate — inputs in turn over one reused arena == through a one-worker gateway at max_batch 1, 2, 5 == a fresh arena == the interpreter — run there too; perfbench refuses the variable, the test suites do not)"
+echo "==> plan execution, end-to-end and batch suites on the VNNI tier of an AMX host (GCD2_AMX=0: whole plans run from the shared quad panel through the vpdpbusd strips, and the layout differential — chosen == all-chw == interpreter on all ten models — the exhaustive every-assignment differential and the batch gate — inputs in turn over one reused arena == through a one-worker gateway bounded at max_batch 1, 2, 5, whose batches are whatever queued behind the busy worker and never exceed the bound == a fresh arena == the interpreter — run there too; perfbench refuses the variable, the test suites do not)"
 GCD2_AMX=0 cargo test -q -p gcd2 --lib infer::
 GCD2_AMX=0 cargo test -q --test end_to_end --test infer_batch --test serve_gateway
 
@@ -29,7 +29,7 @@ GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_
     every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
-echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion or second tier override anywhere in crates/, src/, tests/ or examples/, and the kernels keep no process-wide tier)"
+echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion, second tier override or batching window (max_wait) anywhere in crates/, src/, tests/ or examples/, and the kernels keep no process-wide tier)"
 test "$(grep -c 'pub fn' crates/par/src/lib.rs)" -eq 1
 if find crates -path crates/core/src -prune -o -path '*/src/*.rs' -print \
     | xargs awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
@@ -38,6 +38,7 @@ if find crates -path crates/core/src -prune -o -path '*/src/*.rs' -print \
 grep -q 'pub const POINTS: \[&str; 5\]' crates/faults/src/lib.rs
 if grep -rEn 'retry_budget|demote_after|force_scalar|pin_scalar|force_isa|kernel_attributed|Work::Rerun' \
     crates src tests examples; then exit 1; fi
+if grep -rn 'max_wait' crates src tests examples; then exit 1; fi
 if grep -n 'static FORCED' crates/kernels/src/dispatch.rs; then exit 1; fi
 
 echo "==> perfbench's own unit tests"
@@ -116,11 +117,11 @@ for tier in "" GCD2_AMX=0 GCD2_FORCE_SCALAR=1; do
     grep -q "^  folded       : 50 steps into GEMM requantisation (37 Add, 6 Pow, 7 Gelu), 37 constants unread$" target/epilogue.txt
 done
 
-echo "==> chaos suites (fault injection): the compiler's one panic guard under a cost.eval panic and delay, the runtime (its seeded scenario sweeps fault seeds 2024 and 7), the artifact store's on-disk sabotage (which tier-1 runs too), and the gateway scenarios with their real-thread smoke"
+echo "==> chaos suites (fault injection): the compiler's one panic guard under a cost.eval panic and delay, the runtime (its seeded scenario sweeps fault seeds 2024 and 7), the artifact store's on-disk sabotage (which tier-1 runs too), and the gateway scenarios with their real-thread smokes (a worker held busy by an infer.elementwise delay: wedged and replaced; queued tickets dropped and abandoned)"
 cargo test -q --features fault-injection \
     --test chaos --test runtime_chaos --test gateway_scenarios --test artifact_chaos
 
-echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault — a panic in every request of a batch or in its first alone — at every position, no retry round or demotion to walk; ≈ 27 k states; release)"
+echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault — a panic in every request of a batch or in its first alone — at every position, no retry round, demotion or batching window to walk; ≈ 6.6 k states; release)"
 cargo test --release -q --test gateway_scenarios -- --ignored --nocapture \
     every_interleaving_of_three_workers_and_four_tickets | grep "^explored"
 

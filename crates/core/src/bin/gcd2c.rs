@@ -43,10 +43,9 @@ const USAGE: &str = "usage: gcd2c <model> [options]\n\
                        N requests, verifying bit-identity and reporting\n\
                        throughput, batching, latency percentiles, and\n\
                        backpressure rejections\n\
-           --max-batch B     gateway: most requests coalesced into one\n\
-                             batch (default 8; 1 disables batching)\n\
-           --max-wait-us U   gateway: longest a worker holds an\n\
-                             underfull batch open, in µs (default 1000)\n\
+           --max-batch B     gateway: most queued requests an idle\n\
+                             worker takes as one batch (default 8;\n\
+                             1 disables batching)\n\
            --serve-models M1,M2  register extra catalog models and\n\
                              spread the --serve traffic round-robin\n\
                              across all of them\n\
@@ -149,7 +148,6 @@ fn main() -> ExitCode {
     let mut infer_iters = 0usize;
     let mut serve = 0usize;
     let mut max_batch = 8usize;
-    let mut max_wait_us = 1000u64;
     let mut serve_models: Vec<ModelId> = Vec::new();
     let mut asm_blocks = 0usize;
     let mut export: Option<String> = None;
@@ -221,14 +219,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 max_batch = n.max(1);
-            }
-            "--max-wait-us" => {
-                i += 1;
-                let Some(v) = args.get(i) else { return usage() };
-                let Ok(n) = v.parse::<u64>() else {
-                    return usage();
-                };
-                max_wait_us = n;
             }
             "--serve-models" => {
                 i += 1;
@@ -735,7 +725,6 @@ fn main() -> ExitCode {
                 workers,
                 capacity,
                 max_batch,
-                max_wait: std::time::Duration::from_micros(max_wait_us),
                 opts: gcd2::ExecOptions::default(),
                 ..gcd2::GatewayConfig::default()
             });
@@ -813,7 +802,7 @@ fn main() -> ExitCode {
             }
             println!(
                 "  serve {serve} across {} model{} via {workers} worker{} \
-                 (queue {capacity}, max-batch {max_batch}, max-wait {max_wait_us}µs): \
+                 (queue {capacity}, max-batch {max_batch}): \
                  {:.2?} ({:.1} inf/s)",
                 models.len(),
                 if models.len() == 1 { "" } else { "s" },

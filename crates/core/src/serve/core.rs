@@ -2,14 +2,15 @@
 //!
 //! [`Core`] is everything [`super::InferServer`] decides: the model
 //! registry, breaker admission, capacity and priority shedding, the
-//! per-model queues and batch readiness (`max_batch` / `max_wait`),
-//! dispatch, ticket ownership, hang takeover, drain, and every counter,
-//! histogram and [`HealthEvent`]. It holds no thread, lock or clock.
-//! Each call is [`Core::step`]`(now_us, event)` on a logical microsecond
-//! clock the caller supplies, and what must happen outside — answer a
-//! ticket, hand a worker its work, start a worker's thread — comes back
-//! as [`Action`]s; the core owns the worker roster. The core reports its
-//! earliest deadline ([`Core::next_deadline`]), so timers are data: the
+//! per-model queues, work-conserving dispatch (an idle worker takes the
+//! oldest model's queue, up to `max_batch`, in the step that finds it),
+//! ticket ownership, hang takeover, drain, and every counter, histogram
+//! and [`HealthEvent`]. It holds no thread, lock or clock. Each call is
+//! [`Core::step`]`(now_us, event)` on a logical microsecond clock the
+//! caller supplies, and what must happen outside — answer a ticket, hand
+//! a worker its work, start a worker's thread — comes back as
+//! [`Action`]s; the core owns the worker roster. Its one timer is the
+//! hang deadline ([`Core::next_deadline`]), so timers are data: the
 //! shell sleeps until then and steps an [`Event::Tick`].
 //!
 //! **Ownership rule.** A ticket's reply handle `T` lives in exactly one
@@ -218,7 +219,6 @@ struct Model<P, T> {
 pub struct Core<P, T> {
     capacity: usize,
     max_batch: usize,
-    max_wait_us: u64,
     sup: SupervisorConfig,
     models: BTreeMap<String, Model<P, T>>,
     workers: Vec<Worker<T>>,
@@ -250,7 +250,6 @@ impl<P: Clone, T> Core<P, T> {
         let core = Core {
             capacity: config.capacity.max(1),
             max_batch: config.max_batch.max(1),
-            max_wait_us: micros(config.max_wait),
             sup: config.supervisor,
             models: BTreeMap::new(),
             workers: (0..workers).map(|_| idle()).collect(),
@@ -265,8 +264,9 @@ impl<P: Clone, T> Core<P, T> {
     }
 
     /// Applies `event` at logical time `now_us` (non-decreasing across
-    /// calls), then acts on every deadline due by `now_us` and
-    /// dispatches every batch that is ready to an idle worker.
+    /// calls), then acts on every hang deadline due by `now_us` and
+    /// hands queued work to every idle worker: no worker is left idle
+    /// while a queue holds a request.
     pub fn step(&mut self, now_us: u64, event: Event<P, T>) -> Vec<Action<P, T>> {
         let mut out = Vec::new();
         match event {
@@ -314,23 +314,16 @@ impl<P: Clone, T> Core<P, T> {
     }
 
     /// The earliest logical time at which a [`Event::Tick`] would act:
-    /// a busy worker's hang deadline, or the `max_wait` of the oldest
-    /// queued request when an idle worker could take it. `None` when
-    /// nothing is timed. Always later than the `now_us` of the last step.
+    /// the hang deadline of the longest-running busy worker. `None` when
+    /// no worker is busy. Always later than the `now_us` of the last
+    /// step.
     pub fn next_deadline(&self) -> Option<u64> {
         let hang_us = micros(self.sup.hang_deadline);
         let busy = self.workers.iter().filter_map(|w| match &w.slot {
             Slot::Busy(f) => Some(f.dispatched_us.saturating_add(hang_us)),
             _ => None,
         });
-        let batch = self
-            .workers
-            .iter()
-            .any(|w| matches!(w.slot, Slot::Idle))
-            .then(|| self.oldest())
-            .flatten()
-            .map(|(_, enqueued)| enqueued.saturating_add(self.max_wait_us));
-        busy.chain(batch).min()
+        busy.min()
     }
 
     /// Whether the drain has finished: nothing queued, and no worker
@@ -632,9 +625,9 @@ impl<P: Clone, T> Core<P, T> {
         }
     }
 
-    /// Acts on every deadline due by `now_us` — hang deadlines — then
-    /// dispatches ready batches and, when draining with nothing queued,
-    /// retires the idle workers.
+    /// Acts on every hang deadline due by `now_us`, then hands each idle
+    /// worker a batch while any queue holds a request and, when draining
+    /// with nothing queued, retires the idle workers.
     fn settle(&mut self, now_us: u64, out: &mut Vec<Action<P, T>>) {
         let hang_us = micros(self.sup.hang_deadline);
         for id in 0..self.workers.len() {
@@ -666,31 +659,22 @@ impl<P: Clone, T> Core<P, T> {
         }
     }
 
-    /// The model whose front request has waited longest (ties to the
-    /// first name), with that request's enqueue time.
-    fn oldest(&self) -> Option<(&String, u64)> {
-        self.models
+    /// Hands `worker` up to `max_batch` requests from the model whose
+    /// front request has waited longest (ties to the first name); false
+    /// when every queue is empty.
+    fn dispatch(&mut self, now_us: u64, worker: usize, out: &mut Vec<Action<P, T>>) -> bool {
+        let oldest = self
+            .models
             .iter()
             .filter_map(|(name, m)| m.queue.front().map(|j| (name, j.enqueued_us)))
-            .min_by_key(|&(_, enqueued)| enqueued)
-    }
-
-    /// Hands `worker` the oldest model's batch if it is ready: full at
-    /// `max_batch`, aged past `max_wait`, or flushed by a drain.
-    fn dispatch(&mut self, now_us: u64, worker: usize, out: &mut Vec<Action<P, T>>) -> bool {
-        let Some((name, oldest)) = self.oldest() else {
+            .min_by_key(|&(_, enqueued)| enqueued);
+        let Some((name, oldest)) = oldest else {
             return false;
         };
         let name = name.clone();
         let Some(m) = self.models.get_mut(&name) else {
             return false;
         };
-        let ready = m.queue.len() >= self.max_batch
-            || now_us.saturating_sub(oldest) >= self.max_wait_us
-            || self.draining;
-        if !ready {
-            return false;
-        }
         let take = m.queue.len().min(self.max_batch);
         let jobs: Vec<Job<T>> = m.queue.drain(..take).collect();
         m.assembly.record(now_us.saturating_sub(oldest));

@@ -10,17 +10,21 @@
 //! sleep and no armed fault. A hang is a tick past the hang deadline
 //! with no `done`; a failed request is a `done` that carries the error,
 //! answered once and never run again; a late answer is a `done` from a worker the core
-//! already replaced. Every step also checks the invariants against what
-//! the harness itself saw: no ticket answered twice, the counters match
-//! the answers, deadlines lie ahead, and queued work is never stranded.
+//! already replaced. A batch forms only behind a busy worker, so a
+//! script holds its worker busy by withholding that worker's `done`.
+//! Every step also checks the invariants against what the harness itself
+//! saw: no ticket answered twice, the counters match the answers,
+//! deadlines lie ahead, queued work is never stranded, and dispatch is
+//! work-conserving — no worker sits idle while a queue holds a request.
 //!
 //! The explorer walks **every** interleaving of submissions, results,
 //! ticks, an abandonment and a drain over a few workers and tickets,
 //! with a fault at every position it can take, and checks that each
 //! path ends drained with every accepted ticket answered exactly once.
 //!
-//! Under `fault-injection` a short real-thread smoke wedges a worker
-//! with an `infer.elementwise` delay, then swaps and drains.
+//! Under `fault-injection` real threads hold a worker busy with an
+//! `infer.elementwise` delay: one wedges it, then swaps and drains; one
+//! abandons queued tickets by dropping them.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -231,8 +235,9 @@ impl Harness {
 
     /// The invariants every step keeps, checked against what the harness
     /// saw: the counters match the answers and abandonments delivered,
-    /// and work not yet answered always has a worker running it or a
-    /// deadline that will move it on — otherwise it would wait forever.
+    /// work not yet answered always has a worker running it or a
+    /// deadline that will move it on — otherwise it would wait forever —
+    /// and no live worker is idle while a request is queued.
     fn check(&self) {
         let s = self.core.stats();
         let answers: Vec<&Got> = self
@@ -266,12 +271,30 @@ impl Harness {
             self.now,
             self.core
         );
+        let running = self.running();
+        let in_flight: BTreeSet<u32> = running
+            .iter()
+            .flat_map(|w| self.work[w].labels.iter().copied())
+            .collect();
+        let queued = self.tickets.values().any(|l| {
+            !self.got.contains_key(l) && !self.abandoned.contains(l) && !in_flight.contains(l)
+        });
+        let idle = self
+            .spawned
+            .iter()
+            .find(|w| !self.exits.contains(w) && !running.contains(w));
+        assert!(
+            !queued || idle.is_none(),
+            "worker {idle:?} idle beside a queued request at {}: {:?}",
+            self.now,
+            self.core
+        );
     }
 
-    /// `model`'s breaker state.
+    /// `model`'s breaker state and largest batch.
     fn snapshot(&self, model: &str) -> String {
         let m = self.core.model_stats(model).expect("registered");
-        format!("{:?}", m.breaker)
+        format!("{:?}, largest batch {}", m.breaker, m.max_batch_observed)
     }
 }
 
@@ -293,21 +316,20 @@ struct Scenario {
     models: &'static str,
 }
 
-fn gateway(workers: usize, capacity: usize, max_batch: usize, max_wait_us: u64) -> GatewayConfig {
+fn gateway(workers: usize, capacity: usize, max_batch: usize) -> GatewayConfig {
     GatewayConfig {
         workers,
         capacity,
         max_batch,
-        max_wait: Duration::from_micros(max_wait_us),
         ..GatewayConfig::default()
     }
 }
 
-/// One worker dispatching every request as soon as it arrives.
+/// One worker running every request alone.
 fn supervised(supervisor: SupervisorConfig) -> GatewayConfig {
     GatewayConfig {
         supervisor,
-        ..gateway(1, 64, 1, 0)
+        ..gateway(1, 64, 1)
     }
 }
 
@@ -318,39 +340,77 @@ fn hang_25ms() -> GatewayConfig {
     })
 }
 
-const HEALTHY: &str = "Closed";
-
 fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
-            // Rising priorities against a parked queue of four: the
-            // lowest (most recent on ties) goes first, equal priority is
-            // backpressured, and the drain serves the survivors.
+            // Rising priorities against a full queue of four behind the
+            // busy worker: the lowest (most recent on ties) goes first,
+            // equal priority is backpressured, and the survivors run as
+            // one batch once the worker is free.
             name: "shed storm",
-            config: gateway(1, 4, 64, 30_000_000),
-            script: "0 register m 1 | 1 submit m 0 *4 | 2 submit m 1 *8 | 3 submit m 2 *2 \
-                     | 4 drain | 5 done 0 ok | 6 stats m",
-            tickets: "1-4: Shed { priority: 0, capacity: 4 }; 5-6: =1; \
-                      7-8: Shed { priority: 1, capacity: 4 }; 9-12: !QueueFull { capacity: 4 }; \
-                      13-14: =1",
+            config: gateway(1, 4, 64),
+            script: "0 register m 1 | 0 submit m 9 | 1 submit m 0 *4 | 2 submit m 1 *8 \
+                     | 3 submit m 2 *2 | 4 drain | 5 done 0 ok | 6 done 0 ok | 7 stats m",
+            tickets: "1: =1; 2-5: Shed { priority: 0, capacity: 4 }; 6-7: =1; \
+                      8-9: Shed { priority: 1, capacity: 4 }; 10-13: !QueueFull { capacity: 4 }; \
+                      14-15: =1",
             counters:
-                "accepted: 10, rejected: 4, completed: 4, shed: 6, batches: 1, batched_requests: 4",
+                "accepted: 11, rejected: 4, completed: 5, shed: 6, batches: 2, batched_requests: 4",
             health: "",
             registry: "Ok(1)",
-            models: HEALTHY,
+            models: "Closed, largest batch 4",
         },
         Scenario {
             // A submission racing a drain is one step either side of it:
             // before, it is served; after, it is refused — never queued
             // behind workers that have left. A dropped ticket is skipped.
             name: "drain race",
-            config: gateway(2, 8, 4, 30_000_000),
-            script: "0 register m 1 | 1 submit m 0 *3 | 4 abandon 2 | 5 drain | 6 submit m 0 \
-                     | 7 done 0 ok | 8 stop | 9 submit m 0 | 9 register n 2",
-            tickets: "1: =1; 3: =1; 4: !Draining; 5: !ServerStopped",
-            counters: "accepted: 3, completed: 2, batches: 1, batched_requests: 2, abandoned: 1",
+            config: gateway(2, 8, 4),
+            script: "0 register m 1 | 1 submit m 0 *5 | 4 abandon 4 | 5 drain | 6 submit m 0 \
+                     | 7 done 0 ok | 7 done 1 ok | 8 done 0 ok | 8 stop | 9 submit m 0 \
+                     | 9 register n 2",
+            tickets: "1-3: =1; 5: =1; 6: !Draining; 7: !ServerStopped",
+            counters: "accepted: 5, completed: 4, batches: 3, batched_requests: 2, abandoned: 1",
             health: "",
             registry: "Ok(1); Err(ServerStopped)",
+            models: "",
+        },
+        Scenario {
+            // Requests queued behind the busy worker dispatch as one
+            // batch of `max_batch` the moment it is free.
+            name: "a full queue is one batch",
+            config: gateway(1, 64, 8),
+            script: "0 register m 1 | 0 submit m 0 | 1 submit m 0 *8 | 2 done 0 ok | 3 done 0 ok \
+                     | 3 stats m",
+            tickets: "1-9: =1",
+            counters: "accepted: 9, completed: 9, batches: 2, batched_requests: 8",
+            health: "",
+            registry: "Ok(1)",
+            models: "Closed, largest batch 8",
+        },
+        Scenario {
+            // A longer queue splits into `max_batch`-sized chunks, the
+            // last one short: five queued requests at a bound of two.
+            name: "batches are max_batch chunks",
+            config: gateway(1, 64, 2),
+            script: "0 register m 1 | 0 submit m 0 | 1 submit m 0 *5 | 2 done 0 ok *4 | 2 stats m",
+            tickets: "1-6: =1",
+            counters: "accepted: 6, completed: 6, batches: 4, batched_requests: 4",
+            health: "",
+            registry: "Ok(1)",
+            models: "Closed, largest batch 2",
+        },
+        Scenario {
+            // A ticket dropped while queued is skipped: it never runs,
+            // is never answered, and is counted once, as abandoned.
+            name: "abandoned tickets",
+            config: gateway(1, 64, 64),
+            script: "0 register m 1 | 0 submit m 0 | 1 submit m 0 *3 | 2 abandon 2 \
+                     | 3 abandon 4 | 4 drain | 5 done 0 ok | 6 done 0 ok",
+            tickets: "1: =1; 3: =1",
+            counters: "accepted: 4, completed: 2, batches: 2, abandoned: 2",
+            health: "",
+            registry: "Ok(1)",
             models: "",
         },
         Scenario {
@@ -402,17 +462,16 @@ fn scenarios() -> Vec<Scenario> {
             counters: "accepted: 7, completed: 3, failed: 4, batches: 7, breaker_rejected: 1",
             health: r#"BreakerOpened { model: "m" }; BreakerHalfOpen { model: "m" }; BreakerClosed { model: "m" }"#,
             registry: "Ok(1)",
-            models: "Open; Closed",
+            models: "Open, largest batch 1; Closed, largest batch 1",
         },
         Scenario {
             // A keyed swap while a batch runs: the running batch answers
             // from the old plan, the queued ones from the new; a stale
             // key is refused, and unregister answers what is still queued.
             name: "swap under load",
-            config: gateway(1, 8, 2, 1_000),
-            script: "0 register m 1 | 0 submit m 0 | 1ms tick | 1001 submit m 0 *2 \
-                     | 1003 swap m 9 2 | 1004 swap m 1 2 | 1005 done 0 ok | 1006 submit m 0 \
-                     | 1007 unregister m | 1008 done 0 ok",
+            config: gateway(1, 8, 2),
+            script: "0 register m 1 | 0 submit m 0 | 1 submit m 0 *2 | 3 swap m 9 2 \
+                     | 4 swap m 1 2 | 5 done 0 ok | 6 submit m 0 | 7 unregister m | 8 done 0 ok",
             tickets: r#"1: =1; 2-3: =2; 4: UnknownModel { model: "m" }"#,
             counters: "accepted: 4, completed: 3, failed: 1, batches: 2, batched_requests: 2",
             health: "",
@@ -420,8 +479,9 @@ fn scenarios() -> Vec<Scenario> {
             models: "",
         },
         Scenario {
-            // Healthy traffic under a hair-trigger supervisor: batches
-            // fill by age, and every supervision counter stays zero.
+            // Healthy traffic under a hair-trigger supervisor: idle
+            // workers take each request at once, a batch forms only while
+            // both are busy, and every supervision counter stays zero.
             name: "healthy traffic",
             config: GatewayConfig {
                 supervisor: SupervisorConfig {
@@ -431,16 +491,16 @@ fn scenarios() -> Vec<Scenario> {
                     breaker_threshold_pct: 25,
                     ..SupervisorConfig::default()
                 },
-                ..gateway(2, 64, 4, 200)
+                ..gateway(2, 64, 4)
             },
-            script: "0 register m 1 | 0 submit m 0 *2 | 200 tick | 300 done 0 ok \
-                     | 1ms submit m 0 *2 | 1200 tick | 1300 done 0 ok \
-                     | 2ms submit m 0 *4 | 2001 done 0 ok | 2001 stats m",
+            script: "0 register m 1 | 0 submit m 0 *2 | 100 submit m 0 *4 | 200 done 0 ok \
+                     | 300 done 1 ok | 400 done 0 ok | 1ms submit m 0 *2 | 1100 done 0 ok \
+                     | 1100 done 1 ok | 1100 stats m",
             tickets: "1-8: =1",
-            counters: "accepted: 8, completed: 8, batches: 3, batched_requests: 8",
+            counters: "accepted: 8, completed: 8, batches: 5, batched_requests: 4",
             health: "",
             registry: "Ok(1)",
-            models: HEALTHY,
+            models: "Closed, largest batch 4",
         },
     ]
 }
@@ -532,9 +592,9 @@ fn every_scenario_produces_its_answers_counters_and_health_events() {
     }
 }
 
-/// The hang deadline and `max_wait` are the core's deadlines; it reports
-/// the earliest, and `max_wait` only while an idle
-/// worker could take the batch.
+/// The hang deadline is the core's one timer: it runs from each batch's
+/// dispatch, the earliest busy worker's is reported, and a queued
+/// request adds none.
 #[test]
 fn timers_are_the_cores_deadlines() {
     let config = GatewayConfig {
@@ -542,16 +602,54 @@ fn timers_are_the_cores_deadlines() {
             hang_deadline: Duration::from_millis(50),
             ..SupervisorConfig::default()
         },
-        ..gateway(1, 8, 4, 1_000)
+        ..gateway(1, 8, 4)
     };
     let mut h = run(&config, "0 register m 1");
     assert_eq!(h.core.next_deadline(), None, "nothing is timed");
     h.exec("100 submit m 0");
-    assert_eq!(h.core.next_deadline(), Some(1_100), "the batch's max_wait");
-    h.exec("1100 tick");
-    assert_eq!(h.core.next_deadline(), Some(51_100), "the hang deadline");
+    assert_eq!(h.core.next_deadline(), Some(50_100), "its hang deadline");
     h.exec("2000 submit m 0");
-    assert_eq!(h.core.next_deadline(), Some(51_100), "no idle worker");
+    assert_eq!(h.core.next_deadline(), Some(50_100), "a queued request");
+    h.exec("3000 done 0 ok");
+    assert_eq!(h.core.next_deadline(), Some(53_000), "the next batch's");
+    h.exec("4000 done 0 ok");
+    assert_eq!(h.core.next_deadline(), None, "no worker is busy");
+}
+
+/// Work-conserving dispatch: a submission to an idle gateway comes back
+/// with its `Run` in the same step — no tick, no batching window.
+#[test]
+fn a_submission_to_an_idle_worker_runs_in_the_same_step() {
+    let (mut core, _) = Core::<u8, u32>::new(&gateway(1, 8, 8));
+    core.step(
+        0,
+        Event::Register {
+            name: "m".into(),
+            plan: 1,
+            checksum: 1,
+        },
+    );
+    let submit = Event::Submit {
+        model: "m".into(),
+        input: vec![7],
+        priority: 0,
+        reply: 1,
+    };
+    let run = Work::Run {
+        plan: 1,
+        inputs: vec![vec![7]],
+    };
+    let actions = core.step(5, submit);
+    assert_eq!(
+        actions,
+        [
+            Action::Return(Ok(1)),
+            Action::Work {
+                worker: 0,
+                work: run
+            }
+        ]
+    );
 }
 
 /// The core owns the worker roster: it starts with one `Spawn` per
@@ -559,8 +657,8 @@ fn timers_are_the_cores_deadlines() {
 /// checks that no work goes to a worker never spawned.)
 #[test]
 fn the_core_spawns_every_worker_it_counts() {
-    assert_eq!(run(&gateway(3, 8, 1, 0), "0 tick").spawned, [0, 1, 2]);
-    let clamped = run(&gateway(0, 8, 1, 0), "0 tick").spawned;
+    assert_eq!(run(&gateway(3, 8, 1), "0 tick").spawned, [0, 1, 2]);
+    let clamped = run(&gateway(0, 8, 1), "0 tick").spawned;
     assert_eq!(clamped, [0], "zero workers is clamped to one");
     let h = run(&hang_25ms(), "0 register m 1 | 0 submit m 0 | 25ms tick");
     assert_eq!(h.spawned, [0, 1], "a hang spawns the replacement");
@@ -573,17 +671,11 @@ fn the_core_spawns_every_worker_it_counts() {
 /// there is no window: after the drain it is refused, before it served.
 #[test]
 fn a_submission_after_the_drain_step_is_refused_never_stranded() {
-    let h = run(
-        &gateway(2, 8, 4, 30_000_000),
-        "0 register m 1 | 1 drain | 2 submit m 0",
-    );
+    let h = run(&gateway(2, 8, 4), "0 register m 1 | 1 drain | 2 submit m 0");
     assert!(h.core.drained(), "idle workers leave at the drain step");
     assert_eq!(h.got.get(&1).map(String::as_str), Some("!Draining"));
     assert_eq!(h.core.stats().accepted, 0);
-    let mut h = run(
-        &gateway(2, 8, 4, 30_000_000),
-        "0 register m 1 | 1 submit m 0 | 1 drain",
-    );
+    let mut h = run(&gateway(2, 8, 4), "0 register m 1 | 1 submit m 0 | 1 drain");
     assert_eq!(h.running(), [0], "accepted before the drain: dispatched");
     assert!(!h.core.drained() && h.exits == [1]);
     h.exec("2 done 0 ok");
@@ -598,10 +690,7 @@ fn a_submission_after_the_drain_step_is_refused_never_stranded() {
 /// `Exit` in the step that settles its batch.
 #[test]
 fn the_drain_step_hands_every_idle_worker_its_exit() {
-    let mut h = run(
-        &gateway(3, 8, 1, 0),
-        "0 register m 1 | 0 submit m 0 | 1 drain",
-    );
+    let mut h = run(&gateway(3, 8, 1), "0 register m 1 | 0 submit m 0 | 1 drain");
     assert_eq!(h.exits, [1, 2], "both idle workers leave");
     assert!(!h.core.drained(), "worker 0 still owes its batch");
     h.exec("2 done 0 ok");
@@ -613,9 +702,9 @@ fn the_drain_step_hands_every_idle_worker_its_exit() {
 // The explorer: every interleaving, every fault position.
 
 /// The explorer's gateway: small enough that every interleaving is
-/// walked, with every mechanism reachable — shedding at capacity 2,
-/// batches of 2, a breaker that trips on one fault, and hang deadlines
-/// longer than its cooldown.
+/// walked, with every mechanism reachable — shedding at capacity 2 and
+/// batches of 2 once two requests queue behind busy workers, a breaker
+/// that trips on one fault, and hang deadlines longer than its cooldown.
 fn explorer_config(workers: usize) -> GatewayConfig {
     GatewayConfig {
         supervisor: SupervisorConfig {
@@ -627,7 +716,7 @@ fn explorer_config(workers: usize) -> GatewayConfig {
             breaker_probes: 1,
             ..SupervisorConfig::default()
         },
-        ..gateway(workers, 2, 2, 1_000)
+        ..gateway(workers, 2, 2)
     }
 }
 
@@ -663,15 +752,15 @@ impl Node {
     }
 
     /// Every node one event away: the next submission (priorities
-    /// alternate 1 / 0, so shedding happens), the drain, abandoning an
-    /// open ticket, each running worker's result (ok, or a panic in every
-    /// request or in the first alone while the budget lasts), and a tick
-    /// to the next deadline.
+    /// alternate 0 / 1, so an arrival can shed the one before it), the
+    /// drain, abandoning an open ticket, each running worker's result
+    /// (ok, or a panic in every request or in the first alone while the
+    /// budget lasts), and a tick to the next hang deadline.
     fn successors(&self, tickets: u32) -> Vec<Node> {
         let mut lines = Vec::new();
         let now = self.h.now;
         if self.h.labels < tickets {
-            lines.push(format!("{now} submit m {}", (self.h.labels + 1) % 2));
+            lines.push(format!("{now} submit m {}", self.h.labels % 2));
         }
         if !self.drained {
             lines.push(format!("{now} drain"));
@@ -724,10 +813,18 @@ impl Node {
     }
 }
 
+/// What a walk covered: the states visited, the longest path, and
+/// whether any state had shed a request or run a batch of two.
+struct Walk {
+    states: usize,
+    depth: usize,
+    shed: bool,
+    batched: bool,
+}
+
 /// Walks every interleaving of `tickets` submissions over `workers`
-/// workers with up to `faults` faulty results; returns the states
-/// visited and the longest path.
-fn explore(workers: usize, tickets: u32, faults: usize) -> (usize, usize) {
+/// workers with up to `faults` faulty results.
+fn explore(workers: usize, tickets: u32, faults: usize) -> Walk {
     let root = Node {
         h: run(&explorer_config(workers), "0 register m 1"),
         drained: false,
@@ -735,13 +832,21 @@ fn explore(workers: usize, tickets: u32, faults: usize) -> (usize, usize) {
         faults_left: faults,
     };
     let mut seen = HashSet::new();
-    let mut depth_max = 0;
+    let mut walk = Walk {
+        states: 0,
+        depth: 0,
+        shed: false,
+        batched: false,
+    };
     let mut stack = vec![(root, 0usize)];
     while let Some((node, depth)) = stack.pop() {
         if !seen.insert(node.fingerprint()) {
             continue;
         }
-        depth_max = depth_max.max(depth);
+        walk.depth = walk.depth.max(depth);
+        let stats = node.h.core.stats();
+        walk.shed |= stats.shed > 0;
+        walk.batched |= stats.batched_requests > 0;
         assert!(depth < 200, "a path this long means a livelock");
         let next = node.successors(tickets);
         if next.is_empty() {
@@ -749,14 +854,30 @@ fn explore(workers: usize, tickets: u32, faults: usize) -> (usize, usize) {
         }
         stack.extend(next.into_iter().map(|n| (n, depth + 1)));
     }
-    (seen.len(), depth_max)
+    walk.states = seen.len();
+    walk
 }
 
 #[test]
 fn every_interleaving_of_two_workers_and_three_tickets_keeps_the_invariants() {
-    let (states, depth) = explore(2, 3, 1);
+    let Walk { states, depth, .. } = explore(2, 3, 1);
     println!("explored {states} states, depth {depth}");
     assert!(states > 1_000, "{states} states");
+}
+
+/// One worker, so requests queue behind it: the walk reaches a shed
+/// request and a batch of two, which two workers and three tickets
+/// cannot.
+#[test]
+fn every_interleaving_of_one_worker_and_four_tickets_sheds_and_batches() {
+    let walk = explore(1, 4, 1);
+    println!("explored {} states, depth {}", walk.states, walk.depth);
+    assert!(
+        walk.shed && walk.batched,
+        "shed {}, batched {}",
+        walk.shed,
+        walk.batched
+    );
 }
 
 /// The largest configuration, which `ci.sh` runs in release and whose
@@ -765,7 +886,7 @@ fn every_interleaving_of_two_workers_and_three_tickets_keeps_the_invariants() {
 #[ignore = "the largest configuration; ci.sh runs it in release"]
 fn every_interleaving_of_three_workers_and_four_tickets_keeps_the_invariants() {
     let t0 = std::time::Instant::now();
-    let (states, depth) = explore(3, 4, 1);
+    let Walk { states, depth, .. } = explore(3, 4, 1);
     println!(
         "explored {states} states, depth {depth}, in {:.2?}",
         t0.elapsed()
@@ -799,6 +920,45 @@ mod threads {
         (0..INPUT_LEN).map(|i| (i * 5 % 16) as u8).collect()
     }
 
+    /// With the one worker held busy for real (the first request's first
+    /// elementwise step sleeps), requests queue: dropping a queued ticket
+    /// — outright, or after an inconclusive `wait_timeout` — abandons its
+    /// request, which never runs, while a `wait_timeout` on a kept ticket
+    /// cancels nothing and the same ticket's `wait` still gets the answer.
+    #[test]
+    fn dropping_a_queued_ticket_abandons_it_and_wait_timeout_cancels_nothing() {
+        let plan = net(73);
+        let want = {
+            let _quiet = arm(FaultPlan::new());
+            plan.execute(&input())
+        };
+        let _armed =
+            arm(FaultPlan::new().once("infer.elementwise", FaultKind::Delay { millis: 200 }, 1));
+        let server = InferServer::gateway(GatewayConfig {
+            workers: 1,
+            ..GatewayConfig::default()
+        });
+        server.register("m", plan).expect("register");
+        let submit = || server.submit_to("m", input(), 0).expect("admitted");
+        let busy = submit();
+        let kept = submit();
+        drop(submit());
+        let timed = submit();
+        let expired = |r| matches!(r, Err(InferError::DeadlineExceeded { .. }));
+        assert!(expired(timed.wait_timeout(Duration::from_millis(5))));
+        drop(timed);
+        assert!(expired(kept.wait_timeout(Duration::from_millis(10))));
+        let stats = server.shutdown();
+        assert_eq!(busy.wait(), Ok(want.clone()));
+        assert_eq!(
+            kept.wait(),
+            Ok(want),
+            "the timed-out wait cancelled nothing"
+        );
+        let books = (stats.accepted, stats.completed, stats.failed, stats.shed);
+        assert_eq!((books, stats.abandoned), ((4, 2, 0, 0), 2), "{stats:?}");
+    }
+
     /// A worker wedged for real — its first elementwise step sleeps far
     /// past the hang deadline — is answered `Hung` and replaced; the
     /// replacement serves a swapped plan bit-identically, and shutdown
@@ -815,7 +975,6 @@ mod threads {
         let server = InferServer::gateway(GatewayConfig {
             workers: 1,
             max_batch: 1,
-            max_wait: Duration::ZERO,
             supervisor: SupervisorConfig {
                 hang_deadline: Duration::from_millis(30),
                 ..SupervisorConfig::default()

@@ -117,14 +117,13 @@ fn in_turn(plan: &InferencePlan, inputs: &[Vec<u8>], opts: &ExecOptions) -> Resu
     inputs.iter().map(&mut run).collect()
 }
 
-/// A one-worker gateway serving `plan` as `m` that dispatches a batch
-/// once `max_batch` requests are queued. Its one worker keeps one arena
-/// for the plan.
+/// A one-worker gateway serving `plan` as `m` whose batches hold at most
+/// `max_batch` requests. Its one worker keeps one arena for the plan and
+/// runs the requests in the order they were submitted.
 fn gateway(plan: &InferencePlan, max_batch: usize, opts: ExecOptions) -> InferServer {
     let server = InferServer::gateway(GatewayConfig {
         workers: 1,
         max_batch,
-        max_wait: Duration::from_secs(30),
         opts,
         ..GatewayConfig::default()
     });
@@ -132,7 +131,7 @@ fn gateway(plan: &InferencePlan, max_batch: usize, opts: ExecOptions) -> InferSe
     server
 }
 
-/// `inputs` as one batch through `server`; every ticket's result.
+/// `inputs` submitted to `server` in turn; every ticket's result.
 fn batch(server: &InferServer, inputs: &[Vec<u8>]) -> Results {
     let tickets: Vec<_> = inputs
         .iter()
@@ -141,8 +140,8 @@ fn batch(server: &InferServer, inputs: &[Vec<u8>]) -> Results {
     tickets.into_iter().map(InferTicket::wait).collect()
 }
 
-/// `inputs` as one batch through a fresh one-worker gateway; every
-/// ticket's result and the final counters.
+/// `inputs` through a fresh one-worker gateway whose batch bound is
+/// `inputs.len()`; every ticket's result and the final counters.
 fn served(plan: &InferencePlan, inputs: &[Vec<u8>], opts: ExecOptions) -> (Results, ServerStats) {
     let server = gateway(plan, inputs.len(), opts);
     let results = batch(&server, inputs);
@@ -151,7 +150,7 @@ fn served(plan: &InferencePlan, inputs: &[Vec<u8>], opts: ExecOptions) -> (Resul
 
 /// The contract for a transient fault in the gateway: it fails exactly
 /// the request it hit, with an injected `Internal`, every other request
-/// of the batch is bit-identical, and that input submitted again to the
+/// is bit-identical, and that input submitted again to the
 /// same gateway — the same worker, over the same arena — gives the
 /// baseline bytes.
 fn assert_fails_one_then_recovers(plan: &InferencePlan, inputs: &[Vec<u8>], fault: FaultPlan) {
@@ -172,7 +171,6 @@ fn assert_fails_one_then_recovers(plan: &InferencePlan, inputs: &[Vec<u8>], faul
     let again = server
         .submit_to("m", inputs[hit].clone(), 0)
         .expect("admitted");
-    // The drain flushes the one-request batch.
     let stats = server.shutdown();
     assert_eq!(again.wait(), Ok(expect[hit].clone()), "request {hit} again");
     let answered = (stats.completed, stats.failed, stats.retries);
@@ -285,7 +283,9 @@ fn deadline_is_a_per_request_backstop_in_the_gateway() {
 }
 
 /// A request that panics fails alone, answered once, and the others in
-/// its batch answer bit-identically.
+/// its batch answer bit-identically. Request 0 holds the one worker busy
+/// (its first non-GEMM step sleeps), so requests 1–4 queue and run as
+/// one batch.
 #[test]
 fn gateway_panic_isolates_one_request() {
     let plan = plan();
@@ -297,9 +297,10 @@ fn gateway_panic_isolates_one_request() {
         plan.execute(&inputs[0]);
         hits("infer.elementwise")
     };
-    // Request 2's first non-GEMM step.
-    let _armed =
-        arm(FaultPlan::new().once("infer.elementwise", FaultKind::Panic, 2 * per_request + 1));
+    // Request 0's first non-GEMM step sleeps; request 2's panics.
+    let _armed = arm(FaultPlan::new()
+        .once("infer.elementwise", FaultKind::Delay { millis: 100 }, 1)
+        .once("infer.elementwise", FaultKind::Panic, 2 * per_request + 1));
     let (results, stats) = served(&plan, &inputs, ExecOptions::default());
     for (i, r) in results.iter().enumerate() {
         if i == 2 {
@@ -313,8 +314,9 @@ fn gateway_panic_isolates_one_request() {
             );
         }
     }
-    let answered = (stats.completed, stats.failed, stats.batches, stats.retries);
-    assert_eq!(answered, (4, 1, 1, 0));
+    let batches = (stats.batches, stats.batched_requests);
+    let answered = (stats.completed, stats.failed, stats.retries);
+    assert_eq!((answered, batches), ((4, 1, 0), (2, 4)));
 }
 
 /// A worker keeps one arena per plan; a panic while the first request

@@ -3,7 +3,7 @@
 //!
 //! A batch runs its requests one after another through the single-shot
 //! executor, over the one arena its worker checked out — so for *any*
-//! combination of `max_batch`, `max_wait`, and worker count, whatever
+//! combination of `max_batch` and worker count, whatever
 //! arena a request runs on and whatever ran on it before, the gateway
 //! must return bytes identical to `InferencePlan::execute`. This suite is
 //! the gate on that claim, plus the multi-model scatter (interleaved
@@ -11,7 +11,6 @@
 
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::{Compiler, ExecOptions, GatewayConfig, InferServer, InferencePlan};
-use std::time::Duration;
 
 const INPUT_LEN: usize = 4 * 10 * 10;
 
@@ -68,21 +67,15 @@ fn every_batching_configuration_is_bit_identical_to_single_shot() {
     let plan = conv_net(51);
     let ins = inputs(20);
     let expect: Vec<Vec<u8>> = ins.iter().map(|i| plan.execute(i)).collect();
-    // (workers, max_batch, max_wait): batching off, aggressive
-    // coalescing, mid-size batches across workers, and age-dominated
-    // dispatch. The bytes must not care.
-    let configs = [
-        (1usize, 1usize, Duration::ZERO),
-        (1, 16, Duration::from_millis(5)),
-        (2, 4, Duration::from_micros(300)),
-        (3, 8, Duration::from_millis(1)),
-    ];
-    for (workers, max_batch, max_wait) in configs {
+    // (workers, max_batch): batching off, one worker coalescing
+    // everything that queues behind it, and mid-size batches across two
+    // and three workers. The bytes must not care.
+    let configs = [(1usize, 1usize), (1, 16), (2, 4), (3, 8)];
+    for (workers, max_batch) in configs {
         let server = InferServer::gateway(GatewayConfig {
             workers,
             capacity: 256,
             max_batch,
-            max_wait,
             opts: ExecOptions::default(),
             ..GatewayConfig::default()
         });
@@ -95,7 +88,7 @@ fn every_batching_configuration_is_bit_identical_to_single_shot() {
             assert_eq!(
                 ticket.wait().expect("served"),
                 expect[i],
-                "workers={workers} max_batch={max_batch} max_wait={max_wait:?} request {i}"
+                "workers={workers} max_batch={max_batch} request {i}"
             );
         }
         let stats = server.shutdown();
@@ -124,7 +117,6 @@ fn interleaved_multi_model_traffic_never_cross_contaminates() {
         workers: 2,
         capacity: 128,
         max_batch: 4,
-        max_wait: Duration::from_millis(2),
         opts: ExecOptions::default(),
         ..GatewayConfig::default()
     });
