@@ -29,7 +29,7 @@ GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_
     every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
-echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion, second tier override or batching window (max_wait) anywhere in crates/, src/, tests/ or examples/, and the kernels keep no process-wide tier)"
+echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion, second tier override, batching window (max_wait), compile budget, deadline or middle selection rung anywhere in crates/, src/, tests/ or examples/, the kernels keep no process-wide tier, and GCD2 selection reads no clock: its one limit is a state count)"
 test "$(grep -c 'pub fn' crates/par/src/lib.rs)" -eq 1
 if find crates -path crates/core/src -prune -o -path '*/src/*.rs' -print \
     | xargs awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
@@ -39,6 +39,9 @@ grep -q 'pub const POINTS: \[&str; 5\]' crates/faults/src/lib.rs
 if grep -rEn 'retry_budget|demote_after|force_scalar|pin_scalar|force_isa|kernel_attributed|Work::Rerun' \
     crates src tests examples; then exit 1; fi
 if grep -rn 'max_wait' crates src tests examples; then exit 1; fi
+if grep -rEn 'CompileBudget|BudgetClock|DegradeReason|with_budget|chain_segments|Rung::' \
+    crates src tests examples; then exit 1; fi
+if grep -rn 'std::time' crates/globalopt/src; then exit 1; fi
 if grep -n 'static FORCED' crates/kernels/src/dispatch.rs; then exit 1; fi
 
 echo "==> perfbench's own unit tests"

@@ -335,7 +335,7 @@ pub enum ColdStartSource {
     Compiled,
 }
 
-/// A recorded load-degradation event, mirroring the compile budget's
+/// A recorded load-degradation event, mirroring GCD2 selection's
 /// `DegradeEvent` idiom: what stage failed and the structured error it
 /// failed with, kept alongside the successful fallback result instead
 /// of aborting the cold start.

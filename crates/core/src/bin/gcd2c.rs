@@ -171,7 +171,10 @@ fn main() -> ExitCode {
                     _ => return usage(),
                 };
                 compiler = compiler.with_selection(sel);
-                selection = v.clone();
+                selection = match sel {
+                    Selection::Gcd2 { max_ops } => format!("gcd2({max_ops})"),
+                    _ => v.clone(),
+                };
             }
             "--packing" => {
                 i += 1;
@@ -345,10 +348,11 @@ fn main() -> ExitCode {
     println!("compiled in {:.2?}", report.total);
     // rn_steps 0: the PBQP reductions took no heuristic step, so the
     // assignment is optimal for Equation 1's objective.
-    match (report.rn_steps, report.rung) {
+    // A GCD2 compile that hit the state cap names its fall to greedy.
+    match (report.rn_steps, report.degrade.first()) {
         (Some(0), _) => println!("  selection    : {selection}, rn_steps 0 (certified optimal)"),
         (Some(n), _) => println!("  selection    : {selection}, rn_steps {n}"),
-        (None, Some(rung)) => println!("  selection    : {selection}, rung {rung}"),
+        (None, Some(event)) => println!("  selection    : {selection}, {event}"),
         (None, None) => println!("  selection    : {selection}"),
     }
     if timing {

@@ -46,7 +46,7 @@ use gcd2_cgraph::Graph;
 use gcd2_codegen::{try_lower, LowerOptions, LoweredModel, PackMode};
 use gcd2_globalopt::{
     exhaustive, gcd2_select_budgeted, local_optimal, pbqp_select, try_enumerate_plans, Assignment,
-    PlanSet,
+    PlanSet, MAX_STATES,
 };
 use gcd2_hvx::{EnergyModel, ExecStats, CLOCK_HZ};
 use gcd2_kernels::{CostCache, CostModel, SimdInstr};
@@ -56,7 +56,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 pub use gcd2_codegen::{LowerError, PackMode as Packing};
-pub use gcd2_globalopt::{CompileBudget, DegradeEvent, DegradeReason, Rung};
+pub use gcd2_globalopt::DegradeEvent;
 
 pub mod admit;
 pub mod artifact;
@@ -113,9 +113,10 @@ pub enum Selection {
 /// The default is [`Selection::Pbqp`]: on every catalog model its
 /// assignment is a certified optimum of Equation 1 (`rn_steps == 0` on
 /// nine models; `gcd2_globalopt::pbqp::certify` proves the tenth), and it
-/// is never above GCD2(13) there. [`CompileBudget`] and its degradation
-/// ladder govern [`Selection::Gcd2`] only, which the paper reproductions
-/// name explicitly.
+/// is never above GCD2(13) there. [`Selection::Gcd2`], which the paper
+/// reproductions name explicitly, runs under a fixed cap of
+/// [`gcd2_globalopt::MAX_STATES`] DFS states and falls to the greedy
+/// (local-optimal) floor if a graph needs more.
 impl Default for Selection {
     fn default() -> Self {
         Selection::Pbqp
@@ -133,7 +134,6 @@ pub struct Compiler {
     elementwise_fusion: bool,
     resource: gcd2_hvx::ResourceModel,
     pack_memo: bool,
-    budget: CompileBudget,
     /// Kernel-cost cache persisted across compiles of this compiler (and
     /// shared by its clones): recompiles and structurally similar models
     /// run warm. Reset whenever a knob that changes cost *values*
@@ -153,7 +153,6 @@ impl Compiler {
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
             pack_memo: true,
-            budget: CompileBudget::default(),
             cost_cache: CostCache::new(),
         }
     }
@@ -170,7 +169,6 @@ impl Compiler {
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
             pack_memo: true,
-            budget: CompileBudget::default(),
             cost_cache: CostCache::new(),
         }
     }
@@ -189,7 +187,7 @@ impl Compiler {
     /// speed, never output bytes.
     pub fn options_key(&self) -> String {
         format!(
-            "sel={:?};pack={:?};lut={};rw={};fb={};ewf={};res={:?};budget={:?}",
+            "sel={:?};pack={:?};lut={};rw={};fb={};ewf={};res={:?}",
             self.selection,
             self.packing,
             self.lut_ops,
@@ -197,7 +195,6 @@ impl Compiler {
             self.framework_boundaries,
             self.elementwise_fusion,
             self.resource,
-            self.budget,
         )
     }
 
@@ -214,23 +211,6 @@ impl Compiler {
     pub fn with_selection(mut self, selection: Selection) -> Self {
         self.selection = selection;
         self
-    }
-
-    /// Sets the compile budget. It governs [`Selection::Gcd2`] only —
-    /// the default [`Selection::Pbqp`] is polynomial and ignores it. When
-    /// the GCD2 selection strategy blows the budget it degrades along a
-    /// deterministic ladder — GCD2(17) → GCD2(13) → chain DP → greedy —
-    /// and records each step as a [`DegradeEvent`] in the
-    /// [`CompileReport`]. The default budget has no deadline and a state
-    /// cap high enough that catalog models never degrade.
-    pub fn with_budget(mut self, budget: CompileBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The compile budget in force.
-    pub fn budget(&self) -> CompileBudget {
-        self.budget
     }
 
     /// Sets the packing mode. Kernel cycle costs depend on the packing
@@ -313,20 +293,18 @@ impl Compiler {
         CostModel::with_packer(base_packer).with_cache(&self.cost_cache)
     }
 
-    /// Runs the configured selection strategy; the compile budget
-    /// applies to the GCD2 ladder only. Returns the assignment and what
-    /// the strategy reports about it: the degradation events and rung of
-    /// the GCD2 ladder, or PBQP's RN step count.
+    /// Runs the configured selection strategy. Returns the assignment
+    /// and what the strategy reports about it: GCD2's fall to the greedy
+    /// floor if it hit the state cap, or PBQP's RN step count.
     fn assign(&self, graph: &Graph, plans: &PlanSet) -> (Assignment, SelectionReport) {
         let assignment = match self.selection {
             Selection::Gcd2 { max_ops } => {
-                let sel = gcd2_select_budgeted(graph, plans, max_ops, self.budget);
+                let (assignment, degrade) = gcd2_select_budgeted(graph, plans, max_ops, MAX_STATES);
                 let report = SelectionReport {
-                    degrade: sel.degrade,
-                    rung: Some(sel.rung),
+                    degrade: degrade.into_iter().collect(),
                     rn_steps: None,
                 };
-                return (sel.assignment, report);
+                return (assignment, report);
             }
             Selection::LocalOptimal => local_optimal(graph, plans),
             Selection::Pbqp => {
@@ -511,7 +489,6 @@ impl Compiler {
             enumerate,
             select,
             degrade: selection.degrade,
-            rung: selection.rung,
             rn_steps: selection.rn_steps,
             lower: lower_wall,
             pack_cpu: lowered.pack_cpu,
@@ -556,7 +533,6 @@ fn guarded<T>(compile: impl FnOnce() -> Result<T, Gcd2Error>) -> Result<T, Gcd2E
 #[derive(Debug, Default)]
 struct SelectionReport {
     degrade: Vec<DegradeEvent>,
-    rung: Option<Rung>,
     rn_steps: Option<usize>,
 }
 
@@ -572,12 +548,11 @@ pub struct CompileReport {
     /// Global layout/instruction selection time (per-partition
     /// refinement + stitch).
     pub select: Duration,
-    /// Budget degradation steps taken by the GCD2 selection ladder, in
-    /// order (empty when the first rung fit the budget).
+    /// GCD2's fall to the greedy floor: at most one event, present only
+    /// when [`Selection::Gcd2`] hit the [`gcd2_globalopt::MAX_STATES`]
+    /// cap (always empty for other strategies, and on every catalog
+    /// model).
     pub degrade: Vec<DegradeEvent>,
-    /// The selection rung that produced the assignment (None for
-    /// non-GCD2 strategies).
-    pub rung: Option<Rung>,
     /// How many RN (heuristic) steps the PBQP reductions took (None for
     /// non-PBQP strategies). `Some(0)` certifies the assignment optimal
     /// for Equation 1's objective.

@@ -13,7 +13,11 @@
 //!   chains (Equation 2);
 //! * [`exhaustive`] — the exponential global search baseline;
 //! * [`gcd2_select`] — the partitioning heuristic (`GCD2(13)` /
-//!   `GCD2(17)` of Figure 10);
+//!   `GCD2(17)` of Figure 10); [`gcd2_select_budgeted`] runs it under a
+//!   cap on DFS states ([`MAX_STATES`] in the compiler) and, if the cap
+//!   is hit, returns the [`local_optimal`] floor with one
+//!   [`DegradeEvent`]. The cap is a count, and no solver here reads a
+//!   clock, so selection is a pure function of its inputs;
 //! * [`pbqp_select`] — the PBQP reduction heuristic the paper names as
 //!   the alternative (the compiler's default selector), a builder over
 //!   [`pbqp::solve`], the reduction solver on a bare instance (cost
@@ -46,15 +50,13 @@
 // everything else degrades or returns. Test code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod budget;
 pub mod partition;
 pub mod pbqp;
 pub mod plan;
 pub mod solve;
 
-pub use budget::{BudgetClock, CompileBudget, DegradeEvent, DegradeReason, Rung};
 pub use partition::{
-    gcd2_select, gcd2_select_budgeted, is_desirable_edge, partition, BudgetedSelection,
+    gcd2_select, gcd2_select_budgeted, is_desirable_edge, partition, DegradeEvent, MAX_STATES,
 };
 pub use pbqp::pbqp_select;
 pub use plan::{
@@ -62,7 +64,4 @@ pub use plan::{
     op_extra_passes, spatial_layout_factor, try_enumerate_plans, Assignment, ExecutionPlan,
     PlanKind, PlanSet,
 };
-pub use solve::{
-    chain_dp, chain_dp_into, chain_segments, exhaustive, local_optimal, refine_scope,
-    refine_scope_bounded,
-};
+pub use solve::{chain_dp, exhaustive, local_optimal};

@@ -10,11 +10,11 @@
 //! (the paper's "complementary edges"). `GCD2(13)` and `GCD2(17)` in
 //! Figure 10 are this algorithm with `max_ops` 13 and 17.
 
-use crate::budget::{BudgetClock, CompileBudget, DegradeEvent, DegradeReason, Rung};
 use crate::plan::{assignment_cost, Assignment, ExecutionPlan, PlanSet};
-use crate::solve::{chain_dp_into, chain_segments, local_optimal, refine_scope_bounded};
+use crate::solve::{local_optimal, refine_scope_bounded};
 use gcd2_cgraph::{Graph, NodeId, OpKind};
 use gcd2_tensor::transform_cycles;
+use std::fmt;
 
 /// True when edge `(prod, cons)` is a desirable partitioning edge.
 ///
@@ -88,139 +88,75 @@ pub fn partition(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Vec<Vec<Node
     parts
 }
 
+/// The DFS state cap the compiler runs GCD2 selection under, summed
+/// over all partitions: 78× what the largest catalog model needs under GCD2(17)
+/// (efficientdet-d0, 1.10 × 10⁸ states), while still guarding against
+/// pathological graphs.
+pub const MAX_STATES: u64 = 1 << 33;
+
 /// The full GCD2 layout/instruction selection: partition, then solve
 /// each partition exhaustively (with pruning), stitching the partition
 /// solutions together in topological order.
 ///
-/// This is [`gcd2_select_budgeted`] under an unbounded budget (no
-/// deadline, no state cap): no rung can fall, so the result is the
-/// `GCD2(max_ops)` rung's assignment.
+/// This is [`gcd2_select_budgeted`] with no state cap, so it never
+/// falls to the greedy floor.
 pub fn gcd2_select(graph: &Graph, plans: &PlanSet, max_ops: usize) -> Assignment {
-    let unbounded = CompileBudget::with_max_states(u64::MAX);
-    gcd2_select_budgeted(graph, plans, max_ops, unbounded).assignment
+    gcd2_select_budgeted(graph, plans, max_ops, u64::MAX).0
 }
 
-/// The outcome of budgeted selection: the assignment, the ladder rung
-/// that produced it, and every degradation step taken on the way there.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BudgetedSelection {
-    /// The chosen plan assignment.
-    pub assignment: Assignment,
-    /// The rung that produced the assignment.
-    pub rung: Rung,
-    /// Degradation steps, in the order they happened (empty when the
-    /// first rung succeeded).
-    pub degrade: Vec<DegradeEvent>,
+/// A GCD2 attempt that hit the state cap and fell to the greedy floor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DegradeEvent {
+    /// Partition size bound of the abandoned attempt (`GCD2(max_ops)`).
+    pub max_ops: usize,
+    /// DFS states expanded when the attempt was abandoned.
+    pub states: u64,
+    /// The state cap it hit.
+    pub cap: u64,
 }
 
-/// Why a GCD2 rung attempt was abandoned (mapped to a [`DegradeReason`]).
-enum RungFailure {
-    StateCap { used: u64 },
-    Deadline,
+impl fmt::Display for DegradeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "GCD2({}) -> greedy: state cap hit ({} states expanded, cap {})",
+            self.max_ops, self.states, self.cap
+        )
+    }
 }
 
-/// GCD2 selection under a [`CompileBudget`], degrading through
-/// the ladder `GCD2(max_ops)` → `GCD2(13)` → chain DP → greedy instead
-/// of running without bound.
+/// GCD2 selection under a cap of `max_states` DFS states, falling to
+/// the local-optimal baseline instead of running without bound. Returns
+/// the assignment and, when the cap was hit and the assignment is that
+/// baseline, the [`DegradeEvent`].
 ///
-/// Each GCD2 rung is attempted **all-or-nothing**: the budget's
-/// `max_states` is split evenly across the rung's partitions, and if any
-/// partition's DFS exceeds its share the whole rung is abandoned — a
-/// deterministic decision, so the selected plans and the recorded
-/// [`DegradeEvent`]s repeat exactly from run to run. The
-/// wall-clock deadline is checked between rungs and between stitch steps
-/// as a coarse nondeterministic backstop. The greedy floor always
-/// succeeds and never costs more than the local-optimal baseline.
+/// The attempt is **all-or-nothing**: the cap is split evenly across
+/// the partitions, and if any partition's DFS exceeds its share the
+/// whole attempt is abandoned. State counting is a pure function of
+/// the inputs, so the selected plans and the recorded
+/// [`DegradeEvent`] repeat exactly from run to run.
 pub fn gcd2_select_budgeted(
     graph: &Graph,
     plans: &PlanSet,
     max_ops: usize,
-    budget: CompileBudget,
-) -> BudgetedSelection {
-    let clock = BudgetClock::start(budget);
+    max_states: u64,
+) -> (Assignment, Option<DegradeEvent>) {
     let base = local_optimal(graph, plans);
-
-    let mut rungs: Vec<Rung> = vec![Rung::Gcd2 { max_ops }];
-    if max_ops > 13 {
-        rungs.push(Rung::Gcd2 { max_ops: 13 });
-    }
-    rungs.push(Rung::ChainDp);
-    rungs.push(Rung::Greedy);
-
-    let mut degrade: Vec<DegradeEvent> = Vec::new();
-    let fall = |from: Rung, to: Rung, failure: RungFailure, clock: &BudgetClock| {
-        let reason = match failure {
-            RungFailure::StateCap { used } => DegradeReason::StateCap {
-                used,
-                cap: clock.budget().max_states,
-            },
-            RungFailure::Deadline => DegradeReason::Deadline {
-                elapsed_ms: clock.elapsed_ms(),
-            },
-        };
-        DegradeEvent { from, to, reason }
-    };
-
-    for (i, &rung) in rungs.iter().enumerate() {
-        let next = rungs.get(i + 1).copied();
-        // Deadline backstop between rungs; the greedy floor always runs.
-        if next.is_some() && clock.expired() {
-            if let Some(to) = next {
-                degrade.push(fall(rung, to, RungFailure::Deadline, &clock));
-            }
-            continue;
-        }
-        match rung {
-            Rung::Gcd2 { max_ops } => match attempt_gcd2(graph, plans, max_ops, &base, &clock) {
-                Ok(assignment) => {
-                    return BudgetedSelection {
-                        assignment,
-                        rung,
-                        degrade,
-                    };
-                }
-                Err(failure) => {
-                    if let Some(to) = next {
-                        degrade.push(fall(rung, to, failure, &clock));
-                    }
-                }
-            },
-            Rung::ChainDp => {
-                // Exact DP per maximal single-predecessor chain:
-                // O(|V|·k²) total, no cap needed.
-                let mut choice = base.choice.clone();
-                for segment in chain_segments(graph) {
-                    chain_dp_into(graph, plans, &segment, &mut choice);
-                }
-                let cost = assignment_cost(graph, plans, &choice);
-                // Segments are solved against fixed boundaries, so the
-                // stitched whole can in principle lose to the greedy
-                // baseline — keep the floor.
-                let assignment = if cost <= base.cost {
-                    Assignment { choice, cost }
-                } else {
-                    base.clone()
-                };
-                return BudgetedSelection {
-                    assignment,
-                    rung,
-                    degrade,
-                };
-            }
-            Rung::Greedy => {
-                return BudgetedSelection {
-                    assignment: base.clone(),
-                    rung,
-                    degrade,
-                };
-            }
+    match attempt_gcd2(graph, plans, max_ops, &base, max_states) {
+        Ok(assignment) => (assignment, None),
+        Err(states) => {
+            let event = DegradeEvent {
+                max_ops,
+                states,
+                cap: max_states,
+            };
+            (base, Some(event))
         }
     }
-    // The ladder always ends in Greedy, which returns above.
-    unreachable!("degradation ladder has a greedy floor")
 }
 
-/// One all-or-nothing GCD2 rung attempt under the budget.
+/// One all-or-nothing GCD2 attempt under the state cap; `Err` carries
+/// the states expanded when the cap was hit.
 ///
 /// Every partition is an independent sub-problem by construction, so
 /// each is first refined against the *same* local-optimal baseline. A
@@ -237,13 +173,13 @@ fn attempt_gcd2(
     plans: &PlanSet,
     max_ops: usize,
     base: &Assignment,
-    clock: &BudgetClock,
-) -> Result<Assignment, RungFailure> {
+    max_states: u64,
+) -> Result<Assignment, u64> {
     let parts = partition(graph, plans, max_ops);
     if parts.is_empty() {
         return Ok(base.clone());
     }
-    let per_part = (clock.budget().max_states / parts.len() as u64).max(1);
+    let per_part = (max_states / parts.len() as u64).max(1);
 
     // Phase 1: bounded refinement of every partition against the shared
     // baseline, in order on this thread.
@@ -260,16 +196,13 @@ fn attempt_gcd2(
         }
     }
     if capped {
-        return Err(RungFailure::StateCap { used: used_total });
+        return Err(used_total);
     }
 
     // Phase 2: stitch in topological order, bounded re-refines.
     let mut choice = base.choice.clone();
     let mut cost = base.cost;
     for (part, cand) in parts.iter().zip(&candidates) {
-        if clock.expired() {
-            return Err(RungFailure::Deadline);
-        }
         let saved: Vec<usize> = part.iter().map(|id| choice[id.0]).collect();
         for (id, &c) in part.iter().zip(cand) {
             choice[id.0] = c;
@@ -286,7 +219,7 @@ fn attempt_gcd2(
             used_total += used;
             match refined_cost {
                 Some(c) => cost = c,
-                None => return Err(RungFailure::StateCap { used: used_total }),
+                None => return Err(used_total),
             }
         }
     }
@@ -371,34 +304,29 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_selection_matches_unbudgeted_under_default_budget() {
+    fn budgeted_selection_matches_unbudgeted_under_the_default_cap() {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         let plain = gcd2_select(&g, &plans, 13);
-        let budgeted = gcd2_select_budgeted(&g, &plans, 13, CompileBudget::default());
-        assert_eq!(budgeted.assignment, plain);
-        assert_eq!(budgeted.rung, Rung::Gcd2 { max_ops: 13 });
-        assert!(budgeted.degrade.is_empty());
+        assert_eq!(
+            gcd2_select_budgeted(&g, &plans, 13, MAX_STATES),
+            (plain, None)
+        );
     }
 
     #[test]
-    fn tiny_state_cap_degrades_to_a_cheaper_rung() {
+    fn tiny_state_cap_falls_to_exactly_the_greedy_floor() {
         let (g, _) = conv_chain(12, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         let local = local_optimal(&g, &plans);
-        let sel = gcd2_select_budgeted(&g, &plans, 17, CompileBudget::with_max_states(2));
-        // Both GCD2 rungs must fall to the state cap; the result comes
-        // from chain DP (or its greedy floor) and stays within budget.
-        assert!(sel.degrade.len() >= 2, "events: {:?}", sel.degrade);
-        assert!(matches!(sel.rung, Rung::ChainDp | Rung::Greedy));
-        for ev in &sel.degrade {
-            assert!(matches!(ev.reason, DegradeReason::StateCap { .. }));
+        for max_ops in [13, 17] {
+            let sel = gcd2_select_budgeted(&g, &plans, max_ops, 2);
+            assert_eq!(sel.0, local, "GCD2({max_ops})");
+            let event = sel.1.expect("a 2-state cap must degrade");
+            assert_eq!((event.max_ops, event.cap), (max_ops, 2));
+            assert!(event.states > 2, "{event}");
+            assert_eq!(sel, gcd2_select_budgeted(&g, &plans, max_ops, 2));
         }
-        assert!(sel.assignment.cost <= local.cost);
-        assert_eq!(
-            sel.assignment.cost,
-            assignment_cost(&g, &plans, &sel.assignment.choice)
-        );
     }
 
     #[test]
@@ -406,27 +334,23 @@ mod tests {
         let (g, _) = conv_chain(14, 48);
         let plans = enumerate_plans(&g, &CostModel::new());
         for cap in [1, 50, 10_000, u64::MAX] {
-            let budget = CompileBudget::with_max_states(cap);
-            let first = gcd2_select_budgeted(&g, &plans, 13, budget);
-            let again = gcd2_select_budgeted(&g, &plans, 13, budget);
+            let first = gcd2_select_budgeted(&g, &plans, 13, cap);
+            let again = gcd2_select_budgeted(&g, &plans, 13, cap);
             assert_eq!(first, again, "cap {cap} does not repeat");
         }
     }
 
     #[test]
-    fn expired_deadline_lands_on_greedy_floor() {
-        let (g, _) = conv_chain(10, 48);
-        let plans = enumerate_plans(&g, &CostModel::new());
-        let local = local_optimal(&g, &plans);
-        let budget = CompileBudget::with_deadline(std::time::Duration::ZERO);
-        let sel = gcd2_select_budgeted(&g, &plans, 13, budget);
-        assert_eq!(sel.rung, Rung::Greedy);
-        assert_eq!(sel.assignment, local);
-        assert!(sel
-            .degrade
-            .iter()
-            .all(|e| matches!(e.reason, DegradeReason::Deadline { .. })));
-        assert_eq!(sel.degrade.len(), 2, "one fall per abandoned rung");
+    fn events_render_the_state_cap() {
+        let event = DegradeEvent {
+            max_ops: 17,
+            states: 10,
+            cap: 5,
+        };
+        assert_eq!(
+            event.to_string(),
+            "GCD2(17) -> greedy: state cap hit (10 states expanded, cap 5)"
+        );
     }
 
     #[test]

@@ -70,14 +70,12 @@ pub fn chain_dp(graph: &Graph, plans: &PlanSet, chain: &[NodeId]) -> Assignment 
 
 /// Re-decides the plans of `chain` in place with the Equation 2 dynamic
 /// program, holding every off-chain node's plan fixed at its current
-/// value in `choice`. This is the segment solver the degradation
-/// ladder's chain-DP rung applies to each maximal single-predecessor
-/// chain of the graph.
+/// value in `choice` — for [`chain_dp`], the local-optimal baseline.
 ///
 /// # Panics
 /// Panics if consecutive chain elements are not connected by a graph
 /// edge.
-pub fn chain_dp_into(graph: &Graph, plans: &PlanSet, chain: &[NodeId], choice: &mut [usize]) {
+fn chain_dp_into(graph: &Graph, plans: &PlanSet, chain: &[NodeId], choice: &mut [usize]) {
     let Some(&first) = chain.first() else {
         return;
     };
@@ -129,41 +127,6 @@ pub fn chain_dp_into(graph: &Graph, plans: &PlanSet, chain: &[NodeId], choice: &
     }
 }
 
-/// Decomposes the operator nodes of `graph` into maximal chains where
-/// every interior node has exactly one predecessor — the segments the
-/// chain-DP degradation rung solves exactly. Every operator node lands
-/// in exactly one segment (singletons where no chain extends).
-pub fn chain_segments(graph: &Graph) -> Vec<Vec<NodeId>> {
-    let mut succ_count = vec![0usize; graph.len()];
-    for (prod, _) in graph.edges() {
-        succ_count[prod.0] += 1;
-    }
-    let mut segments: Vec<Vec<NodeId>> = Vec::new();
-    let mut cur: Vec<NodeId> = Vec::new();
-    for node in graph.nodes() {
-        if matches!(
-            node.kind,
-            gcd2_cgraph::OpKind::Input | gcd2_cgraph::OpKind::Constant
-        ) {
-            continue;
-        }
-        let extends = match (cur.last(), node.inputs.as_slice()) {
-            // Continue only when this node's sole input is the previous
-            // segment node and that node feeds nothing else.
-            (Some(&prev), [only]) => *only == prev && succ_count[prev.0] == 1,
-            _ => false,
-        };
-        if !extends && !cur.is_empty() {
-            segments.push(std::mem::take(&mut cur));
-        }
-        cur.push(node.id);
-    }
-    if !cur.is_empty() {
-        segments.push(cur);
-    }
-    segments
-}
-
 /// Exhaustive global search (depth-first with partial-cost pruning) over
 /// the nodes in `scope`; nodes outside keep their local-optimal plan.
 /// Exponential in `scope.len()` — the paper measures >80 hours at 25
@@ -180,13 +143,8 @@ pub fn exhaustive(graph: &Graph, plans: &PlanSet, scope: &[NodeId]) -> Assignmen
 /// Refines `choice` in place by exhaustively (DFS + pruning) re-deciding
 /// the nodes in `scope`, holding every other node's plan fixed. Returns
 /// the total cost of the refined assignment. This is the sub-graph
-/// solver the partitioning heuristic applies to each partition.
-pub fn refine_scope(
-    graph: &Graph,
-    plans: &PlanSet,
-    scope: &[NodeId],
-    choice: &mut Vec<usize>,
-) -> u64 {
+/// solver of [`exhaustive`].
+fn refine_scope(graph: &Graph, plans: &PlanSet, scope: &[NodeId], choice: &mut Vec<usize>) -> u64 {
     let (cost, _) = refine_scope_bounded(graph, plans, scope, choice, u64::MAX);
     // Unbounded search always completes; fall back to the incumbent's
     // cost for the degenerate never-taken branch.
@@ -200,8 +158,9 @@ pub fn refine_scope(
 /// cap is hit the search aborts: `choice` is left **untouched** and
 /// `cost` is `None`. State counting is a pure function of the inputs —
 /// independent of wall clock or allocator — which makes the
-/// cap a deterministic degradation trigger.
-pub fn refine_scope_bounded(
+/// cap a deterministic degradation trigger. This is the sub-graph
+/// solver the partitioning heuristic applies to each partition.
+pub(crate) fn refine_scope_bounded(
     graph: &Graph,
     plans: &PlanSet,
     scope: &[NodeId],
@@ -469,58 +428,6 @@ mod tests {
             .collect();
         assert_eq!(counts[0], counts[1]);
         assert_eq!(counts[1], counts[2]);
-    }
-
-    #[test]
-    fn chain_segments_cover_operators_once() {
-        let (g, chain) = conv_chain(7, 32);
-        let segments = chain_segments(&g);
-        // A pure chain is one segment.
-        assert_eq!(segments, vec![chain]);
-
-        // A diamond breaks segments at the fan-out and fan-in.
-        let mut g = Graph::new();
-        let x = g.input("x", TShape::nchw(1, 16, 8, 8));
-        let conv = |g: &mut Graph, from, name: &str| {
-            g.add(
-                OpKind::Conv2d {
-                    out_channels: 16,
-                    kernel: (1, 1),
-                    stride: (1, 1),
-                    padding: (0, 0),
-                },
-                &[from],
-                name,
-            )
-        };
-        let a = conv(&mut g, x, "a");
-        let l = conv(&mut g, a, "l");
-        let r = conv(&mut g, a, "r");
-        let join = g.add(OpKind::Add, &[l, r], "join");
-        let tail = conv(&mut g, join, "tail");
-        let segments = chain_segments(&g);
-        let covered: Vec<NodeId> = segments.iter().flatten().copied().collect();
-        let mut sorted = covered.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), covered.len(), "no node in two segments");
-        assert_eq!(sorted, vec![a, l, r, join, tail]);
-        // `a` fans out, so neither l nor r may extend its segment.
-        for seg in &segments {
-            assert!(!(seg.contains(&a) && (seg.contains(&l) || seg.contains(&r))));
-        }
-    }
-
-    #[test]
-    fn chain_dp_into_respects_fixed_boundaries() {
-        let (g, chain) = conv_chain(6, 48);
-        let plans = enumerate_plans(&g, &CostModel::new());
-        let base = local_optimal(&g, &plans);
-        let mut choice = base.choice.clone();
-        // Segment-wise DP over the whole chain equals chain_dp.
-        chain_dp_into(&g, &plans, &chain, &mut choice);
-        let whole = chain_dp(&g, &plans, &chain);
-        assert_eq!(choice, whole.choice);
     }
 
     #[test]

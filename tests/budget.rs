@@ -1,12 +1,12 @@
-//! Compile-budget acceptance tests: the degradation ladder is
-//! deterministic, an intentionally tiny budget
-//! still yields a verifier-clean plan through the greedy floor, and
-//! every catalog model compiles with GCD2(13) under the default budget
-//! without degrading.
+//! GCD2 state-cap acceptance tests: a capped compile repeats exactly,
+//! the greedy floor a capped GCD2 compile lands on (the local-optimal
+//! assignment, pinned by `gcd2-globalopt`'s unit tests) compiles
+//! verifier-clean, and every catalog model compiles with GCD2(13) and
+//! GCD2(17) under the default cap without degrading.
 
 use gcd2_repro::cgraph::{Activation, Graph, OpKind, TShape};
-use gcd2_repro::compiler::{CompileBudget, Compiler, Selection};
-use gcd2_repro::globalopt::local_optimal;
+use gcd2_repro::compiler::{Compiler, Selection};
+use gcd2_repro::globalopt::gcd2_select_budgeted;
 use gcd2_repro::models::ModelId;
 
 /// A conv trunk with residual adds — enough structure that GCD2(17)
@@ -38,94 +38,61 @@ fn test_net() -> Graph {
 #[test]
 fn budgeted_compiles_repeat_exactly() {
     let g = test_net();
-    for budget in [
-        CompileBudget::default(),
-        CompileBudget::with_max_states(40),
-        CompileBudget::with_max_states(1),
-    ] {
-        let fingerprint = || {
-            let (compiled, report) = Compiler::new()
-                .with_selection(Selection::Gcd2 { max_ops: 17 })
-                .with_budget(budget)
-                .try_compile_timed(&g)
-                .expect("budgeted compile succeeds");
-            let degrade: Vec<String> = report.degrade.iter().map(|e| e.to_string()).collect();
-            (
-                compiled.assignment.choice.clone(),
-                compiled.cycles(),
-                degrade,
-            )
-        };
-        assert_eq!(
-            fingerprint(),
-            fingerprint(),
-            "budget {budget:?} does not repeat"
-        );
-    }
+    let fingerprint = || {
+        let (compiled, report) = Compiler::new()
+            .with_selection(Selection::Gcd2 { max_ops: 17 })
+            .try_compile_timed(&g)
+            .expect("capped compile succeeds");
+        let degrade: Vec<String> = report.degrade.iter().map(|e| e.to_string()).collect();
+        (
+            compiled.assignment.choice.clone(),
+            compiled.cycles(),
+            degrade,
+        )
+    };
+    assert_eq!(fingerprint(), fingerprint());
 }
 
+/// GCD2 over its state cap selects exactly the local-optimal
+/// assignment, so the local-optimal compile is the degraded compile.
 #[test]
-fn tiny_budget_degrades_but_stays_verifier_clean() {
+fn the_greedy_floor_compiles_verifier_clean() {
     let g = test_net();
-    let compiler = Compiler::new()
+    let (rewritten, plans, _) = Compiler::new()
         .with_selection(Selection::Gcd2 { max_ops: 17 })
-        .with_budget(CompileBudget::with_max_states(2));
-    let (compiled, report) = compiler
-        .try_compile_timed(&g)
-        .expect("degraded compile succeeds");
-    assert!(
-        !report.degrade.is_empty(),
-        "a 2-state cap must force degradation"
-    );
-    // The fallback never does worse than the greedy local optimum.
-    let (rewritten, plans, _) = compiler.select(&g);
-    let local = local_optimal(&rewritten, &plans);
-    assert!(
-        compiled.assignment.cost <= local.cost,
-        "degraded cost {} exceeds local-optimal {}",
-        compiled.assignment.cost,
-        local.cost
-    );
+        .select(&g);
+    let (floor, event) = gcd2_select_budgeted(&rewritten, &plans, 17, 2);
+    assert_eq!(event.map(|e| e.max_ops), Some(17));
+    let compiled = Compiler::new()
+        .with_selection(Selection::LocalOptimal)
+        .try_compile(&g)
+        .expect("greedy compile succeeds");
+    assert_eq!(compiled.assignment, floor);
     let verdict = compiled.verify();
     assert_eq!(
         verdict.error_count(),
         0,
-        "degraded plan must verify clean:\n{verdict}"
+        "greedy plan must verify clean:\n{verdict}"
     );
-}
-
-#[test]
-fn zero_deadline_falls_to_greedy_and_still_compiles() {
-    let g = test_net();
-    let compiler = Compiler::new()
-        .with_selection(Selection::Gcd2 { max_ops: 17 })
-        .with_budget(CompileBudget::with_deadline(std::time::Duration::ZERO));
-    let (compiled, report) = compiler
-        .try_compile_timed(&g)
-        .expect("deadline-exhausted compile still succeeds");
-    assert!(
-        !report.degrade.is_empty(),
-        "an already-passed deadline must degrade"
-    );
-    assert!(compiled.cycles() > 0);
-    assert_eq!(compiled.verify().error_count(), 0);
 }
 
 #[test]
 fn every_catalog_model_compiles_under_the_default_budget() {
     for id in ModelId::ALL {
         let g = id.build();
-        // Pinned to the paper's selector: the budget governs the GCD2
-        // ladder only, and the default (PBQP) never degrades.
-        let (compiled, report) = Compiler::new()
-            .with_selection(Selection::Gcd2 { max_ops: 13 })
-            .try_compile_timed(&g)
-            .unwrap_or_else(|e| panic!("{id} failed to compile: {e}"));
-        assert!(compiled.cycles() > 0, "{id} produced an empty program");
-        assert!(
-            report.degrade.is_empty(),
-            "{id} degraded under the default budget: {:?}",
-            report.degrade
-        );
+        // Pinned to the paper's selector: the state cap governs GCD2
+        // only, and the default (PBQP) never degrades.
+        for max_ops in [13, 17] {
+            let (compiled, report) = Compiler::new()
+                .with_selection(Selection::Gcd2 { max_ops })
+                .try_compile_timed(&g)
+                .unwrap_or_else(|e| panic!("{id} failed to compile under GCD2({max_ops}): {e}"));
+            assert!(compiled.cycles() > 0, "{id} produced an empty program");
+            assert!(
+                report.degrade.is_empty(),
+                "{id} degraded under GCD2({max_ops}): {:?}",
+                report.degrade
+            );
+        }
     }
 }
