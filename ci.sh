@@ -29,13 +29,12 @@ GCD2_FORCE_SCALAR=1 cargo test -q --test end_to_end -- chosen_layouts_equal_all_
     every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest
 GCD2_FORCE_SCALAR=1 cargo test -q --test infer_batch --test serve_gateway
 
-echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; gcd2-faults declares five fault points; no retry, ISA demotion, second tier override, batching window (max_wait), compile budget, deadline or middle selection rung anywhere in crates/, src/, tests/ or examples/, the kernels keep no process-wide tier, and GCD2 selection reads no clock: its one limit is a state count)"
+echo "==> the compiler and the executor are plain code with one panic guard and one tier override (gcd2-par holds only default_threads; no catch_unwind outside comments and #[cfg(test)] in any crate's src but crates/core/src; no retry, ISA demotion, second tier override, batching window (max_wait), compile budget, deadline or middle selection rung anywhere in crates/, src/, tests/ or examples/, the kernels keep no process-wide tier, and GCD2 selection reads no clock: its one limit is a state count)"
 test "$(grep -c 'pub fn' crates/par/src/lib.rs)" -eq 1
 if find crates -path crates/core/src -prune -o -path '*/src/*.rs' -print \
     | xargs awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
                  !test && !/^ *\/\// && /catch_unwind/ { print FILENAME ": " $0; found = 1 }
                  END { exit !found }'; then exit 1; fi
-grep -q 'pub const POINTS: \[&str; 5\]' crates/faults/src/lib.rs
 if grep -rEn 'retry_budget|demote_after|force_scalar|pin_scalar|force_isa|kernel_attributed|Work::Rerun' \
     crates src tests examples; then exit 1; fi
 if grep -rn 'max_wait' crates src tests examples; then exit 1; fi
@@ -120,16 +119,16 @@ for tier in "" GCD2_AMX=0 GCD2_FORCE_SCALAR=1; do
     grep -q "^  folded       : 50 steps into GEMM requantisation (37 Add, 6 Pow, 7 Gelu), 37 constants unread$" target/epilogue.txt
 done
 
-echo "==> chaos suites (fault injection): the compiler's one panic guard under a cost.eval panic and delay, the runtime (its seeded scenario sweeps fault seeds 2024 and 7), the artifact store's on-disk sabotage (which tier-1 runs too), and the gateway scenarios with their real-thread smokes (a worker held busy by an infer.elementwise delay: wedged and replaced; queued tickets dropped and abandoned)"
-cargo test -q --features fault-injection \
-    --test chaos --test runtime_chaos --test gateway_scenarios --test artifact_chaos
+echo "==> no fault injection anywhere (nothing in crates/, src/, tests/, examples/ or a Cargo.toml names gcd2_faults, gcd2-faults, fault-injection, GCD2_CHAOS_SEED or InferServer::start: each panic guard is tested directly, and the gateway's real-thread smokes hand it a test runner)"
+if grep -rEn 'gcd2_faults|gcd2-faults|fault-injection|GCD2_CHAOS_SEED|InferServer::start' \
+    crates src tests examples Cargo.toml; then exit 1; fi
 
 echo "==> gateway explorer, largest configuration (every interleaving of 3 workers and 4 tickets, one fault — a panic in every request of a batch or in its first alone — at every position, no retry round, demotion or batching window to walk; ≈ 6.6 k states; release)"
 cargo test --release -q --test gateway_scenarios -- --ignored --nocapture \
     every_interleaving_of_three_workers_and_four_tickets | grep "^explored"
 
-echo "==> the gateway core is sans-I/O (no std::thread, std::sync, Instant, Condvar or gcd2_faults in crates/core/src/serve/)"
-if grep -En "std::thread|std::sync|Instant|Condvar|gcd2_faults" crates/core/src/serve/*.rs; then exit 1; fi
+echo "==> the gateway core is sans-I/O (no std::thread, std::sync, Instant or Condvar in crates/core/src/serve/)"
+if grep -En "std::thread|std::sync|Instant|Condvar" crates/core/src/serve/*.rs; then exit 1; fi
 
 echo "==> circuit-breaker property suite (reference-model equivalence)"
 cargo test -q --test breaker_property

@@ -1558,7 +1558,6 @@ impl InferencePlan {
 
     /// Claims `arena` for this plan: a fresh (unstamped) arena is sized
     /// and stamped; an arena stamped by a *different* plan is rejected.
-    /// Hosts the `infer.arena` fault point.
     fn adopt_arena(&self, arena: &mut InferArena) -> Result<(), InferError> {
         match arena.stamp {
             Some(stamp) if stamp == self.checksum => Ok(()),
@@ -1567,7 +1566,6 @@ impl InferencePlan {
                 arena: stamp,
             }),
             None => {
-                gcd2_faults::fire("infer.arena");
                 let sized = |len: usize| {
                     let mut buf = LineBuf::default();
                     buf.bytes_mut(len);
@@ -1661,9 +1659,7 @@ impl InferencePlan {
     /// item over `arena` on the calling thread, abandoning it at the
     /// first step boundary more than [`ExecOptions::deadline`] past
     /// `started`. Not panic-guarded itself: every public entry point
-    /// wraps it in [`guard_panics`]. Hosts the
-    /// `infer.prep` (every GEMM step) and `infer.elementwise` (every
-    /// other step) fault points.
+    /// wraps it in [`guard_panics`].
     fn run_one(
         &self,
         input: &[u8],
@@ -1820,10 +1816,9 @@ impl InferencePlan {
         layout::two_forms(producer).filter(|_| producer.out_layout != step.in_layout)
     }
 
-    /// Chaos-suite helper: perturbs weight `(0, 0)` of the first GEMM
-    /// step, in whichever form the step holds it, so integrity checking
-    /// has real corruption to catch. Test instrumentation only.
-    #[cfg(feature = "fault-injection")]
+    /// Test helper: perturbs weight `(0, 0)` of the first GEMM step, in
+    /// whichever form the step holds it, so integrity checking has real
+    /// corruption to catch. Test instrumentation only.
     #[doc(hidden)]
     pub fn chaos_corrupt_weights(&mut self) {
         for step in &mut self.steps {
@@ -1834,10 +1829,10 @@ impl InferencePlan {
         }
     }
 
-    /// Chaos-suite helper: perturbs the step schedule (one `out_len`) so
-    /// integrity checking has real tampering to catch. Test
-    /// instrumentation only.
-    #[cfg(feature = "fault-injection")]
+    /// Test helper: perturbs the step schedule (one `out_len`) so
+    /// integrity checking has real tampering to catch, and a run that
+    /// skips the check panics in its last step. Test instrumentation
+    /// only.
     #[doc(hidden)]
     pub fn chaos_corrupt_schedule(&mut self) {
         if let Some(step) = self.steps.last_mut() {
@@ -1849,9 +1844,7 @@ impl InferencePlan {
     /// [`PlanMutation`] and **re-stamps the integrity checksum**, so the
     /// stamp cannot vouch for the plan and the static analyzer must
     /// catch the defect on its own. Returns whether the mutation found a
-    /// site to apply to. Test instrumentation only — unlike the chaos
-    /// helpers this is not feature-gated, because the analyzer mutation
-    /// suite runs under plain `cargo test`.
+    /// site to apply to. Test instrumentation only.
     #[doc(hidden)]
     pub fn mutate_for_test(&mut self, mutation: PlanMutation) -> bool {
         let applied = match mutation {
@@ -2104,10 +2097,8 @@ impl GemmRun<'_> {
     /// step's resident panel, and leaves the result in the output slot:
     /// written there by the multiply itself when the slot holds rows,
     /// else transposed out of the stage. Returns the staging time (when
-    /// timed) and where the dispatch read its weights from. Hosts the
-    /// `infer.prep` fault point.
+    /// timed) and where the dispatch read its weights from.
     fn dispatch(&self, arena: &mut InferArena) -> Result<(Duration, PanelSource), InferError> {
-        gcd2_faults::fire("infer.prep");
         let t0 = self.timed.then(Instant::now);
         let (step, g) = (self.step, self.g);
         let (m, k, n) = (g.m, g.k, g.n);
@@ -2219,9 +2210,7 @@ impl GemmRun<'_> {
 /// [`GemmRun`]) — into `out`, the step's `out_len` bytes, reading
 /// operand `j` as `arg(j)`, in the form the step's layout labels name.
 /// `short`: the step is a binary over an image held as rows whose second
-/// operand is flat bytes ([`layout::short_operand`]). Hosts the
-/// `infer.prep` (direct conv kernels) and `infer.elementwise`
-/// (everything else) fault points.
+/// operand is flat bytes ([`layout::short_operand`]).
 fn run_step<'a>(
     step: &Step,
     short: bool,
@@ -2229,11 +2218,6 @@ fn run_step<'a>(
     arg: impl Fn(usize) -> &'a [u8],
     out: &mut [u8],
 ) {
-    if matches!(step.kind, StepKind::Gemm(_)) {
-        gcd2_faults::fire("infer.prep");
-    } else {
-        gcd2_faults::fire("infer.elementwise");
-    }
     match &step.kind {
         StepKind::Input => {
             for (d, &x) in out.iter_mut().zip(input) {

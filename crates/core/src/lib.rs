@@ -82,7 +82,7 @@ pub use layout::LayoutCost;
 pub use runtime::{execute_on_dsp, execute_reference};
 pub use serve::{
     BreakerHealth, GatewayConfig, GatewayHealth, InferServer, InferTicket, LatencyHistogram,
-    LatencySummary, ModelStats, ServerStats, WorkerHealth, DEFAULT_MODEL,
+    LatencySummary, ModelStats, ServerStats, WorkerHealth,
 };
 pub use supervise::{
     counts_as_fault, Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthEvent,
@@ -518,9 +518,8 @@ impl Compiler {
 }
 
 /// The compiler's one panic guard: parsing, admission and the whole
-/// pipeline run inside it, so a defect anywhere in them (or a fault
-/// injected deep in the pipeline) is a [`Gcd2Error::Internal`], never
-/// an unwind into the caller.
+/// pipeline run inside it, so a defect anywhere in them is a
+/// [`Gcd2Error::Internal`], never an unwind into the caller.
 fn guarded<T>(compile: impl FnOnce() -> Result<T, Gcd2Error>) -> Result<T, Gcd2Error> {
     catch_unwind(AssertUnwindSafe(compile)).unwrap_or_else(|payload| {
         Err(Gcd2Error::Internal {
@@ -802,5 +801,17 @@ mod tests {
             .compile(&g);
         let ratio = gcd2.cycles() as f64 / global.cycles() as f64;
         assert!(ratio <= 1.02, "gcd2 within 2% of global optimal: {ratio}");
+    }
+
+    /// The guard passes a result through and turns a panic into an
+    /// `Internal` error carrying the panic's message.
+    #[test]
+    fn the_panic_guard_turns_a_panic_into_an_internal_error() {
+        assert!(matches!(guarded(|| Ok(7)), Ok(7)));
+        let caught = guarded::<()>(|| panic!("deep in the pipeline"));
+        assert!(
+            matches!(&caught, Err(Gcd2Error::Internal { message }) if message.contains("deep in the pipeline")),
+            "{caught:?}"
+        );
     }
 }

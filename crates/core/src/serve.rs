@@ -51,10 +51,6 @@ pub mod core;
 
 use self::core::{micros, Action, Core, Event, Ran, Work};
 
-/// The model name single-model conveniences ([`InferServer::start`],
-/// [`InferServer::submit`]) use.
-pub const DEFAULT_MODEL: &str = "default";
-
 /// Gateway sizing knobs. No knob delays a request: an idle worker takes
 /// queued work in the step that finds it.
 #[derive(Debug, Clone, Copy)]
@@ -281,6 +277,15 @@ pub struct GatewayHealth {
 /// What a ticket is answered with.
 type Reply = Result<Vec<u8>, InferError>;
 type Plan = Arc<InferencePlan>;
+/// How a worker runs one request: [`InferencePlan::try_execute_into`],
+/// unless a test built the gateway with a stand-in.
+type Runner = fn(
+    &InferencePlan,
+    &[u8],
+    &mut InferArena,
+    &mut Vec<u8>,
+    &ExecOptions,
+) -> Result<(), InferError>;
 
 /// Everything behind the gateway's one lock: the core, and the I/O
 /// state its actions drive.
@@ -305,6 +310,7 @@ struct Shared {
     /// Origin of the core's logical-µs clock.
     epoch: Instant,
     opts: ExecOptions,
+    runner: Runner,
 }
 
 impl Shared {
@@ -465,6 +471,15 @@ impl InferServer {
     /// Starts a gateway with an **empty registry**; add models with
     /// [`InferServer::register`].
     pub fn gateway(config: GatewayConfig) -> InferServer {
+        InferServer::with_runner(config, InferencePlan::try_execute_into)
+    }
+
+    /// [`InferServer::gateway`] whose workers run each request through
+    /// `runner` instead of [`InferencePlan::try_execute_into`]: a test's
+    /// way to hold a worker busy or fail a chosen request on real
+    /// threads.
+    #[doc(hidden)]
+    pub fn with_runner(config: GatewayConfig, runner: Runner) -> InferServer {
         let (core, spawns) = Core::new(&config);
         let shared = Arc::new(Shared {
             shell: Mutex::new(Shell {
@@ -476,6 +491,7 @@ impl InferServer {
             wake: Condvar::new(),
             epoch: Instant::now(),
             opts: config.opts,
+            runner,
         });
         shared.act(&mut shared.lock(), spawns, false);
         let timer = {
@@ -486,32 +502,6 @@ impl InferServer {
             shared,
             timer: Some(timer),
         }
-    }
-
-    /// Starts `workers` threads serving one `plan` (registered as
-    /// [`DEFAULT_MODEL`]) with a queue bounded at `capacity` — the
-    /// historical single-model constructor, now a gateway with the
-    /// default knobs.
-    pub fn start(
-        plan: InferencePlan,
-        workers: usize,
-        capacity: usize,
-        opts: ExecOptions,
-    ) -> InferServer {
-        let server = InferServer::gateway(GatewayConfig {
-            workers,
-            capacity,
-            opts,
-            ..GatewayConfig::default()
-        });
-        let checksum = plan.checksum();
-        // A fresh gateway has no name to collide with.
-        let _ = server.shared.call(Event::Register {
-            name: DEFAULT_MODEL.to_string(),
-            plan: Arc::new(plan),
-            checksum,
-        });
-        server
     }
 
     /// Registers `plan` under `name` after re-verifying its integrity
@@ -607,14 +597,6 @@ impl InferServer {
         self.shared.lock().core.models()
     }
 
-    /// Submits a request for [`DEFAULT_MODEL`] at priority 0.
-    ///
-    /// # Errors
-    /// See [`InferServer::submit_to`].
-    pub fn submit(&self, input: Vec<u8>) -> Result<InferTicket, InferError> {
-        self.submit_to(DEFAULT_MODEL, input, 0)
-    }
-
     /// Submits a request for `model` at `priority` (higher survives
     /// shedding longer); returns a ticket to wait on.
     ///
@@ -650,15 +632,8 @@ impl InferServer {
         })
     }
 
-    /// Submit-and-wait convenience for callers without pipelining.
-    ///
-    /// # Errors
-    /// See [`InferServer::submit`] and [`InferTicket::wait`].
-    pub fn infer(&self, input: Vec<u8>) -> Result<Vec<u8>, InferError> {
-        self.submit(input)?.wait()
-    }
-
-    /// [`InferServer::infer`] against a named model at a priority.
+    /// [`InferServer::submit_to`] and wait: the convenience for callers
+    /// without pipelining.
     ///
     /// # Errors
     /// See [`InferServer::submit_to`] and [`InferTicket::wait`].
@@ -784,7 +759,7 @@ fn worker_loop(shared: &Arc<Shared>, id: usize) {
         let Work::Run { plan, inputs } = work else {
             return;
         };
-        let ran = run(&plan, &inputs, &shared.opts, &mut arenas);
+        let ran = run(shared.runner, &plan, &inputs, &shared.opts, &mut arenas);
         // Outside the lock: an unregister or a swap may have left this
         // the plan's last reference.
         drop(plan);
@@ -793,9 +768,15 @@ fn worker_loop(shared: &Arc<Shared>, id: usize) {
     }
 }
 
-/// Runs `inputs` in turn on `plan` over the worker's arena for it, after
-/// dropping the arenas of plans that are gone.
-fn run(plan: &Plan, inputs: &[Vec<u8>], opts: &ExecOptions, arenas: &mut Arenas) -> Vec<Ran> {
+/// Runs `inputs` in turn on `plan` through `runner` over the worker's
+/// arena for it, after dropping the arenas of plans that are gone.
+fn run(
+    runner: Runner,
+    plan: &Plan,
+    inputs: &[Vec<u8>],
+    opts: &ExecOptions,
+    arenas: &mut Arenas,
+) -> Vec<Ran> {
     arenas.retain(|(plan, _)| plan.strong_count() > 0);
     // A live `Weak` keeps its plan's allocation, so no other plan can
     // share its address.
@@ -812,9 +793,7 @@ fn run(plan: &Plan, inputs: &[Vec<u8>], opts: &ExecOptions, arenas: &mut Arenas)
         .map(|input| {
             let t0 = Instant::now();
             let mut out = Vec::new();
-            let result = plan
-                .try_execute_into(input, arena, &mut out, opts)
-                .map(|()| out);
+            let result = runner(plan, input, arena, &mut out, opts).map(|()| out);
             Ran {
                 result,
                 exec_us: micros(t0.elapsed()),
@@ -865,16 +844,32 @@ mod tests {
         Compiler::new().compile(&g).inference_plan(13)
     }
 
+    /// A gateway of `workers` threads serving `plan` as `m`, its queue
+    /// bounded at `capacity`.
+    fn serving(plan: &InferencePlan, workers: usize, capacity: usize) -> InferServer {
+        let server = InferServer::gateway(GatewayConfig {
+            workers,
+            capacity,
+            ..GatewayConfig::default()
+        });
+        server.register("m", plan.clone()).expect("register");
+        server
+    }
+
     #[test]
     fn serves_requests_bit_identical_to_direct_execution() {
         let plan = tiny_plan();
-        let server = InferServer::start(plan.clone(), 2, 8, ExecOptions::default());
+        let server = serving(&plan, 2, 8);
         let inputs: Vec<Vec<u8>> = (0..6)
             .map(|s| (0..16).map(|i| ((i + s * 3) % 16) as u8).collect())
             .collect();
         let tickets: Vec<_> = inputs
             .iter()
-            .map(|input| server.submit(input.clone()).expect("queue has room"))
+            .map(|input| {
+                server
+                    .submit_to("m", input.clone(), 0)
+                    .expect("queue has room")
+            })
             .collect();
         for (input, ticket) in inputs.iter().zip(tickets) {
             assert_eq!(ticket.wait().expect("request served"), plan.execute(input));
@@ -889,12 +884,14 @@ mod tests {
     #[test]
     fn bad_input_fails_one_request_not_the_server() {
         let plan = tiny_plan();
-        let server = InferServer::start(plan.clone(), 1, 4, ExecOptions::default());
-        let bad = server.infer(vec![1, 2, 3]).unwrap_err();
+        let server = serving(&plan, 1, 4);
+        let bad = server.infer_on("m", vec![1, 2, 3], 0).unwrap_err();
         assert!(matches!(bad, InferError::InputShape { .. }), "{bad:?}");
         let good: Vec<u8> = (0..16).map(|i| (i % 16) as u8).collect();
         assert_eq!(
-            server.infer(good.clone()).expect("server still serves"),
+            server
+                .infer_on("m", good.clone(), 0)
+                .expect("server still serves"),
             plan.execute(&good)
         );
         let stats = server.shutdown();
@@ -905,10 +902,10 @@ mod tests {
     #[test]
     fn submissions_after_shutdown_are_rejected() {
         let plan = tiny_plan();
-        let mut server = InferServer::start(plan, 1, 4, ExecOptions::default());
+        let mut server = serving(&plan, 1, 4);
         server.stop_and_join();
         assert_eq!(
-            server.submit(vec![0; 16]).map(|_| ()),
+            server.submit_to("m", vec![0; 16], 0).map(|_| ()),
             Err(InferError::ServerStopped)
         );
     }
@@ -916,10 +913,12 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let plan = tiny_plan();
-        let server = InferServer::start(plan.clone(), 1, 0, ExecOptions::default());
+        let server = serving(&plan, 1, 0);
         let good: Vec<u8> = (0..16).map(|i| (i % 16) as u8).collect();
         assert_eq!(
-            server.infer(good.clone()).expect("one slot exists"),
+            server
+                .infer_on("m", good.clone(), 0)
+                .expect("one slot exists"),
             plan.execute(&good)
         );
     }
@@ -1014,12 +1013,13 @@ mod tests {
         let (inputs, opts) = ([input.clone()], ExecOptions::default());
         let (a, b) = (Arc::new(tiny_plan()), Arc::new(other_plan()));
         let mut arenas = Arenas::new();
+        let runner: Runner = InferencePlan::try_execute_into;
         for plan in [&a, &b, &a] {
-            run(plan, &inputs, &opts, &mut arenas);
+            run(runner, plan, &inputs, &opts, &mut arenas);
         }
         assert_eq!(arenas.len(), 2, "one arena per live plan");
         drop(a);
-        let ran = run(&b, &inputs, &opts, &mut arenas);
+        let ran = run(runner, &b, &inputs, &opts, &mut arenas);
         assert_eq!(arenas.len(), 1, "the unregistered plan's arena is gone");
         assert_eq!(ran[0].result, Ok(b.execute(&input)));
     }
@@ -1053,10 +1053,10 @@ mod tests {
     #[test]
     fn idle_supervisor_is_invisible_in_health_and_stats() {
         let plan = tiny_plan();
-        let server = InferServer::start(plan.clone(), 2, 8, ExecOptions::default());
+        let server = serving(&plan, 2, 8);
         let input: Vec<u8> = (0..16).map(|i| (i % 16) as u8).collect();
         assert_eq!(
-            server.infer(input.clone()).expect("served"),
+            server.infer_on("m", input.clone(), 0).expect("served"),
             plan.execute(&input)
         );
         let health = server.health();
@@ -1075,7 +1075,7 @@ mod tests {
             "a healthy gateway records no supervision activity"
         );
         assert!(health.events.is_empty(), "{:?}", health.events);
-        let ms = server.model_stats(DEFAULT_MODEL).expect("registered");
+        let ms = server.model_stats("m").expect("registered");
         assert_eq!(ms.breaker, BreakerState::Closed);
         assert_eq!(server.shutdown().retries, 0);
     }

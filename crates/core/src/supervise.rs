@@ -10,9 +10,9 @@
 //! [`crate::serve::GatewayHealth`] snapshot surfaces to operators.
 //!
 //! Determinism matters here for the same reason it does everywhere else
-//! in this repo: a chaos run is reproducible from its seed alone, and
-//! the breaker's transitions are a pure function of the admit/record
-//! sequence.
+//! in this repo: a gateway scenario replays exactly from its script,
+//! and the breaker's transitions are a pure function of the
+//! admit/record sequence.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -143,7 +143,8 @@ pub enum Admission {
 /// monotonically non-decreasing microsecond timestamp** to every call,
 /// so the full state machine is a pure function of its call sequence —
 /// the property the `breaker_property` proptest suite checks against an
-/// independent reference model, and what makes chaos runs reproducible.
+/// independent reference model, and what makes gateway scenarios replay
+/// exactly.
 ///
 /// Concurrency is the *caller's* concern (the gateway wraps each
 /// model's breaker in a `Mutex`); results that arrive for requests

@@ -115,7 +115,6 @@ impl CostModel {
     pub fn gemm_cycles(&self, gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) -> u64 {
         self.cache
             .get_or_insert_with(&CostKey::Gemm(*gemm, instr, unroll), || {
-                gcd2_faults::fire("cost.eval");
                 self.blocks_cycles(&timing_blocks(gemm, instr, unroll)) + KERNEL_DISPATCH_CYCLES
             })
     }
@@ -149,7 +148,6 @@ impl CostModel {
     pub fn ew_cycles(&self, kind: EwKind, elems: usize) -> u64 {
         self.cache
             .get_or_insert_with(&CostKey::Ew(kind, elems), || {
-                gcd2_faults::fire("cost.eval");
                 self.blocks_cycles(&elementwise_blocks(kind, elems)) + KERNEL_DISPATCH_CYCLES / 4
             })
     }
@@ -160,7 +158,6 @@ impl CostModel {
     pub fn dw_vtmpy_cycles(&self, out_elems: usize, kh: usize) -> u64 {
         self.cache
             .get_or_insert_with(&CostKey::DwVtmpy(out_elems, kh), || {
-                gcd2_faults::fire("cost.eval");
                 self.blocks_cycles(&depthwise_vtmpy_blocks(out_elems, kh)) + KERNEL_DISPATCH_CYCLES
             })
     }

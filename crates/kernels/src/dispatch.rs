@@ -836,7 +836,7 @@ pub fn try_matmul_threaded_into(
 /// the call, never misread. With the clamp and the map folded into
 /// requantisation the bytes in `out` are finished activations: a plan
 /// points `out` at the output slot itself when the GEMM's rows are the
-/// slot's layout. Hosts the `infer.gemm` fault point.
+/// slot's layout.
 ///
 /// # Errors
 /// See [`try_matmul_threaded_into`] — a panel filled with other than
@@ -853,7 +853,6 @@ pub fn try_matmul_panel_into(
     scratch: &mut GemmScratch,
     out: &mut [u8],
 ) -> Result<PanelSource, GemmDispatchError> {
-    gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, panel.filled, requant.0)?;
     let (_, clamp, map) = requant;
     if clamp > 15 && !map.is_identity() {

@@ -323,8 +323,7 @@ pub fn matmul_blocked_into(
 /// [`matmul_blocked_into`] with validated dispatch: operand shape
 /// mismatches come back as a [`GemmDispatchError`] instead of a panic.
 /// Packs `w` on every call — the inference runtime keeps a resident
-/// panel and calls [`crate::try_matmul_panel_into`] instead. Hosts the
-/// `infer.gemm` fault point.
+/// panel and calls [`crate::try_matmul_panel_into`] instead.
 ///
 /// # Errors
 /// Returns an error (before writing to `out`) if the operand shapes are
@@ -338,7 +337,6 @@ pub fn try_matmul_blocked_into(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    gcd2_faults::fire("infer.gemm");
     validate_dispatch(a, m, k, w.rows(), shift)?;
     crate::dispatch::run_single(a, m, k, w, shift, scratch, out);
     Ok(())

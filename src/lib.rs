@@ -6,7 +6,6 @@ pub use gcd2_baselines as baselines;
 pub use gcd2_bench as bench;
 pub use gcd2_cgraph as cgraph;
 pub use gcd2_codegen as codegen;
-pub use gcd2_faults as faults;
 pub use gcd2_globalopt as globalopt;
 pub use gcd2_hvx as hvx;
 pub use gcd2_kernels as kernels;

@@ -15,10 +15,9 @@
 //!    observable state transition matches the reference model exactly;
 //! 3. **determinism** — replaying the same sequence on a fresh breaker
 //!    reproduces the identical decision trace (the property that makes
-//!    seeded chaos runs reproducible).
+//!    a gateway scenario replay exactly from its script).
 //!
-//! Runs without the `fault-injection` feature: the breaker is pure
-//! state, no faults needed.
+//! The breaker is pure state: a sequence of calls is all it needs.
 
 use gcd2_repro::compiler::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 use proptest::prelude::*;

@@ -22,9 +22,11 @@
 //! with a fault at every position it can take, and checks that each
 //! path ends drained with every accepted ticket answered exactly once.
 //!
-//! Under `fault-injection` real threads hold a worker busy with an
-//! `infer.elementwise` delay: one wedges it, then swaps and drains; one
-//! abandons queued tickets by dropping them.
+//! On real threads, a test runner stands in for the executor
+//! (`InferServer::with_runner`): a marked request holds its worker busy
+//! or fails. One wedges the worker, then swaps and drains; one abandons
+//! queued tickets by dropping them; one fails a single request of a
+//! batch.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -894,15 +896,14 @@ fn every_interleaving_of_three_workers_and_four_tickets_keeps_the_invariants() {
 }
 
 // ---------------------------------------------------------------------
-// Real threads, under fault injection.
+// Real threads, through a runner that holds a worker or fails a request.
 
-#[cfg(feature = "fault-injection")]
 mod threads {
     use gcd2_repro::cgraph::{Graph, OpKind, TShape};
     use gcd2_repro::compiler::{
-        Compiler, GatewayConfig, InferError, InferServer, InferencePlan, SupervisorConfig,
+        Compiler, ExecOptions, GatewayConfig, InferArena, InferError, InferServer, InferencePlan,
+        SupervisorConfig,
     };
-    use gcd2_repro::faults::{arm, FaultKind, FaultPlan};
     use std::time::{Duration, Instant};
 
     const INPUT_LEN: usize = 32;
@@ -920,30 +921,60 @@ mod threads {
         (0..INPUT_LEN).map(|i| (i * 5 % 16) as u8).collect()
     }
 
-    /// With the one worker held busy for real (the first request's first
-    /// elementwise step sleeps), requests queue: dropping a queued ticket
-    /// — outright, or after an inconclusive `wait_timeout` — abandons its
-    /// request, which never runs, while a `wait_timeout` on a kept ticket
-    /// cancels nothing and the same ticket's `wait` still gets the answer.
+    /// Appended past the plan's input, marks a request for [`runner`]:
+    /// it holds its worker 400 ms before it runs.
+    const HOLD: u8 = 0xF0;
+    /// Appended past the plan's input, marks a request for [`runner`]:
+    /// it fails with `Internal` and runs nothing.
+    const FAIL: u8 = 0xF1;
+
+    fn marked(input: &[u8], mark: u8) -> Vec<u8> {
+        [input, &[mark]].concat()
+    }
+
+    /// The gateway's runner here: a marked input runs without its mark
+    /// as the mark says; any other input runs as in every gateway.
+    fn runner(
+        plan: &InferencePlan,
+        input: &[u8],
+        arena: &mut InferArena,
+        out: &mut Vec<u8>,
+        opts: &ExecOptions,
+    ) -> Result<(), InferError> {
+        match input.split_last() {
+            Some((&HOLD, rest)) if rest.len() == plan.input_len() => {
+                std::thread::sleep(Duration::from_millis(400));
+                plan.try_execute_into(rest, arena, out, opts)
+            }
+            Some((&FAIL, rest)) if rest.len() == plan.input_len() => Err(InferError::Internal {
+                message: "marked to fail".to_string(),
+            }),
+            _ => plan.try_execute_into(input, arena, out, opts),
+        }
+    }
+
+    /// With the one worker held busy for real, requests queue: dropping
+    /// a queued ticket — outright, or after an inconclusive
+    /// `wait_timeout` — abandons its request, which never runs, while a
+    /// `wait_timeout` on a kept ticket cancels nothing and the same
+    /// ticket's `wait` still gets the answer.
     #[test]
     fn dropping_a_queued_ticket_abandons_it_and_wait_timeout_cancels_nothing() {
         let plan = net(73);
-        let want = {
-            let _quiet = arm(FaultPlan::new());
-            plan.execute(&input())
-        };
-        let _armed =
-            arm(FaultPlan::new().once("infer.elementwise", FaultKind::Delay { millis: 200 }, 1));
-        let server = InferServer::gateway(GatewayConfig {
-            workers: 1,
-            ..GatewayConfig::default()
-        });
+        let want = plan.execute(&input());
+        let server = InferServer::with_runner(
+            GatewayConfig {
+                workers: 1,
+                ..GatewayConfig::default()
+            },
+            runner,
+        );
         server.register("m", plan).expect("register");
-        let submit = || server.submit_to("m", input(), 0).expect("admitted");
-        let busy = submit();
-        let kept = submit();
-        drop(submit());
-        let timed = submit();
+        let submit = |x| server.submit_to("m", x, 0).expect("admitted");
+        let busy = submit(marked(&input(), HOLD));
+        let kept = submit(input());
+        drop(submit(input()));
+        let timed = submit(input());
         let expired = |r| matches!(r, Err(InferError::DeadlineExceeded { .. }));
         assert!(expired(timed.wait_timeout(Duration::from_millis(5))));
         drop(timed);
@@ -959,30 +990,28 @@ mod threads {
         assert_eq!((books, stats.abandoned), ((4, 2, 0, 0), 2), "{stats:?}");
     }
 
-    /// A worker wedged for real — its first elementwise step sleeps far
-    /// past the hang deadline — is answered `Hung` and replaced; the
-    /// replacement serves a swapped plan bit-identically, and shutdown
-    /// detaches the wedged thread instead of waiting out its sleep.
+    /// A worker wedged for real — held far past the hang deadline — is
+    /// answered `Hung` and replaced; the replacement serves a swapped
+    /// plan bit-identically, and shutdown detaches the wedged thread
+    /// instead of waiting out its hold.
     #[test]
     fn a_wedged_worker_is_replaced_and_the_gateway_swaps_and_drains() {
         let (a, b) = (net(71), net(72));
-        let want = {
-            let _quiet = arm(FaultPlan::new());
-            b.execute(&input())
-        };
-        let _armed =
-            arm(FaultPlan::new().once("infer.elementwise", FaultKind::Delay { millis: 400 }, 1));
-        let server = InferServer::gateway(GatewayConfig {
-            workers: 1,
-            max_batch: 1,
-            supervisor: SupervisorConfig {
-                hang_deadline: Duration::from_millis(30),
-                ..SupervisorConfig::default()
+        let want = b.execute(&input());
+        let server = InferServer::with_runner(
+            GatewayConfig {
+                workers: 1,
+                max_batch: 1,
+                supervisor: SupervisorConfig {
+                    hang_deadline: Duration::from_millis(30),
+                    ..SupervisorConfig::default()
+                },
+                ..GatewayConfig::default()
             },
-            ..GatewayConfig::default()
-        });
+            runner,
+        );
         let sum_a = server.register("m", a).expect("register");
-        let hung = server.infer_on("m", input(), 0);
+        let hung = server.infer_on("m", marked(&input(), HOLD), 0);
         assert!(matches!(hung, Err(InferError::Hung { .. })), "{hung:?}");
         server.swap("m", sum_a, b).expect("keyed swap");
         assert_eq!(server.infer_on("m", input(), 0), Ok(want));
@@ -1006,14 +1035,61 @@ mod threads {
         );
     }
 
+    /// One failed request fails alone. Request 0 holds the one worker,
+    /// so requests 1–4 queue and run as one batch, in which request 2
+    /// fails; the others answer bit-identically. Request 2's input
+    /// submitted again, unmarked, runs on the same worker over the same
+    /// arena and answers the baseline bytes.
+    #[test]
+    fn one_failed_request_fails_alone_and_its_input_then_answers() {
+        let plan = net(74);
+        let inputs: Vec<Vec<u8>> = (0..5u8)
+            .map(|s| input().iter().map(|&x| (x + s) % 16).collect())
+            .collect();
+        let server = InferServer::with_runner(
+            GatewayConfig {
+                workers: 1,
+                ..GatewayConfig::default()
+            },
+            runner,
+        );
+        server.register("m", plan.clone()).expect("register");
+        let tickets: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let request = match i {
+                    0 => marked(x, HOLD),
+                    2 => marked(x, FAIL),
+                    _ => x.clone(),
+                };
+                server.submit_to("m", request, 0).expect("admitted")
+            })
+            .collect();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let got = ticket.wait();
+            if i == 2 {
+                assert!(matches!(got, Err(InferError::Internal { .. })), "{got:?}");
+            } else {
+                assert_eq!(got, Ok(plan.execute(&inputs[i])), "request {i}");
+            }
+        }
+        assert_eq!(
+            server.infer_on("m", inputs[2].clone(), 0),
+            Ok(plan.execute(&inputs[2]))
+        );
+        let stats = server.shutdown();
+        let answered = (stats.completed, stats.failed);
+        let batches = (stats.batches, stats.batched_requests);
+        let replaced = stats.workers_replaced;
+        assert_eq!((answered, batches, replaced), ((5, 1), (3, 4), 0));
+    }
+
     /// Registry admission re-verifies the plan: real weight corruption
     /// is refused on register and on swap, and the gateway still admits
     /// and serves the clean plan.
     #[test]
     fn a_plan_with_corrupted_weights_is_refused_admission() {
-        // Unarmed, but holding the fault gate: another test's armed
-        // delay must not land in this one's requests.
-        let _quiet = arm(FaultPlan::new());
         let clean = net(46);
         let mut corrupt = clean.clone();
         corrupt.chaos_corrupt_weights();
