@@ -2312,6 +2312,11 @@ mod tests {
     use crate::Compiler;
     use gcd2_cgraph::Graph;
 
+    /// Every kernel tier this host can run, the scalar oracle first.
+    fn tiers() -> impl Iterator<Item = KernelIsa> {
+        KernelIsa::ALL.into_iter().filter(|isa| isa.supported())
+    }
+
     /// A graph touching every step kind the plan supports.
     fn kitchen_sink() -> Graph {
         let mut g = Graph::new();
@@ -2365,7 +2370,7 @@ mod tests {
 
     /// The plan build's row generator writes `runtime::weight`'s bytes
     /// on every tier the host supports (`pin_isa`, the scalar pin
-    /// included) and auto-detected. Runs of
+    /// included). Runs of
     /// 0..=67 and 4099 weights from each start hit every remainder of
     /// its four lanes; the starts straddle 2³² and 2⁴⁰, the node ids and
     /// seeds their extremes. Each run is held to a prefix of the
@@ -2399,12 +2404,11 @@ mod tests {
                 }
             }
         };
-        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        for isa in tiers() {
             let _pin = gcd2_kernels::pin_isa(isa);
             assert_eq!(gcd2_kernels::active_isa(), isa);
             check(isa.name());
         }
-        check("auto");
     }
 
     /// One inference under `opts` through a fresh caller-owned arena.
@@ -2543,24 +2547,32 @@ mod tests {
         plan.verify_integrity().expect("the selection's own labels");
 
         // Same bytes as the plan that selects nothing and as the
-        // interpreter — single-shot, in turn over one reused arena, on
-        // the scalar tier.
-        let reference = InferencePlan::try_build_all_chw(&compiled, 21).expect("all-chw");
-        assert_eq!(reference.rows_values(), 0);
-        assert_eq!(reference.layout_cost().0, all_chw);
-        let mut arena = plan.new_arena();
+        // interpreter — single-shot, in turn over one reused arena — with
+        // both plans built and run on every tier.
         let inputs: Vec<Vec<u8>> = (0..4)
             .map(|s| (0..4 * 144).map(|i| ((i * 7 + s * 5) % 16) as u8).collect())
             .collect();
+        let want: Vec<Vec<u8>> = inputs
+            .iter()
+            .map(|x| execute_reference(&compiled, x, 21))
+            .collect();
         let opts = ExecOptions::default();
-        for pin in [None, Some(KernelIsa::Scalar)] {
-            let _pin = pin.map(gcd2_kernels::pin_isa);
-            for x in &inputs {
-                let want = execute_reference(&compiled, x, 21);
-                assert_eq!(run_into(&plan, x, &opts), Ok(want.clone()));
-                assert_eq!(run_into(&reference, x, &opts), Ok(want.clone()));
+        for tier in tiers() {
+            let _pin = gcd2_kernels::pin_isa(tier);
+            let plan = compiled.inference_plan(21);
+            let reference = InferencePlan::try_build_all_chw(&compiled, 21).expect("all-chw");
+            assert_eq!(reference.rows_values(), 0);
+            assert_eq!(reference.layout_cost().0, all_chw);
+            let mut arena = plan.new_arena();
+            for (x, want) in inputs.iter().zip(&want) {
+                assert_eq!(run_into(&plan, x, &opts).as_ref(), Ok(want), "{tier}");
+                assert_eq!(run_into(&reference, x, &opts).as_ref(), Ok(want), "{tier}");
                 let reused = run_over(&plan, &mut arena, x, &opts);
-                assert_eq!(reused, Ok(want), "an input runs as it would alone");
+                assert_eq!(
+                    reused.as_ref(),
+                    Ok(want),
+                    "{tier}: an input runs as it would alone"
+                );
             }
         }
     }
@@ -2635,13 +2647,13 @@ mod tests {
             .collect();
         // A batch is its inputs run in turn over one arena: at every
         // batch size — with a wrong-length input (it fails alone, the
-        // others stay bit-identical), on the scalar tier, past a
-        // deadline — each input gets the same bytes or the same error
-        // variant over a fresh arena and over the reused one. The
-        // second net runs all three staging forms and both scatters.
+        // others stay bit-identical), past a deadline — and on every
+        // tier, the plan built there, each input gets the same bytes or
+        // the same error variant over a fresh arena and over the reused
+        // one. The second net runs all three staging forms and both
+        // scatters.
         let nets = [kitchen_sink(), staging_net()];
         for compiled in nets.iter().map(|g| Compiler::new().compile(g)) {
-            let plan = compiled.inference_plan(3);
             let oracle: Vec<Vec<u8>> = inputs
                 .iter()
                 .map(|x| execute_reference(&compiled, x, 3))
@@ -2651,37 +2663,36 @@ mod tests {
                 deadline: Some(Duration::ZERO),
                 ..defaults
             };
-            for b in [1, 2, 5] {
-                let scenarios = [
-                    (defaults, Some(b - 1), None),
-                    (defaults, None, Some(KernelIsa::Scalar)),
-                    (expired, None, None),
-                ];
-                for (opts, bad, pin) in scenarios {
-                    let _pin = pin.map(gcd2_kernels::pin_isa);
-                    let mut batch = inputs[..b].to_vec();
-                    if let Some(i) = bad {
-                        batch[i].truncate(3);
-                    }
-                    let mut arena = plan.new_arena();
-                    let paths: [Vec<_>; 2] = [
-                        batch.iter().map(|x| run_into(&plan, x, &opts)).collect(),
-                        batch
-                            .iter()
-                            .map(|x| run_over(&plan, &mut arena, x, &opts))
-                            .collect(),
-                    ];
-                    assert!(paths.iter().all(|results| results.len() == b));
-                    for (i, want) in oracle[..b].iter().enumerate() {
-                        for r in paths.iter().map(|results| &results[i]) {
-                            match r {
-                                Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
-                                // A zero deadline can tie a coarse clock
-                                // tick; a run that completes is correct.
-                                Err(InferError::DeadlineExceeded { .. }) => {
-                                    assert!(opts.deadline.is_some())
+            for tier in tiers() {
+                let _pin = gcd2_kernels::pin_isa(tier);
+                let plan = compiled.inference_plan(3);
+                for b in [1, 2, 5] {
+                    let scenarios = [(defaults, Some(b - 1)), (defaults, None), (expired, None)];
+                    for (opts, bad) in scenarios {
+                        let mut batch = inputs[..b].to_vec();
+                        if let Some(i) = bad {
+                            batch[i].truncate(3);
+                        }
+                        let mut arena = plan.new_arena();
+                        let paths: [Vec<_>; 2] = [
+                            batch.iter().map(|x| run_into(&plan, x, &opts)).collect(),
+                            batch
+                                .iter()
+                                .map(|x| run_over(&plan, &mut arena, x, &opts))
+                                .collect(),
+                        ];
+                        assert!(paths.iter().all(|results| results.len() == b));
+                        for (i, want) in oracle[..b].iter().enumerate() {
+                            for r in paths.iter().map(|results| &results[i]) {
+                                match r {
+                                    Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
+                                    // A zero deadline can tie a coarse clock
+                                    // tick; a run that completes is correct.
+                                    Err(InferError::DeadlineExceeded { .. }) => {
+                                        assert!(opts.deadline.is_some())
+                                    }
+                                    _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
                                 }
-                                _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
                             }
                         }
                     }
@@ -3031,7 +3042,7 @@ mod tests {
             }
             plan.verify_integrity().expect("restored");
         };
-        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        for isa in tiers() {
             let _pin = gcd2_kernels::pin_isa(isa);
             check(isa.name());
         }
@@ -3195,7 +3206,7 @@ mod tests {
         let compiled = Compiler::new().compile(&g);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
         let want = execute_reference(&compiled, &input, 9);
-        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        for tier in tiers() {
             let _pin = gcd2_kernels::pin_isa(tier);
             let plan = compiled.inference_plan(9);
             let (out, report) = plan
@@ -3235,7 +3246,7 @@ mod tests {
                 assert_eq!(g.panel_resident, resident, "{label} {} n={}", g.name, g.n);
             }
         };
-        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        for tier in tiers() {
             let _pin = gcd2_kernels::pin_isa(tier);
             run(tier.name(), tier);
         }

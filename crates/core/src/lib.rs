@@ -51,7 +51,6 @@ use gcd2_globalopt::{
 use gcd2_hvx::{EnergyModel, ExecStats, CLOCK_HZ};
 use gcd2_kernels::{CostCache, CostModel, SimdInstr};
 use gcd2_vliw::{CacheStats, Packer};
-use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -129,7 +128,10 @@ pub struct Compiler {
     selection: Selection,
     packing: PackMode,
     lut_ops: bool,
-    graph_rewrites: bool,
+    /// Every operator consumes and produces the framework's row-major
+    /// interchange format (paying two conversions per operator) — how
+    /// data flows *without* global layout planning. Only the Figure 9
+    /// "no optimizations" baseline ([`Compiler::no_opt`]) sets it.
     framework_boundaries: bool,
     elementwise_fusion: bool,
     resource: gcd2_hvx::ResourceModel,
@@ -148,7 +150,6 @@ impl Compiler {
             selection: Selection::default(),
             packing: PackMode::Sda,
             lut_ops: true,
-            graph_rewrites: true,
             framework_boundaries: false,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
@@ -164,7 +165,6 @@ impl Compiler {
             selection: Selection::Uniform(SimdInstr::Vrmpy),
             packing: PackMode::Sequential,
             lut_ops: false,
-            graph_rewrites: true,
             framework_boundaries: true,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
@@ -187,11 +187,10 @@ impl Compiler {
     /// speed, never output bytes.
     pub fn options_key(&self) -> String {
         format!(
-            "sel={:?};pack={:?};lut={};rw={};fb={};ewf={};res={:?}",
+            "sel={:?};pack={:?};lut={};fb={};ewf={};res={:?}",
             self.selection,
             self.packing,
             self.lut_ops,
-            self.graph_rewrites,
             self.framework_boundaries,
             self.elementwise_fusion,
             self.resource,
@@ -227,12 +226,6 @@ impl Compiler {
         self
     }
 
-    /// Enables/disables graph rewrites (fusion etc.).
-    pub fn with_graph_rewrites(mut self, rewrites: bool) -> Self {
-        self.graph_rewrites = rewrites;
-        self
-    }
-
     /// Targets a different DSP generation's packet resource model
     /// (e.g. [`gcd2_hvx::ResourceModel::hexagon680`]). Kernel cycle
     /// costs depend on the packet resources, so the persistent cost
@@ -243,12 +236,6 @@ impl Compiler {
         self
     }
 
-    /// Cumulative hit/miss counters of the persistent kernel-cost cache
-    /// (shared across all compiles of this compiler and its clones).
-    pub fn cost_cache_stats(&self) -> CacheStats {
-        self.cost_cache.stats()
-    }
-
     /// Enables the DSP-friendly elementwise fusion extension (the
     /// paper's stated future work): standalone activations fold into
     /// elementwise producers, saving full feature-map memory round trips.
@@ -257,28 +244,15 @@ impl Compiler {
         self
     }
 
-    /// When enabled, every operator consumes and produces the framework's
-    /// row-major interchange format (paying two conversions per
-    /// operator) — how data flows *without* global layout planning. The
-    /// Figure 9 "no optimizations" baseline enables this.
-    pub fn with_framework_boundaries(mut self, boundaries: bool) -> Self {
-        self.framework_boundaries = boundaries;
-        self
-    }
-
-    /// Runs the enabled graph rewrites. Borrows the input graph
-    /// unchanged when every rewrite is off — compilation then never
-    /// clones the graph until the final `CompiledModel` is assembled.
-    fn rewrite<'g>(&self, graph: &'g Graph) -> Cow<'g, Graph> {
-        let mut graph: Cow<'g, Graph> = if self.graph_rewrites {
-            Cow::Owned(gcd2_cgraph::optimize(graph))
-        } else {
-            Cow::Borrowed(graph)
-        };
+    /// Runs the graph rewrites (fusion etc.), then the elementwise
+    /// fusion extension if it is enabled.
+    fn rewrite(&self, graph: &Graph) -> Graph {
+        let graph = gcd2_cgraph::optimize(graph);
         if self.elementwise_fusion {
-            graph = Cow::Owned(gcd2_cgraph::fuse_elementwise_activations(&graph));
+            gcd2_cgraph::fuse_elementwise_activations(&graph)
+        } else {
+            graph
         }
-        graph
     }
 
     /// The cost model matching this compiler's packing configuration.
@@ -349,9 +323,9 @@ impl Compiler {
     }
 
     /// Runs plan selection only (no lowering) — used by the Figure 10
-    /// search-time measurements. Borrows the input graph when no rewrite
-    /// is enabled.
-    pub fn select<'g>(&self, graph: &'g Graph) -> (Cow<'g, Graph>, PlanSet, Assignment) {
+    /// search-time measurements. Returns the rewritten graph the plans
+    /// and the assignment are over.
+    pub fn select(&self, graph: &Graph) -> (Graph, PlanSet, Assignment) {
         let graph = self.rewrite(graph);
         let plans = try_enumerate_plans(&graph, &self.cost_model(), self.lut_ops);
         let (assignment, _) = self.assign(&graph, &plans);
@@ -506,7 +480,7 @@ impl Compiler {
             pack_memo,
         };
         let compiled = CompiledModel {
-            graph: graph.into_owned(),
+            graph,
             assignment,
             chosen,
             lowered,

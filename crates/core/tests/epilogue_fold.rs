@@ -220,3 +220,21 @@ fn the_catalog_folds_are_pinned() {
         }
     }
 }
+
+/// tinybert's folds and its group kernels (every `Softmax` and
+/// `LayerNorm` step) in a whole plan, built and run on every tier the
+/// host supports: 50 steps fold, 37 constants go unread, and the plan
+/// answers the interpreter's bytes.
+#[test]
+fn tinybert_folds_and_answers_the_interpreter_on_every_tier() {
+    let compiled = Compiler::new().compile(&ModelId::TinyBert.build());
+    let mut want = None;
+    for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+        let _pin = pin_isa(isa);
+        let plan = compiled.inference_plan(0xC0DE);
+        assert_eq!(plan.folded_steps(), (50, 37), "{isa}");
+        let x = &inputs(plan.input_len())[0];
+        let want = want.get_or_insert_with(|| execute_reference(&compiled, x, 0xC0DE));
+        assert!(plan.execute(x) == *want, "{isa}");
+    }
+}

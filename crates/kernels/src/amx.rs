@@ -63,15 +63,12 @@ const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
 const XFEATURE_XTILEDATA: u64 = 18;
 
 /// Whether this process can execute AMX-INT8 tile instructions:
-/// CPUID advertises AMX-TILE + AMX-INT8, the kernel grants the
-/// tile-data XSAVE permission, and `GCD2_AMX=0` has not pinned the
-/// tier off. Resolved once; the syscall is idempotent.
+/// CPUID advertises AMX-TILE + AMX-INT8 and the kernel grants the
+/// tile-data XSAVE permission. Resolved once; the syscall is
+/// idempotent. A thread sets the tier aside with a [`crate::pin_isa`].
 pub fn amx_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
     *AVAILABLE.get_or_init(|| {
-        if std::env::var("GCD2_AMX").is_ok_and(|v| v == "0") {
-            return false;
-        }
         // The row remainder runs VNNI strips and the tail staging
         // byte-masked loads, so AMX is only offered where the VNNI tier
         // would also have been available, with AVX-512BW (every AMX

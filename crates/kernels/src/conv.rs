@@ -597,11 +597,10 @@ const IM2COL_WINDOW_BYTES: usize = 32 * 1024;
 /// path; one requantization pass (`>> shift`, clamp, `min(act_max)`)
 /// finishes the row. The form is picked by [`crate::active_isa`] on the
 /// calling thread, like every GEMM dispatch: the AVX-512 tiers (with
-/// VBMI) run `simd::x86::dw_planes_vnni`, everything else —
-/// including `GCD2_FORCE_SCALAR` and a scalar [`crate::pin_isa`] — the
-/// portable loop. Both accumulate exactly (u8·i8 products fit i16, the
-/// i32 sums wrap identically in any order), so bytes never depend on
-/// the form.
+/// VBMI) run `simd::x86::dw_planes_vnni`, everything else — including
+/// a scalar [`crate::pin_isa`] — the portable loop. Both accumulate
+/// exactly (u8·i8 products fit i16, the i32 sums wrap identically in
+/// any order), so bytes never depend on the form.
 ///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or `weights.len() != kh * kw`.
@@ -1010,10 +1009,11 @@ fn dw_rows_portable(
 /// off or ends it in zeros, mirroring the scatter.
 ///
 /// Interior pixels of each output row take a vectorized path when the
-/// horizontal stride is 1 (AVX-512: 16 pixels per step, AVX2: 8),
-/// honoring the same runtime ISA dispatch as the GEMM kernels
-/// (`GCD2_FORCE_SCALAR` forces the scalar loop). Other ISAs and border
-/// pixels run the scalar loop.
+/// horizontal stride is 1 (AVX-512: 16 pixels per step, AVX2: 8). The
+/// tier is [`crate::active_isa`] on the calling thread, read once per
+/// call — the rule of every GEMM dispatch, so a [`crate::pin_isa`] moves
+/// the interior with it. The scalar tier, NEON and border pixels run
+/// the scalar loop.
 ///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or
@@ -1044,7 +1044,10 @@ pub fn conv2d_direct_chw_into(
     // Bytes past the last plane are never computed; the planes
     // themselves are written whole below.
     out[out_len.min(n * spatial)..].fill(0);
-    let lanes = direct_conv_lanes();
+    // One read of the tier: the lane count and the interior kernel below
+    // must agree, or a store would overrun its destination.
+    let isa = crate::dispatch::active_isa();
+    let lanes = direct_conv_lanes(isa);
     // Interior ox range where every horizontal tap is in bounds (unit
     // horizontal stride only — the vector path loads contiguous pixels).
     let (lo, hi) = if stride.1 == 1 {
@@ -1088,11 +1091,12 @@ pub fn conv2d_direct_chw_into(
                     // loop itself (bounds checks, weight fetches) costs
                     // as much as the arithmetic, so amortize it.
                     // SAFETY: the interior range guarantees every lane's
-                    // horizontal taps are in [0, w), the vector ISA was
-                    // runtime-detected, and the destination row slice
-                    // holds exactly 4·lanes bytes.
+                    // horizontal taps are in [0, w), `isa` is the
+                    // supported tier `lanes` was derived from, and the
+                    // destination row slice holds exactly 4·lanes bytes.
                     unsafe {
                         direct_conv_vec::<4>(
+                            isa,
                             input,
                             c,
                             h,
@@ -1112,11 +1116,12 @@ pub fn conv2d_direct_chw_into(
                     ox += 4 * lanes;
                 } else if full && lanes != 0 && ox >= lo && ox + lanes <= hi {
                     // SAFETY: the interior range guarantees every lane's
-                    // horizontal taps are in [0, w), the vector ISA was
-                    // runtime-detected, and the destination row slice
-                    // holds exactly `lanes` bytes.
+                    // horizontal taps are in [0, w), `isa` is the
+                    // supported tier `lanes` was derived from, and the
+                    // destination row slice holds exactly `lanes` bytes.
                     unsafe {
                         direct_conv_vec::<1>(
+                            isa,
                             input,
                             c,
                             h,
@@ -1193,11 +1198,11 @@ fn direct_conv_px(
     ((sum >> shift).clamp(0, 255) as u8).min(act_max)
 }
 
-/// Vector lane width of the direct-conv interior path for the active
-/// ISA (0 = no vector path; the scalar loop handles everything).
+/// Vector lane width of the direct-conv interior path on tier `isa`
+/// (0 = no vector path; the scalar loop handles everything).
 #[cfg(target_arch = "x86_64")]
-fn direct_conv_lanes() -> usize {
-    match crate::dispatch::detected_isa() {
+fn direct_conv_lanes(isa: crate::dispatch::KernelIsa) -> usize {
+    match isa {
         // The AMX tier implies AVX-512F, which is all the interior
         // kernel needs.
         crate::dispatch::KernelIsa::Avx512Vnni | crate::dispatch::KernelIsa::AmxInt8 => 16,
@@ -1208,20 +1213,21 @@ fn direct_conv_lanes() -> usize {
 
 /// Non-x86 hosts (including NEON) currently run the scalar loop.
 #[cfg(not(target_arch = "x86_64"))]
-fn direct_conv_lanes() -> usize {
+fn direct_conv_lanes(_isa: crate::dispatch::KernelIsa) -> usize {
     0
 }
 
 /// Dispatches one interior vector step (`G` groups of
-/// [`direct_conv_lanes`] pixels) to the active ISA's kernel.
+/// [`direct_conv_lanes`]`(isa)` pixels) to tier `isa`'s kernel.
 ///
 /// # Safety
 /// Same contract as [`crate::simd::x86::conv_interior_avx512`] /
-/// [`crate::simd::x86::conv_interior_avx2`]; only callable when
-/// `dst.len() == G ·` [`direct_conv_lanes`].
+/// [`crate::simd::x86::conv_interior_avx2`]; only callable with a
+/// supported `isa` and `dst.len() == G ·` [`direct_conv_lanes`]`(isa)`.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_conv_vec<const G: usize>(
+    isa: crate::dispatch::KernelIsa,
     input: &[u8],
     c: usize,
     h: usize,
@@ -1237,10 +1243,11 @@ unsafe fn direct_conv_vec<const G: usize>(
     act_max: u8,
     dst: &mut [u8],
 ) {
-    match crate::dispatch::detected_isa() {
+    match isa {
         crate::dispatch::KernelIsa::Avx512Vnni | crate::dispatch::KernelIsa::AmxInt8 => {
-            // SAFETY: ISA detected at runtime; caller upholds the
-            // interior-range and G·16-byte-destination contract.
+            // SAFETY: the caller passes a supported tier (both imply
+            // AVX-512F) and upholds the interior-range and
+            // G·16-byte-destination contract.
             unsafe {
                 crate::simd::x86::conv_interior_avx512::<G>(
                     input, c, h, w, kh, kw, sy, py, oy, x0, wj, shift, act_max, dst,
@@ -1248,8 +1255,8 @@ unsafe fn direct_conv_vec<const G: usize>(
             }
         }
         crate::dispatch::KernelIsa::Avx2 => {
-            // SAFETY: ISA detected at runtime; caller upholds the
-            // interior-range and G·8-byte-destination contract.
+            // SAFETY: the caller passes a supported tier and upholds
+            // the interior-range and G·8-byte-destination contract.
             unsafe {
                 crate::simd::x86::conv_interior_avx2::<G>(
                     input, c, h, w, kh, kw, sy, py, oy, x0, wj, shift, act_max, dst,
@@ -1265,6 +1272,7 @@ unsafe fn direct_conv_vec<const G: usize>(
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
 unsafe fn direct_conv_vec<const G: usize>(
+    _isa: crate::dispatch::KernelIsa,
     _input: &[u8],
     _c: usize,
     _h: usize,
@@ -1772,11 +1780,27 @@ mod tests {
         }
     }
 
+    /// The direct conv's interior follows the calling thread's tier: a
+    /// pin moves it, so each tier's interior form runs under its pin.
+    #[test]
+    fn direct_conv_lanes_follow_the_pin() {
+        use crate::dispatch::{active_isa, pin_isa, KernelIsa};
+        let lanes = [
+            (KernelIsa::Scalar, 0),
+            (KernelIsa::Avx2, 8),
+            (KernelIsa::Avx512Vnni, 16),
+        ];
+        for (isa, want) in lanes.into_iter().filter(|(isa, _)| isa.supported()) {
+            let _pin = pin_isa(isa);
+            assert_eq!(direct_conv_lanes(active_isa()), want, "{isa}");
+        }
+    }
+
     #[test]
     fn direct_conv_matches_staged_narrow_gemm() {
         // The narrow-output direct path must be bit-identical to the
-        // im2col + GEMM + CHW-scatter pipeline it replaces, on whatever
-        // ISA dispatch selects (widths ≥ 16+kw exercise the vector
+        // im2col + GEMM + CHW-scatter pipeline it replaces, on every
+        // tier the host supports (widths ≥ 16+kw exercise the vector
         // interior; stride-2 and zero-padding rows exercise the scalar
         // borders).
         for &(c, h, w_dim, n, kernel, stride, padding) in &[
@@ -1818,20 +1842,27 @@ mod tests {
                     expect[j * spatial + o] = gemm[o][j].min(act_max);
                 }
             }
-            // Stale bytes in the destination must not survive.
-            let mut got = vec![0xAA; n * spatial];
-            conv2d_direct_chw_into(
-                &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, &mut got,
-            );
-            assert_eq!(got, expect, "c={c} h={h} w={w_dim} n={n}");
+            for isa in crate::KernelIsa::ALL
+                .into_iter()
+                .filter(|isa| isa.supported())
+            {
+                let _pin = crate::pin_isa(isa);
+                // Stale bytes in the destination must not survive.
+                let mut got = vec![0xAA; n * spatial];
+                conv2d_direct_chw_into(
+                    &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, &mut got,
+                );
+                assert_eq!(got, expect, "{isa}: c={c} h={h} w={w_dim} n={n}");
 
-            // A short destination mirrors the scatter's truncation.
-            let cut = n * spatial - spatial / 2 - 1;
-            let mut short = vec![0xAA; cut];
-            conv2d_direct_chw_into(
-                &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max, &mut short,
-            );
-            assert_eq!(short.as_slice(), &expect[..cut], "truncated n={n}");
+                // A short destination mirrors the scatter's truncation.
+                let cut = n * spatial - spatial / 2 - 1;
+                let mut short = vec![0xAA; cut];
+                conv2d_direct_chw_into(
+                    &input, c, h, w_dim, kernel, stride, padding, &wd, n, shift, act_max,
+                    &mut short,
+                );
+                assert_eq!(short.as_slice(), &expect[..cut], "{isa}: truncated n={n}");
+            }
         }
     }
 

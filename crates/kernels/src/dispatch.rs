@@ -8,15 +8,12 @@
 //! Every subsequent GEMM is an indirect call — no per-call feature
 //! sniffing.
 //!
-//! Overrides, in precedence order:
-//!
-//! * [`pin_isa`] — a thread-scoped pin, nestable and restored when its
-//!   guard drops, used by benches and tests to compare tiers within one
-//!   process. Pinning an ISA the CPU does not support degrades to scalar
-//!   (never UB).
-//! * `GCD2_FORCE_SCALAR=1` — environment pin consulted during the
-//!   one-time detection; CI uses it to run the whole suite against the
-//!   scalar oracle (`GCD2_AMX=0` likewise sets the AMX tier aside).
+//! The tier is a function of the host. The one override is [`pin_isa`]:
+//! a thread-scoped pin, nestable and restored when its guard drops, with
+//! which benches and tests compare every tier the host supports within
+//! one process. Pinning an ISA the CPU does not support degrades to
+//! scalar (never UB). Every kernel whose form depends on the tier reads
+//! [`active_isa`] — the pin, else the detection — and nothing else.
 //!
 //! Every kernel in the table computes bit-identical bytes (see
 //! [`crate::simd`] for the argument), so the tier a thread runs on can
@@ -593,18 +590,11 @@ fn best_available() -> KernelIsa {
 }
 
 /// The ISA the one-time detection resolved for this process: the best
-/// supported tier, unless `GCD2_FORCE_SCALAR` pins the oracle.
+/// tier the host supports. Kernels read [`active_isa`], which honours a
+/// [`pin_isa`]; this is what a report names as the host's tier.
 pub fn detected_isa() -> KernelIsa {
     static DETECTED: OnceLock<KernelIsa> = OnceLock::new();
-    *DETECTED.get_or_init(|| {
-        let forced_scalar =
-            std::env::var("GCD2_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0");
-        if forced_scalar {
-            KernelIsa::Scalar
-        } else {
-            best_available()
-        }
-    })
+    *DETECTED.get_or_init(best_available)
 }
 
 thread_local! {
@@ -633,9 +623,9 @@ impl Drop for IsaPin {
 /// `isa` until the returned guard drops; other threads keep theirs.
 /// Pins nest: the innermost live one wins, and dropping it restores the
 /// one it replaced — during unwinding too. A tier the CPU cannot run
-/// resolves to scalar (never UB). A pin overrides `GCD2_FORCE_SCALAR`,
-/// so one process can sweep every tier. Every tier computes the same
-/// bytes, so a pin changes speed, never output.
+/// resolves to scalar (never UB). It is the only way to choose a tier
+/// other than the detected one. Every tier computes the same bytes, so
+/// a pin changes speed, never output.
 pub fn pin_isa(isa: KernelIsa) -> IsaPin {
     let isa = if isa.supported() {
         isa
@@ -947,9 +937,6 @@ mod tests {
             run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut got);
             assert_eq!(got, oracle, "pinned {isa} (may degrade to scalar)");
         }
-        let mut auto = Vec::new();
-        run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut auto);
-        assert_eq!(auto, oracle, "auto-detected ISA");
     }
 
     /// The panel read back a k-tile at a time, as one matrix.

@@ -9,8 +9,8 @@
 //! in steady state); every byte of `out` is overwritten.
 //!
 //! Forms: every kernel here has one form, portable Rust written so it
-//! autovectorises, and every tier runs it — the scalar tier
-//! (`GCD2_FORCE_SCALAR=1`, [`crate::pin_isa`]) as well as AVX2,
+//! autovectorises, and every tier runs it — the scalar tier (a
+//! [`crate::pin_isa`]) as well as AVX2,
 //! AVX-512 VNNI, AMX and NEON. The two group kernels, [`softmax_into`]
 //! and [`layernorm_into`], share one group loop: one byte reduction and
 //! one per-group constant per group, then `u8`/`u16` lane operations per

@@ -26,8 +26,7 @@
 //! **One body, compiled twice.** `row` is `#[inline(always)]`: plain
 //! for the scalar, AVX2 and NEON tiers, and with AVX-512F enabled when
 //! an AVX-512 tier is active on this thread — the tier rule of every
-//! other kernel, so `GCD2_FORCE_SCALAR` and [`crate::pin_isa`] select
-//! the form. Both compile the same source, so they write the
+//! other kernel, so a [`crate::pin_isa`] selects the form. Both compile the same source, so they write the
 //! same bytes.
 
 /// The mix's multiplier of the node id.

@@ -10,9 +10,8 @@
 //! naive loop ([`crate::reference::transpose_clamp_ref`]) writes.
 //!
 //! Two forms, picked by [`crate::active_isa`] on the calling thread —
-//! the rule [`crate::dwconv_direct_into`] follows, so
-//! `GCD2_FORCE_SCALAR` and [`crate::pin_isa`] move this kernel with
-//! every other one:
+//! the rule [`crate::dwconv_direct_into`] follows, so a
+//! [`crate::pin_isa`] moves this kernel with every other one:
 //!
 //! * **portable** — 32-row blocks, so the 32 source lines a block reads
 //!   stay in L1 while each destination row is written as one contiguous

@@ -7,16 +7,14 @@
 //! * the per-pixel oracle (`dwconv_ref`, the loop the kernel replaced),
 //! * the form each `KernelIsa` the host supports selects (through
 //!   `pin_isa`; the scalar pin selects the portable row-accumulator
-//!   form), and the one auto-detection selects
+//!   form)
 //!
 //! produce **identical bytes** — and, when the result is one whole
 //! image, so does `dwconv_rows_into` over the transposed map, through a
 //! transpose back: its portable form and the form of every tier. The
 //! pools and the zero-extended binaries are held to the same three-way
 //! identity (pixel-major form == CHW form through `transpose_clamp_into`
-//! == a per-element oracle written here). Under `GCD2_FORCE_SCALAR=1`
-//! (CI runs the suite both ways) the auto-detected side is the portable
-//! form again and the gate still has to hold.
+//! == a per-element oracle written here).
 
 use gcd2_kernels::{
     dwconv_direct_into, dwconv_ref, dwconv_rows_into, hostops, pin_isa, transpose_clamp_into,
@@ -24,10 +22,12 @@ use gcd2_kernels::{
 };
 use proptest::prelude::*;
 
-/// Auto-detection, then every tier this host can run.
-fn tiers() -> Vec<Option<KernelIsa>> {
-    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
-    std::iter::once(None).chain(supported.map(Some)).collect()
+/// Every tier this host can run, the scalar oracle first.
+fn tiers() -> Vec<KernelIsa> {
+    KernelIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect()
 }
 
 /// (channels, height, width, kernel, stride, padding).
@@ -95,7 +95,7 @@ fn assert_identity(
     let mut got = vec![0xAA; out_len];
     let mut rows_got = vec![0xAA; out_len];
     for tier in tiers() {
-        let _pin = tier.map(pin_isa);
+        let _pin = pin_isa(tier);
         got.fill(0xAA);
         dwconv_direct_into(input, c, h, w, k, s, p, weights, shift, act_max, &mut got);
         if whole {
@@ -116,12 +116,12 @@ fn assert_identity(
         }
         assert_eq!(
             got, want,
-            "{tier:?} vs oracle {shape:?} shift={shift} len={out_len}"
+            "{tier} vs oracle {shape:?} shift={shift} len={out_len}"
         );
         if whole {
             assert_eq!(
                 rows_got, rows_want,
-                "{tier:?} rows vs oracle {shape:?} shift={shift}"
+                "{tier} rows vs oracle {shape:?} shift={shift}"
             );
         }
     }
@@ -295,18 +295,18 @@ fn pool_forms_are_bit_identical() {
         let chw = pixels(c * h * w, i as u64);
         for is_max in [true, false] {
             let want = pool_ref(&chw, (c, h, w), kernel, stride, is_max);
-            for scalar in [true, false] {
-                let _pin = scalar.then(|| pin_isa(KernelIsa::Scalar));
+            for tier in tiers() {
+                let _pin = pin_isa(tier);
                 let mut got = vec![0xAA; want.len()];
                 hostops::pool_into(&chw, c, h, w, kernel, stride, is_max, &mut got);
-                assert_eq!(got, want, "chw {c}x{h}x{w} {kernel:?} max={is_max}");
+                assert_eq!(got, want, "{tier}: chw {c}x{h}x{w} {kernel:?} max={is_max}");
                 got.fill(0xAA);
                 let rows = to_rows(&chw, c);
                 hostops::pool_rows_into(&rows, c, h, w, kernel, stride, is_max, &mut got);
                 assert_eq!(
                     got,
                     to_rows(&want, c),
-                    "rows {c}x{h}x{w} {kernel:?} max={is_max}"
+                    "{tier}: rows {c}x{h}x{w} {kernel:?} max={is_max}"
                 );
             }
         }
@@ -365,12 +365,16 @@ fn zero_extended_binaries_are_bit_identical_in_rows() {
                 let want: Vec<u8> = (0..c * hw)
                     .map(|i| f(x[i], g.get(i).copied().unwrap_or(0)))
                     .collect();
-                let mut got = vec![0xAA; c * hw];
-                chw(&x, &g, &mut got);
-                assert_eq!(got, want, "{name} chw {c}x{hw} len(g)={len}");
-                got.fill(0xAA);
-                rows(&to_rows(&x, c), &g, c, &mut got);
-                assert_eq!(got, to_rows(&want, c), "{name} rows {c}x{hw} len(g)={len}");
+                for tier in tiers() {
+                    let _pin = pin_isa(tier);
+                    let mut got = vec![0xAA; c * hw];
+                    chw(&x, &g, &mut got);
+                    assert_eq!(got, want, "{tier}: {name} chw {c}x{hw} len(g)={len}");
+                    got.fill(0xAA);
+                    rows(&to_rows(&x, c), &g, c, &mut got);
+                    let want = to_rows(&want, c);
+                    assert_eq!(got, want, "{tier}: {name} rows {c}x{hw} len(g)={len}");
+                }
             }
         }
     }
@@ -443,13 +447,21 @@ fn catalog_shapes_are_bit_identical() {
 }
 
 /// Throughput probe (run explicitly with `--ignored --release
-/// --nocapture`, and again under `GCD2_AMX=0` / `GCD2_FORCE_SCALAR=1`):
-/// µs per call of the CHW and of the pixel-major depthwise kernel on
-/// every catalog geometry, best of 30, on the tier auto-detection
-/// resolves. Not a correctness gate; DESIGN.md §4e quotes its table.
+/// --nocapture`): µs per call of the CHW and of the pixel-major
+/// depthwise kernel on every catalog geometry, best of 30, on every
+/// tier the host supports. Not a correctness gate; DESIGN.md §4e quotes
+/// its table.
 #[test]
 #[ignore]
 fn perf_probe() {
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        println!("{tier}:");
+        perf_probe_table();
+    }
+}
+
+fn perf_probe_table() {
     let (mut chw_sum, mut rows_sum) = (0.0, 0.0);
     for shape in CATALOG {
         let &(c, h, w, k, s, p) = shape;

@@ -6,7 +6,7 @@
 //! forms they replaced as oracles — softmax's `u64` reciprocal per byte,
 //! layernorm's `i32` clamp — and holds to them the kernels under a
 //! thread-scoped `pin_isa` at every tier the host supports (scalar
-//! included), and under auto-detection. Each kernel has one portable form
+//! included). Each kernel has one portable form
 //! that every tier runs; the tiers are here so a tier-selected form
 //! added later is held to the oracle from its first build.
 //!
@@ -64,10 +64,12 @@ const KERNELS: [(&str, Kernel, Oracle); 2] = [
     ("layernorm", hostops::layernorm_into, layernorm_oracle),
 ];
 
-/// Auto-detection, then every tier this host can run.
-fn tiers() -> Vec<Option<KernelIsa>> {
-    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
-    std::iter::once(None).chain(supported.map(Some)).collect()
+/// Every tier this host can run, the scalar oracle first.
+fn tiers() -> Vec<KernelIsa> {
+    KernelIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect()
 }
 
 fn mix(i: usize, seed: u64) -> u64 {
@@ -101,10 +103,10 @@ fn assert_identity(group: usize, len: usize) {
                 // Stale bytes in the destination must not survive.
                 let mut got = vec![0xAA; len];
                 for tier in tiers() {
-                    let _pin = tier.map(pin_isa);
+                    let _pin = pin_isa(tier);
                     got.fill(0xAA);
                     kernel(&x, group, act_max, &mut got);
-                    assert_eq!(got, want, "{tier:?}: {case}");
+                    assert_eq!(got, want, "{tier}: {case}");
                 }
             }
         }

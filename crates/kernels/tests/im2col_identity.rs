@@ -4,11 +4,10 @@
 //! exactly the bytes of the per-element oracle `im2col_chw(…,
 //! RowMajor)` — every byte of the destination, none beyond it — in the
 //! form each kernel tier selects. Every case runs at every `KernelIsa`
-//! the host supports (through `pin_isa`) and on auto-detection, so
-//! the tile form and the portable form are both held to the oracle on
-//! one host; under `GCD2_FORCE_SCALAR=1` (CI runs the suite both ways)
-//! auto-detection is the portable form too. The same cases hold
-//! `im2col_rows_into` — one form for every tier — to the same oracle:
+//! the host supports (through `pin_isa`), so the tile form and the
+//! portable form are both held to the oracle on one host. The same
+//! cases hold `im2col_rows_into` — one form for every tier — to the
+//! same oracle:
 //! fed the map transposed to pixel-major, it writes the oracle's matrix
 //! with its columns permuted from `(ch, dy, dx)` to `(dy, dx, ch)`.
 
@@ -32,10 +31,12 @@ type Shape = (
     (usize, usize),
 );
 
-/// Auto-detection, then every tier this host can run.
-fn tiers() -> Vec<Option<KernelIsa>> {
-    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
-    std::iter::once(None).chain(supported.map(Some)).collect()
+/// Every tier this host can run, the scalar oracle first.
+fn tiers() -> Vec<KernelIsa> {
+    KernelIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect()
 }
 
 /// Non-zero pixels, so a byte the kernel zero-fills by mistake differs
@@ -60,7 +61,7 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
     let input = pixels(c * h * w, seed);
     let want = im2col_chw(&input, c, h, w, kernel, stride, padding, Layout::RowMajor);
     for tier in tiers() {
-        let _pin = tier.map(pin_isa);
+        let _pin = pin_isa(tier);
         // 0xA5 marks bytes the kernel failed to write; the guard band
         // after the matrix must survive.
         let len = want.rows() * want.cols();
@@ -78,11 +79,11 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
         );
         assert!(
             got[..len] == *want.as_bytes(),
-            "{shape:?} at {tier:?} differs from the oracle"
+            "{shape:?} at {tier} differs from the oracle"
         );
         assert!(
             got[len..].iter().all(|&b| b == 0xA5),
-            "{shape:?} at {tier:?} wrote past the matrix"
+            "{shape:?} at {tier} wrote past the matrix"
         );
     }
 
@@ -250,8 +251,11 @@ fn perf_probe() {
         let k = c * kernel.0 * kernel.1;
         let mut out = vec![0u8; out_h * out_w * k];
         let mut best = [f64::MAX; 2];
-        for (slot, tier) in [Some(KernelIsa::Scalar), None].into_iter().enumerate() {
-            let _pin = tier.map(pin_isa);
+        for (slot, tier) in [KernelIsa::Scalar, gcd2_kernels::detected_isa()]
+            .into_iter()
+            .enumerate()
+        {
+            let _pin = pin_isa(tier);
             for _ in 0..30 {
                 let t0 = std::time::Instant::now();
                 im2col_rm_into(

@@ -5,18 +5,15 @@
 //!
 //! * the naive gold reference (`matmul_ref`),
 //! * the scalar blocked oracle (`pin_isa(Scalar)`),
-//! * the kernel of **every tier this host supports** and of
-//!   auto-detection, through the matrix-taking entry points (caller's
-//!   scratch, pooled scratch) and the resident-panel entry point —
-//!   with the panel packed on the
+//! * the kernel of **every tier this host supports**, through the
+//!   matrix-taking entry points (caller's scratch, pooled scratch) and
+//!   the resident-panel entry point — with the panel packed on the
 //!   dispatching tier and on every other one (the plan-tier ≠
 //!   dispatch-tier fallback)
 //!
 //! produce **identical bytes**. Wrapping i32 accumulation makes this a
 //! theorem about the implementation, and this suite is the check that
-//! keeps it true as kernels evolve. Under `GCD2_FORCE_SCALAR=1` (CI runs
-//! the suite both ways) auto-detection degrades to the oracle and the
-//! gate still has to hold.
+//! keeps it true as kernels evolve.
 
 use gcd2_kernels::{
     matmul_ref, pin_isa, tile_plan, transpose_clamp_into, transpose_clamp_ref,
@@ -30,15 +27,8 @@ fn reference_bytes(a: &MatrixU8, w: &MatrixI8, shift: u8) -> Vec<u8> {
     matmul_ref(a, w, shift).into_iter().flatten().collect()
 }
 
-fn run_isa(
-    isa: Option<KernelIsa>,
-    a: &MatrixU8,
-    m: usize,
-    k: usize,
-    w: &MatrixI8,
-    shift: u8,
-) -> Vec<u8> {
-    let _pin = isa.map(pin_isa);
+fn run_isa(isa: KernelIsa, a: &MatrixU8, m: usize, k: usize, w: &MatrixI8, shift: u8) -> Vec<u8> {
+    let _pin = pin_isa(isa);
     let mut scratch = GemmScratch::default();
     let mut out = Vec::new();
     try_matmul_blocked_into(a.as_bytes(), m, k, w, shift, &mut scratch, &mut out)
@@ -46,10 +36,12 @@ fn run_isa(
     out
 }
 
-/// Auto-detection, then every tier this host can run.
-fn tiers() -> Vec<Option<KernelIsa>> {
-    let supported = KernelIsa::ALL.into_iter().filter(|isa| isa.supported());
-    std::iter::once(None).chain(supported.map(Some)).collect()
+/// Every tier this host can run, the scalar oracle first.
+fn tiers() -> Vec<KernelIsa> {
+    KernelIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .collect()
 }
 
 /// One full identity check: reference == scalar oracle == every
@@ -58,7 +50,7 @@ fn tiers() -> Vec<Option<KernelIsa>> {
 fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let (m, k) = (a.rows(), a.cols());
     let want = reference_bytes(a, w, shift);
-    let scalar = run_isa(Some(KernelIsa::Scalar), a, m, k, w, shift);
+    let scalar = run_isa(KernelIsa::Scalar, a, m, k, w, shift);
     assert_eq!(scalar, want, "scalar oracle vs reference ({m},{k})");
     let pool = ScratchPool::new();
     let mut scratch = GemmScratch::default();
@@ -66,18 +58,18 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let panels: Vec<WeightPanel> = tiers()
         .into_iter()
         .map(|tier| {
-            let _pin = tier.map(pin_isa);
+            let _pin = pin_isa(tier);
             WeightPanel::pack(w)
         })
         .collect();
     for (tier, own_panel) in tiers().into_iter().zip(&panels) {
         let single = run_isa(tier, a, m, k, w, shift);
-        assert_eq!(single, scalar, "{tier:?} vs oracle ({m},{k})");
-        let _pin = tier.map(pin_isa);
+        assert_eq!(single, scalar, "{tier} vs oracle ({m},{k})");
+        let _pin = pin_isa(tier);
         let mut out = Vec::new();
         try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, 2, &mut out)
             .expect("valid operands");
-        assert_eq!(out, scalar, "{tier:?} pooled ({m},{k})");
+        assert_eq!(out, scalar, "{tier} pooled ({m},{k})");
         for panel in &panels {
             // The plan's entry point folds its activation ceiling into
             // requantisation: the bytes are the oracle's, clamped.
@@ -92,7 +84,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 &mut out,
             )
             .expect("valid operands");
-            assert_eq!(out, clamped, "{tier:?} clamped to 15 ({m},{k})");
+            assert_eq!(out, clamped, "{tier} clamped to 15 ({m},{k})");
             let source = try_matmul_panel_into(
                 a.as_bytes(),
                 m,
@@ -103,7 +95,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
                 &mut out,
             )
             .expect("valid operands");
-            assert_eq!(out, scalar, "{tier:?} from a resident panel ({m},{k})");
+            assert_eq!(out, scalar, "{tier} from a resident panel ({m},{k})");
             // A panel packed in this tier's layout is read as it is;
             // any other falls back and must not be misread.
             let expected = if panel == own_panel {
@@ -111,7 +103,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
             } else {
                 PanelSource::PerCall
             };
-            assert_eq!(source, expected, "{tier:?} panel source ({m},{k})");
+            assert_eq!(source, expected, "{tier} panel source ({m},{k})");
         }
     }
     // Every tier's pooled call above took the one buffer and gave it back.
@@ -279,10 +271,10 @@ fn epilogue_maps() -> [ByteMap; 4] {
 /// failure of each, on an AMX host:
 /// * the map applied before the clamp (`min(map[max(v, 0)], clamp)` at
 ///   every site): the seeded random map of
-///   `m = 1`, `k = 19`, `n = 8` at auto-detection — the narrow VNNI
+///   `m = 1`, `k = 19`, `n = 8` on the VNNI tier — the narrow VNNI
 ///   kernel, where an unclamped value indexes the table;
 /// * the AMX `rows % 16` remainder requantised with the identity: the
-///   all-zero map of `m = 17`, `k = 19`, `n = 7` at auto-detection — the
+///   all-zero map of `m = 17`, `k = 19`, `n = 7` on the AMX tier — the
 ///   17th row keeps its clamped bytes.
 #[test]
 fn epilogue_maps_follow_the_clamp_at_every_tier() {
@@ -304,7 +296,7 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                 let panels: Vec<WeightPanel> = tiers()
                     .into_iter()
                     .map(|tier| {
-                        let _pin = tier.map(pin_isa);
+                        let _pin = pin_isa(tier);
                         WeightPanel::pack(&w)
                     })
                     .collect();
@@ -329,8 +321,8 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                         }
                     };
                     for tier in tiers() {
-                        let _pin = tier.map(pin_isa);
-                        check(&format!("{tier:?}"));
+                        let _pin = pin_isa(tier);
+                        check(tier.name());
                     }
                 }
             }
@@ -372,8 +364,8 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
 
 /// The tile transpose — both sides of a CHW conv GEMM, and the plan's
 /// layout adapter in both directions — equals the naive oracle at every
-/// tier the host supports and on auto-detection — the scalar pin selects
-/// the portable form — for every small shape (tile edges, overlap
+/// tier the host supports — the scalar pin selects the portable form —
+/// for every small shape (tile edges, overlap
 /// tiles, extents below one tile) and the catalog's scatter and adapter
 /// shapes both ways round, both clamps, and a destination stride with a
 /// gap whose bytes must survive.
@@ -400,12 +392,12 @@ fn transpose_equals_the_naive_oracle() {
                 transpose_clamp_ref(&src, rows, cols, clamp, &mut want, dst_stride);
                 let mut got = vec![0xA5u8; want.len()];
                 for tier in tiers() {
-                    let _pin = tier.map(pin_isa);
+                    let _pin = pin_isa(tier);
                     got.fill(0xA5);
                     transpose_clamp_into(&src, rows, cols, clamp, &mut got, dst_stride);
                     assert_eq!(
                         got, want,
-                        "{tier:?}, {rows}x{cols} clamp {clamp} stride {dst_stride}"
+                        "{tier}, {rows}x{cols} clamp {clamp} stride {dst_stride}"
                     );
                 }
             }

@@ -7,11 +7,17 @@
 use gcd2_repro::cgraph::{to_text, Activation, Graph, NodeId, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
 use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error, InferencePlan, Verdict};
+use gcd2_repro::kernels::{pin_isa, KernelIsa};
 use gcd2_repro::models::ModelId;
 use gcd2_repro::verify::InferPlanView;
 use proptest::prelude::*;
 
 const SEED: u64 = 0xA07_1FAC;
+
+/// Every kernel tier this host can run, the scalar oracle first.
+fn tiers() -> impl Iterator<Item = KernelIsa> {
+    KernelIsa::ALL.into_iter().filter(|isa| isa.supported())
+}
 
 fn sample_input(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + 3) % 16) as u8).collect()
@@ -193,11 +199,11 @@ fn heavy_conv_graph() -> Graph {
 }
 
 /// A stored value may not depend on the tier that wrote it, nor on
-/// what a clock read: the artifact of a plan built and encoded on the
-/// scalar oracle is byte for byte the one of the detected tier, twice.
+/// what a clock read: the artifact of a plan built and encoded on every
+/// tier the host supports is byte for byte the one the unpinned thread
+/// wrote — the detected tier's among them, so that one is built twice.
 #[test]
 fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
-    use gcd2_repro::kernels::{pin_isa, KernelIsa};
     let emit = || {
         let compiled = Compiler::new().compile(&heavy_conv_graph());
         let plan = compiled.inference_plan(SEED);
@@ -206,12 +212,33 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
         encode(&compiled, &plan, "heavy").expect("encode")
     };
     let detected = emit();
-    let scalar = {
-        let _pin = pin_isa(KernelIsa::Scalar);
-        emit()
-    };
-    assert!(detected == scalar, "bytes differ between tiers");
-    assert!(detected == emit(), "bytes differ between builds");
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        assert!(emit() == detected, "{tier} wrote other bytes");
+    }
+}
+
+/// resnet-50 as `gcd2c resnet-50 --emit` writes it (seed `0xC0DE`):
+/// 25.5 MB of weights, read back from the quad panels of a VNNI or AMX
+/// host and from the row-major bytes of the scalar tier, encode to the
+/// same bytes on every tier the host supports, with the pinned
+/// integrity checksum. Slow outside a release build:
+/// `cargo test --release --test artifact_roundtrip -- --ignored`.
+#[test]
+#[ignore]
+fn resnet_50_artifact_is_the_same_on_every_tier() {
+    let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
+    let mut first: Option<Vec<u8>> = None;
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        let plan = compiled.inference_plan(0xC0DE);
+        assert_eq!(plan.checksum(), 0x6241_cf52_6ebe_7984, "{tier}");
+        let bytes = encode(&compiled, &plan, "resnet-50").expect("encode");
+        match &first {
+            Some(first) => assert!(bytes == *first, "{tier} wrote other bytes"),
+            None => first = Some(bytes),
+        }
+    }
 }
 
 /// Sections are looked up by id: a format-7 artifact that carries a
@@ -370,11 +397,16 @@ fn golden_artifact_is_byte_stable() {
         "artifact wire format drifted from the pinned golden"
     );
 
-    // And the pinned file itself loads and executes like a fresh compile.
-    let loaded = decode(&pinned).expect("golden decode");
-    assert_eq!(loaded.plan.checksum(), plan.checksum());
+    // And the pinned file itself loads and executes like a fresh compile,
+    // on every tier — the checked-in bytes were written on a vector one.
     let input = sample_input(plan.input_len());
-    assert_eq!(loaded.plan.execute(&input), plan.execute(&input));
+    let want = plan.execute(&input);
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        let loaded = decode(&pinned).expect("golden decode");
+        assert_eq!(loaded.plan.checksum(), plan.checksum(), "{tier}");
+        assert_eq!(loaded.plan.execute(&input), want, "{tier}");
+    }
 }
 
 /// `load_or_compile` cold→warm: the first call compiles and stores, the

@@ -3,7 +3,13 @@
 
 use gcd2_repro::baselines::Framework;
 use gcd2_repro::compiler::{Compiler, Packing, Selection};
+use gcd2_repro::kernels::KernelIsa;
 use gcd2_repro::models::ModelId;
+
+/// Every kernel tier this host can run, the scalar oracle first.
+fn tiers() -> impl Iterator<Item = KernelIsa> {
+    KernelIsa::ALL.into_iter().filter(|isa| isa.supported())
+}
 
 /// Table IV: GCD2 beats both production frameworks on every supported
 /// model.
@@ -243,13 +249,15 @@ fn rescaled(graph: &gcd2_repro::cgraph::Graph, h: usize, w: usize) -> gcd2_repro
 /// for every catalog model, the plan whose layouts the selector chose,
 /// the plan that pins every label to `Chw`, and the interpreter agree
 /// byte for byte — single-shot and as a batch of four run in turn over
-/// one arena (single shot is batch size 1 of the same differential), on
-/// the active tier and pinned to the scalar one. The four models whose
-/// interpreter run stages gigabytes at catalog size run shape-scaled.
+/// one arena (single shot is batch size 1 of the same differential) —
+/// with both plans built and run on every tier the host supports. The
+/// four models whose interpreter run stages gigabytes at catalog size
+/// run shape-scaled.
 #[test]
 fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
+    use gcd2_repro::cgraph::OpKind;
     use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
-    use gcd2_repro::kernels::{pin_isa, KernelIsa};
+    use gcd2_repro::kernels::pin_isa;
     const SEED: u64 = 0x1A70;
     for id in ModelId::ALL {
         let graph = match id {
@@ -259,23 +267,15 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
             _ => id.build(),
         };
         let compiled = Compiler::new().compile(&graph);
-        let chosen = compiled.inference_plan(SEED);
-        let all_chw = InferencePlan::try_build_all_chw(&compiled, SEED).expect("all-chw plan");
-        assert_eq!(all_chw.rows_values(), 0, "{id}");
-        let (cost, reference_cost) = chosen.layout_cost();
-        assert_eq!(
-            all_chw.layout_cost(),
-            (reference_cost, reference_cost),
-            "{id}"
-        );
-        assert!(cost.bytes <= reference_cost.bytes, "{id}: planned worse");
-        // Equal labels are equal plans: nothing more to compare.
-        let same_plan = chosen.checksum() == all_chw.checksum();
-        assert_eq!(same_plan, chosen.rows_values() == 0, "{id}");
-
+        let len = compiled
+            .graph
+            .nodes()
+            .iter()
+            .find(|n| matches!(n.kind, OpKind::Input))
+            .map_or(0, |n| n.shape.elems());
         let inputs: Vec<Vec<u8>> = (0..4)
             .map(|b| {
-                (0..chosen.input_len())
+                (0..len)
                     .map(|i| ((i * 11 + 5 * (b + 1)) % 16) as u8)
                     .collect()
             })
@@ -284,19 +284,32 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
             .iter()
             .map(|x| execute_reference(&compiled, x, SEED))
             .collect();
-        for plan in [&chosen, &all_chw].into_iter().take(2 - same_plan as usize) {
-            let mut arena = plan.new_arena();
-            let opts = ExecOptions::default();
-            for pin in [None, Some(KernelIsa::Scalar)] {
-                let _pin = pin.map(pin_isa);
+        for tier in tiers() {
+            let _pin = pin_isa(tier);
+            let chosen = compiled.inference_plan(SEED);
+            let all_chw = InferencePlan::try_build_all_chw(&compiled, SEED).expect("all-chw plan");
+            assert_eq!(all_chw.rows_values(), 0, "{id}");
+            let (cost, reference_cost) = chosen.layout_cost();
+            assert_eq!(
+                all_chw.layout_cost(),
+                (reference_cost, reference_cost),
+                "{id}"
+            );
+            assert!(cost.bytes <= reference_cost.bytes, "{id}: planned worse");
+            // Equal labels are equal plans: nothing more to compare.
+            let same_plan = chosen.checksum() == all_chw.checksum();
+            assert_eq!(same_plan, chosen.rows_values() == 0, "{id}");
+            for plan in [&chosen, &all_chw].into_iter().take(2 - same_plan as usize) {
+                let opts = ExecOptions::default();
                 let mut one = Vec::new();
                 plan.try_execute_into(&inputs[0], &mut plan.new_arena(), &mut one, &opts)
                     .unwrap_or_else(|e| panic!("{id}: {e}"));
-                assert!(one == want[0], "{id}: single-shot, pin={pin:?}");
+                assert!(one == want[0], "{id}: single-shot, {tier}");
+                let mut arena = plan.new_arena();
                 for (i, (x, want)) in inputs.iter().zip(&want).enumerate() {
                     plan.try_execute_into(x, &mut arena, &mut one, &opts)
                         .unwrap_or_else(|e| panic!("{id}: {e}"));
-                    assert!(one == *want, "{id}: batch input {i}, pin={pin:?}");
+                    assert!(one == *want, "{id}: batch input {i}, {tier}");
                 }
             }
         }
@@ -305,27 +318,33 @@ fn chosen_layouts_equal_all_chw_equal_the_interpreter() {
 
 /// The mobile nets stay channels-last end to end: every depthwise step
 /// of mobilenet-v3 and efficientnet-b0 reads rows and leaves rows, and
-/// no operand of either plan is converted on the way into its step.
+/// no operand of either plan is converted on the way into its step —
+/// in the plan every tier the host supports builds.
 #[test]
 fn mobile_net_depthwise_steps_run_in_rows_with_no_conversion() {
     use gcd2_repro::compiler::ActLayout::Rows;
+    use gcd2_repro::kernels::pin_isa;
     use gcd2_repro::verify::InferPlanView;
     for id in [ModelId::MobileNetV3, ModelId::EfficientNetB0] {
-        let plan = Compiler::new().compile(&id.build()).inference_plan(1);
-        let depthwise: Vec<_> = (0..plan.step_count())
-            .map(|i| plan.step(i))
-            .filter(|s| s.op.starts_with("DWConv2d"))
-            .collect();
-        assert!(depthwise.len() >= 15, "{id}: {} steps", depthwise.len());
-        for s in depthwise {
-            assert_eq!(
-                (s.in_layout, s.out_layout),
-                (Rows, Rows),
-                "{id}: {}",
-                s.name
-            );
+        let compiled = Compiler::new().compile(&id.build());
+        for tier in tiers() {
+            let _pin = pin_isa(tier);
+            let plan = compiled.inference_plan(1);
+            let depthwise: Vec<_> = (0..plan.step_count())
+                .map(|i| plan.step(i))
+                .filter(|s| s.op.starts_with("DWConv2d"))
+                .collect();
+            assert!(depthwise.len() >= 15, "{id}: {} steps", depthwise.len());
+            for s in depthwise {
+                assert_eq!(
+                    (s.in_layout, s.out_layout),
+                    (Rows, Rows),
+                    "{id} {tier}: {}",
+                    s.name
+                );
+            }
+            assert_eq!(plan.layout_cost().0.conversions, 0, "{id} {tier}");
         }
-        assert_eq!(plan.layout_cost().0.conversions, 0, "{id}");
     }
 }
 
@@ -333,13 +352,13 @@ fn mobile_net_depthwise_steps_run_in_rows_with_no_conversion() {
 /// depthwise → squeeze-excite (gap, two 1×1, sigmoid, gate) → conv →
 /// residual add → max-pool: over **every** assignment of admissible
 /// `(in, out)` pairs, the selection's is the argmin of its own cost,
-/// and every one of them executes to the interpreter's bytes, on the
-/// active tier and pinned to the scalar one.
+/// and every one of them, built and run on every tier the host
+/// supports, executes to the interpreter's bytes.
 #[test]
 fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_the_cheapest() {
     use gcd2_repro::cgraph::{Graph, OpKind, TShape};
     use gcd2_repro::compiler::{execute_reference, ExecOptions, InferencePlan};
-    use gcd2_repro::kernels::{pin_isa, KernelIsa};
+    use gcd2_repro::kernels::pin_isa;
     const SEED: u64 = 0x5E1EC7;
     let mut g = Graph::new();
     let x = g.input("x", TShape::nchw(1, 6, 9, 8));
@@ -391,10 +410,11 @@ fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_
     let mut pick = vec![0usize; options.len()];
     loop {
         let labels: Vec<_> = pick.iter().zip(&options).map(|(&p, o)| o[p]).collect();
-        let plan = InferencePlan::try_build_labelled(&compiled, SEED, &labels).expect("admitted");
-        cheapest = cheapest.min(plan.layout_cost().0.bytes);
-        for pin in [None, Some(KernelIsa::Scalar)] {
-            let _pin = pin.map(pin_isa);
+        for tier in tiers() {
+            let _pin = pin_isa(tier);
+            let plan =
+                InferencePlan::try_build_labelled(&compiled, SEED, &labels).expect("admitted");
+            cheapest = cheapest.min(plan.layout_cost().0.bytes);
             let mut got = Vec::new();
             plan.try_execute_into(
                 &input,
@@ -403,7 +423,7 @@ fn every_admissible_layout_assignment_executes_identically_and_the_selection_is_
                 &ExecOptions::default(),
             )
             .unwrap_or_else(|e| panic!("{labels:?}: {e}"));
-            assert!(got == want, "{labels:?}, pin={pin:?}");
+            assert!(got == want, "{labels:?}, {tier}");
         }
         assignments += 1;
         // The next assignment, odometer-wise; done when it wraps.

@@ -8,7 +8,7 @@ use gcd2_repro::compiler::{
     execute_reference, Compiler, ExecOptions, GatewayConfig, InferArena, InferError, InferServer,
     InferTicket, InferencePlan,
 };
-use gcd2_repro::kernels::{pin_isa, KernelIsa};
+use gcd2_repro::kernels::{detected_isa, pin_isa, KernelIsa};
 use gcd2_repro::models::ModelId;
 use std::time::Duration;
 
@@ -19,6 +19,11 @@ const SEED: u64 = 0xBA7C4;
 const MAX_BATCHES: [usize; 3] = [1, 2, 5];
 
 type Results = Vec<Result<Vec<u8>, InferError>>;
+
+/// Every kernel tier this host can run, the scalar oracle first.
+fn tiers() -> impl Iterator<Item = KernelIsa> {
+    KernelIsa::ALL.into_iter().filter(|isa| isa.supported())
+}
 
 fn batch_inputs(len: usize, batch: usize) -> Vec<Vec<u8>> {
     (0..batch)
@@ -77,9 +82,10 @@ fn served(
 }
 
 /// Runs the batch-vs-interpreter check for one model: `batch` inputs
-/// over a fresh arena each, in turn over one reused arena, and through
-/// the gateway at every [`MAX_BATCHES`] bound equal the interpreter
-/// input by input.
+/// over a fresh arena each and in turn over one reused arena — with the
+/// plan built and run on every tier the host supports — and through the
+/// gateway at every [`MAX_BATCHES`] bound equal the interpreter input by
+/// input. The gateway's workers run the detected tier.
 fn check_model(id: ModelId, batch: usize) {
     let compiled = Compiler::new().compile(&id.build());
     let plan = compiled.inference_plan(SEED);
@@ -89,21 +95,29 @@ fn check_model(id: ModelId, batch: usize) {
         .iter()
         .map(|input| execute_reference(&compiled, input, SEED))
         .collect();
-    let fresh: Results = inputs.iter().map(|x| plan.try_execute(x)).collect();
-    let reused = in_turn(&plan, &mut plan.new_arena(), &inputs, &opts);
-    let gateway = MAX_BATCHES.map(|b| (b, served(&plan, &inputs, b, opts)));
-    let paths = [("fresh arenas", 0, fresh), ("one arena", 0, reused)];
-    let paths = paths
-        .into_iter()
-        .chain(gateway.map(|(b, outs)| ("the gateway", b, outs)));
-    for (path, max_batch, outs) in paths {
+    let mut paths: Vec<(String, Results)> = MAX_BATCHES
+        .map(|b| {
+            (
+                format!("the gateway at max_batch {b}"),
+                served(&plan, &inputs, b, opts),
+            )
+        })
+        .into();
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        let plan = compiled.inference_plan(SEED);
+        let fresh = inputs.iter().map(|x| plan.try_execute(x)).collect();
+        let reused = in_turn(&plan, &mut plan.new_arena(), &inputs, &opts);
+        paths.push((format!("fresh arenas on {tier}"), fresh));
+        paths.push((format!("one arena on {tier}"), reused));
+    }
+    for (path, outs) in paths {
         assert_eq!(outs.len(), batch, "{id}: output count");
         for (i, (out, reference)) in outs.iter().zip(&references).enumerate() {
             assert_eq!(
                 out.as_ref(),
                 Ok(reference),
-                "{id}: input {i} of {batch} diverges from the interpreter \
-                 through {path} (max_batch {max_batch})"
+                "{id}: input {i} of {batch} diverges from the interpreter through {path}"
             );
         }
     }
@@ -149,12 +163,13 @@ fn batch_edge_shapes_execute_cleanly() {
     let empty: Vec<Vec<u8>> = Vec::new();
     assert!(in_turn(&plan, &mut plan.new_arena(), &empty, &defaults).is_empty());
 
-    // B ∈ {1, 2, 5} with a wrong-length input, on the scalar tier and
-    // past a deadline, over fresh arenas, over one reused arena and
-    // through the gateway at every bound: a batch of one matches
-    // single-shot execution, and a bound larger than the batch leaves
-    // the results unchanged. The scalar pin holds the calling thread's
-    // paths; the gateway's workers run on the detected tier.
+    // B ∈ {1, 2, 5} with a wrong-length input and past a deadline, over
+    // fresh arenas and over one reused arena — with the plan built and
+    // run on every tier the host supports — and through the gateway at
+    // every bound: a batch of one matches single-shot execution, and a
+    // bound larger than the batch leaves the results unchanged. The
+    // gateway's workers run the detected tier, so it serves the plan
+    // built there.
     let inputs = batch_inputs(plan.input_len(), 5);
     let oracle: Vec<Vec<u8>> = inputs
         .iter()
@@ -164,39 +179,39 @@ fn batch_edge_shapes_execute_cleanly() {
         deadline: Some(Duration::ZERO),
         ..defaults
     };
-    let scalar = Some(KernelIsa::Scalar);
-    for b in [1, 2, 5] {
-        for (opts, bad, pin) in [
-            (defaults, Some(0), None),
-            (defaults, None, scalar),
-            (expired, None, None),
-        ] {
-            let _pin = pin.map(pin_isa);
-            let mut batch = inputs[..b].to_vec();
-            if let Some(i) = bad {
-                batch[i].pop();
-            }
-            let fresh = |x: &Vec<u8>| {
-                let mut out = Vec::new();
-                plan.try_execute_into(x, &mut plan.new_arena(), &mut out, &opts)
-                    .map(|()| out)
-            };
-            let mut paths = vec![
-                batch.iter().map(fresh).collect(),
-                in_turn(&plan, &mut plan.new_arena(), &batch, &opts),
-            ];
-            paths.extend(MAX_BATCHES.map(|max| served(&plan, &batch, max, opts)));
-            assert!(paths.iter().all(|results| results.len() == b));
-            for (i, want) in oracle[..b].iter().enumerate() {
-                for r in paths.iter().map(|results| &results[i]) {
-                    match r {
-                        Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
-                        // A zero deadline can tie a coarse clock tick;
-                        // a run that completes is correct.
-                        Err(InferError::DeadlineExceeded { .. }) => {
-                            assert!(opts.deadline.is_some())
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        let plan = compiled.inference_plan(SEED);
+        for b in [1, 2, 5] {
+            for (opts, bad) in [(defaults, Some(0)), (defaults, None), (expired, None)] {
+                let mut batch = inputs[..b].to_vec();
+                if let Some(i) = bad {
+                    batch[i].pop();
+                }
+                let fresh = |x: &Vec<u8>| {
+                    let mut out = Vec::new();
+                    plan.try_execute_into(x, &mut plan.new_arena(), &mut out, &opts)
+                        .map(|()| out)
+                };
+                let mut paths = vec![
+                    batch.iter().map(fresh).collect(),
+                    in_turn(&plan, &mut plan.new_arena(), &batch, &opts),
+                ];
+                if tier == detected_isa() {
+                    paths.extend(MAX_BATCHES.map(|max| served(&plan, &batch, max, opts)));
+                }
+                assert!(paths.iter().all(|results| results.len() == b));
+                for (i, want) in oracle[..b].iter().enumerate() {
+                    for r in paths.iter().map(|results| &results[i]) {
+                        match r {
+                            Err(InferError::InputShape { .. }) => assert_eq!(bad, Some(i)),
+                            // A zero deadline can tie a coarse clock tick;
+                            // a run that completes is correct.
+                            Err(InferError::DeadlineExceeded { .. }) => {
+                                assert!(opts.deadline.is_some())
+                            }
+                            _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
                         }
-                        _ => assert!(bad != Some(i) && r.as_ref() == Ok(want), "{r:?}"),
                     }
                 }
             }
