@@ -543,10 +543,12 @@ fn main() -> ExitCode {
                     scalar.count()
                 );
                 // Each GEMM's wall clock (staging and scatter included)
-                // is its operator's entry in `per_op`. `panel` (k·n) and
-                // `block` (mb·k) are the two quantities the blocking
-                // rule weighs to choose `mb`; `epilogue` names the steps
-                // folded into its requantisation.
+                // is its operator's entry in `per_op`. `depth` is the
+                // AMX tile step's reduction depth (below 64 for a short
+                // reduction, which multiplies no zero padding); `panel`
+                // (k·n) and `block` (mb·k) are the two quantities the
+                // blocking rule weighs to choose `mb`; `epilogue` names
+                // the steps folded into its requantisation.
                 for gk in &report.gemm_kernels {
                     let epilogue = plan.epilogue(gk.node);
                     let epilogue = if epilogue.is_empty() {
@@ -560,7 +562,7 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s{}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<8} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s{}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -568,6 +570,7 @@ fn main() -> ExitCode {
                         format!("{}→{}", gk.layouts.0, gk.layouts.1),
                         gk.mb,
                         gk.kb,
+                        gk.tile_depth.map_or(String::new(), |d| format!("depth={d}")),
                         format!("panel={:.1}KiB", (gk.k * gk.n) as f64 / 1024.0),
                         format!("block={:.1}KiB", (gk.mb * gk.k) as f64 / 1024.0),
                         gk.isa.name(),

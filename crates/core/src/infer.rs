@@ -540,6 +540,11 @@ pub struct GemmKernelInfo {
     pub mb: usize,
     /// Reduction-block tile the kernel ran with.
     pub kb: usize,
+    /// When the AMX tile grid ran this shape, the depth of one tile
+    /// step: 64, or a reduction shorter than one tile rounded up to a
+    /// whole quad, which the tiles run at instead of multiplying 64-deep
+    /// zero padding.
+    pub tile_depth: Option<usize>,
     /// True when the rule chose a blocking other than
     /// [`TilePlan::DEFAULT`] for this shape on this tier (the name is
     /// the benchmark's `kernels.tuned_gemms`; nothing is timed).
@@ -1760,7 +1765,7 @@ impl InferencePlan {
                     // Direct kernels never reach the GEMM dispatcher —
                     // no tile plan to report.
                     if g.runs_matmul() {
-                        let (isa, tiles) = gemm_kernel_summary(g.m, g.k, g.n);
+                        let (isa, tiles, tile_depth) = gemm_kernel_summary(g.m, g.k, g.n);
                         r.kernel_isa = gcd2_kernels::active_isa().name();
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
@@ -1771,6 +1776,7 @@ impl InferencePlan {
                             isa,
                             mb: tiles.mb,
                             kb: tiles.kb,
+                            tile_depth,
                             tuned: tiles != TilePlan::DEFAULT,
                             panel_resident: panel == PanelSource::Resident,
                             layouts: (step.in_layout, step.out_layout),

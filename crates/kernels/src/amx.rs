@@ -27,18 +27,25 @@
 //! runs on the tile grid **for every `n`** — the panel is zero-padded
 //! to whole strips, so the last strip is computed whole and its dead
 //! columns are masked out of the store when the block is requantised —
-//! **and for every `k`**: the `k % 64` reduction tail (all of a
-//! `k < 64` reduction) is one more tile step against the panel's
-//! zero-padded last k-tile, its activation bytes staged zero-padded in
-//! [`BandScratch::a_tail`](crate::tiled::BandScratch) so no tile load
-//! reads past `a`. What is left to the VNNI strips is the `rows % 16`
-//! row remainder of a band, and whole bands of fewer than 16 rows.
+//! **and for every `k`**: the `k % 64` reduction tail is one more tile
+//! step against the panel's zero-padded last k-tile, its 64-byte window
+//! read straight from `a` at row stride `k`. The bytes past a row's end
+//! are the next row's, and they meet the panel's zero padding, so they
+//! add nothing; only a row block one of whose windows would leave `a`
+//! has its tails staged zero-padded in
+//! [`BandScratch::a_tail`](crate::tiled::BandScratch). A reduction
+//! shorter than one tile runs at its own depth ([`tile_depth`]): the A
+//! tiles are `k` rounded up to a quad wide and the B tiles that many
+//! quads deep, so `tdpbusd` multiplies no 64-deep zero padding. What is
+//! left to the VNNI strips is the `rows % 16` row remainder of a band,
+//! and whole bands of fewer than 16 rows.
 //!
 //! Loop order: row blocks of `mb` rows outermost, then **column strip
 //! pairs, then 32-row groups** — each 32×32 output block accumulates its
 //! whole reduction in four tile registers, is stored to a 4 KiB stack
-//! block and requantised straight into the output, so there is no band
-//! accumulator to stream. Inside a row block the `mb × k` activation
+//! block and requantised straight into the output two rows per zmm
+//! ([`simd::x86::Requant512`]), so there is no band accumulator to
+//! stream. Inside a row block the `mb × k` activation
 //! block is re-read per strip pair (from L2) and the panel is streamed
 //! once; `mb` is the tile plan's ([`crate::tiled::tile_plan`]: 32 rows
 //! while the panel is cache-resident, else as many as keep the block in
@@ -49,6 +56,7 @@
 //! registers.
 
 use crate::dispatch::BandArgs;
+use crate::simd::x86::Requant512;
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
 use crate::tiled::BandScratch;
 use crate::tiled::TilePlan;
@@ -69,12 +77,13 @@ const XFEATURE_XTILEDATA: u64 = 18;
 pub fn amx_available() -> bool {
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
     *AVAILABLE.get_or_init(|| {
-        // The row remainder runs VNNI strips and the tail staging
-        // byte-masked loads, so AMX is only offered where the VNNI tier
-        // would also have been available, with AVX-512BW (every AMX
-        // part has both).
+        // The row remainder runs VNNI strips, the tail staging byte-masked
+        // loads and the epilogue byte packs and half-zmm masked stores, so
+        // AMX is only offered where the VNNI tier would also have been
+        // available, with AVX-512VL (every AMX part has all of them).
         if !std::arch::is_x86_feature_detected!("avx512f")
             || !std::arch::is_x86_feature_detected!("avx512bw")
+            || !std::arch::is_x86_feature_detected!("avx512vl")
             || !std::arch::is_x86_feature_detected!("avx512vnni")
         {
             return false;
@@ -110,21 +119,36 @@ fn request_tile_permission() -> bool {
     ret == 0
 }
 
-/// Loads the uniform tile configuration: all eight tiles 16 rows × 64
-/// bytes (palette 1). A tiles hold 16 activation rows of 64 u8, B tiles
-/// 16 quad rows of 64 i8, accumulator tiles 16 rows of 16 i32 — one
-/// shape serves every operand, so the config is loaded once per band.
+/// The reduction depth of one tile step of a `k`-deep GEMM: 64, or a
+/// shorter reduction rounded up to a whole quad — what the A tiles are
+/// wide and four times what the B tiles are deep.
+pub(crate) fn tile_depth(k: usize) -> usize {
+    k.next_multiple_of(4).clamp(4, 64)
+}
+
+/// Loads the tile configuration of a band whose steps are `depth`
+/// bytes deep (palette 1): the accumulator tiles tmm0–tmm3 are 16 rows
+/// of 16 i32, the A tiles tmm4/tmm5 16 activation rows of `depth` u8,
+/// the B tiles tmm6/tmm7 `depth / 4` quad rows of 64 i8. Loaded once
+/// per band.
 ///
 /// # Safety
-/// Caller must have verified [`amx_available`].
-unsafe fn configure_tiles() {
+/// Caller must have verified [`amx_available`]; `depth` is a
+/// [`tile_depth`].
+unsafe fn configure_tiles(depth: usize) {
     #[repr(C, align(64))]
     struct TileCfg([u8; 64]);
     let mut cfg = TileCfg([0u8; 64]);
     cfg.0[0] = 1; // palette 1
     for t in 0..8 {
-        cfg.0[16 + 2 * t] = 64; // colsb, little-endian u16
-        cfg.0[48 + t] = 16; // rows
+        // colsb (little-endian u16) and rows.
+        let (colsb, rows) = match t {
+            4 | 5 => (depth, 16),
+            6 | 7 => (64, depth / 4),
+            _ => (64, 16),
+        };
+        cfg.0[16 + 2 * t] = colsb as u8;
+        cfg.0[48 + t] = rows as u8;
     }
     // SAFETY: per caller contract AMX is permitted; the config block is
     // a valid 64-byte palette-1 descriptor.
@@ -155,7 +179,7 @@ pub(crate) fn tile_grid_engages(rows: usize) -> bool {
 /// One `RA·16`-row × `CB·16`-column output block (`RA`, `CB` ∈ {1, 2}):
 /// the i32 image of the accumulator tiles, row stride 32.
 #[repr(C, align(64))]
-struct CBlock([i32; 32 * 32]);
+pub(crate) struct CBlock(pub(crate) [i32; 32 * 32]);
 
 /// Zeroes the four accumulator tiles (tmm0–tmm3).
 ///
@@ -177,22 +201,22 @@ unsafe fn zero_accumulators() {
     }
 }
 
-/// Accumulates `steps` 64-deep k-steps into the accumulator tiles of an
+/// Accumulates `steps` k-steps into the accumulator tiles of an
 /// `RA·16 × CB·16` block: tmm0/tmm1 the first row group's two column
 /// strips, tmm2/tmm3 the second's. Per step one A tile per row group
-/// (tmm4/tmm5, 16 rows `a_stride` apart, advancing 64 bytes) and one B
-/// tile per strip (tmm6/tmm7, sixteen consecutive quad rows of the
-/// panel, advancing to the strip's next k-tile). The 2×2 shape is the
-/// throughput kernel: four `tdpbusd` per four `tileloadd` (1×2 and 2×1
-/// pay three loads for two), which matters because the tile loads, not
-/// the multiplies, bound the smaller shapes.
+/// (tmm4/tmm5, 16 rows of the configured depth `a_stride` apart,
+/// advancing 64 bytes) and one B tile per strip (tmm6/tmm7, consecutive
+/// quad rows of the panel, advancing to the strip's next k-tile). The
+/// 2×2 shape is the throughput kernel: four `tdpbusd` per four
+/// `tileloadd` (1×2 and 2×1 pay three loads for two), which matters
+/// because the tile loads, not the multiplies, bound the smaller shapes.
 ///
 /// # Safety
 /// Caller must have verified [`amx_available`] and loaded
-/// [`configure_tiles`]. For `g < RA`, `a.add(g · 16 · a_stride)` must
-/// point at 16 rows of `64 · steps` readable bytes, `a_stride` apart;
-/// for `s < CB`, `b.add(s · b_strip)` at `steps` readable B tiles of
-/// [`TILE_QUADS`] quad rows.
+/// [`configure_tiles`] with some `depth`. For `g < RA`, `a.add(g · 16 ·
+/// a_stride)` must point at 16 rows of `64 · (steps - 1) + depth`
+/// readable bytes, `a_stride` apart; for `s < CB`, `b.add(s · b_strip)`
+/// at `steps` readable B tiles of [`TILE_QUADS`] quad rows.
 #[inline(always)]
 unsafe fn accumulate<const RA: usize, const CB: usize>(
     a: *const u8,
@@ -206,8 +230,8 @@ unsafe fn accumulate<const RA: usize, const CB: usize>(
     let (mut b0, mut b1) = (b, b.wrapping_add(b_strip));
     for _ in 0..steps {
         // SAFETY: per the caller contract every tileloadd window of
-        // this step is readable; the tile registers are configured
-        // 16 × 64 and no compiler-generated code touches them.
+        // this step is readable; the tile registers are configured and
+        // no compiler-generated code touches them.
         unsafe {
             match (RA, CB) {
                 (2, 2) => asm!(
@@ -300,55 +324,55 @@ unsafe fn store_accumulators<const RA: usize, const CB: usize>(c: &mut CBlock) {
 
 /// Requantises the leading `rows × cols` corner of a C block into
 /// `out` (row stride `n`) — [`simd::requantize`]'s
-/// `map[clamp(v >> shift, 0, clamp)]`, sixteen columns per instruction:
-/// the arithmetic shift, `max(·, 0)`, `min(·, clamp)`, then — when the
-/// epilogue has a map (`MAPPED`; `table` holds its sixteen entries as
-/// i32 lanes) — one `vpermd` that indexes the table by each lane, and a
-/// down-convert that can no longer saturate. Columns past `cols` (the
-/// dead columns of a padded last strip) are masked out of the store.
-/// The identity is the other instantiation, so a GEMM with nothing
-/// folded runs the loop it ran before maps existed.
+/// `map[clamp(v >> shift, 0, clamp)]`, two block rows per zmm: rows
+/// `r` and `r + 1` are 64 consecutive i32 of the block, which
+/// [`simd::x86::Requant512::bytes`] narrows to 64 bytes in order, and
+/// two masked 32-byte stores write their first `cols` bytes to the two
+/// output rows. Columns past `cols` (the dead columns of a padded last
+/// strip, stale in the block when only one strip was stored) are
+/// masked out of the store.
 ///
 /// # Safety
-/// Caller must ensure AVX-512F is available, `rows <= 32`,
-/// `1 <= cols <= 32` and `out` points at `rows` rows of `cols` writable
-/// bytes, `n` apart; when `MAPPED`, `clamp <= 15`.
-#[target_feature(enable = "avx512f")]
-unsafe fn requantize_block<const MAPPED: bool>(
+/// Caller must ensure AVX-512F, BW and VL are available, `rows <= 32`
+/// is even, `1 <= cols <= 32` and `out` points at `rows` rows of `cols`
+/// writable bytes, `n` apart.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+pub(crate) unsafe fn requantize_block(
     c: &CBlock,
     rows: usize,
     cols: usize,
-    (shift, clamp, table): (u8, u8, &[i32; 16]),
+    requant: &Requant512,
     out: *mut u8,
     n: usize,
 ) {
-    let count = _mm_cvtsi32_si128(shift as i32);
-    let zero = _mm512_setzero_si512();
-    let ceiling = _mm512_set1_epi32(clamp as i32);
-    // SAFETY: a 64-byte unaligned load of the sixteen i32 entries.
-    let table = unsafe { _mm512_loadu_si512(table.as_ptr() as *const _) };
-    for r in 0..rows {
-        for (s, c0) in (0..cols).step_by(16).enumerate() {
-            let lanes = ((1u32 << (cols - c0).min(16)) - 1) as __mmask16;
-            // SAFETY: row r < 32 and strip s < 2 of the 32 × 32 block;
-            // the masked store covers columns c0 .. min(c0 + 16, cols)
-            // of output row r, writable per the caller contract.
-            unsafe {
-                let v = _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * s) as *const _);
-                let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
-                let mut v = _mm512_min_epi32(v, ceiling);
-                if MAPPED {
-                    // Every lane is in 0..=15: its own table index.
-                    v = _mm512_permutexvar_epi32(v, table);
-                }
-                _mm512_mask_cvtusepi32_storeu_epi8(out.add(r * n + c0) as *mut i8, lanes, v);
-            }
+    let lanes = (u32::MAX >> (32 - cols)) as __mmask32;
+    for r in (0..rows).step_by(2) {
+        // SAFETY: rows r and r + 1 < 32 of the 32 × 32 block are its
+        // 64 i32 from r · 32, each load sixteen of them, aligned.
+        let v = std::array::from_fn(|j| unsafe {
+            _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * j) as *const _)
+        });
+        let bytes = requant.bytes(v);
+        // SAFETY: the masked stores cover columns 0 .. cols of output
+        // rows r and r + 1, writable per the caller contract.
+        unsafe {
+            _mm256_mask_storeu_epi8(
+                out.add(r * n) as *mut i8,
+                lanes,
+                _mm512_castsi512_si256(bytes),
+            );
+            _mm256_mask_storeu_epi8(
+                out.add((r + 1) * n) as *mut i8,
+                lanes,
+                _mm512_extracti64x4_epi64::<1>(bytes),
+            );
         }
     }
 }
 
 /// Stages the `k % 64` reduction tail of each `k`-byte row of `a_block`
-/// as one zero-padded line of `a_tail`: a byte-masked load, whose
+/// as one zero-padded line of `a_tail` — for a row block whose
+/// in-place tail windows would leave `a`: a byte-masked load, whose
 /// masked-off bytes read as zero and are never accessed (the last row's
 /// tail ends where `a_block` ends), and a whole-line store.
 ///
@@ -369,46 +393,40 @@ unsafe fn stage_tail(a_block: &[u8], k: usize, a_tail: &mut [Line<u8>]) {
 }
 
 /// One `RA·16`-row × `CB·16`-strip output block, start to finish: the
-/// whole reduction in tile registers — `kfull` k-steps read from `a`
-/// (row stride `k`), then the `k % 64` tail, if any, as one more step
-/// read from the staged `a_tail` rows (stride 64) — stored to the
-/// caller's scratch block `c` and requantised into `out`.
+/// whole reduction in tile registers — `steps` k-steps read in place
+/// from `a` (row stride `k`), then, for a staged row block, the `k %
+/// 64` tail as one more step read from the staged `a_tail` rows (stride
+/// 64) — stored to the caller's scratch block `c` and requantised into
+/// `out`.
 ///
 /// # Safety
-/// [`accumulate`]'s contract for `a` over `k / 64` steps at stride
-/// `k`, for `a_tail` (when there is one) over one step of line rows and
-/// for `b` over `⌈k / 64⌉` tiles; [`requantize_block`]'s for `out`,
-/// with `cols` live columns.
+/// [`accumulate`]'s contract for `a` over `steps` steps at stride `k`,
+/// for `a_tail` (when there is one) over one step of line rows and for
+/// `b` over `steps` tiles, plus one for a staged tail;
+/// [`requantize_block`]'s for `out`, with `cols` live columns.
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_block<const RA: usize, const CB: usize>(
     a: *const u8,
     k: usize,
+    steps: usize,
     a_tail: Option<*const Line<u8>>,
     b: *const QuadRow,
     b_strip: usize,
     c: &mut CBlock,
     cols: usize,
-    requant: (u8, u8, Option<&[i32; 16]>),
+    requant: &Requant512,
     out: *mut u8,
     n: usize,
 ) {
-    let kfull = k / 64;
     // SAFETY: the caller's contract, clause by clause.
     unsafe {
         zero_accumulators();
-        accumulate::<RA, CB>(a, k, b, b_strip, kfull);
+        accumulate::<RA, CB>(a, k, b, b_strip, steps);
         if let Some(a_tail) = a_tail {
-            accumulate::<RA, CB>(a_tail.cast(), 64, b.add(kfull * TILE_QUADS), b_strip, 1);
+            accumulate::<RA, CB>(a_tail.cast(), 64, b.add(steps * TILE_QUADS), b_strip, 1);
         }
         store_accumulators::<RA, CB>(c);
-        match requant {
-            (shift, clamp, Some(table)) => {
-                requantize_block::<true>(c, 16 * RA, cols, (shift, clamp, table), out, n)
-            }
-            (shift, clamp, None) => {
-                requantize_block::<false>(c, 16 * RA, cols, (shift, clamp, &[0; 16]), out, n)
-            }
-        }
+        requantize_block(c, 16 * RA, cols, requant, out, n);
     }
 }
 
@@ -424,6 +442,7 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
 /// table only offers this row in that case), `quads` is the quad panel
 /// ([`crate::simd::quad_panel_rows`]) of the `args.k × args.n` matrix,
 /// `r1 <= m`, and `out_band.len() == (r1 - r0) * n`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
 pub(crate) unsafe fn band_amx(
     args: &BandArgs<'_>,
     panel: &[i16],
@@ -445,7 +464,7 @@ pub(crate) unsafe fn band_amx(
     } = *args;
     let rows = r1 - r0;
     if !tile_grid_engages(rows) {
-        // SAFETY: amx_available() verified AVX-512F + VNNI; operand
+        // SAFETY: amx_available() verified AVX-512F, BW + VNNI; operand
         // contract is the caller's, unchanged.
         return unsafe {
             simd::x86::band_avx512vnni(args, panel, quads, scratch, r0, r1, out_band)
@@ -455,35 +474,54 @@ pub(crate) unsafe fn band_amx(
     debug_assert_eq!(quads.len(), simd::quad_panel_rows(k, n));
     debug_assert_eq!(out_band.len(), rows * n);
 
-    let (kfull, ktail) = (k / 64, k % 64);
+    let kfull = k / 64;
+    let depth = tile_depth(k);
+    // Bytes past its start that a row's steps read: the last step is
+    // `depth` wide, and in place it runs past a `k % 64` tail into the
+    // next row's bytes, which meet the panel's zero padding.
+    let reach = |steps: usize| steps.checked_sub(1).map_or(0, |s| 64 * s + depth);
+    let whole = k.div_ceil(64);
+    // Rows `R` whose windows `[R·k, R·k + reach(whole))` end inside `a`.
+    // A row block reaching past them has its tails staged instead.
+    let in_place_rows = a
+        .len()
+        .checked_sub(reach(whole))
+        .map_or(0, |room| room.checked_div(k).map_or(usize::MAX, |q| q + 1));
     let strips = n.div_ceil(16);
-    let b_strip = k.div_ceil(64) * TILE_QUADS;
+    let b_strip = whole * TILE_QUADS;
     let tile_rows = rows & !15;
     let mb = mb.clamp(16, tile_rows).next_multiple_of(16);
     let a_tail = &mut scratch.a_tail;
-    if ktail != 0 {
+    if r0 + tile_rows > in_place_rows {
         a_tail.resize(mb, Line([0; 64]));
     }
     let mut c = CBlock([0; 32 * 32]);
-    let table = (!map.is_identity()).then(|| map.entries().map(i32::from));
+    let requant = Requant512::new(shift, clamp, map);
 
-    // SAFETY: amx_available() held at dispatch resolution.
-    unsafe { configure_tiles() };
+    // SAFETY: amx_available() held at dispatch resolution; `depth` is
+    // this GEMM's tile depth.
+    unsafe { configure_tiles(depth) };
     for rb in (0..tile_rows).step_by(mb) {
         let mrows = mb.min(tile_rows - rb);
-        let a_block = &a[(r0 + rb) * k..][..mrows * k];
-        if ktail != 0 {
+        let row0 = r0 + rb;
+        let steps = if row0 + mrows <= in_place_rows {
+            whole
+        } else {
+            debug_assert!((row0 + mrows - 1) * k + reach(whole) > a.len());
+            let a_block = &a[row0 * k..][..mrows * k];
             // SAFETY: amx_available() verified AVX-512F + BW.
             unsafe { stage_tail(a_block, k, a_tail) };
-        }
+            kfull
+        };
+        let staged = steps < whole;
         for s in (0..strips).step_by(2) {
             let cols = (n - 16 * s).min(32);
             let b = quads[s * b_strip..].as_ptr();
             for r in (0..mrows).step_by(32) {
                 // Every tile load of the block below reads rows
-                // r .. r + 16·RA of `a_block` (64·kfull bytes from the
-                // row start) and of the staged tail, and kt tiles of
-                // strips s .. s + CB of the panel.
+                // row0 + r .. + 16·RA of `a`, `reach(steps)` bytes from
+                // each row start, the staged tail's rows r .. + 16·RA,
+                // and the tiles of strips s .. s + CB of the panel.
                 let ra = if r + 32 <= mrows { 2 } else { 1 };
                 let block = match (ra, cols > 16) {
                     (2, true) => tile_block::<2, 2>,
@@ -491,27 +529,19 @@ pub(crate) unsafe fn band_amx(
                     (_, true) => tile_block::<1, 2>,
                     (_, false) => tile_block::<1, 1>,
                 };
-                debug_assert!((r + 16 * ra - 1) * k + 64 * kfull <= a_block.len());
-                debug_assert!(ktail == 0 || r + 16 * ra <= a_tail.len());
+                debug_assert!((row0 + r + 16 * ra - 1) * k + reach(steps) <= a.len());
+                debug_assert!(!staged || r + 16 * ra <= a_tail.len());
                 debug_assert!((s + cols.div_ceil(16)) * b_strip <= quads.len());
-                let a_rows = a_block[r * k..].as_ptr();
-                let tail = (ktail != 0).then(|| a_tail[r..].as_ptr());
+                let a_rows = a[(row0 + r) * k..].as_ptr();
+                let tail = staged.then(|| a_tail[r..].as_ptr());
                 let out = out_band[(rb + r) * n + 16 * s..].as_mut_ptr();
                 // SAFETY: the windows asserted above are what the block
-                // reads; it writes `cols` bytes of output rows
+                // reads (the slice `a_rows` comes from runs to the end of
+                // `a`); it writes `cols` bytes of output rows
                 // rb + r .. + 16·RA from column 16s, inside `out_band`.
                 unsafe {
                     block(
-                        a_rows,
-                        k,
-                        tail,
-                        b,
-                        b_strip,
-                        &mut c,
-                        cols,
-                        (shift, clamp, table.as_ref()),
-                        out,
-                        n,
+                        a_rows, k, steps, tail, b, b_strip, &mut c, cols, &requant, out, n,
                     )
                 };
             }
@@ -540,7 +570,7 @@ pub(crate) unsafe fn band_amx(
                 k.div_ceil(4).max(1),
             );
         }
-        // SAFETY: amx_available() verified AVX-512F.
+        // SAFETY: amx_available() verified AVX-512F + BW.
         unsafe { simd::x86::requantize512(acc, shift, clamp, map, &mut out_band[tile_rows * n..]) };
     }
 }
@@ -570,6 +600,82 @@ mod tests {
         out
     }
 
+    /// Seeded operands of an `m × k × n` GEMM, `a` exactly `m · k`
+    /// bytes (no line padding), and the weights' quad panel.
+    fn operands(m: usize, k: usize, n: usize) -> (Vec<u8>, Vec<i8>, WeightPanel) {
+        let a: Vec<u8> = (0..m * k)
+            .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
+            .collect();
+        let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
+        let panel = WeightPanel::of_kind(PanelKind::Quads, &wd, k, n);
+        (a, wd, panel)
+    }
+
+    /// The in-place tails and the staging boundary: `a` is a `Vec` of
+    /// exactly `m · k` bytes, so a tail window one byte past it fails
+    /// the kernel's `debug_assert`s (the suite runs with them on) — and
+    /// every row block either reads its tails in place or, past the
+    /// last row whose windows end inside `a`, stages them. Row blocks
+    /// of 16, 32 and 48 rows and the whole band; short depths with `k %
+    /// 4 ≠ 0` (the A tiles' last quad runs one to three bytes into the
+    /// next row), `k % 64` tails behind whole k-steps, half-dead last
+    /// strips, the u8 clamp and an activation ceiling with and without
+    /// a map.
+    #[test]
+    fn tails_read_in_place_up_to_the_end_of_a() {
+        if !KernelIsa::AmxInt8.supported() {
+            eprintln!("AMX not available; skipping");
+            return;
+        }
+        let reverse = ByteMap::new(std::array::from_fn(|v| 15 - v as u8)).expect("entries ≤ 15");
+        for &(m, k, n) in &[
+            (64usize, 27usize, 24usize),
+            (48, 5, 8),
+            (97, 26, 40),
+            (80, 1, 16),
+            (112, 131, 20),
+            (33, 195, 7),
+        ] {
+            let (a, wd, panel) = operands(m, k, n);
+            let (_, _, quads) = panel.operands();
+            for mb in [16, 32, 48, m] {
+                for (clamp, map) in [
+                    (255u8, ByteMap::IDENTITY),
+                    (15, ByteMap::IDENTITY),
+                    (15, reverse),
+                ] {
+                    let args = BandArgs {
+                        a: &a,
+                        k,
+                        n,
+                        wd: &[],
+                        shift: 2,
+                        clamp,
+                        map,
+                        tiles: TilePlan { mb, kb: 128 },
+                    };
+                    let mut scratch = BandScratch::default();
+                    let mut out = vec![0u8; m * n];
+                    // SAFETY: AMX support verified above; operands follow
+                    // the band contract (m rows, packed quads, out m·n).
+                    unsafe { band_amx(&args, &[], quads, &mut scratch, 0, m, &mut out) };
+                    let entries = map.entries();
+                    let want: Vec<u8> = reference(&a, (m, k, n), &wd, 2, clamp)
+                        .into_iter()
+                        .map(|v| {
+                            if map.is_identity() {
+                                v
+                            } else {
+                                entries[v as usize]
+                            }
+                        })
+                        .collect();
+                    assert_eq!(out, want, "({m},{k},{n}) mb {mb} clamp {clamp} {map:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn amx_band_matches_oracle_across_ragged_shapes() {
         if !KernelIsa::AmxInt8.supported() {
@@ -591,11 +697,7 @@ mod tests {
             (15, 128, 32),   // fewer than 16 rows: full delegation
             (129, 191, 112), // multi-block with every tail at once
         ] {
-            let a: Vec<u8> = (0..m * k)
-                .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
-                .collect();
-            let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
-            let panel = WeightPanel::of_kind(PanelKind::Quads, &wd, k, n);
+            let (a, wd, panel) = operands(m, k, n);
             let (_, _, quads) = panel.operands();
             // The u8 saturation and an activation ceiling below it.
             for clamp in [255u8, 15] {

@@ -109,8 +109,11 @@ impl KernelIsa {
             #[cfg(target_arch = "x86_64")]
             KernelIsa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
+            // Every VNNI part has AVX-512BW, which the epilogue's packs
+            // need.
             KernelIsa::Avx512Vnni => {
                 std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
                     && std::arch::is_x86_feature_detected!("avx512vnni")
             }
             #[cfg(target_arch = "x86_64")]
@@ -897,10 +900,18 @@ fn panel_kind(tier: KernelIsa, n: usize) -> PanelKind {
 
 /// What the dispatcher uses for a GEMM shape on the active tier, for
 /// reports: the tier whose multiply instructions run this shape
-/// ([`multiply_isa`]) and the blocking [`tile_plan`] gives it.
-pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan) {
+/// ([`multiply_isa`]), the blocking [`tile_plan`] gives it and, when
+/// the AMX tile grid runs it, the depth of one tile step — 64, or a
+/// reduction shorter than one tile rounded up to a whole quad.
+pub fn gemm_kernel_summary(m: usize, k: usize, n: usize) -> (KernelIsa, TilePlan, Option<usize>) {
     let tier = active_isa();
-    (multiply_isa(tier, m, n), tile_plan(m, k, n, tier))
+    let isa = multiply_isa(tier, m, n);
+    let depth = match isa {
+        #[cfg(target_arch = "x86_64")]
+        KernelIsa::AmxInt8 => Some(crate::amx::tile_depth(k)),
+        _ => None,
+    };
+    (isa, tile_plan(m, k, n, tier), depth)
 }
 
 #[cfg(test)]
@@ -1060,6 +1071,22 @@ mod tests {
         }
     }
 
+    /// A report gives the AMX tile grid's step depth, and only for a
+    /// shape the grid runs: a short reduction at its own depth rounded
+    /// up to a quad, a longer one at 64, a one-row GEMM (the VNNI strips)
+    /// and every other tier none.
+    #[test]
+    fn the_summary_gives_the_tile_depth_where_the_grid_runs() {
+        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let _pin = pin_isa(tier);
+            let amx = tier == KernelIsa::AmxInt8;
+            assert_eq!(gemm_kernel_summary(12544, 16, 64).2, amx.then_some(16));
+            assert_eq!(gemm_kernel_summary(1536, 26, 128).2, amx.then_some(28));
+            assert_eq!(gemm_kernel_summary(784, 147, 64).2, amx.then_some(64));
+            assert_eq!(gemm_kernel_summary(1, 16, 64).2, None, "{tier}");
+        }
+    }
+
     #[test]
     fn pinning_unsupported_isa_degrades_to_scalar() {
         let pin = pin_isa(KernelIsa::Neon);
@@ -1216,6 +1243,116 @@ mod tests {
                     rule_sum.as_secs_f64() * 1e6,
                     best_sum.as_secs_f64() * 1e6,
                     rule_sum.as_secs_f64() / best_sum.as_secs_f64()
+                );
+            }
+        }
+    }
+
+    /// The AMX band and its block epilogue, beside [`tile_rule_vs_sweep`]
+    /// and under its protocol, not a gate: for each distinct shape the
+    /// AMX tile grid runs in the four models the benchmark runs warm, the
+    /// band at the rule's blocking (best of 15, `a` line-aligned, the
+    /// panel pushed out of L2 before each run) and the requantisation of
+    /// one 32-row block alone (`amx::requantize_block` on a hot block,
+    /// best of 15 batches of 1000), its blocks per band and their share
+    /// of the band. Every buffer is allocated before the timed loops: a
+    /// fresh output `vec!` per call would time its page faults. DESIGN.md
+    /// §4e holds the output:
+    /// `cargo test -p gcd2-kernels --release --lib -- --ignored amx_epilogue_probe --nocapture`
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "perf evidence; run manually in release mode"]
+    fn amx_epilogue_probe() {
+        use crate::amx::{requantize_block, CBlock};
+        use crate::simd::x86::Requant512;
+        use crate::tiled::{tests::catalog_shapes, LineBuf};
+        use gcd2_models::ModelId;
+        use std::collections::BTreeSet;
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+
+        let isa = KernelIsa::AmxInt8;
+        if !isa.supported() {
+            eprintln!("AMX not available; skipping");
+            return;
+        }
+        let evict = vec![1u8; 8 << 20];
+        let touch = |bytes: &[u8]| bytes.iter().step_by(64).map(|&b| b as u64).sum::<u64>();
+        let mut seen = BTreeSet::new();
+        let block = CBlock(std::array::from_fn(|i| (i as i32 * 7919) % 8192 - 1024));
+        let mut block_out = vec![0u8; 32 * 32];
+        // SAFETY: AMX support implies AVX-512F and BW (`amx_available`).
+        let requant = unsafe { Requant512::new(6, u8::MAX, ByteMap::IDENTITY) };
+        for model in [
+            ModelId::ResNet50,
+            ModelId::TinyBert,
+            ModelId::MobileNetV3,
+            ModelId::EfficientNetB0,
+        ] {
+            println!("{model}");
+            for ((m, k, n), count) in catalog_shapes(model) {
+                if multiply_isa(isa, m, n) != isa || !seen.insert((m, k, n)) {
+                    continue;
+                }
+                let (a, w) = operands(m, k, n);
+                let mut staged = LineBuf::default();
+                staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
+                let panel = WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n);
+                let (wd, pairs, quads) = panel.operands();
+                let args = BandArgs {
+                    a: staged.bytes(),
+                    k,
+                    n,
+                    wd,
+                    shift: 6,
+                    clamp: u8::MAX,
+                    map: ByteMap::IDENTITY,
+                    tiles: tile_plan(m, k, n, isa),
+                };
+                let mut scratch = BandScratch::default();
+                let mut out = vec![0u8; m * n];
+                let mut band = Duration::MAX;
+                for _ in 0..15 {
+                    black_box(touch(&evict) + touch(staged.bytes()));
+                    let t0 = Instant::now();
+                    // SAFETY: the tier is supported and the operands
+                    // match the band contract: `a` is m × k, `panel`
+                    // the tier's pack of `w`, `out` m × n.
+                    unsafe {
+                        (table_for(isa).band)(&args, pairs, quads, &mut scratch, 0, m, &mut out)
+                    };
+                    band = band.min(t0.elapsed());
+                }
+                let cols = n.min(32);
+                let mut epilogue = Duration::MAX;
+                for _ in 0..15 {
+                    let t0 = Instant::now();
+                    for _ in 0..1000 {
+                        // SAFETY: AMX support implies AVX-512F, BW and
+                        // VL; 32 rows of `cols` ≤ 32 bytes, `cols` apart,
+                        // are `block_out`'s.
+                        unsafe {
+                            requantize_block(
+                                black_box(&block),
+                                32,
+                                cols,
+                                &requant,
+                                block_out.as_mut_ptr(),
+                                cols,
+                            )
+                        };
+                    }
+                    epilogue = epilogue.min(t0.elapsed() / 1000);
+                }
+                black_box(&block_out);
+                // 32-row blocks per strip pair, times strip pairs.
+                let blocks = (m / 16).div_ceil(2) * n.div_ceil(32);
+                let share = blocks as f64 * epilogue.as_secs_f64() / band.as_secs_f64();
+                println!(
+                    "  {m:>5}x{k:<4}x{n:<4} ×{count:<2} band {:>8.1}µs  requant {:>5.0}ns/block × {blocks:<5} = {:>4.0}% of the band",
+                    band.as_secs_f64() * 1e6,
+                    epilogue.as_secs_f64() * 1e9,
+                    share * 100.0,
                 );
             }
         }

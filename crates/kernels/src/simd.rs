@@ -184,10 +184,10 @@ pub(crate) fn unpack_quad_ktile(src: &[QuadRow], n: usize, strip_stride: usize, 
 
 /// Requantize an i32 accumulator band to output bytes,
 /// `map[clamp(v >> shift, 0, clamp)]` — the shared epilogue of the
-/// scalar oracle and of the AVX2 and NEON bands (the AVX-512 tiers map
-/// in zmm lanes, `x86::requantize512`). A map other than the identity is
-/// a second pass over the clamped bytes while they are in L1
-/// ([`ByteMap::select`]). Always inlined, so each band kernel's copy is
+/// scalar oracle and of the AVX2 and NEON bands (the AVX-512 tiers
+/// requantise in zmm lanes, `x86::Requant512`). A map other than the
+/// identity is a second pass over the clamped bytes while they are in
+/// L1 ([`ByteMap::select`]). Always inlined, so each band kernel's copy is
 /// vectorised for its own `target_feature`s.
 #[inline(always)]
 pub(crate) fn requantize(acc: &[i32], shift: u8, clamp: u8, map: ByteMap, out: &mut [u8]) {
@@ -452,10 +452,10 @@ pub(crate) mod x86 {
     /// [`band_vnni_narrow`] (bit-identical).
     ///
     /// # Safety
-    /// Caller must ensure AVX-512F + AVX-512VNNI are available, `quads`
+    /// Caller must ensure AVX-512F, BW and VNNI are available, `quads`
     /// is the quad panel ([`super::quad_panel_rows`]) of the `args.k ×
     /// args.n` matrix, `r1 <= m`, and `out_band.len() == (r1 - r0) * n`.
-    #[target_feature(enable = "avx512f,avx512vnni")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     pub(crate) unsafe fn band_avx512vnni(
         args: &BandArgs<'_>,
         _panel: &[i16],
@@ -503,7 +503,7 @@ pub(crate) mod x86 {
             // rows r0+rb .. +mrows are < r1 <= m and `acc` holds
             // mrows rows.
             unsafe { rows512(a, k, n, quads, acc, r0 + rb, mrows, kb_quads) };
-            // SAFETY: AVX-512F is this fn's.
+            // SAFETY: AVX-512F and BW are this fn's.
             unsafe {
                 requantize512(
                     acc,
@@ -517,17 +517,72 @@ pub(crate) mod x86 {
         }
     }
 
-    /// [`super::requantize`] in zmm lanes — the VNNI bands' epilogue and
-    /// the AMX tier's row remainder: sixteen accumulators per step are
-    /// shifted, clamped, looked up in the map with one `vpermd`
-    /// (`_mm512_permutexvar_epi32` indexes the entries, held as i32 lanes,
-    /// by each lane) and down-converted. The identity runs the portable
-    /// loop, vectorised here for AVX-512 as it was before maps existed.
+    /// `clamp(v >> count, 0, 255)` of the 64 i32 lanes of `v` as 64
+    /// bytes — the narrowing the AVX-512 GEMM epilogues and the
+    /// depthwise rows kernel share: `vpsrad` ×4, `vpackssdw` ×2,
+    /// `vpackuswb`. Signed saturation to i16 and then
+    /// unsigned saturation to u8 is exactly the clamp. The packs work
+    /// within 128-bit lanes, so byte `16i + 4j + b` of the result is lane
+    /// `4i + b` of `v[j]`: [`Requant512::bytes`] puts them back in order
+    /// with one `vpermd`, [`dw_rows_run`]'s interleaved accumulators come
+    /// out of it in order already.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn pack_clamped(v: [__m512i; 4], count: __m128i) -> __m512i {
+        let [s0, s1, s2, s3] = v.map(|v| _mm512_sra_epi32(v, count));
+        _mm512_packus_epi16(_mm512_packs_epi32(s0, s1), _mm512_packs_epi32(s2, s3))
+    }
+
+    /// [`super::requantize`]'s `map[clamp(v >> shift, 0, clamp)]` in zmm
+    /// lanes, set up once per band: the shift count, the ceiling as
+    /// bytes and, for a map other than the identity, its sixteen entries
+    /// broadcast to every 128-bit lane (a map comes with `clamp <= 15`,
+    /// so a clamped byte is its own `vpshufb` index).
+    pub(crate) struct Requant512 {
+        count: __m128i,
+        ceiling: __m512i,
+        table: Option<__m512i>,
+    }
+
+    impl Requant512 {
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub(crate) fn new(shift: u8, clamp: u8, map: ByteMap) -> Requant512 {
+            let entries = map.entries();
+            Requant512 {
+                count: _mm_cvtsi32_si128(shift as i32),
+                ceiling: _mm512_set1_epi8(clamp as i8),
+                // SAFETY: a 16-byte unaligned load of the sixteen entries.
+                table: (!map.is_identity()).then(|| unsafe {
+                    _mm512_broadcast_i32x4(_mm_loadu_si128(entries.as_ptr() as *const _))
+                }),
+            }
+        }
+
+        /// The 64 requantised bytes of 64 consecutive accumulators,
+        /// `v[0]`'s sixteen first: [`pack_clamped`], one `vpermd` back to
+        /// source order, the `vpminub` ceiling, the `vpshufb` map.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512bw")]
+        pub(crate) fn bytes(&self, v: [__m512i; 4]) -> __m512i {
+            let order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+            let bytes = _mm512_permutexvar_epi32(order, pack_clamped(v, self.count));
+            let bytes = _mm512_min_epu8(bytes, self.ceiling);
+            match self.table {
+                Some(table) => _mm512_shuffle_epi8(table, bytes),
+                None => bytes,
+            }
+        }
+    }
+
+    /// [`super::requantize`] in zmm lanes, 64 accumulators per step
+    /// ([`Requant512::bytes`]) — the VNNI bands' epilogue, the AMX tier's
+    /// `rows % 16` remainder and so every one-row GEMM. The last step
+    /// loads and stores under lane masks.
     ///
     /// # Safety
-    /// Caller must ensure AVX-512F is available; a map other than the
-    /// identity needs `clamp <= 15`.
-    #[target_feature(enable = "avx512f")]
+    /// Caller must ensure AVX-512F and AVX-512BW are available; a map
+    /// other than the identity needs `clamp <= 15`.
+    #[target_feature(enable = "avx512f,avx512bw")]
     pub(crate) unsafe fn requantize512(
         acc: &[i32],
         shift: u8,
@@ -535,26 +590,26 @@ pub(crate) mod x86 {
         map: ByteMap,
         out: &mut [u8],
     ) {
-        if map.is_identity() {
-            return requantize(acc, shift, clamp, map, out);
-        }
-        let entries = map.entries().map(i32::from);
-        // SAFETY: a 64-byte unaligned load of the sixteen i32 entries.
-        let table = unsafe { _mm512_loadu_si512(entries.as_ptr() as *const _) };
-        let count = _mm_cvtsi32_si128(shift as i32);
-        let (zero, ceiling) = (_mm512_setzero_si512(), _mm512_set1_epi32(clamp as i32));
-        for (dst, src) in out.chunks_mut(16).zip(acc.chunks(16)) {
+        let requant = Requant512::new(shift, clamp, map);
+        for (dst, src) in out.chunks_mut(64).zip(acc.chunks(64)) {
             let len = dst.len().min(src.len());
-            let lanes = ((1u32 << len) - 1) as __mmask16;
-            // SAFETY: the masked load and store touch the first `len`
-            // elements of `src` and `dst`; masked-off lanes are never
-            // accessed.
-            unsafe {
-                let v = _mm512_maskz_loadu_epi32(lanes, src.as_ptr());
-                let v = _mm512_max_epi32(_mm512_sra_epi32(v, count), zero);
-                let v = _mm512_permutexvar_epi32(_mm512_min_epi32(v, ceiling), table);
-                _mm512_mask_cvtusepi32_storeu_epi8(dst.as_mut_ptr() as *mut i8, lanes, v);
-            }
+            let v = std::array::from_fn(|j| {
+                let lanes = (len.saturating_sub(16 * j)).min(16);
+                // SAFETY: the masked load touches elements 16j ..
+                // 16j + lanes of `src`, all below `len`; with no lane
+                // set (a short last step) it touches nothing, and the
+                // pointer is never dereferenced.
+                unsafe {
+                    _mm512_maskz_loadu_epi32(
+                        ((1u32 << lanes) - 1) as __mmask16,
+                        src.as_ptr().wrapping_add(16 * j),
+                    )
+                }
+            });
+            let mask = u64::MAX >> (64 - len);
+            // SAFETY: the mask covers the first `len` bytes of `dst`;
+            // masked-off bytes are not accessed.
+            unsafe { _mm512_mask_storeu_epi8(dst.as_mut_ptr() as *mut i8, mask, requant.bytes(v)) };
         }
     }
 
@@ -1516,8 +1571,7 @@ pub(crate) mod x86 {
                 acc[2] = _mm512_dpbusd_epi32(acc[2], _mm512_unpacklo_epi16(ab_hi, cd_hi), w);
                 acc[3] = _mm512_dpbusd_epi32(acc[3], _mm512_unpackhi_epi16(ab_hi, cd_hi), w);
             }
-            let [s0, s1, s2, s3] = acc.map(|v| _mm512_sra_epi32(v, shiftv));
-            let bytes = _mm512_packus_epi16(_mm512_packs_epi32(s0, s1), _mm512_packs_epi32(s2, s3));
+            let bytes = pack_clamped(acc, shiftv);
             // SAFETY: the mask covers exactly `dst[at..]`'s live bytes.
             unsafe {
                 _mm512_mask_storeu_epi8(

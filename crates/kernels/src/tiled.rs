@@ -121,8 +121,9 @@ pub(crate) struct BandScratch {
     /// The i32 accumulator block.
     pub(crate) acc: Vec<i32>,
     /// AMX tier: the `k % 64` reduction tail of a row block's
-    /// activation rows, one zero-padded line each, so the tail runs on
-    /// a tile whose loads never leave the buffer.
+    /// activation rows, one zero-padded line each — only for a row
+    /// block one of whose in-place tail windows would leave `a` (every
+    /// other block reads its tails straight from `a`).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the AMX tier is x86-64's
     pub(crate) a_tail: Vec<Line<u8>>,
 }

@@ -160,16 +160,21 @@ proptest! {
 /// (odd k exercises the half-pair path), M-remainder (rows % 4), and
 /// N-remainder (cols % 16 / % 8) edge tiles, plus exact-fit controls.
 /// Then the AMX tile grid's boundaries, as a cross product: one row
-/// short of, on and past a 16- and a 32-row group; one byte short of,
-/// on and past a 64-deep k-tile, and reduction tails of 19 and 56
-/// bytes; column counts that leave the last 16-column strip 8 or 10
-/// columns live, alone or behind whole strips and strip pairs. `a` is
-/// exactly `m · k` bytes and the suite runs with debug assertions, so a
-/// tail or remainder tile load whose window leaves `a` (or the staged
-/// tail, or the panel) fails the kernel's `debug_assert`s instead of
-/// passing unnoticed. With at most 49 rows these run one or two row
-/// blocks; [`the_rules_blocks_match_the_reference`] covers the blocks
-/// the rule picks on larger shapes.
+/// short of, on and past a 16- and a 32-row group, and three row blocks
+/// of 32 rows with and without a remainder row (96, 97); one byte short
+/// of, on and past a 64-deep k-tile, and reduction tails of 19 and 56
+/// bytes; reductions shorter than one tile, run at their own depth, a
+/// whole number of quads (4, 16, 24, 40) or not (26, 27); column counts
+/// that leave the last 16-column strip 8 or 10 columns live, alone or
+/// behind whole strips and strip pairs. `a` is exactly `m · k` bytes and
+/// the suite runs with debug assertions, so a tail tile load whose
+/// window leaves `a` (or the staged tail, or the panel) fails the
+/// kernel's `debug_assert`s instead of passing unnoticed: the tails of
+/// a row block are read in place up to the last row whose windows end
+/// inside `a` (every row block of 97 rows, the first of 96) and staged
+/// past it (the last block of 16, 32, 48 or 96 rows whose tail or short
+/// depth runs past the end of `a`). [`the_rules_blocks_match_the_reference`]
+/// covers the blocks the rule picks on larger shapes.
 #[test]
 fn edge_tiles_are_bit_identical() {
     let cases = [
@@ -191,8 +196,8 @@ fn edge_tiles_are_bit_identical() {
         (37, 70, 65),  // 64 + 1 columns, rows % 4 == 1
         (21, 201, 79), // 64 + 15 columns, k % 4 == 1
     ];
-    let tile_grid = [15, 16, 17, 31, 33, 49].into_iter().flat_map(|m| {
-        [63, 64, 65, 127, 147, 312]
+    let tile_grid = [15, 16, 17, 31, 33, 49, 96, 97].into_iter().flat_map(|m| {
+        [4, 16, 24, 26, 27, 40, 63, 64, 65, 127, 147, 312]
             .into_iter()
             .flat_map(move |k| [8, 24, 26, 40, 312, 1000].map(|n| (m, k, n)))
     });
@@ -261,7 +266,8 @@ fn epilogue_maps() -> [ByteMap; 4] {
 /// fewer than 16 rows and their narrow kernel below 16 columns (8), the
 /// AVX2 pair kernel and its oracle tail below 8 columns (7), and the
 /// shared portable form on the scalar tier — over ragged last strips
-/// (`n % 16 ≠ 0`) and reduction tails (`k < 64`, `k % 64 ≠ 0`). Each run
+/// (`n % 16 ≠ 0`) and reduction tails (`k < 64`, `k % 64 ≠ 0`; the AMX
+/// grid runs `k = 24` at its own 24-byte tile depth). Each run
 /// is held to the reference requantisation clamped to 15 and then looked
 /// up in the map, at every tier the host supports (the scalar pin
 /// included), and from a panel packed on every other tier; together the shapes put
@@ -282,7 +288,7 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
     let mut scratch = GemmScratch::default();
     let mut out = Vec::new();
     for m in [1, 15, 16, 17, 33, 49] {
-        for (k, shift) in [(19, 7u8), (147, 9)] {
+        for (k, shift) in [(19, 7u8), (24, 7), (147, 9)] {
             for n in [7, 8, 26, 40, 312] {
                 let a = activations(m, k, 20, (m * 131 + k * 7 + n) as u64);
                 let w = weights(k, n, (k * n) as u64);
