@@ -547,8 +547,11 @@ fn main() -> ExitCode {
                 // AMX tile step's reduction depth (below 64 for a short
                 // reduction, which multiplies no zero padding); `panel`
                 // (k·n) and `block` (mb·k) are the two quantities the
-                // blocking rule weighs to choose `mb`; `epilogue` names
-                // the steps folded into its requantisation.
+                // blocking rule weighs to choose `mb`; `stage` is the
+                // step's staging wall clock and `a` what the multiply read
+                // (`matrix` as it lay or transposed, `view` an im2col view
+                // read in place, `im2col` a gathered matrix); `epilogue`
+                // names the steps folded into its requantisation.
                 for gk in &report.gemm_kernels {
                     let epilogue = plan.epilogue(gk.node);
                     let epilogue = if epilogue.is_empty() {
@@ -562,7 +565,7 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<8} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s{}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<8} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s {:<13} a={:<6}{}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -581,6 +584,8 @@ fn main() -> ExitCode {
                         },
                         took,
                         (gk.m * gk.k * gk.n) as f64 / took.as_secs_f64().max(1e-9) / 1e9,
+                        format!("stage={:.1}µs", gk.stage.as_secs_f64() * 1e6),
+                        gk.operand.name(),
                         epilogue
                     );
                 }

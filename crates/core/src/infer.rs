@@ -65,9 +65,9 @@ use gcd2_artifact::{Checksum64, RunDigest};
 use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
 use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
-    im2col_rm_into, im2col_rows_into, transpose_clamp_into, try_matmul_panel_into, weight_row_into,
-    ByteMap, GemmScratch, Im2colScratch, KernelIsa, LineBuf, PanelSource, TilePlan, WeightPanel,
-    KTILE_ROWS,
+    im2col_rm_into, im2col_rows_into, im2col_rows_view, transpose_clamp_into,
+    try_matmul_panel_into, weight_row_into, ByteMap, GemmA, GemmScratch, Im2colScratch, KernelIsa,
+    LineBuf, PanelSource, TilePlan, WeightPanel, KTILE_ROWS,
 };
 use gcd2_verify::{ActLayout, NO_SLOT};
 use std::ops::Range;
@@ -136,7 +136,8 @@ pub(crate) enum GemmPrep {
     /// Implicit im2col of a feature map: from CHW planes through the
     /// tile transpose ([`im2col_rm_into`]), from pixel-major rows by
     /// plain copies ([`im2col_rows_into`], which orders the reduction
-    /// `(dy, dx, ch)` — see [`GemmStep::weights`]).
+    /// `(dy, dx, ch)` — see [`GemmStep::weights`]) or, at stride 1, as a
+    /// view of the padded rows the GEMM reads ([`im2col_rows_view`]).
     Im2col(ConvGeom),
     /// Depthwise convolution, executed as a direct sliding-window loop —
     /// bit-identical to the block-diagonal per-channel im2col + `k × 1`
@@ -559,6 +560,37 @@ pub struct GemmKernelInfo {
     /// `(Rows, Rows)` stages nothing (a pointwise conv) or by plain
     /// copies, and multiplies straight into the output slot.
     pub layouts: (ActLayout, ActLayout),
+    /// Wall clock of the step's staging: layout conversion of its
+    /// operand, the im2col gather or transpose, a view's padded map —
+    /// the step's share of [`InferReport::prep`].
+    pub stage: Duration,
+    /// What the multiply read as its `m × k` activations.
+    pub operand: OperandForm,
+}
+
+/// The form a GEMM step's activations reached the multiply in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandForm {
+    /// A row-major matrix the step did not gather: its operand as it
+    /// lies, or transposed out of CHW planes.
+    Matrix,
+    /// A stride-1 conv's im2col view, read in place from the padded map
+    /// by the AMX tile grid ([`gcd2_kernels::GemmA::View`]).
+    View,
+    /// An im2col matrix gathered in full: staged before the dispatch, or
+    /// a view the tier materialised.
+    Im2col,
+}
+
+impl OperandForm {
+    /// Stable lowercase name, as `gcd2c --infer` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            OperandForm::Matrix => "matrix",
+            OperandForm::View => "view",
+            OperandForm::Im2col => "im2col",
+        }
+    }
 }
 
 /// One operator's share of a timed execution.
@@ -1726,6 +1758,7 @@ impl InferencePlan {
             }
             let mut prep = t0.map(|t| t.elapsed()).unwrap_or_default();
             let mut panel = PanelSource::Resident;
+            let (mut operand, mut grid_rows) = (OperandForm::Matrix, 0);
             match &step.kind {
                 // Aliased in place: the value already sits in its slot.
                 StepKind::Passthrough
@@ -1737,9 +1770,10 @@ impl InferencePlan {
                         converted,
                         timed: t0.is_some(),
                     };
-                    let (staging, source) = run.dispatch(arena)?;
-                    prep += staging;
-                    panel = source;
+                    let done = run.dispatch(arena)?;
+                    prep += done.staging;
+                    panel = done.panel;
+                    (operand, grid_rows) = (done.operand, done.grid_rows);
                 }
                 _ => {
                     // Detach the output buffer so input slots stay
@@ -1765,7 +1799,7 @@ impl InferencePlan {
                     // Direct kernels never reach the GEMM dispatcher —
                     // no tile plan to report.
                     if g.runs_matmul() {
-                        let (isa, tiles, tile_depth) = gemm_kernel_summary(g.m, g.k, g.n);
+                        let (isa, tiles, tile_depth) = gemm_kernel_summary(grid_rows, g.k, g.n);
                         r.kernel_isa = gcd2_kernels::active_isa().name();
                         r.gemm_kernels.push(GemmKernelInfo {
                             node: step.node,
@@ -1780,6 +1814,8 @@ impl InferencePlan {
                             tuned: tiles != TilePlan::DEFAULT,
                             panel_resident: panel == PanelSource::Resident,
                             layouts: (step.in_layout, step.out_layout),
+                            stage: prep,
+                            operand,
                         });
                     }
                 } else {
@@ -2088,6 +2124,19 @@ pub(crate) fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Resu
     })
 }
 
+/// How [`GemmRun::dispatch`] ran its GEMM.
+struct Dispatched {
+    /// Staging wall clock, when timed.
+    staging: Duration,
+    /// Where the dispatch read its weights from.
+    panel: PanelSource,
+    /// What form its activations took.
+    operand: OperandForm,
+    /// The rows its blocking was derived for: `m`, or a view's virtual
+    /// rows when the tile grid read it in place.
+    grid_rows: usize,
+}
+
 /// A matmul-backed GEMM step as one run executes it.
 struct GemmRun<'p> {
     step: &'p Step,
@@ -2099,12 +2148,12 @@ struct GemmRun<'p> {
 
 impl GemmRun<'_> {
     /// Stages the operand into the `m × k` matrix — or reads it where
-    /// it lies, when it already is one — runs the GEMM over it from the
-    /// step's resident panel, and leaves the result in the output slot:
+    /// it lies, when it already is one or a stride-1 conv's im2col view
+    /// of its padded rows — runs the GEMM over it from the step's
+    /// resident panel, and leaves the result in the output slot:
     /// written there by the multiply itself when the slot holds rows,
-    /// else transposed out of the stage. Returns the staging time (when
-    /// timed) and where the dispatch read its weights from.
-    fn dispatch(&self, arena: &mut InferArena) -> Result<(Duration, PanelSource), InferError> {
+    /// else transposed out of the stage.
+    fn dispatch(&self, arena: &mut InferArena) -> Result<Dispatched, InferError> {
         let t0 = self.timed.then(Instant::now);
         let (step, g) = (self.step, self.g);
         let (m, k, n) = (g.m, g.k, g.n);
@@ -2123,18 +2172,32 @@ impl GemmRun<'_> {
             slots[step.in_slots[0]].bytes()
         };
         let rows_in = step.in_layout == ActLayout::Rows;
-        let a: &[u8] = match &g.prep {
+        let a = match &g.prep {
             // The operand already is the row-major `m × k` matrix — a
             // MatMul's input, a pointwise conv's rows — consumed
             // zero-copy.
-            GemmPrep::Direct => x,
-            GemmPrep::Transposed { .. } if rows_in => x,
+            GemmPrep::Direct => GemmA::Matrix(x),
+            GemmPrep::Transposed { .. } if rows_in => GemmA::Matrix(x),
             // CHW is the row-major `c × m` matrix; the GEMM wants its
             // transpose.
             GemmPrep::Transposed { c, m: pixels } => {
                 let staged = stage.a.bytes_mut(m * k);
                 transpose_clamp_into(x, *c, *pixels, u8::MAX, staged, *c);
-                staged
+                GemmA::Matrix(staged)
+            }
+            // A stride-1 conv over rows: the padded map is the matrix,
+            // addressed in place where the tier can, else materialised
+            // by the dispatch.
+            GemmPrep::Im2col(geom) if rows_in && geom.stride == (1, 1) => {
+                GemmA::View(im2col_rows_view(
+                    x,
+                    geom.c,
+                    geom.h,
+                    geom.w,
+                    geom.kernel,
+                    geom.padding,
+                    &mut stage.im2col,
+                ))
             }
             GemmPrep::Im2col(geom) => {
                 // No clear(): staging fully overwrites the buffer, and
@@ -2157,11 +2220,16 @@ impl GemmRun<'_> {
                     &mut stage.im2col,
                     staged,
                 );
-                staged
+                GemmA::Matrix(staged)
             }
             GemmPrep::Depthwise(_) => {
                 unreachable!("depthwise runs its direct kernel, never a GEMM")
             }
+        };
+        let (operand, grid_rows) = match a {
+            GemmA::View(view) if a.read_in_place() => (OperandForm::View, view.tile_rows()),
+            _ if matches!(g.prep, GemmPrep::Im2col(_)) => (OperandForm::Im2col, m),
+            _ => (OperandForm::Matrix, m),
         };
         let prep = t0.map(|t| t.elapsed()).unwrap_or_default();
         // The multiply's rows are the slot's bytes: a MatMul's result,
@@ -2208,7 +2276,12 @@ impl GemmRun<'_> {
             None => dst[(m * n).min(step.out_len)..].fill(0),
         }
         slots[step.out_slot] = out;
-        dispatched.map(|source| (prep, source))
+        dispatched.map(|panel| Dispatched {
+            staging: prep,
+            panel,
+            operand,
+            grid_rows,
+        })
     }
 }
 
@@ -3256,6 +3329,57 @@ mod tests {
             let _pin = gcd2_kernels::pin_isa(tier);
             run(tier.name(), tier);
         }
+    }
+
+    /// resnet-50's 13 stride-1 3×3 convs — every `.conv2` but the
+    /// strided first of stages 1–3 — hand their GEMM an im2col view of
+    /// the padded rows: the AMX tile grid reads it in place (`a=view`,
+    /// its blocking derived for the view's virtual rows), every other
+    /// tier gathers it (`a=im2col`, as the strided convs and the CHW
+    /// stem always are), and the answer is the same bytes on every tier.
+    #[test]
+    fn stride_1_convs_hand_the_gemm_a_view() {
+        use gcd2_models::ModelId;
+        let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
+        let mut answers = Vec::new();
+        for tier in tiers() {
+            let _pin = gcd2_kernels::pin_isa(tier);
+            let plan = compiled.inference_plan(7);
+            let input: Vec<u8> = (0..plan.input_len()).map(|i| (i * 7 % 16) as u8).collect();
+            let (out, report) = plan
+                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+                .expect("timed run");
+            answers.push(out);
+            let named = |form: OperandForm| -> Vec<&str> {
+                report
+                    .gemm_kernels
+                    .iter()
+                    .filter(|g| g.operand == form)
+                    .map(|g| g.name.as_str())
+                    .collect()
+            };
+            let (views, gathered) = (named(OperandForm::View), named(OperandForm::Im2col));
+            let stride_1 = |name: &&str| {
+                name.ends_with(".conv2") && (name.starts_with("s0.") || !name.contains(".b0."))
+            };
+            let amx = tier == KernelIsa::AmxInt8;
+            assert_eq!(views.len(), if amx { 13 } else { 0 }, "{tier}: {views:?}");
+            assert!(views.iter().all(stride_1), "{tier}: {views:?}");
+            assert_eq!(
+                gathered.len(),
+                if amx { 7 } else { 20 },
+                "{tier}: {gathered:?}"
+            );
+            assert_eq!(
+                gathered.iter().filter(|name| stride_1(name)).count(),
+                if amx { 0 } else { 13 },
+                "{tier}: {gathered:?}"
+            );
+        }
+        assert!(
+            answers.windows(2).all(|w| w[0] == w[1]),
+            "every tier's bytes"
+        );
     }
 
     /// The three models the cold start loads keep one copy of their

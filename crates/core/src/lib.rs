@@ -75,7 +75,8 @@ pub use gcd2_analyze::{Analysis, Diagnostic, GemmRange, LintCode, RangeReport, S
 pub use gcd2_artifact::{ArtifactCache, ArtifactError};
 pub use gcd2_verify::ActLayout;
 pub use infer::{
-    DirectKernelInfo, ExecOptions, GemmKernelInfo, InferArena, InferReport, InferencePlan, OpTiming,
+    DirectKernelInfo, ExecOptions, GemmKernelInfo, InferArena, InferReport, InferencePlan,
+    OpTiming, OperandForm,
 };
 pub use layout::LayoutCost;
 pub use runtime::{execute_on_dsp, execute_reference};

@@ -43,9 +43,9 @@
 //! Loop order: row blocks of `mb` rows outermost, then **column strip
 //! pairs, then 32-row groups** — each 32×32 output block accumulates its
 //! whole reduction in four tile registers, is stored to a 4 KiB stack
-//! block and requantised straight into the output two rows per zmm
-//! ([`simd::x86::Requant512`]), so there is no band accumulator to
-//! stream. Inside a row block the `mb × k` activation
+//! block and requantised straight into the output two rows per zmm, four
+//! of a one-strip block ([`simd::x86::Requant512`]), so there is no band
+//! accumulator to stream. Inside a row block the `mb × k` activation
 //! block is re-read per strip pair (from L2) and the panel is streamed
 //! once; `mb` is the tile plan's ([`crate::tiled::tile_plan`]: 32 rows
 //! while the panel is cache-resident, else as many as keep the block in
@@ -54,7 +54,20 @@
 //! over a small panel (`3136 × 576 × 64`) keeps a small row block. There
 //! is no `kb` segmentation here: the accumulators never leave the tile
 //! registers.
+//!
+//! **A stride-1 conv is not staged** ([`band_amx_view`]): its im2col
+//! matrix is left in the zero-padded pixel-major map as an
+//! [`Im2colView`], whose virtual row `i` is `kh` runs of `kw·c` bytes at
+//! `(i + dy·wp)·c`. When each run is whole tile steps (`kw·c % 64 ==
+//! 0`) an A tile is 16 such rows at row stride `c`, so the grid reads
+//! the map in place — one [`accumulate`] per kernel row, accumulators
+//! kept across them — over whole 16-row groups of virtual rows (the
+//! map's slack covers the last), and the block epilogue stores only the
+//! virtual rows that are matrix rows. The `kw − 1` garbage rows per map
+//! row cost `(kw − 1) / wp` of the multiply (≈ 3–22 % on resnet-50)
+//! where staging cost a `kh·kw`-fold copy of the map.
 
+use crate::conv::Im2colView;
 use crate::dispatch::BandArgs;
 use crate::simd::x86::Requant512;
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
@@ -322,50 +335,114 @@ unsafe fn store_accumulators<const RA: usize, const CB: usize>(c: &mut CBlock) {
     }
 }
 
-/// Requantises the leading `rows × cols` corner of a C block into
-/// `out` (row stride `n`) — [`simd::requantize`]'s
-/// `map[clamp(v >> shift, 0, clamp)]`, two block rows per zmm: rows
-/// `r` and `r + 1` are 64 consecutive i32 of the block, which
-/// [`simd::x86::Requant512::bytes`] narrows to 64 bytes in order, and
-/// two masked 32-byte stores write their first `cols` bytes to the two
-/// output rows. Columns past `cols` (the dead columns of a padded last
-/// strip, stale in the block when only one strip was stored) are
-/// masked out of the store.
+/// The output rows of a band's row block: block row `r` is output row
+/// `first + r`, or entry `r` of a view's table (`None`: a garbage row,
+/// stored nowhere).
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'t> {
+    From(usize),
+    Table(&'t [Option<usize>]),
+}
+
+impl<'t> Rows<'t> {
+    /// The rows from block row `r` on.
+    fn skip(self, r: usize) -> Rows<'t> {
+        match self {
+            Rows::From(first) => Rows::From(first + r),
+            Rows::Table(table) => Rows::Table(&table[r..]),
+        }
+    }
+}
+
+/// Where a C block's requantised rows go: block row `r` to `at + row·n`
+/// for its output row under `rows`. A plain value, so the epilogue
+/// inlines the address of every row.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockRows<'t> {
+    pub(crate) at: *mut u8,
+    pub(crate) n: usize,
+    pub(crate) rows: Rows<'t>,
+}
+
+impl BlockRows<'_> {
+    /// The destination of block row `r`, if it has one.
+    #[inline(always)]
+    fn row(&self, r: usize) -> Option<*mut u8> {
+        let row = match self.rows {
+            Rows::From(first) => first + r,
+            Rows::Table(table) => table[r]?,
+        };
+        Some(self.at.wrapping_add(row * self.n))
+    }
+}
+
+/// Requantises the leading `rows × cols` corner of a C block of `CB`
+/// column strips — [`simd::requantize`]'s `map[clamp(v >> shift, 0,
+/// clamp)]`, 64 accumulators per [`simd::x86::Requant512::bytes`] —
+/// and stores block row `r` at `out.row(r)`, or nowhere when that is
+/// `None`.
+/// Two strips (`CB = 2`): rows `r` and `r + 1` are 64 consecutive i32 of
+/// the block, narrowed in order, and two masked 32-byte stores write
+/// their first `cols` bytes. One strip (`CB = 1`, whose second strip was
+/// never multiplied): the first sixteen i32 of rows `r .. r + 4`, then
+/// four masked 16-byte stores. Columns past `cols` (the dead columns of
+/// a padded last strip) are masked out of the store.
 ///
 /// # Safety
-/// Caller must ensure AVX-512F, BW and VL are available, `rows <= 32`
-/// is even, `1 <= cols <= 32` and `out` points at `rows` rows of `cols`
-/// writable bytes, `n` apart.
+/// Caller must ensure AVX-512F, BW and VL are available, `rows <= 32` is
+/// a multiple of 4, `1 <= cols <= 16 · CB` and every `out.row(r)` that
+/// is not `None` points at `cols` writable bytes.
 #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-pub(crate) unsafe fn requantize_block(
+pub(crate) unsafe fn requantize_block<const CB: usize>(
     c: &CBlock,
     rows: usize,
     cols: usize,
     requant: &Requant512,
-    out: *mut u8,
-    n: usize,
+    out: BlockRows<'_>,
 ) {
+    if CB == 1 {
+        let lanes = (u16::MAX >> (16 - cols)) as __mmask16;
+        for r in (0..rows).step_by(4) {
+            // SAFETY: the first sixteen i32 of block row r + j < 32,
+            // aligned.
+            let v = std::array::from_fn(|j| unsafe {
+                _mm512_load_si512(c.0.as_ptr().add((r + j) * 32) as *const _)
+            });
+            let bytes = requant.bytes(v);
+            let quarters = [
+                _mm512_castsi512_si128(bytes),
+                _mm512_extracti32x4_epi32::<1>(bytes),
+                _mm512_extracti32x4_epi32::<2>(bytes),
+                _mm512_extracti32x4_epi32::<3>(bytes),
+            ];
+            for (j, quarter) in quarters.into_iter().enumerate() {
+                if let Some(dst) = out.row(r + j) {
+                    // SAFETY: `cols` bytes at `dst`, writable per the
+                    // caller contract.
+                    unsafe { _mm_mask_storeu_epi8(dst as *mut i8, lanes, quarter) };
+                }
+            }
+        }
+        return;
+    }
     let lanes = (u32::MAX >> (32 - cols)) as __mmask32;
     for r in (0..rows).step_by(2) {
-        // SAFETY: rows r and r + 1 < 32 of the 32 × 32 block are its
-        // 64 i32 from r · 32, each load sixteen of them, aligned.
+        // SAFETY: rows r and r + 1 < 32 of the 32 × 32 block are its 64
+        // i32 from r · 32, each load sixteen of them, aligned.
         let v = std::array::from_fn(|j| unsafe {
             _mm512_load_si512(c.0.as_ptr().add(r * 32 + 16 * j) as *const _)
         });
         let bytes = requant.bytes(v);
-        // SAFETY: the masked stores cover columns 0 .. cols of output
-        // rows r and r + 1, writable per the caller contract.
-        unsafe {
-            _mm256_mask_storeu_epi8(
-                out.add(r * n) as *mut i8,
-                lanes,
-                _mm512_castsi512_si256(bytes),
-            );
-            _mm256_mask_storeu_epi8(
-                out.add((r + 1) * n) as *mut i8,
-                lanes,
-                _mm512_extracti64x4_epi64::<1>(bytes),
-            );
+        let halves = [
+            _mm512_castsi512_si256(bytes),
+            _mm512_extracti64x4_epi64::<1>(bytes),
+        ];
+        for (j, half) in halves.into_iter().enumerate() {
+            if let Some(dst) = out.row(r + j) {
+                // SAFETY: `cols` bytes at `dst`, writable per the caller
+                // contract.
+                unsafe { _mm256_mask_storeu_epi8(dst as *mut i8, lanes, half) };
+            }
         }
     }
 }
@@ -392,22 +469,47 @@ unsafe fn stage_tail(a_block: &[u8], k: usize, a_tail: &mut [Line<u8>]) {
     }
 }
 
+/// How the tile grid reads each row's reduction in place: `segments`
+/// runs of tile steps, run `j` starting `j · seg_stride` bytes past the
+/// row's start, consecutive rows `stride` bytes apart. A matrix is one
+/// run at stride `k`; an [`Im2colView`] one run per kernel row at
+/// stride `c`, a padded map row apart.
+#[derive(Clone, Copy)]
+struct Walk {
+    stride: usize,
+    segments: usize,
+    seg_stride: usize,
+}
+
+impl Walk {
+    /// Bytes past its start that a row's windows read, at `steps` steps
+    /// per run whose last is `depth` wide (in place it runs past a `k %
+    /// 64` tail into the next row's bytes, which meet the panel's zero
+    /// padding).
+    fn reach(&self, steps: usize, depth: usize) -> usize {
+        let run = steps.checked_sub(1).map_or(0, |s| 64 * s + depth);
+        (self.segments - 1) * self.seg_stride + run
+    }
+}
+
 /// One `RA·16`-row × `CB·16`-strip output block, start to finish: the
-/// whole reduction in tile registers — `steps` k-steps read in place
-/// from `a` (row stride `k`), then, for a staged row block, the `k %
-/// 64` tail as one more step read from the staged `a_tail` rows (stride
-/// 64) — stored to the caller's scratch block `c` and requantised into
-/// `out`.
+/// whole reduction in tile registers — `steps` k-steps per run of
+/// `walk` read in place from `a`, run `j` against the panel's tiles
+/// from `j · steps`, then, for a staged row block, the `k % 64` tail as
+/// one more step read from the staged `a_tail` rows (stride 64) —
+/// stored to the caller's scratch block `c` and requantised to the rows
+/// `out` gives.
 ///
 /// # Safety
-/// [`accumulate`]'s contract for `a` over `steps` steps at stride `k`,
-/// for `a_tail` (when there is one) over one step of line rows and for
-/// `b` over `steps` tiles, plus one for a staged tail;
-/// [`requantize_block`]'s for `out`, with `cols` live columns.
+/// [`accumulate`]'s contract for every run of `a` over `steps` steps at
+/// the walk's stride, for `a_tail` (when there is one) over one step of
+/// line rows and for `b` over `segments · steps` tiles, plus one for a
+/// staged tail; [`requantize_block`]'s for `out`, with `cols` live
+/// columns.
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile_block<const RA: usize, const CB: usize>(
     a: *const u8,
-    k: usize,
+    walk: Walk,
     steps: usize,
     a_tail: Option<*const Line<u8>>,
     b: *const QuadRow,
@@ -415,18 +517,105 @@ unsafe fn tile_block<const RA: usize, const CB: usize>(
     c: &mut CBlock,
     cols: usize,
     requant: &Requant512,
-    out: *mut u8,
-    n: usize,
+    out: BlockRows<'_>,
 ) {
     // SAFETY: the caller's contract, clause by clause.
     unsafe {
         zero_accumulators();
-        accumulate::<RA, CB>(a, k, b, b_strip, steps);
+        for j in 0..walk.segments {
+            let (a, b) = (a.add(j * walk.seg_stride), b.add(j * steps * TILE_QUADS));
+            accumulate::<RA, CB>(a, walk.stride, b, b_strip, steps);
+        }
         if let Some(a_tail) = a_tail {
             accumulate::<RA, CB>(a_tail.cast(), 64, b.add(steps * TILE_QUADS), b_strip, 1);
         }
         store_accumulators::<RA, CB>(c);
-        requantize_block(c, 16 * RA, cols, requant, out, n);
+        requantize_block::<CB>(c, 16 * RA, cols, requant, out);
+    }
+}
+
+/// The grid's operands shared by every row block of a band.
+struct Grid<'g> {
+    a: &'g [u8],
+    walk: Walk,
+    depth: usize,
+    quads: &'g [QuadRow],
+    /// Panel rows of one column strip.
+    b_strip: usize,
+    n: usize,
+    requant: Requant512,
+}
+
+/// One row block of the tile grid through every column strip pair, in
+/// 32-row groups: row `r` of the block reads its windows from `a` at
+/// `first + r · stride` (`steps` per run, then staged tail line `r` when
+/// there is a `tail`), and its requantised bytes go to its output row
+/// under `rows` in `out` (row stride `n`), or nowhere for a garbage row.
+///
+/// # Safety
+/// The tile unit is configured at the grid's depth; `mrows` is a
+/// multiple of 16; every window the `debug_assert`s below name is
+/// inside `a` and the tail, the panel holds `b_strip` rows per strip of
+/// `n`, and every row `rows` gives is a row of `out`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn row_block(
+    grid: &Grid<'_>,
+    first: usize,
+    mrows: usize,
+    steps: usize,
+    tail: Option<&[Line<u8>]>,
+    c: &mut CBlock,
+    out: &mut [u8],
+    rows: Rows<'_>,
+) {
+    let Grid {
+        a,
+        walk,
+        depth,
+        quads,
+        b_strip,
+        n,
+        ref requant,
+    } = *grid;
+    for s in (0..n.div_ceil(16)).step_by(2) {
+        let cols = (n - 16 * s).min(32);
+        let b = quads[s * b_strip..].as_ptr();
+        for r in (0..mrows).step_by(32) {
+            // Every tile load of the block below reads rows r .. + 16·RA
+            // of the block, `walk.reach(steps)` bytes from each row
+            // start, the staged tail's rows r .. + 16·RA, and the tiles
+            // of strips s .. s + CB of the panel.
+            let ra = if r + 32 <= mrows { 2 } else { 1 };
+            let block = match (ra, cols > 16) {
+                (2, true) => tile_block::<2, 2>,
+                (2, false) => tile_block::<2, 1>,
+                (_, true) => tile_block::<1, 2>,
+                (_, false) => tile_block::<1, 1>,
+            };
+            let last = first + (r + 16 * ra - 1) * walk.stride;
+            debug_assert!(
+                last + walk.reach(steps, depth) <= a.len(),
+                "an in-place window leaves a"
+            );
+            debug_assert!(tail.is_none_or(|t| r + 16 * ra <= t.len()));
+            debug_assert!((s + cols.div_ceil(16)) * b_strip <= quads.len());
+            let a_rows = a[first + r * walk.stride..].as_ptr();
+            let tail = tail.map(|t| t[r..].as_ptr());
+            let block_rows = BlockRows {
+                at: out[16 * s..].as_mut_ptr(),
+                n,
+                rows: rows.skip(r),
+            };
+            // SAFETY: the windows asserted above are what the block
+            // reads (the slice `a_rows` comes from runs to the end of
+            // `a`); it writes `cols` bytes from column 16s of the rows of
+            // `out` that `rows` gives.
+            unsafe {
+                block(
+                    a_rows, walk, steps, tail, b, b_strip, c, cols, requant, block_rows,
+                )
+            };
+        }
     }
 }
 
@@ -476,19 +665,18 @@ pub(crate) unsafe fn band_amx(
 
     let kfull = k / 64;
     let depth = tile_depth(k);
-    // Bytes past its start that a row's steps read: the last step is
-    // `depth` wide, and in place it runs past a `k % 64` tail into the
-    // next row's bytes, which meet the panel's zero padding.
-    let reach = |steps: usize| steps.checked_sub(1).map_or(0, |s| 64 * s + depth);
+    let walk = Walk {
+        stride: k,
+        segments: 1,
+        seg_stride: 0,
+    };
     let whole = k.div_ceil(64);
     // Rows `R` whose windows `[R·k, R·k + reach(whole))` end inside `a`.
     // A row block reaching past them has its tails staged instead.
     let in_place_rows = a
         .len()
-        .checked_sub(reach(whole))
+        .checked_sub(walk.reach(whole, depth))
         .map_or(0, |room| room.checked_div(k).map_or(usize::MAX, |q| q + 1));
-    let strips = n.div_ceil(16);
-    let b_strip = whole * TILE_QUADS;
     let tile_rows = rows & !15;
     let mb = mb.clamp(16, tile_rows).next_multiple_of(16);
     let a_tail = &mut scratch.a_tail;
@@ -496,7 +684,15 @@ pub(crate) unsafe fn band_amx(
         a_tail.resize(mb, Line([0; 64]));
     }
     let mut c = CBlock([0; 32 * 32]);
-    let requant = Requant512::new(shift, clamp, map);
+    let grid = Grid {
+        a,
+        walk,
+        depth,
+        quads,
+        b_strip: whole * TILE_QUADS,
+        n,
+        requant: Requant512::new(shift, clamp, map),
+    };
 
     // SAFETY: amx_available() held at dispatch resolution; `depth` is
     // this GEMM's tile depth.
@@ -504,48 +700,30 @@ pub(crate) unsafe fn band_amx(
     for rb in (0..tile_rows).step_by(mb) {
         let mrows = mb.min(tile_rows - rb);
         let row0 = r0 + rb;
-        let steps = if row0 + mrows <= in_place_rows {
-            whole
+        let tail = if row0 + mrows <= in_place_rows {
+            None
         } else {
-            debug_assert!((row0 + mrows - 1) * k + reach(whole) > a.len());
+            debug_assert!((row0 + mrows - 1) * k + walk.reach(whole, depth) > a.len());
             let a_block = &a[row0 * k..][..mrows * k];
             // SAFETY: amx_available() verified AVX-512F + BW.
             unsafe { stage_tail(a_block, k, a_tail) };
-            kfull
+            Some(&a_tail[..])
         };
-        let staged = steps < whole;
-        for s in (0..strips).step_by(2) {
-            let cols = (n - 16 * s).min(32);
-            let b = quads[s * b_strip..].as_ptr();
-            for r in (0..mrows).step_by(32) {
-                // Every tile load of the block below reads rows
-                // row0 + r .. + 16·RA of `a`, `reach(steps)` bytes from
-                // each row start, the staged tail's rows r .. + 16·RA,
-                // and the tiles of strips s .. s + CB of the panel.
-                let ra = if r + 32 <= mrows { 2 } else { 1 };
-                let block = match (ra, cols > 16) {
-                    (2, true) => tile_block::<2, 2>,
-                    (2, false) => tile_block::<2, 1>,
-                    (_, true) => tile_block::<1, 2>,
-                    (_, false) => tile_block::<1, 1>,
-                };
-                debug_assert!((row0 + r + 16 * ra - 1) * k + reach(steps) <= a.len());
-                debug_assert!(!staged || r + 16 * ra <= a_tail.len());
-                debug_assert!((s + cols.div_ceil(16)) * b_strip <= quads.len());
-                let a_rows = a[(row0 + r) * k..].as_ptr();
-                let tail = staged.then(|| a_tail[r..].as_ptr());
-                let out = out_band[(rb + r) * n + 16 * s..].as_mut_ptr();
-                // SAFETY: the windows asserted above are what the block
-                // reads (the slice `a_rows` comes from runs to the end of
-                // `a`); it writes `cols` bytes of output rows
-                // rb + r .. + 16·RA from column 16s, inside `out_band`.
-                unsafe {
-                    block(
-                        a_rows, k, steps, tail, b, b_strip, &mut c, cols, &requant, out, n,
-                    )
-                };
-            }
-        }
+        let steps = if tail.is_some() { kfull } else { whole };
+        // SAFETY: configured above; `row_block` asserts each window it
+        // reads, and rows rb .. rb + mrows are rows of `out_band`.
+        unsafe {
+            row_block(
+                &grid,
+                row0 * k,
+                mrows,
+                steps,
+                tail,
+                &mut c,
+                out_band,
+                Rows::From(rb),
+            )
+        };
     }
     // SAFETY: amx_available() held; leaves the tile file in init state.
     unsafe { release_tiles() };
@@ -573,6 +751,88 @@ pub(crate) unsafe fn band_amx(
         // SAFETY: amx_available() verified AVX-512F + BW.
         unsafe { simd::x86::requantize512(acc, shift, clamp, map, &mut out_band[tile_rows * n..]) };
     }
+}
+
+/// The AMX band over a stride-1 conv's [`Im2colView`], read in place:
+/// the tile grid runs over the view's virtual rows
+/// ([`Im2colView::tile_rows`], whole 16-row groups of the padded-width
+/// matrix) at row stride `c`, one run of `kw·c / 64` steps per kernel
+/// row with the accumulators kept across the `kh` runs, and each block's
+/// epilogue stores only the virtual rows that are matrix rows, into the
+/// ordinary `m × n` product. No row remainder: the garbage rows round
+/// the grid up instead. `args.a` is unused and `args.tiles` is the
+/// blocking of the virtual shape.
+///
+/// # Safety
+/// Caller must ensure [`amx_available`] returned true, the view's
+/// kernel rows are whole tile steps (`kw·c % 64 == 0`), its map holds
+/// [`Im2colView::reach`] bytes, `quads` is the quad panel of the
+/// `args.k × args.n` weights with `args.k` the view's depth, and
+/// `out.len() == view.rows() · n`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+pub(crate) unsafe fn band_amx_view(
+    view: &Im2colView<'_>,
+    args: &BandArgs<'_>,
+    quads: &[QuadRow],
+    scratch: &mut BandScratch,
+    out: &mut [u8],
+) {
+    let BandArgs {
+        k,
+        n,
+        shift,
+        clamp,
+        map,
+        tiles: TilePlan { mb, .. },
+        ..
+    } = *args;
+    let (a, c, wp, (kh, kw)) = view.parts();
+    let rows = view.tile_rows();
+    debug_assert!((kw * c).is_multiple_of(64) && rows >= 16);
+    debug_assert!(view.reach() <= a.len());
+    debug_assert_eq!(quads.len(), simd::quad_panel_rows(k, n));
+    debug_assert_eq!(out.len(), view.rows() * n);
+
+    let grid = Grid {
+        a,
+        walk: Walk {
+            stride: c,
+            segments: kh,
+            seg_stride: wp * c,
+        },
+        depth: 64,
+        quads,
+        b_strip: k.div_ceil(64) * TILE_QUADS,
+        n,
+        requant: Requant512::new(shift, clamp, map),
+    };
+    let mb = mb.clamp(16, rows).next_multiple_of(16);
+    let dest = &mut scratch.dest;
+    let mut c = CBlock([0; 32 * 32]);
+    // SAFETY: amx_available() held at dispatch resolution; a view's steps
+    // are whole tiles.
+    unsafe { configure_tiles(64) };
+    for rb in (0..rows).step_by(mb) {
+        let mrows = mb.min(rows - rb);
+        dest.clear();
+        dest.extend(view.matrix_rows(rb, mrows));
+        // SAFETY: configured above; `row_block` asserts each window it
+        // reads, and `dest` gives rows of the `view.rows()`-row `out`.
+        unsafe {
+            row_block(
+                &grid,
+                rb * grid.walk.stride,
+                mrows,
+                kw * grid.walk.stride / 64,
+                None,
+                &mut c,
+                out,
+                Rows::Table(dest),
+            )
+        };
+    }
+    // SAFETY: amx_available() held; leaves the tile file in init state.
+    unsafe { release_tiles() };
 }
 
 #[cfg(test)]
@@ -671,6 +931,70 @@ mod tests {
                         })
                         .collect();
                     assert_eq!(out, want, "({m},{k},{n}) mb {mb} clamp {clamp} {map:?}");
+                }
+            }
+        }
+    }
+
+    /// The view band's windows and stores at the edges of its map and
+    /// product: the map is a `Vec` of exactly [`Im2colView::reach`]
+    /// bytes (not line-aligned), so a window one byte past it fails the
+    /// kernel's `debug_assert`s; virtual rows on a multiple of 16 (no
+    /// slack: the last real row's last window ends the map) and off one,
+    /// row blocks of 16, 32, 48 rows and the whole grid, one, two and six
+    /// tile steps per kernel row, a lone strip, a ragged one and three.
+    /// Each product is the materialised matrix's through the oracle, with
+    /// an activation ceiling.
+    #[test]
+    fn a_view_reads_in_place_up_to_the_end_of_its_map() {
+        if !KernelIsa::AmxInt8.supported() {
+            eprintln!("AMX not available; skipping");
+            return;
+        }
+        // (c, wp, out_h, kernel)
+        for &(c, wp, out_h, kernel) in &[
+            (64usize, 7usize, 14usize, (3usize, 3usize)), // 13·7 + 5 = 96 rows
+            (64, 11, 9, (3, 3)),                          // 97 rows
+            (64, 8, 10, (3, 1)),                          // one step a kernel row
+            (32, 9, 6, (2, 4)),                           // two taps a step
+            (128, 9, 7, (3, 3)),                          // six steps a kernel row
+        ] {
+            let probe = Im2colView::new(&[], c, wp, out_h, kernel);
+            let map: Vec<u8> = (0..probe.reach())
+                .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
+                .collect();
+            let view = Im2colView::new(&map, c, wp, out_h, kernel);
+            let (m, k) = (view.rows(), view.depth());
+            let mut a = vec![0u8; m * k];
+            view.materialise(&mut a);
+            for n in [16, 24, 48] {
+                let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
+                let panel = WeightPanel::of_kind(PanelKind::Quads, &wd, k, n);
+                let (_, _, quads) = panel.operands();
+                let want = reference(&a, (m, k, n), &wd, 4, 15);
+                for mb in [16, 32, 48, view.tile_rows()] {
+                    let args = BandArgs {
+                        a: &[],
+                        k,
+                        n,
+                        wd: &[],
+                        shift: 4,
+                        clamp: 15,
+                        map: ByteMap::IDENTITY,
+                        tiles: TilePlan { mb, kb: 128 },
+                    };
+                    let mut out = vec![0xA5u8; m * n];
+                    // SAFETY: AMX support verified above; the view's
+                    // kernel rows are whole tile steps, its map holds
+                    // `reach()` bytes, the panel is its weights' quads
+                    // and `out` is m·n.
+                    unsafe {
+                        band_amx_view(&view, &args, quads, &mut BandScratch::default(), &mut out)
+                    };
+                    assert_eq!(
+                        out, want,
+                        "c {c} wp {wp} out_h {out_h} {kernel:?} n {n} mb {mb}"
+                    );
                 }
             }
         }

@@ -8,6 +8,7 @@
 //! GEMM path, exactly the kind of disparate-instruction trade-off the
 //! paper exploits.
 
+use crate::tiled::LineBuf;
 use gcd2_cgraph::GemmDims;
 use gcd2_hvx::{Block, Insn, SReg, VPair, VReg, VBYTES};
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
@@ -193,7 +194,8 @@ pub fn im2col_rm_into(
 /// consecutive source bytes, so staging is plain copies: `kh` runs per
 /// output pixel, read from a zero-padded copy of the map held in
 /// `scratch` (from `input` itself when there is no padding). One form
-/// for every tier; `out` is fully overwritten.
+/// for every tier; `out` is fully overwritten. A stride-1 conv need not
+/// stage at all: [`im2col_rows_view`] hands the GEMM the padded map.
 ///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or `out` has the wrong length.
@@ -217,20 +219,56 @@ pub fn im2col_rows_into(
         out_h * out_w * kh * kw * c,
         "im2col buffer size mismatch"
     );
-    // The padded map: `wp` pixels a row, the input's rows at `(ph, pw)`.
-    let wp = w + 2 * pw;
-    let src: &[u8] = if (ph, pw) == (0, 0) {
+    let src = if (ph, pw) == (0, 0) {
         input
     } else {
-        let padded = &mut scratch.padded;
-        padded.clear();
-        padded.resize((h + 2 * ph) * wp * c, 0);
-        let rows = padded[ph * wp * c..].chunks_exact_mut(wp * c);
-        for (dst, row) in rows.zip(input.chunks_exact((w * c).max(1))) {
-            dst[pw * c..(pw + w) * c].copy_from_slice(row);
-        }
-        padded
+        pad_rows_map(input, c, h, w, (ph, pw), 0, &mut scratch.padded)
     };
+    gather_rows(src, c, w + 2 * pw, (out_h, out_w), (kh, kw), (sh, sw), out);
+}
+
+/// Copies a pixel-major `c × h × w` map into `map` zero-padded — `wp =
+/// w + 2·pw` pixels a row, the input's rows at `(ph, pw)` — followed by
+/// `slack` zero bytes, and returns those bytes. Only the padding is
+/// written with zeros (the border rows, each row's border pixels and the
+/// slack); every other byte is copied from `input`.
+fn pad_rows_map<'m>(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    (ph, pw): (usize, usize),
+    slack: usize,
+    map: &'m mut LineBuf,
+) -> &'m [u8] {
+    let (line, border) = (w * c, pw * c);
+    let row = line + 2 * border;
+    let body = (h + 2 * ph) * row;
+    let dst = map.bytes_mut(body + slack);
+    dst[..ph * row].fill(0);
+    for (dst, src) in dst[ph * row..][..h * row]
+        .chunks_exact_mut(row.max(1))
+        .zip(input.chunks_exact(line.max(1)))
+    {
+        dst[..border].fill(0);
+        dst[border..border + line].copy_from_slice(src);
+        dst[border + line..].fill(0);
+    }
+    dst[(ph + h) * row..].fill(0);
+    map.bytes()
+}
+
+/// The gather of [`im2col_rows_into`] from a padded pixel-major map of
+/// `wp` pixels a row: `kh` runs of `kw·c` bytes per output pixel.
+fn gather_rows(
+    src: &[u8],
+    c: usize,
+    wp: usize,
+    (out_h, out_w): (usize, usize),
+    (kh, kw): (usize, usize),
+    (sh, sw): (usize, usize),
+    out: &mut [u8],
+) {
     let run = kw * c;
     let mut runs = out.chunks_exact_mut(run.max(1));
     for oy in 0..out_h {
@@ -245,14 +283,166 @@ pub fn im2col_rows_into(
     }
 }
 
-/// Working memory of [`im2col_rm_into`]'s tile form and of
-/// [`im2col_rows_into`], reused across calls.
+/// Rows of one tile-grid row group: an [`Im2colView`]'s virtual rows
+/// come in whole groups of them.
+const VIEW_ROW_GROUP: usize = 16;
+
+/// The `out_h·out_w × kh·kw·c` matrix [`im2col_rows_into`] stages for a
+/// **stride-1** conv, left in the zero-padded map it would be gathered
+/// from. Virtual row `i` of the padded-width matrix (`wp` columns of
+/// pixels a row, `wp = w + 2·pw`) is `kh` runs of `kw·c` bytes, run `dy`
+/// at `(i + dy·wp)·c` — exactly the staged `(dy, dx, ch)` row of pixel
+/// `(i / wp, i % wp)` when `i % wp < out_w`; the `kw − 1` rows of each
+/// map row past `out_w` read across its right border and are garbage.
+/// The AMX tile grid multiplies it in place (one tile load per kernel row
+/// at row stride `c`) and keeps only the real rows; every other tier
+/// materialises it ([`Im2colView::materialise`]) into the bytes
+/// [`im2col_rows_into`] writes. A GEMM receives it as
+/// [`crate::GemmA::View`].
+#[derive(Debug, Clone, Copy)]
+pub struct Im2colView<'a> {
+    map: &'a [u8],
+    c: usize,
+    wp: usize,
+    out_h: usize,
+    kernel: (usize, usize),
+}
+
+impl<'a> Im2colView<'a> {
+    /// A view of the `out_h`-row stride-1 im2col matrix of `kernel` over
+    /// `map`, a padded pixel-major map of `wp` pixels a row of `c`
+    /// bytes. Nothing is checked here; a dispatch refuses a view its
+    /// GEMM's shape or its buffer do not fit ([`crate::GemmDispatchError`]).
+    pub(crate) fn new(
+        map: &'a [u8],
+        c: usize,
+        wp: usize,
+        out_h: usize,
+        kernel: (usize, usize),
+    ) -> Im2colView<'a> {
+        Im2colView {
+            map,
+            c,
+            wp,
+            out_h,
+            kernel,
+        }
+    }
+
+    /// Output pixels a row: `wp − kw + 1` at stride 1.
+    fn out_w(&self) -> usize {
+        (self.wp + 1).saturating_sub(self.kernel.1)
+    }
+
+    /// The matrix's rows, `out_h · out_w`: the GEMM's `m`.
+    pub fn rows(&self) -> usize {
+        self.out_h * self.out_w()
+    }
+
+    /// The matrix's columns, `kh · kw · c`: the GEMM's `k`.
+    pub fn depth(&self) -> usize {
+        self.kernel.0 * self.kernel.1 * self.c
+    }
+
+    /// The virtual rows the tile grid runs over: through the last real
+    /// row, `(out_h − 1)·wp + out_w`, rounded up to whole row groups.
+    pub fn tile_rows(&self) -> usize {
+        match self.rows() {
+            0 => 0,
+            _ => ((self.out_h - 1) * self.wp + self.out_w()).next_multiple_of(VIEW_ROW_GROUP),
+        }
+    }
+
+    /// Bytes of the map the windows of every virtual row reach: the last
+    /// one's last run ends there. The map must hold at least this many.
+    pub(crate) fn reach(&self) -> usize {
+        let (kh, kw) = self.kernel;
+        match self.tile_rows() {
+            0 => 0,
+            rows => (rows - 1 + kh.saturating_sub(1) * self.wp + kw) * self.c,
+        }
+    }
+
+    /// Bytes of the map the view reads.
+    pub(crate) fn map_len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// The padded map and its geometry: `(map, c, wp, (kh, kw))`.
+    pub(crate) fn parts(&self) -> (&'a [u8], usize, usize, (usize, usize)) {
+        (self.map, self.c, self.wp, self.kernel)
+    }
+
+    /// The matrix row of each of the `count` virtual rows from `first`,
+    /// if it is one: `None` for a row past a map row's last pixel or
+    /// past the last real row. One division, then a walk.
+    pub(crate) fn matrix_rows(
+        &self,
+        first: usize,
+        count: usize,
+    ) -> impl Iterator<Item = Option<usize>> {
+        let (wp, out_h, out_w) = (self.wp, self.out_h, self.out_w());
+        let (mut oy, mut ox) = (first / wp, first % wp);
+        (0..count).map(move |_| {
+            let row = (oy < out_h && ox < out_w).then_some(oy * out_w + ox);
+            ox += 1;
+            if ox == wp {
+                (oy, ox) = (oy + 1, 0);
+            }
+            row
+        })
+    }
+
+    /// Writes the matrix, row-major, into `out` (`rows() · depth()`
+    /// bytes): [`im2col_rows_into`]'s bytes, gathered from the map.
+    pub(crate) fn materialise(&self, out: &mut [u8]) {
+        let dims = (self.out_h, self.out_w());
+        gather_rows(self.map, self.c, self.wp, dims, self.kernel, (1, 1), out);
+    }
+}
+
+/// [`im2col_rows_into`] of a stride-1 conv without the gather: fills
+/// `scratch` with the input's zero-padded map (only the padding and the
+/// view's slack written with zeros) and returns the [`Im2colView`] of it
+/// a GEMM reads in place or materialises. The map has room for every
+/// window of the view's whole row groups ([`Im2colView::tile_rows`]).
+///
+/// # Panics
+/// Panics if `input.len() != c * h * w`, or the kernel is empty or does
+/// not fit the padded map.
+pub fn im2col_rows_view<'s>(
+    input: &[u8],
+    c: usize,
+    h: usize,
+    w: usize,
+    (kh, kw): (usize, usize),
+    (ph, pw): (usize, usize),
+    scratch: &'s mut Im2colScratch,
+) -> Im2colView<'s> {
+    assert_eq!(input.len(), c * h * w, "input size mismatch");
+    assert!(
+        (1..=h + 2 * ph).contains(&kh) && (1..=w + 2 * pw).contains(&kw),
+        "an empty kernel, or one larger than the padded map"
+    );
+    let (hp, wp) = (h + 2 * ph, w + 2 * pw);
+    let out_h = hp + 1 - kh;
+    let reach = Im2colView::new(&[], c, wp, out_h, (kh, kw)).reach();
+    let slack = reach.saturating_sub(hp * wp * c);
+    let map = pad_rows_map(input, c, h, w, (ph, pw), slack, &mut scratch.padded);
+    Im2colView::new(map, c, wp, out_h, (kh, kw))
+}
+
+/// Working memory of [`im2col_rm_into`]'s tile form, of
+/// [`im2col_rows_into`] and of [`im2col_rows_view`], reused across
+/// calls.
 #[derive(Debug, Default)]
 pub struct Im2colScratch {
     /// The zero-padded copy of the input: for the tile form the rows
     /// some tap reads, phase-split, plus one tile of slack (see
-    /// `im2col_tiles`); for the pixel-major form the whole padded map.
-    padded: Vec<u8>,
+    /// `im2col_tiles`); for the pixel-major forms the whole padded map,
+    /// plus a view's slack. Line-aligned, so a view's tile rows at a
+    /// stride of whole lines never straddle two.
+    padded: LineBuf,
     /// Offset in `padded` of virtual-matrix row `kk` for output row 0.
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the tile form is x86-64's
     offsets: Vec<usize>,
@@ -302,8 +492,8 @@ fn im2col_tiles(
     // tiny fills per phase run. The slack past `c·plane` is only ever
     // loaded into lanes that are not stored.
     let Im2colScratch { padded, offsets } = scratch;
-    padded.clear();
-    padded.resize(c * plane + TILE, 0);
+    let padded = padded.bytes_mut(c * plane + TILE);
+    padded.fill(0);
     for (ch, dst_plane) in padded[..c * plane].chunks_exact_mut(plane).enumerate() {
         let src_plane = &input[ch * h * w..(ch + 1) * h * w];
         for (r, dst_row) in dst_plane.chunks_exact_mut(row_len).enumerate() {

@@ -48,11 +48,14 @@
 //! [`crate::im2col_rm_into`] otherwise), rows → CHW after it
 //! (`transpose_clamp_into` again) — run through one 16×16 byte-tile
 //! network and follow the same tier rule ([`active_isa`] on the calling
-//! thread). The VNNI strips finish the `n % 16` trailing columns with
+//! thread). A stride-1 conv over pixel-major rows stages nothing: its
+//! `a` is a [`GemmA::View`] of the padded map, which the AMX tile grid
+//! reads in place and every other tier materialises. The VNNI strips finish the `n % 16` trailing columns with
 //! one lane-masked zmm strip instead of a scalar tail (see
 //! [`crate::simd`]); the AMX tile grid computes the panel's zero-padded
 //! last strip whole (see [`crate::amx`]).
 
+use crate::conv::Im2colView;
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
 use crate::tiled::{
     tile_plan, validate_dispatch, BandScratch, GemmDispatchError, GemmScratch, TilePlan,
@@ -694,6 +697,41 @@ impl ScratchPool {
     }
 }
 
+/// A GEMM's `m × k` activation operand as a dispatch receives it.
+#[derive(Debug, Clone, Copy)]
+pub enum GemmA<'a> {
+    /// The row-major `m × k` bytes.
+    Matrix(&'a [u8]),
+    /// A stride-1 conv's im2col matrix left in its zero-padded map
+    /// ([`crate::im2col_rows_view`]): the AMX tile grid reads it in place
+    /// ([`GemmA::read_in_place`]), every other tier materialises it into
+    /// the dispatch's scratch first, with [`crate::im2col_rows_into`]'s
+    /// bytes.
+    View(Im2colView<'a>),
+}
+
+impl GemmA<'_> {
+    /// Whether a dispatch on this thread's active tier multiplies the
+    /// operand where it lies: a matrix always; a view on the AMX tile
+    /// grid (from 16 rows) when its kernel rows are whole tile steps
+    /// (`kw·c % 64 == 0`), the windows one tile load reads. A pure
+    /// function of the tier and the view's shape.
+    pub fn read_in_place(&self) -> bool {
+        self.in_place_on(active_isa())
+    }
+
+    fn in_place_on(&self, tier: KernelIsa) -> bool {
+        match self {
+            GemmA::Matrix(_) => true,
+            GemmA::View(view) => {
+                let (_, c, _, (_, kw)) = view.parts();
+                multiply_isa(tier, view.rows(), 1) == KernelIsa::AmxInt8
+                    && (kw * c).is_multiple_of(64)
+            }
+        }
+    }
+}
+
 /// A GEMM's weights as a dispatch receives them.
 #[derive(Clone, Copy)]
 enum Weights<'w> {
@@ -710,11 +748,13 @@ enum Weights<'w> {
 /// this call (from a panel, a k-tile at a time: the one fallback) —
 /// derives that tier's blocking ([`tile_plan`] — a [`pin_isa`] gets the
 /// blocking of the tier it lands on)
-/// and runs the band kernel over all `m` rows on the calling thread.
+/// and runs the band kernel over all `m` rows on the calling thread: a
+/// view the tier reads in place on the AMX view band, any other view
+/// materialised into `scratch` first.
 /// Operands are pre-validated by the caller, `out` included: exactly
 /// `m × n` bytes, every one of which the kernel overwrites.
 fn dispatch(
-    a: &[u8],
+    a: GemmA<'_>,
     m: usize,
     k: usize,
     weights: Weights<'_>,
@@ -737,6 +777,7 @@ fn dispatch(
         band,
         panel: own,
         tile,
+        a: materialised,
     } = scratch;
     let ((wd, pairs, quads), source) = match weights {
         Weights::Panel(panel) if panel.kind == kind => (panel.operands(), PanelSource::Resident),
@@ -752,7 +793,7 @@ fn dispatch(
             (own.operands(), PanelSource::PerCall)
         }
     };
-    let args = BandArgs {
+    let args = |a, rows| BandArgs {
         a,
         k,
         n,
@@ -760,14 +801,35 @@ fn dispatch(
         shift,
         clamp,
         map,
-        tiles: tile_plan(m, k, n, active.isa),
+        tiles: tile_plan(rows, k, n, active.isa),
+    };
+    let a = match a {
+        GemmA::Matrix(a) => a,
+        #[cfg(target_arch = "x86_64")]
+        GemmA::View(view) if a.in_place_on(active.isa) => {
+            // SAFETY: the tier is AMX (`in_place_on`), so amx_available()
+            // held at resolution; the view's kernel rows are whole tile
+            // steps, the caller's validation established that its map
+            // holds `reach()` bytes and that it is `m × k`, the panel is
+            // the AMX tier's quads of the `k × n` weights and `out` is
+            // `m × n`.
+            unsafe {
+                crate::amx::band_amx_view(&view, &args(&[], view.tile_rows()), quads, band, out)
+            };
+            return source;
+        }
+        GemmA::View(view) => {
+            let bytes = materialised.bytes_mut(m * k);
+            view.materialise(bytes);
+            bytes
+        }
     };
     // SAFETY: table resolution verified ISA support; the caller's
     // validation established a.len() == m*k and k rows of n weights,
     // out is m*n bytes, and the operands are the `panel_kind` form of
     // those weights for the active tier — the form its band kernel
     // reads.
-    unsafe { (active.band)(&args, pairs, quads, band, 0, m, out) };
+    unsafe { (active.band)(&args(a, m), pairs, quads, band, 0, m, out) };
     source
 }
 
@@ -787,7 +849,15 @@ pub(crate) fn run_single(
     // previous call's bytes first is a memset nobody reads.
     out.resize(m * w.cols(), 0);
     let requant = (shift, u8::MAX, ByteMap::IDENTITY);
-    dispatch(a, m, k, Weights::Matrix(w), requant, scratch, out);
+    dispatch(
+        GemmA::Matrix(a),
+        m,
+        k,
+        Weights::Matrix(w),
+        requant,
+        scratch,
+        out,
+    );
 }
 
 /// [`crate::try_matmul_blocked_into`] with its scratch checked out of
@@ -819,8 +889,9 @@ pub fn try_matmul_threaded_into(
     done
 }
 
-/// The GEMM as an inference plan calls it: with the weights' resident
-/// panel, into the caller's `m × n` bytes (`n` is the panel's),
+/// The GEMM as an inference plan calls it: over the activations `a` —
+/// a row-major matrix or an im2col view ([`GemmA`]) — with the weights'
+/// resident panel, into the caller's `m × n` bytes (`n` is the panel's),
 /// requantised as `requant = (shift, clamp, map)` — clamped to `clamp`
 /// instead of 255, then through `map` — working in the `scratch` the
 /// caller's arena owns. The dispatch packs nothing when `panel` holds
@@ -836,9 +907,11 @@ pub fn try_matmul_threaded_into(
 /// exactly `k` rows is [`GemmDispatchError::WeightRows`]; also
 /// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes and
 /// [`GemmDispatchError::MapClamp`] for a map other than the identity
-/// under a clamp above 15.
+/// under a clamp above 15. A view that is not `m × k`
+/// ([`GemmDispatchError::ViewShape`]) or whose map its last window
+/// leaves ([`GemmDispatchError::ViewBuffer`]) is refused on every tier.
 pub fn try_matmul_panel_into(
-    a: &[u8],
+    a: GemmA<'_>,
     m: usize,
     k: usize,
     panel: &WeightPanel,
@@ -1087,6 +1160,85 @@ mod tests {
         }
     }
 
+    /// A view that does not fit its dispatch is refused before anything
+    /// is read or written, on every tier: a map one byte shorter than its
+    /// last window reaches, a kernel whose `kh·kw·c` is not the panel's
+    /// `k`, a row count that is not `m`. On a map of exactly `reach()`
+    /// bytes — a `Vec`, not line-aligned — the last window ends the map
+    /// (the kernels' `debug_assert`s would catch one byte more) and the
+    /// product is the materialised matrix's.
+    #[test]
+    fn a_view_its_map_or_its_gemm_does_not_fit_is_an_error() {
+        let (c, wp, out_h, kernel) = (64, 7, 4, (3, 3));
+        let probe = Im2colView::new(&[], c, wp, out_h, kernel);
+        let map: Vec<u8> = (0..probe.reach())
+            .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
+            .collect();
+        let (m, k, n) = (probe.rows(), probe.depth(), 24);
+        let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 7) % 11) as i8) - 5);
+        let mut matrix = vec![0u8; m * k];
+        Im2colView::new(&map, c, wp, out_h, kernel).materialise(&mut matrix);
+        for tier in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let _pin = pin_isa(tier);
+            let panel = WeightPanel::pack(&w);
+            let mut scratch = GemmScratch::default();
+            let requant = (7, 255, ByteMap::IDENTITY);
+            let mut want = vec![0u8; m * n];
+            try_matmul_panel_into(
+                GemmA::Matrix(&matrix),
+                m,
+                k,
+                &panel,
+                requant,
+                &mut scratch,
+                &mut want,
+            )
+            .expect("a valid matrix");
+            let mut out = vec![7u8; m * n];
+            let mut run = |view, m, k, out: &mut [u8]| {
+                try_matmul_panel_into(GemmA::View(view), m, k, &panel, requant, &mut scratch, out)
+            };
+            let short = Im2colView::new(&map[..map.len() - 1], c, wp, out_h, kernel);
+            assert_eq!(
+                run(short, m, k, &mut out),
+                Err(GemmDispatchError::ViewBuffer {
+                    needed: map.len(),
+                    got: map.len() - 1
+                }),
+                "{tier}"
+            );
+            let wide = Im2colView::new(&map, c, wp, out_h, (3, 2));
+            assert_eq!(
+                run(wide, m + out_h, k, &mut out),
+                Err(GemmDispatchError::ViewShape {
+                    expected: (m + out_h, k),
+                    got: (m + out_h, 6 * c)
+                }),
+                "{tier}"
+            );
+            let view = Im2colView::new(&map, c, wp, out_h, kernel);
+            assert_eq!(
+                run(view, m - 1, k, &mut out),
+                Err(GemmDispatchError::ViewShape {
+                    expected: (m - 1, k),
+                    got: (m, k)
+                }),
+                "{tier}"
+            );
+            assert_eq!(
+                out,
+                vec![7u8; m * n],
+                "{tier}: a refused view writes nothing"
+            );
+            assert_eq!(
+                run(view, m, k, &mut out),
+                Ok(PanelSource::Resident),
+                "{tier}"
+            );
+            assert_eq!(out, want, "{tier}: the view is the matrix");
+        }
+    }
+
     #[test]
     fn pinning_unsupported_isa_degrades_to_scalar() {
         let pin = pin_isa(KernelIsa::Neon);
@@ -1263,7 +1415,7 @@ mod tests {
     #[test]
     #[ignore = "perf evidence; run manually in release mode"]
     fn amx_epilogue_probe() {
-        use crate::amx::{requantize_block, CBlock};
+        use crate::amx::{requantize_block, BlockRows, CBlock, Rows};
         use crate::simd::x86::Requant512;
         use crate::tiled::{tests::catalog_shapes, LineBuf};
         use gcd2_models::ModelId;
@@ -1324,22 +1476,24 @@ mod tests {
                     band = band.min(t0.elapsed());
                 }
                 let cols = n.min(32);
+                let rows = BlockRows {
+                    at: block_out.as_mut_ptr(),
+                    n: cols,
+                    rows: Rows::From(0),
+                };
                 let mut epilogue = Duration::MAX;
                 for _ in 0..15 {
                     let t0 = Instant::now();
                     for _ in 0..1000 {
                         // SAFETY: AMX support implies AVX-512F, BW and
-                        // VL; 32 rows of `cols` ≤ 32 bytes, `cols` apart,
-                        // are `block_out`'s.
+                        // VL; `rows` gives 32 rows of `cols` writable
+                        // bytes, one strip's worth when `cols ≤ 16`.
                         unsafe {
-                            requantize_block(
-                                black_box(&block),
-                                32,
-                                cols,
-                                &requant,
-                                block_out.as_mut_ptr(),
-                                cols,
-                            )
+                            if cols > 16 {
+                                requantize_block::<2>(black_box(&block), 32, cols, &requant, rows)
+                            } else {
+                                requantize_block::<1>(black_box(&block), 32, cols, &requant, rows)
+                            }
                         };
                     }
                     epilogue = epilogue.min(t0.elapsed() / 1000);
@@ -1355,6 +1509,111 @@ mod tests {
                     share * 100.0,
                 );
             }
+        }
+    }
+
+    /// The implicit im2col of a stride-1 conv against staging it, under
+    /// [`amx_epilogue_probe`]'s protocol, not a gate: for each of
+    /// resnet-50's four stride-1 3×3 conv geometries (the `.conv2` of
+    /// every block but a stage's first, `n = c`), the staging and the
+    /// band of both paths — `im2col_rows_into` into a line-aligned
+    /// matrix then `band_amx` over it (what every tier did before the
+    /// view), and `im2col_rows_view`'s padded map then `band_amx_view`
+    /// over it — each the median of 41 calls with the panel pushed out
+    /// of L2 before each, and the view's total as a share of the staged
+    /// path's. Every buffer is allocated before the timed loops, and the
+    /// two products are asserted equal. DESIGN.md §4e holds the output:
+    /// `cargo test -p gcd2-kernels --release --lib -- --ignored implicit_im2col_probe --nocapture`
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "perf evidence; run manually in release mode"]
+    fn implicit_im2col_probe() {
+        use crate::conv::{im2col_rows_into, im2col_rows_view, Im2colScratch};
+        use crate::tiled::LineBuf;
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let isa = KernelIsa::AmxInt8;
+        if !isa.supported() {
+            eprintln!("AMX not available; skipping");
+            return;
+        }
+        let evict = vec![1u8; 8 << 20];
+        let touch = |bytes: &[u8]| bytes.iter().step_by(64).map(|&b| b as u64).sum::<u64>();
+        let median = |mut t: Vec<f64>| {
+            t.sort_by(f64::total_cmp);
+            t[t.len() / 2]
+        };
+        let table = table_for(isa);
+        for (c, hw, steps) in [(64, 56, 3), (128, 28, 3), (256, 14, 5), (512, 7, 2)] {
+            let (kernel, padding, n) = ((3, 3), (1, 1), c);
+            let (m, k) = (hw * hw, 9 * c);
+            let input: Vec<u8> = (0..c * hw * hw)
+                .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
+                .collect();
+            let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 7) % 11) as i8) - 5);
+            let panel = WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), k, n);
+            let (_, _, quads) = panel.operands();
+            let args = |rows| BandArgs::<'static> {
+                a: &[],
+                k,
+                n,
+                wd: &[],
+                shift: 9,
+                clamp: u8::MAX,
+                map: ByteMap::IDENTITY,
+                tiles: tile_plan(rows, k, n, isa),
+            };
+            let mut im2col = Im2colScratch::default();
+            let mut staged = LineBuf::default();
+            let mut band = BandScratch::default();
+            let (mut out, mut out_view) = (vec![0u8; m * n], vec![0u8; m * n]);
+            let mut times = [(); 4].map(|_| Vec::new());
+            for _ in 0..41 {
+                black_box(touch(&evict) + touch(&input));
+                let t0 = Instant::now();
+                let a = staged.bytes_mut(m * k);
+                im2col_rows_into(&input, c, hw, hw, kernel, (1, 1), padding, &mut im2col, a);
+                let t1 = Instant::now();
+                let staged = BandArgs {
+                    a: staged.bytes(),
+                    ..args(m)
+                };
+                // SAFETY: the tier is supported; `a` is m × k, `quads`
+                // the AMX pack of the k × n weights, `out` m × n.
+                unsafe { (table.band)(&staged, &[], quads, &mut band, 0, m, &mut out) };
+                let t2 = Instant::now();
+                black_box(touch(&evict) + touch(&input));
+                let t3 = Instant::now();
+                let view = im2col_rows_view(&input, c, hw, hw, kernel, padding, &mut im2col);
+                let t4 = Instant::now();
+                // SAFETY: AMX is supported; the view's kernel rows are
+                // three tile steps each, its map holds `reach()` bytes,
+                // `quads` is the pack of its k × n weights and
+                // `out_view` m × n.
+                unsafe {
+                    crate::amx::band_amx_view(
+                        &view,
+                        &args(view.tile_rows()),
+                        quads,
+                        &mut band,
+                        &mut out_view,
+                    )
+                };
+                let t5 = Instant::now();
+                for (t, d) in times.iter_mut().zip([t1 - t0, t2 - t1, t4 - t3, t5 - t4]) {
+                    t.push(d.as_secs_f64() * 1e6);
+                }
+            }
+            assert_eq!(
+                out, out_view,
+                "{m}x{k}x{n}: the view's product is the staged one's"
+            );
+            let [stage, gemm, map, view] = times.map(median);
+            println!(
+                "  {m:>5}x{k:<4}x{n:<4} ×{steps}  staged: im2col {stage:>6.1}µs + band {gemm:>6.1}µs   view: map {map:>5.1}µs + band {view:>6.1}µs   total {:.2}×",
+                (map + view) / (stage + gemm),
+            );
         }
     }
 }

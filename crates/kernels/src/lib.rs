@@ -47,13 +47,13 @@ pub mod unroll;
 pub use conv::{
     conv2d_direct_chw_into, conv_ref_chw, conv_weights_as_gemm, depthwise_vtmpy_blocks,
     dwconv_direct_into, dwconv_rows_into, im2col_chw, im2col_overhead_cycles, im2col_rm_into,
-    im2col_rows_into, Im2colScratch,
+    im2col_rows_into, im2col_rows_view, Im2colScratch, Im2colView,
 };
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, gemm_kernel_summary, pin_isa, try_matmul_panel_into,
-    try_matmul_threaded_into, ByteMap, IsaPin, KernelIsa, PanelSource, ScratchPool, WeightPanel,
-    KTILE_ROWS,
+    try_matmul_threaded_into, ByteMap, GemmA, IsaPin, KernelIsa, PanelSource, ScratchPool,
+    WeightPanel, KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

@@ -27,7 +27,7 @@
 //! supports them (see [`crate::dispatch`]); the scalar path here is the
 //! semantic definition every SIMD path must match bit for bit.
 
-use crate::dispatch::KernelIsa;
+use crate::dispatch::{GemmA, KernelIsa};
 use crate::simd::Line;
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use std::cell::RefCell;
@@ -107,12 +107,14 @@ pub fn tile_plan(m: usize, k: usize, n: usize, isa: KernelIsa) -> TilePlan {
 /// call works in, plus the weight panel a dispatch packs for itself
 /// when its caller keeps none in the form the tier reads (see
 /// [`crate::WeightPanel`]) and the k-tile it reads a resident panel
-/// back through to do so.
+/// back through to do so, and the matrix of an im2col view the tier it
+/// resolved does not read in place ([`crate::GemmA::View`]).
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     pub(crate) band: BandScratch,
     pub(crate) panel: crate::dispatch::WeightPanel,
     pub(crate) tile: Vec<i8>,
+    pub(crate) a: LineBuf,
 }
 
 /// The buffers one band kernel call works in.
@@ -126,6 +128,10 @@ pub(crate) struct BandScratch {
     /// other block reads its tails straight from `a`).
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the AMX tier is x86-64's
     pub(crate) a_tail: Vec<Line<u8>>,
+    /// AMX tier over an im2col view: the matrix row of each virtual row
+    /// of the current row block, `None` for a garbage row.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the AMX tier is x86-64's
+    pub(crate) dest: Vec<Option<usize>>,
 }
 
 /// A reusable byte buffer that starts on a cache line — what a plan
@@ -182,6 +188,14 @@ pub enum GemmDispatchError {
     /// A [`crate::ByteMap`] other than the identity under a clamp above
     /// 15: the map is defined on `0..=15` only.
     MapClamp { clamp: u8 },
+    /// An im2col view's `(rows, kh·kw·c)` is not the dispatch's `(m, k)`.
+    ViewShape {
+        expected: (usize, usize),
+        got: (usize, usize),
+    },
+    /// An im2col view's map is shorter than the last window of its
+    /// whole 16-row groups reaches ([`crate::Im2colView::tile_rows`]).
+    ViewBuffer { needed: usize, got: usize },
 }
 
 impl std::fmt::Display for GemmDispatchError {
@@ -207,6 +221,15 @@ impl std::fmt::Display for GemmDispatchError {
             GemmDispatchError::MapClamp { clamp } => {
                 write!(f, "an epilogue byte map under clamp {clamp} (at most 15)")
             }
+            GemmDispatchError::ViewShape { expected, got } => write!(
+                f,
+                "im2col view is a {}x{} matrix, dispatch expects {}x{}",
+                got.0, got.1, expected.0, expected.1
+            ),
+            GemmDispatchError::ViewBuffer { needed, got } => write!(
+                f,
+                "im2col view's map holds {got} bytes, its windows reach {needed}"
+            ),
         }
     }
 }
@@ -216,17 +239,32 @@ impl std::error::Error for GemmDispatchError {}
 /// Shared operand validation of every blocked-GEMM entry point:
 /// `w_rows` is how many weight rows the caller holds.
 pub(crate) fn validate_dispatch(
-    a: &[u8],
+    a: GemmA<'_>,
     m: usize,
     k: usize,
     w_rows: usize,
     shift: u8,
 ) -> Result<(), GemmDispatchError> {
-    if a.len() != m * k {
-        return Err(GemmDispatchError::ActivationSize {
-            expected: m * k,
-            got: a.len(),
-        });
+    match a {
+        GemmA::Matrix(a) if a.len() != m * k => {
+            return Err(GemmDispatchError::ActivationSize {
+                expected: m * k,
+                got: a.len(),
+            })
+        }
+        GemmA::View(view) if (view.rows(), view.depth()) != (m, k) => {
+            return Err(GemmDispatchError::ViewShape {
+                expected: (m, k),
+                got: (view.rows(), view.depth()),
+            })
+        }
+        GemmA::View(view) if view.map_len() < view.reach() => {
+            return Err(GemmDispatchError::ViewBuffer {
+                needed: view.reach(),
+                got: view.map_len(),
+            })
+        }
+        _ => {}
     }
     if w_rows != k {
         return Err(GemmDispatchError::WeightRows {
@@ -338,7 +376,7 @@ pub fn try_matmul_blocked_into(
     scratch: &mut GemmScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    validate_dispatch(a, m, k, w.rows(), shift)?;
+    validate_dispatch(GemmA::Matrix(a), m, k, w.rows(), shift)?;
     crate::dispatch::run_single(a, m, k, w, shift, scratch, out);
     Ok(())
 }

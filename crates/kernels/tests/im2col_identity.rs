@@ -10,14 +10,18 @@
 //! same oracle:
 //! fed the map transposed to pixel-major, it writes the oracle's matrix
 //! with its columns permuted from `(ch, dy, dx)` to `(dy, dx, ch)`.
+//! A stride-1 conv's GEMM over `im2col_rows_view` — read in place on the
+//! AMX tile grid, materialised on every other tier — equals the GEMM
+//! over the staged matrix and `matmul_ref` over the oracle's.
 
 use gcd2_cgraph::OpKind;
 use gcd2_kernels::{
-    im2col_chw, im2col_rm_into, im2col_rows_into, pin_isa, transpose_clamp_ref, Im2colScratch,
-    KernelIsa,
+    im2col_chw, im2col_rm_into, im2col_rows_into, im2col_rows_view, matmul_ref, pin_isa,
+    transpose_clamp_ref, try_matmul_panel_into, ByteMap, GemmA, GemmScratch, Im2colScratch,
+    KernelIsa, WeightPanel,
 };
 use gcd2_models::ModelId;
-use gcd2_tensor::Layout;
+use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -88,18 +92,9 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
     }
 
     // The pixel-major form, on the scratch the tile form just used.
-    let (kh, kw) = kernel;
-    let mut rows = vec![0u8; input.len()];
-    transpose_clamp_ref(&input, c, h * w, u8::MAX, &mut rows, c);
+    let rows = pixel_major(&input, c, h * w);
     let (m, k) = (want.rows(), want.cols());
-    let mut permuted = vec![0u8; m * k];
-    for (o, row) in permuted.chunks_exact_mut(k.max(1)).enumerate() {
-        for (tap, run) in row.chunks_exact_mut(c).enumerate() {
-            for (ch, byte) in run.iter_mut().enumerate() {
-                *byte = want.as_bytes()[o * k + ch * kh * kw + tap];
-            }
-        }
-    }
+    let permuted = permuted(&want, c, kernel);
     let mut got = vec![0xA5u8; m * k + 32];
     im2col_rows_into(
         &rows,
@@ -120,6 +115,28 @@ fn assert_identity(shape: &Shape, scratch: &mut Im2colScratch, seed: u64) {
         got[m * k..].iter().all(|&b| b == 0xA5),
         "{shape:?} pixel-major wrote past the matrix"
     );
+}
+
+/// The CHW map `input` of `c` planes of `pixels` bytes, pixel-major.
+fn pixel_major(input: &[u8], c: usize, pixels: usize) -> Vec<u8> {
+    let mut rows = vec![0u8; input.len()];
+    transpose_clamp_ref(input, c, pixels, u8::MAX, &mut rows, c);
+    rows
+}
+
+/// The oracle's im2col matrix with its columns permuted from `(ch, dy,
+/// dx)` to `(dy, dx, ch)`: what the pixel-major forms stage.
+fn permuted(want: &MatrixU8, c: usize, (kh, kw): (usize, usize)) -> Vec<u8> {
+    let (m, k) = (want.rows(), want.cols());
+    let mut permuted = vec![0u8; m * k];
+    for (o, row) in permuted.chunks_exact_mut(k.max(1)).enumerate() {
+        for (tap, run) in row.chunks_exact_mut(c).enumerate() {
+            for (ch, byte) in run.iter_mut().enumerate() {
+                *byte = want.as_bytes()[o * k + ch * kh * kw + tap];
+            }
+        }
+    }
+    permuted
 }
 
 proptest! {
@@ -224,6 +241,145 @@ fn catalog_geometries_are_bit_identical() {
         let out_h_max = (ORACLE_MAX_BYTES / row_bytes).max(2 * kernel.0);
         let h = h.min(out_h_max * stride.0);
         assert_identity(&(c, h, w, kernel, stride, padding), &mut scratch, i as u64);
+    }
+}
+
+/// (channels, height, width, kernel, padding) of a stride-1 conv.
+type ViewShape = (usize, usize, usize, (usize, usize), (usize, usize));
+
+/// A stride-1 conv's GEMM three ways, at every tier the host supports:
+/// over `im2col_rows_view` (read in place where the tier can, else
+/// materialised by the dispatch), over the matrix `im2col_rows_into`
+/// stages, and `matmul_ref` over the oracle's `im2col_chw` (columns
+/// permuted to the pixel-major order). `n` columns of seeded weights,
+/// clamped to 15 through a reversing map, so a garbage row stored over
+/// a real one, or a row left unwritten, differs. One scratch per call
+/// of each kind is carried across tiers and (by the caller) shapes.
+fn assert_view_identity(
+    &(c, h, w, kernel, padding): &ViewShape,
+    n: usize,
+    im2col: &mut Im2colScratch,
+    gemm: &mut GemmScratch,
+    seed: u64,
+) {
+    let input: Vec<u8> = pixels(c * h * w, seed).iter().map(|p| p % 16).collect();
+    let rows = pixel_major(&input, c, h * w);
+    let oracle = im2col_chw(&input, c, h, w, kernel, (1, 1), padding, Layout::RowMajor);
+    let (m, k) = (oracle.rows(), oracle.cols());
+    let matrix = permuted(&oracle, c, kernel);
+    let weights = MatrixI8::from_fn(k, n, |r, col| {
+        ((r * 131 + col * 71 + seed as usize) % 15) as i8 - 7
+    });
+    let shift = 6;
+    let map = ByteMap::new(std::array::from_fn(|v| 15 - v as u8)).expect("entries ≤ 15");
+    let want: Vec<u8> = matmul_ref(
+        &MatrixU8::from_raw(m, k, Layout::RowMajor, matrix.clone()),
+        &weights,
+        shift,
+    )
+    .into_iter()
+    .flatten()
+    .map(|v| 15 - v.min(15))
+    .collect();
+    let requant = (shift, 15, map);
+    let label = (c, h, w, kernel, padding, n);
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        let panel = WeightPanel::pack(&weights);
+        let mut staged = vec![0u8; m * k];
+        im2col_rows_into(&rows, c, h, w, kernel, (1, 1), padding, im2col, &mut staged);
+        assert!(staged == matrix, "{label:?} at {tier}: staged matrix");
+        let mut out = vec![0xA5u8; m * n];
+        try_matmul_panel_into(
+            GemmA::Matrix(&staged),
+            m,
+            k,
+            &panel,
+            requant,
+            gemm,
+            &mut out,
+        )
+        .expect("a valid matrix");
+        assert!(
+            out == want,
+            "{label:?} at {tier}: GEMM over the staged matrix"
+        );
+        let view = im2col_rows_view(&rows, c, h, w, kernel, padding, im2col);
+        assert_eq!((view.rows(), view.depth()), (m, k), "{label:?}");
+        out.fill(0xA5);
+        try_matmul_panel_into(GemmA::View(view), m, k, &panel, requant, gemm, &mut out)
+            .expect("a valid view");
+        assert!(out == want, "{label:?} at {tier}: GEMM over the view");
+    }
+}
+
+/// Multiply-accumulates above which a catalog geometry's oracle GEMM is
+/// cropped in width as well as in height.
+const VIEW_ORACLE_MACS: usize = 24 << 20;
+
+/// The view against the staged matrix and the oracle, at every tier:
+/// every stride-1 conv geometry of the ten catalog models with a kernel
+/// wider than one pixel (each a rows conv in some plan, or could be),
+/// cropped to 14 output rows and, past [`VIEW_ORACLE_MACS`], to fewer
+/// output columns — the channels, the kernel and the padding kept;
+/// resnet-50's four keep their width — and then the
+/// seams of the AMX view band: virtual rows `out_h·wp` off a multiple of
+/// 16 and on one (the last tile's windows ending exactly at the map's
+/// end, no slack), `c = 64` (one tile step per tap), a 5×5 kernel,
+/// padding 0 and 2, one and several row blocks, a lone strip and an odd
+/// strip count, and kernel rows that are not whole tile steps (`kw·c %
+/// 64 ≠ 0`, materialised on every tier).
+#[test]
+fn views_equal_the_staged_matrix_and_the_oracle() {
+    let mut catalog = BTreeSet::new();
+    for model in ModelId::ALL {
+        let graph = model.build();
+        for node in graph.nodes() {
+            let OpKind::Conv2d {
+                kernel,
+                stride: (1, 1),
+                padding,
+                ..
+            } = node.kind
+            else {
+                continue;
+            };
+            if kernel == (1, 1) {
+                continue;
+            }
+            let s = &graph.node(node.inputs[0]).shape;
+            let c = s.channels();
+            // At most `out` output pixels along a dimension of `d`.
+            let crop = |d: usize, kd: usize, pd: usize, out: usize| {
+                d.min((out + kd - 1).saturating_sub(2 * pd).max(1))
+            };
+            let out_w = VIEW_ORACLE_MACS / (14 * c * kernel.0 * kernel.1 * 40);
+            let h = crop(s.dim(2), kernel.0, padding.0, 14);
+            let w = crop(s.dim(3), kernel.1, padding.1, out_w.max(8));
+            catalog.insert((c, h, w, kernel, padding));
+        }
+    }
+    assert!(
+        catalog.iter().any(|&(c, ..)| c == 64) && catalog.len() >= 10,
+        "the catalog has a dozen stride-1 conv geometries: {catalog:?}"
+    );
+    let seams: &[ViewShape] = &[
+        (64, 14, 5, (3, 3), (1, 1)),  // 13·7 + 5 = 96 virtual rows: no slack
+        (64, 9, 9, (3, 3), (1, 1)),   // 8·11 + 9 = 97: 15 rows of slack
+        (64, 12, 12, (5, 5), (2, 2)), // 5×5, padding 2
+        (64, 12, 11, (5, 5), (0, 0)), // padding 0: the map is a copy
+        (128, 7, 7, (3, 3), (1, 1)),  // resnet-50's s3 conv2 in miniature
+        (64, 40, 30, (3, 3), (1, 1)), // several row blocks
+        (32, 6, 8, (3, 3), (1, 1)),   // kw·c = 96: materialised
+        (16, 5, 5, (2, 4), (1, 0)),   // kw·c = 64 at c = 16
+        (64, 2, 2, (3, 3), (1, 1)),   // four rows: the VNNI strips
+    ];
+    let mut im2col = Im2colScratch::default();
+    let mut gemm = GemmScratch::default();
+    for (i, shape) in catalog.iter().chain(seams).enumerate() {
+        for n in [16, 40] {
+            assert_view_identity(shape, n, &mut im2col, &mut gemm, i as u64);
+        }
     }
 }
 

@@ -17,7 +17,7 @@
 
 use gcd2_kernels::{
     matmul_ref, pin_isa, tile_plan, transpose_clamp_into, transpose_clamp_ref,
-    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, ByteMap,
+    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, ByteMap, GemmA,
     GemmDispatchError, GemmScratch, KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
@@ -75,7 +75,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
             // requantisation: the bytes are the oracle's, clamped.
             let clamped: Vec<u8> = scalar.iter().map(|&v| v.min(15)).collect();
             try_matmul_panel_into(
-                a.as_bytes(),
+                GemmA::Matrix(a.as_bytes()),
                 m,
                 k,
                 panel,
@@ -86,7 +86,7 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
             .expect("valid operands");
             assert_eq!(out, clamped, "{tier} clamped to 15 ({m},{k})");
             let source = try_matmul_panel_into(
-                a.as_bytes(),
+                GemmA::Matrix(a.as_bytes()),
                 m,
                 k,
                 panel,
@@ -195,6 +195,12 @@ fn edge_tiles_are_bit_identical() {
         (6, 130, 120), // 64 + 32 + 16 + 8 columns, k % 4 == 2
         (37, 70, 65),  // 64 + 1 columns, rows % 4 == 1
         (21, 201, 79), // 64 + 15 columns, k % 4 == 1
+        // The AMX epilogue's one-strip blocks: a lone strip, whole or
+        // ragged, and the odd last strip behind strip pairs.
+        (64, 64, 16),
+        (48, 27, 12),
+        (80, 130, 48),
+        (33, 192, 80),
     ];
     let tile_grid = [15, 16, 17, 31, 33, 49, 96, 97].into_iter().flat_map(|m| {
         [4, 16, 24, 26, 27, 40, 63, 64, 65, 127, 147, 312]
@@ -314,7 +320,7 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                             out.clear();
                             out.resize(m * n, 0xA5);
                             try_matmul_panel_into(
-                                a.as_bytes(),
+                                GemmA::Matrix(a.as_bytes()),
                                 m,
                                 k,
                                 panel,
@@ -345,7 +351,7 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
     let requant = |clamp, map| (0, clamp, map);
     assert_eq!(
         try_matmul_panel_into(
-            a.as_bytes(),
+            GemmA::Matrix(a.as_bytes()),
             2,
             3,
             &panel,
@@ -356,7 +362,7 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
         Err(GemmDispatchError::MapClamp { clamp: 16 })
     );
     try_matmul_panel_into(
-        a.as_bytes(),
+        GemmA::Matrix(a.as_bytes()),
         2,
         3,
         &panel,
