@@ -26,6 +26,9 @@ if grep -rEn 'GCD2_(FORCE_SCALAR|AMX)' crates src tests examples ci.sh; then exi
 if grep -rn 'env::var' crates/*/src; then exit 1; fi
 if grep -rn 'detected_isa(' crates/kernels/src --exclude=dispatch.rs; then exit 1; fi
 
+echo "==> dependence checks read register sets (no Vec<Reg> in crates/hvx/src or crates/vliw/src: Insn::defs/uses are a u64 RegSet, and classify, the packers and the simulator's stale-read check intersect them without allocating)"
+if grep -rn 'Vec<Reg>' crates/hvx/src crates/vliw/src; then exit 1; fi
+
 echo "==> one narrowing idiom in the AVX-512 epilogues (the AMX block epilogue, the VNNI and one-row requantisation and the depthwise rows kernel share the pack chain of simd::x86 — no per-16-lane vpmovusdb store is left in crates/kernels/src)"
 if grep -rn 'cvtusepi32_storeu_epi8' crates/kernels/src; then exit 1; fi
 

@@ -16,9 +16,10 @@ use gcd2_kernels::{
     timing_blocks, EwKind,
 };
 use gcd2_tensor::transform_block;
-use gcd2_vliw::{CacheStats, Packer};
+use gcd2_vliw::{CacheStats, PackMemo, Packer, SoftDepPolicy};
 use std::cell::Cell;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why [`try_lower`] failed.
@@ -74,6 +75,18 @@ pub enum PackMode {
     Sequential,
 }
 
+impl PackMode {
+    /// The packer's soft-dependency policy (`None`: no packing).
+    pub fn policy(&self) -> Option<SoftDepPolicy> {
+        match self {
+            PackMode::Sda => Some(SoftDepPolicy::Sda),
+            PackMode::SoftToHard => Some(SoftDepPolicy::SoftToHard),
+            PackMode::SoftToNone => Some(SoftDepPolicy::SoftToNone),
+            PackMode::Sequential => None,
+        }
+    }
+}
+
 /// Lowering configuration.
 #[derive(Debug, Clone)]
 pub struct LowerOptions {
@@ -89,9 +102,11 @@ pub struct LowerOptions {
     /// program, panicking on any error-level diagnostic. Defaults to on
     /// in debug builds (including tests) and off in release builds.
     pub verify: bool,
-    /// Enable the structural packing memo (identical blocks pack once).
-    /// Off reproduces the pre-memo baseline for compile-time benchmarks.
-    pub pack_memo: bool,
+    /// The structural packing memo the blocks are packed through
+    /// (identical blocks pack once). A fresh one by default; a caller
+    /// may pass a memo another packer of the same configuration (policy
+    /// and resource model) filled, and must not pass any other.
+    pub pack_memo: Arc<PackMemo>,
 }
 
 impl Default for LowerOptions {
@@ -101,7 +116,7 @@ impl Default for LowerOptions {
             lut_ops: false,
             resource: gcd2_hvx::ResourceModel::default(),
             verify: cfg!(debug_assertions),
-            pack_memo: true,
+            pack_memo: Arc::default(),
         }
     }
 }
@@ -145,8 +160,8 @@ pub struct LoweredModel {
     /// Wall-clock time of the in-lowering verification pass (zero when
     /// verification is disabled).
     pub verify_cpu: Duration,
-    /// Hit/miss counters of this lowering's packing memo (zeros when
-    /// the memo is disabled or the pack mode is `Sequential`).
+    /// Hit/miss counters of this lowering's lookups in its packing memo
+    /// (zeros when the pack mode is `Sequential`).
     pub pack_memo: CacheStats,
 }
 
@@ -184,25 +199,12 @@ struct PackCtx {
 
 impl PackCtx {
     fn new(options: &LowerOptions) -> Self {
-        use gcd2_vliw::SoftDepPolicy;
-        let packer = match options.pack {
-            PackMode::Sda => Some(Packer::new().with_model(options.resource.clone())),
-            PackMode::SoftToHard => Some(
-                Packer::new()
-                    .with_model(options.resource.clone())
-                    .with_policy(SoftDepPolicy::SoftToHard),
-            ),
-            PackMode::SoftToNone => Some(
-                Packer::new()
-                    .with_model(options.resource.clone())
-                    .with_policy(SoftDepPolicy::SoftToNone),
-            ),
-            PackMode::Sequential => None,
-        };
-        let packer = match (packer, options.pack_memo) {
-            (Some(p), false) => Some(p.without_memo()),
-            (p, _) => p,
-        };
+        let packer = options.pack.policy().map(|policy| {
+            Packer::new()
+                .with_model(options.resource.clone())
+                .with_policy(policy)
+                .with_memo(options.pack_memo.clone())
+        });
         PackCtx {
             packer,
             pack_cpu: Cell::default(),
@@ -217,13 +219,6 @@ impl PackCtx {
         };
         self.pack_cpu.set(self.pack_cpu.get() + t0.elapsed());
         packed
-    }
-
-    fn memo_stats(&self) -> CacheStats {
-        self.packer
-            .as_ref()
-            .and_then(Packer::memo_stats)
-            .unwrap_or_default()
     }
 }
 
@@ -399,6 +394,7 @@ pub fn try_lower(
         });
     }
     let ctx = PackCtx::new(options);
+    let memo_before = options.pack_memo.stats();
     let op_nodes = graph
         .nodes()
         .iter()
@@ -438,7 +434,7 @@ pub fn try_lower(
         reports,
         pack_cpu: ctx.pack_cpu.get(),
         verify_cpu,
-        pack_memo: ctx.memo_stats(),
+        pack_memo: options.pack_memo.stats().since(memo_before),
     })
 }
 

@@ -370,11 +370,21 @@ fn main() -> ExitCode {
             100.0 * report.cost_cache.hit_rate()
         );
         println!(
-            "  pack memo    : {} hits / {} misses ({:.1} % hit rate)",
+            "  pack memo    : {} hits / {} misses ({:.1} % hit rate), {:.2?} packing on misses",
             report.pack_memo.hits,
             report.pack_memo.misses,
-            100.0 * report.pack_memo.hit_rate()
+            100.0 * report.pack_memo.hit_rate(),
+            report.pack_miss
         );
+        for (stage, stats) in [
+            ("costing", report.pack_memo_costing),
+            ("lowering", report.pack_memo_lowering),
+        ] {
+            println!(
+                "    {stage:<11}: {} hits / {} misses",
+                stats.hits, stats.misses
+            );
+        }
     }
     println!("  cycles       : {}", compiled.cycles());
     println!("  latency      : {:.3} ms", compiled.latency_ms());

@@ -50,8 +50,9 @@ use gcd2_globalopt::{
 };
 use gcd2_hvx::{EnergyModel, ExecStats, CLOCK_HZ};
 use gcd2_kernels::{CostCache, CostModel, SimdInstr};
-use gcd2_vliw::{CacheStats, Packer};
+use gcd2_vliw::{CacheStats, PackMemo, Packer, SoftDepPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use gcd2_codegen::{LowerError, PackMode as Packing};
@@ -136,12 +137,16 @@ pub struct Compiler {
     framework_boundaries: bool,
     elementwise_fusion: bool,
     resource: gcd2_hvx::ResourceModel,
-    pack_memo: bool,
     /// Kernel-cost cache persisted across compiles of this compiler (and
     /// shared by its clones): recompiles and structurally similar models
     /// run warm. Reset whenever a knob that changes cost *values*
     /// (packing mode, resource model) changes.
     cost_cache: CostCache,
+    /// The structural packing memo of the cost model's packer, kept and
+    /// reset like `cost_cache`. Lowering packs through it too whenever
+    /// its packer has the cost model's configuration, so a block costing
+    /// packed is a hit when it is lowered.
+    pack_memo: Arc<PackMemo>,
 }
 
 impl Compiler {
@@ -154,8 +159,8 @@ impl Compiler {
             framework_boundaries: false,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
-            pack_memo: true,
             cost_cache: CostCache::new(),
+            pack_memo: Arc::default(),
         }
     }
 
@@ -169,8 +174,8 @@ impl Compiler {
             framework_boundaries: true,
             elementwise_fusion: false,
             resource: gcd2_hvx::ResourceModel::default(),
-            pack_memo: true,
             cost_cache: CostCache::new(),
+            pack_memo: Arc::default(),
         }
     }
 
@@ -183,9 +188,8 @@ impl Compiler {
     /// A stable fingerprint of every knob that can change compiled
     /// *output* — the artifact cache folds it into its content address
     /// so two differently configured compilers never share an entry.
-    /// Knobs that are bit-transparent by contract (the packing memo,
-    /// the cost cache) are deliberately excluded: they change compile
-    /// speed, never output bytes.
+    /// The caches (the packing memo, the cost cache) are not knobs and
+    /// not part of it: they change compile speed, never output bytes.
     pub fn options_key(&self) -> String {
         format!(
             "sel={:?};pack={:?};lut={};fb={};ewf={};res={:?}",
@@ -198,26 +202,19 @@ impl Compiler {
         )
     }
 
-    /// Enables/disables the structural packing memo (on by default).
-    /// Disabling it reproduces the memo-free seed behaviour — every
-    /// block is re-packed from scratch — and exists for baseline
-    /// compile-time measurements.
-    pub fn with_pack_memo(mut self, memo: bool) -> Self {
-        self.pack_memo = memo;
-        self
-    }
-
     /// Sets the selection strategy.
     pub fn with_selection(mut self, selection: Selection) -> Self {
         self.selection = selection;
         self
     }
 
-    /// Sets the packing mode. Kernel cycle costs depend on the packing
-    /// policy, so the persistent cost cache is reset.
+    /// Sets the packing mode. Kernel cycle costs and schedules depend on
+    /// the packing policy, so the cost cache and the packing memo are
+    /// reset.
     pub fn with_packing(mut self, packing: PackMode) -> Self {
         self.packing = packing;
         self.cost_cache = CostCache::new();
+        self.pack_memo = Arc::default();
         self
     }
 
@@ -229,12 +226,20 @@ impl Compiler {
 
     /// Targets a different DSP generation's packet resource model
     /// (e.g. [`gcd2_hvx::ResourceModel::hexagon680`]). Kernel cycle
-    /// costs depend on the packet resources, so the persistent cost
-    /// cache is reset.
+    /// costs and schedules depend on the packet resources, so the cost
+    /// cache and the packing memo are reset.
     pub fn with_resource_model(mut self, resource: gcd2_hvx::ResourceModel) -> Self {
         self.resource = resource;
         self.cost_cache = CostCache::new();
+        self.pack_memo = Arc::default();
         self
+    }
+
+    /// The packing memo this compiler's cost model packs through (and
+    /// its lowering, when the two packers' configurations agree): every
+    /// block it packed, with the schedule it handed out.
+    pub fn pack_memo(&self) -> &PackMemo {
+        &self.pack_memo
     }
 
     /// Enables the DSP-friendly elementwise fusion extension (the
@@ -256,16 +261,22 @@ impl Compiler {
         }
     }
 
+    /// The cost model's packing policy: SDA when the program is
+    /// SDA-packed, `soft_to_hard` for every other packing mode.
+    fn cost_policy(&self) -> SoftDepPolicy {
+        match self.packing {
+            PackMode::Sda => SoftDepPolicy::Sda,
+            _ => SoftDepPolicy::SoftToHard,
+        }
+    }
+
     /// The cost model matching this compiler's packing configuration.
     fn cost_model(&self) -> CostModel {
-        let mut base_packer = Packer::new().with_model(self.resource.clone());
-        if !matches!(self.packing, PackMode::Sda) {
-            base_packer = base_packer.with_policy(gcd2_vliw::SoftDepPolicy::SoftToHard);
-        }
-        if !self.pack_memo {
-            base_packer = base_packer.without_memo();
-        }
-        CostModel::with_packer(base_packer).with_cache(&self.cost_cache)
+        let packer = Packer::new()
+            .with_model(self.resource.clone())
+            .with_policy(self.cost_policy())
+            .with_memo(self.pack_memo.clone());
+        CostModel::with_packer(packer).with_cache(&self.cost_cache)
     }
 
     /// Runs the configured selection strategy. Returns the assignment
@@ -396,6 +407,7 @@ impl Compiler {
     fn compile_pipeline(&self, graph: &Graph) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
         let t_total = Instant::now();
         let cache_before = self.cost_cache.stats();
+        let memo_before = (self.pack_memo.stats(), self.pack_memo.miss_time());
         let t0 = Instant::now();
         let graph = self.rewrite(graph);
         let rewrite = t0.elapsed();
@@ -404,6 +416,7 @@ impl Compiler {
         let t0 = Instant::now();
         let plans = try_enumerate_plans(&graph, &model, self.lut_ops);
         let enumerate = t0.elapsed();
+        let pack_memo_costing = self.pack_memo.stats().since(memo_before.0);
 
         let t0 = Instant::now();
         let (assignment, selection) = self.assign(&graph, &plans);
@@ -413,7 +426,11 @@ impl Compiler {
             pack: self.packing.clone(),
             lut_ops: self.lut_ops,
             resource: self.resource.clone(),
-            pack_memo: self.pack_memo,
+            pack_memo: if self.packing.policy() == Some(self.cost_policy()) {
+                self.pack_memo.clone()
+            } else {
+                Arc::default()
+            },
             ..LowerOptions::default()
         };
         let chosen: Vec<gcd2_globalopt::ExecutionPlan> = graph
@@ -455,9 +472,11 @@ impl Compiler {
                 .push(gcd2_hvx::PackedBlock::sequential(&block));
         }
 
-        let mut pack_memo = lowered.pack_memo;
-        if let Some(s) = model.packer().memo_stats() {
-            pack_memo.merge(s);
+        let mut pack_memo = pack_memo_costing;
+        pack_memo.merge(lowered.pack_memo);
+        let mut pack_miss = self.pack_memo.miss_time().saturating_sub(memo_before.1);
+        if !Arc::ptr_eq(&options.pack_memo, &self.pack_memo) {
+            pack_miss += options.pack_memo.miss_time();
         }
         let report = CompileReport {
             rewrite,
@@ -469,16 +488,13 @@ impl Compiler {
             pack_cpu: lowered.pack_cpu,
             verify_cpu: lowered.verify_cpu,
             total: t_total.elapsed(),
-            cost_cache: {
-                // The cache outlives the compile; report this compile's
-                // share of its traffic.
-                let after = model.cache_stats();
-                CacheStats {
-                    hits: after.hits.saturating_sub(cache_before.hits),
-                    misses: after.misses.saturating_sub(cache_before.misses),
-                }
-            },
+            // The caches outlive the compile; report this compile's
+            // share of their traffic.
+            cost_cache: model.cache_stats().since(cache_before),
             pack_memo,
+            pack_memo_costing,
+            pack_memo_lowering: lowered.pack_memo,
+            pack_miss,
         };
         let compiled = CompiledModel {
             graph,
@@ -545,9 +561,16 @@ pub struct CompileReport {
     /// [`Compiler`] (and its clones), so a recompile of the same or a
     /// structurally similar model reports mostly hits.
     pub cost_cache: CacheStats,
-    /// Hit/miss counters of the structural packing memo (cost model +
-    /// lowering packers merged).
+    /// Hit/miss counters of the structural packing memo, for this
+    /// compile only: costing and lowering together.
     pub pack_memo: CacheStats,
+    /// The cost model's share of `pack_memo` (plan enumeration).
+    pub pack_memo_costing: CacheStats,
+    /// Lowering's share of `pack_memo`.
+    pub pack_memo_lowering: CacheStats,
+    /// CPU time spent packing blocks on memo misses, costing and
+    /// lowering together.
+    pub pack_miss: Duration,
 }
 
 impl Default for Compiler {

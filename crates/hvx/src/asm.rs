@@ -24,7 +24,7 @@ pub fn print_program(program: &Program) -> String {
     let mut out = String::new();
     for block in &program.blocks {
         let _ = writeln!(out, "// {} (x{})", block.label, block.trip_count);
-        for packet in &block.packets {
+        for packet in block.packets.iter() {
             let _ = writeln!(out, "{packet}");
         }
     }
@@ -53,7 +53,13 @@ impl std::error::Error for ParseAsmError {}
 /// packets are brace-delimited.
 pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
     let mut program = Program::new();
-    let mut block: Option<PackedBlock> = None;
+    // The open block: label, trip count and its packets so far.
+    let mut block: Option<(String, u64, Vec<Packet>)> = None;
+    let close = |(label, trip_count, packets): (String, u64, Vec<Packet>)| PackedBlock {
+        packets: packets.into(),
+        trip_count,
+        label,
+    };
     let mut packet: Option<Vec<Insn>> = None;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -69,7 +75,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
         if let Some(rest) = line.strip_prefix("//") {
             // New block header.
             if let Some(b) = block.take() {
-                program.push(b);
+                program.push(close(b));
             }
             let rest = rest.trim();
             let (label, trips) = match rest.rfind("(x") {
@@ -81,11 +87,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
                 }
                 _ => (rest.to_string(), 1),
             };
-            block = Some(PackedBlock {
-                packets: Vec::new(),
-                trip_count: trips,
-                label,
-            });
+            block = Some((label, trips, Vec::new()));
         } else if line == "{" {
             if packet.is_some() {
                 return Err(err("nested packet"));
@@ -93,12 +95,8 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
             packet = Some(Vec::new());
         } else if line == "}" {
             let insns = packet.take().ok_or_else(|| err("unmatched '}'"))?;
-            let b = block.get_or_insert_with(|| PackedBlock {
-                packets: Vec::new(),
-                trip_count: 1,
-                label: "block".into(),
-            });
-            b.packets.push(Packet::from_insns(insns));
+            let (_, _, packets) = block.get_or_insert_with(|| ("block".into(), 1, Vec::new()));
+            packets.push(Packet::from_insns(insns));
         } else {
             let p = packet
                 .as_mut()
@@ -113,7 +111,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
         });
     }
     if let Some(b) = block.take() {
-        program.push(b);
+        program.push(close(b));
     }
     Ok(program)
 }

@@ -28,6 +28,7 @@
 //! WAR.
 
 use crate::insn::{Insn, Unit};
+use crate::reg::RegSet;
 
 /// The dependence class between two instructions, from the point of view
 /// of placing them in the same VLIW packet.
@@ -86,80 +87,87 @@ pub const SOFT_RAW_PENALTY: u32 = 1;
 /// conflicts between the two instructions. [`DepKind::None`] means the two
 /// instructions are entirely independent.
 pub fn classify(producer: &Insn, consumer: &Insn) -> DepKind {
-    let mut kind = DepKind::None;
-
-    let pdefs = producer.defs();
-    let puses = producer.uses();
-    let cdefs = consumer.defs();
-    let cuses = consumer.uses();
-
-    // RAW: consumer reads a register the producer writes.
-    for d in &pdefs {
-        if cuses.contains(d) {
-            let raw = raw_kind(producer, consumer, *d);
-            kind = kind.max(raw);
-        }
-    }
-
-    // WAR: consumer writes a register the producer reads. Safe under
-    // parallel packet reads -> soft with zero penalty.
-    for d in &cdefs {
-        if puses.contains(d) {
-            kind = kind.max(DepKind::Soft { penalty: 0 });
-        }
-    }
-
-    // WAW: both write the same register -> hard (final value ambiguous).
-    for d in &cdefs {
-        if pdefs.contains(d) {
-            kind = kind.max(DepKind::Hard);
-        }
-    }
-
-    // Memory: conservative aliasing — a store conflicts with any later
-    // memory access.
-    if producer.is_store() && (consumer.is_load() || consumer.is_store()) {
-        kind = kind.max(DepKind::Hard);
-    }
-    // load -> store is an anti-dependence through memory: safe.
-    if producer.is_load() && consumer.is_store() {
-        kind = kind.max(DepKind::Soft { penalty: 0 });
-    }
-
-    kind
+    DepOperands::of(producer).classify(&DepOperands::of(consumer))
 }
 
-fn raw_kind(producer: &Insn, consumer: &Insn, reg: crate::reg::Reg) -> DepKind {
-    // Loads forward their result within a packet at a stall (Figure 4a).
-    if producer.is_load() {
-        return DepKind::Soft {
-            penalty: SOFT_RAW_PENALTY,
+/// Everything [`classify`] reads of one instruction: its register sets
+/// and its memory and forwarding behaviour. A block's packer derives it
+/// once per instruction and classifies every pair from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DepOperands {
+    defs: RegSet,
+    uses: RegSet,
+    /// The register a store writes to memory (empty for other
+    /// instructions).
+    stored: RegSet,
+    load: bool,
+    store: bool,
+    /// Loads and scalar ALU results forward within a packet.
+    forwards: bool,
+}
+
+impl DepOperands {
+    /// The operands of `insn`.
+    pub fn of(insn: &Insn) -> Self {
+        let stored = match *insn {
+            Insn::VStore { src, .. } => RegSet::EMPTY.with(src),
+            Insn::St { src, .. } => RegSet::EMPTY.with(src),
+            _ => RegSet::EMPTY,
         };
-    }
-    // Scalar ALU results forward within a packet at a stall.
-    if producer.resource() == Unit::SAlu {
-        return DepKind::Soft {
-            penalty: SOFT_RAW_PENALTY,
-        };
-    }
-    // A store of a value produced in the same packet waits for the write
-    // stage (Figure 4b) — soft, regardless of producer kind.
-    if let Insn::VStore { src, .. } = consumer {
-        if crate::reg::Reg::V(*src) == reg {
-            return DepKind::Soft {
-                penalty: SOFT_RAW_PENALTY,
-            };
+        DepOperands {
+            defs: insn.defs(),
+            uses: insn.uses(),
+            stored,
+            load: insn.is_load(),
+            store: insn.is_store(),
+            forwards: insn.is_load() || insn.resource() == Unit::SAlu,
         }
     }
-    if let Insn::St { src, .. } = consumer {
-        if crate::reg::Reg::S(*src) == reg {
-            return DepKind::Soft {
-                penalty: SOFT_RAW_PENALTY,
+
+    /// [`classify`] with `self` the producer.
+    pub fn classify(&self, consumer: &DepOperands) -> DepKind {
+        let mut kind = DepKind::None;
+
+        // RAW: consumer reads a register the producer writes. Loads
+        // (Figure 4a) and scalar ALU results forward within a packet at
+        // a stall; so does a store of a value produced in the same
+        // packet, waiting for the write stage (Figure 4b), regardless of
+        // producer kind. Vector producers feeding any other read need
+        // the full write-back.
+        let raw = self.defs & consumer.uses;
+        if !raw.is_empty() {
+            kind = if self.forwards || (raw - consumer.stored).is_empty() {
+                DepKind::Soft {
+                    penalty: SOFT_RAW_PENALTY,
+                }
+            } else {
+                DepKind::Hard
             };
         }
+
+        // WAR: consumer writes a register the producer reads. Safe under
+        // parallel packet reads -> soft with zero penalty.
+        if consumer.defs.intersects(self.uses) {
+            kind = kind.max(DepKind::Soft { penalty: 0 });
+        }
+
+        // WAW: both write the same register -> hard (final value ambiguous).
+        if consumer.defs.intersects(self.defs) {
+            kind = kind.max(DepKind::Hard);
+        }
+
+        // Memory: conservative aliasing — a store conflicts with any later
+        // memory access.
+        if self.store && (consumer.load || consumer.store) {
+            kind = kind.max(DepKind::Hard);
+        }
+        // load -> store is an anti-dependence through memory: safe.
+        if self.load && consumer.store {
+            kind = kind.max(DepKind::Soft { penalty: 0 });
+        }
+
+        kind
     }
-    // Vector producers feeding vector consumers need the full write-back.
-    DepKind::Hard
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! of metadata drive both the VLIW packing algorithms and the timing
 //! simulation.
 
-use crate::reg::{Reg, SReg, VPair, VReg};
+use crate::reg::{RegSet, SReg, VPair, VReg};
 use std::fmt;
 
 /// Lane width selector for the simple vector ALU instructions.
@@ -306,31 +306,31 @@ impl Insn {
     }
 
     /// Registers written by this instruction.
-    pub fn defs(&self) -> Vec<Reg> {
+    pub fn defs(&self) -> RegSet {
+        let none = RegSet::EMPTY;
         match *self {
-            Insn::Vmpy { dst, .. } | Insn::Vtmpy { dst, .. } => {
-                vec![dst.lo().into(), dst.hi().into()]
-            }
-            Insn::Vmpa { dst, .. } | Insn::Vrmpy { dst, .. } => vec![dst.into()],
-            Insn::Vadd { dst, .. }
-            | Insn::Vsub { dst, .. }
-            | Insn::Vmax { dst, .. }
-            | Insn::Vmin { dst, .. } => vec![dst.into()],
-            Insn::VaddUbH { dst, .. } | Insn::VmulUbH { dst, .. } => {
-                vec![dst.lo().into(), dst.hi().into()]
-            }
-            Insn::VaddHAcc { dst, .. } => vec![dst.into()],
-            Insn::Vsplat { dst, .. } => vec![dst.into()],
-            Insn::VasrHB { dst, .. } | Insn::VasrWH { dst, .. } => vec![dst.into()],
-            Insn::VshuffH { dst, .. }
+            Insn::Vmpy { dst, .. }
+            | Insn::Vtmpy { dst, .. }
+            | Insn::VaddUbH { dst, .. }
+            | Insn::VmulUbH { dst, .. }
+            | Insn::VshuffH { dst, .. }
             | Insn::VdealH { dst, .. }
             | Insn::VshuffB { dst, .. }
-            | Insn::VdealB { dst, .. } => {
-                vec![dst.lo().into(), dst.hi().into()]
-            }
-            Insn::VlutB { dst, .. } => vec![dst.into()],
-            Insn::VLoad { dst, .. } | Insn::VGather { dst, .. } => vec![dst.into()],
-            Insn::VStore { .. } | Insn::St { .. } | Insn::Nop => vec![],
+            | Insn::VdealB { dst, .. } => none.with_pair(dst),
+            Insn::Vmpa { dst, .. }
+            | Insn::Vrmpy { dst, .. }
+            | Insn::Vadd { dst, .. }
+            | Insn::Vsub { dst, .. }
+            | Insn::Vmax { dst, .. }
+            | Insn::Vmin { dst, .. }
+            | Insn::VaddHAcc { dst, .. }
+            | Insn::Vsplat { dst, .. }
+            | Insn::VasrHB { dst, .. }
+            | Insn::VasrWH { dst, .. }
+            | Insn::VlutB { dst, .. }
+            | Insn::VLoad { dst, .. }
+            | Insn::VGather { dst, .. } => none.with(dst),
+            Insn::VStore { .. } | Insn::St { .. } | Insn::Nop => none,
             Insn::Movi { dst, .. }
             | Insn::Add { dst, .. }
             | Insn::AddI { dst, .. }
@@ -339,13 +339,14 @@ impl Insn {
             | Insn::Div { dst, .. }
             | Insn::Shl { dst, .. }
             | Insn::Shr { dst, .. }
-            | Insn::Ld { dst, .. } => vec![dst.into()],
+            | Insn::Ld { dst, .. } => none.with(dst),
         }
     }
 
     /// Registers read by this instruction (accumulating multiplies also
     /// read their destination).
-    pub fn uses(&self) -> Vec<Reg> {
+    pub fn uses(&self) -> RegSet {
+        let none = RegSet::EMPTY;
         match *self {
             Insn::Vmpy {
                 dst,
@@ -353,12 +354,12 @@ impl Insn {
                 weights,
                 acc,
             } => {
-                let mut u: Vec<Reg> = vec![src.into(), weights.into()];
+                let u = none.with(src).with(weights);
                 if acc {
-                    u.push(dst.lo().into());
-                    u.push(dst.hi().into());
+                    u.with_pair(dst)
+                } else {
+                    u
                 }
-                u
             }
             Insn::Vtmpy {
                 dst,
@@ -366,12 +367,12 @@ impl Insn {
                 weights,
                 acc,
             } => {
-                let mut u: Vec<Reg> = vec![src.lo().into(), src.hi().into(), weights.into()];
+                let u = none.with_pair(src).with(weights);
                 if acc {
-                    u.push(dst.lo().into());
-                    u.push(dst.hi().into());
+                    u.with_pair(dst)
+                } else {
+                    u
                 }
-                u
             }
             Insn::Vmpa {
                 dst,
@@ -385,38 +386,39 @@ impl Insn {
                 weights,
                 acc,
             } => {
-                let mut u: Vec<Reg> = vec![src.into(), weights.into()];
+                let u = none.with(src).with(weights);
                 if acc {
-                    u.push(dst.into());
+                    u.with(dst)
+                } else {
+                    u
                 }
-                u
             }
             Insn::Vadd { a, b, .. }
             | Insn::Vsub { a, b, .. }
             | Insn::Vmax { a, b, .. }
-            | Insn::Vmin { a, b, .. } => vec![a.into(), b.into()],
-            Insn::VaddUbH { a, b, .. } | Insn::VmulUbH { a, b, .. } => vec![a.into(), b.into()],
-            Insn::VaddHAcc { dst, src } => vec![dst.into(), src.into()],
-            Insn::Vsplat { src, .. } => vec![src.into()],
-            Insn::VasrHB { src, .. } => vec![src.lo().into(), src.hi().into()],
-            Insn::VasrWH { a, b, .. } => vec![a.into(), b.into()],
-            Insn::VshuffH { src, .. }
+            | Insn::Vmin { a, b, .. }
+            | Insn::VaddUbH { a, b, .. }
+            | Insn::VmulUbH { a, b, .. }
+            | Insn::VasrWH { a, b, .. } => none.with(a).with(b),
+            Insn::VaddHAcc { dst, src } => none.with(dst).with(src),
+            Insn::Vsplat { src, .. } => none.with(src),
+            Insn::VasrHB { src, .. }
+            | Insn::VshuffH { src, .. }
             | Insn::VdealH { src, .. }
             | Insn::VshuffB { src, .. }
-            | Insn::VdealB { src, .. } => {
-                vec![src.lo().into(), src.hi().into()]
+            | Insn::VdealB { src, .. } => none.with_pair(src),
+            Insn::VlutB { idx, table, .. } => none.with(idx).with(table),
+            Insn::VLoad { base, .. } | Insn::VGather { base, .. } | Insn::Ld { base, .. } => {
+                none.with(base)
             }
-            Insn::VlutB { idx, table, .. } => vec![idx.into(), table.into()],
-            Insn::VLoad { base, .. } | Insn::VGather { base, .. } => vec![base.into()],
-            Insn::VStore { src, base, .. } => vec![src.into(), base.into()],
-            Insn::Movi { .. } | Insn::Nop => vec![],
+            Insn::VStore { src, base, .. } => none.with(src).with(base),
+            Insn::St { src, base, .. } => none.with(src).with(base),
+            Insn::Movi { .. } | Insn::Nop => none,
             Insn::Add { a, b, .. }
             | Insn::Sub { a, b, .. }
             | Insn::Mul { a, b, .. }
-            | Insn::Div { a, b, .. } => vec![a.into(), b.into()],
-            Insn::AddI { a, .. } | Insn::Shl { a, .. } | Insn::Shr { a, .. } => vec![a.into()],
-            Insn::Ld { base, .. } => vec![base.into()],
-            Insn::St { src, base, .. } => vec![src.into(), base.into()],
+            | Insn::Div { a, b, .. } => none.with(a).with(b),
+            Insn::AddI { a, .. } | Insn::Shl { a, .. } | Insn::Shr { a, .. } => none.with(a),
         }
     }
 
@@ -536,15 +538,15 @@ mod tests {
             weights: r(0),
             acc: true,
         };
-        assert!(i.uses().contains(&v(0).into()));
-        assert!(i.uses().contains(&v(1).into()));
+        assert!(i.uses().contains(v(0)));
+        assert!(i.uses().contains(v(1)));
         let i = Insn::Vmpy {
             dst: w(0),
             src: v(2),
             weights: r(0),
             acc: false,
         };
-        assert!(!i.uses().contains(&v(0).into()));
+        assert!(!i.uses().contains(v(0)));
     }
 
     #[test]

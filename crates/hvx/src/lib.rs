@@ -49,13 +49,13 @@ pub mod reg;
 pub mod stats;
 
 pub use asm::{parse_insn, parse_program, print_program, ParseAsmError};
-pub use deps::{classify, DepKind, SOFT_RAW_PENALTY};
+pub use deps::{classify, DepKind, DepOperands, SOFT_RAW_PENALTY};
 pub use energy::EnergyModel;
 pub use insn::{Insn, Lane, Unit};
 pub use machine::{simd, Machine, Trace, TraceEvent, VData};
-pub use packet::{Packet, ResourceModel};
+pub use packet::{Packet, ResourceModel, SlotUse};
 pub use program::{Block, PackedBlock, Program};
-pub use reg::{Reg, SReg, VPair, VReg, HLANES, NUM_SREGS, NUM_VREGS, VBYTES, WLANES};
+pub use reg::{Reg, RegSet, SReg, VPair, VReg, HLANES, NUM_SREGS, NUM_VREGS, VBYTES, WLANES};
 pub use stats::{ExecStats, CLOCK_HZ};
 
 /// Packs four signed weight bytes into a scalar-register value, the form

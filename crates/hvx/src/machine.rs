@@ -23,9 +23,9 @@
 
 use crate::deps::classify;
 use crate::insn::{Insn, Lane};
-use crate::packet::Packet;
+use crate::packet::{Packet, ResourceModel};
 use crate::program::{PackedBlock, Program};
-use crate::reg::{Reg, SReg, VPair, VReg, NUM_SREGS, NUM_VREGS, VBYTES};
+use crate::reg::{RegSet, SReg, VPair, VReg, NUM_SREGS, NUM_VREGS, VBYTES};
 use std::fmt;
 
 /// One vector register's contents.
@@ -189,7 +189,7 @@ impl Machine {
     /// Executes one packed block `trip_count` times.
     pub fn run_block(&mut self, block: &PackedBlock) {
         for _ in 0..block.trip_count {
-            for packet in &block.packets {
+            for packet in block.packets.iter() {
                 self.run_packet(packet);
             }
         }
@@ -198,43 +198,46 @@ impl Machine {
     /// Executes one packet under the parallel-read semantics described in
     /// the module docs.
     pub fn run_packet(&mut self, packet: &Packet) {
-        let snapshot_v = self.vregs.clone();
-        let snapshot_s = self.sregs;
         let insns = packet.insns();
+        // Registers each consumer must read stale (hard intra-packet
+        // dependency on an earlier instruction in the packet).
+        let mut stale = [RegSet::EMPTY; ResourceModel::MAX_SLOTS];
         for (j, insn) in insns.iter().enumerate() {
-            // Registers this consumer must read stale (hard intra-packet
-            // dependency on an earlier instruction in the packet).
-            let mut stale: Vec<Reg> = Vec::new();
             for prod in &insns[..j] {
                 if classify(prod, insn).is_hard() {
-                    for d in prod.defs() {
-                        if insn.uses().contains(&d) {
-                            stale.push(d);
-                        }
-                    }
+                    stale[j] |= prod.defs() & insn.uses();
                 }
             }
-            self.exec_insn(insn, &stale, &snapshot_v, &snapshot_s);
+        }
+        // Only a packet with a stale read needs the pre-packet registers.
+        let snapshot_v = if stale.iter().all(|s| s.is_empty()) {
+            Vec::new()
+        } else {
+            self.vregs.clone()
+        };
+        let snapshot_s = self.sregs;
+        for (insn, &stale) in insns.iter().zip(&stale) {
+            self.exec_insn(insn, stale, &snapshot_v, &snapshot_s);
         }
     }
 
-    fn read_v(&self, r: VReg, stale: &[Reg], snapshot_v: &[VData]) -> VData {
-        if stale.contains(&Reg::V(r)) {
+    fn read_v(&self, r: VReg, stale: RegSet, snapshot_v: &[VData]) -> VData {
+        if stale.contains(r) {
             snapshot_v[r.index() as usize]
         } else {
             self.vregs[r.index() as usize]
         }
     }
 
-    fn read_pair(&self, w: VPair, stale: &[Reg], snapshot_v: &[VData]) -> (VData, VData) {
+    fn read_pair(&self, w: VPair, stale: RegSet, snapshot_v: &[VData]) -> (VData, VData) {
         (
             self.read_v(w.lo(), stale, snapshot_v),
             self.read_v(w.hi(), stale, snapshot_v),
         )
     }
 
-    fn read_s(&self, r: SReg, stale: &[Reg], snapshot_s: &[i64]) -> i64 {
-        if stale.contains(&Reg::S(r)) {
+    fn read_s(&self, r: SReg, stale: RegSet, snapshot_s: &[i64]) -> i64 {
+        if stale.contains(r) {
             snapshot_s[r.index() as usize]
         } else {
             self.sregs[r.index() as usize]
@@ -255,7 +258,7 @@ impl Machine {
         ((s >> (8 * j)) & 0xFF) as u8 as i8 as i32
     }
 
-    fn exec_insn(&mut self, insn: &Insn, stale: &[Reg], snapshot_v: &[VData], snapshot_s: &[i64]) {
+    fn exec_insn(&mut self, insn: &Insn, stale: RegSet, snapshot_v: &[VData], snapshot_s: &[i64]) {
         match *insn {
             Insn::Vmpy {
                 dst,

@@ -66,31 +66,56 @@ impl ResourceModel {
         if current.len() >= Self::MAX_SLOTS {
             return false;
         }
-        let mut mem = 0u8;
-        let mut store = 0u8;
-        let mut vmpy = 0u8;
-        let mut vshift = 0u8;
-        let mut vperm = 0u8;
-        let mut valu = 0u8;
-        for i in current.iter().chain(std::iter::once(candidate)) {
-            match i.resource() {
-                Unit::Mem => mem += 1,
-                Unit::VMpy => vmpy += 1,
-                Unit::VShift => vshift += 1,
-                Unit::VPerm => vperm += 1,
-                Unit::VAlu => valu += 1,
-                Unit::SAlu => {}
-            }
-            if i.is_store() {
-                store += 1;
-            }
+        let mut used = SlotUse::default();
+        current.iter().for_each(|i| used.add(i));
+        self.admits_use(&used, candidate)
+    }
+
+    /// [`ResourceModel::admits`] against the slot tally of the packet so
+    /// far, for callers that grow a packet one instruction at a time.
+    pub fn admits_use(&self, used: &SlotUse, candidate: &Insn) -> bool {
+        if used.slots as usize >= Self::MAX_SLOTS {
+            return false;
         }
-        mem <= self.mem
-            && store <= self.store
-            && vmpy <= self.vmpy
-            && vshift <= self.vshift
-            && vperm <= self.vperm
-            && valu <= self.valu
+        let mut with = *used;
+        with.add(candidate);
+        with.mem <= self.mem
+            && with.store <= self.store
+            && with.vmpy <= self.vmpy
+            && with.vshift <= self.vshift
+            && with.vperm <= self.vperm
+            && with.valu <= self.valu
+    }
+}
+
+/// How many slots, and how many of each capped unit, a packet's
+/// instructions take ([`ResourceModel::admits_use`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotUse {
+    slots: u8,
+    mem: u8,
+    store: u8,
+    vmpy: u8,
+    vshift: u8,
+    vperm: u8,
+    valu: u8,
+}
+
+impl SlotUse {
+    /// Counts one more instruction.
+    pub fn add(&mut self, insn: &Insn) {
+        self.slots += 1;
+        match insn.resource() {
+            Unit::Mem => self.mem += 1,
+            Unit::VMpy => self.vmpy += 1,
+            Unit::VShift => self.vshift += 1,
+            Unit::VPerm => self.vperm += 1,
+            Unit::VAlu => self.valu += 1,
+            Unit::SAlu => {}
+        }
+        if insn.is_store() {
+            self.store += 1;
+        }
     }
 }
 
@@ -183,20 +208,15 @@ impl Packet {
     /// instructions with a soft dependency — therefore costs 4 cycles
     /// packed versus 6 split.
     pub fn cycles(&self) -> u32 {
-        let n = self.insns.len();
-        if n == 0 {
-            return 0;
-        }
-        let mut depth = vec![0u32; n];
+        let mut depth = [0u32; ResourceModel::MAX_SLOTS];
         let mut cost = 0u32;
-        for j in 0..n {
-            for i in 0..j {
-                let k = classify(&self.insns[i], &self.insns[j]);
-                if let DepKind::Soft { penalty } = k {
+        for (j, cons) in self.insns.iter().enumerate() {
+            for (i, prod) in self.insns[..j].iter().enumerate() {
+                if let DepKind::Soft { penalty } = classify(prod, cons) {
                     depth[j] = depth[j].max(depth[i] + penalty);
                 }
             }
-            cost = cost.max(self.insns[j].latency() + depth[j]);
+            cost = cost.max(cons.latency() + depth[j]);
         }
         cost
     }

@@ -11,6 +11,7 @@ use crate::insn::Insn;
 use crate::packet::{Packet, ResourceModel};
 use crate::stats::{unit_index, ExecStats};
 use std::fmt;
+use std::sync::Arc;
 
 /// An unscheduled basic block: straight-line instructions plus the number
 /// of times the block executes.
@@ -67,8 +68,10 @@ impl Block {
 /// A scheduled basic block: VLIW packets plus the trip count.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PackedBlock {
-    /// Packets in issue order.
-    pub packets: Vec<Packet>,
+    /// Packets in issue order. Shared, so a packer's memo hands out one
+    /// schedule to every block with the same instructions without
+    /// copying it.
+    pub packets: Arc<[Packet]>,
     /// How many times the block body runs.
     pub trip_count: u64,
     /// Label inherited from the source [`Block`].
@@ -99,7 +102,7 @@ impl PackedBlock {
     /// Static timing and counter estimate for all `trip_count` runs.
     pub fn stats(&self) -> ExecStats {
         let mut s = ExecStats::new();
-        for p in &self.packets {
+        for p in self.packets.iter() {
             s.cycles += p.cycles() as u64;
             s.stall_cycles += p.stall_cycles() as u64;
             s.packets += 1;
@@ -130,7 +133,7 @@ impl PackedBlock {
     /// `k+1` instructions (schedule-density diagnostics).
     pub fn occupancy_histogram(&self) -> [u64; ResourceModel::MAX_SLOTS] {
         let mut hist = [0u64; ResourceModel::MAX_SLOTS];
-        for p in &self.packets {
+        for p in self.packets.iter() {
             if !p.is_empty() {
                 hist[p.len() - 1] += 1;
             }
@@ -142,7 +145,7 @@ impl PackedBlock {
 impl fmt::Display for PackedBlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "// {} (x{})", self.label, self.trip_count)?;
-        for p in &self.packets {
+        for p in self.packets.iter() {
             writeln!(f, "{p}")?;
         }
         Ok(())

@@ -155,6 +155,106 @@ impl From<VReg> for Reg {
     }
 }
 
+impl Reg {
+    /// The register's bit in a [`RegSet`]: `r0`–`r31` are bits 0–31,
+    /// `v0`–`v31` bits 32–63.
+    pub fn bit(self) -> u64 {
+        match self {
+            Reg::S(r) => 1 << r.0,
+            Reg::V(r) => 1 << (32 + r.0),
+        }
+    }
+}
+
+/// A set of architectural registers in one `u64`: bit `i` is `ri` for
+/// `i < 32` and `v(i − 32)` above. A vector pair is its two halves, so
+/// overlap between a pair and one of its members is a plain
+/// intersection, and dependence checks allocate nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct RegSet(u64);
+
+impl RegSet {
+    /// The empty set.
+    pub const EMPTY: RegSet = RegSet(0);
+
+    /// The set with `reg` added.
+    pub fn with(self, reg: impl Into<Reg>) -> RegSet {
+        RegSet(self.0 | reg.into().bit())
+    }
+
+    /// The set with both halves of `pair` added.
+    pub fn with_pair(self, pair: VPair) -> RegSet {
+        self.with(pair.lo()).with(pair.hi())
+    }
+
+    /// Whether `reg` is in the set.
+    pub fn contains(self, reg: impl Into<Reg>) -> bool {
+        self.0 & reg.into().bit() != 0
+    }
+
+    /// True when the set holds no register.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Whether the two sets share a register.
+    pub fn intersects(self, other: RegSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The registers of the set: scalar ones first, each kind in index
+    /// order.
+    pub fn iter(self) -> impl Iterator<Item = Reg> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let i = bits.trailing_zeros() as u8;
+            bits &= bits - 1;
+            Some(if i < 32 {
+                Reg::S(SReg(i))
+            } else {
+                Reg::V(VReg(i - 32))
+            })
+        })
+    }
+}
+
+impl std::ops::BitAnd for RegSet {
+    type Output = RegSet;
+    fn bitand(self, other: RegSet) -> RegSet {
+        RegSet(self.0 & other.0)
+    }
+}
+
+impl std::ops::BitOr for RegSet {
+    type Output = RegSet;
+    fn bitor(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+}
+
+impl std::ops::BitOrAssign for RegSet {
+    fn bitor_assign(&mut self, other: RegSet) {
+        self.0 |= other.0;
+    }
+}
+
+impl std::ops::Sub for RegSet {
+    type Output = RegSet;
+    /// The registers of `self` not in `other`.
+    fn sub(self, other: RegSet) -> RegSet {
+        RegSet(self.0 & !other.0)
+    }
+}
+
+impl FromIterator<Reg> for RegSet {
+    fn from_iter<T: IntoIterator<Item = Reg>>(iter: T) -> Self {
+        iter.into_iter().fold(RegSet::EMPTY, RegSet::with)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +277,27 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn vreg_out_of_range() {
         let _ = VReg::new(32);
+    }
+
+    #[test]
+    fn reg_set_bits_and_pairs() {
+        let s = RegSet::EMPTY.with(SReg::new(31)).with_pair(VPair::new(4));
+        assert!(s.contains(VReg::new(5)) && s.contains(SReg::new(31)));
+        assert!(!s.contains(VReg::new(31)) && !s.contains(SReg::new(5)));
+        let t = RegSet::EMPTY.with(VReg::new(4));
+        assert!(s.intersects(t));
+        assert_eq!(s & t, t);
+        assert_eq!(s - t, RegSet::EMPTY.with(SReg::new(31)).with(VReg::new(5)));
+        let regs: Vec<_> = s.iter().collect();
+        assert_eq!(
+            regs,
+            [
+                SReg::new(31).into(),
+                VReg::new(4).into(),
+                VReg::new(5).into()
+            ]
+        );
+        assert_eq!(regs.into_iter().collect::<RegSet>(), s);
     }
 
     #[test]

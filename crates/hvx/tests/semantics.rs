@@ -634,7 +634,8 @@ fn occupancy_histogram_counts_packets() {
         b.push(Insn::Nop);
         b
     });
-    pb.packets.push(Packet::from_insns(vec![
+    let mut packets = pb.packets.to_vec();
+    packets.push(Packet::from_insns(vec![
         Insn::Nop,
         Insn::AddI {
             dst: r(0),
@@ -647,6 +648,7 @@ fn occupancy_histogram_counts_packets() {
             imm: 1,
         },
     ]));
+    pb.packets = packets.into();
     let hist = pb.occupancy_histogram();
     assert_eq!(hist, [2, 0, 1, 0]);
 }

@@ -107,7 +107,18 @@ impl CostModel {
 
     /// Cycles of `blocks` when SDA-packed (no dispatch overhead).
     pub fn blocks_cycles(&self, blocks: &[Block]) -> u64 {
-        self.pack_program(blocks).cycles()
+        blocks
+            .iter()
+            .map(|b| {
+                let body: u64 = self
+                    .packer
+                    .pack_insns(&b.insns)
+                    .iter()
+                    .map(|p| p.cycles() as u64)
+                    .sum();
+                body * b.trip_count
+            })
+            .sum()
     }
 
     /// Cycles of a GEMM kernel under an explicit unroll configuration,

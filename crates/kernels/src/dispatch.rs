@@ -1512,6 +1512,113 @@ mod tests {
         }
     }
 
+    /// Whether AMX band time follows where a process's buffers lie or
+    /// the state of the host, not a gate: six separately allocated copies
+    /// of tinybert's 128×1200×312 `fc2` operands (staged `a`, panel, band
+    /// scratch, output), timed in turn in one loop for 3 s. Each line is
+    /// one 100 ms window with the best band of every copy in it, then the
+    /// spread across copies within a window (placement) beside the spread
+    /// of the window medians (host). DESIGN.md §4g holds the output:
+    /// `cargo test -p gcd2-kernels --release --lib -- --ignored amx_host_state_probe --nocapture`
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "perf evidence; run manually in release mode"]
+    fn amx_host_state_probe() {
+        use crate::tiled::LineBuf;
+        use std::time::{Duration, Instant};
+
+        const COPIES: usize = 6;
+        let isa = KernelIsa::AmxInt8;
+        if !isa.supported() {
+            eprintln!("AMX not available; skipping");
+            return;
+        }
+        let (m, k, n) = (128, 1200, 312);
+        struct Operands {
+            staged: LineBuf,
+            panel: WeightPanel,
+            scratch: BandScratch,
+            out: Vec<u8>,
+        }
+        let mut copies: Vec<Operands> = (0..COPIES)
+            .map(|_| {
+                let (a, w) = operands(m, k, n);
+                let mut staged = LineBuf::default();
+                staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
+                Operands {
+                    staged,
+                    panel: WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n),
+                    scratch: BandScratch::default(),
+                    out: vec![0u8; m * n],
+                }
+            })
+            .collect();
+        let us = |d: Duration| d.as_secs_f64() * 1e6;
+        let mut windows: Vec<[Duration; COPIES]> = Vec::new();
+        let start = Instant::now();
+        let mut window = (Instant::now(), [Duration::MAX; COPIES]);
+        while start.elapsed() < Duration::from_secs(3) {
+            for (c, copy) in copies.iter_mut().enumerate() {
+                let Operands {
+                    staged,
+                    panel,
+                    scratch,
+                    out,
+                } = copy;
+                let (wd, pairs, quads) = panel.operands();
+                let args = BandArgs {
+                    a: staged.bytes(),
+                    k,
+                    n,
+                    wd,
+                    shift: 6,
+                    clamp: u8::MAX,
+                    map: ByteMap::IDENTITY,
+                    tiles: tile_plan(m, k, n, isa),
+                };
+                let t0 = Instant::now();
+                // SAFETY: the tier is supported and the operands match
+                // the band contract: `a` is m × k, `panel` the tier's
+                // pack of `w`, `out` m × n.
+                unsafe { (table_for(isa).band)(&args, pairs, quads, scratch, 0, m, out) };
+                window.1[c] = window.1[c].min(t0.elapsed());
+            }
+            if window.0.elapsed() >= Duration::from_millis(100) {
+                let best = window.1;
+                let (lo, hi) = (best.iter().min().unwrap(), best.iter().max().unwrap());
+                println!(
+                    "  {:>5.0} ms  {}  copies {:.2}×",
+                    (window.0 - start).as_secs_f64() * 1e3,
+                    best.map(|b| format!("{:>6.1}", us(b))).join(" "),
+                    us(*hi) / us(*lo)
+                );
+                windows.push(best);
+                window = (Instant::now(), [Duration::MAX; COPIES]);
+            }
+        }
+        let spread = |xs: &[f64]| {
+            let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+            xs.iter().copied().fold(0.0, f64::max) / lo
+        };
+        let within: Vec<f64> = windows.iter().map(|w| spread(&w.map(us))).collect();
+        let medians: Vec<f64> = windows
+            .iter()
+            .map(|w| {
+                let mut w = w.map(us);
+                w.sort_by(f64::total_cmp);
+                (w[COPIES / 2 - 1] + w[COPIES / 2]) / 2.0
+            })
+            .collect();
+        println!(
+            "{} windows: copies within a window at most {:.2}× apart; window medians {:.1}–{:.1} µs ({:.2}×)",
+            windows.len(),
+            within.iter().copied().fold(0.0, f64::max),
+            medians.iter().copied().fold(f64::INFINITY, f64::min),
+            medians.iter().copied().fold(0.0, f64::max),
+            spread(&medians),
+        );
+    }
+
     /// The implicit im2col of a stride-1 conv against staging it, under
     /// [`amx_epilogue_probe`]'s protocol, not a gate: for each of
     /// resnet-50's four stride-1 3×3 conv geometries (the `.conv2` of

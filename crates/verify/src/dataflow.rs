@@ -4,9 +4,9 @@
 //! The analysis runs on the flattened instruction sequence of a block
 //! (packets in issue order, program order within a packet — the order
 //! the machine commits effects in). Vector pairs are expanded into their
-//! two halves by [`Insn::defs`]/[`Insn::uses`], so overlap hazards
-//! between a pair and one of its member registers are tracked at single-
-//! register granularity.
+//! two halves by the register sets of [`Insn::defs`]/[`Insn::uses`], so
+//! overlap hazards between a pair and one of its member registers are
+//! tracked at single-register granularity.
 //!
 //! Loop semantics temper both checks:
 //!
@@ -22,8 +22,7 @@
 
 use crate::diag::Report;
 use crate::{Context, Pass};
-use gcd2_hvx::{Insn, PackedBlock, Reg};
-use std::collections::{HashMap, HashSet};
+use gcd2_hvx::{Insn, PackedBlock, Reg, RegSet};
 
 /// Register def/use sanity for every block of a program.
 #[derive(Debug, Default)]
@@ -46,74 +45,75 @@ impl Pass for RegisterDataflow {
 
 fn check_block(bi: usize, block: &PackedBlock, report: &mut Report) {
     let insns: Vec<&Insn> = block.packets.iter().flat_map(|p| p.insns()).collect();
-    let loc = format!("block {bi} '{}'", block.label);
+    let loc = || format!("block {bi} '{}'", block.label);
+    // A register's index in the per-register tables: its bit in a RegSet.
+    let slot = |reg: Reg| reg.bit().trailing_zeros() as usize;
+    const NONE: usize = usize::MAX;
 
-    // Positions of every definition of every register.
-    let mut def_positions: HashMap<Reg, Vec<usize>> = HashMap::new();
+    // Position of the first definition of every register.
+    let mut first_def = [NONE; 64];
     for (idx, insn) in insns.iter().enumerate() {
-        for d in insn.defs() {
-            def_positions.entry(d).or_default().push(idx);
+        for d in insn.defs().iter() {
+            if first_def[slot(d)] == NONE {
+                first_def[slot(d)] = idx;
+            }
         }
     }
 
     // Def-before-use: reads happen before writes at each position, so an
     // instruction reading a register it also defines (acc multiplies)
     // observes the previous value.
-    let mut defined: HashSet<Reg> = HashSet::new();
+    let mut defined = RegSet::EMPTY;
     for (idx, insn) in insns.iter().enumerate() {
-        let mut seen_uses: HashSet<Reg> = HashSet::new();
-        for u in insn.uses() {
-            if !seen_uses.insert(u) {
-                continue; // one diagnostic per register per instruction
-            }
-            // A read before any definition is fine when the register is
-            // live-in. It still looks live-in when the block *does*
-            // define it later, as long as that first definition reads
-            // the register itself (address bumps: `r0 = add(r0, #128)`)
-            // or the block loops (the value arrives around the back
-            // edge). Only a single-trip block whose later definition
-            // starts a fresh value chain makes the early read dubious.
-            if !defined.contains(&u) && block.trip_count <= 1 {
-                if let Some(positions) = def_positions.get(&u) {
-                    let first_def = positions[0];
-                    if !insns[first_def].uses().contains(&u) {
-                        report.error(
-                            NAME,
-                            &loc,
-                            format!(
-                                "`{insn}` (position {idx}) reads {u} before its \
-                                 first definition in a single-trip block"
-                            ),
-                        );
-                    }
+        // A read before any definition is fine when the register is
+        // live-in. It still looks live-in when the block *does* define
+        // it later, as long as that first definition reads the register
+        // itself (address bumps: `r0 = add(r0, #128)`) or the block loops
+        // (the value arrives around the back edge). Only a single-trip
+        // block whose later definition starts a fresh value chain makes
+        // the early read dubious.
+        if block.trip_count <= 1 {
+            for u in (insn.uses() - defined).iter() {
+                let first = first_def[slot(u)];
+                if first != NONE && !insns[first].uses().contains(u) {
+                    report.error(
+                        NAME,
+                        loc(),
+                        format!(
+                            "`{insn}` (position {idx}) reads {u} before its \
+                             first definition in a single-trip block"
+                        ),
+                    );
                 }
             }
         }
-        for d in insn.defs() {
-            defined.insert(d);
-        }
+        defined |= insn.defs();
     }
 
     // Dead definitions: overwritten within the same iteration body
-    // without an intervening read.
-    for (reg, positions) in &def_positions {
-        for pair in positions.windows(2) {
-            let (def, redef) = (pair[0], pair[1]);
-            let read_between = insns[def + 1..=redef]
-                .iter()
-                .any(|i| i.uses().contains(reg));
-            if !read_between {
+    // without an intervening read (the overwriting instruction's own
+    // read counts).
+    let mut last_def = [NONE; 64];
+    // Registers read since their last definition.
+    let mut read = RegSet::EMPTY;
+    for (redef, insn) in insns.iter().enumerate() {
+        read |= insn.uses();
+        for reg in insn.defs().iter() {
+            let def = last_def[slot(reg)];
+            if def != NONE && !read.contains(reg) {
                 report.warning(
                     NAME,
-                    &loc,
+                    loc(),
                     format!(
                         "{reg} written by `{}` (position {def}) is overwritten by \
-                         `{}` (position {redef}) without being read",
-                        insns[def], insns[redef]
+                         `{insn}` (position {redef}) without being read",
+                        insns[def]
                     ),
                 );
             }
+            last_def[slot(reg)] = redef;
         }
+        read = read - insn.defs();
     }
 }
 

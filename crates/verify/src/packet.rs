@@ -178,7 +178,8 @@ mod tests {
                     a: r(0),
                     imm: 128,
                 },
-            ])],
+            ])]
+            .into(),
             trip_count: 4,
             label: "copy".into(),
         };
@@ -203,7 +204,8 @@ mod tests {
                     weights: r(1),
                     acc: false,
                 },
-            ])],
+            ])]
+            .into(),
             trip_count: 1,
             label: "bad".into(),
         };
@@ -228,7 +230,8 @@ mod tests {
                     a: v(0),
                     b: v(5),
                 },
-            ])],
+            ])]
+            .into(),
             trip_count: 1,
             label: "bad".into(),
         };
@@ -240,7 +243,7 @@ mod tests {
     #[test]
     fn empty_packet_warns() {
         let block = PackedBlock {
-            packets: vec![Packet::new()],
+            packets: vec![Packet::new()].into(),
             trip_count: 1,
             label: "empty".into(),
         };
@@ -264,7 +267,8 @@ mod tests {
                     a: r(2),
                     b: r(1),
                 },
-            ])],
+            ])]
+            .into(),
             trip_count: 7,
             label: "soft".into(),
         };

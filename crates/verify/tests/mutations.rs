@@ -75,7 +75,8 @@ fn hard_dependency_packed_together_is_caught() {
                 a: v(0),
                 b: v(3),
             },
-        ])],
+        ])]
+        .into(),
         trip_count: 1,
         label: "mutated".into(),
     });
@@ -106,7 +107,8 @@ fn overfilled_multiply_slot_is_caught() {
                 weights: r(1),
                 acc: false,
             },
-        ])],
+        ])]
+        .into(),
         trip_count: 1,
         label: "mutated".into(),
     });
@@ -136,7 +138,8 @@ fn definition_reordered_after_use_is_caught() {
                 base: r(0),
                 offset: 0,
             }]),
-        ],
+        ]
+        .into(),
         trip_count: 1,
         label: "mutated".into(),
     });

@@ -11,7 +11,7 @@
 //! * the **critical path** — the path of maximum accumulated latency,
 //!   recomputed over the unpacked remainder after every packet.
 
-use gcd2_hvx::{classify, DepKind, Insn};
+use gcd2_hvx::{DepKind, DepOperands, Insn};
 
 /// One dependence edge `from → to` (`from` precedes `to` in program order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,48 +24,72 @@ pub struct DepEdge {
     pub kind: DepKind,
 }
 
-/// The dependency graph of one basic block.
+/// The dependency graph of one basic block: every pair's class in one
+/// `n × n` table, and the edges in compressed rows both ways, so the
+/// packers walk it without allocating.
 #[derive(Debug, Clone)]
-pub struct Idg {
-    insns: Vec<Insn>,
+pub struct Idg<'a> {
+    insns: &'a [Insn],
+    /// `kinds[i * n + j]`: the class of `i → j` for `i < j`
+    /// ([`DepKind::None`] on and below the diagonal).
+    kinds: Vec<DepKind>,
+    /// Every edge, ordered by producer, then consumer.
     edges: Vec<DepEdge>,
-    /// Adjacency: outgoing edge indices per instruction.
-    out_edges: Vec<Vec<usize>>,
-    /// Adjacency: incoming edge indices per instruction.
-    in_edges: Vec<Vec<usize>>,
+    /// `edges[out_start[i]..out_start[i + 1]]` leave instruction `i`.
+    out_start: Vec<usize>,
+    /// Edge indices ordered by consumer, then producer.
+    in_edges: Vec<usize>,
+    /// `in_edges[in_start[j]..in_start[j + 1]]` enter instruction `j`.
+    in_start: Vec<usize>,
 }
 
-impl Idg {
+impl<'a> Idg<'a> {
     /// Builds the IDG of a straight-line instruction sequence.
     ///
-    /// Only the *immediate* dependence between every ordered pair is
-    /// recorded (transitive edges are implied); pairs with
-    /// [`DepKind::None`] produce no edge.
-    pub fn build(insns: &[Insn]) -> Self {
+    /// The dependence between every ordered pair is recorded
+    /// (transitive ones included); pairs with [`DepKind::None`] produce
+    /// no edge.
+    pub fn build(insns: &'a [Insn]) -> Self {
         let n = insns.len();
+        let mut kinds = vec![DepKind::None; n * n];
         let mut edges = Vec::new();
-        let mut out_edges = vec![Vec::new(); n];
-        let mut in_edges = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let kind = classify(&insns[i], &insns[j]);
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut in_start = vec![0usize; n + 2];
+        let operands: Vec<DepOperands> = insns.iter().map(DepOperands::of).collect();
+        for (i, producer) in operands.iter().enumerate() {
+            out_start.push(edges.len());
+            for (j, consumer) in operands.iter().enumerate().skip(i + 1) {
+                let kind = producer.classify(consumer);
                 if kind != DepKind::None {
-                    let e = DepEdge {
+                    kinds[i * n + j] = kind;
+                    edges.push(DepEdge {
                         from: i,
                         to: j,
                         kind,
-                    };
-                    out_edges[i].push(edges.len());
-                    in_edges[j].push(edges.len());
-                    edges.push(e);
+                    });
+                    in_start[j + 2] += 1;
                 }
             }
         }
+        out_start.push(edges.len());
+        // Counting sort by consumer; producers stay ascending in a group.
+        for j in 2..n + 2 {
+            in_start[j] += in_start[j - 1];
+        }
+        let mut in_edges = vec![0usize; edges.len()];
+        for (e, edge) in edges.iter().enumerate() {
+            let slot = &mut in_start[edge.to + 1];
+            in_edges[*slot] = e;
+            *slot += 1;
+        }
+        in_start.truncate(n + 1);
         Idg {
-            insns: insns.to_vec(),
+            insns,
+            kinds,
             edges,
-            out_edges,
+            out_start,
             in_edges,
+            in_start,
         }
     }
 
@@ -80,8 +104,14 @@ impl Idg {
     }
 
     /// The instructions, in program order.
-    pub fn insns(&self) -> &[Insn] {
-        &self.insns
+    pub fn insns(&self) -> &'a [Insn] {
+        self.insns
+    }
+
+    /// The class of the dependence `from → to` (`None` unless
+    /// `from < to` and the two conflict).
+    pub fn kind(&self, from: usize, to: usize) -> DepKind {
+        self.kinds[from * self.len() + to]
     }
 
     /// All dependence edges.
@@ -89,20 +119,23 @@ impl Idg {
         &self.edges
     }
 
-    /// Outgoing edges of instruction `i`.
+    /// Outgoing edges of instruction `i`, by consumer.
     pub fn outgoing(&self, i: usize) -> impl Iterator<Item = &DepEdge> {
-        self.out_edges[i].iter().map(move |&e| &self.edges[e])
+        self.edges[self.out_start[i]..self.out_start[i + 1]].iter()
     }
 
-    /// Incoming edges of instruction `i`.
-    pub fn incoming(&self, i: usize) -> impl Iterator<Item = &DepEdge> {
-        self.in_edges[i].iter().map(move |&e| &self.edges[e])
+    /// Incoming edges of instruction `j`, by producer.
+    pub fn incoming(&self, j: usize) -> impl Iterator<Item = &DepEdge> {
+        self.in_edges[self.in_start[j]..self.in_start[j + 1]]
+            .iter()
+            .map(move |&e| &self.edges[e])
     }
 
     /// Direct-predecessor count of every instruction (`i.pred`).
     pub fn pred_counts(&self) -> Vec<u32> {
-        (0..self.len())
-            .map(|i| self.in_edges[i].len() as u32)
+        self.in_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
             .collect()
     }
 
@@ -126,27 +159,10 @@ impl Idg {
     /// instruction indices from first to last; empty if nothing is alive.
     pub fn critical_path(&self, alive: impl Fn(usize) -> bool) -> Vec<usize> {
         let n = self.len();
-        // dist[i]: max latency sum of an alive chain ending at i.
         let mut dist = vec![0u64; n];
         let mut prev: Vec<Option<usize>> = vec![None; n];
-        let mut best_end: Option<usize> = None;
-        for j in 0..n {
-            if !alive(j) {
-                continue;
-            }
-            dist[j] = self.insns[j].latency() as u64;
-            for e in self.incoming(j) {
-                if alive(e.from) && dist[e.from] + self.insns[j].latency() as u64 > dist[j] {
-                    dist[j] = dist[e.from] + self.insns[j].latency() as u64;
-                    prev[j] = Some(e.from);
-                }
-            }
-            if best_end.is_none_or(|b| dist[j] > dist[b]) {
-                best_end = Some(j);
-            }
-        }
         let mut path = Vec::new();
-        let mut cur = best_end;
+        let mut cur = self.chains(alive, &mut dist, Some(&mut prev));
         while let Some(i) = cur {
             path.push(i);
             cur = prev[i];
@@ -154,12 +170,54 @@ impl Idg {
         path.reverse();
         path
     }
+
+    /// The last instruction of the critical path over the alive
+    /// instructions (`None` if nothing is alive), with `dist` as scratch
+    /// space of at least [`Idg::len`] entries.
+    pub(crate) fn critical_tail(
+        &self,
+        alive: impl Fn(usize) -> bool,
+        dist: &mut [u64],
+    ) -> Option<usize> {
+        self.chains(alive, dist, None)
+    }
+
+    /// Longest alive chains: `dist[j]` is the maximum latency sum of an
+    /// alive chain ending at `j`, `prev[j]` (when asked for) its previous
+    /// instruction. Returns the end of the first longest chain.
+    fn chains(
+        &self,
+        alive: impl Fn(usize) -> bool,
+        dist: &mut [u64],
+        mut prev: Option<&mut [Option<usize>]>,
+    ) -> Option<usize> {
+        let mut best_end: Option<usize> = None;
+        for j in 0..self.len() {
+            if !alive(j) {
+                continue;
+            }
+            let lat = self.insns[j].latency() as u64;
+            dist[j] = lat;
+            for e in self.incoming(j) {
+                if alive(e.from) && dist[e.from] + lat > dist[j] {
+                    dist[j] = dist[e.from] + lat;
+                    if let Some(prev) = prev.as_deref_mut() {
+                        prev[j] = Some(e.from);
+                    }
+                }
+            }
+            if best_end.is_none_or(|b| dist[j] > dist[b]) {
+                best_end = Some(j);
+            }
+        }
+        best_end
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcd2_hvx::{Insn, SReg, VPair, VReg};
+    use gcd2_hvx::{classify, Insn, SReg, VPair, VReg};
 
     fn v(i: u8) -> VReg {
         VReg::new(i)
@@ -214,7 +272,8 @@ mod tests {
 
     #[test]
     fn edges_classified() {
-        let idg = Idg::build(&chain_block());
+        let insns = chain_block();
+        let idg = Idg::build(&insns);
         let kinds: Vec<(usize, usize, bool)> = idg
             .edges()
             .iter()
@@ -229,7 +288,8 @@ mod tests {
 
     #[test]
     fn orders_and_preds() {
-        let idg = Idg::build(&chain_block());
+        let insns = chain_block();
+        let idg = Idg::build(&insns);
         let order = idg.orders();
         assert_eq!(order[0], 1);
         assert_eq!(order[2], 2);
@@ -242,7 +302,8 @@ mod tests {
 
     #[test]
     fn critical_path_follows_latency() {
-        let idg = Idg::build(&chain_block());
+        let insns = chain_block();
+        let idg = Idg::build(&insns);
         let cp = idg.critical_path(|_| true);
         // The latency-heavy chain is 0 (or 1) -> 2 -> 3 -> 4.
         assert_eq!(cp.len(), 4);
@@ -250,6 +311,34 @@ mod tests {
         // Restricting to the tail after "packing" 3 and 4:
         let cp2 = idg.critical_path(|i| i < 3);
         assert_eq!(cp2.last(), Some(&2));
+    }
+
+    #[test]
+    fn table_and_rows_agree_with_the_edges() {
+        let insns = chain_block();
+        let idg = Idg::build(&insns);
+        for i in 0..insns.len() {
+            for j in 0..insns.len() {
+                let expected = if i < j {
+                    classify(&insns[i], &insns[j])
+                } else {
+                    DepKind::None
+                };
+                assert_eq!(idg.kind(i, j), expected, "{i} -> {j}");
+            }
+            assert!(idg.outgoing(i).all(|e| e.from == i));
+            assert!(idg.incoming(i).all(|e| e.to == i));
+            let ins: Vec<usize> = idg.incoming(i).map(|e| e.from).collect();
+            assert!(ins.windows(2).all(|w| w[0] < w[1]), "producers ascend");
+        }
+        let rows: usize = (0..insns.len()).map(|i| idg.outgoing(i).count()).sum();
+        let cols: usize = (0..insns.len()).map(|i| idg.incoming(i).count()).sum();
+        assert_eq!((rows, cols), (idg.edges().len(), idg.edges().len()));
+        let mut dist = vec![0; insns.len()];
+        assert_eq!(
+            idg.critical_tail(|i| i < 3, &mut dist),
+            idg.critical_path(|i| i < 3).last().copied()
+        );
     }
 
     #[test]

@@ -26,11 +26,13 @@
 
 pub mod idg;
 pub mod memo;
+pub mod reference;
 pub mod sda;
 pub mod topdown;
 
 pub use idg::{DepEdge, Idg};
 pub use memo::{CacheStats, Memo};
+pub use reference::{pack_insns_ref, pack_insns_topdown_ref};
 pub use sda::{
     no_intra_packet_deps, pack_with_policy, PackMemo, Packer, ScoreParams, SoftDepPolicy,
 };

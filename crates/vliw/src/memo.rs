@@ -26,6 +26,15 @@ impl CacheStats {
         }
     }
 
+    /// The lookups counted since `before`, an earlier reading of the
+    /// same counters.
+    pub fn since(self, before: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits.saturating_sub(before.hits),
+            misses: self.misses.saturating_sub(before.misses),
+        }
+    }
+
     /// Accumulates another counter pair into this one.
     pub fn merge(&mut self, other: CacheStats) {
         self.hits += other.hits;
@@ -62,6 +71,15 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     /// Lookup counters so far.
     pub fn stats(&self) -> CacheStats {
         self.lock().1
+    }
+
+    /// A copy of every memoised pair, in no particular order.
+    pub fn entries(&self) -> Vec<(K, V)>
+    where
+        K: Clone,
+    {
+        let (map, _) = &*self.lock();
+        map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// The value memoised for `key`, computed by `compute` on a miss.
@@ -166,5 +184,7 @@ mod tests {
         assert_eq!(s.hit_rate(), 0.0);
         s.merge(CacheStats { hits: 3, misses: 1 });
         assert_eq!(s.hit_rate(), 0.75);
+        let later = CacheStats { hits: 5, misses: 4 };
+        assert_eq!(later.since(s), CacheStats { hits: 2, misses: 3 });
     }
 }

@@ -19,8 +19,10 @@
 
 use crate::idg::Idg;
 use crate::memo::{CacheStats, Memo};
-use gcd2_hvx::{Block, DepKind, Insn, PackedBlock, Packet, ResourceModel};
+use gcd2_hvx::{Block, DepKind, Insn, PackedBlock, Packet, ResourceModel, SlotUse};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// How the packer treats soft dependencies (the Figure 11 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -62,14 +64,37 @@ impl Default for ScoreParams {
 /// pure loss; see `select_instruction`).
 pub const LATENCY_MISMATCH_CAP: u32 = 64;
 
-/// The structural packing memo: instruction sequence → packed packets.
-/// Packing is a pure function of the instruction sequence and the
-/// packer's configuration, so a memo keyed by the full `Vec<Insn>` is
-/// exact (no hash-collision risk) and identical CNN layers pack once.
-pub type PackMemo = Memo<Vec<Insn>, Arc<[Packet]>>;
+/// The structural packing memo: instruction sequence → packed packets,
+/// plus the time spent packing on its misses. Packing is a pure
+/// function of the instruction sequence and the packer's configuration,
+/// so a memo keyed by the full `Vec<Insn>` is exact (no hash-collision
+/// risk), identical CNN layers pack once, and a hit hands out the one
+/// shared schedule.
+#[derive(Debug, Default)]
+pub struct PackMemo {
+    table: Memo<Vec<Insn>, Arc<[Packet]>>,
+    miss_nanos: AtomicU64,
+}
+
+impl PackMemo {
+    /// Lookup counters so far.
+    pub fn stats(&self) -> CacheStats {
+        self.table.stats()
+    }
+
+    /// Time spent packing on misses so far.
+    pub fn miss_time(&self) -> Duration {
+        Duration::from_nanos(self.miss_nanos.load(Ordering::Relaxed))
+    }
+
+    /// Every memoised block with the schedule the memo hands out for it.
+    pub fn entries(&self) -> Vec<(Vec<Insn>, Arc<[Packet]>)> {
+        self.table.entries()
+    }
+}
 
 /// The VLIW instruction packer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Packer {
     model: ResourceModel,
     policy: SoftDepPolicy,
@@ -77,23 +102,12 @@ pub struct Packer {
     /// Structural memo shared by clones of this packer. Reconfiguring
     /// the packer (policy, model, params) swaps in a fresh memo, since
     /// packed results depend on the configuration.
-    memo: Option<Arc<PackMemo>>,
-}
-
-impl Default for Packer {
-    fn default() -> Self {
-        Packer {
-            model: ResourceModel::default(),
-            policy: SoftDepPolicy::default(),
-            params: ScoreParams::default(),
-            memo: Some(Arc::new(PackMemo::new())),
-        }
-    }
+    memo: Arc<PackMemo>,
 }
 
 impl Packer {
     /// Creates a packer with the default resource model, SDA policy, and
-    /// score parameters. The structural packing memo is enabled.
+    /// score parameters, and a fresh structural packing memo.
     pub fn new() -> Self {
         Self::default()
     }
@@ -101,40 +115,35 @@ impl Packer {
     /// Sets the soft-dependency policy.
     pub fn with_policy(mut self, policy: SoftDepPolicy) -> Self {
         self.policy = policy;
-        self.reset_memo();
+        self.memo = Arc::default();
         self
     }
 
     /// Sets the score parameters.
     pub fn with_params(mut self, params: ScoreParams) -> Self {
         self.params = params;
-        self.reset_memo();
+        self.memo = Arc::default();
         self
     }
 
     /// Sets the packet resource model.
     pub fn with_model(mut self, model: ResourceModel) -> Self {
         self.model = model;
-        self.reset_memo();
+        self.memo = Arc::default();
         self
     }
 
-    /// Disables the structural packing memo (the pre-memo baseline the
-    /// compile-time bench measures against).
-    pub fn without_memo(mut self) -> Self {
-        self.memo = None;
+    /// Packs through `memo`, shared with other packers. Every packer
+    /// that shares one memo must have this packer's configuration:
+    /// the memo holds schedules, not the configuration they came from.
+    pub fn with_memo(mut self, memo: Arc<PackMemo>) -> Self {
+        self.memo = memo;
         self
     }
 
-    /// Hit/miss counters of the packing memo, when enabled.
-    pub fn memo_stats(&self) -> Option<CacheStats> {
-        self.memo.as_ref().map(|m| m.stats())
-    }
-
-    fn reset_memo(&mut self) {
-        if self.memo.is_some() {
-            self.memo = Some(Arc::new(PackMemo::new()));
-        }
+    /// The packing memo.
+    pub fn memo(&self) -> &Arc<PackMemo> {
+        &self.memo
     }
 
     /// The active policy.
@@ -154,7 +163,7 @@ impl Packer {
     /// Packs a straight-line instruction sequence into packets
     /// (Algorithm 1). The returned packets are in issue order and every
     /// one is legal under the packer's resource model and dependence
-    /// policy.
+    /// policy. A memo hit returns the stored schedule itself.
     ///
     /// ```
     /// use gcd2_hvx::{Insn, SReg};
@@ -168,114 +177,115 @@ impl Packer {
     /// assert_eq!(packets.len(), 1);
     /// assert_eq!(packets[0].cycles(), 4); // the paper's Figure 4 cost
     /// ```
-    pub fn pack_insns(&self, insns: &[Insn]) -> Vec<Packet> {
-        match &self.memo {
-            Some(memo) => memo
-                .get_or_insert_with(insns, || self.pack_insns_uncached(insns).into())
-                .to_vec(),
-            None => self.pack_insns_uncached(insns),
-        }
+    pub fn pack_insns(&self, insns: &[Insn]) -> Arc<[Packet]> {
+        self.memo.table.get_or_insert_with(insns, || {
+            let t0 = Instant::now();
+            let packets: Arc<[Packet]> = self.pack_insns_uncached(insns).into();
+            let nanos = t0.elapsed().as_nanos().try_into().unwrap_or(u64::MAX);
+            self.memo.miss_nanos.fetch_add(nanos, Ordering::Relaxed);
+            packets
+        })
     }
 
+    /// Algorithm 1 on one block. Bottom-up: each packet is seeded with
+    /// the tail of the critical path over the unpacked instructions and
+    /// filled by [`Packer::select_instruction`]; packets come out
+    /// last-first and are reversed.
     fn pack_insns_uncached(&self, insns: &[Insn]) -> Vec<Packet> {
         let n = insns.len();
         if n == 0 {
             return Vec::new();
         }
-        let idg = Idg::build(insns);
-        let order = idg.orders();
-        let pred = idg.pred_counts();
-        let mut packed = vec![false; n];
-        let mut remaining = n;
-        // Bottom-up: packets are generated last-first and reversed.
-        let mut rev_packets: Vec<Vec<usize>> = Vec::new();
+        let mut scan = Scan::new(insns);
+        let mut dist = vec![0u64; n];
+        // Packet members in program order, packets back to back, the
+        // last packet first; `ends[k]` closes the k-th packet.
+        let mut members = Vec::with_capacity(n);
+        let mut ends = Vec::new();
 
-        while remaining > 0 {
-            let cp = idg.critical_path(|i| !packed[i]);
-            let seed = *cp.last().expect("non-empty remainder has a critical path");
-            let mut cur: Vec<usize> = vec![seed];
-            packed[seed] = true;
-            remaining -= 1;
-
-            while cur.len() < ResourceModel::MAX_SLOTS {
-                let cand = self.select_instruction(&idg, &order, &pred, &packed, &cur, insns);
-                match cand {
-                    Some(i) => {
-                        cur.push(i);
-                        packed[i] = true;
-                        remaining -= 1;
-                    }
-                    None => break,
-                }
+        while scan.open > 0 {
+            let state = &scan.state;
+            let Some(seed) = scan
+                .idg
+                .critical_tail(|i| state[i] == Slot::Open, &mut dist)
+            else {
+                unreachable!("a non-empty remainder has a critical path");
+            };
+            let mut cur = CurPacket::default();
+            let mut next = Some(seed);
+            while let Some(i) = next {
+                scan.join(&mut cur, i);
+                next = if cur.len < ResourceModel::MAX_SLOTS {
+                    self.select_instruction(&scan, &cur)
+                } else {
+                    None
+                };
             }
-            cur.sort_unstable(); // program order within the packet
-            rev_packets.push(cur);
+            for &i in cur.members() {
+                scan.state[i] = Slot::Done;
+            }
+            members.extend_from_slice(cur.members());
+            ends.push(members.len());
         }
 
-        rev_packets
-            .into_iter()
-            .rev()
-            .map(|ids| Packet::from_insns(ids.into_iter().map(|i| insns[i].clone()).collect()))
-            .collect()
+        let mut packets = Vec::with_capacity(ends.len());
+        let mut end = members.len();
+        for &start in ends.iter().rev().skip(1).chain([&0]) {
+            packets.push(Packet::from_insns(
+                members[start..end]
+                    .iter()
+                    .map(|&i| insns[i].clone())
+                    .collect(),
+            ));
+            end = start;
+        }
+        packets
     }
 
     /// The `select_instruction` function of Algorithm 1: among all free
     /// instructions that meet the hardware constraints, return the one
-    /// with the highest score, or `None`.
-    fn select_instruction(
-        &self,
-        idg: &Idg,
-        order: &[u32],
-        pred: &[u32],
-        packed: &[bool],
-        cur: &[usize],
-        insns: &[Insn],
-    ) -> Option<usize> {
-        let cur_insns: Vec<Insn> = cur.iter().map(|&i| insns[i].clone()).collect();
-        let hi_lat = cur_insns.iter().map(Insn::latency).max().unwrap_or(0);
-        let cur_stall = packet_of(cur, insns).stall_cycles();
+    /// with the highest score (the last of equals), or `None`.
+    fn select_instruction(&self, scan: &Scan<'_>, cur: &CurPacket) -> Option<usize> {
+        let Scan {
+            idg,
+            order,
+            pred,
+            state,
+            open_consumers,
+            open,
+        } = scan;
+        let insns = idg.insns();
         // "If a sufficient number of instructions are available without
         // any dependencies between them, we prefer to not pack
         // instructions with soft dependencies together": while many
         // instructions remain unscheduled, a stall-inducing candidate can
         // ride an earlier packet for free, so the SDA policy defers it.
-        let remaining = (0..insns.len())
-            .filter(|&i| !packed[i] && !cur.contains(&i))
-            .count();
-        let defer_stalls =
-            self.policy == SoftDepPolicy::Sda && remaining > ResourceModel::MAX_SLOTS;
+        let defer_stalls = self.policy == SoftDepPolicy::Sda && *open > ResourceModel::MAX_SLOTS;
 
         let mut best: Option<(usize, f64)> = None;
         for i in 0..insns.len() {
-            if packed[i] || cur.contains(&i) {
+            // Free check: every consumer is in a later packet, or the
+            // edge is a soft edge into the current packet (disallowed for
+            // soft_to_hard).
+            if state[i] != Slot::Open || open_consumers[i] != 0 {
                 continue;
             }
-            // Free check: every consumer is packed, or the edge is a soft
-            // edge into the current packet (disallowed for soft_to_hard).
             let mut free = true;
             let mut soft_into_cur = false;
-            for e in idg.outgoing(i) {
-                if packed[e.to] && !cur.contains(&e.to) {
-                    continue; // consumer lives in a later packet
-                }
-                if cur.contains(&e.to) {
-                    let effectively_hard = e.kind.is_hard()
-                        || (self.policy == SoftDepPolicy::SoftToHard && e.kind.is_soft());
-                    if effectively_hard {
-                        free = false;
-                        break;
+            for &m in cur.members().iter().filter(|&&m| m > i) {
+                match idg.kind(i, m) {
+                    DepKind::None => {}
+                    DepKind::Soft { .. } if self.policy != SoftDepPolicy::SoftToHard => {
+                        soft_into_cur = true;
                     }
-                    soft_into_cur = true;
-                    continue;
+                    _ => free = false,
                 }
-                free = false; // consumer not yet packed
-                break;
             }
             if !free {
                 continue;
             }
             // Hardware resource constraints.
-            if !self.model.admits(&cur_insns, &insns[i]) {
+            if !self.model.admits_use(&cur.used, &insns[i]) {
                 continue;
             }
             let lat = insns[i].latency();
@@ -285,19 +295,14 @@ impl Packer {
             // short packet — it should seed (or join) a packet of its
             // peers instead, where another long instruction can overlap
             // it. Joining a *longer* packet is always free.
-            if !cur.is_empty() && lat > hi_lat + LATENCY_MISMATCH_CAP {
+            if lat > cur.hi_lat + LATENCY_MISMATCH_CAP {
                 continue;
             }
             // Equation 4.
             let mut score = (order[i] + pred[i]) as f64 * self.params.w
-                - (hi_lat as f64 - lat as f64).abs() * (1.0 - self.params.w);
+                - (cur.hi_lat as f64 - lat as f64).abs() * (1.0 - self.params.w);
             if soft_into_cur && self.policy == SoftDepPolicy::Sda {
-                let mut with_i = cur.to_vec();
-                with_i.push(i);
-                with_i.sort_unstable();
-                let stall_delta = packet_of(&with_i, insns)
-                    .stall_cycles()
-                    .saturating_sub(cur_stall);
+                let stall_delta = cur.stall_with(i, idg).saturating_sub(cur.stall);
                 if stall_delta > 0 && defer_stalls {
                     continue;
                 }
@@ -311,10 +316,113 @@ impl Packer {
     }
 }
 
-fn packet_of(ids: &[usize], insns: &[Insn]) -> Packet {
-    let mut sorted = ids.to_vec();
-    sorted.sort_unstable();
-    Packet::from_insns(sorted.into_iter().map(|i| insns[i].clone()).collect())
+/// One block being packed: its IDG, Equation 4's per-instruction
+/// attributes, and where each instruction stands.
+struct Scan<'a> {
+    idg: Idg<'a>,
+    /// `i.order`, distance from the entry.
+    order: Vec<u32>,
+    /// `i.pred`, direct predecessors.
+    pred: Vec<u32>,
+    state: Vec<Slot>,
+    /// Consumers of each instruction that are in no packet yet: one of
+    /// them keeps it from being free.
+    open_consumers: Vec<usize>,
+    /// Instructions in no packet yet.
+    open: usize,
+}
+
+impl<'a> Scan<'a> {
+    fn new(insns: &'a [Insn]) -> Self {
+        let idg = Idg::build(insns);
+        let n = insns.len();
+        Scan {
+            order: idg.orders(),
+            pred: idg.pred_counts(),
+            state: vec![Slot::Open; n],
+            open_consumers: (0..n).map(|i| idg.outgoing(i).count()).collect(),
+            open: n,
+            idg,
+        }
+    }
+
+    /// Moves open instruction `i` into the packet under construction.
+    fn join(&mut self, cur: &mut CurPacket, i: usize) {
+        cur.add(i, &self.idg);
+        self.state[i] = Slot::Cur;
+        for e in self.idg.incoming(i) {
+            self.open_consumers[e.from] -= 1;
+        }
+        self.open -= 1;
+    }
+}
+
+/// Where an instruction stands while a block is packed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// In no packet yet.
+    Open,
+    /// In the packet under construction.
+    Cur,
+    /// In a packet already closed (later in issue order).
+    Done,
+}
+
+/// The packet under construction: its members in program order, its
+/// slot tally, its highest latency and its stall cycles.
+#[derive(Debug, Default)]
+struct CurPacket {
+    ids: [usize; ResourceModel::MAX_SLOTS],
+    len: usize,
+    used: SlotUse,
+    hi_lat: u32,
+    stall: u32,
+}
+
+impl CurPacket {
+    fn members(&self) -> &[usize] {
+        &self.ids[..self.len]
+    }
+
+    fn add(&mut self, i: usize, idg: &Idg<'_>) {
+        let at = self.members().partition_point(|&m| m < i);
+        self.ids.copy_within(at..self.len, at + 1);
+        self.ids[at] = i;
+        self.len += 1;
+        let insn = &idg.insns()[i];
+        self.used.add(insn);
+        self.hi_lat = self.hi_lat.max(insn.latency());
+        self.stall = stall_cycles(self.members(), idg);
+    }
+
+    /// The stall cycles of the packet with `i` added.
+    fn stall_with(&self, i: usize, idg: &Idg<'_>) -> u32 {
+        let mut ids = [0usize; ResourceModel::MAX_SLOTS];
+        let at = self.members().partition_point(|&m| m < i);
+        ids[..at].copy_from_slice(&self.ids[..at]);
+        ids[at] = i;
+        ids[at + 1..=self.len].copy_from_slice(&self.ids[at..self.len]);
+        stall_cycles(&ids[..=self.len], idg)
+    }
+}
+
+/// [`Packet::stall_cycles`] of the instructions `ids` (ascending), read
+/// from the IDG's table instead of classifying each pair again.
+fn stall_cycles(ids: &[usize], idg: &Idg<'_>) -> u32 {
+    let insns = idg.insns();
+    let mut depth = [0u32; ResourceModel::MAX_SLOTS];
+    let (mut cost, mut base) = (0u32, 0u32);
+    for (b, &j) in ids.iter().enumerate() {
+        for (a, &i) in ids[..b].iter().enumerate() {
+            if let DepKind::Soft { penalty } = idg.kind(i, j) {
+                depth[b] = depth[b].max(depth[a] + penalty);
+            }
+        }
+        let lat = insns[j].latency();
+        cost = cost.max(lat + depth[b]);
+        base = base.max(lat);
+    }
+    cost - base
 }
 
 /// Convenience: packs with the given policy and default parameters.
@@ -427,7 +535,7 @@ mod tests {
 
     fn assert_complete(block: &Block, packed: &PackedBlock) {
         let mut flat: Vec<Insn> = Vec::new();
-        for p in &packed.packets {
+        for p in packed.packets.iter() {
             flat.extend(p.insns().iter().cloned());
         }
         assert_eq!(flat.len(), block.insns.len(), "instruction count preserved");
@@ -598,18 +706,24 @@ mod tests {
     }
 
     #[test]
-    fn memo_returns_identical_packets_and_counts_hits() {
+    fn memo_returns_the_stored_schedule_and_counts_hits() {
         let block = add3_block();
         let packer = Packer::new();
         let first = packer.pack_block(&block);
         let second = packer.pack_block(&block);
-        assert_eq!(first.packets, second.packets);
-        let stats = packer.memo_stats().expect("memo on by default");
+        assert!(Arc::ptr_eq(&first.packets, &second.packets), "a hit shares");
+        let stats = packer.memo().stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // And the memoized result matches a memo-free packer exactly.
-        let bare = Packer::new().without_memo();
-        assert!(bare.memo_stats().is_none());
-        assert_eq!(bare.pack_block(&block).packets, first.packets);
+        let entries = packer.memo().entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].0, block.insns);
+        // A clone shares the memo; a memo handed to another packer too.
+        let shared = Packer::new().with_memo(packer.memo().clone());
+        assert!(Arc::ptr_eq(
+            &shared.pack_block(&block).packets,
+            &first.packets
+        ));
+        assert_eq!(packer.clone().memo().stats().hits, 2);
     }
 
     #[test]
@@ -621,7 +735,7 @@ mod tests {
         let s2h = sda.clone().with_policy(SoftDepPolicy::SoftToHard);
         let s2h_packets = s2h.pack_block(&block);
         assert_ne!(sda_packets.packets, s2h_packets.packets);
-        let stats = s2h.memo_stats().unwrap();
+        let stats = s2h.memo().stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 

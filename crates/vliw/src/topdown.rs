@@ -13,12 +13,12 @@
 //! paper discusses.
 
 use crate::idg::Idg;
-use gcd2_hvx::{Block, Insn, PackedBlock, Packet, ResourceModel};
+use gcd2_hvx::{Block, Insn, PackedBlock, Packet, ResourceModel, SlotUse};
 
 /// Packs a block top-down by longest-path-to-exit priority.
 pub fn pack_topdown(block: &Block) -> PackedBlock {
     PackedBlock {
-        packets: pack_insns_topdown(&block.insns, &ResourceModel::default()),
+        packets: pack_insns_topdown(&block.insns, &ResourceModel::default()).into(),
         trip_count: block.trip_count,
         label: block.label.clone(),
     }
@@ -27,9 +27,6 @@ pub fn pack_topdown(block: &Block) -> PackedBlock {
 /// Packs a straight-line instruction sequence top-down.
 pub fn pack_insns_topdown(insns: &[Insn], model: &ResourceModel) -> Vec<Packet> {
     let n = insns.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let idg = Idg::build(insns);
 
     // Longest latency path from each instruction to the exit.
@@ -41,61 +38,46 @@ pub fn pack_insns_topdown(insns: &[Insn], model: &ResourceModel) -> Vec<Packet> 
         }
     }
 
-    let mut scheduled = vec![false; n];
-    let mut packets: Vec<Vec<usize>> = Vec::new();
+    // Packet of each scheduled instruction (`usize::MAX`: not yet).
+    let mut packet_of = vec![usize::MAX; n];
+    let mut packets = Vec::new();
     let mut remaining = n;
     while remaining > 0 {
-        let mut cur: Vec<usize> = Vec::new();
-        loop {
+        let k = packets.len();
+        let mut cur: Vec<usize> = Vec::with_capacity(ResourceModel::MAX_SLOTS);
+        let mut used = SlotUse::default();
+        while cur.len() < ResourceModel::MAX_SLOTS {
             // Ready: all producers scheduled in *earlier* packets, or
             // soft producers inside the current packet.
             let mut best: Option<usize> = None;
             for i in 0..n {
-                if scheduled[i] || cur.contains(&i) {
+                if packet_of[i] != usize::MAX {
                     continue;
                 }
-                let mut ready = true;
-                for e in idg.incoming(i) {
-                    if scheduled[e.from] && !cur.contains(&e.from) {
-                        continue;
-                    }
-                    if cur.contains(&e.from) && e.kind.is_soft() {
-                        continue; // forwarded within the packet
-                    }
-                    ready = false;
-                    break;
-                }
-                if !ready {
-                    continue;
-                }
-                let cur_insns: Vec<Insn> = cur.iter().map(|&k| insns[k].clone()).collect();
-                if !model.admits(&cur_insns, &insns[i]) {
+                let ready = idg.incoming(i).all(|e| match packet_of[e.from] {
+                    p if p == k => e.kind.is_soft(), // forwarded within the packet
+                    p => p != usize::MAX,
+                });
+                if !ready || !model.admits_use(&used, &insns[i]) {
                     continue;
                 }
                 if best.is_none_or(|b| to_exit[i] > to_exit[b]) {
                     best = Some(i);
                 }
             }
-            match best {
-                Some(i) => {
-                    cur.push(i);
-                    scheduled[i] = true;
-                    remaining -= 1;
-                    if cur.len() == ResourceModel::MAX_SLOTS {
-                        break;
-                    }
-                }
-                None => break,
-            }
+            let Some(i) = best else { break };
+            cur.push(i);
+            used.add(&insns[i]);
+            packet_of[i] = k;
+            remaining -= 1;
         }
         assert!(!cur.is_empty(), "scheduler must make progress");
         cur.sort_unstable();
-        packets.push(cur);
+        packets.push(Packet::from_insns(
+            cur.into_iter().map(|i| insns[i].clone()).collect(),
+        ));
     }
     packets
-        .into_iter()
-        .map(|ids| Packet::from_insns(ids.into_iter().map(|i| insns[i].clone()).collect()))
-        .collect()
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ const FIG5_ASM: &str = "
 fn fig5_block() -> Block {
     let program = parse_program(FIG5_ASM).expect("figure 5 assembly parses");
     let mut block = Block::with_trip_count("fig5", 1);
-    for packet in &program.blocks[0].packets {
+    for packet in program.blocks[0].packets.iter() {
         block.extend(packet.insns().iter().cloned());
     }
     assert_eq!(block.len(), 8, "the figure's block has 8 instructions");

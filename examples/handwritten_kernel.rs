@@ -37,7 +37,7 @@ fn main() {
 
     // Static checks: every packet legal, cost visible up front.
     let model = ResourceModel::default();
-    for p in &block.packets {
+    for p in block.packets.iter() {
         assert!(p.is_legal(&model), "illegal packet:\n{p}");
     }
     println!(
@@ -71,7 +71,7 @@ fn main() {
     // How much does the hand schedule leave on the table? Re-pack the
     // flattened instructions with SDA and compare.
     let mut flat = gcd2_hvx::Block::with_trip_count("flat", block.trip_count);
-    for p in &block.packets {
+    for p in block.packets.iter() {
         flat.extend(p.insns().iter().cloned());
     }
     let sda = gcd2_vliw::Packer::new().pack_block(&flat);

@@ -124,7 +124,7 @@ fn main() {
             packed.packets.len(),
             packed.body_cycles()
         );
-        for p in &packed.packets {
+        for p in packed.packets.iter() {
             println!("{p}");
         }
         let out = run(&packed, elems);

@@ -202,19 +202,45 @@ fn every_catalog_model_compiles_identically_twice() {
     }
 }
 
+/// The packing memo a compiler shares between its cost model and its
+/// lowering is a pure cache of the packer: on every catalog model, under
+/// the default PBQP assignment and under GCD2(13)'s, every block it holds
+/// re-packs to the same packets with the memo-less reference form of
+/// Algorithm 1, and every block of the lowered program is one of those
+/// very schedules (lowering packed through the shared memo).
 #[test]
-fn pack_memo_does_not_change_output() {
-    // The structural packing memo is a pure cache: disabling it (the
-    // seed-equivalent slow path) must not change the compiled program.
-    for id in [ModelId::WdsrB, ModelId::MobileNetV3] {
+fn shared_pack_memo_hands_out_reference_schedules() {
+    use gcd2_repro::hvx::ResourceModel;
+    use gcd2_repro::vliw::{pack_insns_ref, ScoreParams, SoftDepPolicy};
+    use std::sync::Arc;
+    for id in ModelId::ALL {
         let graph = id.build();
-        let with_memo = Compiler::new().compile(&graph);
-        let without = Compiler::new().with_pack_memo(false).compile(&graph);
-        assert_eq!(with_memo.cycles(), without.cycles(), "{id}");
-        assert_eq!(
-            with_memo.assignment.choice, without.assignment.choice,
-            "{id}"
-        );
+        for selection in [Selection::Pbqp, Selection::Gcd2 { max_ops: 13 }] {
+            let compiler = Compiler::new().with_selection(selection);
+            let compiled = compiler.compile(&graph);
+            let entries = compiler.pack_memo().entries();
+            assert!(!entries.is_empty(), "{id} {selection:?}");
+            for (insns, packets) in &entries {
+                let reference = pack_insns_ref(
+                    insns,
+                    &ResourceModel::default(),
+                    SoftDepPolicy::Sda,
+                    ScoreParams::default(),
+                );
+                assert_eq!(**packets, reference[..], "{id} {selection:?}");
+            }
+            // The last block is the dispatch-overhead filler, never packed.
+            let blocks = &compiled.lowered.program.blocks;
+            for block in &blocks[..blocks.len() - 1] {
+                assert!(
+                    entries
+                        .iter()
+                        .any(|(_, packets)| Arc::ptr_eq(packets, &block.packets)),
+                    "{id} {selection:?}: block '{}' was not packed through the shared memo",
+                    block.label
+                );
+            }
+        }
     }
 }
 

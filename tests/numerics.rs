@@ -19,7 +19,7 @@ fn repack(program: &Program, policy: SoftDepPolicy) -> Program {
         .map(|pb| {
             let mut block =
                 gcd2_repro::hvx::Block::with_trip_count(pb.label.clone(), pb.trip_count);
-            for packet in &pb.packets {
+            for packet in pb.packets.iter() {
                 block.extend(packet.insns().iter().cloned());
             }
             packer.pack_block(&block)

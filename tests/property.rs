@@ -9,7 +9,10 @@ use gcd2_repro::hvx::{
 };
 use gcd2_repro::kernels::{functional_program, matmul_ref, output_matrix_len, SimdInstr};
 use gcd2_repro::tensor::{Layout, MatrixI8, MatrixU8};
-use gcd2_repro::vliw::{no_intra_packet_deps, pack_with_policy, Packer, SoftDepPolicy};
+use gcd2_repro::vliw::{
+    no_intra_packet_deps, pack_insns_ref, pack_insns_topdown, pack_insns_topdown_ref,
+    pack_with_policy, Packer, ScoreParams, SoftDepPolicy,
+};
 use proptest::prelude::*;
 
 fn layout_strategy() -> impl Strategy<Value = Layout> {
@@ -128,8 +131,120 @@ fn arb_block() -> impl Strategy<Value = Block> {
     })
 }
 
+/// Blocks of every latency class the packers weigh — multiplies, the
+/// scalar divider, gathers — over few registers, so hard and soft edges,
+/// latency mismatches and stall penalties all occur (not executed: the
+/// registers are not set up as addresses).
+fn arb_mixed_block() -> impl Strategy<Value = Block> {
+    let insn = (0u8..12, 0u8..4, 0u8..3, any::<bool>()).prop_map(|(kind, reg, s, acc)| {
+        let v = |i: u8| VReg::new(i % 6);
+        let w = |i: u8| VPair::new((i % 3) * 2);
+        let r = |i: u8| SReg::new(i % 4);
+        match kind {
+            0 => Insn::Vmpy {
+                dst: w(reg),
+                src: v(reg + 1),
+                weights: r(s),
+                acc,
+            },
+            1 => Insn::Vrmpy {
+                dst: v(reg),
+                src: v(reg + 2),
+                weights: r(s),
+                acc,
+            },
+            2 => Insn::VasrHB {
+                dst: v(reg + 3),
+                src: w(reg + 1),
+                shift: 2,
+            },
+            3 => Insn::VLoad {
+                dst: v(reg),
+                base: r(s),
+                offset: 0,
+            },
+            4 => Insn::VGather {
+                dst: v(reg + 1),
+                base: r(s),
+                offset: 128,
+            },
+            5 => Insn::VStore {
+                src: v(reg),
+                base: r(s),
+                offset: 0,
+            },
+            6 => Insn::Ld {
+                dst: r(reg),
+                base: r(s),
+                offset: 8,
+            },
+            7 => Insn::St {
+                src: r(reg),
+                base: r(s),
+                offset: 8,
+            },
+            8 => Insn::Add {
+                dst: r(reg),
+                a: r(s),
+                b: r(reg + 1),
+            },
+            9 => Insn::Mul {
+                dst: r(reg),
+                a: r(s),
+                b: r(reg),
+            },
+            10 => Insn::Div {
+                dst: r(s),
+                a: r(reg),
+                b: r(reg + 2),
+            },
+            _ => Insn::Vadd {
+                lane: Lane::H,
+                dst: v(reg + 2),
+                a: v(reg),
+                b: v(s),
+            },
+        }
+    });
+    proptest::collection::vec(insn, 1..24).prop_map(|insns| {
+        let mut b = Block::new("mixed");
+        b.extend(insns);
+        b
+    })
+}
+
+/// The packers' schedules equal the reference packers' packet for
+/// packet: Algorithm 1 under each Figure 11 policy, and top-down.
+fn check_against_reference(block: &Block) -> Result<(), TestCaseError> {
+    let model = ResourceModel::default();
+    for policy in [
+        SoftDepPolicy::Sda,
+        SoftDepPolicy::SoftToHard,
+        SoftDepPolicy::SoftToNone,
+    ] {
+        let fast = Packer::new().with_policy(policy).pack_insns(&block.insns);
+        let reference = pack_insns_ref(&block.insns, &model, policy, ScoreParams::default());
+        prop_assert_eq!(&fast[..], &reference[..], "{:?}", policy);
+    }
+    prop_assert_eq!(
+        pack_insns_topdown(&block.insns, &model),
+        pack_insns_topdown_ref(&block.insns, &model)
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn packers_match_the_reference_packers(block in arb_block()) {
+        check_against_reference(&block)?;
+    }
+
+    #[test]
+    fn packers_match_the_reference_packers_on_mixed_latencies(block in arb_mixed_block()) {
+        check_against_reference(&block)?;
+    }
 
     /// Every packing policy emits legal schedules that preserve both the
     /// instruction multiset and the functional results.
