@@ -29,6 +29,15 @@ if grep -rn 'detected_isa(' crates/kernels/src --exclude=dispatch.rs; then exit 
 echo "==> dependence checks read register sets (no Vec<Reg> in crates/hvx/src or crates/vliw/src: Insn::defs/uses are a u64 RegSet, and classify, the packers and the simulator's stale-read check intersect them without allocating)"
 if grep -rn 'Vec<Reg>' crates/hvx/src crates/vliw/src; then exit 1; fi
 
+echo "==> the PBQP solver hashes nothing (no HashMap in crates/globalopt/src/pbqp.rs: its edge matrices are dense arrays reached through each node's adjacency entry, and its live nodes wait in degree worklists; the hash-map form is the test-only oracle pbqp/reference.rs)"
+if grep -n 'HashMap' crates/globalopt/src/pbqp.rs; then exit 1; fi
+
+echo "==> the timing kernel formats no label on a cost-cache miss (no format! in crates/kernels/src/matmul.rs: its block labels are MatmulLabel values, turned into text only where a program is displayed)"
+if grep -n 'format!' crates/kernels/src/matmul.rs; then exit 1; fi
+
+echo "==> no error is built eagerly in the graph IR (gcd2-cgraph warns on clippy::or_fun_call, which the clippy steps below deny: an ok_or(ShapeError { op: op(), .. }) formats the operator's name on every successful call)"
+grep -q '^#!\[warn(clippy::or_fun_call)\]' crates/cgraph/src/lib.rs
+
 echo "==> one narrowing idiom in the AVX-512 epilogues (the AMX block epilogue, the VNNI and one-row requantisation and the depthwise rows kernel share the pack chain of simd::x86 — no per-16-lane vpmovusdb store is left in crates/kernels/src)"
 if grep -rn 'cvtusepi32_storeu_epi8' crates/kernels/src; then exit 1; fi
 

@@ -105,6 +105,11 @@ impl Graph {
         Graph { nodes }
     }
 
+    /// The nodes, moved out.
+    pub(crate) fn into_nodes(self) -> Vec<Node> {
+        self.nodes
+    }
+
     /// Adds an input placeholder with an explicit shape.
     pub fn input(&mut self, name: impl Into<String>, shape: TShape) -> NodeId {
         self.push_node(OpKind::Input, vec![], shape, name.into())

@@ -21,6 +21,10 @@
 //! assert_eq!(g.gemm_dims(conv).unwrap().k, 3 * 49);
 //! ```
 
+// An error built eagerly for an `ok_or` / `unwrap_or` formats its
+// operator name on every call, the successful ones included.
+#![warn(clippy::or_fun_call)]
+
 pub mod graph;
 pub mod op;
 pub mod rewrite;

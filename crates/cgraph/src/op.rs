@@ -330,7 +330,7 @@ impl OpKind {
                     .ok_or_else(overflow)?;
                 let span = padded
                     .checked_sub(k)
-                    .ok_or(ShapeError::WindowExceedsInput {
+                    .ok_or_else(|| ShapeError::WindowExceedsInput {
                         op: op(),
                         window: k,
                         input: padded,

@@ -6,17 +6,21 @@
 //! constant folding" — Section IV-D). This module implements the passes
 //! that matter for the evaluation: constant folding, identity-reshape
 //! elimination, and activation fusion into GEMM-like producers.
+//!
+//! Constant folding rebuilds the graph through [`Graph::add`], so every
+//! shape is inferred afresh. The passes after it only drop nodes and
+//! redirect their consumers to a node of the same shape, so they move
+//! the surviving nodes — names, kinds, shapes — into the new graph as
+//! they are.
 
 use crate::graph::{Graph, NodeId};
 use crate::op::OpKind;
-use std::collections::HashMap;
 
 /// Applies the standard pass pipeline: constant folding, identity-reshape
 /// elimination, then activation fusion.
 pub fn optimize(graph: &Graph) -> Graph {
-    let g = fold_constants(graph);
-    let g = eliminate_identity_reshapes(&g);
-    fuse_activations(&g)
+    let g = drop_identity_reshapes(fold_constants(graph));
+    fuse(g, OpKind::is_gemm_like)
 }
 
 /// DSP-friendly elementwise fusion — the extension the paper lists as
@@ -25,74 +29,62 @@ pub fn optimize(graph: &Graph) -> Graph {
 /// is an *elementwise* producer (Add/Mul) folds into that producer,
 /// saving a full feature-map round trip through memory.
 pub fn fuse_elementwise_activations(graph: &Graph) -> Graph {
-    let mut fusable: Vec<Option<NodeId>> = vec![None; graph.len()];
+    fuse(graph.clone(), |kind| {
+        matches!(kind, OpKind::Add | OpKind::Mul)
+    })
+}
+
+/// How many nodes consume each node's output (a node reading one value
+/// twice counts once): `graph.succs(id).len()` for every id in one pass.
+fn consumer_counts(graph: &Graph) -> Vec<usize> {
+    let mut counts = vec![0usize; graph.len()];
     for node in graph.nodes() {
-        if let OpKind::Act(_) = node.kind {
-            if node.inputs.len() == 1 {
-                let p = graph.node(node.inputs[0]);
-                if matches!(p.kind, OpKind::Add | OpKind::Mul)
-                    && p.fused_activation.is_none()
-                    && graph.succs(p.id).len() == 1
-                {
-                    fusable[node.id.0] = Some(p.id);
-                }
+        for (k, i) in node.inputs.iter().enumerate() {
+            if !node.inputs[..k].contains(i) {
+                counts[i.0] += 1;
             }
         }
     }
-    let (mut out, map) = rebuild(
-        graph,
-        |_, id| fusable[id.0].is_none(),
-        |_, id| fusable[id.0].unwrap_or(id),
-    );
-    for node in graph.nodes() {
-        if let (OpKind::Act(a), Some(producer)) = (&node.kind, fusable[node.id.0]) {
-            let new_id = map[&producer];
-            out.node_mut(new_id).fused_activation = Some(*a);
-        }
-    }
-    out
+    counts
 }
 
-/// Rebuilds `graph` while remapping node ids; `keep` decides whether a
-/// node survives, `redirect` maps a dropped node to its replacement.
-fn rebuild(
-    graph: &Graph,
-    keep: impl Fn(&Graph, NodeId) -> bool,
-    redirect: impl Fn(&Graph, NodeId) -> NodeId,
-) -> (Graph, HashMap<NodeId, NodeId>) {
-    let mut out = Graph::new();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    for node in graph.nodes() {
-        if !keep(graph, node.id) {
+/// Old id → new id of a rebuild, indexed by old id (ids are dense);
+/// `None` for a node the rebuild dropped.
+type IdMap = Vec<Option<NodeId>>;
+
+/// The new id of old node `id`, which the rebuild kept.
+fn mapped(map: &IdMap, id: NodeId) -> NodeId {
+    let Some(new) = map[id.0] else {
+        unreachable!("node {id} was dropped but is still referenced")
+    };
+    new
+}
+
+/// Rebuilds `graph` without every node `redirect` maps to a replacement
+/// (indexed by id), whose consumers read the replacement instead — the
+/// end of the chain, where replacements are dropped too. The kept nodes
+/// move into the new graph unchanged but for their ids and inputs, so
+/// a replacement must have the shape of the node it replaces.
+fn rebuild(graph: Graph, redirect: &[Option<NodeId>]) -> (Graph, IdMap) {
+    let mut map: IdMap = vec![None; redirect.len()];
+    let mut nodes = Vec::with_capacity(graph.len());
+    for mut node in graph.into_nodes() {
+        if redirect[node.id.0].is_some() {
             continue;
         }
-        let inputs: Vec<NodeId> = node
-            .inputs
-            .iter()
-            .map(|&i| {
-                let mut cur = i;
-                // Follow redirects transitively (chains of dropped nodes).
-                loop {
-                    let next = redirect(graph, cur);
-                    if next == cur {
-                        break;
-                    }
-                    cur = next;
-                }
-                map[&cur]
-            })
-            .collect();
-        let new_id = match node.kind {
-            OpKind::Input => out.input(node.name.clone(), node.shape.clone()),
-            OpKind::Constant => out.constant(node.name.clone(), node.shape.clone()),
-            _ => out.add(node.kind.clone(), &inputs, node.name.clone()),
-        };
-        if let Some(act) = node.fused_activation {
-            out.node_mut(new_id).fused_activation = Some(act);
+        for input in &mut node.inputs {
+            let mut cur = *input;
+            while let Some(next) = redirect[cur.0] {
+                cur = next;
+            }
+            *input = mapped(&map, cur);
         }
-        map.insert(node.id, new_id);
+        let id = NodeId(nodes.len());
+        map[node.id.0] = Some(id);
+        node.id = id;
+        nodes.push(node);
     }
-    (out, map)
+    (Graph::from_nodes_unchecked(nodes), map)
 }
 
 /// Replaces operators whose inputs are all constants with constants of
@@ -109,7 +101,7 @@ pub fn fold_constants(graph: &Graph) -> Graph {
         };
     }
     let mut out = Graph::new();
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut map: IdMap = vec![None; graph.len()];
     for node in graph.nodes() {
         let new_id = if constant[node.id.0] {
             out.constant(node.name.clone(), node.shape.clone())
@@ -117,74 +109,60 @@ pub fn fold_constants(graph: &Graph) -> Graph {
             match node.kind {
                 OpKind::Input => out.input(node.name.clone(), node.shape.clone()),
                 _ => {
-                    let inputs: Vec<NodeId> = node.inputs.iter().map(|i| map[i]).collect();
+                    let inputs: Vec<NodeId> =
+                        node.inputs.iter().map(|&i| mapped(&map, i)).collect();
                     out.add(node.kind.clone(), &inputs, node.name.clone())
                 }
             }
         };
-        map.insert(node.id, new_id);
+        map[node.id.0] = Some(new_id);
     }
     out
 }
 
 /// Drops `Reshape` nodes whose output shape equals their input shape.
 pub fn eliminate_identity_reshapes(graph: &Graph) -> Graph {
-    let is_identity = |g: &Graph, id: NodeId| -> bool {
-        let n = g.node(id);
-        matches!(n.kind, OpKind::Reshape { .. })
-            && n.inputs.len() == 1
-            && g.node(n.inputs[0]).shape == n.shape
-    };
-    let (out, _) = rebuild(
-        graph,
-        |g, id| !is_identity(g, id),
-        |g, id| {
-            if is_identity(g, id) {
-                g.node(id).inputs[0]
-            } else {
-                id
-            }
-        },
-    );
-    out
+    drop_identity_reshapes(graph.clone())
+}
+
+fn drop_identity_reshapes(graph: Graph) -> Graph {
+    let redirect: Vec<Option<NodeId>> = (graph.nodes().iter())
+        .map(|n| {
+            let identity = matches!(n.kind, OpKind::Reshape { .. })
+                && n.inputs.len() == 1
+                && graph.node(n.inputs[0]).shape == n.shape;
+            identity.then(|| n.inputs[0])
+        })
+        .collect();
+    rebuild(graph, &redirect).0
 }
 
 /// Fuses standalone activation nodes into their GEMM-like producer when
 /// the producer has no other consumer.
 pub fn fuse_activations(graph: &Graph) -> Graph {
-    // An activation node is fusable if its single input is GEMM-like,
-    // not already fused, and feeds only this activation.
-    let mut fusable: Vec<Option<NodeId>> = vec![None; graph.len()]; // act -> producer
+    fuse(graph.clone(), OpKind::is_gemm_like)
+}
+
+/// Folds each standalone activation into its producer when the
+/// producer's kind passes `fusable`, the producer has no activation yet,
+/// and the activation is its only consumer.
+fn fuse(graph: Graph, fusable: impl Fn(&OpKind) -> bool) -> Graph {
+    let consumers = consumer_counts(&graph);
+    // act -> producer, and the producers' activations.
+    let mut redirect: Vec<Option<NodeId>> = vec![None; graph.len()];
+    let mut fused = Vec::new();
     for node in graph.nodes() {
-        if let OpKind::Act(_) = node.kind {
-            if node.inputs.len() == 1 {
-                let p = graph.node(node.inputs[0]);
-                if p.kind.is_gemm_like()
-                    && p.fused_activation.is_none()
-                    && graph.succs(p.id).len() == 1
-                {
-                    fusable[node.id.0] = Some(p.id);
-                }
+        if let (OpKind::Act(a), &[input]) = (&node.kind, &node.inputs[..]) {
+            let p = graph.node(input);
+            if fusable(&p.kind) && p.fused_activation.is_none() && consumers[p.id.0] == 1 {
+                redirect[node.id.0] = Some(p.id);
+                fused.push((p.id, *a));
             }
         }
     }
-    let (mut out, map) = rebuild(
-        graph,
-        |_, id| fusable[id.0].is_none(),
-        |_, id| {
-            if let Some(p) = fusable[id.0] {
-                p
-            } else {
-                id
-            }
-        },
-    );
-    // Record the fused activation on the surviving producer.
-    for node in graph.nodes() {
-        if let (OpKind::Act(a), Some(producer)) = (&node.kind, fusable[node.id.0]) {
-            let new_id = map[&producer];
-            out.node_mut(new_id).fused_activation = Some(*a);
-        }
+    let (mut out, map) = rebuild(graph, &redirect);
+    for (producer, a) in fused {
+        out.node_mut(mapped(&map, producer)).fused_activation = Some(a);
     }
     out
 }

@@ -9,7 +9,9 @@
 //! harness can attribute cycles the way the paper's figures do.
 
 use gcd2_cgraph::{Graph, Node, NodeId, OpKind};
-use gcd2_globalopt::{matrix_view, op_ew_kind, op_extra_passes, Assignment, PlanKind, PlanSet};
+use gcd2_globalopt::{
+    matrix_view, op_ew_kind, op_extra_passes, Assignment, ExecutionPlan, PlanKind, PlanSet,
+};
 use gcd2_hvx::{Block, ExecStats, PackedBlock, Program, SReg};
 use gcd2_kernels::{
     adaptive_unroll, depthwise_vtmpy_blocks, elementwise_blocks, im2col_overhead_cycles,
@@ -140,8 +142,9 @@ pub struct OpReport {
     pub node: NodeId,
     /// Operator name.
     pub name: String,
-    /// Chosen plan rendered for humans (`vmpy/1-column`, ...).
-    pub plan: String,
+    /// The chosen plan; its `Display` renders it for humans
+    /// (`vmpy/1-column`, ...).
+    pub plan: ExecutionPlan,
     /// Cycles spent in this operator's kernels (excluding transforms).
     pub kernel_cycles: u64,
     /// Cycles spent transforming this operator's inputs.
@@ -350,7 +353,7 @@ fn lower_node(
     let report = OpReport {
         node: node.id,
         name: node.name.clone(),
-        plan: plan.to_string(),
+        plan: *plan,
         kernel_cycles,
         transform_cycles,
     };

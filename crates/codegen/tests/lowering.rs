@@ -110,6 +110,7 @@ fn every_report_names_a_real_operator() {
     assert_eq!(lowered.reports.len(), g.op_count());
     for r in &lowered.reports {
         assert!(g.nodes().iter().any(|n| n.id == r.node && n.name == r.name));
-        assert!(!r.plan.is_empty());
+        assert_eq!(r.plan, plans.of(r.node)[assignment.choice[r.node.0]]);
+        assert!(!r.plan.to_string().is_empty());
     }
 }

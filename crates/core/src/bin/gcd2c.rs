@@ -343,7 +343,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let (compiled, report) = compiler.compile_timed(&graph);
+    // From graph text, as a model arrives from outside: the report's
+    // stages then start with parsing it.
+    let (compiled, report) = match compiler.try_compile_text(&gcd2_cgraph::to_text(&graph)) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("compile failed: {e}");
+            return ExitCode::from(1);
+        }
+    };
     let stats = compiled.stats();
     println!("compiled in {:.2?}", report.total);
     // rn_steps 0: the PBQP reductions took no heuristic step, so the
@@ -357,10 +365,11 @@ fn main() -> ExitCode {
     }
     if timing {
         println!("  stage wall-clock:");
-        println!("    rewrite    : {:>10.2?}", report.rewrite);
-        println!("    enumerate  : {:>10.2?}", report.enumerate);
-        println!("    select     : {:>10.2?}", report.select);
-        println!("    lower      : {:>10.2?}", report.lower);
+        let unaccounted = ("unaccounted", report.unaccounted());
+        for (stage, d) in report.stages().into_iter().chain([unaccounted]) {
+            println!("    {stage:<11}: {d:>10.2?}");
+        }
+        println!("  within lower:");
         println!("    pack (cpu) : {:>10.2?}", report.pack_cpu);
         println!("    verify     : {:>10.2?}", report.verify_cpu);
         println!(
@@ -918,7 +927,7 @@ fn main() -> ExitCode {
             println!(
                 "{:<28} {:<22} {:>12} {:>6.1}%",
                 truncate(&r.name, 28),
-                truncate(&r.plan, 22),
+                truncate(&r.plan.to_string(), 22),
                 cyc,
                 share
             );
@@ -935,7 +944,7 @@ fn main() -> ExitCode {
             println!(
                 "{:<28} {:<26} {:>12} {:>10}",
                 truncate(&r.name, 28),
-                truncate(&r.plan, 26),
+                truncate(&r.plan.to_string(), 26),
                 r.kernel_cycles,
                 r.transform_cycles
             );

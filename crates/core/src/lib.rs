@@ -378,7 +378,11 @@ impl Compiler {
         &self,
         text: &str,
     ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
-        guarded(|| self.admit_and_compile(&gcd2_cgraph::from_text(text)?))
+        guarded(|| {
+            let started = Instant::now();
+            let graph = gcd2_cgraph::from_text(text)?;
+            self.admit_and_compile(&graph, started, started.elapsed())
+        })
     }
 
     /// Fallible end-to-end compilation.
@@ -391,15 +395,26 @@ impl Compiler {
         &self,
         graph: &Graph,
     ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
-        guarded(|| self.admit_and_compile(graph))
+        guarded(|| self.admit_and_compile(graph, Instant::now(), Duration::ZERO))
     }
 
+    /// Admission, then the pipeline; the report's `total` runs from
+    /// `started`, before `parse` (the time the graph text took to parse,
+    /// if there was text).
     fn admit_and_compile(
         &self,
         graph: &Graph,
+        started: Instant,
+        parse: Duration,
     ) -> Result<(CompiledModel, CompileReport), Gcd2Error> {
+        let t0 = Instant::now();
         admit::admit(graph)?;
-        self.compile_pipeline(graph)
+        let admit = t0.elapsed();
+        let (compiled, mut report) = self.compile_pipeline(graph)?;
+        report.parse = parse;
+        report.admit = admit;
+        report.total = started.elapsed();
+        Ok((compiled, report))
     }
 
     /// The compilation pipeline body shared by the fallible and
@@ -479,6 +494,8 @@ impl Compiler {
             pack_miss += options.pack_memo.miss_time();
         }
         let report = CompileReport {
+            parse: Duration::ZERO,
+            admit: Duration::ZERO,
             rewrite,
             enumerate,
             select,
@@ -530,6 +547,11 @@ struct SelectionReport {
 /// [`Compiler::compile_timed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct CompileReport {
+    /// Parsing the graph text ([`Compiler::try_compile_text`]); zero when
+    /// the graph was handed in built.
+    pub parse: Duration,
+    /// Checking the graph against the admission limits.
+    pub admit: Duration,
     /// Graph rewrite time (constant folding, fusion).
     pub rewrite: Duration,
     /// Plan enumeration time (includes cost-model kernel generation and
@@ -554,9 +576,10 @@ pub struct CompileReport {
     pub pack_cpu: Duration,
     /// CPU time in the post-lowering verifier (single pass).
     pub verify_cpu: Duration,
-    /// End-to-end compile wall clock.
+    /// End-to-end compile wall clock, parsing included: the sum of
+    /// [`CompileReport::stages`] plus [`CompileReport::unaccounted`].
     pub total: Duration,
-    /// Hit/miss counters of the sharded kernel-cost cache, for this
+    /// Hit/miss counters of the kernel-cost cache, for this
     /// compile only. The cache itself persists across compiles of one
     /// [`Compiler`] (and its clones), so a recompile of the same or a
     /// structurally similar model reports mostly hits.
@@ -571,6 +594,27 @@ pub struct CompileReport {
     /// CPU time spent packing blocks on memo misses, costing and
     /// lowering together.
     pub pack_miss: Duration,
+}
+
+impl CompileReport {
+    /// The stages a compile runs in turn, by name: `parse`, `admit`,
+    /// `rewrite`, `enumerate`, `select`, `lower`.
+    pub fn stages(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("parse", self.parse),
+            ("admit", self.admit),
+            ("rewrite", self.rewrite),
+            ("enumerate", self.enumerate),
+            ("select", self.select),
+            ("lower", self.lower),
+        ]
+    }
+
+    /// What the stages leave of `total`: the glue between them.
+    pub fn unaccounted(&self) -> Duration {
+        let staged = self.stages().iter().map(|&(_, d)| d).sum();
+        self.total.saturating_sub(staged)
+    }
 }
 
 impl Default for Compiler {

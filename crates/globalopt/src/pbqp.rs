@@ -23,98 +23,144 @@
 //! R0/RI/RII exact; only RN steps can lose optimality. [`certify`]
 //! closes that gap: a branch-and-bound over the RN choices, on the same
 //! reductions, that proves the answer optimal or finds the optimum.
-#![allow(clippy::needless_range_loop)]
+//!
+//! The order is Anderson's, and it is fixed: R0 takes the lowest-index
+//! node of degree 0, else RI the lowest of degree 1, else RII the lowest
+//! of degree 2, else RN the node of highest degree, the last among
+//! equals. Live nodes wait in degree worklists that yield exactly that
+//! node, so a step costs a heap operation instead of a scan over every
+//! node. Edge matrices are dense row-major arrays reached through each
+//! node's adjacency entry, and a reduction takes each matrix it reads
+//! once, not once per element. The direct form — nested `Vec` matrices
+//! in a hash map, a scan per degree class per step — is kept as the
+//! test-only oracle `pbqp::reference`, which this solver matches step
+//! for step.
 
 use crate::plan::{edge_tc, Assignment, PlanSet};
-use gcd2_cgraph::Graph;
-use std::collections::HashMap;
+use gcd2_cgraph::{Graph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// A PBQP instance: one cost vector per node, one cost matrix per
+#[cfg(test)]
+mod reference;
+
+/// A dense edge matrix, row-major: entry `(i, j)` at `data[i * cols + j]`.
+#[derive(Clone)]
+struct Matrix {
+    cols: usize,
+    data: Vec<u64>,
+}
+
+impl Matrix {
+    fn rows(&self) -> usize {
+        self.data.len() / self.cols.max(1)
+    }
+
+    fn transposed(&self) -> Matrix {
+        let rows = self.rows();
+        let mut data = vec![0u64; self.data.len()];
+        for i in 0..rows {
+            for j in 0..self.cols {
+                data[j * rows + i] = self.data[i * self.cols + j];
+            }
+        }
+        Matrix { cols: rows, data }
+    }
+}
+
+/// An edge matrix seen from one of its ends: `at(i, j)` is the cost of
+/// that end taking option `i` while the other takes option `j`.
+#[derive(Clone, Copy)]
+struct Oriented<'a> {
+    data: &'a [u64],
+    /// How far apart consecutive options of the near end, then of the
+    /// far end, lie in `data`.
+    stride: (usize, usize),
+}
+
+impl Oriented<'_> {
+    fn at(&self, i: usize, j: usize) -> u64 {
+        self.data[i * self.stride.0 + j * self.stride.1]
+    }
+}
+
+/// The strides of a stored matrix (rows index the smaller node id) seen
+/// from node `u` of the edge `(u, v)`.
+fn strides(u: usize, v: usize, cols: usize) -> (usize, usize) {
+    if u < v {
+        (cols, 1)
+    } else {
+        (1, cols)
+    }
+}
+
+/// Edge slot `slot`, between `u` and `v`, seen from `u`.
+fn oriented(edges: &[Option<Matrix>], u: usize, v: usize, slot: usize) -> Oriented<'_> {
+    let Some(m) = &edges[slot] else {
+        unreachable!("edge ({u}, {v}) reads removed slot {slot}")
+    };
+    Oriented {
+        data: &m.data,
+        stride: strides(u, v, m.cols),
+    }
+}
+
+/// A PBQP instance: one cost vector per node, one dense cost matrix per
 /// interacting pair.
 #[derive(Clone)]
 struct Instance {
     /// Cost vector per node.
     costs: Vec<Vec<u64>>,
-    /// Edge matrices: `(u, v) -> M` with `M[i][j]` the cost of `u`
-    /// taking plan `i` while `v` takes plan `j`. Keys are ordered
-    /// `u < v`.
-    edges: HashMap<(usize, usize), Vec<Vec<u64>>>,
-    /// Adjacency per node.
-    adj: Vec<Vec<usize>>,
+    /// Edge matrices by slot, `None` once removed; each is stored with
+    /// its rows indexing the smaller node id.
+    edges: Vec<Option<Matrix>>,
+    /// Per node, its live edges as `(neighbour, slot)`, in the order the
+    /// edges were added.
+    adj: Vec<Vec<(usize, usize)>>,
 }
 
 impl Instance {
-    fn new(costs: Vec<Vec<u64>>) -> Self {
-        let adj = vec![Vec::new(); costs.len()];
-        Instance {
-            costs,
-            edges: HashMap::new(),
-            adj,
-        }
-    }
-
     fn degree(&self, u: usize) -> usize {
         self.adj[u].len()
     }
 
-    fn edge(&self, u: usize, v: usize) -> Option<&Vec<Vec<u64>>> {
-        self.edges.get(&(u.min(v), u.max(v)))
+    /// The slot of the edge between `u` and `v`, if there is one.
+    fn slot(&self, u: usize, v: usize) -> Option<usize> {
+        self.adj[u].iter().find(|&&(x, _)| x == v).map(|&(_, s)| s)
     }
 
-    /// `M[i][j]` oriented so that `i` indexes `u`'s plans.
-    fn edge_row(&self, u: usize, v: usize, i: usize, j: usize) -> u64 {
-        let Some(m) = self.edge(u, v) else {
-            unreachable!("edge_row queried for absent edge ({u}, {v})")
-        };
-        if u < v {
-            m[i][j]
-        } else {
-            m[j][i]
-        }
+    fn remove_edge(&mut self, u: usize, v: usize, slot: usize) {
+        self.edges[slot] = None;
+        self.adj[u].retain(|&(x, _)| x != v);
+        self.adj[v].retain(|&(x, _)| x != u);
     }
 
-    fn remove_edge(&mut self, u: usize, v: usize) {
-        self.edges.remove(&(u.min(v), u.max(v)));
-        self.adj[u].retain(|&x| x != v);
-        self.adj[v].retain(|&x| x != u);
-    }
-
-    fn add_edge_matrix(&mut self, u: usize, v: usize, m: Vec<Vec<u64>>) {
-        let key = (u.min(v), u.max(v));
-        // Matrices are stored with rows indexing the smaller id.
-        let oriented = if u < v { m } else { transpose(&m) };
-        match self.edges.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let acc = e.get_mut();
-                for (row_acc, row) in acc.iter_mut().zip(&oriented) {
-                    for (a, b) in row_acc.iter_mut().zip(row) {
-                        *a = a.saturating_add(*b);
-                    }
+    /// Adds `m`, whose rows index `u`'s options, to the edge `(u, v)`:
+    /// summed into the edge already there, or as a new edge at the end
+    /// of both adjacency lists.
+    fn add_edge(&mut self, u: usize, v: usize, m: Matrix) {
+        let m = if u < v { m } else { m.transposed() };
+        match self.slot(u, v) {
+            Some(slot) => {
+                let Some(acc) = &mut self.edges[slot] else {
+                    unreachable!("live edge ({u}, {v}) has no matrix in slot {slot}")
+                };
+                for (a, b) in acc.data.iter_mut().zip(&m.data) {
+                    *a = a.saturating_add(*b);
                 }
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.adj[u].push(v);
-                self.adj[v].push(u);
-                e.insert(oriented);
+            None => {
+                let slot = self.edges.len();
+                self.edges.push(Some(m));
+                self.adj[u].push((v, slot));
+                self.adj[v].push((u, slot));
             }
         }
     }
-}
-
-fn transpose(m: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    let rows = m.len();
-    let cols = m.first().map_or(0, Vec::len);
-    let mut t = vec![vec![0u64; rows]; cols];
-    for (i, row) in m.iter().enumerate() {
-        for (j, &x) in row.iter().enumerate() {
-            t[j][i] = x;
-        }
-    }
-    t
 }
 
 /// A reduction step, recorded for backtracking.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Step {
     /// Node fixed outright (R0 or RN): no dependence on neighbours.
     Fixed { node: usize, plan: usize },
@@ -124,13 +170,57 @@ enum Step {
         neighbor: usize,
         best: Vec<usize>,
     },
-    /// RII: `node`'s best plan per (left-plan, right-plan) pair.
+    /// RII: `node`'s best plan per (left-plan, right-plan) pair, at
+    /// `best[l * right_options + r]`.
     FoldedRii {
         node: usize,
         left: usize,
         right: usize,
-        best: Vec<Vec<usize>>,
+        best: Vec<usize>,
     },
+}
+
+/// The choice `steps` imply, backtracked in reverse reduction order;
+/// `options(u)` is node `u`'s option count.
+fn backtrack(steps: &[Step], nodes: usize, options: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut choice = vec![0usize; nodes];
+    for step in steps.iter().rev() {
+        match step {
+            Step::Fixed { node, plan } => choice[*node] = *plan,
+            Step::FoldedRi {
+                node,
+                neighbor,
+                best,
+            } => choice[*node] = best[choice[*neighbor]],
+            Step::FoldedRii {
+                node,
+                left,
+                right,
+                best,
+            } => choice[*node] = best[choice[*left] * options(*right) + choice[*right]],
+        }
+    }
+    choice
+}
+
+/// Node `u`'s cost vector per plan of a graph's selection instance.
+fn node_costs(graph: &Graph, plans: &PlanSet) -> Vec<Vec<u64>> {
+    (graph.nodes().iter())
+        .map(|node| plans.of(node.id).iter().map(|p| p.cost).collect())
+        .collect()
+}
+
+/// The transformation costs of graph edge `(prod, cons)`, row-major:
+/// producer plan by consumer plan.
+fn edge_costs<'a>(
+    graph: &'a Graph,
+    plans: &'a PlanSet,
+    prod: NodeId,
+    cons: NodeId,
+) -> impl Iterator<Item = u64> + 'a {
+    plans.of(prod).iter().flat_map(move |from| {
+        (plans.of(cons).iter()).map(move |to| edge_tc(graph, prod, from.layout, to.layout))
+    })
 }
 
 /// The PBQP instance of a graph's instruction/layout selection: plan
@@ -139,29 +229,16 @@ enum Step {
 /// choice is [`crate::plan::assignment_cost`]. [`pbqp_select`] solves it;
 /// [`certify`] takes the same instance.
 pub fn pbqp_instance(graph: &Graph, plans: &PlanSet) -> (Vec<Vec<u64>>, Vec<EdgeMatrix>) {
-    let costs: Vec<Vec<u64>> = graph
-        .nodes()
-        .iter()
-        .map(|node| plans.of(node.id).iter().map(|p| p.cost).collect())
-        .collect();
     let edges = graph
         .edges()
         .into_iter()
         .map(|(prod, cons)| {
-            let m = plans
-                .of(prod)
-                .iter()
-                .map(|from| {
-                    let tc = |to: &crate::plan::ExecutionPlan| {
-                        edge_tc(graph, prod, from.layout, to.layout)
-                    };
-                    plans.of(cons).iter().map(tc).collect()
-                })
-                .collect();
-            (prod.0, cons.0, m)
+            let flat: Vec<u64> = edge_costs(graph, plans, prod, cons).collect();
+            let m = flat.chunks(plans.of(cons).len()).map(<[u64]>::to_vec);
+            (prod.0, cons.0, m.collect())
         })
         .collect();
-    (costs, edges)
+    (node_costs(graph, plans), edges)
 }
 
 /// An edge of a PBQP instance: `(u, v, m)` adds `m[i][j]` when `u` takes
@@ -169,13 +246,20 @@ pub fn pbqp_instance(graph: &Graph, plans: &PlanSet) -> (Vec<Vec<u64>>, Vec<Edge
 pub type EdgeMatrix = (usize, usize, Vec<Vec<u64>>);
 
 /// Solves the layout/instruction selection problem with the PBQP
-/// reduction heuristic: [`solve`] over [`pbqp_instance`]. Returns the
-/// assignment and [`Solution::rn_steps`]. Exact when the reductions never
-/// need the RN (degree ≥ 3) heuristic — in particular on chains and
-/// trees — so `rn_steps == 0` certifies the assignment optimal.
+/// reduction heuristic: [`solve`] over [`pbqp_instance`], with the edge
+/// matrices built dense in place. Returns the assignment and
+/// [`Solution::rn_steps`]. Exact when the reductions never need the RN
+/// (degree ≥ 3) heuristic — in particular on chains and trees — so
+/// `rn_steps == 0` certifies the assignment optimal.
 pub fn pbqp_select(graph: &Graph, plans: &PlanSet) -> (Assignment, usize) {
-    let (costs, edges) = pbqp_instance(graph, plans);
-    let Solution { choice, rn_steps } = solve(costs, edges);
+    let edges = graph.edges().into_iter().map(|(prod, cons)| {
+        let data = edge_costs(graph, plans, prod, cons).collect();
+        let cols = plans.of(cons).len();
+        (prod.0, cons.0, Matrix { cols, data })
+    });
+    let mut reduction = Reduction::new(node_costs(graph, plans), edges);
+    let rn_steps = reduction.finish();
+    let choice = reduction.choice();
     let cost = crate::plan::assignment_cost(graph, plans, &choice);
     (Assignment { choice, cost }, rn_steps)
 }
@@ -190,6 +274,23 @@ pub struct Solution {
     pub rn_steps: usize,
 }
 
+/// Dense matrices of public [`EdgeMatrix`] edges.
+fn dense(
+    edges: impl IntoIterator<Item = EdgeMatrix>,
+) -> impl Iterator<Item = (usize, usize, Matrix)> {
+    edges.into_iter().map(|(u, v, m)| {
+        let cols = m.first().map_or(0, Vec::len);
+        (
+            u,
+            v,
+            Matrix {
+                cols,
+                data: m.concat(),
+            },
+        )
+    })
+}
+
 /// The PBQP reduction solver itself, over a bare instance: `costs[u][i]`
 /// is what node `u` pays for its option `i`, and each `(u, v, m)` of
 /// `edges` adds `m[i][j]` when `u` takes option `i` while `v` takes `j`
@@ -199,7 +300,7 @@ pub struct Solution {
 /// pass build their instance and call this. Ties go to the lower option
 /// index. Deterministic: no reduction order depends on hashing.
 pub fn solve(costs: Vec<Vec<u64>>, edges: impl IntoIterator<Item = EdgeMatrix>) -> Solution {
-    let mut reduction = Reduction::new(costs, edges);
+    let mut reduction = Reduction::new(costs, dense(edges));
     let rn_steps = reduction.finish();
     Solution {
         choice: reduction.choice(),
@@ -243,7 +344,7 @@ pub fn certify(
     edges: impl IntoIterator<Item = EdgeMatrix>,
     max_states: usize,
 ) -> Certificate {
-    let root = Reduction::new(costs, edges);
+    let root = Reduction::new(costs, dense(edges));
     let mut incumbent = root.clone();
     let rn_steps = incumbent.finish();
     let (mut choice, mut cost) = (incumbent.choice(), incumbent.fixed);
@@ -311,24 +412,59 @@ struct Reduction {
     /// What the nodes fixed so far (R0 and RN) pay at their fixed
     /// options; once no node is left, the total cost of the choice.
     fixed: u64,
+    /// Live nodes of degree 0, 1 and 2, lowest index first.
+    low: [BinaryHeap<Reverse<usize>>; 3],
+    /// Live nodes of degree ≥ 3 by `(degree, index)`, highest first.
+    /// In both worklists an entry goes stale once its node retires or
+    /// changes degree, and is dropped when it reaches the top; every
+    /// live node has an entry for its current degree.
+    high: BinaryHeap<(usize, usize)>,
 }
 
 impl Reduction {
-    fn new(costs: Vec<Vec<u64>>, edges: impl IntoIterator<Item = EdgeMatrix>) -> Self {
+    fn new(costs: Vec<Vec<u64>>, edges: impl IntoIterator<Item = (usize, usize, Matrix)>) -> Self {
         let n = costs.len();
-        let mut inst = Instance::new(costs);
+        let mut inst = Instance {
+            adj: vec![Vec::new(); n],
+            costs,
+            edges: Vec::new(),
+        };
         for (u, v, m) in edges {
             if u != v {
-                inst.add_edge_matrix(u, v, m);
+                inst.add_edge(u, v, m);
             }
         }
-        Reduction {
+        let mut reduction = Reduction {
             inst,
             alive: vec![true; n],
             remaining: n,
             steps: Vec::new(),
             fixed: 0,
+            low: Default::default(),
+            high: BinaryHeap::new(),
+        };
+        for u in 0..n {
+            reduction.enlist(u);
         }
+        reduction
+    }
+
+    /// Files live node `u` under its current degree.
+    fn enlist(&mut self, u: usize) {
+        match self.inst.degree(u) {
+            d @ 0..=2 => self.low[d].push(Reverse(u)),
+            d => self.high.push((d, u)),
+        }
+    }
+
+    /// Takes the lowest-index live node of degree `d` (0, 1 or 2).
+    fn take_low(&mut self, d: usize) -> Option<usize> {
+        while let Some(Reverse(u)) = self.low[d].pop() {
+            if self.alive[u] && self.inst.degree(u) == d {
+                return Some(u);
+            }
+        }
+        None
     }
 
     /// Runs the reductions to the end, taking the RN heuristic step
@@ -345,29 +481,27 @@ impl Reduction {
     /// Applies the exact reductions, cheapest first, until no node is
     /// left (`None`) or every live node has degree ≥ 3. Then it returns
     /// the node an RN step fixes: the one of highest degree (the last
-    /// among equals).
+    /// among equals), which stays listed until that step retires it.
     fn reduce(&mut self) -> Option<usize> {
-        let n = self.alive.len();
         while self.remaining > 0 {
-            let pick = |deg: usize| (0..n).find(|&u| self.alive[u] && self.inst.degree(u) == deg);
-            if let Some(u) = pick(0) {
+            if let Some(u) = self.take_low(0) {
                 // R0: no interactions left.
                 self.fix(u, argmin(&self.inst.costs[u]));
-            } else if let Some(u) = pick(1) {
+            } else if let Some(u) = self.take_low(1) {
                 self.fold_ri(u);
-            } else if let Some(u) = pick(2) {
+            } else if let Some(u) = self.take_low(2) {
                 self.fold_rii(u);
             } else {
-                let rn = (0..n)
-                    .filter(|&u| self.alive[u])
-                    .max_by_key(|&u| self.inst.degree(u));
-                let Some(u) = rn else {
-                    unreachable!(
-                        "RN step with no alive nodes (remaining = {})",
-                        self.remaining
-                    )
-                };
-                return Some(u);
+                while let Some(&(d, u)) = self.high.peek() {
+                    if self.alive[u] && self.inst.degree(u) == d {
+                        return Some(u);
+                    }
+                    self.high.pop();
+                }
+                unreachable!(
+                    "RN step with no live node listed (remaining = {})",
+                    self.remaining
+                )
             }
         }
         None
@@ -375,60 +509,83 @@ impl Reduction {
 
     /// RI: folds degree-1 node `u` into its neighbour's cost vector.
     fn fold_ri(&mut self, u: usize) {
-        let inst = &mut self.inst;
-        let v = inst.adj[u][0];
-        let ku = inst.costs[u].len();
-        let kv = inst.costs[v].len();
-        let mut best = vec![0usize; kv];
-        let mut delta = vec![u64::MAX; kv];
-        for j in 0..kv {
-            for i in 0..ku {
-                let c = inst.costs[u][i].saturating_add(inst.edge_row(u, v, i, j));
-                if c < delta[j] {
-                    delta[j] = c;
-                    best[j] = i;
+        let Instance { costs, edges, adj } = &mut self.inst;
+        let (v, slot) = adj[u][0];
+        let e = oriented(edges, u, v, slot);
+        let (cu, cv) = pair_mut(costs, u, v);
+        let mut best = vec![0usize; cv.len()];
+        for (j, (c, b)) in cv.iter_mut().zip(&mut best).enumerate() {
+            let mut delta = u64::MAX;
+            for (i, &x) in cu.iter().enumerate() {
+                let cost = x.saturating_add(e.at(i, j));
+                if cost < delta {
+                    delta = cost;
+                    *b = i;
                 }
             }
+            *c = c.saturating_add(delta);
         }
-        for j in 0..kv {
-            inst.costs[v][j] = inst.costs[v][j].saturating_add(delta[j]);
-        }
-        inst.remove_edge(u, v);
+        self.inst.remove_edge(u, v, slot);
         self.steps.push(Step::FoldedRi {
             node: u,
             neighbor: v,
             best,
         });
         self.retire(u);
+        self.enlist(v);
     }
 
     /// RII: folds degree-2 node `u` into an edge between its two
-    /// neighbours.
+    /// neighbours, summed in place into the edge they already share.
     fn fold_rii(&mut self, u: usize) {
         let inst = &mut self.inst;
-        let (l, r) = (inst.adj[u][0], inst.adj[u][1]);
-        let ku = inst.costs[u].len();
+        let [(l, sl), (r, sr)] = [inst.adj[u][0], inst.adj[u][1]];
         let (kl, kr) = (inst.costs[l].len(), inst.costs[r].len());
-        let mut best = vec![vec![0usize; kr]; kl];
-        let mut m = vec![vec![0u64; kr]; kl];
-        for (j, best_row) in best.iter_mut().enumerate() {
-            for (k, slot) in best_row.iter_mut().enumerate() {
+        let shared = inst.slot(l, r);
+        let mut m = match shared {
+            Some(slot) => {
+                let Some(m) = inst.edges[slot].take() else {
+                    unreachable!("live edge ({l}, {r}) has no matrix in slot {slot}")
+                };
+                m
+            }
+            None => Matrix {
+                cols: if l < r { kr } else { kl },
+                data: vec![0; kl * kr],
+            },
+        };
+        let at = strides(l, r, m.cols);
+        let (el, er) = (
+            oriented(&inst.edges, u, l, sl),
+            oriented(&inst.edges, u, r, sr),
+        );
+        let cu = &inst.costs[u];
+        let mut best = vec![0usize; kl * kr];
+        for j in 0..kl {
+            for k in 0..kr {
                 let mut mincost = u64::MAX;
-                for i in 0..ku {
-                    let c = inst.costs[u][i]
-                        .saturating_add(inst.edge_row(u, l, i, j))
-                        .saturating_add(inst.edge_row(u, r, i, k));
+                for (i, &x) in cu.iter().enumerate() {
+                    let c = x.saturating_add(el.at(i, j)).saturating_add(er.at(i, k));
                     if c < mincost {
                         mincost = c;
-                        *slot = i;
+                        best[j * kr + k] = i;
                     }
                 }
-                m[j][k] = mincost;
+                let cell = &mut m.data[j * at.0 + k * at.1];
+                *cell = cell.saturating_add(mincost);
             }
         }
-        inst.remove_edge(u, l);
-        inst.remove_edge(u, r);
-        inst.add_edge_matrix(l, r, m);
+        inst.remove_edge(u, l, sl);
+        inst.remove_edge(u, r, sr);
+        match shared {
+            Some(slot) => inst.edges[slot] = Some(m),
+            None => {
+                let slot = inst.edges.len();
+                inst.edges.push(Some(m));
+                inst.adj[l].push((r, slot));
+                inst.adj[r].push((l, slot));
+            }
+        }
         self.steps.push(Step::FoldedRii {
             node: u,
             left: l,
@@ -436,6 +593,8 @@ impl Reduction {
             best,
         });
         self.retire(u);
+        self.enlist(l);
+        self.enlist(r);
     }
 
     /// The RN heuristic's option for `u`: the cheapest by its own cost
@@ -444,16 +603,12 @@ impl Reduction {
         let inst = &self.inst;
         let mut bestplan = 0usize;
         let mut bestcost = u64::MAX;
-        for i in 0..inst.costs[u].len() {
-            let mut c = inst.costs[u][i];
-            for &v in &inst.adj[u] {
-                let kv = inst.costs[v].len();
-                c = c.saturating_add(
-                    (0..kv)
-                        .map(|j| inst.edge_row(u, v, i, j))
-                        .min()
-                        .unwrap_or(0),
-                );
+        for (i, &own) in inst.costs[u].iter().enumerate() {
+            let mut c = own;
+            for &(v, slot) in &inst.adj[u] {
+                let e = oriented(&inst.edges, u, v, slot);
+                let row_min = (0..inst.costs[v].len()).map(|j| e.at(i, j)).min();
+                c = c.saturating_add(row_min.unwrap_or(0));
             }
             if c < bestcost {
                 bestcost = c;
@@ -466,17 +621,22 @@ impl Reduction {
     /// Fixes `u` to `plan` (R0, or an RN step), pushing the fixed
     /// option's edge rows into its neighbours' cost vectors.
     fn fix(&mut self, u: usize, plan: usize) {
-        let inst = &mut self.inst;
-        for v in inst.adj[u].clone() {
-            for j in 0..inst.costs[v].len() {
-                let e = inst.edge_row(u, v, plan, j);
-                inst.costs[v][j] = inst.costs[v][j].saturating_add(e);
+        let Instance { costs, edges, adj } = &mut self.inst;
+        let neighbours = std::mem::take(&mut adj[u]);
+        for &(v, slot) in &neighbours {
+            let e = oriented(edges, u, v, slot);
+            for (j, c) in costs[v].iter_mut().enumerate() {
+                *c = c.saturating_add(e.at(plan, j));
             }
-            inst.remove_edge(u, v);
+            edges[slot] = None;
+            adj[v].retain(|&(x, _)| x != u);
         }
-        self.fixed = self.fixed.saturating_add(inst.costs[u][plan]);
+        self.fixed = self.fixed.saturating_add(costs[u][plan]);
         self.steps.push(Step::Fixed { node: u, plan });
         self.retire(u);
+        for &(v, _) in &neighbours {
+            self.enlist(v);
+        }
     }
 
     fn retire(&mut self, u: usize) {
@@ -492,7 +652,7 @@ impl Reduction {
             .filter(|(&alive, _)| alive)
             .map(|(_, c)| c.iter().copied().min().unwrap_or(0));
         let edges =
-            (self.inst.edges.values()).map(|m| m.iter().flatten().copied().min().unwrap_or(0));
+            (self.inst.edges.iter().flatten()).map(|m| m.data.iter().copied().min().unwrap_or(0));
         nodes
             .chain(edges)
             .fold(self.fixed, |acc, c| acc.saturating_add(c))
@@ -501,28 +661,18 @@ impl Reduction {
     /// The choice every step so far implies, backtracked in reverse
     /// reduction order; complete once no node is left.
     fn choice(&self) -> Vec<usize> {
-        let mut choice = vec![0usize; self.alive.len()];
-        for step in self.steps.iter().rev() {
-            match step {
-                Step::Fixed { node, plan } => choice[*node] = *plan,
-                Step::FoldedRi {
-                    node,
-                    neighbor,
-                    best,
-                } => {
-                    choice[*node] = best[choice[*neighbor]];
-                }
-                Step::FoldedRii {
-                    node,
-                    left,
-                    right,
-                    best,
-                } => {
-                    choice[*node] = best[choice[*left]][choice[*right]];
-                }
-            }
-        }
-        choice
+        backtrack(&self.steps, self.alive.len(), |u| self.inst.costs[u].len())
+    }
+}
+
+/// Mutable references to two distinct elements of `xs`.
+fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
+    if a < b {
+        let (lo, hi) = xs.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = xs.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
     }
 }
 
@@ -797,5 +947,72 @@ mod tests {
             }
         }
         assert!(capped >= 20, "{capped} capped certificates");
+    }
+
+    /// [`solve`] with every reduction step it took.
+    fn traced(costs: Vec<Vec<u64>>, edges: Vec<EdgeMatrix>) -> (Solution, Vec<Step>) {
+        let mut reduction = Reduction::new(costs, dense(edges));
+        let rn_steps = reduction.finish();
+        let choice = reduction.choice();
+        (Solution { choice, rn_steps }, reduction.steps)
+    }
+
+    /// The worklist solver takes the reference's steps, in its order, with
+    /// the same tables, on every catalog model's selection instance; and
+    /// `pbqp_select`, which builds its dense matrices from the graph, picks
+    /// the same assignment.
+    #[test]
+    fn worklists_take_the_reference_steps_on_the_catalog() {
+        let model = CostModel::new();
+        for id in gcd2_models::ModelId::ALL {
+            let g = gcd2_cgraph::optimize(&id.build());
+            let plans = enumerate_plans(&g, &model);
+            let (costs, edges) = pbqp_instance(&g, &plans);
+            let want = reference::solve_traced(costs.clone(), edges.clone());
+            let got = traced(costs, edges);
+            assert_eq!(got, want, "{id:?}");
+            let (assignment, rn_steps) = pbqp_select(&g, &plans);
+            assert_eq!(
+                (assignment.choice, rn_steps),
+                (want.0.choice, want.0.rn_steps)
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        /// Random instances of up to 24 nodes and degrees 0–6, with costs
+        /// in `0..3` so that ties are everywhere: the same choice,
+        /// `rn_steps` and step sequence as the reference.
+        #[test]
+        fn worklists_take_the_reference_steps_on_random_instances(
+            seed in proptest::prelude::any::<u64>(),
+            nodes in 1usize..25,
+        ) {
+            let mut next = rng(seed | 1);
+            let costs: Vec<Vec<u64>> = (0..nodes)
+                .map(|_| (0..1 + next(4)).map(|_| next(3)).collect())
+                .collect();
+            let mut neighbours = vec![Vec::new(); nodes];
+            let mut edges = Vec::new();
+            for _ in 0..next(4 * nodes as u64) {
+                let (u, v) = (next(nodes as u64) as usize, next(nodes as u64) as usize);
+                let new = !neighbours[u].contains(&v);
+                if u == v || new && (neighbours[u].len() == 6 || neighbours[v].len() == 6) {
+                    continue;
+                }
+                if new {
+                    neighbours[u].push(v);
+                    neighbours[v].push(u);
+                }
+                let m = (0..costs[u].len())
+                    .map(|_| (0..costs[v].len()).map(|_| next(3)).collect())
+                    .collect();
+                edges.push((u, v, m));
+            }
+            let want = reference::solve_traced(costs.clone(), edges.clone());
+            proptest::prop_assert_eq!(traced(costs, edges), want);
+        }
     }
 }

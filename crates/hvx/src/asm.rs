@@ -58,7 +58,7 @@ pub fn parse_program(text: &str) -> Result<Program, ParseAsmError> {
     let close = |(label, trip_count, packets): (String, u64, Vec<Packet>)| PackedBlock {
         packets: packets.into(),
         trip_count,
-        label,
+        label: label.into(),
     };
     let mut packet: Option<Vec<Insn>> = None;
 
@@ -633,7 +633,7 @@ mod tests {
         let back = parse_program(&text).expect("parse");
         assert_eq!(back, program);
         assert_eq!(back.blocks[0].trip_count, 17);
-        assert_eq!(back.blocks[0].label, "kernel body");
+        assert_eq!(back.blocks[0].label.to_string(), "kernel body");
     }
 
     #[test]

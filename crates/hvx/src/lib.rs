@@ -54,7 +54,7 @@ pub use energy::EnergyModel;
 pub use insn::{Insn, Lane, Unit};
 pub use machine::{simd, Machine, Trace, TraceEvent, VData};
 pub use packet::{Packet, ResourceModel, SlotUse};
-pub use program::{Block, PackedBlock, Program};
+pub use program::{Block, Label, PackedBlock, Program};
 pub use reg::{Reg, RegSet, SReg, VPair, VReg, HLANES, NUM_SREGS, NUM_VREGS, VBYTES, WLANES};
 pub use stats::{ExecStats, CLOCK_HZ};
 

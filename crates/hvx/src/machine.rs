@@ -174,7 +174,7 @@ impl Machine {
                     self.run_packet(packet);
                     cycle += packet.cycles() as u64;
                     trace.events.push(TraceEvent {
-                        block: block.label.clone(),
+                        block: block.label.to_string(),
                         trip,
                         packet: pi,
                         cycle,

@@ -135,12 +135,16 @@ impl Default for ResourceModel {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Packet {
     insns: Vec<Insn>,
+    /// [`Packet::cycles`], worked out whenever `insns` changes: a packet
+    /// is read far more often than it is built (every cost of a memoised
+    /// schedule sums its packets again).
+    cycles: u32,
 }
 
 impl Packet {
     /// Creates an empty packet.
     pub fn new() -> Self {
-        Packet { insns: Vec::new() }
+        Packet::default()
     }
 
     /// Creates a packet from instructions.
@@ -154,7 +158,8 @@ impl Packet {
             "packet overflows {} slots",
             ResourceModel::MAX_SLOTS
         );
-        Packet { insns }
+        let cycles = commit_cycles(&insns);
+        Packet { insns, cycles }
     }
 
     /// Appends an instruction.
@@ -167,6 +172,7 @@ impl Packet {
             "packet is full"
         );
         self.insns.push(insn);
+        self.cycles = commit_cycles(&self.insns);
     }
 
     /// The instructions in the packet, in program order.
@@ -208,17 +214,7 @@ impl Packet {
     /// instructions with a soft dependency — therefore costs 4 cycles
     /// packed versus 6 split.
     pub fn cycles(&self) -> u32 {
-        let mut depth = [0u32; ResourceModel::MAX_SLOTS];
-        let mut cost = 0u32;
-        for (j, cons) in self.insns.iter().enumerate() {
-            for (i, prod) in self.insns[..j].iter().enumerate() {
-                if let DepKind::Soft { penalty } = classify(prod, cons) {
-                    depth[j] = depth[j].max(depth[i] + penalty);
-                }
-            }
-            cost = cost.max(cons.latency() + depth[j]);
-        }
-        cost
+        self.cycles
     }
 
     /// Total stall cycles attributable to intra-packet soft dependencies:
@@ -232,6 +228,21 @@ impl Packet {
     pub fn mem_bytes(&self) -> u64 {
         self.insns.iter().map(Insn::mem_bytes).sum()
     }
+}
+
+/// [`Packet::cycles`] of a packet holding `insns`.
+fn commit_cycles(insns: &[Insn]) -> u32 {
+    let mut depth = [0u32; ResourceModel::MAX_SLOTS];
+    let mut cost = 0u32;
+    for (j, cons) in insns.iter().enumerate() {
+        for (i, prod) in insns[..j].iter().enumerate() {
+            if let DepKind::Soft { penalty } = classify(prod, cons) {
+                depth[j] = depth[j].max(depth[i] + penalty);
+            }
+        }
+        cost = cost.max(cons.latency() + depth[j]);
+    }
+    cost
 }
 
 impl fmt::Display for Packet {

@@ -13,6 +13,84 @@ use crate::stats::{unit_index, ExecStats};
 use std::fmt;
 use std::sync::Arc;
 
+/// A block's human-readable label: static text, or a value that is
+/// turned into text only when something displays it. A kernel generator
+/// labels its blocks with the shape and instruction they compute without
+/// formatting a string for the cost model, which only packs them; a
+/// clone shares the value.
+#[derive(Clone)]
+pub struct Label(LabelRepr);
+
+#[derive(Clone)]
+enum LabelRepr {
+    Static(&'static str),
+    Value(Arc<dyn fmt::Display + Send + Sync>),
+}
+
+/// The `Display` of a [`Label::lazy`] closure.
+struct Lazy<F>(F);
+
+impl<F: Fn(&mut fmt::Formatter<'_>) -> fmt::Result> fmt::Display for Lazy<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.0)(f)
+    }
+}
+
+impl Label {
+    /// A label whose text `write` produces when it is displayed; nothing
+    /// is formatted before that.
+    pub fn lazy(
+        write: impl Fn(&mut fmt::Formatter<'_>) -> fmt::Result + Send + Sync + 'static,
+    ) -> Self {
+        Label(LabelRepr::Value(Arc::new(Lazy(write))))
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label(LabelRepr::Static(""))
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(text: &'static str) -> Self {
+        Label(LabelRepr::Static(text))
+    }
+}
+
+impl From<String> for Label {
+    fn from(text: String) -> Self {
+        Label(LabelRepr::Value(Arc::new(text)))
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            LabelRepr::Static(text) => f.write_str(text),
+            LabelRepr::Value(value) => value.fmt(f),
+        }
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+/// Labels are equal when their text is.
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (LabelRepr::Static(a), LabelRepr::Static(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl Eq for Label {}
+
 /// An unscheduled basic block: straight-line instructions plus the number
 /// of times the block executes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -22,12 +100,12 @@ pub struct Block {
     /// How many times the block body runs.
     pub trip_count: u64,
     /// Human-readable label (operator name etc.).
-    pub label: String,
+    pub label: Label,
 }
 
 impl Block {
     /// Creates a block that executes once.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub fn new(label: impl Into<Label>) -> Self {
         Block {
             insns: Vec::new(),
             trip_count: 1,
@@ -36,7 +114,7 @@ impl Block {
     }
 
     /// Creates a block with a trip count.
-    pub fn with_trip_count(label: impl Into<String>, trip_count: u64) -> Self {
+    pub fn with_trip_count(label: impl Into<Label>, trip_count: u64) -> Self {
         Block {
             insns: Vec::new(),
             trip_count,
@@ -75,7 +153,7 @@ pub struct PackedBlock {
     /// How many times the block body runs.
     pub trip_count: u64,
     /// Label inherited from the source [`Block`].
-    pub label: String,
+    pub label: Label,
 }
 
 impl PackedBlock {

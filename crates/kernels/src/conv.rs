@@ -10,7 +10,7 @@
 
 use crate::tiled::LineBuf;
 use gcd2_cgraph::GemmDims;
-use gcd2_hvx::{Block, Insn, SReg, VPair, VReg, VBYTES};
+use gcd2_hvx::{Block, Insn, Label, SReg, VPair, VReg, VBYTES};
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 
 fn v(i: u8) -> VReg {
@@ -39,7 +39,7 @@ pub fn im2col_overhead_cycles(gemm: &GemmDims, kernel: (usize, usize)) -> u64 {
 /// `kh` accumulating 3-tap multiplies, requantize, store.
 pub fn depthwise_vtmpy_blocks(out_elems: usize, kh: usize) -> Vec<Block> {
     let mut body = Block::with_trip_count(
-        format!("dwconv/vtmpy {kh}x3 x{out_elems}"),
+        Label::lazy(move |f| write!(f, "dwconv/vtmpy {kh}x3 x{out_elems}")),
         out_elems.div_ceil(VBYTES) as u64,
     );
     for row in 0..kh {

@@ -7,7 +7,7 @@
 //! order, so they accept any input layout and produce the same layout —
 //! their execution plans differ only in which layout they *pass through*.
 
-use gcd2_hvx::{Block, Insn, Lane, SReg, VPair, VReg, VBYTES};
+use gcd2_hvx::{Block, Insn, Label, Lane, SReg, VPair, VReg, VBYTES};
 
 fn v(i: u8) -> VReg {
     VReg::new(i)
@@ -61,7 +61,8 @@ pub enum EwKind {
 /// Emits the kernel blocks for `elems` output elements.
 pub fn elementwise_blocks(kind: EwKind, elems: usize) -> Vec<Block> {
     let vec_trips = elems.div_ceil(VBYTES) as u64;
-    let mut body = Block::with_trip_count(format!("{kind:?} x{elems}"), vec_trips.max(1));
+    let label = Label::lazy(move |f| write!(f, "{kind:?} x{elems}"));
+    let mut body = Block::with_trip_count(label, vec_trips.max(1));
     match kind {
         EwKind::Add => {
             body.extend([

@@ -11,7 +11,10 @@
 //!
 //! * [`timing_blocks`] — loop-structured blocks (with trip counts) whose
 //!   SDA-packed cycle count is the kernel's cost; used by the optimizer
-//!   and the end-to-end latency estimates.
+//!   and the end-to-end latency estimates. Their labels hold the shape,
+//!   instruction and unroll they name as values ([`Label::lazy`]), turned
+//!   into text only where a program is displayed, never on the cost
+//!   model's path.
 //! * [`functional_program`] — a fully unrolled program for small shapes
 //!   with weights embedded as immediates; executed on the simulator to
 //!   validate layouts and instruction semantics against the scalar
@@ -20,7 +23,7 @@
 use crate::instr::SimdInstr;
 use crate::unroll::UnrollConfig;
 use gcd2_cgraph::GemmDims;
-use gcd2_hvx::{pack_weights, Block, Insn, Program, SReg, VPair, VReg, VBYTES};
+use gcd2_hvx::{pack_weights, Block, Insn, Label, Program, SReg, VPair, VReg, VBYTES};
 use gcd2_tensor::{MatrixI8, MatrixU8};
 
 fn v(i: u8) -> VReg {
@@ -89,7 +92,10 @@ pub fn timing_blocks(gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) ->
     let spills = unroll.spill_count(instr);
 
     // --- setup: pointer and constant initialisation (once) ---------------
-    let mut setup = Block::new(format!("matmul/{instr} setup {gemm}"));
+    let gemm = *gemm;
+    let mut setup = Block::new(Label::lazy(move |f| {
+        write!(f, "matmul/{instr} setup {gemm}")
+    }));
     for (reg, imm) in [
         (regs::A_PTR, 0i64),
         (regs::W_PTR, 0),
@@ -101,7 +107,7 @@ pub fn timing_blocks(gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) ->
 
     // --- accumulator init: once per (panel, column group) ----------------
     let mut init = Block::with_trip_count(
-        format!("matmul/{instr} init"),
+        Label::lazy(move |f| write!(f, "matmul/{instr} init")),
         loops.panels as u64 * loops.n_cols.div_ceil(t) as u64,
     );
     let acc_regs = |ti: usize| -> u8 { (8 + ti as u8 * acc_width(instr)).min(28) };
@@ -128,9 +134,10 @@ pub fn timing_blocks(gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) ->
 
     // --- multiply body ----------------------------------------------------
     let mut body = Block::with_trip_count(
-        format!("matmul/{instr} body {gemm} x{unroll}"),
+        Label::lazy(move |f| write!(f, "matmul/{instr} body {gemm} x{unroll}")),
         loops.body_trips,
     );
+    body.insns.reserve_exact(u + 2 * t * u + 2 * spills + 2);
     for ui in 0..u {
         body.push(Insn::VLoad {
             dst: v(ui as u8 % 6),
@@ -196,7 +203,7 @@ pub fn timing_blocks(gemm: &GemmDims, instr: SimdInstr, unroll: UnrollConfig) ->
     // --- epilogue: requantize + store, once per output group -------------
     let group = instr.n_granularity();
     let mut epi = Block::with_trip_count(
-        format!("matmul/{instr} requant"),
+        Label::lazy(move |f| write!(f, "matmul/{instr} requant")),
         loops.panels as u64 * loops.n_cols.div_ceil(group) as u64,
     );
     match instr {
@@ -303,7 +310,7 @@ pub fn functional_program(
     let panels = layout.padded_rows(m) / mg;
     let k_groups = kp / kg;
 
-    let mut block = Block::new(format!("matmul/{instr} functional"));
+    let mut block = Block::new(Label::lazy(move |f| write!(f, "matmul/{instr} functional")));
     block.push(Insn::Movi {
         dst: r(regs::A_PTR),
         imm: addr_a,

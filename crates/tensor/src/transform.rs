@@ -14,7 +14,7 @@
 //!   the emitted block reproduces its *cost*, not its bytes.
 
 use crate::layout::Layout;
-use gcd2_hvx::{Block, Insn, SReg, VPair, VReg, VBYTES};
+use gcd2_hvx::{Block, Insn, Label, SReg, VPair, VReg, VBYTES};
 
 /// Fixed per-transform overhead in cycles (DMA descriptor setup, loop
 /// prologue/epilogue).
@@ -59,7 +59,7 @@ pub fn transform_block(
     src_base: SReg,
     dst_base: SReg,
 ) -> Block {
-    let mut block = Block::new(format!("transform {from} -> {to}"));
+    let mut block = Block::new(Label::lazy(move |f| write!(f, "transform {from} -> {to}")));
     if from == to {
         return block;
     }

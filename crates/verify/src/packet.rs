@@ -33,8 +33,10 @@ fn location(bi: usize, block: &PackedBlock, pi: usize) -> String {
 fn check_block(bi: usize, block: &PackedBlock, model: &ResourceModel, report: &mut Report) {
     let mut recounted_stalls = 0u64;
     for (pi, packet) in block.packets.iter().enumerate() {
-        check_capacities(packet, model, &location(bi, block, pi), report);
-        check_hard_deps(packet, &location(bi, block, pi), report);
+        // Formatted only for a finding: a clean packet builds no text.
+        let loc = || location(bi, block, pi);
+        check_capacities(packet, model, &loc, report);
+        check_hard_deps(packet, &loc, report);
         recounted_stalls += soft_stall_cycles(packet.insns()) as u64;
     }
     // Cross-check the block's aggregated stall accounting against the
@@ -53,12 +55,17 @@ fn check_block(bi: usize, block: &PackedBlock, model: &ResourceModel, report: &m
     }
 }
 
-fn check_capacities(packet: &Packet, model: &ResourceModel, loc: &str, report: &mut Report) {
+fn check_capacities(
+    packet: &Packet,
+    model: &ResourceModel,
+    loc: &dyn Fn() -> String,
+    report: &mut Report,
+) {
     let insns = packet.insns();
     if insns.len() > ResourceModel::MAX_SLOTS {
         report.error(
             NAME,
-            loc,
+            loc(),
             format!(
                 "{} instructions exceed the {}-slot packet",
                 insns.len(),
@@ -67,7 +74,7 @@ fn check_capacities(packet: &Packet, model: &ResourceModel, loc: &str, report: &
         );
     }
     if insns.is_empty() {
-        report.warning(NAME, loc, "empty packet issues for nothing");
+        report.warning(NAME, loc(), "empty packet issues for nothing");
         return;
     }
     let mut counts = [0u8; 5];
@@ -97,21 +104,21 @@ fn check_capacities(packet: &Packet, model: &ResourceModel, loc: &str, report: &
         if used > cap {
             report.error(
                 NAME,
-                loc,
+                loc(),
                 format!("{used} {unit} instructions in one packet (capacity {cap})"),
             );
         }
     }
 }
 
-fn check_hard_deps(packet: &Packet, loc: &str, report: &mut Report) {
+fn check_hard_deps(packet: &Packet, loc: &dyn Fn() -> String, report: &mut Report) {
     let insns = packet.insns();
     for (j, consumer) in insns.iter().enumerate() {
         for producer in &insns[..j] {
             if classify(producer, consumer).is_hard() {
                 report.error(
                     NAME,
-                    loc,
+                    loc(),
                     format!("hard dependency packed together: `{producer}` -> `{consumer}`"),
                 );
             }

@@ -3,8 +3,53 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The Fx hash (rustc's): each word is folded in as
+/// `(h.rotate_left(5) ^ word) * K`. A handful of cycles per word against
+/// SipHash's rounds, and no protection against chosen collisions — so it
+/// hashes only keys the compiler derives itself (instruction blocks, cost
+/// keys), never text a caller hands in.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes([
+                w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7],
+            ]));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The map of a [`Memo`].
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Hit/miss counters of a [`Memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,17 +87,19 @@ impl CacheStats {
     }
 }
 
-/// A memo of a pure function: one `Mutex` over the map and its
-/// counters. The value is computed outside the lock, so a computation
+/// A memo of a pure function: one `Mutex` over an Fx-hashed map and its
+/// counters. Its keys must be values the program derives, never input
+/// from outside it: the Fx hash has no defence against chosen
+/// collisions. The value is computed outside the lock, so a computation
 /// that panics leaves neither an entry nor a poisoned lock behind, and
 /// two callers racing on one cold key both compute: the first insert
 /// wins and both return the stored value.
 #[derive(Debug)]
-pub struct Memo<K, V>(Mutex<(HashMap<K, V>, CacheStats)>);
+pub struct Memo<K, V>(Mutex<(FxMap<K, V>, CacheStats)>);
 
 impl<K, V> Default for Memo<K, V> {
     fn default() -> Self {
-        Memo(Mutex::new((HashMap::new(), CacheStats::default())))
+        Memo(Mutex::new((FxMap::default(), CacheStats::default())))
     }
 }
 
@@ -64,7 +111,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 
     /// The map's state is valid after any panic: no code that can
     /// panic runs while the lock is held.
-    fn lock(&self) -> MutexGuard<'_, (HashMap<K, V>, CacheStats)> {
+    fn lock(&self) -> MutexGuard<'_, (FxMap<K, V>, CacheStats)> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 

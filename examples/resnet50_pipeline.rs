@@ -72,7 +72,8 @@ fn main() {
     );
     let mut by_plan: std::collections::BTreeMap<String, u64> = Default::default();
     for r in &gcd2.lowered.reports {
-        let key = r.plan.split(' ').next().unwrap_or("?").to_string();
+        let plan = r.plan.to_string();
+        let key = plan.split(' ').next().unwrap_or("?").to_string();
         *by_plan.entry(key).or_default() += r.kernel_cycles;
     }
     println!("Cycles by chosen plan:");

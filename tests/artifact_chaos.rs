@@ -311,26 +311,25 @@ fn stale_lock_takeover_elects_exactly_one_winner() {
     );
     std::thread::sleep(Duration::from_millis(60));
 
-    // Many simultaneous contenders race to reclaim the stale lock.
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
+    // Many simultaneous contenders race to reclaim the stale lock. The
+    // first barrier starts them together; the second holds the winner's
+    // lock until every contender's attempt has returned, so each loser
+    // lost to a held lock — a late check-then-delete would fire here —
+    // and none can find the key released and take it fresh.
+    let start = std::sync::Arc::new(std::sync::Barrier::new(8));
+    let attempted = std::sync::Arc::new(std::sync::Barrier::new(8));
     let winners: Vec<bool> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let cache = cache.clone();
-                let barrier = std::sync::Arc::clone(&barrier);
+                let (start, attempted) = (start.clone(), attempted.clone());
                 s.spawn(move || {
-                    barrier.wait();
-                    match cache.try_lock_with_age("k", stale_age) {
-                        Some(lock) => {
-                            // Hold the win long enough that every loser
-                            // finishes its attempt while we own the key;
-                            // a late check-then-delete would fire here.
-                            std::thread::sleep(Duration::from_millis(20));
-                            drop(lock);
-                            true
-                        }
-                        None => false,
-                    }
+                    start.wait();
+                    let lock = cache.try_lock_with_age("k", stale_age);
+                    attempted.wait();
+                    let won = lock.is_some();
+                    drop(lock);
+                    won
                 })
             })
             .collect();
