@@ -26,6 +26,9 @@ if grep -rEn 'GCD2_(FORCE_SCALAR|AMX)' crates src tests examples ci.sh; then exi
 if grep -rn 'env::var' crates/*/src; then exit 1; fi
 if grep -rn 'detected_isa(' crates/kernels/src --exclude=dispatch.rs; then exit 1; fi
 
+echo "==> cold start has one concurrency rule, the artifact cache's atomic rename (no try_lock, CacheLock, LOCK_LOSER or LOCK_SUFFIX in crates/, src/, tests/ or examples/: a key fixes its bytes, so concurrent builders need no lock, and each store's temp name is unique per writer; and no paranoid execution option: a caller who wants the integrity check calls verify_integrity, as the gateway does at admission)"
+if grep -rEn 'try_lock|CacheLock|LOCK_LOSER|LOCK_SUFFIX|paranoid' crates src tests examples; then exit 1; fi
+
 echo "==> dependence checks read register sets (no Vec<Reg> in crates/hvx/src or crates/vliw/src: Insn::defs/uses are a u64 RegSet, and classify, the packers and the simulator's stale-read check intersect them without allocating)"
 if grep -rn 'Vec<Reg>' crates/hvx/src crates/vliw/src; then exit 1; fi
 

@@ -46,6 +46,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
 /// The artifact file magic, first eight bytes of every artifact.
@@ -790,14 +791,12 @@ impl<'a> Artifact<'a> {
     }
 }
 
-/// How long an orphaned temp file or lock may sit in the cache
-/// directory before garbage collection reclaims it: long enough that a
-/// live writer is never raced, short enough that a crashed writer does
-/// not wedge the key forever.
+/// How long an orphaned temp file may sit in the cache directory
+/// before garbage collection reclaims it: long enough that a live
+/// writer is never raced.
 pub const STALE_TEMP_AGE: Duration = Duration::from_secs(3600);
 
 const TEMP_PREFIX: &str = ".tmp.";
-const LOCK_SUFFIX: &str = ".lock";
 const ARTIFACT_SUFFIX: &str = ".gcd2art";
 
 /// A content-addressed artifact cache directory with crash-safe writes.
@@ -810,27 +809,18 @@ const ARTIFACT_SUFFIX: &str = ".gcd2art";
 ///   final name, then fsyncs the directory. A crash at any point leaves
 ///   either the old state or the new state, never a torn final file;
 ///   orphaned temps are swept by [`ArtifactCache::gc_stale_temps`].
-/// * **Duplicate-work avoidance** — [`ArtifactCache::try_lock`] takes a
-///   per-key advisory lock file so concurrent processes compiling the
-///   same key can elect one builder; losers poll for the winner's
-///   artifact instead of recompiling.
+/// * **Concurrency** — every temp name is unique per writer, so
+///   concurrent writers of one key (threads or processes) never share a
+///   temp file; the key fixes the bytes, so whichever rename lands last
+///   leaves the same artifact.
 #[derive(Debug, Clone)]
 pub struct ArtifactCache {
     dir: PathBuf,
 }
 
-/// A held per-key advisory lock; dropped (or crashed past
-/// [`STALE_TEMP_AGE`]) it releases the key.
-#[derive(Debug)]
-pub struct CacheLock {
-    path: PathBuf,
-}
-
-impl Drop for CacheLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
+/// Numbers the temp files of this process, so two threads storing the
+/// same key never open the same temp path.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn io_err(op: &'static str, e: std::io::Error) -> ArtifactError {
     ArtifactError::Io {
@@ -897,9 +887,10 @@ impl ArtifactCache {
     /// is never left torn.
     pub fn store(&self, key: &str, bytes: &[u8]) -> Result<PathBuf, ArtifactError> {
         let final_path = self.path_for(key);
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp_path = self
             .dir
-            .join(format!("{TEMP_PREFIX}{key}.{}", std::process::id()));
+            .join(format!("{TEMP_PREFIX}{key}.{}.{seq}", std::process::id()));
         {
             let mut tmp = fs::File::create(&tmp_path).map_err(|e| io_err("create-temp", e))?;
             tmp.write_all(bytes).map_err(|e| io_err("write", e))?;
@@ -930,73 +921,8 @@ impl ArtifactCache {
         }
     }
 
-    /// Tries to take the per-key advisory build lock. `None` means
-    /// another live process holds it (a lock older than
-    /// [`STALE_TEMP_AGE`] is presumed crashed and is reclaimed).
-    pub fn try_lock(&self, key: &str) -> Option<CacheLock> {
-        self.try_lock_with_age(key, STALE_TEMP_AGE)
-    }
-
-    /// [`ArtifactCache::try_lock`] with an explicit staleness age —
-    /// chaos tests shorten it to exercise crashed-holder reclamation
-    /// without hour-long sleeps.
-    ///
-    /// Reclamation is a two-step atomic takeover. A stale lock is never
-    /// deleted in place: the contender `rename`s it to a per-process
-    /// steal name first, so exactly one of any number of concurrent
-    /// contenders wins the rename (the losers' renames fail and they
-    /// fall back to the `create_new` race). Because `rename` preserves
-    /// the mtime, the winner re-checks staleness *after* the rename —
-    /// if the file at the lock path had been released and re-created by
-    /// a live holder between the check and the steal, the yanked lock
-    /// is fresh, and it is renamed straight back. The old
-    /// check-then-delete protocol could delete a fresh lock a faster
-    /// contender had just created, electing two builders.
-    pub fn try_lock_with_age(&self, key: &str, stale_age: Duration) -> Option<CacheLock> {
-        let path = self.dir.join(format!("{key}{LOCK_SUFFIX}"));
-        for _ in 0..2 {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = writeln!(f, "{}", std::process::id());
-                    return Some(CacheLock { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if !file_older_than(&path, stale_age) {
-                        return None;
-                    }
-                    let steal = self
-                        .dir
-                        .join(format!("{TEMP_PREFIX}{key}.{}.steal", std::process::id()));
-                    if fs::rename(&path, &steal).is_err() {
-                        // Lost the steal race (or the holder released
-                        // meanwhile): compete in create_new once more.
-                        continue;
-                    }
-                    if file_older_than(&steal, stale_age) {
-                        // Confirmed crashed holder: discard its lock
-                        // (ours alone — the steal name is per-process)
-                        // and race for the now-free key.
-                        let _ = fs::remove_file(&steal);
-                        continue;
-                    }
-                    // The lock we yanked is fresh — it was re-acquired
-                    // between the staleness check and the rename. Put
-                    // it back and report the key as held.
-                    let _ = fs::rename(&steal, &path);
-                    return None;
-                }
-                Err(_) => return None,
-            }
-        }
-        None
-    }
-
-    /// Sweeps temp and lock files older than `max_age` (a crashed
-    /// writer's leavings). Returns how many were removed.
+    /// Sweeps temp files older than `max_age` (a crashed writer's
+    /// leavings). Returns how many were removed.
     ///
     /// # Errors
     /// [`ArtifactError::Io`] if the directory cannot be listed.
@@ -1006,8 +932,7 @@ impl ArtifactCache {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let is_temp = name.starts_with(TEMP_PREFIX) || name.ends_with(LOCK_SUFFIX);
-            if is_temp
+            if name.starts_with(TEMP_PREFIX)
                 && file_older_than(&entry.path(), max_age)
                 && fs::remove_file(entry.path()).is_ok()
             {
@@ -1398,17 +1323,6 @@ mod tests {
         // A fresh temp under a long age is a live writer's: kept.
         assert_eq!(cache.gc_stale_temps(STALE_TEMP_AGE).unwrap(), 0);
         assert!(orphan.exists());
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn advisory_lock_excludes_and_releases() {
-        let cache = temp_cache("lock");
-        let lock = cache.try_lock("k").unwrap();
-        assert!(cache.try_lock("k").is_none(), "second take must fail");
-        assert!(cache.try_lock("other").is_some(), "keys are independent");
-        drop(lock);
-        assert!(cache.try_lock("k").is_some(), "drop releases");
         let _ = fs::remove_dir_all(cache.dir());
     }
 }

@@ -279,24 +279,6 @@ impl Graph {
         let input_shape = n.inputs.first().map(|i| &self.nodes[i.0].shape)?;
         n.kind.gemm_dims(input_shape, &n.shape)
     }
-
-    /// Extracts the chain of the first `count` operator nodes reachable
-    /// from the first input by always following the first successor —
-    /// used by the Figure 10 experiments ("partial computational graphs
-    /// extracted using contiguous operators").
-    pub fn prefix_chain(&self, count: usize) -> Vec<NodeId> {
-        let mut chain = Vec::new();
-        for n in &self.nodes {
-            if matches!(n.kind, OpKind::Input | OpKind::Constant) {
-                continue;
-            }
-            chain.push(n.id);
-            if chain.len() == count {
-                break;
-            }
-        }
-        chain
-    }
 }
 
 impl fmt::Display for Graph {
@@ -364,13 +346,6 @@ mod tests {
         // conv1: 32*32 x 27 x 8; conv2: 32*32 x 72 x 8; add: 8*32*32.
         let expect = 1024 * 27 * 8 + 1024 * 72 * 8 + 8 * 1024;
         assert_eq!(g.total_macs(), expect as u64);
-    }
-
-    #[test]
-    fn prefix_chain_skips_inputs() {
-        let g = tiny_graph();
-        let chain = g.prefix_chain(2);
-        assert_eq!(chain, vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]

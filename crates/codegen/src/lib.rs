@@ -19,7 +19,6 @@ use gcd2_kernels::{
 };
 use gcd2_tensor::transform_block;
 use gcd2_vliw::{CacheStats, PackMemo, Packer, SoftDepPolicy};
-use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,7 +157,9 @@ pub struct LoweredModel {
     pub program: Program,
     /// Per-operator attribution.
     pub reports: Vec<OpReport>,
-    /// CPU time spent packing blocks.
+    /// Time the packer spent computing schedules: this lowering's share
+    /// of its memo's [`PackMemo::miss_time`] (a hit is a lookup, counted
+    /// in the lowering wall clock only).
     pub pack_cpu: Duration,
     /// Wall-clock time of the in-lowering verification pass (zero when
     /// verification is disabled).
@@ -191,37 +192,12 @@ impl LoweredModel {
     }
 }
 
-/// The packing context of one `lower` call: one configured packer
-/// (with its structural memo) serving every operator, plus an aggregate
-/// pack-time counter.
-struct PackCtx {
-    /// `None` for `PackMode::Sequential` (no scheduling to do).
-    packer: Option<Packer>,
-    pack_cpu: Cell<Duration>,
-}
-
-impl PackCtx {
-    fn new(options: &LowerOptions) -> Self {
-        let packer = options.pack.policy().map(|policy| {
-            Packer::new()
-                .with_model(options.resource.clone())
-                .with_policy(policy)
-                .with_memo(options.pack_memo.clone())
-        });
-        PackCtx {
-            packer,
-            pack_cpu: Cell::default(),
-        }
-    }
-
-    fn pack(&self, block: &Block) -> PackedBlock {
-        let t0 = Instant::now();
-        let packed = match &self.packer {
-            Some(p) => p.pack_block(block),
-            None => PackedBlock::sequential(block),
-        };
-        self.pack_cpu.set(self.pack_cpu.get() + t0.elapsed());
-        packed
+/// Packs `block` with the lowering's packer, or in program order when
+/// the pack mode is `Sequential` (`packer` is `None`).
+fn pack(packer: Option<&Packer>, block: &Block) -> PackedBlock {
+    match packer {
+        Some(p) => p.pack_block(block),
+        None => PackedBlock::sequential(block),
     }
 }
 
@@ -255,7 +231,7 @@ fn lower_node(
     plans: &PlanSet,
     assignment: &Assignment,
     options: &LowerOptions,
-    ctx: &PackCtx,
+    packer: Option<&Packer>,
     node: &Node,
 ) -> (Vec<PackedBlock>, OpReport) {
     let plan = &plans.of(node.id)[assignment.choice[node.id.0]];
@@ -271,7 +247,7 @@ fn lower_node(
         let (rows, cols) = matrix_view(&graph.node(pred).shape);
         let tb = transform_block(rows, cols, from, plan.layout, SReg::new(0), SReg::new(1));
         if !tb.is_empty() {
-            let packed = ctx.pack(&tb);
+            let packed = pack(packer, &tb);
             transform_cycles += packed.body_cycles() * packed.trip_count;
             blocks.push(packed);
         }
@@ -343,7 +319,7 @@ fn lower_node(
 
     let mut kernel_cycles = 0u64;
     for b in &kernel_blocks {
-        let packed = ctx.pack(b);
+        let packed = pack(packer, b);
         kernel_cycles += packed.body_cycles() * packed.trip_count;
         blocks.push(packed);
     }
@@ -396,8 +372,15 @@ pub fn try_lower(
             choices: assignment.choice.len(),
         });
     }
-    let ctx = PackCtx::new(options);
-    let memo_before = options.pack_memo.stats();
+    // One configured packer, with its structural memo, serves every
+    // operator.
+    let packer = options.pack.policy().map(|policy| {
+        Packer::new()
+            .with_model(options.resource.clone())
+            .with_policy(policy)
+            .with_memo(options.pack_memo.clone())
+    });
+    let memo_before = (options.pack_memo.stats(), options.pack_memo.miss_time());
     let op_nodes = graph
         .nodes()
         .iter()
@@ -405,7 +388,7 @@ pub fn try_lower(
     let mut program = Program::new();
     let mut reports = Vec::new();
     for node in op_nodes {
-        let (blocks, report) = lower_node(graph, plans, assignment, options, &ctx, node);
+        let (blocks, report) = lower_node(graph, plans, assignment, options, packer.as_ref(), node);
         for b in blocks {
             program.push(b);
         }
@@ -435,9 +418,9 @@ pub fn try_lower(
     Ok(LoweredModel {
         program,
         reports,
-        pack_cpu: ctx.pack_cpu.get(),
+        pack_cpu: options.pack_memo.miss_time().saturating_sub(memo_before.1),
         verify_cpu,
-        pack_memo: options.pack_memo.stats().since(memo_before),
+        pack_memo: options.pack_memo.stats().since(memo_before.0),
     })
 }
 

@@ -367,12 +367,6 @@ pub struct ColdStart {
     pub elapsed: Duration,
 }
 
-/// How long a cache-lock loser polls for the winner's artifact before
-/// giving up and compiling anyway (duplicate work beats a deadlock on
-/// a crashed winner).
-const LOCK_LOSER_POLLS: usize = 10;
-const LOCK_LOSER_POLL_INTERVAL: Duration = Duration::from_millis(25);
-
 /// The cache key for (graph text, compiler options, container format
 /// version, weight seed) — the exact inputs that determine artifact
 /// bytes.
@@ -416,9 +410,10 @@ fn try_load(cache: &ArtifactCache, key: &str) -> Result<Option<LoadedArtifact>, 
 /// the artifact back. The contract is **never abort on a bad
 /// artifact**: any load failure (I/O error, corruption, version skew,
 /// integrity mismatch, even a panic) is recorded as a
-/// [`ColdStartFallback`] and degrades to a fresh compile. An advisory
-/// per-key lock elects one builder among concurrent processes; losers
-/// briefly poll for the winner's artifact before compiling anyway.
+/// [`ColdStartFallback`] and degrades to a fresh compile. Concurrent
+/// callers that miss the same key each compile and store: the key fixes
+/// the bytes, and [`ArtifactCache::store`]'s atomic rename keeps every
+/// reader from seeing a partial file.
 ///
 /// # Errors
 /// Only compilation itself can fail ([`Gcd2Error`] from parse /
@@ -455,25 +450,6 @@ pub fn load_or_compile(
         }
     }
 
-    let lock = cache.try_lock(&key);
-    if lock.is_none() {
-        // Another process is building this key: poll briefly for its
-        // artifact, then compile anyway rather than wait forever.
-        for _ in 0..LOCK_LOSER_POLLS {
-            std::thread::sleep(LOCK_LOSER_POLL_INTERVAL);
-            if let Ok(Some(loaded)) = try_load(cache, &key) {
-                return Ok(ColdStart {
-                    key,
-                    plan: loaded.plan,
-                    graph: loaded.graph,
-                    source: ColdStartSource::ArtifactCache,
-                    fallbacks,
-                    elapsed: t0.elapsed(),
-                });
-            }
-        }
-    }
-
     let (compiled, _report) = compiler.try_compile_text(text)?;
     let plan = compiled.try_inference_plan(seed)?;
 
@@ -498,7 +474,6 @@ pub fn load_or_compile(
             ),
         }),
     }
-    drop(lock);
 
     Ok(ColdStart {
         key,

@@ -370,8 +370,8 @@ fn main() -> ExitCode {
             println!("    {stage:<11}: {d:>10.2?}");
         }
         println!("  within lower:");
-        println!("    pack (cpu) : {:>10.2?}", report.pack_cpu);
-        println!("    verify     : {:>10.2?}", report.verify_cpu);
+        println!("    pack (misses): {:>10.2?}", report.pack_cpu);
+        println!("    verify       : {:>10.2?}", report.verify_cpu);
         println!(
             "  cost cache   : {} hits / {} misses ({:.1} % hit rate)",
             report.cost_cache.hits,

@@ -54,12 +54,12 @@
 //! materialized weights and step
 //! schedule, computed at build time — each matrix's bytes folded in as
 //! the run digest taken while they were installed — and re-verifiable
-//! via [`InferencePlan::verify_integrity`] (or per-execution with
-//! [`ExecOptions::paranoid`]), which also reads every panel back,
-//! re-digests it and checks its padding, and re-derives the layout
-//! assignment, and compares. All of them stream
-//! the schedule through one executor, `InferencePlan::run_one`: one
-//! item, on the calling thread, a straight loop over the steps.
+//! via [`InferencePlan::verify_integrity`] — which also reads every
+//! panel back, re-digests it and checks its padding, and re-derives the
+//! layout assignment, and compares — before any execution the caller
+//! wants checked (the gateway runs it once, at admission). All of them
+//! stream the schedule through one executor, `InferencePlan::run_one`:
+//! one item, on the calling thread, a straight loop over the steps.
 
 use gcd2_artifact::{Checksum64, RunDigest};
 use gcd2_cgraph::{Activation, Graph, Node, NodeId, OpKind, TShape};
@@ -465,10 +465,6 @@ pub struct ExecOptions {
     /// [`InferError::DeadlineExceeded`]. The gateway applies it to each
     /// request on its own.
     pub deadline: Option<Duration>,
-    /// Re-verify the plan's integrity checksum before executing, so a
-    /// corrupted plan surfaces as [`InferError::IntegrityViolation`]
-    /// instead of silently wrong outputs.
-    pub paranoid: bool,
 }
 
 /// Wall-clock timing of one timed plan execution, mirroring
@@ -1712,9 +1708,6 @@ impl InferencePlan {
             });
         }
         self.adopt_arena(arena)?;
-        if opts.paranoid {
-            self.verify_integrity()?;
-        }
         for step in &self.steps {
             if let Some(deadline) = opts.deadline {
                 let elapsed = started.elapsed();
@@ -2740,7 +2733,6 @@ mod tests {
             let defaults = ExecOptions::default();
             let expired = ExecOptions {
                 deadline: Some(Duration::ZERO),
-                ..defaults
             };
             for tier in tiers() {
                 let _pin = gcd2_kernels::pin_isa(tier);
@@ -2971,12 +2963,8 @@ mod tests {
         assert_eq!(plan.checksum(), again.checksum(), "build is deterministic");
         plan.verify_integrity().expect("untampered plan verifies");
         let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
-        let paranoid = ExecOptions {
-            paranoid: true,
-            ..ExecOptions::default()
-        };
         assert_eq!(
-            run_into(&plan, &input, &paranoid).expect("paranoid ok"),
+            run_into(&plan, &input, &ExecOptions::default()).expect("verified plan runs"),
             plan.execute(&input),
         );
     }
@@ -3159,14 +3147,6 @@ mod tests {
             Err(InferError::IntegrityViolation { expected, got })
                 if expected == plan.checksum() && got != expected
         ));
-        let paranoid = ExecOptions {
-            paranoid: true,
-            ..ExecOptions::default()
-        };
-        assert!(matches!(
-            run_into(&plan, &input, &paranoid),
-            Err(InferError::IntegrityViolation { .. })
-        ));
         let corrupted = plan.execute(&input);
         assert_ne!(corrupted, pristine, "the GEMM reads the resident panel");
         // There is no other copy: a run pinned to the scalar tier reads
@@ -3185,7 +3165,6 @@ mod tests {
         // any clock; the run is abandoned structurally, not by panic.
         let opts = ExecOptions {
             deadline: Some(Duration::ZERO),
-            ..ExecOptions::default()
         };
         match run_into(&plan, &input, &opts) {
             Err(InferError::DeadlineExceeded { elapsed, deadline }) => {

@@ -572,7 +572,9 @@ pub struct CompileReport {
     /// Lowering wall-clock time (block generation + packing, plus the
     /// verifier when enabled).
     pub lower: Duration,
-    /// CPU time spent inside the SDA packer during lowering.
+    /// Time the packer spent computing schedules during lowering:
+    /// lowering's share of [`CompileReport::pack_miss`] (a memo hit is a
+    /// lookup, counted in `lower` only).
     pub pack_cpu: Duration,
     /// CPU time in the post-lowering verifier (single pass).
     pub verify_cpu: Duration,

@@ -127,19 +127,6 @@ impl KernelIsa {
             _ => false,
         }
     }
-
-    /// The tier for a stable `repr(u8)` tag (the inverse of `self as
-    /// u8`). Unknown tags return `None`.
-    pub fn from_tag(v: u8) -> Option<KernelIsa> {
-        match v {
-            0 => Some(KernelIsa::Scalar),
-            1 => Some(KernelIsa::Avx2),
-            2 => Some(KernelIsa::Neon),
-            3 => Some(KernelIsa::Avx512Vnni),
-            4 => Some(KernelIsa::AmxInt8),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for KernelIsa {

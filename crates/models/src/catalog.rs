@@ -148,10 +148,4 @@ impl ModelRef {
             gcd2_ms,
         }
     }
-
-    /// True when the paper reports neither TFLite nor SNPE support
-    /// (TinyBERT, Conformer — the models GCD2 runs "for the first time").
-    pub fn dsp_first_enabled(&self) -> bool {
-        self.tflite_ms.is_none() && self.snpe_ms.is_none()
-    }
 }

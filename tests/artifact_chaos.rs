@@ -3,8 +3,8 @@
 //!
 //! The robustness contract: **no** artifact-path disturbance — a torn
 //! write, a crash between temp-write and rename, a bit-flipped cache
-//! entry, a version-skewed file, a concurrent evict, or a path the
-//! filesystem refuses to read or write — may ever escape
+//! entry, a version-skewed file, a concurrent evict or store, or a
+//! path the filesystem refuses to read or write — may ever escape
 //! [`load_or_compile`] as a panic or produce a plan whose output
 //! differs from the undisturbed baseline. Load failures must surface as
 //! recorded [`ColdStartFallback`] events on a successfully compiled
@@ -254,8 +254,8 @@ fn a_directory_at_the_cache_path_fails_load_and_store_and_still_answers() {
 }
 
 /// Concurrent cold starts racing a hostile evictor: every call returns
-/// a sound plan; the advisory lock and the atomic rename keep readers
-/// from ever observing a half-written artifact.
+/// a sound plan; the atomic rename keeps readers from ever observing a
+/// half-written artifact.
 #[test]
 fn concurrent_load_and_evict_stay_sound() {
     let b = baseline();
@@ -289,67 +289,41 @@ fn concurrent_load_and_evict_stay_sound() {
     });
 }
 
-/// Regression: reclaiming a crashed holder's stale build lock must be
-/// atomic. The old protocol was check-then-delete — two waiters could
-/// both observe the stale file, the first reclaim and re-acquire, and
-/// the second's `remove_file` then deleted the first's *fresh* lock,
-/// electing two builders. The rename-based takeover admits exactly one
-/// winner no matter how many contenders race, and never disturbs a
-/// fresh lock.
+/// Concurrent writers of one key never share a temp file: eight threads
+/// of one process, released together, each store their own 1 MiB
+/// payload under the same key, twenty rounds over. Every store succeeds
+/// and the key then holds one writer's payload whole — never a
+/// truncated or interleaved file.
 #[test]
-fn stale_lock_takeover_elects_exactly_one_winner() {
-    let cache = temp_cache("lock-steal");
-    let stale_age = Duration::from_millis(40);
-
-    // A "crashed" holder: take the lock and leak the guard so the file
-    // stays behind, exactly like a process that died mid-build.
-    let crashed = cache.try_lock("k").expect("first take");
-    std::mem::forget(crashed);
-    assert!(
-        cache.try_lock_with_age("k", stale_age).is_none(),
-        "a young orphan still reads as held"
-    );
-    std::thread::sleep(Duration::from_millis(60));
-
-    // Many simultaneous contenders race to reclaim the stale lock. The
-    // first barrier starts them together; the second holds the winner's
-    // lock until every contender's attempt has returned, so each loser
-    // lost to a held lock — a late check-then-delete would fire here —
-    // and none can find the key released and take it fresh.
-    let start = std::sync::Arc::new(std::sync::Barrier::new(8));
-    let attempted = std::sync::Arc::new(std::sync::Barrier::new(8));
-    let winners: Vec<bool> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = cache.clone();
-                let (start, attempted) = (start.clone(), attempted.clone());
+fn concurrent_stores_of_one_key_each_land_whole() {
+    const WRITERS: usize = 8;
+    let cache = temp_cache("store-race");
+    let payloads: Vec<Vec<u8>> = (0..WRITERS)
+        .map(|w| {
+            (0..1 << 20)
+                .map(|i| ((i * 31 + w * 7) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    let start = std::sync::Barrier::new(WRITERS);
+    for round in 0..20 {
+        std::thread::scope(|s| {
+            for (w, payload) in payloads.iter().enumerate() {
+                let (cache, start) = (&cache, &start);
                 s.spawn(move || {
                     start.wait();
-                    let lock = cache.try_lock_with_age("k", stale_age);
-                    attempted.wait();
-                    let won = lock.is_some();
-                    drop(lock);
-                    won
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("contender thread"))
-            .collect()
-    });
-    let won = winners.iter().filter(|&&w| w).count();
-    assert_eq!(won, 1, "exactly one contender may reclaim: {winners:?}");
-
-    // The winner's drop released the key: a fresh take succeeds, and a
-    // fresh lock is never stolen even by an impatient contender.
-    let fresh = cache
-        .try_lock_with_age("k", stale_age)
-        .expect("released after the winner dropped");
-    assert!(
-        cache.try_lock_with_age("k", stale_age).is_none(),
-        "the reclaimed lock is fresh and must not be stolen"
-    );
-    drop(fresh);
-    assert!(cache.try_lock("k").is_some(), "drop releases as before");
+                    if let Err(e) = cache.store("k", payload) {
+                        panic!("round {round} writer {w}: store failed: {e}");
+                    }
+                });
+            }
+        });
+        let stored = cache.load("k").expect("load").expect("stored");
+        assert!(
+            payloads.contains(&stored),
+            "round {round}: the stored {} bytes are no writer's payload",
+            stored.len()
+        );
+    }
+    let _ = std::fs::remove_dir_all(cache.dir());
 }

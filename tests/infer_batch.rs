@@ -177,7 +177,6 @@ fn batch_edge_shapes_execute_cleanly() {
         .collect();
     let expired = ExecOptions {
         deadline: Some(Duration::ZERO),
-        ..defaults
     };
     for tier in tiers() {
         let _pin = pin_isa(tier);

@@ -82,25 +82,20 @@ fn batch_inputs(n: usize) -> Vec<Vec<u8>> {
 fn zero_deadline() -> ExecOptions {
     ExecOptions {
         deadline: Some(Duration::ZERO),
-        ..ExecOptions::default()
-    }
-}
-
-fn paranoid() -> ExecOptions {
-    ExecOptions {
-        paranoid: true,
-        ..ExecOptions::default()
     }
 }
 
 type Results = Vec<Result<Vec<u8>, InferError>>;
 
-/// `inputs` run in turn over one reused arena: how a batch runs.
-fn in_turn(plan: &InferencePlan, inputs: &[Vec<u8>], opts: &ExecOptions) -> Results {
+/// `inputs` run in turn over one reused arena, as a batch runs, each
+/// after the plan's integrity check — the call a caller who wants the
+/// check makes before executing.
+fn verified_in_turn(plan: &InferencePlan, inputs: &[Vec<u8>]) -> Results {
     let mut arena = plan.new_arena();
     let mut run = |x: &Vec<u8>| {
+        plan.verify_integrity()?;
         let mut out = Vec::new();
-        plan.try_execute_into(x, &mut arena, &mut out, opts)
+        plan.try_execute_into(x, &mut arena, &mut out, &ExecOptions::default())
             .map(|()| out)
     };
     inputs.iter().map(&mut run).collect()
@@ -234,19 +229,18 @@ fn weight_corruption_is_detected_by_integrity_check() {
     plan.chaos_corrupt_weights();
     let e = plan.verify_integrity().expect_err("corruption is caught");
     assert!(matches!(e, InferError::IntegrityViolation { .. }), "{e:?}");
-    // Paranoid execution refuses to produce (silently wrong) output.
-    let input = batch_inputs(1).remove(0);
-    let e = plan
-        .try_execute_into(&input, &mut plan.new_arena(), &mut Vec::new(), &paranoid())
-        .expect_err("paranoid execution refuses a corrupt plan");
+    // Verified execution refuses to produce (silently wrong) output.
+    let e = verified_in_turn(&plan, &batch_inputs(1))
+        .remove(0)
+        .expect_err("verified execution refuses a corrupt plan");
     assert!(matches!(e, InferError::IntegrityViolation { .. }), "{e:?}");
 }
 
 #[test]
-fn schedule_tampering_fails_every_paranoid_run() {
+fn schedule_tampering_fails_every_verified_run() {
     let mut plan = plan();
     plan.chaos_corrupt_schedule();
-    for r in in_turn(&plan, &batch_inputs(3), &paranoid()) {
+    for r in verified_in_turn(&plan, &batch_inputs(3)) {
         assert!(
             matches!(r, Err(InferError::IntegrityViolation { .. })),
             "{r:?}"
@@ -255,7 +249,7 @@ fn schedule_tampering_fails_every_paranoid_run() {
 }
 
 /// The executor's panic guard, under a real panic: a tampered schedule
-/// run without the paranoid check trips a kernel's output-size assertion
+/// run without the integrity check trips a kernel's output-size assertion
 /// in its last step, and every entry point answers `Internal` with that
 /// message instead of unwinding into the caller.
 #[test]
