@@ -44,6 +44,9 @@ grep -q '^#!\[warn(clippy::or_fun_call)\]' crates/cgraph/src/lib.rs
 echo "==> one narrowing idiom in the AVX-512 epilogues (the AMX block epilogue, the VNNI and one-row requantisation and the depthwise rows kernel share the pack chain of simd::x86 — no per-16-lane vpmovusdb store is left in crates/kernels/src)"
 if grep -rn 'cvtusepi32_storeu_epi8' crates/kernels/src; then exit 1; fi
 
+echo "==> the weight generator and the quad pack against their oracles (weight_synthesis_ns_per_weight and weight_install_ns_per_weight over resnet-50's GEMM matrices, ≈ 0.5 s in release: every form — the plain generator, the AVX-512 kernel, the SSE2 quad pack, whole-matrix and k-tile installs, the pack on resident panels — must write the per-element oracle's bytes and the same packed panels, so the intrinsic kernels the plan build and the artifact load run are checked here and not only when someone reads the probe)"
+cargo test -p gcd2-kernels --release -q --lib -- --ignored weight_synthesis_ns_per_weight weight_install_ns_per_weight
+
 echo "==> perfbench's own unit tests"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
@@ -66,7 +69,7 @@ awk -F'|' '$3 ~ /^ *[0-9]+ *$/ { rows++; if ($12 ~ /^ *0 *$/ && $13 ~ /^ *yes *$
            END { exit !(rows == 10 && ok == 10) }' target/ext-selection.txt
 cargo test --release -q --test end_to_end -- --ignored moved_assignments_execute_on_dsp_bit_identically
 
-echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes with the pinned integrity checksum, and so does every tier the host supports in one process — 25.5 MB of weights read back from the quad panels against the row-major bytes of the scalar tier, synthesised by the row generator's AVX-512F and plain forms on an AVX-512 host; release; a format-6 artifact is refused as a version skew)"
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes with the pinned integrity checksum, and so does every tier the host supports in one process — 25.5 MB of weights read back from the quad panels against the row-major bytes of the scalar tier, synthesised by the row generator's AVX-512 kernel and plain form on an AVX-512 host; release; a format-6 artifact is refused as a version skew)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > target/emit.txt
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
 for stage in container "graph+schedule+selection" pack integrity unaccounted; do

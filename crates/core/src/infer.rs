@@ -2442,26 +2442,33 @@ mod tests {
 
     /// The plan build's row generator writes `runtime::weight`'s bytes
     /// on every tier the host supports (`pin_isa`, the scalar pin
-    /// included). Runs of
-    /// 0..=67 and 4099 weights from each start hit every remainder of
-    /// its four lanes; the starts straddle 2³² and 2⁴⁰, the node ids and
-    /// seeds their extremes. Each run is held to a prefix of the
-    /// oracle's longest. The test bites on the two rewrites the
-    /// generator rests on (mutants of `gcd2_kernels::synth`):
+    /// included). Runs of 0..=67 and 4099 weights from each start hit
+    /// every remainder of the plain form's four lanes and the AVX-512
+    /// kernel's first 32-weight passes, and 95–97 and 127–129 straddle
+    /// its third and fourth; the starts straddle 2³² and 2⁴⁰, and
+    /// `u64::MAX − 40` wraps the index inside one pass. The node ids and
+    /// seeds take their extremes. Each run is held to a prefix of the
+    /// oracle's longest. The test bites on the rewrites the generator
+    /// rests on (mutants of `gcd2_kernels::synth`):
     /// - the fold without its `>> 16` step (`(y as u32) % 5`) fails on
     ///   the scalar tier at seed 0, node 0, start 0, length 2, element 1;
     /// - lanes started at `start + 1` fail on the scalar tier at seed 0,
-    ///   node 0, start 0, length 1, element 0.
+    ///   node 0, start 0, length 1, element 0;
+    /// - the AVX-512 kernel's divisor `13107` for `13108` fails at seed
+    ///   0, node 0, start 0, length 32, element 5;
+    /// - its lanes advanced by `4·C₂` a pass for `32·C₂` fail at seed
+    ///   0, node 0, start 0, length 64, element 33.
     #[test]
     fn row_generator_is_the_oracle_at_every_tier() {
         let check = |form: &str| {
             for seed in [0, 0xC0DE, u64::MAX] {
                 for node in [0, 1, 389, u32::MAX as usize] {
-                    for start in [0, 1, (1 << 32) - 3, (1 << 40) + 7] {
+                    for start in [0, 1, (1 << 32) - 3, (1 << 40) + 7, u64::MAX - 40] {
                         let oracle: Vec<i8> = (0..4099)
-                            .map(|j| weight(seed, NodeId(node), start as usize + j))
+                            .map(|j| weight(seed, NodeId(node), (start as usize).wrapping_add(j)))
                             .collect();
-                        for len in (0..=67).chain([4099]) {
+                        let lengths = (0..=67).chain((95..=97).chain(127..=129)).chain([4099]);
+                        for len in lengths {
                             let mut run = vec![9i8; len];
                             weight_row_into(seed, node as u64, start, &mut run);
                             if let Some(j) = (0..len).find(|&j| run[j] != oracle[j]) {

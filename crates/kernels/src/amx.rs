@@ -93,9 +93,11 @@ pub fn amx_available() -> bool {
         // The row remainder runs VNNI strips, the tail staging byte-masked
         // loads and the epilogue byte packs and half-zmm masked stores, so
         // AMX is only offered where the VNNI tier would also have been
-        // available, with AVX-512VL (every AMX part has all of them).
+        // available (AVX-512DQ included, for the weight generator's
+        // `vpmullq`), with AVX-512VL (every AMX part has all of them).
         if !std::arch::is_x86_feature_detected!("avx512f")
             || !std::arch::is_x86_feature_detected!("avx512bw")
+            || !std::arch::is_x86_feature_detected!("avx512dq")
             || !std::arch::is_x86_feature_detected!("avx512vl")
             || !std::arch::is_x86_feature_detected!("avx512vnni")
         {

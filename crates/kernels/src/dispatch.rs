@@ -113,10 +113,12 @@ impl KernelIsa {
             KernelIsa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
             // Every VNNI part has AVX-512BW, which the epilogue's packs
-            // need.
+            // need, and AVX-512DQ, whose `vpmullq` the weight generator's
+            // AVX-512 kernel multiplies with.
             KernelIsa::Avx512Vnni => {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
                     && std::arch::is_x86_feature_detected!("avx512vnni")
             }
             #[cfg(target_arch = "x86_64")]
@@ -640,7 +642,8 @@ pub fn active_isa() -> KernelIsa {
 /// Whether an AVX-512 tier is active on this thread — the test the
 /// AVX-512 forms of the depthwise kernels and of the weight generator
 /// sit behind. Either tier's [`KernelIsa::supported`] requires
-/// AVX-512F, and [`active_isa`] only resolves a supported tier.
+/// AVX-512F, BW and DQ, and [`active_isa`] only resolves a supported
+/// tier.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_tier_active() -> bool {
     matches!(active_isa(), KernelIsa::Avx512Vnni | KernelIsa::AmxInt8)
@@ -1110,6 +1113,72 @@ mod tests {
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
             let _pin = pin_isa(isa);
             check(isa.name());
+        }
+    }
+
+    /// The quad panel is the byte image its layout map names, read
+    /// without [`simd::unpack_quad_ktile`] — the round trip above cannot
+    /// see a pack and an unpack that are wrong the same way. On every
+    /// tier this host supports whose panel for the shape is quads, for
+    /// every `(k, n)` of that grid and every distinct catalog GEMM shape:
+    /// byte `4j + i` of quad row `q` of strip `s`, k-tile `t` is
+    /// `w[64t + 4q + i][16s + j]`, or 0 where that lies past `k` or `n`.
+    #[test]
+    fn the_quad_panel_is_its_layout_map() {
+        use crate::tiled::tests::catalog_shapes;
+        use gcd2_models::ModelId;
+        use std::collections::BTreeSet;
+
+        let grid = [1, 2, 3, 63, 64, 65, 257]
+            .into_iter()
+            .flat_map(|k| [1, 7, 8, 9, 15, 16, 17, 33, 1000].map(|n| (k, n)));
+        let catalog = ModelId::ALL
+            .into_iter()
+            .flat_map(|model| catalog_shapes(model).into_keys().map(|(_, k, n)| (k, n)));
+        let shapes: BTreeSet<(usize, usize)> = grid.chain(catalog).collect();
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let _pin = pin_isa(isa);
+            for &(k, n) in shapes
+                .iter()
+                .filter(|&&(_, n)| panel_kind(isa, n) == PanelKind::Quads)
+            {
+                let w = MatrixI8::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 255) as i8);
+                let panel = WeightPanel::pack(&w);
+                let (quads, kt) = (panel.operands().2, k.div_ceil(KTILE_ROWS));
+                assert_eq!(quads.len(), simd::quad_panel_rows(k, n), "{isa} {k}x{n}");
+                for (row, Line(d)) in quads.iter().enumerate() {
+                    let (s, t, q) = (
+                        row / (kt * TILE_QUADS),
+                        row / TILE_QUADS % kt,
+                        row % TILE_QUADS,
+                    );
+                    for (b, &v) in d.iter().enumerate() {
+                        let (r, c) = (KTILE_ROWS * t + 4 * q + b % 4, 16 * s + b / 4);
+                        let want = if r < k && c < n { w.get(r, c) } else { 0 };
+                        assert_eq!(
+                            v, want,
+                            "{isa} {k}x{n}: strip {s}, k-tile {t}, quad {q}, byte {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An AVX-512 tier is active only where every feature the AVX-512
+    /// forms enable is detected: AVX-512F and BW, and DQ for the weight
+    /// generator's `vpmullq` — a `#[target_feature]` call on a part
+    /// without one of them would be undefined behaviour.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn an_avx512_tier_runs_only_where_f_bw_and_dq_are() {
+        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let _pin = pin_isa(isa);
+            if avx512_tier_active() {
+                assert!(std::arch::is_x86_feature_detected!("avx512f"), "{isa}");
+                assert!(std::arch::is_x86_feature_detected!("avx512bw"), "{isa}");
+                assert!(std::arch::is_x86_feature_detected!("avx512dq"), "{isa}");
+            }
         }
     }
 

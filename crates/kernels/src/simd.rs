@@ -121,26 +121,18 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
         let (j0, cols) = (16 * s, (n - 16 * s).min(16));
         let tile = &mut dst[s * strip_stride..][..TILE_QUADS];
         for (quad, Line(d)) in rows.chunks(4 * n).zip(tile) {
+            #[cfg(target_arch = "x86_64")]
             if quad.len() == 4 * n && cols == 16 {
-                // A whole quad of a whole strip: zip four 16-byte row
-                // pieces, the shape the autovectoriser turns into byte
-                // and word unpacks (a `u32`-lane form, as the unpack
-                // has, packs slower: DESIGN.md §6g).
-                let piece = |r: usize| &quad[r * n + j0..][..16];
-                let (r0, r1, r2, r3) = (piece(0), piece(1), piece(2), piece(3));
-                for j in 0..16 {
-                    d[4 * j] = r0[j];
-                    d[4 * j + 1] = r1[j];
-                    d[4 * j + 2] = r2[j];
-                    d[4 * j + 3] = r3[j];
-                }
-            } else {
-                // The ragged last quad or strip: what is missing stays
-                // zero.
-                for (i, row) in quad.chunks_exact(n).enumerate() {
-                    for (j, &w) in row[j0..j0 + cols].iter().enumerate() {
-                        d[4 * j + i] = w;
-                    }
+                // SAFETY: SSE2 is baseline on x86-64.
+                unsafe { x86::zip_quad(std::array::from_fn(|r| &quad[r * n + j0..][..16]), d) };
+                continue;
+            }
+            // The ragged last quad or strip: what is missing stays zero.
+            // (Quad panels are the x86 tiers' form; elsewhere this loop
+            // packs every quad.)
+            for (i, row) in quad.chunks_exact(n).enumerate() {
+                for (j, &w) in row[j0..j0 + cols].iter().enumerate() {
+                    d[4 * j + i] = w;
                 }
             }
         }
@@ -514,6 +506,33 @@ pub(crate) mod x86 {
                 )
             };
             rb += mrows;
+        }
+    }
+
+    /// One whole quad row of a whole strip: byte `4j + i` of `d` is byte
+    /// `j` of `rows[i]`. `punpcklbw`/`punpckhbw` zip rows (0, 1) and
+    /// (2, 3) into byte pairs, `punpcklwd`/`punpckhwd` zip those pairs
+    /// into the four 16-byte quarters of the line — SSE2, baseline on
+    /// x86-64, so every tier with a quad panel runs it. Written out: the
+    /// autovectoriser turns the byte zip into a shuffle three times as
+    /// slow (DESIGN.md §6g).
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(crate) fn zip_quad(rows: [&[i8]; 4], d: &mut [i8; 64]) {
+        // SAFETY: four 16-byte unaligned loads, each of a 16-byte slice.
+        let [r0, r1, r2, r3] =
+            rows.map(|r| unsafe { _mm_loadu_si128(r[..16].as_ptr() as *const _) });
+        let (lo01, hi01) = (_mm_unpacklo_epi8(r0, r1), _mm_unpackhi_epi8(r0, r1));
+        let (lo23, hi23) = (_mm_unpacklo_epi8(r2, r3), _mm_unpackhi_epi8(r2, r3));
+        let quarters = [
+            _mm_unpacklo_epi16(lo01, lo23),
+            _mm_unpackhi_epi16(lo01, lo23),
+            _mm_unpacklo_epi16(hi01, hi23),
+            _mm_unpackhi_epi16(hi01, hi23),
+        ];
+        for (dst, v) in d.chunks_exact_mut(16).zip(quarters) {
+            // SAFETY: a 16-byte unaligned store into a 16-byte chunk.
+            unsafe { _mm_storeu_si128(dst.as_mut_ptr() as *mut _, v) };
         }
     }
 

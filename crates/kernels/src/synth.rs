@@ -23,11 +23,29 @@
 //!   vectorises; a `u64 % 5` does not on x86-64. Folding `y` to
 //!   `lo32(y) + (y >> 32)` instead is not enough: it can reach `2³²`.
 //!
-//! **One body, compiled twice.** `row` is `#[inline(always)]`: plain
-//! for the scalar, AVX2 and NEON tiers, and with AVX-512F enabled when
-//! an AVX-512 tier is active on this thread — the tier rule of every
-//! other kernel, so a [`crate::pin_isa`] selects the form. Both compile the same source, so they write the
-//! same bytes.
+//! **The plain body and the AVX-512 kernel.** `row` is the scalar, AVX2
+//! and NEON tiers' form, written for the autovectoriser. When an AVX-512
+//! tier is active on this thread — the tier rule of every other kernel,
+//! so a [`crate::pin_isa`] selects the form — `avx512::row` writes 32
+//! weights per pass in intrinsics, exact by the same running sum and a
+//! third identity for the modulus:
+//!
+//! - **The modulus is a byte sum.** `256 ≡ 1 (mod 5)`, so a `u64` is
+//!   congruent to the sum of its eight bytes, which is at most
+//!   `8·255 = 2040`. `vpsadbw` against zero gives that sum in each
+//!   64-bit lane, in one instruction.
+//! - **A 16-bit multiply-high divides it by 5.** `13108 = (2¹⁶ + 4)/5`,
+//!   so `s·13108/2¹⁶ = s/5 + 4s/(5·2¹⁶)`. The fraction of `s/5` is at
+//!   most `4/5`, so the floor is `⌊s/5⌋` while `4s/(5·2¹⁶) < 1/5`, that
+//!   is for every `s < 2¹⁴ = 16384` — sums of at most 2040 with room to
+//!   spare. (`13107` undershoots: `5·13107/2¹⁶ < 1`.) `r = s − 5q` is
+//!   the remainder, and one `vpmovwb` narrows 32 of them to bytes.
+//!
+//! The kernel keeps four groups of eight `u64` index terms, lane `l` of
+//! group `g` for index `start + 4l + g` of the pass, so the four groups'
+//! sums shifted into the four 16-bit words of each lane are the pass's
+//! 32 sums in index order. `vpmullq` is AVX-512DQ, which both AVX-512
+//! tiers require. The ragged tail of a run goes through `row`.
 
 /// The mix's multiplier of the node id.
 const NODE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -35,8 +53,8 @@ const NODE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 const INDEX_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// The finaliser's multiplier.
 const MIX_MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
-/// Independent running sums. Four ran faster than eight in both forms
-/// (DESIGN.md §6g).
+/// Independent running sums of the plain form. Four ran faster than
+/// eight (DESIGN.md §6g).
 const LANES: usize = 4;
 
 /// Writes `out[j] = weight(seed, node, start + j)` for every `j`: the
@@ -46,21 +64,16 @@ pub fn weight_row_into(seed: u64, node: u64, start: u64, out: &mut [i8]) {
     #[cfg(target_arch = "x86_64")]
     if crate::dispatch::avx512_tier_active() {
         // SAFETY: an AVX-512 tier is active only where its `supported()`
-        // check passed, and both of those checks require AVX-512F.
-        unsafe { row_avx512f(seed, node, start, out) };
+        // check passed, and both of those checks require AVX-512F,
+        // AVX-512BW and AVX-512DQ.
+        unsafe { avx512::row(seed, node, start, out) };
         return;
     }
     row(seed, node, start, out);
 }
 
-/// [`row`] compiled with AVX-512F: 512-bit lanes for the 64-bit mix.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn row_avx512f(seed: u64, node: u64, start: u64, out: &mut [i8]) {
-    row(seed, node, start, out);
-}
-
-/// The row loop of [`weight_row_into`]; see the module docs.
+/// The row loop of [`weight_row_into`] on the scalar, AVX2 and NEON
+/// tiers, and the AVX-512 kernel's tail; see the module docs.
 #[inline(always)]
 fn row(seed: u64, node: u64, start: u64, out: &mut [i8]) {
     let key = seed ^ node.wrapping_mul(NODE_MUL);
@@ -91,6 +104,72 @@ fn finish(mut x: u64) -> i8 {
     (z % 5) as i8 - 2
 }
 
+/// The AVX-512 tiers' form of [`weight_row_into`] (module docs).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{INDEX_MUL, MIX_MUL, NODE_MUL};
+    use std::arch::x86_64::*;
+
+    /// [`super::weight_row_into`], 32 weights per pass, the ragged tail
+    /// through [`super::row`].
+    ///
+    /// # Safety
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512DQ are available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq")]
+    pub(super) unsafe fn row(seed: u64, node: u64, start: u64, out: &mut [i8]) {
+        let key = _mm512_set1_epi64((seed ^ node.wrapping_mul(NODE_MUL)) as i64);
+        let stride = _mm512_set1_epi64(INDEX_MUL.wrapping_mul(32) as i64);
+        // Lane `l` of group `g` holds the term of index `start + 4l + g`
+        // of the pass.
+        let mut terms: [__m512i; 4] = std::array::from_fn(|g| {
+            let lanes: [u64; 8] = std::array::from_fn(|l| {
+                start
+                    .wrapping_add((4 * l + g) as u64)
+                    .wrapping_mul(INDEX_MUL)
+            });
+            // SAFETY: a 64-byte unaligned load of the eight lanes.
+            unsafe { _mm512_loadu_si512(lanes.as_ptr() as *const _) }
+        });
+        let done = (out.len() / 32 * 32) as u64;
+        let mut passes = out.chunks_exact_mut(32);
+        for pass in &mut passes {
+            let [s0, s1, s2, s3] = terms.each_mut().map(|t| {
+                let sums = byte_sums(_mm512_xor_si512(key, *t));
+                *t = _mm512_add_epi64(*t, stride);
+                sums
+            });
+            // Group `g`'s sums into word `g` of each lane: the pass's 32
+            // sums, in index order.
+            let sums = _mm512_or_si512(
+                _mm512_or_si512(s0, _mm512_slli_epi64::<16>(s1)),
+                _mm512_or_si512(_mm512_slli_epi64::<32>(s2), _mm512_slli_epi64::<48>(s3)),
+            );
+            let q = _mm512_mulhi_epu16(sums, _mm512_set1_epi16(13108));
+            let r = _mm512_sub_epi16(sums, _mm512_mullo_epi16(q, _mm512_set1_epi16(5)));
+            let w = _mm256_sub_epi8(_mm512_cvtepi16_epi8(r), _mm256_set1_epi8(2));
+            // SAFETY: `pass` is 32 bytes.
+            unsafe { _mm256_storeu_si256(pass.as_mut_ptr() as *mut __m256i, w) };
+        }
+        super::row(
+            seed,
+            node,
+            start.wrapping_add(done),
+            passes.into_remainder(),
+        );
+    }
+
+    /// [`super::finish`]'s mix of each 64-bit lane of `x`, reduced to the
+    /// sum of its eight bytes (`≤ 2040`, congruent to it mod 5).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512dq")]
+    fn byte_sums(mut x: __m512i) -> __m512i {
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<33>(x));
+        x = _mm512_mullo_epi64(x, _mm512_set1_epi64(MIX_MUL as i64));
+        x = _mm512_xor_si512(x, _mm512_srli_epi64::<29>(x));
+        _mm512_sad_epu8(x, _mm512_setzero_si512())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +186,7 @@ mod tests {
 
     /// Nanoseconds per weight of each form over resnet-50's GEMM weight
     /// matrices (one `k × n` matrix per distinct dispatched shape, rows
-    /// in order): the plain form, the AVX-512F form where the host runs
+    /// in order): the plain form, the AVX-512 kernel where the host runs
     /// it, and the shape the plan build had before — a row-start table
     /// and `MatrixI8::from_fn` over the per-element mix. Best of 5; the
     /// three must write the same bytes. DESIGN.md §6g cites the output:
@@ -159,13 +238,17 @@ mod tests {
         println!("  row, plain          : {ns:.3} ns/weight");
         assert_eq!(plain, oracle, "plain form");
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: AVX-512F was detected on this CPU just above.
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            // SAFETY: the three features were detected on this CPU just
+            // above.
             let (ns, vector) = best_of(&mut by_rows(|s, nd, st, out| unsafe {
-                row_avx512f(s, nd, st, out)
+                avx512::row(s, nd, st, out)
             }));
-            println!("  row, avx512f        : {ns:.3} ns/weight");
-            assert_eq!(vector, oracle, "avx512f form");
+            println!("  row, avx512         : {ns:.3} ns/weight");
+            assert_eq!(vector, oracle, "avx512 form");
         }
     }
 
@@ -306,10 +389,23 @@ mod tests {
         });
         println!("  load: copy a k-tile, pack it            : {ns:.3} ns/weight");
         assert!(panels == oracle, "tile-at-a-time load");
-        let mut best = Duration::MAX;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            let floor: Vec<Vec<u8>> = shapes
+        // Best of 5 of `f`, in ns per weight; what `f` returns is dropped
+        // outside the timed span.
+        fn time<T>(total: usize, mut f: impl FnMut() -> T) -> f64 {
+            let best = (0..5)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let out = black_box(f());
+                    let elapsed = t0.elapsed();
+                    drop(out);
+                    elapsed
+                })
+                .min()
+                .unwrap_or(Duration::MAX);
+            best.as_secs_f64() * 1e9 / total as f64
+        }
+        let ns = time(total, || {
+            shapes
                 .iter()
                 .zip(&starts)
                 .zip(&oracle)
@@ -318,29 +414,57 @@ mod tests {
                     bytes[..k * n].copy_from_slice(&section[at..][..k * n]);
                     bytes
                 })
-                .collect();
-            best = best.min(t0.elapsed());
-            black_box(floor);
-        }
-        let ns = best.as_secs_f64() * 1e9 / total as f64;
+                .collect::<Vec<_>>()
+        });
         println!("  load floor: zeroed panel + memcpy       : {ns:.3} ns/weight");
+        // The shuffle alone, on a quad tier: every k-tile of the section
+        // packed into quad panels already written once, beside one
+        // `memcpy` of the section into buffers as resident. Once the pack
+        // nears `memcpy`, the floor above is first touch and the zero
+        // fill, not the shuffle.
+        #[cfg(target_arch = "x86_64")]
+        if crate::dispatch::avx512_tier_active() {
+            use crate::simd::{pack_quad_ktile, quad_panel_rows, Line, TILE_QUADS};
+            let weights: Vec<i8> = section.iter().map(|&b| b as i8).collect();
+            let mut quads: Vec<Vec<Line<i8>>> = shapes
+                .iter()
+                .map(|&(k, n)| vec![Line([0; 64]); quad_panel_rows(k, n)])
+                .collect();
+            let ns = time(total, || {
+                for ((&(k, n), &at), panel) in shapes.iter().zip(&starts).zip(&mut quads) {
+                    let strip = k.div_ceil(KTILE_ROWS) * TILE_QUADS;
+                    for (t, kr0) in (0..k).step_by(KTILE_ROWS).enumerate() {
+                        let tile = &weights[at + kr0 * n..][..KTILE_ROWS.min(k - kr0) * n];
+                        pack_quad_ktile(tile, n, &mut panel[t * TILE_QUADS..], strip);
+                    }
+                }
+            });
+            println!("  resident: pack every k-tile             : {ns:.3} ns/weight");
+            for (panel, resident) in oracle.iter().zip(&quads) {
+                assert!(panel.operands().2 == &resident[..], "resident pack");
+            }
+            let mut copies: Vec<Vec<u8>> =
+                shapes.iter().map(|&(k, n)| written_zeros(k * n)).collect();
+            let ns = time(total, || {
+                for (copy, &at) in copies.iter_mut().zip(&starts) {
+                    let len = copy.len();
+                    copy.copy_from_slice(&section[at..][..len]);
+                }
+            });
+            println!("  resident: memcpy                        : {ns:.3} ns/weight");
+        }
         // Reading the weights back, as the integrity check, the artifact
-        // and the analyzer do: every k-tile of every panel, against a
-        // pass over the row-major bytes.
-        let mut best = Duration::MAX;
+        // and the analyzer do: every k-tile of every panel.
         let mut tile = Vec::new();
-        for _ in 0..5 {
-            let t0 = Instant::now();
+        let ns = time(total, || {
             let mut sum = 0u64;
             for panel in &oracle {
                 panel.for_each_ktile(&mut tile, |rows| {
                     sum = sum.wrapping_add(black_box(rows).len() as u64);
                 });
             }
-            black_box(sum);
-            best = best.min(t0.elapsed());
-        }
-        let ns = best.as_secs_f64() * 1e9 / total as f64;
+            sum
+        });
         println!("  read back a k-tile at a time            : {ns:.3} ns/weight");
     }
 }

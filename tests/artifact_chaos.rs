@@ -11,10 +11,13 @@
 //! result. Every scenario uses real files, so the suite runs in the
 //! default build.
 
+mod common;
+
+use common::TempCache;
 use gcd2_repro::artifact::ArtifactError;
 use gcd2_repro::cgraph::{to_text, Activation, Graph, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{cache_key, load_or_compile, ColdStartSource};
-use gcd2_repro::compiler::{ArtifactCache, Compiler};
+use gcd2_repro::compiler::Compiler;
 use std::time::Duration;
 
 const SEED: u64 = 0xC0DE;
@@ -57,10 +60,8 @@ fn chaos_net() -> Graph {
     g
 }
 
-fn temp_cache(tag: &str) -> ArtifactCache {
-    let dir = std::env::temp_dir().join(format!("gcd2-artchaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    ArtifactCache::open(dir).expect("temp cache dir")
+fn temp_cache(tag: &str) -> TempCache {
+    TempCache::new("artchaos", tag)
 }
 
 fn sample_input(len: usize) -> Vec<u8> {
@@ -325,5 +326,4 @@ fn concurrent_stores_of_one_key_each_land_whole() {
             stored.len()
         );
     }
-    let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -8,12 +8,15 @@
 //! `GCD2_REGEN_HOSTILE=1 cargo test --test artifact_hostile` — the
 //! corpus derives deterministically from `tests/data/golden.gcd2art`.
 
+mod common;
+
+use common::TempCache;
 use gcd2_repro::analyze::{LintCode, Verdict};
 use gcd2_repro::artifact::{Artifact, ArtifactError, ArtifactWriter};
 use gcd2_repro::cgraph::{to_text, Graph, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource, SEC_GRAPH};
 use gcd2_repro::compiler::infer::PlanMutation;
-use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error};
+use gcd2_repro::compiler::{Compiler, Gcd2Error};
 use gcd2_repro::kernels::{pin_isa, KernelIsa};
 
 const GOLDEN_PATH: &str = "tests/data/golden.gcd2art";
@@ -279,10 +282,8 @@ fn rows_conv_graph() -> Graph {
     g
 }
 
-fn temp_cache(tag: &str) -> ArtifactCache {
-    let dir = std::env::temp_dir().join(format!("gcd2-hostile-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    ArtifactCache::open(dir).expect("temp cache dir")
+fn temp_cache(tag: &str) -> TempCache {
+    TempCache::new("hostile", tag)
 }
 
 /// Forged schedules: artifacts whose every checksum is self-consistent

@@ -4,9 +4,12 @@
 //! degrades, never aborts; and a pinned golden artifact pins the wire
 //! format against silent drift.
 
+mod common;
+
+use common::TempCache;
 use gcd2_repro::cgraph::{to_text, Activation, Graph, NodeId, OpKind, TShape};
 use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
-use gcd2_repro::compiler::{ArtifactCache, Compiler, Gcd2Error, InferencePlan, Verdict};
+use gcd2_repro::compiler::{Compiler, Gcd2Error, InferencePlan, Verdict};
 use gcd2_repro::kernels::{pin_isa, KernelIsa};
 use gcd2_repro::models::ModelId;
 use gcd2_repro::verify::InferPlanView;
@@ -23,10 +26,8 @@ fn sample_input(len: usize) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + 3) % 16) as u8).collect()
 }
 
-fn temp_cache(tag: &str) -> ArtifactCache {
-    let dir = std::env::temp_dir().join(format!("gcd2-roundtrip-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    ArtifactCache::open(dir).expect("temp cache dir")
+fn temp_cache(tag: &str) -> TempCache {
+    TempCache::new("roundtrip", tag)
 }
 
 /// What the loader rests on: the schedule it derives from the stored
