@@ -26,6 +26,9 @@ if grep -rEn 'GCD2_(FORCE_SCALAR|AMX)' crates src tests examples ci.sh; then exi
 if grep -rn 'env::var' crates/*/src; then exit 1; fi
 if grep -rn 'detected_isa(' crates/kernels/src --exclude=dispatch.rs; then exit 1; fi
 
+echo "==> a GEMM multiplies the panel its plan packed (no matmul_blocked_into, PanelSource, panel_resident or WeightPanel refill in crates/, src/, tests/ or examples/: try_matmul_panel_into is the one GEMM core, and a panel whose form the resolved tier does not read is refused, never read back and repacked for the call)"
+if grep -rEn 'matmul_blocked_into|PanelSource|panel_resident|fn refill' crates src tests examples; then exit 1; fi
+
 echo "==> cold start has one concurrency rule, the artifact cache's atomic rename (no try_lock, CacheLock, LOCK_LOSER or LOCK_SUFFIX in crates/, src/, tests/ or examples/: a key fixes its bytes, so concurrent builders need no lock, and each store's temp name is unique per writer; and no paranoid execution option: a caller who wants the integrity check calls verify_integrity, as the gateway does at admission)"
 if grep -rEn 'try_lock|CacheLock|LOCK_LOSER|LOCK_SUFFIX|paranoid' crates src tests examples; then exit 1; fi
 

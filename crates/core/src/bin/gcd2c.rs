@@ -584,7 +584,7 @@ fn main() -> ExitCode {
                         .find(|t| t.node == gk.node)
                         .map_or(std::time::Duration::ZERO, |t| t.duration);
                     println!(
-                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<8} {:<15} {:<14} {:<10} {:<8} {:>9.1?} {:>6.0} GMAC/s {:<13} a={:<6}{}",
+                        "    {:<24} {:>5}x{:<5}x{:<5} {:<9} mb={:<4} kb={:<5} {:<8} {:<15} {:<14} {:<10} {:>9.1?} {:>6.0} GMAC/s {:<13} a={:<6}{}",
                         truncate(&gk.name, 24),
                         gk.m,
                         gk.k,
@@ -596,11 +596,6 @@ fn main() -> ExitCode {
                         format!("panel={:.1}KiB", (gk.k * gk.n) as f64 / 1024.0),
                         format!("block={:.1}KiB", (gk.mb * gk.k) as f64 / 1024.0),
                         gk.isa.name(),
-                        if gk.panel_resident {
-                            "resident"
-                        } else {
-                            "per-call"
-                        },
                         took,
                         (gk.m * gk.k * gk.n) as f64 / took.as_secs_f64().max(1e-9) / 1e9,
                         format!("stage={:.1}µs", gk.stage.as_secs_f64() * 1e6),
@@ -647,8 +642,9 @@ fn main() -> ExitCode {
                     );
                 }
             }
-            // The steps whose kernel has a form per layout and no GEMM
-            // behind it: which form ran, and how fast.
+            // The steps that never reach the GEMM dispatcher — depthwise
+            // convs, convs too narrow for it and pools: which layout
+            // form ran, and how fast.
             if !report.direct_kernels.is_empty() {
                 println!("  direct kernels: {}", report.direct_kernels.len());
                 for dk in &report.direct_kernels {

@@ -67,7 +67,7 @@ use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
     im2col_rm_into, im2col_rows_into, im2col_rows_view, transpose_clamp_into,
     try_matmul_panel_into, weight_row_into, ByteMap, GemmA, GemmScratch, Im2colScratch, KernelIsa,
-    LineBuf, PanelSource, TilePlan, WeightPanel, KTILE_ROWS,
+    LineBuf, TilePlan, WeightPanel, KTILE_ROWS,
 };
 use gcd2_verify::{ActLayout, NO_SLOT};
 use std::ops::Range;
@@ -489,22 +489,27 @@ pub struct InferReport {
     /// each shape on it.
     pub kernel_isa: &'static str,
     /// Kernel choice and (auto)tuned tile sizes for every matmul-backed
-    /// GEMM step, in schedule order. Depthwise steps never reach the
-    /// GEMM dispatcher and do not appear.
+    /// GEMM step, in schedule order. Depthwise steps and convs too
+    /// narrow for the dispatcher never reach it and are in
+    /// [`InferReport::direct_kernels`] instead.
     pub gemm_kernels: Vec<GemmKernelInfo>,
-    /// The steps that run a direct kernel with a form per layout —
-    /// depthwise convs and pools — in schedule order.
+    /// The steps that run a direct kernel — depthwise convs, convs too
+    /// narrow for the GEMM dispatcher, and pools — in schedule order.
+    /// Every GEMM step is in exactly one of this and
+    /// [`InferReport::gemm_kernels`].
     pub direct_kernels: Vec<DirectKernelInfo>,
 }
 
-/// How one depthwise or pooling step was executed in a timed run; its
-/// name, operator and wall clock are its entry in
+/// How one depthwise, direct conv or pooling step was executed in a
+/// timed run; its name, operator and wall clock are its entry in
 /// [`InferReport::per_op`].
 #[derive(Debug, Clone)]
 pub struct DirectKernelInfo {
     /// The graph node this step executes.
     pub node: NodeId,
-    /// Multiply-accumulates of a depthwise step; 0 for a pool.
+    /// Multiply-accumulates: `m·k` of a depthwise step, `m·k·n` of a
+    /// conv too narrow for the GEMM dispatcher that runs as a direct
+    /// kernel; 0 for a pool.
     pub macs: u64,
     /// The layouts the plan chose for the step's operand and result,
     /// which pick the kernel's form: `(Rows, Rows)` is the pixel-major
@@ -546,12 +551,6 @@ pub struct GemmKernelInfo {
     /// [`TilePlan::DEFAULT`] for this shape on this tier (the name is
     /// the benchmark's `kernels.tuned_gemms`; nothing is timed).
     pub tuned: bool,
-    /// True when the GEMM read the step's resident weight panel; false
-    /// when the tier it resolved wanted another layout (a
-    /// [`gcd2_kernels::pin_isa`] taken after the plan was built) and it
-    /// fell back to the raw weights or a per-call pack
-    /// ([`gcd2_kernels::PanelSource`]).
-    pub panel_resident: bool,
     /// The layouts the plan chose for this step's operand and result:
     /// `(Rows, Rows)` stages nothing (a pointwise conv) or by plain
     /// copies, and multiplies straight into the output slot.
@@ -1750,7 +1749,6 @@ impl InferencePlan {
                 transpose_clamp_into(slots[slot].bytes(), rows, cols, u8::MAX, dst, rows);
             }
             let mut prep = t0.map(|t| t.elapsed()).unwrap_or_default();
-            let mut panel = PanelSource::Resident;
             let (mut operand, mut grid_rows) = (OperandForm::Matrix, 0);
             match &step.kind {
                 // Aliased in place: the value already sits in its slot.
@@ -1765,7 +1763,6 @@ impl InferencePlan {
                     };
                     let done = run.dispatch(arena)?;
                     prep += done.staging;
-                    panel = done.panel;
                     (operand, grid_rows) = (done.operand, done.grid_rows);
                 }
                 _ => {
@@ -1805,7 +1802,6 @@ impl InferencePlan {
                             kb: tiles.kb,
                             tile_depth,
                             tuned: tiles != TilePlan::DEFAULT,
-                            panel_resident: panel == PanelSource::Resident,
                             layouts: (step.in_layout, step.out_layout),
                             stage: prep,
                             operand,
@@ -1817,6 +1813,9 @@ impl InferencePlan {
                 let direct_macs = match &step.kind {
                     StepKind::Gemm(g) if matches!(g.prep, GemmPrep::Depthwise(_)) => {
                         Some(g.m as u64 * g.k as u64)
+                    }
+                    StepKind::Gemm(g) if g.runs_direct_conv() => {
+                        Some(g.m as u64 * g.k as u64 * g.n as u64)
                     }
                     StepKind::Pool { .. } => Some(0),
                     _ => None,
@@ -2121,8 +2120,6 @@ pub(crate) fn guard_panics<T>(f: impl FnOnce() -> Result<T, InferError>) -> Resu
 struct Dispatched {
     /// Staging wall clock, when timed.
     staging: Duration,
-    /// Where the dispatch read its weights from.
-    panel: PanelSource,
     /// What form its activations took.
     operand: OperandForm,
     /// The rows its blocking was derived for: `m`, or a view's virtual
@@ -2269,9 +2266,8 @@ impl GemmRun<'_> {
             None => dst[(m * n).min(step.out_len)..].fill(0),
         }
         slots[step.out_slot] = out;
-        dispatched.map(|panel| Dispatched {
+        dispatched.map(|()| Dispatched {
             staging: prep,
-            panel,
             operand,
             grid_rows,
         })
@@ -3154,12 +3150,11 @@ mod tests {
             Err(InferError::IntegrityViolation { expected, got })
                 if expected == plan.checksum() && got != expected
         ));
-        let corrupted = plan.execute(&input);
-        assert_ne!(corrupted, pristine, "the GEMM reads the resident panel");
-        // There is no other copy: a run pinned to the scalar tier reads
-        // the same panel back, and multiplies the same flipped weight.
-        let _pin = gcd2_kernels::pin_isa(KernelIsa::Scalar);
-        assert_eq!(plan.execute(&input), corrupted);
+        assert_ne!(
+            plan.execute(&input),
+            pristine,
+            "the GEMM reads the resident panel"
+        );
     }
 
     #[test]
@@ -3197,6 +3192,71 @@ mod tests {
             run_over(&plan, &mut arena, &input, &ExecOptions::default()),
             Ok(plan.execute(&input)),
             "the arena outlives an abandoned run"
+        );
+    }
+
+    /// Every GEMM step of a timed run is reported once: a wide conv in
+    /// `gemm_kernels`; a conv too narrow for the dispatcher, a depthwise
+    /// conv and a pool in `direct_kernels`, with their multiply-
+    /// accumulates (`m·k·n`, `m·k`, none).
+    #[test]
+    fn every_gemm_step_is_reported_once_with_its_macs() {
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 4, 12, 12));
+        let conv = |out_channels| OpKind::Conv2d {
+            out_channels,
+            kernel: (3, 3),
+            stride: (1, 1),
+            padding: (1, 1),
+        };
+        let wide = g.add(conv(32), &[x], "wide");
+        let narrow = g.add(conv(6), &[wide], "narrow");
+        let dw = g.add(
+            OpKind::DepthwiseConv2d {
+                kernel: (3, 3),
+                stride: (1, 1),
+                padding: (1, 1),
+            },
+            &[narrow],
+            "dw",
+        );
+        g.add(
+            OpKind::MaxPool {
+                kernel: (2, 2),
+                stride: (2, 2),
+            },
+            &[dw],
+            "pool",
+        );
+        let plan = Compiler::new().compile(&g).inference_plan(3);
+        let input: Vec<u8> = (0..4 * 144).map(|i| (i % 16) as u8).collect();
+        let (_, report) = plan
+            .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+            .expect("timed run");
+        let name = |node: NodeId| {
+            plan.steps
+                .iter()
+                .find(|s| s.node == node)
+                .map(|s| &s.name[..])
+        };
+        let gemms: Vec<_> = report
+            .gemm_kernels
+            .iter()
+            .map(|k| (k.name.as_str(), k.m * k.k * k.n))
+            .collect();
+        assert_eq!(gemms, [("wide", 144 * 36 * 32)]);
+        let direct: Vec<_> = report
+            .direct_kernels
+            .iter()
+            .map(|k| (name(k.node), k.macs))
+            .collect();
+        assert_eq!(
+            direct,
+            [
+                (Some("narrow"), 144 * 288 * 6),
+                (Some("dw"), 6 * 144 * 9),
+                (Some("pool"), 0)
+            ]
         );
     }
 
@@ -3283,37 +3343,59 @@ mod tests {
             assert_eq!(shapes, [(144, 32), (1, 12), (1, 5), (1, 8)], "{tier}");
             for g in &report.gemm_kernels {
                 assert_eq!(g.isa, multiplier(tier, g.m, g.n), "{tier} {}", g.name);
-                assert!(g.panel_resident, "{tier} {}", g.name);
             }
         }
     }
 
-    /// A plan filled on the detected tier and run on every other tier
-    /// the host supports (`pin_isa`, the scalar pin included) answers the
-    /// interpreter's bytes; a GEMM reads its resident panel exactly when
-    /// the run's tier reads the form it was filled in, and otherwise
-    /// reads it back and repacks it for the call.
+    /// A plan filled on the detected tier and run under every tier the
+    /// host supports (`pin_isa`, the scalar pin included) answers the
+    /// interpreter's bytes when every GEMM's panel holds the form the
+    /// run's tier reads (the VNNI and AMX tiers both read quads), and
+    /// otherwise is refused at its first GEMM whose panel does not, with
+    /// the forms named: a panel is never read back or repacked for a
+    /// call.
     #[test]
-    fn a_plan_runs_on_every_tier_from_its_one_copy() {
+    fn a_plan_runs_only_on_the_forms_its_panels_hold() {
         let detected = gcd2_kernels::active_isa();
         let compiled = Compiler::new().compile(&staging_net());
         let plan = compiled.inference_plan(5);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i * 7 % 16) as u8).collect();
         let want = execute_reference(&compiled, &input, 5);
-        let run = |label: &str, tier: KernelIsa| {
-            let (out, report) = plan
-                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
-                .expect("timed run");
-            assert_eq!(out, want, "{label}");
-            assert_eq!(report.gemm_kernels.len(), 8, "{label}");
-            for g in &report.gemm_kernels {
-                let resident = form(tier, g.n) == form(detected, g.n);
-                assert_eq!(g.panel_resident, resident, "{label} {} n={}", g.name, g.n);
-            }
-        };
+        let gemms: Vec<(usize, usize)> = plan
+            .steps
+            .iter()
+            .filter_map(|step| match &step.kind {
+                StepKind::Gemm(g) if g.runs_matmul() => Some((step.node.0, g.n)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gemms.len(), 8);
         for tier in tiers() {
             let _pin = gcd2_kernels::pin_isa(tier);
-            run(tier.name(), tier);
+            let mut arena = plan.new_arena();
+            let run = plan.try_execute_timed(&input, &mut arena, &ExecOptions::default());
+            let refused = gemms
+                .iter()
+                .find(|g| form(tier, g.1) != form(detected, g.1));
+            match refused {
+                None => {
+                    let (out, report) = run.expect("every panel in the tier's form");
+                    assert_eq!(out, want, "{tier}");
+                    assert_eq!(report.gemm_kernels.len(), gemms.len(), "{tier}");
+                }
+                Some(&(node, n)) => assert_eq!(
+                    run.map(|(out, _)| out),
+                    Err(InferError::Dispatch {
+                        node,
+                        message: format!(
+                            "weight panel holds {}, the {tier} kernel reads {}",
+                            form(detected, n),
+                            form(tier, n)
+                        ),
+                    }),
+                    "{tier}"
+                ),
+            }
         }
     }
 
@@ -3371,9 +3453,10 @@ mod tests {
     /// The three models the cold start loads keep one copy of their
     /// weights: every GEMM step holds exactly one form, on the detected
     /// tier — where every matmul-backed step's form is the one its GEMM
-    /// reads, so a run reads every panel where it lies, and the packed
-    /// panels' padding keeps the total within 10 % of the weights — and
-    /// under a scalar pin, where every form is the row-major bytes.
+    /// reads, so a run, which refuses any other, completes, and the
+    /// packed panels' padding keeps the total within 10 % of the
+    /// weights — and under a scalar pin, where every form is the
+    /// row-major bytes.
     #[test]
     fn the_cold_start_models_keep_one_copy_of_their_weights() {
         use gcd2_models::ModelId;
@@ -3400,10 +3483,6 @@ mod tests {
                 .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
                 .expect("timed run");
             assert!(!report.gemm_kernels.is_empty());
-            assert!(
-                report.gemm_kernels.iter().all(|g| g.panel_resident),
-                "{model}"
-            );
             let _pin = gcd2_kernels::pin_isa(KernelIsa::Scalar);
             let pinned = compiled.inference_plan(7);
             assert!(one_form(&pinned), "{model} pinned");

@@ -131,8 +131,10 @@ fn execute(compiled: &CompiledModel, input: &[u8], seed: u64, mode: ExecMode) ->
                     }
                     // Host side (also the vtmpy depthwise plan, whose
                     // functional kernel is host-verified through the
-                    // `gcd2-hvx` tests): the cache-blocked kernel, itself
-                    // bit-exact against `gcd2_kernels::matmul_ref`.
+                    // `gcd2-hvx` tests): the weights packed for the
+                    // active tier into a reused panel, then the GEMM
+                    // core, bit-exact against `gcd2_kernels::matmul_ref`
+                    // on every tier.
                     _ => gcd2_kernels::matmul_host(&a, &wgt, shift),
                 };
                 gemm_output_to_tensor(node, &out_mat)

@@ -2088,17 +2088,17 @@ mod tests {
                 );
             }
             let wmat = MatrixI8::from_fn(k, 1, |kk, _| weights[kk]);
-            let mut gemm_out = Vec::new();
-            crate::tiled::matmul_blocked_into(
-                &a,
+            let mut expect = vec![0; m];
+            crate::try_matmul_panel_into(
+                crate::GemmA::Matrix(&a),
                 m,
                 k,
-                &wmat,
-                3,
-                &mut crate::tiled::GemmScratch::default(),
-                &mut gemm_out,
-            );
-            let expect: Vec<u8> = gemm_out.iter().map(|&v| v.min(15)).collect();
+                &crate::WeightPanel::pack(&wmat),
+                (3, 15, crate::ByteMap::IDENTITY),
+                &mut crate::GemmScratch::default(),
+                &mut expect,
+            )
+            .expect("valid operands");
             let mut got = vec![0xAA; m];
             dwconv_direct_into(
                 &input, c, h, w_dim, kernel, stride, padding, &weights, 3, 15, &mut got,

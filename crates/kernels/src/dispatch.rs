@@ -28,16 +28,16 @@
 //! columns. A caller that runs the same weights again and again — an
 //! inference plan — fills that form once, a k-tile at a time, keeps no
 //! other, and passes it to [`try_matmul_panel_into`] on every dispatch;
-//! no tier pays an `O(k·n)` pack per dispatch. The matrix-taking entry
-//! points ([`try_matmul_threaded_into`],
-//! [`crate::try_matmul_blocked_into`]) are *pack, then the same core*:
-//! one `dispatch` function picks the form, derives the blocking of the
-//! tier it resolved ([`crate::tiled::tile_plan`]) and runs the band
-//! kernel under all of them.
-//! There is one fallback: a dispatch whose tier reads another form than
-//! the resident panel holds (a [`pin_isa`] taken after the fill) reads
-//! the panel back a k-tile at a time and repacks it for that one call
-//! ([`PanelSource::PerCall`]) — identical bytes either way.
+//! no tier pays an `O(k·n)` pack per dispatch. That is the one GEMM
+//! core: it derives the blocking of the tier it resolved
+//! ([`crate::tiled::tile_plan`]) and runs its band kernel. The form is
+//! fixed with the panel, as the compiler fixes an operator's layout with
+//! its instruction: a panel whose form the resolved tier does not read
+//! (a [`pin_isa`] taken after the fill) is refused
+//! ([`GemmDispatchError::PanelForm`]), never read back or repacked. The
+//! matrix-taking entry points ([`try_matmul_threaded_into`],
+//! [`crate::matmul_host`]) fill a reused panel for the active tier, then
+//! call the same core.
 //!
 //! **One GEMM, one thread.** Every dispatch runs its band kernel over
 //! all `m` rows on the calling thread; callers parallelise between
@@ -218,6 +218,17 @@ pub(crate) enum PanelKind {
     Quads,
 }
 
+impl PanelKind {
+    /// Stable lowercase name, as a refused dispatch reports it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            PanelKind::Rows => "rows",
+            PanelKind::Pairs => "pairs",
+            PanelKind::Quads => "quads",
+        }
+    }
+}
+
 /// Weight rows per k-tile: the unit a [`WeightPanel`] is filled and read
 /// back in — one quad tile deep, 32 row pairs.
 pub const KTILE_ROWS: usize = 64;
@@ -234,7 +245,7 @@ pub const KTILE_ROWS: usize = 64;
 /// stands in for the row-major matrix everywhere — a plan keeps no
 /// other copy. A plan fills one per GEMM, once, and hands it to
 /// [`try_matmul_panel_into`] on every dispatch; the matrix-taking entry
-/// points fill one per call into their scratch.
+/// points refill a reused one per call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightPanel {
     kind: PanelKind,
@@ -307,13 +318,6 @@ impl WeightPanel {
         for r0 in (0..k).step_by(KTILE_ROWS) {
             self.push_ktile(&wd[r0 * n..][..KTILE_ROWS.min(k - r0) * n]);
         }
-    }
-
-    /// Refills the panel as the `kind` form of the matrix `src` holds,
-    /// read back a k-tile at a time through `tile`.
-    fn refill(&mut self, kind: PanelKind, src: &WeightPanel, tile: &mut Vec<i8>) {
-        self.reset(kind, src.k, src.n);
-        src.for_each_ktile(tile, |rows| self.push_ktile(rows));
     }
 
     /// Installs the next k-tile: the row-major bytes of the next
@@ -461,19 +465,6 @@ impl WeightPanel {
         }
         .is_some()
     }
-}
-
-/// Where a dispatch read its weights from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanelSource {
-    /// The caller's resident [`WeightPanel`]: nothing was packed.
-    Resident,
-    /// The resolved tier wants another form than the resident panel's
-    /// (a [`pin_isa`] taken after the panel was filled) or no panel was
-    /// given: the dispatch read the caller's row-major matrix, or
-    /// repacked the weights for this call — from a panel, read back a
-    /// k-tile at a time.
-    PerCall,
 }
 
 /// A band kernel: computes output rows `[r0, r1)` into `out_band`
@@ -653,12 +644,13 @@ pub(crate) fn active_table() -> &'static KernelTable {
     table_for(PINNED.with(Cell::get).unwrap_or_else(detected_isa))
 }
 
-/// A checkout/restore pool of [`GemmScratch`] buffers, so repeated
-/// [`try_matmul_threaded_into`] calls allocate nothing. A poisoned pool
-/// lock degrades to fresh scratch — never a panic.
+/// A checkout/restore pool of the panel and [`GemmScratch`] buffers
+/// [`try_matmul_threaded_into`] fills and works in, so repeated calls
+/// allocate nothing. A poisoned pool lock degrades to fresh buffers —
+/// never a panic.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    inner: Mutex<Vec<GemmScratch>>,
+    inner: Mutex<Vec<(WeightPanel, GemmScratch)>>,
 }
 
 impl ScratchPool {
@@ -668,14 +660,14 @@ impl ScratchPool {
         Self::default()
     }
 
-    fn checkout(&self) -> GemmScratch {
+    fn checkout(&self) -> (WeightPanel, GemmScratch) {
         match self.inner.lock() {
             Ok(mut pool) => pool.pop().unwrap_or_default(),
-            Err(_) => GemmScratch::default(),
+            Err(_) => Default::default(),
         }
     }
 
-    fn restore(&self, scratch: GemmScratch) {
+    fn restore(&self, scratch: (WeightPanel, GemmScratch)) {
         if let Ok(mut pool) = self.inner.lock() {
             pool.push(scratch);
         }
@@ -722,67 +714,35 @@ impl GemmA<'_> {
     }
 }
 
-/// A GEMM's weights as a dispatch receives them.
-#[derive(Clone, Copy)]
-enum Weights<'w> {
-    /// The row-major `k × n` bytes a matrix-taking entry point was given.
-    Matrix(&'w MatrixI8),
-    /// A plan's resident panel.
-    Panel(&'w WeightPanel),
-}
-
-/// The dispatch core under every GEMM entry point: picks the form of
-/// the weights the tier it resolved reads for `n` columns
-/// ([`panel_kind`]) — the caller's resident panel when it holds that
-/// form, else the caller's matrix or one repacked into `scratch` for
-/// this call (from a panel, a k-tile at a time: the one fallback) —
-/// derives that tier's blocking ([`tile_plan`] — a [`pin_isa`] gets the
-/// blocking of the tier it lands on)
-/// and runs the band kernel over all `m` rows on the calling thread: a
-/// view the tier reads in place on the AMX view band, any other view
-/// materialised into `scratch` first.
+/// The dispatch core under [`try_matmul_panel_into`]: on the `active`
+/// tier, whose kernel reads the form `panel` holds, derives that tier's
+/// blocking ([`tile_plan`] — a [`pin_isa`] gets the blocking of the
+/// tier it lands on) and runs the band kernel over all `m` rows on the
+/// calling thread: a view the tier reads in place on the AMX view band,
+/// any other view materialised into `scratch` first.
 /// Operands are pre-validated by the caller, `out` included: exactly
 /// `m × n` bytes, every one of which the kernel overwrites.
+#[allow(clippy::too_many_arguments)] // the GEMM operand contract
 fn dispatch(
+    active: &KernelTable,
     a: GemmA<'_>,
     m: usize,
     k: usize,
-    weights: Weights<'_>,
+    panel: &WeightPanel,
     (shift, clamp, map): (u8, u8, ByteMap),
     scratch: &mut GemmScratch,
     out: &mut [u8],
-) -> PanelSource {
-    let n = match weights {
-        Weights::Matrix(w) => w.cols(),
-        Weights::Panel(panel) => panel.n,
-    };
+) {
+    let n = panel.n;
     assert_eq!(out.len(), m * n, "output size mismatch");
     if m == 0 || n == 0 {
-        // Nothing to multiply, so nothing was packed either.
-        return PanelSource::Resident;
+        return;
     }
-    let active = active_table();
-    let kind = panel_kind(active.isa, n);
     let GemmScratch {
         band,
-        panel: own,
-        tile,
         a: materialised,
     } = scratch;
-    let ((wd, pairs, quads), source) = match weights {
-        Weights::Panel(panel) if panel.kind == kind => (panel.operands(), PanelSource::Resident),
-        Weights::Matrix(w) if kind == PanelKind::Rows => {
-            ((w.as_slice(), &[][..], &[][..]), PanelSource::PerCall)
-        }
-        Weights::Matrix(w) => {
-            own.fill(kind, w.as_slice(), k, n);
-            (own.operands(), PanelSource::PerCall)
-        }
-        Weights::Panel(panel) => {
-            own.refill(kind, panel, tile);
-            (own.operands(), PanelSource::PerCall)
-        }
-    };
+    let (wd, pairs, quads) = panel.operands();
     let args = |a, rows| BandArgs {
         a,
         k,
@@ -806,7 +766,7 @@ fn dispatch(
             unsafe {
                 crate::amx::band_amx_view(&view, &args(&[], view.tile_rows()), quads, band, out)
             };
-            return source;
+            return;
         }
         GemmA::View(view) => {
             let bytes = materialised.bytes_mut(m * k);
@@ -816,47 +776,20 @@ fn dispatch(
     };
     // SAFETY: table resolution verified ISA support; the caller's
     // validation established a.len() == m*k and k rows of n weights,
-    // out is m*n bytes, and the operands are the `panel_kind` form of
+    // out is m*n bytes, and the panel holds the `panel_kind` form of
     // those weights for the active tier — the form its band kernel
     // reads.
     unsafe { (active.band)(&args(a, m), pairs, quads, band, 0, m, out) };
-    source
 }
 
-/// Blocked GEMM through the dispatch table; backend of
-/// [`crate::tiled::try_matmul_blocked_into`]. Operands are
-/// pre-validated by the caller.
-pub(crate) fn run_single(
-    a: &[u8],
-    m: usize,
-    k: usize,
-    w: &MatrixI8,
-    shift: u8,
-    scratch: &mut GemmScratch,
-    out: &mut Vec<u8>,
-) {
-    // No clear(): the kernel writes the whole of `out`, so zeroing the
-    // previous call's bytes first is a memset nobody reads.
-    out.resize(m * w.cols(), 0);
-    let requant = (shift, u8::MAX, ByteMap::IDENTITY);
-    dispatch(
-        GemmA::Matrix(a),
-        m,
-        k,
-        Weights::Matrix(w),
-        requant,
-        scratch,
-        out,
-    );
-}
-
-/// [`crate::try_matmul_blocked_into`] with its scratch checked out of
-/// `pool`: packs `w` for the active tier and multiplies on the calling
-/// thread. `threads` is accepted and unused — a GEMM no longer fans
-/// out; the parameter stays until the benchmark that passes it drops
-/// it. A caller that runs the same weights again and again keeps a
-/// [`WeightPanel`] and calls [`try_matmul_panel_into`], which is this
-/// function minus the pack.
+/// The GEMM of a caller that holds the row-major weights `w`: fills a
+/// panel checked out of `pool` in the form the active tier reads, then
+/// multiplies on the calling thread through [`try_matmul_panel_into`]
+/// into `out`, resized to `m × n`. `threads` is accepted and unused — a
+/// GEMM no longer fans out; the parameter stays until the benchmark
+/// that passes it drops it. A caller that runs the same weights again
+/// and again keeps a [`WeightPanel`] and calls
+/// [`try_matmul_panel_into`], which is this function minus the pack.
 ///
 /// # Errors
 /// Returns [`GemmDispatchError`] (before writing to `out`) if the
@@ -873,21 +806,27 @@ pub fn try_matmul_threaded_into(
     _threads: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), GemmDispatchError> {
-    let mut scratch = pool.checkout();
-    let done = crate::tiled::try_matmul_blocked_into(a, m, k, w, shift, &mut scratch, out);
-    pool.restore(scratch);
+    validate_dispatch(GemmA::Matrix(a), m, k, w.rows(), shift)?;
+    let (mut panel, mut scratch) = pool.checkout();
+    let n = w.cols();
+    panel.fill(panel_kind(active_isa(), n), w.as_slice(), k, n);
+    // No clear(): the kernel writes the whole of `out`, so zeroing the
+    // previous call's bytes first is a memset nobody reads.
+    out.resize(m * n, 0);
+    let requant = (shift, u8::MAX, ByteMap::IDENTITY);
+    let done = try_matmul_panel_into(GemmA::Matrix(a), m, k, &panel, requant, &mut scratch, out);
+    pool.restore((panel, scratch));
     done
 }
 
-/// The GEMM as an inference plan calls it: over the activations `a` —
-/// a row-major matrix or an im2col view ([`GemmA`]) — with the weights'
-/// resident panel, into the caller's `m × n` bytes (`n` is the panel's),
-/// requantised as `requant = (shift, clamp, map)` — clamped to `clamp`
-/// instead of 255, then through `map` — working in the `scratch` the
-/// caller's arena owns. The dispatch packs nothing when `panel` holds
-/// the form the tier it resolves reads, and says which it was; a panel
-/// of another form is read back a k-tile at a time and repacked for
-/// the call, never misread. With the clamp and the map folded into
+/// The GEMM: over the activations `a` — a row-major matrix or an
+/// im2col view ([`GemmA`]) — with the weights' resident panel, into the
+/// caller's `m × n` bytes (`n` is the panel's), requantised as
+/// `requant = (shift, clamp, map)` — clamped to `clamp` instead of 255,
+/// then through `map` — working in the `scratch` the caller's arena
+/// owns. Nothing is packed: a panel in another form than the tier this
+/// thread resolves reads for `n` columns (one filled on another tier)
+/// is refused, never misread. With the clamp and the map folded into
 /// requantisation the bytes in `out` are finished activations: a plan
 /// points `out` at the output slot itself when the GEMM's rows are the
 /// slot's layout.
@@ -895,11 +834,13 @@ pub fn try_matmul_threaded_into(
 /// # Errors
 /// See [`try_matmul_threaded_into`] — a panel filled with other than
 /// exactly `k` rows is [`GemmDispatchError::WeightRows`]; also
-/// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes and
+/// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes,
 /// [`GemmDispatchError::MapClamp`] for a map other than the identity
-/// under a clamp above 15. A view that is not `m × k`
-/// ([`GemmDispatchError::ViewShape`]) or whose map its last window
-/// leaves ([`GemmDispatchError::ViewBuffer`]) is refused on every tier.
+/// under a clamp above 15 and [`GemmDispatchError::PanelForm`] for a
+/// panel whose form the resolved tier does not read. A view that is not
+/// `m × k` ([`GemmDispatchError::ViewShape`]) or whose map its last
+/// window leaves ([`GemmDispatchError::ViewBuffer`]) is refused on
+/// every tier.
 pub fn try_matmul_panel_into(
     a: GemmA<'_>,
     m: usize,
@@ -908,7 +849,7 @@ pub fn try_matmul_panel_into(
     requant: (u8, u8, ByteMap),
     scratch: &mut GemmScratch,
     out: &mut [u8],
-) -> Result<PanelSource, GemmDispatchError> {
+) -> Result<(), GemmDispatchError> {
     validate_dispatch(a, m, k, panel.filled, requant.0)?;
     let (_, clamp, map) = requant;
     if clamp > 15 && !map.is_identity() {
@@ -926,15 +867,17 @@ pub fn try_matmul_panel_into(
             got: out.len(),
         });
     }
-    Ok(dispatch(
-        a,
-        m,
-        k,
-        Weights::Panel(panel),
-        requant,
-        scratch,
-        out,
-    ))
+    let active = active_table();
+    let expected = panel_kind(active.isa, panel.n);
+    if panel.kind != expected {
+        return Err(GemmDispatchError::PanelForm {
+            tier: active.isa,
+            expected: expected.name(),
+            got: panel.kind.name(),
+        });
+    }
+    dispatch(active, a, m, k, panel, requant, scratch, out);
+    Ok(())
 }
 
 /// The tier whose multiply instructions run an `m × k × n` GEMM that is
@@ -995,21 +938,33 @@ mod tests {
         (a, w)
     }
 
+    /// Each tier's own panel multiplied on that tier: the scalar
+    /// oracle's bytes.
     #[test]
     fn every_supported_isa_matches_the_oracle() {
         let (m, k, n) = (37, 61, 29);
         let (a, w) = operands(m, k, n);
         let mut scratch = GemmScratch::default();
-        let mut oracle = Vec::new();
-        {
-            let _pin = pin_isa(KernelIsa::Scalar);
-            run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut oracle);
-        }
-        for isa in KernelIsa::ALL {
+        let requant = (3, u8::MAX, ByteMap::IDENTITY);
+        let mut run = |isa| {
             let _pin = pin_isa(isa);
-            let mut got = Vec::new();
-            run_single(a.as_bytes(), m, k, &w, 3, &mut scratch, &mut got);
-            assert_eq!(got, oracle, "pinned {isa} (may degrade to scalar)");
+            let mut out = vec![0; m * n];
+            let panel = WeightPanel::pack(&w);
+            try_matmul_panel_into(
+                GemmA::Matrix(a.as_bytes()),
+                m,
+                k,
+                &panel,
+                requant,
+                &mut scratch,
+                &mut out,
+            )
+            .expect("the tier's own panel");
+            out
+        };
+        let oracle = run(KernelIsa::Scalar);
+        for isa in KernelIsa::ALL {
+            assert_eq!(run(isa), oracle, "pinned {isa} (may degrade to scalar)");
         }
     }
 
@@ -1286,11 +1241,7 @@ mod tests {
                 vec![7u8; m * n],
                 "{tier}: a refused view writes nothing"
             );
-            assert_eq!(
-                run(view, m, k, &mut out),
-                Ok(PanelSource::Resident),
-                "{tier}"
-            );
+            assert_eq!(run(view, m, k, &mut out), Ok(()), "{tier}");
             assert_eq!(out, want, "{tier}: the view is the matrix");
         }
     }

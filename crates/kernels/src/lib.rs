@@ -52,18 +52,15 @@ pub use conv::{
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, gemm_kernel_summary, pin_isa, try_matmul_panel_into,
-    try_matmul_threaded_into, ByteMap, GemmA, IsaPin, KernelIsa, PanelSource, ScratchPool,
-    WeightPanel, KTILE_ROWS,
+    try_matmul_threaded_into, ByteMap, GemmA, IsaPin, KernelIsa, ScratchPool, WeightPanel,
+    KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;
 pub use matmul::{functional_program, gemm_loops, output_matrix_len, timing_blocks, GemmLoops};
 pub use reference::{add_ref, dwconv_ref, matmul_ref, mul_ref, transpose_clamp_ref};
 pub use synth::weight_row_into;
-pub use tiled::{
-    matmul_blocked_into, matmul_host, tile_plan, try_matmul_blocked_into, GemmDispatchError,
-    GemmScratch, LineBuf, TilePlan,
-};
+pub use tiled::{matmul_host, tile_plan, GemmDispatchError, GemmScratch, LineBuf, TilePlan};
 pub use transpose::transpose_clamp_into;
 pub use unroll::{
     adaptive_unroll, candidates, classify_output, OutputShapeClass, UnrollConfig, UnrollStrategy,

@@ -21,16 +21,15 @@
 //! * **flat slices** — operands are raw row-major slices; no per-element
 //!   layout-offset calls in the hot loop.
 //!
-//! The public entry points ([`matmul_blocked_into`] /
-//! [`try_matmul_blocked_into`] / [`crate::try_matmul_panel_into`]) dispatch
-//! to the vectorized micro-kernels in [`crate::simd`] when the host CPU
+//! The one GEMM core, [`crate::try_matmul_panel_into`], dispatches to
+//! the vectorized micro-kernels in [`crate::simd`] when the host CPU
 //! supports them (see [`crate::dispatch`]); the scalar path here is the
-//! semantic definition every SIMD path must match bit for bit.
+//! semantic definition every SIMD path must match bit for bit, and
+//! [`matmul_host`] is the interpreter's GEMM over it.
 
-use crate::dispatch::{GemmA, KernelIsa};
+use crate::dispatch::{GemmA, KernelIsa, ScratchPool};
 use crate::simd::Line;
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
-use std::cell::RefCell;
 
 /// Default activation rows processed per block (accumulator tile:
 /// `MB × n` i32).
@@ -102,18 +101,13 @@ pub fn tile_plan(m: usize, k: usize, n: usize, isa: KernelIsa) -> TilePlan {
     }
 }
 
-/// Scratch buffers for the blocked GEMM entry points, reusable across
-/// calls so steady-state GEMMs allocate nothing: what one band kernel
-/// call works in, plus the weight panel a dispatch packs for itself
-/// when its caller keeps none in the form the tier reads (see
-/// [`crate::WeightPanel`]) and the k-tile it reads a resident panel
-/// back through to do so, and the matrix of an im2col view the tier it
-/// resolved does not read in place ([`crate::GemmA::View`]).
+/// Scratch buffers for the GEMM, reusable across calls so
+/// steady-state GEMMs allocate nothing: what one band kernel call works
+/// in, and the matrix of an im2col view the tier it resolved does not
+/// read in place ([`crate::GemmA::View`]).
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
     pub(crate) band: BandScratch,
-    pub(crate) panel: crate::dispatch::WeightPanel,
-    pub(crate) tile: Vec<i8>,
     pub(crate) a: LineBuf,
 }
 
@@ -196,6 +190,14 @@ pub enum GemmDispatchError {
     /// An im2col view's map is shorter than the last window of its
     /// whole 16-row groups reaches ([`crate::Im2colView::tile_rows`]).
     ViewBuffer { needed: usize, got: usize },
+    /// The weight panel holds the form `got`, and the kernel `tier`
+    /// resolved to reads `expected`: the panel was filled on another
+    /// tier (a [`crate::pin_isa`] taken after the fill).
+    PanelForm {
+        tier: KernelIsa,
+        expected: &'static str,
+        got: &'static str,
+    },
 }
 
 impl std::fmt::Display for GemmDispatchError {
@@ -229,6 +231,14 @@ impl std::fmt::Display for GemmDispatchError {
             GemmDispatchError::ViewBuffer { needed, got } => write!(
                 f,
                 "im2col view's map holds {got} bytes, its windows reach {needed}"
+            ),
+            GemmDispatchError::PanelForm {
+                tier,
+                expected,
+                got,
+            } => write!(
+                f,
+                "weight panel holds {got}, the {tier} kernel reads {expected}"
             ),
         }
     }
@@ -333,61 +343,17 @@ pub(crate) fn scalar_band(
     }
 }
 
-/// Cache-blocked quantized matmul into a caller-provided output buffer:
-/// `out[r*n + c] = clamp((Σ_k a[r*k + kk] · w[kk][c]) >> shift, 0, 255)`.
-///
-/// `a` is the `m × k` activation matrix as flat row-major bytes; `w` is
-/// the `k × n` weight matrix. `out` is cleared and resized to `m × n`.
-/// Bit-exact against [`crate::reference::matmul_ref`]; executed by the
-/// fastest kernel the host supports (see [`crate::dispatch`]).
+/// The host GEMM over matrix operands, bit-exact against
+/// [`crate::reference::matmul_ref`]: [`crate::try_matmul_threaded_into`]
+/// with a thread-local pool, so repeated calls allocate nothing in
+/// steady state. `a` may be in any layout (non-row-major operands are
+/// converted first); the result is row-major.
 ///
 /// # Panics
-/// Panics if `a.len() != m * k`, `w.rows() != k`, or `shift >= 32`
-/// (see [`try_matmul_blocked_into`] for the fallible form).
-pub fn matmul_blocked_into(
-    a: &[u8],
-    m: usize,
-    k: usize,
-    w: &MatrixI8,
-    shift: u8,
-    scratch: &mut GemmScratch,
-    out: &mut Vec<u8>,
-) {
-    match try_matmul_blocked_into(a, m, k, w, shift, scratch, out) {
-        Ok(()) => {}
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`matmul_blocked_into`] with validated dispatch: operand shape
-/// mismatches come back as a [`GemmDispatchError`] instead of a panic.
-/// Packs `w` on every call — the inference runtime keeps a resident
-/// panel and calls [`crate::try_matmul_panel_into`] instead.
-///
-/// # Errors
-/// Returns an error (before writing to `out`) if the operand shapes are
-/// mutually inconsistent or the requant shift is out of range.
-pub fn try_matmul_blocked_into(
-    a: &[u8],
-    m: usize,
-    k: usize,
-    w: &MatrixI8,
-    shift: u8,
-    scratch: &mut GemmScratch,
-    out: &mut Vec<u8>,
-) -> Result<(), GemmDispatchError> {
-    validate_dispatch(GemmA::Matrix(a), m, k, w.rows(), shift)?;
-    crate::dispatch::run_single(a, m, k, w, shift, scratch, out);
-    Ok(())
-}
-
-/// [`matmul_blocked_into`] with matrix operands: the drop-in host GEMM.
-/// `a` may be in any layout (non-row-major operands are converted first);
-/// the result is row-major. Scratch buffers are reused from a
-/// thread-local, so repeated calls allocate nothing in steady state.
+/// If `a.cols() != w.rows()` or `shift >= 32`.
 pub fn matmul_host(a: &MatrixU8, w: &MatrixI8, shift: u8) -> MatrixU8 {
     thread_local! {
-        static SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::default());
+        static POOL: ScratchPool = ScratchPool::new();
     }
     let (m, k, n) = (a.rows(), a.cols(), w.cols());
     let rm;
@@ -398,8 +364,10 @@ pub fn matmul_host(a: &MatrixU8, w: &MatrixI8, shift: u8) -> MatrixU8 {
         rm.as_bytes()
     };
     let mut out = Vec::new();
-    SCRATCH.with(|scratch| {
-        matmul_blocked_into(bytes, m, k, w, shift, &mut scratch.borrow_mut(), &mut out);
+    POOL.with(|pool| {
+        if let Err(e) = crate::try_matmul_threaded_into(bytes, m, k, w, shift, pool, 1, &mut out) {
+            panic!("{e}");
+        }
     });
     MatrixU8::from_raw(m, n, Layout::RowMajor, out)
 }
@@ -408,6 +376,7 @@ pub fn matmul_host(a: &MatrixU8, w: &MatrixI8, shift: u8) -> MatrixU8 {
 pub(crate) mod tests {
     use super::*;
     use crate::reference::matmul_ref;
+    use crate::WeightPanel;
     use gcd2_cgraph::OpKind;
     use gcd2_models::ModelId;
     use std::collections::BTreeMap;
@@ -558,11 +527,18 @@ pub(crate) mod tests {
         assert_eq!(buf.bytes().as_ptr() as usize % 64, 0);
     }
 
-    /// Bit-exactness against the gold reference across shapes that
-    /// exercise partial blocks in both dimensions, all shifts used by
-    /// the runtime, and negative weights.
+    /// The interpreter's GEMM is bit-exact against the gold reference
+    /// on every tier the host supports, across shapes that exercise
+    /// partial blocks in both dimensions, all shifts used by the
+    /// runtime, and negative weights. The pins alternate between calls
+    /// on one thread, so each call refills the thread-local panel in
+    /// another form than the last left there.
     #[test]
     fn blocked_matches_reference_bit_for_bit() {
+        let tiers: Vec<KernelIsa> = KernelIsa::ALL
+            .into_iter()
+            .filter(|isa| isa.supported())
+            .collect();
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 2),
@@ -576,14 +552,17 @@ pub(crate) mod tests {
             let w = MatrixI8::from_fn(k, n, |r, c| (hash_u8((r * n + c + 77) as u64) as i8) - 8);
             for shift in [0u8, 3, 7] {
                 let reference = matmul_ref(&a, &w, shift);
-                let blocked = matmul_host(&a, &w, shift);
-                for (r, row) in reference.iter().enumerate() {
-                    for (c, &want) in row.iter().enumerate() {
-                        assert_eq!(
-                            blocked.get(r, c),
-                            want,
-                            "({m},{k},{n}) shift {shift} at ({r},{c})"
-                        );
+                for &tier in &tiers {
+                    let _pin = crate::pin_isa(tier);
+                    let blocked = matmul_host(&a, &w, shift);
+                    for (r, row) in reference.iter().enumerate() {
+                        for (c, &want) in row.iter().enumerate() {
+                            assert_eq!(
+                                blocked.get(r, c),
+                                want,
+                                "{tier}: ({m},{k},{n}) shift {shift} at ({r},{c})"
+                            );
+                        }
                     }
                 }
             }
@@ -606,36 +585,45 @@ pub(crate) mod tests {
     }
 
     /// Checked dispatch rejects inconsistent operands without touching
-    /// the output buffer, and the panicking wrapper reuses the message.
+    /// the output buffer.
     #[test]
     fn dispatch_validation_rejects_bad_operands() {
-        let w = MatrixI8::from_fn(4, 3, |_, _| 1);
+        let panel = WeightPanel::pack(&MatrixI8::from_fn(4, 3, |_, _| 1));
         let mut scratch = GemmScratch::default();
-        let mut out = vec![7u8; 5];
-        let a = vec![1u8; 7]; // not 2*4
+        let mut out = vec![7u8; 6];
+        let mut run = |a: &[u8], m, k, shift, out: &mut [u8]| {
+            let requant = (shift, u8::MAX, crate::ByteMap::IDENTITY);
+            crate::try_matmul_panel_into(GemmA::Matrix(a), m, k, &panel, requant, &mut scratch, out)
+        };
         assert_eq!(
-            try_matmul_blocked_into(&a, 2, 4, &w, 1, &mut scratch, &mut out),
+            run(&[1; 7], 2, 4, 1, &mut out), // not 2*4
             Err(GemmDispatchError::ActivationSize {
                 expected: 8,
                 got: 7
             })
         );
-        assert_eq!(out, vec![7u8; 5], "rejected dispatch must not write");
-        let a = vec![1u8; 10]; // k=5 but w has 4 rows
+        assert_eq!(out, vec![7u8; 6], "rejected dispatch must not write");
         assert_eq!(
-            try_matmul_blocked_into(&a, 2, 5, &w, 1, &mut scratch, &mut out),
+            run(&[1; 10], 2, 5, 1, &mut out), // k=5 but w has 4 rows
             Err(GemmDispatchError::WeightRows {
                 expected: 5,
                 got: 4
             })
         );
-        let a = vec![1u8; 8];
         assert_eq!(
-            try_matmul_blocked_into(&a, 2, 4, &w, 40, &mut scratch, &mut out),
+            run(&[1; 8], 2, 4, 40, &mut out),
             Err(GemmDispatchError::ShiftRange { shift: 40 })
         );
-        assert!(try_matmul_blocked_into(&a, 2, 4, &w, 1, &mut scratch, &mut out).is_ok());
-        assert_eq!(out.len(), 6);
+        assert_eq!(
+            run(&[1; 8], 2, 4, 1, &mut out[..5]),
+            Err(GemmDispatchError::OutputSize {
+                expected: 6,
+                got: 5
+            })
+        );
+        assert_eq!(out, vec![7u8; 6], "rejected dispatch must not write");
+        assert_eq!(run(&[1; 8], 2, 4, 1, &mut out), Ok(()));
+        assert_eq!(out, vec![2u8; 6]);
     }
 
     /// The scratch-reuse path is equivalent to fresh scratch.
@@ -645,9 +633,23 @@ pub(crate) mod tests {
         let w1 = MatrixI8::from_fn(30, 9, |r, c| ((r + c) % 5) as i8 - 2);
         let w2 = MatrixI8::from_fn(30, 4, |r, c| ((r * c) % 3) as i8 - 1);
         let mut scratch = GemmScratch::default();
-        let mut out = Vec::new();
-        matmul_blocked_into(a.as_bytes(), 50, 30, &w1, 1, &mut scratch, &mut out);
-        matmul_blocked_into(a.as_bytes(), 50, 30, &w2, 1, &mut scratch, &mut out);
+        let requant = (1, u8::MAX, crate::ByteMap::IDENTITY);
+        let mut run = |w: &MatrixI8| {
+            let mut out = vec![0; 50 * w.cols()];
+            let panel = WeightPanel::pack(w);
+            crate::try_matmul_panel_into(
+                GemmA::Matrix(a.as_bytes()),
+                50,
+                30,
+                &panel,
+                requant,
+                &mut scratch,
+                &mut out,
+            )
+            .map(|()| out)
+        };
+        run(&w1).expect("valid operands");
+        let out = run(&w2).expect("valid operands");
         let reference = matmul_ref(&a, &w2, 1);
         for r in 0..50 {
             for c in 0..4 {

@@ -6,34 +6,24 @@
 //! * the naive gold reference (`matmul_ref`),
 //! * the scalar blocked oracle (`pin_isa(Scalar)`),
 //! * the kernel of **every tier this host supports**, through the
-//!   matrix-taking entry points (caller's scratch, pooled scratch) and
-//!   the resident-panel entry point — with the panel packed on the
-//!   dispatching tier and on every other one (the plan-tier ≠
-//!   dispatch-tier fallback)
+//!   resident-panel entry point from the panel packed on that tier and
+//!   through the pooled matrix-taking entry point
 //!
 //! produce **identical bytes**. Wrapping i32 accumulation makes this a
 //! theorem about the implementation, and this suite is the check that
-//! keeps it true as kernels evolve.
+//! keeps it true as kernels evolve. A panel packed on a tier whose
+//! kernel reads another form is refused, with nothing written.
 
 use gcd2_kernels::{
     matmul_ref, pin_isa, tile_plan, transpose_clamp_into, transpose_clamp_ref,
-    try_matmul_blocked_into, try_matmul_panel_into, try_matmul_threaded_into, ByteMap, GemmA,
-    GemmDispatchError, GemmScratch, KernelIsa, PanelSource, ScratchPool, TilePlan, WeightPanel,
+    try_matmul_panel_into, try_matmul_threaded_into, ByteMap, GemmA, GemmDispatchError,
+    GemmScratch, KernelIsa, ScratchPool, TilePlan, WeightPanel,
 };
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 use proptest::prelude::*;
 
 fn reference_bytes(a: &MatrixU8, w: &MatrixI8, shift: u8) -> Vec<u8> {
     matmul_ref(a, w, shift).into_iter().flatten().collect()
-}
-
-fn run_isa(isa: KernelIsa, a: &MatrixU8, m: usize, k: usize, w: &MatrixI8, shift: u8) -> Vec<u8> {
-    let _pin = pin_isa(isa);
-    let mut scratch = GemmScratch::default();
-    let mut out = Vec::new();
-    try_matmul_blocked_into(a.as_bytes(), m, k, w, shift, &mut scratch, &mut out)
-        .expect("valid operands");
-    out
 }
 
 /// Every tier this host can run, the scalar oracle first.
@@ -44,66 +34,62 @@ fn tiers() -> Vec<KernelIsa> {
         .collect()
 }
 
-/// One full identity check: reference == scalar oracle == every
-/// supported tier, with the caller's scratch, with pooled scratch, and
-/// from a resident panel packed on each tier.
-fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
-    let (m, k) = (a.rows(), a.cols());
-    let want = reference_bytes(a, w, shift);
-    let scalar = run_isa(KernelIsa::Scalar, a, m, k, w, shift);
-    assert_eq!(scalar, want, "scalar oracle vs reference ({m},{k})");
-    let pool = ScratchPool::new();
-    let mut scratch = GemmScratch::default();
-    // One panel per tier, each packed while that tier was active.
-    let panels: Vec<WeightPanel> = tiers()
+/// `w` packed on each tier this host can run, in [`tiers`] order.
+fn panels(w: &MatrixI8) -> Vec<WeightPanel> {
+    tiers()
         .into_iter()
         .map(|tier| {
             let _pin = pin_isa(tier);
             WeightPanel::pack(w)
         })
-        .collect();
-    for (tier, own_panel) in tiers().into_iter().zip(&panels) {
-        let single = run_isa(tier, a, m, k, w, shift);
-        assert_eq!(single, scalar, "{tier} vs oracle ({m},{k})");
+        .collect()
+}
+
+/// One full identity check: reference == every supported tier, the
+/// scalar oracle first, from its own resident panel — clamped to 255
+/// and to 15 — and through pooled scratch; on each tier, a panel packed
+/// in another form is refused and leaves `out` as it was.
+fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
+    let (m, k, n) = (a.rows(), a.cols(), w.cols());
+    let want = reference_bytes(a, w, shift);
+    // The plan's entry point folds its activation ceiling into
+    // requantisation: the bytes are the oracle's, clamped.
+    let clamped: Vec<u8> = want.iter().map(|&v| v.min(15)).collect();
+    let pool = ScratchPool::new();
+    let mut scratch = GemmScratch::default();
+    let panels = panels(w);
+    for (tier, own) in tiers().into_iter().zip(&panels) {
         let _pin = pin_isa(tier);
         let mut out = Vec::new();
         try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, 2, &mut out)
             .expect("valid operands");
-        assert_eq!(out, scalar, "{tier} pooled ({m},{k})");
-        for panel in &panels {
-            // The plan's entry point folds its activation ceiling into
-            // requantisation: the bytes are the oracle's, clamped.
-            let clamped: Vec<u8> = scalar.iter().map(|&v| v.min(15)).collect();
-            try_matmul_panel_into(
-                GemmA::Matrix(a.as_bytes()),
-                m,
-                k,
-                panel,
-                (shift, 15, ByteMap::IDENTITY),
-                &mut scratch,
-                &mut out,
-            )
-            .expect("valid operands");
-            assert_eq!(out, clamped, "{tier} clamped to 15 ({m},{k})");
-            let source = try_matmul_panel_into(
-                GemmA::Matrix(a.as_bytes()),
-                m,
-                k,
-                panel,
-                (shift, 255, ByteMap::IDENTITY),
-                &mut scratch,
-                &mut out,
-            )
-            .expect("valid operands");
-            assert_eq!(out, scalar, "{tier} from a resident panel ({m},{k})");
-            // A panel packed in this tier's layout is read as it is;
-            // any other falls back and must not be misread.
-            let expected = if panel == own_panel {
-                PanelSource::Resident
-            } else {
-                PanelSource::PerCall
-            };
-            assert_eq!(source, expected, "{tier} panel source ({m},{k})");
+        assert_eq!(out, want, "{tier} pooled ({m},{k},{n})");
+        for (p, panel) in panels.iter().enumerate() {
+            for (clamp, want) in [(255, &want), (15, &clamped)] {
+                let mut out = vec![0xA5; m * n];
+                let done = try_matmul_panel_into(
+                    GemmA::Matrix(a.as_bytes()),
+                    m,
+                    k,
+                    panel,
+                    (shift, clamp, ByteMap::IDENTITY),
+                    &mut scratch,
+                    &mut out,
+                );
+                // A panel is its own tier's form, or another tier's
+                // that reads the same one (VNNI and AMX quads; the AVX2
+                // tier's row-major bytes below 8 columns).
+                if panel == own {
+                    assert_eq!(done, Ok(()), "{tier}, panel {p} ({m},{k},{n})");
+                    assert_eq!(&out, want, "{tier} clamped to {clamp} ({m},{k},{n})");
+                } else {
+                    assert!(
+                        matches!(done, Err(GemmDispatchError::PanelForm { tier: t, .. }) if t == tier),
+                        "{tier}, panel {p} ({m},{k},{n}): {done:?}"
+                    );
+                    assert_eq!(out, vec![0xA5; m * n], "{tier}: a refused panel writes");
+                }
+            }
         }
     }
     // Every tier's pooled call above took the one buffer and gave it back.
@@ -276,8 +262,8 @@ fn epilogue_maps() -> [ByteMap; 4] {
 /// grid runs `k = 24` at its own 24-byte tile depth). Each run
 /// is held to the reference requantisation clamped to 15 and then looked
 /// up in the map, at every tier the host supports (the scalar pin
-/// included), and from a panel packed on every other tier; together the shapes put
-/// every one of the 16 clamped values through every map.
+/// included) from the panel packed on that tier; together the shapes
+/// put every one of the 16 clamped values through every map.
 ///
 /// Two mutants of the kernels were run against this test; the first
 /// failure of each, on an AMX host:
@@ -305,36 +291,24 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                 for &v in &clamped {
                     seen[v as usize] = true;
                 }
-                let panels: Vec<WeightPanel> = tiers()
-                    .into_iter()
-                    .map(|tier| {
-                        let _pin = pin_isa(tier);
-                        WeightPanel::pack(&w)
-                    })
-                    .collect();
-                for map in epilogue_maps() {
-                    let table = map.entries();
-                    let want: Vec<u8> = clamped.iter().map(|&v| table[v as usize]).collect();
-                    let mut check = |tier: &str| {
-                        for (p, panel) in panels.iter().enumerate() {
-                            out.clear();
-                            out.resize(m * n, 0xA5);
-                            try_matmul_panel_into(
-                                GemmA::Matrix(a.as_bytes()),
-                                m,
-                                k,
-                                panel,
-                                (shift, 15, map),
-                                &mut scratch,
-                                &mut out,
-                            )
-                            .expect("valid operands");
-                            assert_eq!(out, want, "{tier}, panel {p}, {map:?}, ({m},{k},{n})");
-                        }
-                    };
-                    for tier in tiers() {
-                        let _pin = pin_isa(tier);
-                        check(tier.name());
+                for (tier, panel) in tiers().into_iter().zip(panels(&w)) {
+                    let _pin = pin_isa(tier);
+                    for map in epilogue_maps() {
+                        let table = map.entries();
+                        let want: Vec<u8> = clamped.iter().map(|&v| table[v as usize]).collect();
+                        out.clear();
+                        out.resize(m * n, 0xA5);
+                        try_matmul_panel_into(
+                            GemmA::Matrix(a.as_bytes()),
+                            m,
+                            k,
+                            &panel,
+                            (shift, 15, map),
+                            &mut scratch,
+                            &mut out,
+                        )
+                        .expect("valid operands");
+                        assert_eq!(out, want, "{tier}, {map:?}, ({m},{k},{n})");
                     }
                 }
             }
@@ -418,8 +392,9 @@ fn transpose_equals_the_naive_oracle() {
 }
 
 /// Throughput probe (run explicitly with `--ignored --release`): prints
-/// scalar vs auto GMAC/s on an fst-sized GEMM so kernel regressions are
-/// easy to spot by hand. Not a correctness gate.
+/// scalar vs auto GMAC/s on an fst-sized GEMM, multiplied from a
+/// resident panel as a plan runs it, so kernel regressions are easy to
+/// spot by hand. Not a correctness gate.
 #[test]
 #[ignore]
 fn perf_probe() {
@@ -429,16 +404,26 @@ fn perf_probe() {
     let macs = (m * k * n) as f64;
     for isa in [Some(KernelIsa::Scalar), None] {
         let _pin = isa.map(pin_isa);
+        let panel = WeightPanel::pack(&w);
         let mut scratch = GemmScratch::default();
-        let mut out = Vec::new();
-        // warm
-        try_matmul_blocked_into(a.as_bytes(), m, k, &w, 5, &mut scratch, &mut out)
-            .expect("valid operands");
+        let mut out = vec![0; m * n];
+        let mut run = || {
+            try_matmul_panel_into(
+                GemmA::Matrix(a.as_bytes()),
+                m,
+                k,
+                &panel,
+                (5, u8::MAX, ByteMap::IDENTITY),
+                &mut scratch,
+                &mut out,
+            )
+            .expect("valid operands")
+        };
+        run(); // warm
         let reps = 3;
         let start = std::time::Instant::now();
         for _ in 0..reps {
-            try_matmul_blocked_into(a.as_bytes(), m, k, &w, 5, &mut scratch, &mut out)
-                .expect("valid operands");
+            run();
         }
         let secs = start.elapsed().as_secs_f64() / reps as f64;
         println!(

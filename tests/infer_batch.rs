@@ -168,8 +168,9 @@ fn batch_edge_shapes_execute_cleanly() {
     // run on every tier the host supports — and through the gateway at
     // every bound: a batch of one matches single-shot execution, and a
     // bound larger than the batch leaves the results unchanged. The
-    // gateway's workers run the detected tier, so it serves the plan
-    // built there.
+    // gateway's workers run the detected tier, and a GEMM refuses a
+    // panel packed in another form than its tier reads, so it serves
+    // only the plan built there.
     let inputs = batch_inputs(plan.input_len(), 5);
     let oracle: Vec<Vec<u8>> = inputs
         .iter()
