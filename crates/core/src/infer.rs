@@ -19,11 +19,10 @@
 //!   order the step's staging produces (so the per-edge layout
 //!   transforms the interpreter performs per call are resolved once,
 //!   here), and installed a 64-row k-tile at a time straight into the
-//!   one form the kernel that reads it wants
-//!   ([`gcd2_kernels::WeightPanel`]: the packed panel of the kernel tier
-//!   active on this host, the row-major bytes for a direct kernel or a
-//!   packless tier) — a step keeps no other copy, and a GEMM step only
-//!   multiplies;
+//!   one form its step reads ([`gcd2_kernels::WeightPanel`]: the quad
+//!   panel every tier's GEMM reads, the row-major bytes for a direct
+//!   kernel) — a step keeps no other copy, a GEMM step only multiplies,
+//!   and a plan built on one tier runs on every tier;
 //! * the requantization shift of each GEMM (a pure function of its
 //!   reduction depth) is folded into the step;
 //! * activations live in a dense arena of reusable **slots** assigned by
@@ -173,10 +172,10 @@ pub(crate) enum Scatter {
 pub(crate) struct GemmStep {
     pub(crate) prep: GemmPrep,
     /// The step's only copy of its `k × n` weights, in the form the
-    /// kernel that reads them wants: for a matmul-backed step the panel
-    /// of the kernel tier active when they were installed (see
+    /// step reads: for a matmul-backed step the quad panel (see
     /// [`gcd2_kernels::WeightPanel`]), what its GEMM reads on every
-    /// dispatch; for a direct kernel the row-major bytes. Everything
+    /// dispatch whatever the tier; for a direct kernel the row-major
+    /// bytes. Everything
     /// else that reads the weights — the integrity check, the artifact,
     /// the analyzer — reads them back a k-tile at a time
     /// ([`WeightPanel::for_each_ktile`]). Row `kr` is the interpreter's row
@@ -245,8 +244,9 @@ impl GemmStep {
     }
 
     /// An empty panel of the step's shape in the form its kernel reads:
-    /// the active tier's GEMM form for a matmul-backed step, row-major
-    /// for a direct kernel.
+    /// the quad panel every tier's GEMM reads for a matmul-backed step,
+    /// row-major for a direct kernel — fixed by the step, never by the
+    /// tier.
     pub(crate) fn empty_panel(&self) -> WeightPanel {
         if self.runs_matmul() {
             WeightPanel::for_gemm(self.k, self.n)
@@ -483,7 +483,7 @@ pub struct InferReport {
     /// [`OpTiming::folded_into`] for the steps that run nothing).
     pub per_op: Vec<OpTiming>,
     /// The kernel tier this run's GEMMs were dispatched on (`"scalar"`,
-    /// `"avx2"`, `"avx512vnni"`, `"amx-int8"`, or `"neon"`; empty when
+    /// `"avx2"`, `"avx512vnni"` or `"amx-int8"`; empty when
     /// the run had no GEMM step). One run resolves one tier;
     /// [`GemmKernelInfo::isa`] says whose multiply instructions ran
     /// each shape on it.
@@ -1516,12 +1516,10 @@ impl InferencePlan {
     }
 
     /// Bytes of weights the plan keeps resident, as `(panels,
-    /// row_major)`: each GEMM step holds one form, the packed panel of a
-    /// matmul-backed step on a vector tier (padded to whole strips and
-    /// k-tiles; i16 on AVX2) or the row-major bytes (direct kernels,
-    /// packless tiers). About [`Self::weight_bytes`] in total on the
-    /// AVX-512 and AMX tiers, exactly it on scalar and NEON, up to twice
-    /// it on AVX2.
+    /// row_major)`: each GEMM step holds one form, the quad panel of a
+    /// matmul-backed step (padded to whole strips and k-tiles) or the
+    /// row-major bytes of a direct kernel. The same on every tier: about
+    /// [`Self::weight_bytes`] in total, plus the panels' padding.
     pub fn resident_weight_bytes(&self) -> (usize, usize) {
         let mut split = (0, 0);
         for step in &self.steps {
@@ -3073,8 +3071,8 @@ mod tests {
     /// Every byte a step holds is covered by `verify_integrity`: on every
     /// tier the host supports (the scalar pin included), a flip of any one
     /// byte of any GEMM step's panel — weight or padding, the quads of
-    /// the FC's ragged 12-row k-tile and 8-column strip on a VNNI or AMX
-    /// tier, the high bytes of its pairs on AVX2 — and of the row-major
+    /// the FC's ragged 12-row k-tile and 8-column strip, which every tier
+    /// reads — and of the row-major
     /// bytes of the direct conv and the depthwise step is refused, with
     /// the checksum, which folds in digests, unmoved.
     #[test]
@@ -3287,24 +3285,14 @@ mod tests {
         }
     }
 
-    /// The form of the weights `tier`'s kernel reads for `n` columns,
-    /// restated from the kernels' rule.
-    fn form(tier: KernelIsa, n: usize) -> &'static str {
-        match multiplier(tier, 16, n) {
-            KernelIsa::Avx512Vnni | KernelIsa::AmxInt8 => "quads",
-            KernelIsa::Avx2 => "pairs",
-            _ => "rows",
-        }
-    }
-
     #[test]
     fn skinny_fc_stays_on_the_active_tier_with_its_resident_panel() {
         // A wide conv, then one-row FC heads of 12, 5 and 8 columns: with
         // a resident panel even a one-row GEMM runs where the conv runs
         // — 12 and 5 columns on the VNNI strips' narrow kernel on an
-        // AVX-512 tier, 12 on the AVX2 strips and their `n % 8` tail —
-        // except that the AVX2 tier hands 5 columns to the scalar oracle,
-        // which reads the row-major form the plan filled for it.
+        // AVX-512 tier, 12 on the AVX2 strips' padded strip — except
+        // that the AVX2 tier hands 5 columns to the scalar oracle, which
+        // reads the same quad panel.
         let mut g = Graph::new();
         let x = g.input("x", TShape::nchw(1, 4, 12, 12));
         let conv = g.add(
@@ -3347,55 +3335,29 @@ mod tests {
         }
     }
 
-    /// A plan filled on the detected tier and run under every tier the
-    /// host supports (`pin_isa`, the scalar pin included) answers the
-    /// interpreter's bytes when every GEMM's panel holds the form the
-    /// run's tier reads (the VNNI and AMX tiers both read quads), and
-    /// otherwise is refused at its first GEMM whose panel does not, with
-    /// the forms named: a panel is never read back or repacked for a
-    /// call.
+    /// A plan filled on the detected tier runs under every tier the host
+    /// supports (`pin_isa`, the scalar pin included) from its one copy of
+    /// the weights and answers the interpreter's bytes: every GEMM's
+    /// panel is the quad panel every tier reads.
     #[test]
-    fn a_plan_runs_only_on_the_forms_its_panels_hold() {
-        let detected = gcd2_kernels::active_isa();
+    fn a_plan_runs_on_every_tier_from_its_one_copy() {
         let compiled = Compiler::new().compile(&staging_net());
         let plan = compiled.inference_plan(5);
         let input: Vec<u8> = (0..4 * 144).map(|i| (i * 7 % 16) as u8).collect();
         let want = execute_reference(&compiled, &input, 5);
-        let gemms: Vec<(usize, usize)> = plan
+        let gemms = plan
             .steps
             .iter()
-            .filter_map(|step| match &step.kind {
-                StepKind::Gemm(g) if g.runs_matmul() => Some((step.node.0, g.n)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(gemms.len(), 8);
+            .filter(|step| matches!(&step.kind, StepKind::Gemm(g) if g.runs_matmul()))
+            .count();
+        assert_eq!(gemms, 8);
         for tier in tiers() {
             let _pin = gcd2_kernels::pin_isa(tier);
-            let mut arena = plan.new_arena();
-            let run = plan.try_execute_timed(&input, &mut arena, &ExecOptions::default());
-            let refused = gemms
-                .iter()
-                .find(|g| form(tier, g.1) != form(detected, g.1));
-            match refused {
-                None => {
-                    let (out, report) = run.expect("every panel in the tier's form");
-                    assert_eq!(out, want, "{tier}");
-                    assert_eq!(report.gemm_kernels.len(), gemms.len(), "{tier}");
-                }
-                Some(&(node, n)) => assert_eq!(
-                    run.map(|(out, _)| out),
-                    Err(InferError::Dispatch {
-                        node,
-                        message: format!(
-                            "weight panel holds {}, the {tier} kernel reads {}",
-                            form(detected, n),
-                            form(tier, n)
-                        ),
-                    }),
-                    "{tier}"
-                ),
-            }
+            let (out, report) = plan
+                .try_execute_timed(&input, &mut plan.new_arena(), &ExecOptions::default())
+                .expect("every tier reads the plan's panels");
+            assert_eq!(out, want, "{tier}");
+            assert_eq!(report.gemm_kernels.len(), gemms, "{tier}");
         }
     }
 
@@ -3451,12 +3413,10 @@ mod tests {
     }
 
     /// The three models the cold start loads keep one copy of their
-    /// weights: every GEMM step holds exactly one form, on the detected
-    /// tier — where every matmul-backed step's form is the one its GEMM
-    /// reads, so a run, which refuses any other, completes, and the
-    /// packed panels' padding keeps the total within 10 % of the
-    /// weights — and under a scalar pin, where every form is the
-    /// row-major bytes.
+    /// weights: every GEMM step holds exactly one form, the packed
+    /// panels' padding keeps the total within 10 % of the weights, a run
+    /// completes — and a plan built under a scalar pin holds the same
+    /// panels byte for byte, with the same resident bytes.
     #[test]
     fn the_cold_start_models_keep_one_copy_of_their_weights() {
         use gcd2_models::ModelId;
@@ -3473,8 +3433,7 @@ mod tests {
             let (panels, row_major) = plan.resident_weight_bytes();
             assert!(panels + row_major >= plan.weight_bytes(), "{model}");
             assert!(
-                (panels + row_major) as f64 <= 1.1 * plan.weight_bytes() as f64
-                    || form(gcd2_kernels::active_isa(), 16) == "pairs",
+                (panels + row_major) as f64 <= 1.1 * plan.weight_bytes() as f64,
                 "{model}: {panels} + {row_major} of {}",
                 plan.weight_bytes()
             );
@@ -3488,8 +3447,21 @@ mod tests {
             assert!(one_form(&pinned), "{model} pinned");
             assert_eq!(
                 pinned.resident_weight_bytes(),
-                (0, pinned.weight_bytes()),
+                (panels, row_major),
                 "{model} pinned"
+            );
+            let gemm_panels = |plan: &InferencePlan| -> Vec<WeightPanel> {
+                plan.steps
+                    .iter()
+                    .filter_map(|step| match &step.kind {
+                        StepKind::Gemm(g) => Some(g.panel.clone()),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            assert!(
+                gemm_panels(&pinned) == gemm_panels(&plan),
+                "{model}: the scalar pin's panels are the detected tier's"
             );
         }
     }

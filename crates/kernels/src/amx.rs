@@ -636,7 +636,6 @@ unsafe fn row_block(
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
 pub(crate) unsafe fn band_amx(
     args: &BandArgs<'_>,
-    panel: &[i16],
     quads: &[QuadRow],
     scratch: &mut BandScratch,
     r0: usize,
@@ -657,9 +656,7 @@ pub(crate) unsafe fn band_amx(
     if !tile_grid_engages(rows) {
         // SAFETY: amx_available() verified AVX-512F, BW + VNNI; operand
         // contract is the caller's, unchanged.
-        return unsafe {
-            simd::x86::band_avx512vnni(args, panel, quads, scratch, r0, r1, out_band)
-        };
+        return unsafe { simd::x86::band_avx512vnni(args, quads, scratch, r0, r1, out_band) };
     }
     debug_assert!(r1 * k <= a.len());
     debug_assert_eq!(quads.len(), simd::quad_panel_rows(k, n));
@@ -899,7 +896,7 @@ mod tests {
             (33, 195, 7),
         ] {
             let (a, wd, panel) = operands(m, k, n);
-            let (_, _, quads) = panel.operands();
+            let quads = panel.quads();
             for mb in [16, 32, 48, m] {
                 for (clamp, map) in [
                     (255u8, ByteMap::IDENTITY),
@@ -910,7 +907,6 @@ mod tests {
                         a: &a,
                         k,
                         n,
-                        wd: &[],
                         shift: 2,
                         clamp,
                         map,
@@ -920,7 +916,7 @@ mod tests {
                     let mut out = vec![0u8; m * n];
                     // SAFETY: AMX support verified above; operands follow
                     // the band contract (m rows, packed quads, out m·n).
-                    unsafe { band_amx(&args, &[], quads, &mut scratch, 0, m, &mut out) };
+                    unsafe { band_amx(&args, quads, &mut scratch, 0, m, &mut out) };
                     let entries = map.entries();
                     let want: Vec<u8> = reference(&a, (m, k, n), &wd, 2, clamp)
                         .into_iter()
@@ -972,14 +968,13 @@ mod tests {
             for n in [16, 24, 48] {
                 let wd: Vec<i8> = (0..k * n).map(|i| (((i * 13) % 11) as i8) - 5).collect();
                 let panel = WeightPanel::of_kind(PanelKind::Quads, &wd, k, n);
-                let (_, _, quads) = panel.operands();
+                let quads = panel.quads();
                 let want = reference(&a, (m, k, n), &wd, 4, 15);
                 for mb in [16, 32, 48, view.tile_rows()] {
                     let args = BandArgs {
                         a: &[],
                         k,
                         n,
-                        wd: &[],
                         shift: 4,
                         clamp: 15,
                         map: ByteMap::IDENTITY,
@@ -1024,14 +1019,13 @@ mod tests {
             (129, 191, 112), // multi-block with every tail at once
         ] {
             let (a, wd, panel) = operands(m, k, n);
-            let (_, _, quads) = panel.operands();
+            let quads = panel.quads();
             // The u8 saturation and an activation ceiling below it.
             for clamp in [255u8, 15] {
                 let args = BandArgs {
                     a: &a,
                     k,
                     n,
-                    wd: &[],
                     shift: 3,
                     clamp,
                     map: ByteMap::IDENTITY,
@@ -1041,7 +1035,7 @@ mod tests {
                 let mut out = vec![0u8; m * n];
                 // SAFETY: AMX support verified above; operands follow the
                 // band contract (m rows, packed quads, out sized m*n).
-                unsafe { band_amx(&args, &[], quads, &mut scratch, 0, m, &mut out) };
+                unsafe { band_amx(&args, quads, &mut scratch, 0, m, &mut out) };
                 assert_eq!(
                     out,
                     reference(&a, (m, k, n), &wd, 3, clamp),

@@ -1202,8 +1202,8 @@ fn dw_rows_portable(
 /// horizontal stride is 1 (AVX-512: 16 pixels per step, AVX2: 8). The
 /// tier is [`crate::active_isa`] on the calling thread, read once per
 /// call — the rule of every GEMM dispatch, so a [`crate::pin_isa`] moves
-/// the interior with it. The scalar tier, NEON and border pixels run
-/// the scalar loop.
+/// the interior with it. The scalar tier and border pixels run the
+/// scalar loop.
 ///
 /// # Panics
 /// Panics if `input.len() != c * h * w` or
@@ -1401,7 +1401,7 @@ fn direct_conv_lanes(isa: crate::dispatch::KernelIsa) -> usize {
     }
 }
 
-/// Non-x86 hosts (including NEON) currently run the scalar loop.
+/// Hosts that are not x86-64 run the scalar tier, and so the scalar loop.
 #[cfg(not(target_arch = "x86_64"))]
 fn direct_conv_lanes(_isa: crate::dispatch::KernelIsa) -> usize {
     0

@@ -3,10 +3,10 @@
 //! The host never knows at compile time which SIMD tier it will run on,
 //! so the GEMM entry points route through a **one-time-resolved dispatch
 //! table**: the first dispatch probes the CPU (`is_x86_feature_detected!`
-//! on x86-64; NEON is baseline on aarch64), picks the best available
-//! [`KernelIsa`], and memoizes a [`KernelTable`] of function pointers.
-//! Every subsequent GEMM is an indirect call — no per-call feature
-//! sniffing.
+//! on x86-64; every other architecture runs the scalar tier), picks the
+//! best available [`KernelIsa`], and memoizes a [`KernelTable`] of
+//! function pointers. Every subsequent GEMM is an indirect call — no
+//! per-call feature sniffing.
 //!
 //! The tier is a function of the host. The one override is [`pin_isa`]:
 //! a thread-scoped pin, nestable and restored when its guard drops, with
@@ -20,24 +20,22 @@
 //! never change results, only speed.
 //!
 //! **A GEMM step only multiplies, from the one copy of its weights.**
-//! Each kernel reads its weights in one form ([`WeightPanel`]):
-//! pair-interleaved i16 for AVX2, one strip-major quad-interleaved i8
-//! panel for AVX-512 VNNI and AMX — laid out so a `tdpbusd` tile and a
-//! `vpdpbusd` operand are both consecutive, line-aligned bytes — and
-//! the row-major bytes for the scalar oracle, NEON and AVX2 below 8
-//! columns. A caller that runs the same weights again and again — an
-//! inference plan — fills that form once, a k-tile at a time, keeps no
-//! other, and passes it to [`try_matmul_panel_into`] on every dispatch;
-//! no tier pays an `O(k·n)` pack per dispatch. That is the one GEMM
-//! core: it derives the blocking of the tier it resolved
-//! ([`crate::tiled::tile_plan`]) and runs its band kernel. The form is
-//! fixed with the panel, as the compiler fixes an operator's layout with
-//! its instruction: a panel whose form the resolved tier does not read
-//! (a [`pin_isa`] taken after the fill) is refused
-//! ([`GemmDispatchError::PanelForm`]), never read back or repacked. The
-//! matrix-taking entry points ([`try_matmul_threaded_into`],
-//! [`crate::matmul_host`]) fill a reused panel for the active tier, then
-//! call the same core.
+//! Every tier's kernel — the scalar oracle, AVX2, AVX-512 VNNI and AMX
+//! — reads a GEMM's weights in one form ([`WeightPanel`]): the
+//! strip-major quad-interleaved i8 panel, laid out so a `tdpbusd` tile,
+//! a `vpdpbusd` operand and four `vpmovsxbw` operands are consecutive,
+//! line-aligned bytes. The form is fixed by the step, never by the
+//! tier, so a panel is the same bytes on every host and a plan built on
+//! one tier runs on every tier. A caller that runs the same weights
+//! again and again — an inference plan — fills that panel once, a
+//! k-tile at a time, keeps no other copy, and passes it to
+//! [`try_matmul_panel_into`] on every dispatch; no tier pays an
+//! `O(k·n)` pack per dispatch. That is the one GEMM core: it derives the
+//! blocking of the tier it resolved ([`crate::tiled::tile_plan`]) and
+//! runs its band kernel. The matrix-taking entry points
+//! ([`try_matmul_threaded_into`], [`crate::matmul_host`]) fill a reused
+//! panel, then call the same core. The row-major form
+//! ([`WeightPanel::row_major`]) is a direct kernel's, never a GEMM's.
 //!
 //! **One GEMM, one thread.** Every dispatch runs its band kernel over
 //! all `m` rows on the calling thread; callers parallelise between
@@ -52,8 +50,9 @@
 //! `a` is a [`GemmA::View`] of the padded map, which the AMX tile grid
 //! reads in place and every other tier materialises. The VNNI strips finish the `n % 16` trailing columns with
 //! one lane-masked zmm strip instead of a scalar tail (see
-//! [`crate::simd`]); the AMX tile grid computes the panel's zero-padded
-//! last strip whole (see [`crate::amx`]).
+//! [`crate::simd`]); the AMX tile grid, the AVX2 strips and the scalar
+//! oracle compute the panel's zero-padded last strip whole (see
+//! [`crate::amx`]).
 
 use crate::conv::Im2colView;
 use crate::simd::{self, Line, QuadRow, TILE_QUADS};
@@ -66,15 +65,16 @@ use std::marker::PhantomData;
 use std::sync::{Mutex, OnceLock};
 
 /// Kernel instruction-set tiers, from the always-available oracle up.
+/// The discriminants are stable ordinals (reports and benchmark results
+/// record them); 2 named a tier since removed and is not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum KernelIsa {
-    /// The scalar blocked loop — the bit-exactness oracle.
+    /// The scalar blocked loop — the bit-exactness oracle, and the tier
+    /// of every host that is not x86-64.
     Scalar = 0,
     /// AVX2 `vpmaddwd` micro-kernel (x86-64, runtime-detected).
     Avx2 = 1,
-    /// NEON `vmlal` kernel (aarch64 baseline).
-    Neon = 2,
     /// AVX-512 VNNI `vpdpbusd` micro-kernel (x86-64, runtime-detected).
     Avx512Vnni = 3,
     /// AMX-INT8 `tdpbusd` tile kernel (x86-64, runtime-detected and
@@ -86,10 +86,9 @@ pub enum KernelIsa {
 impl KernelIsa {
     /// Every tier, in tag order; filter by [`KernelIsa::supported`] for
     /// the ones this host can run.
-    pub const ALL: [KernelIsa; 5] = [
+    pub const ALL: [KernelIsa; 4] = [
         KernelIsa::Scalar,
         KernelIsa::Avx2,
-        KernelIsa::Neon,
         KernelIsa::Avx512Vnni,
         KernelIsa::AmxInt8,
     ];
@@ -99,7 +98,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Scalar => "scalar",
             KernelIsa::Avx2 => "avx2",
-            KernelIsa::Neon => "neon",
             KernelIsa::Avx512Vnni => "avx512vnni",
             KernelIsa::AmxInt8 => "amx-int8",
         }
@@ -123,9 +121,7 @@ impl KernelIsa {
             }
             #[cfg(target_arch = "x86_64")]
             KernelIsa::AmxInt8 => crate::amx::amx_available(),
-            #[cfg(target_arch = "aarch64")]
-            KernelIsa::Neon => true,
-            #[allow(unreachable_patterns)] // tiers of other architectures
+            #[allow(unreachable_patterns)] // x86-64 tiers off x86-64
             _ => false,
         }
     }
@@ -144,10 +140,6 @@ pub(crate) struct BandArgs<'a> {
     pub a: &'a [u8],
     pub k: usize,
     pub n: usize,
-    /// The row-major `k × n` weights when they are the form the kernel
-    /// reads ([`panel_kind`]: scalar, NEON, AVX2 below 8 columns);
-    /// empty when it reads a packed panel.
-    pub wd: &'a [i8],
     pub shift: u8,
     /// Upper bound of the requantised bytes: `clamp((acc >> shift), 0,
     /// clamp)`. 255 is the plain u8 saturation; a plan passes its
@@ -204,40 +196,27 @@ impl ByteMap {
     }
 }
 
-/// Which form of a weight matrix a kernel reads.
+/// Which form of a weight matrix a panel holds: fixed by the step that
+/// reads it, never by the tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum PanelKind {
-    /// The row-major `k × n` bytes: the scalar and NEON tiers, the AVX2
-    /// tier below 8 columns, and every direct (non-GEMM) kernel.
+    /// The row-major `k × n` bytes: every direct (non-GEMM) kernel.
     #[default]
     Rows,
-    /// Pair-interleaved i16 panel ([`simd::push_pairs_i16`], AVX2).
-    Pairs,
-    /// Strip-major quad-interleaved i8 panel ([`simd::pack_quad_ktile`],
-    /// VNNI and AMX: one layout both tiers stream linearly).
+    /// Strip-major quad-interleaved i8 panel ([`simd::pack_quad_ktile`]):
+    /// every GEMM, on every tier.
     Quads,
 }
 
-impl PanelKind {
-    /// Stable lowercase name, as a refused dispatch reports it.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            PanelKind::Rows => "rows",
-            PanelKind::Pairs => "pairs",
-            PanelKind::Quads => "quads",
-        }
-    }
-}
-
 /// Weight rows per k-tile: the unit a [`WeightPanel`] is filled and read
-/// back in — one quad tile deep, 32 row pairs.
+/// back in — one quad tile deep.
 pub const KTILE_ROWS: usize = 64;
 
 /// The one resident copy of a `k × n` weight matrix, in the one form
-/// the kernel that reads it wants: the quad panel on the VNNI and AMX
-/// tiers, the pair panel on AVX2, the row-major bytes on the scalar and
-/// NEON tiers, below 8 columns on AVX2 (`panel_kind`) and for a
-/// direct kernel ([`WeightPanel::row_major`]).
+/// its step reads: the quad panel for a GEMM on every tier
+/// ([`WeightPanel::for_gemm`]), the row-major bytes for a direct kernel
+/// ([`WeightPanel::row_major`]). Packing does not depend on the tier,
+/// so a GEMM panel is the same bytes on every host.
 ///
 /// A panel is filled a k-tile at a time ([`WeightPanel::push_ktile`])
 /// and read back the same way ([`WeightPanel::for_each_ktile`]): packing
@@ -254,16 +233,14 @@ pub struct WeightPanel {
     /// Rows installed so far: `k` once the panel is complete.
     filled: usize,
     rows: Vec<i8>,
-    pairs: Vec<i16>,
     quads: Vec<QuadRow>,
 }
 
 impl WeightPanel {
-    /// An empty `k × n` panel in the form the GEMM kernel of the tier
-    /// [`active_isa`] resolves on this thread reads (`panel_kind`),
-    /// to be filled by [`WeightPanel::push_ktile`].
+    /// An empty `k × n` quad panel — the form every tier's GEMM kernel
+    /// reads — to be filled by [`WeightPanel::push_ktile`].
     pub fn for_gemm(k: usize, n: usize) -> WeightPanel {
-        WeightPanel::empty(panel_kind(active_isa(), n), k, n)
+        WeightPanel::empty(PanelKind::Quads, k, n)
     }
 
     /// An empty row-major `k × n` panel: the form a direct kernel reads.
@@ -271,14 +248,9 @@ impl WeightPanel {
         WeightPanel::empty(PanelKind::Rows, k, n)
     }
 
-    /// `w` in the form [`WeightPanel::for_gemm`] picks.
+    /// `w` as the quad panel of [`WeightPanel::for_gemm`].
     pub fn pack(w: &MatrixI8) -> WeightPanel {
-        WeightPanel::of_kind(
-            panel_kind(active_isa(), w.cols()),
-            w.as_slice(),
-            w.rows(),
-            w.cols(),
-        )
+        WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), w.rows(), w.cols())
     }
 
     /// The `kind` form of the `k × n` matrix `wd`.
@@ -295,17 +267,15 @@ impl WeightPanel {
     }
 
     /// Empties the panel into an unfilled `kind` panel of `k × n`,
-    /// keeping its buffers; the other forms' buffers are emptied, so a
+    /// keeping its buffers; the other form's buffer is emptied, so a
     /// stale form can never be consumed. Quads are zeroed: a tile
     /// writes only its weight bytes, the padding stays.
     fn reset(&mut self, kind: PanelKind, k: usize, n: usize) {
         (self.kind, self.k, self.n, self.filled) = (kind, k, n, 0);
         self.rows.clear();
-        self.pairs.clear();
         self.quads.clear();
         match kind {
             PanelKind::Rows => self.rows.reserve_exact(k * n),
-            PanelKind::Pairs => self.pairs.reserve_exact(k.div_ceil(2) * 2 * n),
             PanelKind::Quads => self
                 .quads
                 .resize(simd::quad_panel_rows(k, n), Line([0; 64])),
@@ -336,7 +306,6 @@ impl WeightPanel {
             let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
             match self.kind {
                 PanelKind::Rows => self.rows.extend_from_slice(tile),
-                PanelKind::Pairs => simd::push_pairs_i16(tile, self.n, &mut self.pairs),
                 PanelKind::Quads => {
                     simd::pack_quad_ktile(tile, self.n, &mut self.quads[t * TILE_QUADS..], strip)
                 }
@@ -354,17 +323,10 @@ impl WeightPanel {
         let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
         for t in 0..self.filled.div_ceil(KTILE_ROWS) {
             let rows = KTILE_ROWS.min(self.filled - t * KTILE_ROWS);
-            let at = t * KTILE_ROWS * n;
-            if self.kind != PanelKind::Rows {
-                tile.resize(rows * n, 0);
-            }
             match self.kind {
-                PanelKind::Rows => f(&self.rows[at..][..rows * n]),
-                PanelKind::Pairs => {
-                    simd::unpack_pairs_i16(&self.pairs[at..], n, tile);
-                    f(tile)
-                }
+                PanelKind::Rows => f(&self.rows[t * KTILE_ROWS * n..][..rows * n]),
                 PanelKind::Quads => {
+                    tile.resize(rows * n, 0);
                     simd::unpack_quad_ktile(&self.quads[t * TILE_QUADS..], n, strip, tile);
                     f(tile)
                 }
@@ -375,15 +337,13 @@ impl WeightPanel {
     /// Whether the panel is complete and every byte of it that holds no
     /// weight is what packing leaves there: the rows past `k` of the
     /// last k-tile and the columns past `n` of the last strip of a quad
-    /// panel zero, the missing partner of an odd last row pair zero, and
-    /// the high byte of every pair element the sign of its low byte.
-    /// With the digest of what [`WeightPanel::for_each_ktile`] reads
-    /// back, this covers every byte a kernel reads.
+    /// panel zero. With the digest of what
+    /// [`WeightPanel::for_each_ktile`] reads back, this covers every
+    /// byte a kernel reads.
     pub fn padding_is_clean(&self) -> bool {
         let (k, n) = (self.k, self.n);
         let forms = [
             (PanelKind::Rows, self.rows.len(), k * n),
-            (PanelKind::Pairs, self.pairs.len(), k.div_ceil(2) * 2 * n),
             (
                 PanelKind::Quads,
                 self.quads.len(),
@@ -398,11 +358,6 @@ impl WeightPanel {
         }
         match self.kind {
             PanelKind::Rows => true,
-            PanelKind::Pairs => {
-                let widened = self.pairs.iter().all(|&v| v == v as i8 as i16);
-                let last = &self.pairs[k / 2 * 2 * n..];
-                widened && (k % 2 == 0 || last.iter().skip(1).step_by(2).all(|&v| v == 0))
-            }
             PanelKind::Quads => {
                 let (kt, strips) = (k.div_ceil(KTILE_ROWS), n.div_ceil(16));
                 let weight = |t: usize, s: usize, q: usize, b: usize| {
@@ -426,12 +381,9 @@ impl WeightPanel {
     }
 
     /// Bytes the panel holds, padding included (the quad panel is
-    /// padded to whole 16-column strips and 64-deep k-tiles, the pair
-    /// panel widens each weight to i16).
+    /// padded to whole 16-column strips and 64-deep k-tiles).
     pub fn bytes(&self) -> usize {
-        self.rows.len()
-            + std::mem::size_of_val(&self.pairs[..])
-            + std::mem::size_of_val(&self.quads[..])
+        self.rows.len() + std::mem::size_of_val(&self.quads[..])
     }
 
     /// The row-major weights, when they are the form the panel holds.
@@ -439,10 +391,10 @@ impl WeightPanel {
         (self.kind == PanelKind::Rows).then_some(&self.rows[..])
     }
 
-    /// The three operand slices a band kernel takes: the one the
-    /// panel's form fills, the others empty.
-    pub(crate) fn operands(&self) -> (&[i8], &[i16], &[QuadRow]) {
-        (&self.rows, &self.pairs, &self.quads)
+    /// The quad rows a band kernel reads: empty unless the panel is a
+    /// GEMM's.
+    pub(crate) fn quads(&self) -> &[QuadRow] {
+        &self.quads
     }
 
     /// Test instrumentation: xors `mask` into byte `byte` of what the
@@ -455,9 +407,6 @@ impl WeightPanel {
         let mask = mask as i8;
         match self.kind {
             PanelKind::Rows => self.rows.get_mut(byte).map(|v| *v ^= mask),
-            PanelKind::Pairs => self.pairs.get_mut(byte / 2).map(|v| {
-                *v ^= ((mask as u8 as u16) << (8 * (byte % 2))) as i16;
-            }),
             PanelKind::Quads => self
                 .quads
                 .get_mut(byte / 64)
@@ -469,21 +418,19 @@ impl WeightPanel {
 
 /// A band kernel: computes output rows `[r0, r1)` into `out_band`
 /// (`(r1-r0) × n` bytes), working in its [`BandScratch`] and reading
-/// whichever packed panel its table row's [`PanelKind`] selects (the
-/// other panel argument is empty and ignored).
+/// the weights' quad panel.
 ///
 /// # Safety
 /// The function may use ISA extensions; callers must obtain it from a
 /// [`KernelTable`] whose `isa.supported()` held at resolution time, and
 /// uphold the operand contract documented on each kernel.
 pub(crate) type BandFn =
-    unsafe fn(&BandArgs<'_>, &[i16], &[QuadRow], &mut BandScratch, usize, usize, &mut [u8]);
+    unsafe fn(&BandArgs<'_>, &[QuadRow], &mut BandScratch, usize, usize, &mut [u8]);
 
 /// One resolved dispatch-table row.
 pub(crate) struct KernelTable {
     pub isa: KernelIsa,
     pub band: BandFn,
-    pub panel: PanelKind,
 }
 
 /// Adapter giving the scalar oracle the band-kernel ABI.
@@ -492,48 +439,36 @@ pub(crate) struct KernelTable {
 /// Not actually unsafe — entirely safe code — but must match [`BandFn`].
 unsafe fn scalar_entry(
     args: &BandArgs<'_>,
-    _panel: &[i16],
-    _quads: &[QuadRow],
+    quads: &[QuadRow],
     scratch: &mut BandScratch,
     r0: usize,
     r1: usize,
     out: &mut [u8],
 ) {
-    crate::tiled::scalar_band(args, &mut scratch.acc, r0, r1, out);
+    crate::tiled::scalar_band(args, quads, &mut scratch.acc, r0, r1, out);
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::Scalar,
     band: scalar_entry,
-    panel: PanelKind::Rows,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::Avx2,
     band: simd::x86::band_avx2,
-    panel: PanelKind::Pairs,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512VNNI_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::Avx512Vnni,
     band: simd::x86::band_avx512vnni,
-    panel: PanelKind::Quads,
 };
 
 #[cfg(target_arch = "x86_64")]
 static AMX_TABLE: KernelTable = KernelTable {
     isa: KernelIsa::AmxInt8,
     band: crate::amx::band_amx,
-    panel: PanelKind::Quads,
-};
-
-#[cfg(target_arch = "aarch64")]
-static NEON_TABLE: KernelTable = KernelTable {
-    isa: KernelIsa::Neon,
-    band: simd::arm::band_neon,
-    panel: PanelKind::Rows,
 };
 
 pub(crate) fn table_for(isa: KernelIsa) -> &'static KernelTable {
@@ -545,9 +480,7 @@ pub(crate) fn table_for(isa: KernelIsa) -> &'static KernelTable {
         KernelIsa::Avx512Vnni => &AVX512VNNI_TABLE,
         #[cfg(target_arch = "x86_64")]
         KernelIsa::AmxInt8 => &AMX_TABLE,
-        #[cfg(target_arch = "aarch64")]
-        KernelIsa::Neon => &NEON_TABLE,
-        #[allow(unreachable_patterns)] // cross-arch variants degrade to the oracle
+        #[allow(unreachable_patterns)] // x86-64 tiers off x86-64 degrade to the oracle
         _ => &SCALAR_TABLE,
     }
 }
@@ -565,12 +498,7 @@ fn best_available() -> KernelIsa {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn best_available() -> KernelIsa {
-    KernelIsa::Neon
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn best_available() -> KernelIsa {
     KernelIsa::Scalar
 }
@@ -715,8 +643,7 @@ impl GemmA<'_> {
 }
 
 /// The dispatch core under [`try_matmul_panel_into`]: on the `active`
-/// tier, whose kernel reads the form `panel` holds, derives that tier's
-/// blocking ([`tile_plan`] — a [`pin_isa`] gets the blocking of the
+/// tier, with the quad panel `panel`, derives that tier's blocking ([`tile_plan`] — a [`pin_isa`] gets the blocking of the
 /// tier it lands on) and runs the band kernel over all `m` rows on the
 /// calling thread: a view the tier reads in place on the AMX view band,
 /// any other view materialised into `scratch` first.
@@ -742,12 +669,11 @@ fn dispatch(
         band,
         a: materialised,
     } = scratch;
-    let (wd, pairs, quads) = panel.operands();
+    let quads = panel.quads();
     let args = |a, rows| BandArgs {
         a,
         k,
         n,
-        wd,
         shift,
         clamp,
         map,
@@ -761,8 +687,7 @@ fn dispatch(
             // held at resolution; the view's kernel rows are whole tile
             // steps, the caller's validation established that its map
             // holds `reach()` bytes and that it is `m × k`, the panel is
-            // the AMX tier's quads of the `k × n` weights and `out` is
-            // `m × n`.
+            // the quads of the `k × n` weights and `out` is `m × n`.
             unsafe {
                 crate::amx::band_amx_view(&view, &args(&[], view.tile_rows()), quads, band, out)
             };
@@ -776,14 +701,13 @@ fn dispatch(
     };
     // SAFETY: table resolution verified ISA support; the caller's
     // validation established a.len() == m*k and k rows of n weights,
-    // out is m*n bytes, and the panel holds the `panel_kind` form of
-    // those weights for the active tier — the form its band kernel
-    // reads.
-    unsafe { (active.band)(&args(a, m), pairs, quads, band, 0, m, out) };
+    // out is m*n bytes, and the panel is the quad panel of those
+    // weights — the form every band kernel reads.
+    unsafe { (active.band)(&args(a, m), quads, band, 0, m, out) };
 }
 
-/// The GEMM of a caller that holds the row-major weights `w`: fills a
-/// panel checked out of `pool` in the form the active tier reads, then
+/// The GEMM of a caller that holds the row-major weights `w`: fills the
+/// quad panel checked out of `pool`, then
 /// multiplies on the calling thread through [`try_matmul_panel_into`]
 /// into `out`, resized to `m × n`. `threads` is accepted and unused — a
 /// GEMM no longer fans out; the parameter stays until the benchmark
@@ -809,7 +733,7 @@ pub fn try_matmul_threaded_into(
     validate_dispatch(GemmA::Matrix(a), m, k, w.rows(), shift)?;
     let (mut panel, mut scratch) = pool.checkout();
     let n = w.cols();
-    panel.fill(panel_kind(active_isa(), n), w.as_slice(), k, n);
+    panel.fill(PanelKind::Quads, w.as_slice(), k, n);
     // No clear(): the kernel writes the whole of `out`, so zeroing the
     // previous call's bytes first is a memset nobody reads.
     out.resize(m * n, 0);
@@ -824,9 +748,8 @@ pub fn try_matmul_threaded_into(
 /// caller's `m × n` bytes (`n` is the panel's), requantised as
 /// `requant = (shift, clamp, map)` — clamped to `clamp` instead of 255,
 /// then through `map` — working in the `scratch` the caller's arena
-/// owns. Nothing is packed: a panel in another form than the tier this
-/// thread resolves reads for `n` columns (one filled on another tier)
-/// is refused, never misread. With the clamp and the map folded into
+/// owns. Nothing is packed: the panel is the quad panel every tier
+/// reads, whichever tier filled it. With the clamp and the map folded into
 /// requantisation the bytes in `out` are finished activations: a plan
 /// points `out` at the output slot itself when the GEMM's rows are the
 /// slot's layout.
@@ -836,11 +759,14 @@ pub fn try_matmul_threaded_into(
 /// exactly `k` rows is [`GemmDispatchError::WeightRows`]; also
 /// [`GemmDispatchError::OutputSize`] if `out` is not `m × n` bytes,
 /// [`GemmDispatchError::MapClamp`] for a map other than the identity
-/// under a clamp above 15 and [`GemmDispatchError::PanelForm`] for a
-/// panel whose form the resolved tier does not read. A view that is not
+/// under a clamp above 15. A view that is not
 /// `m × k` ([`GemmDispatchError::ViewShape`]) or whose map its last
 /// window leaves ([`GemmDispatchError::ViewBuffer`]) is refused on
 /// every tier.
+///
+/// # Panics
+/// If `panel` is a direct kernel's row-major panel
+/// ([`WeightPanel::row_major`]), not a GEMM's — a caller bug.
 pub fn try_matmul_panel_into(
     a: GemmA<'_>,
     m: usize,
@@ -867,16 +793,8 @@ pub fn try_matmul_panel_into(
             got: out.len(),
         });
     }
-    let active = active_table();
-    let expected = panel_kind(active.isa, panel.n);
-    if panel.kind != expected {
-        return Err(GemmDispatchError::PanelForm {
-            tier: active.isa,
-            expected: expected.name(),
-            got: panel.kind.name(),
-        });
-    }
-    dispatch(active, a, m, k, panel, requant, scratch, out);
+    assert_eq!(panel.kind, PanelKind::Quads, "a GEMM reads a quad panel");
+    dispatch(active_table(), a, m, k, panel, requant, scratch, out);
     Ok(())
 }
 
@@ -884,7 +802,7 @@ pub fn try_matmul_panel_into(
 /// dispatched on `tier` — a pure function of its arguments. The AMX
 /// tier's tile grid needs 16 rows, below which its band kernel is the
 /// VNNI one; the AVX2 kernel hands GEMMs narrower than one ymm to the
-/// scalar oracle.
+/// scalar oracle. All of them read the same quad panel.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] // the tile grid is x86-64's
 fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
     match tier {
@@ -893,15 +811,6 @@ fn multiply_isa(tier: KernelIsa, m: usize, n: usize) -> KernelIsa {
         KernelIsa::Avx2 if n < 8 => KernelIsa::Scalar,
         _ => tier,
     }
-}
-
-/// The form of a weight matrix of `n` columns that the kernel
-/// multiplying it on `tier` reads — [`multiply_isa`]'s tier's panel.
-/// The row count only moves the AMX tier onto its VNNI strips, which
-/// read the same quads, so the form is one per `(tier, n)` and a plan
-/// fills it before it knows which rows a run will bring.
-fn panel_kind(tier: KernelIsa, n: usize) -> PanelKind {
-    table_for(multiply_isa(tier, 0, n)).panel
 }
 
 /// What the dispatcher uses for a GEMM shape on the active tier, for
@@ -938,8 +847,8 @@ mod tests {
         (a, w)
     }
 
-    /// Each tier's own panel multiplied on that tier: the scalar
-    /// oracle's bytes.
+    /// The one panel, packed under each tier's pin and multiplied on that
+    /// tier: the scalar oracle's bytes.
     #[test]
     fn every_supported_isa_matches_the_oracle() {
         let (m, k, n) = (37, 61, 29);
@@ -983,9 +892,9 @@ mod tests {
     }
 
     /// The integrity check that replaced re-packing (reading back plus
-    /// the padding check) accepts every form of `w`, over a ragged last
-    /// pair, quad and k-tile, and refuses a flipped byte, a truncated
-    /// panel, an incomplete one and other weights.
+    /// the padding check) accepts both forms of `w`, over a ragged last
+    /// quad and k-tile, and refuses a flipped byte, a truncated panel, an
+    /// incomplete one and other weights.
     #[test]
     fn is_pack_of_accepts_the_image_and_nothing_else() {
         let (k, n) = (2 * 256 + 7, 19);
@@ -997,14 +906,13 @@ mod tests {
                 w.get(r, c)
             }
         });
-        for kind in [PanelKind::Rows, PanelKind::Pairs, PanelKind::Quads] {
+        for kind in [PanelKind::Rows, PanelKind::Quads] {
             let mut panel = WeightPanel::of_kind(kind, w.as_slice(), k, n);
             assert!(holds(&panel, &w), "{kind:?}");
             assert_eq!(panel.as_rows().is_some(), kind == PanelKind::Rows);
             assert!(!holds(&panel, &other), "{kind:?} of other weights");
             let mut short = panel.clone();
             short.rows.pop();
-            short.pairs.pop();
             short.quads.pop();
             assert!(!holds(&short, &w), "{kind:?} truncated");
             let mut partial = WeightPanel::empty(kind, k, n);
@@ -1018,9 +926,8 @@ mod tests {
 
     /// A flip of any one byte a panel stores fails the check — in the
     /// quad panel that includes every padding byte of the ragged last
-    /// strip (19 columns) and k-tile (70 rows), which the tile tier
-    /// multiplies, and in the pair panel the high byte of every element
-    /// and the zero partner of the odd last row.
+    /// strip (19 columns) and k-tile (71 rows), which the AMX, AVX2 and
+    /// scalar kernels multiply.
     #[test]
     fn is_pack_of_refuses_a_flip_of_any_byte_padding_included() {
         let (k, n) = (71, 19);
@@ -1028,12 +935,7 @@ mod tests {
         let quads = WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), k, n);
         assert_eq!(quads.bytes(), 2 * 2 * 1024, "two strips of two k-tiles");
         assert!(quads.bytes() > 2 * k * n, "mostly padding");
-        assert_eq!(
-            WeightPanel::of_kind(PanelKind::Pairs, w.as_slice(), k, n).bytes(),
-            2 * (k + 1) * n,
-            "i16 pairs, the last with a zero partner"
-        );
-        for kind in [PanelKind::Rows, PanelKind::Pairs, PanelKind::Quads] {
+        for kind in [PanelKind::Rows, PanelKind::Quads] {
             let mut panel = WeightPanel::of_kind(kind, w.as_slice(), k, n);
             for byte in 0..panel.bytes() {
                 for mask in [1, 0x80] {
@@ -1048,34 +950,36 @@ mod tests {
     }
 
     /// Reading back is the inverse of packing, on every tier this host
-    /// supports (the scalar pin included): whatever form `pack` picks for a
-    /// shape — through every k-tile edge (1–3 rows, one short of, on and
-    /// past 64, and four tiles and a row) and every strip edge (below,
-    /// on and past 8 and 16 columns, two strips and a column, 1000) — it
-    /// reads back the matrix, with clean padding.
+    /// supports (the scalar pin included): through every k-tile edge
+    /// (1–3 rows, one short of, on and past 64, and four tiles and a row)
+    /// and every strip edge (below, on and past 8 and 16 columns, two
+    /// strips and a column, 1000) the panel reads back the matrix, with
+    /// clean padding — and it is the same bytes under every pin.
     #[test]
     fn unpacking_the_pack_is_the_matrix_on_every_tier() {
-        let check = |tier: &str| {
-            for k in [1, 2, 3, 63, 64, 65, 257] {
-                for n in [1, 7, 8, 9, 15, 16, 17, 33, 1000] {
-                    let w = MatrixI8::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 255) as i8);
+        for k in [1, 2, 3, 63, 64, 65, 257] {
+            for n in [1, 7, 8, 9, 15, 16, 17, 33, 1000] {
+                let w = MatrixI8::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 255) as i8);
+                let scalar = {
+                    let _pin = pin_isa(KernelIsa::Scalar);
+                    WeightPanel::pack(&w)
+                };
+                for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
+                    let _pin = pin_isa(isa);
                     let panel = WeightPanel::pack(&w);
-                    assert!(panel.padding_is_clean(), "{tier} {k}x{n}");
-                    assert_eq!(unpacked(&panel), w.as_slice(), "{tier} {k}x{n}");
+                    assert!(panel.padding_is_clean(), "{isa} {k}x{n}");
+                    assert_eq!(unpacked(&panel), w.as_slice(), "{isa} {k}x{n}");
+                    assert!(panel == scalar, "{isa} {k}x{n}: the scalar pin's bytes");
                 }
             }
-        };
-        for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
-            let _pin = pin_isa(isa);
-            check(isa.name());
         }
     }
 
     /// The quad panel is the byte image its layout map names, read
     /// without [`simd::unpack_quad_ktile`] — the round trip above cannot
     /// see a pack and an unpack that are wrong the same way. On every
-    /// tier this host supports whose panel for the shape is quads, for
-    /// every `(k, n)` of that grid and every distinct catalog GEMM shape:
+    /// tier this host supports, for every `(k, n)` of that grid and every
+    /// distinct catalog GEMM shape:
     /// byte `4j + i` of quad row `q` of strip `s`, k-tile `t` is
     /// `w[64t + 4q + i][16s + j]`, or 0 where that lies past `k` or `n`.
     #[test]
@@ -1093,13 +997,10 @@ mod tests {
         let shapes: BTreeSet<(usize, usize)> = grid.chain(catalog).collect();
         for isa in KernelIsa::ALL.into_iter().filter(|isa| isa.supported()) {
             let _pin = pin_isa(isa);
-            for &(k, n) in shapes
-                .iter()
-                .filter(|&&(_, n)| panel_kind(isa, n) == PanelKind::Quads)
-            {
+            for &(k, n) in &shapes {
                 let w = MatrixI8::from_fn(k, n, |r, c| ((r * 7 + c * 3) % 255) as i8);
                 let panel = WeightPanel::pack(&w);
-                let (quads, kt) = (panel.operands().2, k.div_ceil(KTILE_ROWS));
+                let (quads, kt) = (panel.quads(), k.div_ceil(KTILE_ROWS));
                 assert_eq!(quads.len(), simd::quad_panel_rows(k, n), "{isa} {k}x{n}");
                 for (row, Line(d)) in quads.iter().enumerate() {
                     let (s, t, q) = (
@@ -1133,24 +1034,6 @@ mod tests {
                 assert!(std::arch::is_x86_feature_detected!("avx512f"), "{isa}");
                 assert!(std::arch::is_x86_feature_detected!("avx512bw"), "{isa}");
                 assert!(std::arch::is_x86_feature_detected!("avx512dq"), "{isa}");
-            }
-        }
-    }
-
-    /// The form a plan fills is the one the kernel multiplying the shape
-    /// reads, and it does not depend on the rows a run brings.
-    #[test]
-    fn the_panel_form_is_the_multiplying_tiers_for_any_rows() {
-        for tier in KernelIsa::ALL {
-            for n in [1, 7, 8, 9, 16, 1000] {
-                for m in [0, 1, 15, 16, 17, 12544] {
-                    let multiplier = multiply_isa(tier, m, n);
-                    assert_eq!(
-                        panel_kind(tier, n),
-                        table_for(multiplier).panel,
-                        "{tier} {m}x{n}"
-                    );
-                }
             }
         }
     }
@@ -1246,15 +1129,22 @@ mod tests {
         }
     }
 
+    /// A pin lands on its tier when the host supports it and on the
+    /// scalar oracle when it does not — on a host that supports every
+    /// tier (an AMX host) the second branch is not exercised.
     #[test]
     fn pinning_unsupported_isa_degrades_to_scalar() {
-        let pin = pin_isa(KernelIsa::Neon);
-        #[cfg(not(target_arch = "aarch64"))]
-        assert_eq!(active_isa(), KernelIsa::Scalar);
-        #[cfg(target_arch = "aarch64")]
-        assert_eq!(active_isa(), KernelIsa::Neon);
-        drop(pin);
-        assert!(active_isa().supported());
+        for isa in KernelIsa::ALL {
+            let pin = pin_isa(isa);
+            let want = if isa.supported() {
+                isa
+            } else {
+                KernelIsa::Scalar
+            };
+            assert_eq!(active_isa(), want, "{isa}");
+            drop(pin);
+            assert!(active_isa().supported());
+        }
     }
 
     /// A pin is the calling thread's alone, nests, is restored to the
@@ -1342,8 +1232,7 @@ mod tests {
                     let (a, w) = operands(m, k, n);
                     let mut staged = LineBuf::default();
                     staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
-                    let panel = WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n);
-                    let (wd, pairs, quads) = panel.operands();
+                    let panel = WeightPanel::pack(&w);
                     let rule = tile_plan(m, k, n, isa);
                     let mut cands = old_candidates(isa, m, k);
                     cands.push(rule);
@@ -1358,7 +1247,6 @@ mod tests {
                                 a: staged.bytes(),
                                 k,
                                 n,
-                                wd,
                                 shift: 6,
                                 clamp: u8::MAX,
                                 map: ByteMap::IDENTITY,
@@ -1375,7 +1263,7 @@ mod tests {
                             // m × k, `panel` the tier's pack of `w`,
                             // `out` m × n.
                             unsafe {
-                                (table.band)(&args, pairs, quads, &mut scratch, 0, m, &mut out)
+                                (table.band)(&args, panel.quads(), &mut scratch, 0, m, &mut out)
                             };
                             *best = (*best).min(t0.elapsed());
                         }
@@ -1456,13 +1344,11 @@ mod tests {
                 let (a, w) = operands(m, k, n);
                 let mut staged = LineBuf::default();
                 staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
-                let panel = WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n);
-                let (wd, pairs, quads) = panel.operands();
+                let panel = WeightPanel::pack(&w);
                 let args = BandArgs {
                     a: staged.bytes(),
                     k,
                     n,
-                    wd,
                     shift: 6,
                     clamp: u8::MAX,
                     map: ByteMap::IDENTITY,
@@ -1478,7 +1364,7 @@ mod tests {
                     // match the band contract: `a` is m × k, `panel`
                     // the tier's pack of `w`, `out` m × n.
                     unsafe {
-                        (table_for(isa).band)(&args, pairs, quads, &mut scratch, 0, m, &mut out)
+                        (table_for(isa).band)(&args, panel.quads(), &mut scratch, 0, m, &mut out)
                     };
                     band = band.min(t0.elapsed());
                 }
@@ -1554,7 +1440,7 @@ mod tests {
                 staged.bytes_mut(m * k).copy_from_slice(a.as_bytes());
                 Operands {
                     staged,
-                    panel: WeightPanel::of_kind(panel_kind(isa, n), w.as_slice(), k, n),
+                    panel: WeightPanel::pack(&w),
                     scratch: BandScratch::default(),
                     out: vec![0u8; m * n],
                 }
@@ -1572,12 +1458,10 @@ mod tests {
                     scratch,
                     out,
                 } = copy;
-                let (wd, pairs, quads) = panel.operands();
                 let args = BandArgs {
                     a: staged.bytes(),
                     k,
                     n,
-                    wd,
                     shift: 6,
                     clamp: u8::MAX,
                     map: ByteMap::IDENTITY,
@@ -1587,7 +1471,7 @@ mod tests {
                 // SAFETY: the tier is supported and the operands match
                 // the band contract: `a` is m × k, `panel` the tier's
                 // pack of `w`, `out` m × n.
-                unsafe { (table_for(isa).band)(&args, pairs, quads, scratch, 0, m, out) };
+                unsafe { (table_for(isa).band)(&args, panel.quads(), scratch, 0, m, out) };
                 window.1[c] = window.1[c].min(t0.elapsed());
             }
             if window.0.elapsed() >= Duration::from_millis(100) {
@@ -1666,13 +1550,12 @@ mod tests {
                 .map(|i| ((i * 37 + 11) % 23) as u8 % 16)
                 .collect();
             let w = MatrixI8::from_fn(k, n, |r, c| (((r * 13 + c * 7) % 11) as i8) - 5);
-            let panel = WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), k, n);
-            let (_, _, quads) = panel.operands();
+            let panel = WeightPanel::pack(&w);
+            let quads = panel.quads();
             let args = |rows| BandArgs::<'static> {
                 a: &[],
                 k,
                 n,
-                wd: &[],
                 shift: 9,
                 clamp: u8::MAX,
                 map: ByteMap::IDENTITY,
@@ -1695,7 +1578,7 @@ mod tests {
                 };
                 // SAFETY: the tier is supported; `a` is m × k, `quads`
                 // the AMX pack of the k × n weights, `out` m × n.
-                unsafe { (table.band)(&staged, &[], quads, &mut band, 0, m, &mut out) };
+                unsafe { (table.band)(&staged, quads, &mut band, 0, m, &mut out) };
                 let t2 = Instant::now();
                 black_box(touch(&evict) + touch(&input));
                 let t3 = Instant::now();

@@ -10,8 +10,8 @@
 //!
 //! Forms: every kernel here has one form, portable Rust written so it
 //! autovectorises, and every tier runs it — the scalar tier (a
-//! [`crate::pin_isa`]) as well as AVX2,
-//! AVX-512 VNNI, AMX and NEON. The two group kernels, [`softmax_into`]
+//! [`crate::pin_isa`], and every host that is not x86-64) as well as
+//! AVX2, AVX-512 VNNI and AMX. The two group kernels, [`softmax_into`]
 //! and [`layernorm_into`], share one group loop: one byte reduction and
 //! one per-group constant per group, then `u8`/`u16` lane operations per
 //! byte. `tests/hostops_identity.rs` holds both, at every tier, to the

@@ -6,23 +6,23 @@
 //! through the epilogue's byte map (`BandArgs::map`, the identity unless
 //! a plan folded steps into the GEMM), with i32 **wrapping** accumulation. Wrapping addition
 //! is associative and commutative, so any accumulation order — register
-//! tiles, pair-summed `madd`, widened NEON lanes — produces bytes
-//! identical to the scalar loop. That bit-exactness is the contract: the
-//! proptest gate in `tests/simd_identity.rs` compares every path against
-//! the oracle, and `gcd2-analyze`'s accumulator-width proofs transfer
-//! unchanged.
+//! tiles, pair-summed `vpmaddwd`, four-byte `vpdpbusd` dots, AMX tiles —
+//! produces bytes identical to the scalar loop. That bit-exactness is
+//! the contract: the proptest gate in `tests/simd_identity.rs` compares
+//! every path against the row-major reference, and `gcd2-analyze`'s
+//! accumulator-width proofs transfer unchanged.
 //!
-//! Why `_mm256_madd_epi16` is exact here: activations are `u8` (≤ 255)
-//! and weights `i8`, both widened to i16 lanes, so every lane product has
-//! magnitude ≤ 255·128 = 32640 and each madd pair-sum ≤ 65280 — far
-//! inside i32. The saturating corner of `vpmaddwd` (both lanes −32768)
-//! is unreachable. The byte-wise `maddubs` instruction was rejected
-//! because its i16 pair-sum *does* saturate for general u8×i8 input.
+//! Every kernel, the scalar oracle included, reads the weights in one
+//! form: the strip-major quad panel ([`quad_panel_rows`] has the
+//! layout), packed once whatever tier will multiply it. Each tier's
+//! exactness argument is on its kernel: the AVX2 one at [`x86::micro`]
+//! (`vpmaddwd` over sign-extended quads), the VNNI one at
+//! [`x86::band_avx512vnni`].
 //!
-//! Zero-skip: the scalar oracle skips `a == 0` elements (im2col zero
-//! padding makes them common). Skipping a zero activation only omits
-//! adding 0 — so each kernel is free to skip, or not, at whatever
-//! granularity profits: the AVX2 kernel skips zero *pairs*, the VNNI
+//! Zero-skip: the scalar oracle skips all-zero activation quads (im2col
+//! zero padding makes them common). Skipping a zero activation only
+//! omits adding 0 — so each kernel is free to skip, or not, at whatever
+//! granularity profits: the AVX2 kernel skips zero *quads*, the VNNI
 //! wide kernel never skips (see [`x86::micro512`] for why the branch
 //! loses), and the VNNI narrow kernel skips whole 64-byte blocks.
 //! All choices produce identical bytes.
@@ -30,44 +30,6 @@
 use crate::dispatch::{BandArgs, ByteMap};
 use crate::tiled::BandScratch;
 use crate::tiled::TilePlan;
-
-/// Appends the pair-interleaved i16 image of `rows` (whole rows of `n`
-/// weights) to the panel the AVX2 kernel consumes: consecutive weight
-/// rows `2p` and `2p+1` are zipped column-wise, so one 256-bit load
-/// yields 8 columns worth of `(w[2p][j], w[2p+1][j])` i16 pairs ready
-/// for `madd` against a broadcast activation pair. An odd trailing row
-/// is padded with a zero partner (zero contributes nothing to the
-/// pair-sum). Element `p·2n + 2j + i` is `w[2p + i][j]`, so a matrix
-/// appended a k-tile at a time — every tile but the last an even number
-/// of rows — is the image of the whole.
-pub(crate) fn push_pairs_i16(rows: &[i8], n: usize, panel: &mut Vec<i16>) {
-    for pair in rows.chunks(2 * n) {
-        let (row0, row1) = pair.split_at(n);
-        if row1.is_empty() {
-            panel.extend(row0.iter().flat_map(|&w| [w as i16, 0]));
-        } else {
-            panel.extend(
-                row0.iter()
-                    .zip(row1)
-                    .flat_map(|(&w0, &w1)| [w0 as i16, w1 as i16]),
-            );
-        }
-    }
-}
-
-/// The row-major weights of the pair panel `pairs` from its first
-/// element on, into `tile` (whole rows of `n`): the inverse of
-/// [`push_pairs_i16`].
-pub(crate) fn unpack_pairs_i16(pairs: &[i16], n: usize, tile: &mut [i8]) {
-    let width = (2 * n).max(1);
-    for (pair, rows) in pairs.chunks_exact(width).zip(tile.chunks_mut(width)) {
-        for (i, row) in rows.chunks_exact_mut(n).enumerate() {
-            for (w, &p) in row.iter_mut().zip(pair[i..].iter().step_by(2)) {
-                *w = p as i8;
-            }
-        }
-    }
-}
 
 /// 64 elements on a 64-byte boundary: one cache line of bytes. The
 /// quad panel is a vector of these, so no `vpdpbusd` operand and no row
@@ -77,7 +39,7 @@ pub(crate) fn unpack_pairs_i16(pairs: &[i16], n: usize, tile: &mut [i8]) {
 #[repr(C, align(64))]
 pub(crate) struct Line<T>(pub(crate) [T; 64]);
 
-/// One row of the VNNI/AMX weight panel: four weight rows of sixteen
+/// One row of the quad weight panel: four weight rows of sixteen
 /// columns, zipped column-wise (byte `4j + i` is `w[4q + i][16s + j]`).
 pub(crate) type QuadRow = Line<i8>;
 
@@ -89,8 +51,8 @@ pub(crate) const TILE_QUADS: usize = 16;
 /// Quad rows of the quad panel of a `k × n` matrix: whole 16-column
 /// strips of whole 64-deep k-tiles.
 ///
-/// The strip-major, quad-interleaved i8 panel the AVX-512 VNNI and AMX
-/// kernels share zips four consecutive weight rows column-wise, so each
+/// The strip-major, quad-interleaved i8 panel every GEMM kernel reads
+/// zips four consecutive weight rows column-wise, so each
 /// i32 lane of a 64-byte [`QuadRow`] holds the `(w[4q][j] .. w[4q+3][j])`
 /// bytes `vpdpbusd` dots against four broadcast activation bytes; the
 /// quad rows of one 16-column strip lie back to back over all of `k`.
@@ -100,11 +62,14 @@ pub(crate) const TILE_QUADS: usize = 16;
 ///
 /// with `kt = ⌈k/64⌉`. Sixteen consecutive quad rows are one `tdpbusd`
 /// B tile (1 KiB of consecutive, line-aligned bytes) and the next
-/// k-tile of the strip follows it, so both tiers stream a strip
-/// linearly. The panel is zero-padded to whole strips and whole
-/// k-tiles: a zero weight byte contributes nothing whatever activation
-/// byte it meets, so the tile tier computes the padded last strip and
-/// k-tile whole and the activation padding bytes never matter.
+/// k-tile of the strip follows it, so every tier streams a strip
+/// linearly; the AVX2 kernel reads each 16-byte quarter of a quad row
+/// (4 columns × 4 rows) as one `vpmovsxbw` operand, the scalar oracle
+/// reads bytes by this index arithmetic. The panel is zero-padded to
+/// whole strips and whole k-tiles: a zero weight byte contributes
+/// nothing whatever activation byte it meets, so the AMX, AVX2 and
+/// scalar kernels compute the padded last strip whole and the
+/// activation padding bytes never matter.
 pub(crate) fn quad_panel_rows(k: usize, n: usize) -> usize {
     n.div_ceil(16) * k.div_ceil(64) * TILE_QUADS
 }
@@ -128,8 +93,7 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
                 continue;
             }
             // The ragged last quad or strip: what is missing stays zero.
-            // (Quad panels are the x86 tiers' form; elsewhere this loop
-            // packs every quad.)
+            // (Off x86-64 this loop packs every quad.)
             for (i, row) in quad.chunks_exact(n).enumerate() {
                 for (j, &w) in row[j0..j0 + cols].iter().enumerate() {
                     d[4 * j + i] = w;
@@ -174,22 +138,32 @@ pub(crate) fn unpack_quad_ktile(src: &[QuadRow], n: usize, strip_stride: usize, 
     }
 }
 
-/// Requantize an i32 accumulator band to output bytes,
+/// Requantize an i32 accumulator block to output bytes,
 /// `map[clamp(v >> shift, 0, clamp)]` — the shared epilogue of the
-/// scalar oracle and of the AVX2 and NEON bands (the AVX-512 tiers
-/// requantise in zmm lanes, `x86::Requant512`). A map other than the
-/// identity is a second pass over the clamped bytes while they are in
-/// L1 ([`ByteMap::select`]). Always inlined, so each band kernel's copy is
-/// vectorised for its own `target_feature`s.
+/// scalar oracle and of the AVX2 band (the AVX-512 tiers requantise in
+/// zmm lanes, `x86::Requant512`). The block's rows are `width` wide —
+/// whole 16-column strips, the zero-padded last strip computed whole —
+/// and `out`'s rows `n` bytes (`1 ≤ n ≤ width`): the padding columns
+/// are dropped. A map other than the identity is a second pass over a
+/// row's clamped bytes while they are in L1 ([`ByteMap::select`]).
+/// Always inlined, so each band kernel's copy is vectorised for its own
+/// `target_feature`s.
 #[inline(always)]
-pub(crate) fn requantize(acc: &[i32], shift: u8, clamp: u8, map: ByteMap, out: &mut [u8]) {
-    for (dst, &v) in out.iter_mut().zip(acc.iter()) {
-        *dst = (v >> shift).clamp(0, clamp as i32) as u8;
-    }
-    if !map.is_identity() {
-        let entries = map.entries();
-        for b in out.iter_mut() {
-            *b = ByteMap::select(&entries, *b);
+pub(crate) fn requantize(
+    acc: &[i32],
+    (width, n): (usize, usize),
+    (shift, clamp, map): (u8, u8, ByteMap),
+    out: &mut [u8],
+) {
+    let entries = (!map.is_identity()).then(|| map.entries());
+    for (acc, out) in acc.chunks_exact(width).zip(out.chunks_exact_mut(n)) {
+        for (dst, &v) in out.iter_mut().zip(acc) {
+            *dst = (v >> shift).clamp(0, clamp as i32) as u8;
+        }
+        if let Some(entries) = &entries {
+            for b in out.iter_mut() {
+                *b = ByteMap::select(entries, *b);
+            }
         }
     }
 }
@@ -199,34 +173,37 @@ pub(crate) mod x86 {
     #![allow(clippy::too_many_arguments)]
 
     use super::{
-        quad_panel_rows, requantize, BandArgs, BandScratch, ByteMap, QuadRow, TilePlan, TILE_QUADS,
+        quad_panel_rows, requantize, BandArgs, BandScratch, ByteMap, Line, QuadRow, TilePlan,
+        TILE_QUADS,
     };
     use core::arch::x86_64::*;
 
-    /// AVX2 band kernel over rows `[r0, r1)` of the output.
+    /// AVX2 band kernel over rows `[r0, r1)` of the output, over the
+    /// quad panel every tier reads.
     ///
-    /// Loop nest: `mb` row blocks outermost with a cache-hot `mb × n`
-    /// i32 accumulator (requantized per block), `kb`-sized pair segments
-    /// of the packed panel inside, then register-tiled micro-kernels —
-    /// 4 rows × 16 columns held in 8 ymm accumulators, one `madd` +
-    /// `add` per (row-pair, 8 columns). Keeping the accumulator block-
-    /// local matters for huge-`m` conv GEMMs: a band-wide accumulator
-    /// would be re-streamed from memory once per reduction segment.
-    /// Bands narrower than one ymm of columns delegate to the scalar
-    /// oracle (bit-identical; the strips cannot engage), which reads the
-    /// row-major weights instead.
+    /// Loop nest: `mb` row blocks outermost with a cache-hot accumulator
+    /// block of whole 16-column strips (requantized per block), `kb`-deep
+    /// segments of quads inside, then register-tiled micro-kernels — 3
+    /// rows × one strip in 12 ymm accumulators. Keeping the accumulator
+    /// block-local matters for huge-`m` conv GEMMs: a band-wide
+    /// accumulator would be re-streamed from memory once per reduction
+    /// segment. Each row block's activations are first zero-extended to
+    /// i16 into `scratch.a_wide` (each row padded with zeros to whole
+    /// quads), so a micro-kernel broadcasts a quad's four i16 straight
+    /// from memory — a load, not a shuffle. The panel's last strip is
+    /// zero-padded to 16 columns, so it is computed whole, as on AMX,
+    /// and requantization drops the padding columns. Bands narrower than
+    /// one ymm of columns, and an empty reduction, delegate to the scalar
+    /// oracle (bit-identical).
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available, `r1 <= m`,
-    /// `out_band.len() == (r1 - r0) * n`, and that the weights are
-    /// given in the form this kernel reads: for `n >= 8` `panel` is the
-    /// [`super::push_pairs_i16`] image of the `args.k × args.n`
-    /// matrix, below that `args.wd` is the matrix.
+    /// Caller must ensure AVX2 is available, `quads` is the quad panel
+    /// ([`super::quad_panel_rows`]) of the `args.k × args.n` matrix,
+    /// `r1 * k <= a.len()` and `out_band.len() == (r1 - r0) * n`.
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn band_avx2(
         args: &BandArgs<'_>,
-        panel: &[i16],
-        _quads: &[QuadRow],
+        quads: &[QuadRow],
         scratch: &mut BandScratch,
         r0: usize,
         r1: usize,
@@ -239,192 +216,187 @@ pub(crate) mod x86 {
             shift,
             clamp,
             map,
-            tiles,
-            ..
+            tiles: TilePlan { mb, kb },
         } = *args;
-        let TilePlan { mb, kb } = tiles;
-        let acc_buf = &mut scratch.acc;
-        if n < 8 {
-            // No vector strip fits: every column would take the scalar
-            // tail. The oracle's plain nest is strictly faster there.
-            return crate::tiled::scalar_band(args, acc_buf, r0, r1, out_band);
+        let BandScratch {
+            acc: acc_buf,
+            a_wide,
+            ..
+        } = scratch;
+        if n < 8 || k == 0 {
+            // A strip would be mostly padding; an empty reduction has no
+            // quad to widen.
+            return crate::tiled::scalar_band(args, quads, acc_buf, r0, r1, out_band);
         }
         let rows = r1 - r0;
         debug_assert!(r1 * k <= a.len());
-        debug_assert_eq!(panel.len(), k.div_ceil(2) * 2 * n);
+        debug_assert_eq!(quads.len(), quad_panel_rows(k, n));
         debug_assert_eq!(out_band.len(), rows * n);
-
-        let pairs = k.div_ceil(2);
-        let full_pairs = k / 2;
-        let kb_pairs = (kb / 2).max(1);
-        let mb = mb.max(4);
+        let width = n.next_multiple_of(16);
+        let nquads = k.div_ceil(4);
+        let kb_quads = (kb / 4).max(1);
+        let mb = mb.max(1);
         acc_buf.clear();
-        acc_buf.resize(mb.min(rows) * n, 0);
+        acc_buf.resize(mb.min(rows) * width, 0);
+        // Only the ragged last quad's padding must be zero: every other
+        // element is rewritten per row block.
+        a_wide.clear();
+        a_wide.resize(mb.min(rows) * 4 * nquads, 0);
 
         let mut rb = 0usize;
         while rb < rows {
             let mrows = mb.min(rows - rb);
-            let acc = &mut acc_buf[..mrows * n];
+            let acc = &mut acc_buf[..mrows * width];
             acc.fill(0);
-            let mut p0 = 0usize;
-            while p0 < pairs {
-                let p1 = (p0 + kb_pairs).min(pairs);
+            let block = &a[(r0 + rb) * k..(r0 + rb + mrows) * k];
+            for (wide, arow) in a_wide
+                .chunks_exact_mut(4 * nquads)
+                .zip(block.chunks_exact(k))
+            {
+                for (w, &v) in wide.iter_mut().zip(arow) {
+                    *w = v as u16;
+                }
+            }
+            let block = Block {
+                wide: a_wide,
+                k,
+                width,
+            };
+            for q0 in (0..nquads).step_by(kb_quads) {
+                let q1 = (q0 + kb_quads).min(nquads);
                 let mut r = 0usize;
-                while r + 4 <= mrows {
-                    // SAFETY: rows r0+rb+r .. +4 are < r1 <= m and the
-                    // acc offset r * n stays inside the mrows*n block.
-                    unsafe {
-                        strips::<4>(a, k, n, panel, acc, r0 + rb + r, r * n, p0, p1, full_pairs);
-                    }
-                    r += 4;
+                while r + 3 <= mrows {
+                    // SAFETY: rows r .. r + 3 are rows of the block, whose
+                    // accumulator rows `acc` holds.
+                    unsafe { strips::<3>(&block, quads, acc, r, q0, q1) };
+                    r += 3;
                 }
                 while r < mrows {
-                    // SAFETY: single row r0+rb+r < r1 <= m, acc offset in range.
-                    unsafe {
-                        strips::<1>(a, k, n, panel, acc, r0 + rb + r, r * n, p0, p1, full_pairs);
-                    }
+                    // SAFETY: row r is a row of the block.
+                    unsafe { strips::<1>(&block, quads, acc, r, q0, q1) };
                     r += 1;
                 }
-                p0 = p1;
             }
             requantize(
                 acc,
-                shift,
-                clamp,
-                map,
+                (width, n),
+                (shift, clamp, map),
                 &mut out_band[rb * n..(rb + mrows) * n],
             );
             rb += mrows;
         }
     }
 
-    /// Column-strip driver for an `R`-row group: 16-wide register tiles,
-    /// then one 8-wide tile, then a scalar tail for `n % 8` columns.
+    /// One row block of [`band_avx2`]: its activation rows zero-extended
+    /// to i16, `4 · ⌈k/4⌉` per row, and its accumulator rows' `width`.
+    struct Block<'a> {
+        wide: &'a [u16],
+        k: usize,
+        width: usize,
+    }
+
+    /// Strip driver for the `R` rows from block row `r`: one [`micro`]
+    /// per 16-column strip of the panel, the zero-padded last one
+    /// included.
     ///
     /// # Safety
-    /// Caller must ensure AVX2, rows `row_abs .. row_abs + R` exist in
-    /// `a`, `acc_off + (R-1)*n + n <= acc.len()`, and `panel` covers
-    /// pair range `[p0, p1)` at width `n`.
+    /// Caller must ensure AVX2, `r + R` rows in the block and in `acc`
+    /// (rows of `block.width`), `quads` the quad panel of a `k × n`
+    /// matrix with `⌈n/16⌉ · 16 == block.width` and `q0 <= q1 <= ⌈k/4⌉`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn strips<const R: usize>(
-        a: &[u8],
-        k: usize,
-        n: usize,
-        panel: &[i16],
+        block: &Block<'_>,
+        quads: &[QuadRow],
         acc: &mut [i32],
-        row_abs: usize,
-        acc_off: usize,
-        p0: usize,
-        p1: usize,
-        full_pairs: usize,
+        r: usize,
+        q0: usize,
+        q1: usize,
     ) {
-        let mut j = 0usize;
-        while j + 16 <= n {
-            // SAFETY: j + 16 <= n keeps both ymm column loads in range.
-            unsafe {
-                micro::<R, 2>(a, k, n, panel, acc, row_abs, acc_off, j, p0, p1, full_pairs);
-            }
-            j += 16;
-        }
-        if j + 8 <= n {
-            // SAFETY: j + 8 <= n keeps the single ymm column load in range.
-            unsafe {
-                micro::<R, 1>(a, k, n, panel, acc, row_abs, acc_off, j, p0, p1, full_pairs);
-            }
-            j += 8;
-        }
-        if j < n {
-            tail_cols_range::<R>(
-                a,
-                k,
-                n,
-                panel,
-                acc,
-                row_abs,
-                acc_off,
-                j,
-                2 * p0,
-                (2 * p1).min(k),
-            );
+        let strip = block.k.div_ceil(64) * TILE_QUADS;
+        for (s, quads) in quads.chunks_exact(strip).enumerate() {
+            let at = r * block.width + 16 * s;
+            // SAFETY: strip s is accumulator columns 16s .. 16s + 16 of
+            // rows r .. r + R; the rest is the caller's contract.
+            unsafe { micro::<R>(block, &quads[q0..q1], q0, r, &mut acc[at..]) };
         }
     }
 
-    /// Register-tiled micro-kernel: `R` rows × `W` ymm columns (8 i32
-    /// lanes each). Accumulators are loaded from / stored back to the
-    /// band buffer so pair segments can be split across calls.
+    /// Register-tiled micro-kernel: `R` block rows from `r` × one
+    /// 16-column strip, four ymm accumulators per row, over the strip's
+    /// quad rows `strip` — quads `q0 ..` of the reduction — adding into
+    /// `acc` (row `i` at `i · width`). Each 16-byte quarter of a quad row
+    /// — 4 columns × 4 reduction rows — is sign-extended to i16
+    /// (`vpmovsxbw`) and multiplied with `vpmaddwd` against the row's
+    /// four activation bytes zero-extended to i16, broadcast as one i64
+    /// (`vpbroadcastq` from the block's widened rows): i32 lanes `2c` and
+    /// `2c + 1` of the product are column `c`'s two pair-sums. After the
+    /// segment `vphaddd` adds each column's pair and one `vpermq` puts
+    /// two quarters' eight columns back in order.
+    ///
+    /// Why `vpmaddwd` is exact here: activations are `u8` (≤ 255) and
+    /// weights `i8`, both widened to i16 lanes, so every lane product has
+    /// magnitude ≤ 255·128 = 32640 and each pair-sum ≤ 65280 — far inside
+    /// i32. The saturating corner of `vpmaddwd` (both lanes −32768) is
+    /// unreachable, and `vpaddd` and `vphaddd` wrap like the oracle. The
+    /// byte-wise `vpmaddubsw` was rejected because its i16 pair-sum
+    /// *does* saturate for general u8×i8 input. A row whose quad is four
+    /// zero bytes (its widened `u64 == 0`) skips it, which only omits
+    /// adding zero; the ragged last quad of a row is its bytes and zero
+    /// padding in the widened row, and meets zero-padded weights, so it
+    /// never reads past `a`.
     ///
     /// # Safety
-    /// Caller must ensure AVX2, `(row_abs + R) * k <= a.len()`,
-    /// `acc_off + (R-1)*n + j + 8*W <= acc.len()`, and
-    /// `(p1-1)*2n + 2j + 16*W <= panel.len()`.
+    /// Caller must ensure AVX2, `r + R` rows in the block, `(R - 1) ·
+    /// width + 16 <= acc.len()` and `q0 + strip.len() <= ⌈k/4⌉`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn micro<const R: usize, const W: usize>(
-        a: &[u8],
-        k: usize,
-        n: usize,
-        panel: &[i16],
+    unsafe fn micro<const R: usize>(
+        block: &Block<'_>,
+        strip: &[QuadRow],
+        q0: usize,
+        r: usize,
         acc: &mut [i32],
-        row_abs: usize,
-        acc_off: usize,
-        j: usize,
-        p0: usize,
-        p1: usize,
-        full_pairs: usize,
     ) {
-        let mut cc = [[_mm256_setzero_si256(); W]; R];
-        for (r, row) in cc.iter_mut().enumerate() {
-            for (w, lane) in row.iter_mut().enumerate() {
-                // SAFETY: per caller contract the 8-lane i32 window at
-                // acc_off + r*n + j + 8w is inside `acc`.
-                *lane = unsafe {
-                    _mm256_loadu_si256(
-                        acc.as_ptr().add(acc_off + r * n + j + 8 * w) as *const __m256i
-                    )
-                };
+        let Block { wide, k, width } = *block;
+        let stride = 4 * k.div_ceil(4);
+        let mut cc = [[_mm256_setzero_si256(); 4]; R];
+        for (q, Line(d)) in (q0..).zip(strip) {
+            // SAFETY: rows r .. r + R are inside the block and q < ⌈k/4⌉.
+            let bits: [u64; R] = std::array::from_fn(|i| unsafe {
+                (wide.as_ptr().add((r + i) * stride + 4 * q) as *const u64).read_unaligned()
+            });
+            if bits == [0; R] {
+                continue; // zero activations contribute nothing
             }
-        }
-        for p in p0..p1 {
-            let wbase = p * 2 * n + 2 * j;
-            let mut wv = [_mm256_setzero_si256(); W];
-            for (w, lane) in wv.iter_mut().enumerate() {
-                // SAFETY: per caller contract the 16-lane i16 window at
-                // wbase + 16w is inside `panel`.
-                *lane = unsafe {
-                    _mm256_loadu_si256(panel.as_ptr().add(wbase + 16 * w) as *const __m256i)
-                };
-            }
-            let half = p >= full_pairs;
-            for (r, row) in cc.iter_mut().enumerate() {
-                let base = (row_abs + r) * k + 2 * p;
-                // SAFETY: base < (row_abs + R) * k <= a.len(); the +1
-                // partner is only read for full pairs (2p + 1 < k).
-                let a0 = unsafe { *a.get_unchecked(base) } as u32;
-                let a1 = if half {
-                    0
-                } else {
-                    // SAFETY: full pair ⇒ base + 1 < (row_abs + R) * k.
-                    unsafe { *a.get_unchecked(base + 1) as u32 }
-                };
-                let bits = a0 | (a1 << 16);
-                if bits == 0 {
-                    continue; // zero activation pair contributes nothing
+            // SAFETY: four 16-byte aligned loads inside the 64-byte line.
+            let w: [__m256i; 4] = std::array::from_fn(|c| unsafe {
+                _mm256_cvtepi8_epi16(_mm_load_si128(d.as_ptr().add(16 * c) as *const __m128i))
+            });
+            for (i, row) in cc.iter_mut().enumerate() {
+                if bits[i] == 0 {
+                    continue;
                 }
-                let av = _mm256_set1_epi32(bits as i32);
-                for (w, lane) in row.iter_mut().enumerate() {
-                    *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(wv[w], av));
+                // SAFETY: the quad's four i16 lie inside the widened row
+                // r + i, which is 4·⌈k/4⌉ long.
+                let av = unsafe {
+                    let p = wide.as_ptr().add((r + i) * stride + 4 * q);
+                    _mm256_broadcastq_epi64(_mm_loadl_epi64(p as *const __m128i))
+                };
+                for (lane, &w) in row.iter_mut().zip(&w) {
+                    *lane = _mm256_add_epi32(*lane, _mm256_madd_epi16(w, av));
                 }
             }
         }
-        for (r, row) in cc.iter().enumerate() {
-            for (w, lane) in row.iter().enumerate() {
-                // SAFETY: same window as the load above.
+        for (i, row) in cc.iter().enumerate() {
+            for (t, pair) in row.chunks_exact(2).enumerate() {
+                // Columns (0, 1, 4, 5 | 2, 3, 6, 7) of the pair → in order.
+                let cols = _mm256_permute4x64_epi64::<0xD8>(_mm256_hadd_epi32(pair[0], pair[1]));
+                // SAFETY: the 8 columns at i·width + 8t are inside `acc`
+                // per the caller contract.
                 unsafe {
-                    _mm256_storeu_si256(
-                        acc.as_mut_ptr().add(acc_off + r * n + j + 8 * w) as *mut __m256i,
-                        *lane,
-                    );
+                    let p = acc.as_mut_ptr().add(i * width + 8 * t) as *mut __m256i;
+                    _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p), cols));
                 }
             }
         }
@@ -450,7 +422,6 @@ pub(crate) mod x86 {
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     pub(crate) unsafe fn band_avx512vnni(
         args: &BandArgs<'_>,
-        _panel: &[i16],
         quads: &[QuadRow],
         scratch: &mut BandScratch,
         r0: usize,
@@ -1599,134 +1570,6 @@ pub(crate) mod x86 {
                     _mm512_min_epu8(bytes, maxv),
                 )
             };
-        }
-    }
-
-    /// Scalar tail for the trailing columns of an `R`-row group over the
-    /// reduction range `[kk0, kk1)` — same element math as the scalar
-    /// oracle (safe code, no SIMD) over the pair panel, where weight
-    /// `(kk, j)` is element `(kk / 2)·2n + 2j + kk % 2`. The AVX2
-    /// strips' `n % 8` tail.
-    fn tail_cols_range<const R: usize>(
-        a: &[u8],
-        k: usize,
-        n: usize,
-        panel: &[i16],
-        acc: &mut [i32],
-        row_abs: usize,
-        acc_off: usize,
-        j0: usize,
-        kk0: usize,
-        kk1: usize,
-    ) {
-        for r in 0..R {
-            let arow = &a[(row_abs + r) * k..(row_abs + r) * k + k];
-            let accrow = &mut acc[acc_off + r * n..acc_off + r * n + n];
-            for kk in kk0..kk1 {
-                let av = arow[kk];
-                if av == 0 {
-                    continue;
-                }
-                let av = av as i32;
-                let pair = &panel[kk / 2 * 2 * n..][..2 * n];
-                let column = pair[2 * j0 + kk % 2..].iter().step_by(2);
-                for (dst, &w) in accrow[j0..].iter_mut().zip(column) {
-                    *dst = dst.wrapping_add(av * w as i32);
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod arm {
-    use super::{requantize, BandArgs, BandScratch, QuadRow, TilePlan};
-    use core::arch::aarch64::*;
-
-    /// NEON band kernel over rows `[r0, r1)`: the scalar blocked loop
-    /// with the inner column sweep vectorized 8 wide — weight rows are
-    /// widened i8→i16 with `vmovl_s8` and accumulated into i32 lanes
-    /// with `vmlal_s16` (modular, matching `wrapping_add`). Activation
-    /// zero-skip is kept per element, exactly like the oracle.
-    ///
-    /// # Safety
-    /// Caller must ensure NEON is available (always true on aarch64),
-    /// `r1 * k <= a.len()`, `wd.len() == k * n`, and
-    /// `out_band.len() == (r1 - r0) * n`.
-    #[target_feature(enable = "neon")]
-    pub(crate) unsafe fn band_neon(
-        args: &BandArgs<'_>,
-        _panel: &[i16],
-        _quads: &[QuadRow],
-        scratch: &mut BandScratch,
-        r0: usize,
-        r1: usize,
-        out_band: &mut [u8],
-    ) {
-        let BandArgs {
-            a,
-            k,
-            n,
-            wd,
-            shift,
-            clamp,
-            map,
-            tiles: TilePlan { mb, kb },
-        } = *args;
-        let acc_buf = &mut scratch.acc;
-        let rows = r1 - r0;
-        let (mb, kb_rows) = (mb.max(1), kb.max(1));
-        acc_buf.clear();
-        acc_buf.resize(mb.min(rows) * n, 0);
-
-        let mut rb = 0usize;
-        while rb < rows {
-            let mrows = mb.min(rows - rb);
-            acc_buf[..mrows * n].fill(0);
-            let mut kb0 = 0usize;
-            while kb0 < k {
-                let krows = kb_rows.min(k - kb0);
-                for r in 0..mrows {
-                    let arow = &a[(r0 + rb + r) * k + kb0..(r0 + rb + r) * k + kb0 + krows];
-                    let acc_base = r * n;
-                    for (kk, &av) in arow.iter().enumerate() {
-                        if av == 0 {
-                            continue; // zero contributes nothing
-                        }
-                        let av4 = vdup_n_s16(av as i16);
-                        let wrow_base = (kb0 + kk) * n;
-                        let mut j = 0usize;
-                        while j + 8 <= n {
-                            // SAFETY: j + 8 <= n keeps the weight and
-                            // accumulator windows inside their rows.
-                            unsafe {
-                                let w16 = vmovl_s8(vld1_s8(wd.as_ptr().add(wrow_base + j)));
-                                let accp = acc_buf.as_mut_ptr().add(acc_base + j);
-                                let lo = vmlal_s16(vld1q_s32(accp), vget_low_s16(w16), av4);
-                                let hi = vmlal_s16(vld1q_s32(accp.add(4)), vget_high_s16(w16), av4);
-                                vst1q_s32(accp, lo);
-                                vst1q_s32(accp.add(4), hi);
-                            }
-                            j += 8;
-                        }
-                        let av = av as i32;
-                        while j < n {
-                            let dst = &mut acc_buf[acc_base + j];
-                            *dst = dst.wrapping_add(av * wd[wrow_base + j] as i32);
-                            j += 1;
-                        }
-                    }
-                }
-                kb0 += krows;
-            }
-            requantize(
-                &acc_buf[..mrows * n],
-                shift,
-                clamp,
-                map,
-                &mut out_band[rb * n..(rb + mrows) * n],
-            );
-            rb += mrows;
         }
     }
 }

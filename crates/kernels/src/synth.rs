@@ -23,8 +23,8 @@
 //!   vectorises; a `u64 % 5` does not on x86-64. Folding `y` to
 //!   `lo32(y) + (y >> 32)` instead is not enough: it can reach `2³²`.
 //!
-//! **The plain body and the AVX-512 kernel.** `row` is the scalar, AVX2
-//! and NEON tiers' form, written for the autovectoriser. When an AVX-512
+//! **The plain body and the AVX-512 kernel.** `row` is the scalar and
+//! AVX2 tiers' form, written for the autovectoriser. When an AVX-512
 //! tier is active on this thread — the tier rule of every other kernel,
 //! so a [`crate::pin_isa`] selects the form — `avx512::row` writes 32
 //! weights per pass in intrinsics, exact by the same running sum and a
@@ -72,8 +72,7 @@ pub fn weight_row_into(seed: u64, node: u64, start: u64, out: &mut [i8]) {
     row(seed, node, start, out);
 }
 
-/// The row loop of [`weight_row_into`] on the scalar, AVX2 and NEON
-/// tiers, and the AVX-512 kernel's tail; see the module docs.
+/// The row loop of [`weight_row_into`] on the scalar and AVX2 tiers, and the AVX-512 kernel's tail; see the module docs.
 #[inline(always)]
 fn row(seed: u64, node: u64, start: u64, out: &mut [i8]) {
     let key = seed ^ node.wrapping_mul(NODE_MUL);
@@ -263,7 +262,7 @@ mod tests {
 
     /// Nanoseconds per weight of installing resnet-50's GEMM weight
     /// matrices (one `k × n` matrix per distinct dispatched shape) into
-    /// the panels the active tier's kernels read, the way a plan build
+    /// the quad panels every tier's kernels read, the way a plan build
     /// and an artifact load did before panels were the only copy and the
     /// way they do now:
     /// - build: synthesise the whole matrix, then pack it; synthesise a
@@ -286,6 +285,7 @@ mod tests {
     #[ignore = "perf evidence; run manually in release mode"]
     fn weight_install_ns_per_weight() {
         use crate::dispatch::{WeightPanel, KTILE_ROWS};
+        use crate::simd::{pack_quad_ktile, quad_panel_rows, Line, TILE_QUADS};
         use crate::tiled::tests::catalog_shapes;
         use gcd2_models::ModelId;
         use gcd2_tensor::MatrixI8;
@@ -417,42 +417,37 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         println!("  load floor: zeroed panel + memcpy       : {ns:.3} ns/weight");
-        // The shuffle alone, on a quad tier: every k-tile of the section
-        // packed into quad panels already written once, beside one
-        // `memcpy` of the section into buffers as resident. Once the pack
-        // nears `memcpy`, the floor above is first touch and the zero
-        // fill, not the shuffle.
-        #[cfg(target_arch = "x86_64")]
-        if crate::dispatch::avx512_tier_active() {
-            use crate::simd::{pack_quad_ktile, quad_panel_rows, Line, TILE_QUADS};
-            let weights: Vec<i8> = section.iter().map(|&b| b as i8).collect();
-            let mut quads: Vec<Vec<Line<i8>>> = shapes
-                .iter()
-                .map(|&(k, n)| vec![Line([0; 64]); quad_panel_rows(k, n)])
-                .collect();
-            let ns = time(total, || {
-                for ((&(k, n), &at), panel) in shapes.iter().zip(&starts).zip(&mut quads) {
-                    let strip = k.div_ceil(KTILE_ROWS) * TILE_QUADS;
-                    for (t, kr0) in (0..k).step_by(KTILE_ROWS).enumerate() {
-                        let tile = &weights[at + kr0 * n..][..KTILE_ROWS.min(k - kr0) * n];
-                        pack_quad_ktile(tile, n, &mut panel[t * TILE_QUADS..], strip);
-                    }
+        // The shuffle alone: every k-tile of the section packed into
+        // quad panels already written once, beside one `memcpy` of the
+        // section into buffers as resident. Once the pack nears
+        // `memcpy`, the floor above is first touch and the zero fill,
+        // not the shuffle.
+        let weights: Vec<i8> = section.iter().map(|&b| b as i8).collect();
+        let mut quads: Vec<Vec<Line<i8>>> = shapes
+            .iter()
+            .map(|&(k, n)| vec![Line([0; 64]); quad_panel_rows(k, n)])
+            .collect();
+        let ns = time(total, || {
+            for ((&(k, n), &at), panel) in shapes.iter().zip(&starts).zip(&mut quads) {
+                let strip = k.div_ceil(KTILE_ROWS) * TILE_QUADS;
+                for (t, kr0) in (0..k).step_by(KTILE_ROWS).enumerate() {
+                    let tile = &weights[at + kr0 * n..][..KTILE_ROWS.min(k - kr0) * n];
+                    pack_quad_ktile(tile, n, &mut panel[t * TILE_QUADS..], strip);
                 }
-            });
-            println!("  resident: pack every k-tile             : {ns:.3} ns/weight");
-            for (panel, resident) in oracle.iter().zip(&quads) {
-                assert!(panel.operands().2 == &resident[..], "resident pack");
             }
-            let mut copies: Vec<Vec<u8>> =
-                shapes.iter().map(|&(k, n)| written_zeros(k * n)).collect();
-            let ns = time(total, || {
-                for (copy, &at) in copies.iter_mut().zip(&starts) {
-                    let len = copy.len();
-                    copy.copy_from_slice(&section[at..][..len]);
-                }
-            });
-            println!("  resident: memcpy                        : {ns:.3} ns/weight");
+        });
+        println!("  resident: pack every k-tile             : {ns:.3} ns/weight");
+        for (panel, resident) in oracle.iter().zip(&quads) {
+            assert!(panel.quads() == &resident[..], "resident pack");
         }
+        let mut copies: Vec<Vec<u8>> = shapes.iter().map(|&(k, n)| written_zeros(k * n)).collect();
+        let ns = time(total, || {
+            for (copy, &at) in copies.iter_mut().zip(&starts) {
+                let len = copy.len();
+                copy.copy_from_slice(&section[at..][..len]);
+            }
+        });
+        println!("  resident: memcpy                        : {ns:.3} ns/weight");
         // Reading the weights back, as the integrity check, the artifact
         // and the analyzer do: every k-tile of every panel.
         let mut tile = Vec::new();

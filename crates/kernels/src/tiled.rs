@@ -2,23 +2,25 @@
 //!
 //! [`matmul_ref`](crate::reference::matmul_ref) is the gold scalar
 //! reference: a naive triple loop with per-element layout-offset
-//! arithmetic, kept deliberately simple. This module provides the
-//! **scalar oracle** the production host kernel is property-tested
-//! against: the same `clamp((Σ_k a·w) >> shift, 0, 255)` math,
-//! restructured for throughput and kept **bit-exact** against the
+//! arithmetic over the row-major weights, kept deliberately simple. This
+//! module provides the **scalar oracle** the production host kernels are
+//! property-tested against: the same `clamp((Σ_k a·w) >> shift, 0, 255)`
+//! math, restructured for throughput and kept **bit-exact** against the
 //! reference (i32 accumulation wraps, and wrapping addition is
 //! associative and commutative, so no tiling or reordering can change
 //! results).
 //!
 //! Three structural changes over the naive loop:
 //!
-//! * **i·k·j loop order** — the inner loop runs over contiguous weight
-//!   rows instead of striding down weight columns, so it autovectorizes;
+//! * **the quad panel** — the oracle reads the one weight form every
+//!   tier reads ([`crate::simd::quad_panel_rows`]), by index arithmetic,
+//!   so its inner loop runs over one quad row's 64 bytes at a time and
+//!   autovectorizes;
 //! * **cache blocking** — row blocks of `mb` activations reuse each
-//!   `kb`-row weight tile while it is hot in cache (defaults [`MB`] and
-//!   [`KB`]; [`tile_plan`] derives the pair from the shape and the
+//!   `kb`-row weight segment while it is hot in cache (defaults [`MB`]
+//!   and [`KB`]; [`tile_plan`] derives the pair from the shape and the
 //!   tier);
-//! * **flat slices** — operands are raw row-major slices; no per-element
+//! * **flat slices** — operands are raw slices; no per-element
 //!   layout-offset calls in the hot loop.
 //!
 //! The one GEMM core, [`crate::try_matmul_panel_into`], dispatches to
@@ -28,7 +30,7 @@
 //! [`matmul_host`] is the interpreter's GEMM over it.
 
 use crate::dispatch::{GemmA, KernelIsa, ScratchPool};
-use crate::simd::Line;
+use crate::simd::{Line, QuadRow, TILE_QUADS};
 use gcd2_tensor::{Layout, MatrixI8, MatrixU8};
 
 /// Default activation rows processed per block (accumulator tile:
@@ -85,8 +87,8 @@ const AMX_BLOCK_BUDGET: u64 = 128 << 10;
 /// smallest block (32 rows, one 2 × 2 tile group) is right; beyond it
 /// the row block grows to the largest multiple of 32 whose `mb × k`
 /// bytes fit [`AMX_BLOCK_BUDGET`], at most the whole band. The kernel
-/// reads no `kb`. The strip tiers (scalar, AVX2, AVX-512 VNNI, NEON)
-/// run [`TilePlan::DEFAULT`] on every shape: over the old candidate
+/// reads no `kb`. The strip tiers (scalar, AVX2, AVX-512 VNNI) run
+/// [`TilePlan::DEFAULT`] on every shape: over the old candidate
 /// grid their per-model sums stay within 3 % of the fastest candidate
 /// per shape (VNNI: 2.6 %).
 pub fn tile_plan(m: usize, k: usize, n: usize, isa: KernelIsa) -> TilePlan {
@@ -116,6 +118,11 @@ pub struct GemmScratch {
 pub(crate) struct BandScratch {
     /// The i32 accumulator block.
     pub(crate) acc: Vec<i32>,
+    /// AVX2 tier: the row block's activations zero-extended to i16, each
+    /// row padded with zeros to whole quads — what `vpmaddwd` broadcasts
+    /// a quad of straight from memory.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // the AVX2 tier is x86-64's
+    pub(crate) a_wide: Vec<u16>,
     /// AMX tier: the `k % 64` reduction tail of a row block's
     /// activation rows, one zero-padded line each — only for a row
     /// block one of whose in-place tail windows would leave `a` (every
@@ -190,14 +197,6 @@ pub enum GemmDispatchError {
     /// An im2col view's map is shorter than the last window of its
     /// whole 16-row groups reaches ([`crate::Im2colView::tile_rows`]).
     ViewBuffer { needed: usize, got: usize },
-    /// The weight panel holds the form `got`, and the kernel `tier`
-    /// resolved to reads `expected`: the panel was filled on another
-    /// tier (a [`crate::pin_isa`] taken after the fill).
-    PanelForm {
-        tier: KernelIsa,
-        expected: &'static str,
-        got: &'static str,
-    },
 }
 
 impl std::fmt::Display for GemmDispatchError {
@@ -231,14 +230,6 @@ impl std::fmt::Display for GemmDispatchError {
             GemmDispatchError::ViewBuffer { needed, got } => write!(
                 f,
                 "im2col view's map holds {got} bytes, its windows reach {needed}"
-            ),
-            GemmDispatchError::PanelForm {
-                tier,
-                expected,
-                got,
-            } => write!(
-                f,
-                "weight panel holds {got}, the {tier} kernel reads {expected}"
             ),
         }
     }
@@ -288,12 +279,23 @@ pub(crate) fn validate_dispatch(
     Ok(())
 }
 
-/// The scalar oracle over one row band `[r0, r1)`: the original blocked
-/// i·k·j loop with zero-skip, writing the band's requantized bytes into
-/// `out_band` (`(r1 - r0) × n`, row-major). Every SIMD band kernel is
-/// property-tested bit-identical against this.
+/// The scalar oracle over one row band `[r0, r1)`: the blocked loop
+/// with zero-skip over the quad panel every tier reads, by index
+/// arithmetic — byte `4j + i` of quad row `q` of strip `s`, at
+/// `quads[s · strip + q]` with `strip = ⌈k/64⌉ · 16`, is `w[4q + i][16s +
+/// j]` — writing the band's requantized bytes into `out_band` (`(r1 -
+/// r0) × n`, row-major). Per row and reduction segment, lane `64s + 4j +
+/// i` of `lanes` sums `a[4q + i] · w[4q + i][16s + j]` over the
+/// segment's quads — one contiguous multiply-add over each quad row,
+/// which autovectorizes — and each column's four lanes are added into
+/// the row's accumulator after it. The zero-padded last strip is
+/// computed whole and requantization drops its padding columns. Every
+/// SIMD band kernel is property-tested bit-identical against this, and
+/// this against the row-major [`crate::reference::matmul_ref`], which
+/// shares no layout code with it.
 pub(crate) fn scalar_band(
     args: &crate::dispatch::BandArgs<'_>,
+    quads: &[QuadRow],
     acc_buf: &mut Vec<i32>,
     r0: usize,
     r1: usize,
@@ -303,42 +305,52 @@ pub(crate) fn scalar_band(
         a,
         k,
         n,
-        wd,
         shift,
         clamp,
         map,
         tiles,
     } = *args;
-    let (mb_rows, kb_rows) = (tiles.mb.max(1), tiles.kb.max(1));
+    let (mb_rows, kb_quads) = (tiles.mb.max(1), (tiles.kb / 4).max(1));
+    let (nquads, strip) = (k.div_ceil(4), k.div_ceil(64) * TILE_QUADS);
+    let width = n.next_multiple_of(16);
+    let block = mb_rows.min(r1 - r0) * width;
     acc_buf.clear();
-    acc_buf.resize(mb_rows.min(r1 - r0) * n, 0);
+    acc_buf.resize(block + 4 * width, 0);
+    let (acc_buf, lanes) = acc_buf.split_at_mut(block);
 
     let mut mb = r0;
     while mb < r1 {
         let mrows = mb_rows.min(r1 - mb);
-        let acc = &mut acc_buf[..mrows * n];
+        let acc = &mut acc_buf[..mrows * width];
         acc.fill(0);
-        let mut kb = 0;
-        while kb < k {
-            let krows = kb_rows.min(k - kb);
+        for q0 in (0..nquads).step_by(kb_quads) {
+            let q1 = (q0 + kb_quads).min(nquads);
             for r in 0..mrows {
-                let arow = &a[(mb + r) * k + kb..(mb + r) * k + kb + krows];
-                let accrow = &mut acc[r * n..(r + 1) * n];
-                for (kk, &av) in arow.iter().enumerate() {
-                    if av == 0 {
-                        continue; // zero contributes nothing (im2col padding)
+                let arow = &a[(mb + r) * k..][..k];
+                lanes.fill(0);
+                for (q, aq) in (q0..q1).zip(arow[4 * q0..].chunks(4)) {
+                    if aq.iter().all(|&v| v == 0) {
+                        continue; // zeros contribute nothing (im2col padding)
                     }
-                    let av = av as i32;
-                    let wrow = &wd[(kb + kk) * n..(kb + kk + 1) * n];
-                    for (dst, &wv) in accrow.iter_mut().zip(wrow) {
-                        *dst = dst.wrapping_add(av * wv as i32);
+                    // Lane b multiplies a[4q + b % 4]; a u8 times an i8
+                    // fits an i16.
+                    let av4: [i16; 4] = std::array::from_fn(|i| aq.get(i).map_or(0, |&v| v as i16));
+                    let av: [[i16; 4]; 16] = [av4; 16];
+                    for (s, lanes) in lanes.chunks_exact_mut(64).enumerate() {
+                        let Line(d) = &quads[s * strip + q];
+                        for ((lane, &w), &x) in lanes.iter_mut().zip(d).zip(av.as_flattened()) {
+                            *lane = lane.wrapping_add((x * w as i16) as i32);
+                        }
                     }
                 }
+                let row = &mut acc[r * width..][..width];
+                for (dst, lane) in row.iter_mut().zip(lanes.chunks_exact(4)) {
+                    *dst = lane.iter().fold(*dst, |sum, &v| sum.wrapping_add(v));
+                }
             }
-            kb += krows;
         }
         let orows = &mut out_band[(mb - r0) * n..(mb - r0 + mrows) * n];
-        crate::simd::requantize(acc, shift, clamp, map, orows);
+        crate::simd::requantize(acc, (width, n), (shift, clamp, map), orows);
         mb += mrows;
     }
 }
@@ -407,7 +419,8 @@ pub(crate) mod tests {
     }
 
     /// Total, and in range on every tier: `1 ≤ mb ≤ max(m, 32)`, `kb`
-    /// even and at least 2 — what every band kernel accepts — over a
+    /// whole quads and at least one — what every band kernel, reading
+    /// the quad panel, accepts — over a
     /// grid that includes the empty GEMM, the tile edges and the
     /// largest dimension the artifact decoder admits.
     #[test]
@@ -420,7 +433,7 @@ pub(crate) mod tests {
                         let t = tile_plan(m, k, n, isa);
                         assert!(t.mb >= 1 && t.mb <= m.max(MB), "{isa} {m}x{k}x{n}: {t:?}");
                         assert!(
-                            t.kb >= 2 && t.kb.is_multiple_of(2),
+                            t.kb >= 4 && t.kb.is_multiple_of(4),
                             "{isa} {m}x{k}x{n}: {t:?}"
                         );
                         if isa != KernelIsa::AmxInt8 {
@@ -531,8 +544,8 @@ pub(crate) mod tests {
     /// on every tier the host supports, across shapes that exercise
     /// partial blocks in both dimensions, all shifts used by the
     /// runtime, and negative weights. The pins alternate between calls
-    /// on one thread, so each call refills the thread-local panel in
-    /// another form than the last left there.
+    /// on one thread, each refilling the thread-local panel the last
+    /// left there.
     #[test]
     fn blocked_matches_reference_bit_for_bit() {
         let tiers: Vec<KernelIsa> = KernelIsa::ALL

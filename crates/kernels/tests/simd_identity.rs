@@ -3,16 +3,18 @@
 //! Contract: for every operand shape, every requant shift, and every
 //! activation zero-density, all of
 //!
-//! * the naive gold reference (`matmul_ref`),
+//! * the naive gold reference (`matmul_ref`, over the row-major
+//!   weights: it shares no layout code with any kernel),
 //! * the scalar blocked oracle (`pin_isa(Scalar)`),
 //! * the kernel of **every tier this host supports**, through the
-//!   resident-panel entry point from the panel packed on that tier and
-//!   through the pooled matrix-taking entry point
+//!   resident-panel entry point from the one quad panel and through the
+//!   pooled matrix-taking entry point
 //!
 //! produce **identical bytes**. Wrapping i32 accumulation makes this a
 //! theorem about the implementation, and this suite is the check that
-//! keeps it true as kernels evolve. A panel packed on a tier whose
-//! kernel reads another form is refused, with nothing written.
+//! keeps it true as kernels evolve. Every tier reads the same quad
+//! panel, so the panel packed under each tier's pin is the same bytes,
+//! and each tier multiplies the one packed first, under the scalar pin.
 
 use gcd2_kernels::{
     matmul_ref, pin_isa, tile_plan, transpose_clamp_into, transpose_clamp_ref,
@@ -34,21 +36,26 @@ fn tiers() -> Vec<KernelIsa> {
         .collect()
 }
 
-/// `w` packed on each tier this host can run, in [`tiers`] order.
-fn panels(w: &MatrixI8) -> Vec<WeightPanel> {
-    tiers()
-        .into_iter()
-        .map(|tier| {
-            let _pin = pin_isa(tier);
-            WeightPanel::pack(w)
-        })
-        .collect()
+/// `w`'s one panel: packed under each tier's pin this host can run, the
+/// scalar pin first, it is the same bytes every time.
+fn panel(w: &MatrixI8) -> WeightPanel {
+    let mut packed = tiers().into_iter().map(|tier| {
+        let _pin = pin_isa(tier);
+        WeightPanel::pack(w)
+    });
+    let first = packed.next().expect("the scalar tier");
+    for (tier, other) in tiers().into_iter().skip(1).zip(packed) {
+        assert!(
+            other == first,
+            "{tier}: a panel is the same bytes on every tier"
+        );
+    }
+    first
 }
 
 /// One full identity check: reference == every supported tier, the
-/// scalar oracle first, from its own resident panel — clamped to 255
-/// and to 15 — and through pooled scratch; on each tier, a panel packed
-/// in another form is refused and leaves `out` as it was.
+/// scalar oracle first, from the one panel packed under the scalar pin
+/// — clamped to 255 and to 15 — and through pooled scratch.
 fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let (m, k, n) = (a.rows(), a.cols(), w.cols());
     let want = reference_bytes(a, w, shift);
@@ -57,39 +64,26 @@ fn assert_identity(a: &MatrixU8, w: &MatrixI8, shift: u8) {
     let clamped: Vec<u8> = want.iter().map(|&v| v.min(15)).collect();
     let pool = ScratchPool::new();
     let mut scratch = GemmScratch::default();
-    let panels = panels(w);
-    for (tier, own) in tiers().into_iter().zip(&panels) {
+    let panel = panel(w);
+    for tier in tiers() {
         let _pin = pin_isa(tier);
         let mut out = Vec::new();
         try_matmul_threaded_into(a.as_bytes(), m, k, w, shift, &pool, 2, &mut out)
             .expect("valid operands");
         assert_eq!(out, want, "{tier} pooled ({m},{k},{n})");
-        for (p, panel) in panels.iter().enumerate() {
-            for (clamp, want) in [(255, &want), (15, &clamped)] {
-                let mut out = vec![0xA5; m * n];
-                let done = try_matmul_panel_into(
-                    GemmA::Matrix(a.as_bytes()),
-                    m,
-                    k,
-                    panel,
-                    (shift, clamp, ByteMap::IDENTITY),
-                    &mut scratch,
-                    &mut out,
-                );
-                // A panel is its own tier's form, or another tier's
-                // that reads the same one (VNNI and AMX quads; the AVX2
-                // tier's row-major bytes below 8 columns).
-                if panel == own {
-                    assert_eq!(done, Ok(()), "{tier}, panel {p} ({m},{k},{n})");
-                    assert_eq!(&out, want, "{tier} clamped to {clamp} ({m},{k},{n})");
-                } else {
-                    assert!(
-                        matches!(done, Err(GemmDispatchError::PanelForm { tier: t, .. }) if t == tier),
-                        "{tier}, panel {p} ({m},{k},{n}): {done:?}"
-                    );
-                    assert_eq!(out, vec![0xA5; m * n], "{tier}: a refused panel writes");
-                }
-            }
+        for (clamp, want) in [(255, &want), (15, &clamped)] {
+            let mut out = vec![0xA5; m * n];
+            try_matmul_panel_into(
+                GemmA::Matrix(a.as_bytes()),
+                m,
+                k,
+                &panel,
+                (shift, clamp, ByteMap::IDENTITY),
+                &mut scratch,
+                &mut out,
+            )
+            .expect("valid operands");
+            assert_eq!(&out, want, "{tier} clamped to {clamp} ({m},{k},{n})");
         }
     }
     // Every tier's pooled call above took the one buffer and gave it back.
@@ -143,8 +137,13 @@ proptest! {
 }
 
 /// Shapes pinned to the register-tile and block boundaries: K-remainder
-/// (odd k exercises the half-pair path), M-remainder (rows % 4), and
-/// N-remainder (cols % 16 / % 8) edge tiles, plus exact-fit controls.
+/// (k % 4 ≠ 0 exercises the ragged last quad), M-remainder (rows % 4),
+/// and N-remainder (cols % 16 / % 8) edge tiles, plus exact-fit
+/// controls. The AVX2 strips' seams: below one ymm (n < 8, which the
+/// scalar oracle runs), a padded last strip alone or behind whole ones
+/// (7, 8, 15, 17, 31) over every reduction edge of a quad and a k-tile
+/// (1, 2, 3, 5, 63, 65, 127) and an empty reduction, on a 3-row register
+/// group and its one- and two-row remainders (1, 2, 3, 5 rows).
 /// Then the AMX tile grid's boundaries, as a cross product: one row
 /// short of, on and past a 16- and a 32-row group, and three row blocks
 /// of 32 rows with and without a remainder row (96, 97); one byte short
@@ -165,8 +164,8 @@ proptest! {
 fn edge_tiles_are_bit_identical() {
     let cases = [
         (1, 1, 1),
-        (1, 2, 16),   // single row, exact pair, exact strip
-        (2, 3, 8),    // odd k: half-pair tail
+        (1, 2, 16),   // single row, half a quad, exact strip
+        (2, 3, 8),    // k % 4 == 3: ragged quad
         (3, 255, 17), // m % 4 == 3, odd k, n % 16 == 1
         (4, 256, 16), // exact everything
         (5, 257, 24), // m % 4 == 1, k % 256 == 1, n % 16 == 8
@@ -193,7 +192,12 @@ fn edge_tiles_are_bit_identical() {
             .into_iter()
             .flat_map(move |k| [8, 24, 26, 40, 312, 1000].map(|n| (m, k, n)))
     });
-    for (m, k, n) in cases.into_iter().chain(tile_grid) {
+    let avx2_seams = [1, 2, 3, 5].into_iter().flat_map(|m| {
+        [0, 1, 2, 3, 5, 63, 65, 127]
+            .into_iter()
+            .flat_map(move |k| [1, 7, 8, 15, 17, 31].map(|n| (m, k, n)))
+    });
+    for (m, k, n) in cases.into_iter().chain(tile_grid).chain(avx2_seams) {
         for shift in [0u8, 4] {
             let a = activations(m, k, 35, (m * 1000 + k) as u64);
             let w = weights(k, n, n as u64);
@@ -256,13 +260,13 @@ fn epilogue_maps() -> [ByteMap; 4] {
 /// the AMX tile grid's block store (16, 17, 33, 49 rows), its `rows %
 /// 16` remainder on the VNNI strips (17, 33, 49), the VNNI bands of
 /// fewer than 16 rows and their narrow kernel below 16 columns (8), the
-/// AVX2 pair kernel and its oracle tail below 8 columns (7), and the
-/// shared portable form on the scalar tier — over ragged last strips
+/// AVX2 quad kernel and the oracle it hands fewer than 8 columns (7),
+/// and the shared portable form on the scalar tier — over ragged last strips
 /// (`n % 16 ≠ 0`) and reduction tails (`k < 64`, `k % 64 ≠ 0`; the AMX
 /// grid runs `k = 24` at its own 24-byte tile depth). Each run
 /// is held to the reference requantisation clamped to 15 and then looked
 /// up in the map, at every tier the host supports (the scalar pin
-/// included) from the panel packed on that tier; together the shapes
+/// included) from the one panel; together the shapes
 /// put every one of the 16 clamped values through every map.
 ///
 /// Two mutants of the kernels were run against this test; the first
@@ -291,7 +295,8 @@ fn epilogue_maps_follow_the_clamp_at_every_tier() {
                 for &v in &clamped {
                     seen[v as usize] = true;
                 }
-                for (tier, panel) in tiers().into_iter().zip(panels(&w)) {
+                let panel = panel(&w);
+                for tier in tiers() {
                     let _pin = pin_isa(tier);
                     for map in epilogue_maps() {
                         let table = map.entries();

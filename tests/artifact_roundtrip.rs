@@ -220,10 +220,9 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
 }
 
 /// resnet-50 as `gcd2c resnet-50 --emit` writes it (seed `0xC0DE`):
-/// 25.5 MB of weights, read back from the quad panels of a VNNI or AMX
-/// host and from the row-major bytes of the scalar tier, encode to the
-/// same bytes on every tier the host supports, with the pinned
-/// integrity checksum. Slow outside a release build:
+/// 25.5 MB of weights, read back from the quad panels every tier packs
+/// the same, encode to the same bytes on every tier the host supports,
+/// with the pinned integrity checksum. Slow outside a release build:
 /// `cargo test --release --test artifact_roundtrip -- --ignored`.
 #[test]
 #[ignore]
