@@ -33,6 +33,13 @@ echo "==> one weight form: every GEMM tier multiplies the quad panel (no PanelKi
 if grep -rEn 'PanelKind::Pairs|push_pairs_i16|unpack_pairs_i16|PanelForm|band_neon|fn panel_kind' \
     crates src tests examples; then exit 1; fi
 
+echo "==> the analyzer reads each weight once, in the form the kernel reads (gemm_view_facts in crates/core/src/infer.rs takes a GEMM's column sign sums from WeightPanel::column_sign_sums over the panel's own bytes and calls no for_each_ktile: a k-tile unpack is a second layout map between the analyzer and the bytes a kernel multiplies, and it cost the analyzer ten times the plan build it checks)"
+awk '/^fn gemm_view_facts\(/ { on = seen = 1 }
+     on && /for_each_ktile/ { unpacks = 1 }
+     on && /column_sign_sums\(\)/ { sums = 1 }
+     on && /^}/ { on = 0 }
+     END { exit !(seen && sums && !unpacks) }' crates/core/src/infer.rs
+
 echo "==> cold start has one concurrency rule, the artifact cache's atomic rename (no try_lock, CacheLock, LOCK_LOSER or LOCK_SUFFIX in crates/, src/, tests/ or examples/: a key fixes its bytes, so concurrent builders need no lock, and each store's temp name is unique per writer; and no paranoid execution option: a caller who wants the integrity check calls verify_integrity, as the gateway does at admission)"
 if grep -rEn 'try_lock|CacheLock|LOCK_LOSER|LOCK_SUFFIX|paranoid' crates src tests examples; then exit 1; fi
 

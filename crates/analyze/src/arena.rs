@@ -40,9 +40,16 @@ use crate::{Diagnostic, LintCode};
 use gcd2_cgraph::Graph;
 use gcd2_verify::{InferPlanView, InferStep, Severity, StepRole, NO_SLOT};
 
-/// Runs the replay, pushing findings into `diags`.
-pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Diagnostic>) {
-    let n = plan.step_count();
+/// Runs the replay over `steps` — the plan's steps, collected once by
+/// the caller, so the replay never asks the view to derive a GEMM's
+/// facts — pushing findings into `diags`.
+pub(crate) fn check(
+    graph: &Graph,
+    plan: &dyn InferPlanView,
+    steps: &[InferStep],
+    diags: &mut Vec<Diagnostic>,
+) {
+    let n = steps.len();
     if graph.len() != n {
         // The range pass already reports the structural mismatch.
         return;
@@ -81,10 +88,6 @@ pub(crate) fn check(graph: &Graph, plan: &dyn InferPlanView, diags: &mut Vec<Dia
         });
     };
 
-    let mut steps: Vec<InferStep> = Vec::with_capacity(n);
-    for i in 0..n {
-        steps.push(plan.step(i));
-    }
     let folded = |i: usize| matches!(steps[i].role, StepRole::Folded);
     // Whether every reader of each value is a folded step (the model
     // output's reader, the caller, is not).
@@ -358,7 +361,7 @@ mod tests {
     fn clean_chain_has_no_findings() {
         let (g, plan) = clean_chain();
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -377,7 +380,7 @@ mod tests {
         plan.push("add", &[0, 0], 1, 8, StepRole::Compute);
 
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         let cs = codes(&diags);
         assert!(cs.contains(&LintCode::IllegalAlias), "{diags:?}");
         assert!(cs.contains(&LintCode::LiveClobber), "{diags:?}");
@@ -398,7 +401,7 @@ mod tests {
         plan.push("add", &[0, 0], 1, 8, StepRole::Compute);
 
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(codes(&diags).contains(&LintCode::IllegalAlias), "{diags:?}");
     }
 
@@ -436,7 +439,7 @@ mod tests {
     fn folded_steps_live_in_their_gemms_slot_and_unread_constants_in_none() {
         let (g, plan) = folded_chain();
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
 
         // A folded step anywhere but in the slot of the value it maps
@@ -446,7 +449,7 @@ mod tests {
         plan.steps[4].out_slot = 2;
         plan.output_slot_override = Some(2);
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(codes(&diags).contains(&LintCode::IllegalAlias), "{diags:?}");
 
         // A step that runs cannot read a constant that has no slot.
@@ -455,7 +458,7 @@ mod tests {
         plan.steps[3].out_slot = 2;
         plan.slot_sizes.push(12);
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::SlotOutOfBounds),
             "{diags:?}"
@@ -470,7 +473,7 @@ mod tests {
         plan.slot_sizes.push(16);
         plan.steps[2].in_slots[0] = 2;
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::OperandSlotMismatch),
             "{diags:?}"
@@ -482,7 +485,7 @@ mod tests {
         let (g, mut plan) = clean_chain();
         plan.slot_sizes[1] = 11; // gemm writes 12
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::SlotUndersized),
             "{diags:?}"
@@ -492,7 +495,7 @@ mod tests {
         plan.steps[2].out_slot = 9; // beyond the arena
         plan.output_slot_override = Some(9);
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::SlotOutOfBounds),
             "{diags:?}"
@@ -504,7 +507,7 @@ mod tests {
         let (g, mut plan) = clean_chain();
         plan.output_slot_override = Some(0);
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::OutputMismatch),
             "{diags:?}"
@@ -513,7 +516,7 @@ mod tests {
         let (g, mut plan) = clean_chain();
         plan.input_len = 17;
         let mut diags = Vec::new();
-        check(&g, &plan, &mut diags);
+        check(&g, &plan, &plan.steps, &mut diags);
         assert!(
             codes(&diags).contains(&LintCode::OutputMismatch),
             "{diags:?}"

@@ -42,7 +42,7 @@ pub use interval::Interval;
 pub use range::{GemmRange, RangeReport};
 
 use gcd2_cgraph::Graph;
-use gcd2_verify::{Context, InferPlanView, Pass, PlanView, Report};
+use gcd2_verify::{Context, InferPlanView, InferStep, Pass, PlanView, Report};
 use std::fmt;
 
 pub use gcd2_verify::Severity;
@@ -216,12 +216,21 @@ impl fmt::Display for Analysis {
     }
 }
 
+/// The plan's steps, each asked of the view once: a GEMM step's facts
+/// are derived from its weights as it is asked.
+fn steps_of(plan: &dyn InferPlanView) -> Vec<InferStep> {
+    (0..plan.step_count()).map(|i| plan.step(i)).collect()
+}
+
 /// The lint driver: runs the interval interpreter and the arena replay
-/// over one plan and aggregates their findings.
+/// over one plan and aggregates their findings. The two share one
+/// collection of the plan's steps, so each GEMM's weights are read
+/// once per analysis.
 pub fn analyze_plan(graph: &Graph, plan: &dyn InferPlanView) -> Analysis {
+    let steps = steps_of(plan);
     let mut diagnostics = Vec::new();
-    let ranges = range::interpret(graph, plan, &mut diagnostics);
-    arena::check(graph, plan, &mut diagnostics);
+    let ranges = range::interpret(graph, plan, &steps, &mut diagnostics);
+    arena::check(graph, plan, &steps, &mut diagnostics);
     Analysis {
         diagnostics,
         ranges,
@@ -232,7 +241,9 @@ pub fn analyze_plan(graph: &Graph, plan: &dyn InferPlanView) -> Analysis {
 #[derive(Debug, Default)]
 pub struct AccumulatorRange;
 
-/// [`Pass`] adapter for the arena soundness replay.
+/// [`Pass`] adapter for the arena soundness replay. Each adapter
+/// collects the view's steps itself; [`analyze_plan`] runs both
+/// analyses over one collection.
 #[derive(Debug, Default)]
 pub struct ArenaSoundness;
 
@@ -260,7 +271,7 @@ impl Pass for AccumulatorRange {
             return;
         };
         let mut diags = Vec::new();
-        let _ = range::interpret(graph, plan, &mut diags);
+        let _ = range::interpret(graph, plan, &steps_of(plan), &mut diags);
         forward(diags, self.name(), report);
     }
 }
@@ -275,7 +286,7 @@ impl Pass for ArenaSoundness {
             return;
         };
         let mut diags = Vec::new();
-        arena::check(graph, plan, &mut diags);
+        arena::check(graph, plan, &steps_of(plan), &mut diags);
         forward(diags, self.name(), report);
     }
 }

@@ -27,7 +27,7 @@
 use crate::interval::Interval;
 use crate::{Diagnostic, LintCode};
 use gcd2_cgraph::{Activation, Graph, OpKind};
-use gcd2_verify::{GemmFacts, InferPlanView, Severity, StepRole};
+use gcd2_verify::{GemmFacts, InferPlanView, InferStep, Severity, StepRole};
 
 /// Proven value facts for one GEMM step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,17 +96,19 @@ impl RangeReport {
     }
 }
 
-/// Runs the interpreter, pushing findings into `diags` and returning the
+/// Runs the interpreter over `steps` (the plan's steps, collected once
+/// by the caller), pushing findings into `diags` and returning the
 /// range facts (best-effort even when findings exist).
 pub(crate) fn interpret(
     graph: &Graph,
     plan: &dyn InferPlanView,
+    steps: &[InferStep],
     diags: &mut Vec<Diagnostic>,
 ) -> RangeReport {
     let am = i64::from(plan.act_max());
     let act = Interval::new(0, am);
     let byte = Interval::new(0, 255);
-    let n = plan.step_count();
+    let n = steps.len();
     if graph.len() != n {
         diags.push(Diagnostic {
             severity: Severity::Error,
@@ -135,7 +137,7 @@ pub(crate) fn interpret(
 
     for node in graph.nodes() {
         let i = node.id.0;
-        let step = plan.step(i);
+        let step = &steps[i];
         out_lens[i] = step.out_len;
 
         // Operand intervals/lengths. Dangling or forward references are
@@ -510,7 +512,7 @@ mod tests {
         plan.push("fc", &[0], 1, 12, StepRole::Gemm(facts(4, 1, 8, -8)));
 
         let mut diags = Vec::new();
-        let report = interpret(&g, &plan, &mut diags);
+        let report = interpret(&g, &plan, &plan.steps, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
         let fc = report.gemm_for_step(1).unwrap();
         // acc ∈ [15·(−8), 15·8] = [−120, 120]: fits i8, covers any
@@ -537,7 +539,7 @@ mod tests {
         plan.push("fc", &[0], 1, 12, StepRole::Gemm(f));
 
         let mut diags = Vec::new();
-        let report = interpret(&g, &plan, &mut diags);
+        let report = interpret(&g, &plan, &plan.steps, &mut diags);
         let codes: Vec<LintCode> = diags.iter().map(|d| d.code).collect();
         assert!(codes.contains(&LintCode::AccOverflow), "{diags:?}");
         assert!(codes.contains(&LintCode::ShiftRange), "{diags:?}");
@@ -572,7 +574,7 @@ mod tests {
                 plan.push("late", &[1, 1], 3, 12, StepRole::Compute);
             }
             let mut diags = Vec::new();
-            let report = interpret(&g, &plan, &mut diags);
+            let report = interpret(&g, &plan, &plan.steps, &mut diags);
             (diags, report)
         };
         // avg(v, 0), then u/2 + u/4.
@@ -614,7 +616,7 @@ mod tests {
         plan.push("fc", &[0], 1, 12, StepRole::Compute);
 
         let mut diags = Vec::new();
-        let _ = interpret(&g, &plan, &mut diags);
+        let _ = interpret(&g, &plan, &plan.steps, &mut diags);
         assert!(
             diags.iter().any(|d| d.code == LintCode::RoleMismatch),
             "{diags:?}"
@@ -651,7 +653,7 @@ mod tests {
             plan.push("op", &[0, 1], 2, 1, StepRole::Compute);
 
             let mut diags = Vec::new();
-            let report = interpret(&g, &plan, &mut diags);
+            let report = interpret(&g, &plan, &plan.steps, &mut diags);
             assert!(diags.is_empty(), "{kind}: {diags:?}");
             let iv = report.value_of(2).unwrap();
             let mut out = [0u8; 1];
@@ -704,7 +706,7 @@ mod tests {
             plan.push("op", &[0], 1, 4, StepRole::Compute);
 
             let mut diags = Vec::new();
-            let report = interpret(&g, &plan, &mut diags);
+            let report = interpret(&g, &plan, &plan.steps, &mut diags);
             assert!(diags.is_empty(), "{kind}: {diags:?}");
             let iv = report.value_of(1).unwrap();
             let mut out = [0u8; 4];
@@ -740,7 +742,7 @@ mod tests {
         plan.push("cat", &[1, 1], 2, 16, StepRole::Compute);
 
         let mut diags = Vec::new();
-        let report = interpret(&g, &plan, &mut diags);
+        let report = interpret(&g, &plan, &plan.steps, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(report.value_of(1).unwrap(), Interval::new(0, 15));
         assert_eq!(report.value_of(2).unwrap(), Interval::new(0, 15));

@@ -950,12 +950,12 @@ fn main() -> ExitCode {
 }
 
 /// `gcd2c --analyze`: compile every catalog model, build its inference
-/// plan, and run the static analyzer over each. One row per model; any
-/// diagnostic fails the run.
+/// plan, and run the static analyzer over each. One row per model, with
+/// the analyzer's wall time; any diagnostic fails the run.
 fn analyze_catalog() -> ExitCode {
     println!(
-        "{:<18} {:>6} {:>6} {:>6} {:>9} {:>6}  verdict",
-        "model", "steps", "slots", "gemms", "max-bits", "diags"
+        "{:<18} {:>6} {:>6} {:>6} {:>9} {:>6} {:>8}  verdict",
+        "model", "steps", "slots", "gemms", "max-bits", "diags", "ms"
     );
     let mut failed = 0usize;
     for id in ModelId::ALL {
@@ -969,15 +969,17 @@ fn analyze_catalog() -> ExitCode {
                 continue;
             }
         };
+        let t0 = std::time::Instant::now();
         let analysis = compiled.analyze_plan(&plan);
         println!(
-            "{:<18} {:>6} {:>6} {:>6} {:>9} {:>6}  {}",
+            "{:<18} {:>6} {:>6} {:>6} {:>9} {:>6} {:>8.2}  {}",
             name,
             plan.steps(),
             plan.slot_count(),
             analysis.ranges.gemms().len(),
             analysis.ranges.max_acc_bits(),
             analysis.diagnostics.len(),
+            t0.elapsed().as_secs_f64() * 1e3,
             analysis.verdict()
         );
         for d in &analysis.diagnostics {
@@ -1018,17 +1020,19 @@ fn load_artifact(path: &str) -> ExitCode {
         }
     };
     let decode_wall = t0.elapsed();
+    let t0 = std::time::Instant::now();
     let analysis = gcd2_analyze::analyze_plan(&loaded.graph, &loaded.plan);
     println!(
         "loaded {:?} from {path} in {:.2?}: {} steps, {} slots, {:.1} KiB weights, \
-         {:.3} GMACs — analyzer {}",
+         {:.3} GMACs — analyzer {} in {:.2?}",
         loaded.label,
         decode_wall,
         loaded.plan.steps(),
         loaded.plan.slot_count(),
         loaded.plan.weight_bytes() as f64 / 1024.0,
         loaded.plan.gemm_macs() as f64 / 1e9,
-        analysis.verdict()
+        analysis.verdict(),
+        t0.elapsed()
     );
     print_stages(
         "load",

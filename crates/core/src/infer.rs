@@ -175,13 +175,13 @@ pub(crate) struct GemmStep {
     /// step reads: for a matmul-backed step the quad panel (see
     /// [`gcd2_kernels::WeightPanel`]), what its GEMM reads on every
     /// dispatch whatever the tier; for a direct kernel the row-major
-    /// bytes. Everything
-    /// else that reads the weights — the integrity check, the artifact,
-    /// the analyzer — reads them back a k-tile at a time
-    /// ([`WeightPanel::for_each_ktile`]). Row `kr` is the interpreter's row
-    /// [`GemmStep::interpreter_row`]: an im2col that reads rows has its
-    /// reduction ordered `(dy, dx, ch)`, and the weights are installed,
-    /// hashed, packed and saved in that order.
+    /// bytes. The integrity check and the artifact read them back a
+    /// k-tile at a time ([`WeightPanel::for_each_ktile`]); the analyzer
+    /// sums them in the panel's own form
+    /// ([`WeightPanel::column_sign_sums`]). Row `kr` is the
+    /// interpreter's row [`GemmStep::interpreter_row`]: an im2col that
+    /// reads rows has its reduction ordered `(dy, dx, ch)`, and the
+    /// weights are installed, hashed, packed and saved in that order.
     pub(crate) panel: WeightPanel,
     /// The [`RunDigest`] of the row-major weight bytes, taken as they
     /// were installed: what the plan checksum folds in for them, and
@@ -1961,6 +1961,28 @@ impl InferencePlan {
                     })
                     .is_some()
             }
+            PlanMutation::FlipWeight { matmul } => {
+                // Row 0 of the column with the largest positive sum
+                // becomes 127, so that sum (and the accumulator bound)
+                // grows; the step's digest is re-taken from what the
+                // panel now holds, so the integrity check accepts it.
+                self.steps
+                    .iter_mut()
+                    .find_map(|s| match &mut s.kind {
+                        StepKind::Gemm(g) if g.runs_matmul() == matmul => {
+                            let sums = g.panel.column_sign_sums();
+                            let col = (0..sums.len()).max_by_key(|&j| sums[j].0)?;
+                            g.panel.set_weight_for_test(0, col, 127);
+                            let mut run = RunDigest::new();
+                            g.panel
+                                .for_each_ktile(&mut Vec::new(), |rows| run.i8s(rows));
+                            g.digest = run.finish();
+                            Some(())
+                        }
+                        _ => None,
+                    })
+                    .is_some()
+            }
             PlanMutation::FlipLayout { step, out } => {
                 // Relabel one side of one step: the step (or whoever
                 // reads its value) now runs another form than the
@@ -2007,6 +2029,12 @@ pub enum PlanMutation {
     /// into the GEMM, recomputed from the analyzer's own transfer
     /// functions).
     ForgeMap,
+    /// Set one weight of the first GEMM whose kernel reads the quad
+    /// panel (`matmul`) or the row-major bytes (a depthwise or narrow
+    /// direct conv) to 127, re-stamping its digest (range analysis: the
+    /// column sums come from the bytes the kernel reads, not from the
+    /// digest that vouches for them).
+    FlipWeight { matmul: bool },
     /// Flip the layout label step `step` reads its operands in, or
     /// (`out`) leaves its value in. Not an analyzer finding — the arena
     /// is as sound as before — but the labels are no longer the ones
@@ -2018,25 +2046,12 @@ pub enum PlanMutation {
 
 /// Derives the [`gcd2_verify::GemmFacts`] of one staged GEMM. The
 /// policy shift and the per-column weight aggregates are recomputed
-/// from the reduction depth and the weight bytes the panel reads back —
+/// from the reduction depth and from the bytes the kernel multiplies —
+/// the panel summed in its own form ([`WeightPanel::column_sign_sums`]),
 /// never copied from the fields under scrutiny — so a corrupted stored
 /// shift or weight shows up as a disagreement.
 fn gemm_view_facts(g: &GemmStep) -> gcd2_verify::GemmFacts {
-    let cols = g.n.max(1);
-    let mut pos = vec![0i64; cols];
-    let mut neg = vec![0i64; cols];
-    g.panel.for_each_ktile(&mut Vec::new(), |tile| {
-        for row in tile.chunks(cols) {
-            for (j, &w) in row.iter().enumerate() {
-                let w = w as i64;
-                if w > 0 {
-                    pos[j] += w;
-                } else {
-                    neg[j] += w;
-                }
-            }
-        }
-    });
+    let sums = g.panel.column_sign_sums();
     gcd2_verify::GemmFacts {
         m: g.m,
         k: g.k,
@@ -2048,8 +2063,8 @@ fn gemm_view_facts(g: &GemmStep) -> gcd2_verify::GemmFacts {
         // (zero), when the GEMM produces fewer rows than the spatial
         // extent (ConvTranspose-style upsampling).
         zero_fill: matches!(g.scatter, Scatter::Chw { spatial } if g.m < spatial),
-        col_pos_max: pos.iter().copied().max().unwrap_or(0),
-        col_neg_min: neg.iter().copied().min().unwrap_or(0),
+        col_pos_max: sums.iter().map(|s| s.0).max().unwrap_or(0),
+        col_neg_min: sums.iter().map(|s| s.1).min().unwrap_or(0),
     }
 }
 
@@ -2884,6 +2899,8 @@ mod tests {
             PlanMutation::ShrinkSlot,
             PlanMutation::BumpShift,
             PlanMutation::ForgeMap,
+            PlanMutation::FlipWeight { matmul: true },
+            PlanMutation::FlipWeight { matmul: false },
             PlanMutation::FlipLayout { step: 1, out: true },
         ] {
             let mut plan = compiled.inference_plan(3);

@@ -212,6 +212,10 @@ pub(crate) enum PanelKind {
 /// back in — one quad tile deep.
 pub const KTILE_ROWS: usize = 64;
 
+/// Quad rows an i32 lane of [`WeightPanel::column_sign_sums`] sums
+/// before it is flushed into its column: `128 · LANE_RUN = 2³⁰`.
+const LANE_RUN: usize = 1 << 23;
+
 /// The one resident copy of a `k × n` weight matrix, in the one form
 /// its step reads: the quad panel for a GEMM on every tier
 /// ([`WeightPanel::for_gemm`]), the row-major bytes for a direct kernel
@@ -334,6 +338,53 @@ impl WeightPanel {
         }
     }
 
+    /// Each column's sum of its positive and of its negative weights,
+    /// `(Σ_r max(w[r][j], 0), Σ_r min(w[r][j], 0))` for `j < n`, read
+    /// from the bytes the panel holds in the form its kernel reads, in
+    /// one branch-free pass with nothing unpacked. A quad panel is
+    /// summed a strip at a time down its contiguous quad rows: 64 i32
+    /// byte lanes per sign, lane `4j + i` gathering column `j`'s rows
+    /// `≡ i (mod 4)`, then each column's four lanes added. A lane adds
+    /// at most one byte per quad row, so over `LANE_RUN` rows it stays
+    /// within ±2³⁰; a longer strip is flushed into its columns every
+    /// `LANE_RUN` rows. The quad sums read the padding bytes too — zero
+    /// in every panel [`WeightPanel::padding_is_clean`] accepts, and
+    /// multiplied by the AMX, AVX2 and scalar kernels like any weight —
+    /// and drop the lanes of the columns past `n`.
+    pub fn column_sign_sums(&self) -> Vec<(i64, i64)> {
+        let mut sums = vec![(0i64, 0i64); self.n];
+        match self.kind {
+            PanelKind::Rows => {
+                for row in self.rows.chunks_exact(self.n.max(1)) {
+                    for (sum, &w) in sums.iter_mut().zip(row) {
+                        sum.0 += i64::from(w.max(0));
+                        sum.1 += i64::from(w.min(0));
+                    }
+                }
+            }
+            PanelKind::Quads => {
+                let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
+                for (cols, quads) in sums.chunks_mut(16).zip(self.quads.chunks(strip.max(1))) {
+                    for run in quads.chunks(LANE_RUN) {
+                        let (mut pos, mut neg) = ([0i32; 64], [0i32; 64]);
+                        for Line(d) in run {
+                            for ((p, q), &w) in pos.iter_mut().zip(&mut neg).zip(d) {
+                                *p += i32::from(w.max(0));
+                                *q += i32::from(w.min(0));
+                            }
+                        }
+                        let lanes = pos.chunks(4).zip(neg.chunks(4));
+                        for (sum, (p, q)) in cols.iter_mut().zip(lanes) {
+                            sum.0 += p.iter().map(|&v| i64::from(v)).sum::<i64>();
+                            sum.1 += q.iter().map(|&v| i64::from(v)).sum::<i64>();
+                        }
+                    }
+                }
+            }
+        }
+        sums
+    }
+
     /// Whether the panel is complete and every byte of it that holds no
     /// weight is what packing leaves there: the rows past `k` of the
     /// last k-tile and the columns past `n` of the last strip of a quad
@@ -413,6 +464,20 @@ impl WeightPanel {
                 .map(|Line(row)| row[byte % 64] ^= mask),
         }
         .is_some()
+    }
+
+    /// Test instrumentation: sets weight `w[r][j]` (`r < k`, `j < n`)
+    /// to `v` where the panel's kernel reads it, so a suite can change
+    /// what executes without touching the padding.
+    #[doc(hidden)]
+    pub fn set_weight_for_test(&mut self, r: usize, j: usize, v: i8) {
+        match self.kind {
+            PanelKind::Rows => self.rows[r * self.n + j] = v,
+            PanelKind::Quads => {
+                let tile = (j / 16 * self.k.div_ceil(KTILE_ROWS) + r / KTILE_ROWS) * TILE_QUADS;
+                self.quads[tile + r % KTILE_ROWS / 4].0[4 * (j % 16) + r % 4] = v;
+            }
+        }
     }
 }
 
@@ -947,6 +1012,42 @@ mod tests {
             assert!(!panel.corrupt_for_test(panel.bytes(), 1), "past the end");
             assert!(holds(&panel, &w), "{kind:?} restored");
         }
+    }
+
+    /// The column sign sums of both forms, read in place, are a
+    /// row-major oracle's: over ragged k-tiles and strips, and at
+    /// resnet-50's deepest reduction (k = 4608) with every weight −128
+    /// or 127, where each i32 lane of a quad strip sums 1152 extreme
+    /// bytes.
+    #[test]
+    fn column_sign_sums_are_the_row_major_oracles() {
+        let ragged = [1, 3, 63, 64, 65, 130]
+            .into_iter()
+            .flat_map(|k| [1, 15, 16, 17, 33].map(|n| (k, n, None)));
+        let extreme = [-128, 127].map(|w| (4608, 17, Some(w)));
+        for (k, n, fill) in ragged.chain(extreme) {
+            let w = MatrixI8::from_fn(k, n, |r, c| {
+                fill.unwrap_or(((r * 37 + c * 11) % 256) as u8 as i8)
+            });
+            let oracle: Vec<(i64, i64)> = (0..n)
+                .map(|c| {
+                    let col = (0..k).map(|r| i64::from(w.get(r, c)));
+                    (
+                        col.clone().filter(|&v| v > 0).sum(),
+                        col.filter(|&v| v < 0).sum(),
+                    )
+                })
+                .collect();
+            for kind in [PanelKind::Rows, PanelKind::Quads] {
+                let panel = WeightPanel::of_kind(kind, w.as_slice(), k, n);
+                assert_eq!(
+                    panel.column_sign_sums(),
+                    oracle,
+                    "{kind:?} {k}x{n} {fill:?}"
+                );
+            }
+        }
+        assert!(WeightPanel::default().column_sign_sums().is_empty());
     }
 
     /// Reading back is the inverse of packing, on every tier this host

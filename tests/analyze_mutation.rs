@@ -5,6 +5,7 @@
 //! to the runtime's hash gate — only the analyzer can catch them.
 
 use gcd2_repro::analyze::{LintCode, Verdict};
+use gcd2_repro::cgraph::{NodeId, OpKind};
 use gcd2_repro::compiler::infer::PlanMutation;
 use gcd2_repro::compiler::{CompiledModel, Compiler, InferencePlan};
 use gcd2_repro::models::ModelId;
@@ -94,6 +95,38 @@ fn forged_epilogue_map_is_flagged() {
         "a GEMM's epilogue map must be the composition of the steps \
          folded into it, recomputed by the analyzer:\n{analysis}"
     );
+}
+
+/// A weight byte the kernel multiplies, changed with its digest
+/// re-stamped, moves the accumulator interval of exactly its GEMM: the
+/// analyzer's column sums come from the panel's own bytes — the quad
+/// panel of a matmul GEMM, the row-major bytes of a depthwise conv —
+/// not from the digest that vouches for them.
+#[test]
+fn flipped_weight_byte_moves_its_gemms_accumulator_interval() {
+    let compiled = compiled_model();
+    let pristine = compiled.analyze_plan(&plan_of(&compiled));
+    for matmul in [true, false] {
+        let analysis = analyze_mutated(&compiled, PlanMutation::FlipWeight { matmul });
+        let moved: Vec<_> = pristine
+            .ranges
+            .gemms()
+            .iter()
+            .zip(analysis.ranges.gemms())
+            .filter(|(was, now)| was.acc != now.acc)
+            .collect();
+        assert_eq!(moved.len(), 1, "matmul {matmul}: {moved:?}");
+        let (was, now) = moved[0];
+        assert!(
+            now.acc.hi > was.acc.hi,
+            "matmul {matmul}: {was:?} -> {now:?}"
+        );
+        let depthwise = matches!(
+            compiled.graph.node(NodeId(now.step)).kind,
+            OpKind::DepthwiseConv2d { .. }
+        );
+        assert_eq!(depthwise, !matmul, "{}", now.name);
+    }
 }
 
 #[test]
