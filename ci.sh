@@ -58,7 +58,7 @@ grep -q '^#!\[warn(clippy::or_fun_call)\]' crates/cgraph/src/lib.rs
 echo "==> one narrowing idiom in the AVX-512 epilogues (the AMX block epilogue, the VNNI and one-row requantisation and the depthwise rows kernel share the pack chain of simd::x86 — no per-16-lane vpmovusdb store is left in crates/kernels/src)"
 if grep -rn 'cvtusepi32_storeu_epi8' crates/kernels/src; then exit 1; fi
 
-echo "==> the weight generator and the quad pack against their oracles (weight_synthesis_ns_per_weight and weight_install_ns_per_weight over resnet-50's GEMM matrices, ≈ 0.5 s in release: every form — the plain generator, the AVX-512 kernel, the SSE2 quad pack, whole-matrix and k-tile installs, the pack on resident panels — must write the per-element oracle's bytes and the same packed panels, so the intrinsic kernels the plan build and the artifact load run are checked here and not only when someone reads the probe)"
+echo "==> the weight generator and the quad pack against their oracles (weight_synthesis_ns_per_weight and weight_install_ns_per_weight over resnet-50's GEMM matrices, ≈ 0.5 s in release: every form — the plain generator, the AVX-512 kernel, the SSE2 quad pack, whole-matrix and k-tile installs, the pack on resident panels — must write the per-element oracle's bytes and the same packed panels, so the intrinsic kernels the plan build runs are checked here and not only when someone reads the probe)"
 cargo test -p gcd2-kernels --release -q --lib -- --ignored weight_synthesis_ns_per_weight weight_install_ns_per_weight
 
 echo "==> perfbench's own unit tests"
@@ -83,14 +83,17 @@ awk -F'|' '$3 ~ /^ *[0-9]+ *$/ { rows++; if ($12 ~ /^ *0 *$/ && $13 ~ /^ *yes *$
            END { exit !(rows == 10 && ok == 10) }' target/ext-selection.txt
 cargo test --release -q --test end_to_end -- --ignored moved_assignments_execute_on_dsp_bit_identically
 
-echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger is printed — no weights copy: the panels are packed from the borrowed section a k-tile at a time — the weight stages with a B/ns rate, and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes with the pinned integrity checksum, and so does every tier the host supports in one process — 25.5 MB of weights read back from the one quad panel form every tier packs, synthesised by the row generator's AVX-512 kernel and plain form on an AVX-512 host; release; a format-6 artifact is refused as a version skew)"
+echo "==> the artifact is the panel image (crates/core/src/artifact.rs calls no push_ktile, for_each_ktile or install_weights: an encode writes each panel as it lies and a load lends each step its region of the mapped file — nothing is unpacked, packed or copied on either path)"
+if grep -En 'push_ktile|for_each_ktile|install_weights' crates/core/src/artifact.rs; then exit 1; fi
+
+echo "==> artifact emit → load smoke (resnet-50: every stage of the load ledger, file to verified plan, is printed — the map, then the container, which hashes each weight byte once, each with a B/ns rate, and no pack stage: the panels are the mapped file's bytes — and the stages cover the reported wall clock to within 10 %; emitting twice gives the same bytes with the pinned integrity checksum, and so does every tier the host supports in one process, whose mapped load executes bit-identically under every tier — 25.5 MB of weights in the one quad panel form every tier packs, synthesised by the row generator's AVX-512 kernel and plain form on an AVX-512 host; release; a format-7 artifact is refused as a version skew)"
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50.gcd2art > target/emit.txt
 cargo run --release -q -p gcd2 --bin gcd2c -- --load target/ci-resnet-50.gcd2art > target/load.txt
-for stage in container "graph+schedule+selection" pack integrity unaccounted; do
+for stage in map container "graph+schedule+selection" integrity unaccounted; do
     grep -q "^    $stage *: " target/load.txt
 done
-if grep -q "weights copy" target/load.txt; then exit 1; fi
-for stage in pack integrity; do
+if grep -q "^    pack *: " target/load.txt; then exit 1; fi
+for stage in map container; do
     grep -Eq "^    $stage *: +[0-9.]+ +[0-9.]+ B/ns$" target/load.txt
 done
 awk '/load stages, ms of/ { wall = $5 }
@@ -99,10 +102,10 @@ awk '/load stages, ms of/ { wall = $5 }
 # A second process emits the same bytes, and so does every tier; the artifact an earlier format wrote is a named skew and exit 1, never a panic.
 cargo run --release -q -p gcd2 --bin gcd2c -- resnet-50 --emit target/ci-resnet-50-again.gcd2art > /dev/null
 cmp target/ci-resnet-50.gcd2art target/ci-resnet-50-again.gcd2art
-grep -q "^emitted .*, integrity 0x6241cf526ebe7984$" target/emit.txt
+grep -q "^emitted .*, integrity 0x1de76697e367857e$" target/emit.txt
 cargo test --release -q --test artifact_roundtrip -- --ignored resnet_50_artifact_is_the_same_on_every_tier
-if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v6.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
-grep -q "artifact format version 6 (this build reads" target/skew.txt
+if cargo run --release -q -p gcd2 --bin gcd2c -- --load tests/data/golden_v7.gcd2art > /dev/null 2> target/skew.txt; then exit 1; fi
+grep -q "artifact format version 7 (this build reads" target/skew.txt
 if grep -q panicked target/skew.txt; then exit 1; fi
 
 echo "==> one resident copy of the weights (resnet-50 on the detected tier: the resident weight bytes are the weight bytes plus the quad panels' padding, at most 1.03 × — the same bound on every tier, since every tier holds the same quad panels)"

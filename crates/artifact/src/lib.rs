@@ -15,15 +15,20 @@
 //! version  u32 LE          (FORMAT_VERSION; skew is a structured error)
 //! count    u32 LE          (section count, capped)
 //! table    count × { id u32, offset u64, len u64, checksum u64 }
-//! payloads concatenated, in table order, contiguous
+//! payloads in table order, each starting on a SECTION_ALIGN-byte
+//!          boundary of the file, the gaps zero
 //! chain    u64 LE          (Checksum64 over the table, bound to the
 //!                           plan integrity checksum — see verify_chain)
 //! ```
 //!
 //! Every offset and length in the table is validated against the file
-//! size and the running cursor **before** any payload is touched, all
-//! payload sizes are capped, and the crate forbids `unsafe` outright —
-//! a hostile artifact can only ever produce an [`ArtifactError`].
+//! size and the running cursor **before** any payload is touched, every
+//! alignment gap must be zeros, all payload sizes are capped, and the
+//! crate forbids `unsafe` outright — a hostile artifact can only ever
+//! produce an [`ArtifactError`]. The alignment is what lets a loader
+//! use a payload in place: a section read or mapped from a file on a
+//! [`SECTION_ALIGN`] boundary is as aligned as its own layout makes its
+//! contents.
 //!
 //! ## Integrity model
 //!
@@ -67,10 +72,13 @@ pub const MAGIC: [u8; 8] = *b"GCD2ART\0";
 /// unary steps into their GEMM's requantisation, and the plan checksum
 /// folds each GEMM's epilogue map and each folded step, so a version-6
 /// checksum of a plan with such steps is no longer the derived one — the
-/// weights are byte for byte the same). Readers refuse other versions
-/// with [`ArtifactError::VersionSkew`] (the cache key includes the
-/// version, so skewed files are simply never hit).
-pub const FORMAT_VERSION: u32 = 7;
+/// weights are byte for byte the same; version 8: every payload starts
+/// on a [`SECTION_ALIGN`] boundary, the plan payload's weights are each
+/// GEMM's panel as its kernel reads it, which a loader borrows in place,
+/// and the plan checksum folds their section checksum). Readers refuse
+/// other versions with [`ArtifactError::VersionSkew`] (the cache key
+/// includes the version, so skewed files are simply never hit).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Hard cap on sections per artifact: far above the handful the plan
 /// codec emits, low enough that a forged count cannot drive a large
@@ -80,6 +88,10 @@ pub const MAX_SECTIONS: usize = 64;
 /// Hard cap on a single section payload (and therefore on any length a
 /// decoder allocates from).
 pub const MAX_SECTION_BYTES: u64 = 1 << 30;
+
+/// The boundary every section payload starts on, counted from the first
+/// byte of the artifact: a cache line.
+pub const SECTION_ALIGN: usize = 64;
 
 /// Bytes of fixed header before the section table.
 const HEADER_BYTES: usize = 8 + 4 + 4;
@@ -577,8 +589,14 @@ impl<'a> ByteReader<'a> {
 pub struct Section<'a> {
     /// Section id (the plan codec assigns meanings).
     pub id: u32,
+    /// Where the payload starts in the artifact: a multiple of
+    /// [`SECTION_ALIGN`].
+    pub offset: usize,
     /// The payload bytes, already checksum-verified.
     pub bytes: &'a [u8],
+    /// The payload's [`checksum64`], as the table stores it and the
+    /// payload was verified to hash to.
+    pub checksum: u64,
 }
 
 /// Builds an artifact: sections in, a checksummed container out.
@@ -613,7 +631,11 @@ impl ArtifactWriter {
             });
         }
         let table_bytes = HEADER_BYTES + TABLE_ENTRY_BYTES * self.sections.len();
-        let payload_bytes: usize = self.sections.iter().map(|(_, b)| b.len()).sum();
+        let payload_bytes: usize = self
+            .sections
+            .iter()
+            .map(|(_, b)| b.len() + SECTION_ALIGN)
+            .sum();
         let mut out = Vec::with_capacity(table_bytes + payload_bytes + 8);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -631,6 +653,7 @@ impl ArtifactWriter {
                 });
             }
             let checksum = checksum64(bytes);
+            offset = offset.next_multiple_of(SECTION_ALIGN as u64);
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -642,6 +665,7 @@ impl ArtifactWriter {
             offset += bytes.len() as u64;
         }
         for (_, bytes) in &self.sections {
+            out.resize(out.len().next_multiple_of(SECTION_ALIGN), 0);
             out.extend_from_slice(bytes);
         }
         chain.u64(bind);
@@ -707,6 +731,7 @@ impl<'a> Artifact<'a> {
             let offset = r.u64()?;
             let len = r.u64()?;
             let checksum = r.u64()?;
+            expected_offset = expected_offset.next_multiple_of(SECTION_ALIGN as u64);
             if offset != expected_offset {
                 return Err(ArtifactError::Bounds {
                     what: "section offset",
@@ -725,7 +750,7 @@ impl<'a> Artifact<'a> {
             chain.u64(offset);
             chain.u64(len);
             chain.u64(checksum);
-            table.push((id, len, checksum));
+            table.push((id, offset as usize, len, checksum));
             expected_offset += len;
         }
         // The trailer must still fit after the last payload.
@@ -745,7 +770,15 @@ impl<'a> Artifact<'a> {
             });
         }
         let mut sections = Vec::with_capacity(count);
-        for (id, len, checksum) in table {
+        for (id, offset, len, checksum) in table {
+            let gap = r.take(offset - r.pos())?;
+            if let Some(at) = gap.iter().position(|&b| b != 0) {
+                return Err(ArtifactError::Bounds {
+                    what: "section padding",
+                    value: (offset - gap.len() + at) as u64,
+                    limit: offset as u64,
+                });
+            }
             let bytes = r.take(len as usize)?;
             let got = checksum64(bytes);
             if got != checksum {
@@ -755,7 +788,12 @@ impl<'a> Artifact<'a> {
                     got,
                 });
             }
-            sections.push(Section { id, bytes });
+            sections.push(Section {
+                id,
+                offset,
+                bytes,
+                checksum,
+            });
         }
         let stored_chain = r.u64()?;
         Ok(Artifact {
@@ -1247,12 +1285,42 @@ mod tests {
         ));
 
         let mut flipped_payload = bytes.clone();
-        let payload_at = HEADER_BYTES + 3 * TABLE_ENTRY_BYTES;
+        let payload_at = Artifact::decode(&bytes).unwrap().sections[0].offset;
         flipped_payload[payload_at] ^= 0xFF;
         assert!(matches!(
             Artifact::decode(&flipped_payload),
             Err(ArtifactError::SectionChecksum { section: 1, .. })
         ));
+    }
+
+    /// Every payload starts on a [`SECTION_ALIGN`] boundary, and a
+    /// non-zero byte in a gap before one is refused though no checksum
+    /// covers it.
+    #[test]
+    fn payloads_are_aligned_and_their_gaps_zero() {
+        let bytes = sample();
+        let art = Artifact::decode(&bytes).unwrap();
+        let mut end = HEADER_BYTES + 3 * TABLE_ENTRY_BYTES;
+        for sec in &art.sections {
+            assert_eq!(sec.offset % SECTION_ALIGN, 0, "section {}", sec.id);
+            assert_eq!(sec.offset, end.next_multiple_of(SECTION_ALIGN));
+            assert_eq!(sec.checksum, checksum64(sec.bytes));
+            for gap in end..sec.offset {
+                let mut evil = bytes.clone();
+                evil[gap] = 1;
+                assert!(
+                    matches!(
+                        Artifact::decode(&evil),
+                        Err(ArtifactError::Bounds {
+                            what: "section padding",
+                            ..
+                        })
+                    ),
+                    "gap byte {gap}"
+                );
+            }
+            end = sec.offset + sec.bytes.len();
+        }
     }
 
     #[test]

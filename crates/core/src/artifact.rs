@@ -9,7 +9,7 @@
 //! |----|---------|----------------------------------------------------|
 //! | 1  | META    | label, weight seed, plan integrity checksum        |
 //! | 2  | GRAPH   | the graph's canonical text (`gcd2_cgraph::to_text`)|
-//! | 4  | WEIGHTS | per-GEMM materialized weight matrices              |
+//! | 4  | WEIGHTS | every GEMM's panel as its kernel reads it          |
 //! | 6  | STATS   | compile-time DSP stats (cycles, packets, ...)      |
 //!
 //! Sections are looked up by id and an id this build does not know is
@@ -18,19 +18,34 @@
 //! function of the graph and a GEMM's blocking a function of its shape,
 //! so both are re-derived and nothing about either is stored.
 //!
+//! ## The weights are the panel image
+//!
+//! WEIGHTS is the plan's weights image (`WeightsLayout` in
+//! [`crate::infer`]): a header of `(kind, k, n, offset)` per GEMM, then
+//! each GEMM's strip-major quad panel — or a direct kernel's row-major
+//! bytes — exactly as the kernel reads it, at a 64-byte-aligned offset
+//! (the container starts every payload on a 64-byte boundary of the
+//! file). Encoding writes the panels verbatim; loading maps the file and
+//! lends each step its region in place, through a shared,
+//! reference-counted image — nothing is copied, packed or zero-filled.
+//! The plan checksum folds in the image's [`gcd2_artifact::checksum64`],
+//! which is the WEIGHTS section checksum the container verified, so a
+//! load hashes each weight byte once.
+//!
 //! ## Trust model
 //!
 //! The file says which graph and which weights, never what a kernel
 //! reads. Two inputs are untrusted: the graph text, which goes through
 //! the same `from_text` + [`crate::admit`] every
-//! [`Compiler::try_compile_text`] caller faces, and the weight bytes,
-//! shape-checked against a schedule the file did not write — the loader
-//! builds it from the admitted graph with the builder's own
-//! [`InferencePlan::schedule`] (steps, slots, shifts, layout labels)
-//! and only installs the stored matrices into it. Container checksums
-//! catch corruption, the chain checksum binds the section table to the
-//! stored plan integrity checksum (checked before a weight byte is
-//! copied), and the derived plan must re-hash to that checksum — so
+//! [`Compiler::try_compile_text`] caller faces, and the weights image,
+//! held to a schedule the file did not write — the loader builds it from
+//! the admitted graph with the builder's own [`InferencePlan::schedule`]
+//! (steps, slots, shifts, layout labels), derives the image layout from
+//! it, and refuses a header entry of another kind, shape or offset, a
+//! non-zero alignment byte, and panel padding packing would not leave.
+//! Container checksums catch corruption, the chain checksum binds the
+//! section table to the stored plan integrity checksum (checked before a
+//! weight is lent), and the derived plan must hash to that checksum — so
 //! corruption, a transplanted payload, a forged schedule and an artifact
 //! of a build whose selection differed are all one
 //! [`ArtifactError::IntegrityMismatch`], which [`load_or_compile`]
@@ -38,18 +53,32 @@
 //! left to a forger is the weights' values: the gateway's
 //! [`crate::InferServer::register_from_artifact`] re-runs the analyzer
 //! over every loaded plan, which proves their accumulator ranges.
+//!
+//! A loaded plan reads its weights from a read-only, private mapping of
+//! the cache file for as long as it lives, so it relies on no one
+//! writing that file in place. The cache never does: a store is a temp
+//! file renamed over the key, an eviction an unlink, and neither touches
+//! the inode a mapping holds — a plan keeps executing the bytes it
+//! loaded after its entry is evicted or replaced. Only an in-place
+//! writer could truncate a mapped file (a later read of a vanished page
+//! is a SIGBUS), and none exists in the program. [`decode`] copies the
+//! caller's bytes once into an owned image, and a host that cannot map
+//! reads the file into the same owned image type.
 
 use gcd2_artifact::{
-    Artifact, ArtifactCache, ArtifactError, ArtifactWriter, ByteReader, ByteWriter, FORMAT_VERSION,
+    Artifact, ArtifactCache, ArtifactError, ArtifactWriter, ByteReader, ByteWriter, Section,
+    FORMAT_VERSION,
 };
 use gcd2_cgraph::Graph;
+use gcd2_kernels::{PanelImage, WeightPanel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::{panic_message, Gcd2Error};
-use crate::infer::{
-    guard_panics, lap, GemmStep, InferencePlan, InstallLedger, StepKind, WeightTile,
-};
+use crate::image::{ArtifactImage, Via};
+use crate::infer::{guard_panics, kind_code, lap, InferencePlan, StepKind, PANEL_ALIGN};
 use crate::{CompiledModel, Compiler};
 
 /// Section ids of the plan artifact payload.
@@ -64,9 +93,7 @@ pub const SEC_STATS: u32 = 6;
 /// Decoder caps: far above anything the catalog emits, low enough that
 /// a forged count cannot drive a pathological allocation.
 const MAX_STEPS: u64 = 1 << 20;
-const MAX_SLOT_BYTES: u64 = 1 << 32;
 const MAX_NAME_BYTES: u64 = 4096;
-const MAX_GEMM_DIM: u64 = 1 << 28;
 const MAX_GRAPH_TEXT: u64 = 1 << 24;
 
 /// Compile-time execution statistics carried in the artifact, so a
@@ -100,45 +127,39 @@ pub struct LoadedArtifact {
     pub plan: InferencePlan,
     /// Compile-time stats from the STATS section.
     pub stats: ArtifactStats,
-    /// Where the load's wall clock went, in the order the stages ran:
-    /// `container` (table bounds, section checksums, chain binding),
-    /// `graph+schedule+selection` (re-parse, re-admission, the derived
-    /// schedule and its layout labels), `pack` (the resident panels,
-    /// filled from the borrowed section a k-tile at a time),
-    /// `integrity` (each matrix's digest, taken as its tiles were
-    /// packed, and the plan re-hash). What [`decode`] took beyond their
-    /// sum is the caller's to report as unaccounted.
+    /// Where the load's wall clock went, file to verified plan, in the
+    /// order the stages ran: how the bytes arrived — `map` (the file
+    /// mapped read-only), `read` (read into memory where mapping is
+    /// unavailable) or `copy` ([`decode`]'s copy of the caller's bytes)
+    /// — then `container` (table bounds, every section checksum, the
+    /// WEIGHTS one included, which is the one pass over the weights, and
+    /// the chain binding), `graph+schedule+selection` (re-parse,
+    /// re-admission, the derived schedule and its layout labels) and
+    /// `integrity` (the panel table held to the derived layout, the
+    /// padding checked, the panels lent, and the plan re-hash). What the
+    /// caller measured beyond their sum is its to report as
+    /// unaccounted.
     pub stages: Vec<(&'static str, Duration)>,
 }
 
+/// The WEIGHTS section: the plan's weights image, every panel written as
+/// it lies.
 fn encode_weights_section(plan: &InferencePlan) -> Vec<u8> {
-    let gemms: Vec<&GemmStep> = plan
-        .steps
-        .iter()
-        .filter_map(|s| match &s.kind {
-            StepKind::Gemm(g) => Some(g.as_ref()),
-            _ => None,
-        })
-        .collect();
-    // Sized exactly, each matrix appended as its panel reads it back, a
-    // k-tile at a time: the section is the weights' size and is written
-    // once, and the bytes do not depend on the form a tier packed.
-    let mut w = ByteWriter::with_capacity(8 + 16 * gemms.len() + plan.weight_bytes);
-    w.u64(gemms.len() as u64);
-    let mut tile = Vec::new();
-    for g in gemms {
-        w.u64(g.k as u64);
-        w.u64(g.n as u64);
-        g.panel.for_each_ktile(&mut tile, |rows| w.i8s(rows));
+    let layout = plan.weights_layout();
+    let mut image = vec![0u8; layout.len];
+    image[..layout.header.len()].copy_from_slice(&layout.header);
+    for (entry, g) in layout.panels.iter().zip(plan.gemm_steps()) {
+        let bytes = g.panel.as_bytes();
+        image[entry.at..][..bytes.len()].copy_from_slice(bytes);
     }
-    w.finish()
+    image
 }
 
 /// Serializes `plan` (and the graph/stats of the model it was built
 /// from) into a self-describing artifact. `label` is a free-form tag
 /// (typically the model name) surfaced again on load. The bytes are a
-/// function of the arguments alone — not of the tier, the process or
-/// anything a clock read.
+/// function of the arguments alone — not of the tier, the process, or
+/// whether the plan was built or loaded.
 ///
 /// # Errors
 /// [`ArtifactError::Bounds`] if a section exceeds the container caps —
@@ -175,55 +196,108 @@ fn bounds(what: &'static str, value: u64, limit: u64) -> ArtifactError {
     ArtifactError::Bounds { what, value, limit }
 }
 
-fn required_section<'a>(art: &Artifact<'a>, id: u32) -> Result<&'a [u8], ArtifactError> {
-    art.section(id)
+fn required_section<'s, 'a>(
+    art: &'s Artifact<'a>,
+    id: u32,
+) -> Result<&'s Section<'a>, ArtifactError> {
+    art.sections
+        .iter()
+        .find(|s| s.id == id)
         .ok_or_else(|| bounds("missing section", id as u64, id as u64))
 }
 
-/// Installs the WEIGHTS section into the derived plan's GEMM steps, in
-/// schedule order, each matrix validated against the shape its step
-/// derived and packed from the borrowed section a k-tile at a time.
-/// Returns where `install_weights` spent its time.
-fn attach_weights(plan: &mut InferencePlan, bytes: &[u8]) -> Result<InstallLedger, ArtifactError> {
+/// Holds the WEIGHTS section to the weights image layout the derived
+/// schedule gives — the same count, each panel's kind, shape and
+/// offset, zeros in every alignment gap — then lends each GEMM step its
+/// panel where it lies in `image`, refusing padding a pack would not
+/// leave, and takes the section checksum as the plan's weights digest.
+/// An offset is checked for alignment, overlap and range before it is
+/// compared with the derived one, so each defect is named.
+fn lend_panels(
+    plan: &mut InferencePlan,
+    image: &Arc<ArtifactImage>,
+    weights: &Section<'_>,
+) -> Result<(), ArtifactError> {
+    let layout = plan.weights_layout();
+    let bytes = weights.bytes;
     let mut r = ByteReader::new(bytes);
-    let declared = r.u64_capped("weight matrix count", MAX_STEPS)? as usize;
-    let mut seen = 0usize;
-    let ledger = plan.install_weights(|tile: WeightTile<'_>| {
-        let g = tile.gemm;
-        if tile.rows.start == 0 {
-            seen += 1;
-            if seen > declared {
-                return Err(bounds("weight matrix count", declared as u64, seen as u64));
-            }
-            let rows = r.u64_capped("weight rows", MAX_GEMM_DIM)? as usize;
-            let cols = r.u64_capped("weight cols", MAX_GEMM_DIM)? as usize;
-            if rows != g.k || cols != g.n {
-                return Err(bounds(
-                    "weight shape",
-                    (rows as u64) << 32 | cols as u64,
-                    (g.k as u64) << 32 | g.n as u64,
-                ));
-            }
-            let Some(len) = rows.checked_mul(cols) else {
-                return Err(bounds("weight elems", rows as u64, MAX_GEMM_DIM));
-            };
-            if len as u64 > MAX_SLOT_BYTES {
-                return Err(bounds("weight elems", len as u64, MAX_SLOT_BYTES));
-            }
-        }
-        let raw = r.take(tile.bytes.len())?;
-        for (w, &b) in tile.bytes.iter_mut().zip(raw) {
-            *w = b as i8;
-        }
-        Ok(())
-    })?;
-    if seen != declared {
-        return Err(bounds("weight matrix count", declared as u64, seen as u64));
+    let count = r.u64_capped("weight matrix count", MAX_STEPS)?;
+    if count != layout.panels.len() as u64 {
+        return Err(bounds(
+            "weight matrix count",
+            count,
+            layout.panels.len() as u64,
+        ));
     }
-    if !r.is_empty() {
-        return Err(bounds("weight trailing bytes", r.remaining() as u64, 0));
+    let mut end = layout.header.len() as u64;
+    for want in &layout.panels {
+        let (kind, k, n, at) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        if kind != kind_code(want.kind) {
+            return Err(bounds("weight panel kind", kind, kind_code(want.kind)));
+        }
+        if (k, n) != (want.k as u64, want.n as u64) {
+            return Err(bounds(
+                "weight shape",
+                k << 32 | n,
+                (want.k as u64) << 32 | want.n as u64,
+            ));
+        }
+        if !at.is_multiple_of(PANEL_ALIGN as u64) {
+            return Err(bounds("weight panel alignment", at, PANEL_ALIGN as u64));
+        }
+        if at < end {
+            return Err(bounds("weight panel overlap", at, end));
+        }
+        let len = want.kind.bytes(want.k, want.n) as u64;
+        if at.saturating_add(len) > bytes.len() as u64 {
+            return Err(bounds(
+                "weight panel range",
+                at.saturating_add(len),
+                bytes.len() as u64,
+            ));
+        }
+        if at != want.at as u64 {
+            return Err(bounds("weight panel offset", at, want.at as u64));
+        }
+        end = at + len;
     }
-    Ok(ledger)
+    if bytes.len() != layout.len {
+        return Err(bounds(
+            "weight section length",
+            bytes.len() as u64,
+            layout.len as u64,
+        ));
+    }
+    // Every byte that is neither header nor panel is alignment padding.
+    let starts = layout.panels.iter().map(|p| p.at).chain([layout.len]);
+    let ends = [layout.header.len()]
+        .into_iter()
+        .chain(layout.panels.iter().map(|p| p.at + p.kind.bytes(p.k, p.n)));
+    for (gap_end, gap_start) in starts.zip(ends) {
+        if let Some(at) = bytes[gap_start..gap_end].iter().position(|&b| b != 0) {
+            return Err(bounds(
+                "weight padding",
+                (gap_start + at) as u64,
+                gap_end as u64,
+            ));
+        }
+    }
+
+    let lent: Arc<dyn PanelImage> = image.clone();
+    let gemms = plan.steps.iter_mut().filter_map(|s| match &mut s.kind {
+        StepKind::Gemm(g) => Some(g),
+        _ => None,
+    });
+    for (index, (entry, g)) in layout.panels.iter().zip(gemms).enumerate() {
+        let at = weights.offset + entry.at;
+        g.panel = WeightPanel::in_image(entry.kind, (entry.k, entry.n), lent.clone(), at)
+            .ok_or_else(|| bounds("weight panel alignment", at as u64, 64))?;
+        if !g.panel.padding_is_clean() {
+            return Err(bounds("weight panel padding", index as u64, 0));
+        }
+    }
+    plan.weights_digest = weights.checksum;
+    Ok(())
 }
 
 fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
@@ -240,11 +314,14 @@ fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
     Ok(stats)
 }
 
-/// Decodes and fully verifies an artifact: container checksums, chain
-/// binding, graph re-parse + re-admission, the schedule derived from
-/// that graph, the stored weights shape-checked into it, and the re-hash
-/// of the result against the stored integrity checksum. On success the
-/// returned plan is byte-for-byte the plan that was emitted.
+/// Decodes and fully verifies an artifact held in `bytes`, which are
+/// copied once into an owned image the loaded plan's panels borrow:
+/// container checksums, chain binding, graph re-parse + re-admission,
+/// the schedule derived from that graph, the stored weights image held
+/// to the layout it derives, and the re-hash of the result against the
+/// stored integrity checksum. On success the returned plan is
+/// byte-for-byte the plan that was emitted. [`load_file`] maps a file
+/// instead.
 ///
 /// # Errors
 /// Container and payload defects surface as
@@ -255,10 +332,42 @@ fn decode_stats(bytes: &[u8]) -> Result<ArtifactStats, ArtifactError> {
 /// schedule another build would have derived) as
 /// [`ArtifactError::IntegrityMismatch`]. Never panics on any input.
 pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
-    let mut stages = Vec::with_capacity(5);
-    let mut since = Instant::now();
-    let art = Artifact::decode(bytes).map_err(Gcd2Error::Artifact)?;
-    let mut meta = ByteReader::new(required_section(&art, SEC_META)?);
+    let t0 = Instant::now();
+    let image = ArtifactImage::copy_of(bytes);
+    decode_image(image, Via::Copy, t0)
+}
+
+/// [`decode`] of the artifact file at `path`, mapped read-only (read,
+/// where mapping is unavailable or fails) rather than copied: the
+/// loaded plan's panels are the file's bytes. The ledger starts with the
+/// map or read.
+///
+/// # Errors
+/// As [`decode`]; [`ArtifactError::Io`] if the file cannot be opened,
+/// mapped or read, or is not a regular file.
+pub fn load_file(path: &Path) -> Result<LoadedArtifact, Gcd2Error> {
+    let t0 = Instant::now();
+    let (image, via) = ArtifactImage::open(path).map_err(|e| {
+        Gcd2Error::Artifact(ArtifactError::Io {
+            op: "read",
+            message: e.to_string(),
+        })
+    })?;
+    decode_image(image, via, t0)
+}
+
+/// The load behind [`decode`] and [`load_file`], over the image that
+/// arrived `via` since `since`.
+pub(crate) fn decode_image(
+    image: ArtifactImage,
+    via: Via,
+    mut since: Instant,
+) -> Result<LoadedArtifact, Gcd2Error> {
+    let mut stages = Vec::with_capacity(4);
+    lap(&mut stages, &mut since, via.stage());
+    let image = Arc::new(image);
+    let art = Artifact::decode(image.bytes()).map_err(Gcd2Error::Artifact)?;
+    let mut meta = ByteReader::new(required_section(&art, SEC_META)?.bytes);
     let label = meta
         .str("label", MAX_NAME_BYTES)
         .map_err(Gcd2Error::Artifact)?;
@@ -266,11 +375,11 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
     let stored = meta.u64().map_err(Gcd2Error::Artifact)?;
     // The chain binds the section table to the checksum META declares:
     // a spliced table or a payload transplanted onto another plan is
-    // refused here, before a weight byte is copied.
+    // refused here, before a weight is lent.
     art.verify_chain(stored).map_err(Gcd2Error::Artifact)?;
     lap(&mut stages, &mut since, "container");
 
-    let graph_bytes = required_section(&art, SEC_GRAPH)?;
+    let graph_bytes = required_section(&art, SEC_GRAPH)?.bytes;
     if graph_bytes.len() as u64 > MAX_GRAPH_TEXT {
         return Err(Gcd2Error::Artifact(bounds(
             "graph text bytes",
@@ -295,15 +404,8 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
     let mut plan = guard_panics(|| InferencePlan::schedule(&graph, seed, crate::layout::select))?;
     lap(&mut stages, &mut since, "graph+schedule+selection");
 
-    let ledger = attach_weights(&mut plan, required_section(&art, SEC_WEIGHTS)?)
-        .map_err(Gcd2Error::Artifact)?;
-    // The install's wall clock is the pack's — reading a k-tile out of
-    // the section is its first half — but for the digests it took
-    // while each tile was hot, which are the integrity stage's.
-    let installed = Instant::now();
-    stages.push(("pack", (installed - since).saturating_sub(ledger.digest)));
-    since = installed;
-
+    let weights = required_section(&art, SEC_WEIGHTS)?;
+    lend_panels(&mut plan, &image, weights).map_err(Gcd2Error::Artifact)?;
     // The derived schedule and the stored weights must be the plan the
     // writer hashed.
     plan.checksum = plan.integrity_checksum();
@@ -313,8 +415,9 @@ pub fn decode(bytes: &[u8]) -> Result<LoadedArtifact, Gcd2Error> {
             got: plan.checksum,
         }));
     }
-    let stats = decode_stats(required_section(&art, SEC_STATS)?).map_err(Gcd2Error::Artifact)?;
-    stages.push(("integrity", since.elapsed() + ledger.digest));
+    let stats =
+        decode_stats(required_section(&art, SEC_STATS)?.bytes).map_err(Gcd2Error::Artifact)?;
+    lap(&mut stages, &mut since, "integrity");
 
     Ok(LoadedArtifact {
         label,
@@ -383,15 +486,27 @@ fn try_load(cache: &ArtifactCache, key: &str) -> Result<Option<LoadedArtifact>, 
     // A latent defect may panic inside the load path; a cold start must
     // degrade to compiling, not abort.
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<_, ColdStartFallback> {
-        let bytes = cache.load(key).map_err(|e| ColdStartFallback {
-            stage: "load",
-            detail: e.to_string(),
-        })?;
-        let Some(bytes) = bytes else { return Ok(None) };
-        decode(&bytes).map(Some).map_err(|e| ColdStartFallback {
-            stage: "decode",
-            detail: e.to_string(),
-        })
+        let t0 = Instant::now();
+        let (image, via) = match ArtifactImage::open(&cache.path_for(key)) {
+            Ok(opened) => opened,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => {
+                return Err(ColdStartFallback {
+                    stage: "load",
+                    detail: ArtifactError::Io {
+                        op: "read",
+                        message: e.to_string(),
+                    }
+                    .to_string(),
+                })
+            }
+        };
+        decode_image(image, via, t0)
+            .map(Some)
+            .map_err(|e| ColdStartFallback {
+                stage: "decode",
+                detail: e.to_string(),
+            })
     }));
     match outcome {
         Ok(r) => r,
@@ -483,4 +598,87 @@ pub fn load_or_compile(
         fallbacks,
         elapsed: t0.elapsed(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcd2_cgraph::{Activation, OpKind, TShape};
+
+    /// A net with both panel forms: a 3×3 conv wide enough for a GEMM
+    /// (a quad panel over a ragged k-tile and strip), then a depthwise
+    /// conv and a narrow conv (row-major bytes of direct kernels).
+    fn two_forms() -> Graph {
+        let mut g = Graph::new();
+        let x = g.input("x", TShape::nchw(1, 7, 9, 9));
+        let conv = |out_channels, k| OpKind::Conv2d {
+            out_channels,
+            kernel: (k, k),
+            stride: (1, 1),
+            padding: (k / 2, k / 2),
+        };
+        let wide = g.add(conv(20, 3), &[x], "wide");
+        let act = g.add(OpKind::Act(Activation::Relu), &[wide], "act");
+        let dw = g.add(
+            OpKind::DepthwiseConv2d {
+                kernel: (3, 3),
+                stride: (1, 1),
+                padding: (1, 1),
+            },
+            &[act],
+            "dw",
+        );
+        g.add(conv(5, 1), &[dw], "narrow");
+        g
+    }
+
+    /// One artifact is one plan through every way its bytes arrive: the
+    /// file mapped ([`load_file`]), the caller's bytes copied
+    /// ([`decode`]), and the file read into an owned image — the
+    /// fallback of a host that cannot map, through its own constructor.
+    /// Each gives the built plan's checksum and output bytes, verifies
+    /// its panels as they lie, and re-encodes to the same file.
+    #[test]
+    fn mapped_copied_and_read_loads_are_one_plan() {
+        let compiled = Compiler::new().compile(&two_forms());
+        let plan = compiled.inference_plan(0x5EED);
+        let rows: Vec<bool> = plan
+            .gemm_steps()
+            .map(|g| g.panel.as_rows().is_some())
+            .collect();
+        assert!(rows.contains(&true) && rows.contains(&false), "{rows:?}");
+        let bytes = encode(&compiled, &plan, "two-forms").expect("encode");
+        let dir = std::env::temp_dir().join(format!("gcd2-three-loads-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("two-forms.gcd2art");
+        std::fs::write(&path, &bytes).expect("write");
+
+        let mapped = load_file(&path).expect("mapped load");
+        let copied = decode(&bytes).expect("decode");
+        let file = std::fs::File::open(&path).expect("open");
+        let image = ArtifactImage::read(file, bytes.len()).expect("read");
+        let read = decode_image(image, Via::Read, Instant::now()).expect("read load");
+        let mapping = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+        let input: Vec<u8> = (0..plan.input_len()).map(|i| (i * 5 % 16) as u8).collect();
+        let want = plan.execute(&input);
+        for (loaded, via) in [
+            (&mapped, if mapping { "map" } else { "read" }),
+            (&copied, "copy"),
+            (&read, "read"),
+        ] {
+            let stages: Vec<_> = loaded.stages.iter().map(|s| s.0).collect();
+            assert_eq!(
+                stages,
+                [via, "container", "graph+schedule+selection", "integrity"],
+                "{via}"
+            );
+            assert_eq!(loaded.plan.checksum(), plan.checksum(), "{via}");
+            loaded.plan.verify_integrity().expect(via);
+            assert_eq!(loaded.plan.execute(&input), want, "{via}");
+            let again = encode(&compiled, &loaded.plan, "two-forms").expect("re-encode");
+            assert!(again == bytes, "{via}: re-encoded bytes differ");
+        }
+        drop((mapped, read));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -997,22 +997,17 @@ fn analyze_catalog() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `gcd2c --load FILE`: the cold-start consumer side. Re-verifies the
-/// artifact end to end (container checksums, chain binding, graph
-/// re-admission, the schedule derived from it, plan integrity re-hash,
-/// the analyzer over the loaded weights) and smoke-executes the loaded
-/// plan. Any corruption, version skew, or forgery exits 1 with the
+/// `gcd2c --load FILE`: the cold-start consumer side. Maps the file and
+/// re-verifies the artifact end to end (container checksums, chain
+/// binding, graph re-admission, the schedule derived from it, the
+/// weights image held to it, plan integrity re-hash, the analyzer over
+/// the loaded weights) and smoke-executes the loaded plan, whose panels
+/// are the mapped file's bytes. The ledger runs from file to verified
+/// plan, the map included. Any corruption, version skew, or forgery exits 1 with the
 /// structured rejection — never a panic.
 fn load_artifact(path: &str) -> ExitCode {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(1);
-        }
-    };
     let t0 = std::time::Instant::now();
-    let loaded = match gcd2::artifact::decode(&bytes) {
+    let loaded = match gcd2::artifact::load_file(std::path::Path::new(path)) {
         Ok(l) => l,
         Err(e) => {
             eprintln!("artifact rejected: {e}");
@@ -1072,15 +1067,16 @@ fn load_artifact(path: &str) -> ExitCode {
 /// were measured inside, each stage, and what they leave of the wall
 /// clock as `unaccounted`. A stage that passes over every weight byte
 /// once (the plan build's `synthesise`, `pack`, `hash`; the load's
-/// `pack`, `integrity`) also gives its rate in weight bytes per ns, so
-/// a slow stage reads as a rate as well as a share.
+/// `map` or `read`, and `container`, which hashes them) also gives its
+/// rate in weight bytes per ns, so a slow stage reads as a rate as well
+/// as a share.
 fn print_stages(
     what: &str,
     stages: &[(&'static str, std::time::Duration)],
     wall: std::time::Duration,
     weight_bytes: usize,
 ) {
-    const WEIGHT_STAGES: [&str; 4] = ["synthesise", "pack", "hash", "integrity"];
+    const WEIGHT_STAGES: [&str; 6] = ["synthesise", "pack", "hash", "map", "read", "container"];
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     println!("  {what} stages, ms of {:.3} wall:", ms(wall));
     for &(name, d) in stages {

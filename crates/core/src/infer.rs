@@ -22,7 +22,9 @@
 //!   one form its step reads ([`gcd2_kernels::WeightPanel`]: the quad
 //!   panel every tier's GEMM reads, the row-major bytes for a direct
 //!   kernel) — a step keeps no other copy, a GEMM step only multiplies,
-//!   and a plan built on one tier runs on every tier;
+//!   and a plan built on one tier runs on every tier. Those panels,
+//!   as they lie, are the artifact's weights image ([`WeightsLayout`]),
+//!   which a loaded plan's steps borrow in place;
 //! * the requantization shift of each GEMM (a pure function of its
 //!   reduction depth) is folded into the step;
 //! * activations live in a dense arena of reusable **slots** assigned by
@@ -50,13 +52,12 @@
 //! overlong runs, and a panic inside a run is caught into
 //! [`InferError::Internal`], so each call is its own isolation unit.
 //! The plan itself carries a [`gcd2_artifact::Checksum64`] over its
-//! materialized weights and step
-//! schedule, computed at build time — each matrix's bytes folded in as
-//! the run digest taken while they were installed — and re-verifiable
-//! via [`InferencePlan::verify_integrity`] — which also reads every
-//! panel back, re-digests it and checks its padding, and re-derives the
-//! layout assignment, and compares — before any execution the caller
-//! wants checked (the gateway runs it once, at admission). All of them
+//! step schedule and its weights image digest, computed at build time —
+//! each panel folded in as soon as it is packed — and re-verifiable via
+//! [`InferencePlan::verify_integrity`] — which also re-digests every
+//! panel as it lies, checks its padding, and re-derives the layout
+//! assignment, and compares — before any execution the caller wants
+//! checked (the gateway runs it once, at admission). All of them
 //! stream the schedule through one executor, `InferencePlan::run_one`:
 //! one item, on the calling thread, a straight loop over the steps.
 
@@ -66,10 +67,9 @@ use gcd2_kernels::{
     conv2d_direct_chw_into, dwconv_direct_into, dwconv_rows_into, gemm_kernel_summary, hostops,
     im2col_rm_into, im2col_rows_into, im2col_rows_view, transpose_clamp_into,
     try_matmul_panel_into, weight_row_into, ByteMap, GemmA, GemmScratch, Im2colScratch, KernelIsa,
-    LineBuf, TilePlan, WeightPanel, KTILE_ROWS,
+    LineBuf, PanelKind, TilePlan, WeightPanel, KTILE_ROWS,
 };
 use gcd2_verify::{ActLayout, NO_SLOT};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -175,18 +175,14 @@ pub(crate) struct GemmStep {
     /// step reads: for a matmul-backed step the quad panel (see
     /// [`gcd2_kernels::WeightPanel`]), what its GEMM reads on every
     /// dispatch whatever the tier; for a direct kernel the row-major
-    /// bytes. The integrity check and the artifact read them back a
-    /// k-tile at a time ([`WeightPanel::for_each_ktile`]); the analyzer
-    /// sums them in the panel's own form
-    /// ([`WeightPanel::column_sign_sums`]). Row `kr` is the
+    /// bytes. Owned by a built plan, a region of the artifact image in a
+    /// loaded one. The integrity digest, the artifact and the analyzer
+    /// all read it as it lies ([`WeightPanel::as_bytes`],
+    /// [`WeightPanel::column_sign_sums`]). Row `kr` is the
     /// interpreter's row [`GemmStep::interpreter_row`]: an im2col that
     /// reads rows has its reduction ordered `(dy, dx, ch)`, and the
-    /// weights are installed, hashed, packed and saved in that order.
+    /// weights are synthesised and packed in that order.
     pub(crate) panel: WeightPanel,
-    /// The [`RunDigest`] of the row-major weight bytes, taken as they
-    /// were installed: what the plan checksum folds in for them, and
-    /// what [`InferencePlan::verify_integrity`] holds the panel to.
-    pub(crate) digest: u64,
     pub(crate) m: usize,
     pub(crate) k: usize,
     pub(crate) n: usize,
@@ -207,10 +203,10 @@ pub(crate) struct GemmStep {
 const DIRECT_CONV_MAX_N: usize = 16;
 
 impl GemmStep {
-    /// A step over `(m, k, n)`, its weights still to be installed
-    /// ([`InferencePlan::install_weights`]) — a build synthesises them
-    /// once the schedule's layouts are chosen, a load reads them from
-    /// the artifact.
+    /// A step over `(m, k, n)`, its weights still to come — a build
+    /// synthesises them once the schedule's layouts are chosen
+    /// ([`InferencePlan::install_weights`]), a load borrows them from
+    /// the artifact image.
     pub(crate) fn new(
         prep: GemmPrep,
         (m, k, n): (usize, usize, usize),
@@ -220,7 +216,6 @@ impl GemmStep {
         GemmStep {
             prep,
             panel: WeightPanel::default(),
-            digest: 0,
             m,
             k,
             n,
@@ -243,29 +238,23 @@ impl GemmStep {
         }
     }
 
-    /// An empty panel of the step's shape in the form its kernel reads:
-    /// the quad panel every tier's GEMM reads for a matmul-backed step,
-    /// row-major for a direct kernel — fixed by the step, never by the
-    /// tier.
-    pub(crate) fn empty_panel(&self) -> WeightPanel {
+    /// The form its kernel reads the step's weights in: the quad panel
+    /// every tier's GEMM reads for a matmul-backed step, row-major for a
+    /// direct kernel — fixed by the step, never by the tier.
+    pub(crate) fn panel_kind(&self) -> PanelKind {
         if self.runs_matmul() {
-            WeightPanel::for_gemm(self.k, self.n)
+            PanelKind::Quads
         } else {
-            WeightPanel::row_major(self.k, self.n)
+            PanelKind::Rows
         }
     }
 
-    /// Whether the panel still holds the weights the step was installed
-    /// with: its padding is what packing leaves, and what it reads back
-    /// digests to [`GemmStep::digest`] — every byte a kernel reads is one
-    /// or the other.
-    fn holds_its_weights(&self, tile: &mut Vec<i8>) -> bool {
-        if !self.panel.padding_is_clean() {
-            return false;
+    /// An empty panel of the step's shape in [`GemmStep::panel_kind`].
+    fn empty_panel(&self) -> WeightPanel {
+        match self.panel_kind() {
+            PanelKind::Quads => WeightPanel::for_gemm(self.k, self.n),
+            PanelKind::Rows => WeightPanel::row_major(self.k, self.n),
         }
-        let mut run = RunDigest::new();
-        self.panel.for_each_ktile(tile, |rows| run.i8s(rows));
-        run.finish() == self.digest
     }
 
     /// Whether this step takes the direct-conv path
@@ -404,10 +393,16 @@ pub struct InferencePlan {
     pub(crate) seed: u64,
     pub(crate) weight_bytes: usize,
     pub(crate) gemm_macs: u64,
-    /// [`Checksum64`] over the step schedule and materialized weights,
-    /// computed once at build; [`InferencePlan::verify_integrity`]
-    /// re-derives and compares it.
+    /// [`Checksum64`] over the step schedule and
+    /// [`InferencePlan::weights_digest`], computed once at build;
+    /// [`InferencePlan::verify_integrity`] re-derives and compares it.
     pub(crate) checksum: u64,
+    /// [`gcd2_artifact::checksum64`] of the weights image
+    /// ([`WeightsLayout`]): of the panels as they lie, taken as a build
+    /// packed them, or the container's WEIGHTS section checksum of the
+    /// artifact a load borrowed them from — the same value, so a load
+    /// hashes each weight byte once.
+    pub(crate) weights_digest: u64,
     /// Where the build's weight work went: `synthesise`, `pack`, `hash`.
     /// Empty on a plan an artifact load reconstructed.
     pub(crate) build_stages: Vec<(&'static str, Duration)>,
@@ -694,9 +689,7 @@ fn hash_step_kind(h: &mut Checksum64, kind: &StepKind) {
                 Scatter::DwRows => h.u64(1),
                 Scatter::RowMajor => h.u64(2),
             }
-            // `Checksum64::i8s` of the row-major weights: one `mix` of
-            // their run digest.
-            h.u64(g.digest);
+            // The weights are the image digest the plan folds in last.
             // A plan without folds hashes as before epilogue maps were.
             if !g.map.is_identity() {
                 h.u64(15);
@@ -896,30 +889,119 @@ fn mapped_operand(steps: &[Step], step: &Step) -> usize {
         .unwrap_or(0)
 }
 
-/// One k-tile of a GEMM step's weights for the source of
-/// [`InferencePlan::install_weights`] to fill.
-pub(crate) struct WeightTile<'t> {
-    /// The node the step executes.
-    pub(crate) node: NodeId,
-    /// The layout the step reads its operand in, which orders its rows.
-    pub(crate) in_layout: ActLayout,
-    /// The step whose weights the tile holds.
-    pub(crate) gemm: &'t GemmStep,
-    /// Which rows of the step's `k × n` matrix the tile holds.
-    pub(crate) rows: Range<usize>,
-    /// Those rows, row-major: `rows.len() · n` bytes to overwrite.
-    pub(crate) bytes: &'t mut [i8],
+/// The weights image: every GEMM step's panel exactly as its kernel
+/// reads it ([`WeightPanel::as_bytes`]), in schedule order, each at a
+/// multiple of [`PANEL_ALIGN`] bytes, behind a header
+///
+/// ```text
+/// count u64 LE
+/// count × { kind u64 (0 row-major, 1 quads), k u64, n u64, at u64 }
+/// ```
+///
+/// zero-padded to the first panel; every gap up to the next panel, and
+/// the tail after the last one up to a multiple of [`PANEL_ALIGN`], is
+/// zeros. An artifact's WEIGHTS section is this image, and the plan
+/// checksum folds in its [`gcd2_artifact::checksum64`]: a build digests
+/// its panels as they lie without building the image, a load reads the
+/// digest off the container, which took it while verifying the section.
+/// Every field is a function of the schedule, so a loader derives the
+/// layout and holds the stored header to it.
+#[derive(Debug)]
+pub(crate) struct WeightsLayout {
+    /// The encoded header, without its padding.
+    pub(crate) header: Vec<u8>,
+    /// Each GEMM step's panel and where it starts in the image.
+    pub(crate) panels: Vec<PanelEntry>,
+    /// Bytes of the image.
+    pub(crate) len: usize,
+}
+
+/// One panel of a [`WeightsLayout`].
+#[derive(Debug)]
+pub(crate) struct PanelEntry {
+    pub(crate) kind: PanelKind,
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+    /// Byte offset in the image: a multiple of [`PANEL_ALIGN`].
+    pub(crate) at: usize,
+}
+
+/// Where every panel of a weights image starts: a cache line, so a
+/// panel borrowed from an image that starts on one is as aligned as an
+/// owned one.
+pub(crate) const PANEL_ALIGN: usize = 64;
+
+/// The header code of a panel's form.
+pub(crate) fn kind_code(kind: PanelKind) -> u64 {
+    match kind {
+        PanelKind::Rows => 0,
+        PanelKind::Quads => 1,
+    }
+}
+
+impl WeightsLayout {
+    /// The layout of panels of these forms and shapes, in order.
+    pub(crate) fn of(shapes: impl ExactSizeIterator<Item = (PanelKind, usize, usize)>) -> Self {
+        let mut header = Vec::with_capacity(8 + 32 * shapes.len());
+        header.extend_from_slice(&(shapes.len() as u64).to_le_bytes());
+        let mut at = (8 + 32 * shapes.len()).next_multiple_of(PANEL_ALIGN);
+        let mut panels = Vec::with_capacity(shapes.len());
+        for (kind, k, n) in shapes {
+            for v in [kind_code(kind), k as u64, n as u64, at as u64] {
+                header.extend_from_slice(&v.to_le_bytes());
+            }
+            panels.push(PanelEntry { kind, k, n, at });
+            at += kind.bytes(k, n).next_multiple_of(PANEL_ALIGN);
+        }
+        WeightsLayout {
+            header,
+            panels,
+            len: at,
+        }
+    }
+}
+
+/// A [`WeightsLayout`]'s image digest taken a panel at a time: the
+/// header and each panel with its zero padding absorbed as one
+/// [`RunDigest`] run, in whole-line chunks, so the image is never built.
+struct ImageDigest(RunDigest);
+
+impl ImageDigest {
+    /// The digest of `layout`'s header, awaiting its panels.
+    fn new(layout: &WeightsLayout) -> ImageDigest {
+        let mut digest = ImageDigest(RunDigest::new());
+        digest.panel(&layout.header);
+        digest
+    }
+
+    /// Absorbs the next panel's bytes and their padding.
+    fn panel(&mut self, bytes: &[u8]) {
+        let whole = bytes.len() / PANEL_ALIGN * PANEL_ALIGN;
+        self.0.bytes(&bytes[..whole]);
+        if whole < bytes.len() {
+            let mut line = [0u8; PANEL_ALIGN];
+            line[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+            self.0.bytes(&line);
+        }
+    }
+
+    /// [`gcd2_artifact::checksum64`] of the image absorbed.
+    fn finish(&self) -> u64 {
+        let mut h = Checksum64::new();
+        h.u64(self.0.finish());
+        h.finish()
+    }
 }
 
 /// Where [`InferencePlan::install_weights`] spent its time.
 #[derive(Debug, Default)]
-pub(crate) struct InstallLedger {
-    /// In the source, filling tiles.
-    pub(crate) source: Duration,
-    /// Folding tiles into the run digests.
-    pub(crate) digest: Duration,
+struct InstallLedger {
+    /// Synthesising the weights, a k-tile at a time.
+    source: Duration,
+    /// Folding each complete panel into the weights image digest.
+    digest: Duration,
     /// Packing tiles into the panels, their allocation included.
-    pub(crate) pack: Duration,
+    pack: Duration,
 }
 
 impl InferencePlan {
@@ -1017,14 +1099,7 @@ impl InferencePlan {
         select: impl FnOnce(&[Step]) -> Vec<(ActLayout, ActLayout)>,
     ) -> Result<InferencePlan, InferError> {
         let mut plan = InferencePlan::schedule(&compiled.graph, seed, select)?;
-        let ledger = plan.install_weights(|tile| {
-            let n = tile.gemm.n;
-            for (kr, run) in tile.rows.clone().zip(tile.bytes.chunks_exact_mut(n.max(1))) {
-                let start = tile.gemm.interpreter_row(tile.in_layout, kr) * n;
-                weight_row_into(seed, tile.node.0 as u64, start as u64, run);
-            }
-            Ok::<_, InferError>(())
-        })?;
+        let ledger = plan.install_weights();
         let hashed = Instant::now();
         plan.checksum = plan.integrity_checksum();
         plan.build_stages = vec![
@@ -1281,24 +1356,24 @@ impl InferencePlan {
             weight_bytes,
             gemm_macs,
             checksum: 0, // over the weights too: stamped once they are in
+            weights_digest: 0,
             build_stages: Vec::new(),
         })
     }
 
-    /// Gives every GEMM step, in schedule order, the `k × n` matrix
-    /// `source` has for it — its rows in the order the step's in-label
-    /// stages them ([`GemmStep::interpreter_row`]) — one
-    /// [`KTILE_ROWS`]-row k-tile at a time into one reused buffer, and
-    /// while each tile is hot folds it into the matrix's run digest and
-    /// packs it into the step's panel: the one loop through which a
-    /// plan gets weights, synthesised by a build, read from the file by
-    /// an artifact load, with no full-size intermediate. Every matrix
-    /// gets at least one call, an empty one when `k` is 0.
-    pub(crate) fn install_weights<E>(
-        &mut self,
-        mut source: impl FnMut(WeightTile<'_>) -> Result<(), E>,
-    ) -> Result<InstallLedger, E> {
+    /// Gives every GEMM step, in schedule order, its `k × n` matrix as
+    /// the interpreter derives it from the plan's seed — its rows in the
+    /// order the step's in-label stages them
+    /// ([`GemmStep::interpreter_row`]; row `kr` is the run of `n` indices
+    /// from `interpreter_row(kr) · n`, which
+    /// [`gcd2_kernels::weight_row_into`] writes in place) — synthesised
+    /// one [`KTILE_ROWS`]-row k-tile at a time into one reused buffer and
+    /// packed into the step's panel while it is hot, with no full-size
+    /// intermediate. Each panel is folded into the weights image digest
+    /// as soon as it is complete, while it is still in cache.
+    fn install_weights(&mut self) -> InstallLedger {
         let mut ledger = InstallLedger::default();
+        let mut digest = ImageDigest::new(&self.weights_layout());
         let mut buf: Vec<i8> = Vec::new();
         for step in &mut self.steps {
             let StepKind::Gemm(g) = &mut step.kind else {
@@ -1306,45 +1381,68 @@ impl InferencePlan {
             };
             let t0 = Instant::now();
             let mut panel = g.empty_panel();
-            let mut run = RunDigest::new();
             ledger.pack += t0.elapsed();
-            let mut kr0 = 0;
-            loop {
+            let n = g.n;
+            for kr0 in (0..g.k).step_by(KTILE_ROWS) {
                 let rows = kr0..(kr0 + KTILE_ROWS).min(g.k);
-                let len = rows.len() * g.n;
+                let len = rows.len() * n;
                 if buf.len() < len {
                     buf.resize(len, 0);
                 }
                 let t0 = Instant::now();
-                source(WeightTile {
-                    node: step.node,
-                    in_layout: step.in_layout,
-                    gemm: g,
-                    rows: rows.clone(),
-                    bytes: &mut buf[..len],
-                })?;
+                for (kr, run) in rows.zip(buf[..len].chunks_exact_mut(n.max(1))) {
+                    let start = g.interpreter_row(step.in_layout, kr) * n;
+                    weight_row_into(self.seed, step.node.0 as u64, start as u64, run);
+                }
                 let t1 = Instant::now();
-                run.i8s(&buf[..len]);
-                let t2 = Instant::now();
                 panel.push_ktile(&buf[..len]);
                 ledger.source += t1 - t0;
-                ledger.digest += t2 - t1;
-                ledger.pack += t2.elapsed();
-                kr0 = rows.end;
-                if kr0 >= g.k {
-                    break;
-                }
+                ledger.pack += t1.elapsed();
             }
-            (g.panel, g.digest) = (panel, run.finish());
+            let t0 = Instant::now();
+            digest.panel(panel.as_bytes());
+            ledger.digest += t0.elapsed();
+            g.panel = panel;
         }
-        Ok(ledger)
+        self.weights_digest = digest.finish();
+        ledger
     }
 
-    /// Re-derives the checksum over the step schedule (ids,
-    /// slots, op strings, per-kind parameters) and every materialized
-    /// weight byte. Equal to [`InferencePlan::checksum`] unless the plan
+    /// The [`WeightsLayout`] of the plan's GEMM steps: a function of the
+    /// schedule alone.
+    pub(crate) fn weights_layout(&self) -> WeightsLayout {
+        let gemms: Vec<&GemmStep> = self.gemm_steps().collect();
+        WeightsLayout::of(gemms.iter().map(|g| (g.panel_kind(), g.k, g.n)))
+    }
+
+    /// The GEMM steps, in schedule order.
+    pub(crate) fn gemm_steps(&self) -> impl Iterator<Item = &GemmStep> {
+        self.steps.iter().filter_map(|s| match &s.kind {
+            StepKind::Gemm(g) => Some(g.as_ref()),
+            _ => None,
+        })
+    }
+
+    /// The weights image digest of the panels as they lie now.
+    fn panels_digest(&self) -> u64 {
+        let mut digest = ImageDigest::new(&self.weights_layout());
+        for g in self.gemm_steps() {
+            digest.panel(g.panel.as_bytes());
+        }
+        digest.finish()
+    }
+
+    /// Re-derives the checksum over the step schedule (ids, slots, op
+    /// strings, per-kind parameters) and the weights image digest the
+    /// plan holds. Equal to [`InferencePlan::checksum`] unless the plan
     /// has been corrupted since build.
     pub(crate) fn integrity_checksum(&self) -> u64 {
+        self.integrity_checksum_over(self.weights_digest)
+    }
+
+    /// [`InferencePlan::integrity_checksum`] with `weights_digest` for
+    /// the weights.
+    fn integrity_checksum_over(&self, weights_digest: u64) -> u64 {
         let mut h = Checksum64::new();
         h.u64(self.seed);
         h.u64(self.input_len as u64);
@@ -1381,6 +1479,7 @@ impl InferencePlan {
                 Some(Fold::Unread) => h.u64(17),
             }
         }
+        h.u64(weights_digest);
         h.finish()
     }
 
@@ -1398,24 +1497,25 @@ impl InferencePlan {
         &self.build_stages
     }
 
-    /// Re-hashes the plan's schedule and weight digests and compares
+    /// Re-hashes the plan's schedule and weights digest and compares
     /// against the build-time checksum, then re-derives what the
     /// checksum can only vouch for as held in memory: the layout labels,
     /// which must be the ones `layout::select` gives this schedule (a
-    /// corrupted and re-stamped plan cannot choose its own), and every
-    /// step's weights, which its panel must still hold — read back a
-    /// k-tile at a time, they digest to the digest the checksum folds
-    /// in, and every padding byte is what packing leaves. This guards a
-    /// live plan against in-memory corruption; an artifact load needs
-    /// neither check to trust a file — it derives the labels and digests
-    /// the weights as it installs them.
+    /// corrupted and re-stamped plan cannot choose its own), every quad
+    /// panel's padding, which must be what packing leaves, and the
+    /// weights image digest of the panels as they lie now, which must be
+    /// the one the checksum folds in. This guards a live plan against
+    /// in-memory corruption; an artifact load needs none of it to trust
+    /// a file — it derives the labels, checks the padding of what it
+    /// borrows, and takes the digest from the container.
     ///
     /// # Errors
     /// Returns [`InferError::IntegrityViolation`] if the plan no longer
     /// hashes to its build-time checksum, or — with the offending step's
     /// index folded into `got` — if a step's labels are not the derived
-    /// ones or its panel no longer holds the weights it was installed
-    /// with.
+    /// ones or its panel's padding is not clean, or — with the checksum
+    /// over the digest the panels now give as `got` — if any panel no
+    /// longer holds the weights it was built or loaded with.
     pub fn verify_integrity(&self) -> Result<(), InferError> {
         let got = self.integrity_checksum();
         if got != self.checksum {
@@ -1425,10 +1525,9 @@ impl InferencePlan {
             });
         }
         let labels = layout::select(&self.steps);
-        let mut tile = Vec::new();
         for (index, (step, label)) in self.steps.iter().zip(labels).enumerate() {
             let held = match &step.kind {
-                StepKind::Gemm(g) => g.holds_its_weights(&mut tile),
+                StepKind::Gemm(g) => g.panel.padding_is_clean(),
                 _ => true,
             };
             if (step.in_layout, step.out_layout) != label || !held {
@@ -1440,6 +1539,13 @@ impl InferencePlan {
                     got: h.finish(),
                 });
             }
+        }
+        let held = self.panels_digest();
+        if held != self.weights_digest {
+            return Err(InferError::IntegrityViolation {
+                expected: self.checksum,
+                got: self.integrity_checksum_over(held),
+            });
         }
         Ok(())
     }
@@ -1964,24 +2070,23 @@ impl InferencePlan {
             PlanMutation::FlipWeight { matmul } => {
                 // Row 0 of the column with the largest positive sum
                 // becomes 127, so that sum (and the accumulator bound)
-                // grows; the step's digest is re-taken from what the
-                // panel now holds, so the integrity check accepts it.
-                self.steps
+                // grows; the weights digest is re-taken from what the
+                // panels now hold, so the integrity check accepts it.
+                let flipped = self
+                    .steps
                     .iter_mut()
                     .find_map(|s| match &mut s.kind {
                         StepKind::Gemm(g) if g.runs_matmul() == matmul => {
                             let sums = g.panel.column_sign_sums();
                             let col = (0..sums.len()).max_by_key(|&j| sums[j].0)?;
                             g.panel.set_weight_for_test(0, col, 127);
-                            let mut run = RunDigest::new();
-                            g.panel
-                                .for_each_ktile(&mut Vec::new(), |rows| run.i8s(rows));
-                            g.digest = run.finish();
                             Some(())
                         }
                         _ => None,
                     })
-                    .is_some()
+                    .is_some();
+                self.weights_digest = self.panels_digest();
+                flipped
             }
             PlanMutation::FlipLayout { step, out } => {
                 // Relabel one side of one step: the step (or whoever
@@ -2031,9 +2136,9 @@ pub enum PlanMutation {
     ForgeMap,
     /// Set one weight of the first GEMM whose kernel reads the quad
     /// panel (`matmul`) or the row-major bytes (a depthwise or narrow
-    /// direct conv) to 127, re-stamping its digest (range analysis: the
-    /// column sums come from the bytes the kernel reads, not from the
-    /// digest that vouches for them).
+    /// direct conv) to 127, re-stamping the weights digest (range
+    /// analysis: the column sums come from the bytes the kernel reads,
+    /// not from the digest that vouches for them).
     FlipWeight { matmul: bool },
     /// Flip the layout label step `step` reads its operands in, or
     /// (`out`) leaves its value in. Not an analyzer finding — the arena
@@ -2988,18 +3093,11 @@ mod tests {
     }
 
     /// `g`'s weights with `mask` xored into byte `at` of the row-major
-    /// matrix, installed again in the form `g` holds them — its digest
-    /// left as it was.
-    fn flip_weight(g: &mut GemmStep, at: usize, mask: i8) {
-        let mut rows = Vec::new();
-        g.panel
-            .for_each_ktile(&mut Vec::new(), |tile| rows.extend_from_slice(tile));
-        rows[at] ^= mask;
-        let mut panel = g.empty_panel();
-        for tile in rows.chunks((KTILE_ROWS * g.n).max(1)) {
-            panel.push_ktile(tile);
-        }
-        g.panel = panel;
+    /// matrix, where its panel holds that weight — the plan's weights
+    /// digest left as it was.
+    fn flip_weight(g: &mut GemmStep, at: usize, mask: u8) {
+        let byte = g.panel.weight_offset_for_test(at / g.n, at % g.n);
+        assert!(g.panel.corrupt_for_test(byte, mask));
     }
 
     /// One weight byte, wherever it sits — the first, a middle and the
@@ -3030,15 +3128,13 @@ mod tests {
             .filter(|&i| matches!(pristine.steps[i].kind, StepKind::Gemm(_)))
             .collect();
         assert_eq!(gemm_steps.len(), 3, "conv, depthwise, fc");
-        // Where each matrix starts in the section: a count, then
-        // (rows, cols, bytes) per GEMM.
-        let mut matrix_at = weights_at + 8;
-        for &index in &gemm_steps {
+        // Where each panel starts in the section: the weights image.
+        let layout = pristine.weights_layout();
+        for (&index, entry) in gemm_steps.iter().zip(&layout.panels) {
             let StepKind::Gemm(g) = &pristine.steps[index].kind else {
                 unreachable!("filtered above");
             };
             let len = g.k * g.n;
-            matrix_at += 16;
             for at in [0, 32.min(len - 1), len - 1] {
                 let mut plan = pristine.clone();
                 if let StepKind::Gemm(g) = &mut plan.steps[index].kind {
@@ -3064,7 +3160,9 @@ mod tests {
                 // lands on that weight, under a table that still holds
                 // the pristine section checksum.
                 let mut flipped = bytes.clone();
-                flipped[matrix_at + at] ^= 1;
+                flipped
+                    [weights_at + entry.at + g.panel.weight_offset_for_test(at / g.n, at % g.n)] ^=
+                    1;
                 assert_eq!(
                     flipped[payloads.clone()],
                     reencoded[payloads.clone()],
@@ -3081,7 +3179,6 @@ mod tests {
                     "step {index}, byte {at}: flipped in place"
                 );
             }
-            matrix_at += len;
         }
     }
 
@@ -3091,7 +3188,7 @@ mod tests {
     /// the FC's ragged 12-row k-tile and 8-column strip, which every tier
     /// reads — and of the row-major
     /// bytes of the direct conv and the depthwise step is refused, with
-    /// the checksum, which folds in digests, unmoved.
+    /// the checksum, which folds in the weights digest, unmoved.
     #[test]
     fn every_flipped_byte_of_every_form_fails_integrity() {
         let compiled = Compiler::new().compile(&kitchen_sink());
@@ -3158,7 +3255,7 @@ mod tests {
         let Some(StepKind::Gemm(conv)) = plan.steps.last_mut().map(|s| &mut s.kind) else {
             panic!("the conv is the last step");
         };
-        flip_weight(conv, 0, i8::MIN);
+        flip_weight(conv, 0, 0x80);
         assert_eq!(plan.checksum(), plan.integrity_checksum(), "digest intact");
         assert!(matches!(
             plan.verify_integrity(),

@@ -61,6 +61,7 @@ pub use gcd2_globalopt::DegradeEvent;
 pub mod admit;
 pub mod artifact;
 pub mod error;
+mod image;
 pub mod infer;
 mod layout;
 pub mod runtime;

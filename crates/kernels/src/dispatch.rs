@@ -28,7 +28,8 @@
 //! tier, so a panel is the same bytes on every host and a plan built on
 //! one tier runs on every tier. A caller that runs the same weights
 //! again and again — an inference plan — fills that panel once, a
-//! k-tile at a time, keeps no other copy, and passes it to
+//! k-tile at a time, or borrows it where it lies in a plan artifact
+//! ([`WeightPanel::in_image`]), keeps no other copy, and passes it to
 //! [`try_matmul_panel_into`] on every dispatch; no tier pays an
 //! `O(k·n)` pack per dispatch. That is the one GEMM core: it derives the
 //! blocking of the tier it resolved ([`crate::tiled::tile_plan`]) and
@@ -62,7 +63,7 @@ use crate::tiled::{
 use gcd2_tensor::MatrixI8;
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Kernel instruction-set tiers, from the always-available oracle up.
 /// The discriminants are stable ordinals (reports and benchmark results
@@ -199,7 +200,7 @@ impl ByteMap {
 /// Which form of a weight matrix a panel holds: fixed by the step that
 /// reads it, never by the tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum PanelKind {
+pub enum PanelKind {
     /// The row-major `k × n` bytes: every direct (non-GEMM) kernel.
     #[default]
     Rows,
@@ -208,37 +209,172 @@ pub(crate) enum PanelKind {
     Quads,
 }
 
-/// Weight rows per k-tile: the unit a [`WeightPanel`] is filled and read
-/// back in — one quad tile deep.
+impl PanelKind {
+    /// Bytes the form of a `k × n` matrix takes, padding included: `k·n`
+    /// row-major, whole 16-column strips of whole 64-deep k-tiles as
+    /// quads.
+    pub fn bytes(self, k: usize, n: usize) -> usize {
+        match self {
+            PanelKind::Rows => k * n,
+            PanelKind::Quads => simd::quad_panel_rows(k, n) * size_of::<QuadRow>(),
+        }
+    }
+}
+
+/// Weight rows per k-tile: the unit a [`WeightPanel`] is filled in — one
+/// quad tile deep.
 pub const KTILE_ROWS: usize = 64;
 
 /// Quad rows an i32 lane of [`WeightPanel::column_sign_sums`] sums
 /// before it is flushed into its column: `128 · LANE_RUN = 2³⁰`.
 const LANE_RUN: usize = 1 << 23;
 
+/// Bytes that panels borrow in place instead of owning: a plan
+/// artifact's image, mapped from its file or read into memory, in which
+/// every panel of a loaded plan lies. [`PanelImage::bytes`] is expected
+/// to be the same slice on every call; a panel whose region moved,
+/// shrank or lost its alignment panics on its next read.
+pub trait PanelImage: Send + Sync + std::fmt::Debug {
+    /// The whole image.
+    fn bytes(&self) -> &[u8];
+}
+
+/// Where a panel's bytes live.
+#[derive(Debug)]
+enum Store {
+    /// Bytes the panel owns, from `start`, the first 64-byte boundary of
+    /// `buf`: a build's panels, and the one a matrix-taking entry point
+    /// refills.
+    Owned { buf: Vec<u8>, start: usize },
+    /// The panel's bytes from byte `at` of a shared image, on a 64-byte
+    /// boundary ([`WeightPanel::in_image`] checked both).
+    Image {
+        image: Arc<dyn PanelImage>,
+        at: usize,
+    },
+}
+
+impl Store {
+    /// `len` zero bytes from a 64-byte boundary, zero-allocated: the
+    /// allocator hands a large buffer out as the system's zero pages, so
+    /// no fill touches it and the pack is each page's first touch.
+    fn zeroed(len: usize) -> Store {
+        let buf = vec![0u8; len + 63];
+        let start = buf.as_ptr().align_offset(64);
+        Store::Owned { buf, start }
+    }
+
+    /// `bytes`, copied from a 64-byte boundary.
+    fn copy_of(bytes: &[u8]) -> Store {
+        let mut buf = vec![0u8; bytes.len() + 63];
+        let start = buf.as_ptr().align_offset(64);
+        buf[start..][..bytes.len()].copy_from_slice(bytes);
+        Store::Owned { buf, start }
+    }
+}
+
+/// A copy of an owned buffer lies wherever the allocator puts it, so it
+/// is re-aligned rather than cloned with its old `start`.
+impl Clone for Store {
+    fn clone(&self) -> Store {
+        match self {
+            Store::Owned { buf, start } => Store::copy_of(&buf[*start..]),
+            Store::Image { image, at } => Store::Image {
+                image: Arc::clone(image),
+                at: *at,
+            },
+        }
+    }
+}
+
+/// `bytes` as the quad rows they hold.
+///
+/// # Panics
+/// Unless `bytes` starts on a 64-byte boundary and is whole lines — a
+/// caller bug: [`WeightPanel::in_image`] admits only such regions.
+fn lines_in(bytes: &[u8]) -> &[QuadRow] {
+    let line = size_of::<QuadRow>();
+    assert!(
+        bytes.as_ptr().addr().is_multiple_of(line) && bytes.len().is_multiple_of(line),
+        "a quad panel is whole, aligned lines"
+    );
+    // SAFETY: the region is aligned for `QuadRow` and a whole number of
+    // them (asserted above); any 64 bytes are a valid `QuadRow` (`repr(C)`
+    // `[i8; 64]`), and the borrow is `bytes`'.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<QuadRow>(), bytes.len() / line) }
+}
+
+/// [`lines_in`], writable.
+fn lines_in_mut(bytes: &mut [u8]) -> &mut [QuadRow] {
+    let line = size_of::<QuadRow>();
+    assert!(
+        bytes.as_ptr().addr().is_multiple_of(line) && bytes.len().is_multiple_of(line),
+        "a quad panel is whole, aligned lines"
+    );
+    // SAFETY: as in `lines_in`; every bit pattern written through a
+    // `QuadRow` is a valid `u8`, and the exclusive borrow is `bytes`'.
+    unsafe {
+        std::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<QuadRow>(), bytes.len() / line)
+    }
+}
+
+/// `bytes` as the signed weights they store.
+fn signed(bytes: &[u8]) -> &[i8] {
+    // SAFETY: `i8` and `u8` have the same size and alignment and every
+    // bit pattern is valid for both; the borrow is `bytes`'.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<i8>(), bytes.len()) }
+}
+
 /// The one resident copy of a `k × n` weight matrix, in the one form
 /// its step reads: the quad panel for a GEMM on every tier
 /// ([`WeightPanel::for_gemm`]), the row-major bytes for a direct kernel
 /// ([`WeightPanel::row_major`]). Packing does not depend on the tier,
-/// so a GEMM panel is the same bytes on every host.
+/// so a panel is the same bytes on every host — which makes those bytes
+/// the file format: an artifact stores each panel as it lies
+/// ([`WeightPanel::as_bytes`]), and a load borrows it in place
+/// ([`WeightPanel::in_image`]).
 ///
-/// A panel is filled a k-tile at a time ([`WeightPanel::push_ktile`])
-/// and read back the same way ([`WeightPanel::for_each_ktile`]): packing
-/// and unpacking are the two directions of one layout map, so the panel
-/// stands in for the row-major matrix everywhere — a plan keeps no
-/// other copy. A plan fills one per GEMM, once, and hands it to
-/// [`try_matmul_panel_into`] on every dispatch; the matrix-taking entry
-/// points refill a reused one per call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A build fills its panels a k-tile at a time
+/// ([`WeightPanel::push_ktile`]) and owns them; a loaded plan's panels
+/// are regions of the shared artifact image. Either way a plan keeps no
+/// other copy, and hands the panel to [`try_matmul_panel_into`] on every
+/// dispatch; the matrix-taking entry points refill a reused one per
+/// call.
+#[derive(Debug, Clone)]
 pub struct WeightPanel {
     kind: PanelKind,
     k: usize,
     n: usize,
     /// Rows installed so far: `k` once the panel is complete.
     filled: usize,
-    rows: Vec<i8>,
-    quads: Vec<QuadRow>,
+    store: Store,
 }
+
+impl Default for WeightPanel {
+    fn default() -> Self {
+        WeightPanel {
+            kind: PanelKind::Rows,
+            k: 0,
+            n: 0,
+            filled: 0,
+            store: Store::Owned {
+                buf: Vec::new(),
+                start: 0,
+            },
+        }
+    }
+}
+
+/// Two panels are equal when they hold the same matrix in the same form
+/// as the same bytes — owned or borrowed alike.
+impl PartialEq for WeightPanel {
+    fn eq(&self, other: &Self) -> bool {
+        (self.kind, self.k, self.n, self.filled) == (other.kind, other.k, other.n, other.filled)
+            && self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for WeightPanel {}
 
 impl WeightPanel {
     /// An empty `k × n` quad panel — the form every tier's GEMM kernel
@@ -257,6 +393,30 @@ impl WeightPanel {
         WeightPanel::of_kind(PanelKind::Quads, w.as_slice(), w.rows(), w.cols())
     }
 
+    /// The complete `kind` panel of a `k × n` matrix lying in `image`
+    /// from byte `at`, borrowed in place: how an artifact load gives each
+    /// step its weights, with nothing copied or packed. `None` unless the
+    /// region lies inside the image and starts on a 64-byte boundary.
+    pub fn in_image(
+        kind: PanelKind,
+        (k, n): (usize, usize),
+        image: Arc<dyn PanelImage>,
+        at: usize,
+    ) -> Option<WeightPanel> {
+        let end = at.checked_add(kind.bytes(k, n))?;
+        let region = image.bytes().get(at..end)?;
+        if !region.as_ptr().addr().is_multiple_of(size_of::<QuadRow>()) {
+            return None;
+        }
+        Some(WeightPanel {
+            kind,
+            k,
+            n,
+            filled: k,
+            store: Store::Image { image, at },
+        })
+    }
+
     /// The `kind` form of the `k × n` matrix `wd`.
     pub(crate) fn of_kind(kind: PanelKind, wd: &[i8], k: usize, n: usize) -> WeightPanel {
         let mut panel = WeightPanel::default();
@@ -270,19 +430,20 @@ impl WeightPanel {
         panel
     }
 
-    /// Empties the panel into an unfilled `kind` panel of `k × n`,
-    /// keeping its buffers; the other form's buffer is emptied, so a
-    /// stale form can never be consumed. Quads are zeroed: a tile
-    /// writes only its weight bytes, the padding stays.
+    /// Empties the panel into an unfilled, zeroed `kind` panel of
+    /// `k × n` — refilling its buffer if it owns one large enough, else
+    /// zero-allocating one: a tile writes only its weight bytes, the
+    /// padding stays zero.
     fn reset(&mut self, kind: PanelKind, k: usize, n: usize) {
         (self.kind, self.k, self.n, self.filled) = (kind, k, n, 0);
-        self.rows.clear();
-        self.quads.clear();
-        match kind {
-            PanelKind::Rows => self.rows.reserve_exact(k * n),
-            PanelKind::Quads => self
-                .quads
-                .resize(simd::quad_panel_rows(k, n), Line([0; 64])),
+        let len = kind.bytes(k, n);
+        match &mut self.store {
+            Store::Owned { buf, start } if buf.capacity() >= len + 63 => {
+                buf.clear();
+                buf.resize(len + 63, 0);
+                *start = buf.as_ptr().align_offset(64);
+            }
+            _ => self.store = Store::zeroed(len),
         }
     }
 
@@ -292,6 +453,21 @@ impl WeightPanel {
         for r0 in (0..k).step_by(KTILE_ROWS) {
             self.push_ktile(&wd[r0 * n..][..KTILE_ROWS.min(k - r0) * n]);
         }
+    }
+
+    /// The bytes the panel owns, copied out of its image first if it
+    /// borrows one.
+    fn owned_bytes(&mut self) -> &mut [u8] {
+        if let Store::Image { .. } = self.store {
+            self.store = Store::copy_of(self.as_bytes());
+        }
+        let len = self.kind.bytes(self.k, self.n);
+        let Store::Owned { buf, start } = &mut self.store else {
+            unreachable!("replaced above")
+        };
+        let held = &mut buf[*start..];
+        let len = len.min(held.len());
+        &mut held[..len]
     }
 
     /// Installs the next k-tile: the row-major bytes of the next
@@ -306,12 +482,18 @@ impl WeightPanel {
         let rows = KTILE_ROWS.min(self.k - self.filled);
         assert_eq!(tile.len(), rows * self.n, "a k-tile of {rows} rows");
         if !tile.is_empty() {
-            let t = self.filled / KTILE_ROWS;
-            let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
-            match self.kind {
-                PanelKind::Rows => self.rows.extend_from_slice(tile),
+            let (kind, k, n, filled) = (self.kind, self.k, self.n, self.filled);
+            let bytes = self.owned_bytes();
+            match kind {
+                PanelKind::Rows => {
+                    for (b, &w) in bytes[filled * n..].iter_mut().zip(tile) {
+                        *b = w as u8;
+                    }
+                }
                 PanelKind::Quads => {
-                    simd::pack_quad_ktile(tile, self.n, &mut self.quads[t * TILE_QUADS..], strip)
+                    let (t, strip) = (filled / KTILE_ROWS, k.div_ceil(KTILE_ROWS) * TILE_QUADS);
+                    let lines = lines_in_mut(bytes);
+                    simd::pack_quad_ktile(tile, n, &mut lines[t * TILE_QUADS..], strip)
                 }
             }
         }
@@ -320,18 +502,19 @@ impl WeightPanel {
 
     /// Calls `f` with each installed k-tile in order — [`KTILE_ROWS`]
     /// rows of the row-major weights, fewer in the last — unpacked into
-    /// `tile` (a row-major panel lends its own bytes): how the weights
-    /// are read back without a second copy of the matrix.
-    pub fn for_each_ktile(&self, tile: &mut Vec<i8>, mut f: impl FnMut(&[i8])) {
+    /// `tile` (a row-major panel lends its own bytes): the inverse of
+    /// [`WeightPanel::push_ktile`], which the suites hold the pack to.
+    #[cfg(test)]
+    pub(crate) fn for_each_ktile(&self, tile: &mut Vec<i8>, mut f: impl FnMut(&[i8])) {
         let n = self.n;
         let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
         for t in 0..self.filled.div_ceil(KTILE_ROWS) {
             let rows = KTILE_ROWS.min(self.filled - t * KTILE_ROWS);
             match self.kind {
-                PanelKind::Rows => f(&self.rows[t * KTILE_ROWS * n..][..rows * n]),
+                PanelKind::Rows => f(&signed(self.as_bytes())[t * KTILE_ROWS * n..][..rows * n]),
                 PanelKind::Quads => {
                     tile.resize(rows * n, 0);
-                    simd::unpack_quad_ktile(&self.quads[t * TILE_QUADS..], n, strip, tile);
+                    simd::unpack_quad_ktile(&self.quads()[t * TILE_QUADS..], n, strip, tile);
                     f(tile)
                 }
             }
@@ -355,7 +538,7 @@ impl WeightPanel {
         let mut sums = vec![(0i64, 0i64); self.n];
         match self.kind {
             PanelKind::Rows => {
-                for row in self.rows.chunks_exact(self.n.max(1)) {
+                for row in signed(self.as_bytes()).chunks_exact(self.n.max(1)) {
                     for (sum, &w) in sums.iter_mut().zip(row) {
                         sum.0 += i64::from(w.max(0));
                         sum.1 += i64::from(w.min(0));
@@ -364,7 +547,7 @@ impl WeightPanel {
             }
             PanelKind::Quads => {
                 let strip = self.k.div_ceil(KTILE_ROWS) * TILE_QUADS;
-                for (cols, quads) in sums.chunks_mut(16).zip(self.quads.chunks(strip.max(1))) {
+                for (cols, quads) in sums.chunks_mut(16).zip(self.quads().chunks(strip.max(1))) {
                     for run in quads.chunks(LANE_RUN) {
                         let (mut pos, mut neg) = ([0i32; 64], [0i32; 64]);
                         for Line(d) in run {
@@ -388,23 +571,12 @@ impl WeightPanel {
     /// Whether the panel is complete and every byte of it that holds no
     /// weight is what packing leaves there: the rows past `k` of the
     /// last k-tile and the columns past `n` of the last strip of a quad
-    /// panel zero. With the digest of what
-    /// [`WeightPanel::for_each_ktile`] reads back, this covers every
-    /// byte a kernel reads.
+    /// panel zero. Only the ragged tiles are read. A load checks every
+    /// panel it borrows with this, since a file's padding is not a
+    /// packer's.
     pub fn padding_is_clean(&self) -> bool {
         let (k, n) = (self.k, self.n);
-        let forms = [
-            (PanelKind::Rows, self.rows.len(), k * n),
-            (
-                PanelKind::Quads,
-                self.quads.len(),
-                simd::quad_panel_rows(k, n),
-            ),
-        ];
-        let sized = forms
-            .iter()
-            .all(|&(kind, len, want)| len == if kind == self.kind { want } else { 0 });
-        if !sized || self.filled != k {
+        if self.as_bytes().len() != self.kind.bytes(k, n) || self.filled != k {
             return false;
         }
         match self.kind {
@@ -414,11 +586,12 @@ impl WeightPanel {
                 let weight = |t: usize, s: usize, q: usize, b: usize| {
                     KTILE_ROWS * t + 4 * q + b % 4 < k && 16 * s + b / 4 < n
                 };
+                let panel = self.quads();
                 (0..strips).all(|s| {
                     (0..kt).all(|t| {
                         let ragged = (t + 1 == kt && k % KTILE_ROWS != 0)
                             || (s + 1 == strips && n % 16 != 0);
-                        let quads = &self.quads[(s * kt + t) * TILE_QUADS..][..TILE_QUADS];
+                        let quads = &panel[(s * kt + t) * TILE_QUADS..][..TILE_QUADS];
                         !ragged
                             || quads.iter().enumerate().all(|(q, Line(d))| {
                                 d.iter()
@@ -431,39 +604,64 @@ impl WeightPanel {
         }
     }
 
+    /// The bytes the panel holds, in memory order, padding included: what
+    /// the kernels read, what a plan's integrity digest covers, and what
+    /// an artifact stores verbatim — [`PanelKind::bytes`] of them once the
+    /// panel is complete.
+    pub fn as_bytes(&self) -> &[u8] {
+        let len = self.kind.bytes(self.k, self.n);
+        let held = match &self.store {
+            Store::Owned { buf, start } => &buf[*start..],
+            Store::Image { image, at } => &image.bytes()[*at..][..len],
+        };
+        &held[..len.min(held.len())]
+    }
+
     /// Bytes the panel holds, padding included (the quad panel is
     /// padded to whole 16-column strips and 64-deep k-tiles).
     pub fn bytes(&self) -> usize {
-        self.rows.len() + std::mem::size_of_val(&self.quads[..])
+        self.as_bytes().len()
     }
 
     /// The row-major weights, when they are the form the panel holds.
     pub fn as_rows(&self) -> Option<&[i8]> {
-        (self.kind == PanelKind::Rows).then_some(&self.rows[..])
+        (self.kind == PanelKind::Rows).then(|| signed(self.as_bytes()))
     }
 
     /// The quad rows a band kernel reads: empty unless the panel is a
     /// GEMM's.
     pub(crate) fn quads(&self) -> &[QuadRow] {
-        &self.quads
+        match self.kind {
+            PanelKind::Rows => &[],
+            PanelKind::Quads => lines_in(self.as_bytes()),
+        }
+    }
+
+    /// Where weight `w[r][j]` (`r < k`, `j < n`) sits in
+    /// [`WeightPanel::as_bytes`].
+    #[doc(hidden)]
+    pub fn weight_offset_for_test(&self, r: usize, j: usize) -> usize {
+        match self.kind {
+            PanelKind::Rows => r * self.n + j,
+            PanelKind::Quads => {
+                let tile = (j / 16 * self.k.div_ceil(KTILE_ROWS) + r / KTILE_ROWS) * TILE_QUADS;
+                (tile + r % KTILE_ROWS / 4) * 64 + 4 * (j % 16) + r % 4
+            }
+        }
     }
 
     /// Test instrumentation: xors `mask` into byte `byte` of what the
     /// panel stores (the bytes of its one form in memory order, padding
     /// included), so a suite can show that every byte is both what
-    /// executes and what integrity checking covers. Returns `false` past
-    /// the last byte.
+    /// executes and what integrity checking covers. A borrowed panel is
+    /// copied out of its image first. Returns `false` past the last byte.
     #[doc(hidden)]
     pub fn corrupt_for_test(&mut self, byte: usize, mask: u8) -> bool {
-        let mask = mask as i8;
-        match self.kind {
-            PanelKind::Rows => self.rows.get_mut(byte).map(|v| *v ^= mask),
-            PanelKind::Quads => self
-                .quads
-                .get_mut(byte / 64)
-                .map(|Line(row)| row[byte % 64] ^= mask),
+        if byte >= self.bytes() {
+            return false;
         }
-        .is_some()
+        self.owned_bytes()[byte] ^= mask;
+        true
     }
 
     /// Test instrumentation: sets weight `w[r][j]` (`r < k`, `j < n`)
@@ -471,13 +669,8 @@ impl WeightPanel {
     /// what executes without touching the padding.
     #[doc(hidden)]
     pub fn set_weight_for_test(&mut self, r: usize, j: usize, v: i8) {
-        match self.kind {
-            PanelKind::Rows => self.rows[r * self.n + j] = v,
-            PanelKind::Quads => {
-                let tile = (j / 16 * self.k.div_ceil(KTILE_ROWS) + r / KTILE_ROWS) * TILE_QUADS;
-                self.quads[tile + r % KTILE_ROWS / 4].0[4 * (j % 16) + r % 4] = v;
-            }
-        }
+        let at = self.weight_offset_for_test(r, j);
+        self.owned_bytes()[at] = v as u8;
     }
 }
 
@@ -977,8 +1170,9 @@ mod tests {
             assert_eq!(panel.as_rows().is_some(), kind == PanelKind::Rows);
             assert!(!holds(&panel, &other), "{kind:?} of other weights");
             let mut short = panel.clone();
-            short.rows.pop();
-            short.quads.pop();
+            if let Store::Owned { buf, start } = &mut short.store {
+                buf.truncate(*start + panel.bytes() - 1);
+            }
             assert!(!holds(&short, &w), "{kind:?} truncated");
             let mut partial = WeightPanel::empty(kind, k, n);
             partial.push_ktile(&w.as_slice()[..KTILE_ROWS * n]);

@@ -52,8 +52,8 @@ pub use conv::{
 pub use cost::{CostCache, CostModel, KERNEL_DISPATCH_CYCLES};
 pub use dispatch::{
     active_isa, detected_isa, gemm_kernel_summary, pin_isa, try_matmul_panel_into,
-    try_matmul_threaded_into, ByteMap, GemmA, IsaPin, KernelIsa, ScratchPool, WeightPanel,
-    KTILE_ROWS,
+    try_matmul_threaded_into, ByteMap, GemmA, IsaPin, KernelIsa, PanelImage, PanelKind,
+    ScratchPool, WeightPanel, KTILE_ROWS,
 };
 pub use elementwise::{elementwise_blocks, EwKind};
 pub use instr::SimdInstr;

@@ -105,7 +105,9 @@ pub(crate) fn pack_quad_ktile(rows: &[i8], n: usize, dst: &mut [QuadRow], strip_
 
 /// The inverse of [`pack_quad_ktile`]: the k-tile whose quad tiles sit
 /// at `src[s · strip_stride..][..TILE_QUADS]`, into `tile`, its whole
-/// rows of `n` weights. Padding bytes are not read.
+/// rows of `n` weights. Padding bytes are not read. Only the suites
+/// read a panel back: a plan digests, stores and sums it as it lies.
+#[cfg(test)]
 pub(crate) fn unpack_quad_ktile(src: &[QuadRow], n: usize, strip_stride: usize, tile: &mut [i8]) {
     for s in 0..n.div_ceil(16) {
         let (j0, cols) = (16 * s, (n - 16 * s).min(16));

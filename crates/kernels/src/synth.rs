@@ -263,16 +263,12 @@ mod tests {
     /// Nanoseconds per weight of installing resnet-50's GEMM weight
     /// matrices (one `k × n` matrix per distinct dispatched shape) into
     /// the quad panels every tier's kernels read, the way a plan build
-    /// and an artifact load did before panels were the only copy and the
-    /// way they do now:
-    /// - build: synthesise the whole matrix, then pack it; synthesise a
-    ///   64-row k-tile into one reused buffer and pack it while it is hot;
-    /// - load, from one buffer holding every matrix as the artifact's
-    ///   WEIGHTS section does: copy the matrix out, then pack it; copy a
-    ///   k-tile out and pack it;
-    /// - the floor of a load: a zeroed panel-sized buffer and one
-    ///   `memcpy` of the section into it — the bytes a load must write,
-    ///   with no shuffle.
+    /// did before panels were the only copy and the way it does now:
+    /// synthesise the whole matrix, then pack it; synthesise a 64-row
+    /// k-tile into one reused buffer and pack it while it is hot. Beside
+    /// them, the pack alone into resident panels and a resident `memcpy`
+    /// of the same bytes. (An artifact load installs nothing: it borrows
+    /// the panels where they lie in the file.)
     ///
     /// Best of 5 rounds in one process, so the pages a round frees are
     /// handed to the next: first touch — which a fresh process pays for
@@ -303,7 +299,7 @@ mod tests {
                 weight_row_into(seed, node, (kr * n) as u64, run);
             }
         };
-        // Every matrix back to back, as bytes: what a load borrows.
+        // Every matrix back to back, as bytes.
         let section: Vec<u8> = shapes
             .iter()
             .enumerate()
@@ -369,26 +365,6 @@ mod tests {
             best_of(&mut || tiled(&mut |node, n, kr0, tile| fill_tile(node as u64, n, kr0, tile)));
         println!("  build: synthesise a k-tile, pack it     : {ns:.3} ns/weight");
         assert!(panels == oracle, "tile-at-a-time build");
-        let (ns, panels) = best_of(&mut || {
-            let mut packed = Vec::new();
-            for (&(k, n), &at) in shapes.iter().zip(&starts) {
-                let w = section[at..][..k * n].iter().map(|&b| b as i8).collect();
-                packed.push(WeightPanel::pack(&MatrixI8::from_vec(k, n, w)));
-            }
-            packed
-        });
-        println!("  load: copy the matrix, then pack        : {ns:.3} ns/weight");
-        assert!(panels == oracle, "copy-then-pack load");
-        let (ns, panels) = best_of(&mut || {
-            tiled(&mut |node, n, kr0, tile| {
-                let raw = &section[starts[node] + kr0 * n..][..tile.len()];
-                for (w, &b) in tile.iter_mut().zip(raw) {
-                    *w = b as i8;
-                }
-            })
-        });
-        println!("  load: copy a k-tile, pack it            : {ns:.3} ns/weight");
-        assert!(panels == oracle, "tile-at-a-time load");
         // Best of 5 of `f`, in ns per weight; what `f` returns is dropped
         // outside the timed span.
         fn time<T>(total: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -404,24 +380,11 @@ mod tests {
                 .unwrap_or(Duration::MAX);
             best.as_secs_f64() * 1e9 / total as f64
         }
-        let ns = time(total, || {
-            shapes
-                .iter()
-                .zip(&starts)
-                .zip(&oracle)
-                .map(|((&(k, n), &at), panel)| {
-                    let mut bytes = written_zeros(panel.bytes());
-                    bytes[..k * n].copy_from_slice(&section[at..][..k * n]);
-                    bytes
-                })
-                .collect::<Vec<_>>()
-        });
-        println!("  load floor: zeroed panel + memcpy       : {ns:.3} ns/weight");
-        // The shuffle alone: every k-tile of the section packed into
+        // The shuffle alone: every k-tile of the matrices packed into
         // quad panels already written once, beside one `memcpy` of the
-        // section into buffers as resident. Once the pack nears
-        // `memcpy`, the floor above is first touch and the zero fill,
-        // not the shuffle.
+        // matrices into buffers as resident. Once the pack nears
+        // `memcpy`, what a build pays beyond it is first touch and the
+        // zero fill, not the shuffle.
         let weights: Vec<i8> = section.iter().map(|&b| b as i8).collect();
         let mut quads: Vec<Vec<Line<i8>>> = shapes
             .iter()
@@ -448,18 +411,5 @@ mod tests {
             }
         });
         println!("  resident: memcpy                        : {ns:.3} ns/weight");
-        // Reading the weights back, as the integrity check, the artifact
-        // and the analyzer do: every k-tile of every panel.
-        let mut tile = Vec::new();
-        let ns = time(total, || {
-            let mut sum = 0u64;
-            for panel in &oracle {
-                panel.for_each_ktile(&mut tile, |rows| {
-                    sum = sum.wrapping_add(black_box(rows).len() as u64);
-                });
-            }
-            sum
-        });
-        println!("  read back a k-tile at a time            : {ns:.3} ns/weight");
     }
 }

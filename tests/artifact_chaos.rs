@@ -10,6 +10,12 @@
 //! recorded [`ColdStartFallback`] events on a successfully compiled
 //! result. Every scenario uses real files, so the suite runs in the
 //! default build.
+//!
+//! A plan loaded from the cache reads its weights from a mapping of the
+//! cache file, so it relies on nobody writing that file in place — the
+//! cache itself only renames over and unlinks. The scenarios that do
+//! write an entry in place (`fs::write` truncates the inode) drop every
+//! plan mapped from it first.
 
 mod common;
 
@@ -114,7 +120,10 @@ fn torn_writes_at_every_length_degrade_and_heal() {
     let full = std::fs::read(&path).expect("stored");
 
     // Sweep a spread of truncation lengths (every length is covered at
-    // the unit level; here we prove the end-to-end degrade path).
+    // the unit level; here we prove the end-to-end degrade path). The
+    // in-place write below truncates the entry's inode, so no plan
+    // mapped from it may be alive: `seed` compiled, and each iteration's
+    // `warm` — the one mapped plan — drops before the next tear.
     for cut in (0..full.len()).step_by(97).chain([full.len() - 1]) {
         std::fs::write(&path, &full[..cut]).expect("tear");
         let healed = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("degrade");
@@ -170,6 +179,9 @@ fn bit_flips_over_every_section_degrade_to_fallback() {
     let path = cache.path_for(&cold.key);
     let full = std::fs::read(&path).expect("stored");
 
+    // Each in-place flip rewrites the entry's inode, so no plan mapped
+    // from it may be alive: `seed` and every `healed` compiled, and each
+    // position's `warm` — the one mapped plan — drops before the next.
     for pos in (0..full.len()).step_by(61) {
         for bit in [0x01u8, 0x80u8] {
             let mut bytes = full.clone();
@@ -191,6 +203,43 @@ fn bit_flips_over_every_section_degrade_to_fallback() {
         let warm = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("warm");
         assert_eq!(warm.source, ColdStartSource::ArtifactCache);
     }
+}
+
+/// A plan loaded from the cache keeps executing bit-identically after
+/// its entry is evicted (an unlink) and after a newer store of the same
+/// key renames another file over it: the mapping holds the inode it
+/// loaded, which neither touches. A load after the store maps the new
+/// file and is the same plan again.
+#[test]
+fn a_mapped_plan_outlives_eviction_and_replacement_of_its_entry() {
+    let b = baseline();
+    let cache = temp_cache("lifetime");
+    let compiler = Compiler::new();
+    let cold = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("seed");
+    let path = cache.path_for(&cold.key);
+    let stored = std::fs::read(&path).expect("stored");
+    let mapped = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("warm");
+    assert_eq!(mapped.source, ColdStartSource::ArtifactCache);
+    assert_sound(&b, &mapped, "loaded");
+
+    assert!(cache.evict(&cold.key).expect("evict"), "the entry existed");
+    assert!(!path.exists());
+    assert_sound(&b, &mapped, "after eviction");
+    mapped.plan.verify_integrity().expect("after eviction");
+
+    // A newer store of the key: other bytes first (a rename over nothing),
+    // then the artifact again over them — both rename, neither writes the
+    // mapped inode.
+    cache.store(&cold.key, b"a newer entry").expect("store");
+    assert_sound(&b, &mapped, "after a store");
+    cache.store(&cold.key, &stored).expect("store again");
+    assert_sound(&b, &mapped, "after a store over the store");
+    mapped.plan.verify_integrity().expect("after replacement");
+
+    let again = load_or_compile(&compiler, &b.text, SEED, &cache, "chaos").expect("reload");
+    assert_eq!(again.source, ColdStartSource::ArtifactCache);
+    assert_sound(&b, &again, "reloaded");
+    assert_sound(&b, &mapped, "beside its successor");
 }
 
 /// A future-format artifact (version skew) is refused with a recorded

@@ -14,7 +14,9 @@ use common::TempCache;
 use gcd2_repro::analyze::{LintCode, Verdict};
 use gcd2_repro::artifact::{Artifact, ArtifactError, ArtifactWriter};
 use gcd2_repro::cgraph::{to_text, Graph, OpKind, TShape};
-use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource, SEC_GRAPH};
+use gcd2_repro::compiler::artifact::{
+    decode, encode, load_or_compile, ColdStartSource, SEC_GRAPH, SEC_WEIGHTS,
+};
 use gcd2_repro::compiler::infer::PlanMutation;
 use gcd2_repro::compiler::{Compiler, Gcd2Error};
 use gcd2_repro::kernels::{pin_isa, KernelIsa};
@@ -25,6 +27,15 @@ const MANIFEST: &str = "tests/data/hostile/MANIFEST.txt";
 
 const HEADER_BYTES: usize = 16;
 const TABLE_ENTRY_BYTES: usize = 28;
+
+/// What each forged weights image and the padding case are refused as.
+const FORGED_WEIGHTS: [(&str, &str); 5] = [
+    ("nonzero_section_padding.gcd2art", "section padding"),
+    ("weights_nonzero_padding.gcd2art", "weight padding"),
+    ("weights_unaligned_panel.gcd2art", "weight panel alignment"),
+    ("weights_overlapping_panels.gcd2art", "weight panel overlap"),
+    ("weights_panel_out_of_section.gcd2art", "weight panel range"),
+];
 
 /// The manifest key for an error variant (payload-independent).
 fn variant_name(e: &ArtifactError) -> &'static str {
@@ -43,8 +54,6 @@ fn variant_name(e: &ArtifactError) -> &'static str {
 /// (filename, damaged bytes).
 fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
     let art = Artifact::decode(golden).expect("golden must decode");
-    let count = art.sections.len();
-    let payload_start = HEADER_BYTES + count * TABLE_ENTRY_BYTES;
 
     let mut corpus: Vec<(String, Vec<u8>)> = Vec::new();
     let mut push = |name: &str, bytes: Vec<u8>| corpus.push((name.to_string(), bytes));
@@ -67,9 +76,8 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
         "truncated_table.gcd2art",
         golden[..HEADER_BYTES + TABLE_ENTRY_BYTES / 2].to_vec(),
     );
-    let mut cut = payload_start;
     for (i, sec) in art.sections.iter().enumerate() {
-        cut += sec.bytes.len();
+        let cut = sec.offset + sec.bytes.len();
         // Cutting exactly at the final section's end removes only the
         // chain trailer; every cut is still a Truncated rejection.
         push(
@@ -85,15 +93,21 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
     push("flipped_table_checksum.gcd2art", b);
 
     // One flipped byte in each section's payload.
-    let mut off = payload_start;
     for (i, sec) in art.sections.iter().enumerate() {
         if !sec.bytes.is_empty() {
             let mut b = golden.to_vec();
-            b[off + sec.bytes.len() / 2] ^= 0x04;
+            b[sec.offset + sec.bytes.len() / 2] ^= 0x04;
             push(&format!("flipped_payload_sec{i}.gcd2art"), b);
         }
-        off += sec.bytes.len();
     }
+
+    // A non-zero byte in the alignment gap before the second payload:
+    // no checksum covers it, and it is refused as what it is.
+    let mut b = golden.to_vec();
+    let first = &art.sections[0];
+    assert!(first.offset + first.bytes.len() < art.sections[1].offset);
+    b[art.sections[1].offset - 1] = 0x01;
+    push("nonzero_section_padding.gcd2art", b);
 
     // A declared section length far beyond the buffer (len field at
     // entry offset 12) — must be refused before any allocation.
@@ -141,6 +155,50 @@ fn build_corpus(golden: &[u8]) -> Vec<(String, Vec<u8>)> {
         w.section(sec.id, payload);
     }
     push("graph_edited.gcd2art", w.finish(bind).expect("re-encode"));
+
+    // The weights image with one header field or padding byte forged,
+    // every checksum recomputed: the container vouches for it, and the
+    // loader holds it to the layout the derived schedule gives. The
+    // golden's two panels (the conv's and the depthwise's row-major
+    // bytes) are entries 0 and 1 of a header of a count and then
+    // `(kind, k, n, at)` per panel.
+    let weights = art.section(SEC_WEIGHTS).expect("weights");
+    let field = |entry: usize, word: usize| 8 + 32 * entry + 8 * word;
+    let at_of = |entry: usize| {
+        let f = field(entry, 3);
+        u64::from_le_bytes(weights[f..f + 8].try_into().expect("8 bytes"))
+    };
+    let padded_len = (weights.len() as u64).next_multiple_of(64);
+    // (name, where in the section, the bytes written there)
+    let forged_weights = [
+        ("weights_nonzero_padding.gcd2art", field(2, 0), vec![0x01]),
+        (
+            "weights_unaligned_panel.gcd2art",
+            field(0, 3),
+            (at_of(0) + 1).to_le_bytes().to_vec(),
+        ),
+        (
+            "weights_overlapping_panels.gcd2art",
+            field(1, 3),
+            at_of(0).to_le_bytes().to_vec(),
+        ),
+        (
+            "weights_panel_out_of_section.gcd2art",
+            field(1, 3),
+            padded_len.to_le_bytes().to_vec(),
+        ),
+    ];
+    for (name, at, forged) in forged_weights {
+        let mut w = ArtifactWriter::new();
+        for sec in &art.sections {
+            let mut payload = sec.bytes.to_vec();
+            if sec.id == SEC_WEIGHTS {
+                payload[at..at + forged.len()].copy_from_slice(&forged);
+            }
+            w.section(sec.id, payload);
+        }
+        push(name, w.finish(bind).expect("re-encode"));
+    }
 
     // A flipped byte in the chain trailer: every section checksum still
     // passes, so this must be caught by the chain↔plan binding.
@@ -216,6 +274,18 @@ fn hostile_corpus_is_rejected_with_pinned_variants() {
             assert_eq!(what, "graph text utf-8")
         }
         other => panic!("expected a utf-8 refusal, got {other:?}"),
+    }
+
+    // A forged weights image under valid checksums, and a non-zero
+    // alignment byte, are each refused for the defect they carry.
+    for (name, want) in FORGED_WEIGHTS {
+        let forged = std::fs::read(format!("{HOSTILE_DIR}/{name}")).expect("read");
+        match decode(&forged) {
+            Err(Gcd2Error::Artifact(ArtifactError::Bounds { what, .. })) => {
+                assert_eq!(what, want, "{name}")
+            }
+            other => panic!("{name}: expected a {want} refusal, got {other:?}"),
+        }
     }
 
     // An edited graph under valid checksums loads as far as the re-hash,

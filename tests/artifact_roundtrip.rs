@@ -8,7 +8,7 @@ mod common;
 
 use common::TempCache;
 use gcd2_repro::cgraph::{to_text, Activation, Graph, NodeId, OpKind, TShape};
-use gcd2_repro::compiler::artifact::{decode, encode, load_or_compile, ColdStartSource};
+use gcd2_repro::compiler::artifact::{decode, encode, load_file, load_or_compile, ColdStartSource};
 use gcd2_repro::compiler::{Compiler, Gcd2Error, InferencePlan, Verdict};
 use gcd2_repro::kernels::{pin_isa, KernelIsa};
 use gcd2_repro::models::ModelId;
@@ -123,13 +123,14 @@ fn catalog_models_round_trip_bit_identically() {
 /// (version 4), and while the step schedule was stored beside the graph
 /// it is a function of (version 5), and before unary steps folded into
 /// their GEMM's requantisation (version 6: same sections, other
-/// derivation) — are refused as a version skew, and
+/// derivation), and while the weights were stored as row-major matrices
+/// a load packed (version 7) — are refused as a version skew, and
 /// a cache that still holds one degrades to a recorded fallback compile
 /// that heals the entry.
 #[test]
 fn previous_version_artifact_falls_back_cleanly() {
     use gcd2_repro::artifact::ArtifactError;
-    for version in 1..=6 {
+    for version in 1..=7 {
         let old = std::fs::read(format!("tests/data/golden_v{version}.gcd2art"))
             .expect("an earlier version's golden");
         match decode(&old) {
@@ -220,28 +221,48 @@ fn artifact_bytes_do_not_depend_on_the_tier_that_wrote_them() {
 }
 
 /// resnet-50 as `gcd2c resnet-50 --emit` writes it (seed `0xC0DE`):
-/// 25.5 MB of weights, read back from the quad panels every tier packs
-/// the same, encode to the same bytes on every tier the host supports,
-/// with the pinned integrity checksum. Slow outside a release build:
+/// 25.5 MB of weights, the quad panels every tier packs the same,
+/// encode to the same bytes on every tier the host supports, with the
+/// pinned integrity checksum; and that file, mapped, loads and executes
+/// bit-identically to the built plan under every tier, its panels read
+/// in place. Slow outside a release build:
 /// `cargo test --release --test artifact_roundtrip -- --ignored`.
 #[test]
 #[ignore]
 fn resnet_50_artifact_is_the_same_on_every_tier() {
     let compiled = Compiler::new().compile(&ModelId::ResNet50.build());
-    let mut first: Option<Vec<u8>> = None;
+    let mut first: Option<(Vec<u8>, Vec<u8>)> = None;
     for tier in tiers() {
         let _pin = pin_isa(tier);
         let plan = compiled.inference_plan(0xC0DE);
-        assert_eq!(plan.checksum(), 0x6241_cf52_6ebe_7984, "{tier}");
+        assert_eq!(plan.checksum(), 0x1de7_6697_e367_857e, "{tier}");
         let bytes = encode(&compiled, &plan, "resnet-50").expect("encode");
         match &first {
-            Some(first) => assert!(bytes == *first, "{tier} wrote other bytes"),
-            None => first = Some(bytes),
+            Some((first, _)) => assert!(bytes == *first, "{tier} wrote other bytes"),
+            None => {
+                let output = plan.execute(&sample_input(plan.input_len()));
+                first = Some((bytes, output));
+            }
         }
+    }
+    let (bytes, want) = first.expect("the scalar tier at least");
+    let cache = temp_cache("resnet-50");
+    let path = cache.dir().join("resnet-50.gcd2art");
+    std::fs::write(&path, &bytes).expect("write the artifact");
+    let loaded = load_file(&path).expect("mapped load");
+    assert_eq!(loaded.stages[0].0, "map", "{:?}", loaded.stages);
+    let input = sample_input(loaded.plan.input_len());
+    for tier in tiers() {
+        let _pin = pin_isa(tier);
+        assert_eq!(loaded.plan.checksum(), 0x1de7_6697_e367_857e, "{tier}");
+        assert!(
+            loaded.plan.execute(&input) == want,
+            "{tier}: mapped plan output"
+        );
     }
 }
 
-/// Sections are looked up by id: a format-7 artifact that carries a
+/// Sections are looked up by id: a format-8 artifact that carries a
 /// section this build does not know still loads to the same plan —
 /// under the id format 5 kept its schedule under (a stray one says
 /// nothing about what a kernel reads) or the one format 4 kept its tile
